@@ -135,7 +135,7 @@ pub fn merge_strategy_ablation(k: usize, n: usize) -> (f64, f64) {
 
     let parts = mk_parts(&mut ctx);
     ctx.take_profile();
-    let _ = Kpa::merge_many_kway(&mut ctx, parts, MemKind::Dram, Priority::Normal).unwrap();
+    let _ = Kpa::merge_many(&mut ctx, parts, MemKind::Dram, Priority::Normal).unwrap();
     let kway = model.time_secs(&ctx.take_profile(), CORES) * 1e6;
     (pairwise, kway)
 }

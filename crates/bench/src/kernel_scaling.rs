@@ -28,6 +28,12 @@ pub const WIDTHS: [usize; 5] = [1, 2, 4, 8, 16];
 /// Inputs to the wide-merge comparison (one KPA per ingested bundle of a
 /// watermark round, as in window closure).
 pub const MERGE_WAYS: usize = 16;
+/// Pairs per chunk sort in the host-kernel table: one ingested bundle of
+/// the repo benchmark's `sum_highcard_sort` workload.
+pub const CHUNK_PAIRS: usize = 20_000;
+/// Sorted runs per merge in the host-kernel table: the KPAs closing one
+/// window of that workload.
+pub const CHUNK_RUNS: usize = 25;
 
 fn env() -> MemEnv {
     MemEnv::new(MachineConfig::knl().scaled(0.05))
@@ -45,6 +51,13 @@ fn extracted(ctx: &mut ExecCtx, b: &Arc<RecordBundle>) -> Kpa {
     Kpa::extract(ctx, b, Col(0), MemKind::Hbm, Priority::Normal).expect("KPA fits in HBM")
 }
 
+/// Runs `f` and returns its result with the host seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t = Instant::now(); // sbx-lint: allow(wall-clock, host kernel timing)
+    let out = f();
+    (out, t.elapsed().as_secs_f64())
+}
+
 /// Times `sort`, two-way `merge` and `join` at pool width `width` over
 /// [`PAIRS`]-pair inputs; returns host milliseconds per kernel.
 pub fn measure_width(width: usize) -> (f64, f64, f64) {
@@ -53,9 +66,7 @@ pub fn measure_width(width: usize) -> (f64, f64, f64) {
     let b = bundle(&env, PAIRS, 11);
 
     let mut kpa = extracted(&mut ctx, &b);
-    let t = Instant::now(); // sbx-lint: allow(wall-clock, host kernel timing)
-    kpa.sort(&mut ctx, width).expect("sort");
-    let sort_ms = t.elapsed().as_secs_f64() * 1e3;
+    let ((), sort_s) = timed(|| kpa.sort(&mut ctx, width).expect("sort"));
 
     // Two sorted halves of the same pair count feed merge and join.
     let bh = bundle(&env, PAIRS / 2, 12);
@@ -65,19 +76,54 @@ pub fn measure_width(width: usize) -> (f64, f64, f64) {
     left.sort(&mut ctx, width).expect("sort");
     right.sort(&mut ctx, width).expect("sort");
 
-    let t = Instant::now(); // sbx-lint: allow(wall-clock, host kernel timing)
-    let merged =
-        Kpa::merge(&mut ctx, &left, &right, MemKind::Hbm, Priority::Normal).expect("merge fits");
-    let merge_ms = t.elapsed().as_secs_f64() * 1e3;
+    let (merged, merge_s) = timed(|| {
+        Kpa::merge(&mut ctx, &left, &right, MemKind::Hbm, Priority::Normal).expect("merge fits")
+    });
     assert_eq!(merged.len(), PAIRS, "merge covers both inputs");
 
-    let t = Instant::now(); // sbx-lint: allow(wall-clock, host kernel timing)
     let mut emitted = 0usize;
-    let stats = join_sorted(&mut ctx, &left, &right, 32, |_, _, _, _| emitted += 1);
-    let join_ms = t.elapsed().as_secs_f64() * 1e3;
+    let (stats, join_s) =
+        timed(|| join_sorted(&mut ctx, &left, &right, 32, |_, _, _, _| emitted += 1));
     assert_eq!(stats.emitted, emitted, "join stats agree with emissions");
 
-    (sort_ms, merge_ms, join_ms)
+    (sort_s * 1e3, merge_s * 1e3, join_s * 1e3)
+}
+
+/// Host nanoseconds per pair of the serial grouping kernels at the repo
+/// benchmark's shape (`benchmark/`, workload `sum_highcard_sort`): a
+/// [`CHUNK_PAIRS`]-pair chunk sort with nearly all keys distinct, and the
+/// [`CHUNK_RUNS`]-run window-closure merge of such chunks. Median of
+/// `reps` timings each: `(sort, merge)`.
+pub fn measure_host_kernels(reps: usize) -> (f64, f64) {
+    let env = env();
+    let mut ctx = ExecCtx::new(&env);
+    let mut rng = SbxRng::seed_from_u64(16);
+    let mut chunk = |ctx: &mut ExecCtx| {
+        let flat: Vec<u64> = (0..CHUNK_PAIRS)
+            .flat_map(|_| [rng.random_range(0..4_000_000), rng.random(), 0])
+            .collect();
+        let b = RecordBundle::from_rows(ctx.env(), Schema::kvt(), &flat).expect("bundle fits");
+        extracted(ctx, &b)
+    };
+    let median = |mut ns: Vec<f64>| {
+        ns.sort_by(f64::total_cmp);
+        ns[ns.len() / 2]
+    };
+    let (mut sort_ns, mut merge_ns) = (Vec::new(), Vec::new());
+    for _ in 0..reps.max(1) {
+        let mut runs = Vec::new();
+        for _ in 0..CHUNK_RUNS {
+            let mut kpa = chunk(&mut ctx);
+            let ((), secs) = timed(|| kpa.sort(&mut ctx, 1).expect("sort"));
+            sort_ns.push(secs * 1e9 / CHUNK_PAIRS as f64);
+            runs.push(kpa);
+        }
+        let (merged, secs) = timed(|| {
+            Kpa::merge_many(&mut ctx, runs, MemKind::Hbm, Priority::Normal).expect("merge fits")
+        });
+        merge_ns.push(secs * 1e9 / merged.len() as f64);
+    }
+    (median(sort_ns), median(merge_ns))
 }
 
 /// Modelled streaming bytes of the old multipass kernels vs the
@@ -109,6 +155,21 @@ pub fn run() -> String {
         t.row(vec![w.to_string(), f1(sort_ms), f1(merge_ms), f1(join_ms)]);
     }
     let mut out = t.print();
+
+    let (sort_ns, merge_ns) = measure_host_kernels(5);
+    let mut h = Table::new(
+        "Host kernels at the repo benchmark's shape (serial, median, ns/pair)",
+        &["kernel", "host ns/pair"],
+    );
+    h.row(vec![
+        format!("chunk sort ({CHUNK_PAIRS} pairs)"),
+        f1(sort_ns),
+    ]);
+    h.row(vec![
+        format!("merge ({CHUNK_RUNS} runs x {CHUNK_PAIRS} pairs)"),
+        f1(merge_ns),
+    ]);
+    out.push_str(&h.print());
 
     let (so, sn, mo, mn) = modelled_pass_bytes();
     let mut m = Table::new(
@@ -159,6 +220,13 @@ mod tests {
             let (s, m, j) = measure_width(w);
             assert!(s > 0.0 && m > 0.0 && j > 0.0, "width {w}: {s} {m} {j}");
         }
+    }
+
+    /// The benchmark-shaped host kernels run and report positive times.
+    #[test]
+    fn host_kernels_run_at_the_benchmark_shape() {
+        let (sort_ns, merge_ns) = measure_host_kernels(1);
+        assert!(sort_ns > 0.0 && merge_ns > 0.0, "{sort_ns} {merge_ns}");
     }
 
     /// The modelled traffic table must show the single-pass win: sort

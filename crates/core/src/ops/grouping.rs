@@ -246,21 +246,26 @@ impl SortMergeBackend {
     fn pre_reduce(ctx: &mut OpCtx<'_>, kpa: Kpa, p: &AggParams) -> Result<Kpa, EngineError> {
         let value_col = p.value_col;
         let kind = p.kind;
-        let mut rows: Vec<u64> = Vec::new();
-        ctx.charged(16, |e| {
-            reduce_keyed(e, &kpa, value_col, |g| {
-                // Early aggregation is only enabled for Sum and Count
-                // (see `KeyedAggregate::new`); any other kind never
-                // reaches this closure, and the Sum arm is a safe default.
-                let partial = match kind {
-                    AggKind::Count => g.values.len() as u64,
-                    _ => g.values.iter().fold(0u64, |a, &v| a.wrapping_add(v)),
-                };
-                rows.extend_from_slice(&[g.key, partial, 0]);
-            })
-        });
+        // One partial row per distinct key; counting them up front lets the
+        // reduction write straight into the partial bundle's pool buffer.
+        let keys = kpa.keys();
+        let groups =
+            usize::from(!keys.is_empty()) + keys.windows(2).filter(|w| w[0] != w[1]).count();
         let env = ctx.env();
-        let bundle = RecordBundle::from_rows(&env, Schema::kvt(), &rows)?;
+        let bundle = RecordBundle::from_fill(&env, Schema::kvt(), groups * 3, |rows| {
+            ctx.charged(16, |e| {
+                reduce_keyed(e, &kpa, value_col, |g| {
+                    // Early aggregation is only enabled for Sum and Count
+                    // (see `KeyedAggregate::new`); any other kind never
+                    // reaches this closure, and the Sum arm is a safe default.
+                    let partial = match kind {
+                        AggKind::Count => g.values.len() as u64,
+                        _ => g.values.iter().fold(0u64, |a, &v| a.wrapping_add(v)),
+                    };
+                    rows.extend_from_slice(&[g.key, partial, 0]);
+                })
+            });
+        })?;
         // The partial bundle was just written: fuse its extraction
         // (paper §4.3 optimization 1).
         let (kind, prio) = ctx.place();
@@ -419,11 +424,12 @@ impl HashCore {
         }
         let keys = kpa.keys();
         let count_only = p.count_only();
+        let records = kpa.resolver();
         for (i, &k) in keys.iter().enumerate() {
             let v = if count_only {
                 0
             } else {
-                kpa.value_at(i, p.value_col)
+                records.value(i, p.value_col)
             };
             parts[if n_shards > 1 { shard_of(k) } else { 0 }].push((k, v));
         }

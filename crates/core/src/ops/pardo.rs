@@ -178,9 +178,12 @@ impl StatelessOperator for MapRecords {
                         } else {
                             kpa.schema().record_bytes()
                         };
+                        let records = kpa.resolver();
                         for i in 0..kpa.len() {
-                            let (b, row) = kpa.deref(i);
-                            (self.f)(b.row(row), &mut rows);
+                            // A pointer the sanitizer rejected maps nothing.
+                            if let Some(row) = records.row(i) {
+                                (self.f)(row, &mut rows);
+                            }
                         }
                     }
                 }

@@ -89,8 +89,9 @@ impl Operator for PowerGrid {
                 // Accumulate the window's global load total as we go.
                 let load_col = self.load_col;
                 let (mut sum, mut count) = (0u128, 0u64);
+                let records = kpa.resolver();
                 for i in 0..kpa.len() {
-                    sum += kpa.value_at(i, load_col) as u128;
+                    sum += records.value(i, load_col) as u128;
                     count += 1;
                 }
                 let t = self.totals.entry(w).or_insert((0, 0));

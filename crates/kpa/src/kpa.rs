@@ -84,6 +84,116 @@ impl ShadowLink {
     }
 }
 
+/// Resolves a KPA's packed pointers to record data for one whole-KPA pass
+/// (keyed/unkeyed reduction, Materialize, KeySwap, …); see
+/// [`Kpa::resolver`].
+///
+/// Built once per pass from the KPA's source links, so the per-pair work is
+/// one probe of a small open-addressed `bundle id → row data` table and one
+/// slice of the bundle's rows — instead of an ordered-map walk and an `Arc`
+/// hop per pair. Bundle ids are process-global, so the sources of one KPA
+/// may be arbitrarily sparse; the table hashes ids and assumes nothing
+/// about their range.
+pub struct Resolver<'a> {
+    ptrs: &'a [u64],
+    /// Linear-probed table, a power of two long and at most half full.
+    slots: Vec<Option<Source<'a>>>,
+    /// Keeps the top `log2(slots.len())` bits of a 64-bit hash.
+    shift: u32,
+    #[cfg(feature = "sanitize")]
+    shadow: &'a ShadowLink,
+}
+
+#[derive(Clone, Copy)]
+struct Source<'a> {
+    id: BundleId,
+    ncols: usize,
+    rows: &'a [u64],
+}
+
+impl<'a> Resolver<'a> {
+    fn new(
+        ptrs: &'a [u64],
+        sources: &'a BTreeMap<BundleId, Arc<RecordBundle>>,
+        #[cfg(feature = "sanitize")] shadow: &'a ShadowLink,
+    ) -> Self {
+        let len = (2 * sources.len()).next_power_of_two().max(2);
+        let mut res = Resolver {
+            ptrs,
+            slots: Vec::new(),
+            shift: u64::BITS - len.trailing_zeros(),
+            #[cfg(feature = "sanitize")]
+            shadow,
+        };
+        res.slots.resize(len, None);
+        for (&id, b) in sources {
+            let mut at = res.home(id);
+            while res.slots[at].is_some() {
+                at = (at + 1) % res.slots.len();
+            }
+            res.slots[at] = Some(Source {
+                id,
+                ncols: b.schema().ncols(),
+                rows: b.as_rows(),
+            });
+        }
+        res
+    }
+
+    /// First slot probed for `id`: Fibonacci hashing, which spreads the
+    /// consecutive or evenly strided ids a window's bundles usually have.
+    #[inline]
+    fn home(&self, id: BundleId) -> usize {
+        (u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The full record pair `i` points to (a random DRAM access).
+    ///
+    /// Under `--features sanitize` the resolution is validated first; an
+    /// invalid pointer records a finding and yields `None`, for which
+    /// callers substitute a benign value so the fault-free-oracle run
+    /// completes. Without the feature the result is always `Some`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range, or the pointer leads outside the
+    /// KPA's source bundles.
+    #[inline]
+    pub fn row(&self, i: usize) -> Option<&'a [u64]> {
+        let raw = self.ptrs[i];
+        #[cfg(feature = "sanitize")]
+        if !self.shadow.check(raw) {
+            return None;
+        }
+        let r = RecordRef::unpack(raw);
+        let mut at = self.home(r.bundle);
+        let src = loop {
+            let slot = &self.slots[at];
+            // The table is at most half full, so probing for a bundle that
+            // is not linked ends at an empty slot.
+            assert!(slot.is_some(), "pointer into unlinked bundle {}", r.bundle);
+            match slot {
+                Some(src) if src.id == r.bundle => break src,
+                _ => at = (at + 1) % self.slots.len(),
+            }
+        };
+        let at = r.row as usize * src.ncols;
+        Some(&src.rows[at..at + src.ncols])
+    }
+
+    /// Column `col` of the record pair `i` points to; `0` for a pointer the
+    /// sanitizer rejected (see [`Resolver::row`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the conditions of [`Resolver::row`], or if `col` is out of
+    /// range for the record.
+    #[inline]
+    pub fn value(&self, i: usize, col: Col) -> u64 {
+        self.row(i).map_or(0, |r| r[col.0])
+    }
+}
+
 /// A Key Pointer Array: the only data structure StreamBox-HBM places in HBM.
 ///
 /// A `Kpa` pairs one *resident* key column (a copy of one column of the full
@@ -299,15 +409,14 @@ impl Kpa {
         if col == self.resident {
             return;
         }
-        for i in 0..self.keys.len() {
+        let records = Resolver::new(
+            &self.ptrs,
+            &self.sources,
             #[cfg(feature = "sanitize")]
-            if !self.ptr_ok(i) {
-                self.keys[i] = 0;
-                continue;
-            }
-            let r = RecordRef::unpack(self.ptrs[i]);
-            let b = &self.sources[&r.bundle];
-            self.keys[i] = b.value(r.row as usize, col);
+            &self.shadow,
+        );
+        for (i, key) in self.keys.iter_mut().enumerate() {
+            *key = records.value(i, col);
         }
         ctx.charge(&profile::key_swap(self.len(), self.kind(), false));
         self.resident = col;
@@ -339,18 +448,20 @@ impl Kpa {
     ) {
         // sbx-lint: allow(raw-alloc, per-call scratch bounded by column count)
         let mut vals = vec![0u64; cols.len()];
-        for i in 0..self.keys.len() {
+        let records = Resolver::new(
+            &self.ptrs,
+            &self.sources,
             #[cfg(feature = "sanitize")]
-            if !self.ptr_ok(i) {
-                self.keys[i] = 0;
-                continue;
-            }
-            let r = RecordRef::unpack(self.ptrs[i]);
-            let b = &self.sources[&r.bundle];
-            for (j, &c) in cols.iter().enumerate() {
-                vals[j] = b.value(r.row as usize, c);
-            }
-            self.keys[i] = f(&vals);
+            &self.shadow,
+        );
+        for (i, key) in self.keys.iter_mut().enumerate() {
+            // A pointer the sanitizer rejected composes to key 0.
+            *key = records.row(i).map_or(0, |row| {
+                for (v, &c) in vals.iter_mut().zip(cols) {
+                    *v = row[c.0];
+                }
+                f(&vals)
+            });
         }
         ctx.charge(&profile::key_swap(self.len(), self.kind(), false));
         self.sorted = self.len() <= 1;
@@ -369,25 +480,27 @@ impl Kpa {
     pub fn materialize(&self, ctx: &mut ExecCtx) -> Result<Arc<RecordBundle>, AllocError> {
         let schema = self.schema();
         let ncols = schema.ncols();
-        // sbx-lint: allow(raw-alloc, row staging scratch; the output bundle itself is pool-accounted by from_rows)
-        let mut rows = Vec::with_capacity(self.len() * ncols);
-        for i in 0..self.len() {
-            #[cfg(feature = "sanitize")]
-            if !self.ptr_ok(i) {
-                // Copy-out of an invalid pointer: the finding is recorded;
-                // emit a zero row so the fault-free oracle run completes.
-                rows.resize(rows.len() + ncols, 0);
-                continue;
-            }
-            let (b, row) = self.deref(i);
-            assert_eq!(b.schema().ncols(), ncols, "source schemas disagree");
-            rows.extend_from_slice(b.row(row));
-        }
+        assert!(
+            self.sources.values().all(|b| b.schema().ncols() == ncols),
+            "source schemas disagree"
+        );
         ctx.charge_as(
             PrimGroup::Materialize,
             &profile::materialize(self.len(), schema.record_bytes(), self.kind()),
         );
-        RecordBundle::from_rows(ctx.env(), schema, &rows)
+        let records = self.resolver();
+        // Rows go straight into the output bundle's DRAM pool buffer.
+        RecordBundle::from_fill(ctx.env(), schema, self.len() * ncols, |out| {
+            for i in 0..self.len() {
+                match records.row(i) {
+                    Some(row) => out.extend_from_slice(row),
+                    // Copy-out of an invalid pointer: the finding is
+                    // recorded; emit a zero row so the fault-free oracle
+                    // run completes.
+                    None => out.resize(out.len() + ncols, 0),
+                }
+            }
+        })
     }
 
     /// **Partition** (Table 2): scatters pairs into groups by
@@ -652,100 +765,6 @@ impl Kpa {
         })
     }
 
-    /// Merges any number of sorted KPAs in a *single pass* with a k-way
-    /// tournament (binary heap) instead of `log2(k)` pairwise passes.
-    ///
-    /// Compared to [`Kpa::merge_many`], this moves each pair once
-    /// (bandwidth: one read + one write) at the cost of `log2(k)` heap
-    /// comparisons per pair — the classic multiway-merge trade-off the
-    /// ablation bench quantifies. Results are identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError`] on output allocation failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kpas` is empty, any input is unsorted, or resident
-    /// columns differ.
-    pub fn merge_many_kway(
-        ctx: &mut ExecCtx,
-        mut kpas: Vec<Kpa>,
-        out_kind: MemKind,
-        prio: Priority,
-    ) -> Result<Kpa, AllocError> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        assert!(!kpas.is_empty(), "merge_many_kway needs at least one input");
-        if kpas.len() == 1 {
-            if let Some(k) = kpas.pop() {
-                return Ok(k);
-            }
-        }
-        let resident = kpas[0].resident();
-        let total: usize = kpas.iter().map(Kpa::len).sum();
-        for k in &kpas {
-            assert!(k.is_sorted(), "k-way merge requires sorted inputs");
-            assert_eq!(k.resident(), resident, "resident columns must match");
-        }
-
-        let (mut keys, mut ptrs, got) = alloc_pair_bufs(ctx.env(), total, out_kind, prio)?;
-        // Heap of (key, source index, position); Reverse for a min-heap.
-        let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = kpas
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| !k.is_empty())
-            .map(|(i, k)| Reverse((k.keys()[0], i, 0)))
-            // sbx-lint: allow(raw-alloc, k-entry tournament heap; pair data lives in pool buffers)
-            .collect();
-        while let Some(Reverse((key, src, pos))) = heap.pop() {
-            keys.push(key);
-            ptrs.push(kpas[src].ptrs[pos]);
-            let next = pos + 1;
-            if next < kpas[src].len() {
-                heap.push(Reverse((kpas[src].keys[next], src, next)));
-            }
-        }
-
-        // One streaming pass, log2(k) comparisons per pair.
-        let in_kind = if kpas.iter().all(|k| k.kind() == kpas[0].kind()) {
-            kpas[0].kind()
-        } else {
-            MemKind::Dram
-        };
-        let passes = 1.0;
-        let cmp_factor = (kpas.len() as f64).log2().ceil().max(1.0);
-        ctx.charge_as(
-            PrimGroup::Merge,
-            &sbx_simmem::AccessProfile::new()
-                .seq(in_kind, total as f64 * profile::PAIR_BYTES * passes)
-                .seq(got, total as f64 * profile::PAIR_BYTES * passes)
-                .cpu(total as f64 * profile::MERGE_CYCLES_PER_PAIR * cmp_factor),
-        );
-
-        let mut sources = BTreeMap::new();
-        for k in &kpas {
-            for (id, b) in &k.sources {
-                sources.entry(*id).or_insert_with(|| Arc::clone(b));
-            }
-        }
-        let schema = Arc::clone(&kpas[0].schema);
-        Ok(Kpa {
-            keys,
-            ptrs,
-            resident,
-            sources,
-            schema,
-            sorted: true,
-            #[cfg(feature = "sanitize")]
-            shadow: kpas
-                .iter()
-                .skip(1)
-                .fold(kpas[0].shadow.clone(), |acc, k| acc.union(&k.shadow)),
-        })
-    }
-
     /// Number of key/pointer pairs.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -781,6 +800,18 @@ impl Kpa {
         RecordRef::unpack(self.ptrs[i])
     }
 
+    /// A pointer resolver for one pass over this KPA's records — what every
+    /// loop that dereferences all (or most) pairs should use; [`Kpa::deref`]
+    /// and [`Kpa::value_at`] are the one-off lookups.
+    pub fn resolver(&self) -> Resolver<'_> {
+        Resolver::new(
+            &self.ptrs,
+            &self.sources,
+            #[cfg(feature = "sanitize")]
+            &self.shadow,
+        )
+    }
+
     /// Dereferences pair `i` to its source bundle and row.
     ///
     /// # Panics
@@ -791,23 +822,13 @@ impl Kpa {
         (&self.sources[&r.bundle], r.row as usize)
     }
 
-    /// With the `sanitize` feature, validates pointer `i` against the
-    /// shadow table; `false` means dereferencing it would be invalid and a
-    /// [`sbx_sanitize::Report`] has been recorded. Callers substitute a
-    /// benign value so the fault-free-oracle run completes.
-    #[cfg(feature = "sanitize")]
-    #[inline]
-    fn ptr_ok(&self, i: usize) -> bool {
-        self.shadow.check(self.ptrs[i])
-    }
-
     /// The full-record column `col` of pair `i` (a random DRAM access).
     ///
     /// Under `--features sanitize` the resolution is validated first; an
     /// invalid pointer records a finding and yields `0`.
     pub fn value_at(&self, i: usize, col: Col) -> u64 {
         #[cfg(feature = "sanitize")]
-        if !self.ptr_ok(i) {
+        if !self.shadow.check(self.ptrs[i]) {
             return 0;
         }
         let (b, row) = self.deref(i);
@@ -906,7 +927,6 @@ impl fmt::Debug for Kpa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbx_records::live_bundles;
     use sbx_simmem::MachineConfig;
 
     fn env() -> MemEnv {
@@ -1083,13 +1103,12 @@ mod tests {
     fn dropping_last_kpa_releases_bundle() {
         let env = env();
         let mut ctx = ExecCtx::new(&env);
-        let base = live_bundles();
         let b = kv_bundle(&env, &[(1, 0, 0)]);
         let kpa = Kpa::extract(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).unwrap();
         drop(b); // KPA still pins the bundle
-        assert_eq!(live_bundles(), base + 1);
+        assert_eq!(env.live_bundles(), 1);
         drop(kpa);
-        assert_eq!(live_bundles(), base);
+        assert_eq!(env.live_bundles(), 0);
     }
 
     #[test]

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitonic;
 mod ctx;
 pub mod hash;
 mod join;
@@ -50,6 +49,7 @@ mod sort;
 
 pub use ctx::{ExecCtx, PrimGroup};
 pub use join::{join_sorted, JoinStats};
-pub use kpa::Kpa;
+pub use kpa::{Kpa, Resolver};
 pub use reduce::{agg, reduce_keyed, reduce_unkeyed_bundle, reduce_unkeyed_kpa, KeyGroup};
 pub use sbx_pool::WorkerPool;
+pub use sort::sort_pairs;

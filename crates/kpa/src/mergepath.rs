@@ -163,6 +163,10 @@ pub fn span_rank(total: usize, parts: usize, p: usize) -> usize {
 /// internal order. The output slices must have length
 /// `sum(hi[r] - lo[r])`.
 ///
+/// Up to two runs merge with the plain two-way loop; more go through a
+/// loser tree (`ceil(log2 k)` comparisons per output pair). Either way the
+/// last run left holding pairs finishes with a bulk copy.
+///
 /// # Panics
 ///
 /// Panics if the output slices are shorter than the claimed input span.
@@ -176,47 +180,103 @@ pub fn merge_span(
 ) {
     debug_assert_eq!(runs.len(), lo.len());
     debug_assert_eq!(runs.len(), hi.len());
+    // Monomorphized on the rank value, so the Key order compares one word.
+    match by {
+        RankBy::Compound => {
+            let head = |r: usize, i: usize| (runs[r].keys[i], runs[r].ptrs[i]);
+            merge_span_by(runs, lo, hi, head, out_keys, out_ptrs);
+        }
+        RankBy::Key => {
+            let head = |r: usize, i: usize| runs[r].keys[i];
+            merge_span_by(runs, lo, hi, head, out_keys, out_ptrs);
+        }
+    }
+}
+
+/// [`merge_span`] over the rank value `head(run, index)`.
+fn merge_span_by<V: Ord + Copy + Default>(
+    runs: &[Run<'_>],
+    lo: &[usize],
+    hi: &[usize],
+    head: impl Fn(usize, usize) -> V,
+    out_keys: &mut [u64],
+    out_ptrs: &mut [u64],
+) {
+    let k = runs.len();
     let mut pos: Vec<usize> = lo.to_vec();
     let mut o = 0usize;
-    loop {
-        // Count live runs; a single survivor finishes with a bulk copy
-        // (the common tail case, and the entire body when k == 1).
-        let mut live = 0usize;
-        let mut last = 0usize;
-        for (r, p) in pos.iter().enumerate() {
-            if *p < hi[r] {
-                live += 1;
-                last = r;
-            }
-        }
-        if live == 0 {
-            break;
-        }
-        if live == 1 {
-            let span = pos[last]..hi[last];
-            let len = span.len();
-            out_keys[o..o + len].copy_from_slice(&runs[last].keys[span.clone()]);
-            out_ptrs[o..o + len].copy_from_slice(&runs[last].ptrs[span]);
-            o += len;
-            break;
-        }
-        // Linear min-scan over the k heads; `<` keeps the lowest run index
-        // on ties, matching rank_split's run-order tie distribution.
-        let mut best_run = usize::MAX;
-        let mut best_val = u128::MAX;
-        for (r, p) in pos.iter().enumerate() {
-            if *p < hi[r] {
-                let v = runs[r].value(*p, by);
-                if best_run == usize::MAX || v < best_val {
-                    best_run = r;
-                    best_val = v;
-                }
-            }
-        }
-        out_keys[o] = runs[best_run].keys[pos[best_run]];
-        out_ptrs[o] = runs[best_run].ptrs[pos[best_run]];
-        pos[best_run] += 1;
+    // Moves the pair under run `r`'s cursor to the output.
+    let mut take = |r: usize, pos: &mut [usize]| {
+        out_keys[o] = runs[r].keys[pos[r]];
+        out_ptrs[o] = runs[r].ptrs[pos[r]];
+        pos[r] += 1;
         o += 1;
+    };
+
+    // Merge until at most one run still holds pairs; that survivor is
+    // bulk-copied below (the whole body when only one run is non-empty).
+    let survivor = if k <= 2 {
+        if k == 2 {
+            // `<` keeps run 0 on ties, matching rank_split's run-order tie
+            // distribution.
+            while pos[0] < hi[0] && pos[1] < hi[1] {
+                let r = usize::from(head(1, pos[1]) < head(0, pos[0]));
+                take(r, &mut pos);
+            }
+        }
+        (0..k).find(|&r| pos[r] < hi[r])
+    } else {
+        // Loser tree over the k run heads, each a `(drained, head value,
+        // run)` entry compared as a tuple: a drained run loses to every
+        // live head, and among equal values the lowest run index wins.
+        // Leaf `r` hangs below internal node `(k + r) / 2`; internal node
+        // `n` (1..k) keeps the loser of the match played there and
+        // `tree[0]` the overall winner, so replacing the winner's head
+        // replays one leaf-to-root path.
+        let entry = |r: usize, pos: &[usize]| {
+            if pos[r] < hi[r] {
+                (false, head(r, pos[r]), r)
+            } else {
+                (true, V::default(), r)
+            }
+        };
+        // First round, bottom-up: slot `n` of `up` holds the winner coming
+        // up out of node `n` (the leaves are nodes k..2k).
+        let mut up: Vec<(bool, V, usize)> = Vec::new();
+        up.resize(k, (true, V::default(), 0));
+        up.extend((0..k).map(|r| entry(r, &pos)));
+        let mut live = up.iter().filter(|e| !e.0).count();
+        let mut tree = up[..k].to_vec();
+        for n in (1..k).rev() {
+            let (a, b) = (up[2 * n], up[2 * n + 1]);
+            (up[n], tree[n]) = if b < a { (b, a) } else { (a, b) };
+        }
+        tree[0] = up[1];
+
+        while live > 1 {
+            let w = tree[0].2;
+            take(w, &mut pos);
+            let mut cur = entry(w, &pos);
+            live -= usize::from(cur.0);
+            let mut n = (k + w) / 2;
+            while n >= 1 {
+                if tree[n] < cur {
+                    std::mem::swap(&mut tree[n], &mut cur);
+                }
+                n /= 2;
+            }
+            tree[0] = cur;
+        }
+        // A live head beats every drained one, so the winner is the
+        // survivor.
+        (live == 1).then(|| tree[0].2)
+    };
+    if let Some(r) = survivor {
+        let span = pos[r]..hi[r];
+        let len = span.len();
+        out_keys[o..o + len].copy_from_slice(&runs[r].keys[span.clone()]);
+        out_ptrs[o..o + len].copy_from_slice(&runs[r].ptrs[span]);
+        o += len;
     }
     debug_assert_eq!(o, out_keys.len(), "span did not fill its output");
 }

@@ -14,8 +14,10 @@ use sbx_simmem::{AccessProfile, MemKind};
 /// Bytes of one key/pointer pair (two `u64`s).
 pub const PAIR_BYTES: f64 = 16.0;
 
-/// Pairs sorted per bitonic block by the in-cache kernel (the AVX-512
-/// bitonic sort of the paper sorts 64x 64-bit integers per block).
+/// Pairs per block of the *modelled* in-cache kernel: the AVX-512 bitonic
+/// sort of the paper sorts 64x 64-bit integers per block. The host's chunk
+/// sort ([`crate::sort_pairs`]) has no block structure; this constant only
+/// prices the paper's kernel.
 pub const SORT_BLOCK: f64 = 64.0;
 
 /// CPU cycles per pair per merge level of the *multipass* structure: each

@@ -32,13 +32,14 @@ pub fn reduce_keyed(
     assert!(kpa.is_sorted(), "keyed reduction requires a sorted KPA");
     let keys = kpa.keys();
     let mut groups = 0usize;
+    let records = kpa.resolver();
     let mut values: Vec<u64> = Vec::new();
     let mut i = 0usize;
     while i < keys.len() {
         let key = keys[i];
         values.clear();
         while i < keys.len() && keys[i] == key {
-            values.push(kpa.value_at(i, value_col));
+            values.push(records.value(i, value_col));
             i += 1;
         }
         f(KeyGroup {
@@ -80,9 +81,10 @@ pub fn reduce_unkeyed_kpa<A>(
     init: A,
     mut f: impl FnMut(A, u64) -> A,
 ) -> A {
+    let records = kpa.resolver();
     let mut acc = init;
     for i in 0..kpa.len() {
-        acc = f(acc, kpa.value_at(i, col));
+        acc = f(acc, records.value(i, col));
     }
     ctx.charge(&profile::reduce_keyed(kpa.len(), kpa.kind()));
     acc

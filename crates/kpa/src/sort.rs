@@ -4,6 +4,37 @@ use crate::kpa::alloc_pair_bufs;
 use crate::mergepath::{self, RankBy, Run};
 use crate::{profile, ExecCtx, Kpa, PrimGroup};
 
+/// The chunk sort kernel: sorts parallel key/pointer slices in place in the
+/// *compound* `(key, ptr)` order — the canonical total order [`Kpa::sort`]
+/// sorts in — so chunk sorting commutes with chunking: any partition of
+/// the input into chunks, sorted here and k-way merged in compound order,
+/// yields the same byte-identical array. That property is what makes the
+/// merge-path sort deterministic across thread counts (see
+/// [`crate::mergepath`]).
+///
+/// The host runs one pattern-defeating quicksort over the pairs packed as
+/// 128-bit values; the cost model keeps pricing the paper's AVX-512 bitonic
+/// block kernel ([`profile::sort`]). The packed copy is host scratch, like
+/// any sorter's, and stays outside the accounted pools.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn sort_pairs(keys: &mut [u64], ptrs: &mut [u64]) {
+    assert_eq!(keys.len(), ptrs.len(), "key/pointer slices must pair up");
+    let mut packed: Vec<u128> = Vec::new();
+    packed.extend(
+        keys.iter()
+            .zip(ptrs.iter())
+            .map(|(&k, &p)| (u128::from(k) << 64) | u128::from(p)),
+    );
+    packed.sort_unstable();
+    for ((k, p), v) in keys.iter_mut().zip(ptrs.iter_mut()).zip(packed) {
+        *k = (v >> 64) as u64;
+        *p = v as u64;
+    }
+}
+
 /// A unit of sorter work shipped to the worker pool. One pool scope
 /// services both phases of a sort: chunk jobs sort disjoint slices of the
 /// KPA in place and *return the borrows* so the orchestrating thread can
@@ -32,7 +63,7 @@ enum Out<'x> {
 fn run_job<'x>(job: Job<'x>) -> Out<'x> {
     match job {
         Job::Chunk { keys, ptrs } => {
-            crate::bitonic::sort_chunk(&mut keys[..], &mut ptrs[..]);
+            sort_pairs(keys, ptrs);
             Out::Chunk(keys, ptrs)
         }
         Job::Span {
@@ -53,14 +84,14 @@ impl Kpa {
     /// multi-threaded single-pass merge-sort (paper §4.2).
     ///
     /// The input is split into `threads` chunks, each sorted in place with
-    /// the in-cache bitonic kernel (one read+write pass), then all chunks
+    /// the chunk kernel [`sort_pairs`] (one read+write pass), then all chunks
     /// are merged KPA→scratch in *one* k-way pass: each worker
     /// binary-searches the merge path to claim an equal output span, so
     /// every thread cooperates on the single merge and no pairwise
     /// ping-pong rounds (or serial final merge) remain. Scratch is
     /// allocated on the KPA's tier (spilling to DRAM when full) and the
     /// sorted scratch is adopted as the KPA's buffers; with `threads == 1`
-    /// the sort runs fully in place and allocates no scratch at all.
+    /// the sort runs fully in place and allocates no pool scratch at all.
     ///
     /// The sort order is the *compound* `(key, ptr)` order, so the result
     /// is byte-identical for every `threads` value.
@@ -80,7 +111,7 @@ impl Kpa {
         if threads == 1 {
             // Single run: sort in place, no scratch allocation, no merge.
             let (keys, ptrs) = self.keys_mut_parts();
-            crate::bitonic::sort_chunk(keys, ptrs);
+            sort_pairs(keys, ptrs);
             ctx.charge_as(PrimGroup::Sort, &profile::sort(n, kind));
             self.set_sorted(true);
             return Ok(());
@@ -343,7 +374,7 @@ mod tests {
 
         let pairwise =
             Kpa::merge_many_pairwise(&mut ctx, parts_a, MemKind::Hbm, Priority::Normal).unwrap();
-        let kway = Kpa::merge_many_kway(&mut ctx, parts_b, MemKind::Hbm, Priority::Normal).unwrap();
+        let kway = Kpa::merge_many(&mut ctx, parts_b, MemKind::Hbm, Priority::Normal).unwrap();
         assert_eq!(pairwise.keys(), kway.keys());
         assert_eq!(pairwise.source_count(), kway.source_count());
         assert!(kway.is_sorted());
@@ -358,8 +389,7 @@ mod tests {
         let mut ctx = ExecCtx::new(&env);
         let mut kpa = kpa_of(&env, &mut ctx, &[3, 1, 2]);
         kpa.sort(&mut ctx, 2).unwrap();
-        let merged =
-            Kpa::merge_many_kway(&mut ctx, vec![kpa], MemKind::Hbm, Priority::Normal).unwrap();
+        let merged = Kpa::merge_many(&mut ctx, vec![kpa], MemKind::Hbm, Priority::Normal).unwrap();
         assert_eq!(merged.keys(), &[1, 2, 3]);
     }
 

@@ -1,21 +1,12 @@
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use sbx_simmem::{AllocError, MemEnv, MemKind, PoolVec, Priority};
+use sbx_simmem::{AllocError, BundleToken, MemEnv, MemKind, PoolVec, Priority};
 
 use crate::{Col, EventTime, Schema};
 
 static NEXT_BUNDLE_ID: AtomicU32 = AtomicU32::new(1);
-static LIVE_BUNDLES: AtomicI64 = AtomicI64::new(0);
-
-/// Number of record bundles currently alive in the process.
-///
-/// Useful for asserting that the reference-counted reclamation protocol
-/// (paper §5.1) frees every bundle once no KPA points into it.
-pub fn live_bundles() -> i64 {
-    LIVE_BUNDLES.load(Ordering::Acquire)
-}
 
 /// Process-unique identifier of a [`RecordBundle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,6 +61,9 @@ pub struct RecordBundle {
     schema: Arc<Schema>,
     data: PoolVec,
     rows: usize,
+    /// Counts this bundle in its environment's `live_bundles()` until the
+    /// last `Arc<RecordBundle>` drops.
+    _live: BundleToken,
     /// Sanitizer handle so the shadow entry is retired exactly when the
     /// last `Arc<RecordBundle>` drops.
     #[cfg(feature = "sanitize")]
@@ -95,19 +89,40 @@ impl RecordBundle {
         schema: Arc<Schema>,
         rows: &[u64],
     ) -> Result<Arc<Self>, AllocError> {
+        Self::from_fill(env, schema, rows.len(), |data| data.extend_from_slice(rows))
+    }
+
+    /// Builds a bundle of exactly `slots` values by letting `fill` append
+    /// the row-major record data straight into the DRAM pool buffer, so a
+    /// producer that computes its rows (Materialize, early aggregation)
+    /// writes them once instead of staging them for [`Self::from_rows`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] if DRAM is exhausted (`fill` is not called).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is not a multiple of `schema.ncols()`, or if `fill`
+    /// appends any other number of values than `slots`.
+    pub fn from_fill(
+        env: &MemEnv,
+        schema: Arc<Schema>,
+        slots: usize,
+        fill: impl FnOnce(&mut Vec<u64>),
+    ) -> Result<Arc<Self>, AllocError> {
         let ncols = schema.ncols();
         assert!(
-            rows.len().is_multiple_of(ncols),
-            "row data length {} not a multiple of column count {}",
-            rows.len(),
-            ncols
+            slots.is_multiple_of(ncols),
+            "row data length {slots} not a multiple of column count {ncols}"
         );
         let mut data = env
             .pool(MemKind::Dram)
-            .alloc_u64(rows.len().max(1), Priority::Normal)?;
-        data.extend_from_slice(rows);
-        let nrows = rows.len() / ncols;
-        LIVE_BUNDLES.fetch_add(1, Ordering::AcqRel);
+            .alloc_u64(slots.max(1), Priority::Normal)?;
+        fill(&mut data);
+        // Growing past the declared size would reallocate outside the pool.
+        assert_eq!(data.len(), slots, "fill wrote a different row count");
+        let nrows = slots / ncols;
         // sbx-lint: allow(atomic-ordering, monotonic id counter; uniqueness is all that matters)
         let id = BundleId(NEXT_BUNDLE_ID.fetch_add(1, Ordering::Relaxed));
         #[cfg(feature = "sanitize")]
@@ -118,6 +133,7 @@ impl RecordBundle {
             schema,
             data,
             rows: nrows,
+            _live: env.bundle_token(),
             #[cfg(feature = "sanitize")]
             shadow: env.sanitizer().clone(),
         }))
@@ -172,6 +188,12 @@ impl RecordBundle {
         &self.data[row * n..(row + 1) * n]
     }
 
+    /// Every row back to back, row-major (`rows() * ncols` values).
+    #[inline]
+    pub fn as_rows(&self) -> &[u64] {
+        &self.data
+    }
+
     /// A [`RecordRef`] to `row`.
     #[inline]
     pub fn record_ref(&self, row: usize) -> RecordRef {
@@ -198,10 +220,9 @@ impl fmt::Debug for RecordBundle {
     }
 }
 
+#[cfg(feature = "sanitize")]
 impl Drop for RecordBundle {
     fn drop(&mut self) {
-        LIVE_BUNDLES.fetch_sub(1, Ordering::AcqRel);
-        #[cfg(feature = "sanitize")]
         self.shadow.free(self.id.0 as u64);
     }
 }
@@ -254,9 +275,9 @@ mod tests {
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &vec![0u64; 3000]).unwrap();
         assert!(env.pool(MemKind::Dram).used_bytes() > before);
         assert_eq!(env.pool(MemKind::Hbm).used_bytes(), 0);
-        let live_with = live_bundles();
+        assert_eq!(env.live_bundles(), 1);
         drop(b);
-        assert_eq!(live_bundles(), live_with - 1);
+        assert_eq!(env.live_bundles(), 0);
     }
 
     #[test]
@@ -264,6 +285,26 @@ mod tests {
     fn ragged_rows_rejected() {
         let env = env();
         let _ = RecordBundle::from_rows(&env, Schema::kvt(), &[1, 2]);
+    }
+
+    #[test]
+    fn from_fill_writes_rows_in_place() {
+        let env = env();
+        let b = RecordBundle::from_fill(&env, Schema::kvt(), 6, |d| {
+            d.extend_from_slice(&[1, 10, 100]);
+            d.extend_from_slice(&[2, 20, 200]);
+        })
+        .unwrap();
+        assert_eq!(b.rows(), 2);
+        assert_eq!(b.as_rows(), &[1, 10, 100, 2, 20, 200]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different row count")]
+    fn from_fill_rejects_a_short_fill() {
+        let env = env();
+        let _ =
+            RecordBundle::from_fill(&env, Schema::kvt(), 6, |d| d.extend_from_slice(&[1, 2, 3]));
     }
 
     #[test]

@@ -37,7 +37,7 @@ mod schema;
 mod time;
 mod window;
 
-pub use bundle::{live_bundles, BundleId, RecordBundle, RecordRef};
+pub use bundle::{BundleId, RecordBundle, RecordRef};
 pub use schema::{Col, Schema};
 pub use time::{EventTime, Watermark};
 pub use window::{WindowId, WindowSpec};

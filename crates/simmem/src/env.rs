@@ -25,6 +25,9 @@ struct EnvInner {
     /// must work under a no-op registry (the flight recorder's detectors)
     /// see the real number.
     spill_count: AtomicU64,
+    /// Record bundles allocated against this environment and not yet
+    /// dropped (see [`MemEnv::live_bundles`]).
+    live_bundles: AtomicU64,
     /// Shadow-state table for the pointer-provenance sanitizer.
     #[cfg(feature = "sanitize")]
     sanitizer: sbx_sanitize::Sanitizer,
@@ -51,6 +54,19 @@ struct EnvInner {
 #[derive(Debug, Clone)]
 pub struct MemEnv {
     inner: Arc<EnvInner>,
+}
+
+/// Keeps one record bundle counted in [`MemEnv::live_bundles`]; dropping
+/// the token uncounts it.
+#[derive(Debug)]
+pub struct BundleToken {
+    env: Arc<EnvInner>,
+}
+
+impl Drop for BundleToken {
+    fn drop(&mut self) {
+        self.env.live_bundles.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 impl MemEnv {
@@ -87,6 +103,7 @@ impl MemEnv {
                 traffic,
                 spills: registry.counter("pool.hbm.spills"),
                 spill_count: AtomicU64::new(0),
+                live_bundles: AtomicU64::new(0),
                 #[cfg(feature = "sanitize")]
                 sanitizer: sbx_sanitize::Sanitizer::new(),
             }),
@@ -113,6 +130,26 @@ impl MemEnv {
     /// whenever one is active.
     pub fn spill_count(&self) -> u64 {
         self.inner.spill_count.load(Ordering::Acquire)
+    }
+
+    /// Counts one record bundle as alive in this environment until the
+    /// returned token drops. The bundle constructor holds the token, so the
+    /// count follows the reference-counted reclamation protocol (paper
+    /// §5.1) per environment — concurrent engines never see each other's
+    /// bundles.
+    pub fn bundle_token(&self) -> BundleToken {
+        self.inner.live_bundles.fetch_add(1, Ordering::AcqRel);
+        BundleToken {
+            env: Arc::clone(&self.inner),
+        }
+    }
+
+    /// Number of record bundles of this environment currently alive.
+    ///
+    /// Useful for asserting that reclamation frees every bundle once no KPA
+    /// points into it.
+    pub fn live_bundles(&self) -> u64 {
+        self.inner.live_bundles.load(Ordering::Acquire)
     }
 
     /// The machine configuration this environment simulates.
@@ -215,6 +252,20 @@ mod tests {
         assert_eq!(dump.counter("bw.dram.total_bytes"), Some(1000));
         assert_eq!(dump.counter("pool.hbm.spills"), Some(1));
         assert!(dump.counter("pool.hbm.allocs").is_some());
+    }
+
+    #[test]
+    fn live_bundles_follow_tokens_per_env() {
+        let env = MemEnv::new(MachineConfig::knl());
+        let other = MemEnv::new(MachineConfig::knl());
+        let a = env.bundle_token();
+        let b = env.clone().bundle_token();
+        assert_eq!(env.live_bundles(), 2);
+        assert_eq!(other.live_bundles(), 0, "counts are per environment");
+        drop(a);
+        assert_eq!(env.live_bundles(), 1);
+        drop(b);
+        assert_eq!(env.live_bundles(), 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use bandwidth::{BandwidthMonitor, BandwidthSample, SAMPLE_INTERVAL_NS};
 pub use clock::SimClock;
 pub use config::{MachineConfig, MemSpec};
 pub use cost::{AccessProfile, CostModel};
-pub use env::MemEnv;
+pub use env::{BundleToken, MemEnv};
 pub use error::{AllocError, GraphError};
 pub use fluid::{FluidSim, SimReport, TaskId, TaskSpec};
 pub use kind::MemKind;

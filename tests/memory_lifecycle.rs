@@ -3,8 +3,8 @@
 //! a pipeline run completes, and the balancer's spill path must keep the
 //! engine alive when HBM is tiny.
 
+use streambox_hbm::engine::{CrashPhase, EngineError};
 use streambox_hbm::prelude::*;
-use streambox_hbm::records::live_bundles;
 
 fn small_sender() -> SenderConfig {
     SenderConfig {
@@ -16,14 +16,15 @@ fn small_sender() -> SenderConfig {
 
 #[test]
 fn run_leaves_no_live_bundles_when_outputs_dropped() {
-    let before = live_bundles();
     let cfg = RunConfig {
         cores: 16,
         collect_outputs: false,
         sender: small_sender(),
         ..RunConfig::default()
     };
-    let report = Engine::new(cfg)
+    let engine = Engine::new(cfg);
+    let env = engine.env().clone();
+    let report = engine
         .run(
             KvSource::new(1, 100, 100_000),
             benchmarks::sum_per_key(),
@@ -32,8 +33,8 @@ fn run_leaves_no_live_bundles_when_outputs_dropped() {
         .expect("run");
     assert!(report.records_in > 0);
     assert_eq!(
-        live_bundles(),
-        before,
+        env.live_bundles(),
+        0,
         "all ingested and emitted bundles must be reclaimed"
     );
 }
@@ -127,7 +128,6 @@ fn urgent_reserve_keeps_window_closes_working() {
 /// row copies, never bundle references.
 #[test]
 fn crash_and_recovery_leave_no_live_bundles() {
-    let before = live_bundles();
     let cfg = RunConfig {
         cores: 16,
         collect_outputs: false,
@@ -141,29 +141,45 @@ fn crash_and_recovery_leave_no_live_bundles() {
         // sink when the crash lands — the subtlest RC path.
         CrashPlan::AtBarrier {
             epoch: 3,
-            phase: streambox_hbm::engine::CrashPhase::BarrierAligned,
+            phase: CrashPhase::BarrierAligned,
         },
     ];
     for plan in plans {
         let mut coord = CheckpointCoordinator::with_crash(plan);
-        let out = run_with_recovery(
-            &cfg,
-            mk_src,
-            || benchmarks::topk_per_key(3),
-            25,
-            5,
-            &mut coord,
-        )
-        .expect("recover");
-        assert_eq!(out.crashes, 1, "{plan:?}");
-        assert!(out.report.records_in > 0);
-        // The coordinator (snapshots, committed outputs) is still alive
-        // here: nothing it holds may pin a bundle.
-        assert_eq!(
-            live_bundles(),
-            before,
-            "crash + recovery must release every RC-pinned bundle ({plan:?})"
-        );
+        // The loop of `run_with_recovery`, spelled out so each attempt's
+        // memory environment can be inspected once its engine is gone.
+        // The coordinator (snapshots, committed outputs) outlives every
+        // attempt: nothing it holds may pin a bundle.
+        let mut crashes = 0;
+        let report = loop {
+            let engine = Engine::new(cfg.clone());
+            let env = engine.env().clone();
+            let snap = coord.store().latest().expect("snapshot store");
+            let pipeline = benchmarks::topk_per_key(3);
+            let result = match &snap {
+                Some(s) => engine.resume_with_hooks(mk_src(), pipeline, 25, Some(5), &mut coord, s),
+                None => engine.run_with_hooks(mk_src(), pipeline, 25, Some(5), &mut coord),
+            };
+            let crashed = matches!(result, Err(EngineError::Crashed(_)));
+            assert_eq!(
+                env.live_bundles(),
+                0,
+                "every RC-pinned bundle must be released ({plan:?}, crashed: {crashed})"
+            );
+            match result {
+                Ok(report) => {
+                    coord.commit_pending();
+                    break report;
+                }
+                Err(EngineError::Crashed(_)) => {
+                    crashes += 1;
+                    coord.discard_pending();
+                }
+                Err(e) => panic!("recover: {e}"),
+            }
+        };
+        assert_eq!(crashes, 1, "{plan:?}");
+        assert!(report.records_in > 0);
     }
 }
 

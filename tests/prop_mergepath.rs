@@ -6,7 +6,7 @@
 
 use sbx_prng::SbxRng;
 use streambox_hbm::kpa::mergepath::{
-    merge_runs_pooled, merge_runs_serial, plan_spans, span_rank, RankBy, Run,
+    merge_runs_pooled, merge_runs_serial, merge_span, plan_spans, span_rank, RankBy, Run,
 };
 use streambox_hbm::kpa::{join_sorted, ExecCtx, Kpa, WorkerPool};
 use streambox_hbm::prelude::*;
@@ -95,6 +95,96 @@ fn pooled_merge_matches_serial_oracle() {
                 merge_runs_pooled(&pool, width, &runs, by, &mut got_k, &mut got_p);
                 assert_eq!(got_k, want_k, "case {case} width {width} keys");
                 assert_eq!(got_p, want_p, "case {case} width {width} ptrs");
+            }
+        }
+    }
+}
+
+/// The merge kernel the loser tree replaced, kept here as its oracle: per
+/// output pair, a linear scan of all run heads for the minimum rank value,
+/// the lowest run index winning ties.
+fn linear_scan_merge(runs: &[Run<'_>], by: RankBy) -> (Vec<u64>, Vec<u64>) {
+    let value = |r: usize, i: usize| match by {
+        RankBy::Compound => (u128::from(runs[r].keys[i]) << 64) | u128::from(runs[r].ptrs[i]),
+        RankBy::Key => u128::from(runs[r].keys[i]),
+    };
+    let mut pos = vec![0usize; runs.len()];
+    let (mut keys, mut ptrs) = (Vec::new(), Vec::new());
+    loop {
+        let mut best: Option<(u128, usize)> = None;
+        for r in 0..runs.len() {
+            if pos[r] < runs[r].len() {
+                let v = value(r, pos[r]);
+                if best.is_none_or(|(b, _)| v < b) {
+                    best = Some((v, r));
+                }
+            }
+        }
+        let Some((_, r)) = best else { break };
+        keys.push(runs[r].keys[pos[r]]);
+        ptrs.push(runs[r].ptrs[pos[r]]);
+        pos[r] += 1;
+    }
+    (keys, ptrs)
+}
+
+/// The tournament `merge_span` is byte-identical to the linear-scan oracle
+/// at narrow and wide fan-ins, with empty runs and heavy key ties, in both
+/// rank orders — whole-input and tiled into `plan_spans` spans (so the
+/// kernel's tie-break agrees with `rank_split`'s run-order distribution).
+#[test]
+fn tournament_merge_matches_linear_scan_oracle() {
+    let mut rng = SbxRng::seed_from_u64(0x6d70_0005);
+    for k in [1usize, 2, 3, 25, 64] {
+        for case in 0..8u64 {
+            for by in [RankBy::Compound, RankBy::Key] {
+                let key_space = 1 + rng.random_range(0..6) * rng.random_range(0..6);
+                let data: Vec<(Vec<u64>, Vec<u64>)> = (0..k)
+                    .map(|_| {
+                        // Every third run or so is empty.
+                        let n = if rng.random_range(0..3) == 0 {
+                            0
+                        } else {
+                            rng.random_range(0..200) as usize
+                        };
+                        let mut pairs: Vec<(u64, u64)> = (0..n)
+                            .map(|_| (rng.random_range(0..key_space), rng.random_range(0..4)))
+                            .collect();
+                        match by {
+                            RankBy::Compound => pairs.sort_unstable(),
+                            RankBy::Key => pairs.sort_by_key(|&(key, _)| key),
+                        }
+                        pairs.into_iter().unzip()
+                    })
+                    .collect();
+                let runs = as_runs(&data);
+                let total: usize = runs.iter().map(Run::len).sum();
+                let (want_k, want_p) = linear_scan_merge(&runs, by);
+                assert_eq!(want_k.len(), total);
+
+                let mut got_k = vec![0u64; total];
+                let mut got_p = vec![0u64; total];
+                merge_runs_serial(&runs, by, &mut got_k, &mut got_p);
+                assert_eq!(got_k, want_k, "k {k} case {case} {by:?} keys");
+                assert_eq!(got_p, want_p, "k {k} case {case} {by:?} ptrs");
+
+                let parts = 1 + rng.random_range(0..9) as usize;
+                let cuts = plan_spans(&runs, by, parts);
+                let mut got_k = vec![0u64; total];
+                let mut got_p = vec![0u64; total];
+                for p in 0..parts {
+                    let span = span_rank(total, parts, p)..span_rank(total, parts, p + 1);
+                    merge_span(
+                        &runs,
+                        &cuts[p],
+                        &cuts[p + 1],
+                        by,
+                        &mut got_k[span.clone()],
+                        &mut got_p[span],
+                    );
+                }
+                assert_eq!(got_k, want_k, "k {k} case {case} {by:?} {parts} spans keys");
+                assert_eq!(got_p, want_p, "k {k} case {case} {by:?} {parts} spans ptrs");
             }
         }
     }

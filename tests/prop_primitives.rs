@@ -9,7 +9,7 @@
 use sbx_prng::SbxRng;
 use streambox_hbm::ingress::parse::{json, proto, text};
 use streambox_hbm::ingress::Partitioned;
-use streambox_hbm::kpa::{bitonic, hash, join_sorted, reduce_keyed, ExecCtx, Kpa};
+use streambox_hbm::kpa::{hash, join_sorted, reduce_keyed, sort_pairs, ExecCtx, Kpa};
 use streambox_hbm::prelude::*;
 
 const CASES: u64 = 48;
@@ -235,22 +235,83 @@ fn codecs_round_trip() {
     }
 }
 
-/// The bitonic network and block-merge chunk sort equal a reference sort
-/// for any length and key distribution.
+/// The chunk sort kernel equals `sort_unstable` on `(key, ptr)` pairs —
+/// the exact compound order, not just sorted keys — for every length class
+/// and key shape: random, duplicate-heavy, all-equal, presorted, reversed,
+/// and `u64::MAX` keys and pointers.
 #[test]
-fn bitonic_chunk_sort_matches_reference() {
+fn chunk_sort_matches_reference() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_1009);
-    for _ in 0..CASES {
-        let keys = any_keys(&mut rng, 1_500);
-        let mut k = keys.clone();
-        let mut p: Vec<u64> = (0..keys.len() as u64).collect();
-        bitonic::sort_chunk(&mut k, &mut p);
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        assert_eq!(&k, &expect);
-        // Pointers still pair with their original keys.
-        for (i, &ptr) in p.iter().enumerate() {
-            assert_eq!(keys[ptr as usize], k[i]);
+    let lens = (0..=130usize).chain([1_499, 20_000]);
+    for (case, n) in lens.enumerate() {
+        let key_space = match case % 3 {
+            0 => u64::MAX,
+            1 => 1 + rng.random_range(0..40),
+            _ => 1 + n as u64 * 4,
+        };
+        let random: Vec<u64> = (0..n).map(|_| rng.random_range(0..key_space)).collect();
+        let mut presorted = random.clone();
+        presorted.sort_unstable();
+        let reversed: Vec<u64> = presorted.iter().rev().copied().collect();
+        let mut extremes = random.clone();
+        for k in extremes.iter_mut().step_by(3) {
+            *k = u64::MAX;
+        }
+        let shapes = [random, vec![42; n], presorted, reversed, extremes];
+        for (shape, keys) in shapes.iter().enumerate() {
+            // Pointers are unique per pair; every other one is pushed to the
+            // top of the range so u64::MAX pointers take part in tie-breaks.
+            let ptrs: Vec<u64> = (0..n as u64)
+                .map(|i| if i % 2 == 0 { i } else { u64::MAX - i })
+                .collect();
+            let mut want: Vec<(u64, u64)> = keys.iter().copied().zip(ptrs.clone()).collect();
+            want.sort_unstable();
+            let (mut k, mut p) = (keys.clone(), ptrs);
+            sort_pairs(&mut k, &mut p);
+            let got: Vec<(u64, u64)> = k.into_iter().zip(p).collect();
+            assert_eq!(got, want, "len {n} shape {shape}");
+        }
+    }
+}
+
+/// A `Resolver` pass agrees with the one-off `Kpa::value_at` / `Kpa::deref`
+/// lookups on a merged KPA whose source bundle ids are sparse: bundles
+/// created on another environment in between leave gaps in the
+/// process-global id sequence.
+#[test]
+fn resolver_matches_value_at_on_sparse_bundle_ids() {
+    let mut rng = SbxRng::seed_from_u64(0x5b57_100e);
+    for case in 0..CASES {
+        let env = env();
+        let elsewhere = self::env();
+        let mut ctx = ExecCtx::new(&env);
+        let sources = 1 + rng.random_range(0..40) as usize;
+        let mut parts = Vec::new();
+        for _ in 0..sources {
+            // Each of these takes an id between two of the KPA's sources.
+            for _ in 0..rng.random_range(1..4) {
+                RecordBundle::from_rows(&elsewhere, Schema::kvt(), &[0, 0, 0]).expect("fits");
+            }
+            let keys: Vec<u64> = (0..rng.random_range(0..100))
+                .map(|_| rng.random_range(0..50))
+                .collect();
+            let mut kpa = kpa_from_keys(&env, &mut ctx, &keys);
+            kpa.sort(&mut ctx, 1).expect("sort");
+            parts.push(kpa);
+        }
+        let merged =
+            Kpa::merge_many(&mut ctx, parts, MemKind::Hbm, Priority::Normal).expect("merge");
+        let records = merged.resolver();
+        for i in 0..merged.len() {
+            let (bundle, row) = merged.deref(i);
+            assert_eq!(
+                records.row(i),
+                Some(bundle.row(row)),
+                "case {case} pair {i}"
+            );
+            for col in [Col(0), Col(1), Col(2)] {
+                assert_eq!(records.value(i, col), merged.value_at(i, col));
+            }
         }
     }
 }
@@ -316,7 +377,8 @@ fn partitioned_shards_cover_the_stream() {
     }
 }
 
-/// K-way and pairwise merges of arbitrary sorted partitions agree.
+/// The single-pass k-way merge and the pairwise-rounds merge of arbitrary
+/// sorted partitions agree.
 #[test]
 fn kway_and_pairwise_merges_agree() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_100c);
@@ -341,8 +403,8 @@ fn kway_and_pairwise_merges_agree() {
         let parts_a = mk(&mut ctx);
         let parts_b = mk(&mut ctx);
         let a = Kpa::merge_many(&mut ctx, parts_a, MemKind::Hbm, Priority::Normal).expect("merge");
-        let b =
-            Kpa::merge_many_kway(&mut ctx, parts_b, MemKind::Hbm, Priority::Normal).expect("merge");
+        let b = Kpa::merge_many_pairwise(&mut ctx, parts_b, MemKind::Hbm, Priority::Normal)
+            .expect("merge");
         assert_eq!(a.keys(), b.keys());
     }
 }
