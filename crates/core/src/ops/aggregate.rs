@@ -5,9 +5,10 @@ use sbx_kpa::{profile, reduce_keyed, Kpa};
 use sbx_records::{Col, RecordBundle, Schema, WindowId, WindowSpec};
 
 use super::grouping::{
-    decide_backend, AdaptState, AggParams, BackendChoice, GroupingBackend, HashShardBackend,
-    RowBaselineBackend, SortMergeBackend, EV_BACKEND_HASH, EV_BACKEND_ROW, EV_BACKEND_SORT,
-    PORT_HASH_SCALAR, PORT_HASH_VALUES, PORT_PANE_BUNDLE, PORT_ROW_SCALAR, PORT_ROW_VALUES,
+    decide_backend, output_rows, AdaptState, AggParams, BackendChoice, GroupingBackend,
+    HashShardBackend, RowBaselineBackend, SortMergeBackend, EV_BACKEND_HASH, EV_BACKEND_ROW,
+    EV_BACKEND_SORT, PORT_HASH_SCALAR, PORT_HASH_VALUES, PORT_PANE_BUNDLE, PORT_ROW_SCALAR,
+    PORT_ROW_VALUES,
 };
 use crate::checkpoint::{OpState, StateEntry};
 use crate::ops::{closable, single, window_start, GroupingSpec, LateGuard};
@@ -289,18 +290,20 @@ impl KeyedAggregate {
         }
         let merged = ctx.merge_many(kpas)?;
         let start = window_start(&self.spec, WindowId(w)).raw();
-        let mut rows: Vec<u64> = Vec::new();
-        ctx.charged(16, |e| {
-            reduce_keyed(e, &merged, Col(1), |g| {
-                rows.extend_from_slice(&[
-                    g.key,
-                    g.values.iter().fold(0u64, |a, &v| a.wrapping_add(v)),
-                    start,
-                ]);
-            })
-        });
+        // One row per key: the sums go straight into the output bundle.
+        let slots = self.out_schema.ncols() * output_rows(AggKind::Sum, merged.keys());
         let env = ctx.env();
-        let out = RecordBundle::from_rows(&env, Arc::clone(&self.out_schema), &rows)?;
+        let out = RecordBundle::from_fill(&env, Arc::clone(&self.out_schema), slots, |rows| {
+            ctx.charged(16, |e| {
+                reduce_keyed(e, &merged, Col(1), |g| {
+                    rows.extend_from_slice(&[
+                        g.key,
+                        g.values.iter().fold(0u64, |a, &v| a.wrapping_add(v)),
+                        start,
+                    ]);
+                })
+            });
+        })?;
         Ok(Some(Message::data(StreamData::Bundle(out))))
     }
 
@@ -335,17 +338,17 @@ impl KeyedAggregate {
     fn close(&mut self, ctx: &mut OpCtx<'_>, w: WindowId) -> Result<Message, EngineError> {
         ctx.tag = ImpactTag::Urgent;
         let start = window_start(&self.spec, w).raw();
-        let mut rows: Vec<u64> = Vec::new();
-        if let Some(mut backend) = self.state.remove(&w) {
+        let out = if let Some(mut backend) = self.state.remove(&w) {
             let p = self.params();
             let records = backend.records();
-            let groups = backend.close(ctx, &p, start, &mut rows)?;
+            let (out, groups) = backend.close(ctx, &p, start, &self.out_schema)?;
             // Feed the closed window into the adaptive history (cheap and
             // deterministic, so it runs for every backend spec).
             self.adapt.observe_window(records, groups);
-        }
-        let env = ctx.env();
-        let out = RecordBundle::from_rows(&env, Arc::clone(&self.out_schema), &rows)?;
+            out
+        } else {
+            RecordBundle::from_rows(&ctx.env(), Arc::clone(&self.out_schema), &[])?
+        };
         Ok(Message::data(StreamData::Bundle(out)))
     }
 }

@@ -29,6 +29,8 @@
 //! Every construction emits a `groupby.backend.*` event that the engine
 //! surfaces as `engine.groupby.backend.*` counters.
 
+use std::sync::Arc;
+
 use sbx_kpa::hash::{fib_hash, HashAgg, HashGrouper};
 use sbx_kpa::sketch::GroupSketch;
 use sbx_kpa::{agg, profile, reduce_keyed, Kpa};
@@ -148,15 +150,16 @@ pub(crate) trait GroupingBackend: Send + std::fmt::Debug {
     /// Absorbs one windowed KPA (already key-swapped and key-mapped).
     fn ingest(&mut self, ctx: &mut OpCtx<'_>, kpa: Kpa, p: &AggParams) -> Result<(), EngineError>;
 
-    /// Drains the window into `rows` (`[key, agg, start]` triples, ascending
-    /// keys) and returns the number of distinct groups.
+    /// Drains the window into one output bundle of `schema` (`[key, agg,
+    /// start]` rows, ascending keys) and returns it with the number of
+    /// distinct groups.
     fn close(
         &mut self,
         ctx: &mut OpCtx<'_>,
         p: &AggParams,
         start: u64,
-        rows: &mut Vec<u64>,
-    ) -> Result<u64, EngineError>;
+        schema: &Arc<Schema>,
+    ) -> Result<(Arc<RecordBundle>, u64), EngineError>;
 
     /// Records ingested so far (feeds the adaptive window history).
     fn records(&self) -> u64;
@@ -220,6 +223,19 @@ pub(crate) fn emit_group(
             rows.extend_from_slice(&[key, agg::unique_count(&mut v), start]);
         }
     }
+}
+
+/// Rows [`emit_group`] appends for a key-sorted window of `keys`: one per
+/// distinct key, or up to `k` of a key's pairs for `TopK(k)`. Lets a close
+/// path size its output bundle up front and write the rows into it once.
+pub(crate) fn output_rows(kind: AggKind, keys: &[u64]) -> usize {
+    let per_group = match kind {
+        AggKind::TopK(k) => k,
+        _ => 1,
+    };
+    keys.chunk_by(|a, b| a == b)
+        .map(|group| group.len().min(per_group))
+        .sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -301,11 +317,12 @@ impl GroupingBackend for SortMergeBackend {
         ctx: &mut OpCtx<'_>,
         p: &AggParams,
         start: u64,
-        rows: &mut Vec<u64>,
-    ) -> Result<u64, EngineError> {
+        schema: &Arc<Schema>,
+    ) -> Result<(Arc<RecordBundle>, u64), EngineError> {
         let kpas = std::mem::take(&mut self.kpas);
+        let env = ctx.env();
         if kpas.is_empty() {
-            return Ok(0);
+            return Ok((RecordBundle::from_rows(&env, Arc::clone(schema), &[])?, 0));
         }
         let merged = ctx.merge_many(kpas)?;
         // When early aggregation ran, the stored "values" are partials
@@ -314,13 +331,18 @@ impl GroupingBackend for SortMergeBackend {
         let kind = p.kind;
         let early = p.early;
         let mut groups = 0u64;
-        ctx.charged(16, |e| {
-            reduce_keyed(e, &merged, value_col, |g| {
-                groups += 1;
-                emit_group(kind, early, g.key, g.values, start, rows);
-            })
-        });
-        Ok(groups)
+        // The row count is known from the merged keys, so the reduction
+        // writes straight into the output bundle's pool buffer.
+        let slots = schema.ncols() * output_rows(kind, merged.keys());
+        let out = RecordBundle::from_fill(&env, Arc::clone(schema), slots, |rows| {
+            ctx.charged(16, |e| {
+                reduce_keyed(e, &merged, value_col, |g| {
+                    groups += 1;
+                    emit_group(kind, early, g.key, g.values, start, rows);
+                })
+            });
+        })?;
+        Ok((out, groups))
     }
 
     fn records(&self) -> u64 {
@@ -464,6 +486,20 @@ impl HashCore {
             self.shards.push(r.map_err(EngineError::from)?);
         }
         Ok(())
+    }
+
+    /// [`HashCore::drain`] into an output bundle of `schema`.
+    fn drain_bundle(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        p: &AggParams,
+        start: u64,
+        schema: &Arc<Schema>,
+    ) -> Result<(Arc<RecordBundle>, u64), EngineError> {
+        let mut rows: Vec<u64> = Vec::new();
+        let groups = self.drain(p, start, &mut rows);
+        let out = RecordBundle::from_rows(&ctx.env(), Arc::clone(schema), &rows)?;
+        Ok((out, groups))
     }
 
     /// Drains every shard into globally key-sorted output rows via
@@ -624,15 +660,15 @@ impl GroupingBackend for HashShardBackend {
         ctx: &mut OpCtx<'_>,
         p: &AggParams,
         start: u64,
-        rows: &mut Vec<u64>,
-    ) -> Result<u64, EngineError> {
+        schema: &Arc<Schema>,
+    ) -> Result<(Arc<RecordBundle>, u64), EngineError> {
         let prof = profile::hash_drain(
             self.core.slots(),
             self.core.groups(),
             self.core.table_kind(),
         );
         ctx.charged(16, |e| e.charge(&prof));
-        Ok(self.core.drain(p, start, rows))
+        self.core.drain_bundle(ctx, p, start, schema)
     }
 
     fn records(&self) -> u64 {
@@ -711,11 +747,11 @@ impl GroupingBackend for RowBaselineBackend {
         ctx: &mut OpCtx<'_>,
         p: &AggParams,
         start: u64,
-        rows: &mut Vec<u64>,
-    ) -> Result<u64, EngineError> {
+        schema: &Arc<Schema>,
+    ) -> Result<(Arc<RecordBundle>, u64), EngineError> {
         let prof = profile::hash_drain(self.core.slots(), self.core.groups(), MemKind::Dram);
         ctx.charged(16, |e| e.charge(&prof));
-        Ok(self.core.drain(p, start, rows))
+        self.core.drain_bundle(ctx, p, start, schema)
     }
 
     fn records(&self) -> u64 {
@@ -887,9 +923,8 @@ mod tests {
         ctx: &mut OpCtx<'_>,
         p: &AggParams,
     ) -> Vec<u64> {
-        let mut rows = Vec::new();
-        backend.close(ctx, p, 0, &mut rows).unwrap();
-        rows
+        let (out, _) = backend.close(ctx, p, 0, &Schema::kvt()).unwrap();
+        out.as_rows().to_vec()
     }
 
     /// All three backends must produce byte-identical close rows for every

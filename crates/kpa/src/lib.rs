@@ -43,6 +43,7 @@ mod join;
 mod kpa;
 pub mod mergepath;
 pub mod profile;
+mod radix;
 mod reduce;
 pub mod sketch;
 mod sort;

@@ -20,11 +20,14 @@
 //!   "left input wins ties" merge exactly, so it applies to KPAs that are
 //!   key-sorted but not compound-sorted (e.g. marked via `mark_sorted`).
 //!
-//! Rank-splitting searches the 128-bit *value space* for the smallest
-//! cutoff whose global `count_le` reaches the target rank, then distributes
+//! Rank-splitting searches the *value space* between the runs' lowest head
+//! and highest tail for the smallest cutoff whose global `count_le` reaches
+//! the target rank, then distributes
 //! entries equal to the cutoff across runs in run order. This handles
 //! arbitrarily duplicate-heavy inputs: the spans always tile the output
 //! exactly (see `tests/prop_mergepath.rs`).
+
+use crate::radix::{self, Digits, Pairs};
 
 /// Which order merges and rank splits operate in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,9 +110,14 @@ pub fn rank_split(runs: &[Run<'_>], by: RankBy, d: usize) -> Vec<usize> {
         return runs.iter().map(Run::len).collect();
     }
 
-    // Smallest cutoff value whose global <=-count reaches d. 128-bit value
-    // space: ~128 probe rounds of k binary searches each.
-    let (mut lo, mut hi) = (0u128, u128::MAX);
+    // Smallest cutoff value whose global <=-count reaches d: it lies between
+    // the lowest head and the highest tail, so the bisection takes one round
+    // of k binary searches per bit in which the runs' values actually differ.
+    let (mut lo, mut hi) = (u128::MAX, 0u128);
+    for r in runs.iter().filter(|r| !r.is_empty()) {
+        lo = lo.min(r.value(0, by));
+        hi = hi.max(r.value(r.len() - 1, by));
+    }
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         let le: usize = runs.iter().map(|r| r.count_le(by, mid)).sum();
@@ -158,14 +166,27 @@ pub fn span_rank(total: usize, parts: usize, p: usize) -> usize {
     total * p / parts.max(1)
 }
 
+/// Pairs per bucket the k-way merge sorts at a time: source and scratch of
+/// a bucket stay cache-resident while its counting passes run.
+const BUCKET_PAIRS: usize = 4096;
+
 /// K-way merges `runs[r][lo[r]..hi[r]]` for all `r` into `out_keys` /
 /// `out_ptrs` in `by` order (run index breaks ties), preserving each run's
 /// internal order. The output slices must have length
 /// `sum(hi[r] - lo[r])`.
 ///
-/// Up to two runs merge with the plain two-way loop; more go through a
-/// loser tree (`ceil(log2 k)` comparisons per output pair). Either way the
-/// last run left holding pairs finishes with a bulk copy.
+/// Up to two runs merge with the plain two-way loop. More are cut at common
+/// key *splitters* into buckets of a few thousand pairs, and each bucket is
+/// sorted on its own: its sub-runs are concatenated in run order and a
+/// stable radix sort (`radix.rs`) over the bits in which the bucket's keys
+/// can still differ puts them in order, the last pass scattering straight
+/// into the output. Stable over run-order concatenation is exactly
+/// [`RankBy::Key`]'s tie rule; [`RankBy::Compound`] adds the pointer digits
+/// unless the sub-runs' pointer ranges already ascend from run to run (the
+/// chunks of one freshly extracted KPA). The splitters are evenly spaced
+/// keys of the runs themselves, so a far outlier or a Zipf head cannot
+/// collapse the partition, and every splitter key gets a bucket to itself,
+/// which under [`RankBy::Key`] is a plain copy.
 ///
 /// # Panics
 ///
@@ -180,21 +201,196 @@ pub fn merge_span(
 ) {
     debug_assert_eq!(runs.len(), lo.len());
     debug_assert_eq!(runs.len(), hi.len());
+    if runs.len() <= 2 {
+        merge_two(runs, lo, hi, by, out_keys, out_ptrs);
+        return;
+    }
+    let total = claimed(lo, hi);
+    // Room for a bucket of twice the average size; a longer one grows it.
+    // sbx-lint: allow(raw-alloc, one bucket of host scratch; pair data stays in the caller's buffers)
+    let mut scratch = vec![0u64; 2 * total.min(2 * BUCKET_PAIRS)];
+    let mut pos = lo.to_vec();
+    let mut cut = lo.to_vec();
+    let mut done = 0usize;
+    for splitter in splitters(runs, lo, hi, total) {
+        // Keys below the splitter, then the splitter key by itself.
+        for inclusive in [false, true] {
+            for ((c, &p), (run, &h)) in cut.iter_mut().zip(&pos).zip(runs.iter().zip(hi)) {
+                let rest = &run.keys[p..h];
+                *c = p + if inclusive {
+                    gallop(rest, |key| key <= splitter)
+                } else {
+                    gallop(rest, |key| key < splitter)
+                };
+            }
+            let out = (&mut out_keys[done..], &mut out_ptrs[done..]);
+            done += sort_bucket(runs, &pos, &cut, by, out, &mut scratch);
+            pos.copy_from_slice(&cut);
+        }
+    }
+    let out = (&mut out_keys[done..], &mut out_ptrs[done..]);
+    done += sort_bucket(runs, &pos, hi, by, out, &mut scratch);
+    debug_assert_eq!(done, out_keys.len(), "buckets did not fill the output");
+}
+
+/// Pairs in `runs[r][lo[r]..hi[r]]` over all `r`.
+fn claimed(lo: &[usize], hi: &[usize]) -> usize {
+    lo.iter().zip(hi).map(|(lo, hi)| hi - lo).sum()
+}
+
+/// `keys.partition_point(below)` for a point expected near the front: a
+/// bucket takes a small share of each run, so doubling steps find the
+/// point's neighbourhood in fewer probes than bisecting the whole remainder.
+fn gallop(keys: &[u64], below: impl Fn(u64) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, keys.len().min(32));
+    while hi < keys.len() && below(keys[hi - 1]) {
+        lo = hi;
+        hi = (2 * hi).min(keys.len());
+    }
+    lo + keys[lo..hi].partition_point(|&key| below(key))
+}
+
+/// Ascending, distinct keys at which [`merge_span`] cuts the `total` pairs
+/// of `runs[r][lo[r]..hi[r]]`. Every run contributes each `stride`-th of its
+/// keys and every `per`-th of the sorted sample becomes a splitter, so the
+/// pairs strictly between two splitters number `BUCKET_PAIRS` on average and
+/// at most `(per + k) * stride`, about twice that, however the keys are
+/// distributed.
+fn splitters(runs: &[Run<'_>], lo: &[usize], hi: &[usize], total: usize) -> Vec<u64> {
+    let mut sample: Vec<u64> = Vec::new();
+    if total <= BUCKET_PAIRS {
+        return sample;
+    }
+    let per = runs.len().max(16);
+    let stride = (BUCKET_PAIRS / per).max(1);
+    sample.reserve_exact(total / stride);
+    for (run, (&lo, &hi)) in runs.iter().zip(lo.iter().zip(hi)) {
+        sample.extend(run.keys[lo..hi].iter().skip(stride - 1).step_by(stride));
+    }
+    sample.sort_unstable();
+    let mut kept = 0;
+    for i in (per - 1..sample.len()).step_by(per) {
+        if kept == 0 || sample[kept - 1] != sample[i] {
+            sample[kept] = sample[i];
+            kept += 1;
+        }
+    }
+    sample.truncate(kept);
+    sample
+}
+
+/// Sorts one bucket of [`merge_span`] — `runs[r][lo[r]..hi[r]]` for all `r`,
+/// holding every pair of the keys it covers — into the front of `out` and
+/// returns its length. `scratch` is grown to the largest bucket seen.
+fn sort_bucket(
+    runs: &[Run<'_>],
+    lo: &[usize],
+    hi: &[usize],
+    by: RankBy,
+    out: Pairs<'_>,
+    scratch: &mut Vec<u64>,
+) -> usize {
+    let len = claimed(lo, hi);
+    let mut out: Pairs<'_> = (&mut out.0[..len], &mut out.1[..len]);
+    let parts = || {
+        runs.iter()
+            .zip(lo.iter().zip(hi))
+            .filter(|(_, (lo, hi))| lo < hi)
+            .map(|(run, (&lo, &hi))| (&run.keys[lo..hi], &run.ptrs[lo..hi]))
+    };
+    let concat_into = |dst: &mut Pairs<'_>| {
+        let mut at = 0;
+        for (keys, ptrs) in parts() {
+            dst.0[at..at + keys.len()].copy_from_slice(keys);
+            dst.1[at..at + keys.len()].copy_from_slice(ptrs);
+            at += keys.len();
+        }
+    };
+    if len <= radix::SMALL {
+        concat_into(&mut out);
+        radix::insertion_sort(out.0, out.1, by);
+        return len;
+    }
+
+    // The parts are sorted, so their ends bound the bucket's keys; above
+    // the lowest key, only the bits of that range can differ.
+    let (mut min, mut max) = (u64::MAX, 0u64);
+    for (keys, _) in parts() {
+        min = min.min(keys[0]);
+        max = max.max(keys[keys.len() - 1]);
+    }
+    let key_mask = (max - min)
+        .checked_ilog2()
+        .map_or(0, |top| u64::MAX >> (63 - top));
+    let ptr_mask = match by {
+        RankBy::Key => 0,
+        RankBy::Compound => {
+            let first = parts().next().map_or(0, |(_, ptrs)| ptrs[0]);
+            let (mut differing, mut ascending, mut below) = (0, true, 0);
+            for (_, ptrs) in parts() {
+                let (mut low, mut high) = (u64::MAX, 0);
+                for &ptr in ptrs {
+                    low = low.min(ptr);
+                    high = high.max(ptr);
+                    differing |= ptr ^ first;
+                }
+                ascending &= below <= low;
+                below = high;
+            }
+            // Part after part of ascending pointers: run order is pointer
+            // order wherever keys tie.
+            if ascending {
+                0
+            } else {
+                differing
+            }
+        }
+    };
+
+    let digits = Digits::covering(min, key_mask, ptr_mask);
+    if digits.is_empty() {
+        concat_into(&mut out);
+        return len;
+    }
+    if scratch.len() < 2 * len {
+        scratch.resize(2 * len, 0);
+    }
+    let (scratch_keys, scratch_ptrs) = scratch.split_at_mut(len);
+    let mut scratch: Pairs<'_> = (scratch_keys, &mut scratch_ptrs[..len]);
+    if digits.starts_in_scratch() {
+        concat_into(&mut scratch);
+    } else {
+        concat_into(&mut out);
+    }
+    digits.sort(out, scratch, by);
+    len
+}
+
+/// [`merge_span`] for at most two runs: the two-way loop, then a bulk copy
+/// of whichever run still holds pairs.
+fn merge_two(
+    runs: &[Run<'_>],
+    lo: &[usize],
+    hi: &[usize],
+    by: RankBy,
+    out_keys: &mut [u64],
+    out_ptrs: &mut [u64],
+) {
     // Monomorphized on the rank value, so the Key order compares one word.
     match by {
         RankBy::Compound => {
             let head = |r: usize, i: usize| (runs[r].keys[i], runs[r].ptrs[i]);
-            merge_span_by(runs, lo, hi, head, out_keys, out_ptrs);
+            merge_two_by(runs, lo, hi, head, out_keys, out_ptrs);
         }
         RankBy::Key => {
             let head = |r: usize, i: usize| runs[r].keys[i];
-            merge_span_by(runs, lo, hi, head, out_keys, out_ptrs);
+            merge_two_by(runs, lo, hi, head, out_keys, out_ptrs);
         }
     }
 }
 
-/// [`merge_span`] over the rank value `head(run, index)`.
-fn merge_span_by<V: Ord + Copy + Default>(
+/// [`merge_two`] over the rank value `head(run, index)`.
+fn merge_two_by<V: Ord>(
     runs: &[Run<'_>],
     lo: &[usize],
     hi: &[usize],
@@ -202,81 +398,23 @@ fn merge_span_by<V: Ord + Copy + Default>(
     out_keys: &mut [u64],
     out_ptrs: &mut [u64],
 ) {
-    let k = runs.len();
     let mut pos: Vec<usize> = lo.to_vec();
     let mut o = 0usize;
-    // Moves the pair under run `r`'s cursor to the output.
-    let mut take = |r: usize, pos: &mut [usize]| {
-        out_keys[o] = runs[r].keys[pos[r]];
-        out_ptrs[o] = runs[r].ptrs[pos[r]];
-        pos[r] += 1;
-        o += 1;
-    };
-
-    // Merge until at most one run still holds pairs; that survivor is
-    // bulk-copied below (the whole body when only one run is non-empty).
-    let survivor = if k <= 2 {
-        if k == 2 {
-            // `<` keeps run 0 on ties, matching rank_split's run-order tie
-            // distribution.
-            while pos[0] < hi[0] && pos[1] < hi[1] {
-                let r = usize::from(head(1, pos[1]) < head(0, pos[0]));
-                take(r, &mut pos);
-            }
+    if runs.len() == 2 {
+        // `<` keeps run 0 on ties, matching rank_split's run-order tie
+        // distribution.
+        while pos[0] < hi[0] && pos[1] < hi[1] {
+            let r = usize::from(head(1, pos[1]) < head(0, pos[0]));
+            out_keys[o] = runs[r].keys[pos[r]];
+            out_ptrs[o] = runs[r].ptrs[pos[r]];
+            pos[r] += 1;
+            o += 1;
         }
-        (0..k).find(|&r| pos[r] < hi[r])
-    } else {
-        // Loser tree over the k run heads, each a `(drained, head value,
-        // run)` entry compared as a tuple: a drained run loses to every
-        // live head, and among equal values the lowest run index wins.
-        // Leaf `r` hangs below internal node `(k + r) / 2`; internal node
-        // `n` (1..k) keeps the loser of the match played there and
-        // `tree[0]` the overall winner, so replacing the winner's head
-        // replays one leaf-to-root path.
-        let entry = |r: usize, pos: &[usize]| {
-            if pos[r] < hi[r] {
-                (false, head(r, pos[r]), r)
-            } else {
-                (true, V::default(), r)
-            }
-        };
-        // First round, bottom-up: slot `n` of `up` holds the winner coming
-        // up out of node `n` (the leaves are nodes k..2k).
-        let mut up: Vec<(bool, V, usize)> = Vec::new();
-        up.resize(k, (true, V::default(), 0));
-        up.extend((0..k).map(|r| entry(r, &pos)));
-        let mut live = up.iter().filter(|e| !e.0).count();
-        let mut tree = up[..k].to_vec();
-        for n in (1..k).rev() {
-            let (a, b) = (up[2 * n], up[2 * n + 1]);
-            (up[n], tree[n]) = if b < a { (b, a) } else { (a, b) };
-        }
-        tree[0] = up[1];
-
-        while live > 1 {
-            let w = tree[0].2;
-            take(w, &mut pos);
-            let mut cur = entry(w, &pos);
-            live -= usize::from(cur.0);
-            let mut n = (k + w) / 2;
-            while n >= 1 {
-                if tree[n] < cur {
-                    std::mem::swap(&mut tree[n], &mut cur);
-                }
-                n /= 2;
-            }
-            tree[0] = cur;
-        }
-        // A live head beats every drained one, so the winner is the
-        // survivor.
-        (live == 1).then(|| tree[0].2)
-    };
-    if let Some(r) = survivor {
-        let span = pos[r]..hi[r];
-        let len = span.len();
-        out_keys[o..o + len].copy_from_slice(&runs[r].keys[span.clone()]);
-        out_ptrs[o..o + len].copy_from_slice(&runs[r].ptrs[span]);
-        o += len;
+    }
+    for (run, (&pos, &hi)) in runs.iter().zip(pos.iter().zip(hi)) {
+        out_keys[o..o + hi - pos].copy_from_slice(&run.keys[pos..hi]);
+        out_ptrs[o..o + hi - pos].copy_from_slice(&run.ptrs[pos..hi]);
+        o += hi - pos;
     }
     debug_assert_eq!(o, out_keys.len(), "span did not fill its output");
 }

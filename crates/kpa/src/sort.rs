@@ -2,6 +2,7 @@ use sbx_simmem::{AllocError, Priority};
 
 use crate::kpa::alloc_pair_bufs;
 use crate::mergepath::{self, RankBy, Run};
+use crate::radix::{self, Digits};
 use crate::{profile, ExecCtx, Kpa, PrimGroup};
 
 /// The chunk sort kernel: sorts parallel key/pointer slices in place in the
@@ -12,9 +13,13 @@ use crate::{profile, ExecCtx, Kpa, PrimGroup};
 /// merge-path sort deterministic across thread counts (see
 /// [`crate::mergepath`]).
 ///
-/// The host runs one pattern-defeating quicksort over the pairs packed as
-/// 128-bit values; the cost model keeps pricing the paper's AVX-512 bitonic
-/// block kernel ([`profile::sort`]). The packed copy is host scratch, like
+/// The host runs one stable radix sort (`radix.rs`) over the digits on
+/// which the chunk's pairs disagree — three passes for 4 M distinct keys,
+/// one for a thousand — and leaves the pointer digits out altogether when
+/// the pointers already ascend, as they do in every freshly extracted,
+/// partitioned or key-swapped KPA: a stable sort by key then *is* the
+/// compound order. The cost model keeps pricing the paper's AVX-512 bitonic
+/// block kernel ([`profile::sort`]). The scratch copy is host scratch, like
 /// any sorter's, and stays outside the accounted pools.
 ///
 /// # Panics
@@ -22,17 +27,28 @@ use crate::{profile, ExecCtx, Kpa, PrimGroup};
 /// Panics if the slices differ in length.
 pub fn sort_pairs(keys: &mut [u64], ptrs: &mut [u64]) {
     assert_eq!(keys.len(), ptrs.len(), "key/pointer slices must pair up");
-    let mut packed: Vec<u128> = Vec::new();
-    packed.extend(
-        keys.iter()
-            .zip(ptrs.iter())
-            .map(|(&k, &p)| (u128::from(k) << 64) | u128::from(p)),
-    );
-    packed.sort_unstable();
-    for ((k, p), v) in keys.iter_mut().zip(ptrs.iter_mut()).zip(packed) {
-        *k = (v >> 64) as u64;
-        *p = v as u64;
+    let n = keys.len();
+    if n <= radix::SMALL {
+        radix::insertion_sort(keys, ptrs, RankBy::Compound);
+        return;
     }
+    let differing = |words: &[u64]| words.iter().fold(0, |mask, &w| mask | (w ^ words[0]));
+    let ptr_mask = if ptrs.windows(2).all(|w| w[0] <= w[1]) {
+        0
+    } else {
+        differing(ptrs)
+    };
+    let digits = Digits::covering(0, differing(keys), ptr_mask);
+    if digits.is_empty() {
+        return;
+    }
+    // The sort starts in whichever copy makes its last pass land in place.
+    let mut scratch: Vec<u64> = Vec::new();
+    scratch.reserve_exact(2 * n);
+    scratch.extend_from_slice(keys);
+    scratch.extend_from_slice(ptrs);
+    let (scratch_keys, scratch_ptrs) = scratch.split_at_mut(n);
+    digits.sort((keys, ptrs), (scratch_keys, scratch_ptrs), RankBy::Compound);
 }
 
 /// A unit of sorter work shipped to the worker pool. One pool scope

@@ -43,11 +43,90 @@ fn class_slots(class: usize) -> usize {
     MIN_CLASS_SLOTS << class
 }
 
+/// Most host memory the [`HostReserve`] keeps, in bytes (1 GiB); buffers
+/// handed back beyond it go to the system allocator.
+const RESERVE_MAX_BYTES: u64 = 1 << 30;
+
+/// Host buffers of pools that are gone, by size class, kept for the next
+/// pool this process builds.
+///
+/// The paper's runtime reserves its HBM and DRAM arenas once and carves
+/// every KPA and bundle out of them; it never hands memory back to the
+/// operating system between windows. A [`MemPool`] does the same within its
+/// lifetime (the per-class freelists), and this reserve carries it across
+/// pools: when the last handle of a pool goes, or [`MemPool::trim`] empties
+/// its freelists, the cached buffers come here instead of going to the
+/// system allocator, and a pool that needs a fresh buffer takes one of its
+/// class from here first. A process that runs one engine after another
+/// (every repetition of a benchmark, every test of a suite) stops asking the
+/// operating system for memory once the first engine has finished. Without
+/// the reserve each teardown frees nearly the whole heap at once; whether
+/// the allocator then returns it to the system, and the next engine
+/// page-faults tens of megabytes back in, turns on where a few small
+/// long-lived allocations happen to sit, and what a page fault costs is up
+/// to the hypervisor.
+///
+/// Only host memory is shared. Capacity accounting, allocation counters and
+/// the freelists stay per pool, so nothing simulated depends on what the
+/// reserve holds.
+#[derive(Debug)]
+struct HostReserve {
+    by_class: [Vec<Vec<u64>>; NUM_CLASSES],
+    /// Capacity of the buffers held, in bytes.
+    bytes: u64,
+    max_bytes: u64,
+}
+
+impl HostReserve {
+    const fn new(max_bytes: u64) -> Self {
+        HostReserve {
+            by_class: [const { Vec::new() }; NUM_CLASSES],
+            bytes: 0,
+            max_bytes,
+        }
+    }
+
+    /// A buffer of `class`, empty, if one is held.
+    fn take(&mut self, class: usize) -> Option<Vec<u64>> {
+        let buf = self.by_class[class].pop()?;
+        self.bytes -= (class_slots(class) * 8) as u64;
+        Some(buf)
+    }
+
+    /// Keeps `buf` (of `class`) unless that would exceed the byte limit, in
+    /// which case it is dropped.
+    fn put(&mut self, class: usize, mut buf: Vec<u64>) {
+        let bytes = (class_slots(class) * 8) as u64;
+        if self.bytes + bytes <= self.max_bytes {
+            buf.clear();
+            self.by_class[class].push(buf);
+            self.bytes += bytes;
+        }
+    }
+}
+
+/// The process-wide reserve (see [`HostReserve`]).
+static HOST_RESERVE: Mutex<HostReserve> = Mutex::new(HostReserve::new(RESERVE_MAX_BYTES));
+
 #[derive(Debug, Default)]
 struct Freelists {
     by_class: Vec<Vec<Vec<u64>>>,
     /// Total bytes parked in the freelists (still counted as used).
     cached_bytes: u64,
+}
+
+impl Freelists {
+    /// Moves every cached buffer to the process-wide [`HostReserve`] and
+    /// returns the accounted bytes they held.
+    fn release(&mut self) -> u64 {
+        let mut reserve = HOST_RESERVE.lock();
+        for (class, bufs) in self.by_class.iter_mut().enumerate() {
+            for buf in bufs.drain(..) {
+                reserve.put(class, buf);
+            }
+        }
+        std::mem::take(&mut self.cached_bytes)
+    }
 }
 
 /// Per-pool observability handles (`pool.<kind>.*`). All handles are inert
@@ -91,6 +170,13 @@ struct PoolInner {
     metrics: PoolMetrics,
 }
 
+impl Drop for PoolInner {
+    fn drop(&mut self) {
+        // The last handle is gone: the host memory outlives the pool.
+        self.freelists.get_mut().release();
+    }
+}
+
 /// An accounted slab allocator for one memory tier.
 ///
 /// The pool hands out real heap buffers ([`PoolVec`]) while enforcing the
@@ -98,7 +184,10 @@ struct PoolInner {
 /// tier is full, exactly the signal StreamBox-HBM's runtime uses to spill
 /// KPAs to DRAM. Freed buffers return to per-size-class freelists and are
 /// reused, mirroring the paper's custom slab allocator "tuned to typical KPA
-/// sizes, full record bundle sizes, and window sizes" (§5.1).
+/// sizes, full record bundle sizes, and window sizes" (§5.1). When the pool
+/// itself goes, its cached buffers move to a process-wide reserve that the
+/// next pool draws on before it asks the system allocator; accounting is
+/// per pool and does not see the reserve.
 ///
 /// A configurable slice of capacity is *reserved* for
 /// [`Priority::Reserved`] (critical-path) allocations.
@@ -275,24 +364,21 @@ impl MemPool {
         self.inner.metrics.allocs.incr();
         self.inner.metrics.alloc_bytes.add(bytes);
         self.inner.metrics.used.set((used + bytes) as f64);
+        // Host memory of an earlier pool of this process, if any is left.
+        let reserved = class.and_then(|c| HOST_RESERVE.lock().take(c));
         Ok(PoolVec {
             // sbx-lint: allow(raw-alloc, the pool's own backing store; this is where accounted memory comes from)
-            buf: Vec::with_capacity(slots),
+            buf: reserved.unwrap_or_else(|| Vec::with_capacity(slots)),
             pool: self.inner.clone(),
             class,
             accounted_bytes: bytes,
         })
     }
 
-    /// Drops all cached freelist buffers, releasing their accounted bytes.
+    /// Gives up all cached freelist buffers, releasing their accounted
+    /// bytes. The host memory goes to the process-wide reserve.
     pub fn trim(&self) {
-        let mut fl = self.inner.freelists.lock();
-        let released = fl.cached_bytes;
-        for class in fl.by_class.iter_mut() {
-            class.clear();
-        }
-        fl.cached_bytes = 0;
-        drop(fl);
+        let released = self.inner.freelists.lock().release();
         let used = self.inner.used_bytes.fetch_sub(released, Ordering::AcqRel) - released;
         self.inner.metrics.used.set(used as f64);
         self.inner.metrics.freed_bytes.add(released);
@@ -524,6 +610,59 @@ mod tests {
         assert_eq!(used.value, 0.0);
         assert_eq!(used.max, peak as f64);
         assert_eq!(used.max, pool.stats().high_water_bytes as f64);
+    }
+
+    #[test]
+    fn reserve_keeps_buffers_by_class_up_to_its_limit() {
+        let bytes = |class| (class_slots(class) * 8) as u64;
+        let mut r = HostReserve::new(bytes(0) + bytes(2));
+        assert!(r.take(0).is_none());
+        r.put(0, vec![7; 3]);
+        r.put(2, Vec::with_capacity(class_slots(2)));
+        assert_eq!(r.bytes, bytes(0) + bytes(2));
+        // Full: one more buffer is dropped, not kept.
+        r.put(0, Vec::new());
+        assert_eq!(r.by_class[0].len(), 1);
+        assert!(r.take(1).is_none(), "classes do not mix");
+        assert_eq!(r.take(0), Some(Vec::new()), "handed out empty");
+        assert_eq!(r.bytes, bytes(2));
+        assert!(r.take(2).is_some() && r.take(2).is_none());
+        assert_eq!(r.bytes, 0);
+    }
+
+    #[test]
+    fn host_memory_of_a_dropped_pool_serves_the_next_pool() {
+        // A class no other test of this crate allocates, so the buffer this
+        // test parks in the process-wide reserve is the one it gets back.
+        let class = 10;
+        let len = class_slots(class);
+        let first = small_pool(1 << 30, 0.0);
+        let buf = first.alloc_u64(len, Priority::Normal).unwrap();
+        let addr = buf.as_ptr();
+        drop(buf);
+        drop(first);
+
+        let second = small_pool(1 << 30, 0.0);
+        let buf = second.alloc_u64(len, Priority::Normal).unwrap();
+        assert_eq!(buf.as_ptr(), addr, "same host buffer");
+        assert!(buf.is_empty() && buf.capacity() == len);
+        // Accounting is the new pool's own: one fresh allocation.
+        assert_eq!(second.used_bytes(), buf.accounted_bytes());
+        assert_eq!(second.stats().total_allocs, 1);
+        assert_eq!(second.stats().cached_bytes, 0);
+
+        // `trim` parks the buffer too, and a pool without room for it still
+        // refuses: the reserve is behind the capacity check.
+        drop(buf);
+        second.trim();
+        assert_eq!(second.used_bytes(), 0);
+        let tight = small_pool((len * 8) as u64 - 1, 0.0);
+        assert!(tight.alloc_u64(len, Priority::Normal).is_err());
+        let roomy = small_pool(1 << 30, 0.0);
+        assert_eq!(
+            roomy.alloc_u64(len, Priority::Normal).unwrap().as_ptr(),
+            addr
+        );
     }
 
     #[test]

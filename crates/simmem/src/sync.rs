@@ -20,7 +20,7 @@ pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
 impl<T> Mutex<T> {
     /// Wraps `value` in a new mutex.
-    pub fn new(value: T) -> Self {
+    pub const fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
 

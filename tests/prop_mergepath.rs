@@ -100,9 +100,9 @@ fn pooled_merge_matches_serial_oracle() {
     }
 }
 
-/// The merge kernel the loser tree replaced, kept here as its oracle: per
-/// output pair, a linear scan of all run heads for the minimum rank value,
-/// the lowest run index winning ties.
+/// The oracle `merge_span` is checked against, whatever kernel it runs:
+/// per output pair, a linear scan of all run heads for the minimum rank
+/// value, the lowest run index winning ties.
 fn linear_scan_merge(runs: &[Run<'_>], by: RankBy) -> (Vec<u64>, Vec<u64>) {
     let value = |r: usize, i: usize| match by {
         RankBy::Compound => (u128::from(runs[r].keys[i]) << 64) | u128::from(runs[r].ptrs[i]),
@@ -128,35 +128,109 @@ fn linear_scan_merge(runs: &[Run<'_>], by: RankBy) -> (Vec<u64>, Vec<u64>) {
     (keys, ptrs)
 }
 
-/// The tournament `merge_span` is byte-identical to the linear-scan oracle
-/// at narrow and wide fan-ins, with empty runs and heavy key ties, in both
-/// rank orders — whole-input and tiled into `plan_spans` spans (so the
-/// kernel's tie-break agrees with `rank_split`'s run-order distribution).
-#[test]
-fn tournament_merge_matches_linear_scan_oracle() {
-    let mut rng = SbxRng::seed_from_u64(0x6d70_0005);
-    for k in [1usize, 2, 3, 25, 64] {
-        for case in 0..8u64 {
-            for by in [RankBy::Compound, RankBy::Key] {
-                let key_space = 1 + rng.random_range(0..6) * rng.random_range(0..6);
-                let data: Vec<(Vec<u64>, Vec<u64>)> = (0..k)
-                    .map(|_| {
-                        // Every third run or so is empty.
-                        let n = if rng.random_range(0..3) == 0 {
-                            0
-                        } else {
-                            rng.random_range(0..200) as usize
-                        };
-                        let mut pairs: Vec<(u64, u64)> = (0..n)
-                            .map(|_| (rng.random_range(0..key_space), rng.random_range(0..4)))
-                            .collect();
-                        match by {
-                            RankBy::Compound => pairs.sort_unstable(),
-                            RankBy::Key => pairs.sort_by_key(|&(key, _)| key),
+/// Key distributions the merge kernels are checked on.
+#[derive(Debug, Clone, Copy)]
+enum KeyShape {
+    /// A few dozen distinct keys at most: heavy ties across runs.
+    Duplicates,
+    /// One key everywhere.
+    AllEqual,
+    /// One key owns nine pairs in ten, the rest are spread out.
+    OneHot,
+    /// Small keys plus a single `u64::MAX` pair somewhere.
+    FarOutlier,
+    /// The full `u64` range, `0` and `u64::MAX` included.
+    FullWidth,
+}
+
+const KEY_SHAPES: [KeyShape; 5] = [
+    KeyShape::Duplicates,
+    KeyShape::AllEqual,
+    KeyShape::OneHot,
+    KeyShape::FarOutlier,
+    KeyShape::FullWidth,
+];
+
+/// `k` runs sorted in `by` order, keys drawn from `shape`: every third run
+/// or so is empty, every fourth holds a single pair, the rest up to
+/// `max_len` pairs. Pointers are drawn from a handful of values and from
+/// the whole range alike, so ties reach the pointer and its high bits.
+fn shaped_runs(
+    rng: &mut SbxRng,
+    k: usize,
+    max_len: u64,
+    shape: KeyShape,
+    by: RankBy,
+) -> Vec<(Vec<u64>, Vec<u64>)> {
+    let key_space = 1 + rng.random_range(0..6) * rng.random_range(0..6);
+    let hot = rng.random();
+    let outlier_run = rng.random_range(0..k as u64) as usize;
+    (0..k)
+        .map(|r| {
+            let n = match rng.random_range(0..12) {
+                0..4 => 0,
+                4..7 => 1,
+                _ => rng.random_range(0..max_len) as usize,
+            };
+            let mut pairs: Vec<(u64, u64)> = (0..n)
+                .map(|_| {
+                    let key = match shape {
+                        KeyShape::Duplicates | KeyShape::FarOutlier => {
+                            rng.random_range(0..key_space)
                         }
-                        pairs.into_iter().unzip()
-                    })
-                    .collect();
+                        KeyShape::AllEqual => hot,
+                        KeyShape::OneHot => match rng.random_range(0..10) {
+                            0 => rng.random(),
+                            _ => hot,
+                        },
+                        KeyShape::FullWidth => match rng.random_range(0..50) {
+                            0 => 0,
+                            1 => u64::MAX,
+                            _ => rng.random(),
+                        },
+                    };
+                    let ptr = match rng.random_range(0..2) {
+                        0 => rng.random_range(0..4),
+                        _ => rng.random(),
+                    };
+                    (key, ptr)
+                })
+                .collect();
+            if matches!(shape, KeyShape::FarOutlier) && r == outlier_run {
+                pairs.push((u64::MAX, rng.random()));
+            }
+            match by {
+                RankBy::Compound => pairs.sort_unstable(),
+                RankBy::Key => pairs.sort_by_key(|&(key, _)| key),
+            }
+            pairs.into_iter().unzip()
+        })
+        .collect()
+}
+
+/// `merge_span` is byte-identical to the linear-scan oracle at narrow and
+/// wide fan-ins, over every key shape, with empty and single-pair runs, in
+/// both rank orders — whole-input and tiled into `plan_spans` spans (so the
+/// kernel's tie-break agrees with `rank_split`'s run-order distribution).
+/// Runs are long enough at the wider fan-ins for a kernel that partitions
+/// its input to do so.
+#[test]
+fn merge_span_matches_linear_scan_oracle() {
+    let mut rng = SbxRng::seed_from_u64(0x6d70_0005);
+    for (k, max_len) in [
+        (1usize, 300),
+        (2, 300),
+        (3, 6_000),
+        (25, 1_500),
+        (64, 600),
+        (200, 200),
+    ] {
+        for (shape, by) in KEY_SHAPES
+            .into_iter()
+            .flat_map(|shape| [(shape, RankBy::Compound), (shape, RankBy::Key)])
+        {
+            for _case in 0..4 {
+                let data = shaped_runs(&mut rng, k, max_len, shape, by);
                 let runs = as_runs(&data);
                 let total: usize = runs.iter().map(Run::len).sum();
                 let (want_k, want_p) = linear_scan_merge(&runs, by);
@@ -165,8 +239,8 @@ fn tournament_merge_matches_linear_scan_oracle() {
                 let mut got_k = vec![0u64; total];
                 let mut got_p = vec![0u64; total];
                 merge_runs_serial(&runs, by, &mut got_k, &mut got_p);
-                assert_eq!(got_k, want_k, "k {k} case {case} {by:?} keys");
-                assert_eq!(got_p, want_p, "k {k} case {case} {by:?} ptrs");
+                assert_eq!(got_k, want_k, "k {k} {shape:?} {by:?} keys");
+                assert_eq!(got_p, want_p, "k {k} {shape:?} {by:?} ptrs");
 
                 let parts = 1 + rng.random_range(0..9) as usize;
                 let cuts = plan_spans(&runs, by, parts);
@@ -183,8 +257,8 @@ fn tournament_merge_matches_linear_scan_oracle() {
                         &mut got_p[span],
                     );
                 }
-                assert_eq!(got_k, want_k, "k {k} case {case} {by:?} {parts} spans keys");
-                assert_eq!(got_p, want_p, "k {k} case {case} {by:?} {parts} spans ptrs");
+                assert_eq!(got_k, want_k, "k {k} {shape:?} {by:?} {parts} spans keys");
+                assert_eq!(got_p, want_p, "k {k} {shape:?} {by:?} {parts} spans ptrs");
             }
         }
     }

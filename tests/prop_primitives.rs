@@ -236,9 +236,13 @@ fn codecs_round_trip() {
 }
 
 /// The chunk sort kernel equals `sort_unstable` on `(key, ptr)` pairs —
-/// the exact compound order, not just sorted keys — for every length class
-/// and key shape: random, duplicate-heavy, all-equal, presorted, reversed,
-/// and `u64::MAX` keys and pointers.
+/// the exact compound order, not just sorted keys — whatever kernel runs
+/// underneath, for every length class, key shape (random, all-equal,
+/// presorted, reversed, `0` and `u64::MAX` sprinkled in, the full `u64`
+/// range, one key owning 90 % of the chunk) and pointer shape (ascending as
+/// freshly extracted, unique but alternating between both ends of the
+/// range, a handful of values repeated out of order, rows of several
+/// bundles interleaved).
 #[test]
 fn chunk_sort_matches_reference() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_1009);
@@ -257,19 +261,46 @@ fn chunk_sort_matches_reference() {
         for k in extremes.iter_mut().step_by(3) {
             *k = u64::MAX;
         }
-        let shapes = [random, vec![42; n], presorted, reversed, extremes];
-        for (shape, keys) in shapes.iter().enumerate() {
-            // Pointers are unique per pair; every other one is pushed to the
-            // top of the range so u64::MAX pointers take part in tie-breaks.
-            let ptrs: Vec<u64> = (0..n as u64)
+        for k in extremes.iter_mut().skip(1).step_by(5) {
+            *k = 0;
+        }
+        let full_range: Vec<u64> = (0..n).map(|_| rng.random()).collect();
+        let hot = rng.random();
+        let one_hot: Vec<u64> = (0..n)
+            .map(|_| match rng.random_range(0..10) {
+                0 => rng.random(),
+                _ => hot,
+            })
+            .collect();
+        let key_shapes = [
+            random,
+            vec![42; n],
+            presorted,
+            reversed,
+            extremes,
+            full_range,
+            one_hot,
+        ];
+        let ptr_shapes: [Vec<u64>; 4] = [
+            (0..n as u64).map(|row| 7 << 32 | row).collect(),
+            (0..n as u64)
                 .map(|i| if i % 2 == 0 { i } else { u64::MAX - i })
-                .collect();
-            let mut want: Vec<(u64, u64)> = keys.iter().copied().zip(ptrs.clone()).collect();
-            want.sort_unstable();
-            let (mut k, mut p) = (keys.clone(), ptrs);
-            sort_pairs(&mut k, &mut p);
-            let got: Vec<(u64, u64)> = k.into_iter().zip(p).collect();
-            assert_eq!(got, want, "len {n} shape {shape}");
+                .collect(),
+            (0..n).map(|_| rng.random_range(0..8)).collect(),
+            (0..n)
+                .map(|_| rng.random_range(0..5) << 32 | rng.random_range(0..1 + n as u64))
+                .collect(),
+        ];
+        for (ks, keys) in key_shapes.iter().enumerate() {
+            for (ps, ptrs) in ptr_shapes.iter().enumerate() {
+                let mut want: Vec<(u64, u64)> =
+                    keys.iter().copied().zip(ptrs.iter().copied()).collect();
+                want.sort_unstable();
+                let (mut k, mut p) = (keys.clone(), ptrs.clone());
+                sort_pairs(&mut k, &mut p);
+                let got: Vec<(u64, u64)> = k.into_iter().zip(p).collect();
+                assert_eq!(got, want, "len {n} keys {ks} ptrs {ps}");
+            }
         }
     }
 }
