@@ -3,8 +3,7 @@
 //! (the CI perf gate; see `sbx_bench::trajectory`).
 //!
 //! Flags (after `--`): `--dir <path>` trajectory directory (default `.`),
-//! `--host` include host wall-clock kernels, `--cost-scale <f>` kernel-cost
-//! handicap (testing aid).
+//! `--cost-scale <f>` kernel-cost handicap (testing aid).
 
 // The gate's verdict is this binary's output surface.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -27,7 +26,6 @@ fn main() {
                     cfg.dir = d.into();
                 }
             }
-            "--host" => cfg.include_host = true,
             "--cost-scale" => {
                 if let Some(s) = args.next().and_then(|s| s.parse().ok()) {
                     cfg.cost_scale = s;

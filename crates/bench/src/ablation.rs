@@ -128,9 +128,20 @@ pub fn merge_strategy_ablation(k: usize, n: usize) -> (f64, f64) {
     let mut ctx = ExecCtx::new(&env);
     let parts = mk_parts(&mut ctx);
     ctx.take_profile();
-    // `merge_many` itself is single-pass now; the retained pairwise
-    // baseline keeps this ablation an honest old-vs-new comparison.
-    let _ = Kpa::merge_many_pairwise(&mut ctx, parts, MemKind::Dram, Priority::Normal).unwrap();
+    // The structure `merge_many` replaced: `log2(k)` rounds of two-way
+    // merges, every pair moved once per round.
+    let mut round = parts;
+    while round.len() > 1 {
+        let mut next = Vec::new();
+        let mut iter = round.into_iter();
+        while let Some(a) = iter.next() {
+            next.push(match iter.next() {
+                Some(b) => Kpa::merge(&mut ctx, &a, &b, MemKind::Dram, Priority::Normal).unwrap(),
+                None => a,
+            });
+        }
+        round = next;
+    }
     let pairwise = model.time_secs(&ctx.take_profile(), CORES) * 1e6;
 
     let parts = mk_parts(&mut ctx);

@@ -91,7 +91,11 @@ fn summarize(t: &mut Table, label: String, r: &RunReport) {
     t.row(vec![
         label,
         format!("{:.1}", (r.hbm_peak_used_bytes as f64) / (1 << 20) as f64),
-        f1(100.0 * r.samples.iter().map(|s| s.hbm_usage).fold(0.0, f64::max)),
+        f1(100.0
+            * r.samples
+                .iter()
+                .map(|s| s.hbm_occupancy)
+                .fold(0.0, f64::max)),
         f1(r.peak_dram_bw_gbps),
         f1(avg_dram),
         f2(last.k_low),
@@ -192,7 +196,7 @@ mod tests {
         assert!(avg_dram <= 80.0 * 1.1, "avg DRAM BW {avg_dram} too high");
         // HBM was genuinely under pressure in this regime.
         assert!(
-            r.samples.iter().any(|s| s.hbm_usage > 0.5),
+            r.samples.iter().any(|s| s.hbm_occupancy > 0.5),
             "expected HBM pressure"
         );
     }

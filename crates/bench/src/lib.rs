@@ -26,7 +26,6 @@ pub mod fig9;
 pub mod grouping_matrix;
 pub mod harness;
 pub mod kernel_scaling;
-pub mod obs_overhead;
 pub mod table;
 pub mod trajectory;
 

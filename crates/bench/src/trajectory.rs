@@ -11,7 +11,8 @@
 //! regression**: simulated metrics are deterministic (every value descends
 //! from the simulated clock or accounted byte counters and round-trips
 //! bit-exactly through the JSON encoding), so they are compared exactly by
-//! direction; optional host wall-clock metrics get a wide noise band.
+//! direction. Host time is not measured here: `benchmark/` does that, with
+//! a speed-reference correction and bounds.
 //!
 //! The file is a valid JSON array but is written and parsed line-wise (one
 //! flat object per line) so the dependency-free `sbx_obs::json` parser can
@@ -35,11 +36,6 @@ use crate::kernel_scaling;
 /// compared).
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Relative noise band for host wall-clock metrics ([`Direction::Host`]):
-/// a regression only when the new value exceeds the old by more than this
-/// fraction.
-pub const HOST_NOISE_BAND: f64 = 0.5;
-
 /// How a metric's change maps to regression/improvement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
@@ -50,8 +46,6 @@ pub enum Direction {
     Lower,
     /// Deterministic output (e.g. record counts); any change regresses.
     Exact,
-    /// Host wall-clock, lower is better, compared with [`HOST_NOISE_BAND`].
-    Host,
 }
 
 impl Direction {
@@ -61,7 +55,6 @@ impl Direction {
             Direction::Higher => "higher",
             Direction::Lower => "lower",
             Direction::Exact => "exact",
-            Direction::Host => "host",
         }
     }
 
@@ -71,7 +64,6 @@ impl Direction {
             "higher" => Some(Direction::Higher),
             "lower" => Some(Direction::Lower),
             "exact" => Some(Direction::Exact),
-            "host" => Some(Direction::Host),
             _ => None,
         }
     }
@@ -188,9 +180,6 @@ impl Trajectory {
 pub struct TrajectoryConfig {
     /// Directory holding `BENCH_<n>.json` files (the repository root in CI).
     pub dir: PathBuf,
-    /// Also run host wall-clock kernel scenarios (off by default: host time
-    /// is noisy, and without it the snapshot is byte-deterministic).
-    pub include_host: bool,
     /// Kernel-cost handicap: the modelled core clock is divided by this, so
     /// `2.0` emulates every CPU-cycle cost constant being inflated 2×. The
     /// regression tests use this to prove the comparator catches slowdowns.
@@ -201,7 +190,6 @@ impl Default for TrajectoryConfig {
     fn default() -> Self {
         TrajectoryConfig {
             dir: PathBuf::from("."),
-            include_host: false,
             cost_scale: 1.0,
         }
     }
@@ -532,21 +520,6 @@ fn groupby_highcard_scenario() -> Result<Vec<Metric>, String> {
     ])
 }
 
-fn host_scenario() -> Vec<Metric> {
-    let (sort_ms, merge_ms, join_ms) = kernel_scaling::measure_width(4);
-    let m = |name: &str, value: f64| Metric {
-        scenario: "host_kernels_w4".to_owned(),
-        name: name.to_owned(),
-        value,
-        direction: Direction::Host,
-    };
-    vec![
-        m("host_sort_ms", sort_ms),
-        m("host_merge_ms", merge_ms),
-        m("host_join_ms", join_ms),
-    ]
-}
-
 /// Runs every scenario of `cfg` and returns the snapshot (not yet written).
 ///
 /// # Errors
@@ -564,9 +537,6 @@ pub fn collect(cfg: &TrajectoryConfig) -> Result<Trajectory, String> {
     metrics.extend(kernel_model_scenario());
     metrics.extend(groupby_lowcard_scenario()?);
     metrics.extend(groupby_highcard_scenario()?);
-    if cfg.include_host {
-        metrics.extend(host_scenario());
-    }
     Ok(Trajectory {
         schema: SCHEMA_VERSION,
         cost_scale: cfg.cost_scale,
@@ -610,9 +580,8 @@ impl Comparison {
     }
 }
 
-/// Compares `cur` against the earlier snapshot `prev`. Simulated metrics
-/// compare exactly by direction; [`Direction::Host`] metrics use
-/// [`HOST_NOISE_BAND`]. A metric present in `prev` but missing from `cur`
+/// Compares `cur` against the earlier snapshot `prev`: metrics compare
+/// exactly by direction. A metric present in `prev` but missing from `cur`
 /// is a regression (lost coverage); a new metric is a note.
 pub fn compare(prev: &Trajectory, cur: &Trajectory) -> Comparison {
     let mut cmp = Comparison::default();
@@ -657,14 +626,6 @@ pub fn compare(prev: &Trajectory, cur: &Trajectory) -> Comparison {
                 if c.value > p.value {
                     cmp.regressions.push(moved);
                 } else if c.value < p.value {
-                    cmp.improvements.push(moved);
-                }
-            }
-            Direction::Host => {
-                if c.value > p.value * (1.0 + HOST_NOISE_BAND) {
-                    cmp.regressions
-                        .push(format!("{moved} (beyond {HOST_NOISE_BAND:.0?} host band)"));
-                } else if c.value < p.value / (1.0 + HOST_NOISE_BAND) {
                     cmp.improvements.push(moved);
                 }
             }
@@ -814,7 +775,7 @@ mod tests {
             ("ysb_c8", "throughput_mrps", 1.0 / 3.0, Direction::Higher),
             ("ysb_c8", "sim_secs", 5e-324, Direction::Lower),
             ("kernel_model", "sort_mergepath_mb", 16.0, Direction::Lower),
-            ("host_kernels_w4", "host_sort_ms", 12.5, Direction::Host),
+            ("cluster_s4", "records_in", 12.5, Direction::Exact),
         ]);
         let text = t.to_json();
         assert!(text.starts_with("[\n") && text.ends_with("]\n"));
@@ -852,16 +813,6 @@ mod tests {
         let cmp = compare(&prev, &better);
         assert!(cmp.is_ok());
         assert_eq!(cmp.improvements.len(), 2);
-    }
-
-    #[test]
-    fn host_metrics_get_a_noise_band() {
-        let prev = snapshot(&[("h", "host_ms", 10.0, Direction::Host)]);
-        // +40% is inside the band; +60% is not.
-        let noisy = snapshot(&[("h", "host_ms", 14.0, Direction::Host)]);
-        assert!(compare(&prev, &noisy).is_ok());
-        let slow = snapshot(&[("h", "host_ms", 16.0, Direction::Host)]);
-        assert!(!compare(&prev, &slow).is_ok());
     }
 
     #[test]

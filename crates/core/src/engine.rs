@@ -1,6 +1,6 @@
 // sbx-lint: out-of-scope(raw-alloc, engine control plane; allocations here are per-task and per-window bookkeeping, record data stays in simmem pools)
 use sbx_ingress::{IngestFormat, IngressEvent, Sender, SenderConfig, Source};
-use sbx_obs::{Obs, Span};
+use sbx_obs::{Obs, RoundPoint, Span};
 use sbx_records::Watermark;
 use sbx_simmem::{AccessProfile, AllocError, MachineConfig, MemEnv, MemKind};
 
@@ -8,9 +8,9 @@ use crate::checkpoint::{
     CheckpointBarrier, CheckpointHooks, CrashPhase, CrashSite, NoopHooks, PipelineSnapshot,
 };
 use crate::observe::{OpMetrics, RunMetrics};
+use crate::pipeline::OpNode;
 use crate::{
-    DemandBalancer, EngineError, EngineMode, ImpactTag, Message, Pipeline, RoundSample, RunReport,
-    StreamData,
+    DemandBalancer, EngineError, EngineMode, ImpactTag, Message, Pipeline, RunReport, StreamData,
 };
 
 /// Configuration of one engine run.
@@ -26,8 +26,6 @@ pub struct RunConfig {
     pub mode: EngineMode,
     /// Ingestion configuration (bundle size, watermark cadence, NIC).
     pub sender: SenderConfig,
-    /// Target output delay in seconds (the paper evaluates under 1 s).
-    pub target_delay_secs: f64,
     /// Host threads for parallel primitives (functional parallelism only;
     /// modelled parallelism comes from `cores`).
     pub threads: usize,
@@ -56,7 +54,6 @@ impl Default for RunConfig {
             cores: 64,
             mode: EngineMode::Hybrid,
             sender: SenderConfig::default(),
-            target_delay_secs: 1.0,
             threads: 2,
             collect_outputs: false,
             record_trace: false,
@@ -68,8 +65,13 @@ impl Default for RunConfig {
 
 /// Engine-level CPU cycles charged per record per operator invocation:
 /// scheduling, work tracking and allocation overheads beyond the raw
-/// primitive costs (see [`Engine::drive_chain`]).
+/// primitive costs (charged where operators are invoked, `Engine::drive`).
 pub const ENGINE_OVERHEAD_CYCLES: f64 = 75.0;
+
+/// Target output delay in seconds (the paper evaluates under 1 s). A round
+/// whose window closes take less than 90 % of it leaves the demand balancer
+/// headroom to trade HBM capacity for DRAM bandwidth.
+pub const TARGET_DELAY_SECS: f64 = 1.0;
 
 #[derive(Debug, Default)]
 struct Round {
@@ -95,7 +97,8 @@ pub struct Engine {
     env: MemEnv,
     balancer: DemandBalancer,
     /// Worker pool shared by every task context of the run (clones share
-    /// spawn statistics); sized once from `cfg.threads`.
+    /// spawn statistics); sized once from `cfg.threads`. The stateless-prefix
+    /// workers run on it too.
     pool: sbx_kpa::WorkerPool,
     trace: Vec<sbx_simmem::TaskSpec>,
     /// Shared id counter for replay tasks and trace spans: when both are
@@ -324,6 +327,31 @@ impl Engine {
         Ok(())
     }
 
+    /// Externalizes sink-level messages: hands every output to `hooks`,
+    /// keeps the bundles when the run collects them, and returns the number
+    /// of records emitted.
+    fn emit(
+        &self,
+        sink: impl IntoIterator<Item = Message>,
+        hooks: &mut dyn CheckpointHooks,
+        outputs: &mut Vec<std::sync::Arc<sbx_records::RecordBundle>>,
+    ) -> u64 {
+        let mut records = 0;
+        for msg in sink {
+            if let Message::Data { data, .. } = msg {
+                records += data.len() as u64;
+                hooks.on_output(&data);
+                if self.cfg.collect_outputs {
+                    if let StreamData::Bundle(b) = data {
+                        outputs.push(b);
+                    }
+                }
+            }
+        }
+        self.rm.output_records.add(records);
+        records
+    }
+
     fn run_feed(
         mut self,
         mut pipeline: Pipeline,
@@ -335,21 +363,14 @@ impl Engine {
         let stride = spec.stride();
         let cores = self.cfg.cores;
         let cost = self.env.cost().clone();
-        let dram_bw_limit = self
-            .env
-            .machine()
-            .spec(MemKind::Dram)
-            .bandwidth_bytes_per_sec;
-        let hbm_bw_limit = self
-            .env
-            .machine()
-            .spec(MemKind::Hbm)
-            .bandwidth_bytes_per_sec;
+        let machine = self.env.machine();
+        let dram_bw_limit = machine.spec(MemKind::Dram).bandwidth_bytes_per_sec;
+        let hbm_bw_limit = machine.spec(MemKind::Hbm).bandwidth_bytes_per_sec;
 
         self.op_metrics = OpMetrics::for_pipeline(&self.cfg.obs.metrics, &pipeline);
 
         let mut round = Round::default();
-        let mut samples: Vec<RoundSample> = Vec::new();
+        let mut samples: Vec<RoundPoint> = Vec::new();
         let mut records_in = 0u64;
         let mut bundles_in = 0u64;
         let mut windows_closed = 0u64;
@@ -389,14 +410,7 @@ impl Engine {
                             snap.ops.len()
                         )));
                     };
-                    let mut ctx = crate::OpCtx::with_pool(
-                        &self.env,
-                        self.pool.clone(),
-                        &mut self.balancer,
-                        self.cfg.mode,
-                        self.cfg.threads,
-                        ImpactTag::Urgent,
-                    );
+                    let mut ctx = self.ctx(ImpactTag::Urgent);
                     op.restore(&mut ctx, st)?;
                     round.profile = round.profile.merge(&ctx.take_profile());
                     idx += 1;
@@ -416,14 +430,12 @@ impl Engine {
         // worker threads (the paper's data parallelism across bundles).
         let mut batch: Vec<(Message, ImpactTag)> = Vec::new();
 
-        // Cumulative event counters at the previous round boundary, so the
-        // tier timeline carries per-round deltas. Sourced from always-on
-        // state (the env's atomic spill count, a local move tally) rather
-        // than registry counters, so the flight recorder sees the same
-        // values whether or not metrics are attached.
+        // Cumulative spill count at the previous round boundary, so the tier
+        // timeline carries per-round deltas. Sourced from always-on state
+        // (the env's atomic counter) rather than a registry counter, so the
+        // flight recorder sees the same values whether or not metrics are
+        // attached.
         let mut prev_spills = self.env.spill_count();
-        let mut knob_moves_cum: u64 = 0;
-        let mut prev_knob_moves: u64 = 0;
 
         loop {
             let ev = feed()?;
@@ -443,12 +455,8 @@ impl Engine {
                         // record for real (round-trip through the codec)
                         // and charge the parse cost plus the fatter wire.
                         let schema = b.schema();
-                        let mut rows = Vec::with_capacity(b.rows() * schema.ncols());
-                        for r in 0..b.rows() {
-                            rows.extend_from_slice(b.row(r));
-                        }
-                        let decoded = fmt.round_trip(schema, &rows);
-                        assert_eq!(decoded, rows, "ingest codec corrupted records");
+                        let decoded = fmt.round_trip(schema, b.as_rows());
+                        assert_eq!(decoded, b.as_rows(), "ingest codec corrupted records");
                         round.profile = round.profile.merge(
                             &AccessProfile::new().cpu(b.rows() as f64 * fmt.cycles_per_record()),
                         );
@@ -486,9 +494,9 @@ impl Engine {
                         &mut round,
                         std::mem::take(&mut batch),
                     )?);
-                    sink.extend(self.drive_chain_from(
-                        &mut pipeline,
+                    sink.extend(self.drive(
                         &mut round,
+                        pipeline.ops_mut(),
                         0,
                         vec![Message::Watermark(wm)],
                         ImpactTag::Urgent,
@@ -515,9 +523,9 @@ impl Engine {
                     self.crash_check(hooks, CrashPhase::BarrierAligned, epoch, bundles_in)?;
                     // Drive the barrier through the chain; each stateful
                     // operator materializes its window state onto it.
-                    let driven = self.drive_chain_from(
-                        &mut pipeline,
+                    let driven = self.drive(
                         &mut round,
+                        pipeline.ops_mut(),
                         0,
                         vec![Message::Barrier(CheckpointBarrier::new(epoch))],
                         ImpactTag::Urgent,
@@ -534,18 +542,7 @@ impl Engine {
                     // snapshot point: count and externalize them *before*
                     // the checkpoint commits, so a resume from this
                     // snapshot neither re-emits nor loses them.
-                    for msg in sink.drain(..) {
-                        if let Message::Data { data, .. } = msg {
-                            output_records += data.len() as u64;
-                            self.rm.output_records.add(data.len() as u64);
-                            hooks.on_output(&data);
-                            if self.cfg.collect_outputs {
-                                if let StreamData::Bundle(b) = data {
-                                    outputs.push(b);
-                                }
-                            }
-                        }
-                    }
+                    output_records += self.emit(sink.drain(..), hooks, &mut outputs);
                     let snap = PipelineSnapshot {
                         epoch,
                         bundles_sent: bundles_in,
@@ -572,18 +569,7 @@ impl Engine {
                 }
             };
 
-            for msg in sink {
-                if let Message::Data { data, .. } = msg {
-                    output_records += data.len() as u64;
-                    self.rm.output_records.add(data.len() as u64);
-                    hooks.on_output(&data);
-                    if self.cfg.collect_outputs {
-                        if let StreamData::Bundle(b) = data {
-                            outputs.push(b);
-                        }
-                    }
-                }
-            }
+            output_records += self.emit(sink, hooks, &mut outputs);
 
             if is_wm {
                 // End of round: account time, sample resources, update knob.
@@ -620,57 +606,65 @@ impl Engine {
                 } else {
                     (0.0, 0.0)
                 };
-                let hbm_usage = self.env.pool(MemKind::Hbm).usage();
-                let sample = RoundSample {
-                    at_secs: self.env.clock().now_secs(),
-                    hbm_usage,
-                    hbm_used_bytes: self.env.pool(MemKind::Hbm).used_bytes(),
-                    dram_bw_gbps: dram_bw / 1e9,
-                    hbm_bw_gbps: hbm_bw / 1e9,
-                    k_low: self.balancer.knob().k_low,
-                    k_high: self.balancer.knob().k_high,
-                    records: round.records,
-                };
-                self.rm.record_round(&sample);
-                samples.push(sample);
-                let headroom = close_secs < 0.9 * self.cfg.target_delay_secs;
-                if let Some(mv) = self
-                    .balancer
-                    .update(hbm_usage, dram_bw / dram_bw_limit, headroom)
-                {
-                    self.rm.note_knob_move(mv);
-                    knob_moves_cum += 1;
-                }
-                // Memory-tier timeline point (after the balancer update so
-                // the round's own knob move is part of its delta).
                 let hpool = self.env.pool(MemKind::Hbm);
                 let dpool = self.env.pool(MemKind::Dram);
+                let hbm_usage = hpool.usage();
+                let hbm_used_bytes = hpool.used_bytes() as f64;
+                let knob = self.balancer.knob();
+                let headroom = close_secs < 0.9 * TARGET_DELAY_SECS;
+                let moved = self
+                    .balancer
+                    .update(hbm_usage, dram_bw / dram_bw_limit, headroom);
+                if let Some(mv) = moved {
+                    self.rm.note_knob_move(mv);
+                }
+                // The one per-round record (taken after the balancer update
+                // so the round's own knob move is part of its delta); the
+                // round and tier series, the report's samples, the flight
+                // recorder and incident capture all read it.
+                let knob_next = self.balancer.knob();
                 let spills_now = self.env.spill_count();
-                let knob_moves_now = knob_moves_cum;
-                let tier_point = sbx_obs::TierPoint {
-                    at_secs: sample.at_secs,
-                    hbm_live_bytes: hpool.live_bytes() as f64,
-                    hbm_used_bytes: sample.hbm_used_bytes as f64,
+                let [delay_p50, delay_p95, delay_p99] = self.rm.output_delay.percentiles();
+                let point = RoundPoint {
+                    round: self.cur_round,
+                    epoch: self.cur_epoch,
+                    at_secs: self.env.clock().now_secs(),
+                    round_secs,
+                    close_secs,
+                    closed_windows: round.closed_windows as f64,
+                    records: round.records as f64,
+                    watermark_secs: last_watermark as f64 / 1e9,
+                    open_windows: (max_window_seen + 1).saturating_sub(next_to_close) as f64,
                     hbm_occupancy: hbm_usage,
+                    dram_occupancy: dpool.usage(),
+                    spills: spills_now.saturating_sub(prev_spills) as f64,
+                    knob_moves: if moved.is_some() { 1.0 } else { 0.0 },
+                    delay_p50,
+                    delay_p95,
+                    delay_p99,
+                    hbm_live_bytes: hpool.live_bytes() as f64,
+                    hbm_used_bytes,
                     dram_live_bytes: dpool.live_bytes() as f64,
                     dram_used_bytes: dpool.used_bytes() as f64,
-                    dram_occupancy: dpool.usage(),
+                    hbm_bw_gbps: hbm_bw / 1e9,
+                    dram_bw_gbps: dram_bw / 1e9,
                     hbm_bw_util: hbm_bw / hbm_bw_limit,
                     dram_bw_util: dram_bw / dram_bw_limit,
-                    spills: spills_now.saturating_sub(prev_spills) as f64,
-                    knob_moves: knob_moves_now.saturating_sub(prev_knob_moves) as f64,
-                    k_low: self.balancer.knob().k_low,
-                    k_high: self.balancer.knob().k_high,
+                    k_low: knob.k_low,
+                    k_high: knob.k_high,
+                    k_low_next: knob_next.k_low,
+                    k_high_next: knob_next.k_high,
                 };
-                self.rm.record_tier(&tier_point);
+                self.rm.record_round(&point);
+                samples.push(point);
                 prev_spills = spills_now;
-                prev_knob_moves = knob_moves_now;
                 // Flight recorder (DESIGN.md §15): one synthetic round span
-                // and one sample feed the always-on detectors. The terminal
-                // flush round is excluded — its mass window close is the
-                // stream ending, not an anomaly — and everything recorded
-                // here is simulated-time data at the quiescent boundary, so
-                // the recorder never perturbs the parallel schedule.
+                // and the round's record feed the always-on detectors. The
+                // terminal flush round is excluded — its mass window close
+                // is the stream ending, not an anomaly — and everything
+                // recorded here is simulated-time data at the quiescent
+                // boundary, so the recorder never perturbs the parallel
+                // schedule.
                 if !last {
                     let recorder = self.cfg.obs.recorder.clone();
                     recorder.record_span(sbx_obs::Span {
@@ -686,55 +680,28 @@ impl Engine {
                         records_in: round.records,
                         records_out: round.closed_windows,
                     });
-                    let [delay_p50, delay_p95, delay_p99] = self.rm.output_delay.percentiles();
-                    let fired = recorder.on_round(sbx_obs::RoundPoint {
-                        round: self.cur_round,
-                        epoch: self.cur_epoch,
-                        at_secs: sample.at_secs,
-                        round_secs,
-                        close_secs,
-                        closed_windows: round.closed_windows as f64,
-                        records: round.records as f64,
-                        watermark_secs: last_watermark as f64 / 1e9,
-                        open_windows: (max_window_seen + 1).saturating_sub(next_to_close) as f64,
-                        hbm_occupancy: hbm_usage,
-                        dram_occupancy: tier_point.dram_occupancy,
-                        spills: tier_point.spills,
-                        knob_moves: tier_point.knob_moves,
-                        delay_p50,
-                        delay_p95,
-                        delay_p99,
-                    });
+                    let fired = recorder.on_round(point);
                     for verdict in fired {
                         // Freeze the evidence window around the firing
                         // round: full trace spans when tracing is on, else
-                        // the recorder's span ring; tier slice via a bounded
-                        // series-window read.
+                        // the recorder's span ring.
                         let (window, ring_spans) = recorder.freeze();
                         let from_round = window.first().map_or(0, |p| p.round);
                         let spans = if self.cfg.obs.trace.is_enabled() {
-                            let mut recs = Vec::new();
-                            for s in self.cfg.obs.trace.spans() {
-                                if s.round >= from_round {
-                                    recs.push(sbx_obs::SpanRec::from_span(&s));
-                                }
-                            }
-                            recs
+                            let mut all = self.cfg.obs.trace.spans();
+                            all.retain(|s| s.round >= from_round);
+                            all
                         } else {
-                            sbx_obs::spans_to_recs(&ring_spans)
+                            ring_spans
                         };
-                        let tier = sbx_obs::Timeline::from_registry_window(
-                            self.rm.registry(),
-                            recorder.config().capture_rounds,
-                        );
                         recorder.push_incident(sbx_obs::Incident::capture(
                             verdict,
                             self.cur_epoch,
                             recorder.committed_epoch(),
-                            sample.at_secs,
+                            point.at_secs,
                             window,
-                            spans,
-                            tier.points,
+                            sbx_obs::spans_to_recs(&spans),
+                            self.rm.tier_window(recorder.config().capture_rounds),
                         ));
                     }
                 }
@@ -800,8 +767,24 @@ impl Engine {
         })
     }
 
-    /// Pushes one message through the whole operator chain, accumulating
-    /// per-task profiles into the round. Returns the sink-level messages.
+    /// A task context placing through the engine's balancer.
+    fn ctx(&mut self, tag: ImpactTag) -> crate::OpCtx<'_> {
+        crate::OpCtx::with_pool(
+            &self.env,
+            self.pool.clone(),
+            &mut self.balancer,
+            self.cfg.mode,
+            self.cfg.threads,
+            tag,
+        )
+    }
+
+    /// Pushes `frontier` through `ops[first..]`: every operator is invoked
+    /// on every message reaching it, tallied, charged to `round`, accounted
+    /// on its instruments and, when the run records, logged as a replay task
+    /// and a span. Returns the messages leaving the last operator. The one
+    /// place operators are invoked from — the engine thread calls it on
+    /// itself, each stateless-prefix worker on its [`Engine::fork`].
     ///
     /// Each operator invocation over data additionally charges
     /// [`ENGINE_OVERHEAD_CYCLES`] per record: scheduling, work tracking and
@@ -809,17 +792,15 @@ impl Engine {
     /// is calibrated so that YSB saturates 10 GbE with ~5 cores and RDMA
     /// with ~16, and Windowed Average All plateaus near 110 M records/s —
     /// the paper's §7.1/§7.2 operating points.
-    fn drive_chain_from(
+    fn drive(
         &mut self,
-        pipeline: &mut Pipeline,
         round: &mut Round,
-        start: usize,
+        ops: &mut [OpNode],
+        first: usize,
         frontier: Vec<Message>,
         tag: ImpactTag,
         closing: bool,
     ) -> Result<Vec<Message>, EngineError> {
-        let cost = self.env.cost().clone();
-        let cores = self.cfg.cores;
         let tracing = self.cfg.obs.trace.is_enabled();
         // Span timestamps are simulated: children become available when
         // their parent's modelled execution interval ends.
@@ -828,16 +809,11 @@ impl Engine {
         // replay tasks and trace spans) and availability time.
         let mut frontier: Vec<(Message, Option<u64>, u64)> =
             frontier.into_iter().map(|m| (m, None, base_ns)).collect();
-        for (op_off, op) in pipeline.ops_mut()[start..].iter_mut().enumerate() {
-            let op_index = start + op_off;
-            let op_name = op.name();
+        for (op_index, op) in ops.iter_mut().enumerate().skip(first) {
             let mut next = Vec::new();
             for (m, parent, avail_ns) in frontier {
-                let data_len = match &m {
-                    Message::Data { data, .. } => data.len(),
-                    Message::Watermark(_) | Message::Barrier(_) => 0,
-                };
                 let is_data = matches!(&m, Message::Data { .. });
+                let records_in = m.data_len() as u64;
                 let cat = if closing {
                     "close"
                 } else {
@@ -847,60 +823,45 @@ impl Engine {
                         Message::Barrier(_) => "barrier",
                     }
                 };
-                let mut ctx = crate::OpCtx::with_pool(
-                    &self.env,
-                    self.pool.clone(),
-                    &mut self.balancer,
-                    self.cfg.mode,
-                    self.cfg.threads,
-                    tag,
-                );
                 // Attribute every shadow-table event inside this operator
                 // invocation to its prospective span id (`next_task` is the
-                // id the invocation's span/task gets below when tracing).
+                // id the invocation's span/task gets below when recording).
                 #[cfg(feature = "sanitize")]
-                let _scope = sbx_sanitize::op_scope(self.next_task, op_name);
+                let _scope = sbx_sanitize::op_scope(self.next_task, op.name());
+                let mut ctx = self.ctx(tag);
                 let outs = match op {
-                    crate::pipeline::OpNode::Stateless(op) => op.apply(&mut ctx, m)?,
-                    crate::pipeline::OpNode::Stateful(op) => op.on_message(&mut ctx, m)?,
+                    OpNode::Stateless(op) => op.apply(&mut ctx, m)?,
+                    OpNode::Stateful(op) => op.on_message(&mut ctx, m)?,
                 };
                 let tally = ctx.exec().take_tally();
                 let events = ctx.take_events();
                 let task = ctx
                     .take_profile()
-                    .cpu(data_len as f64 * ENGINE_OVERHEAD_CYCLES);
+                    .cpu(records_in as f64 * ENGINE_OVERHEAD_CYCLES);
                 self.rm.note_events(events);
-                let task_secs = cost.time_secs(&task, cores);
+                let task_secs = self.env.cost().time_secs(&task, self.cfg.cores);
                 round.max_task_secs = round.max_task_secs.max(task_secs);
                 round.profile = round.profile.merge(&task);
                 if closing {
                     round.close_profile = round.close_profile.merge(&task);
                 }
-                let om = self.op_metrics.get(op_index);
                 let (mut records_out, mut bundles_out) = (0u64, 0u64);
-                if om.is_some() || tracing {
-                    for o in &outs {
-                        if let Message::Data { data, .. } = o {
-                            records_out += data.len() as u64;
-                            bundles_out += 1;
-                        }
+                for o in &outs {
+                    if let Message::Data { data, .. } = o {
+                        records_out += data.len() as u64;
+                        bundles_out += 1;
                     }
                 }
-                if let Some(om) = om {
-                    om.note(is_data, data_len as u64, records_out, bundles_out, &tally);
+                if let Some(om) = self.op_metrics.get(op_index) {
+                    om.note(is_data, records_in, records_out, bundles_out, &tally);
                     if closing {
                         om.close_secs.record(task_secs);
                     }
                 }
-                let id = if self.cfg.record_trace || tracing {
-                    let id = self.next_task;
-                    self.next_task += 1;
-                    Some(id)
-                } else {
-                    None
-                };
                 let dur_ns = (task_secs * 1e9) as u64;
+                let id = (self.cfg.record_trace || tracing).then_some(self.next_task);
                 if let Some(id) = id {
+                    self.next_task += 1;
                     if self.cfg.record_trace {
                         self.trace.push(sbx_simmem::TaskSpec {
                             id: sbx_simmem::TaskId(id),
@@ -912,14 +873,14 @@ impl Engine {
                         self.cfg.obs.trace.record(Span {
                             id,
                             parent,
-                            name: op_name,
+                            name: op.name(),
                             cat,
                             lane: op_index as u64,
                             round: self.cur_round,
                             epoch: self.cur_epoch,
                             start_ns: avail_ns,
                             dur_ns,
-                            records_in: data_len as u64,
+                            records_in,
                             records_out,
                         });
                     }
@@ -948,140 +909,99 @@ impl Engine {
             return Ok(Vec::new());
         }
         let prefix_len = pipeline.stateless_prefix_len();
-        // Span tracing (like replay-trace recording) forces the serial
-        // path: span ids and timestamps then depend only on message order,
-        // making same-seed exports byte-identical.
+        // Recording replay tasks or spans forces the serial path: ids and
+        // timestamps then depend only on message order, making same-seed
+        // exports byte-identical.
         let parallel = self.cfg.threads > 1
             && prefix_len > 0
             && batch.len() > 1
             && !self.cfg.record_trace
             && !self.cfg.obs.trace.is_enabled();
-        let mut sink = Vec::new();
-        if parallel {
-            let staged = self.run_prefix_parallel(pipeline, round, batch)?;
-            for (frontier, tag) in staged {
-                sink.extend(
-                    self.drive_chain_from(pipeline, round, prefix_len, frontier, tag, false)?,
-                );
-            }
+        let staged = if parallel {
+            self.run_prefix_parallel(pipeline, round, batch)?
         } else {
-            for (msg, tag) in batch {
-                sink.extend(self.drive_chain_from(pipeline, round, 0, vec![msg], tag, false)?);
-            }
+            batch.into_iter().map(|(m, tag)| (vec![m], tag)).collect()
+        };
+        let first = if parallel { prefix_len } else { 0 };
+        let mut sink = Vec::new();
+        for (frontier, tag) in staged {
+            sink.extend(self.drive(round, pipeline.ops_mut(), first, frontier, tag, false)?);
         }
         Ok(sink)
     }
 
+    /// A stateless-prefix worker's engine: the same memory environment,
+    /// thread pool and instruments, its own snapshot of the demand balancer.
+    /// Only taken when the run records nothing, so it logs nothing either.
+    fn fork(&self) -> Engine {
+        Engine {
+            cfg: self.cfg.clone(),
+            env: self.env.clone(),
+            balancer: self.balancer.clone(),
+            pool: self.pool.clone(),
+            trace: Vec::new(),
+            next_task: self.next_task,
+            cur_round: self.cur_round,
+            cur_epoch: self.cur_epoch,
+            rm: self.rm.clone(),
+            op_metrics: self.op_metrics.clone(),
+        }
+    }
+
     /// Runs the stateless pipeline prefix over `batch` on up to
-    /// `cfg.threads` worker threads, returning each bundle's staged
-    /// frontier in arrival order.
+    /// `cfg.threads` lanes of the run's worker pool, returning each
+    /// bundle's staged frontier in arrival order.
     fn run_prefix_parallel(
         &mut self,
         pipeline: &Pipeline,
         round: &mut Round,
         batch: Vec<(Message, ImpactTag)>,
     ) -> Result<Vec<(Vec<Message>, ImpactTag)>, EngineError> {
-        let prefix = pipeline.prefix();
-        let env = self.env.clone();
-        let cost = env.cost().clone();
-        let cores = self.cfg.cores;
-        let mode = self.cfg.mode;
-        let threads = self.cfg.threads;
-
-        let nworkers = threads.min(batch.len());
-        let n = batch.len();
+        let nworkers = self.cfg.threads.min(batch.len());
         // Priority-ordered shared queue: Urgent tasks are claimed first
         // (paper §5), FIFO within a tag; workers drain it cooperatively.
         let queue =
             crate::scheduler::TaskBatch::new(batch.into_iter().map(|(m, t)| ((m, t), t)).collect())
                 .with_claim_counters(self.rm.claims.clone());
-        let balancers: Vec<DemandBalancer> = (0..nworkers).map(|_| self.balancer.clone()).collect();
-        let op_metrics = &self.op_metrics;
-        let pool = &self.pool;
+        // One job per worker: a fork of the engine and its own handles on
+        // the prefix operators.
+        let jobs: Vec<(Engine, Vec<OpNode>)> = (0..nworkers)
+            .map(|_| (self.fork(), pipeline.prefix()))
+            .collect();
 
-        type WorkerOut =
-            Result<(Vec<(usize, Vec<Message>, ImpactTag)>, AccessProfile, f64), EngineError>;
-        let results: Vec<WorkerOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = balancers
-                .into_iter()
-                .map(|mut bal| {
-                    let prefix = &prefix;
-                    let env = &env;
-                    let cost = &cost;
-                    let queue = &queue;
-                    s.spawn(move || -> WorkerOut {
-                        let mut staged = Vec::new();
-                        let mut prof = AccessProfile::new();
-                        let mut max_task = 0.0f64;
-                        while let Some((idx, (msg, tag))) = queue.claim() {
-                            let mut frontier = vec![msg];
-                            for (oi, op) in prefix.iter().enumerate() {
-                                let om = op_metrics.get(oi);
-                                let mut next = Vec::new();
-                                for m in frontier {
-                                    let data_len = m.data_len();
-                                    let is_data = matches!(&m, Message::Data { .. });
-                                    let mut ctx = crate::OpCtx::with_pool(
-                                        env,
-                                        pool.clone(),
-                                        &mut bal,
-                                        mode,
-                                        threads,
-                                        tag,
-                                    );
-                                    #[cfg(feature = "sanitize")]
-                                    let _scope = sbx_sanitize::op_scope(0, op.name());
-                                    let outs = op.apply(&mut ctx, m)?;
-                                    let tally = ctx.exec().take_tally();
-                                    let t = ctx
-                                        .take_profile()
-                                        .cpu(data_len as f64 * ENGINE_OVERHEAD_CYCLES);
-                                    max_task = max_task.max(cost.time_secs(&t, cores));
-                                    prof = prof.merge(&t);
-                                    if let Some(om) = om {
-                                        let (mut ro, mut bo) = (0u64, 0u64);
-                                        for o in &outs {
-                                            if let Message::Data { data, .. } = o {
-                                                ro += data.len() as u64;
-                                                bo += 1;
-                                            }
-                                        }
-                                        om.note(is_data, data_len as u64, ro, bo, &tally);
-                                    }
-                                    next.extend(outs);
-                                }
-                                frontier = next;
-                            }
-                            staged.push((idx, frontier, tag));
-                        }
-                        Ok((staged, prof, max_task))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err(EngineError::Internal("prefix worker panicked")))
-                })
-                .collect()
-        });
+        type WorkerOut = Result<(Vec<(usize, Vec<Message>, ImpactTag)>, Round), EngineError>;
+        let results: Vec<WorkerOut> = self.pool.run(
+            nworkers,
+            |(mut worker, mut prefix): (Engine, Vec<OpNode>)| -> WorkerOut {
+                // A panicking operator fails the run with an error, on the
+                // caller's lane like on any other, rather than take the
+                // process down from a pool thread.
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut staged = Vec::new();
+                    let mut local = Round::default();
+                    while let Some((idx, (msg, tag))) = queue.claim() {
+                        let frontier =
+                            worker.drive(&mut local, &mut prefix, 0, vec![msg], tag, false)?;
+                        staged.push((idx, frontier, tag));
+                    }
+                    Ok((staged, local))
+                }))
+                .unwrap_or(Err(EngineError::Internal("prefix worker panicked")))
+            },
+            jobs,
+        );
 
         // Reassemble in arrival order so the stateful suffix is
         // deterministic regardless of thread scheduling.
-        let mut by_index: Vec<Option<(Vec<Message>, ImpactTag)>> = (0..n).map(|_| None).collect();
+        let mut staged = Vec::new();
         for r in results {
-            let (out, prof, max_task) = r?;
-            round.profile = round.profile.merge(&prof);
-            round.max_task_secs = round.max_task_secs.max(max_task);
-            for (idx, frontier, tag) in out {
-                by_index[idx] = Some((frontier, tag));
-            }
+            let (out, local) = r?;
+            round.profile = round.profile.merge(&local.profile);
+            round.max_task_secs = round.max_task_secs.max(local.max_task_secs);
+            staged.extend(out);
         }
-        by_index
-            .into_iter()
-            .map(|o| o.ok_or(EngineError::Internal("prefix task missing from staging")))
-            .collect()
+        staged.sort_by_key(|&(idx, _, _)| idx);
+        Ok(staged.into_iter().map(|(_, f, tag)| (f, tag)).collect())
     }
 }
 
@@ -1090,7 +1010,7 @@ mod tests {
     use super::*;
     use crate::pipeline::benchmarks;
     use sbx_ingress::{KvSource, NicModel};
-    use sbx_records::Col;
+    use sbx_records::{Col, WindowSpec};
 
     fn quick_cfg() -> RunConfig {
         RunConfig {
@@ -1253,6 +1173,19 @@ mod tests {
     }
 
     #[test]
+    fn panicking_prefix_operator_fails_the_run() {
+        // Each lane of the parallel prefix — the caller's and the pool
+        // thread's — claims a bundle and panics on its first record.
+        let pipeline = crate::PipelineBuilder::new(WindowSpec::fixed(benchmarks::WINDOW_TICKS))
+            .filter(Col(0), |_| panic!("poisoned operator"))
+            .windowed()
+            .keyed_aggregate(Col(0), Col(1), crate::ops::AggKind::Sum)
+            .build();
+        let run = Engine::new(quick_cfg()).run(KvSource::new(4, 10, 1_000_000), pipeline, 10);
+        assert!(matches!(run, Err(EngineError::Internal(_))), "{run:?}");
+    }
+
+    #[test]
     fn report_samples_track_rounds() {
         let engine = Engine::new(quick_cfg());
         let report = engine
@@ -1266,7 +1199,7 @@ mod tests {
         assert!(report.samples.len() >= 3);
         for s in &report.samples {
             assert!(s.k_low >= 0.0 && s.k_low <= 1.0);
-            assert!(s.hbm_usage >= 0.0 && s.hbm_usage <= 1.0);
+            assert!(s.hbm_occupancy >= 0.0 && s.hbm_occupancy <= 1.0);
         }
     }
 }

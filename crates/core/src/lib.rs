@@ -43,7 +43,6 @@
 
 mod balancer;
 pub mod checkpoint;
-mod cluster;
 mod data;
 mod engine;
 mod error;
@@ -60,12 +59,10 @@ pub use checkpoint::{
     CheckpointBarrier, CheckpointHooks, CrashPhase, CrashSite, EntryRepr, NoopHooks, OpState,
     PipelineSnapshot, StateEntry,
 };
-pub use cluster::{Cluster, ClusterReport};
 pub use data::{Message, StreamData};
-pub use engine::{Engine, RunConfig, ENGINE_OVERHEAD_CYCLES};
+pub use engine::{Engine, RunConfig, ENGINE_OVERHEAD_CYCLES, TARGET_DELAY_SECS};
 pub use error::EngineError;
-pub use metrics::{RoundSample, RunReport};
+pub use metrics::RunReport;
 pub use mode::{EngineMode, ImpactTag};
-pub use observe::{round_samples_from_dump, ROUND_FIELDS, ROUND_SERIES};
 pub use operator::{OpCtx, Operator, StatelessOperator};
 pub use pipeline::{benchmarks, Pipeline, PipelineBuilder};

@@ -1,29 +1,8 @@
 use std::sync::Arc;
 
+use sbx_obs::RoundPoint;
 use sbx_records::RecordBundle;
 use sbx_simmem::{CostModel, FluidSim, SimReport, TaskSpec};
-
-/// One resource-monitor sample, taken at the end of each watermark round
-/// (the runtime's 10 ms PCM sampling aggregated to round granularity).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundSample {
-    /// Simulated time of the sample, seconds.
-    pub at_secs: f64,
-    /// HBM capacity usage fraction in `[0, 1]`.
-    pub hbm_usage: f64,
-    /// HBM bytes in use.
-    pub hbm_used_bytes: u64,
-    /// DRAM bandwidth over the round, GB/s.
-    pub dram_bw_gbps: f64,
-    /// HBM bandwidth over the round, GB/s.
-    pub hbm_bw_gbps: f64,
-    /// Demand-balance knob for `Low` tasks.
-    pub k_low: f64,
-    /// Demand-balance knob for `High` tasks.
-    pub k_high: f64,
-    /// Records ingested this round.
-    pub records: u64,
-}
 
 /// Result of one engine run (see [`crate::Engine::run`]).
 #[derive(Debug, Clone)]
@@ -59,8 +38,8 @@ pub struct RunReport {
     pub p95_output_delay_secs: f64,
     /// 99th-percentile window-close output delay, seconds.
     pub p99_output_delay_secs: f64,
-    /// Per-round monitor samples (Figure 10's time series).
-    pub samples: Vec<RoundSample>,
+    /// Per-round records (Figure 10's time series among their fields).
+    pub samples: Vec<RoundPoint>,
     /// Sink output bundles (only when `collect_outputs` was set).
     pub outputs: Vec<Arc<RecordBundle>>,
     /// The executed task graph (only when `record_trace` was set): one task

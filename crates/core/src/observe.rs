@@ -1,10 +1,8 @@
 //! Engine-side observability instruments (DESIGN.md §10).
 //!
 //! This module owns the engine's [`sbx_obs`] instruments: run-level
-//! counters/gauges, the per-round `engine.round` series (Figure 10's time
-//! series), per-operator metrics, and the reconstruction of
-//! [`RoundSample`]s from an exported metrics dump — the path `sbx report`
-//! uses to rebuild Figure 10 purely from a JSONL file.
+//! counters/gauges, the per-round `engine.round` and `engine.tier` series
+//! (both views of the round's [`RoundPoint`]), and per-operator metrics.
 //!
 //! The engine always keeps run-level instruments on *some* registry: the
 //! caller's when observability is enabled, otherwise a private active one.
@@ -15,32 +13,15 @@
 // sbx-lint: out-of-scope(raw-alloc, observability aggregation; runs at export, off the simulated data path)
 use sbx_kpa::PrimGroup;
 use sbx_obs::{
-    Counter, Gauge, Histogram, MetricsDump, MetricsRegistry, Series, TierPoint, TIER_FIELDS,
-    TIER_SERIES,
+    round::columns, Counter, Gauge, Histogram, MetricsRegistry, RoundPoint, Series, ROUND_SERIES,
+    ROUND_VIEW, TIER_SERIES, TIER_VIEW,
 };
 
 use crate::balancer::KnobMove;
-use crate::{ImpactTag, Pipeline, RoundSample};
-
-/// Name of the per-round metrics series (one row per watermark round).
-pub const ROUND_SERIES: &str = "engine.round";
-
-/// Field names of the [`ROUND_SERIES`] rows, in column order. These mirror
-/// [`RoundSample`] exactly; `hbm_used_bytes` and `records` are stored as
-/// `f64` (exact below 2^53).
-pub const ROUND_FIELDS: [&str; 8] = [
-    "at_secs",
-    "hbm_usage",
-    "hbm_used_bytes",
-    "dram_bw_gbps",
-    "hbm_bw_gbps",
-    "k_low",
-    "k_high",
-    "records",
-];
+use crate::{ImpactTag, Pipeline};
 
 /// Run-level instruments, registered once per engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct RunMetrics {
     /// `engine.records_in`.
     pub records_in: Counter,
@@ -95,8 +76,8 @@ impl RunMetrics {
             dram_bw: reg.gauge("engine.dram_bw_gbps"),
             hbm_used: reg.gauge("engine.hbm_used_bytes"),
             output_delay: reg.histogram("engine.output_delay_secs"),
-            rounds: reg.series(ROUND_SERIES, &ROUND_FIELDS),
-            tier: reg.series(TIER_SERIES, &TIER_FIELDS),
+            rounds: reg.series(ROUND_SERIES, &columns(&ROUND_VIEW)),
+            tier: reg.series(TIER_SERIES, &columns(&TIER_VIEW)),
             knob_moves: KnobMove::ALL.map(|m| reg.counter(m.metric_name())),
             claims: [ImpactTag::Urgent, ImpactTag::High, ImpactTag::Low]
                 .map(|t| reg.counter(&format!("scheduler.claimed.{t}"))),
@@ -117,29 +98,22 @@ impl RunMetrics {
         }
     }
 
-    /// Records one end-of-round sample: bandwidth/usage gauges plus a row
-    /// of the [`ROUND_SERIES`] series.
-    pub fn record_round(&self, s: &RoundSample) {
-        self.hbm_bw.set(s.hbm_bw_gbps);
-        self.dram_bw.set(s.dram_bw_gbps);
-        self.hbm_used.set(s.hbm_used_bytes as f64);
-        self.rounds.push(&[
-            s.at_secs,
-            s.hbm_usage,
-            s.hbm_used_bytes as f64,
-            s.dram_bw_gbps,
-            s.hbm_bw_gbps,
-            s.k_low,
-            s.k_high,
-            s.records as f64,
-        ]);
+    /// Records one end-of-round record: bandwidth/usage gauges plus its
+    /// rows of the [`ROUND_SERIES`] and [`TIER_SERIES`] series.
+    pub fn record_round(&self, p: &RoundPoint) {
+        self.hbm_bw.set(p.hbm_bw_gbps);
+        self.dram_bw.set(p.dram_bw_gbps);
+        self.hbm_used.set(p.hbm_used_bytes);
+        self.rounds.push(&p.row(&ROUND_VIEW));
+        self.tier.push(&p.row(&TIER_VIEW));
     }
 
-    /// Registry the run instruments live on (the caller's registry when it
-    /// was active, else the private fallback). Used for bounded
-    /// series-window reads on the incident capture path.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.reg
+    /// The last `rounds` rows of the [`TIER_SERIES`] — a bounded read for
+    /// the incident capture path. From the registry rather than the
+    /// recorder's ring: after a crash it keeps rows the cleared ring lost.
+    pub fn tier_window(&self, rounds: usize) -> Vec<RoundPoint> {
+        let window = self.reg.series_window(TIER_SERIES, rounds);
+        RoundPoint::from_series(&TIER_VIEW, window.as_ref())
     }
 
     /// Publishes the flight recorder's end-of-run facts: its fixed memory
@@ -158,30 +132,10 @@ impl RunMetrics {
     pub fn note_knob_move(&self, mv: KnobMove) {
         self.knob_moves[mv.index()].incr();
     }
-
-    /// Records one end-of-round memory-tier timeline point (a row of
-    /// [`TIER_SERIES`], field order per [`TIER_FIELDS`]).
-    pub fn record_tier(&self, p: &TierPoint) {
-        self.tier.push(&[
-            p.at_secs,
-            p.hbm_live_bytes,
-            p.hbm_used_bytes,
-            p.hbm_occupancy,
-            p.dram_live_bytes,
-            p.dram_used_bytes,
-            p.dram_occupancy,
-            p.hbm_bw_util,
-            p.dram_bw_util,
-            p.spills,
-            p.knob_moves,
-            p.k_low,
-            p.k_high,
-        ]);
-    }
 }
 
 /// Per-operator instruments, named `op.<index:02>.<name>.<metric>`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct OpMetrics {
     /// Operator invocations (one per message driven through the operator).
     pub invocations: Counter,
@@ -256,78 +210,9 @@ impl OpMetrics {
     }
 }
 
-/// Rebuilds the per-round [`RoundSample`]s from an exported metrics dump.
-///
-/// This is the inverse of the engine's per-round [`ROUND_SERIES`] export:
-/// because `f64` values round-trip bit-exactly through the JSONL encoding,
-/// the reconstruction equals the in-memory `RunReport::samples` field for
-/// the same run. Returns an empty vector when the dump has no round series.
-pub fn round_samples_from_dump(dump: &MetricsDump) -> Vec<RoundSample> {
-    let Some(series) = dump.series(ROUND_SERIES) else {
-        return Vec::new();
-    };
-    let idx: Vec<Option<usize>> = ROUND_FIELDS.iter().map(|f| series.field_index(f)).collect();
-    let get = |row: &[f64], field: usize| -> f64 {
-        idx[field].and_then(|j| row.get(j).copied()).unwrap_or(0.0)
-    };
-    series
-        .rows
-        .iter()
-        .map(|row| RoundSample {
-            at_secs: get(row, 0),
-            hbm_usage: get(row, 1),
-            hbm_used_bytes: get(row, 2) as u64,
-            dram_bw_gbps: get(row, 3),
-            hbm_bw_gbps: get(row, 4),
-            k_low: get(row, 5),
-            k_high: get(row, 6),
-            records: get(row, 7) as u64,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_series_round_trips_samples() {
-        let reg = MetricsRegistry::active();
-        let rm = RunMetrics::for_run(&reg);
-        let samples = vec![
-            RoundSample {
-                at_secs: 0.1,
-                hbm_usage: 0.5,
-                hbm_used_bytes: 123_456,
-                dram_bw_gbps: 1.0 / 3.0,
-                hbm_bw_gbps: 2.5,
-                k_low: 0.95,
-                k_high: 1.0,
-                records: 1_000,
-            },
-            RoundSample {
-                at_secs: 0.2,
-                hbm_usage: 0.75,
-                hbm_used_bytes: 1 << 40,
-                dram_bw_gbps: 0.0,
-                hbm_bw_gbps: 1e-12,
-                k_low: 0.0,
-                k_high: 0.85,
-                records: 0,
-            },
-        ];
-        for s in &samples {
-            rm.record_round(s);
-        }
-        let parsed = MetricsDump::parse_jsonl(&reg.snapshot().to_jsonl()).unwrap();
-        assert_eq!(round_samples_from_dump(&parsed), samples);
-    }
-
-    #[test]
-    fn missing_series_yields_no_samples() {
-        let dump = MetricsRegistry::active().snapshot();
-        assert!(round_samples_from_dump(&dump).is_empty());
-    }
 
     #[test]
     fn noop_registry_still_backs_run_metrics() {

@@ -1,13 +1,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sbx_kpa::{profile, reduce_keyed, Kpa};
+use sbx_kpa::{profile, Kpa};
 use sbx_records::{Col, RecordBundle, Schema, WindowId, WindowSpec};
 
 use super::grouping::{
-    decide_backend, output_rows, AdaptState, AggParams, BackendChoice, GroupingBackend,
-    HashShardBackend, RowBaselineBackend, SortMergeBackend, EV_BACKEND_HASH, EV_BACKEND_ROW,
-    EV_BACKEND_SORT, PORT_HASH_SCALAR, PORT_HASH_VALUES, PORT_PANE_BUNDLE, PORT_ROW_SCALAR,
+    decide_backend, AdaptState, AggParams, BackendChoice, GroupingBackend, HashBackend,
+    SortMergeBackend, PORT_HASH_SCALAR, PORT_HASH_VALUES, PORT_PANE_BUNDLE, PORT_ROW_SCALAR,
     PORT_ROW_VALUES,
 };
 use crate::checkpoint::{OpState, StateEntry};
@@ -176,7 +175,7 @@ impl KeyedAggregate {
     ) -> Result<Box<dyn GroupingBackend>, EngineError> {
         let backend: Box<dyn GroupingBackend> = match self.grouping {
             // sbx-lint: allow(raw-alloc, one boxed backend per window)
-            GroupingSpec::RowBaseline => Box::new(RowBaselineBackend::new(ctx, self.kind)?),
+            GroupingSpec::RowBaseline => Box::new(HashBackend::row_baseline(ctx, self.kind)?),
             spec => {
                 let choice = match spec {
                     GroupingSpec::SortMerge => BackendChoice::Sort,
@@ -196,16 +195,22 @@ impl KeyedAggregate {
                     // sbx-lint: allow(raw-alloc, one boxed backend per window)
                     BackendChoice::Sort => Box::new(SortMergeBackend::new()),
                     // sbx-lint: allow(raw-alloc, one boxed backend per window)
-                    BackendChoice::Hash => Box::new(HashShardBackend::new(ctx, self.kind)?),
+                    BackendChoice::Hash => Box::new(HashBackend::sharded(ctx, self.kind)?),
                 }
             }
         };
-        ctx.note_event(match backend.label() {
-            "hash" => EV_BACKEND_HASH,
-            "row" => EV_BACKEND_ROW,
-            _ => EV_BACKEND_SORT,
-        });
+        ctx.note_event(backend.event());
         Ok(backend)
+    }
+
+    /// Swaps an arriving KPA to the (mapped) grouping key.
+    fn key_on_group(&self, ctx: &mut OpCtx<'_>, kpa: &mut Kpa) {
+        if kpa.resident() != self.key_col {
+            ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
+        }
+        if let Some(map) = &self.key_map {
+            ctx.charged(16, |e| kpa.update_keys(e, map));
+        }
     }
 
     fn ingest(
@@ -214,12 +219,7 @@ impl KeyedAggregate {
         w: WindowId,
         mut kpa: Kpa,
     ) -> Result<(), EngineError> {
-        if kpa.resident() != self.key_col {
-            ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
-        }
-        if let Some(map) = &self.key_map {
-            ctx.charged(16, |e| kpa.update_keys(e, map));
-        }
+        self.key_on_group(ctx, &mut kpa);
         if !self.state.contains_key(&w) {
             let backend = self.new_backend(ctx, &kpa)?;
             self.state.insert(w, backend);
@@ -237,36 +237,17 @@ impl KeyedAggregate {
         &mut self,
         ctx: &mut OpCtx<'_>,
         pane: u64,
-        mut kpa: sbx_kpa::Kpa,
+        mut kpa: Kpa,
     ) -> Result<(), EngineError> {
-        if kpa.resident() != self.key_col {
-            ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
-        }
-        if let Some(map) = &self.key_map {
-            ctx.charged(16, |e| kpa.update_keys(e, map));
-        }
+        self.key_on_group(ctx, &mut kpa);
         ctx.sort(&mut kpa)?;
-        let value_col = self.value_col;
-        let mut rows: Vec<u64> = Vec::new();
-        let kind = self.kind;
-        ctx.charged(16, |e| {
-            reduce_keyed(e, &kpa, value_col, |g| {
-                // Pane combining asserts Sum or Count at construction; the
-                // Sum arm is a safe default for any other kind.
-                let partial = match kind {
-                    AggKind::Count => g.values.len() as u64,
-                    _ => g.values.iter().fold(0u64, |a, &v| a.wrapping_add(v)),
-                };
-                rows.extend_from_slice(&[g.key, partial, 0]);
-            })
-        });
-        let env = ctx.env();
-        let bundle = RecordBundle::from_rows(&env, Schema::kvt(), &rows)?;
-        self.pane_state.entry(pane).or_default().push(bundle);
+        let partials = SortMergeBackend::partials(ctx, &kpa, &self.params())?;
+        self.pane_state.entry(pane).or_default().push(partials);
         Ok(())
     }
 
-    /// Pane-mode close: combine the partials of panes `[w, w + overlap)`.
+    /// Pane-mode close: the window is the sort-merge backend's, holding the
+    /// partials of panes `[w, w + overlap)`.
     fn close_window_of_panes(
         &mut self,
         ctx: &mut OpCtx<'_>,
@@ -274,36 +255,22 @@ impl KeyedAggregate {
     ) -> Result<Option<Message>, EngineError> {
         ctx.tag = ImpactTag::Urgent;
         let overlap = self.spec.size() / self.spec.stride();
-        let mut kpas = Vec::new();
+        let mut window = SortMergeBackend::new();
         for pane in w..w + overlap {
-            for bundle in self.pane_state.get(&pane).into_iter().flatten() {
-                let (kind, prio) = ctx.place();
-                let mut kpa = ctx.charged(24, |e| {
-                    sbx_kpa::Kpa::extract_fused(e, bundle, Col(0), kind, prio)
-                })?;
-                kpa.mark_sorted();
-                kpas.push(kpa);
+            for partials in self.pane_state.get(&pane).into_iter().flatten() {
+                window.push_partials(ctx, partials)?;
             }
         }
-        if kpas.is_empty() {
+        if window.is_empty() {
             return Ok(None);
         }
-        let merged = ctx.merge_many(kpas)?;
+        // Panes are always pre-reduced, whatever the early-aggregation flag.
+        let p = AggParams {
+            early: true,
+            ..self.params()
+        };
         let start = window_start(&self.spec, WindowId(w)).raw();
-        // One row per key: the sums go straight into the output bundle.
-        let slots = self.out_schema.ncols() * output_rows(AggKind::Sum, merged.keys());
-        let env = ctx.env();
-        let out = RecordBundle::from_fill(&env, Arc::clone(&self.out_schema), slots, |rows| {
-            ctx.charged(16, |e| {
-                reduce_keyed(e, &merged, Col(1), |g| {
-                    rows.extend_from_slice(&[
-                        g.key,
-                        g.values.iter().fold(0u64, |a, &v| a.wrapping_add(v)),
-                        start,
-                    ]);
-                })
-            });
-        })?;
+        let (out, _) = window.close(ctx, &p, start, &self.out_schema)?;
         Ok(Some(Message::data(StreamData::Bundle(out))))
     }
 
@@ -478,11 +445,11 @@ impl Operator for KeyedAggregate {
                 let backend: Box<dyn GroupingBackend> = match e.port {
                     PORT_HASH_SCALAR | PORT_HASH_VALUES => {
                         // sbx-lint: allow(raw-alloc, one boxed backend per restored window)
-                        Box::new(HashShardBackend::new(ctx, self.kind)?)
+                        Box::new(HashBackend::sharded(ctx, self.kind)?)
                     }
                     PORT_ROW_SCALAR | PORT_ROW_VALUES => {
                         // sbx-lint: allow(raw-alloc, one boxed backend per restored window)
-                        Box::new(RowBaselineBackend::new(ctx, self.kind)?)
+                        Box::new(HashBackend::row_baseline(ctx, self.kind)?)
                     }
                     // sbx-lint: allow(raw-alloc, one boxed backend per restored window)
                     _ => Box::new(SortMergeBackend::new()),

@@ -8,16 +8,16 @@
 //! bandwidth while scans gain a lot. This module stops hard-coding the bet:
 //! GroupBy is parameterized over a [`GroupingBackend`] — the adapter shape
 //! of map-bench `Collection`/`CollectionHandle` harnesses, specialized to
-//! windowed aggregation — with three implementations:
+//! windowed aggregation — with two implementations:
 //!
 //! - [`SortMergeBackend`]: the paper's KPA path (sort each arriving KPA,
 //!   merge at close, keyed reduction), verbatim from the original operator.
-//! - [`HashShardBackend`]: a sharded open-addressing table generalized from
+//! - [`HashBackend`], *sharded*: open-addressing tables generalized from
 //!   `sbx_kpa::hash`, with a fixed shard count fanned over the worker-pool
 //!   wave lanes. Shard assignment depends only on the key hash and drains
 //!   are globally key-sorted, so outputs are bit-identical across thread
 //!   counts.
-//! - [`RowBaselineBackend`]: a single DRAM table charged at the row
+//! - [`HashBackend`], *row baseline*: a single DRAM table charged at the row
 //!   engine's calibrated per-record cost — the Flink-class baseline, kept
 //!   as a measurable floor.
 //!
@@ -83,11 +83,11 @@ impl GroupingSpec {
 
 /// Backend-decision events, surfaced by the engine as
 /// `engine.groupby.backend.*` counters (one increment per window).
-pub(crate) const EV_BACKEND_SORT: &str = "groupby.backend.sort";
+const EV_BACKEND_SORT: &str = "groupby.backend.sort";
 /// See [`EV_BACKEND_SORT`].
-pub(crate) const EV_BACKEND_HASH: &str = "groupby.backend.hash";
+const EV_BACKEND_HASH: &str = "groupby.backend.hash";
 /// See [`EV_BACKEND_SORT`].
-pub(crate) const EV_BACKEND_ROW: &str = "groupby.backend.row";
+const EV_BACKEND_ROW: &str = "groupby.backend.row";
 
 /// Snapshot-entry ports (see `KeyedAggregate::snapshot`): the port both
 /// routes an entry to the right backend kind on restore and versions the
@@ -144,8 +144,8 @@ fn hash_mode(kind: AggKind) -> HashAgg {
 /// semantics per kind — regardless of backend, thread count, or arrival
 /// interleaving within the window.
 pub(crate) trait GroupingBackend: Send + std::fmt::Debug {
-    /// Backend label for spans and events.
-    fn label(&self) -> &'static str;
+    /// The `groupby.backend.*` event that counts this backend's windows.
+    fn event(&self) -> &'static str;
 
     /// Absorbs one windowed KPA (already key-swapped and key-mapped).
     fn ingest(&mut self, ctx: &mut OpCtx<'_>, kpa: Kpa, p: &AggParams) -> Result<(), EngineError>;
@@ -229,13 +229,14 @@ pub(crate) fn emit_group(
 /// distinct key, or up to `k` of a key's pairs for `TopK(k)`. Lets a close
 /// path size its output bundle up front and write the rows into it once.
 pub(crate) fn output_rows(kind: AggKind, keys: &[u64]) -> usize {
-    let per_group = match kind {
-        AggKind::TopK(k) => k,
-        _ => 1,
-    };
-    keys.chunk_by(|a, b| a == b)
-        .map(|group| group.len().min(per_group))
-        .sum()
+    match kind {
+        AggKind::TopK(k) => keys
+            .chunk_by(|a, b| a == b)
+            .map(|group| group.len().min(k))
+            .sum(),
+        // One row per group: a branch-free count of key changes.
+        _ => usize::from(!keys.is_empty()) + keys.windows(2).filter(|w| w[0] != w[1]).count(),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -257,20 +258,23 @@ impl SortMergeBackend {
         SortMergeBackend::default()
     }
 
-    /// Early aggregation: reduce one sorted KPA to per-key partials stored
-    /// in a fresh (small) bundle, and return a KPA over it.
-    fn pre_reduce(ctx: &mut OpCtx<'_>, kpa: Kpa, p: &AggParams) -> Result<Kpa, EngineError> {
+    /// Early aggregation, first half: reduces one sorted KPA to a (small)
+    /// bundle of per-key `(key, partial, 0)` rows. Pane combining keeps
+    /// these bundles, one per pane, to share them across windows.
+    pub(crate) fn partials(
+        ctx: &mut OpCtx<'_>,
+        kpa: &Kpa,
+        p: &AggParams,
+    ) -> Result<Arc<RecordBundle>, EngineError> {
         let value_col = p.value_col;
         let kind = p.kind;
         // One partial row per distinct key; counting them up front lets the
         // reduction write straight into the partial bundle's pool buffer.
-        let keys = kpa.keys();
-        let groups =
-            usize::from(!keys.is_empty()) + keys.windows(2).filter(|w| w[0] != w[1]).count();
+        let slots = 3 * output_rows(AggKind::Sum, kpa.keys());
         let env = ctx.env();
-        let bundle = RecordBundle::from_fill(&env, Schema::kvt(), groups * 3, |rows| {
+        let partials = RecordBundle::from_fill(&env, Schema::kvt(), slots, |rows| {
             ctx.charged(16, |e| {
-                reduce_keyed(e, &kpa, value_col, |g| {
+                reduce_keyed(e, kpa, value_col, |g| {
                     // Early aggregation is only enabled for Sum and Count
                     // (see `KeyedAggregate::new`); any other kind never
                     // reaches this closure, and the Sum arm is a safe default.
@@ -282,19 +286,35 @@ impl SortMergeBackend {
                 })
             });
         })?;
+        Ok(partials)
+    }
+
+    /// Early aggregation, second half: adds a bundle of [`Self::partials`]
+    /// to the window as a sorted KPA over it.
+    pub(crate) fn push_partials(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        partials: &Arc<RecordBundle>,
+    ) -> Result<(), EngineError> {
         // The partial bundle was just written: fuse its extraction
         // (paper §4.3 optimization 1).
         let (kind, prio) = ctx.place();
-        let mut out = ctx.charged(24, |e| Kpa::extract_fused(e, &bundle, Col(0), kind, prio))?;
+        let mut kpa = ctx.charged(24, |e| Kpa::extract_fused(e, partials, Col(0), kind, prio))?;
         // reduce_keyed emitted the partials in ascending key order.
-        out.mark_sorted();
-        Ok(out)
+        kpa.mark_sorted();
+        self.kpas.push(kpa);
+        Ok(())
+    }
+
+    /// Whether the window holds no KPA yet.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.kpas.is_empty()
     }
 }
 
 impl GroupingBackend for SortMergeBackend {
-    fn label(&self) -> &'static str {
-        "sort"
+    fn event(&self) -> &'static str {
+        EV_BACKEND_SORT
     }
 
     fn ingest(
@@ -306,10 +326,13 @@ impl GroupingBackend for SortMergeBackend {
         self.records += kpa.len() as u64;
         ctx.sort(&mut kpa)?;
         if p.early && kpa.len() > 1 {
-            kpa = Self::pre_reduce(ctx, kpa, p)?;
+            // The raw KPA stays allocated until its replacement is placed.
+            let partials = Self::partials(ctx, &kpa, p)?;
+            self.push_partials(ctx, &partials)
+        } else {
+            self.kpas.push(kpa);
+            Ok(())
         }
-        self.kpas.push(kpa);
-        Ok(())
     }
 
     fn close(
@@ -389,22 +412,84 @@ fn shard_of(key: u64) -> usize {
 /// Initial per-shard capacity (slots grow/spill on demand).
 const SHARD_SEED_KEYS: usize = 128;
 
-/// Shared core of the hash-table backends: `SHARD_COUNT` tables for the
-/// parallel backend, one for the row baseline.
+/// Extra CPU cycles per record the row-engine baseline pays on top of the
+/// hash probe itself (record dispatch, row copies, virtual-call overhead).
+/// Mirrors `sbx-baselines`' calibrated `ROW_ENGINE_CYCLES_PER_RECORD_KNL`
+/// (5 900) minus the `HASH_CYCLES` (500) already charged by the grouping
+/// profile; the two constants are cross-checked by that crate's tests.
+const ROW_ENGINE_EXTRA_CYCLES: f64 = 5_400.0;
+
+/// The sharded charge for `n` pairs: the cardinality-aware probe cost at the
+/// *observed* table size (a cache-resident table is cheap, a spilled one
+/// pays the full Figure-2 rate, whatever the adaptive estimate said), plus
+/// one random value dereference per pair (the gather the sort path pays in
+/// its keyed reduction) unless the aggregate only counts.
+fn sharded_ingest_profile(
+    n: usize,
+    groups: usize,
+    tier: MemKind,
+    count_only: bool,
+) -> AccessProfile {
+    let prof = profile::hash_group_carded(n, groups.max(1), tier);
+    if count_only {
+        prof
+    } else {
+        prof.merge(&AccessProfile::new().rand(MemKind::Dram, n as f64))
+    }
+}
+
+/// The row-baseline charge: the flat Figure-2 probe plus the row engine's
+/// calibrated per-record overhead.
+fn row_ingest_profile(n: usize, _groups: usize, tier: MemKind, _count_only: bool) -> AccessProfile {
+    profile::hash_group(n, tier).cpu(n as f64 * ROW_ENGINE_EXTRA_CYCLES)
+}
+
+/// The hash grouping backend: open-addressing tables (pool-accounted,
+/// growing and tier-spilling on demand) filled over the worker-pool wave
+/// lanes. Its two configurations differ in four values: shard count and
+/// tier (both in `shards`), the charged ingest profile, the snapshot ports.
 #[derive(Debug)]
-struct HashCore {
+pub(crate) struct HashBackend {
+    event: &'static str,
     shards: Vec<HashGrouper>,
+    ingest_profile: fn(usize, usize, MemKind, bool) -> AccessProfile,
+    /// Snapshot ports for scalar and value rows.
+    ports: (u8, u8),
     records: u64,
 }
 
-impl HashCore {
-    fn new(
+impl HashBackend {
+    /// Fresh shard tables at the placement chosen for this task.
+    pub(crate) fn sharded(ctx: &mut OpCtx<'_>, kind: AggKind) -> Result<Self, EngineError> {
+        let (tier, prio) = ctx.place();
+        Ok(HashBackend {
+            event: EV_BACKEND_HASH,
+            shards: Self::tables(ctx, SHARD_COUNT, kind, tier, prio)?,
+            ingest_profile: sharded_ingest_profile,
+            ports: (PORT_HASH_SCALAR, PORT_HASH_VALUES),
+            records: 0,
+        })
+    }
+
+    /// The Flink-class row-engine baseline: one DRAM table, serial inserts.
+    /// Exists to be measured against (the adaptive policy never selects it).
+    pub(crate) fn row_baseline(ctx: &mut OpCtx<'_>, kind: AggKind) -> Result<Self, EngineError> {
+        Ok(HashBackend {
+            event: EV_BACKEND_ROW,
+            shards: Self::tables(ctx, 1, kind, MemKind::Dram, Priority::Normal)?,
+            ingest_profile: row_ingest_profile,
+            ports: (PORT_ROW_SCALAR, PORT_ROW_VALUES),
+            records: 0,
+        })
+    }
+
+    fn tables(
         ctx: &mut OpCtx<'_>,
         n_shards: usize,
         kind: AggKind,
-        mem_kind: MemKind,
+        tier: MemKind,
         prio: Priority,
-    ) -> Result<Self, EngineError> {
+    ) -> Result<Vec<HashGrouper>, EngineError> {
         let mode = hash_mode(kind);
         let mut shards: Vec<HashGrouper> = Vec::new();
         for _ in 0..n_shards {
@@ -412,19 +497,15 @@ impl HashCore {
                 ctx.exec(),
                 SHARD_SEED_KEYS,
                 mode,
-                mem_kind,
+                tier,
                 prio,
             )?);
         }
-        Ok(HashCore { shards, records: 0 })
+        Ok(shards)
     }
 
     fn groups(&self) -> usize {
         self.shards.iter().map(HashGrouper::len).sum()
-    }
-
-    fn slots(&self) -> usize {
-        self.shards.iter().map(HashGrouper::slots).sum()
     }
 
     fn table_kind(&self) -> MemKind {
@@ -437,11 +518,27 @@ impl HashCore {
             .map_or(HashAgg::SumCount, HashGrouper::mode)
     }
 
+    /// The shard owning `key` (always 0 for the single-table baseline).
+    fn shard_index(&self, key: u64) -> usize {
+        if self.shards.len() > 1 {
+            shard_of(key)
+        } else {
+            0
+        }
+    }
+
+    /// Charges the walk over every slot that a drain or snapshot makes.
+    fn charge_drain(&self, ctx: &mut OpCtx<'_>) {
+        let slots = self.shards.iter().map(HashGrouper::slots).sum();
+        let prof = profile::hash_drain(slots, self.groups(), self.table_kind());
+        ctx.charged(16, |e| e.charge(&prof));
+    }
+
     /// Gathers this KPA's `(key, value)` pairs by shard. `Count` reads no
     /// values (the hash advantage the adaptive policy exploits).
-    fn gather(kpa: &Kpa, p: &AggParams, n_shards: usize) -> Vec<Vec<(u64, u64)>> {
+    fn gather(&self, kpa: &Kpa, p: &AggParams) -> Vec<Vec<(u64, u64)>> {
         let mut parts: Vec<Vec<(u64, u64)>> = Vec::new();
-        for _ in 0..n_shards {
+        for _ in 0..self.shards.len() {
             parts.push(Vec::new());
         }
         let keys = kpa.keys();
@@ -453,7 +550,7 @@ impl HashCore {
             } else {
                 records.value(i, p.value_col)
             };
-            parts[if n_shards > 1 { shard_of(k) } else { 0 }].push((k, v));
+            parts[self.shard_index(k)].push((k, v));
         }
         parts
     }
@@ -488,18 +585,29 @@ impl HashCore {
         Ok(())
     }
 
-    /// [`HashCore::drain`] into an output bundle of `schema`.
-    fn drain_bundle(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        p: &AggParams,
-        start: u64,
-        schema: &Arc<Schema>,
-    ) -> Result<(Arc<RecordBundle>, u64), EngineError> {
-        let mut rows: Vec<u64> = Vec::new();
-        let groups = self.drain(p, start, &mut rows);
-        let out = RecordBundle::from_rows(&ctx.env(), Arc::clone(schema), &rows)?;
-        Ok((out, groups))
+    /// Every shard's `(key, sum, count)` entries, globally key-sorted.
+    fn scalar_entries(&self) -> Vec<(u64, u64, u64)> {
+        let mut entries: Vec<(u64, u64, u64)> = Vec::new();
+        for sh in &self.shards {
+            for e in sh.iter() {
+                entries.push(e);
+            }
+        }
+        entries.sort_unstable_by_key(|e| e.0);
+        entries
+    }
+
+    /// Every shard's `(key, values in insertion order)` entries, globally
+    /// key-sorted.
+    fn value_entries(&self) -> Vec<(u64, Vec<u64>)> {
+        let mut entries: Vec<(u64, Vec<u64>)> = Vec::new();
+        for sh in &self.shards {
+            for e in sh.drain_values_sorted() {
+                entries.push(e);
+            }
+        }
+        entries.sort_unstable_by_key(|e| e.0);
+        entries
     }
 
     /// Drains every shard into globally key-sorted output rows via
@@ -507,274 +615,111 @@ impl HashCore {
     fn drain(&self, p: &AggParams, start: u64, rows: &mut Vec<u64>) -> u64 {
         match self.mode() {
             HashAgg::SumCount => {
-                let mut entries: Vec<(u64, u64, u64)> = Vec::new();
-                for sh in &self.shards {
-                    for e in sh.iter() {
-                        entries.push(e);
-                    }
-                }
-                entries.sort_unstable_by_key(|e| e.0);
-                let groups = entries.len() as u64;
-                for (k, s, c) in entries {
+                let entries = self.scalar_entries();
+                for &(k, s, c) in &entries {
                     match p.kind {
                         AggKind::Count => rows.extend_from_slice(&[k, c, start]),
                         // Scalar mode exists only for Sum and Count.
                         _ => rows.extend_from_slice(&[k, s, start]),
                     }
                 }
-                groups
+                entries.len() as u64
             }
             HashAgg::Values => {
-                let mut entries: Vec<(u64, Vec<u64>)> = Vec::new();
-                for sh in &self.shards {
-                    for e in sh.drain_values_sorted() {
-                        entries.push(e);
-                    }
-                }
-                entries.sort_unstable_by_key(|e| e.0);
-                let groups = entries.len() as u64;
-                for (k, vals) in entries {
+                let entries = self.value_entries();
+                for (k, vals) in &entries {
                     // Hash state is never pre-reduced: early = false.
-                    emit_group(p.kind, false, k, &vals, start, rows);
+                    emit_group(p.kind, false, *k, vals, start, rows);
                 }
-                groups
+                entries.len() as u64
             }
         }
+    }
+}
+
+impl GroupingBackend for HashBackend {
+    fn event(&self) -> &'static str {
+        self.event
+    }
+
+    fn ingest(&mut self, ctx: &mut OpCtx<'_>, kpa: Kpa, p: &AggParams) -> Result<(), EngineError> {
+        let n = kpa.len();
+        if n == 0 {
+            return Ok(());
+        }
+        self.records += n as u64;
+        let parts = self.gather(&kpa, p);
+        self.insert_parallel(ctx, parts)?;
+        let prof = (self.ingest_profile)(n, self.groups(), self.table_kind(), p.count_only());
+        ctx.charged(16, |e| e.charge(&prof));
+        Ok(())
+    }
+
+    fn close(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        p: &AggParams,
+        start: u64,
+        schema: &Arc<Schema>,
+    ) -> Result<(Arc<RecordBundle>, u64), EngineError> {
+        self.charge_drain(ctx);
+        let mut rows: Vec<u64> = Vec::new();
+        let groups = self.drain(p, start, &mut rows);
+        let out = RecordBundle::from_rows(&ctx.env(), Arc::clone(schema), &rows)?;
+        Ok((out, groups))
+    }
+
+    fn records(&self) -> u64 {
+        self.records
     }
 
     /// One snapshot entry per window: scalar `(key, sum, count)` triples or
     /// `(key, value, 0)` triples in per-key insertion order, key-sorted.
-    fn snapshot_entry(&self, window: u64, scalar_port: u8, values_port: u8) -> StateEntry {
+    fn snapshot(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        window: u64,
+        out: &mut Vec<StateEntry>,
+    ) -> Result<(), EngineError> {
+        self.charge_drain(ctx);
         let mut rows: Vec<u64> = Vec::new();
-        match self.mode() {
+        let port = match self.mode() {
             HashAgg::SumCount => {
-                let mut entries: Vec<(u64, u64, u64)> = Vec::new();
-                for sh in &self.shards {
-                    for e in sh.iter() {
-                        entries.push(e);
-                    }
-                }
-                entries.sort_unstable_by_key(|e| e.0);
-                for (k, s, c) in entries {
+                for (k, s, c) in self.scalar_entries() {
                     rows.extend_from_slice(&[k, s, c]);
                 }
-                StateEntry::from_rows(window, scalar_port, 3, 2, rows)
+                self.ports.0
             }
             HashAgg::Values => {
-                let mut entries: Vec<(u64, Vec<u64>)> = Vec::new();
-                for sh in &self.shards {
-                    for e in sh.drain_values_sorted() {
-                        entries.push(e);
-                    }
-                }
-                entries.sort_unstable_by_key(|e| e.0);
-                for (k, vals) in entries {
+                for (k, vals) in self.value_entries() {
                     for v in vals {
                         rows.extend_from_slice(&[k, v, 0]);
                     }
                 }
-                StateEntry::from_rows(window, values_port, 3, 2, rows)
+                self.ports.1
             }
-        }
-    }
-
-    /// Rebuilds shard state from a snapshot entry. Scalar entries fold
-    /// `(sum, count)` partials; value entries replay the inserts (which
-    /// rebuilds the scalar lanes too). Restores the exact record count.
-    fn restore_rows(&mut self, e: &StateEntry) -> Result<(), EngineError> {
-        let n_shards = self.shards.len();
-        match self.mode() {
-            HashAgg::SumCount => {
-                for chunk in e.rows.chunks_exact(3) {
-                    let (k, s, c) = (chunk[0], chunk[1], chunk[2]);
-                    let sh = if n_shards > 1 { shard_of(k) } else { 0 };
-                    self.shards[sh]
-                        .merge_entry(k, s, c)
-                        .map_err(EngineError::from)?;
-                    self.records += c;
-                }
-            }
-            HashAgg::Values => {
-                for chunk in e.rows.chunks_exact(3) {
-                    let (k, v) = (chunk[0], chunk[1]);
-                    let sh = if n_shards > 1 { shard_of(k) } else { 0 };
-                    self.shards[sh]
-                        .try_insert(k, v)
-                        .map_err(EngineError::from)?;
-                    self.records += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The sharded hash grouping backend: `SHARD_COUNT` open-addressing tables
-/// (pool-accounted, growing and tier-spilling on demand) fanned over the
-/// worker-pool wave lanes, charged at the cardinality-aware probe cost
-/// (`profile::hash_group_carded`) so a cache-resident table is cheap and a
-/// spilled one pays the full Figure-2 rate.
-#[derive(Debug)]
-pub(crate) struct HashShardBackend {
-    core: HashCore,
-}
-
-impl HashShardBackend {
-    /// Fresh shard tables at the placement chosen for this task.
-    pub(crate) fn new(ctx: &mut OpCtx<'_>, kind: AggKind) -> Result<Self, EngineError> {
-        let (mem_kind, prio) = ctx.place();
-        Ok(HashShardBackend {
-            core: HashCore::new(ctx, SHARD_COUNT, kind, mem_kind, prio)?,
-        })
-    }
-}
-
-impl GroupingBackend for HashShardBackend {
-    fn label(&self) -> &'static str {
-        "hash"
-    }
-
-    fn ingest(&mut self, ctx: &mut OpCtx<'_>, kpa: Kpa, p: &AggParams) -> Result<(), EngineError> {
-        let n = kpa.len();
-        if n == 0 {
-            return Ok(());
-        }
-        self.core.records += n as u64;
-        let parts = HashCore::gather(&kpa, p, SHARD_COUNT);
-        self.core.insert_parallel(ctx, parts)?;
-        // Charge at the observed table size: the model stays honest even
-        // when the adaptive estimate that chose this backend was wrong.
-        let mut prof =
-            profile::hash_group_carded(n, self.core.groups().max(1), self.core.table_kind());
-        if !p.count_only() {
-            // One random value dereference per pair (same gather the sort
-            // path pays inside its keyed reduction).
-            prof = prof.merge(&AccessProfile::new().rand(MemKind::Dram, n as f64));
-        }
-        ctx.charged(16, |e| e.charge(&prof));
+        };
+        out.push(StateEntry::from_rows(window, port, 3, 2, rows));
         Ok(())
     }
 
-    fn close(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        p: &AggParams,
-        start: u64,
-        schema: &Arc<Schema>,
-    ) -> Result<(Arc<RecordBundle>, u64), EngineError> {
-        let prof = profile::hash_drain(
-            self.core.slots(),
-            self.core.groups(),
-            self.core.table_kind(),
-        );
-        ctx.charged(16, |e| e.charge(&prof));
-        self.core.drain_bundle(ctx, p, start, schema)
-    }
-
-    fn records(&self) -> u64 {
-        self.core.records
-    }
-
-    fn snapshot(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        window: u64,
-        out: &mut Vec<StateEntry>,
-    ) -> Result<(), EngineError> {
-        let prof = profile::hash_drain(
-            self.core.slots(),
-            self.core.groups(),
-            self.core.table_kind(),
-        );
-        ctx.charged(16, |e| e.charge(&prof));
-        out.push(
-            self.core
-                .snapshot_entry(window, PORT_HASH_SCALAR, PORT_HASH_VALUES),
-        );
-        Ok(())
-    }
-
+    /// Scalar entries fold `(sum, count)` partials; value entries replay
+    /// the inserts (which rebuilds the scalar lanes too). Restores the
+    /// exact record count.
     fn restore_entry(&mut self, _ctx: &mut OpCtx<'_>, e: &StateEntry) -> Result<(), EngineError> {
-        self.core.restore_rows(e)
-    }
-}
-
-/// Extra CPU cycles per record the row-engine baseline pays on top of the
-/// hash probe itself (record dispatch, row copies, virtual-call overhead).
-/// Mirrors `sbx-baselines`' calibrated `ROW_ENGINE_CYCLES_PER_RECORD_KNL`
-/// (5 900) minus the `HASH_CYCLES` (500) already charged by the grouping
-/// profile; the two constants are cross-checked by that crate's tests.
-const ROW_ENGINE_EXTRA_CYCLES: f64 = 5_400.0;
-
-/// The Flink-class row-engine baseline as a grouping backend: one DRAM
-/// hash table, serial inserts, charged at the row engine's calibrated
-/// per-record cost. Exists to be measured against (the adaptive policy
-/// never selects it).
-#[derive(Debug)]
-pub(crate) struct RowBaselineBackend {
-    core: HashCore,
-}
-
-impl RowBaselineBackend {
-    /// A fresh single-shard DRAM table.
-    pub(crate) fn new(ctx: &mut OpCtx<'_>, kind: AggKind) -> Result<Self, EngineError> {
-        Ok(RowBaselineBackend {
-            core: HashCore::new(ctx, 1, kind, MemKind::Dram, Priority::Normal)?,
-        })
-    }
-}
-
-impl GroupingBackend for RowBaselineBackend {
-    fn label(&self) -> &'static str {
-        "row"
-    }
-
-    fn ingest(&mut self, ctx: &mut OpCtx<'_>, kpa: Kpa, p: &AggParams) -> Result<(), EngineError> {
-        let n = kpa.len();
-        if n == 0 {
-            return Ok(());
+        let scalar = self.mode() == HashAgg::SumCount;
+        for chunk in e.rows.chunks_exact(3) {
+            let (k, a, b) = (chunk[0], chunk[1], chunk[2]);
+            let sh = self.shard_index(k);
+            if scalar {
+                self.shards[sh].merge_entry(k, a, b)?;
+                self.records += b;
+            } else {
+                self.shards[sh].try_insert(k, a)?;
+                self.records += 1;
+            }
         }
-        self.core.records += n as u64;
-        let parts = HashCore::gather(&kpa, p, 1);
-        self.core.insert_parallel(ctx, parts)?;
-        let prof = profile::hash_group(n, MemKind::Dram).cpu(n as f64 * ROW_ENGINE_EXTRA_CYCLES);
-        ctx.charged(16, |e| e.charge(&prof));
         Ok(())
-    }
-
-    fn close(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        p: &AggParams,
-        start: u64,
-        schema: &Arc<Schema>,
-    ) -> Result<(Arc<RecordBundle>, u64), EngineError> {
-        let prof = profile::hash_drain(self.core.slots(), self.core.groups(), MemKind::Dram);
-        ctx.charged(16, |e| e.charge(&prof));
-        self.core.drain_bundle(ctx, p, start, schema)
-    }
-
-    fn records(&self) -> u64 {
-        self.core.records
-    }
-
-    fn snapshot(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        window: u64,
-        out: &mut Vec<StateEntry>,
-    ) -> Result<(), EngineError> {
-        let prof = profile::hash_drain(self.core.slots(), self.core.groups(), MemKind::Dram);
-        ctx.charged(16, |e| e.charge(&prof));
-        out.push(
-            self.core
-                .snapshot_entry(window, PORT_ROW_SCALAR, PORT_ROW_VALUES),
-        );
-        Ok(())
-    }
-
-    fn restore_entry(&mut self, _ctx: &mut OpCtx<'_>, e: &StateEntry) -> Result<(), EngineError> {
-        self.core.restore_rows(e)
     }
 }
 
@@ -927,7 +872,7 @@ mod tests {
         out.as_rows().to_vec()
     }
 
-    /// All three backends must produce byte-identical close rows for every
+    /// All three backend configurations must produce byte-identical close rows for every
     /// aggregate kind.
     #[test]
     fn backends_agree_on_every_kind() {
@@ -948,8 +893,8 @@ mod tests {
             };
             let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
             let mut sort_b = SortMergeBackend::new();
-            let mut hash_b = HashShardBackend::new(&mut ctx, kind).unwrap();
-            let mut row_b = RowBaselineBackend::new(&mut ctx, kind).unwrap();
+            let mut hash_b = HashBackend::sharded(&mut ctx, kind).unwrap();
+            let mut row_b = HashBackend::row_baseline(&mut ctx, kind).unwrap();
             for chunk in pairs.chunks(100) {
                 let kpa = mk_kpa(&env, &mut ctx, chunk);
                 sort_b.ingest(&mut ctx, kpa, &p).unwrap();
@@ -977,7 +922,7 @@ mod tests {
                 early: false,
             };
             let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
-            let mut orig = HashShardBackend::new(&mut ctx, kind).unwrap();
+            let mut orig = HashBackend::sharded(&mut ctx, kind).unwrap();
             let pairs: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 23, i)).collect();
             let kpa = mk_kpa(&env, &mut ctx, &pairs);
             orig.ingest(&mut ctx, kpa, &p).unwrap();
@@ -986,7 +931,7 @@ mod tests {
             orig.snapshot(&mut ctx, 0, &mut entries).unwrap();
             assert_eq!(entries.len(), 1);
 
-            let mut restored = HashShardBackend::new(&mut ctx, kind).unwrap();
+            let mut restored = HashBackend::sharded(&mut ctx, kind).unwrap();
             restored.restore_entry(&mut ctx, &entries[0]).unwrap();
             assert_eq!(restored.records(), orig.records());
             assert_eq!(

@@ -68,12 +68,12 @@ impl Pipeline {
         &mut self.ops
     }
 
-    pub(crate) fn prefix(&self) -> Vec<Arc<dyn StatelessOperator>> {
+    /// New handles on the leading stateless operators.
+    pub(crate) fn prefix(&self) -> Vec<OpNode> {
         self.ops
             .iter()
-            .take_while(|o| matches!(o, OpNode::Stateless(_)))
-            .filter_map(|o| match o {
-                OpNode::Stateless(op) => Some(Arc::clone(op)),
+            .map_while(|o| match o {
+                OpNode::Stateless(op) => Some(OpNode::Stateless(Arc::clone(op))),
                 OpNode::Stateful(_) => None,
             })
             .collect()

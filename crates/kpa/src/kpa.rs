@@ -643,8 +643,8 @@ impl Kpa {
     /// window. Charges one read + one write pass with `log2(k)`
     /// comparisons per pair (see [`profile::merge_kway`]).
     ///
-    /// Equal keys come out in input-list order, matching what the previous
-    /// pairwise-rounds structure ([`Kpa::merge_many_pairwise`]) produced.
+    /// Equal keys come out in input-list order, as rounds of pairwise
+    /// [`Kpa::merge`] would leave them.
     ///
     /// # Errors
     ///
@@ -721,47 +721,6 @@ impl Kpa {
                 .iter()
                 .skip(1)
                 .fold(kpas[0].shadow.clone(), |acc, k| acc.union(&k.shadow)),
-        })
-    }
-
-    /// Merges sorted KPAs pairwise in `log2(k)` rounds — the structure
-    /// [`Kpa::merge_many`] replaced. Kept as the multipass baseline arm of
-    /// the merge-strategy ablation: it moves every pair once per round, so
-    /// its charged traffic grows with `log2(k)` where the single-pass
-    /// merges stay flat.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError`] on output allocation failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kpas` is empty, or on the conditions of [`Kpa::merge`].
-    pub fn merge_many_pairwise(
-        ctx: &mut ExecCtx,
-        mut kpas: Vec<Kpa>,
-        out_kind: MemKind,
-        prio: Priority,
-    ) -> Result<Kpa, AllocError> {
-        assert!(!kpas.is_empty(), "merge_many_pairwise needs >= 1 input");
-        while kpas.len() > 1 {
-            // sbx-lint: allow(raw-alloc, round handle list; pair data lives in pool buffers)
-            let mut next = Vec::with_capacity(kpas.len().div_ceil(2));
-            let mut iter = kpas.into_iter();
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => next.push(Kpa::merge(ctx, &a, &b, out_kind, prio)?),
-                    None => next.push(a),
-                }
-            }
-            kpas = next;
-        }
-        // The assert above plus the halving loop leave exactly one KPA; the
-        // error arm is unreachable but keeps this path panic-free.
-        kpas.pop().ok_or(AllocError {
-            kind: out_kind,
-            requested_bytes: 0,
-            available_bytes: 0,
         })
     }
 

@@ -369,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn kway_merge_matches_pairwise_merge() {
+    fn kway_merge_matches_sorted_concatenation() {
         use sbx_prng::SbxRng;
         let env = env();
         let mut ctx = ExecCtx::new(&env);
@@ -385,14 +385,14 @@ mod tests {
                 })
                 .collect()
         };
-        let parts_a = mk_parts(&mut ctx, 17);
-        let parts_b = mk_parts(&mut ctx, 17);
+        let parts = mk_parts(&mut ctx, 17);
+        let mut expect: Vec<u64> = parts.iter().flat_map(|p| p.keys().to_vec()).collect();
+        expect.sort_unstable();
+        let sources: usize = parts.iter().map(Kpa::source_count).sum();
 
-        let pairwise =
-            Kpa::merge_many_pairwise(&mut ctx, parts_a, MemKind::Hbm, Priority::Normal).unwrap();
-        let kway = Kpa::merge_many(&mut ctx, parts_b, MemKind::Hbm, Priority::Normal).unwrap();
-        assert_eq!(pairwise.keys(), kway.keys());
-        assert_eq!(pairwise.source_count(), kway.source_count());
+        let kway = Kpa::merge_many(&mut ctx, parts, MemKind::Hbm, Priority::Normal).unwrap();
+        assert_eq!(kway.keys(), &expect[..]);
+        assert_eq!(kway.source_count(), sources);
         assert!(kway.is_sorted());
         for i in 0..kway.len() {
             assert_eq!(kway.value_at(i, Col(0)), kway.keys()[i]);

@@ -13,7 +13,7 @@
 //! [`ThresholdRule`] instances on this same framework; [`Signal`] is
 //! re-exported there as `HealthSignal`.
 
-use crate::recorder::RoundPoint;
+use crate::round::RoundPoint;
 
 /// A detector verdict: one rule firing on one subject at one round.
 ///
@@ -423,6 +423,7 @@ mod tests {
             delay_p50: 0.01,
             delay_p95: 0.01,
             delay_p99: 0.01,
+            ..RoundPoint::default()
         }
     }
 

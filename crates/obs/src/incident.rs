@@ -22,8 +22,7 @@ use crate::cluster::{HealthReport, FABRIC_SHARD};
 use crate::detect::Signal;
 use crate::json::{fmt_f64, parse_flat_object, write_str, JsonValue};
 use crate::profile::{CriticalPath, PathStep, SpanRec};
-use crate::recorder::RoundPoint;
-use crate::timeline::{TierPoint, TIER_FIELDS};
+use crate::round::{RoundPoint, INCIDENT_ROUND_VIEW, TIER_VIEW};
 
 /// One captured anomaly: a detector verdict plus the frozen evidence
 /// window around the firing round.
@@ -41,12 +40,14 @@ pub struct Incident {
     pub committed_epoch: Option<u64>,
     /// Simulated time of the firing round boundary, seconds.
     pub at_secs: f64,
-    /// Frozen per-round samples, oldest-first.
+    /// Frozen per-round samples, oldest-first (`round`, `epoch` and the
+    /// fields of the [`INCIDENT_ROUND_VIEW`]).
     pub rounds: Vec<RoundPoint>,
     /// Frozen span window, oldest-first.
     pub spans: Vec<SpanRec>,
-    /// Tier-timeline slice covering the capture window.
-    pub tier: Vec<TierPoint>,
+    /// Tier-timeline slice covering the capture window (the fields of the
+    /// [`TIER_VIEW`]).
+    pub tier: Vec<RoundPoint>,
     /// Critical-path excerpt through the frozen spans, root-first.
     pub path: Vec<PathStep>,
 }
@@ -61,7 +62,7 @@ impl Incident {
         at_secs: f64,
         rounds: Vec<RoundPoint>,
         spans: Vec<SpanRec>,
-        tier: Vec<TierPoint>,
+        tier: Vec<RoundPoint>,
     ) -> Incident {
         let path = CriticalPath::compute(&spans).steps;
         Incident {
@@ -99,66 +100,6 @@ impl Incident {
         self.shard = shard;
         self
     }
-}
-
-/// Field names of `incident.round` lines, in [`RoundPoint`] order (after
-/// the `seq` key).
-pub const ROUND_POINT_FIELDS: [&str; 16] = [
-    "round",
-    "epoch",
-    "at_secs",
-    "round_secs",
-    "close_secs",
-    "closed_windows",
-    "records",
-    "watermark_secs",
-    "open_windows",
-    "hbm_occupancy",
-    "dram_occupancy",
-    "spills",
-    "knob_moves",
-    "delay_p50",
-    "delay_p95",
-    "delay_p99",
-];
-
-fn round_point_values(p: &RoundPoint) -> [f64; 16] {
-    [
-        p.round as f64,
-        p.epoch as f64,
-        p.at_secs,
-        p.round_secs,
-        p.close_secs,
-        p.closed_windows,
-        p.records,
-        p.watermark_secs,
-        p.open_windows,
-        p.hbm_occupancy,
-        p.dram_occupancy,
-        p.spills,
-        p.knob_moves,
-        p.delay_p50,
-        p.delay_p95,
-        p.delay_p99,
-    ]
-}
-
-fn tier_point_values(p: &TierPoint) -> [f64; 13] {
-    [
-        p.at_secs,
-        p.hbm_live_bytes,
-        p.hbm_used_bytes,
-        p.hbm_occupancy,
-        p.dram_live_bytes,
-        p.dram_used_bytes,
-        p.dram_occupancy,
-        p.hbm_bw_util,
-        p.dram_bw_util,
-        p.spills,
-        p.knob_moves,
-        p.k_low,
-        p.k_high,
-    ]
 }
 
 /// An ordered collection of incidents with a deterministic JSONL export,
@@ -223,11 +164,12 @@ impl IncidentReport {
             out.push_str("}\n");
 
             for p in &inc.rounds {
-                out.push_str(&format!("{{\"type\":\"incident.round\",\"seq\":{seq}"));
-                for (field, value) in ROUND_POINT_FIELDS.iter().zip(round_point_values(p)) {
-                    let _ = write!(out, ",\"{field}\":{}", fmt_f64(value));
-                }
-                out.push_str("}\n");
+                let _ = write!(
+                    out,
+                    "{{\"type\":\"incident.round\",\"seq\":{seq},\"round\":{},\"epoch\":{}",
+                    p.round, p.epoch
+                );
+                p.finish_json_line(&INCIDENT_ROUND_VIEW, &mut out);
             }
             for s in &inc.spans {
                 out.push_str(&format!(
@@ -248,11 +190,8 @@ impl IncidentReport {
                 );
             }
             for p in &inc.tier {
-                out.push_str(&format!("{{\"type\":\"incident.tier\",\"seq\":{seq}"));
-                for (field, value) in TIER_FIELDS.iter().zip(tier_point_values(p)) {
-                    let _ = write!(out, ",\"{field}\":{}", fmt_f64(value));
-                }
-                out.push_str("}\n");
+                let _ = write!(out, "{{\"type\":\"incident.tier\",\"seq\":{seq}");
+                p.finish_json_line(&TIER_VIEW, &mut out);
             }
             for step in &inc.path {
                 out.push_str(&format!(
@@ -327,24 +266,13 @@ impl IncidentReport {
                     let inc = incidents
                         .last_mut()
                         .ok_or_else(|| err("round before incident"))?;
-                    inc.rounds.push(RoundPoint {
+                    let mut p = RoundPoint {
                         round: num("round") as u64,
                         epoch: num("epoch") as u64,
-                        at_secs: num("at_secs"),
-                        round_secs: num("round_secs"),
-                        close_secs: num("close_secs"),
-                        closed_windows: num("closed_windows"),
-                        records: num("records"),
-                        watermark_secs: num("watermark_secs"),
-                        open_windows: num("open_windows"),
-                        hbm_occupancy: num("hbm_occupancy"),
-                        dram_occupancy: num("dram_occupancy"),
-                        spills: num("spills"),
-                        knob_moves: num("knob_moves"),
-                        delay_p50: num("delay_p50"),
-                        delay_p95: num("delay_p95"),
-                        delay_p99: num("delay_p99"),
-                    });
+                        ..RoundPoint::default()
+                    };
+                    p.fill(&INCIDENT_ROUND_VIEW, |c| get(c).and_then(JsonValue::as_f64));
+                    inc.rounds.push(p);
                 }
                 "incident.span" => {
                     let inc = incidents
@@ -368,21 +296,9 @@ impl IncidentReport {
                     let inc = incidents
                         .last_mut()
                         .ok_or_else(|| err("tier before incident"))?;
-                    inc.tier.push(TierPoint {
-                        at_secs: num("at_secs"),
-                        hbm_live_bytes: num("hbm_live_bytes"),
-                        hbm_used_bytes: num("hbm_used_bytes"),
-                        hbm_occupancy: num("hbm_occupancy"),
-                        dram_live_bytes: num("dram_live_bytes"),
-                        dram_used_bytes: num("dram_used_bytes"),
-                        dram_occupancy: num("dram_occupancy"),
-                        hbm_bw_util: num("hbm_bw_util"),
-                        dram_bw_util: num("dram_bw_util"),
-                        spills: num("spills"),
-                        knob_moves: num("knob_moves"),
-                        k_low: num("k_low"),
-                        k_high: num("k_high"),
-                    });
+                    let mut p = RoundPoint::default();
+                    p.fill(&TIER_VIEW, |c| get(c).and_then(JsonValue::as_f64));
+                    inc.tier.push(p);
                 }
                 "incident.path" => {
                     let inc = incidents
@@ -501,25 +417,20 @@ mod tests {
         }
     }
 
+    /// A round with every column of the incident view set, so a dropped
+    /// column fails the round trip.
     fn sample_round(round: u64) -> RoundPoint {
-        RoundPoint {
+        let mut p = RoundPoint {
             round,
             epoch: 1,
-            at_secs: round as f64 * 0.5,
-            round_secs: 0.5,
-            close_secs: 0.01,
-            closed_windows: 2.0,
-            records: 1500.0,
-            watermark_secs: round as f64 * 0.5,
-            open_windows: 3.0,
-            hbm_occupancy: 0.9,
-            dram_occupancy: 0.2,
-            spills: 5.0,
-            knob_moves: 1.0,
-            delay_p50: 0.01,
-            delay_p95: 0.02,
-            delay_p99: 0.03,
-        }
+            ..RoundPoint::default()
+        };
+        let mut v = round as f64;
+        p.fill(&INCIDENT_ROUND_VIEW, |_| {
+            v += 0.25;
+            Some(v)
+        });
+        p
     }
 
     fn sample_span(id: u64, round: u64) -> SpanRec {
@@ -538,22 +449,13 @@ mod tests {
         }
     }
 
-    fn sample_tier() -> TierPoint {
-        TierPoint {
-            at_secs: 3.5,
-            hbm_live_bytes: 1000.0,
-            hbm_used_bytes: 2000.0,
-            hbm_occupancy: 0.9,
-            dram_live_bytes: 100.0,
-            dram_used_bytes: 300.0,
-            dram_occupancy: 0.2,
-            hbm_bw_util: 0.7,
-            dram_bw_util: 0.3,
-            spills: 5.0,
-            knob_moves: 1.0,
-            k_low: 2.0,
-            k_high: 6.0,
-        }
+    fn sample_tier() -> RoundPoint {
+        let (mut p, mut v) = (RoundPoint::default(), 3.5);
+        p.fill(&TIER_VIEW, |_| {
+            v += 0.125;
+            Some(v)
+        });
+        p
     }
 
     fn sample_report() -> IncidentReport {

@@ -32,6 +32,7 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod recorder;
+pub mod round;
 mod sync;
 pub mod timeline;
 pub mod trace;
@@ -43,7 +44,7 @@ pub use cluster::{
 };
 pub use detect::{sort_signals, Cusum, DetectorBank, DetectorConfig, Ewma, Signal, ThresholdRule};
 pub use hist::{HistSnapshot, Histogram};
-pub use incident::{Incident, IncidentReport, ROUND_POINT_FIELDS};
+pub use incident::{Incident, IncidentReport};
 pub use metrics::{
     Counter, Gauge, GaugeDump, HistogramDump, MetricsDump, MetricsRegistry, Series, SeriesDump,
 };
@@ -51,8 +52,9 @@ pub use profile::{
     parse_spans_jsonl, spans_to_recs, CriticalPath, OperatorAttribution, PathStep,
     PrimitiveAttribution, RoundPath, SpanRec, PRIMITIVE_LABELS,
 };
-pub use recorder::{FlightRecorder, RecorderConfig, RoundPoint};
-pub use timeline::{TierPoint, Timeline, TIER_FIELDS, TIER_SERIES};
+pub use recorder::{FlightRecorder, RecorderConfig};
+pub use round::{RoundPoint, ROUND_SERIES, ROUND_VIEW, TIER_SERIES, TIER_VIEW};
+pub use timeline::Timeline;
 pub use trace::{Span, TraceCollector};
 
 /// Observability handle: a metrics registry, a trace collector, and the

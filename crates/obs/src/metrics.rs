@@ -712,6 +712,18 @@ mod tests {
     }
 
     #[test]
+    fn series_window_reads_bounded_suffix() {
+        let reg = MetricsRegistry::active();
+        let s = reg.series("t", &["a"]);
+        s.push(&[1.0]);
+        s.push(&[2.0]);
+        assert_eq!(reg.series_window("t", 1).unwrap().rows, [[2.0]]);
+        assert_eq!(reg.series_window("t", 10).unwrap().rows.len(), 2);
+        assert!(MetricsRegistry::noop().series_window("t", 4).is_none());
+        assert!(reg.series_window("not-there", 4).is_none());
+    }
+
+    #[test]
     fn parse_rejects_malformed_lines() {
         assert!(MetricsDump::parse_jsonl("{\"type\":\"counter\"}").is_err());
         assert!(MetricsDump::parse_jsonl("{\"type\":\"bogus\",\"name\":\"x\"}").is_err());

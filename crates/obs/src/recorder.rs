@@ -7,8 +7,8 @@
 //! — the recorder runs on every engine, all the time. It only observes the
 //! quiescent round boundary (already serial) and one synthetic round span,
 //! so it neither perturbs the parallel schedule nor the simulated results;
-//! its host cost is bounded by the `obs_overhead` bench's <3% budget. Ring
-//! memory is pool-accounted: capacity is fixed up front and
+//! its host cost shows as the benchmark's `obs.metrics.overhead_pct` layer.
+//! Ring memory is pool-accounted: capacity is fixed up front and
 //! [`FlightRecorder::accounted_bytes`] reports the bound, exported as the
 //! `recorder.accounted_bytes` gauge.
 //!
@@ -16,52 +16,15 @@
 //! contents around the firing round so the engine can assemble an
 //! [`Incident`](crate::Incident) capture window.
 
+use std::collections::VecDeque;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex};
 
 use crate::detect::{DetectorBank, DetectorConfig, Signal};
 use crate::incident::Incident;
+use crate::round::{RoundPoint, INCIDENT_ROUND_VIEW};
 use crate::sync::lock;
 use crate::trace::Span;
-
-/// One quiescent round boundary, as sampled by the engine. Every field is
-/// a pure function of simulated time and accounted counters, so same-seed
-/// streams are byte-identical across hosts and thread counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundPoint {
-    /// Watermark round index (0-based).
-    pub round: u64,
-    /// Checkpoint epoch in flight (0 before the first barrier).
-    pub epoch: u64,
-    /// Simulated time of the round boundary, seconds.
-    pub at_secs: f64,
-    /// Simulated duration of the whole round, seconds.
-    pub round_secs: f64,
-    /// Simulated time spent closing windows this round, seconds.
-    pub close_secs: f64,
-    /// Windows closed this round.
-    pub closed_windows: f64,
-    /// Records ingested this round.
-    pub records: f64,
-    /// Source low watermark at the boundary, seconds.
-    pub watermark_secs: f64,
-    /// Windows open behind the watermark (queue-depth proxy).
-    pub open_windows: f64,
-    /// HBM used bytes over capacity, 0..=1.
-    pub hbm_occupancy: f64,
-    /// DRAM used bytes over capacity, 0..=1.
-    pub dram_occupancy: f64,
-    /// HBM→DRAM spills within the round (delta, not cumulative).
-    pub spills: f64,
-    /// Balancer knob moves within the round (delta).
-    pub knob_moves: f64,
-    /// Output-delay p50 over the run so far, seconds.
-    pub delay_p50: f64,
-    /// Output-delay p95 over the run so far, seconds.
-    pub delay_p95: f64,
-    /// Output-delay p99 over the run so far, seconds.
-    pub delay_p99: f64,
-}
 
 /// Capacity and tuning for a [`FlightRecorder`].
 #[derive(Debug, Clone, PartialEq)]
@@ -87,58 +50,28 @@ impl Default for RecorderConfig {
     }
 }
 
-/// A fixed-capacity ring: pushes overwrite the oldest entry once full.
-/// Backing storage grows to at most `cap` entries and is never reallocated
-/// past it, which is what makes the recorder's memory pool-accountable.
-#[derive(Debug)]
-struct Ring<T> {
-    buf: Vec<T>,
-    cap: usize,
-    head: usize,
-}
+/// What the round ring keeps of a record: `round`, `epoch` and its
+/// [`INCIDENT_ROUND_VIEW`] row — the fields an incident's `incident.round`
+/// lines persist. The series-only fields of a [`RoundPoint`] are not ringed
+/// (an incident reads its tier slice from the registry), so the recorder's
+/// accounted bytes are what it holds.
+type RoundEntry = (u64, u64, [f64; INCIDENT_ROUND_VIEW.len()]);
 
-impl<T: Clone> Ring<T> {
-    fn new(cap: usize) -> Ring<T> {
-        Ring {
-            buf: Vec::new(),
-            cap: cap.max(1),
-            head: 0,
-        }
+/// Pushes onto a ring of at most `cap` entries (at least one): once full,
+/// the oldest entry makes room, so a ring never holds more than the
+/// capacity the recorder accounts for.
+fn push_ring<T>(ring: &mut VecDeque<T>, cap: usize, v: T) {
+    if ring.len() >= cap.max(1) {
+        ring.pop_front();
     }
-
-    fn push(&mut self, v: T) {
-        if self.buf.len() < self.cap {
-            self.buf.push(v);
-        } else {
-            self.buf[self.head] = v;
-            self.head = (self.head + 1) % self.cap;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Contents oldest-first.
-    fn to_vec(&self) -> Vec<T> {
-        let mut out = Vec::new();
-        for i in 0..self.buf.len() {
-            out.push(self.buf[(self.head + i) % self.buf.len()].clone());
-        }
-        out
-    }
-
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-    }
+    ring.push_back(v);
 }
 
 #[derive(Debug)]
 struct RecorderInner {
     cfg: RecorderConfig,
-    rounds: Mutex<Ring<RoundPoint>>,
-    spans: Mutex<Ring<Span>>,
+    rounds: Mutex<VecDeque<RoundEntry>>,
+    spans: Mutex<VecDeque<Span>>,
     bank: Mutex<DetectorBank>,
     incidents: Mutex<Vec<Incident>>,
     committed_epoch: Mutex<Option<u64>>,
@@ -164,8 +97,8 @@ impl FlightRecorder {
     pub fn new(cfg: RecorderConfig) -> FlightRecorder {
         FlightRecorder {
             inner: Arc::new(RecorderInner {
-                rounds: Mutex::new(Ring::new(cfg.round_capacity)),
-                spans: Mutex::new(Ring::new(cfg.span_capacity)),
+                rounds: Mutex::new(VecDeque::new()),
+                spans: Mutex::new(VecDeque::new()),
                 bank: Mutex::new(DetectorBank::new(cfg.detect.clone())),
                 incidents: Mutex::new(Vec::new()),
                 committed_epoch: Mutex::new(None),
@@ -179,10 +112,10 @@ impl FlightRecorder {
         &self.inner.cfg
     }
 
-    /// Fixed upper bound on ring memory, in bytes (capacity times entry
+    /// Fixed bound on ring memory, in accounted bytes (capacity times entry
     /// size; exported as the `recorder.accounted_bytes` gauge).
     pub fn accounted_bytes(&self) -> u64 {
-        (self.inner.cfg.round_capacity * size_of::<RoundPoint>()
+        (self.inner.cfg.round_capacity * size_of::<RoundEntry>()
             + self.inner.cfg.span_capacity * size_of::<Span>()) as u64
     }
 
@@ -190,7 +123,11 @@ impl FlightRecorder {
     /// synthetic `round` span per boundary; full traces, when enabled,
     /// supersede this for incident capture).
     pub fn record_span(&self, span: Span) {
-        lock(&self.inner.spans).push(span);
+        push_ring(
+            &mut lock(&self.inner.spans),
+            self.inner.cfg.span_capacity,
+            span,
+        );
     }
 
     /// Notes a committed checkpoint epoch; subsequent incidents carry it
@@ -208,23 +145,27 @@ impl FlightRecorder {
     /// returning any signals that fired.
     pub fn on_round(&self, point: RoundPoint) -> Vec<Signal> {
         let fired = lock(&self.inner.bank).observe(&point);
-        lock(&self.inner.rounds).push(point);
+        let row = point.row(&INCIDENT_ROUND_VIEW);
+        let entry = (point.round, point.epoch, row);
+        push_ring(
+            &mut lock(&self.inner.rounds),
+            self.inner.cfg.round_capacity,
+            entry,
+        );
         fired
     }
 
     /// Freezes the capture window: the last `capture_rounds` round samples
     /// and every ringed span from those rounds, oldest-first.
     pub fn freeze(&self) -> (Vec<RoundPoint>, Vec<Span>) {
-        let rounds = lock(&self.inner.rounds);
-        let mut window = rounds.to_vec();
+        let mut window = self.rounds();
         let keep = self.inner.cfg.capture_rounds.min(window.len());
         window.drain(..window.len() - keep);
         let from_round = window.first().map_or(0, |p| p.round);
-        drop(rounds);
         let mut spans = Vec::new();
-        for s in lock(&self.inner.spans).to_vec() {
+        for s in lock(&self.inner.spans).iter() {
             if s.round >= from_round {
-                spans.push(s);
+                spans.push(s.clone());
             }
         }
         (window, spans)
@@ -245,14 +186,26 @@ impl FlightRecorder {
         lock(&self.inner.incidents).len()
     }
 
-    /// Round samples currently in the ring, oldest-first.
+    /// Round samples currently in the ring, oldest-first; only the fields
+    /// of the [`INCIDENT_ROUND_VIEW`] (and `round`, `epoch`) are set.
     pub fn rounds(&self) -> Vec<RoundPoint> {
-        lock(&self.inner.rounds).to_vec()
+        let mut out = Vec::new();
+        for &(round, epoch, row) in lock(&self.inner.rounds).iter() {
+            let mut cells = row.into_iter();
+            let mut p = RoundPoint {
+                round,
+                epoch,
+                ..RoundPoint::default()
+            };
+            p.fill(&INCIDENT_ROUND_VIEW, |_| cells.next());
+            out.push(p);
+        }
+        out
     }
 
     /// Spans currently in the ring, oldest-first.
     pub fn spans(&self) -> Vec<Span> {
-        lock(&self.inner.spans).to_vec()
+        Vec::from(lock(&self.inner.spans).clone())
     }
 
     /// Number of round samples currently held.
@@ -284,21 +237,9 @@ mod tests {
     fn point(round: u64) -> RoundPoint {
         RoundPoint {
             round,
-            epoch: 0,
             at_secs: round as f64,
-            round_secs: 0.1,
-            close_secs: 0.01,
-            closed_windows: 1.0,
             records: 100.0,
-            watermark_secs: round as f64,
-            open_windows: 1.0,
-            hbm_occupancy: 0.2,
-            dram_occupancy: 0.1,
-            spills: 0.0,
-            knob_moves: 0.0,
-            delay_p50: 0.01,
-            delay_p95: 0.01,
-            delay_p99: 0.01,
+            ..RoundPoint::default()
         }
     }
 
@@ -319,27 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_overwrites_oldest() {
-        let mut r = Ring::new(3);
-        for i in 0..5u64 {
-            r.push(i);
-        }
-        assert_eq!(r.to_vec(), [2, 3, 4]);
-        assert_eq!(r.len(), 3);
-        r.clear();
-        assert_eq!(r.len(), 0);
-        assert!(r.to_vec().is_empty());
-    }
-
-    #[test]
-    fn ring_partial_fill_keeps_order() {
-        let mut r = Ring::new(8);
-        r.push(1u64);
-        r.push(2);
-        assert_eq!(r.to_vec(), [1, 2]);
-    }
-
-    #[test]
     fn recorder_caps_memory_and_rounds() {
         let rec = FlightRecorder::new(RecorderConfig {
             round_capacity: 4,
@@ -354,7 +274,10 @@ mod tests {
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.rounds().first().map(|p| p.round), Some(6));
         assert_eq!(rec.spans().len(), 4);
-        assert!(rec.accounted_bytes() > 0);
+        assert_eq!(
+            rec.accounted_bytes(),
+            (4 * 16 * 8 + 4 * size_of::<Span>()) as u64
+        );
         // The bound is a function of capacity only, not fill level.
         let fresh = FlightRecorder::new(rec.config().clone());
         assert_eq!(fresh.accounted_bytes(), rec.accounted_bytes());

@@ -1,6 +1,6 @@
 //! Memory-tier timelines reconstructed from the metrics registry.
 //!
-//! The engine records one [`TIER_SERIES`] row per watermark round: HBM and
+//! The engine records one [`TIER_SERIES`](crate::TIER_SERIES) row per watermark round: HBM and
 //! DRAM occupancy (live versus freelist-cached bytes), bandwidth
 //! utilisation against the machine spec, and the round's spill and
 //! knob-move activity. This module turns that series (live or re-parsed
@@ -12,137 +12,24 @@
 //! so a timeline is byte-identical across same-seed runs.
 
 // sbx-lint: out-of-scope(raw-alloc, timeline rendering at export time)
-use crate::json::fmt_f64;
-use crate::metrics::{MetricsDump, MetricsRegistry, SeriesDump};
+use crate::metrics::MetricsDump;
+use crate::round::{RoundPoint, TIER_SERIES, TIER_VIEW};
 
-/// Name of the per-round memory-tier series.
-pub const TIER_SERIES: &str = "engine.tier";
-
-/// Field names of [`TIER_SERIES`], in row order.
-///
-/// - `at_secs` — simulated time of the round boundary;
-/// - `*_live_bytes` — bytes in live allocations (used minus freelist cache);
-/// - `*_used_bytes` — accounted bytes including freelist-cached slabs;
-/// - `*_occupancy` — used bytes over pool capacity, 0..=1;
-/// - `*_bw_util` — the round's bandwidth over the machine spec, 0..=1;
-/// - `spills` / `knob_moves` — events within the round (deltas, not
-///   cumulative);
-/// - `k_low` / `k_high` — balancer knob positions at the round boundary.
-pub const TIER_FIELDS: [&str; 13] = [
-    "at_secs",
-    "hbm_live_bytes",
-    "hbm_used_bytes",
-    "hbm_occupancy",
-    "dram_live_bytes",
-    "dram_used_bytes",
-    "dram_occupancy",
-    "hbm_bw_util",
-    "dram_bw_util",
-    "spills",
-    "knob_moves",
-    "k_low",
-    "k_high",
-];
-
-/// One round boundary on the memory-tier timeline. Field meanings match
-/// [`TIER_FIELDS`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TierPoint {
-    /// Simulated time of the round boundary, seconds.
-    pub at_secs: f64,
-    /// HBM bytes in live allocations.
-    pub hbm_live_bytes: f64,
-    /// HBM accounted bytes (live plus freelist-cached).
-    pub hbm_used_bytes: f64,
-    /// HBM used bytes over capacity, 0..=1.
-    pub hbm_occupancy: f64,
-    /// DRAM bytes in live allocations.
-    pub dram_live_bytes: f64,
-    /// DRAM accounted bytes (live plus freelist-cached).
-    pub dram_used_bytes: f64,
-    /// DRAM used bytes over capacity, 0..=1.
-    pub dram_occupancy: f64,
-    /// HBM bandwidth this round over the machine spec, 0..=1.
-    pub hbm_bw_util: f64,
-    /// DRAM bandwidth this round over the machine spec, 0..=1.
-    pub dram_bw_util: f64,
-    /// HBM→DRAM spills within the round.
-    pub spills: f64,
-    /// Balancer knob moves within the round.
-    pub knob_moves: f64,
-    /// Balancer low-watermark knob position at the boundary.
-    pub k_low: f64,
-    /// Balancer high-watermark knob position at the boundary.
-    pub k_high: f64,
-}
-
-impl TierPoint {
-    fn from_row(row: &[f64], idx: &[usize; 13]) -> TierPoint {
-        let get = |i: usize| row.get(idx[i]).copied().unwrap_or(0.0);
-        TierPoint {
-            at_secs: get(0),
-            hbm_live_bytes: get(1),
-            hbm_used_bytes: get(2),
-            hbm_occupancy: get(3),
-            dram_live_bytes: get(4),
-            dram_used_bytes: get(5),
-            dram_occupancy: get(6),
-            hbm_bw_util: get(7),
-            dram_bw_util: get(8),
-            spills: get(9),
-            knob_moves: get(10),
-            k_low: get(11),
-            k_high: get(12),
-        }
-    }
-}
-
-/// A per-round memory-tier timeline (see [`TIER_SERIES`]).
+/// A per-round memory-tier timeline (see [`TIER_SERIES`](crate::TIER_SERIES)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
-    /// One point per watermark round, in round order.
-    pub points: Vec<TierPoint>,
+    /// One point per watermark round, in round order; only the fields of
+    /// the [`TIER_VIEW`] are set.
+    pub points: Vec<RoundPoint>,
 }
 
 impl Timeline {
-    /// Reconstructs the timeline from one exported series (typically the
-    /// [`TIER_SERIES`] dump, whole or a `series_window` suffix).
-    pub fn from_series(series: &SeriesDump) -> Timeline {
-        let mut idx = [usize::MAX; 13];
-        for (slot, field) in idx.iter_mut().zip(TIER_FIELDS.iter()) {
-            match series.field_index(field) {
-                Some(i) => *slot = i,
-                // A dump from a different schema version: treat missing
-                // fields as zero rather than misaligning the rest.
-                None => *slot = usize::MAX,
-            }
-        }
-        Timeline {
-            points: series
-                .rows
-                .iter()
-                .map(|row| TierPoint::from_row(row, &idx))
-                .collect(),
-        }
-    }
-
     /// Reconstructs the timeline from a metrics dump (live snapshot or
     /// re-parsed JSONL export). Returns an empty timeline when the dump has
-    /// no [`TIER_SERIES`] rows (e.g. a run recorded without observability).
+    /// no tier series (e.g. a run recorded without observability).
     pub fn from_dump(dump: &MetricsDump) -> Timeline {
-        match dump.series(TIER_SERIES) {
-            Some(series) => Timeline::from_series(series),
-            None => Timeline::default(),
-        }
-    }
-
-    /// Reconstructs the last `last_n` rounds straight from a live registry
-    /// via [`MetricsRegistry::series_window`] — the incident capture path,
-    /// which must not clone the whole run's history at each fire.
-    pub fn from_registry_window(reg: &MetricsRegistry, last_n: usize) -> Timeline {
-        match reg.series_window(TIER_SERIES, last_n) {
-            Some(series) => Timeline::from_series(&series),
-            None => Timeline::default(),
+        Timeline {
+            points: RoundPoint::from_series(&TIER_VIEW, dump.series(TIER_SERIES)),
         }
     }
 
@@ -170,30 +57,12 @@ impl Timeline {
     }
 
     /// Exports the timeline as JSONL, one flat `{"type":"tier",...}` object
-    /// per round, fields in [`TIER_FIELDS`] order.
+    /// per round, the [`TIER_VIEW`] columns.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for p in &self.points {
-            let values = [
-                p.at_secs,
-                p.hbm_live_bytes,
-                p.hbm_used_bytes,
-                p.hbm_occupancy,
-                p.dram_live_bytes,
-                p.dram_used_bytes,
-                p.dram_occupancy,
-                p.hbm_bw_util,
-                p.dram_bw_util,
-                p.spills,
-                p.knob_moves,
-                p.k_low,
-                p.k_high,
-            ];
             out.push_str("{\"type\":\"tier\"");
-            for (field, value) in TIER_FIELDS.iter().zip(values.iter()) {
-                out.push_str(&format!(",\"{field}\":{}", fmt_f64(*value)));
-            }
-            out.push_str("}\n");
+            p.finish_json_line(&TIER_VIEW, &mut out);
         }
         out
     }
@@ -224,7 +93,7 @@ impl Timeline {
             if p.knob_moves > 0.0 {
                 events.push_str(&format!(
                     " knobs={} (k_low={} k_high={})",
-                    p.knob_moves as u64, p.k_low as u64, p.k_high as u64
+                    p.knob_moves as u64, p.k_low_next as u64, p.k_high_next as u64
                 ));
             }
             out.push_str(&format!(
@@ -258,10 +127,11 @@ fn bar(frac: f64, width: usize) -> String {
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
+    use crate::round::columns;
 
     fn sample_registry() -> MetricsRegistry {
         let reg = MetricsRegistry::active();
-        let series = reg.series(TIER_SERIES, &TIER_FIELDS);
+        let series = reg.series(TIER_SERIES, &columns(&TIER_VIEW));
         series.push(&[
             1.0, 1000.0, 2000.0, 0.25, 500.0, 800.0, 0.1, 0.5, 0.2, 0.0, 0.0, 2.0, 6.0,
         ]);
@@ -317,17 +187,6 @@ mod tests {
         assert!(a.contains("spills=3"));
         assert!(a.contains("knobs=1"));
         assert!(a.contains('#'));
-    }
-
-    #[test]
-    fn registry_window_reads_bounded_suffix() {
-        let reg = sample_registry();
-        let tl = Timeline::from_registry_window(&reg, 1);
-        assert_eq!(tl.points.len(), 1);
-        assert_eq!(tl.points[0].at_secs, 2.0);
-        assert_eq!(Timeline::from_registry_window(&reg, 10).points.len(), 2);
-        assert!(Timeline::from_registry_window(&MetricsRegistry::noop(), 4).is_empty());
-        assert!(reg.series_window("not-there", 4).is_none());
     }
 
     #[test]

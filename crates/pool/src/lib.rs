@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 // sbx-lint: allow-file(atomic-ordering, wave/job diagnostics counters; read at quiescence after the scope joins)
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -148,7 +149,7 @@ impl WorkerPool {
         self.stats
             .threads_spawned
             .fetch_add(width as u64 - 1, Ordering::Relaxed);
-        let (back_tx, back_rx) = std::sync::mpsc::channel::<(usize, O)>();
+        let (back_tx, back_rx) = std::sync::mpsc::channel::<(usize, std::thread::Result<O>)>();
         // sbx-lint: allow(raw-alloc, width-1 channel handles per scope; job data stays in caller buffers)
         let mut remotes: Vec<Sender<(usize, J)>> = Vec::with_capacity(width - 1);
         std::thread::scope(|s| {
@@ -159,7 +160,9 @@ impl WorkerPool {
                 let worker = &worker;
                 s.spawn(move || {
                     while let Ok((idx, job)) = rx.recv() {
-                        let out = worker(job);
+                        // A panicking job travels back as its payload: the
+                        // issuer is blocked on this channel and re-raises it.
+                        let out = catch_unwind(AssertUnwindSafe(|| worker(job)));
                         if back.send((idx, out)).is_err() {
                             break;
                         }
@@ -200,7 +203,7 @@ impl WorkerPool {
 /// costs no thread spawns.
 pub struct Waves<'w, J, O> {
     remotes: Vec<Sender<(usize, J)>>,
-    collector: Option<Receiver<(usize, O)>>,
+    collector: Option<Receiver<(usize, std::thread::Result<O>)>>,
     worker: &'w (dyn Fn(J) -> O + Sync),
     stats: &'w StatCells,
 }
@@ -214,8 +217,7 @@ impl<J, O> Waves<'_, J, O> {
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread terminated early (its job panicked);
-    /// the surrounding `std::thread::scope` then re-raises that panic.
+    /// Re-raises, on the calling thread, the panic of any job of the wave.
     pub fn run(&self, jobs: Vec<J>) -> Vec<O> {
         let n = jobs.len();
         if n == 0 {
@@ -238,8 +240,8 @@ impl<J, O> Waves<'_, J, O> {
             } else if self.remotes[lane - 1].send((i, job)).is_ok() {
                 remote_count += 1;
             } else {
-                // Worker gone: its thread panicked. The scope will
-                // re-raise; stop feeding it.
+                // Worker gone, which a panicking job no longer causes:
+                // stop feeding it.
                 // sbx-lint: allow(no-panic, surfacing a worker-thread panic on the issuing thread)
                 panic!("pool worker terminated before the wave completed");
             }
@@ -250,7 +252,8 @@ impl<J, O> Waves<'_, J, O> {
         if let Some(rx) = &self.collector {
             for _ in 0..remote_count {
                 match rx.recv() {
-                    Ok((i, o)) => out[i] = Some(o),
+                    Ok((i, Ok(o))) => out[i] = Some(o),
+                    Ok((_, Err(payload))) => resume_unwind(payload),
                     // sbx-lint: allow(no-panic, surfacing a worker-thread panic on the issuing thread)
                     Err(_) => panic!("pool worker terminated before the wave completed"),
                 }
@@ -328,6 +331,15 @@ mod tests {
             assert!(returned.iter().all(|c| c[0] <= c[1]));
         }
         assert_eq!(data, vec![4, 5, 2, 3, 0, 1]);
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_issuer_on_every_lane() {
+        for bad in 0..3u64 {
+            let pool = WorkerPool::new(3);
+            let wave = || pool.run(3, |x: u64| assert_ne!(x, bad), vec![0, 1, 2]);
+            assert!(catch_unwind(AssertUnwindSafe(wave)).is_err(), "lane {bad}");
+        }
     }
 
     #[test]

@@ -409,21 +409,10 @@ fn run_bench(a: BenchArgs) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     if let Some(path) = &a.samples_csv {
-        let mut csv = String::from(
-            "at_secs,hbm_usage,hbm_used_bytes,dram_bw_gbps,hbm_bw_gbps,k_low,k_high,records\n",
-        );
+        let mut csv = streambox_hbm::obs::round::columns(&ROUND_VIEW).join(",") + "\n";
         for s in &report.samples {
-            csv.push_str(&format!(
-                "{},{},{},{},{},{},{},{}\n",
-                s.at_secs,
-                s.hbm_usage,
-                s.hbm_used_bytes,
-                s.dram_bw_gbps,
-                s.hbm_bw_gbps,
-                s.k_low,
-                s.k_high,
-                s.records
-            ));
+            csv.push_str(&s.row(&ROUND_VIEW).map(|v| v.to_string()).join(","));
+            csv.push('\n');
         }
         std::fs::write(path, csv)?;
         println!("  samples        : written to {path}");
@@ -947,7 +936,7 @@ fn run_report(a: &ReportArgs) -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    let samples = round_samples_from_dump(&dump);
+    let samples = RoundPoint::from_series(&ROUND_VIEW, dump.series(ROUND_SERIES));
     if samples.is_empty() {
         println!("  no 'engine.round' series: Figure-10 table unavailable");
     } else {
@@ -960,8 +949,8 @@ fn run_report(a: &ReportArgs) -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "    {:>8.3} {:>9.3} {:>12} {:>8.1} {:>8.1} {:>6.2} {:>6.2} {:>10}",
                 s.at_secs,
-                s.hbm_usage,
-                s.hbm_used_bytes / 1024,
+                s.hbm_occupancy,
+                s.hbm_used_bytes as u64 / 1024,
                 s.dram_bw_gbps,
                 s.hbm_bw_gbps,
                 s.k_low,

@@ -68,8 +68,7 @@ pub mod prelude {
     };
     pub use sbx_engine::ops::{AggKind, GroupingSpec};
     pub use sbx_engine::{
-        benchmarks, round_samples_from_dump, Cluster, ClusterReport, Engine, EngineMode, Pipeline,
-        PipelineBuilder, RunConfig, RunReport,
+        benchmarks, Engine, EngineMode, Pipeline, PipelineBuilder, RunConfig, RunReport,
     };
     pub use sbx_ingress::{
         IngestFormat, KvSource, LinkModel, NicModel, PowerGridSource, Sender, SenderConfig, Source,
@@ -81,7 +80,7 @@ pub mod prelude {
         ClusterTrace, CriticalPath, DetectorBank, DetectorConfig, FlightRecorder, HealthConfig,
         HealthReport, Incident, IncidentReport, MetricsDump, MetricsRegistry, Obs, RecorderConfig,
         RoundPoint, Signal, SpanRec, SpanStream, ThresholdRule, Timeline, TraceCollector,
-        FABRIC_SHARD,
+        FABRIC_SHARD, ROUND_SERIES, ROUND_VIEW, TIER_SERIES, TIER_VIEW,
     };
     pub use sbx_records::{Col, EventTime, RecordBundle, Schema, Watermark, WindowSpec};
     pub use sbx_simmem::{MachineConfig, MemEnv, MemKind, Priority};

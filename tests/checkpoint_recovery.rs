@@ -8,7 +8,8 @@
 //! stream — no loss, no duplication, same order.
 
 use sbx_prng::SbxRng;
-use streambox_hbm::engine::{CheckpointHooks, CrashPhase};
+use streambox_hbm::engine::CrashPhase;
+use streambox_hbm::ingress::Partitioned;
 use streambox_hbm::prelude::*;
 
 fn base_cfg() -> RunConfig {
@@ -164,34 +165,53 @@ fn crash_after_last_checkpoint_replays_only_the_tail() {
 #[test]
 fn cluster_checkpoints_coordinate_across_shards() {
     let mk_src = || KvSource::new(17, 100, 1_000_000).with_value_range(1_000);
-    let cluster = Cluster::new(2, base_cfg());
-
-    let mut a = CheckpointCoordinator::new();
-    let mut b = CheckpointCoordinator::new();
-    {
-        let mut hooks: [&mut dyn CheckpointHooks; 2] = [&mut a, &mut b];
-        let report = cluster
-            .run_checkpointed(mk_src, benchmarks::sum_per_key, 0, 16, 4, &mut hooks)
-            .expect("cluster run");
-        assert_eq!(report.per_instance.len(), 2);
-        assert!(report.records_in() > 0);
-    }
+    // Each shard's engine under its own coordinator, barriers every 4 of
+    // 16 bundles.
+    let coords: Vec<CheckpointCoordinator> = (0..2)
+        .map(|shard| {
+            let mut coord = CheckpointCoordinator::new();
+            Engine::new(base_cfg())
+                .run_with_hooks(
+                    Partitioned::new(mk_src(), 0, 2, shard),
+                    benchmarks::sum_per_key(),
+                    16,
+                    Some(4),
+                    &mut coord,
+                )
+                .expect("shard run");
+            coord
+        })
+        .collect();
+    let (a, b) = (coords[0].store(), coords[1].store());
     // Identical cadence on every shard: both stores hold the same epochs
     // and the coordinated epoch is their (equal) latest.
-    assert_eq!(a.store().epochs(), b.store().epochs());
-    let coord_epoch = coordinated_epoch(&[a.store(), b.store()]);
-    assert_eq!(coord_epoch, a.store().latest_epoch());
+    assert_eq!(a.epochs(), b.epochs());
+    let coord_epoch = coordinated_epoch(&[a, b]);
+    assert_eq!(coord_epoch, a.latest_epoch());
     assert!(coord_epoch.unwrap_or(0) >= 3, "16 bundles / interval 4");
     // Both shards' snapshots restore to matching replay offsets.
-    let sa = a.store().latest().expect("decode").expect("snapshot");
-    let sb = b.store().latest().expect("decode").expect("snapshot");
+    let sa = a.latest().expect("decode").expect("snapshot");
+    let sb = b.latest().expect("decode").expect("snapshot");
     assert_eq!(sa.epoch, sb.epoch);
     assert_eq!(sa.bundles_sent, sb.bundles_sent);
-    // A wrong-sized hook slice is a config error, not a panic.
-    let mut only: [&mut dyn CheckpointHooks; 1] = [&mut a];
-    assert!(cluster
-        .run_checkpointed(mk_src, benchmarks::sum_per_key, 0, 4, 2, &mut only)
-        .is_err());
+    // The sharded cluster keeps the same cadence: cutting it at that epoch
+    // and resuming every shard from its snapshot loses and repeats nothing.
+    let cluster = ShardedCluster::new(ClusterConfig {
+        shards: 2,
+        engine: base_cfg(),
+        ..ClusterConfig::default()
+    });
+    let plan = ElasticPlan {
+        at_epoch: sa.epoch,
+        retarget: Retarget::Shards(2),
+    };
+    let whole = cluster.run(mk_src, benchmarks::sum_per_key, 16, 4);
+    let cut = cluster.run_elastic(mk_src, benchmarks::sum_per_key, 16, 4, plan);
+    assert_eq!(
+        cut.expect("cut at the coordinated epoch")
+            .canonical_outputs(),
+        whole.expect("cluster run").canonical_outputs()
+    );
 }
 
 /// Resuming with a mismatched pipeline (different stateful operator count)

@@ -34,9 +34,10 @@ fn run_with(obs: Obs) -> RunReport {
         .expect("run")
 }
 
-/// Acceptance: `round_samples_from_dump` over the exported JSONL must
-/// reproduce the in-memory `report.samples` exactly — the Figure-10 time
-/// series survives export and re-parse bit-for-bit.
+/// Acceptance: `RoundPoint::from_series` over the exported JSONL must
+/// reproduce the round-series columns of the in-memory `report.samples`
+/// exactly — the Figure-10 time series survives export and re-parse
+/// bit-for-bit.
 #[test]
 fn metrics_export_reconstructs_round_samples_exactly() {
     let obs = Obs::metrics_only();
@@ -44,7 +45,9 @@ fn metrics_export_reconstructs_round_samples_exactly() {
     assert!(!report.samples.is_empty());
 
     let dump = MetricsDump::parse_jsonl(&obs.metrics.export_jsonl()).expect("parse");
-    assert_eq!(round_samples_from_dump(&dump), report.samples);
+    let rebuilt = RoundPoint::from_series(&ROUND_VIEW, dump.series(ROUND_SERIES));
+    let rows = |ps: &[RoundPoint]| ps.iter().map(|p| p.row(&ROUND_VIEW)).collect::<Vec<_>>();
+    assert_eq!(rows(&rebuilt), rows(&report.samples));
 
     // The whole-run totals in the report come from the same instruments.
     assert_eq!(dump.counter("engine.records_in"), Some(report.records_in));

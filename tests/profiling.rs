@@ -154,9 +154,9 @@ fn timeline_aligns_with_round_samples_and_span_rounds() {
     assert!(!tl.is_empty());
     for (p, s) in tl.points.iter().zip(report.samples.iter()) {
         assert!((p.at_secs - s.at_secs).abs() < 1e-15);
-        assert!((p.hbm_occupancy - s.hbm_usage).abs() < 1e-15);
-        assert!((p.k_low - s.k_low).abs() < 1e-15);
-        assert!((p.k_high - s.k_high).abs() < 1e-15);
+        assert!((p.hbm_occupancy - s.hbm_occupancy).abs() < 1e-15);
+        assert!((p.k_low_next - s.k_low_next).abs() < 1e-15);
+        assert!((p.k_high_next - s.k_high_next).abs() < 1e-15);
         assert!(p.hbm_used_bytes >= p.hbm_live_bytes);
         assert!((0.0..=1.0).contains(&p.hbm_occupancy));
         assert!(p.hbm_bw_util >= 0.0);
@@ -211,7 +211,6 @@ fn trajectory_is_bit_stable_and_catches_a_slowed_kernel() {
     let slowed = TrajectoryConfig {
         dir: dir.clone(),
         cost_scale: 2.0,
-        ..TrajectoryConfig::default()
     };
     let outcome = run_trajectory(&slowed).expect("trajectory run");
     assert_eq!(outcome.compared_to, Some(1));
