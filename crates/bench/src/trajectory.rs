@@ -25,7 +25,7 @@ use std::sync::Arc;
 use sbx_cluster::{ClusterConfig, ElasticPlan, Retarget, ShardedCluster};
 use sbx_engine::{benchmarks, Engine, RunConfig};
 use sbx_ingress::{NicModel, SenderConfig, YsbSource};
-use sbx_obs::json::{fmt_f64, parse_flat_object, write_str, JsonValue};
+use sbx_obs::json::{array_lines, fmt_f64, ObjWriter};
 use sbx_obs::Obs;
 use sbx_simmem::MachineConfig;
 
@@ -97,21 +97,18 @@ impl Trajectory {
     /// Serializes the snapshot as a line-wise JSON array (see module docs).
     pub fn to_json(&self) -> String {
         let mut out = String::from("[\n");
-        out.push_str(&format!(
-            "{{\"type\":\"meta\",\"schema\":{},\"cost_scale\":{}}}",
-            self.schema,
-            fmt_f64(self.cost_scale)
-        ));
+        ObjWriter::open(&mut out, "meta")
+            .u64("schema", self.schema)
+            .f64("cost_scale", self.cost_scale)
+            .end_bare();
         for m in &self.metrics {
-            out.push_str(",\n{\"type\":\"metric\",\"scenario\":");
-            write_str(&m.scenario, &mut out);
-            out.push_str(",\"name\":");
-            write_str(&m.name, &mut out);
-            out.push_str(&format!(
-                ",\"value\":{},\"direction\":\"{}\"}}",
-                fmt_f64(m.value),
-                m.direction.tag()
-            ));
+            out.push_str(",\n");
+            ObjWriter::open(&mut out, "metric")
+                .text("scenario", &m.scenario)
+                .text("name", &m.name)
+                .f64("value", m.value)
+                .text("direction", m.direction.tag())
+                .end_bare();
         }
         out.push_str("\n]\n");
         out
@@ -126,38 +123,24 @@ impl Trajectory {
         let mut schema = 0u64;
         let mut cost_scale = 1.0f64;
         let mut metrics = Vec::new();
-        for (line_no, raw) in text.lines().enumerate() {
-            let line = raw.trim().trim_start_matches(',');
-            let line = line.strip_suffix(',').unwrap_or(line).trim();
-            if line.is_empty() || line == "[" || line == "]" {
-                continue;
-            }
-            let pairs =
-                parse_flat_object(line).map_err(|e| format!("line {}: {e}", line_no + 1))?;
-            let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            let str_of = |key: &str| {
-                get(key)
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or_default()
-                    .to_owned()
-            };
-            match str_of("type").as_str() {
+        for line in array_lines(text) {
+            let line = line?;
+            match line.kind() {
                 "meta" => {
-                    schema = get("schema").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-                    cost_scale = get("cost_scale").and_then(JsonValue::as_f64).unwrap_or(1.0);
+                    schema = line.u64("schema");
+                    cost_scale = line.opt_f64("cost_scale").unwrap_or(1.0);
                 }
                 "metric" => {
-                    let dir = str_of("direction");
+                    let dir = line.text("direction");
                     metrics.push(Metric {
-                        scenario: str_of("scenario"),
-                        name: str_of("name"),
-                        value: get("value").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                        direction: Direction::from_tag(&dir).ok_or_else(|| {
-                            format!("line {}: bad direction {dir:?}", line_no + 1)
-                        })?,
+                        scenario: line.text("scenario").to_owned(),
+                        name: line.text("name").to_owned(),
+                        value: line.f64("value"),
+                        direction: Direction::from_tag(dir)
+                            .ok_or_else(|| line.err(format_args!("bad direction {dir:?}")))?,
                     });
                 }
-                other => return Err(format!("line {}: unknown type {other:?}", line_no + 1)),
+                other => return Err(line.err(format_args!("unknown type {other:?}"))),
             }
         }
         Ok(Trajectory {

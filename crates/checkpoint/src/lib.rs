@@ -15,16 +15,21 @@
 //!   demand balancer exactly like any other engine allocation,
 //! * a [`CheckpointCoordinator`] implementing the engine's
 //!   [`CheckpointHooks`]: it persists snapshots, holds sink outputs in a
-//!   *pending* buffer that only commits when the next checkpoint does
+//!   *pending* [`RowLog`] that only commits when the next checkpoint does
 //!   (transactional two-phase output — the half of exactly-once that
 //!   barrier replay alone cannot give), and evaluates a [`CrashPlan`],
-//! * the [`run_with_recovery`] driver: run, crash, restore the latest
+//! * the one recovery loop, [`run_segment`]: run, crash, restore the latest
 //!   complete snapshot, rewind the deterministic sender to the saved
 //!   offset, resume — committed outputs end up byte-identical to a
-//!   fault-free run.
+//!   fault-free run. [`run_with_recovery`] drives a whole run through it;
+//!   the cluster tier drives each side of a rescale cut through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod rowlog;
+
+pub use rowlog::{RowLog, Rows};
 
 use sbx_engine::checkpoint::EntryRepr;
 use sbx_engine::{
@@ -43,16 +48,16 @@ fn corrupt(what: &str) -> EngineError {
     EngineError::Config(format!("corrupt snapshot: {what}"))
 }
 
-/// Serializes a [`PipelineSnapshot`] into the u64-word wire format.
+/// The one encoder: hands the snapshot's wire format to `put`, a run of
+/// words at a time.
 ///
 /// Layout: a fixed header (magic, engine counters, replay offset,
 /// watermark, clock, `{k_low, k_high}` as IEEE-754 bits), then each
 /// operator state as `[has_horizon, horizon, n_scalars, scalars...,
 /// n_entries, entries...]`, each entry as `[window, port, repr_tag,
 /// resident, sorted, ncols, ts_col, n_row_words, rows...]`.
-pub fn encode_snapshot(snap: &PipelineSnapshot) -> Vec<u64> {
-    let mut w: Vec<u64> = Vec::new();
-    w.extend_from_slice(&[
+fn encode_words(snap: &PipelineSnapshot, mut put: impl FnMut(&[u64])) {
+    put(&[
         SNAPSHOT_MAGIC,
         snap.epoch,
         snap.bundles_sent,
@@ -69,27 +74,44 @@ pub fn encode_snapshot(snap: &PipelineSnapshot) -> Vec<u64> {
         snap.ops.len() as u64,
     ]);
     for op in &snap.ops {
-        w.push(u64::from(op.horizon.is_some()));
-        w.push(op.horizon.unwrap_or(0));
-        w.push(op.scalars.len() as u64);
-        w.extend_from_slice(&op.scalars);
-        w.push(op.entries.len() as u64);
+        put(&[
+            u64::from(op.horizon.is_some()),
+            op.horizon.unwrap_or(0),
+            op.scalars.len() as u64,
+        ]);
+        put(&op.scalars);
+        put(&[op.entries.len() as u64]);
         for e in &op.entries {
-            w.push(e.window);
-            w.push(u64::from(e.port));
             let (tag, resident, sorted) = match e.repr {
                 EntryRepr::Rows => (0u64, 0u64, 0u64),
                 EntryRepr::Kpa { resident, sorted } => (1, resident as u64, u64::from(sorted)),
             };
-            w.push(tag);
-            w.push(resident);
-            w.push(sorted);
-            w.push(e.ncols as u64);
-            w.push(e.ts_col as u64);
-            w.push(e.rows.len() as u64);
-            w.extend_from_slice(&e.rows);
+            put(&[
+                e.window,
+                u64::from(e.port),
+                tag,
+                resident,
+                sorted,
+                e.ncols as u64,
+                e.ts_col as u64,
+                e.rows.len() as u64,
+            ]);
+            put(&e.rows);
         }
     }
+}
+
+/// Words the encoder produces for `snap`, counted by the encoder itself.
+fn encoded_len(snap: &PipelineSnapshot) -> usize {
+    let mut len = 0;
+    encode_words(snap, |words| len += words.len());
+    len
+}
+
+/// Serializes a [`PipelineSnapshot`] into the u64-word wire format.
+pub fn encode_snapshot(snap: &PipelineSnapshot) -> Vec<u64> {
+    let mut w: Vec<u64> = Vec::new();
+    encode_words(snap, |words| w.extend_from_slice(words));
     w
 }
 
@@ -238,12 +260,11 @@ impl SnapshotStore {
     /// Returns [`EngineError::Alloc`] when the DRAM pool cannot hold the
     /// encoded snapshot.
     pub fn persist(&mut self, env: &MemEnv, snap: &PipelineSnapshot) -> Result<u64, EngineError> {
-        let words = encode_snapshot(snap);
         let mut buf = env
             .pool(MemKind::Dram)
-            .alloc_u64(words.len(), Priority::Normal)
+            .alloc_u64(encoded_len(snap), Priority::Normal)
             .map_err(EngineError::from)?;
-        buf.extend_from_slice(&words);
+        encode_words(snap, |words| buf.extend_from_slice(words));
         let bytes = buf.accounted_bytes();
         self.snaps.retain(|(e, _)| *e != snap.epoch);
         self.snaps.push((snap.epoch, buf));
@@ -361,16 +382,17 @@ pub struct CheckpointSample {
 /// instance (one per shard in a cluster).
 ///
 /// Sink outputs observed via `on_output` are *pending* until the next
-/// checkpoint commits, then move to the *committed* buffer. A crash
-/// discards pending outputs (they precede no durable snapshot and will be
+/// checkpoint commits, then move to the *committed* log. A crash discards
+/// pending outputs (they precede no durable snapshot and will be
 /// regenerated from the replayed stream), so the committed sequence is
 /// emitted exactly once however often the worker dies.
 #[derive(Debug, Default)]
 pub struct CheckpointCoordinator {
     store: SnapshotStore,
-    pending: Vec<Vec<u64>>,
-    committed: Vec<Vec<u64>>,
+    pending: RowLog,
+    committed: RowLog,
     plan: Option<CrashPlan>,
+    stop_after: Option<u64>,
     samples: Vec<CheckpointSample>,
     retain: usize,
     metrics: CkptMetrics,
@@ -407,9 +429,10 @@ impl CheckpointCoordinator {
     pub fn new() -> Self {
         CheckpointCoordinator {
             store: SnapshotStore::new(),
-            pending: Vec::new(),
-            committed: Vec::new(),
+            pending: RowLog::default(),
+            committed: RowLog::default(),
             plan: None,
+            stop_after: None,
             samples: Vec::new(),
             retain: 4,
             metrics: CkptMetrics::default(),
@@ -449,6 +472,25 @@ impl CheckpointCoordinator {
         self.plan
     }
 
+    /// Ends the run at a coordinated cut: the engine is torn down right
+    /// after `epoch`'s snapshot commits, and [`run_segment`] returns that
+    /// snapshot instead of resuming. Armed crash plans keep firing, so a
+    /// crash *during* the cut epoch composes with the cut.
+    pub fn stop_after(&mut self, epoch: u64) {
+        self.stop_after = Some(epoch);
+    }
+
+    /// The cut snapshot, when the teardown that just happened was the
+    /// [`stop_after`](CheckpointCoordinator::stop_after) cut and not a
+    /// crash: the store's newest epoch is then the stop epoch.
+    fn cut_snapshot(&self) -> Result<Option<PipelineSnapshot>, EngineError> {
+        if self.stop_after.is_some() && self.store.latest_epoch() == self.stop_after {
+            self.store.latest()
+        } else {
+            Ok(None)
+        }
+    }
+
     /// Sets how many snapshots [`SnapshotStore`] keeps (0 = unbounded).
     /// Coordinated cluster recovery needs at least 2: a shard that
     /// completed epoch `e` may have to serve `e - 1` when a sibling
@@ -483,8 +525,8 @@ impl CheckpointCoordinator {
         &self.samples
     }
 
-    /// Outputs committed so far (row-major records, in emission order).
-    pub fn committed(&self) -> &[Vec<u64>] {
+    /// Outputs committed so far, in emission order.
+    pub fn committed(&self) -> &RowLog {
         &self.committed
     }
 
@@ -499,25 +541,13 @@ impl CheckpointCoordinator {
         self.pending.clear();
     }
 
-    /// Promotes pending outputs to committed (end of a successful run).
+    /// Promotes pending outputs to committed: at every checkpoint commit
+    /// (everything emitted before the barrier is now covered by a durable
+    /// snapshot, and a resume replays only post-barrier input) and at the
+    /// end of a successful run.
     pub fn commit_pending(&mut self) {
-        self.committed.append(&mut self.pending);
-    }
-}
-
-fn push_rows(out: &mut Vec<Vec<u64>>, data: &StreamData) {
-    match data {
-        StreamData::Bundle(b) => {
-            for r in 0..b.rows() {
-                out.push(b.row(r).to_vec());
-            }
-        }
-        StreamData::Kpa(k) | StreamData::Windowed(_, k) => {
-            for i in 0..k.len() {
-                let (b, row) = k.deref(i);
-                out.push(b.row(row).to_vec());
-            }
-        }
+        self.committed.extend(&self.pending);
+        self.pending.clear();
     }
 }
 
@@ -529,9 +559,7 @@ impl CheckpointHooks for CheckpointCoordinator {
     ) -> Result<AccessProfile, EngineError> {
         let bytes = self.store.persist(env, &snap)?;
         self.store.prune_to_last(self.retain);
-        // Everything emitted before this barrier is now covered by a
-        // durable snapshot: a resume replays only post-barrier input.
-        self.committed.append(&mut self.pending);
+        self.commit_pending();
         self.samples.push(CheckpointSample {
             epoch: snap.epoch,
             snapshot_bytes: bytes,
@@ -554,18 +582,15 @@ impl CheckpointHooks for CheckpointCoordinator {
     }
 
     fn on_output(&mut self, data: &StreamData) {
-        push_rows(&mut self.pending, data);
+        self.pending.push_output(data);
     }
 
     fn should_crash(&mut self, site: CrashSite) -> bool {
-        let Some(plan) = self.plan else {
-            return false;
-        };
-        if plan.fires(site) {
+        if self.plan.is_some_and(|plan| plan.fires(site)) {
             self.plan = None;
             return true;
         }
-        false
+        site.phase == CrashPhase::BarrierCommitted && Some(site.epoch) == self.stop_after
     }
 }
 
@@ -582,35 +607,64 @@ pub struct RecoveryOutcome {
     pub resumed_epochs: Vec<u64>,
 }
 
-/// Safety valve for [`run_with_recovery`]: give up after this many
-/// crashes. Plans are one-shot, so a well-formed harness never gets near
-/// it.
+/// How a [`run_segment`] ended.
+#[derive(Debug)]
+pub enum SegmentEnd {
+    /// The stream ended: the report of the final, successful attempt.
+    Stream(RunReport),
+    /// The coordinator's [`stop_after`](CheckpointCoordinator::stop_after)
+    /// epoch committed first: that epoch's snapshot.
+    Cut(PipelineSnapshot),
+}
+
+/// Outcome of [`run_segment`].
+#[derive(Debug)]
+pub struct Segment {
+    /// How the segment ended.
+    pub end: SegmentEnd,
+    /// Number of injected crashes survived.
+    pub crashes: u64,
+    /// Epoch resumed from after each crash, in order (see
+    /// [`RecoveryOutcome::resumed_epochs`]).
+    pub resumed_epochs: Vec<u64>,
+}
+
+/// Safety valve for the recovery loop: give up after this many crashes.
+/// Plans are one-shot, so a well-formed harness never gets near it.
 pub const MAX_CRASHES: u64 = 64;
 
-/// Runs a checkpointed pipeline to completion, recovering from every
-/// injected crash: on [`EngineError::Crashed`] the engine (and with it
-/// every RC-pinned bundle and KPA) is dropped, pending outputs are
-/// discarded, the latest complete snapshot is decoded, and a fresh engine
-/// resumes from it — rewinding the deterministic sender to the snapshot's
-/// replay offset. With no committed snapshot the run restarts from
-/// scratch.
+/// The recovery loop. Runs a checkpointed pipeline until the stream ends or
+/// the coordinator's stop epoch commits, recovering from every injected
+/// crash: on [`EngineError::Crashed`] the engine (and with it every
+/// RC-pinned bundle and KPA) is dropped, pending outputs are discarded, the
+/// crashed attempt's spans and flight-recorder state are cleared, the latest
+/// complete snapshot is decoded, and a fresh engine resumes from it —
+/// rewinding the deterministic sender to the snapshot's replay offset.
+///
+/// An empty store starts from `seed` when one is given — persisted first, so
+/// a crash before any new epoch commits falls back to it — and from scratch
+/// otherwise.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError`] for real failures (allocation, configuration),
 /// or the final crash if [`MAX_CRASHES`] is exceeded.
-pub fn run_with_recovery<S: Source>(
+pub fn run_segment<S: Source>(
     cfg: &RunConfig,
     make_source: impl Fn() -> S,
     make_pipeline: impl Fn() -> Pipeline,
     bundles: usize,
     barrier_interval: u64,
     coord: &mut CheckpointCoordinator,
-) -> Result<RecoveryOutcome, EngineError> {
+    seed: Option<&PipelineSnapshot>,
+) -> Result<Segment, EngineError> {
     let mut crashes = 0u64;
     let mut resumed_epochs = Vec::new();
     loop {
         let engine = Engine::new(cfg.clone());
+        if let (Some(base), true) = (seed, coord.store().is_empty()) {
+            coord.seed(engine.env(), base)?;
+        }
         let snap = coord.store().latest()?;
         let result = match &snap {
             Some(s) => engine.resume_with_hooks(
@@ -629,29 +683,76 @@ pub fn run_with_recovery<S: Source>(
                 coord,
             ),
         };
-        match result {
+        let end = match result {
             Ok(report) => {
                 coord.commit_pending();
-                return Ok(RecoveryOutcome {
-                    report,
-                    crashes,
-                    resumed_epochs,
-                });
+                SegmentEnd::Stream(report)
             }
-            Err(EngineError::Crashed(_)) if crashes < MAX_CRASHES => {
-                crashes += 1;
-                coord.discard_pending();
-                // Drop the crashed attempt's spans so the exported trace
-                // holds exactly one surviving attempt per id range — and
-                // the crashed attempt's flight-recorder state (rings,
-                // detector history, incidents, committed-epoch note) so
-                // only the surviving attempt's evidence is exported.
-                cfg.obs.trace.clear();
-                cfg.obs.recorder.clear();
-                resumed_epochs.push(coord.store().latest_epoch().unwrap_or(0));
+            Err(crash @ EngineError::Crashed(_)) => {
+                // The cut fires right after its epoch commits, so nothing is
+                // pending: the commit took every output ahead of the barrier.
+                if let Some(snap) = coord.cut_snapshot()? {
+                    SegmentEnd::Cut(snap)
+                } else if crashes == MAX_CRASHES {
+                    return Err(crash);
+                } else {
+                    crashes += 1;
+                    coord.discard_pending();
+                    // Drop the crashed attempt's spans so the exported trace
+                    // holds exactly one surviving attempt per id range — and
+                    // the crashed attempt's flight-recorder state (rings,
+                    // detector history, incidents, committed-epoch note) so
+                    // only the surviving attempt's evidence is exported.
+                    cfg.obs.trace.clear();
+                    cfg.obs.recorder.clear();
+                    resumed_epochs.push(coord.store().latest_epoch().unwrap_or(0));
+                    continue;
+                }
             }
             Err(e) => return Err(e),
-        }
+        };
+        return Ok(Segment {
+            end,
+            crashes,
+            resumed_epochs,
+        });
+    }
+}
+
+/// Runs a checkpointed pipeline to completion through [`run_segment`],
+/// starting from scratch. With no committed snapshot a crashed run restarts
+/// from scratch.
+///
+/// # Errors
+///
+/// As [`run_segment`]; also [`EngineError::Config`] when `coord` carries a
+/// stop epoch, which ends the run before its report exists.
+pub fn run_with_recovery<S: Source>(
+    cfg: &RunConfig,
+    make_source: impl Fn() -> S,
+    make_pipeline: impl Fn() -> Pipeline,
+    bundles: usize,
+    barrier_interval: u64,
+    coord: &mut CheckpointCoordinator,
+) -> Result<RecoveryOutcome, EngineError> {
+    let seg = run_segment(
+        cfg,
+        make_source,
+        make_pipeline,
+        bundles,
+        barrier_interval,
+        coord,
+        None,
+    )?;
+    match seg.end {
+        SegmentEnd::Stream(report) => Ok(RecoveryOutcome {
+            report,
+            crashes: seg.crashes,
+            resumed_epochs: seg.resumed_epochs,
+        }),
+        SegmentEnd::Cut(_) => Err(EngineError::Config(
+            "the run stopped at a coordinated cut".into(),
+        )),
     }
 }
 

@@ -6,9 +6,10 @@
 //! A rescale is a *planned crash* at a coordinated epoch:
 //!
 //! 1. **Phase 1 — run to the cut.** Every old shard runs with barrier
-//!    snapshotting and a cut trigger that tears the engine down immediately
-//!    after the cut epoch's snapshot commits. Routed sources advance in
-//!    logical-block lockstep, so the cut covers exactly
+//!    snapshotting and a coordinator told to stop after the cut epoch
+//!    (`CheckpointCoordinator::stop_after`), which tears the engine down
+//!    immediately after that epoch's snapshot commits. Routed sources
+//!    advance in logical-block lockstep, so the cut covers exactly
 //!    `cut * interval * bundle_rows` logical records on every shard.
 //!    User-injected crashes compose: a shard that dies mid-phase recovers
 //!    through its own checkpoints (discarding pending outputs) and still
@@ -22,24 +23,24 @@
 //!    the cut recover exactly like ordinary checkpointed runs — falling
 //!    back to the seeded snapshot if no newer epoch has committed.
 //!
+//! Every shard on either side of the cut goes through one function,
+//! `ShardedCluster::run_shard`, and through it the one recovery loop,
+//! `sbx_checkpoint::run_segment`.
+//!
 //! Committed outputs are the union of phase-1 and phase-2 committed
-//! buffers; as a canonical multiset they are byte-identical to a
+//! logs; as a canonical multiset they are byte-identical to a
 //! fault-free single-topology run of the same stream.
 
 // sbx-lint: out-of-scope(raw-alloc, cluster driver; per-shard summaries and snapshot lists, not per-record data)
 use std::sync::Arc;
 
-use sbx_checkpoint::{run_with_recovery, CheckpointCoordinator, CrashPlan, MAX_CRASHES};
-use sbx_engine::{
-    CheckpointHooks, CrashPhase, CrashSite, Engine, EngineError, Pipeline, PipelineSnapshot,
-    RunConfig, StreamData,
-};
+use sbx_checkpoint::{run_segment, CheckpointCoordinator, CrashPlan, RowLog, SegmentEnd};
+use sbx_engine::{Pipeline, PipelineSnapshot, RunConfig};
 use sbx_ingress::{LinkModel, Source};
 use sbx_obs::{
     spans_to_recs, ClusterTrace, FabricEvent, FlightRecorder, Incident, MetricsRegistry, Obs,
-    RecorderConfig, SpanStream, TraceCollector,
+    SpanStream, TraceCollector,
 };
-use sbx_simmem::{AccessProfile, MemEnv};
 
 use crate::route::{merge_slot_counts, RouteTable, SlotStats, DEFAULT_SLOTS};
 use crate::shuffle::{redistribute, ShufflePlan};
@@ -71,11 +72,6 @@ pub struct ClusterConfig {
     /// that trace should use `engine.threads = 1` for byte-identical
     /// exports.
     pub trace: bool,
-    /// Per-shard flight-recorder configuration: every shard engine gets
-    /// its own always-on [`FlightRecorder`] built from this, and the
-    /// incidents it captures are folded (shard-tagged) into
-    /// [`ClusterRunReport::incidents`].
-    pub recorder: RecorderConfig,
 }
 
 impl Default for ClusterConfig {
@@ -89,7 +85,6 @@ impl Default for ClusterConfig {
             link: LinkModel::intra_rack_rdma(),
             metrics: MetricsRegistry::noop(),
             trace: false,
-            recorder: RecorderConfig::default(),
         }
     }
 }
@@ -201,7 +196,7 @@ pub struct ClusterRunReport {
     /// order. Row order *within* a shard is its emission order; use
     /// [`ClusterRunReport::canonical_outputs`] to compare across
     /// topologies.
-    pub committed: Vec<Vec<u64>>,
+    pub committed: RowLog,
     /// Cluster simulated time: the slowest shard's clock (shards run
     /// concurrently; phase-2 clocks include phase 1 and the shuffle).
     pub sim_secs: f64,
@@ -220,8 +215,8 @@ impl ClusterRunReport {
     /// The committed outputs as a canonical (sorted) multiset of rows —
     /// the representation that is byte-identical across shard counts and
     /// fault schedules for commutative aggregations.
-    pub fn canonical_outputs(&self) -> Vec<Vec<u64>> {
-        let mut rows = self.committed.clone();
+    pub fn canonical_outputs(&self) -> Vec<&[u64]> {
+        let mut rows: Vec<&[u64]> = self.committed.iter().collect();
         rows.sort_unstable();
         rows
     }
@@ -241,35 +236,33 @@ impl ClusterRunReport {
     }
 }
 
-/// Checkpoint hooks that stack the rescale cut on top of a shard's own
-/// coordinator: the engine is torn down immediately after the cut epoch's
-/// snapshot commits, while user-armed crash plans keep firing through the
-/// inner coordinator (a crash *during* the rescale epoch composes with the
-/// cut).
-struct CutHooks<'a> {
-    inner: &'a mut CheckpointCoordinator,
-    cut: u64,
+/// What the shards of a run leave behind besides their summaries,
+/// phase 1 first, in shard order.
+#[derive(Default)]
+struct Harvest {
+    committed: RowLog,
+    stats: Vec<Arc<SlotStats>>,
+    streams: Vec<SpanStream>,
+    incidents: Vec<Incident>,
 }
 
-impl CheckpointHooks for CutHooks<'_> {
-    fn on_checkpoint(
-        &mut self,
-        env: &MemEnv,
-        snap: PipelineSnapshot,
-    ) -> Result<AccessProfile, EngineError> {
-        self.inner.on_checkpoint(env, snap)
-    }
+/// The logical run every shard executes its share of.
+struct Job<'a, F, G> {
+    make_source: &'a F,
+    make_pipeline: &'a G,
+    bundles: usize,
+    interval: u64,
+    crash: Option<ClusterCrash>,
+}
 
-    fn on_output(&mut self, data: &StreamData) {
-        self.inner.on_output(data);
-    }
-
-    fn should_crash(&mut self, site: CrashSite) -> bool {
-        if self.inner.should_crash(site) {
-            return true;
-        }
-        site.phase == CrashPhase::BarrierCommitted && site.epoch == self.cut
-    }
+/// Which part of the run one shard executes.
+enum Part<'a> {
+    /// The whole stream, on a static topology.
+    Whole,
+    /// Phase 1 of a rescale: up to the commit of this cut epoch.
+    ToCut(u64),
+    /// Phase 2 of a rescale: from this redistributed snapshot to the end.
+    FromCut(&'a PipelineSnapshot),
 }
 
 /// A sharded StreamBox-HBM cluster: N per-shard engines behind a key
@@ -387,24 +380,16 @@ impl ShardedCluster {
             }
         }
         let table = RouteTable::uniform(self.cfg.shards, self.cfg.slots);
+        let job = Job {
+            make_source: &make_source,
+            make_pipeline: &make_pipeline,
+            bundles,
+            interval: barrier_interval,
+            crash,
+        };
         let report = match plan {
-            None => self.run_static(
-                &make_source,
-                &make_pipeline,
-                bundles,
-                barrier_interval,
-                &table,
-                crash,
-            )?,
-            Some(p) => self.run_rescale(
-                &make_source,
-                &make_pipeline,
-                bundles,
-                barrier_interval,
-                &table,
-                p,
-                crash,
-            )?,
+            None => self.run_static(&job, &table)?,
+            Some(p) => self.run_rescale(&job, &table, p)?,
         };
         self.export_metrics(&report);
         Ok(report)
@@ -426,13 +411,29 @@ impl ShardedCluster {
         src
     }
 
-    /// A per-shard engine config with its own metrics registry (folded
-    /// into the cluster registry after the shard finishes), its own
-    /// trace collector (harvested into a [`SpanStream`] when tracing),
-    /// and its own always-on flight recorder (incidents folded into
-    /// [`ClusterRunReport::incidents`], shard-tagged).
-    fn shard_engine_cfg(&self) -> (RunConfig, MetricsRegistry, TraceCollector, FlightRecorder) {
-        let mut cfg = self.cfg.engine.clone();
+    /// Runs one shard through one [`Part`] of the job, recovering from
+    /// injected crashes, and folds what it leaves into `harvest`: committed
+    /// rows, slot counts, metrics (under `cluster.[phase1.]shard<i>.engine.`),
+    /// its span stream when tracing, and its flight recorder's incidents,
+    /// shard-tagged. A shard stopped at the cut also returns its cut-epoch
+    /// snapshot, and its summary reads that snapshot's counters.
+    ///
+    /// Each shard engine gets its own metrics registry, trace collector and
+    /// always-on [`FlightRecorder`].
+    fn run_shard<S: Source, F: Fn() -> S, G: Fn() -> Pipeline>(
+        &self,
+        job: &Job<'_, F, G>,
+        table: &RouteTable,
+        shard: u32,
+        part: Part<'_>,
+        harvest: &mut Harvest,
+    ) -> Result<(ShardSummary, Option<PipelineSnapshot>), ClusterError> {
+        let (phase, cut, seed) = match part {
+            Part::Whole => (RescalePhase::BeforeCut, None, None),
+            Part::ToCut(cut) => (RescalePhase::BeforeCut, Some(cut), None),
+            Part::FromCut(base) => (RescalePhase::AfterCut, None, Some(base)),
+        };
+        let st = SlotStats::new(self.cfg.slots);
         let reg = if self.cfg.metrics.is_enabled() {
             MetricsRegistry::active()
         } else {
@@ -443,234 +444,137 @@ impl ShardedCluster {
         } else {
             TraceCollector::noop()
         };
-        let recorder = FlightRecorder::new(self.cfg.recorder.clone());
-        cfg.obs = Obs {
+        let recorder = FlightRecorder::new();
+        let mut engine_cfg = self.cfg.engine.clone();
+        engine_cfg.obs = Obs {
             metrics: reg.clone(),
             trace: trace.clone(),
             recorder: recorder.clone(),
         };
-        (cfg, reg, trace, recorder)
-    }
-
-    /// Harvests a finished shard's span collector into a tagged stream.
-    fn harvest(&self, shard: u32, slot_epoch: u32, trace: &TraceCollector) -> Option<SpanStream> {
-        if !self.cfg.trace {
-            return None;
+        let mut coord = CheckpointCoordinator::new();
+        if let Some(c) = job.crash.filter(|c| c.shard == shard && c.phase == phase) {
+            coord.arm(c.plan);
         }
-        Some(SpanStream {
-            shard,
-            slot_epoch,
-            spans: spans_to_recs(&trace.spans()),
-        })
-    }
+        if let Some(cut) = cut {
+            coord.stop_after(cut);
+        }
+        let seg = run_segment(
+            &engine_cfg,
+            || self.routed((job.make_source)(), table, shard, &st),
+            job.make_pipeline,
+            job.bundles,
+            job.interval,
+            &mut coord,
+            seed,
+        )?;
 
-    fn run_static<S: Source>(
-        &self,
-        make_source: &impl Fn() -> S,
-        make_pipeline: &impl Fn() -> Pipeline,
-        bundles: usize,
-        interval: u64,
-        table: &RouteTable,
-        crash: Option<ClusterCrash>,
-    ) -> Result<ClusterRunReport, ClusterError> {
-        let mut shards = Vec::new();
-        let mut committed = Vec::new();
-        let mut stats = Vec::new();
-        let mut streams = Vec::new();
-        let mut incidents = Vec::new();
-        let mut sim_secs = 0.0f64;
-        for shard in 0..table.shards() {
-            let st = SlotStats::new(self.cfg.slots);
-            let (engine_cfg, shard_reg, shard_trace, recorder) = self.shard_engine_cfg();
-            let mut coord = CheckpointCoordinator::new();
-            if let Some(c) = crash {
-                if c.shard == shard && c.phase == RescalePhase::BeforeCut {
-                    coord.arm(c.plan);
-                }
-            }
-            let outcome = run_with_recovery(
-                &engine_cfg,
-                || self.routed(make_source(), table, shard, &st),
-                make_pipeline,
-                bundles,
-                interval,
-                &mut coord,
-            )?;
-            self.cfg.metrics.adopt(
-                &format!("cluster.shard{shard}.engine."),
-                &shard_reg.snapshot(),
-            );
-            streams.extend(self.harvest(shard, 0, &shard_trace));
-            incidents.extend(
-                recorder
-                    .incidents()
-                    .into_iter()
-                    .map(|i| i.with_shard(shard)),
-            );
-            sim_secs = sim_secs.max(outcome.report.sim_secs);
-            shards.push(ShardSummary {
+        let era = if cut.is_some() { "phase1." } else { "" };
+        self.cfg.metrics.adopt(
+            &format!("cluster.{era}shard{shard}.engine."),
+            &reg.snapshot(),
+        );
+        if self.cfg.trace {
+            harvest.streams.push(SpanStream {
                 shard,
-                records_in: outcome.report.records_in,
-                output_records: outcome.report.output_records,
-                committed_rows: coord.committed().len(),
-                crashes: outcome.crashes,
-                sim_secs: outcome.report.sim_secs,
+                slot_epoch: u32::from(phase == RescalePhase::AfterCut),
+                spans: spans_to_recs(&trace.spans()),
             });
-            committed.extend(coord.committed().iter().cloned());
-            stats.push(st);
         }
-        Ok(ClusterRunReport {
-            phase1: Vec::new(),
-            rescale: None,
-            slot_loads: merge_slot_counts(&stats),
-            records_in: shards.iter().map(|s| s.records_in).sum(),
-            output_records: shards.iter().map(|s| s.output_records).sum(),
-            committed,
+        harvest.incidents.extend(
+            recorder
+                .incidents()
+                .into_iter()
+                .map(|i| i.with_shard(shard)),
+        );
+        harvest.committed.extend(coord.committed());
+        harvest.stats.push(st);
+
+        let (records_in, output_records, sim_secs) = match &seg.end {
+            SegmentEnd::Stream(r) => (r.records_in, r.output_records, r.sim_secs),
+            SegmentEnd::Cut(s) => (s.records_in, s.output_records, s.clock_ns as f64 / 1e9),
+        };
+        let summary = ShardSummary {
+            shard,
+            records_in,
+            output_records,
+            committed_rows: coord.committed().len(),
+            crashes: seg.crashes,
             sim_secs,
-            shards,
+        };
+        match (seg.end, cut) {
+            (SegmentEnd::Cut(snap), _) => Ok((summary, Some(snap))),
+            (SegmentEnd::Stream(_), None) => Ok((summary, None)),
+            (SegmentEnd::Stream(_), Some(cut)) => Err(ClusterError::Topology(format!(
+                "stream ended before the cut epoch {cut} was reached"
+            ))),
+        }
+    }
+
+    fn run_static<S: Source, F: Fn() -> S, G: Fn() -> Pipeline>(
+        &self,
+        job: &Job<'_, F, G>,
+        table: &RouteTable,
+    ) -> Result<ClusterRunReport, ClusterError> {
+        let mut harvest = Harvest::default();
+        let mut shards = Vec::new();
+        for shard in 0..table.shards() {
+            let (summary, _) = self.run_shard(job, table, shard, Part::Whole, &mut harvest)?;
+            shards.push(summary);
+        }
+        Ok(self.report(Vec::new(), shards, None, harvest, &[]))
+    }
+
+    /// Assembles the run report from the per-shard summaries and harvest.
+    fn report(
+        &self,
+        phase1: Vec<ShardSummary>,
+        shards: Vec<ShardSummary>,
+        rescale: Option<RescaleSummary>,
+        harvest: Harvest,
+        fabric: &[FabricEvent],
+    ) -> ClusterRunReport {
+        let all = || phase1.iter().chain(&shards);
+        ClusterRunReport {
+            slot_loads: merge_slot_counts(&harvest.stats),
+            records_in: all().map(|s| s.records_in).sum(),
+            output_records: all().map(|s| s.output_records).sum(),
+            committed: harvest.committed,
+            // Shards run concurrently, and phase-2 clocks include phase 1
+            // and the shuffle: the slowest final shard is the cluster clock.
+            sim_secs: shards.iter().map(|s| s.sim_secs).fold(0.0, f64::max),
             trace: if self.cfg.trace {
-                Some(ClusterTrace::stitch(&streams, &[]))
+                Some(ClusterTrace::stitch(&harvest.streams, fabric))
             } else {
                 None
             },
-            incidents,
-        })
-    }
-
-    /// Phase 1 of a rescale: one shard runs (and recovers from injected
-    /// crashes) until the cut epoch's snapshot commits, then unwinds.
-    /// Returns the user crashes survived.
-    fn run_to_cut<S: Source>(
-        engine_cfg: &RunConfig,
-        make_source: impl Fn() -> S,
-        make_pipeline: &impl Fn() -> Pipeline,
-        bundles: usize,
-        interval: u64,
-        cut: u64,
-        coord: &mut CheckpointCoordinator,
-    ) -> Result<u64, ClusterError> {
-        let mut crashes = 0u64;
-        loop {
-            let engine = Engine::new(engine_cfg.clone());
-            let snap = coord.store().latest()?;
-            let mut hooks = CutHooks { inner: coord, cut };
-            let result = match &snap {
-                Some(s) => engine.resume_with_hooks(
-                    make_source(),
-                    make_pipeline(),
-                    bundles,
-                    Some(interval),
-                    &mut hooks,
-                    s,
-                ),
-                None => engine.run_with_hooks(
-                    make_source(),
-                    make_pipeline(),
-                    bundles,
-                    Some(interval),
-                    &mut hooks,
-                ),
-            };
-            match result {
-                Ok(_) => {
-                    return Err(ClusterError::Topology(format!(
-                        "stream ended before the cut epoch {cut} was reached"
-                    )))
-                }
-                Err(EngineError::Crashed(_)) => {
-                    if coord.store().latest_epoch() == Some(cut) {
-                        // The cut fired right after the cut epoch committed:
-                        // nothing can be pending (outputs ahead of the cut
-                        // barrier were committed by the commit itself).
-                        coord.discard_pending();
-                        return Ok(crashes);
-                    }
-                    crashes += 1;
-                    if crashes > MAX_CRASHES {
-                        return Err(ClusterError::Topology(format!(
-                            "shard exceeded {MAX_CRASHES} crashes before the cut"
-                        )));
-                    }
-                    coord.discard_pending();
-                    // Drop the crashed attempt's spans and recorder state:
-                    // the resumed engine restarts span ids at zero, and
-                    // both the trace and the incident evidence document
-                    // the surviving attempt only.
-                    engine_cfg.obs.trace.clear();
-                    engine_cfg.obs.recorder.clear();
-                }
-                Err(e) => return Err(e.into()),
-            }
+            incidents: harvest.incidents,
+            phase1,
+            shards,
+            rescale,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_rescale<S: Source>(
+    fn run_rescale<S: Source, F: Fn() -> S, G: Fn() -> Pipeline>(
         &self,
-        make_source: &impl Fn() -> S,
-        make_pipeline: &impl Fn() -> Pipeline,
-        bundles: usize,
-        interval: u64,
+        job: &Job<'_, F, G>,
         table: &RouteTable,
         plan: ElasticPlan,
-        crash: Option<ClusterCrash>,
     ) -> Result<ClusterRunReport, ClusterError> {
         let cut = plan.at_epoch;
 
         // ---- Phase 1: every old shard runs to the cut. ----
+        let mut harvest = Harvest::default();
         let mut phase1 = Vec::new();
-        let mut committed = Vec::new();
-        let mut stats = Vec::new();
         let mut cut_snaps = Vec::new();
-        let mut streams = Vec::new();
-        let mut incidents = Vec::new();
         for shard in 0..table.shards() {
-            let st = SlotStats::new(self.cfg.slots);
-            let (engine_cfg, shard_reg, shard_trace, recorder) = self.shard_engine_cfg();
-            let mut coord = CheckpointCoordinator::new();
-            if let Some(c) = crash {
-                if c.shard == shard && c.phase == RescalePhase::BeforeCut {
-                    coord.arm(c.plan);
-                }
-            }
-            let crashes = Self::run_to_cut(
-                &engine_cfg,
-                || self.routed(make_source(), table, shard, &st),
-                make_pipeline,
-                bundles,
-                interval,
-                cut,
-                &mut coord,
-            )?;
-            self.cfg.metrics.adopt(
-                &format!("cluster.phase1.shard{shard}.engine."),
-                &shard_reg.snapshot(),
-            );
-            streams.extend(self.harvest(shard, 0, &shard_trace));
-            incidents.extend(
-                recorder
-                    .incidents()
-                    .into_iter()
-                    .map(|i| i.with_shard(shard)),
-            );
-            let snap = coord.store().at_epoch(cut)?.ok_or_else(|| {
-                ClusterError::Topology(format!("shard {shard} lost its cut-epoch snapshot"))
-            })?;
-            phase1.push(ShardSummary {
-                shard,
-                records_in: snap.records_in,
-                output_records: snap.output_records,
-                committed_rows: coord.committed().len(),
-                crashes,
-                sim_secs: snap.clock_ns as f64 / 1e9,
-            });
-            committed.extend(coord.committed().iter().cloned());
-            cut_snaps.push(snap);
-            stats.push(st);
+            let (summary, snap) =
+                self.run_shard(job, table, shard, Part::ToCut(cut), &mut harvest)?;
+            phase1.push(summary);
+            cut_snaps.extend(snap);
         }
 
         // ---- Retarget and shuffle. ----
-        let phase1_loads = merge_slot_counts(&stats);
+        let phase1_loads = merge_slot_counts(&harvest.stats);
         let new_table = match plan.retarget {
             Retarget::Shards(n) => table.rescaled_uniform(n),
             Retarget::Rebalance { tolerance } => table.rebalanced(&phase1_loads, tolerance).0,
@@ -737,96 +641,12 @@ impl ShardedCluster {
         // ---- Phase 2: resume every new shard from its redistributed
         // snapshot. ----
         let mut shards = Vec::new();
-        let mut sim_secs = 0.0f64;
         for (shard, base) in snapshots.iter().enumerate() {
-            let shard = shard as u32;
-            let st = SlotStats::new(self.cfg.slots);
-            let (engine_cfg, shard_reg, shard_trace, recorder) = self.shard_engine_cfg();
-            let mut coord = CheckpointCoordinator::new();
-            if let Some(c) = crash {
-                if c.shard == shard && c.phase == RescalePhase::AfterCut {
-                    coord.arm(c.plan);
-                }
-            }
-            let mut crashes = 0u64;
-            let report = loop {
-                let engine = Engine::new(engine_cfg.clone());
-                if coord.store().is_empty() {
-                    // Seed the store with the redistributed snapshot so a
-                    // crash before any new epoch commits falls back to the
-                    // post-shuffle state, not to scratch.
-                    coord.seed(engine.env(), base)?;
-                }
-                let snap = coord
-                    .store()
-                    .latest()?
-                    .ok_or_else(|| ClusterError::Topology("seeded store has no snapshot".into()))?;
-                let result = engine.resume_with_hooks(
-                    self.routed(make_source(), &new_table, shard, &st),
-                    make_pipeline(),
-                    bundles,
-                    Some(interval),
-                    &mut coord,
-                    &snap,
-                );
-                match result {
-                    Ok(r) => {
-                        coord.commit_pending();
-                        break r;
-                    }
-                    Err(EngineError::Crashed(_)) if crashes < MAX_CRASHES => {
-                        crashes += 1;
-                        coord.discard_pending();
-                        // Spans restart at id zero on resume; keep only
-                        // the surviving attempt's trace and incidents.
-                        engine_cfg.obs.trace.clear();
-                        engine_cfg.obs.recorder.clear();
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            };
-            self.cfg.metrics.adopt(
-                &format!("cluster.shard{shard}.engine."),
-                &shard_reg.snapshot(),
-            );
-            streams.extend(self.harvest(shard, 1, &shard_trace));
-            incidents.extend(
-                recorder
-                    .incidents()
-                    .into_iter()
-                    .map(|i| i.with_shard(shard)),
-            );
-            sim_secs = sim_secs.max(report.sim_secs);
-            shards.push(ShardSummary {
-                shard,
-                records_in: report.records_in,
-                output_records: report.output_records,
-                committed_rows: coord.committed().len(),
-                crashes,
-                sim_secs: report.sim_secs,
-            });
-            committed.extend(coord.committed().iter().cloned());
-            stats.push(st);
+            let part = Part::FromCut(base);
+            let (summary, _) = self.run_shard(job, &new_table, shard as u32, part, &mut harvest)?;
+            shards.push(summary);
         }
-
-        Ok(ClusterRunReport {
-            records_in: phase1.iter().map(|s| s.records_in).sum::<u64>()
-                + shards.iter().map(|s| s.records_in).sum::<u64>(),
-            output_records: phase1.iter().map(|s| s.output_records).sum::<u64>()
-                + shards.iter().map(|s| s.output_records).sum::<u64>(),
-            phase1,
-            rescale: Some(rescale),
-            slot_loads: merge_slot_counts(&stats),
-            committed,
-            sim_secs,
-            shards,
-            trace: if self.cfg.trace {
-                Some(ClusterTrace::stitch(&streams, &fabric))
-            } else {
-                None
-            },
-            incidents,
-        })
+        Ok(self.report(phase1, shards, Some(rescale), harvest, &fabric))
     }
 
     /// Exports the cluster-level view of `report` into the configured

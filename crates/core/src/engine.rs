@@ -701,7 +701,7 @@ impl Engine {
                             point.at_secs,
                             window,
                             sbx_obs::spans_to_recs(&spans),
-                            self.rm.tier_window(recorder.config().capture_rounds),
+                            self.rm.tier_window(sbx_obs::recorder::CAPTURE_ROUNDS),
                         ));
                     }
                 }

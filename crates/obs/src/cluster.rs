@@ -23,10 +23,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::detect::{sort_signals, ThresholdRule};
-use crate::json::{fmt_f64, parse_flat_object, write_str, JsonValue};
+use crate::detect::{sort_signals, Signal, ThresholdRule};
+use crate::json::{self, fmt_f64, write_str, ObjWriter};
 use crate::metrics::MetricsDump;
-use crate::profile::SpanRec;
+use crate::profile::{index_by_id, longest_chain, parse_span_lines, SpanRec};
 
 /// Sentinel shard id of the fabric track (shuffle links and barrier
 /// alignment). Real shard ids are small; the sentinel sorts last.
@@ -78,6 +78,12 @@ pub struct ClusterSpan {
     pub slot_epoch: u32,
     /// The span, with stitched id/parent.
     pub span: SpanRec,
+}
+
+impl AsRef<SpanRec> for ClusterSpan {
+    fn as_ref(&self) -> &SpanRec {
+        &self.span
+    }
 }
 
 /// A stitched cluster trace: every shard stream plus the fabric, in one id
@@ -265,23 +271,8 @@ impl ClusterTrace {
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         for cs in &self.spans {
-            let s = &cs.span;
-            out.push_str(&format!("{{\"type\":\"span\",\"id\":{}", s.id));
-            if let Some(parent) = s.parent {
-                out.push_str(&format!(",\"parent\":{parent}"));
-            }
-            out.push_str(&format!(
-                ",\"shard\":{},\"slot_epoch\":{}",
-                cs.shard, cs.slot_epoch
-            ));
-            out.push_str(",\"name\":");
-            write_str(&s.name, &mut out);
-            out.push_str(",\"cat\":");
-            write_str(&s.cat, &mut out);
-            out.push_str(&format!(
-                ",\"lane\":{},\"round\":{},\"epoch\":{},\"start_ns\":{},\"dur_ns\":{},\"records_in\":{},\"records_out\":{}}}\n",
-                s.lane, s.round, s.epoch, s.start_ns, s.dur_ns, s.records_in, s.records_out
-            ));
+            cs.span
+                .write_line(Some((cs.shard, cs.slot_epoch)), &mut out);
         }
         out
     }
@@ -357,50 +348,11 @@ impl ClusterTrace {
 ///
 /// Returns a message naming the first malformed line.
 pub fn parse_cluster_spans_jsonl(text: &str) -> Result<Vec<ClusterSpan>, String> {
-    let mut out = Vec::new();
-    for (line_no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let pairs = parse_flat_object(line).map_err(|e| format!("line {}: {e}", line_no + 1))?;
-        let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let kind = get("type").and_then(JsonValue::as_str).unwrap_or("");
-        if kind != "span" {
-            return Err(format!("line {}: not a span line ({kind:?})", line_no + 1));
-        }
-        let num = |key: &str| get(key).and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-        let text_of = |key: &str| {
-            get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        let shard = match get("shard").and_then(JsonValue::as_f64) {
-            // u32::MAX survives the f64 round trip exactly (it needs 32
-            // bits of mantissa), so the fabric sentinel parses back.
-            Some(v) => v as u32,
-            None => 0,
-        };
-        out.push(ClusterSpan {
-            shard,
-            slot_epoch: num("slot_epoch") as u32,
-            span: SpanRec {
-                id: num("id"),
-                parent: get("parent").and_then(JsonValue::as_f64).map(|p| p as u64),
-                name: text_of("name"),
-                cat: text_of("cat"),
-                lane: num("lane"),
-                round: num("round"),
-                epoch: num("epoch"),
-                start_ns: num("start_ns"),
-                dur_ns: num("dur_ns"),
-                records_in: num("records_in"),
-                records_out: num("records_out"),
-            },
-        });
-    }
-    Ok(out)
+    parse_span_lines(text, |line, span| ClusterSpan {
+        shard: line.u32("shard"),
+        slot_epoch: line.u32("slot_epoch"),
+        span,
+    })
 }
 
 /// One step of the distributed critical chain, root first.
@@ -486,48 +438,12 @@ pub struct ClusterCriticalPath {
     pub per_epoch: Vec<EpochPath>,
 }
 
-/// Latest-ending span (ties toward the smallest id) among `spans`.
-fn latest_tip<'a>(spans: impl Iterator<Item = &'a ClusterSpan>) -> Option<&'a ClusterSpan> {
-    let mut tip: Option<&ClusterSpan> = None;
-    for cs in spans {
-        let better = match tip {
-            None => true,
-            Some(t) => {
-                cs.span.end_ns() > t.span.end_ns()
-                    || (cs.span.end_ns() == t.span.end_ns() && cs.span.id < t.span.id)
-            }
-        };
-        if better {
-            tip = Some(cs);
-        }
-    }
-    tip
-}
-
 impl ClusterCriticalPath {
     /// Runs the analysis over a stitched trace. Empty input is all-zero.
     pub fn compute(trace: &ClusterTrace) -> ClusterCriticalPath {
         let spans = &trace.spans;
-        let mut by_id: BTreeMap<u64, &ClusterSpan> = BTreeMap::new();
-        for cs in spans {
-            by_id.entry(cs.span.id).or_insert(cs);
-        }
-        let tip = latest_tip(spans.iter());
-        let mut chain = Vec::new();
-        let mut cur = tip;
-        while let Some(cs) = cur {
-            chain.push(cs);
-            // Ids are allocated in dependency order, so the walk terminates
-            // even on corrupted inputs.
-            cur = cs
-                .span
-                .parent
-                .and_then(|p| by_id.get(&p).copied())
-                .filter(|pcs| pcs.span.id < cs.span.id);
-        }
-        chain.reverse();
-
-        let makespan_ns = tip.map_or(0, |t| t.span.end_ns());
+        let chain = longest_chain(&index_by_id(spans.iter()), spans.iter());
+        let makespan_ns = chain.last().map_or(0, |t| t.span.end_ns());
 
         // Stream totals for the critical-vs-slack table.
         let mut totals: BTreeMap<(u32, u32), u64> = BTreeMap::new();
@@ -605,29 +521,13 @@ impl ClusterCriticalPath {
         }
         let mut per_epoch = Vec::new();
         for (&epoch, members) in &epochs {
-            let mut member_ids: BTreeMap<u64, &ClusterSpan> = BTreeMap::new();
-            for cs in members {
-                member_ids.entry(cs.span.id).or_insert(cs);
-            }
-            let etip = latest_tip(members.iter().copied());
-            let mut critical_ns = 0u64;
-            let mut steps = 0u64;
-            let end_ns = etip.map_or(0, |t| t.span.end_ns());
-            let mut cur = etip;
-            while let Some(cs) = cur {
-                critical_ns += cs.span.dur_ns;
-                steps += 1;
-                cur = cs
-                    .span
-                    .parent
-                    .and_then(|p| member_ids.get(&p).copied())
-                    .filter(|pcs| pcs.span.id < cs.span.id);
-            }
+            let member_ids = index_by_id(members.iter().copied());
+            let chain = longest_chain(&member_ids, members.iter().copied());
             per_epoch.push(EpochPath {
                 epoch,
-                critical_ns,
-                steps,
-                end_ns,
+                critical_ns: chain.iter().map(|cs| cs.span.dur_ns).sum(),
+                steps: chain.len() as u64,
+                end_ns: chain.last().map_or(0, |t| t.span.end_ns()),
             });
         }
 
@@ -750,34 +650,22 @@ impl ClusterCriticalPath {
     }
 }
 
-/// Thresholds for the shard-health detectors. Every detector is a pure
-/// function of the cluster metrics dump — no new clocks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthConfig {
-    /// A shard trips `straggler` when its last round timestamp exceeds this
-    /// multiple of the mean across shards.
-    pub straggler_ratio: f64,
-    /// A round trips `watermark-lag` when the spread of per-shard round
-    /// timestamps exceeds this many simulated seconds.
-    pub watermark_lag_secs: f64,
-    /// The hottest slot trips `slot-skew` when its record count exceeds
-    /// this multiple of the mean slot load.
-    pub skew_ratio: f64,
-    /// A link trips `link-saturation` when its transfer time is at least
-    /// this fraction of the whole shuffle's drain time.
-    pub saturation_ratio: f64,
-}
+// Thresholds of the shard-health detectors. Every detector is a pure
+// function of the cluster metrics dump — no new clocks — and no caller has
+// ever needed another value (DESIGN.md §13).
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            straggler_ratio: 1.5,
-            watermark_lag_secs: 0.5,
-            skew_ratio: 2.0,
-            saturation_ratio: 0.5,
-        }
-    }
-}
+/// A shard trips `straggler` when its last round timestamp exceeds this
+/// multiple of the mean across shards.
+const STRAGGLER_RATIO: f64 = 1.5;
+/// A round trips `watermark-lag` when the spread of per-shard round
+/// timestamps exceeds this many simulated seconds.
+const WATERMARK_LAG_SECS: f64 = 0.5;
+/// The hottest slot trips `slot-skew` when its record count exceeds this
+/// multiple of the mean slot load.
+const SKEW_RATIO: f64 = 2.0;
+/// A link trips `link-saturation` when its transfer time is at least this
+/// fraction of the whole shuffle's drain time.
+const SATURATION_RATIO: f64 = 0.5;
 
 /// One tripped health detector: `slot-skew`, `link-saturation`,
 /// `straggler`, or `watermark-lag` on a subject like `slot12`,
@@ -802,7 +690,7 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// Evaluates every detector against a cluster metrics dump.
-    pub fn compute(dump: &MetricsDump, cfg: &HealthConfig) -> HealthReport {
+    pub fn compute(dump: &MetricsDump) -> HealthReport {
         let mut signals = Vec::new();
 
         // Rebalance facts: which slots the retarget moved.
@@ -847,7 +735,7 @@ impl HealthReport {
                 } else {
                     ""
                 };
-                let rule = ThresholdRule::above("slot-skew", cfg.skew_ratio);
+                let rule = ThresholdRule::above("slot-skew", SKEW_RATIO);
                 if let Some(sig) = rule.check(
                     ratio,
                     format!("slot{}", hot.0),
@@ -880,7 +768,7 @@ impl HealthReport {
                     continue;
                 };
                 let ratio = *value as f64 / total_shuffle_ns as f64;
-                let rule = ThresholdRule::at_least("link-saturation", cfg.saturation_ratio);
+                let rule = ThresholdRule::at_least("link-saturation", SATURATION_RATIO);
                 if let Some(sig) = rule.check(
                     ratio,
                     format!("link{src}->{dst}"),
@@ -931,7 +819,7 @@ impl HealthReport {
             }
             let mean = sum / lasts.len() as f64;
             if mean > 0.0 {
-                let rule = ThresholdRule::above("straggler", cfg.straggler_ratio);
+                let rule = ThresholdRule::above("straggler", STRAGGLER_RATIO);
                 for &(shard, last, rounds) in &lasts {
                     let score = last / mean;
                     if let Some(sig) = rule.check(
@@ -964,7 +852,7 @@ impl HealthReport {
                 }
                 if n >= 2 {
                     let lag = hi - lo;
-                    let rule = ThresholdRule::above("watermark-lag", cfg.watermark_lag_secs);
+                    let rule = ThresholdRule::above("watermark-lag", WATERMARK_LAG_SECS);
                     if let Some(sig) = rule.check(
                         lag,
                         format!("round{r}"),
@@ -994,35 +882,10 @@ impl HealthReport {
         }
     }
 
-    /// Serializes the report as deterministic JSONL: one line per tripped
-    /// signal plus a trailing summary line.
+    /// Serializes the report as deterministic JSONL: one signal line per
+    /// tripped signal plus a trailing `summary` signal line — `subject` the
+    /// hot slot, `value` the signal count, `detail` the moved slots.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.signals {
-            out.push_str("{\"type\":\"health\",\"kind\":");
-            write_str(&s.kind, &mut out);
-            out.push_str(",\"subject\":");
-            write_str(&s.subject, &mut out);
-            out.push_str(&format!(
-                ",\"round\":{},\"value\":{},\"threshold\":{}",
-                s.round,
-                fmt_f64(s.value),
-                fmt_f64(s.threshold)
-            ));
-            out.push_str(",\"detail\":");
-            write_str(&s.detail, &mut out);
-            out.push_str("}\n");
-        }
-        out.push_str("{\"type\":\"health\",\"kind\":\"summary\",\"subject\":");
-        let hot = match self.hot_slot {
-            Some(j) => format!("slot{j}"),
-            None => String::from("none"),
-        };
-        write_str(&hot, &mut out);
-        out.push_str(&format!(
-            ",\"round\":0,\"value\":{},\"threshold\":0",
-            self.signals.len()
-        ));
         let mut moved = String::from("moved slots: [");
         for (i, m) in self.moved_slots.iter().enumerate() {
             if i > 0 {
@@ -1031,10 +894,57 @@ impl HealthReport {
             moved.push_str(&m.to_string());
         }
         moved.push(']');
-        out.push_str(",\"detail\":");
-        write_str(&moved, &mut out);
-        out.push_str("}\n");
+        let summary = Signal {
+            kind: String::from("summary"),
+            subject: match self.hot_slot {
+                Some(j) => format!("slot{j}"),
+                None => String::from("none"),
+            },
+            round: 0,
+            value: self.signals.len() as f64,
+            threshold: 0.0,
+            detail: moved,
+        };
+        let mut out = String::new();
+        for s in self.signals.iter().chain([&summary]) {
+            s.write_fields(ObjWriter::open(&mut out, "health"), |w| w)
+                .end();
+        }
         out
+    }
+
+    /// Parses a JSONL export produced by [`HealthReport::to_jsonl`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first malformed line.
+    pub fn parse_jsonl(text: &str) -> Result<HealthReport, String> {
+        let mut report = HealthReport::default();
+        for line in json::lines(text) {
+            let line = line?;
+            if line.kind() != "health" {
+                return Err(line.err(format_args!("not a health line ({:?})", line.kind())));
+            }
+            let sig = Signal::from_line(&line);
+            if sig.kind != "summary" {
+                report.signals.push(sig);
+                continue;
+            }
+            report.hot_slot = match sig.subject.strip_prefix("slot") {
+                Some(j) => Some(j.parse().map_err(|_| line.err("bad hot slot"))?),
+                None => None,
+            };
+            let moved = sig
+                .detail
+                .strip_prefix("moved slots: [")
+                .and_then(|d| d.strip_suffix(']'))
+                .ok_or_else(|| line.err("bad moved-slot list"))?;
+            for j in moved.split(',').filter(|j| !j.is_empty()) {
+                let j = j.parse().map_err(|_| line.err("bad moved slot"))?;
+                report.moved_slots.push(j);
+            }
+        }
+        Ok(report)
     }
 
     /// Renders a deterministic text report for `sbx report --health`.
@@ -1270,7 +1180,7 @@ mod tests {
 
     #[test]
     fn detectors_trip_on_skewed_fixture() {
-        let report = HealthReport::compute(&skewed_dump(), &HealthConfig::default());
+        let report = HealthReport::compute(&skewed_dump());
         let kinds: Vec<&str> = report.signals.iter().map(|s| s.kind.as_str()).collect();
         assert!(kinds.contains(&"slot-skew"));
         assert!(kinds.contains(&"link-saturation"));
@@ -1281,14 +1191,16 @@ mod tests {
         assert!(report.hot_slot_moved());
         let text = report.render();
         assert!(text.contains("hot slot: 3 (moved by rebalance)"));
-        // Deterministic JSONL: recomputation is byte-identical.
-        let again = HealthReport::compute(&skewed_dump(), &HealthConfig::default());
+        // Deterministic JSONL: recomputation is byte-identical, and the
+        // export parses back to the report.
+        let again = HealthReport::compute(&skewed_dump());
         assert_eq!(report.to_jsonl(), again.to_jsonl());
+        assert_eq!(HealthReport::parse_jsonl(&report.to_jsonl()), Ok(report));
     }
 
     #[test]
     fn detectors_stay_silent_on_balanced_fixture() {
-        let report = HealthReport::compute(&balanced_dump(), &HealthConfig::default());
+        let report = HealthReport::compute(&balanced_dump());
         assert!(report.signals.is_empty(), "signals: {:?}", report.signals);
         assert!(!report.hot_slot_moved());
         assert!(report.render().contains("all detectors silent"));
@@ -1302,10 +1214,8 @@ mod tests {
         assert_eq!(cp.makespan_ns, 0);
         assert_eq!(cp.attributed_ns(), 0);
         assert!(cp.render(3).contains("no spans"));
-        assert!(
-            HealthReport::compute(&MetricsDump::default(), &HealthConfig::default())
-                .signals
-                .is_empty()
-        );
+        assert!(HealthReport::compute(&MetricsDump::default())
+            .signals
+            .is_empty());
     }
 }

@@ -13,6 +13,7 @@
 //! [`ThresholdRule`] instances on this same framework; [`Signal`] is
 //! re-exported there as `HealthSignal`.
 
+use crate::json::{Line, ObjWriter};
 use crate::round::RoundPoint;
 
 /// A detector verdict: one rule firing on one subject at one round.
@@ -33,6 +34,39 @@ pub struct Signal {
     pub threshold: f64,
     /// Human-readable explanation.
     pub detail: String,
+}
+
+impl Signal {
+    /// Appends the six signal fields to an open line: `kind`, `subject`,
+    /// `round`, whatever `between` adds (an incident's epoch and time),
+    /// then `value`, `threshold`, `detail`. [`Signal::from_line`] reads
+    /// them back.
+    pub(crate) fn write_fields<'a>(
+        &self,
+        w: ObjWriter<'a>,
+        between: impl FnOnce(ObjWriter<'a>) -> ObjWriter<'a>,
+    ) -> ObjWriter<'a> {
+        let w = w
+            .text("kind", &self.kind)
+            .text("subject", &self.subject)
+            .u64("round", self.round);
+        between(w)
+            .f64("value", self.value)
+            .f64("threshold", self.threshold)
+            .text("detail", &self.detail)
+    }
+
+    /// Reads the fields [`Signal::write_fields`] writes.
+    pub(crate) fn from_line(line: &Line) -> Signal {
+        Signal {
+            kind: line.text("kind").to_owned(),
+            subject: line.text("subject").to_owned(),
+            round: line.u64("round"),
+            value: line.f64("value"),
+            threshold: line.f64("threshold"),
+            detail: line.text("detail").to_owned(),
+        }
+    }
 }
 
 /// Sorts signals into the canonical deterministic order: kind, then round,
@@ -171,55 +205,36 @@ impl Cusum {
     }
 }
 
-/// Tuning for the engine-local detector bank. All values compare
-/// simulated-time quantities, so the defaults behave identically across
-/// hosts and thread counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectorConfig {
-    /// Rounds at the start of a run during which no detector fires
-    /// (EWMA/CUSUM state still updates).
-    pub warmup_rounds: u64,
-    /// Rounds a detector stays quiet after firing.
-    pub hysteresis_rounds: u64,
-    /// Spill CUSUM: spills allowed per round before the sum grows.
-    pub spill_slack: f64,
-    /// Spill CUSUM: accumulated excess spills that fire `spill-storm`.
-    pub spill_limit: f64,
-    /// EWMA smoothing factor for the window-close delay series.
-    pub delay_alpha: f64,
-    /// `delay-surge` fires when a round's close delay exceeds this multiple
-    /// of the EWMA.
-    pub delay_surge_ratio: f64,
-    /// Close delays below this (seconds) never fire `delay-surge`, so
-    /// near-zero baselines don't amplify noise into surges.
-    pub delay_min_secs: f64,
-    /// `hbm-pressure` fires when HBM occupancy reaches this fraction while
-    /// the run has spilled nothing (pressure without relief).
-    pub occupancy_limit: f64,
-    /// Consecutive rounds of frozen watermark (with records still arriving)
-    /// that fire `watermark-stall`.
-    pub stall_rounds: u64,
-    /// `backpressure` fires when more than this many windows sit open
-    /// behind the watermark.
-    pub queue_limit: f64,
-}
+// The bank's thresholds. All compare simulated-time quantities, so they
+// behave identically across hosts and thread counts; no caller has ever
+// needed another value (DESIGN.md §15).
 
-impl Default for DetectorConfig {
-    fn default() -> DetectorConfig {
-        DetectorConfig {
-            warmup_rounds: 3,
-            hysteresis_rounds: 4,
-            spill_slack: 2.0,
-            spill_limit: 8.0,
-            delay_alpha: 0.3,
-            delay_surge_ratio: 8.0,
-            delay_min_secs: 1e-6,
-            occupancy_limit: 0.95,
-            stall_rounds: 3,
-            queue_limit: 256.0,
-        }
-    }
-}
+/// Rounds at the start of a run during which no detector fires (EWMA/CUSUM
+/// state still updates).
+const WARMUP_ROUNDS: u64 = 3;
+/// Rounds a detector stays quiet after firing.
+const HYSTERESIS_ROUNDS: u64 = 4;
+/// Spill CUSUM: spills allowed per round before the sum grows.
+const SPILL_SLACK: f64 = 2.0;
+/// Spill CUSUM: accumulated excess spills that fire `spill-storm`.
+const SPILL_LIMIT: f64 = 8.0;
+/// EWMA smoothing factor for the window-close delay series.
+const DELAY_ALPHA: f64 = 0.3;
+/// `delay-surge` fires when a round's close delay exceeds this multiple of
+/// the EWMA.
+const DELAY_SURGE_RATIO: f64 = 8.0;
+/// Close delays below this (seconds) never fire `delay-surge`, so near-zero
+/// baselines don't amplify noise into surges.
+const DELAY_MIN_SECS: f64 = 1e-6;
+/// `hbm-pressure` fires when HBM occupancy reaches this fraction while the
+/// run has spilled nothing (pressure without relief).
+const OCCUPANCY_LIMIT: f64 = 0.95;
+/// Consecutive rounds of frozen watermark (with records still arriving)
+/// that fire `watermark-stall`.
+const STALL_ROUNDS: u64 = 3;
+/// `backpressure` fires when more than this many windows sit open behind
+/// the watermark.
+const QUEUE_LIMIT: f64 = 256.0;
 
 // Detector slots, indexing the per-detector hysteresis deadlines.
 const SPILL_STORM: usize = 0;
@@ -242,7 +257,6 @@ const DETECTORS: usize = 5;
 /// | `backpressure`    | open windows behind the watermark exceed limit    |
 #[derive(Debug, Clone)]
 pub struct DetectorBank {
-    cfg: DetectorConfig,
     spill_cusum: Cusum,
     delay_ewma: Ewma,
     cum_spills: f64,
@@ -251,13 +265,18 @@ pub struct DetectorBank {
     quiet_until: [u64; DETECTORS],
 }
 
+impl Default for DetectorBank {
+    fn default() -> DetectorBank {
+        DetectorBank::new()
+    }
+}
+
 impl DetectorBank {
-    /// A fresh bank with the given tuning.
-    pub fn new(cfg: DetectorConfig) -> DetectorBank {
+    /// A fresh bank.
+    pub fn new() -> DetectorBank {
         DetectorBank {
-            spill_cusum: Cusum::new(cfg.spill_slack),
-            delay_ewma: Ewma::new(cfg.delay_alpha),
-            cfg,
+            spill_cusum: Cusum::new(SPILL_SLACK),
+            delay_ewma: Ewma::new(DELAY_ALPHA),
             cum_spills: 0.0,
             last_watermark: None,
             stalled: 0,
@@ -268,16 +287,15 @@ impl DetectorBank {
     /// Forgets all detector state (used when a crashed attempt rewinds the
     /// run to a checkpoint).
     pub fn reset(&mut self) {
-        let cfg = self.cfg.clone();
-        *self = DetectorBank::new(cfg);
+        *self = DetectorBank::new();
     }
 
     fn armed(&self, slot: usize, round: u64) -> bool {
-        round >= self.cfg.warmup_rounds && round >= self.quiet_until[slot]
+        round >= WARMUP_ROUNDS && round >= self.quiet_until[slot]
     }
 
     fn quiet(&mut self, slot: usize, round: u64) {
-        self.quiet_until[slot] = round + 1 + self.cfg.hysteresis_rounds;
+        self.quiet_until[slot] = round + 1 + HYSTERESIS_ROUNDS;
     }
 
     /// Evaluates every detector against one round boundary. State always
@@ -293,14 +311,14 @@ impl DetectorBank {
         self.cum_spills += p.spills;
         let s = self.spill_cusum.observe(p.spills);
         if self.armed(SPILL_STORM, p.round) {
-            let rule = ThresholdRule::above("spill-storm", self.cfg.spill_limit);
+            let rule = ThresholdRule::above("spill-storm", SPILL_LIMIT);
             if let Some(sig) = rule.check(
                 s,
                 subject(p),
                 p.round,
                 format!(
                     "spill CUSUM hit {:.1} ({} HBM->DRAM spills this round, slack {:.0}/round)",
-                    s, p.spills as u64, self.cfg.spill_slack
+                    s, p.spills as u64, SPILL_SLACK
                 ),
             ) {
                 fired.push(sig);
@@ -312,9 +330,9 @@ impl DetectorBank {
         // delay-surge: a window close far above its own moving average.
         if p.closed_windows > 0.0 {
             if let Some(avg) = self.delay_ewma.value() {
-                if avg > self.cfg.delay_min_secs && self.armed(DELAY_SURGE, p.round) {
+                if avg > DELAY_MIN_SECS && self.armed(DELAY_SURGE, p.round) {
                     let ratio = p.close_secs / avg;
-                    let rule = ThresholdRule::above("delay-surge", self.cfg.delay_surge_ratio);
+                    let rule = ThresholdRule::above("delay-surge", DELAY_SURGE_RATIO);
                     if let Some(sig) = rule.check(
                         ratio,
                         subject(p),
@@ -344,7 +362,7 @@ impl DetectorBank {
         } else {
             self.stalled += 1;
             if self.armed(WATERMARK_STALL, p.round) {
-                let rule = ThresholdRule::at_least("watermark-stall", self.cfg.stall_rounds as f64);
+                let rule = ThresholdRule::at_least("watermark-stall", STALL_ROUNDS as f64);
                 if let Some(sig) = rule.check(
                     self.stalled as f64,
                     subject(p),
@@ -364,7 +382,7 @@ impl DetectorBank {
         // pressure without relief, the placement controller's cue. A run
         // that is already spilling reports spill-storm instead.
         if self.cum_spills == 0.0 && self.armed(HBM_PRESSURE, p.round) {
-            let rule = ThresholdRule::at_least("hbm-pressure", self.cfg.occupancy_limit);
+            let rule = ThresholdRule::at_least("hbm-pressure", OCCUPANCY_LIMIT);
             if let Some(sig) = rule.check(
                 p.hbm_occupancy,
                 subject(p),
@@ -382,7 +400,7 @@ impl DetectorBank {
 
         // backpressure: the open-window queue behind the watermark.
         if self.armed(BACKPRESSURE, p.round) {
-            let rule = ThresholdRule::above("backpressure", self.cfg.queue_limit);
+            let rule = ThresholdRule::above("backpressure", QUEUE_LIMIT);
             if let Some(sig) = rule.check(
                 p.open_windows,
                 subject(p),
@@ -427,13 +445,9 @@ mod tests {
         }
     }
 
-    fn bank() -> DetectorBank {
-        DetectorBank::new(DetectorConfig::default())
-    }
-
     #[test]
     fn clean_rounds_fire_nothing() {
-        let mut b = bank();
+        let mut b = DetectorBank::new();
         for r in 0..50 {
             assert!(b.observe(&point(r)).is_empty(), "round {r}");
         }
@@ -441,7 +455,7 @@ mod tests {
 
     #[test]
     fn spill_storm_fires_with_hysteresis() {
-        let mut b = bank();
+        let mut b = DetectorBank::new();
         let mut rounds_fired = Vec::new();
         for r in 0..20 {
             let mut p = point(r);
@@ -458,13 +472,13 @@ mod tests {
         assert!(!rounds_fired.is_empty());
         assert_eq!(rounds_fired[0], 3);
         for w in rounds_fired.windows(2) {
-            assert!(w[1] - w[0] > DetectorConfig::default().hysteresis_rounds);
+            assert!(w[1] - w[0] > HYSTERESIS_ROUNDS);
         }
     }
 
     #[test]
     fn delay_surge_fires_on_spike_only() {
-        let mut b = bank();
+        let mut b = DetectorBank::new();
         for r in 0..10 {
             assert!(b.observe(&point(r)).is_empty());
         }
@@ -483,7 +497,7 @@ mod tests {
 
     #[test]
     fn watermark_stall_needs_consecutive_frozen_rounds() {
-        let mut b = bank();
+        let mut b = DetectorBank::new();
         for r in 0..5 {
             assert!(b.observe(&point(r)).is_empty());
         }
@@ -510,7 +524,7 @@ mod tests {
 
     #[test]
     fn hbm_pressure_requires_zero_spills_all_run() {
-        let mut b = bank();
+        let mut b = DetectorBank::new();
         for r in 0..4 {
             b.observe(&point(r));
         }
@@ -522,7 +536,7 @@ mod tests {
 
         // A bank that has seen spills classifies the run as spilling, not
         // silently pressured.
-        let mut b2 = bank();
+        let mut b2 = DetectorBank::new();
         let mut s = point(0);
         s.spills = 1.0;
         b2.observe(&s);
@@ -536,7 +550,7 @@ mod tests {
 
     #[test]
     fn backpressure_fires_above_queue_limit() {
-        let mut b = bank();
+        let mut b = DetectorBank::new();
         for r in 0..4 {
             b.observe(&point(r));
         }
@@ -550,7 +564,7 @@ mod tests {
 
     #[test]
     fn warmup_suppresses_everything() {
-        let mut b = bank();
+        let mut b = DetectorBank::new();
         let mut p = point(0);
         p.spills = 100.0;
         p.hbm_occupancy = 1.0;
@@ -560,7 +574,7 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut b = bank();
+        let mut b = DetectorBank::new();
         let mut p = point(0);
         p.spills = 100.0;
         b.observe(&p);

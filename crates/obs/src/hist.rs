@@ -187,14 +187,16 @@ impl HistSnapshot {
         let mut seen = 0u64;
         for &(idx, c) in &self.buckets {
             let before = seen;
-            seen += c;
+            // A parsed snapshot may hold any counts and bounds: saturate,
+            // and bound with `max`/`min` (`clamp` panics when min > max).
+            seen = seen.saturating_add(c);
             if seen as f64 >= target {
                 if idx == 0 {
                     return self.min.min(0.0).max(self.min);
                 }
                 let (lo, hi) = bucket_bounds(idx);
                 let frac = ((target - before as f64) / c as f64).clamp(0.0, 1.0);
-                return (lo + (hi - lo) * frac).clamp(self.min, self.max);
+                return (lo + (hi - lo) * frac).max(self.min).min(self.max);
             }
         }
         self.max

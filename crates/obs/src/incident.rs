@@ -16,11 +16,9 @@
 //! [`IncidentReport::parse_jsonl`]. Every value is simulated-time derived,
 //! so same-seed artifacts are byte-identical.
 
-use std::fmt::Write as _;
-
 use crate::cluster::{HealthReport, FABRIC_SHARD};
 use crate::detect::Signal;
-use crate::json::{fmt_f64, parse_flat_object, write_str, JsonValue};
+use crate::json::{self, Line, ObjWriter};
 use crate::profile::{CriticalPath, PathStep, SpanRec};
 use crate::round::{RoundPoint, INCIDENT_ROUND_VIEW, TIER_VIEW};
 
@@ -110,6 +108,15 @@ pub struct IncidentReport {
     pub incidents: Vec<Incident>,
 }
 
+/// The incident an evidence line (`incident.round`, `.span`, `.tier`,
+/// `.path`) belongs to: the one whose `incident` line precedes it.
+fn evidence<'a>(incidents: &'a mut [Incident], line: &Line) -> Result<&'a mut Incident, String> {
+    let what = line.kind().trim_start_matches("incident.");
+    incidents
+        .last_mut()
+        .ok_or_else(|| line.err(format_args!("{what} before incident")))
+}
+
 impl IncidentReport {
     /// Wraps a list of captured incidents.
     pub fn new(incidents: Vec<Incident>) -> IncidentReport {
@@ -141,75 +148,47 @@ impl IncidentReport {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (seq, inc) in self.incidents.iter().enumerate() {
-            let v = &inc.verdict;
-            out.push_str(&format!(
-                "{{\"type\":\"incident\",\"seq\":{seq},\"shard\":{},\"kind\":",
-                inc.shard
-            ));
-            write_str(&v.kind, &mut out);
-            out.push_str(",\"subject\":");
-            write_str(&v.subject, &mut out);
-            let _ = write!(out, ",\"round\":{},\"epoch\":{}", v.round, inc.epoch);
-            if let Some(ce) = inc.committed_epoch {
-                let _ = write!(out, ",\"committed_epoch\":{ce}");
-            }
-            let _ = write!(
-                out,
-                ",\"at_secs\":{},\"value\":{},\"threshold\":{},\"detail\":",
-                fmt_f64(inc.at_secs),
-                fmt_f64(v.value),
-                fmt_f64(v.threshold)
-            );
-            write_str(&v.detail, &mut out);
-            out.push_str("}\n");
-
+            let seq = seq as u64;
+            let w = ObjWriter::open(&mut out, "incident")
+                .u64("seq", seq)
+                .u64("shard", u64::from(inc.shard));
+            inc.verdict
+                .write_fields(w, |w| {
+                    w.u64("epoch", inc.epoch)
+                        .opt_u64("committed_epoch", inc.committed_epoch)
+                        .f64("at_secs", inc.at_secs)
+                })
+                .end();
             for p in &inc.rounds {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"incident.round\",\"seq\":{seq},\"round\":{},\"epoch\":{}",
-                    p.round, p.epoch
-                );
-                p.finish_json_line(&INCIDENT_ROUND_VIEW, &mut out);
+                let w = ObjWriter::open(&mut out, "incident.round")
+                    .u64("seq", seq)
+                    .u64("round", p.round)
+                    .u64("epoch", p.epoch);
+                p.write_view(&INCIDENT_ROUND_VIEW, w).end();
             }
             for s in &inc.spans {
-                out.push_str(&format!(
-                    "{{\"type\":\"incident.span\",\"seq\":{seq},\"id\":{}",
-                    s.id
-                ));
-                if let Some(parent) = s.parent {
-                    let _ = write!(out, ",\"parent\":{parent}");
-                }
-                out.push_str(",\"name\":");
-                write_str(&s.name, &mut out);
-                out.push_str(",\"cat\":");
-                write_str(&s.cat, &mut out);
-                let _ = writeln!(
-                    out,
-                    ",\"lane\":{},\"round\":{},\"epoch\":{},\"start_ns\":{},\"dur_ns\":{},\"records_in\":{},\"records_out\":{}}}",
-                    s.lane, s.round, s.epoch, s.start_ns, s.dur_ns, s.records_in, s.records_out
-                );
+                let w = ObjWriter::open(&mut out, "incident.span").u64("seq", seq);
+                s.write_fields(w, None).end();
             }
             for p in &inc.tier {
-                let _ = write!(out, "{{\"type\":\"incident.tier\",\"seq\":{seq}");
-                p.finish_json_line(&TIER_VIEW, &mut out);
+                let w = ObjWriter::open(&mut out, "incident.tier").u64("seq", seq);
+                p.write_view(&TIER_VIEW, w).end();
             }
             for step in &inc.path {
-                out.push_str(&format!(
-                    "{{\"type\":\"incident.path\",\"seq\":{seq},\"id\":{},\"name\":",
-                    step.id
-                ));
-                write_str(&step.name, &mut out);
-                let _ = writeln!(
-                    out,
-                    ",\"lane\":{},\"round\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-                    step.lane, step.round, step.start_ns, step.dur_ns
-                );
+                ObjWriter::open(&mut out, "incident.path")
+                    .u64("seq", seq)
+                    .u64("id", step.id)
+                    .text("name", &step.name)
+                    .u64("lane", step.lane)
+                    .u64("round", step.round)
+                    .u64("start_ns", step.start_ns)
+                    .u64("dur_ns", step.dur_ns)
+                    .end();
             }
         }
-        out.push_str(&format!(
-            "{{\"type\":\"incidents\",\"count\":{}}}\n",
-            self.incidents.len()
-        ));
+        ObjWriter::open(&mut out, "incidents")
+            .u64("count", self.incidents.len() as u64)
+            .end();
         out
     }
 
@@ -220,42 +199,20 @@ impl IncidentReport {
     /// Returns a message naming the first malformed line.
     pub fn parse_jsonl(text: &str) -> Result<IncidentReport, String> {
         let mut incidents: Vec<Incident> = Vec::new();
-        for (line_no, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |msg: &str| format!("line {}: {msg}", line_no + 1);
-            let pairs = parse_flat_object(line).map_err(|e| err(&e))?;
-            let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            let num = |key: &str| get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-            let text_of = |key: &str| {
-                get(key)
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or_default()
-                    .to_owned()
-            };
-            let kind = text_of("type");
-            match kind.as_str() {
+        for line in json::lines(text) {
+            let line = line?;
+            let count = incidents.len() as u64;
+            match line.kind() {
                 "incident" => {
-                    if num("seq") as usize != incidents.len() {
-                        return Err(err("incident seq out of order"));
+                    if line.u64("seq") != count {
+                        return Err(line.err("incident seq out of order"));
                     }
                     incidents.push(Incident {
-                        shard: num("shard") as u32,
-                        verdict: Signal {
-                            kind: text_of("kind"),
-                            subject: text_of("subject"),
-                            round: num("round") as u64,
-                            value: num("value"),
-                            threshold: num("threshold"),
-                            detail: text_of("detail"),
-                        },
-                        epoch: num("epoch") as u64,
-                        committed_epoch: get("committed_epoch")
-                            .and_then(JsonValue::as_f64)
-                            .map(|e| e as u64),
-                        at_secs: num("at_secs"),
+                        shard: line.u32("shard"),
+                        verdict: Signal::from_line(&line),
+                        epoch: line.u64("epoch"),
+                        committed_epoch: line.opt_u64("committed_epoch"),
+                        at_secs: line.f64("at_secs"),
                         rounds: Vec::new(),
                         spans: Vec::new(),
                         tier: Vec::new(),
@@ -263,62 +220,36 @@ impl IncidentReport {
                     });
                 }
                 "incident.round" => {
-                    let inc = incidents
-                        .last_mut()
-                        .ok_or_else(|| err("round before incident"))?;
                     let mut p = RoundPoint {
-                        round: num("round") as u64,
-                        epoch: num("epoch") as u64,
+                        round: line.u64("round"),
+                        epoch: line.u64("epoch"),
                         ..RoundPoint::default()
                     };
-                    p.fill(&INCIDENT_ROUND_VIEW, |c| get(c).and_then(JsonValue::as_f64));
-                    inc.rounds.push(p);
+                    p.fill(&INCIDENT_ROUND_VIEW, |c| line.opt_f64(c));
+                    evidence(&mut incidents, &line)?.rounds.push(p);
                 }
-                "incident.span" => {
-                    let inc = incidents
-                        .last_mut()
-                        .ok_or_else(|| err("span before incident"))?;
-                    inc.spans.push(SpanRec {
-                        id: num("id") as u64,
-                        parent: get("parent").and_then(JsonValue::as_f64).map(|p| p as u64),
-                        name: text_of("name"),
-                        cat: text_of("cat"),
-                        lane: num("lane") as u64,
-                        round: num("round") as u64,
-                        epoch: num("epoch") as u64,
-                        start_ns: num("start_ns") as u64,
-                        dur_ns: num("dur_ns") as u64,
-                        records_in: num("records_in") as u64,
-                        records_out: num("records_out") as u64,
-                    });
-                }
+                "incident.span" => evidence(&mut incidents, &line)?
+                    .spans
+                    .push(SpanRec::from_line(&line)),
                 "incident.tier" => {
-                    let inc = incidents
-                        .last_mut()
-                        .ok_or_else(|| err("tier before incident"))?;
                     let mut p = RoundPoint::default();
-                    p.fill(&TIER_VIEW, |c| get(c).and_then(JsonValue::as_f64));
-                    inc.tier.push(p);
+                    p.fill(&TIER_VIEW, |c| line.opt_f64(c));
+                    evidence(&mut incidents, &line)?.tier.push(p);
                 }
-                "incident.path" => {
-                    let inc = incidents
-                        .last_mut()
-                        .ok_or_else(|| err("path before incident"))?;
-                    inc.path.push(PathStep {
-                        id: num("id") as u64,
-                        name: text_of("name"),
-                        lane: num("lane") as u64,
-                        round: num("round") as u64,
-                        start_ns: num("start_ns") as u64,
-                        dur_ns: num("dur_ns") as u64,
-                    });
-                }
+                "incident.path" => evidence(&mut incidents, &line)?.path.push(PathStep {
+                    id: line.u64("id"),
+                    name: line.text("name").to_owned(),
+                    lane: line.u64("lane"),
+                    round: line.u64("round"),
+                    start_ns: line.u64("start_ns"),
+                    dur_ns: line.u64("dur_ns"),
+                }),
                 "incidents" => {
-                    if num("count") as usize != incidents.len() {
-                        return Err(err("summary count mismatch"));
+                    if line.u64("count") != count {
+                        return Err(line.err("summary count mismatch"));
                     }
                 }
-                other => return Err(format!("line {}: unknown type {other:?}", line_no + 1)),
+                other => return Err(line.err(format_args!("unknown type {other:?}"))),
             }
         }
         Ok(IncidentReport { incidents })

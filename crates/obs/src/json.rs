@@ -1,11 +1,21 @@
-//! Minimal hand-rolled JSON support.
+//! The one line codec of the workspace's exports.
 //!
 //! The workspace is intentionally dependency-free, so sbx-obs carries its
-//! own writer and a parser for the *flat* object lines it emits (string and
-//! number values only — exporters encode nested data, such as histogram
-//! buckets, as compact strings). Numbers are formatted with `f64`'s
-//! `Display`, which is the shortest representation that round-trips, so
-//! `str::parse::<f64>` recovers the exported value bit-exactly.
+//! own JSON support for the *flat* object lines it emits (string and number
+//! values only — exporters encode nested data, such as histogram buckets, as
+//! compact strings): an [`ObjWriter`] that writes one `{"type":...}` object
+//! field by field, and a typed reader ([`lines`] / [`array_lines`]) that
+//! hands each non-empty line back as a [`Line`] with `u64` / `f64` / text
+//! accessors and a `line N:` error prefix. Every exporter and parser in the
+//! workspace goes through this pair.
+//!
+//! Floats are formatted with `f64`'s `Display`, which is the shortest
+//! representation that round-trips, so `str::parse::<f64>` recovers the
+//! exported value bit-exactly. Integers are read as integers: a number
+//! token made of digits alone that fits a `u64` never passes through `f64`,
+//! so ids, nanosecond clocks and counters above 2^53 survive exactly.
+
+use std::fmt::{Display, Write as _};
 
 /// Appends `s` to `out` as a JSON string literal (with surrounding quotes).
 pub fn write_str(s: &str, out: &mut String) {
@@ -43,36 +53,201 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// Writes one flat object: [`ObjWriter::open`] starts it with its `type`
+/// tag, each field method appends `,"key":value`, and [`ObjWriter::end`]
+/// closes the line. Field order is the call order, so an exporter's bytes
+/// are fixed by its sequence of calls.
+#[derive(Debug)]
+pub struct ObjWriter<'a> {
+    out: &'a mut String,
+}
+
+impl<'a> ObjWriter<'a> {
+    /// Starts `{"type":<kind>` at the end of `out`.
+    pub fn open(out: &'a mut String, kind: &str) -> ObjWriter<'a> {
+        out.push_str("{\"type\":");
+        write_str(kind, out);
+        ObjWriter { out }
+    }
+
+    fn key(&mut self, key: &str) {
+        self.out.push(',');
+        write_str(key, self.out);
+        self.out.push(':');
+    }
+
+    /// Appends an integer field.
+    pub fn u64(mut self, key: &str, v: u64) -> Self {
+        self.key(key);
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// Appends an integer field when `v` is present; an absent value writes
+    /// no key at all (the reader's [`Line::opt_u64`] is its mirror).
+    pub fn opt_u64(self, key: &str, v: Option<u64>) -> Self {
+        match v {
+            Some(v) => self.u64(key, v),
+            None => self,
+        }
+    }
+
+    /// Appends a float field in [`fmt_f64`] form.
+    pub fn f64(mut self, key: &str, v: f64) -> Self {
+        self.key(key);
+        self.out.push_str(&fmt_f64(v));
+        self
+    }
+
+    /// Appends a string field.
+    pub fn text(mut self, key: &str, v: &str) -> Self {
+        self.key(key);
+        write_str(v, self.out);
+        self
+    }
+
+    /// Closes the object and its line (`}` and a newline): one JSONL record.
+    pub fn end(self) {
+        self.out.push_str("}\n");
+    }
+
+    /// Closes the object only, for callers that frame lines themselves (the
+    /// line-wise JSON array [`array_lines`] reads back).
+    pub fn end_bare(self) {
+        self.out.push('}');
+    }
+}
+
 /// A scalar value inside a flat JSON object line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
+enum JsonValue {
     /// A JSON string.
     Str(String),
-    /// A JSON number (also used for `true`/`false`/`null` → 1/0/0).
+    /// A number token of digits alone that fits a `u64`, kept exact.
+    Int(u64),
+    /// Any other JSON number (also `true`/`false`/`null` → 1/0/0).
     Num(f64),
 }
 
-impl JsonValue {
-    /// Returns the string content, if this is a string value.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            JsonValue::Num(_) => None,
+/// One parsed line of an export: its 1-based line number and its fields.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Line {
+    no: usize,
+    pairs: Vec<(String, JsonValue)>,
+}
+
+impl Line {
+    fn get(&self, key: &str) -> Option<&JsonValue> {
+        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The line's `type` tag (empty when absent).
+    pub fn kind(&self) -> &str {
+        self.text("type")
+    }
+
+    /// `msg` prefixed with this line's number, the error form of every
+    /// parser built on the reader.
+    pub fn err(&self, msg: impl Display) -> String {
+        format!("line {}: {msg}", self.no)
+    }
+
+    /// An integer field, if present and numeric. Integer tokens are exact;
+    /// a fractional, negative or exponent-form number saturates like an
+    /// `f64 as u64` cast.
+    pub fn opt_u64(&self, key: &str) -> Option<u64> {
+        match self.get(key)? {
+            JsonValue::Int(v) => Some(*v),
+            JsonValue::Num(v) => Some(*v as u64),
+            JsonValue::Str(_) => None,
         }
     }
 
-    /// Returns the numeric content, if this is a number value.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Str(_) => None,
+    /// An integer field; 0 when absent.
+    pub fn u64(&self, key: &str) -> u64 {
+        self.opt_u64(key).unwrap_or(0)
+    }
+
+    /// A small integer field (a shard or era id); 0 when absent, saturating
+    /// beyond `u32` so the `u32::MAX` fabric sentinel is the ceiling.
+    pub fn u32(&self, key: &str) -> u32 {
+        u32::try_from(self.u64(key)).unwrap_or(u32::MAX)
+    }
+
+    /// A float field, if present and numeric.
+    pub fn opt_f64(&self, key: &str) -> Option<f64> {
+        match self.get(key)? {
+            JsonValue::Int(v) => Some(*v as f64),
             JsonValue::Num(v) => Some(*v),
+            JsonValue::Str(_) => None,
         }
     }
+
+    /// A float field; 0 when absent.
+    pub fn f64(&self, key: &str) -> f64 {
+        self.opt_f64(key).unwrap_or(0.0)
+    }
+
+    /// A string field, if present and a string.
+    pub fn opt_text(&self, key: &str) -> Option<&str> {
+        match self.get(key)? {
+            JsonValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// A string field; empty when absent.
+    pub fn text(&self, key: &str) -> &str {
+        self.opt_text(key).unwrap_or("")
+    }
+
+    /// Every numeric field in line order, for lines whose keys are data
+    /// (a metrics series row).
+    pub fn numbers(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.pairs.iter().filter_map(|(k, v)| match v {
+            JsonValue::Int(i) => Some((k.as_str(), *i as f64)),
+            JsonValue::Num(f) => Some((k.as_str(), *f)),
+            JsonValue::Str(_) => None,
+        })
+    }
+}
+
+fn read(text: &str, array: bool) -> impl Iterator<Item = Result<Line, String>> + '_ {
+    text.lines().enumerate().filter_map(move |(i, raw)| {
+        let mut line = raw.trim();
+        if array {
+            line = line.trim_start_matches(',');
+            line = line.strip_suffix(',').unwrap_or(line).trim();
+            if line == "[" || line == "]" {
+                return None;
+            }
+        }
+        if line.is_empty() {
+            return None;
+        }
+        let no = i + 1;
+        Some(match parse_flat_object(line) {
+            Ok(pairs) => Ok(Line { no, pairs }),
+            Err(e) => Err(format!("line {no}: {e}")),
+        })
+    })
+}
+
+/// Reads a JSONL export: one [`Line`] per non-empty line, or the first
+/// malformed line's error (`line N: ...`).
+pub fn lines(text: &str) -> impl Iterator<Item = Result<Line, String>> + '_ {
+    read(text, false)
+}
+
+/// Reads a line-wise JSON array — `[`, one flat object per line with the
+/// separating commas at either end of a line, `]` — as [`lines`] does.
+pub fn array_lines(text: &str) -> impl Iterator<Item = Result<Line, String>> + '_ {
+    read(text, true)
 }
 
 /// Parses one flat JSON object line (`{"k":"v","n":1.5,...}`) into ordered
 /// key/value pairs. Nested objects and arrays are rejected.
-pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
+fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
     let mut p = Parser {
         bytes: line.as_bytes(),
         pos: 0,
@@ -164,6 +339,13 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|e| format!("bad utf8 in number: {e}"))?;
+        // Digits alone that fit a `u64` stay an integer; everything else
+        // (sign, fraction, exponent, or too many digits) is a float.
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(JsonValue::Int(v));
+            }
+        }
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))
@@ -218,14 +400,18 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn one(line: &str) -> Line {
+        lines(line).next().unwrap().unwrap()
+    }
+
     #[test]
     fn string_escaping_round_trips() {
         let mut out = String::new();
-        write_str("a\"b\\c\nd\u{1}e→", &mut out);
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001e→\"");
-        let line = format!("{{\"k\":{out}}}");
-        let pairs = parse_flat_object(&line).unwrap();
-        assert_eq!(pairs[0].1, JsonValue::Str("a\"b\\c\nd\u{1}e→".to_owned()));
+        ObjWriter::open(&mut out, "t")
+            .text("k", "a\"b\\c\nd\u{1}e→")
+            .end();
+        assert_eq!(out, "{\"type\":\"t\",\"k\":\"a\\\"b\\\\c\\nd\\u0001e→\"}\n");
+        assert_eq!(one(&out).text("k"), "a\"b\\c\nd\u{1}e→");
     }
 
     #[test]
@@ -241,24 +427,60 @@ mod tests {
             f64::MAX,
             123_456_789.123_456_79,
         ] {
-            let s = fmt_f64(v);
-            let back: f64 = s.parse().unwrap();
-            assert_eq!(back.to_bits(), v.to_bits(), "value {v} via {s}");
+            let mut out = String::new();
+            ObjWriter::open(&mut out, "t").f64("v", v).end();
+            assert_eq!(one(&out).f64("v").to_bits(), v.to_bits(), "{v} via {out}");
         }
         assert_eq!(fmt_f64(f64::NAN), "0");
         assert_eq!(fmt_f64(f64::INFINITY), "0");
     }
 
     #[test]
-    fn parses_flat_objects() {
-        let pairs =
-            parse_flat_object(r#"{"type":"counter","name":"x","value":12,"f":-1.5e-3}"#).unwrap();
-        assert_eq!(pairs.len(), 4);
-        assert_eq!(pairs[0].1.as_str(), Some("counter"));
-        assert_eq!(pairs[2].1.as_f64(), Some(12.0));
-        assert_eq!(pairs[3].1.as_f64(), Some(-1.5e-3));
-        assert!(parse_flat_object(r#"{"k":[1]}"#).is_err());
-        assert!(parse_flat_object(r#"{"k":1"#).is_err());
-        assert!(parse_flat_object("{}").unwrap().is_empty());
+    fn integers_are_read_as_integers() {
+        let mut out = String::new();
+        ObjWriter::open(&mut out, "t")
+            .u64("max", u64::MAX)
+            .u64("odd", (1 << 53) + 1)
+            .opt_u64("absent", None)
+            .end();
+        let line = one(&out);
+        assert_eq!(line.u64("max"), u64::MAX);
+        assert_eq!(line.u64("odd"), (1 << 53) + 1);
+        assert_eq!(line.opt_u64("absent"), None);
+        // Numbers that are not integer tokens saturate like a float cast.
+        let line = one(r#"{"a":1.9,"b":-3,"c":1e3,"d":99999999999999999999,"e":"7"}"#);
+        assert_eq!(
+            ["a", "b", "c", "d", "e"].map(|k| line.u64(k)),
+            [1, 0, 1000, u64::MAX, 0]
+        );
+    }
+
+    #[test]
+    fn reads_flat_objects_and_names_the_bad_line() {
+        let line = one(r#"{"type":"counter","name":"x","value":12,"f":-1.5e-3}"#);
+        assert_eq!(line.kind(), "counter");
+        assert_eq!(line.opt_text("name"), Some("x"));
+        assert_eq!(line.opt_text("value"), None);
+        assert_eq!(line.f64("value"), 12.0);
+        assert_eq!(line.f64("f"), -1.5e-3);
+        let numeric: Vec<_> = line.numbers().collect();
+        assert_eq!(numeric, [("value", 12.0), ("f", -1.5e-3)]);
+        assert_eq!(one("{}").kind(), "");
+        for bad in [r#"{"k":[1]}"#, r#"{"k":1"#, "nope"] {
+            let text = format!("\n{{}}\n{bad}\n");
+            let err = lines(&text).find_map(Result::err).unwrap();
+            assert!(err.starts_with("line 3: "), "{err}");
+        }
+        assert_eq!(one("{}").err("boom"), "line 1: boom");
+    }
+
+    #[test]
+    fn array_framing_is_skipped() {
+        let text = "[\n{\"type\":\"a\"},\n,{\"type\":\"b\"}\n]\n";
+        let kinds: Vec<String> = array_lines(text)
+            .map(|l| l.unwrap().kind().to_owned())
+            .collect();
+        assert_eq!(kinds, ["a", "b"]);
+        assert!(lines(text).any(|l| l.is_err()), "JSONL has no framing");
     }
 }

@@ -39,10 +39,9 @@ pub mod trace;
 
 pub use cluster::{
     parse_cluster_spans_jsonl, ClusterCriticalPath, ClusterSpan, ClusterTrace, DistributedStep,
-    EpochPath, FabricEvent, HealthConfig, HealthReport, HealthSignal, ShardAttribution, SpanStream,
-    FABRIC_SHARD,
+    EpochPath, FabricEvent, HealthReport, HealthSignal, ShardAttribution, SpanStream, FABRIC_SHARD,
 };
-pub use detect::{sort_signals, Cusum, DetectorBank, DetectorConfig, Ewma, Signal, ThresholdRule};
+pub use detect::{sort_signals, Cusum, DetectorBank, Ewma, Signal, ThresholdRule};
 pub use hist::{HistSnapshot, Histogram};
 pub use incident::{Incident, IncidentReport};
 pub use metrics::{
@@ -52,7 +51,7 @@ pub use profile::{
     parse_spans_jsonl, spans_to_recs, CriticalPath, OperatorAttribution, PathStep,
     PrimitiveAttribution, RoundPath, SpanRec, PRIMITIVE_LABELS,
 };
-pub use recorder::{FlightRecorder, RecorderConfig};
+pub use recorder::FlightRecorder;
 pub use round::{RoundPoint, ROUND_SERIES, ROUND_VIEW, TIER_SERIES, TIER_VIEW};
 pub use timeline::Timeline;
 pub use trace::{Span, TraceCollector};

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::hist::{HistCore, HistSnapshot, Histogram};
-use crate::json::{fmt_f64, parse_flat_object, write_str, JsonValue};
+use crate::json::{self, ObjWriter};
 use crate::sync::lock;
 
 /// A monotonically increasing `u64` counter handle.
@@ -429,53 +429,43 @@ impl MetricsDump {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.counters {
-            out.push_str("{\"type\":\"counter\",\"name\":");
-            write_str(name, &mut out);
-            out.push_str(",\"value\":");
-            out.push_str(&value.to_string());
-            out.push_str("}\n");
+            ObjWriter::open(&mut out, "counter")
+                .text("name", name)
+                .u64("value", *value)
+                .end();
         }
         for g in &self.gauges {
-            out.push_str("{\"type\":\"gauge\",\"name\":");
-            write_str(&g.name, &mut out);
-            out.push_str(",\"value\":");
-            out.push_str(&fmt_f64(g.value));
-            out.push_str(",\"max\":");
-            out.push_str(&fmt_f64(g.max));
-            out.push_str("}\n");
+            ObjWriter::open(&mut out, "gauge")
+                .text("name", &g.name)
+                .f64("value", g.value)
+                .f64("max", g.max)
+                .end();
         }
         for h in &self.histograms {
             let s = &h.snapshot;
-            out.push_str("{\"type\":\"histogram\",\"name\":");
-            write_str(&h.name, &mut out);
-            out.push_str(&format!(
-                ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{}",
-                s.count,
-                fmt_f64(s.sum),
-                fmt_f64(s.min),
-                fmt_f64(s.max),
-                fmt_f64(s.quantile(0.5)),
-                fmt_f64(s.quantile(0.9)),
-                fmt_f64(s.quantile(0.95)),
-                fmt_f64(s.quantile(0.99)),
-            ));
-            out.push_str(",\"buckets\":");
             let encoded: Vec<String> = s.buckets.iter().map(|(i, c)| format!("{i}:{c}")).collect();
-            write_str(&encoded.join(";"), &mut out);
-            out.push_str("}\n");
+            ObjWriter::open(&mut out, "histogram")
+                .text("name", &h.name)
+                .u64("count", s.count)
+                .f64("sum", s.sum)
+                .f64("min", s.min)
+                .f64("max", s.max)
+                .f64("p50", s.quantile(0.5))
+                .f64("p90", s.quantile(0.9))
+                .f64("p95", s.quantile(0.95))
+                .f64("p99", s.quantile(0.99))
+                .text("buckets", &encoded.join(";"))
+                .end();
         }
         for s in &self.series {
             for (row_idx, row) in s.rows.iter().enumerate() {
-                out.push_str("{\"type\":\"series\",\"name\":");
-                write_str(&s.name, &mut out);
-                out.push_str(&format!(",\"row\":{row_idx}"));
+                let mut w = ObjWriter::open(&mut out, "series")
+                    .text("name", &s.name)
+                    .u64("row", row_idx as u64);
                 for (field, value) in s.fields.iter().zip(row.iter()) {
-                    out.push(',');
-                    write_str(field, &mut out);
-                    out.push(':');
-                    out.push_str(&fmt_f64(*value));
+                    w = w.f64(field, *value);
                 }
-                out.push_str("}\n");
+                w.end();
             }
         }
         out
@@ -484,37 +474,29 @@ impl MetricsDump {
     /// Parses a JSONL export produced by [`MetricsDump::to_jsonl`].
     ///
     /// Values round-trip exactly: `f64`s are emitted in shortest
-    /// round-tripping form and re-parsed bit-for-bit.
+    /// round-tripping form and re-parsed bit-for-bit, and counters are read
+    /// as integers.
     pub fn parse_jsonl(text: &str) -> Result<MetricsDump, String> {
         let mut dump = MetricsDump::default();
-        for (line_no, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let pairs =
-                parse_flat_object(line).map_err(|e| format!("line {}: {e}", line_no + 1))?;
-            let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            let kind = get("type").and_then(JsonValue::as_str).unwrap_or("");
-            let name = get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("line {}: missing name", line_no + 1))?
+        for line in json::lines(text) {
+            let line = line?;
+            let name = line
+                .opt_text("name")
+                .ok_or_else(|| line.err("missing name"))?
                 .to_owned();
-            let num = |key: &str| get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-            match kind {
-                "counter" => dump.counters.push((name, num("value") as u64)),
+            match line.kind() {
+                "counter" => dump.counters.push((name, line.u64("value"))),
                 "gauge" => dump.gauges.push(GaugeDump {
                     name,
-                    value: num("value"),
-                    max: num("max"),
+                    value: line.f64("value"),
+                    max: line.f64("max"),
                 }),
                 "histogram" => {
                     let mut buckets = Vec::new();
-                    let encoded = get("buckets").and_then(JsonValue::as_str).unwrap_or("");
-                    for part in encoded.split(';').filter(|p| !p.is_empty()) {
+                    for part in line.text("buckets").split(';').filter(|p| !p.is_empty()) {
                         let (idx, count) = part
                             .split_once(':')
-                            .ok_or_else(|| format!("line {}: bad bucket {part:?}", line_no + 1))?;
+                            .ok_or_else(|| line.err(format_args!("bad bucket {part:?}")))?;
                         buckets.push((
                             idx.parse::<usize>()
                                 .map_err(|e| format!("bad bucket idx: {e}"))?,
@@ -526,26 +508,25 @@ impl MetricsDump {
                     dump.histograms.push(HistogramDump {
                         name,
                         snapshot: HistSnapshot {
-                            count: num("count") as u64,
-                            sum: num("sum"),
-                            min: num("min"),
-                            max: num("max"),
+                            count: line.u64("count"),
+                            sum: line.f64("sum"),
+                            min: line.f64("min"),
+                            max: line.f64("max"),
                             buckets,
                         },
                     });
                 }
                 "series" => {
-                    let fields: Vec<(String, f64)> = pairs
-                        .iter()
-                        .filter(|(k, _)| k != "type" && k != "name" && k != "row")
-                        .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f)))
+                    let fields: Vec<(&str, f64)> = line
+                        .numbers()
+                        .filter(|(k, _)| !matches!(*k, "type" | "name" | "row"))
                         .collect();
                     let idx = match dump.series.iter().position(|s| s.name == name) {
                         Some(i) => i,
                         None => {
                             dump.series.push(SeriesDump {
                                 name,
-                                fields: fields.iter().map(|(k, _)| k.clone()).collect(),
+                                fields: fields.iter().map(|(k, _)| (*k).to_owned()).collect(),
                                 rows: Vec::new(),
                             });
                             dump.series.len() - 1
@@ -566,7 +547,7 @@ impl MetricsDump {
                         .collect();
                     entry.rows.push(row);
                 }
-                other => return Err(format!("line {}: unknown type {other:?}", line_no + 1)),
+                other => return Err(line.err(format_args!("unknown type {other:?}"))),
             }
         }
         Ok(dump)
@@ -653,6 +634,18 @@ mod tests {
     }
 
     #[test]
+    fn counters_above_2_pow_53_round_trip_exactly() {
+        let reg = MetricsRegistry::active();
+        reg.counter("max").add(u64::MAX);
+        reg.counter("odd").add((1 << 53) + 1);
+        let exported = reg.export_jsonl();
+        let parsed = MetricsDump::parse_jsonl(&exported).unwrap();
+        assert_eq!(parsed.counter("max"), Some(u64::MAX));
+        assert_eq!(parsed.counter("odd"), Some((1 << 53) + 1));
+        assert_eq!(parsed.to_jsonl(), exported);
+    }
+
+    #[test]
     fn adopt_carries_histograms_and_series_under_prefix() {
         let shard = MetricsRegistry::active();
         shard.counter("records_in").add(10);
@@ -721,6 +714,17 @@ mod tests {
         assert_eq!(reg.series_window("t", 10).unwrap().rows.len(), 2);
         assert!(MetricsRegistry::noop().series_window("t", 4).is_none());
         assert!(reg.series_window("not-there", 4).is_none());
+    }
+
+    #[test]
+    fn hostile_histogram_lines_re_export_without_panicking() {
+        // min above max, and bucket counts that overflow when summed.
+        let line = format!(
+            "{{\"type\":\"histogram\",\"name\":\"h\",\"count\":{0},\"min\":5,\"max\":1,\"buckets\":\"70:{0};71:{0}\"}}",
+            u64::MAX
+        );
+        let dump = MetricsDump::parse_jsonl(&line).unwrap();
+        assert!(dump.to_jsonl().starts_with("{\"type\":\"histogram\""));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 // sbx-lint: out-of-scope(raw-alloc, profile aggregation at export time)
 use std::collections::BTreeMap;
 
-use crate::json::{parse_flat_object, JsonValue};
+use crate::json::{self, Line, ObjWriter};
 use crate::metrics::MetricsDump;
 use crate::trace::Span;
 
@@ -72,9 +72,84 @@ impl SpanRec {
     }
 }
 
+impl SpanRec {
+    /// Appends the span fields to an open line: `id`, `parent` (omitted on
+    /// a root), `track` — a stitched span's `shard` and `slot_epoch` — then
+    /// `name`, `cat`, `lane`, `round`, `epoch`, `start_ns`, `dur_ns`,
+    /// `records_in`, `records_out`. [`SpanRec::from_line`] reads them back.
+    pub(crate) fn write_fields<'a>(
+        &self,
+        w: ObjWriter<'a>,
+        track: Option<(u32, u32)>,
+    ) -> ObjWriter<'a> {
+        let mut w = w.u64("id", self.id).opt_u64("parent", self.parent);
+        if let Some((shard, slot_epoch)) = track {
+            w = w
+                .u64("shard", u64::from(shard))
+                .u64("slot_epoch", u64::from(slot_epoch));
+        }
+        w.text("name", &self.name)
+            .text("cat", &self.cat)
+            .u64("lane", self.lane)
+            .u64("round", self.round)
+            .u64("epoch", self.epoch)
+            .u64("start_ns", self.start_ns)
+            .u64("dur_ns", self.dur_ns)
+            .u64("records_in", self.records_in)
+            .u64("records_out", self.records_out)
+    }
+
+    /// Appends this span as one `{"type":"span",...}` JSONL line; `track`
+    /// is a stitched span's `(shard, slot_epoch)`.
+    pub fn write_line(&self, track: Option<(u32, u32)>, out: &mut String) {
+        self.write_fields(ObjWriter::open(out, "span"), track).end();
+    }
+
+    /// Reads the fields [`SpanRec::write_fields`] writes (absent numbers
+    /// are 0, absent strings empty, an absent `parent` a root).
+    pub(crate) fn from_line(line: &Line) -> SpanRec {
+        SpanRec {
+            id: line.u64("id"),
+            parent: line.opt_u64("parent"),
+            name: line.text("name").to_owned(),
+            cat: line.text("cat").to_owned(),
+            lane: line.u64("lane"),
+            round: line.u64("round"),
+            epoch: line.u64("epoch"),
+            start_ns: line.u64("start_ns"),
+            dur_ns: line.u64("dur_ns"),
+            records_in: line.u64("records_in"),
+            records_out: line.u64("records_out"),
+        }
+    }
+}
+
+impl AsRef<SpanRec> for SpanRec {
+    fn as_ref(&self) -> &SpanRec {
+        self
+    }
+}
+
 /// Converts a slice of in-memory spans into owned records.
 pub fn spans_to_recs(spans: &[Span]) -> Vec<SpanRec> {
     spans.iter().map(SpanRec::from_span).collect()
+}
+
+/// Reads a JSONL export made of `"type":"span"` lines, handing each line
+/// and its span to `make`, in file order.
+pub(crate) fn parse_span_lines<T>(
+    text: &str,
+    make: impl Fn(&Line, SpanRec) -> T,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::new();
+    for line in json::lines(text) {
+        let line = line?;
+        if line.kind() != "span" {
+            return Err(line.err(format_args!("not a span line ({:?})", line.kind())));
+        }
+        out.push(make(&line, SpanRec::from_line(&line)));
+    }
+    Ok(out)
 }
 
 /// Parses a span JSONL export (the `TraceCollector::export_jsonl` format)
@@ -84,40 +159,7 @@ pub fn spans_to_recs(spans: &[Span]) -> Vec<SpanRec> {
 ///
 /// Returns a message naming the first malformed line.
 pub fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanRec>, String> {
-    let mut out = Vec::new();
-    for (line_no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let pairs = parse_flat_object(line).map_err(|e| format!("line {}: {e}", line_no + 1))?;
-        let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let kind = get("type").and_then(JsonValue::as_str).unwrap_or("");
-        if kind != "span" {
-            return Err(format!("line {}: not a span line ({kind:?})", line_no + 1));
-        }
-        let num = |key: &str| get(key).and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-        let text_of = |key: &str| {
-            get(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_owned()
-        };
-        out.push(SpanRec {
-            id: num("id"),
-            parent: get("parent").and_then(JsonValue::as_f64).map(|p| p as u64),
-            name: text_of("name"),
-            cat: text_of("cat"),
-            lane: num("lane"),
-            round: num("round"),
-            epoch: num("epoch"),
-            start_ns: num("start_ns"),
-            dur_ns: num("dur_ns"),
-            records_in: num("records_in"),
-            records_out: num("records_out"),
-        });
-    }
-    Ok(out)
+    parse_span_lines(text, |_, span| span)
 }
 
 /// One step of the critical chain, root first.
@@ -210,18 +252,30 @@ pub struct CriticalPath {
     pub per_round: Vec<RoundPath>,
 }
 
-/// Walks parent links from the span with the latest end time (ties broken
-/// toward the smallest id) to its root and returns the chain, root first.
-fn longest_chain<'a>(
-    by_id: &BTreeMap<u64, &'a SpanRec>,
-    spans: impl Iterator<Item = &'a SpanRec>,
-) -> Vec<&'a SpanRec> {
-    let mut tip: Option<&SpanRec> = None;
+/// Indexes spans by id; the first span of an id wins.
+pub(crate) fn index_by_id<'a, T: AsRef<SpanRec>>(
+    spans: impl Iterator<Item = &'a T>,
+) -> BTreeMap<u64, &'a T> {
+    let mut by_id = BTreeMap::new();
     for s in spans {
-        let better = match tip {
-            None => true,
-            Some(t) => s.end_ns() > t.end_ns() || (s.end_ns() == t.end_ns() && s.id < t.id),
-        };
+        by_id.entry(s.as_ref().id).or_insert(s);
+    }
+    by_id
+}
+
+/// The longest chain ending among `spans`: starts at the span with the
+/// latest end time (ties broken toward the smallest id), follows parent
+/// links through `by_id` to a root, and returns the chain root first.
+pub(crate) fn longest_chain<'a, T: AsRef<SpanRec>>(
+    by_id: &BTreeMap<u64, &'a T>,
+    spans: impl Iterator<Item = &'a T>,
+) -> Vec<&'a T> {
+    let mut tip: Option<&T> = None;
+    for s in spans {
+        let (new, old) = (s.as_ref(), tip.map(AsRef::as_ref));
+        let better = old.is_none_or(|t| {
+            new.end_ns() > t.end_ns() || (new.end_ns() == t.end_ns() && new.id < t.id)
+        });
         if better {
             tip = Some(s);
         }
@@ -232,10 +286,11 @@ fn longest_chain<'a>(
         chain.push(s);
         // Ids are allocated in dependency order (parent id < child id), so
         // the walk terminates even on corrupted inputs.
-        cur = s
+        let span = s.as_ref();
+        cur = span
             .parent
             .and_then(|p| by_id.get(&p).copied())
-            .filter(|p| p.id < s.id);
+            .filter(|p| p.as_ref().id < span.id);
     }
     chain.reverse();
     chain
@@ -245,10 +300,7 @@ impl CriticalPath {
     /// Runs the analysis over `spans` (any order; typically a parsed span
     /// JSONL export). Empty input yields an all-zero result.
     pub fn compute(spans: &[SpanRec]) -> CriticalPath {
-        let mut by_id: BTreeMap<u64, &SpanRec> = BTreeMap::new();
-        for s in spans {
-            by_id.entry(s.id).or_insert(s);
-        }
+        let by_id = index_by_id(spans.iter());
         let chain = longest_chain(&by_id, spans.iter());
         let critical_ns = chain.iter().map(|s| s.dur_ns).sum();
         let makespan_ns = spans.iter().map(SpanRec::end_ns).max().unwrap_or(0);
@@ -567,9 +619,24 @@ mod tests {
             records_in: 9,
             records_out: 1,
         });
+        // Above 2^53 a clock or id is no longer an exact `f64`.
+        t.record(Span {
+            id: u64::MAX,
+            parent: None,
+            name: "Sink",
+            cat: "task",
+            lane: 2,
+            round: 3,
+            epoch: 1,
+            start_ns: (1 << 53) + 1,
+            dur_ns: 1,
+            records_in: 0,
+            records_out: 0,
+        });
         let parsed = parse_spans_jsonl(&t.export_jsonl()).unwrap();
         assert_eq!(parsed, spans_to_recs(&t.spans()));
         assert_eq!(parsed[0].round, 2);
+        assert_eq!(parsed[1].start_ns, (1 << 53) + 1);
         assert!(parse_spans_jsonl("{\"type\":\"counter\",\"name\":\"x\"}").is_err());
         assert!(parse_spans_jsonl("nope").is_err());
     }

@@ -20,35 +20,18 @@ use std::collections::VecDeque;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex};
 
-use crate::detect::{DetectorBank, DetectorConfig, Signal};
+use crate::detect::{DetectorBank, Signal};
 use crate::incident::Incident;
 use crate::round::{RoundPoint, INCIDENT_ROUND_VIEW};
 use crate::sync::lock;
 use crate::trace::Span;
 
-/// Capacity and tuning for a [`FlightRecorder`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecorderConfig {
-    /// Round samples retained (ring capacity).
-    pub round_capacity: usize,
-    /// Spans retained (ring capacity).
-    pub span_capacity: usize,
-    /// Rounds of history frozen into each incident's capture window.
-    pub capture_rounds: usize,
-    /// Detector tuning.
-    pub detect: DetectorConfig,
-}
-
-impl Default for RecorderConfig {
-    fn default() -> RecorderConfig {
-        RecorderConfig {
-            round_capacity: 128,
-            span_capacity: 256,
-            capture_rounds: 8,
-            detect: DetectorConfig::default(),
-        }
-    }
-}
+/// Round samples the ring retains.
+pub const ROUND_CAPACITY: usize = 128;
+/// Spans the ring retains.
+pub const SPAN_CAPACITY: usize = 256;
+/// Rounds of history frozen into each incident's capture window.
+pub const CAPTURE_ROUNDS: usize = 8;
 
 /// What the round ring keeps of a record: `round`, `epoch` and its
 /// [`INCIDENT_ROUND_VIEW`] row — the fields an incident's `incident.round`
@@ -57,11 +40,11 @@ impl Default for RecorderConfig {
 /// accounted bytes are what it holds.
 type RoundEntry = (u64, u64, [f64; INCIDENT_ROUND_VIEW.len()]);
 
-/// Pushes onto a ring of at most `cap` entries (at least one): once full,
-/// the oldest entry makes room, so a ring never holds more than the
-/// capacity the recorder accounts for.
+/// Pushes onto a ring of at most `cap` entries: once full, the oldest entry
+/// makes room, so a ring never holds more than the capacity the recorder
+/// accounts for.
 fn push_ring<T>(ring: &mut VecDeque<T>, cap: usize, v: T) {
-    if ring.len() >= cap.max(1) {
+    if ring.len() >= cap {
         ring.pop_front();
     }
     ring.push_back(v);
@@ -69,7 +52,6 @@ fn push_ring<T>(ring: &mut VecDeque<T>, cap: usize, v: T) {
 
 #[derive(Debug)]
 struct RecorderInner {
-    cfg: RecorderConfig,
     rounds: Mutex<VecDeque<RoundEntry>>,
     spans: Mutex<VecDeque<Span>>,
     bank: Mutex<DetectorBank>,
@@ -88,46 +70,35 @@ pub struct FlightRecorder {
 
 impl Default for FlightRecorder {
     fn default() -> FlightRecorder {
-        FlightRecorder::new(RecorderConfig::default())
+        FlightRecorder::new()
     }
 }
 
 impl FlightRecorder {
-    /// A fresh recorder with the given capacities and detector tuning.
-    pub fn new(cfg: RecorderConfig) -> FlightRecorder {
+    /// A fresh recorder with empty rings and a fresh detector bank.
+    pub fn new() -> FlightRecorder {
         FlightRecorder {
             inner: Arc::new(RecorderInner {
                 rounds: Mutex::new(VecDeque::new()),
                 spans: Mutex::new(VecDeque::new()),
-                bank: Mutex::new(DetectorBank::new(cfg.detect.clone())),
+                bank: Mutex::new(DetectorBank::new()),
                 incidents: Mutex::new(Vec::new()),
                 committed_epoch: Mutex::new(None),
-                cfg,
             }),
         }
-    }
-
-    /// The recorder's configuration.
-    pub fn config(&self) -> &RecorderConfig {
-        &self.inner.cfg
     }
 
     /// Fixed bound on ring memory, in accounted bytes (capacity times entry
     /// size; exported as the `recorder.accounted_bytes` gauge).
     pub fn accounted_bytes(&self) -> u64 {
-        (self.inner.cfg.round_capacity * size_of::<RoundEntry>()
-            + self.inner.cfg.span_capacity * size_of::<Span>()) as u64
+        (ROUND_CAPACITY * size_of::<RoundEntry>() + SPAN_CAPACITY * size_of::<Span>()) as u64
     }
 
     /// Records one span into the span ring (the engine pushes one
     /// synthetic `round` span per boundary; full traces, when enabled,
     /// supersede this for incident capture).
     pub fn record_span(&self, span: Span) {
-        push_ring(
-            &mut lock(&self.inner.spans),
-            self.inner.cfg.span_capacity,
-            span,
-        );
+        push_ring(&mut lock(&self.inner.spans), SPAN_CAPACITY, span);
     }
 
     /// Notes a committed checkpoint epoch; subsequent incidents carry it
@@ -147,11 +118,7 @@ impl FlightRecorder {
         let fired = lock(&self.inner.bank).observe(&point);
         let row = point.row(&INCIDENT_ROUND_VIEW);
         let entry = (point.round, point.epoch, row);
-        push_ring(
-            &mut lock(&self.inner.rounds),
-            self.inner.cfg.round_capacity,
-            entry,
-        );
+        push_ring(&mut lock(&self.inner.rounds), ROUND_CAPACITY, entry);
         fired
     }
 
@@ -159,7 +126,7 @@ impl FlightRecorder {
     /// and every ringed span from those rounds, oldest-first.
     pub fn freeze(&self) -> (Vec<RoundPoint>, Vec<Span>) {
         let mut window = self.rounds();
-        let keep = self.inner.cfg.capture_rounds.min(window.len());
+        let keep = CAPTURE_ROUNDS.min(window.len());
         window.drain(..window.len() - keep);
         let from_round = window.first().map_or(0, |p| p.round);
         let mut spans = Vec::new();
@@ -261,47 +228,45 @@ mod tests {
 
     #[test]
     fn recorder_caps_memory_and_rounds() {
-        let rec = FlightRecorder::new(RecorderConfig {
-            round_capacity: 4,
-            span_capacity: 4,
-            capture_rounds: 2,
-            detect: DetectorConfig::default(),
-        });
-        for r in 0..10 {
+        let rec = FlightRecorder::new();
+        let pushed = (ROUND_CAPACITY + SPAN_CAPACITY) as u64;
+        for r in 0..pushed {
             rec.on_round(point(r));
             rec.record_span(span(r, r));
         }
-        assert_eq!(rec.len(), 4);
-        assert_eq!(rec.rounds().first().map(|p| p.round), Some(6));
-        assert_eq!(rec.spans().len(), 4);
+        assert_eq!(rec.len(), ROUND_CAPACITY);
+        assert_eq!(
+            rec.rounds().first().map(|p| p.round),
+            Some(pushed - ROUND_CAPACITY as u64)
+        );
+        assert_eq!(rec.spans().len(), SPAN_CAPACITY);
         assert_eq!(
             rec.accounted_bytes(),
-            (4 * 16 * 8 + 4 * size_of::<Span>()) as u64
+            (ROUND_CAPACITY * 16 * 8 + SPAN_CAPACITY * size_of::<Span>()) as u64
         );
         // The bound is a function of capacity only, not fill level.
-        let fresh = FlightRecorder::new(rec.config().clone());
-        assert_eq!(fresh.accounted_bytes(), rec.accounted_bytes());
+        assert_eq!(
+            FlightRecorder::new().accounted_bytes(),
+            rec.accounted_bytes()
+        );
     }
 
     #[test]
     fn freeze_windows_rounds_and_spans() {
-        let rec = FlightRecorder::new(RecorderConfig {
-            round_capacity: 16,
-            span_capacity: 16,
-            capture_rounds: 3,
-            detect: DetectorConfig::default(),
-        });
-        for r in 0..8 {
+        let rec = FlightRecorder::new();
+        let last = 2 * CAPTURE_ROUNDS as u64;
+        for r in 0..=last {
             rec.on_round(point(r));
             rec.record_span(span(r, r));
         }
         let (rounds, spans) = rec.freeze();
+        let first = last + 1 - CAPTURE_ROUNDS as u64;
         assert_eq!(
             rounds.iter().map(|p| p.round).collect::<Vec<_>>(),
-            [5, 6, 7]
+            (first..=last).collect::<Vec<_>>()
         );
-        assert!(spans.iter().all(|s| s.round >= 5));
-        assert_eq!(spans.len(), 3);
+        assert!(spans.iter().all(|s| s.round >= first));
+        assert_eq!(spans.len(), CAPTURE_ROUNDS);
     }
 
     #[test]

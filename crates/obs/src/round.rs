@@ -11,9 +11,7 @@
 //! accounted counters, so same-seed streams are byte-identical across hosts
 //! and thread counts.
 
-use std::fmt::Write as _;
-
-use crate::json::fmt_f64;
+use crate::json::ObjWriter;
 use crate::metrics::SeriesDump;
 
 /// Name of the per-round metrics series (one row per watermark round).
@@ -150,13 +148,16 @@ impl RoundPoint {
         view.map(|(_, field)| *field(&mut p))
     }
 
-    /// Finishes a flat JSONL object with `,"column":value` for every column
-    /// of `view`.
-    pub(crate) fn finish_json_line<const N: usize>(&self, view: &View<N>, out: &mut String) {
+    /// Appends `"column":value` to an open line for every column of `view`.
+    pub(crate) fn write_view<'a, const N: usize>(
+        &self,
+        view: &View<N>,
+        mut w: ObjWriter<'a>,
+    ) -> ObjWriter<'a> {
         for ((column, _), value) in view.iter().zip(self.row(view)) {
-            let _ = write!(out, ",\"{column}\":{}", fmt_f64(value));
+            w = w.f64(column, value);
         }
-        out.push_str("}\n");
+        w
     }
 
     /// Overwrites the fields `view` shows with what `value_of` finds for

@@ -12,6 +12,7 @@
 //! so a timeline is byte-identical across same-seed runs.
 
 // sbx-lint: out-of-scope(raw-alloc, timeline rendering at export time)
+use crate::json::ObjWriter;
 use crate::metrics::MetricsDump;
 use crate::round::{RoundPoint, TIER_SERIES, TIER_VIEW};
 
@@ -61,8 +62,8 @@ impl Timeline {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for p in &self.points {
-            out.push_str("{\"type\":\"tier\"");
-            p.finish_json_line(&TIER_VIEW, &mut out);
+            p.write_view(&TIER_VIEW, ObjWriter::open(&mut out, "tier"))
+                .end();
         }
         out
     }
@@ -165,16 +166,11 @@ mod tests {
         let text = tl.to_jsonl();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        let pairs = crate::json::parse_flat_object(lines[1]).unwrap();
-        let get = |k: &str| {
-            pairs
-                .iter()
-                .find(|(key, _)| key == k)
-                .and_then(|(_, v)| v.as_f64())
-        };
-        assert_eq!(get("at_secs"), Some(2.0));
-        assert_eq!(get("spills"), Some(3.0));
-        assert_eq!(get("k_high"), Some(6.0));
+        let line = crate::json::lines(lines[1]).next().unwrap().unwrap();
+        assert_eq!(line.kind(), "tier");
+        assert_eq!(line.opt_f64("at_secs"), Some(2.0));
+        assert_eq!(line.opt_f64("spills"), Some(3.0));
+        assert_eq!(line.opt_f64("k_high"), Some(6.0));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::json::{fmt_f64, write_str};
+use crate::profile::SpanRec;
 use crate::sync::lock;
 
 /// One operator invocation in the simulated task graph.
@@ -116,18 +117,7 @@ impl TraceCollector {
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         for s in self.spans() {
-            out.push_str(&format!("{{\"type\":\"span\",\"id\":{}", s.id));
-            if let Some(parent) = s.parent {
-                out.push_str(&format!(",\"parent\":{parent}"));
-            }
-            out.push_str(",\"name\":");
-            write_str(s.name, &mut out);
-            out.push_str(",\"cat\":");
-            write_str(s.cat, &mut out);
-            out.push_str(&format!(
-                ",\"lane\":{},\"round\":{},\"epoch\":{},\"start_ns\":{},\"dur_ns\":{},\"records_in\":{},\"records_out\":{}}}\n",
-                s.lane, s.round, s.epoch, s.start_ns, s.dur_ns, s.records_in, s.records_out
-            ));
+            SpanRec::from_span(&s).write_line(None, &mut out);
         }
         out
     }
@@ -171,7 +161,6 @@ impl TraceCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_flat_object;
 
     fn sample() -> Span {
         Span {
@@ -220,17 +209,11 @@ mod tests {
         let text = t.export_jsonl();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        let pairs = parse_flat_object(lines[0]).unwrap();
-        let get = |k: &str| {
-            pairs
-                .iter()
-                .find(|(key, _)| key == k)
-                .and_then(|(_, v)| v.as_f64())
-        };
-        assert_eq!(get("id"), Some(7.0));
-        assert_eq!(get("parent"), Some(3.0));
-        assert_eq!(get("round"), Some(1.0));
-        assert_eq!(get("start_ns"), Some(1500.0));
+        let line = crate::json::lines(lines[0]).next().unwrap().unwrap();
+        assert_eq!(line.opt_u64("id"), Some(7));
+        assert_eq!(line.opt_u64("parent"), Some(3));
+        assert_eq!(line.opt_u64("round"), Some(1));
+        assert_eq!(line.opt_u64("start_ns"), Some(1500));
         // Root span omits the parent key entirely.
         assert!(!lines[1].contains("parent"));
     }

@@ -162,6 +162,39 @@ impl Default for BenchArgs {
     }
 }
 
+/// Walks the flags after a subcommand's positional argument: each flag in
+/// `switches` stands alone, every other flag takes the next argument as its
+/// value. `on` receives `(flag, value)` (an empty value for a switch).
+fn walk_flags(
+    args: &[String],
+    switches: &[&str],
+    mut on: impl FnMut(&str, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(flag) = rest.next() {
+        if switches.contains(&flag.as_str()) {
+            on(flag, "")?;
+        } else {
+            let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            on(flag, value)?;
+        }
+    }
+    Ok(())
+}
+
+/// Parses a flag's value, naming the flag on failure.
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad {flag}"))
+}
+
+/// [`parsed`] for a count that must be at least one.
+fn positive(flag: &str, value: &str) -> Result<u64, String> {
+    match parsed(flag, value)? {
+        0 => Err(format!("{flag} must be positive")),
+        n => Ok(n),
+    }
+}
+
 fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
     let mut out = BenchArgs {
         name: args.first().cloned().unwrap_or_default(),
@@ -170,43 +203,22 @@ fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
     if !BENCHMARKS.contains(&out.name.as_str()) {
         return Err(format!("unknown benchmark '{}'", out.name));
     }
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
+    walk_flags(args, &[], |flag, value| {
         match flag {
-            "--cores" => out.cores = value.parse().map_err(|_| "bad --cores")?,
-            "--bundles" => out.bundles = value.parse().map_err(|_| "bad --bundles")?,
-            "--bundle-rows" => {
-                out.bundle_rows = value.parse().map_err(|_| "bad --bundle-rows")?;
-            }
-            "--keys" => out.keys = value.parse().map_err(|_| "bad --keys")?,
-            "--samples-csv" => out.samples_csv = Some(value.clone()),
-            "--metrics-out" => out.metrics_out = Some(value.clone()),
-            "--trace-out" => out.trace_out = Some(value.clone()),
-            "--incidents-out" => out.incidents_out = Some(value.clone()),
-            "--hbm-mib" => {
-                let mib: u64 = value.parse().map_err(|_| "bad --hbm-mib")?;
-                if mib == 0 {
-                    return Err("--hbm-mib must be positive".into());
-                }
-                out.hbm_mib = Some(mib);
-            }
-            "--rate" => out.rate = value.parse().map_err(|_| "bad --rate")?,
-            "--checkpoint-interval" => {
-                let iv: u64 = value.parse().map_err(|_| "bad --checkpoint-interval")?;
-                if iv == 0 {
-                    return Err("--checkpoint-interval must be positive".into());
-                }
-                out.checkpoint_interval = Some(iv);
-            }
-            "--crash-after-bundles" => {
-                out.crash_after = Some(value.parse().map_err(|_| "bad --crash-after-bundles")?);
-            }
+            "--cores" => out.cores = parsed(flag, value)?,
+            "--bundles" => out.bundles = parsed(flag, value)?,
+            "--bundle-rows" => out.bundle_rows = parsed(flag, value)?,
+            "--keys" => out.keys = parsed(flag, value)?,
+            "--rate" => out.rate = parsed(flag, value)?,
+            "--samples-csv" => out.samples_csv = Some(value.to_owned()),
+            "--metrics-out" => out.metrics_out = Some(value.to_owned()),
+            "--trace-out" => out.trace_out = Some(value.to_owned()),
+            "--incidents-out" => out.incidents_out = Some(value.to_owned()),
+            "--hbm-mib" => out.hbm_mib = Some(positive(flag, value)?),
+            "--checkpoint-interval" => out.checkpoint_interval = Some(positive(flag, value)?),
+            "--crash-after-bundles" => out.crash_after = Some(parsed(flag, value)?),
             "--nic" => {
-                out.nic = match value.as_str() {
+                out.nic = match value {
                     "rdma" => NicModel::rdma_40g(),
                     "eth" => NicModel::ethernet_10g(),
                     "unlimited" => NicModel::unlimited(),
@@ -214,7 +226,7 @@ fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
                 }
             }
             "--mode" => {
-                out.mode = match value.as_str() {
+                out.mode = match value {
                     "hybrid" => EngineMode::Hybrid,
                     "caching" => EngineMode::CachingKpa,
                     "dram" => EngineMode::DramOnly,
@@ -228,8 +240,8 @@ fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
-        i += 2;
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -514,37 +526,26 @@ fn parse_cluster_args(args: &[String]) -> Result<ClusterArgs, String> {
     if matches!(out.name.as_str(), "join" | "filter") {
         return Err("cluster supports single-stream benchmarks only".into());
     }
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
+    walk_flags(args, &[], |flag, value| {
         match flag {
-            "--shards" => out.shards = value.parse().map_err(|_| "bad --shards")?,
-            "--slots" => out.slots = value.parse().map_err(|_| "bad --slots")?,
-            "--bundles" => out.bundles = value.parse().map_err(|_| "bad --bundles")?,
-            "--bundle-rows" => {
-                out.bundle_rows = value.parse().map_err(|_| "bad --bundle-rows")?;
-            }
-            "--interval" => out.interval = value.parse().map_err(|_| "bad --interval")?,
-            "--keys" => out.keys = value.parse().map_err(|_| "bad --keys")?,
-            "--rate" => out.rate = value.parse().map_err(|_| "bad --rate")?,
-            "--cores" => out.cores = value.parse().map_err(|_| "bad --cores")?,
-            "--skew" => out.skew = Some(value.parse().map_err(|_| "bad --skew")?),
-            "--rescale-at" => {
-                out.rescale_at = Some(value.parse().map_err(|_| "bad --rescale-at")?);
-            }
-            "--rescale-to" => {
-                out.rescale_to = Some(value.parse().map_err(|_| "bad --rescale-to")?);
-            }
-            "--rebalance" => out.rebalance = Some(value.parse().map_err(|_| "bad --rebalance")?),
-            "--metrics-out" => out.metrics_out = Some(value.clone()),
-            "--trace-out" => out.trace_out = Some(value.clone()),
-            "--health-out" => out.health_out = Some(value.clone()),
-            "--incidents-out" => out.incidents_out = Some(value.clone()),
+            "--shards" => out.shards = parsed(flag, value)?,
+            "--slots" => out.slots = parsed(flag, value)?,
+            "--bundles" => out.bundles = parsed(flag, value)?,
+            "--bundle-rows" => out.bundle_rows = parsed(flag, value)?,
+            "--interval" => out.interval = parsed(flag, value)?,
+            "--keys" => out.keys = parsed(flag, value)?,
+            "--rate" => out.rate = parsed(flag, value)?,
+            "--cores" => out.cores = parsed(flag, value)?,
+            "--skew" => out.skew = Some(parsed(flag, value)?),
+            "--rescale-at" => out.rescale_at = Some(parsed(flag, value)?),
+            "--rescale-to" => out.rescale_to = Some(parsed(flag, value)?),
+            "--rebalance" => out.rebalance = Some(parsed(flag, value)?),
+            "--metrics-out" => out.metrics_out = Some(value.to_owned()),
+            "--trace-out" => out.trace_out = Some(value.to_owned()),
+            "--health-out" => out.health_out = Some(value.to_owned()),
+            "--incidents-out" => out.incidents_out = Some(value.to_owned()),
             "--link" => {
-                out.link = match value.as_str() {
+                out.link = match value {
                     "rdma" => LinkModel::intra_rack_rdma(),
                     "eth" => LinkModel::cross_rack_10g(),
                     "unlimited" => LinkModel::unlimited(),
@@ -553,8 +554,8 @@ fn parse_cluster_args(args: &[String]) -> Result<ClusterArgs, String> {
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
-        i += 2;
-    }
+        Ok(())
+    })?;
     if out.shards == 0 {
         return Err("--shards must be positive".into());
     }
@@ -620,7 +621,6 @@ fn run_cluster(a: ClusterArgs) -> Result<(), Box<dyn std::error::Error>> {
         link: a.link,
         metrics: metrics.clone(),
         trace: a.trace_out.is_some(),
-        recorder: RecorderConfig::default(),
     };
     let plan = a.rescale_at.map(|at_epoch| ElasticPlan {
         at_epoch,
@@ -767,7 +767,7 @@ fn run_cluster(a: ClusterArgs) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     if let Some(path) = &a.health_out {
-        let health = HealthReport::compute(&metrics.snapshot(), &HealthConfig::default());
+        let health = HealthReport::compute(&metrics.snapshot());
         std::fs::write(path, health.to_jsonl())?;
         println!(
             "  health         : {} signal(s) written to {path}",
@@ -779,7 +779,7 @@ fn run_cluster(a: ClusterArgs) -> Result<(), Box<dyn std::error::Error>> {
         // Per-shard recorder incidents first, then the fabric-level
         // health signals as evidence-free verdicts.
         let mut incidents = IncidentReport::new(report.incidents.clone());
-        let health = HealthReport::compute(&metrics.snapshot(), &HealthConfig::default());
+        let health = HealthReport::compute(&metrics.snapshot());
         incidents.extend_from_health(&health);
         std::fs::write(path, incidents.to_jsonl())?;
         println!(
@@ -823,52 +823,18 @@ fn parse_report_args(args: &[String]) -> Result<ReportArgs, String> {
         incidents: None,
         top: 5,
     };
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--timeline" => {
-                out.timeline = true;
-                i += 1;
-            }
-            "--health" => {
-                out.health = true;
-                i += 1;
-            }
-            "--critical-path" => {
-                out.critical_path = Some(
-                    args.get(i + 1)
-                        .ok_or("--critical-path needs a spans.jsonl path")?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--cluster-critical-path" => {
-                out.cluster_critical_path = Some(
-                    args.get(i + 1)
-                        .ok_or("--cluster-critical-path needs a stitched spans.jsonl path")?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--incidents" => {
-                out.incidents = Some(
-                    args.get(i + 1)
-                        .ok_or("--incidents needs an incidents.jsonl path")?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--top" => {
-                out.top = args
-                    .get(i + 1)
-                    .ok_or("--top needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --top")?;
-                i += 2;
-            }
+    walk_flags(args, &["--timeline", "--health"], |flag, value| {
+        match flag {
+            "--timeline" => out.timeline = true,
+            "--health" => out.health = true,
+            "--critical-path" => out.critical_path = Some(value.to_owned()),
+            "--cluster-critical-path" => out.cluster_critical_path = Some(value.to_owned()),
+            "--incidents" => out.incidents = Some(value.to_owned()),
+            "--top" => out.top = parsed(flag, value)?,
             other => return Err(format!("unknown flag '{other}'")),
         }
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -983,10 +949,7 @@ fn run_report(a: &ReportArgs) -> Result<(), Box<dyn std::error::Error>> {
         print!("{}", ClusterCriticalPath::compute(&trace).render(a.top));
     }
     if a.health {
-        print!(
-            "{}",
-            HealthReport::compute(&dump, &HealthConfig::default()).render()
-        );
+        print!("{}", HealthReport::compute(&dump).render());
     }
     if let Some(incidents_path) = &a.incidents {
         let incidents_text = std::fs::read_to_string(incidents_path)?;

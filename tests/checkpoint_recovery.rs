@@ -299,3 +299,58 @@ fn hash_and_adaptive_groupby_crash_mid_window_recover_identically() {
         );
     }
 }
+
+/// The row log behind two-phase output: a bundle's rows, the same records
+/// reached through a KPA's pointers (bare or windowed), and rows pushed one
+/// at a time are the same log; a crash discards what is pending and leaves
+/// what committed.
+#[test]
+fn row_log_holds_the_same_rows_however_they_arrive() {
+    use std::sync::Arc;
+    use streambox_hbm::checkpoint::RowLog;
+    use streambox_hbm::engine::{CheckpointHooks, StreamData};
+    use streambox_hbm::records::WindowId;
+
+    let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
+    let words: Vec<u64> = (0..30).collect(); // ten (key, value, ts) rows
+    let bundle = RecordBundle::from_rows(&env, Schema::kvt(), &words).expect("bundle");
+    let mut ctx = ExecCtx::new(&env);
+    let mut kpa =
+        || Kpa::extract(&mut ctx, &bundle, Col(0), MemKind::Dram, Priority::Normal).expect("kpa");
+    let outputs = [
+        StreamData::Bundle(Arc::clone(&bundle)),
+        StreamData::Kpa(kpa()),
+        StreamData::Windowed(WindowId(4), kpa()),
+    ];
+
+    let mut by_row = RowLog::default();
+    for row in words.chunks(3) {
+        by_row.push_row(row);
+    }
+    assert_eq!(by_row.len(), 10);
+    assert!(by_row.iter().eq(words.chunks(3)));
+    for data in &outputs {
+        let mut log = RowLog::default();
+        log.push_output(data);
+        assert_eq!(log, by_row);
+        assert!((&log).into_iter().eq(words.chunks(3)));
+    }
+    // A row of another width is still one row, after the others.
+    let mut mixed = by_row.clone();
+    mixed.push_row(&[7]);
+    mixed.extend(&by_row);
+    assert_eq!(mixed.len(), 21);
+    assert_eq!(mixed.iter().nth(10), Some(&[7u64][..]));
+    assert_eq!(mixed.iter().nth(11), Some(&words[..3]));
+    assert_ne!(mixed, by_row);
+
+    let mut coord = CheckpointCoordinator::new();
+    coord.on_output(&outputs[0]);
+    coord.commit_pending();
+    coord.on_output(&outputs[1]);
+    assert_eq!(coord.pending_rows(), 10);
+    coord.discard_pending();
+    assert_eq!(coord.pending_rows(), 0);
+    assert_eq!(coord.committed(), &by_row);
+    assert!(RowLog::default().is_empty() && !coord.committed().is_empty());
+}

@@ -94,7 +94,7 @@ fn same_seed_runs_export_byte_identical_cluster_artifacts() {
         let reg = MetricsRegistry::active();
         let report = ysb_rescale_run(reg.clone());
         let trace = report.trace.expect("trace enabled");
-        let health = HealthReport::compute(&reg.snapshot(), &HealthConfig::default());
+        let health = HealthReport::compute(&reg.snapshot());
         (
             trace.export_jsonl(),
             trace.export_chrome(),
@@ -184,7 +184,7 @@ fn zipf_rebalance_health_names_the_moved_hot_slot() {
         )
         .expect("zipf rebalance run");
     let rescale = report.rescale.as_ref().expect("rescale happened");
-    let health = HealthReport::compute(&reg.snapshot(), &HealthConfig::default());
+    let health = HealthReport::compute(&reg.snapshot());
     let hot = health.hot_slot.expect("slot counters exported");
     // The report's hot slot is the run's actual hottest routing slot...
     let hottest = report
@@ -233,7 +233,7 @@ fn balanced_cluster_health_is_silent() {
             INTERVAL,
         )
         .expect("balanced run");
-    let health = HealthReport::compute(&reg.snapshot(), &HealthConfig::default());
+    let health = HealthReport::compute(&reg.snapshot());
     assert!(
         health.signals.is_empty(),
         "balanced cluster tripped: {:?}",

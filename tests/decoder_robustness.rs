@@ -1,0 +1,181 @@
+//! Arbitrary bytes into every decoder (ROADMAP item 4c): one valid export of
+//! each format — metrics, spans, stitched cluster spans, health, incidents,
+//! trajectory — plus one encoded snapshot goes through a fixed-seed schedule
+//! of byte flips, insertions and truncations. Every decoder must answer
+//! `Ok` or `Err`, never panic, and never allocate beyond its input (each
+//! builds its result from pieces of the input it was handed, so returning at
+//! all bounds it). The unmutated export must parse and re-export to the same
+//! bytes.
+
+use sbx_bench::trajectory::Trajectory;
+use sbx_prng::SbxRng;
+use streambox_hbm::checkpoint::{decode_snapshot, encode_snapshot};
+use streambox_hbm::prelude::*;
+
+const MUTATIONS: usize = 300;
+
+/// Parses a text export and writes it back out.
+type Reexport = fn(&str) -> Result<String, String>;
+
+fn spans_jsonl(spans: &[SpanRec]) -> String {
+    let mut out = String::new();
+    for s in spans {
+        s.write_line(None, &mut out);
+    }
+    out
+}
+
+/// One valid export per text format, with its parse-and-re-export function.
+fn text_exports() -> Vec<(&'static str, String, Reexport)> {
+    // A spilling, traced, checkpoint-free engine run: metrics, spans and
+    // (HBM shrunk to 256 KiB) spill-storm incidents.
+    let obs = Obs::enabled();
+    let mut machine = MachineConfig::knl().scaled(1.0 / 256.0);
+    machine.hbm.capacity_bytes = 256 * 1024;
+    let cfg = RunConfig {
+        machine,
+        cores: 16,
+        threads: 1,
+        sender: SenderConfig {
+            bundle_rows: 2_000,
+            bundles_per_watermark: 5,
+            nic: NicModel::rdma_40g(),
+        },
+        obs: obs.clone(),
+        ..RunConfig::default()
+    };
+    Engine::new(cfg)
+        .run(
+            KvSource::new(3, 1_000, 100_000).with_value_range(100),
+            benchmarks::sum_per_key(),
+            40,
+        )
+        .expect("spill run");
+    let incidents = IncidentReport::new(obs.recorder.incidents());
+    assert!(!incidents.is_empty(), "the spill run files incidents");
+
+    // A traced 2 -> 3 shard rescale: stitched spans and the health report.
+    let metrics = MetricsRegistry::active();
+    let cluster = ShardedCluster::new(ClusterConfig {
+        shards: 2,
+        engine: RunConfig {
+            cores: 8,
+            threads: 1,
+            sender: SenderConfig {
+                bundle_rows: 1_000,
+                bundles_per_watermark: 5,
+                nic: NicModel::rdma_40g(),
+            },
+            ..RunConfig::default()
+        },
+        metrics: metrics.clone(),
+        trace: true,
+        ..ClusterConfig::default()
+    });
+    let report = cluster
+        .run_elastic(
+            || KvSource::new(7, 500, 100_000).with_zipf(1.0),
+            benchmarks::sum_per_key,
+            20,
+            5,
+            ElasticPlan {
+                at_epoch: 2,
+                retarget: Retarget::Shards(3),
+            },
+        )
+        .expect("cluster run");
+    let stitched = report.trace.expect("traced run").export_jsonl();
+
+    vec![
+        ("metrics", obs.metrics.export_jsonl(), |t| {
+            Ok(MetricsDump::parse_jsonl(t)?.to_jsonl())
+        }),
+        ("spans", obs.trace.export_jsonl(), |t| {
+            Ok(spans_jsonl(&parse_spans_jsonl(t)?))
+        }),
+        ("cluster spans", stitched, |t| {
+            let spans = parse_cluster_spans_jsonl(t)?;
+            Ok(ClusterTrace { spans }.export_jsonl())
+        }),
+        (
+            "health",
+            HealthReport::compute(&metrics.snapshot()).to_jsonl(),
+            |t| Ok(HealthReport::parse_jsonl(t)?.to_jsonl()),
+        ),
+        ("incidents", incidents.to_jsonl(), |t| {
+            Ok(IncidentReport::parse_jsonl(t)?.to_jsonl())
+        }),
+        (
+            "trajectory",
+            include_str!("../BENCH_3.json").to_owned(),
+            |t| Ok(Trajectory::parse_json(t)?.to_json()),
+        ),
+    ]
+}
+
+/// One mutation of `data`: flip a bit, insert an element, or truncate.
+fn mutate<T: Copy>(rng: &mut SbxRng, data: &mut Vec<T>, flip: impl Fn(T, u64) -> T, any: T) {
+    let at = rng.random_range(0..data.len().max(1) as u64) as usize;
+    match rng.random_range(0..3u64) {
+        0 if !data.is_empty() => data[at] = flip(data[at], rng.random()),
+        1 => data.insert(at.min(data.len()), flip(any, rng.random())),
+        _ => data.truncate(at),
+    }
+}
+
+#[test]
+fn text_decoders_survive_mutated_exports() {
+    let mut rng = SbxRng::seed_from_u64(0x4c);
+    for (format, text, reexport) in text_exports() {
+        assert!(
+            text.lines().count() >= 2,
+            "{format}: more than a summary line"
+        );
+        assert_eq!(reexport(&text).as_ref(), Ok(&text), "{format} re-export");
+        for _ in 0..MUTATIONS {
+            let mut bytes = text.clone().into_bytes();
+            for _ in 0..rng.random_range(1..4u64) {
+                mutate(&mut rng, &mut bytes, |b, r| b ^ (1 << (r % 8)), 0u8);
+            }
+            let _ = reexport(&String::from_utf8_lossy(&bytes));
+        }
+    }
+}
+
+#[test]
+fn snapshot_decoder_survives_mutated_words() {
+    let mut coord = CheckpointCoordinator::new();
+    let cfg = RunConfig {
+        cores: 8,
+        sender: SenderConfig {
+            bundle_rows: 1_000,
+            bundles_per_watermark: 5,
+            nic: NicModel::rdma_40g(),
+        },
+        ..RunConfig::default()
+    };
+    let mk_src = || KvSource::new(7, 50, 100_000).with_value_range(1_000);
+    run_with_recovery(&cfg, mk_src, benchmarks::sum_per_key, 20, 3, &mut coord).expect("run");
+    let snap = coord.store().latest().expect("decodes").expect("committed");
+    let words = encode_snapshot(&snap);
+    assert!(words.len() > 100, "a snapshot with window state");
+    assert_eq!(decode_snapshot(&words).as_ref(), Ok(&snap));
+
+    let mut rng = SbxRng::seed_from_u64(0x4c);
+    for _ in 0..MUTATIONS {
+        let mut mutated = words.clone();
+        for _ in 0..rng.random_range(1..4u64) {
+            // Half the flips land a whole random word: a length field then
+            // claims far more than the input holds.
+            let flip = |w: u64, r: u64| {
+                if r.is_multiple_of(2) {
+                    r
+                } else {
+                    w ^ (1 << (r % 64))
+                }
+            };
+            mutate(&mut rng, &mut mutated, flip, 0u64);
+        }
+        let _ = decode_snapshot(&mutated);
+    }
+}

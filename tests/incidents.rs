@@ -188,7 +188,7 @@ fn zipf_skew_fires_only_the_fabric_skew_detectors() {
         kinds(&report.incidents)
     );
     let mut incidents = IncidentReport::new(report.incidents.clone());
-    let health = HealthReport::compute(&reg.snapshot(), &HealthConfig::default());
+    let health = HealthReport::compute(&reg.snapshot());
     incidents.extend_from_health(&health);
     let fabric_kinds: Vec<&str> = incidents
         .incidents
