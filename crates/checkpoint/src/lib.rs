@@ -85,6 +85,7 @@ fn encode_words(snap: &PipelineSnapshot, mut put: impl FnMut(&[u64])) {
             let (tag, resident, sorted) = match e.repr {
                 EntryRepr::Rows => (0u64, 0u64, 0u64),
                 EntryRepr::Kpa { resident, sorted } => (1, resident as u64, u64::from(sorted)),
+                EntryRepr::KeyedKpa { resident, sorted } => (2, resident as u64, u64::from(sorted)),
             };
             put(&[
                 e.window,
@@ -203,6 +204,7 @@ pub fn decode_snapshot(words: &[u64]) -> Result<PipelineSnapshot, EngineError> {
             let repr = match tag {
                 0 => EntryRepr::Rows,
                 1 => EntryRepr::Kpa { resident, sorted },
+                2 => EntryRepr::KeyedKpa { resident, sorted },
                 _ => return Err(corrupt("bad repr tag")),
             };
             let ncols = c.take_usize()?;

@@ -43,7 +43,7 @@ pub struct ShufflePlan {
 /// The column a state entry is keyed (and therefore routed) on.
 fn key_col(entry: &StateEntry) -> usize {
     match entry.repr {
-        EntryRepr::Kpa { resident, .. } => resident,
+        EntryRepr::Kpa { resident, .. } | EntryRepr::KeyedKpa { resident, .. } => resident,
         EntryRepr::Rows => 0,
     }
 }

@@ -14,7 +14,10 @@
 //! KPAs hold *pointers* into RC-pinned bundles, so snapshots cannot store
 //! them directly: each KPA is first run through the Table-2 `Materialize`
 //! primitive (§4.3) to produce self-contained records, which restore
-//! re-extracts into fresh KPAs.
+//! re-extracts into fresh KPAs. [`StateEntry::from_kpa`] and
+//! [`StateEntry::to_kpa`] are the only place that happens; keys an operator
+//! *computed* (a key map, a composite key) are no column of those records,
+//! so they are saved as one more column of the rows and put back from it.
 
 // sbx-lint: out-of-scope(raw-alloc, snapshot assembly at epoch barriers; bounded by operator-state size)
 use std::sync::Arc;
@@ -36,6 +39,15 @@ pub enum EntryRepr {
         /// Resident key column index of the snapshotted KPA.
         resident: usize,
         /// Whether the snapshotted KPA was sorted by resident key.
+        sorted: bool,
+    },
+    /// A [`EntryRepr::Kpa`] whose keys an operator computed rather than
+    /// copied from the resident column: every row carries its key as one
+    /// more, last column (counted in [`StateEntry::ncols`]).
+    KeyedKpa {
+        /// Resident key column index of the snapshotted KPA.
+        resident: usize,
+        /// Whether the snapshotted KPA was sorted by its keys.
         sorted: bool,
     },
     /// Keep the rows as plain records (pane bundles, pending join rows).
@@ -64,6 +76,11 @@ impl StateEntry {
     /// Snapshots a KPA by materializing it (Table-2 `Materialize`, §4.3)
     /// and copying the self-contained rows out of the transient bundle.
     ///
+    /// When the keys are not a copy of the resident column (`update_keys`,
+    /// `key_compose`), each row carries its key as one more column, so the
+    /// restored KPA groups as the saved one did; a plain-column KPA encodes
+    /// exactly as it always has.
+    ///
     /// # Errors
     ///
     /// Returns [`EngineError::Alloc`] when the materialize scratch bundle
@@ -81,17 +98,32 @@ impl StateEntry {
             schema.record_bytes()
         };
         let bundle = ctx.charged(rb, |e| kpa.materialize(e))?;
-        let ncols = schema.ncols();
+        let (resident, sorted) = (kpa.resident().0, kpa.is_sorted());
+        let mut ncols = schema.ncols();
         let mut rows = Vec::with_capacity(bundle.rows() * ncols);
-        for r in 0..bundle.rows() {
-            rows.extend_from_slice(bundle.row(r));
+        let mut carries_keys = false;
+        for (r, &key) in kpa.keys().iter().enumerate() {
+            let row = bundle.row(r);
+            carries_keys |= row[resident] != key;
+            rows.extend_from_slice(row);
+        }
+        if carries_keys {
+            // Computed keys: lay the rows out again, each with its key.
+            let mut keyed = Vec::with_capacity(rows.len() + kpa.len());
+            for (row, &key) in rows.chunks_exact(ncols).zip(kpa.keys()) {
+                keyed.extend_from_slice(row);
+                keyed.push(key);
+            }
+            rows = keyed;
+            ncols += 1;
         }
         Ok(StateEntry {
             window,
             port,
-            repr: EntryRepr::Kpa {
-                resident: kpa.resident().0,
-                sorted: kpa.is_sorted(),
+            repr: if carries_keys {
+                EntryRepr::KeyedKpa { resident, sorted }
+            } else {
+                EntryRepr::Kpa { resident, sorted }
             },
             ncols,
             ts_col: schema.ts_col().0,
@@ -134,7 +166,8 @@ impl StateEntry {
         }
     }
 
-    /// Rebuilds the entry's records as a pool-accounted bundle.
+    /// Rebuilds the entry's records (without the key column a KPA entry may
+    /// carry) as a pool-accounted bundle.
     ///
     /// # Errors
     ///
@@ -142,30 +175,42 @@ impl StateEntry {
     /// [`EngineError::Alloc`] when DRAM is exhausted.
     pub fn to_bundle(&self, ctx: &mut OpCtx<'_>) -> Result<Arc<RecordBundle>, EngineError> {
         let schema = self.schema()?;
-        let env = ctx.env();
-        RecordBundle::from_rows(&env, schema, &self.rows).map_err(EngineError::from)
+        let (env, ncols) = (ctx.env(), schema.ncols());
+        let slots = self.rows.len() / self.ncols * ncols;
+        RecordBundle::from_fill(&env, schema, slots, |out| {
+            for row in self.rows.chunks_exact(self.ncols) {
+                out.extend_from_slice(&row[..ncols]);
+            }
+        })
+        .map_err(EngineError::from)
     }
 
     /// Rebuilds a KPA: restores the records as a bundle, re-extracts on the
     /// saved resident column at the placement chosen by the current knob,
-    /// and re-marks sortedness.
+    /// puts back the keys the entry carries, and re-marks sortedness.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Config`] when the entry does not describe a
-    /// KPA and [`EngineError::Alloc`] when both tiers are exhausted.
+    /// KPA or claims a sort order its keys do not have, and
+    /// [`EngineError::Alloc`] when both tiers are exhausted.
     pub fn to_kpa(&self, ctx: &mut OpCtx<'_>) -> Result<Kpa, EngineError> {
-        let EntryRepr::Kpa { resident, sorted } = self.repr else {
-            return Err(EngineError::Config(
-                "snapshot entry does not describe a KPA".into(),
-            ));
+        let (resident, sorted) = match self.repr {
+            EntryRepr::Kpa { resident, sorted } | EntryRepr::KeyedKpa { resident, sorted } => {
+                (resident, sorted)
+            }
+            EntryRepr::Rows => {
+                return Err(EngineError::Config(
+                    "snapshot entry does not describe a KPA".into(),
+                ));
+            }
         };
-        if resident >= self.ncols {
+        let bundle = self.to_bundle(ctx)?;
+        if resident >= bundle.schema().ncols() {
             return Err(EngineError::Config(
                 "snapshot KPA resident column out of range".into(),
             ));
         }
-        let bundle = self.to_bundle(ctx)?;
         let (kind, prio) = ctx.place();
         let rb = bundle.schema().record_bytes();
         let mut kpa = ctx
@@ -173,22 +218,38 @@ impl StateEntry {
                 Kpa::extract_fused(e, &bundle, Col(resident), kind, prio)
             })
             .map_err(EngineError::from)?;
+        if self.carries_keys() {
+            let mut keys = self
+                .rows
+                .chunks_exact(self.ncols)
+                .map(|row| row[self.ncols - 1]);
+            ctx.charged(rb, |e| kpa.update_keys(e, |k| keys.next().unwrap_or(k)));
+        }
         if sorted {
+            if !kpa.keys().is_sorted() {
+                return Err(EngineError::Config(
+                    "corrupt snapshot entry: keys marked sorted are not".into(),
+                ));
+            }
             kpa.mark_sorted();
         }
         Ok(kpa)
     }
 
+    fn carries_keys(&self) -> bool {
+        matches!(self.repr, EntryRepr::KeyedKpa { .. })
+    }
+
+    /// The schema of the entry's records; a carried key column is no part
+    /// of it.
     fn schema(&self) -> Result<Arc<Schema>, EngineError> {
-        if self.ncols == 0
-            || self.ts_col >= self.ncols
-            || !self.rows.len().is_multiple_of(self.ncols)
-        {
+        let ncols = self.ncols.saturating_sub(usize::from(self.carries_keys()));
+        if ncols == 0 || self.ts_col >= ncols || !self.rows.len().is_multiple_of(self.ncols) {
             return Err(EngineError::Config(
                 "corrupt snapshot entry: bad column layout".into(),
             ));
         }
-        let names: Vec<String> = (0..self.ncols).map(|i| format!("c{i}")).collect();
+        let names: Vec<String> = (0..ncols).map(|i| format!("c{i}")).collect();
         Ok(Schema::new(names, Col(self.ts_col)))
     }
 }
@@ -374,6 +435,23 @@ mod tests {
         for i in 0..kpa.len() {
             assert_eq!(restored.value_at(i, Col(1)), kpa.value_at(i, Col(1)));
         }
+
+        // Computed keys ride along as one more column, and again in a
+        // second snapshot taken of the restored KPA.
+        ctx.charged(16, |e| kpa.update_keys(e, |k| (k * 7) % 5));
+        ctx.sort(&mut kpa).unwrap();
+        let entry = StateEntry::from_kpa(&mut ctx, 7, 0, &kpa).unwrap();
+        assert_eq!((entry.ncols, entry.rows.len()), (4, 50 * 4));
+        let restored = entry.to_kpa(&mut ctx).unwrap();
+        assert!(restored.is_sorted());
+        assert_eq!(restored.keys(), kpa.keys());
+        for i in 0..kpa.len() {
+            assert_eq!(restored.value_at(i, Col(1)), kpa.value_at(i, Col(1)));
+        }
+        assert_eq!(
+            StateEntry::from_kpa(&mut ctx, 7, 0, &restored).unwrap(),
+            entry
+        );
     }
 
     #[test]
@@ -404,6 +482,17 @@ mod tests {
         };
         assert!(matches!(
             bad_res.to_kpa(&mut ctx),
+            Err(EngineError::Config(_))
+        ));
+        let lying = StateEntry {
+            repr: EntryRepr::Kpa {
+                resident: 0,
+                sorted: true,
+            },
+            ..StateEntry::from_rows(0, 0, 3, 2, vec![9, 0, 0, 1, 0, 0])
+        };
+        assert!(matches!(
+            lying.to_kpa(&mut ctx),
             Err(EngineError::Config(_))
         ));
         let not_kpa = StateEntry::from_rows(0, 0, 3, 2, vec![1, 2, 3]);

@@ -774,7 +774,6 @@ impl Engine {
             self.pool.clone(),
             &mut self.balancer,
             self.cfg.mode,
-            self.cfg.threads,
             tag,
         )
     }

@@ -22,15 +22,13 @@ const NOKPA_THRASH: f64 = 2.5;
 ///
 /// Wraps the primitive-level [`ExecCtx`] with the engine-level concerns:
 /// the demand-balance placement decision for new KPAs, the task's
-/// [`ImpactTag`], the thread budget for parallel primitives, and the
-/// [`EngineMode`] cost adjustments for the Figure-9 ablation
-/// configurations.
+/// [`ImpactTag`], the worker pool whose width is the thread budget for
+/// parallel primitives, and the [`EngineMode`] cost adjustments for the
+/// Figure-9 ablation configurations.
 pub struct OpCtx<'a> {
     exec: ExecCtx,
     balancer: &'a mut DemandBalancer,
     mode: EngineMode,
-    /// Worker threads available to parallel primitives (sort).
-    pub threads: usize,
     /// Impact tag of the task being executed.
     pub tag: ImpactTag,
     /// Engine events noted by operators during this task (e.g. adaptive
@@ -51,25 +49,24 @@ impl<'a> OpCtx<'a> {
         threads: usize,
         tag: ImpactTag,
     ) -> Self {
-        Self::with_pool(env, WorkerPool::new(threads), balancer, mode, threads, tag)
+        Self::with_pool(env, WorkerPool::new(threads), balancer, mode, tag)
     }
 
     /// A context for one task backed by a shared [`WorkerPool`] (clones
     /// share spawn statistics), so every task of a run draws on the same
-    /// pool instead of configuring parallelism per invocation.
+    /// pool instead of configuring parallelism per invocation. The pool's
+    /// width is the thread budget of the task's parallel primitives.
     pub fn with_pool(
         env: &MemEnv,
         pool: WorkerPool,
         balancer: &'a mut DemandBalancer,
         mode: EngineMode,
-        threads: usize,
         tag: ImpactTag,
     ) -> Self {
         OpCtx {
             exec: ExecCtx::with_pool(env, pool),
             balancer,
             mode,
-            threads,
             tag,
             events: Vec::new(),
         }
@@ -182,7 +179,7 @@ impl<'a> OpCtx<'a> {
     /// Returns [`EngineError::Alloc`] when scratch cannot be allocated.
     pub fn sort(&mut self, kpa: &mut Kpa) -> Result<(), EngineError> {
         let rb = self.record_bytes_of(kpa);
-        let threads = self.threads;
+        let threads = self.exec.pool().width();
         self.charged(rb, |e| kpa.sort(e, threads))
             .map_err(EngineError::from)
     }
@@ -275,9 +272,9 @@ pub trait Operator: Send {
 /// no cross-message state, so the runtime may execute it concurrently on
 /// many bundles (the paper's data parallelism within windows, Fig. 1c).
 ///
-/// Every `StatelessOperator` also implements [`Operator`] by delegation,
-/// so pipelines mix the two freely; the engine runs the longest stateless
-/// *prefix* of a pipeline on parallel worker threads.
+/// Every `StatelessOperator` is also an [`Operator`] (the blanket impl
+/// below), so pipelines mix the two freely; the engine runs the longest
+/// stateless *prefix* of a pipeline on parallel worker threads.
 pub trait StatelessOperator: Send + Sync {
     /// Operator name for diagnostics.
     fn name(&self) -> &'static str;
@@ -289,6 +286,27 @@ pub trait StatelessOperator: Send + Sync {
     /// Returns [`EngineError`] on unrecoverable allocation or
     /// configuration failure.
     fn apply(&self, ctx: &mut OpCtx<'_>, msg: Message) -> Result<Vec<Message>, EngineError>;
+}
+
+/// A single-message output batch — the common result shape of the
+/// stateless operators' `apply` and of a forwarded barrier.
+pub(crate) fn single(msg: Message) -> Vec<Message> {
+    // sbx-lint: allow(raw-alloc, one-element routing vector; record data stays in pools)
+    vec![msg]
+}
+
+impl<T: StatelessOperator> Operator for T {
+    fn name(&self) -> &'static str {
+        StatelessOperator::name(self)
+    }
+
+    fn on_message(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        msg: Message,
+    ) -> Result<Vec<Message>, EngineError> {
+        self.apply(ctx, msg)
+    }
 }
 
 #[cfg(test)]

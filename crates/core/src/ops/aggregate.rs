@@ -2,16 +2,16 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sbx_kpa::{profile, Kpa};
-use sbx_records::{Col, RecordBundle, Schema, WindowId, WindowSpec};
+use sbx_records::{Col, RecordBundle, Schema, Watermark, WindowId, WindowSpec};
 
 use super::grouping::{
-    decide_backend, AdaptState, AggParams, BackendChoice, GroupingBackend, HashBackend,
-    SortMergeBackend, PORT_HASH_SCALAR, PORT_HASH_VALUES, PORT_PANE_BUNDLE, PORT_ROW_SCALAR,
-    PORT_ROW_VALUES,
+    decide_backend, AdaptState, AggParams, BackendChoice, GroupingBackend, SortMergeBackend,
+    PORT_HASH_SCALAR, PORT_HASH_VALUES, PORT_PANE_BUNDLE, PORT_ROW_SCALAR, PORT_ROW_VALUES,
 };
+use super::windowed::{WindowLogic, WindowStore, Windowed};
 use crate::checkpoint::{OpState, StateEntry};
-use crate::ops::{closable, single, window_start, GroupingSpec, LateGuard};
-use crate::{EngineError, ImpactTag, Message, OpCtx, Operator, StreamData};
+use crate::ops::GroupingSpec;
+use crate::{EngineError, ImpactTag, Message, OpCtx, StreamData};
 
 /// Which per-key aggregate a [`KeyedAggregate`] computes — the benchmark
 /// suite's statefull operator family (paper §6, benchmarks 1–6).
@@ -47,45 +47,51 @@ pub enum AggKind {
 /// adaptive sort-vs-hash decision, all emitting byte-identical results.
 ///
 /// [`with_grouping`]: KeyedAggregate::with_grouping
-pub struct KeyedAggregate {
+pub type KeyedAggregate = Windowed<KeyedAggLogic, AggWindow>;
+
+/// [`KeyedAggregate`]'s primitives and the state that outlives a window:
+/// the backend choice, its adaptive history, the pane cursor.
+pub struct KeyedAggLogic {
     key_col: Col,
     value_col: Col,
     kind: AggKind,
-    spec: WindowSpec,
     key_map: Option<Box<dyn Fn(u64) -> u64 + Send>>,
     early_aggregation: bool,
     grouping: GroupingSpec,
     adapt: AdaptState,
-    state: BTreeMap<WindowId, Box<dyn GroupingBackend>>,
-    /// Pane-combining mode: per-pane partial bundles (key, partial, 0),
-    /// each pane computed once and shared by every window containing it.
-    pane_state: BTreeMap<u64, Vec<Arc<RecordBundle>>>,
     pane_combining: bool,
     /// Next window to externalize in pane mode.
     pane_next_window: u64,
     out_schema: Arc<Schema>,
-    late: LateGuard,
+}
+
+/// One map entry of a [`KeyedAggregate`]: a window's grouping backend or,
+/// in pane-combining mode, a *pane's* partial bundles `(key, partial, 0)` —
+/// each pane computed once and shared by every window containing it.
+#[derive(Debug, Default)]
+pub struct AggWindow {
+    backend: Option<Box<dyn GroupingBackend>>,
+    panes: Vec<Arc<RecordBundle>>,
 }
 
 impl KeyedAggregate {
     /// Aggregates `value_col` grouped by `key_col` over `spec` windows.
     pub fn new(spec: WindowSpec, key_col: Col, value_col: Col, kind: AggKind) -> Self {
-        KeyedAggregate {
-            key_col,
-            value_col,
-            kind,
+        Windowed::over(
             spec,
-            key_map: None,
-            early_aggregation: matches!(kind, AggKind::Sum | AggKind::Count),
-            grouping: GroupingSpec::SortMerge,
-            adapt: AdaptState::default(),
-            state: BTreeMap::new(),
-            pane_state: BTreeMap::new(),
-            pane_combining: false,
-            pane_next_window: 0,
-            out_schema: Schema::kvt(),
-            late: LateGuard::default(),
-        }
+            KeyedAggLogic {
+                key_col,
+                value_col,
+                kind,
+                key_map: None,
+                early_aggregation: matches!(kind, AggKind::Sum | AggKind::Count),
+                grouping: GroupingSpec::SortMerge,
+                adapt: AdaptState::default(),
+                pane_combining: false,
+                pane_next_window: 0,
+                out_schema: Schema::kvt(),
+            },
+        )
     }
 
     /// Enables CQL-style pane combining for sliding windows: feed this
@@ -101,15 +107,15 @@ impl KeyedAggregate {
     /// kinds).
     pub fn with_pane_combining(mut self) -> Self {
         assert!(
-            matches!(self.kind, AggKind::Sum | AggKind::Count),
+            matches!(self.logic.kind, AggKind::Sum | AggKind::Count),
             "pane combining requires a combinable aggregate (Sum or Count)"
         );
         assert!(
-            self.grouping == GroupingSpec::SortMerge,
+            self.logic.grouping == GroupingSpec::SortMerge,
             "pane combining shares partial bundles across windows and is only \
              implemented for the sort-merge grouping backend"
         );
-        self.pane_combining = true;
+        self.logic.pane_combining = true;
         self
     }
 
@@ -124,10 +130,10 @@ impl KeyedAggregate {
     /// [`GroupingSpec::SortMerge`].
     pub fn with_grouping(mut self, grouping: GroupingSpec) -> Self {
         assert!(
-            !self.pane_combining || grouping == GroupingSpec::SortMerge,
+            !self.logic.pane_combining || grouping == GroupingSpec::SortMerge,
             "pane combining is only implemented for the sort-merge backend"
         );
-        self.grouping = grouping;
+        self.logic.grouping = grouping;
         self
     }
 
@@ -135,28 +141,19 @@ impl KeyedAggregate {
     /// ad→campaign mapping applied at the aggregation key swap).
     pub fn with_key_map(mut self, map: impl Fn(u64) -> u64 + Send + 'static) -> Self {
         // sbx-lint: allow(raw-alloc, one-time operator construction, not per-bundle work)
-        self.key_map = Some(Box::new(map));
+        self.logic.key_map = Some(Box::new(map));
         self
     }
 
     /// Disables the early-aggregation optimization (used by the ablation
     /// tests; the paper enables it by default).
     pub fn without_early_aggregation(mut self) -> Self {
-        self.early_aggregation = false;
+        self.logic.early_aggregation = false;
         self
     }
+}
 
-    /// Number of windows currently buffered.
-    pub fn open_windows(&self) -> usize {
-        self.state.len()
-    }
-
-    /// Records dropped because their window had already been closed by a
-    /// watermark.
-    pub fn late_records(&self) -> u64 {
-        self.late.dropped()
-    }
-
+impl KeyedAggLogic {
     fn params(&self) -> AggParams {
         AggParams {
             kind: self.kind,
@@ -169,170 +166,34 @@ impl KeyedAggregate {
     /// decision when configured. `kpa` is the window's first arriving KPA
     /// (already key-swapped and key-mapped).
     fn new_backend(
-        &mut self,
+        &self,
         ctx: &mut OpCtx<'_>,
         kpa: &Kpa,
     ) -> Result<Box<dyn GroupingBackend>, EngineError> {
-        let backend: Box<dyn GroupingBackend> = match self.grouping {
-            // sbx-lint: allow(raw-alloc, one boxed backend per window)
-            GroupingSpec::RowBaseline => Box::new(HashBackend::row_baseline(ctx, self.kind)?),
-            spec => {
-                let choice = match spec {
-                    GroupingSpec::SortMerge => BackendChoice::Sort,
-                    GroupingSpec::Hash => BackendChoice::Hash,
-                    _ => {
-                        if self.adapt.windows_seen > 0 {
-                            // Window 0 skips the sketch: the decision is
-                            // the sort default regardless (`decide_backend`).
-                            let prof = profile::sketch(kpa.len(), kpa.kind());
-                            ctx.charged(16, |e| e.charge(&prof));
-                        }
-                        let env = ctx.env();
-                        decide_backend(&env, kpa, &self.params(), kpa.kind(), &self.adapt)
-                    }
-                };
-                match choice {
-                    // sbx-lint: allow(raw-alloc, one boxed backend per window)
-                    BackendChoice::Sort => Box::new(SortMergeBackend::new()),
-                    // sbx-lint: allow(raw-alloc, one boxed backend per window)
-                    BackendChoice::Hash => Box::new(HashBackend::sharded(ctx, self.kind)?),
+        let choice = match self.grouping {
+            GroupingSpec::SortMerge => BackendChoice::Sort,
+            GroupingSpec::Hash => BackendChoice::Hash,
+            GroupingSpec::RowBaseline => BackendChoice::Row,
+            GroupingSpec::Adaptive => {
+                if self.adapt.windows_seen > 0 {
+                    // Window 0 skips the sketch: the decision is
+                    // the sort default regardless (`decide_backend`).
+                    let prof = profile::sketch(kpa.len(), kpa.kind());
+                    ctx.charged(16, |e| e.charge(&prof));
                 }
+                let env = ctx.env();
+                decide_backend(&env, kpa, &self.params(), kpa.kind(), &self.adapt)
             }
         };
+        let backend = choice.open(ctx, self.kind)?;
         ctx.note_event(backend.event());
         Ok(backend)
     }
-
-    /// Swaps an arriving KPA to the (mapped) grouping key.
-    fn key_on_group(&self, ctx: &mut OpCtx<'_>, kpa: &mut Kpa) {
-        if kpa.resident() != self.key_col {
-            ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
-        }
-        if let Some(map) = &self.key_map {
-            ctx.charged(16, |e| kpa.update_keys(e, map));
-        }
-    }
-
-    fn ingest(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        w: WindowId,
-        mut kpa: Kpa,
-    ) -> Result<(), EngineError> {
-        self.key_on_group(ctx, &mut kpa);
-        if !self.state.contains_key(&w) {
-            let backend = self.new_backend(ctx, &kpa)?;
-            self.state.insert(w, backend);
-        }
-        let p = self.params();
-        if let Some(backend) = self.state.get_mut(&w) {
-            backend.ingest(ctx, kpa, &p)?;
-        }
-        Ok(())
-    }
-
-    /// Pane-mode ingest: pre-reduce the pane's KPA to per-key partials and
-    /// store the partial *bundle* (shareable across windows).
-    fn ingest_pane(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        pane: u64,
-        mut kpa: Kpa,
-    ) -> Result<(), EngineError> {
-        self.key_on_group(ctx, &mut kpa);
-        ctx.sort(&mut kpa)?;
-        let partials = SortMergeBackend::partials(ctx, &kpa, &self.params())?;
-        self.pane_state.entry(pane).or_default().push(partials);
-        Ok(())
-    }
-
-    /// Pane-mode close: the window is the sort-merge backend's, holding the
-    /// partials of panes `[w, w + overlap)`.
-    fn close_window_of_panes(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        w: u64,
-    ) -> Result<Option<Message>, EngineError> {
-        ctx.tag = ImpactTag::Urgent;
-        let overlap = self.spec.size() / self.spec.stride();
-        let mut window = SortMergeBackend::new();
-        for pane in w..w + overlap {
-            for partials in self.pane_state.get(&pane).into_iter().flatten() {
-                window.push_partials(ctx, partials)?;
-            }
-        }
-        if window.is_empty() {
-            return Ok(None);
-        }
-        // Panes are always pre-reduced, whatever the early-aggregation flag.
-        let p = AggParams {
-            early: true,
-            ..self.params()
-        };
-        let start = window_start(&self.spec, WindowId(w)).raw();
-        let (out, _) = window.close(ctx, &p, start, &self.out_schema)?;
-        Ok(Some(Message::data(StreamData::Bundle(out))))
-    }
-
-    fn on_watermark_panes(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        wm: sbx_records::Watermark,
-    ) -> Result<Vec<Message>, EngineError> {
-        // Windows strictly below `boundary` are closed by this watermark.
-        let boundary = if wm.time().raw() >= self.spec.size() {
-            (wm.time().raw() - self.spec.size()) / self.spec.stride() + 1
-        } else {
-            0
-        };
-        let mut out = Vec::new();
-        if let Some(&max_pane) = self.pane_state.keys().next_back() {
-            // Windows past the last pane hold no data; skip them.
-            let close_until = boundary.min(max_pane + 1);
-            for w in self.pane_next_window..close_until {
-                if let Some(msg) = self.close_window_of_panes(ctx, w)? {
-                    out.push(msg);
-                }
-            }
-        }
-        self.pane_next_window = self.pane_next_window.max(boundary);
-        let keep_from = self.pane_next_window;
-        self.pane_state.retain(|&p, _| p >= keep_from);
-        out.push(Message::Watermark(wm));
-        Ok(out)
-    }
-
-    fn close(&mut self, ctx: &mut OpCtx<'_>, w: WindowId) -> Result<Message, EngineError> {
-        ctx.tag = ImpactTag::Urgent;
-        let start = window_start(&self.spec, w).raw();
-        let out = if let Some(mut backend) = self.state.remove(&w) {
-            let p = self.params();
-            let records = backend.records();
-            let (out, groups) = backend.close(ctx, &p, start, &self.out_schema)?;
-            // Feed the closed window into the adaptive history (cheap and
-            // deterministic, so it runs for every backend spec).
-            self.adapt.observe_window(records, groups);
-            out
-        } else {
-            RecordBundle::from_rows(&ctx.env(), Arc::clone(&self.out_schema), &[])?
-        };
-        Ok(Message::data(StreamData::Bundle(out)))
-    }
 }
 
-impl std::fmt::Debug for KeyedAggregate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KeyedAggregate")
-            .field("key_col", &self.key_col)
-            .field("value_col", &self.value_col)
-            .field("kind", &self.kind)
-            .field("grouping", &self.grouping)
-            .field("open_windows", &self.state.len())
-            .finish()
-    }
-}
+impl WindowLogic for KeyedAggLogic {
+    type State = AggWindow;
 
-impl Operator for KeyedAggregate {
     fn name(&self) -> &'static str {
         // Backend-qualified names keep per-operator spans and metrics
         // distinguishable in traces (op.KeyedAggregate(hash).* etc.).
@@ -344,121 +205,168 @@ impl Operator for KeyedAggregate {
         }
     }
 
-    fn on_message(
+    /// Swaps the KPA to the (mapped) grouping key and hands it to the
+    /// window's backend — or, in pane mode, pre-reduces it to the pane's
+    /// per-key partials and keeps the partial *bundle* (shareable across
+    /// windows).
+    fn arrive(
         &mut self,
         ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        match msg {
-            Message::Data {
-                data: StreamData::Windowed(w, kpa),
-                ..
-            } => {
-                if self.pane_combining {
-                    // `w` is a pane id; a pane is late once no open window
-                    // can include it.
-                    if w.0 < self.pane_next_window {
-                        self.late.is_late(&self.spec, w, kpa.len());
-                        return Ok(Vec::new());
+        state: &mut AggWindow,
+        _port: u8,
+        _start: u64,
+        mut kpa: Kpa,
+    ) -> Result<(), EngineError> {
+        if kpa.resident() != self.key_col {
+            ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
+        }
+        if let Some(map) = &self.key_map {
+            ctx.charged(16, |e| kpa.update_keys(e, map));
+        }
+        if self.pane_combining {
+            ctx.sort(&mut kpa)?;
+            let partials = SortMergeBackend::partials(ctx, &kpa, &self.params())?;
+            state.panes.push(partials);
+            return Ok(());
+        }
+        let backend = match &mut state.backend {
+            Some(backend) => backend,
+            empty => empty.insert(self.new_backend(ctx, &kpa)?),
+        };
+        backend.ingest(ctx, kpa, &self.params())
+    }
+
+    fn close(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        state: AggWindow,
+        start: u64,
+        out: &mut Vec<Message>,
+    ) -> Result<(), EngineError> {
+        let Some(mut backend) = state.backend else {
+            return Ok(());
+        };
+        let records = backend.records();
+        let (bundle, groups) = backend.close(ctx, &self.params(), start, &self.out_schema)?;
+        // Feed the closed window into the adaptive history (cheap and
+        // deterministic, so it runs for every backend spec).
+        self.adapt.observe_window(records, groups);
+        out.push(Message::data(StreamData::Bundle(bundle)));
+        Ok(())
+    }
+
+    /// The pane-combining close rule: map entries are panes, so the
+    /// windows `wm` elapses are assembled here — window `w` is a sort-merge
+    /// backend over the partials of panes `[w, w + overlap)` — and the
+    /// panes no open window can still include are dropped, which leaves the
+    /// lifecycle's own sweep nothing below the watermark.
+    fn on_watermark(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        spec: &WindowSpec,
+        windows: &mut BTreeMap<WindowId, AggWindow>,
+        wm: Watermark,
+        out: &mut Vec<Message>,
+    ) -> Result<(), EngineError> {
+        if !self.pane_combining {
+            return Ok(());
+        }
+        // Windows strictly below `boundary` are closed by this watermark.
+        let boundary = if wm.time().raw() >= spec.size() {
+            (wm.time().raw() - spec.size()) / spec.stride() + 1
+        } else {
+            0
+        };
+        if let Some((&WindowId(max_pane), _)) = windows.last_key_value() {
+            let overlap = spec.size() / spec.stride();
+            // Panes are always pre-reduced, whatever the early-aggregation flag.
+            let p = AggParams {
+                early: true,
+                ..self.params()
+            };
+            // Windows past the last pane hold no data; skip them.
+            for w in self.pane_next_window..boundary.min(max_pane + 1) {
+                ctx.tag = ImpactTag::Urgent;
+                let mut window = SortMergeBackend::new();
+                for (_, pane) in windows.range(WindowId(w)..WindowId(w + overlap)) {
+                    for partials in &pane.panes {
+                        window.push_partials(ctx, partials)?;
                     }
-                    self.ingest_pane(ctx, w.0, kpa)?;
-                    return Ok(Vec::new());
                 }
-                if self.late.is_late(&self.spec, w, kpa.len()) {
-                    return Ok(Vec::new());
+                if !window.is_empty() {
+                    let start = spec.start(WindowId(w)).raw();
+                    let (bundle, _) = window.close(ctx, &p, start, &self.out_schema)?;
+                    out.push(Message::data(StreamData::Bundle(bundle)));
                 }
-                self.ingest(ctx, w, kpa)?;
-                Ok(Vec::new())
-            }
-            Message::Data { data, .. } => Err(EngineError::Config(format!(
-                "KeyedAggregate requires windowed KPAs, got {} unwindowed records",
-                data.len()
-            ))),
-            Message::Watermark(wm) => {
-                self.late.observe(wm);
-                if self.pane_combining {
-                    return self.on_watermark_panes(ctx, wm);
-                }
-                let mut out = Vec::new();
-                for w in closable(&self.state, &self.spec, wm) {
-                    out.push(self.close(ctx, w)?);
-                }
-                out.push(Message::Watermark(wm));
-                Ok(out)
-            }
-            Message::Barrier(mut b) => {
-                b.states.push(self.snapshot(ctx)?);
-                Ok(single(Message::Barrier(b)))
             }
         }
+        self.pane_next_window = self.pane_next_window.max(boundary);
+        *windows = windows.split_off(&WindowId(self.pane_next_window));
+        Ok(())
     }
+}
 
-    fn snapshot(&self, ctx: &mut OpCtx<'_>) -> Result<OpState, EngineError> {
-        let mut st = OpState {
-            horizon: self.late.horizon().map(|h| h.time().raw()),
-            // The adaptive window history rides along so recovered runs
-            // keep making the same backend decisions.
-            scalars: [
-                self.pane_next_window,
-                self.adapt.records_ema,
-                self.adapt.groups_ema,
-                self.adapt.windows_seen,
-            ]
-            .to_vec(),
-            entries: Vec::new(),
-        };
-        for (w, backend) in &self.state {
-            backend.snapshot(ctx, w.0, &mut st.entries)?;
-        }
-        for (pane, bundles) in &self.pane_state {
-            for b in bundles {
+impl WindowStore<KeyedAggLogic> for AggWindow {
+    fn save_all(
+        logic: &KeyedAggLogic,
+        ctx: &mut OpCtx<'_>,
+        windows: &BTreeMap<WindowId, Self>,
+        st: &mut OpState,
+    ) -> Result<(), EngineError> {
+        // The adaptive window history rides along so recovered runs keep
+        // making the same backend decisions.
+        st.scalars.extend_from_slice(&[
+            logic.pane_next_window,
+            logic.adapt.records_ema,
+            logic.adapt.groups_ema,
+            logic.adapt.windows_seen,
+        ]);
+        for (w, state) in windows {
+            if let Some(backend) = &state.backend {
+                backend.snapshot(ctx, w.0, &mut st.entries)?;
+            }
+            for b in &state.panes {
                 st.entries
-                    .push(StateEntry::from_bundle(*pane, PORT_PANE_BUNDLE, b));
+                    .push(StateEntry::from_bundle(w.0, PORT_PANE_BUNDLE, b));
             }
         }
-        Ok(st)
+        Ok(())
     }
 
-    fn restore(&mut self, ctx: &mut OpCtx<'_>, state: &OpState) -> Result<(), EngineError> {
-        if let Some(raw) = state.horizon {
-            self.late.observe(sbx_records::Watermark::from(raw));
-        }
-        self.pane_next_window = state.scalars.first().copied().unwrap_or(0);
-        self.adapt = AdaptState {
-            records_ema: state.scalars.get(1).copied().unwrap_or(0),
-            groups_ema: state.scalars.get(2).copied().unwrap_or(0),
-            windows_seen: state.scalars.get(3).copied().unwrap_or(0),
+    fn load_all(
+        logic: &mut KeyedAggLogic,
+        ctx: &mut OpCtx<'_>,
+        st: &OpState,
+        windows: &mut BTreeMap<WindowId, Self>,
+    ) -> Result<(), EngineError> {
+        let scalar = |i: usize| st.scalars.get(i).copied().unwrap_or(0);
+        logic.pane_next_window = scalar(0);
+        logic.adapt = AdaptState {
+            records_ema: scalar(1),
+            groups_ema: scalar(2),
+            windows_seen: scalar(3),
         };
-        for e in &state.entries {
+        for e in &st.entries {
+            let state = windows.entry(WindowId(e.window)).or_default();
             if e.port == PORT_PANE_BUNDLE {
-                self.pane_state
-                    .entry(e.window)
-                    .or_default()
-                    .push(e.to_bundle(ctx)?);
+                state.panes.push(e.to_bundle(ctx)?);
                 continue;
             }
             // The entry's port, not the configured spec, decides which
             // backend kind to rebuild: under adaptive grouping different
             // windows may have snapshotted different backends.
-            let w = WindowId(e.window);
-            if !self.state.contains_key(&w) {
-                let backend: Box<dyn GroupingBackend> = match e.port {
-                    PORT_HASH_SCALAR | PORT_HASH_VALUES => {
-                        // sbx-lint: allow(raw-alloc, one boxed backend per restored window)
-                        Box::new(HashBackend::sharded(ctx, self.kind)?)
-                    }
-                    PORT_ROW_SCALAR | PORT_ROW_VALUES => {
-                        // sbx-lint: allow(raw-alloc, one boxed backend per restored window)
-                        Box::new(HashBackend::row_baseline(ctx, self.kind)?)
-                    }
-                    // sbx-lint: allow(raw-alloc, one boxed backend per restored window)
-                    _ => Box::new(SortMergeBackend::new()),
-                };
-                self.state.insert(w, backend);
-            }
-            if let Some(backend) = self.state.get_mut(&w) {
-                backend.restore_entry(ctx, e)?;
-            }
+            let backend = match &mut state.backend {
+                Some(backend) => backend,
+                empty => {
+                    let choice = match e.port {
+                        PORT_HASH_SCALAR | PORT_HASH_VALUES => BackendChoice::Hash,
+                        PORT_ROW_SCALAR | PORT_ROW_VALUES => BackendChoice::Row,
+                        _ => BackendChoice::Sort,
+                    };
+                    empty.insert(choice.open(ctx, logic.kind)?)
+                }
+            };
+            backend.restore_entry(ctx, e)?;
         }
         Ok(())
     }
@@ -468,7 +376,7 @@ impl Operator for KeyedAggregate {
 mod tests {
     use super::*;
     use crate::ops::WindowInto;
-    use crate::{DemandBalancer, EngineMode};
+    use crate::{DemandBalancer, EngineMode, Operator};
     use sbx_records::Watermark;
     use sbx_simmem::{MachineConfig, MemEnv};
 

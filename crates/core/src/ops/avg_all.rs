@@ -1,158 +1,95 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sbx_kpa::{reduce_unkeyed_bundle, reduce_unkeyed_kpa};
+use sbx_kpa::{reduce_unkeyed_bundle, reduce_unkeyed_kpa, Kpa};
 use sbx_records::{Col, RecordBundle, Schema, WindowId, WindowSpec};
 
-use crate::checkpoint::{join_u128, split_u128, OpState};
-use crate::ops::{closable, single, window_start, LateGuard};
-use crate::{EngineError, ImpactTag, Message, OpCtx, Operator, StreamData};
+use super::windowed::{WindowLogic, WindowState, Windowed};
+use crate::{EngineError, Message, OpCtx, StreamData};
 
 /// Windowed Average All (benchmark 5): the average of a value column over
 /// *all* records in each window — a pure unkeyed reduction, the cheapest
 /// pipeline in the suite (it is ingestion-bound in Fig. 8 at 110 M rec/s).
+pub type AvgAll = Windowed<AvgAllLogic, WindowState>;
+
+/// [`AvgAll`]'s primitives: an unkeyed reduction into the window's running
+/// average on arrival, nothing but the division at close.
 #[derive(Debug)]
-pub struct AvgAll {
+pub struct AvgAllLogic {
     value_col: Col,
-    spec: WindowSpec,
-    state: BTreeMap<WindowId, (u128, u64)>,
     out_schema: Arc<Schema>,
-    late: LateGuard,
 }
 
 impl AvgAll {
     /// Averages `value_col` per `spec` window.
     pub fn new(spec: WindowSpec, value_col: Col) -> Self {
-        AvgAll {
-            value_col,
+        Windowed::over(
             spec,
-            state: BTreeMap::new(),
-            out_schema: Schema::kvt(),
-            late: LateGuard::default(),
-        }
-    }
-
-    /// Records dropped because their window had already closed.
-    pub fn late_records(&self) -> u64 {
-        self.late.dropped()
+            AvgAllLogic {
+                value_col,
+                out_schema: Schema::kvt(),
+            },
+        )
     }
 }
 
-impl Operator for AvgAll {
+impl WindowLogic for AvgAllLogic {
+    type State = WindowState;
+
     fn name(&self) -> &'static str {
         "AvgAll"
     }
 
-    fn on_message(
+    fn arrive(
         &mut self,
         ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        match msg {
-            Message::Data { data, .. } => {
-                let value_col = self.value_col;
-                match data {
-                    StreamData::Windowed(w, kpa) => {
-                        if self.late.is_late(&self.spec, w, kpa.len()) {
-                            return Ok(Vec::new());
-                        }
-                        let (sum, count) = ctx.charged(16, |e| {
-                            reduce_unkeyed_kpa(e, &kpa, value_col, (0u128, 0u64), |a, v| {
-                                (a.0 + v as u128, a.1 + 1)
-                            })
-                        });
-                        let entry = self.state.entry(w).or_insert((0, 0));
-                        entry.0 += sum;
-                        entry.1 += count;
-                    }
-                    StreamData::Bundle(b) => {
-                        // Unwindowed bundle: assign rows by timestamp
-                        // directly (unkeyed reduction touches every record
-                        // once either way).
-                        let spec = self.spec;
-                        let mut per_window: BTreeMap<WindowId, (u128, u64)> = BTreeMap::new();
-                        ctx.charged(16, |e| {
-                            reduce_unkeyed_bundle(e, &b, value_col, (), |(), _| ());
-                        });
-                        for r in 0..b.rows() {
-                            let w = spec.window_of(b.ts(r));
-                            let e = per_window.entry(w).or_insert((0, 0));
-                            e.0 += b.value(r, value_col) as u128;
-                            e.1 += 1;
-                        }
-                        for (w, (s, c)) in per_window {
-                            let e = self.state.entry(w).or_insert((0, 0));
-                            e.0 += s;
-                            e.1 += c;
-                        }
-                    }
-                    StreamData::Kpa(kpa) => {
-                        return Err(EngineError::Config(format!(
-                            "AvgAll needs windowed or bundle input, got bare KPA of {}",
-                            kpa.len()
-                        )));
-                    }
-                }
-                Ok(Vec::new())
-            }
-            Message::Watermark(wm) => {
-                self.late.observe(wm);
-                ctx.tag = ImpactTag::Urgent;
-                let mut out = Vec::new();
-                for w in closable(&self.state, &self.spec, wm) {
-                    // `closable` returned keys of this map, so the entry
-                    // is present; skip defensively rather than panic.
-                    let Some((sum, count)) = self.state.remove(&w) else {
-                        continue;
-                    };
-                    let avg = if count == 0 {
-                        0
-                    } else {
-                        (sum / count as u128) as u64
-                    };
-                    let start = window_start(&self.spec, w).raw();
-                    let env = ctx.env();
-                    let b = RecordBundle::from_rows(
-                        &env,
-                        Arc::clone(&self.out_schema),
-                        &[0, avg, start],
-                    )?;
-                    out.push(Message::data(StreamData::Bundle(b)));
-                }
-                out.push(Message::Watermark(wm));
-                Ok(out)
-            }
-            Message::Barrier(mut b) => {
-                b.states.push(self.snapshot(ctx)?);
-                Ok(single(Message::Barrier(b)))
-            }
-        }
+        state: &mut WindowState,
+        _port: u8,
+        _start: u64,
+        kpa: Kpa,
+    ) -> Result<(), EngineError> {
+        let avg = &mut state.avg;
+        ctx.charged(16, |e| {
+            reduce_unkeyed_kpa(e, &kpa, self.value_col, (), |(), v| avg.push(v));
+        });
+        Ok(())
     }
 
-    fn snapshot(&self, _ctx: &mut OpCtx<'_>) -> Result<OpState, EngineError> {
-        // Pure scalar state: per window, the u128 running sum (split into
-        // two words) and the record count.
-        let mut scalars = Vec::new();
-        for (w, &(sum, count)) in &self.state {
-            let (hi, lo) = split_u128(sum);
-            scalars.extend_from_slice(&[w.0, hi, lo, count]);
+    /// An unwindowed bundle: assign rows by timestamp directly (unkeyed
+    /// reduction touches every record once either way).
+    fn unwindowed(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        spec: &WindowSpec,
+        windows: &mut BTreeMap<WindowId, WindowState>,
+        data: StreamData,
+    ) -> Result<(), EngineError> {
+        let StreamData::Bundle(b) = data else {
+            return Err(EngineError::Config(format!(
+                "AvgAll needs windowed or bundle input, got bare KPA of {}",
+                data.len()
+            )));
+        };
+        ctx.charged(16, |e| {
+            reduce_unkeyed_bundle(e, &b, self.value_col, (), |(), _| ());
+        });
+        for r in 0..b.rows() {
+            let state = windows.entry(spec.window_of(b.ts(r))).or_default();
+            state.avg.push(b.value(r, self.value_col));
         }
-        Ok(OpState {
-            horizon: self.late.horizon().map(|h| h.time().raw()),
-            scalars,
-            entries: Vec::new(),
-        })
+        Ok(())
     }
 
-    fn restore(&mut self, _ctx: &mut OpCtx<'_>, state: &OpState) -> Result<(), EngineError> {
-        if let Some(raw) = state.horizon {
-            self.late.observe(sbx_records::Watermark::from(raw));
-        }
-        for c in state.scalars.chunks_exact(4) {
-            let e = self.state.entry(WindowId(c[0])).or_insert((0, 0));
-            e.0 += join_u128(c[1], c[2]);
-            e.1 += c[3];
-        }
+    fn close(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        state: WindowState,
+        start: u64,
+        out: &mut Vec<Message>,
+    ) -> Result<(), EngineError> {
+        let row = [0, state.avg.mean(), start];
+        let b = RecordBundle::from_rows(&ctx.env(), Arc::clone(&self.out_schema), &row)?;
+        out.push(Message::data(StreamData::Bundle(b)));
         Ok(())
     }
 }
@@ -161,7 +98,7 @@ impl Operator for AvgAll {
 mod tests {
     use super::*;
     use crate::ops::WindowInto;
-    use crate::{DemandBalancer, EngineMode};
+    use crate::{DemandBalancer, EngineMode, ImpactTag, Operator};
     use sbx_records::Watermark;
     use sbx_simmem::{MachineConfig, MemEnv};
 

@@ -1,15 +1,13 @@
 //! Cogroup (Table 1): groups two streams by key within each window and
 //! emits one record per key combining a per-side aggregate.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sbx_kpa::{reduce_keyed, Kpa};
-use sbx_records::{Col, RecordBundle, Schema, WindowId, WindowSpec};
+use sbx_records::{Col, RecordBundle, Schema, WindowSpec};
 
-use crate::checkpoint::{OpState, StateEntry};
-use crate::ops::{closable, single, window_start, LateGuard};
-use crate::{EngineError, ImpactTag, Message, OpCtx, Operator, StreamData};
+use super::windowed::{WindowLogic, WindowState, Windowed};
+use crate::{EngineError, Message, OpCtx, StreamData};
 
 /// Per-side aggregate applied by [`Cogroup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,173 +32,104 @@ impl SideAgg {
 /// absent from one side contribute that side's identity (0).
 ///
 /// Implemented on the sort/merge primitives like Keyed Aggregation: each
-/// arriving KPA is key-swapped and sorted; the window state is one sorted
-/// KPA per side; closure merges, reduces per side, and zips the two sorted
-/// key sets in one co-scan.
-pub struct Cogroup {
+/// arriving KPA is key-swapped and sorted; the window state is the sorted
+/// KPAs of each side; closure merges, reduces per side, and zips the two
+/// sorted key sets in one co-scan.
+pub type Cogroup = Windowed<CogroupLogic, WindowState>;
+
+/// [`Cogroup`]'s primitives.
+#[derive(Debug)]
+pub struct CogroupLogic {
     key_col: Col,
     value_col: Col,
     agg: [SideAgg; 2],
-    spec: WindowSpec,
-    state: BTreeMap<WindowId, [Vec<Kpa>; 2]>,
     out_schema: Arc<Schema>,
-    late: LateGuard,
 }
 
 impl Cogroup {
     /// A cogroup on `key_col`, aggregating `value_col` with `agg[side]`.
     pub fn new(spec: WindowSpec, key_col: Col, value_col: Col, agg: [SideAgg; 2]) -> Self {
-        Cogroup {
-            key_col,
-            value_col,
-            agg,
+        Windowed::over(
             spec,
-            state: BTreeMap::new(),
-            // sbx-lint: allow(raw-alloc, one-time schema construction)
-            out_schema: Schema::new(vec!["key", "l_agg", "r_agg", "ts"], Col(3)),
-            late: LateGuard::default(),
-        }
-    }
-
-    /// Records dropped because their window had already closed.
-    pub fn late_records(&self) -> u64 {
-        self.late.dropped()
+            CogroupLogic {
+                key_col,
+                value_col,
+                agg,
+                // sbx-lint: allow(raw-alloc, one-time schema construction)
+                out_schema: Schema::new(vec!["key", "l_agg", "r_agg", "ts"], Col(3)),
+            },
+        )
     }
 }
 
-impl std::fmt::Debug for Cogroup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cogroup")
-            .field("key_col", &self.key_col)
-            .field("open_windows", &self.state.len())
-            .finish()
-    }
-}
+impl WindowLogic for CogroupLogic {
+    type State = WindowState;
 
-impl Operator for Cogroup {
     fn name(&self) -> &'static str {
         "Cogroup"
     }
 
-    fn on_message(
+    fn arrive(
         &mut self,
         ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        match msg {
-            Message::Data {
-                port,
-                data: StreamData::Windowed(w, mut kpa),
-            } => {
-                if self.late.is_late(&self.spec, w, kpa.len()) {
-                    return Ok(Vec::new());
-                }
-                let side = (port as usize).min(1);
-                if kpa.resident() != self.key_col {
-                    ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
-                }
-                ctx.sort(&mut kpa)?;
-                self.state.entry(w).or_default()[side].push(kpa);
-                Ok(Vec::new())
-            }
-            Message::Data { data, .. } => Err(EngineError::Config(format!(
-                "Cogroup requires windowed KPAs, got {} unwindowed records",
-                data.len()
-            ))),
-            Message::Watermark(wm) => {
-                self.late.observe(wm);
-                ctx.tag = ImpactTag::Urgent;
-                let mut out = Vec::new();
-                for w in closable(&self.state, &self.spec, wm) {
-                    // `closable` returned keys of this map, so the entry
-                    // is present; skip defensively rather than panic.
-                    let Some([l, r]) = self.state.remove(&w) else {
-                        continue;
-                    };
-                    let start = window_start(&self.spec, w).raw();
-                    let mut sides: [Vec<(u64, u64)>; 2] = [Vec::new(), Vec::new()];
-                    for (side, kpas) in [(0usize, l), (1, r)] {
-                        if kpas.is_empty() {
-                            continue;
-                        }
-                        let merged = ctx.merge_many(kpas)?;
-                        let agg = self.agg[side];
-                        let value_col = self.value_col;
-                        let acc = &mut sides[side];
-                        ctx.charged(16, |e| {
-                            reduce_keyed(e, &merged, value_col, |g| {
-                                acc.push((g.key, agg.apply(g.values)));
-                            })
-                        });
-                    }
-                    // Co-scan the two sorted per-key aggregate lists.
-                    let (mut i, mut j) = (0usize, 0usize);
-                    let (ls, rs) = (&sides[0], &sides[1]);
-                    let mut rows = Vec::new();
-                    while i < ls.len() || j < rs.len() {
-                        let lk = ls.get(i).map(|p| p.0);
-                        let rk = rs.get(j).map(|p| p.0);
-                        match (lk, rk) {
-                            (Some(a), Some(b)) if a == b => {
-                                rows.extend_from_slice(&[a, ls[i].1, rs[j].1, start]);
-                                i += 1;
-                                j += 1;
-                            }
-                            (Some(a), Some(b)) if a < b => {
-                                rows.extend_from_slice(&[a, ls[i].1, 0, start]);
-                                i += 1;
-                            }
-                            (Some(_), Some(_)) | (None, Some(_)) => {
-                                rows.extend_from_slice(&[rs[j].0, 0, rs[j].1, start]);
-                                j += 1;
-                            }
-                            (Some(a), None) => {
-                                rows.extend_from_slice(&[a, ls[i].1, 0, start]);
-                                i += 1;
-                            }
-                            // Loop condition guarantees one side remains.
-                            (None, None) => break,
-                        }
-                    }
-                    let env = ctx.env();
-                    let b = RecordBundle::from_rows(&env, Arc::clone(&self.out_schema), &rows)?;
-                    out.push(Message::data(StreamData::Bundle(b)));
-                }
-                out.push(Message::Watermark(wm));
-                Ok(out)
-            }
-            Message::Barrier(mut b) => {
-                b.states.push(self.snapshot(ctx)?);
-                Ok(single(Message::Barrier(b)))
-            }
+        state: &mut WindowState,
+        port: u8,
+        _start: u64,
+        mut kpa: Kpa,
+    ) -> Result<(), EngineError> {
+        if kpa.resident() != self.key_col {
+            ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
         }
+        ctx.sort(&mut kpa)?;
+        state.sides[(port as usize).min(1)].push(kpa);
+        Ok(())
     }
 
-    fn snapshot(&self, ctx: &mut OpCtx<'_>) -> Result<OpState, EngineError> {
-        let mut st = OpState {
-            horizon: self.late.horizon().map(|h| h.time().raw()),
-            scalars: Vec::new(),
-            entries: Vec::new(),
-        };
-        for (w, sides) in &self.state {
-            for (side, kpas) in sides.iter().enumerate() {
-                for kpa in kpas {
-                    st.entries
-                        .push(StateEntry::from_kpa(ctx, w.0, side as u8, kpa)?);
-                }
+    fn close(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        state: WindowState,
+        start: u64,
+        out: &mut Vec<Message>,
+    ) -> Result<(), EngineError> {
+        let mut sides: [Vec<(u64, u64)>; 2] = [Vec::new(), Vec::new()];
+        for (side, kpas) in state.sides.into_iter().enumerate() {
+            if kpas.is_empty() {
+                continue;
             }
+            let merged = ctx.merge_many(kpas)?;
+            let agg = self.agg[side];
+            let acc = &mut sides[side];
+            ctx.charged(16, |e| {
+                reduce_keyed(e, &merged, self.value_col, |g| {
+                    acc.push((g.key, agg.apply(g.values)));
+                })
+            });
         }
-        Ok(st)
-    }
-
-    fn restore(&mut self, ctx: &mut OpCtx<'_>, state: &OpState) -> Result<(), EngineError> {
-        if let Some(raw) = state.horizon {
-            self.late.observe(sbx_records::Watermark::from(raw));
+        // Co-scan the two sorted per-key aggregate lists.
+        let (mut ls, mut rs) = (sides[0].iter().peekable(), sides[1].iter().peekable());
+        let mut rows = Vec::new();
+        loop {
+            let row = match (ls.peek(), rs.peek()) {
+                (Some(&&(a, l)), Some(&&(b, r))) if a == b => {
+                    ls.next();
+                    rs.next();
+                    [a, l, r, start]
+                }
+                (Some(&&(a, l)), right) if right.is_none_or(|&&(b, _)| a < b) => {
+                    ls.next();
+                    [a, l, 0, start]
+                }
+                (_, Some(&&(b, r))) => {
+                    rs.next();
+                    [b, 0, r, start]
+                }
+                (_, None) => break,
+            };
+            rows.extend_from_slice(&row);
         }
-        for e in &state.entries {
-            let side = (e.port as usize).min(1);
-            self.state.entry(WindowId(e.window)).or_default()[side].push(e.to_kpa(ctx)?);
-        }
+        let b = RecordBundle::from_rows(&ctx.env(), Arc::clone(&self.out_schema), &rows)?;
+        out.push(Message::data(StreamData::Bundle(b)));
         Ok(())
     }
 }
@@ -209,7 +138,7 @@ impl Operator for Cogroup {
 mod tests {
     use super::*;
     use crate::ops::WindowInto;
-    use crate::{DemandBalancer, EngineMode};
+    use crate::{DemandBalancer, EngineMode, ImpactTag, Operator};
     use sbx_records::Watermark;
     use sbx_simmem::{MachineConfig, MemEnv};
 

@@ -1,7 +1,7 @@
 use sbx_simmem::{AccessProfile, MemKind};
 
-use crate::ops::single;
-use crate::{EngineError, Message, OpCtx, Operator, StatelessOperator, StreamData};
+use crate::operator::single;
+use crate::{EngineError, Message, OpCtx, StatelessOperator, StreamData};
 
 /// Joins the stream against a small external key-value table kept in HBM,
 /// replacing each resident key `k` with `table(k)` in place — the YSB
@@ -28,20 +28,6 @@ impl ExternalJoin {
 impl std::fmt::Debug for ExternalJoin {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExternalJoin").finish()
-    }
-}
-
-impl Operator for ExternalJoin {
-    fn name(&self) -> &'static str {
-        StatelessOperator::name(self)
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        self.apply(ctx, msg)
     }
 }
 
@@ -84,7 +70,7 @@ impl StatelessOperator for ExternalJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DemandBalancer, EngineMode, ImpactTag};
+    use crate::{DemandBalancer, EngineMode, ImpactTag, Operator};
     use sbx_records::{Col, RecordBundle, Schema};
     use sbx_simmem::{MachineConfig, MemEnv};
 

@@ -1,7 +1,7 @@
 use sbx_records::Col;
 
-use crate::ops::single;
-use crate::{EngineError, Message, OpCtx, Operator, StatelessOperator, StreamData};
+use crate::operator::single;
+use crate::{EngineError, Message, OpCtx, StatelessOperator, StreamData};
 
 /// A stateless `ParDo` that keeps records whose `col` value satisfies a
 /// predicate (paper §4.2: non-producing ParDos execute as `Select` over
@@ -25,20 +25,6 @@ impl Filter {
 impl std::fmt::Debug for Filter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Filter").field("col", &self.col).finish()
-    }
-}
-
-impl Operator for Filter {
-    fn name(&self) -> &'static str {
-        StatelessOperator::name(self)
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        self.apply(ctx, msg)
     }
 }
 
@@ -82,7 +68,7 @@ impl StatelessOperator for Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DemandBalancer, EngineMode, ImpactTag};
+    use crate::{DemandBalancer, EngineMode, ImpactTag, Operator};
     use sbx_records::{RecordBundle, Schema, Watermark};
     use sbx_simmem::{MachineConfig, MemEnv};
 

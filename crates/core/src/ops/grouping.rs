@@ -568,8 +568,9 @@ impl HashBackend {
         for (t, part) in shards.into_iter().zip(parts) {
             jobs.push((t, part));
         }
-        let lanes = ctx.threads.min(jobs.len()).max(1);
-        let results = ctx.exec().pool().run(
+        let pool = ctx.exec().pool();
+        let lanes = pool.width().min(jobs.len()).max(1);
+        let results = pool.run(
             lanes,
             |(mut t, pairs): (HashGrouper, Vec<(u64, u64)>)| -> Result<HashGrouper, AllocError> {
                 for (k, v) in pairs {
@@ -753,13 +754,34 @@ impl AdaptState {
     }
 }
 
-/// The adaptive choice for one window.
+/// The backend of one window: what [`decide_backend`] picks between
+/// (`Sort`, `Hash`) plus the baseline only a [`GroupingSpec`] selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BackendChoice {
     /// KPA sort-merge.
     Sort,
     /// Sharded hash.
     Hash,
+    /// Single-table row-engine baseline.
+    Row,
+}
+
+impl BackendChoice {
+    /// An empty window on this backend.
+    pub(crate) fn open(
+        self,
+        ctx: &mut OpCtx<'_>,
+        kind: AggKind,
+    ) -> Result<Box<dyn GroupingBackend>, EngineError> {
+        Ok(match self {
+            // sbx-lint: allow(raw-alloc, one boxed backend per window)
+            BackendChoice::Sort => Box::new(SortMergeBackend::new()),
+            // sbx-lint: allow(raw-alloc, one boxed backend per window)
+            BackendChoice::Hash => Box::new(HashBackend::sharded(ctx, kind)?),
+            // sbx-lint: allow(raw-alloc, one boxed backend per window)
+            BackendChoice::Row => Box::new(HashBackend::row_baseline(ctx, kind)?),
+        })
+    }
 }
 
 /// Decides the backend for a new window from the first arriving KPA.

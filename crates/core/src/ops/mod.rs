@@ -1,19 +1,26 @@
 //! Compound (declarative) operators, built from the KPA streaming
 //! primitives exactly as the paper's Table 1 prescribes:
 //!
-//! | Operator | Grouping primitives | Reduction |
-//! |---|---|---|
-//! | [`Filter`] / [`Sample`] (ParDo) | Select | — |
-//! | [`MapRecords`] (producing ParDo) | — | Unkeyed, emits to DRAM |
-//! | [`Union`] | — (stream merge) | — |
-//! | [`Cogroup`] | Sort, Merge | Keyed per side |
-//! | [`ExternalJoin`] | KeySwap (in-place key update) | — |
-//! | [`WindowInto`] | Partition (by timestamp) | — |
-//! | [`KeyedAggregate`] | Sort, Merge | Keyed |
-//! | [`AvgAll`] | — | Unkeyed |
-//! | [`TemporalJoin`] | Sort, Merge, Join | — |
-//! | [`WindowedFilter`] | Sort, Select | Unkeyed |
-//! | [`PowerGrid`] | Sort, Merge | Keyed + Unkeyed |
+//! | Operator | Primitives on arrival | Window state | Primitives at close |
+//! |---|---|---|---|
+//! | [`Filter`] / [`Sample`] (ParDo) | Select | — | — |
+//! | [`MapRecords`] (producing ParDo) | Unkeyed reduction, emits to DRAM | — | — |
+//! | [`Union`] | — (stream merge) | — | — |
+//! | [`ExternalJoin`] | KeySwap (in-place key update) | — | — |
+//! | [`WindowInto`] | Partition (by timestamp) | — | — |
+//! | [`KeyedAggregate`] | KeySwap, Sort (+ keyed pre-reduction) | sorted KPAs, or a hash table | Merge, keyed reduction |
+//! | [`AvgAll`] | Unkeyed reduction | running average | — |
+//! | [`Cogroup`] | KeySwap, Sort | sorted KPAs per side | Merge, keyed reduction per side |
+//! | [`TemporalJoin`] | KeySwap, Sort, Join, Merge | one sorted KPA per side, joined rows | — |
+//! | [`WindowedFilter`] | KeySwap (data) / unkeyed reduction (control) | KPAs, running average | Select, Materialize |
+//! | [`PowerGrid`] | composite KeySwap, Sort | sorted KPAs, running average | Merge, keyed + unkeyed reduction |
+//!
+//! The stateless operators above the line process each message on its own
+//! ([`StatelessOperator`](crate::StatelessOperator)). The six windowed ones
+//! are each a `WindowLogic` — the two primitive columns of their row — run
+//! by the one lifecycle in `windowed.rs`, which owns the late-data guard,
+//! the window map and its `WindowState` store, the watermark-driven close,
+//! and snapshot/restore.
 
 mod aggregate;
 mod avg_all;
@@ -26,6 +33,7 @@ mod power_grid;
 mod temporal_join;
 mod union;
 mod window;
+mod windowed;
 mod windowed_filter;
 
 pub use aggregate::{AggKind, KeyedAggregate};
@@ -39,95 +47,5 @@ pub use power_grid::PowerGrid;
 pub use temporal_join::TemporalJoin;
 pub use union::Union;
 pub use window::WindowInto;
+pub use windowed::Windowed;
 pub use windowed_filter::WindowedFilter;
-
-use sbx_records::{EventTime, Watermark, WindowId, WindowSpec};
-
-/// Windows whose end lies at or before `wm` — the windows a watermark
-/// closes — among the keys of a state map, in ascending order.
-pub(crate) fn closable<V>(
-    state: &std::collections::BTreeMap<WindowId, V>,
-    spec: &WindowSpec,
-    wm: Watermark,
-) -> Vec<WindowId> {
-    state
-        .keys()
-        .copied()
-        .take_while(|&w| wm.closes(spec.end(w)))
-        // sbx-lint: allow(raw-alloc, window-id list bounded by open windows)
-        .collect()
-}
-
-/// A single-message output batch — the common result shape of the
-/// stateless operators' `apply`.
-pub(crate) fn single(msg: crate::Message) -> Vec<crate::Message> {
-    // sbx-lint: allow(raw-alloc, one-element routing vector; record data stays in pools)
-    vec![msg]
-}
-
-/// The window-start timestamp used in output records.
-pub(crate) fn window_start(spec: &WindowSpec, w: WindowId) -> EventTime {
-    spec.start(w)
-}
-
-/// Late-data guard shared by the stateful operators: once a watermark has
-/// closed a window, records for it are *late* (the source broke its
-/// watermark promise, or an upstream reordered across watermarks). Late
-/// data is dropped and counted — re-opening closed state would emit the
-/// same window twice.
-#[derive(Debug, Default)]
-pub(crate) struct LateGuard {
-    horizon: Option<Watermark>,
-    dropped: u64,
-}
-
-impl LateGuard {
-    /// Records a watermark: windows ending at or before it are closed.
-    pub(crate) fn observe(&mut self, wm: Watermark) {
-        if self.horizon.is_none_or(|h| wm > h) {
-            self.horizon = Some(wm);
-        }
-    }
-
-    /// Whether window `w` is already closed; counts `records` as dropped
-    /// when it is.
-    pub(crate) fn is_late(&mut self, spec: &WindowSpec, w: WindowId, records: usize) -> bool {
-        let late = self.horizon.is_some_and(|h| h.closes(spec.end(w)));
-        if late {
-            self.dropped += records as u64;
-        }
-        late
-    }
-
-    /// Total records dropped as late.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The highest watermark observed so far, if any. Captured by operator
-    /// snapshots so recovery preserves late-data decisions.
-    pub(crate) fn horizon(&self) -> Option<Watermark> {
-        self.horizon
-    }
-}
-
-#[cfg(test)]
-mod late_tests {
-    use super::*;
-
-    #[test]
-    fn late_guard_tracks_horizon_and_counts() {
-        let spec = WindowSpec::fixed(10);
-        let mut g = LateGuard::default();
-        // No watermark yet: nothing is late.
-        assert!(!g.is_late(&spec, WindowId(0), 5));
-        g.observe(Watermark::from(20)); // closes windows 0 and 1
-        assert!(g.is_late(&spec, WindowId(0), 3));
-        assert!(g.is_late(&spec, WindowId(1), 2));
-        assert!(!g.is_late(&spec, WindowId(2), 4));
-        assert_eq!(g.dropped(), 5);
-        // Watermarks never regress.
-        g.observe(Watermark::from(5));
-        assert!(!g.is_late(&spec, WindowId(2), 1));
-    }
-}

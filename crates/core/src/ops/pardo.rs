@@ -8,8 +8,8 @@ use sbx_kpa::Kpa;
 use sbx_records::{Col, RecordBundle, Schema};
 use sbx_simmem::AccessProfile;
 
-use crate::ops::single;
-use crate::{EngineError, Message, OpCtx, Operator, StatelessOperator, StreamData};
+use crate::operator::single;
+use crate::{EngineError, Message, OpCtx, StatelessOperator, StreamData};
 
 /// Deterministic sampling ParDo: keeps a fixed fraction of records, chosen
 /// by a hash of a key column (so sampling is stable across runs and
@@ -41,20 +41,6 @@ impl std::fmt::Debug for Sample {
             .field("col", &self.col)
             .field("keep_per_1024", &self.keep_per_1024)
             .finish()
-    }
-}
-
-impl Operator for Sample {
-    fn name(&self) -> &'static str {
-        StatelessOperator::name(self)
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        self.apply(ctx, msg)
     }
 }
 
@@ -138,20 +124,6 @@ impl std::fmt::Debug for MapRecords {
     }
 }
 
-impl Operator for MapRecords {
-    fn name(&self) -> &'static str {
-        StatelessOperator::name(self)
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        self.apply(ctx, msg)
-    }
-}
-
 impl StatelessOperator for MapRecords {
     fn name(&self) -> &'static str {
         "MapRecords"
@@ -222,7 +194,7 @@ impl StatelessOperator for MapRecords {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DemandBalancer, EngineMode, ImpactTag};
+    use crate::{DemandBalancer, EngineMode, ImpactTag, Operator};
     use sbx_simmem::{MachineConfig, MemEnv};
 
     fn ctx_env() -> (MemEnv, DemandBalancer) {

@@ -2,11 +2,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sbx_kpa::{reduce_keyed, Kpa};
-use sbx_records::{Col, RecordBundle, Schema, WindowId, WindowSpec};
+use sbx_records::{Col, RecordBundle, Schema, WindowSpec};
 
-use crate::checkpoint::{join_u128, split_u128, OpState, StateEntry};
-use crate::ops::{closable, single, window_start, LateGuard};
-use crate::{EngineError, ImpactTag, Message, OpCtx, Operator, StreamData};
+use super::windowed::{WindowLogic, WindowState, Windowed};
+use crate::{EngineError, Message, OpCtx, StreamData};
 
 /// Multiplier composing `(house, plug)` into a single grouping key.
 const HOUSE_FACTOR: u64 = 1 << 20;
@@ -22,174 +21,93 @@ const HOUSE_FACTOR: u64 = 1 << 20;
 /// 4. emits the house(s) with the most high-power plugs.
 ///
 /// Output records are `(house, high_plug_count, window_start)`.
-pub struct PowerGrid {
-    spec: WindowSpec,
+pub type PowerGrid = Windowed<PowerGridLogic, WindowState>;
+
+/// [`PowerGrid`]'s primitives.
+#[derive(Debug)]
+pub struct PowerGridLogic {
     house_col: Col,
     plug_col: Col,
     load_col: Col,
-    state: BTreeMap<WindowId, Vec<Kpa>>,
-    totals: BTreeMap<WindowId, (u128, u64)>,
     out_schema: Arc<Schema>,
-    late: LateGuard,
 }
 
 impl PowerGrid {
     /// A Power Grid operator over `(house, plug, load)` columns.
     pub fn new(spec: WindowSpec, house_col: Col, plug_col: Col, load_col: Col) -> Self {
-        PowerGrid {
+        Windowed::over(
             spec,
-            house_col,
-            plug_col,
-            load_col,
-            state: BTreeMap::new(),
-            totals: BTreeMap::new(),
-            out_schema: Schema::kvt(),
-            late: LateGuard::default(),
-        }
-    }
-
-    /// Records dropped because their window had already closed.
-    pub fn late_records(&self) -> u64 {
-        self.late.dropped()
+            PowerGridLogic {
+                house_col,
+                plug_col,
+                load_col,
+                out_schema: Schema::kvt(),
+            },
+        )
     }
 }
 
-impl std::fmt::Debug for PowerGrid {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PowerGrid")
-            .field("open_windows", &self.state.len())
-            .finish()
-    }
-}
+impl WindowLogic for PowerGridLogic {
+    type State = WindowState;
 
-impl Operator for PowerGrid {
     fn name(&self) -> &'static str {
         "PowerGrid"
     }
 
-    fn on_message(
+    fn arrive(
         &mut self,
         ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        match msg {
-            Message::Data {
-                data: StreamData::Windowed(w, mut kpa),
-                ..
-            } => {
-                if self.late.is_late(&self.spec, w, kpa.len()) {
-                    return Ok(Vec::new());
-                }
-                // Compose the per-plug grouping key from (house, plug).
-                let (hc, pc) = (self.house_col, self.plug_col);
-                ctx.charged(16, |e| {
-                    kpa.key_compose(e, &[hc, pc], |v| v[0] * HOUSE_FACTOR + v[1]);
-                });
-                ctx.sort(&mut kpa)?;
-                // Accumulate the window's global load total as we go.
-                let load_col = self.load_col;
-                let (mut sum, mut count) = (0u128, 0u64);
-                let records = kpa.resolver();
-                for i in 0..kpa.len() {
-                    sum += records.value(i, load_col) as u128;
-                    count += 1;
-                }
-                let t = self.totals.entry(w).or_insert((0, 0));
-                t.0 += sum;
-                t.1 += count;
-                self.state.entry(w).or_default().push(kpa);
-                Ok(Vec::new())
-            }
-            Message::Data { data, .. } => Err(EngineError::Config(format!(
-                "PowerGrid requires windowed KPAs, got {} unwindowed records",
-                data.len()
-            ))),
-            Message::Watermark(wm) => {
-                self.late.observe(wm);
-                ctx.tag = ImpactTag::Urgent;
-                let mut out = Vec::new();
-                for w in closable(&self.state, &self.spec, wm) {
-                    // `closable` returned keys of this map, so the entry
-                    // is present; skip defensively rather than panic.
-                    let Some(kpas) = self.state.remove(&w) else {
-                        continue;
-                    };
-                    let (sum, count) = self.totals.remove(&w).unwrap_or((0, 0));
-                    let global_avg = if count == 0 {
-                        0
-                    } else {
-                        (sum / count as u128) as u64
-                    };
-                    let merged = ctx.merge_many(kpas)?;
-                    // Per-plug average, then per-house count of plugs above
-                    // the global average.
-                    let mut high_per_house: BTreeMap<u64, u64> = BTreeMap::new();
-                    let load_col = self.load_col;
-                    ctx.charged(16, |e| {
-                        reduce_keyed(e, &merged, load_col, |g| {
-                            let avg = sbx_kpa::agg::average(g.values);
-                            if avg > global_avg {
-                                let house = g.key / HOUSE_FACTOR;
-                                *high_per_house.entry(house).or_insert(0) += 1;
-                            }
-                        })
-                    });
-                    let start = window_start(&self.spec, w).raw();
-                    let best = high_per_house.values().copied().max().unwrap_or(0);
-                    let mut rows = Vec::new();
-                    for (&house, &n) in &high_per_house {
-                        if n == best && best > 0 {
-                            rows.extend_from_slice(&[house, n, start]);
-                        }
+        state: &mut WindowState,
+        _port: u8,
+        _start: u64,
+        mut kpa: Kpa,
+    ) -> Result<(), EngineError> {
+        // Compose the per-plug grouping key from (house, plug).
+        let (hc, pc) = (self.house_col, self.plug_col);
+        ctx.charged(16, |e| {
+            kpa.key_compose(e, &[hc, pc], |v| v[0] * HOUSE_FACTOR + v[1]);
+        });
+        ctx.sort(&mut kpa)?;
+        // Accumulate the window's global load average as we go.
+        let records = kpa.resolver();
+        for i in 0..kpa.len() {
+            state.avg.push(records.value(i, self.load_col));
+        }
+        state.sides[0].push(kpa);
+        Ok(())
+    }
+
+    fn close(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        state: WindowState,
+        start: u64,
+        out: &mut Vec<Message>,
+    ) -> Result<(), EngineError> {
+        let global_avg = state.avg.mean();
+        let [kpas, _] = state.sides;
+        // Per-plug average, then per-house count of plugs above the global
+        // average.
+        let mut high_per_house: BTreeMap<u64, u64> = BTreeMap::new();
+        if !kpas.is_empty() {
+            let merged = ctx.merge_many(kpas)?;
+            ctx.charged(16, |e| {
+                reduce_keyed(e, &merged, self.load_col, |g| {
+                    if sbx_kpa::agg::average(g.values) > global_avg {
+                        *high_per_house.entry(g.key / HOUSE_FACTOR).or_insert(0) += 1;
                     }
-                    let env = ctx.env();
-                    let b = RecordBundle::from_rows(&env, Arc::clone(&self.out_schema), &rows)?;
-                    out.push(Message::data(StreamData::Bundle(b)));
-                }
-                out.push(Message::Watermark(wm));
-                Ok(out)
-            }
-            Message::Barrier(mut b) => {
-                b.states.push(self.snapshot(ctx)?);
-                Ok(single(Message::Barrier(b)))
+                })
+            });
+        }
+        let best = high_per_house.values().copied().max().unwrap_or(0);
+        let mut rows = Vec::new();
+        for (&house, &n) in &high_per_house {
+            if n == best && best > 0 {
+                rows.extend_from_slice(&[house, n, start]);
             }
         }
-    }
-
-    fn snapshot(&self, ctx: &mut OpCtx<'_>) -> Result<OpState, EngineError> {
-        let mut st = OpState {
-            horizon: self.late.horizon().map(|h| h.time().raw()),
-            scalars: Vec::new(),
-            entries: Vec::new(),
-        };
-        for (w, kpas) in &self.state {
-            for kpa in kpas {
-                st.entries.push(StateEntry::from_kpa(ctx, w.0, 0, kpa)?);
-            }
-        }
-        // Window load totals: [window, sum_hi, sum_lo, count].
-        for (w, &(sum, count)) in &self.totals {
-            let (hi, lo) = split_u128(sum);
-            st.scalars.extend_from_slice(&[w.0, hi, lo, count]);
-        }
-        Ok(st)
-    }
-
-    fn restore(&mut self, ctx: &mut OpCtx<'_>, state: &OpState) -> Result<(), EngineError> {
-        if let Some(raw) = state.horizon {
-            self.late.observe(sbx_records::Watermark::from(raw));
-        }
-        for e in &state.entries {
-            self.state
-                .entry(WindowId(e.window))
-                .or_default()
-                .push(e.to_kpa(ctx)?);
-        }
-        for c in state.scalars.chunks_exact(4) {
-            let e = self.totals.entry(WindowId(c[0])).or_insert((0, 0));
-            e.0 += join_u128(c[1], c[2]);
-            e.1 += c[3];
-        }
+        let b = RecordBundle::from_rows(&ctx.env(), Arc::clone(&self.out_schema), &rows)?;
+        out.push(Message::data(StreamData::Bundle(b)));
         Ok(())
     }
 }
@@ -198,7 +116,7 @@ impl Operator for PowerGrid {
 mod tests {
     use super::*;
     use crate::ops::WindowInto;
-    use crate::{DemandBalancer, EngineMode};
+    use crate::{DemandBalancer, EngineMode, ImpactTag, Operator};
     use sbx_records::Watermark;
     use sbx_simmem::{MachineConfig, MemEnv};
 

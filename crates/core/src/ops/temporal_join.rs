@@ -1,15 +1,10 @@
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sbx_kpa::{join_sorted, Kpa};
-use sbx_records::{Col, RecordBundle, Schema, WindowId, WindowSpec};
+use sbx_records::{Col, RecordBundle, Schema, WindowSpec};
 
-use crate::checkpoint::{OpState, StateEntry};
-use crate::ops::{closable, single, window_start, LateGuard};
-use crate::{EngineError, ImpactTag, Message, OpCtx, Operator, StreamData};
-
-/// Snapshot port marking a window's pending (already-joined) output rows.
-const PENDING_PORT: u8 = 2;
+use super::windowed::{WindowLogic, WindowState, Windowed};
+use crate::{EngineError, Message, OpCtx, StreamData};
 
 /// Temporal Join (paper Fig. 4b): joins two record streams by key within
 /// each temporal window.
@@ -20,41 +15,45 @@ const PENDING_PORT: u8 = 2;
 /// its own side's state. Every matching `(left, right)` pair is therefore
 /// emitted exactly once. Output records are
 /// `(key, left_value, right_value, window_start)`.
-pub struct TemporalJoin {
+pub type TemporalJoin = Windowed<TemporalJoinLogic, WindowState>;
+
+/// [`TemporalJoin`]'s primitives: all of them run on arrival, leaving one
+/// sorted KPA per side and the joined rows pending; close only emits.
+#[derive(Debug)]
+pub struct TemporalJoinLogic {
     key_col: Col,
     value_col: Col,
-    spec: WindowSpec,
-    state: BTreeMap<WindowId, [Option<Kpa>; 2]>,
     out_schema: Arc<Schema>,
-    pending: BTreeMap<WindowId, Vec<u64>>,
-    late: LateGuard,
 }
 
 impl TemporalJoin {
     /// Joins on `key_col`, emitting `value_col` from both sides.
     pub fn new(spec: WindowSpec, key_col: Col, value_col: Col) -> Self {
-        TemporalJoin {
-            key_col,
-            value_col,
+        Windowed::over(
             spec,
-            state: BTreeMap::new(),
-            // sbx-lint: allow(raw-alloc, one-time schema construction)
-            out_schema: Schema::new(vec!["key", "l_value", "r_value", "ts"], Col(3)),
-            pending: BTreeMap::new(),
-            late: LateGuard::default(),
-        }
+            TemporalJoinLogic {
+                key_col,
+                value_col,
+                // sbx-lint: allow(raw-alloc, one-time schema construction)
+                out_schema: Schema::new(vec!["key", "l_value", "r_value", "ts"], Col(3)),
+            },
+        )
+    }
+}
+
+impl WindowLogic for TemporalJoinLogic {
+    type State = WindowState;
+
+    fn name(&self) -> &'static str {
+        "TemporalJoin"
     }
 
-    /// Records dropped because their window had already closed.
-    pub fn late_records(&self) -> u64 {
-        self.late.dropped()
-    }
-
-    fn ingest(
+    fn arrive(
         &mut self,
         ctx: &mut OpCtx<'_>,
+        state: &mut WindowState,
         port: u8,
-        w: WindowId,
+        start: u64,
         mut kpa: Kpa,
     ) -> Result<(), EngineError> {
         let side = (port as usize).min(1);
@@ -64,11 +63,9 @@ impl TemporalJoin {
         ctx.sort(&mut kpa)?;
 
         // (1) Join the newcomer against the opposite side's state.
-        let start = window_start(&self.spec, w).raw();
         let value_col = self.value_col;
-        let rows = self.pending.entry(w).or_default();
-        let entry = self.state.entry(w).or_default();
-        if let Some(other) = &entry[1 - side] {
+        let WindowState { sides, pending, .. } = state;
+        if let Some(other) = sides[1 - side].first() {
             ctx.charged(16, |e| {
                 join_sorted(e, &kpa, other, 32, |newcomer, ni, opposite, oi| {
                     let key = newcomer.keys()[ni];
@@ -81,116 +78,33 @@ impl TemporalJoin {
                     } else {
                         (opp_v, new_v)
                     };
-                    rows.extend_from_slice(&[key, lv, rv, start]);
+                    pending.push([key, lv, rv, start]);
                 })
             });
         }
 
         // (2) Merge the newcomer into its own side's state.
-        let slot = &mut entry[side];
-        let merged = match slot.take() {
+        let merged = match sides[side].pop() {
             None => kpa,
             Some(existing) => {
                 let (kind, prio) = ctx.place();
                 ctx.charged(16, |e| Kpa::merge(e, &existing, &kpa, kind, prio))?
             }
         };
-        *slot = Some(merged);
+        sides[side].push(merged);
         Ok(())
     }
-}
 
-impl std::fmt::Debug for TemporalJoin {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TemporalJoin")
-            .field("key_col", &self.key_col)
-            .field("open_windows", &self.state.len())
-            .finish()
-    }
-}
-
-impl Operator for TemporalJoin {
-    fn name(&self) -> &'static str {
-        "TemporalJoin"
-    }
-
-    fn on_message(
+    fn close(
         &mut self,
         ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        match msg {
-            Message::Data {
-                port,
-                data: StreamData::Windowed(w, kpa),
-            } => {
-                if self.late.is_late(&self.spec, w, kpa.len()) {
-                    return Ok(Vec::new());
-                }
-                self.ingest(ctx, port, w, kpa)?;
-                Ok(Vec::new())
-            }
-            Message::Data { data, .. } => Err(EngineError::Config(format!(
-                "TemporalJoin requires windowed KPAs, got {} unwindowed records",
-                data.len()
-            ))),
-            Message::Watermark(wm) => {
-                self.late.observe(wm);
-                ctx.tag = ImpactTag::Urgent;
-                let mut out = Vec::new();
-                for w in closable(&self.state, &self.spec, wm) {
-                    self.state.remove(&w);
-                    let rows = self.pending.remove(&w).unwrap_or_default();
-                    let env = ctx.env();
-                    let b = RecordBundle::from_rows(&env, Arc::clone(&self.out_schema), &rows)?;
-                    out.push(Message::data(StreamData::Bundle(b)));
-                }
-                out.push(Message::Watermark(wm));
-                Ok(out)
-            }
-            Message::Barrier(mut b) => {
-                b.states.push(self.snapshot(ctx)?);
-                Ok(single(Message::Barrier(b)))
-            }
-        }
-    }
-
-    fn snapshot(&self, ctx: &mut OpCtx<'_>) -> Result<OpState, EngineError> {
-        let mut st = OpState {
-            horizon: self.late.horizon().map(|h| h.time().raw()),
-            scalars: Vec::new(),
-            entries: Vec::new(),
-        };
-        for (w, sides) in &self.state {
-            for (side, slot) in sides.iter().enumerate() {
-                if let Some(kpa) = slot {
-                    st.entries
-                        .push(StateEntry::from_kpa(ctx, w.0, side as u8, kpa)?);
-                }
-            }
-        }
-        for (w, rows) in &self.pending {
-            st.entries
-                .push(StateEntry::from_rows(w.0, PENDING_PORT, 4, 3, rows.clone()));
-        }
-        Ok(st)
-    }
-
-    fn restore(&mut self, ctx: &mut OpCtx<'_>, state: &OpState) -> Result<(), EngineError> {
-        if let Some(raw) = state.horizon {
-            self.late.observe(sbx_records::Watermark::from(raw));
-        }
-        for e in &state.entries {
-            if e.port == PENDING_PORT {
-                self.pending
-                    .entry(WindowId(e.window))
-                    .or_default()
-                    .extend_from_slice(&e.rows);
-            } else {
-                let side = (e.port as usize).min(1);
-                self.state.entry(WindowId(e.window)).or_default()[side] = Some(e.to_kpa(ctx)?);
-            }
-        }
+        state: WindowState,
+        _start: u64,
+        out: &mut Vec<Message>,
+    ) -> Result<(), EngineError> {
+        let rows = state.pending.as_flattened();
+        let b = RecordBundle::from_rows(&ctx.env(), Arc::clone(&self.out_schema), rows)?;
+        out.push(Message::data(StreamData::Bundle(b)));
         Ok(())
     }
 }
@@ -199,7 +113,7 @@ impl Operator for TemporalJoin {
 mod tests {
     use super::*;
     use crate::ops::WindowInto;
-    use crate::{DemandBalancer, EngineMode};
+    use crate::{DemandBalancer, EngineMode, ImpactTag, Operator};
     use sbx_records::Watermark;
     use sbx_simmem::{MachineConfig, MemEnv};
     use std::collections::HashSet;

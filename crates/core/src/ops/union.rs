@@ -1,5 +1,5 @@
-use crate::ops::single;
-use crate::{EngineError, Message, OpCtx, Operator, StatelessOperator};
+use crate::operator::single;
+use crate::{EngineError, Message, OpCtx, StatelessOperator};
 
 /// Union (Table 1): merges the two input streams into one, re-tagging all
 /// data onto port 0. A pure grouping operator — no records are touched, so
@@ -11,20 +11,6 @@ impl Union {
     /// A union of both input ports.
     pub fn new() -> Self {
         Union
-    }
-}
-
-impl Operator for Union {
-    fn name(&self) -> &'static str {
-        StatelessOperator::name(self)
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        self.apply(ctx, msg)
     }
 }
 
@@ -44,7 +30,7 @@ impl StatelessOperator for Union {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DemandBalancer, EngineMode, ImpactTag, StreamData};
+    use crate::{DemandBalancer, EngineMode, ImpactTag, Operator, StreamData};
     use sbx_records::{RecordBundle, Schema};
     use sbx_simmem::{MachineConfig, MemEnv};
 

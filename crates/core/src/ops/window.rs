@@ -1,7 +1,7 @@
 use sbx_records::{WindowId, WindowSpec};
 
-use crate::ops::single;
-use crate::{EngineError, Message, OpCtx, Operator, StatelessOperator, StreamData};
+use crate::operator::single;
+use crate::{EngineError, Message, OpCtx, StatelessOperator, StreamData};
 
 /// Assigns records to temporal windows by partitioning KPAs on the
 /// timestamp column (paper §4.2: Windowing operators use `Partition` with
@@ -26,20 +26,6 @@ impl WindowInto {
     /// reconstruct sliding windows without duplicating data.
     pub fn panes(spec: WindowSpec) -> Self {
         WindowInto { spec, panes: true }
-    }
-}
-
-impl Operator for WindowInto {
-    fn name(&self) -> &'static str {
-        StatelessOperator::name(self)
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        self.apply(ctx, msg)
     }
 }
 
@@ -101,7 +87,7 @@ impl StatelessOperator for WindowInto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DemandBalancer, EngineMode, ImpactTag};
+    use crate::{DemandBalancer, EngineMode, ImpactTag, Operator};
     use sbx_records::{Col, RecordBundle, Schema};
     use sbx_simmem::{MachineConfig, MemEnv};
 

@@ -1,166 +1,77 @@
-use std::collections::BTreeMap;
-
 use sbx_kpa::{reduce_unkeyed_kpa, Kpa};
-use sbx_records::{Col, WindowId, WindowSpec};
+use sbx_records::{Col, WindowSpec};
 
-use crate::checkpoint::{join_u128, split_u128, OpState, StateEntry};
-use crate::ops::{closable, single, LateGuard};
-use crate::{EngineError, ImpactTag, Message, OpCtx, Operator, StreamData};
+use super::windowed::{WindowLogic, WindowState, Windowed};
+use crate::{EngineError, Message, OpCtx, StreamData};
 
 /// Windowed Filter (benchmark 8): takes two input streams, computes the
 /// per-window average of the *control* stream's values (port 1), and at
 /// window close keeps the records of the *data* stream (port 0) whose value
 /// exceeds that average. Survivors are materialized as full records.
-pub struct WindowedFilter {
+pub type WindowedFilter = Windowed<WindowedFilterLogic, WindowState>;
+
+/// [`WindowedFilter`]'s primitives: data KPAs are saved resident on the
+/// value column, the control stream only feeds the running average.
+#[derive(Debug)]
+pub struct WindowedFilterLogic {
     value_col: Col,
-    spec: WindowSpec,
-    /// Per-window: saved data-stream KPAs (resident = value column).
-    data_state: BTreeMap<WindowId, Vec<Kpa>>,
-    /// Per-window running (sum, count) of the control stream.
-    control_state: BTreeMap<WindowId, (u128, u64)>,
-    late: LateGuard,
 }
 
 impl WindowedFilter {
     /// Filters port-0 records by comparing `value_col` against port 1's
     /// window average.
     pub fn new(spec: WindowSpec, value_col: Col) -> Self {
-        WindowedFilter {
-            value_col,
-            spec,
-            data_state: BTreeMap::new(),
-            control_state: BTreeMap::new(),
-            late: LateGuard::default(),
-        }
-    }
-
-    /// Records dropped because their window had already closed.
-    pub fn late_records(&self) -> u64 {
-        self.late.dropped()
+        Windowed::over(spec, WindowedFilterLogic { value_col })
     }
 }
 
-impl std::fmt::Debug for WindowedFilter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WindowedFilter")
-            .field("open_windows", &self.data_state.len())
-            .finish()
-    }
-}
+impl WindowLogic for WindowedFilterLogic {
+    type State = WindowState;
 
-impl Operator for WindowedFilter {
     fn name(&self) -> &'static str {
         "WindowedFilter"
     }
 
-    fn on_message(
+    fn arrive(
         &mut self,
         ctx: &mut OpCtx<'_>,
-        msg: Message,
-    ) -> Result<Vec<Message>, EngineError> {
-        match msg {
-            Message::Data {
-                port,
-                data: StreamData::Windowed(w, mut kpa),
-            } => {
-                if self.late.is_late(&self.spec, w, kpa.len()) {
-                    return Ok(Vec::new());
-                }
-                let value_col = self.value_col;
-                if port == 0 {
-                    if kpa.resident() != value_col {
-                        ctx.charged(16, |e| kpa.key_swap(e, value_col));
-                    }
-                    self.data_state.entry(w).or_default().push(kpa);
-                } else {
-                    let (sum, count) = ctx.charged(16, |e| {
-                        reduce_unkeyed_kpa(e, &kpa, value_col, (0u128, 0u64), |a, v| {
-                            (a.0 + v as u128, a.1 + 1)
-                        })
-                    });
-                    let e = self.control_state.entry(w).or_insert((0, 0));
-                    e.0 += sum;
-                    e.1 += count;
-                }
-                Ok(Vec::new())
+        state: &mut WindowState,
+        port: u8,
+        _start: u64,
+        mut kpa: Kpa,
+    ) -> Result<(), EngineError> {
+        let value_col = self.value_col;
+        if port == 0 {
+            if kpa.resident() != value_col {
+                ctx.charged(16, |e| kpa.key_swap(e, value_col));
             }
-            Message::Data { data, .. } => Err(EngineError::Config(format!(
-                "WindowedFilter requires windowed KPAs, got {} unwindowed records",
-                data.len()
-            ))),
-            Message::Watermark(wm) => {
-                self.late.observe(wm);
-                ctx.tag = ImpactTag::Urgent;
-                let mut out = Vec::new();
-                let mut windows = closable(&self.data_state, &self.spec, wm);
-                for w in closable(&self.control_state, &self.spec, wm) {
-                    if !windows.contains(&w) {
-                        windows.push(w);
-                    }
-                }
-                windows.sort_unstable();
-                for w in windows {
-                    let kpas = self.data_state.remove(&w).unwrap_or_default();
-                    let (sum, count) = self.control_state.remove(&w).unwrap_or((0, 0));
-                    let avg = if count == 0 {
-                        0
-                    } else {
-                        (sum / count as u128) as u64
-                    };
-                    for kpa in kpas {
-                        let (_, prio) = ctx.place();
-                        let kept = ctx.charged(16, |e| kpa.select(e, prio, |v| v > avg))?;
-                        if kept.is_empty() {
-                            continue;
-                        }
-                        let bundle = ctx.charged(16, |e| kept.materialize(e))?;
-                        out.push(Message::data(StreamData::Bundle(bundle)));
-                    }
-                }
-                out.push(Message::Watermark(wm));
-                Ok(out)
-            }
-            Message::Barrier(mut b) => {
-                b.states.push(self.snapshot(ctx)?);
-                Ok(single(Message::Barrier(b)))
-            }
+            state.sides[0].push(kpa);
+        } else {
+            let avg = &mut state.avg;
+            ctx.charged(16, |e| {
+                reduce_unkeyed_kpa(e, &kpa, value_col, (), |(), v| avg.push(v));
+            });
         }
+        Ok(())
     }
 
-    fn snapshot(&self, ctx: &mut OpCtx<'_>) -> Result<OpState, EngineError> {
-        let mut st = OpState {
-            horizon: self.late.horizon().map(|h| h.time().raw()),
-            scalars: Vec::new(),
-            entries: Vec::new(),
-        };
-        // Port 0: saved data-stream KPAs (materialized on snapshot).
-        for (w, kpas) in &self.data_state {
-            for kpa in kpas {
-                st.entries.push(StateEntry::from_kpa(ctx, w.0, 0, kpa)?);
+    fn close(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        state: WindowState,
+        _start: u64,
+        out: &mut Vec<Message>,
+    ) -> Result<(), EngineError> {
+        let avg = state.avg.mean();
+        let [data, _] = state.sides;
+        for kpa in data {
+            let (_, prio) = ctx.place();
+            let kept = ctx.charged(16, |e| kpa.select(e, prio, |v| v > avg))?;
+            if kept.is_empty() {
+                continue;
             }
-        }
-        // Control stream is pure scalar state: [window, sum_hi, sum_lo, count].
-        for (w, &(sum, count)) in &self.control_state {
-            let (hi, lo) = split_u128(sum);
-            st.scalars.extend_from_slice(&[w.0, hi, lo, count]);
-        }
-        Ok(st)
-    }
-
-    fn restore(&mut self, ctx: &mut OpCtx<'_>, state: &OpState) -> Result<(), EngineError> {
-        if let Some(raw) = state.horizon {
-            self.late.observe(sbx_records::Watermark::from(raw));
-        }
-        for e in &state.entries {
-            self.data_state
-                .entry(WindowId(e.window))
-                .or_default()
-                .push(e.to_kpa(ctx)?);
-        }
-        for c in state.scalars.chunks_exact(4) {
-            let e = self.control_state.entry(WindowId(c[0])).or_insert((0, 0));
-            e.0 += join_u128(c[1], c[2]);
-            e.1 += c[3];
+            let bundle = ctx.charged(16, |e| kept.materialize(e))?;
+            out.push(Message::data(StreamData::Bundle(bundle)));
         }
         Ok(())
     }
@@ -170,7 +81,7 @@ impl Operator for WindowedFilter {
 mod tests {
     use super::*;
     use crate::ops::WindowInto;
-    use crate::{DemandBalancer, EngineMode};
+    use crate::{DemandBalancer, EngineMode, ImpactTag, Operator};
     use sbx_records::{RecordBundle, Schema, Watermark};
     use sbx_simmem::{MachineConfig, MemEnv};
 

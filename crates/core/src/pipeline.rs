@@ -4,8 +4,8 @@ use std::sync::Arc;
 use sbx_records::{Col, WindowSpec};
 
 use crate::ops::{
-    AggKind, AvgAll, Cogroup, ExternalJoin, Filter, KeyedAggregate, MapRecords, PowerGrid, Sample,
-    SideAgg, TemporalJoin, Union, WindowInto, WindowedFilter,
+    AggKind, AvgAll, Cogroup, ExternalJoin, Filter, GroupingSpec, KeyedAggregate, MapRecords,
+    PowerGrid, Sample, SideAgg, TemporalJoin, Union, WindowInto, WindowedFilter,
 };
 use crate::{Operator, StatelessOperator};
 
@@ -134,59 +134,14 @@ impl PipelineBuilder {
         self
     }
 
-    /// Appends a keyed aggregation.
+    /// Appends a keyed aggregation on the default (sort-merge) backend.
+    /// Anything else [`KeyedAggregate`] can be configured with — a key map,
+    /// a grouping backend, pane combining — goes through [`Self::op`] and
+    /// the operator's own `with_*` methods.
     pub fn keyed_aggregate(mut self, key: Col, value: Col, kind: AggKind) -> Self {
         self.ops.push(OpNode::Stateful(Box::new(KeyedAggregate::new(
             self.spec, key, value, kind,
         ))));
-        self
-    }
-
-    /// Appends a keyed aggregation whose grouping keys pass through `map`
-    /// first (YSB's ad→campaign count).
-    pub fn keyed_aggregate_mapped(
-        mut self,
-        key: Col,
-        value: Col,
-        kind: AggKind,
-        map: impl Fn(u64) -> u64 + Send + 'static,
-    ) -> Self {
-        self.ops.push(OpNode::Stateful(Box::new(
-            KeyedAggregate::new(self.spec, key, value, kind).with_key_map(map),
-        )));
-        self
-    }
-
-    /// Appends a keyed aggregation on an explicit grouping backend
-    /// (DESIGN.md §14; CLI `--grouping`).
-    pub fn keyed_aggregate_grouped(
-        mut self,
-        key: Col,
-        value: Col,
-        kind: AggKind,
-        grouping: crate::ops::GroupingSpec,
-    ) -> Self {
-        self.ops.push(OpNode::Stateful(Box::new(
-            KeyedAggregate::new(self.spec, key, value, kind).with_grouping(grouping),
-        )));
-        self
-    }
-
-    /// [`keyed_aggregate_mapped`](Self::keyed_aggregate_mapped) on an
-    /// explicit grouping backend.
-    pub fn keyed_aggregate_mapped_grouped(
-        mut self,
-        key: Col,
-        value: Col,
-        kind: AggKind,
-        grouping: crate::ops::GroupingSpec,
-        map: impl Fn(u64) -> u64 + Send + 'static,
-    ) -> Self {
-        self.ops.push(OpNode::Stateful(Box::new(
-            KeyedAggregate::new(self.spec, key, value, kind)
-                .with_grouping(grouping)
-                .with_key_map(map),
-        )));
         self
     }
 
@@ -313,10 +268,7 @@ pub mod benchmarks {
 
     /// Benchmark 2: Windowed Sum Per Key.
     pub fn sum_per_key() -> Pipeline {
-        PipelineBuilder::new(spec())
-            .windowed()
-            .keyed_aggregate(Col(0), Col(1), AggKind::Sum)
-            .build()
+        sum_per_key_grouped(GroupingSpec::SortMerge)
     }
 
     /// Benchmark 3: Windowed Median Per Key.
@@ -379,33 +331,33 @@ pub mod benchmarks {
     /// `ad_type`, external-join `ad_id` to campaigns, window by event time,
     /// count per campaign per window.
     pub fn ysb(num_campaigns: u64) -> Pipeline {
-        // YSB columns: user_id(0) page_id(1) ad_id(2) ad_type(3)
-        // event_type(4) event_time(5) ip(6). Keep "view" ad types (<2 of 5).
-        PipelineBuilder::new(spec())
-            .filter(Col(3), |ad_type| ad_type < 2)
-            .windowed()
-            .keyed_aggregate_mapped(Col(2), Col(0), AggKind::Count, move |ad| ad % num_campaigns)
-            .build()
+        ysb_grouped(num_campaigns, GroupingSpec::SortMerge)
     }
 
     /// [`ysb`] on an explicit grouping backend (`--grouping`): YSB's
     /// per-campaign count is the paper benchmark whose low cardinality
     /// favors the hash backend.
-    pub fn ysb_grouped(num_campaigns: u64, grouping: crate::ops::GroupingSpec) -> Pipeline {
+    pub fn ysb_grouped(num_campaigns: u64, grouping: GroupingSpec) -> Pipeline {
+        // YSB columns: user_id(0) page_id(1) ad_id(2) ad_type(3)
+        // event_type(4) event_time(5) ip(6). Keep "view" ad types (<2 of 5).
         PipelineBuilder::new(spec())
             .filter(Col(3), |ad_type| ad_type < 2)
             .windowed()
-            .keyed_aggregate_mapped_grouped(Col(2), Col(0), AggKind::Count, grouping, move |ad| {
-                ad % num_campaigns
-            })
+            .op(Box::new(
+                KeyedAggregate::new(spec(), Col(2), Col(0), AggKind::Count)
+                    .with_grouping(grouping)
+                    .with_key_map(move |ad| ad % num_campaigns),
+            ))
             .build()
     }
 
     /// [`sum_per_key`] on an explicit grouping backend (`--grouping`).
-    pub fn sum_per_key_grouped(grouping: crate::ops::GroupingSpec) -> Pipeline {
+    pub fn sum_per_key_grouped(grouping: GroupingSpec) -> Pipeline {
         PipelineBuilder::new(spec())
             .windowed()
-            .keyed_aggregate_grouped(Col(0), Col(1), AggKind::Sum, grouping)
+            .op(Box::new(
+                KeyedAggregate::new(spec(), Col(0), Col(1), AggKind::Sum).with_grouping(grouping),
+            ))
             .build()
     }
 }

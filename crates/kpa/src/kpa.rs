@@ -238,6 +238,55 @@ pub struct Kpa {
 }
 
 impl Kpa {
+    /// A KPA over the same records as `self` (resident column, schema,
+    /// source links, provenance) holding other pairs.
+    fn like(&self, keys: PoolVec, ptrs: PoolVec, sorted: bool) -> Kpa {
+        Kpa {
+            keys,
+            ptrs,
+            resident: self.resident,
+            schema: Arc::clone(&self.schema),
+            sources: self.sources.clone(),
+            sorted,
+            #[cfg(feature = "sanitize")]
+            shadow: self.shadow.clone(),
+        }
+    }
+
+    /// The Extract loop behind [`Kpa::extract`], [`Kpa::extract_fused`] and
+    /// [`Kpa::extract_select`], which differ only in what they charge:
+    /// copies column `col` of every record `keep` accepts and forms a
+    /// pointer to it. Generic over `keep`, so the always-true predicate of
+    /// the unfiltered variants compiles to the branch-free copy loop.
+    fn extract_where(
+        ctx: &ExecCtx,
+        bundle: &Arc<RecordBundle>,
+        col: Col,
+        kind: MemKind,
+        prio: Priority,
+        mut keep: impl FnMut(u64) -> bool,
+    ) -> Result<Kpa, AllocError> {
+        let n = bundle.rows();
+        let (mut keys, mut ptrs, _) = alloc_pair_bufs(ctx.env(), n, kind, prio)?;
+        for row in 0..n {
+            let k = bundle.value(row, col);
+            if keep(k) {
+                keys.push(k);
+                ptrs.push(bundle.record_ref(row).pack());
+            }
+        }
+        Ok(Kpa {
+            sorted: keys.len() <= 1,
+            keys,
+            ptrs,
+            resident: col,
+            schema: Arc::clone(bundle.schema()),
+            sources: BTreeMap::from([(bundle.id(), Arc::clone(bundle))]),
+            #[cfg(feature = "sanitize")]
+            shadow: ShadowLink::capture(ctx.env(), bundle),
+        })
+    }
+
     /// **Extract** (Table 2): creates a KPA from a record bundle, copying
     /// column `col` as the resident keys and forming a pointer per record.
     ///
@@ -254,29 +303,12 @@ impl Kpa {
         kind: MemKind,
         prio: Priority,
     ) -> Result<Kpa, AllocError> {
-        let n = bundle.rows();
-        let (mut keys, mut ptrs, got) = alloc_pair_bufs(ctx.env(), n, kind, prio)?;
-        for row in 0..n {
-            keys.push(bundle.value(row, col));
-            ptrs.push(bundle.record_ref(row).pack());
-        }
+        let kpa = Self::extract_where(ctx, bundle, col, kind, prio, |_| true)?;
         ctx.charge_as(
             PrimGroup::Extract,
-            &profile::extract(n, bundle.schema().record_bytes(), got),
+            &profile::extract(bundle.rows(), bundle.schema().record_bytes(), kpa.kind()),
         );
-        let mut sources = BTreeMap::new();
-        sources.insert(bundle.id(), Arc::clone(bundle));
-        let schema = Arc::clone(bundle.schema());
-        Ok(Kpa {
-            keys,
-            ptrs,
-            resident: col,
-            schema,
-            sources,
-            sorted: n <= 1,
-            #[cfg(feature = "sanitize")]
-            shadow: ShadowLink::capture(ctx.env(), bundle),
-        })
+        Ok(kpa)
     }
 
     /// Extract fused with bundle emission (paper §4.3 optimization 1:
@@ -295,31 +327,15 @@ impl Kpa {
         kind: MemKind,
         prio: Priority,
     ) -> Result<Kpa, AllocError> {
-        let n = bundle.rows();
-        let (mut keys, mut ptrs, got) = alloc_pair_bufs(ctx.env(), n, kind, prio)?;
-        for row in 0..n {
-            keys.push(bundle.value(row, col));
-            ptrs.push(bundle.record_ref(row).pack());
-        }
+        let kpa = Self::extract_where(ctx, bundle, col, kind, prio, |_| true)?;
+        let n = bundle.rows() as f64;
         ctx.charge_as(
             PrimGroup::Extract,
             &sbx_simmem::AccessProfile::new()
-                .seq(got, n as f64 * profile::PAIR_BYTES)
-                .cpu(n as f64 * profile::EXTRACT_CYCLES),
+                .seq(kpa.kind(), n * profile::PAIR_BYTES)
+                .cpu(n * profile::EXTRACT_CYCLES),
         );
-        let mut sources = BTreeMap::new();
-        sources.insert(bundle.id(), Arc::clone(bundle));
-        let schema = Arc::clone(bundle.schema());
-        Ok(Kpa {
-            keys,
-            ptrs,
-            resident: col,
-            schema,
-            sources,
-            sorted: n <= 1,
-            #[cfg(feature = "sanitize")]
-            shadow: ShadowLink::capture(ctx.env(), bundle),
-        })
+        Ok(kpa)
     }
 
     /// **Select** fused with Extract: creates a KPA holding only the records
@@ -335,36 +351,16 @@ impl Kpa {
         col: Col,
         kind: MemKind,
         prio: Priority,
-        mut pred: impl FnMut(u64) -> bool,
+        pred: impl FnMut(u64) -> bool,
     ) -> Result<Kpa, AllocError> {
+        let kpa = Self::extract_where(ctx, bundle, col, kind, prio, pred)?;
         let n = bundle.rows();
-        let (mut keys, mut ptrs, got) = alloc_pair_bufs(ctx.env(), n, kind, prio)?;
-        for row in 0..n {
-            let k = bundle.value(row, col);
-            if pred(k) {
-                keys.push(k);
-                ptrs.push(bundle.record_ref(row).pack());
-            }
-        }
         ctx.charge_as(
             PrimGroup::Extract,
-            &profile::extract(n, bundle.schema().record_bytes(), got),
+            &profile::extract(n, bundle.schema().record_bytes(), kpa.kind()),
         );
         ctx.charge(&sbx_simmem::AccessProfile::new().cpu(n as f64 * profile::SELECT_CYCLES));
-        let sorted = keys.len() <= 1;
-        let mut sources = BTreeMap::new();
-        sources.insert(bundle.id(), Arc::clone(bundle));
-        let schema = Arc::clone(bundle.schema());
-        Ok(Kpa {
-            keys,
-            ptrs,
-            resident: col,
-            schema,
-            sources,
-            sorted,
-            #[cfg(feature = "sanitize")]
-            shadow: ShadowLink::capture(ctx.env(), bundle),
-        })
+        Ok(kpa)
     }
 
     /// **Select** (Table 2): subsets this KPA, keeping pairs whose resident
@@ -388,17 +384,7 @@ impl Kpa {
             }
         }
         ctx.charge(&profile::select(n, keys.len(), self.kind(), got));
-        let sorted = self.sorted;
-        Ok(Kpa {
-            keys,
-            ptrs,
-            resident: self.resident,
-            schema: Arc::clone(&self.schema),
-            sources: self.sources.clone(),
-            sorted,
-            #[cfg(feature = "sanitize")]
-            shadow: self.shadow.clone(),
-        })
+        Ok(self.like(keys, ptrs, self.sorted))
     }
 
     /// **KeySwap** (Table 2): replaces the resident keys with nonresident
@@ -544,33 +530,14 @@ impl Kpa {
         let mut result = Vec::with_capacity(outs.len());
         for (g, (keys, ptrs)) in outs {
             let sorted = self.sorted || keys.len() <= 1;
-            result.push((
-                g,
-                Kpa {
-                    keys,
-                    ptrs,
-                    resident: self.resident,
-                    schema: Arc::clone(&self.schema),
-                    sources: self.sources.clone(),
-                    sorted,
-                    #[cfg(feature = "sanitize")]
-                    shadow: self.shadow.clone(),
-                },
-            ));
+            result.push((g, self.like(keys, ptrs, sorted)));
         }
         Ok(result)
     }
 
     /// **Merge** (Table 2): merges two KPAs sorted on the same resident
-    /// column into one sorted KPA on `out_kind` (falling back to DRAM).
-    ///
-    /// Both inputs are merge-path co-partitioned across the context's
-    /// worker pool (see [`crate::mergepath`]): every lane claims an equal
-    /// output span, so the merge scales with threads while the result
-    /// stays byte-identical to the sequential left-wins-ties merge.
-    ///
-    /// The output inherits the links to all source bundles of both inputs
-    /// (paper §5.1).
+    /// column into one sorted KPA on `out_kind` (falling back to DRAM) —
+    /// [`Kpa::merge_many`] of two borrowed inputs.
     ///
     /// # Errors
     ///
@@ -586,65 +553,22 @@ impl Kpa {
         out_kind: MemKind,
         prio: Priority,
     ) -> Result<Kpa, AllocError> {
-        assert!(a.sorted && b.sorted, "merge requires sorted inputs");
-        assert_eq!(a.resident, b.resident, "resident columns must match");
-        let total = a.len() + b.len();
-        let (mut keys, mut ptrs, got) = alloc_pair_bufs(ctx.env(), total, out_kind, prio)?;
-        keys.resize(total, 0);
-        ptrs.resize(total, 0);
-        let runs = [
-            mergepath::Run {
-                keys: &a.keys,
-                ptrs: &a.ptrs,
-            },
-            mergepath::Run {
-                keys: &b.keys,
-                ptrs: &b.ptrs,
-            },
-        ];
-        let width = ctx.pool().width();
-        mergepath::merge_runs_pooled(
-            ctx.pool(),
-            width,
-            &runs,
-            mergepath::RankBy::Key,
-            &mut keys,
-            &mut ptrs,
-        );
-        // Charge the scan of both inputs on their (possibly distinct) tiers.
-        let in_kind = if a.kind() == b.kind() {
-            a.kind()
-        } else {
-            MemKind::Dram
-        };
-        ctx.charge_as(PrimGroup::Merge, &profile::merge(total, in_kind, got));
-
-        let mut sources = a.sources.clone();
-        for (id, b) in &b.sources {
-            sources.entry(*id).or_insert_with(|| Arc::clone(b));
-        }
-        let schema = Arc::clone(&a.schema);
-        Ok(Kpa {
-            keys,
-            ptrs,
-            resident: a.resident,
-            schema,
-            sources,
-            sorted: true,
-            #[cfg(feature = "sanitize")]
-            shadow: a.shadow.clone().union(&b.shadow),
-        })
+        Self::merge_runs(ctx, &[a, b], out_kind, prio)
     }
 
     /// Merges any number of sorted KPAs into one in a *single pass* (the
     /// window-closure step of Keyed Aggregation, paper Fig. 4a): all runs
-    /// are merge-path co-partitioned across the context's worker pool, so
-    /// each pair moves exactly once regardless of how many KPAs close the
-    /// window. Charges one read + one write pass with `log2(k)`
-    /// comparisons per pair (see [`profile::merge_kway`]).
+    /// are merge-path co-partitioned across the context's worker pool (see
+    /// [`crate::mergepath`]) — every lane claims an equal output span, so
+    /// the merge scales with threads, each pair moves exactly once
+    /// regardless of how many KPAs close the window, and the result stays
+    /// byte-identical to the sequential merge. Charges one read + one write
+    /// pass with `log2(k)` comparisons per pair (see
+    /// [`profile::merge_kway`]).
     ///
-    /// Equal keys come out in input-list order, as rounds of pairwise
-    /// [`Kpa::merge`] would leave them.
+    /// Equal keys come out in input-list order (left wins ties). The output
+    /// inherits the links to all source bundles of every input (paper
+    /// §5.1).
     ///
     /// # Errors
     ///
@@ -666,17 +590,28 @@ impl Kpa {
                 return Ok(k);
             }
         }
-        let resident = kpas[0].resident();
-        for k in &kpas {
-            assert!(k.is_sorted(), "merge_many requires sorted inputs");
-            assert_eq!(k.resident(), resident, "resident columns must match");
+        Self::merge_runs(ctx, &kpas, out_kind, prio)
+    }
+
+    /// The merge body: two or more owned or borrowed inputs.
+    fn merge_runs<K: std::borrow::Borrow<Kpa>>(
+        ctx: &mut ExecCtx,
+        kpas: &[K],
+        out_kind: MemKind,
+        prio: Priority,
+    ) -> Result<Kpa, AllocError> {
+        let first: &Kpa = kpas[0].borrow();
+        for k in kpas.iter().map(K::borrow) {
+            assert!(k.sorted, "merge requires sorted inputs");
+            assert_eq!(k.resident, first.resident, "resident columns must match");
         }
-        let total: usize = kpas.iter().map(Kpa::len).sum();
+        let total: usize = kpas.iter().map(|k| k.borrow().len()).sum();
         let (mut keys, mut ptrs, got) = alloc_pair_bufs(ctx.env(), total, out_kind, prio)?;
         keys.resize(total, 0);
         ptrs.resize(total, 0);
         let runs: Vec<mergepath::Run<'_>> = kpas
             .iter()
+            .map(K::borrow)
             .map(|k| mergepath::Run {
                 keys: &k.keys,
                 ptrs: &k.ptrs,
@@ -692,8 +627,9 @@ impl Kpa {
             &mut keys,
             &mut ptrs,
         );
-        let in_kind = if kpas.iter().all(|k| k.kind() == kpas[0].kind()) {
-            kpas[0].kind()
+        // Charge the scan of the inputs on their (possibly distinct) tiers.
+        let in_kind = if kpas.iter().all(|k| k.borrow().kind() == first.kind()) {
+            first.kind()
         } else {
             MemKind::Dram
         };
@@ -703,24 +639,23 @@ impl Kpa {
         );
 
         let mut sources = BTreeMap::new();
-        for k in &kpas {
+        for k in kpas.iter().map(K::borrow) {
             for (id, b) in &k.sources {
                 sources.entry(*id).or_insert_with(|| Arc::clone(b));
             }
         }
-        let schema = Arc::clone(&kpas[0].schema);
         Ok(Kpa {
             keys,
             ptrs,
-            resident,
-            schema,
+            resident: first.resident,
+            schema: Arc::clone(&first.schema),
             sources,
             sorted: true,
             #[cfg(feature = "sanitize")]
             shadow: kpas
                 .iter()
                 .skip(1)
-                .fold(kpas[0].shadow.clone(), |acc, k| acc.union(&k.shadow)),
+                .fold(first.shadow.clone(), |acc, k| acc.union(&k.borrow().shadow)),
         })
     }
 

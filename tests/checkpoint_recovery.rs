@@ -71,9 +71,54 @@ fn topk_crash_mid_window_recovers_identically() {
     }
 }
 
-/// Property test: whatever the crash point (bundle offsets, barrier
-/// phases) and whatever the checkpoint cadence, recovery is exactly-once
-/// and snapshots never exceed the DRAM pool's capacity.
+/// One crash-and-recover comparison against the fault-free oracle over the
+/// same stream: committed rows, record counts and snapshot accounting.
+fn crash_and_compare<S: Source>(
+    cfg: &RunConfig,
+    mk_src: impl Fn() -> S,
+    mk_pipe: impl Fn() -> Pipeline,
+    interval: u64,
+    plan: CrashPlan,
+    what: &str,
+) {
+    let bundles = 18usize;
+    let mut oracle = CheckpointCoordinator::new();
+    let base =
+        run_with_recovery(cfg, &mk_src, &mk_pipe, bundles, interval, &mut oracle).expect("oracle");
+    assert!(!oracle.committed().is_empty(), "{what}: no output at all");
+
+    let mut coord = CheckpointCoordinator::with_crash(plan);
+    let out =
+        run_with_recovery(cfg, &mk_src, &mk_pipe, bundles, interval, &mut coord).expect("recover");
+    // An AtBarrier plan may target an epoch the cadence never reaches;
+    // otherwise exactly one crash fires.
+    assert!(out.crashes <= 1, "{what}");
+
+    assert_eq!(
+        coord.committed(),
+        oracle.committed(),
+        "{what}: outputs diverged"
+    );
+    assert_eq!(out.report.records_in, base.report.records_in, "{what}");
+    assert_eq!(
+        out.report.output_records, base.report.output_records,
+        "{what}"
+    );
+
+    // Snapshots live inside the accounted pool: never over capacity.
+    let dram_capacity = cfg.machine.dram.capacity_bytes;
+    for s in coord.samples() {
+        assert!(s.store_bytes <= dram_capacity, "{what}");
+        assert!(s.dram_used_bytes <= dram_capacity, "{what}");
+    }
+}
+
+/// Property test: whatever the canned single-stream pipeline, whatever the
+/// crash point (bundle offsets, barrier phases) and whatever the checkpoint
+/// cadence, recovery is exactly-once and snapshots never exceed the DRAM
+/// pool's capacity. 18 bundles of 500 records at 3 000 records per
+/// event-second span three windows, so crashes land before, between and
+/// after window closes.
 #[test]
 fn random_crash_points_recover_exactly_once() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_ec04);
@@ -93,48 +138,45 @@ fn random_crash_points_recover_exactly_once() {
         },
         ..RunConfig::default()
     };
-    let bundles = 18usize;
-    for case in 0..12u64 {
-        let interval = rng.random_range(1..8);
-        let seed = rng.random_range(1..1_000_000);
-        let mk_src = || KvSource::new(seed, 40, 1_000_000).with_value_range(1_000);
-        let mk_pipe = benchmarks::sum_per_key;
-
-        let mut oracle = CheckpointCoordinator::new();
-        let base = run_with_recovery(&cfg, mk_src, mk_pipe, bundles, interval, &mut oracle)
-            .expect("oracle");
-
-        let plan = if case % 2 == 0 {
-            CrashPlan::AfterBundles(rng.random_range(1..bundles as u64))
-        } else {
-            CrashPlan::AtBarrier {
-                epoch: rng.random_range(1..4),
-                phase: phases[rng.random_range(0..phases.len() as u64) as usize],
+    const RATE: u64 = 3_000;
+    type MakePipeline = fn() -> Pipeline;
+    let pipelines: [(&str, MakePipeline); 8] = [
+        ("sum", benchmarks::sum_per_key),
+        ("topk", || benchmarks::topk_per_key(3)),
+        ("median", benchmarks::median_per_key),
+        ("avg", benchmarks::avg_per_key),
+        ("avg-all", benchmarks::avg_all),
+        ("unique", benchmarks::unique_count_per_key),
+        ("power-grid", benchmarks::power_grid),
+        ("ysb", || benchmarks::ysb(20)),
+    ];
+    for (name, mk_pipe) in pipelines {
+        for case in 0..12u64 {
+            let interval = rng.random_range(1..8);
+            let seed = rng.random_range(1..1_000_000);
+            let plan = if case % 2 == 0 {
+                CrashPlan::AfterBundles(rng.random_range(1..18))
+            } else {
+                CrashPlan::AtBarrier {
+                    epoch: rng.random_range(1..4),
+                    phase: phases[rng.random_range(0..phases.len() as u64) as usize],
+                }
+            };
+            let what = format!("{name} case {case}: {plan:?}, interval {interval}");
+            match name {
+                "power-grid" => {
+                    let src = || PowerGridSource::new(seed, 10, 4, RATE);
+                    crash_and_compare(&cfg, src, mk_pipe, interval, plan, &what);
+                }
+                "ysb" => {
+                    let src = || YsbSource::new(seed, 200, 20, RATE);
+                    crash_and_compare(&cfg, src, mk_pipe, interval, plan, &what);
+                }
+                _ => {
+                    let src = || KvSource::new(seed, 40, RATE).with_value_range(1_000);
+                    crash_and_compare(&cfg, src, mk_pipe, interval, plan, &what);
+                }
             }
-        };
-        let mut coord = CheckpointCoordinator::with_crash(plan);
-        let out = run_with_recovery(&cfg, mk_src, mk_pipe, bundles, interval, &mut coord)
-            .expect("recover");
-        // An AtBarrier plan may target an epoch the cadence never reaches;
-        // otherwise exactly one crash fires.
-        assert!(out.crashes <= 1, "case {case}: {plan:?}");
-
-        assert_eq!(
-            coord.committed(),
-            oracle.committed(),
-            "case {case}: outputs diverged under {plan:?} (interval {interval})"
-        );
-        assert_eq!(out.report.records_in, base.report.records_in, "case {case}");
-        assert_eq!(
-            out.report.output_records, base.report.output_records,
-            "case {case}"
-        );
-
-        // Snapshots live inside the accounted pool: never over capacity.
-        let dram_capacity = cfg.machine.dram.capacity_bytes;
-        for s in coord.samples() {
-            assert!(s.store_bytes <= dram_capacity, "case {case}");
-            assert!(s.dram_used_bytes <= dram_capacity, "case {case}");
         }
     }
 }
