@@ -75,7 +75,7 @@ fn main() {
         });
         time_fn("partition_100k", SAMPLES, || {
             let mut ctx = ExecCtx::new(&env);
-            kpa.partition_by(&mut ctx, Priority::Normal, |k| k / 100)
+            kpa.partition_by(&mut ctx, Priority::Normal, 100)
                 .expect("fits")
         });
         time_fn("reduce_keyed_100k", SAMPLES, || {

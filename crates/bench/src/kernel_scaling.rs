@@ -1,9 +1,10 @@
 //! Kernel scaling: host wall-clock of the merge-path grouping kernels
 //! (Sort, Merge, Join) across worker-pool widths, the serial chunk sort and
 //! k-way merge against the kernels they replaced over a grid of key
-//! distributions and run counts, plus the modelled pass-bytes comparison
-//! between the retired multipass structure and the single-pass merge-path
-//! kernels.
+//! distributions and run counts, the per-bundle front half (Select/Extract,
+//! Partition, KeySwap) against the loops it replaced, plus the modelled
+//! pass-bytes comparison between the retired multipass structure and the
+//! single-pass merge-path kernels.
 //!
 //! Unlike the figure sweeps, the *time* column here is real host time of
 //! the functional kernels (`std::time::Instant`), not modelled KNL time:
@@ -16,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant; // sbx-lint: allow(wall-clock, host microbench is the point of this table)
 
-use sbx_ingress::ZipfKeys;
+use sbx_ingress::{KvSource, Source, YsbSource, ZipfKeys};
 use sbx_kpa::mergepath::{self, RankBy, Run};
 use sbx_kpa::{join_sorted, profile, sort_pairs, ExecCtx, Kpa, WorkerPool};
 use sbx_prng::SbxRng;
@@ -108,6 +109,11 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t.elapsed().as_secs_f64())
 }
 
+fn median(mut timings: Vec<f64>) -> f64 {
+    timings.sort_by(f64::total_cmp);
+    timings[timings.len() / 2]
+}
+
 /// Times `sort`, two-way `merge` and `join` at pool width `width` over
 /// [`PAIRS`]-pair inputs; returns host milliseconds per kernel.
 pub fn measure_width(width: usize) -> (f64, f64, f64) {
@@ -163,10 +169,6 @@ pub struct KernelCell {
 /// Panics if the current kernels' output differs from the reference
 /// kernels' in any byte.
 pub fn measure_kernel_cell(dist: KeyDist, runs: usize, reps: usize) -> KernelCell {
-    let median = |mut ns: Vec<f64>| {
-        ns.sort_by(f64::total_cmp);
-        ns[ns.len() / 2]
-    };
     let per_pair = |secs: f64, pairs: usize| secs * 1e9 / pairs as f64;
     let mut rng = SbxRng::seed_from_u64(16 + runs as u64);
     let (mut sort_old, mut sort_new) = (Vec::new(), Vec::new());
@@ -258,11 +260,301 @@ pub fn run_kernel_grid(reps: usize) -> String {
     t.print()
 }
 
+/// One row of the front-half table: median host nanoseconds per input pair
+/// of the loop a per-bundle primitive ran before ([`reference`]) and of the
+/// primitive today.
+#[derive(Debug, Clone)]
+pub struct FrontCell {
+    /// The primitive.
+    pub kernel: &'static str,
+    /// The input shape.
+    pub case: String,
+    /// Reference loop.
+    pub old: f64,
+    /// Current kernel.
+    pub new: f64,
+}
+
+/// The packed pointers of `kpa`, in pair order.
+pub fn ptrs_of(kpa: &Kpa) -> Vec<u64> {
+    (0..kpa.len()).map(|i| kpa.record_ref(i).pack()).collect()
+}
+
+/// Times the per-bundle front half on [`CHUNK_PAIRS`]-row inputs, `reps`
+/// fresh inputs per row of the table, median over all timings:
+/// Select/Extract at keep rates 0 / 0.4 / 1 on 3- and 7-column bundles
+/// (the filtered column is uniform over five values, as YSB's `ad_type`),
+/// Partition of timestamps forming one run, two runs (a window boundary
+/// inside the bundle) and many (the same boundary under 50 ms of jitter),
+/// and KeySwap through a resolver over 1 and 25 source bundles. Both sides
+/// allocate from the same accounted pool. A resolver over several bundles
+/// probes the same table on both sides, so that row reads 1.0 x within
+/// noise.
+///
+/// # Panics
+///
+/// Panics if a current kernel's output differs from the reference loop's in
+/// any byte.
+pub fn measure_front_half(reps: usize) -> Vec<FrontCell> {
+    const WINDOW: u64 = 1_000_000_000;
+    const RATE: u64 = 500_000;
+    let reps = reps.max(1);
+    let n = CHUNK_PAIRS;
+    let env = env();
+    let mut ctx = ExecCtx::new(&env);
+    let per_pair = |secs: f64| secs * 1e9 / n as f64;
+    let mut cells = Vec::new();
+    let mut cell = |kernel, case: String, timings: Vec<(f64, f64)>| {
+        let (old, new) = timings.into_iter().unzip();
+        cells.push(FrontCell {
+            kernel,
+            case,
+            old: median(old),
+            new: median(new),
+        });
+    };
+
+    for ncols in [3usize, 7] {
+        for (threshold, rate) in [(0u64, "0"), (2, "0.4"), (5, "1")] {
+            let mut timings = Vec::new();
+            for rep in 0..reps as u64 {
+                let mut rows = Vec::new();
+                let (schema, col) = if ncols == 7 {
+                    YsbSource::new(21 + rep, 10_000, 1_000, RATE).fill(n, &mut rows);
+                    (Schema::ysb(), Col(3))
+                } else {
+                    KvSource::new(21 + rep, 1_000, RATE)
+                        .with_value_range(5)
+                        .fill(n, &mut rows);
+                    (Schema::kvt(), Col(1))
+                };
+                let b = RecordBundle::from_rows(&env, schema, &rows).expect("bundle fits");
+                let keep = move |v: u64| v < threshold;
+                // Untimed first pass: both timed passes read a warm bundle.
+                drop(reference::extract_where(&env, &b, col, keep));
+                let (want, old) = timed(|| reference::extract_where(&env, &b, col, keep));
+                let (got, new) = timed(|| {
+                    Kpa::extract_select(&mut ctx, &b, col, MemKind::Hbm, Priority::Normal, keep)
+                        .expect("KPA fits in HBM")
+                });
+                assert!(
+                    got.keys() == &want.0[..] && ptrs_of(&got) == want.1[..],
+                    "Select/Extract differs from the reference: {ncols} columns, keep {rate}"
+                );
+                timings.push((per_pair(old), per_pair(new)));
+            }
+            cell(
+                "Select/Extract",
+                format!("{ncols} columns, keep {rate}"),
+                timings,
+            );
+        }
+    }
+
+    // (label, first timestamp, most a timestamp lags the emission front)
+    let mid_bundle_boundary = WINDOW - (n as u64 / 2) * (WINDOW / RATE);
+    for (runs, start, jitter) in [
+        ("1 run", 0, 0),
+        ("2 runs", mid_bundle_boundary, 0),
+        ("many runs", mid_bundle_boundary, WINDOW / 20),
+    ] {
+        let mut timings = Vec::new();
+        for rep in 0..reps as u64 {
+            let mut rng = SbxRng::seed_from_u64(31 + rep);
+            let rows: Vec<u64> = (0..n as u64)
+                .flat_map(|i| {
+                    let lag = rng.random_range(0..=jitter);
+                    [i, 0, (start + i * (WINDOW / RATE)).saturating_sub(lag)]
+                })
+                .collect();
+            let b = RecordBundle::from_rows(&env, Schema::kvt(), &rows).expect("bundle fits");
+            let kpa = Kpa::extract(&mut ctx, &b, Col(2), MemKind::Hbm, Priority::Normal)
+                .expect("KPA fits in HBM");
+            let ptrs = ptrs_of(&kpa);
+            drop(reference::partition_by(&env, kpa.keys(), &ptrs, |ts| {
+                ts / WINDOW
+            }));
+            let (want, old) =
+                timed(|| reference::partition_by(&env, kpa.keys(), &ptrs, |ts| ts / WINDOW));
+            let (got, new) = timed(|| {
+                kpa.partition_by(&mut ctx, Priority::Normal, WINDOW)
+                    .expect("partitions fit in HBM")
+            });
+            assert!(
+                got.len() == want.len()
+                    && got.iter().zip(&want).all(|((g, part), (wg, keys, ptrs))| {
+                        g == wg && part.keys() == &keys[..] && ptrs_of(part) == ptrs[..]
+                    }),
+                "Partition differs from the reference: {runs}"
+            );
+            timings.push((per_pair(old), per_pair(new)));
+        }
+        cell("Partition", runs.to_string(), timings);
+    }
+
+    for sources in [1usize, 25] {
+        let mut timings = Vec::new();
+        for rep in 0..reps as u64 {
+            let mut src = KvSource::new(41 + rep, 4_000_000, RATE).with_value_range(1_000_000);
+            let mut bundles = Vec::new();
+            let mut parts = Vec::new();
+            for _ in 0..sources {
+                let mut rows = Vec::new();
+                src.fill(n / sources, &mut rows);
+                let b = RecordBundle::from_rows(&env, Schema::kvt(), &rows).expect("bundle fits");
+                let mut kpa = extracted(&mut ctx, &b);
+                if sources > 1 {
+                    kpa.sort(&mut ctx, 1).expect("sort");
+                }
+                bundles.push(b);
+                parts.push(kpa);
+            }
+            let mut kpa = Kpa::merge_many(&mut ctx, parts, MemKind::Hbm, Priority::Normal)
+                .expect("merge fits");
+            assert_eq!((kpa.len(), kpa.source_count()), (n, sources));
+            let ptrs = ptrs_of(&kpa);
+            let mut want = vec![1u64; n];
+            reference::key_swap(&mut want, &ptrs, &bundles, Col(1));
+            let ((), old) = timed(|| reference::key_swap(&mut want, &ptrs, &bundles, Col(1)));
+            let ((), new) = timed(|| kpa.key_swap(&mut ctx, Col(1)));
+            assert!(
+                kpa.keys() == &want[..],
+                "KeySwap differs from the reference: {sources} source(s)"
+            );
+            timings.push((per_pair(old), per_pair(new)));
+        }
+        cell("KeySwap", format!("{sources} source(s)"), timings);
+    }
+    cells
+}
+
+/// Runs the front-half comparison ([`measure_front_half`]) and renders it.
+pub fn run_front_half(reps: usize) -> String {
+    let mut t = Table::new(
+        &format!(
+            "Host kernels, per-bundle front half, {CHUNK_PAIRS}-row bundles \
+             (median ns/input pair): per-element reference loops vs one streaming pass"
+        ),
+        &["kernel", "case", "old", "new", "gain"],
+    );
+    for c in measure_front_half(reps) {
+        t.row(vec![
+            c.kernel.into(),
+            c.case,
+            f1(c.old),
+            f1(c.new),
+            format!("{}x", f1(c.old / c.new)),
+        ]);
+    }
+    t.print()
+}
+
 /// The kernels `sbx_kpa::sort_pairs` and `mergepath::merge_span` ran before
-/// the radix kernels, kept as the reference the grid times and checks them
-/// against.
+/// the radix kernels, and the per-element loops Select/Extract, Partition
+/// and the pointer resolver ran before their streaming passes, kept as the
+/// reference the tables here (and `tests/prop_primitives.rs`) time and
+/// check the current kernels against.
 pub mod reference {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
     use sbx_kpa::mergepath::{RankBy, Run};
+    use sbx_records::{BundleId, Col, RecordBundle, RecordRef};
+    use sbx_simmem::{MemEnv, MemKind, PoolVec, Priority};
+
+    fn pair_bufs(env: &MemEnv, n: usize) -> (PoolVec, PoolVec) {
+        let alloc = || {
+            env.pool(MemKind::Hbm)
+                .alloc_u64(n, Priority::Normal)
+                .expect("pair buffer fits in HBM")
+        };
+        (alloc(), alloc())
+    }
+
+    /// Select fused with Extract: a bounds-checked column read and a
+    /// taken-or-not branch per row, two pushes per kept row. Buffers come
+    /// from `env`'s HBM pool, one request of `bundle.rows()` slots each.
+    pub fn extract_where(
+        env: &MemEnv,
+        bundle: &RecordBundle,
+        col: Col,
+        mut keep: impl FnMut(u64) -> bool,
+    ) -> (PoolVec, PoolVec) {
+        let n = bundle.rows();
+        let (mut keys, mut ptrs) = pair_bufs(env, n);
+        for row in 0..n {
+            let k = bundle.value(row, col);
+            if keep(k) {
+                keys.push(k);
+                ptrs.push(bundle.record_ref(row).pack());
+            }
+        }
+        (keys, ptrs)
+    }
+
+    /// Partition by `classify(key)`: an ordered-map lookup and a call of
+    /// `classify` per pair in both the counting and the scatter pass.
+    /// Buffers come from `env`'s HBM pool, exactly sized, requested in
+    /// ascending group order.
+    pub fn partition_by(
+        env: &MemEnv,
+        keys: &[u64],
+        ptrs: &[u64],
+        mut classify: impl FnMut(u64) -> u64,
+    ) -> Vec<(u64, PoolVec, PoolVec)> {
+        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
+        for &k in keys {
+            *counts.entry(classify(k)).or_insert(0) += 1;
+        }
+        let mut outs: BTreeMap<u64, (PoolVec, PoolVec)> = BTreeMap::new();
+        for (&g, &c) in &counts {
+            outs.insert(g, pair_bufs(env, c));
+        }
+        for (&key, &ptr) in keys.iter().zip(ptrs) {
+            if let Some((k, p)) = outs.get_mut(&classify(key)) {
+                k.push(key);
+                p.push(ptr);
+            }
+        }
+        outs.into_iter().map(|(g, (k, p))| (g, k, p)).collect()
+    }
+
+    /// KeySwap through the hash-probed resolver: `keys[i]` becomes column
+    /// `col` of the record `ptrs[i]` points to, found by probing an
+    /// open-addressed `bundle id → rows` table however many bundles there
+    /// are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pointer leads outside `sources`.
+    pub fn key_swap(keys: &mut [u64], ptrs: &[u64], sources: &[Arc<RecordBundle>], col: Col) {
+        let len = (2 * sources.len()).next_power_of_two().max(2);
+        let shift = u64::BITS - len.trailing_zeros();
+        let home =
+            |id: BundleId| (u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        let mut slots: Vec<Option<(BundleId, usize, &[u64])>> = vec![None; len];
+        for b in sources {
+            let mut at = home(b.id());
+            while slots[at].is_some() {
+                at = (at + 1) % len;
+            }
+            slots[at] = Some((b.id(), b.schema().ncols(), b.as_rows()));
+        }
+        for (key, &raw) in keys.iter_mut().zip(ptrs) {
+            let r = RecordRef::unpack(raw);
+            let mut at = home(r.bundle);
+            let (ncols, rows) = loop {
+                let slot = &slots[at];
+                assert!(slot.is_some(), "pointer into unlinked bundle {}", r.bundle);
+                match slot {
+                    Some((id, ncols, rows)) if *id == r.bundle => break (*ncols, *rows),
+                    _ => at = (at + 1) % len,
+                }
+            };
+            let at = r.row as usize * ncols;
+            *key = rows[at..at + ncols][col.0];
+        }
+    }
 
     /// Chunk sort: one pattern-defeating quicksort over the pairs packed as
     /// 128-bit `(key << 64) | ptr` values.
@@ -402,6 +694,7 @@ pub fn run() -> String {
     let mut out = t.print();
 
     out.push_str(&run_kernel_grid(5));
+    out.push_str(&run_front_half(25));
 
     let (so, sn, mo, mn) = modelled_pass_bytes();
     let mut m = Table::new(
@@ -461,6 +754,17 @@ mod tests {
         let c = measure_kernel_cell(KeyDist::Zipf099, 3, 1);
         for ns in [c.sort_old, c.sort_new, c.merge_old, c.merge_new] {
             assert!(ns > 0.0, "{c:?}");
+        }
+    }
+
+    /// Every front-half row runs both generations, byte-identical
+    /// (asserted inside), and reports positive times.
+    #[test]
+    fn front_half_rows_match_the_reference() {
+        let cells = measure_front_half(1);
+        assert_eq!(cells.len(), 6 + 3 + 2);
+        for c in &cells {
+            assert!(c.old > 0.0 && c.new > 0.0, "{c:?}");
         }
     }
 

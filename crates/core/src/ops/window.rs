@@ -51,7 +51,7 @@ impl StatelessOperator for WindowInto {
                 }
                 let stride = self.spec.stride();
                 let (_, prio) = ctx.place();
-                let panes = ctx.charged(16, |e| kpa.partition_by(e, prio, |ts| ts / stride))?;
+                let panes = ctx.charged(16, |e| kpa.partition_by(e, prio, stride))?;
                 let overlap = if self.panes {
                     1
                 } else {
@@ -67,7 +67,9 @@ impl StatelessOperator for WindowInto {
                     } else {
                         // Sliding window: pane p lies inside windows
                         // [p - overlap + 1, p] (cf. WindowSpec::windows_of);
-                        // duplicate the KPA into each.
+                        // duplicate the KPA into each — a Select that keeps
+                        // everything, which the shared compaction loop runs
+                        // as a plain copy.
                         for w in pane.saturating_sub(overlap - 1)..=pane {
                             let copy = ctx.charged(16, |e| pkpa.select(e, prio, |_| true))?;
                             out.push(Message::Data {

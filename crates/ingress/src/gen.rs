@@ -28,6 +28,53 @@ fn ts_for(count: u64, event_rate: u64) -> u64 {
     (count as u128 * TICKS_PER_SEC as u128 / event_rate as u128) as u64
 }
 
+/// The emission front of a `fill` call: [`ts_for`] of consecutive record
+/// counts, carried from record to record as quotient and remainder of
+/// `count · TICKS_PER_SEC / event_rate` — an add, a compare and a
+/// conditional subtract per record where the closed form is a 128-bit
+/// multiply and divide.
+struct Front {
+    /// `ts_for(count, event_rate)`.
+    ts: u64,
+    /// `count · TICKS_PER_SEC mod event_rate`.
+    rem: u64,
+    /// `TICKS_PER_SEC / event_rate` and `TICKS_PER_SEC mod event_rate`.
+    step: (u64, u64),
+    event_rate: u64,
+}
+
+impl Front {
+    /// The front at record `count`, from the closed form.
+    fn at(count: u64, event_rate: u64) -> Front {
+        let ticks = count as u128 * TICKS_PER_SEC as u128;
+        Front {
+            ts: ts_for(count, event_rate),
+            rem: (ticks % event_rate as u128) as u64,
+            step: (TICKS_PER_SEC / event_rate, TICKS_PER_SEC % event_rate),
+            event_rate,
+        }
+    }
+
+    /// The current record's timestamp; moves the front to the next record.
+    #[inline]
+    fn next_ts(&mut self) -> u64 {
+        let ts = self.ts;
+        let (quot, rem) = self.step;
+        // Both remainders are below `event_rate`: at most one carry, and
+        // comparing against the gap keeps the sum from overflowing.
+        let gap = self.event_rate - rem;
+        let carry = self.rem >= gap;
+        self.rem = if carry {
+            self.rem - gap
+        } else {
+            self.rem + rem
+        };
+        // `ts_for` truncates to 64 bits; so does this.
+        self.ts = ts.wrapping_add(quot).wrapping_add(u64::from(carry));
+        ts
+    }
+}
+
 /// Deterministic Zipf-distributed rank sampler over `{0, .., n-1}` (rank 0
 /// most popular), using the rejection-free inverse-CDF approximation of
 /// Gray et al. ("Quickly generating billion-record synthetic databases").
@@ -61,7 +108,7 @@ impl ZipfKeys {
             theta,
             zetan,
             eta,
-            threshold2: 1.0 + 0.5f64.powf(theta),
+            threshold2: zeta2,
         }
     }
 
@@ -158,26 +205,33 @@ impl Source for KvSource {
     }
 
     fn fill(&mut self, rows: usize, out: &mut Vec<u64>) {
+        out.reserve(rows * self.schema.ncols());
+        let mut front = Front::at(self.count, self.event_rate);
+        // The generator state lives in a local for the loop: the Zipf
+        // sampler calls into libm, and across that call a state reached
+        // through `self` is stored and reloaded on every draw of every key
+        // distribution.
+        let mut rng = self.rng.clone();
         for _ in 0..rows {
-            let front = ts_for(self.count, self.event_rate);
             let jitter = if self.jitter_ticks == 0 {
                 0
             } else {
-                self.rng.random_range(0..=self.jitter_ticks)
+                rng.random_range(0..=self.jitter_ticks)
             };
-            let ts = front.saturating_sub(jitter);
+            let ts = front.next_ts().saturating_sub(jitter);
             let key = match &self.zipf {
-                Some(z) => z.sample(&mut self.rng),
-                None => self.rng.random_range(0..self.key_cardinality),
+                Some(z) => z.sample(&mut rng),
+                None => rng.random_range(0..self.key_cardinality),
             };
-            out.push(key);
-            if let Some(c2) = self.key2_cardinality {
-                out.push(self.rng.random_range(0..c2));
+            let key2 = self.key2_cardinality.map(|c2| rng.random_range(0..c2));
+            let value = rng.random_range(0..self.value_range);
+            match key2 {
+                Some(key2) => out.extend_from_slice(&[key, key2, value, ts]),
+                None => out.extend_from_slice(&[key, value, ts]),
             }
-            out.push(self.rng.random_range(0..self.value_range));
-            out.push(ts);
-            self.count += 1;
         }
+        self.rng = rng;
+        self.count += rows as u64;
     }
 
     fn low_watermark(&self) -> EventTime {
@@ -237,17 +291,19 @@ impl Source for YsbSource {
     }
 
     fn fill(&mut self, rows: usize, out: &mut Vec<u64>) {
+        out.reserve(rows * self.schema.ncols());
+        let mut front = Front::at(self.count, self.event_rate);
         for _ in 0..rows {
-            let ts = ts_for(self.count, self.event_rate);
-            out.push(self.rng.random_range(0..1_000_000)); // user_id
-            out.push(self.rng.random_range(0..1_000_000)); // page_id
-            out.push(self.rng.random_range(0..self.num_ads)); // ad_id
-            out.push(self.rng.random_range(0..YSB_AD_TYPES)); // ad_type
-            out.push(self.rng.random_range(0..YSB_EVENT_TYPES)); // event_type
-            out.push(ts); // event_time
-            out.push(self.rng.random_range(0..u32::MAX as u64)); // ip
-            self.count += 1;
+            let user_id = self.rng.random_range(0..1_000_000);
+            let page_id = self.rng.random_range(0..1_000_000);
+            let ad_id = self.rng.random_range(0..self.num_ads);
+            let ad_type = self.rng.random_range(0..YSB_AD_TYPES);
+            let event_type = self.rng.random_range(0..YSB_EVENT_TYPES);
+            let event_time = front.next_ts();
+            let ip = self.rng.random_range(0..u32::MAX as u64);
+            out.extend_from_slice(&[user_id, page_id, ad_id, ad_type, event_type, event_time, ip]);
         }
+        self.count += rows as u64;
     }
 
     fn low_watermark(&self) -> EventTime {
@@ -313,15 +369,16 @@ impl Source for PowerGridSource {
     }
 
     fn fill(&mut self, rows: usize, out: &mut Vec<u64>) {
+        out.reserve(rows * self.schema.ncols());
+        let mut front = Front::at(self.count, self.event_rate);
         for _ in 0..rows {
-            let ts = ts_for(self.count, self.event_rate);
             let house = self.rng.random_range(0..self.houses);
             let plug = self.rng.random_range(0..self.plugs_per_house);
             let mean = Self::mean_load(house, plug);
             let load = self.rng.random_range(mean / 2..mean + mean / 2 + 1);
-            out.extend_from_slice(&[house, plug, load, ts]);
-            self.count += 1;
+            out.extend_from_slice(&[house, plug, load, front.next_ts()]);
         }
+        self.count += rows as u64;
     }
 
     fn low_watermark(&self) -> EventTime {
@@ -345,6 +402,9 @@ pub struct Partitioned<S> {
     /// Owned rows fetched from the inner source but not yet emitted.
     spare: Vec<u64>,
     spare_pos: usize,
+    /// Staging for the inner source's rows between refills.
+    raw: Vec<u64>,
+    schema: Arc<Schema>,
 }
 
 impl<S: Source> Partitioned<S> {
@@ -358,12 +418,14 @@ impl<S: Source> Partitioned<S> {
         assert!(instances > 0, "need at least one instance");
         assert!(id < instances, "instance id {id} out of range");
         Partitioned {
+            schema: inner.schema(),
             inner,
             key_col,
             instances,
             id,
             spare: Vec::new(),
             spare_pos: 0,
+            raw: Vec::new(),
         }
     }
 
@@ -374,22 +436,21 @@ impl<S: Source> Partitioned<S> {
 
 impl<S: Source> Source for Partitioned<S> {
     fn schema(&self) -> Arc<Schema> {
-        self.inner.schema()
+        Arc::clone(&self.schema)
     }
 
     fn fill(&mut self, rows: usize, out: &mut Vec<u64>) {
-        let ncols = self.inner.schema().ncols();
+        let ncols = self.schema.ncols();
         let mut produced = 0usize;
-        let mut raw = Vec::new();
         while produced < rows {
             if self.spare_pos >= self.spare.len() {
                 // Refill: fetch from the inner stream and keep only owned
                 // rows; no record is ever dropped from a shard.
                 self.spare.clear();
                 self.spare_pos = 0;
-                raw.clear();
-                self.inner.fill((rows - produced).max(64), &mut raw);
-                for row in raw.chunks(ncols) {
+                self.raw.clear();
+                self.inner.fill((rows - produced).max(64), &mut self.raw);
+                for row in self.raw.chunks(ncols) {
                     if self.owns(row[self.key_col]) {
                         self.spare.extend_from_slice(row);
                     }

@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use sbx_records::{RecordBundle, Watermark};
-use sbx_simmem::{AllocError, MemEnv};
+use sbx_simmem::{AllocError, MemEnv, MemPool};
 
 use crate::{NicModel, Source};
 
@@ -58,7 +58,8 @@ pub struct Sender<S> {
     barrier_interval: Option<u64>,
     since_barrier: u64,
     next_epoch: u64,
-    scratch: Vec<u64>,
+    /// Receive buffer the source fills; handed to the bundle built from it.
+    staging: Vec<u64>,
 }
 
 impl<S: Source> Sender<S> {
@@ -78,7 +79,7 @@ impl<S: Source> Sender<S> {
             barrier_interval: None,
             since_barrier: 0,
             next_epoch: 1,
-            scratch: Vec::new(),
+            staging: Vec::new(),
         }
     }
 
@@ -124,9 +125,17 @@ impl<S: Source> Sender<S> {
                 return Ok(IngressEvent::Barrier(epoch));
             }
         }
-        self.scratch.clear();
-        self.source.fill(self.cfg.bundle_rows, &mut self.scratch);
-        let bundle = RecordBundle::from_rows(&self.env, self.source.schema(), &self.scratch)?;
+        if self.staging.capacity() == 0 {
+            // One allocation, as large as the pool buffer the first bundle
+            // will trade it for; every later fill lands in a pool buffer.
+            let slots = self.cfg.bundle_rows * self.source.schema().ncols();
+            self.staging.reserve_exact(MemPool::buffer_slots(slots));
+        }
+        self.staging.clear();
+        self.source.fill(self.cfg.bundle_rows, &mut self.staging);
+        // The rows are written once: the bundle takes the staging buffer
+        // and leaves an empty pool buffer to receive the next one.
+        let bundle = RecordBundle::adopt_rows(&self.env, self.source.schema(), &mut self.staging)?;
         let wire_ns = self.cfg.nic.transfer_ns(bundle.bytes() as u64);
         self.bundles_sent += 1;
         self.since_watermark += 1;
@@ -244,6 +253,34 @@ mod tests {
         };
         let expect = NicModel::ethernet_10g().transfer_ns(b.bytes() as u64);
         assert_eq!(wire, expect);
+    }
+
+    #[test]
+    fn staging_buffer_settles_after_the_first_bundle() {
+        let env = env();
+        let cfg = SenderConfig {
+            bundle_rows: 1000,
+            bundles_per_watermark: 100,
+            nic: NicModel::unlimited(),
+        };
+        let mut s = Sender::new(&env, KvSource::new(1, 100, 1000), cfg);
+        let mut live = std::collections::VecDeque::new();
+        let mut capacities = Vec::new();
+        for _ in 0..12 {
+            let IngressEvent::Bundle(b, _) = s.next_event().unwrap() else {
+                panic!("expected bundle");
+            };
+            // Some buffers come fresh from the pool, some from its freelist.
+            live.push_back(b);
+            if live.len() > 3 {
+                live.pop_front();
+            }
+            assert!(s.staging.is_empty(), "left ready for the next fill");
+            capacities.push(s.staging.capacity());
+        }
+        // 3000 values fall into the 4096-slot class: every hand-off leaves
+        // a buffer of that class, so no fill after the first has to grow it.
+        assert!(capacities.iter().all(|&c| c >= 4096), "{capacities:?}");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sbx_simmem::{AllocError, MemEnv, MemKind, PoolVec, Priority};
@@ -36,6 +37,59 @@ fn try_alloc_pair(
     let keys = env.pool(kind).alloc_u64(n, prio)?;
     let ptrs = env.pool(kind).alloc_u64(n, prio)?;
     Ok((keys, ptrs))
+}
+
+/// Select's compaction loop, shared by Extract (pairs formed from bundle
+/// rows) and [`Kpa::select`] (pairs of another KPA): appends to the empty
+/// `keys`/`ptrs` the pairs of `pairs` — at most `n` of them — whose key
+/// `keep` accepts, in order.
+///
+/// Branch-free: both buffers are sized for all `n` pairs up front, every
+/// pair is written at the cursor, and the cursor advances by `keep(key)`,
+/// so an unpredictable predicate costs no mispredictions. With an
+/// always-true `keep` the loop is a plain copy.
+fn compact_pairs(
+    keys: &mut Vec<u64>,
+    ptrs: &mut Vec<u64>,
+    n: usize,
+    pairs: impl Iterator<Item = (u64, u64)>,
+    mut keep: impl FnMut(u64) -> bool,
+) {
+    keys.resize(n, 0);
+    ptrs.resize(n, 0);
+    let mut kept = 0;
+    for (key, ptr) in pairs {
+        keys[kept] = key;
+        ptrs[kept] = ptr;
+        kept += usize::from(keep(key));
+    }
+    keys.truncate(kept);
+    ptrs.truncate(kept);
+}
+
+/// Maximal runs of consecutive `keys` inside one `width`-wide key range:
+/// `(key / width, index range)` per run, in order.
+///
+/// Membership is a subtract-and-compare against the current range
+/// `[lo, lo + span]` (`span` shrinks where the range would pass
+/// `u64::MAX`, so a key below `lo` wraps to more than any `span`); the
+/// division happens once per run.
+fn key_range_runs(keys: &[u64], width: u64) -> impl Iterator<Item = (u64, Range<usize>)> + '_ {
+    assert!(width > 0, "partition width must be positive");
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let rest = &keys[start..];
+        let group = rest.first()? / width;
+        let lo = group * width;
+        let span = (width - 1).min(u64::MAX - lo);
+        let len = rest
+            .iter()
+            .position(|k| k.wrapping_sub(lo) > span)
+            .unwrap_or(rest.len());
+        let run = start..start + len;
+        start = run.end;
+        Some((group, run))
+    })
 }
 
 /// Provenance link between a KPA's pointers and the shadow table of the
@@ -88,14 +142,18 @@ impl ShadowLink {
 /// (keyed/unkeyed reduction, Materialize, KeySwap, …); see
 /// [`Kpa::resolver`].
 ///
-/// Built once per pass from the KPA's source links, so the per-pair work is
-/// one probe of a small open-addressed `bundle id → row data` table and one
+/// Built once per pass from the KPA's source links. A KPA that links one
+/// bundle — every KPA between Extract and its first merge — resolves by
+/// direct index into that bundle's rows. Otherwise the per-pair work is one
+/// probe of a small open-addressed `bundle id → row data` table and one
 /// slice of the bundle's rows — instead of an ordered-map walk and an `Arc`
 /// hop per pair. Bundle ids are process-global, so the sources of one KPA
 /// may be arbitrarily sparse; the table hashes ids and assumes nothing
 /// about their range.
 pub struct Resolver<'a> {
     ptrs: &'a [u64],
+    /// The source, when there is exactly one (`slots` is then empty).
+    only: Option<Source<'a>>,
     /// Linear-probed table, a power of two long and at most half full.
     slots: Vec<Option<Source<'a>>>,
     /// Keeps the top `log2(slots.len())` bits of a 64-bit hash.
@@ -117,25 +175,32 @@ impl<'a> Resolver<'a> {
         sources: &'a BTreeMap<BundleId, Arc<RecordBundle>>,
         #[cfg(feature = "sanitize")] shadow: &'a ShadowLink,
     ) -> Self {
-        let len = (2 * sources.len()).next_power_of_two().max(2);
+        let source = |(&id, b): (&BundleId, &'a Arc<RecordBundle>)| Source {
+            id,
+            ncols: b.schema().ncols(),
+            rows: b.as_rows(),
+        };
         let mut res = Resolver {
             ptrs,
+            only: None,
             slots: Vec::new(),
-            shift: u64::BITS - len.trailing_zeros(),
+            shift: 0,
             #[cfg(feature = "sanitize")]
             shadow,
         };
+        if sources.len() == 1 {
+            res.only = sources.iter().next().map(source);
+            return res;
+        }
+        let len = (2 * sources.len()).next_power_of_two().max(2);
+        res.shift = u64::BITS - len.trailing_zeros();
         res.slots.resize(len, None);
-        for (&id, b) in sources {
-            let mut at = res.home(id);
+        for src in sources.iter().map(source) {
+            let mut at = res.home(src.id);
             while res.slots[at].is_some() {
                 at = (at + 1) % res.slots.len();
             }
-            res.slots[at] = Some(Source {
-                id,
-                ncols: b.schema().ncols(),
-                rows: b.as_rows(),
-            });
+            res.slots[at] = Some(src);
         }
         res
     }
@@ -145,6 +210,26 @@ impl<'a> Resolver<'a> {
     #[inline]
     fn home(&self, id: BundleId) -> usize {
         (u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The linked source holding bundle `id`.
+    #[inline]
+    fn source(&self, id: BundleId) -> &Source<'a> {
+        if let Some(src) = &self.only {
+            assert!(src.id == id, "pointer into unlinked bundle {id}");
+            return src;
+        }
+        let mut at = self.home(id);
+        loop {
+            let slot = &self.slots[at];
+            // The table is at most half full, so probing for a bundle that
+            // is not linked ends at an empty slot.
+            assert!(slot.is_some(), "pointer into unlinked bundle {id}");
+            match slot {
+                Some(src) if src.id == id => return src,
+                _ => at = (at + 1) % self.slots.len(),
+            }
+        }
     }
 
     /// The full record pair `i` points to (a random DRAM access).
@@ -166,17 +251,7 @@ impl<'a> Resolver<'a> {
             return None;
         }
         let r = RecordRef::unpack(raw);
-        let mut at = self.home(r.bundle);
-        let src = loop {
-            let slot = &self.slots[at];
-            // The table is at most half full, so probing for a bundle that
-            // is not linked ends at an empty slot.
-            assert!(slot.is_some(), "pointer into unlinked bundle {}", r.bundle);
-            match slot {
-                Some(src) if src.id == r.bundle => break src,
-                _ => at = (at + 1) % self.slots.len(),
-            }
-        };
+        let src = self.source(r.bundle);
         let at = r.row as usize * src.ncols;
         Some(&src.rows[at..at + src.ncols])
     }
@@ -256,25 +331,27 @@ impl Kpa {
     /// The Extract loop behind [`Kpa::extract`], [`Kpa::extract_fused`] and
     /// [`Kpa::extract_select`], which differ only in what they charge:
     /// copies column `col` of every record `keep` accepts and forms a
-    /// pointer to it. Generic over `keep`, so the always-true predicate of
-    /// the unfiltered variants compiles to the branch-free copy loop.
+    /// pointer to it, in one pass over the bundle's rows.
     fn extract_where(
         ctx: &ExecCtx,
         bundle: &Arc<RecordBundle>,
         col: Col,
         kind: MemKind,
         prio: Priority,
-        mut keep: impl FnMut(u64) -> bool,
+        keep: impl FnMut(u64) -> bool,
     ) -> Result<Kpa, AllocError> {
+        let ncols = bundle.schema().ncols();
+        assert!(col.0 < ncols, "{col} out of range");
         let n = bundle.rows();
         let (mut keys, mut ptrs, _) = alloc_pair_bufs(ctx.env(), n, kind, prio)?;
-        for row in 0..n {
-            let k = bundle.value(row, col);
-            if keep(k) {
-                keys.push(k);
-                ptrs.push(bundle.record_ref(row).pack());
-            }
-        }
+        // Row `r`'s pointer is the bundle's row-0 pointer plus `r`.
+        let first = RecordRef {
+            bundle: bundle.id(),
+            row: 0,
+        };
+        let rows = bundle.as_rows().chunks_exact(ncols);
+        let pairs = rows.zip(first.pack()..).map(|(row, ptr)| (row[col.0], ptr));
+        compact_pairs(&mut keys, &mut ptrs, n, pairs, keep);
         Ok(Kpa {
             sorted: keys.len() <= 1,
             keys,
@@ -373,16 +450,12 @@ impl Kpa {
         &self,
         ctx: &mut ExecCtx,
         prio: Priority,
-        mut pred: impl FnMut(u64) -> bool,
+        pred: impl FnMut(u64) -> bool,
     ) -> Result<Kpa, AllocError> {
         let n = self.len();
         let (mut keys, mut ptrs, got) = alloc_pair_bufs(ctx.env(), n, self.kind(), prio)?;
-        for i in 0..n {
-            if pred(self.keys[i]) {
-                keys.push(self.keys[i]);
-                ptrs.push(self.ptrs[i]);
-            }
-        }
+        let pairs = self.keys.iter().copied().zip(self.ptrs.iter().copied());
+        compact_pairs(&mut keys, &mut ptrs, n, pairs, pred);
         ctx.charge(&profile::select(n, keys.len(), self.kind(), got));
         Ok(self.like(keys, ptrs, self.sorted))
     }
@@ -489,39 +562,45 @@ impl Kpa {
         })
     }
 
-    /// **Partition** (Table 2): scatters pairs into groups by
-    /// `classify(resident key)`, preserving order within each group.
-    /// Returns `(group, partition)` pairs in ascending group order.
+    /// **Partition** (Table 2): scatters pairs into groups by key range —
+    /// group `g` takes the resident keys in `[g * width, (g + 1) * width)` —
+    /// preserving order within each group. Returns `(group, partition)`
+    /// pairs in ascending group order.
     ///
-    /// Windowing operators use `classify = |ts| ts / window_stride`
-    /// (paper §4.2).
+    /// Windowing operators partition timestamps with "the window/slide
+    /// length as the key range of each output partition" (paper §4.2).
     ///
     /// # Errors
     ///
     /// Returns [`AllocError`] on output allocation failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero.
     pub fn partition_by(
         &self,
         ctx: &mut ExecCtx,
         prio: Priority,
-        mut classify: impl FnMut(u64) -> u64,
+        width: u64,
     ) -> Result<Vec<(u64, Kpa)>, AllocError> {
         // Pass 1: count per group (ordered map: groups come out ascending).
+        // A stream mostly in timestamp order is a few long runs, so the map
+        // is touched once per run, not once per pair.
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for &k in self.keys.iter() {
-            *counts.entry(classify(k)).or_insert(0) += 1;
+        for (g, run) in key_range_runs(&self.keys, width) {
+            *counts.entry(g).or_insert(0) += run.len();
         }
 
-        // Pass 2: scatter into exactly-sized pool buffers.
+        // Pass 2: copy each run into exactly-sized pool buffers.
         let mut outs: BTreeMap<u64, (PoolVec, PoolVec)> = BTreeMap::new();
         for (&g, &c) in &counts {
             let (k, p, _) = alloc_pair_bufs(ctx.env(), c, self.kind(), prio)?;
             outs.insert(g, (k, p));
         }
-        for i in 0..self.len() {
-            let g = classify(self.keys[i]);
+        for (g, run) in key_range_runs(&self.keys, width) {
             if let Some((k, p)) = outs.get_mut(&g) {
-                k.push(self.keys[i]);
-                p.push(self.ptrs[i]);
+                k.extend_from_slice(&self.keys[run.clone()]);
+                p.extend_from_slice(&self.ptrs[run]);
             }
         }
         ctx.charge(&profile::partition(self.len(), self.kind(), self.kind()));
@@ -954,9 +1033,7 @@ mod tests {
         let b = kv_bundle(&env, &rows);
         let mut kpa = Kpa::extract(&mut ctx, &b, Col(2), MemKind::Hbm, Priority::Normal).unwrap();
         kpa.set_sorted(false);
-        let parts = kpa
-            .partition_by(&mut ctx, Priority::Normal, |ts| ts / 10)
-            .unwrap();
+        let parts = kpa.partition_by(&mut ctx, Priority::Normal, 10).unwrap();
         let groups: Vec<u64> = parts.iter().map(|(g, _)| *g).collect();
         assert_eq!(groups, vec![0, 1, 2]);
         assert_eq!(parts[0].1.keys(), &[5, 7]); // order preserved
@@ -991,6 +1068,70 @@ mod tests {
         let k1 = Kpa::extract(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).unwrap();
         let k2 = Kpa::extract(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).unwrap();
         let _ = Kpa::merge(&mut ctx, &k1, &k2, MemKind::Hbm, Priority::Normal);
+    }
+
+    #[test]
+    fn extract_of_an_empty_bundle_is_an_empty_kpa() {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let b = kv_bundle(&env, &[]);
+        let kpa = Kpa::extract_select(&mut ctx, &b, Col(2), MemKind::Hbm, Priority::Normal, |_| {
+            true
+        })
+        .unwrap();
+        assert!(kpa.is_empty() && kpa.is_sorted());
+        assert_eq!(kpa.source_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "col3 out of range")]
+    fn extract_rejects_a_column_outside_the_schema() {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let b = kv_bundle(&env, &[(1, 10, 100)]);
+        let _ = Kpa::extract(&mut ctx, &b, Col(3), MemKind::Hbm, Priority::Normal);
+    }
+
+    /// A KPA over `linked` bundles whose first pointer leads into a bundle
+    /// it does not link (returned too: it stays alive, so the sanitizer has
+    /// no objection of its own).
+    fn kpa_with_a_stray_pointer(
+        env: &MemEnv,
+        ctx: &mut ExecCtx,
+        linked: usize,
+    ) -> (Kpa, Arc<RecordBundle>) {
+        let parts = (0..linked)
+            .map(|i| {
+                let b = kv_bundle(env, &[(i as u64, 0, 0)]);
+                let mut kpa =
+                    Kpa::extract(ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).unwrap();
+                kpa.set_sorted(true);
+                kpa
+            })
+            .collect();
+        let mut kpa = Kpa::merge_many(ctx, parts, MemKind::Hbm, Priority::Normal).unwrap();
+        assert_eq!(kpa.source_count(), linked);
+        let elsewhere = kv_bundle(env, &[(7, 70, 700)]);
+        kpa.ptrs[0] = elsewhere.record_ref(0).pack();
+        (kpa, elsewhere)
+    }
+
+    #[test]
+    #[should_panic(expected = "pointer into unlinked bundle")]
+    fn resolver_over_one_source_rejects_a_pointer_into_another_bundle() {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let (kpa, _elsewhere) = kpa_with_a_stray_pointer(&env, &mut ctx, 1);
+        kpa.resolver().value(0, Col(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "pointer into unlinked bundle")]
+    fn resolver_over_several_sources_rejects_a_pointer_into_another_bundle() {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let (kpa, _elsewhere) = kpa_with_a_stray_pointer(&env, &mut ctx, 3);
+        kpa.resolver().value(0, Col(1));
     }
 
     #[test]

@@ -92,6 +92,33 @@ impl RecordBundle {
         Self::from_fill(env, schema, rows.len(), |data| data.extend_from_slice(rows))
     }
 
+    /// Builds a bundle out of the buffer `rows` was received into, without
+    /// copying it: after the same DRAM pool request [`Self::from_rows`]
+    /// makes, the pool's buffer and `rows` trade places, so the bundle keeps
+    /// the filled buffer and the caller gets an empty one of the request's
+    /// size class for the next batch — the role of the pre-allocated RDMA
+    /// receive buffers the paper's bundles arrive in (§1).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] if DRAM is exhausted; `rows` is untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of `schema.ncols()`.
+    pub fn adopt_rows(
+        env: &MemEnv,
+        schema: Arc<Schema>,
+        rows: &mut Vec<u64>,
+    ) -> Result<Arc<Self>, AllocError> {
+        Self::from_fill(env, schema, rows.len(), |data| {
+            // A buffer returns to its size class's freelist only with at
+            // least the capacity the pool handed out.
+            rows.reserve_exact(data.capacity().saturating_sub(rows.len()));
+            std::mem::swap(data, rows);
+        })
+    }
+
     /// Builds a bundle of exactly `slots` values by letting `fill` append
     /// the row-major record data straight into the DRAM pool buffer, so a
     /// producer that computes its rows (Materialize, early aggregation)
@@ -305,6 +332,38 @@ mod tests {
         let env = env();
         let _ =
             RecordBundle::from_fill(&env, Schema::kvt(), 6, |d| d.extend_from_slice(&[1, 2, 3]));
+    }
+
+    #[test]
+    fn adopt_rows_trades_the_filled_buffer_for_an_empty_one() {
+        let env = env();
+        let mut rows: Vec<u64> = (0..3000).collect();
+        let filled = rows.as_ptr();
+        let b = RecordBundle::adopt_rows(&env, Schema::kvt(), &mut rows).unwrap();
+        assert_eq!(b.rows(), 1000);
+        assert_eq!(b.row(999), &[2997, 2998, 2999]);
+        // The caller's buffer is the pool's: empty, and as large as the
+        // size class the request fell into.
+        assert!(rows.is_empty() && rows.capacity() >= 3000);
+        assert_ne!(rows.as_ptr(), filled);
+        let used = env.pool(MemKind::Dram).used_bytes();
+        assert_eq!(used, 4096 * 8);
+        // Dropped, the adopted buffer is cached like any pool buffer.
+        drop(b);
+        assert_eq!(env.pool(MemKind::Dram).stats().cached_bytes, used);
+    }
+
+    #[test]
+    fn adopt_rows_leaves_the_rows_alone_when_dram_is_full() {
+        let mut machine = MachineConfig::knl();
+        machine.dram.capacity_bytes = 1024;
+        let env = MemEnv::new(machine);
+        let mut rows: Vec<u64> = (0..3000).collect();
+        let (at, capacity) = (rows.as_ptr(), rows.capacity());
+        assert!(RecordBundle::adopt_rows(&env, Schema::kvt(), &mut rows).is_err());
+        assert_eq!((rows.as_ptr(), rows.capacity()), (at, capacity));
+        assert!(rows.iter().copied().eq(0..3000));
+        assert_eq!(env.live_bundles(), 0);
     }
 
     #[test]

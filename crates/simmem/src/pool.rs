@@ -294,6 +294,14 @@ impl MemPool {
         ceiling.saturating_sub(self.used_bytes())
     }
 
+    /// Slots of the buffer [`MemPool::alloc_u64`] hands out for a request of
+    /// `len`: its size class, or `len` itself beyond the largest class. A
+    /// caller that will trade a buffer of its own for the pool's (as
+    /// `RecordBundle::adopt_rows` does) can allocate it this large up front.
+    pub fn buffer_slots(len: usize) -> usize {
+        class_for(len.max(1)).map_or(len, class_slots)
+    }
+
     /// Allocates a buffer of at least `len` u64 slots.
     ///
     /// The returned [`PoolVec`] has `capacity() >= len` (rounded up to the
@@ -510,6 +518,18 @@ mod tests {
         assert_eq!(v.capacity(), MIN_CLASS_SLOTS);
         assert_eq!(v.accounted_bytes(), (MIN_CLASS_SLOTS * 8) as u64);
         assert_eq!(pool.used_bytes(), v.accounted_bytes());
+    }
+
+    #[test]
+    fn buffer_slots_is_the_capacity_alloc_hands_out() {
+        let pool = small_pool(u64::MAX / 2, 0.0);
+        let huge = class_slots(NUM_CLASSES - 1) + 1;
+        for len in [0, 1, MIN_CLASS_SLOTS, MIN_CLASS_SLOTS + 1, 140_000, huge] {
+            let v = pool.alloc_u64(len, Priority::Normal).unwrap();
+            let slots = MemPool::buffer_slots(len);
+            assert!(slots >= len && v.capacity() >= slots, "{len}");
+            assert_eq!(v.accounted_bytes(), (slots * 8) as u64, "{len}");
+        }
     }
 
     #[test]

@@ -212,3 +212,68 @@ fn repeated_runs_are_deterministic() {
     };
     assert_eq!(run_once(), run_once(), "same seed, same results");
 }
+
+/// The sender hands its receive buffer to each bundle instead of copying
+/// it into one; the DRAM pool must not be able to tell. Bundle for bundle —
+/// whether the source fills exactly what was asked (`KvSource`) or a
+/// varying fraction of it that straddles two size classes (one shard of a
+/// 4-way `RoutedSource`) — the pool's statistics equal those of the
+/// copying path (`fill` into scratch, `RecordBundle::from_rows`), with
+/// bundles released in the same pattern on both sides.
+#[test]
+fn sender_hand_off_accounts_like_a_copy() {
+    use streambox_hbm::cluster::RoutedSource;
+    use streambox_hbm::ingress::IngressEvent;
+
+    fn check<S: Source>(what: &str, rows: usize, make: impl Fn() -> S) {
+        let machine = MachineConfig::knl().scaled(0.01);
+        let (copied, handed) = (MemEnv::new(machine.clone()), MemEnv::new(machine));
+        let cfg = SenderConfig {
+            bundle_rows: rows,
+            bundles_per_watermark: 7,
+            nic: NicModel::unlimited(),
+        };
+        let mut oracle = make();
+        let mut scratch = Vec::new();
+        let mut sender = Sender::new(&handed, make(), cfg);
+        let (mut live_copied, mut live_handed) = (Vec::new(), Vec::new());
+        let mut classes = std::collections::BTreeSet::new();
+        for bundle in 0..50 {
+            scratch.clear();
+            oracle.fill(rows, &mut scratch);
+            let want = RecordBundle::from_rows(&copied, oracle.schema(), &scratch).expect("fits");
+            let got = loop {
+                match sender.next_event().expect("fits") {
+                    IngressEvent::Bundle(b, _) => break b,
+                    IngressEvent::Watermark(_) | IngressEvent::Barrier(_) => {}
+                }
+            };
+            assert_eq!(got.as_rows(), want.as_rows(), "{what}: bundle {bundle}");
+            classes.insert(scratch.len().next_power_of_two());
+            live_copied.push(want);
+            live_handed.push(got);
+            // A few bundles stay pinned, as open windows pin them; every
+            // tenth bundle closes them all.
+            if bundle % 10 == 9 {
+                live_copied.clear();
+                live_handed.clear();
+            } else if live_copied.len() > 3 {
+                live_copied.remove(0);
+                live_handed.remove(0);
+            }
+            assert_eq!(
+                handed.pool(MemKind::Dram).stats(),
+                copied.pool(MemKind::Dram).stats(),
+                "{what}: after bundle {bundle}"
+            );
+        }
+        assert_eq!(handed.live_bundles(), copied.live_bundles());
+        assert!(what != "routed" || classes.len() > 1, "{what}: {classes:?}");
+    }
+
+    check("exact", 1_000, || KvSource::new(5, 1_000, 100_000));
+    let table = RouteTable::uniform(4, 64);
+    check("routed", 700, || {
+        RoutedSource::new(KvSource::new(5, 1_000, 100_000), 0, table.clone(), 1)
+    });
+}

@@ -6,6 +6,7 @@
 //! the exact same inputs (fully deterministic, offline-friendly stand-in
 //! for the earlier proptest suite).
 
+use sbx_bench::kernel_scaling::{ptrs_of, reference};
 use sbx_prng::SbxRng;
 use streambox_hbm::ingress::parse::{json, proto, text};
 use streambox_hbm::ingress::Partitioned;
@@ -113,7 +114,7 @@ fn partition_is_complete_and_ordered() {
         let mut ctx = ExecCtx::new(&env);
         let kpa = kpa_from_keys(&env, &mut ctx, &keys);
         let parts = kpa
-            .partition_by(&mut ctx, Priority::Normal, |k| k / stride)
+            .partition_by(&mut ctx, Priority::Normal, stride)
             .expect("fits");
         // Groups are disjoint, correctly classified and jointly exhaustive.
         let mut total = 0usize;
@@ -152,6 +153,224 @@ fn select_matches_filter_oracle() {
         let expect: Vec<u64> = keys.iter().copied().filter(|&k| k >= threshold).collect();
         assert_eq!(selected.keys(), &expect[..]);
     }
+}
+
+/// Runs `f` and counts the requests it made of the HBM pool.
+fn hbm_requests<T>(env: &MemEnv, f: impl FnOnce() -> T) -> (T, u64) {
+    let before = env.pool(MemKind::Hbm).stats().total_allocs;
+    let out = f();
+    (out, env.pool(MemKind::Hbm).stats().total_allocs - before)
+}
+
+/// Select/Extract's branch-free compaction equals the per-row loop it
+/// replaced — keys, pointers and pool requests — on every column of a
+/// 7-column schema, for empty, tiny and multi-class bundles, keeping no
+/// row, every row and a data-dependent subset; so do the unfiltered Extract
+/// and a Select over the extracted KPA.
+#[test]
+fn select_extract_compaction_matches_the_per_row_loop() {
+    let mut rng = SbxRng::seed_from_u64(0x5b57_100f);
+    for rows in [0usize, 1, 2, 511, 513, 1_500] {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let data: Vec<u64> = (0..rows * 7).map(|_| rng.random_range(0..50)).collect();
+        let b = RecordBundle::from_rows(&env, Schema::ysb(), &data).expect("fits");
+        for col in (0..7).map(Col) {
+            let modulus = rng.random_range(2..9);
+            let kept_below = rng.random_range(1..modulus);
+            type Pred = Box<dyn Fn(u64) -> bool>;
+            let preds: [(&str, Pred); 3] = [
+                ("none", Box::new(|_| false)),
+                ("all", Box::new(|_| true)),
+                ("some", Box::new(move |v| v % modulus < kept_below)),
+            ];
+            for (name, pred) in &preds {
+                let (want, asked_old) =
+                    hbm_requests(&env, || reference::extract_where(&env, &b, col, pred));
+                let (got, asked_new) = hbm_requests(&env, || {
+                    Kpa::extract_select(&mut ctx, &b, col, MemKind::Hbm, Priority::Normal, pred)
+                        .expect("fits")
+                });
+                let case = format!("{rows} rows, {col}, keep {name}");
+                assert_eq!(got.keys(), &want.0[..], "{case}");
+                assert_eq!(ptrs_of(&got), want.1[..], "{case}");
+                assert_eq!(
+                    (asked_new, got.footprint_bytes()),
+                    (
+                        asked_old,
+                        want.0.accounted_bytes() + want.1.accounted_bytes()
+                    ),
+                    "{case}: pool requests"
+                );
+                assert_eq!((got.resident(), got.source_count()), (col, 1), "{case}");
+                assert_eq!(got.is_sorted(), got.len() <= 1, "{case}");
+            }
+
+            let all =
+                Kpa::extract(&mut ctx, &b, col, MemKind::Hbm, Priority::Normal).expect("fits");
+            let want = reference::extract_where(&env, &b, col, |_| true);
+            assert_eq!((all.keys(), ptrs_of(&all)), (&want.0[..], want.1.to_vec()));
+            let some = &preds[2].1;
+            let picked = all.select(&mut ctx, Priority::Normal, some).expect("fits");
+            let want = reference::extract_where(&env, &b, col, some);
+            assert_eq!(picked.keys(), &want.0[..], "{rows} rows, {col}: select");
+            assert_eq!(ptrs_of(&picked), want.1[..], "{rows} rows, {col}: select");
+            let copy = all
+                .select(&mut ctx, Priority::Normal, |_| true)
+                .expect("fits");
+            assert_eq!((copy.keys(), ptrs_of(&copy)), (all.keys(), ptrs_of(&all)));
+        }
+    }
+}
+
+/// Partition by key-range width equals the per-pair classify-and-scatter
+/// loop it replaced — groups ascending, order within a group preserved,
+/// the same pool requests — whatever the run structure: one run,
+/// alternating runs, keys in no order at all, keys at `u64::MAX`, width 1,
+/// a width above every key, an empty KPA.
+#[test]
+fn partition_by_width_matches_the_per_pair_loop() {
+    let mut rng = SbxRng::seed_from_u64(0x5b57_1010);
+    let n = 1_200usize;
+    let top = u64::MAX;
+    let shapes: Vec<(&str, Vec<u64>, u64)> = vec![
+        ("empty", vec![], 10),
+        (
+            "one run",
+            (0..n as u64).map(|i| 500 + i % 400).collect(),
+            1_000,
+        ),
+        (
+            "alternating runs",
+            (0..n as u64).map(|i| (i / 3 % 2) * 1_000 + i).collect(),
+            1_000,
+        ),
+        ("no order", rng.vec_in(n, 0..100_000), 977),
+        (
+            "full range",
+            (0..n).map(|_| rng.random()).collect(),
+            1 << 61,
+        ),
+        (
+            "top of the range",
+            (0..n as u64).map(|i| top - (i * 7919) % 5_000).collect(),
+            1_000,
+        ),
+        (
+            "last group is partial",
+            vec![top, 0, top - 1, top / 2 + 2, top / 2 + 1, 1, top],
+            top / 2 + 2,
+        ),
+        ("width above every key", rng.vec_in(n, 0..1 << 40), top),
+        ("width 1", rng.vec_in(n, 0..40), 1),
+        ("width 1 at the top", vec![top, top - 1, top, 0, top - 1], 1),
+    ];
+    for (shape, keys, width) in shapes {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let kpa = kpa_from_keys(&env, &mut ctx, &keys);
+        let ptrs = ptrs_of(&kpa);
+        let (want, asked_old) = hbm_requests(&env, || {
+            reference::partition_by(&env, kpa.keys(), &ptrs, |k| k / width)
+        });
+        let (got, asked_new) = hbm_requests(&env, || {
+            kpa.partition_by(&mut ctx, Priority::Normal, width)
+                .expect("fits")
+        });
+        assert_eq!(asked_new, asked_old, "{shape}: pool requests");
+        assert_eq!(got.len(), want.len(), "{shape}: groups");
+        assert!(
+            got.windows(2).all(|w| w[0].0 < w[1].0),
+            "{shape}: ascending"
+        );
+        for ((g, part), (want_g, want_keys, want_ptrs)) in got.iter().zip(&want) {
+            assert_eq!(g, want_g, "{shape}");
+            assert_eq!(part.keys(), &want_keys[..], "{shape}: group {g}");
+            assert_eq!(
+                part.footprint_bytes(),
+                want_keys.accounted_bytes() + want_ptrs.accounted_bytes(),
+                "{shape}: group {g}"
+            );
+            assert_eq!(ptrs_of(part), want_ptrs[..], "{shape}: group {g}");
+            assert!(part.keys().iter().all(|k| k / width == *g), "{shape}");
+        }
+        assert_eq!(got.iter().map(|(_, p)| p.len()).sum::<usize>(), keys.len());
+    }
+}
+
+/// A resolver over a single source bundle — direct index, no table —
+/// agrees with the one-off `Kpa::value_at` on every column, for filtered
+/// and reordered pointers, and with the hash-probed reference.
+#[test]
+fn single_source_resolver_matches_value_at() {
+    let mut rng = SbxRng::seed_from_u64(0x5b57_1011);
+    for case in 0..CASES {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let rows = rng.random_range(0..400) as usize;
+        let data: Vec<u64> = (0..rows * 7).map(|_| rng.random()).collect();
+        let b = RecordBundle::from_rows(&env, Schema::ysb(), &data).expect("fits");
+        let keep = |v: u64| v % 5 < 3;
+        let mut kpa =
+            Kpa::extract_select(&mut ctx, &b, Col(3), MemKind::Hbm, Priority::Normal, keep)
+                .expect("fits");
+        if case % 2 == 1 {
+            kpa.sort(&mut ctx, 1).expect("sort");
+        }
+        assert_eq!(kpa.source_count(), 1);
+        let records = kpa.resolver();
+        for i in 0..kpa.len() {
+            let (bundle, row) = kpa.deref(i);
+            assert_eq!(
+                records.row(i),
+                Some(bundle.row(row)),
+                "case {case} pair {i}"
+            );
+            for col in (0..7).map(Col) {
+                assert_eq!(records.value(i, col), kpa.value_at(i, col));
+            }
+        }
+        let mut want = vec![0; kpa.len()];
+        reference::key_swap(&mut want, &ptrs_of(&kpa), &[b], Col(6));
+        kpa.key_swap(&mut ctx, Col(6));
+        assert_eq!(kpa.keys(), &want[..], "case {case}");
+    }
+}
+
+/// Under the sanitizer, a single-source resolver still validates before it
+/// indexes: a pointer corrupted to name another bundle, or a row past the
+/// end, records its finding and resolves to the benign 0.
+#[cfg(feature = "sanitize")]
+#[test]
+fn single_source_resolver_reports_corrupted_pointers() {
+    use streambox_hbm::records::{BundleId, RecordRef};
+    let env = env();
+    let mut ctx = ExecCtx::new(&env);
+    let mut kpa = kpa_from_keys(&env, &mut ctx, &[7, 8, 9]);
+    let own = kpa.record_ref(0).bundle;
+    let forged = [
+        RecordRef {
+            bundle: BundleId(u32::MAX - 23),
+            row: 0,
+        },
+        RecordRef {
+            bundle: own,
+            row: 999,
+        },
+    ];
+    kpa.corrupt_ptr(0, forged[0].pack());
+    kpa.corrupt_ptr(2, forged[1].pack());
+    let records = kpa.resolver();
+    assert_eq!(records.row(0), None);
+    assert_eq!(records.value(0, Col(0)), 0);
+    assert_eq!(
+        records.value(1, Col(0)),
+        8,
+        "healthy pointers still resolve"
+    );
+    assert_eq!(records.value(2, Col(0)), 0);
+    let found: Vec<_> = env.sanitizer().reports().iter().map(|r| r.class).collect();
+    assert_eq!(found, vec![sbx_sanitize::BugClass::WildPointer; 2]);
 }
 
 /// Sorted join emits exactly the nested-loop pairs.
