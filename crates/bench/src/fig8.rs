@@ -3,8 +3,10 @@
 
 // sbx-lint: out-of-scope(raw-alloc, bench table; host-side measurement setup)
 // sbx-lint: out-of-scope(no-panic, bench table; a failed run should abort loudly)
-use sbx_engine::{benchmarks, Engine, Pipeline, RunConfig, RunReport};
-use sbx_ingress::{KvSource, NicModel, PowerGridSource, SenderConfig};
+use sbx_engine::benchmarks::SUITE;
+use sbx_engine::ops::GroupingSpec;
+use sbx_engine::{Engine, RunConfig, RunReport};
+use sbx_ingress::{NicModel, SenderConfig};
 use sbx_simmem::MachineConfig;
 
 use crate::table::{f1, Table};
@@ -13,38 +15,22 @@ use crate::CORE_SWEEP;
 const BUNDLE_ROWS: usize = 20_000;
 const BUNDLES: usize = 30;
 const EVENT_RATE: u64 = 20_000_000;
-const KEYS: u64 = 10_000;
 
-/// The nine Figure-8 benchmarks, in the paper's panel order.
-pub const BENCHMARKS: [&str; 9] = [
-    "TopK Per Key",
-    "Windowed Sum Per Key",
-    "Windowed Med Per Key",
-    "Windowed Avg Per Key",
-    "Windowed Average",
-    "Unique Count Per Key",
-    "Temporal Join",
-    "Windowed Filter",
-    "Power Grid",
-];
-
-fn pipeline_for(name: &str) -> Pipeline {
-    match name {
-        "TopK Per Key" => benchmarks::topk_per_key(3),
-        "Windowed Sum Per Key" => benchmarks::sum_per_key(),
-        "Windowed Med Per Key" => benchmarks::median_per_key(),
-        "Windowed Avg Per Key" => benchmarks::avg_per_key(),
-        "Windowed Average" => benchmarks::avg_all(),
-        "Unique Count Per Key" => benchmarks::unique_count_per_key(),
-        "Temporal Join" => benchmarks::temporal_join(),
-        "Windowed Filter" => benchmarks::windowed_filter(),
-        "Power Grid" => benchmarks::power_grid(),
-        other => panic!("unknown benchmark {other}"),
-    }
+/// The nine Figure-8 panel titles, in the paper's order.
+pub fn titles() -> impl Iterator<Item = &'static str> {
+    SUITE.iter().filter_map(|b| b.fig8.map(|(title, _)| title))
 }
 
-/// Runs one benchmark at one core count; returns the report.
-pub fn run_benchmark(name: &str, cores: u32) -> RunReport {
+/// Runs the benchmark of panel `title` at one core count; returns the
+/// report.
+pub fn run_benchmark(title: &str, cores: u32) -> RunReport {
+    let (bench, seed) = SUITE
+        .iter()
+        .find_map(|b| {
+            b.fig8
+                .and_then(|(t, seed)| (t == title).then_some((b, seed)))
+        })
+        .unwrap_or_else(|| panic!("unknown benchmark {title}"));
     let cfg = RunConfig {
         machine: MachineConfig::knl(),
         cores,
@@ -55,23 +41,17 @@ pub fn run_benchmark(name: &str, cores: u32) -> RunReport {
         },
         ..RunConfig::default()
     };
-    let pipeline = pipeline_for(name);
-    let engine = Engine::new(cfg);
-    match name {
-        "Temporal Join" | "Windowed Filter" => {
-            let l = KvSource::new(31, KEYS, EVENT_RATE).with_value_range(1_000_000);
-            let r = KvSource::new(32, KEYS, EVENT_RATE).with_value_range(1_000_000);
-            engine.run_pair(l, r, pipeline, BUNDLES / 2).expect("run")
-        }
-        "Power Grid" => {
-            let src = PowerGridSource::new(33, 100, 20, EVENT_RATE);
-            engine.run(src, pipeline, BUNDLES).expect("run")
-        }
-        _ => {
-            let src = KvSource::new(34, KEYS, EVENT_RATE).with_value_range(1_000_000);
-            engine.run(src, pipeline, BUNDLES).expect("run")
-        }
-    }
+    let pipeline = (bench.pipeline)(GroupingSpec::SortMerge);
+    bench
+        .run(
+            Engine::new(cfg),
+            pipeline,
+            BUNDLES,
+            seed,
+            bench.keys,
+            EVENT_RATE,
+        )
+        .expect("run")
 }
 
 /// Regenerates Figure 8: one row per benchmark per core count.
@@ -80,7 +60,7 @@ pub fn run() -> String {
         "Figure 8: throughput (M rec/s) and peak HBM bandwidth (GB/s) under RDMA, 1 s delay",
         &["benchmark", "cores", "Mrec/s", "HBM GB/s", "delay s"],
     );
-    for name in BENCHMARKS {
+    for name in titles() {
         for &cores in &CORE_SWEEP {
             let r = run_benchmark(name, cores);
             t.row(vec![
@@ -101,7 +81,7 @@ mod tests {
 
     #[test]
     fn all_nine_benchmarks_run_at_16_cores() {
-        for name in BENCHMARKS {
+        for name in titles() {
             let r = run_benchmark(name, 16);
             assert!(r.records_in > 0, "{name} ingested nothing");
             assert!(r.windows_closed > 0, "{name} closed no windows");

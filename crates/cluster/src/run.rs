@@ -38,8 +38,8 @@ use sbx_checkpoint::{run_segment, CheckpointCoordinator, CrashPlan, RowLog, Segm
 use sbx_engine::{Pipeline, PipelineSnapshot, RunConfig};
 use sbx_ingress::{LinkModel, Source};
 use sbx_obs::{
-    spans_to_recs, ClusterTrace, FabricEvent, FlightRecorder, Incident, MetricsRegistry, Obs,
-    SpanStream, TraceCollector,
+    ClusterTrace, FabricEvent, FlightRecorder, Incident, MetricsRegistry, Obs, SpanStream,
+    TraceCollector,
 };
 
 use crate::route::{merge_slot_counts, RouteTable, SlotStats, DEFAULT_SLOTS};
@@ -477,7 +477,7 @@ impl ShardedCluster {
             harvest.streams.push(SpanStream {
                 shard,
                 slot_epoch: u32::from(phase == RescalePhase::AfterCut),
-                spans: spans_to_recs(&trace.spans()),
+                spans: trace.spans(),
             });
         }
         harvest.incidents.extend(

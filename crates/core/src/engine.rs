@@ -31,10 +31,6 @@ pub struct RunConfig {
     pub threads: usize,
     /// Whether to keep sink output bundles in the report.
     pub collect_outputs: bool,
-    /// Whether to record the executed task graph (profiles + chain
-    /// dependencies) for replay on the fluid simulator
-    /// ([`RunReport::replay`]).
-    pub record_trace: bool,
     /// Encoding of records on the ingestion wire (paper §7.4): non-`Raw`
     /// formats are decoded for real per bundle and their parse cost is
     /// charged to the pipeline.
@@ -56,7 +52,6 @@ impl Default for RunConfig {
             sender: SenderConfig::default(),
             threads: 2,
             collect_outputs: false,
-            record_trace: false,
             ingest_format: IngestFormat::Raw,
             obs: Obs::noop(),
         }
@@ -100,9 +95,7 @@ pub struct Engine {
     /// spawn statistics); sized once from `cfg.threads`. The stateless-prefix
     /// workers run on it too.
     pool: sbx_kpa::WorkerPool,
-    trace: Vec<sbx_simmem::TaskSpec>,
-    /// Shared id counter for replay tasks and trace spans: when both are
-    /// recorded, a span and its task share one identity.
+    /// Id of the next operator invocation's trace span.
     next_task: u64,
     /// Watermark round currently being accumulated (0-based); stamped onto
     /// spans so traces align with the per-round series.
@@ -131,7 +124,6 @@ impl Engine {
             env,
             balancer,
             pool,
-            trace: Vec::new(),
             next_task: 0,
             cur_round: 0,
             cur_epoch: 0,
@@ -667,11 +659,11 @@ impl Engine {
                 // schedule.
                 if !last {
                     let recorder = self.cfg.obs.recorder.clone();
-                    recorder.record_span(sbx_obs::Span {
+                    recorder.record_span(Span {
                         id: self.cur_round,
                         parent: None,
-                        name: "round",
-                        cat: "round",
+                        name: "round".into(),
+                        cat: "round".into(),
                         lane: 0,
                         round: self.cur_round,
                         epoch: self.cur_epoch,
@@ -700,7 +692,7 @@ impl Engine {
                             recorder.committed_epoch(),
                             point.at_secs,
                             window,
-                            sbx_obs::spans_to_recs(&spans),
+                            spans,
                             self.rm.tier_window(sbx_obs::recorder::CAPTURE_ROUNDS),
                         ));
                     }
@@ -763,7 +755,6 @@ impl Engine {
             p99_output_delay_secs: p99_delay,
             samples,
             outputs,
-            trace: std::mem::take(&mut self.trace),
         })
     }
 
@@ -780,8 +771,8 @@ impl Engine {
 
     /// Pushes `frontier` through `ops[first..]`: every operator is invoked
     /// on every message reaching it, tallied, charged to `round`, accounted
-    /// on its instruments and, when the run records, logged as a replay task
-    /// and a span. Returns the messages leaving the last operator. The one
+    /// on its instruments and, when the run traces, logged as a span.
+    /// Returns the messages leaving the last operator. The one
     /// place operators are invoked from — the engine thread calls it on
     /// itself, each stateless-prefix worker on its [`Engine::fork`].
     ///
@@ -804,8 +795,8 @@ impl Engine {
         // Span timestamps are simulated: children become available when
         // their parent's modelled execution interval ends.
         let base_ns = self.env.clock().now_ns();
-        // Frontier entries carry the parent invocation's id (shared by
-        // replay tasks and trace spans) and availability time.
+        // Frontier entries carry the parent invocation's span id and
+        // availability time.
         let mut frontier: Vec<(Message, Option<u64>, u64)> =
             frontier.into_iter().map(|m| (m, None, base_ns)).collect();
         for (op_index, op) in ops.iter_mut().enumerate().skip(first) {
@@ -824,7 +815,7 @@ impl Engine {
                 };
                 // Attribute every shadow-table event inside this operator
                 // invocation to its prospective span id (`next_task` is the
-                // id the invocation's span/task gets below when recording).
+                // id the invocation's span gets below when tracing).
                 #[cfg(feature = "sanitize")]
                 let _scope = sbx_sanitize::op_scope(self.next_task, op.name());
                 let mut ctx = self.ctx(tag);
@@ -858,31 +849,22 @@ impl Engine {
                     }
                 }
                 let dur_ns = (task_secs * 1e9) as u64;
-                let id = (self.cfg.record_trace || tracing).then_some(self.next_task);
+                let id = tracing.then_some(self.next_task);
                 if let Some(id) = id {
                     self.next_task += 1;
-                    if self.cfg.record_trace {
-                        self.trace.push(sbx_simmem::TaskSpec {
-                            id: sbx_simmem::TaskId(id),
-                            profile: task,
-                            deps: parent.map(sbx_simmem::TaskId).into_iter().collect(),
-                        });
-                    }
-                    if tracing {
-                        self.cfg.obs.trace.record(Span {
-                            id,
-                            parent,
-                            name: op.name(),
-                            cat,
-                            lane: op_index as u64,
-                            round: self.cur_round,
-                            epoch: self.cur_epoch,
-                            start_ns: avail_ns,
-                            dur_ns,
-                            records_in,
-                            records_out,
-                        });
-                    }
+                    self.cfg.obs.trace.record(Span {
+                        id,
+                        parent,
+                        name: op.name().into(),
+                        cat: cat.into(),
+                        lane: op_index as u64,
+                        round: self.cur_round,
+                        epoch: self.cur_epoch,
+                        start_ns: avail_ns,
+                        dur_ns,
+                        records_in,
+                        records_out,
+                    });
                 }
                 let child_avail = avail_ns + dur_ns;
                 next.extend(outs.into_iter().map(|o| (o, id, child_avail)));
@@ -908,13 +890,12 @@ impl Engine {
             return Ok(Vec::new());
         }
         let prefix_len = pipeline.stateless_prefix_len();
-        // Recording replay tasks or spans forces the serial path: ids and
-        // timestamps then depend only on message order, making same-seed
-        // exports byte-identical.
+        // Recording spans forces the serial path: ids and timestamps then
+        // depend only on message order, making same-seed exports
+        // byte-identical.
         let parallel = self.cfg.threads > 1
             && prefix_len > 0
             && batch.len() > 1
-            && !self.cfg.record_trace
             && !self.cfg.obs.trace.is_enabled();
         let staged = if parallel {
             self.run_prefix_parallel(pipeline, round, batch)?
@@ -938,7 +919,6 @@ impl Engine {
             env: self.env.clone(),
             balancer: self.balancer.clone(),
             pool: self.pool.clone(),
-            trace: Vec::new(),
             next_task: self.next_task,
             cur_round: self.cur_round,
             cur_epoch: self.cur_epoch,
@@ -1118,57 +1098,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.bundles_in, 20);
         assert!(report.output_records > 0, "some keys must match");
-    }
-
-    #[test]
-    fn trace_replay_cross_validates_round_model() {
-        let mut cfg = quick_cfg();
-        cfg.record_trace = true;
-        cfg.cores = 32;
-        let engine = Engine::new(cfg);
-        let model = engine.env().cost().clone();
-        let report = engine
-            .run(
-                KvSource::new(21, 1_000, 1_000_000).with_value_range(100),
-                benchmarks::sum_per_key(),
-                20,
-            )
-            .unwrap();
-        assert!(!report.trace.is_empty());
-        // One task per operator per message: at least ops x bundles tasks.
-        assert!(report.trace.len() >= 2 * 20);
-
-        let replay = report.replay(model.clone(), 32).expect("trace recorded");
-        // The fluid replay ignores ingestion and models contention per
-        // task; it must be optimistic relative to serial execution and in
-        // the same regime as the round model's simulated time.
-        let serial: f64 = report
-            .trace
-            .iter()
-            .map(|t| model.time_secs(&t.profile, 1))
-            .sum();
-        assert!(replay.makespan_secs <= serial + 1e-9);
-        assert!(replay.makespan_secs > 0.0);
-        // Same regime: the replay serializes chain dependencies that the
-        // round model overlaps, so allow a small constant factor.
-        assert!(
-            replay.makespan_secs < report.sim_secs * 5.0
-                && replay.makespan_secs > report.sim_secs * 0.05,
-            "replay {} vs sim {}",
-            replay.makespan_secs,
-            report.sim_secs
-        );
-    }
-
-    #[test]
-    fn trace_is_empty_unless_requested() {
-        let engine = Engine::new(quick_cfg());
-        let model = engine.env().cost().clone();
-        let report = engine
-            .run(KvSource::new(22, 10, 1_000_000), benchmarks::avg_all(), 5)
-            .unwrap();
-        assert!(report.trace.is_empty());
-        assert!(report.replay(model, 16).is_none());
     }
 
     #[test]

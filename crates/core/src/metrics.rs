@@ -2,7 +2,6 @@ use std::sync::Arc;
 
 use sbx_obs::RoundPoint;
 use sbx_records::RecordBundle;
-use sbx_simmem::{CostModel, FluidSim, SimReport, TaskSpec};
 
 /// Result of one engine run (see [`crate::Engine::run`]).
 #[derive(Debug, Clone)]
@@ -42,9 +41,6 @@ pub struct RunReport {
     pub samples: Vec<RoundPoint>,
     /// Sink output bundles (only when `collect_outputs` was set).
     pub outputs: Vec<Arc<RecordBundle>>,
-    /// The executed task graph (only when `record_trace` was set): one task
-    /// per operator invocation, with chain dependencies.
-    pub trace: Vec<TaskSpec>,
 }
 
 impl RunReport {
@@ -56,21 +52,6 @@ impl RunReport {
     /// Whether every window met the target output delay.
     pub fn meets_delay_target(&self, target_secs: f64) -> bool {
         self.max_output_delay_secs <= target_secs
-    }
-
-    /// Replays the recorded task graph on the fluid (processor-sharing)
-    /// simulator with `cores` cores — an independent timing estimate that
-    /// models per-task bandwidth contention and dependency stalls, used to
-    /// cross-validate the engine's round-based accounting.
-    ///
-    /// Returns `None` if the run was not recorded
-    /// (`RunConfig::record_trace`) or the recorded graph is malformed
-    /// (impossible for engine-produced traces).
-    pub fn replay(&self, model: CostModel, cores: u32) -> Option<SimReport> {
-        if self.trace.is_empty() {
-            return None;
-        }
-        FluidSim::new(model, cores).run(&self.trace).ok()
     }
 }
 
@@ -96,7 +77,6 @@ mod tests {
             p99_output_delay_secs: 0.8,
             samples: Vec::new(),
             outputs: Vec::new(),
-            trace: Vec::new(),
         }
     }
 

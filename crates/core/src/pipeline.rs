@@ -235,7 +235,9 @@ impl PipelineBuilder {
     }
 }
 
-/// Canned pipelines for the paper's ten benchmarks (§6).
+/// The paper's ten benchmarks (§6): canned pipelines, and [`SUITE`] — the one
+/// table of what the CLI, the cluster driver and Figure 8 need to know about
+/// each of them.
 ///
 /// # Example
 ///
@@ -249,10 +251,151 @@ impl PipelineBuilder {
 /// assert!(report.windows_closed >= 1);
 /// ```
 pub mod benchmarks {
+    use sbx_ingress::{KvSource, PowerGridSource, Source, YsbSource};
+
     use super::*;
+    use crate::{Engine, EngineError, RunReport};
 
     /// Event-time ticks per second; windows in the paper span one second.
     pub const WINDOW_TICKS: u64 = 1_000_000_000;
+
+    /// Campaigns the suite's YSB joins its ads onto.
+    pub const YSB_CAMPAIGNS: u64 = 1_000;
+
+    /// One benchmark of the suite.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Benchmark {
+        /// Name on the command line (`sbx list`).
+        pub name: &'static str,
+        /// Figure-8 panel title and the generator seed of the panel's first
+        /// stream; `None` for YSB, which is Figure 7's.
+        pub fig8: Option<(&'static str, u64)>,
+        /// Input streams: stream `i` of a run draws from seed `seed + i`.
+        pub streams: usize,
+        /// Distinct keys (ads, houses) of a stream unless the run says
+        /// otherwise.
+        pub keys: u64,
+        /// Whether the pipeline is wired for the non-default grouping
+        /// backends.
+        pub grouped: bool,
+        /// Whether the source has a Zipf key draw to skew.
+        pub zipf: bool,
+        /// The pipeline on a grouping backend (ignored unless `grouped`).
+        pub pipeline: fn(GroupingSpec) -> Pipeline,
+        /// A stream from `(seed, keys, event rate, Zipf theta)` (theta
+        /// ignored unless `zipf`).
+        pub source: fn(u64, u64, u64, Option<f64>) -> Box<dyn Source>,
+        /// Column a cluster routes records by.
+        pub key_col: usize,
+        /// Projection of that column onto the key the pipeline aggregates
+        /// on, where the two differ.
+        pub key_map: Option<fn(u64) -> u64>,
+    }
+
+    fn kv(seed: u64, keys: u64, rate: u64, skew: Option<f64>) -> Box<dyn Source> {
+        let src = KvSource::new(seed, keys, rate).with_value_range(1_000_000);
+        Box::new(match skew {
+            Some(theta) => src.with_zipf(theta),
+            None => src,
+        })
+    }
+
+    /// A Table-1 benchmark over `key,value,ts` streams.
+    const fn table1(
+        name: &'static str,
+        fig8: Option<(&'static str, u64)>,
+        streams: usize,
+        pipeline: fn(GroupingSpec) -> Pipeline,
+    ) -> Benchmark {
+        Benchmark {
+            name,
+            fig8,
+            streams,
+            keys: 10_000,
+            grouped: false,
+            zipf: true,
+            pipeline,
+            source: kv,
+            key_col: 0,
+            key_map: None,
+        }
+    }
+
+    /// The suite: Figure 8's nine panels in the paper's order, then YSB.
+    pub const SUITE: [Benchmark; 10] = [
+        table1("topk", Some(("TopK Per Key", 34)), 1, |_| topk_per_key(3)),
+        Benchmark {
+            grouped: true,
+            ..table1(
+                "sum",
+                Some(("Windowed Sum Per Key", 34)),
+                1,
+                sum_per_key_grouped,
+            )
+        },
+        table1("median", Some(("Windowed Med Per Key", 34)), 1, |_| {
+            median_per_key()
+        }),
+        table1("avg", Some(("Windowed Avg Per Key", 34)), 1, |_| {
+            avg_per_key()
+        }),
+        table1("avg-all", Some(("Windowed Average", 34)), 1, |_| avg_all()),
+        table1("unique", Some(("Unique Count Per Key", 34)), 1, |_| {
+            unique_count_per_key()
+        }),
+        table1("join", Some(("Temporal Join", 31)), 2, |_| temporal_join()),
+        table1("filter", Some(("Windowed Filter", 31)), 2, |_| {
+            windowed_filter()
+        }),
+        Benchmark {
+            keys: 100,
+            zipf: false,
+            source: |seed, houses, rate, _| Box::new(PowerGridSource::new(seed, houses, 20, rate)),
+            ..table1("power-grid", Some(("Power Grid", 33)), 1, |_| power_grid())
+        },
+        Benchmark {
+            grouped: true,
+            zipf: false,
+            source: |seed, ads, rate, _| Box::new(YsbSource::new(seed, ads, YSB_CAMPAIGNS, rate)),
+            // YSB aggregates per campaign, so a cluster must route records
+            // (and shuffle state) by the ad→campaign projection, not the
+            // raw ad id.
+            key_col: 2,
+            key_map: Some(|ad| ad % YSB_CAMPAIGNS),
+            ..table1("ysb", None, 1, |g| ysb_grouped(YSB_CAMPAIGNS, g))
+        },
+    ];
+
+    /// The suite's benchmark called `name`.
+    pub fn find(name: &str) -> Option<&'static Benchmark> {
+        SUITE.iter().find(|b| b.name == name)
+    }
+
+    impl Benchmark {
+        /// Runs `pipeline` over `bundles` bundles of this benchmark's
+        /// streams — `bundles / 2` pairs of a two-stream one — with stream
+        /// `i` drawing from `seed + i`.
+        ///
+        /// # Errors
+        ///
+        /// As [`Engine::run`].
+        pub fn run(
+            &self,
+            engine: Engine,
+            pipeline: Pipeline,
+            bundles: usize,
+            seed: u64,
+            keys: u64,
+            rate: u64,
+        ) -> Result<RunReport, EngineError> {
+            let stream = |i| (self.source)(seed + i, keys, rate, None);
+            if self.streams == 2 {
+                engine.run_pair(stream(0), stream(1), pipeline, bundles / 2)
+            } else {
+                engine.run(stream(0), pipeline, bundles)
+            }
+        }
+    }
 
     fn spec() -> WindowSpec {
         WindowSpec::fixed(WINDOW_TICKS)

@@ -19,6 +19,22 @@ pub trait Source {
     fn low_watermark(&self) -> EventTime;
 }
 
+/// A boxed source is a source: the engine's generic entry points accept a
+/// `Box<dyn Source>` chosen at run time (the benchmark table's sources).
+impl<S: Source + ?Sized> Source for Box<S> {
+    fn schema(&self) -> Arc<Schema> {
+        (**self).schema()
+    }
+
+    fn fill(&mut self, rows: usize, out: &mut Vec<u64>) {
+        (**self).fill(rows, out);
+    }
+
+    fn low_watermark(&self) -> EventTime {
+        (**self).low_watermark()
+    }
+}
+
 /// Ticks of event time per event-time second. The benchmarks use a window
 /// of 10 M records spanning one second of event time (paper §6).
 pub(crate) const TICKS_PER_SEC: u64 = 1_000_000_000;

@@ -46,9 +46,9 @@ impl PrimGroup {
 /// [`AccessProfile`].
 ///
 /// The engine creates one `ExecCtx` per scheduled task, runs the task's
-/// primitives, then takes the accumulated profile to (a) charge the
-/// bandwidth monitor over the task's simulated execution interval and
-/// (b) record the task in the trace replayed by the fluid simulator.
+/// primitives, then takes the accumulated profile to charge the round's
+/// cost model and the bandwidth monitor over the task's simulated
+/// execution interval.
 ///
 /// # Example
 ///

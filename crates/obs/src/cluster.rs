@@ -24,9 +24,10 @@
 use std::collections::BTreeMap;
 
 use crate::detect::{sort_signals, Signal, ThresholdRule};
-use crate::json::{self, fmt_f64, write_str, ObjWriter};
+use crate::json::{self, write_str, ObjWriter};
 use crate::metrics::MetricsDump;
-use crate::profile::{index_by_id, longest_chain, parse_span_lines, SpanRec};
+use crate::profile::{index_by_id, longest_chain, parse_span_lines};
+use crate::trace::{chrome_document, Span};
 
 /// Sentinel shard id of the fabric track (shuffle links and barrier
 /// alignment). Real shard ids are small; the sentinel sorts last.
@@ -42,7 +43,7 @@ pub struct SpanStream {
     /// Route-table era the stream ran under.
     pub slot_epoch: u32,
     /// The stream's spans, ids local to the stream.
-    pub spans: Vec<SpanRec>,
+    pub spans: Vec<Span>,
 }
 
 /// A fabric event priced by the cluster driver: a barrier-alignment wait
@@ -68,7 +69,7 @@ pub struct FabricEvent {
     pub bytes: u64,
 }
 
-/// One span of a stitched cluster trace: a [`SpanRec`] in the shared id
+/// One span of a stitched cluster trace: a [`Span`] in the shared id
 /// space plus its track identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpan {
@@ -77,11 +78,11 @@ pub struct ClusterSpan {
     /// Route-table era (0 for fabric spans).
     pub slot_epoch: u32,
     /// The span, with stitched id/parent.
-    pub span: SpanRec,
+    pub span: Span,
 }
 
-impl AsRef<SpanRec> for ClusterSpan {
-    fn as_ref(&self) -> &SpanRec {
+impl AsRef<Span> for ClusterSpan {
+    fn as_ref(&self) -> &Span {
         &self.span
     }
 }
@@ -232,11 +233,11 @@ impl ClusterTrace {
             out.push(ClusterSpan {
                 shard: FABRIC_SHARD,
                 slot_epoch: 0,
-                span: SpanRec {
+                span: Span {
                     id,
                     parent,
-                    name: e.name.clone(),
-                    cat: e.cat.clone(),
+                    name: e.name.clone().into(),
+                    cat: e.cat.clone().into(),
                     lane: if e.cat == "barrier" { 0 } else { 1 },
                     round: 0,
                     epoch: e.epoch,
@@ -311,32 +312,12 @@ impl ClusterTrace {
             events.push(ev);
         }
         for cs in &self.spans {
-            let s = &cs.span;
-            let mut ev = String::from("{\"name\":");
-            write_str(&s.name, &mut ev);
-            ev.push_str(",\"cat\":");
-            write_str(&s.cat, &mut ev);
-            ev.push_str(&format!(
-                ",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{\"span\":{}",
-                fmt_f64(s.start_ns as f64 / 1000.0),
-                fmt_f64(s.dur_ns as f64 / 1000.0),
-                pid_of(cs.shard),
-                s.lane,
-                s.id
-            ));
-            if let Some(parent) = s.parent {
-                ev.push_str(&format!(",\"parent\":{parent}"));
-            }
-            ev.push_str(&format!(
-                ",\"slot_epoch\":{},\"round\":{},\"epoch\":{},\"records_in\":{},\"records_out\":{}}}}}",
-                cs.slot_epoch, s.round, s.epoch, s.records_in, s.records_out
-            ));
+            let mut ev = String::new();
+            cs.span
+                .write_chrome_event(pid_of(cs.shard), Some(cs.slot_epoch), &mut ev);
             events.push(ev);
         }
-        let mut out = String::from("{\"traceEvents\":[\n");
-        out.push_str(&events.join(",\n"));
-        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        out
+        chrome_document(events.into_iter())
     }
 }
 
@@ -537,8 +518,8 @@ impl ClusterCriticalPath {
                 id: cs.span.id,
                 shard: cs.shard,
                 slot_epoch: cs.slot_epoch,
-                name: cs.span.name.clone(),
-                cat: cs.span.cat.clone(),
+                name: cs.span.name.to_string(),
+                cat: cs.span.cat.to_string(),
                 start_ns: cs.span.start_ns,
                 dur_ns: cs.span.dur_ns,
             });
@@ -990,12 +971,12 @@ mod tests {
     use super::*;
     use crate::MetricsRegistry;
 
-    fn rec(id: u64, parent: Option<u64>, start: u64, dur: u64) -> SpanRec {
-        SpanRec {
+    fn rec(id: u64, parent: Option<u64>, start: u64, dur: u64) -> Span {
+        Span {
             id,
             parent,
-            name: format!("op{id}"),
-            cat: "task".to_owned(),
+            name: format!("op{id}").into(),
+            cat: "task".into(),
             lane: 0,
             round: 0,
             epoch: 0,

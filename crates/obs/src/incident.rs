@@ -19,8 +19,9 @@
 use crate::cluster::{HealthReport, FABRIC_SHARD};
 use crate::detect::Signal;
 use crate::json::{self, Line, ObjWriter};
-use crate::profile::{CriticalPath, PathStep, SpanRec};
+use crate::profile::{CriticalPath, PathStep};
 use crate::round::{RoundPoint, INCIDENT_ROUND_VIEW, TIER_VIEW};
+use crate::trace::Span;
 
 /// One captured anomaly: a detector verdict plus the frozen evidence
 /// window around the firing round.
@@ -42,7 +43,7 @@ pub struct Incident {
     /// fields of the [`INCIDENT_ROUND_VIEW`]).
     pub rounds: Vec<RoundPoint>,
     /// Frozen span window, oldest-first.
-    pub spans: Vec<SpanRec>,
+    pub spans: Vec<Span>,
     /// Tier-timeline slice covering the capture window (the fields of the
     /// [`TIER_VIEW`]).
     pub tier: Vec<RoundPoint>,
@@ -59,7 +60,7 @@ impl Incident {
         committed_epoch: Option<u64>,
         at_secs: f64,
         rounds: Vec<RoundPoint>,
-        spans: Vec<SpanRec>,
+        spans: Vec<Span>,
         tier: Vec<RoundPoint>,
     ) -> Incident {
         let path = CriticalPath::compute(&spans).steps;
@@ -230,7 +231,7 @@ impl IncidentReport {
                 }
                 "incident.span" => evidence(&mut incidents, &line)?
                     .spans
-                    .push(SpanRec::from_line(&line)),
+                    .push(Span::from_line(&line)),
                 "incident.tier" => {
                     let mut p = RoundPoint::default();
                     p.fill(&TIER_VIEW, |c| line.opt_f64(c));
@@ -364,12 +365,12 @@ mod tests {
         p
     }
 
-    fn sample_span(id: u64, round: u64) -> SpanRec {
-        SpanRec {
+    fn sample_span(id: u64, round: u64) -> Span {
+        Span {
             id,
             parent: if id > 0 { Some(id - 1) } else { None },
-            name: "round".to_owned(),
-            cat: "round".to_owned(),
+            name: "round".into(),
+            cat: "round".into(),
             lane: 0,
             round,
             epoch: 1,

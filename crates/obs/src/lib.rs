@@ -48,8 +48,8 @@ pub use metrics::{
     Counter, Gauge, GaugeDump, HistogramDump, MetricsDump, MetricsRegistry, Series, SeriesDump,
 };
 pub use profile::{
-    parse_spans_jsonl, spans_to_recs, CriticalPath, OperatorAttribution, PathStep,
-    PrimitiveAttribution, RoundPath, SpanRec, PRIMITIVE_LABELS,
+    parse_spans_jsonl, CriticalPath, OperatorAttribution, PathStep, PrimitiveAttribution,
+    RoundPath, PRIMITIVE_LABELS,
 };
 pub use recorder::FlightRecorder;
 pub use round::{RoundPoint, ROUND_SERIES, ROUND_VIEW, TIER_SERIES, TIER_VIEW};
@@ -135,8 +135,8 @@ mod tests {
         other.trace.record(Span {
             id: 1,
             parent: None,
-            name: "op",
-            cat: "task",
+            name: "op".into(),
+            cat: "task".into(),
             lane: 0,
             round: 0,
             epoch: 0,

@@ -16,130 +16,15 @@
 // sbx-lint: out-of-scope(raw-alloc, profile aggregation at export time)
 use std::collections::BTreeMap;
 
-use crate::json::{self, Line, ObjWriter};
+use crate::json::{self, Line};
 use crate::metrics::MetricsDump;
 use crate::trace::Span;
-
-/// An owned span record, as parsed from a span JSONL export (or converted
-/// from an in-memory [`Span`]). Field meanings match [`Span`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRec {
-    /// Task identity (ids are allocated in dependency order).
-    pub id: u64,
-    /// Parent span along the operator chain, if any.
-    pub parent: Option<u64>,
-    /// Operator name.
-    pub name: String,
-    /// Category: `task`, `watermark`, `barrier`, or `close`.
-    pub cat: String,
-    /// Operator index in the pipeline.
-    pub lane: u64,
-    /// Watermark round the invocation ran in.
-    pub round: u64,
-    /// Checkpoint epoch the invocation ran in (0 before the first barrier).
-    pub epoch: u64,
-    /// Simulated start time, nanoseconds.
-    pub start_ns: u64,
-    /// Simulated duration, nanoseconds.
-    pub dur_ns: u64,
-    /// Records entering the invocation.
-    pub records_in: u64,
-    /// Records produced by the invocation.
-    pub records_out: u64,
-}
-
-impl SpanRec {
-    /// Simulated end time of the invocation, nanoseconds.
-    pub fn end_ns(&self) -> u64 {
-        self.start_ns.saturating_add(self.dur_ns)
-    }
-
-    /// Converts an in-memory [`Span`] into an owned record.
-    pub fn from_span(s: &Span) -> SpanRec {
-        SpanRec {
-            id: s.id,
-            parent: s.parent,
-            name: s.name.to_owned(),
-            cat: s.cat.to_owned(),
-            lane: s.lane,
-            round: s.round,
-            epoch: s.epoch,
-            start_ns: s.start_ns,
-            dur_ns: s.dur_ns,
-            records_in: s.records_in,
-            records_out: s.records_out,
-        }
-    }
-}
-
-impl SpanRec {
-    /// Appends the span fields to an open line: `id`, `parent` (omitted on
-    /// a root), `track` — a stitched span's `shard` and `slot_epoch` — then
-    /// `name`, `cat`, `lane`, `round`, `epoch`, `start_ns`, `dur_ns`,
-    /// `records_in`, `records_out`. [`SpanRec::from_line`] reads them back.
-    pub(crate) fn write_fields<'a>(
-        &self,
-        w: ObjWriter<'a>,
-        track: Option<(u32, u32)>,
-    ) -> ObjWriter<'a> {
-        let mut w = w.u64("id", self.id).opt_u64("parent", self.parent);
-        if let Some((shard, slot_epoch)) = track {
-            w = w
-                .u64("shard", u64::from(shard))
-                .u64("slot_epoch", u64::from(slot_epoch));
-        }
-        w.text("name", &self.name)
-            .text("cat", &self.cat)
-            .u64("lane", self.lane)
-            .u64("round", self.round)
-            .u64("epoch", self.epoch)
-            .u64("start_ns", self.start_ns)
-            .u64("dur_ns", self.dur_ns)
-            .u64("records_in", self.records_in)
-            .u64("records_out", self.records_out)
-    }
-
-    /// Appends this span as one `{"type":"span",...}` JSONL line; `track`
-    /// is a stitched span's `(shard, slot_epoch)`.
-    pub fn write_line(&self, track: Option<(u32, u32)>, out: &mut String) {
-        self.write_fields(ObjWriter::open(out, "span"), track).end();
-    }
-
-    /// Reads the fields [`SpanRec::write_fields`] writes (absent numbers
-    /// are 0, absent strings empty, an absent `parent` a root).
-    pub(crate) fn from_line(line: &Line) -> SpanRec {
-        SpanRec {
-            id: line.u64("id"),
-            parent: line.opt_u64("parent"),
-            name: line.text("name").to_owned(),
-            cat: line.text("cat").to_owned(),
-            lane: line.u64("lane"),
-            round: line.u64("round"),
-            epoch: line.u64("epoch"),
-            start_ns: line.u64("start_ns"),
-            dur_ns: line.u64("dur_ns"),
-            records_in: line.u64("records_in"),
-            records_out: line.u64("records_out"),
-        }
-    }
-}
-
-impl AsRef<SpanRec> for SpanRec {
-    fn as_ref(&self) -> &SpanRec {
-        self
-    }
-}
-
-/// Converts a slice of in-memory spans into owned records.
-pub fn spans_to_recs(spans: &[Span]) -> Vec<SpanRec> {
-    spans.iter().map(SpanRec::from_span).collect()
-}
 
 /// Reads a JSONL export made of `"type":"span"` lines, handing each line
 /// and its span to `make`, in file order.
 pub(crate) fn parse_span_lines<T>(
     text: &str,
-    make: impl Fn(&Line, SpanRec) -> T,
+    make: impl Fn(&Line, Span) -> T,
 ) -> Result<Vec<T>, String> {
     let mut out = Vec::new();
     for line in json::lines(text) {
@@ -147,7 +32,7 @@ pub(crate) fn parse_span_lines<T>(
         if line.kind() != "span" {
             return Err(line.err(format_args!("not a span line ({:?})", line.kind())));
         }
-        out.push(make(&line, SpanRec::from_line(&line)));
+        out.push(make(&line, Span::from_line(&line)));
     }
     Ok(out)
 }
@@ -158,7 +43,7 @@ pub(crate) fn parse_span_lines<T>(
 /// # Errors
 ///
 /// Returns a message naming the first malformed line.
-pub fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanRec>, String> {
+pub fn parse_spans_jsonl(text: &str) -> Result<Vec<Span>, String> {
     parse_span_lines(text, |_, span| span)
 }
 
@@ -253,7 +138,7 @@ pub struct CriticalPath {
 }
 
 /// Indexes spans by id; the first span of an id wins.
-pub(crate) fn index_by_id<'a, T: AsRef<SpanRec>>(
+pub(crate) fn index_by_id<'a, T: AsRef<Span>>(
     spans: impl Iterator<Item = &'a T>,
 ) -> BTreeMap<u64, &'a T> {
     let mut by_id = BTreeMap::new();
@@ -266,7 +151,7 @@ pub(crate) fn index_by_id<'a, T: AsRef<SpanRec>>(
 /// The longest chain ending among `spans`: starts at the span with the
 /// latest end time (ties broken toward the smallest id), follows parent
 /// links through `by_id` to a root, and returns the chain root first.
-pub(crate) fn longest_chain<'a, T: AsRef<SpanRec>>(
+pub(crate) fn longest_chain<'a, T: AsRef<Span>>(
     by_id: &BTreeMap<u64, &'a T>,
     spans: impl Iterator<Item = &'a T>,
 ) -> Vec<&'a T> {
@@ -299,11 +184,11 @@ pub(crate) fn longest_chain<'a, T: AsRef<SpanRec>>(
 impl CriticalPath {
     /// Runs the analysis over `spans` (any order; typically a parsed span
     /// JSONL export). Empty input yields an all-zero result.
-    pub fn compute(spans: &[SpanRec]) -> CriticalPath {
+    pub fn compute(spans: &[Span]) -> CriticalPath {
         let by_id = index_by_id(spans.iter());
         let chain = longest_chain(&by_id, spans.iter());
         let critical_ns = chain.iter().map(|s| s.dur_ns).sum();
-        let makespan_ns = spans.iter().map(SpanRec::end_ns).max().unwrap_or(0);
+        let makespan_ns = spans.iter().map(Span::end_ns).max().unwrap_or(0);
         let total_work_ns = spans.iter().map(|s| s.dur_ns).sum();
 
         // Per-operator totals keyed by lane; the chain marks critical time.
@@ -311,7 +196,7 @@ impl CriticalPath {
         for s in spans {
             let e = ops.entry(s.lane).or_insert_with(|| OperatorAttribution {
                 lane: s.lane,
-                name: s.name.clone(),
+                name: s.name.to_string(),
                 critical_ns: 0,
                 total_ns: 0,
                 critical_invocations: 0,
@@ -332,7 +217,7 @@ impl CriticalPath {
         // Longest chain per round: availability edges never cross rounds
         // (chains are per driven message), so a per-round restriction of
         // the same walk is exact.
-        let mut rounds: BTreeMap<u64, Vec<&SpanRec>> = BTreeMap::new();
+        let mut rounds: BTreeMap<u64, Vec<&Span>> = BTreeMap::new();
         for s in spans {
             rounds.entry(s.round).or_default().push(s);
         }
@@ -357,7 +242,7 @@ impl CriticalPath {
                 .iter()
                 .map(|s| PathStep {
                     id: s.id,
-                    name: s.name.clone(),
+                    name: s.name.to_string(),
                     lane: s.lane,
                     round: s.round,
                     start_ns: s.start_ns,
@@ -508,12 +393,12 @@ impl CriticalPath {
 mod tests {
     use super::*;
 
-    fn rec(id: u64, parent: Option<u64>, lane: u64, round: u64, start: u64, dur: u64) -> SpanRec {
-        SpanRec {
+    fn rec(id: u64, parent: Option<u64>, lane: u64, round: u64, start: u64, dur: u64) -> Span {
+        Span {
             id,
             parent,
-            name: format!("op{lane}"),
-            cat: "task".to_owned(),
+            name: format!("op{lane}").into(),
+            cat: "task".into(),
             lane,
             round,
             epoch: 0,
@@ -525,7 +410,7 @@ mod tests {
     }
 
     /// Two chains; the slower one (via span 3) is critical.
-    fn diamond() -> Vec<SpanRec> {
+    fn diamond() -> Vec<Span> {
         vec![
             rec(0, None, 0, 0, 0, 100),
             rec(1, Some(0), 1, 0, 100, 50),
@@ -609,8 +494,8 @@ mod tests {
         t.record(Span {
             id: 3,
             parent: Some(1),
-            name: "KeyedAggregate",
-            cat: "close",
+            name: "KeyedAggregate".into(),
+            cat: "close".into(),
             lane: 1,
             round: 2,
             epoch: 1,
@@ -623,8 +508,8 @@ mod tests {
         t.record(Span {
             id: u64::MAX,
             parent: None,
-            name: "Sink",
-            cat: "task",
+            name: "Sink".into(),
+            cat: "task".into(),
             lane: 2,
             round: 3,
             epoch: 1,
@@ -634,7 +519,7 @@ mod tests {
             records_out: 0,
         });
         let parsed = parse_spans_jsonl(&t.export_jsonl()).unwrap();
-        assert_eq!(parsed, spans_to_recs(&t.spans()));
+        assert_eq!(parsed, t.spans());
         assert_eq!(parsed[0].round, 2);
         assert_eq!(parsed[1].start_ns, (1 << 53) + 1);
         assert!(parse_spans_jsonl("{\"type\":\"counter\",\"name\":\"x\"}").is_err());

@@ -16,6 +16,7 @@
 //! contents around the firing round so the engine can assemble an
 //! [`Incident`](crate::Incident) capture window.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex};
@@ -39,6 +40,13 @@ pub const CAPTURE_ROUNDS: usize = 8;
 /// (an incident reads its tier slice from the registry), so the recorder's
 /// accounted bytes are what it holds.
 type RoundEntry = (u64, u64, [f64; INCIDENT_ROUND_VIEW.len()]);
+
+/// Accounted bytes of one ringed span: a [`Span`] whose `name` and `cat`
+/// borrow, which is all the engine rings (its synthetic `round` span). The
+/// word a `Cow` keeps for the capacity of an owned string is not counted,
+/// so the exported bound does not depend on that representation.
+const SPAN_ENTRY_BYTES: usize =
+    size_of::<Span>() - 2 * (size_of::<Cow<'static, str>>() - size_of::<&'static str>());
 
 /// Pushes onto a ring of at most `cap` entries: once full, the oldest entry
 /// makes room, so a ring never holds more than the capacity the recorder
@@ -91,7 +99,7 @@ impl FlightRecorder {
     /// Fixed bound on ring memory, in accounted bytes (capacity times entry
     /// size; exported as the `recorder.accounted_bytes` gauge).
     pub fn accounted_bytes(&self) -> u64 {
-        (ROUND_CAPACITY * size_of::<RoundEntry>() + SPAN_CAPACITY * size_of::<Span>()) as u64
+        (ROUND_CAPACITY * size_of::<RoundEntry>() + SPAN_CAPACITY * SPAN_ENTRY_BYTES) as u64
     }
 
     /// Records one span into the span ring (the engine pushes one
@@ -214,8 +222,8 @@ mod tests {
         Span {
             id,
             parent: None,
-            name: "round",
-            cat: "round",
+            name: "round".into(),
+            cat: "round".into(),
             lane: 0,
             round,
             epoch: 0,
@@ -242,7 +250,7 @@ mod tests {
         assert_eq!(rec.spans().len(), SPAN_CAPACITY);
         assert_eq!(
             rec.accounted_bytes(),
-            (ROUND_CAPACITY * 16 * 8 + SPAN_CAPACITY * size_of::<Span>()) as u64
+            (ROUND_CAPACITY * 16 * 8 + SPAN_CAPACITY * SPAN_ENTRY_BYTES) as u64
         );
         // The bound is a function of capacity only, not fill level.
         assert_eq!(

@@ -1,11 +1,9 @@
 //! Span-based tracing of the simulated task graph.
 //!
-//! Each operator invocation records one [`Span`]: its identity (shared with
-//! the engine's `TaskSpec` task ids, so a trace lines up with a recorded
-//! task graph), its parent along the operator chain, and its *simulated*
-//! start/duration in nanoseconds. Because every timestamp comes from the
-//! simulated clock, two runs with the same seed export byte-identical
-//! traces.
+//! Each operator invocation records one [`Span`]: its identity, its parent
+//! along the operator chain, and its *simulated* start/duration in
+//! nanoseconds. Because every timestamp comes from the simulated clock, two
+//! runs with the same seed export byte-identical traces.
 //!
 //! Two export formats:
 //! - JSONL: one flat object per span, in record order.
@@ -13,23 +11,25 @@
 //!   loadable in Perfetto or `chrome://tracing`. Lanes (`tid`) are operator
 //!   indices, so each pipeline stage renders as its own track.
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
-use crate::json::{fmt_f64, write_str};
-use crate::profile::SpanRec;
+use crate::json::{fmt_f64, write_str, Line, ObjWriter};
 use crate::sync::lock;
 
-/// One operator invocation in the simulated task graph.
+/// One operator invocation in the simulated task graph: recorded by the
+/// engine (static `name` / `cat`), stitched by the cluster tier, or parsed
+/// back from a span JSONL export (owned strings).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Task identity; shared with the engine's `TaskSpec` ids.
+    /// Span identity (ids are allocated in dependency order).
     pub id: u64,
     /// Parent span along the operator chain, if any.
     pub parent: Option<u64>,
     /// Operator name (e.g. `window_into`).
-    pub name: &'static str,
+    pub name: Cow<'static, str>,
     /// Category: `task`, `watermark`, `barrier`, or `close`.
-    pub cat: &'static str,
+    pub cat: Cow<'static, str>,
     /// Display lane: the operator's index in the pipeline.
     pub lane: u64,
     /// Watermark round (0-based) the invocation ran in. The engine closes a
@@ -48,6 +48,114 @@ pub struct Span {
     pub records_in: u64,
     /// Records produced by this invocation.
     pub records_out: u64,
+}
+
+impl Span {
+    /// Simulated end time of the invocation, nanoseconds.
+    pub fn end_ns(&self) -> u64 {
+        self.start_ns.saturating_add(self.dur_ns)
+    }
+
+    /// Appends the span fields to an open line: `id`, `parent` (omitted on
+    /// a root), `track` — a stitched span's `shard` and `slot_epoch` — then
+    /// `name`, `cat`, `lane`, `round`, `epoch`, `start_ns`, `dur_ns`,
+    /// `records_in`, `records_out`. [`Span::from_line`] reads them back.
+    pub(crate) fn write_fields<'a>(
+        &self,
+        w: ObjWriter<'a>,
+        track: Option<(u32, u32)>,
+    ) -> ObjWriter<'a> {
+        let mut w = w.u64("id", self.id).opt_u64("parent", self.parent);
+        if let Some((shard, slot_epoch)) = track {
+            w = w
+                .u64("shard", u64::from(shard))
+                .u64("slot_epoch", u64::from(slot_epoch));
+        }
+        w.text("name", &self.name)
+            .text("cat", &self.cat)
+            .u64("lane", self.lane)
+            .u64("round", self.round)
+            .u64("epoch", self.epoch)
+            .u64("start_ns", self.start_ns)
+            .u64("dur_ns", self.dur_ns)
+            .u64("records_in", self.records_in)
+            .u64("records_out", self.records_out)
+    }
+
+    /// Appends this span as one `{"type":"span",...}` JSONL line; `track`
+    /// is a stitched span's `(shard, slot_epoch)`.
+    pub fn write_line(&self, track: Option<(u32, u32)>, out: &mut String) {
+        self.write_fields(ObjWriter::open(out, "span"), track).end();
+    }
+
+    /// Reads the fields [`Span::write_fields`] writes (absent numbers are
+    /// 0, absent strings empty, an absent `parent` a root).
+    pub(crate) fn from_line(line: &Line) -> Span {
+        Span {
+            id: line.u64("id"),
+            parent: line.opt_u64("parent"),
+            name: line.text("name").to_owned().into(),
+            cat: line.text("cat").to_owned().into(),
+            lane: line.u64("lane"),
+            round: line.u64("round"),
+            epoch: line.u64("epoch"),
+            start_ns: line.u64("start_ns"),
+            dur_ns: line.u64("dur_ns"),
+            records_in: line.u64("records_in"),
+            records_out: line.u64("records_out"),
+        }
+    }
+
+    /// Appends this span as one Chrome-trace `"X"` complete event (no
+    /// separator): `ts`/`dur` are simulated microseconds, `pid` the track
+    /// group, `tid` the operator lane; a stitched span carries its
+    /// `slot_epoch` among the `args`.
+    pub(crate) fn write_chrome_event(&self, pid: u64, slot_epoch: Option<u32>, out: &mut String) {
+        out.push_str("{\"name\":");
+        write_str(&self.name, out);
+        out.push_str(",\"cat\":");
+        write_str(&self.cat, out);
+        out.push_str(&format!(
+            ",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"span\":{}",
+            fmt_f64(self.start_ns as f64 / 1000.0),
+            fmt_f64(self.dur_ns as f64 / 1000.0),
+            self.lane,
+            self.id
+        ));
+        if let Some(parent) = self.parent {
+            out.push_str(&format!(",\"parent\":{parent}"));
+        }
+        if let Some(slot_epoch) = slot_epoch {
+            out.push_str(&format!(",\"slot_epoch\":{slot_epoch}"));
+        }
+        out.push_str(&format!(
+            ",\"round\":{},\"epoch\":{},\"records_in\":{},\"records_out\":{}}}}}",
+            self.round, self.epoch, self.records_in, self.records_out
+        ));
+    }
+}
+
+impl AsRef<Span> for Span {
+    fn as_ref(&self) -> &Span {
+        self
+    }
+}
+
+/// Wraps Chrome-trace events (no separators of their own) into the
+/// `{"traceEvents":[...]}` document Perfetto loads.
+pub(crate) fn chrome_document(events: impl Iterator<Item = String>) -> String {
+    let mut out = String::from("{\"traceEvents\":[\n");
+    let mut sep = "";
+    for ev in events {
+        out.push_str(sep);
+        out.push_str(&ev);
+        sep = ",\n";
+    }
+    if !sep.is_empty() {
+        out.push('\n');
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
+    out
 }
 
 #[derive(Debug, Default)]
@@ -117,44 +225,19 @@ impl TraceCollector {
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         for s in self.spans() {
-            SpanRec::from_span(&s).write_line(None, &mut out);
+            s.write_line(None, &mut out);
         }
         out
     }
 
-    /// Exports spans in Chrome trace format (Perfetto / `chrome://tracing`).
-    ///
-    /// Each span becomes an `"X"` complete event; `ts`/`dur` are simulated
-    /// microseconds, `tid` is the operator lane.
+    /// Exports spans in Chrome trace format (Perfetto / `chrome://tracing`):
+    /// one [`Span::write_chrome_event`] per span, all in process 1.
     pub fn export_chrome(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
-        let spans = self.spans();
-        for (i, s) in spans.iter().enumerate() {
-            out.push_str("{\"name\":");
-            write_str(s.name, &mut out);
-            out.push_str(",\"cat\":");
-            write_str(s.cat, &mut out);
-            out.push_str(&format!(
-                ",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"span\":{}",
-                fmt_f64(s.start_ns as f64 / 1000.0),
-                fmt_f64(s.dur_ns as f64 / 1000.0),
-                s.lane,
-                s.id
-            ));
-            if let Some(parent) = s.parent {
-                out.push_str(&format!(",\"parent\":{parent}"));
-            }
-            out.push_str(&format!(
-                ",\"round\":{},\"epoch\":{},\"records_in\":{},\"records_out\":{}}}}}",
-                s.round, s.epoch, s.records_in, s.records_out
-            ));
-            if i + 1 < spans.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
-        out
+        chrome_document(self.spans().iter().map(|s| {
+            let mut ev = String::new();
+            s.write_chrome_event(1, None, &mut ev);
+            ev
+        }))
     }
 }
 
@@ -166,8 +249,8 @@ mod tests {
         Span {
             id: 7,
             parent: Some(3),
-            name: "window_into",
-            cat: "task",
+            name: "window_into".into(),
+            cat: "task".into(),
             lane: 2,
             round: 1,
             epoch: 1,

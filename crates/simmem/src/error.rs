@@ -30,33 +30,6 @@ impl fmt::Display for AllocError {
 
 impl Error for AllocError {}
 
-/// Error returned when a recorded task graph is malformed.
-///
-/// Traces come from the engine's own instrumentation, so these indicate a
-/// recording bug rather than a runtime condition — but the fluid simulator
-/// is panic-free and reports them instead of aborting the process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphError {
-    /// Two tasks share the same id.
-    DuplicateTask(crate::TaskId),
-    /// A task depends on an id that is not in the graph.
-    UnknownDep(crate::TaskId),
-    /// Dependencies form a cycle; the graph can never drain.
-    Deadlock,
-}
-
-impl fmt::Display for GraphError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GraphError::DuplicateTask(id) => write!(f, "duplicate task id {id:?}"),
-            GraphError::UnknownDep(id) => write!(f, "dependency on unknown task {id:?}"),
-            GraphError::Deadlock => write!(f, "task graph deadlocked: cyclic dependencies"),
-        }
-    }
-}
-
-impl Error for GraphError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

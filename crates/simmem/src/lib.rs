@@ -42,7 +42,6 @@ mod config;
 mod cost;
 mod env;
 mod error;
-mod fluid;
 mod kind;
 mod pool;
 pub mod sync;
@@ -52,7 +51,6 @@ pub use clock::SimClock;
 pub use config::{MachineConfig, MemSpec};
 pub use cost::{AccessProfile, CostModel};
 pub use env::{BundleToken, MemEnv};
-pub use error::{AllocError, GraphError};
-pub use fluid::{FluidSim, SimReport, TaskId, TaskSpec};
+pub use error::AllocError;
 pub use kind::MemKind;
 pub use pool::{MemPool, PoolStats, PoolVec, Priority};

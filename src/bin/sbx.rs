@@ -1,73 +1,36 @@
 //! `sbx` — the StreamBox-HBM command-line driver.
 //!
 //! ```text
-//! sbx bench <name> [--cores N] [--bundles N] [--bundle-rows N]
-//!                  [--nic rdma|eth|unlimited] [--mode hybrid|caching|dram|nokpa]
-//!                  [--grouping sort|hash|row|adaptive]
-//!                  [--keys N] [--rate N] [--samples-csv PATH]
-//!                  [--checkpoint-interval N] [--hbm-mib N]
-//!                  [--metrics-out PATH] [--trace-out PATH] [--incidents-out PATH]
-//! sbx recover <name> [--crash-after-bundles N] [--checkpoint-interval N]
-//!                    [bench flags]
-//! sbx cluster <name> [--shards N] [--slots N] [--bundles N] [--bundle-rows N]
-//!                    [--interval N] [--keys N] [--rate N] [--skew THETA]
-//!                    [--rescale-at EPOCH] [--rescale-to N] [--rebalance TOL]
-//!                    [--link rdma|eth|unlimited] [--cores N]
-//!                    [--metrics-out PATH] [--trace-out PATH] [--health-out PATH]
-//!                    [--incidents-out PATH]
-//! sbx report <metrics.jsonl> [--timeline] [--critical-path <spans.jsonl>]
-//!                            [--cluster-critical-path <stitched.jsonl>]
-//!                            [--health] [--incidents <incidents.jsonl>] [--top N]
-//! sbx figure <2|7|8|9|10|11|ablation>
-//! sbx machines
-//! sbx list
+//! sbx bench ysb --cores 32 --metrics-out m.jsonl --trace-out spans.jsonl
+//! sbx report m.jsonl --timeline --critical-path spans.jsonl
+//! sbx recover sum --crash-after-bundles 11 --checkpoint-interval 3
+//! sbx cluster sum --shards 4 --rescale-at 2 --rescale-to 8 --health-out h.jsonl
 //! ```
 //!
-//! `recover` crashes the run after the given bundle count, restores the
-//! latest barrier snapshot, resumes, and verifies the committed outputs
-//! are byte-identical to a fault-free run (exactly-once).
+//! The command line is two tables, [`COMMANDS`] and [`FLAGS`]. Parsing, the
+//! rejection of a flag its subcommand does not take, and the usage text
+//! (`sbx` with no arguments) all read them, so what a flag does is said in
+//! its row and nowhere else. What the subcommands do:
 //!
-//! `--metrics-out` exports the run's metrics registry as JSONL;
-//! `--trace-out` additionally records one span per operator invocation
-//! (in simulated time) and writes a Chrome trace loadable in Perfetto —
-//! or span JSONL if the path ends in `.jsonl`. `sbx report` rebuilds the
-//! run summary and the Figure-10 time series purely from an exported
-//! metrics file; `--timeline` adds the per-round memory-tier timeline,
-//! and `--critical-path <spans.jsonl>` runs critical-path attribution
-//! over a span JSONL export (top-k controlled by `--top`). Because every
-//! exported value is simulated-time, both renderings are byte-identical
-//! across same-seed runs.
-//!
-//! `cluster` runs a benchmark sharded across N per-shard engines behind
-//! the hash-slot router (`sbx-cluster`), optionally cutting a coordinated
-//! epoch mid-run to grow/shrink (`--rescale-at` + `--rescale-to`) or to
-//! rebalance hot slots (`--rescale-at` + `--rebalance`); `--skew` draws
-//! keys from a Zipf distribution to manufacture a hot shard. A metrics
-//! export of a cluster run feeds `sbx report`, which renders the
-//! per-shard occupancy/skew table and per-link utilization purely from
-//! the exported `cluster.*` counters.
-//!
-//! Cluster observability (DESIGN.md §13): `sbx cluster --trace-out PATH`
-//! records every shard engine's span stream, stitches them with priced
-//! fabric spans (barrier-alignment waits and shuffle link transfers)
-//! into one cluster trace, and writes span JSONL (`.jsonl` paths) or a
-//! Perfetto trace with one track per shard plus a fabric track;
-//! `--health-out PATH` writes the shard-health detector report as
-//! deterministic JSONL. `sbx report --cluster-critical-path
-//! <stitched.jsonl>` runs the distributed critical-path analysis, whose
-//! {compute, shuffle, barrier-wait, straggler-slack, fabric} split
-//! partitions the simulated makespan exactly; `--health` re-evaluates
-//! the health detectors from the metrics export.
-//!
-//! Incidents (DESIGN.md §15): every run carries an always-on flight
-//! recorder whose online anomaly detectors (spill storms, output-delay
-//! surges, watermark stalls, HBM pressure, backpressure) fire at round
-//! boundaries; `--incidents-out PATH` writes the captured incident
-//! reports — verdict plus the frozen evidence window — as deterministic
-//! JSONL (same-seed runs write the same bytes). On `sbx cluster` the
-//! file also folds in the fabric-level health signals. `--hbm-mib N`
-//! shrinks the simulated HBM capacity to manufacture degraded runs.
-//! `sbx report --incidents <incidents.jsonl>` renders the stories.
+//! * `bench` runs one benchmark of the suite (`sbx list`) on one engine.
+//!   Its exports — metrics registry, one span per operator invocation, the
+//!   always-on flight recorder's incidents (DESIGN.md §10, §15) — hold
+//!   simulated-time values only, so same-seed runs write the same bytes.
+//! * `recover` crashes the run after a given bundle count, restores the
+//!   latest barrier snapshot, resumes, and verifies that the committed
+//!   outputs are byte-identical to a fault-free run (exactly-once).
+//! * `cluster` runs a benchmark sharded across per-shard engines behind
+//!   the hash-slot router (`sbx-cluster`), optionally cutting a coordinated
+//!   epoch mid-run to grow, shrink or move hot slots. Its trace stitches
+//!   every shard's span stream with priced fabric spans (barrier-alignment
+//!   waits, shuffle link transfers) into one cluster trace; its incident
+//!   file folds in the fabric-level health signals (DESIGN.md §13).
+//! * `report` renders from exported files alone: the run summary and the
+//!   Figure-10 series, a cluster run's per-shard and per-link tables, the
+//!   memory-tier timeline, the critical path of a span export (for a
+//!   cluster trace split into compute, shuffle, barrier wait, straggler
+//!   slack and fabric, which partition the makespan exactly), the
+//!   re-evaluated health detectors and the incident stories.
 
 // sbx-lint: out-of-scope(no-panic, CLI entry point; bad arguments abort with a message)
 // sbx-lint: out-of-scope(raw-alloc, CLI-side reporting and table formatting)
@@ -75,112 +38,462 @@
 // sbx-lint: allow-file(no-adhoc-io, CLI front-end reports to stdout by design)
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use std::error::Error;
 use std::process::ExitCode;
+use std::sync::Arc;
 
+use streambox_hbm::engine::benchmarks::{Benchmark, SUITE};
 use streambox_hbm::prelude::*;
 
-const BENCHMARKS: [&str; 10] = [
-    "topk",
-    "sum",
-    "median",
-    "avg",
-    "avg-all",
-    "unique",
-    "join",
-    "filter",
-    "power-grid",
-    "ysb",
-];
+type RunResult = Result<(), Box<dyn Error>>;
+/// A subcommand's entry point.
+type Run = fn(&Args) -> RunResult;
+/// A figure's entry point; it prints its own table.
+type Figure = fn() -> String;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  sbx bench <name> [--cores N] [--bundles N] [--bundle-rows N]\n\
-         \x20                [--nic rdma|eth|unlimited] [--mode hybrid|caching|dram|nokpa]\n\
-         \x20                [--grouping sort|hash|row|adaptive] (sum and ysb)\n\
-         \x20                [--keys N] [--rate N] [--checkpoint-interval N] [--hbm-mib N]\n\
-         \x20                [--metrics-out PATH] [--trace-out PATH] [--incidents-out PATH]\n\
-         \x20 sbx recover <name> [--crash-after-bundles N] [--checkpoint-interval N]\n\
-         \x20                [bench flags]\n\
-         \x20 sbx cluster <name> [--shards N] [--slots N] [--bundles N] [--bundle-rows N]\n\
-         \x20                [--interval N] [--keys N] [--rate N] [--skew THETA]\n\
-         \x20                [--rescale-at EPOCH] [--rescale-to N] [--rebalance TOL]\n\
-         \x20                [--link rdma|eth|unlimited] [--cores N] [--metrics-out PATH]\n\
-         \x20                [--trace-out PATH] [--health-out PATH] [--incidents-out PATH]\n\
-         \x20 sbx report <metrics.jsonl> [--timeline] [--critical-path <spans.jsonl>] [--top N]\n\
-         \x20                [--cluster-critical-path <stitched.jsonl>] [--health]\n\
-         \x20                [--incidents <incidents.jsonl>]\n\
-         \x20 sbx figure <2|7|8|9|10|11|ablation>\n  sbx machines\n  sbx list\n\n\
-         benchmarks: {}",
-        BENCHMARKS.join(", ")
-    );
-    ExitCode::from(2)
+/// The subcommands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    Bench,
+    Recover,
+    Cluster,
+    Report,
+    Figure,
+    Machines,
+    List,
 }
 
+/// Each subcommand: its spelling, the operand it takes (empty for none) and
+/// its entry point.
+type Command = (Cmd, &'static str, &'static str, Run);
+
+const COMMANDS: [Command; 7] = [
+    (Cmd::Bench, "bench", "<benchmark>", run_bench),
+    (Cmd::Recover, "recover", "<benchmark>", run_recover),
+    (Cmd::Cluster, "cluster", "<benchmark>", run_cluster),
+    (Cmd::Report, "report", "<metrics.jsonl>", run_report),
+    (Cmd::Figure, "figure", "<figure>", |a| {
+        figure(&a.operand)?();
+        Ok(())
+    }),
+    (Cmd::Machines, "machines", "", |_| {
+        print_machines();
+        Ok(())
+    }),
+    (Cmd::List, "list", "", |_| {
+        SUITE.iter().for_each(|b| println!("{}", b.name));
+        Ok(())
+    }),
+];
+
+/// The figures `sbx figure` regenerates.
+const FIGURES: [(&str, Figure); 7] = [
+    ("2", sbx_bench::fig2::run),
+    ("7", sbx_bench::fig7::run),
+    ("8", sbx_bench::fig8::run),
+    ("9", sbx_bench::fig9::run),
+    ("10", sbx_bench::fig10::run),
+    ("11", sbx_bench::fig11::run),
+    ("ablation", sbx_bench::ablation::run),
+];
+
+fn figure(id: &str) -> Result<Figure, String> {
+    let found = FIGURES.iter().find(|(name, _)| *name == id);
+    found
+        .map(|(_, run)| *run)
+        .ok_or_else(|| format!("unknown figure '{id}'"))
+}
+
+fn suite_entry(name: &str) -> Result<&'static Benchmark, String> {
+    benchmarks::find(name).ok_or_else(|| format!("unknown benchmark '{name}'"))
+}
+
+/// Every flag's value, at its subcommand's default until the flag is given.
 #[derive(Debug, Clone)]
-struct BenchArgs {
-    name: String,
+struct Args {
+    cmd: Cmd,
+    /// The subcommand's operand: a benchmark name, a metrics export, a
+    /// figure id.
+    operand: String,
     cores: u32,
     bundles: usize,
     bundle_rows: usize,
+    keys: Option<u64>,
+    rate: u64,
     nic: NicModel,
     mode: EngineMode,
     grouping: GroupingSpec,
-    keys: u64,
-    rate: u64,
-    samples_csv: Option<String>,
     checkpoint_interval: Option<u64>,
     crash_after: Option<u64>,
+    hbm_mib: Option<u64>,
     metrics_out: Option<String>,
     trace_out: Option<String>,
-    /// Flight-recorder incident report (deterministic JSONL).
     incidents_out: Option<String>,
-    /// Shrink the simulated HBM capacity to N MiB (degraded-machine runs
-    /// for incident demos; costs/bandwidths are untouched).
-    hbm_mib: Option<u64>,
+    health_out: Option<String>,
+    shards: u32,
+    slots: u32,
+    interval: u64,
+    skew: Option<f64>,
+    rescale_at: Option<u64>,
+    rescale_to: Option<u32>,
+    rebalance: Option<f64>,
+    link: LinkModel,
+    timeline: bool,
+    critical_path: Option<String>,
+    cluster_critical_path: Option<String>,
+    health: bool,
+    incidents: Option<String>,
+    top: usize,
 }
 
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs {
-            name: String::new(),
-            cores: 64,
-            bundles: 50,
+impl Args {
+    fn new(cmd: Cmd) -> Args {
+        let cluster = cmd == Cmd::Cluster;
+        Args {
+            cmd,
+            operand: String::new(),
+            cores: if cluster { 16 } else { 64 },
+            bundles: if cluster { 40 } else { 50 },
             bundle_rows: 20_000,
+            keys: None,
+            rate: 20_000_000,
             nic: NicModel::rdma_40g(),
             mode: EngineMode::Hybrid,
             grouping: GroupingSpec::SortMerge,
-            keys: 10_000,
-            rate: 20_000_000,
-            samples_csv: None,
             checkpoint_interval: None,
             crash_after: None,
+            hbm_mib: None,
             metrics_out: None,
             trace_out: None,
             incidents_out: None,
-            hbm_mib: None,
+            health_out: None,
+            shards: 4,
+            slots: 64,
+            interval: 5,
+            skew: None,
+            rescale_at: None,
+            rescale_to: None,
+            rebalance: None,
+            link: LinkModel::intra_rack_rdma(),
+            timeline: false,
+            critical_path: None,
+            cluster_critical_path: None,
+            health: false,
+            incidents: None,
+            top: 5,
+        }
+    }
+
+    /// The key cardinality given, or its default: the benchmark's own on one
+    /// engine, and on a cluster millions of simulated users — its reason to
+    /// exist.
+    fn keys(&self, b: &Benchmark) -> u64 {
+        let default = if self.cmd == Cmd::Cluster {
+            2_000_000
+        } else {
+            b.keys
+        };
+        self.keys.unwrap_or(default)
+    }
+
+    /// The engine configuration the run flags describe.
+    fn run_config(&self, machine: MachineConfig, obs: Obs) -> RunConfig {
+        RunConfig {
+            machine,
+            cores: self.cores,
+            mode: self.mode,
+            sender: SenderConfig {
+                bundle_rows: self.bundle_rows,
+                bundles_per_watermark: 10,
+                nic: self.nic,
+            },
+            obs,
+            ..RunConfig::default()
         }
     }
 }
 
-/// Walks the flags after a subcommand's positional argument: each flag in
-/// `switches` stands alone, every other flag takes the next argument as its
-/// value. `on` receives `(flag, value)` (an empty value for a switch).
-fn walk_flags(
-    args: &[String],
-    switches: &[&str],
-    mut on: impl FnMut(&str, &str) -> Result<(), String>,
-) -> Result<(), String> {
-    let mut rest = args.iter().skip(1);
-    while let Some(flag) = rest.next() {
-        if switches.contains(&flag.as_str()) {
-            on(flag, "")?;
-        } else {
-            let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
-            on(flag, value)?;
-        }
-    }
-    Ok(())
+/// One flag: its spelling, the kind of value it takes as the usage text
+/// shows it (empty for a switch), the subcommands that take it, its help
+/// line, and where its value goes. Parsing, rejection and the usage text
+/// all read this table; a flag is spelled nowhere else.
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    cmds: &'static [Cmd],
+    help: &'static str,
+    set: fn(&mut Args, &str, &str) -> Result<(), String>,
 }
+
+const RUNS: &[Cmd] = &[Cmd::Bench, Cmd::Recover, Cmd::Cluster];
+const ENGINE: &[Cmd] = &[Cmd::Bench, Cmd::Recover];
+const EXPORTS: &[Cmd] = &[Cmd::Bench, Cmd::Cluster];
+const CLUSTER: &[Cmd] = &[Cmd::Cluster];
+const REPORT: &[Cmd] = &[Cmd::Report];
+
+// Flags that error messages outside the table name.
+const GROUPING: &str = "--grouping";
+const CHECKPOINT_INTERVAL: &str = "--checkpoint-interval";
+const SKEW: &str = "--skew";
+const RESCALE_AT: &str = "--rescale-at";
+const RESCALE_TO: &str = "--rescale-to";
+const REBALANCE: &str = "--rebalance";
+
+const FLAGS: [Flag; 29] = [
+    Flag {
+        name: "--cores",
+        value: "N",
+        cmds: RUNS,
+        help: "modelled cores per engine",
+        set: |a, f, v| num(&mut a.cores, f, v),
+    },
+    Flag {
+        name: "--bundles",
+        value: "N",
+        cmds: RUNS,
+        help: "bundles to ingest",
+        set: |a, f, v| num(&mut a.bundles, f, v),
+    },
+    Flag {
+        name: "--bundle-rows",
+        value: "N",
+        cmds: RUNS,
+        help: "records per bundle",
+        set: |a, f, v| num(&mut a.bundle_rows, f, v),
+    },
+    Flag {
+        name: "--keys",
+        value: "N",
+        cmds: RUNS,
+        help: "distinct keys, ads or houses",
+        set: |a, f, v| opt(&mut a.keys, f, v),
+    },
+    Flag {
+        name: "--rate",
+        value: "N",
+        cmds: RUNS,
+        help: "records per second of event time",
+        set: |a, f, v| num(&mut a.rate, f, v),
+    },
+    Flag {
+        name: "--nic",
+        value: "rdma|eth|unlimited",
+        cmds: ENGINE,
+        help: "ingestion NIC",
+        set: |a, f, v| {
+            a.nic = match v {
+                "rdma" => NicModel::rdma_40g(),
+                "eth" => NicModel::ethernet_10g(),
+                "unlimited" => NicModel::unlimited(),
+                _ => return Err(unknown(f, v)),
+            };
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--mode",
+        value: "hybrid|caching|dram|nokpa",
+        cmds: ENGINE,
+        help: "memory-management mode",
+        set: |a, f, v| {
+            a.mode = match v {
+                "hybrid" => EngineMode::Hybrid,
+                "caching" => EngineMode::CachingKpa,
+                "dram" => EngineMode::DramOnly,
+                "nokpa" => EngineMode::CachingNoKpa,
+                _ => return Err(unknown(f, v)),
+            };
+            Ok(())
+        },
+    },
+    Flag {
+        name: GROUPING,
+        value: "sort|hash|row|adaptive",
+        cmds: ENGINE,
+        help: "grouping backend",
+        set: |a, f, v| {
+            a.grouping = GroupingSpec::parse(v).ok_or_else(|| unknown(f, v))?;
+            Ok(())
+        },
+    },
+    Flag {
+        name: CHECKPOINT_INTERVAL,
+        value: "N",
+        cmds: ENGINE,
+        help: "barrier every N bundles",
+        set: |a, f, v| {
+            a.checkpoint_interval = Some(positive(f, v)?);
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--crash-after-bundles",
+        value: "N",
+        cmds: &[Cmd::Recover],
+        help: "crash once N bundles are in",
+        set: |a, f, v| opt(&mut a.crash_after, f, v),
+    },
+    Flag {
+        name: "--hbm-mib",
+        value: "N",
+        cmds: &[Cmd::Bench],
+        help: "shrink the simulated HBM to N MiB",
+        set: |a, f, v| {
+            a.hbm_mib = Some(positive(f, v)?);
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--metrics-out",
+        value: "PATH",
+        cmds: EXPORTS,
+        help: "write the metrics registry as JSONL",
+        set: |a, _, v| path(&mut a.metrics_out, v),
+    },
+    Flag {
+        name: "--trace-out",
+        value: "PATH",
+        cmds: EXPORTS,
+        help: "write the span trace: JSONL if PATH ends in .jsonl, else Chrome",
+        set: |a, _, v| path(&mut a.trace_out, v),
+    },
+    Flag {
+        name: "--incidents-out",
+        value: "PATH",
+        cmds: EXPORTS,
+        help: "write the flight recorder's incidents as JSONL",
+        set: |a, _, v| path(&mut a.incidents_out, v),
+    },
+    Flag {
+        name: "--health-out",
+        value: "PATH",
+        cmds: CLUSTER,
+        help: "write the shard-health report as JSONL",
+        set: |a, _, v| path(&mut a.health_out, v),
+    },
+    Flag {
+        name: "--shards",
+        value: "N",
+        cmds: CLUSTER,
+        help: "shard engines, 1..=64",
+        set: |a, f, v| {
+            a.shards = parsed(f, v)?;
+            if (1..=64).contains(&a.shards) {
+                Ok(())
+            } else {
+                Err(format!("{f} must be in 1..=64"))
+            }
+        },
+    },
+    Flag {
+        name: "--slots",
+        value: "N",
+        cmds: CLUSTER,
+        help: "hash slots of the router",
+        set: |a, f, v| num(&mut a.slots, f, v),
+    },
+    Flag {
+        name: "--interval",
+        value: "N",
+        cmds: CLUSTER,
+        help: "barrier every N bundles",
+        set: |a, f, v| {
+            a.interval = positive(f, v)?;
+            Ok(())
+        },
+    },
+    Flag {
+        name: SKEW,
+        value: "THETA",
+        cmds: CLUSTER,
+        help: "draw keys from a Zipf distribution",
+        set: |a, f, v| opt(&mut a.skew, f, v),
+    },
+    Flag {
+        name: RESCALE_AT,
+        value: "EPOCH",
+        cmds: CLUSTER,
+        help: "cut a coordinated epoch and retarget there",
+        set: |a, f, v| opt(&mut a.rescale_at, f, v),
+    },
+    Flag {
+        name: RESCALE_TO,
+        value: "N",
+        cmds: CLUSTER,
+        help: "retarget: grow or shrink to N shards",
+        set: |a, f, v| opt(&mut a.rescale_to, f, v),
+    },
+    Flag {
+        name: REBALANCE,
+        value: "TOL",
+        cmds: CLUSTER,
+        help: "retarget: move hot slots off shards above TOL x mean load",
+        set: |a, f, v| opt(&mut a.rebalance, f, v),
+    },
+    Flag {
+        name: "--link",
+        value: "rdma|eth|unlimited",
+        cmds: CLUSTER,
+        help: "inter-shard link",
+        set: |a, f, v| {
+            a.link = match v {
+                "rdma" => LinkModel::intra_rack_rdma(),
+                "eth" => LinkModel::cross_rack_10g(),
+                "unlimited" => LinkModel::unlimited(),
+                _ => return Err(unknown(f, v)),
+            };
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--timeline",
+        value: "",
+        cmds: REPORT,
+        help: "render the per-round memory-tier timeline",
+        set: |a, _, _| {
+            a.timeline = true;
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--critical-path",
+        value: "SPANS.jsonl",
+        cmds: REPORT,
+        help: "critical-path attribution over a span export",
+        set: |a, _, v| path(&mut a.critical_path, v),
+    },
+    Flag {
+        name: "--cluster-critical-path",
+        value: "STITCHED.jsonl",
+        cmds: REPORT,
+        help: "distributed critical path over a cluster trace",
+        set: |a, _, v| path(&mut a.cluster_critical_path, v),
+    },
+    Flag {
+        name: "--health",
+        value: "",
+        cmds: REPORT,
+        help: "re-evaluate the shard-health detectors",
+        set: |a, _, _| {
+            a.health = true;
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--incidents",
+        value: "INCIDENTS.jsonl",
+        cmds: REPORT,
+        help: "render the incident stories",
+        set: |a, _, v| path(&mut a.incidents, v),
+    },
+    Flag {
+        name: "--top",
+        value: "N",
+        cmds: REPORT,
+        help: "rows in the critical-path tables",
+        set: |a, f, v| num(&mut a.top, f, v),
+    },
+];
 
 /// Parses a flag's value, naming the flag on failure.
 fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
@@ -195,104 +508,148 @@ fn positive(flag: &str, value: &str) -> Result<u64, String> {
     }
 }
 
-fn parse_bench_args(args: &[String]) -> Result<BenchArgs, String> {
-    let mut out = BenchArgs {
-        name: args.first().cloned().unwrap_or_default(),
-        ..Default::default()
-    };
-    if !BENCHMARKS.contains(&out.name.as_str()) {
-        return Err(format!("unknown benchmark '{}'", out.name));
+fn num<T: std::str::FromStr>(slot: &mut T, flag: &str, value: &str) -> Result<(), String> {
+    *slot = parsed(flag, value)?;
+    Ok(())
+}
+
+fn opt<T: std::str::FromStr>(slot: &mut Option<T>, flag: &str, value: &str) -> Result<(), String> {
+    *slot = Some(parsed(flag, value)?);
+    Ok(())
+}
+
+// Infallible, but a `Flag::set` like the others.
+#[allow(clippy::unnecessary_wraps)]
+fn path(slot: &mut Option<String>, value: &str) -> Result<(), String> {
+    *slot = Some(value.to_owned());
+    Ok(())
+}
+
+fn unknown(flag: &str, value: &str) -> String {
+    format!("unknown {flag} '{value}'")
+}
+
+impl Flag {
+    /// The flag as the usage text spells it: its name and its value kind.
+    fn spelled(&self) -> String {
+        format!("{} {}", self.name, self.value)
+            .trim_end()
+            .to_owned()
     }
-    walk_flags(args, &[], |flag, value| {
-        match flag {
-            "--cores" => out.cores = parsed(flag, value)?,
-            "--bundles" => out.bundles = parsed(flag, value)?,
-            "--bundle-rows" => out.bundle_rows = parsed(flag, value)?,
-            "--keys" => out.keys = parsed(flag, value)?,
-            "--rate" => out.rate = parsed(flag, value)?,
-            "--samples-csv" => out.samples_csv = Some(value.to_owned()),
-            "--metrics-out" => out.metrics_out = Some(value.to_owned()),
-            "--trace-out" => out.trace_out = Some(value.to_owned()),
-            "--incidents-out" => out.incidents_out = Some(value.to_owned()),
-            "--hbm-mib" => out.hbm_mib = Some(positive(flag, value)?),
-            "--checkpoint-interval" => out.checkpoint_interval = Some(positive(flag, value)?),
-            "--crash-after-bundles" => out.crash_after = Some(parsed(flag, value)?),
-            "--nic" => {
-                out.nic = match value {
-                    "rdma" => NicModel::rdma_40g(),
-                    "eth" => NicModel::ethernet_10g(),
-                    "unlimited" => NicModel::unlimited(),
-                    other => return Err(format!("unknown nic '{other}'")),
-                }
+}
+
+/// The usage text: every subcommand with the flags [`FLAGS`] gives it, then
+/// every flag's help line.
+fn usage() -> String {
+    let mut out = String::from("usage:\n");
+    for (cmd, name, operand, _) in &COMMANDS {
+        let mut line = format!("  sbx {name} {operand}");
+        for f in FLAGS.iter().filter(|f| f.cmds.contains(cmd)) {
+            let item = format!("[{}]", f.spelled());
+            if line.len() + item.len() > 78 {
+                out += line.trim_end();
+                out += "\n";
+                line = " ".repeat(8);
             }
-            "--mode" => {
-                out.mode = match value {
-                    "hybrid" => EngineMode::Hybrid,
-                    "caching" => EngineMode::CachingKpa,
-                    "dram" => EngineMode::DramOnly,
-                    "nokpa" => EngineMode::CachingNoKpa,
-                    other => return Err(format!("unknown mode '{other}'")),
-                }
-            }
-            "--grouping" => {
-                out.grouping = GroupingSpec::parse(value)
-                    .ok_or_else(|| format!("unknown grouping '{value}'"))?;
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+            line = line + " " + &item;
         }
-        Ok(())
-    })?;
-    Ok(out)
+        out += line.trim_end();
+        out += "\n";
+    }
+    out += "\nflags:\n";
+    for f in &FLAGS {
+        out += &format!("  {:<40} {}\n", f.spelled(), f.help);
+    }
+    let suite: Vec<&str> = SUITE.iter().map(|b| b.name).collect();
+    let grouped: Vec<&str> = SUITE.iter().filter(|b| b.grouped).map(|b| b.name).collect();
+    let figures: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
+    out += &format!(
+        "\nbenchmarks: {} ({GROUPING}: {})\nfigures: {}\n",
+        suite.join(", "),
+        grouped.join(", "),
+        figures.join(", ")
+    );
+    out
 }
 
-fn pipeline_for(name: &str) -> Pipeline {
-    match name {
-        "topk" => benchmarks::topk_per_key(3),
-        "sum" => benchmarks::sum_per_key(),
-        "median" => benchmarks::median_per_key(),
-        "avg" => benchmarks::avg_per_key(),
-        "avg-all" => benchmarks::avg_all(),
-        "unique" => benchmarks::unique_count_per_key(),
-        "join" => benchmarks::temporal_join(),
-        "filter" => benchmarks::windowed_filter(),
-        "power-grid" => benchmarks::power_grid(),
-        "ysb" => benchmarks::ysb(1_000),
-        _ => unreachable!("validated"),
+/// Parses a command line (without the program name) against [`COMMANDS`]
+/// and [`FLAGS`]: a flag its subcommand's row does not list is an error
+/// naming the flag.
+fn parse(argv: &[String]) -> Result<(Run, Args), String> {
+    let mut rest = argv.iter();
+    let name = rest.next().ok_or("missing subcommand")?;
+    let &(cmd, _, operand, run) = COMMANDS
+        .iter()
+        .find(|c| c.1 == name)
+        .ok_or_else(|| format!("unknown subcommand '{name}'"))?;
+    let mut a = Args::new(cmd);
+    if !operand.is_empty() {
+        let given = rest.next().cloned();
+        a.operand = given.ok_or_else(|| format!("{name} needs {operand}"))?;
     }
+    while let Some(arg) = rest.next() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == arg)
+            .ok_or_else(|| format!("unknown flag '{arg}'"))?;
+        if !flag.cmds.contains(&a.cmd) {
+            return Err(format!("{arg} does not apply to 'sbx {name}'"));
+        }
+        let value = match flag.value {
+            "" => "",
+            _ => rest.next().ok_or_else(|| format!("{arg} needs a value"))?,
+        };
+        (flag.set)(&mut a, arg, value)?;
+    }
+    match a.cmd {
+        Cmd::Bench | Cmd::Recover | Cmd::Cluster => check_run(&a, name)?,
+        Cmd::Figure => drop(figure(&a.operand)?),
+        Cmd::Report | Cmd::Machines | Cmd::List => {}
+    }
+    Ok((run, a))
 }
 
-/// [`pipeline_for`] honoring `--grouping`: the non-default backends are
-/// wired for the keyed-aggregation benchmarks with grouped constructors.
-fn grouped_pipeline_for(name: &str, grouping: GroupingSpec) -> Result<Pipeline, String> {
-    if grouping == GroupingSpec::SortMerge {
-        return Ok(pipeline_for(name));
+/// What a run's flags must agree on with its benchmark and with each other.
+fn check_run(a: &Args, subcommand: &str) -> Result<(), String> {
+    let b = suite_entry(&a.operand)?;
+    if b.streams == 2 && a.cmd != Cmd::Bench {
+        return Err(format!(
+            "{subcommand} supports single-stream benchmarks only"
+        ));
     }
-    match name {
-        "sum" => Ok(benchmarks::sum_per_key_grouped(grouping)),
-        "ysb" => Ok(benchmarks::ysb_grouped(1_000, grouping)),
-        _ => Err(format!(
-            "--grouping {} is only wired for benchmarks 'sum' and 'ysb'",
-            grouping.label()
-        )),
+    if b.streams == 2 && a.checkpoint_interval.is_some() {
+        return Err(format!(
+            "{CHECKPOINT_INTERVAL} is not supported for two-stream benchmarks"
+        ));
     }
+    if a.grouping != GroupingSpec::SortMerge && !b.grouped {
+        return Err(format!(
+            "{GROUPING} {} is not wired for benchmark '{}'",
+            a.grouping.label(),
+            b.name
+        ));
+    }
+    if a.skew.is_some() && !b.zipf {
+        return Err(format!(
+            "{SKEW}: benchmark '{}' has no Zipf key draw",
+            b.name
+        ));
+    }
+    if a.rescale_to.is_some() && a.rebalance.is_some() {
+        return Err(format!(
+            "{RESCALE_TO} and {REBALANCE} are mutually exclusive"
+        ));
+    }
+    if a.rescale_at.is_some() != (a.rescale_to.is_some() || a.rebalance.is_some()) {
+        return Err(format!(
+            "{RESCALE_AT} and one of {RESCALE_TO} / {REBALANCE} need each other"
+        ));
+    }
+    Ok(())
 }
 
-/// Runs a single-stream benchmark, checkpointed when `interval` is set.
-fn run_single<S: Source>(
-    engine: Engine,
-    src: S,
-    pipeline: Pipeline,
-    bundles: usize,
-    interval: Option<u64>,
-    coord: &mut CheckpointCoordinator,
-) -> Result<RunReport, streambox_hbm::engine::EngineError> {
-    match interval {
-        Some(iv) => engine.run_with_hooks(src, pipeline, bundles, Some(iv), coord),
-        None => engine.run(src, pipeline, bundles),
-    }
-}
-
-fn run_bench(a: BenchArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn run_bench(a: &Args) -> RunResult {
+    let b = suite_entry(&a.operand)?;
     // Tracing implies metrics; metrics alone keep the parallel prefix.
     let obs = if a.trace_out.is_some() {
         Obs::enabled()
@@ -305,18 +662,7 @@ fn run_bench(a: BenchArgs) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(mib) = a.hbm_mib {
         machine.hbm.capacity_bytes = mib * 1024 * 1024;
     }
-    let mut cfg = RunConfig {
-        machine,
-        cores: a.cores,
-        mode: a.mode,
-        sender: SenderConfig {
-            bundle_rows: a.bundle_rows,
-            bundles_per_watermark: 10,
-            nic: a.nic,
-        },
-        obs: obs.clone(),
-        ..RunConfig::default()
-    };
+    let mut cfg = a.run_config(machine, obs.clone());
     if a.incidents_out.is_some() {
         // Incident artifacts promise byte-identical same-seed exports;
         // pool placement under host-thread interleaving is the one
@@ -324,50 +670,24 @@ fn run_bench(a: BenchArgs) -> Result<(), Box<dyn std::error::Error>> {
         // spine (the same pinning the fig10/cluster exports use).
         cfg.threads = 1;
     }
-    if a.crash_after.is_some() {
-        return Err("--crash-after-bundles only applies to 'sbx recover'".into());
-    }
     let ck = a.checkpoint_interval;
-    if ck.is_some() && matches!(a.name.as_str(), "join" | "filter") {
-        return Err("--checkpoint-interval is not supported for two-stream benchmarks".into());
-    }
     println!(
         "running '{}' on {} ({} cores, {}, {})",
-        a.name, cfg.machine.name, a.cores, a.nic.name, a.mode
+        b.name, cfg.machine.name, a.cores, a.nic.name, a.mode
     );
     let engine = Engine::new(cfg);
-    let pipeline = grouped_pipeline_for(&a.name, a.grouping)?;
+    let pipeline = (b.pipeline)(a.grouping);
+    let keys = a.keys(b);
     let mut coord = CheckpointCoordinator::new();
-    let report = match a.name.as_str() {
-        "join" | "filter" => {
-            let l = KvSource::new(1, a.keys, a.rate).with_value_range(1_000_000);
-            let r = KvSource::new(2, a.keys, a.rate).with_value_range(1_000_000);
-            engine.run_pair(l, r, pipeline, a.bundles / 2)?
-        }
-        "power-grid" => run_single(
-            engine,
-            PowerGridSource::new(1, 100, 20, a.rate),
+    let report = match ck {
+        Some(iv) => engine.run_with_hooks(
+            (b.source)(1, keys, a.rate, None),
             pipeline,
             a.bundles,
-            ck,
+            Some(iv),
             &mut coord,
         )?,
-        "ysb" => run_single(
-            engine,
-            YsbSource::new(1, 10_000, 1_000, a.rate),
-            pipeline,
-            a.bundles,
-            ck,
-            &mut coord,
-        )?,
-        _ => run_single(
-            engine,
-            KvSource::new(1, a.keys, a.rate).with_value_range(1_000_000),
-            pipeline,
-            a.bundles,
-            ck,
-            &mut coord,
-        )?,
+        None => b.run(engine, pipeline, a.bundles, 1, keys, a.rate)?,
     };
     println!(
         "  throughput     : {:>10.2} M records/s ({} records in {:.4} s simulated)",
@@ -420,15 +740,6 @@ fn run_bench(a: BenchArgs) -> Result<(), Box<dyn std::error::Error>> {
                 .map_or(0, |s| s.dram_used_bytes / 1024),
         );
     }
-    if let Some(path) = &a.samples_csv {
-        let mut csv = streambox_hbm::obs::round::columns(&ROUND_VIEW).join(",") + "\n";
-        for s in &report.samples {
-            csv.push_str(&s.row(&ROUND_VIEW).map(|v| v.to_string()).join(","));
-            csv.push('\n');
-        }
-        std::fs::write(path, csv)?;
-        println!("  samples        : written to {path}");
-    }
     if let Some(path) = &a.metrics_out {
         std::fs::write(path, obs.metrics.export_jsonl())?;
         println!("  metrics        : written to {path}");
@@ -457,229 +768,60 @@ fn run_bench(a: BenchArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Arguments of `sbx cluster`.
-#[derive(Debug, Clone, PartialEq)]
-struct ClusterArgs {
-    name: String,
-    shards: u32,
-    slots: u32,
-    bundles: usize,
-    bundle_rows: usize,
-    interval: u64,
-    keys: u64,
-    rate: u64,
-    cores: u32,
-    /// Zipf theta for the key draw; uniform keys when absent.
-    skew: Option<f64>,
-    /// Coordinated epoch to rescale at.
-    rescale_at: Option<u64>,
-    /// Grow/shrink target shard count.
-    rescale_to: Option<u32>,
-    /// Hot-shard rebalance tolerance (× mean load).
-    rebalance: Option<f64>,
-    link: LinkModel,
-    metrics_out: Option<String>,
-    /// Stitched cluster trace output: span JSONL for `.jsonl` paths,
-    /// Chrome trace (Perfetto) otherwise.
-    trace_out: Option<String>,
-    /// Shard-health detector report (deterministic JSONL).
-    health_out: Option<String>,
-    /// Flight-recorder incident report (per-shard incidents plus the
-    /// fabric-level health signals, deterministic JSONL).
-    incidents_out: Option<String>,
-}
-
-impl Default for ClusterArgs {
-    fn default() -> Self {
-        ClusterArgs {
-            name: String::new(),
-            shards: 4,
-            slots: 64,
-            bundles: 40,
-            bundle_rows: 20_000,
-            interval: 5,
-            // Millions of simulated users: the cluster's reason to exist.
-            keys: 2_000_000,
-            rate: 20_000_000,
-            cores: 16,
-            skew: None,
-            rescale_at: None,
-            rescale_to: None,
-            rebalance: None,
-            link: LinkModel::intra_rack_rdma(),
-            metrics_out: None,
-            trace_out: None,
-            health_out: None,
-            incidents_out: None,
-        }
-    }
-}
-
-fn parse_cluster_args(args: &[String]) -> Result<ClusterArgs, String> {
-    let mut out = ClusterArgs {
-        name: args.first().cloned().unwrap_or_default(),
-        ..Default::default()
-    };
-    if !BENCHMARKS.contains(&out.name.as_str()) {
-        return Err(format!("unknown benchmark '{}'", out.name));
-    }
-    if matches!(out.name.as_str(), "join" | "filter") {
-        return Err("cluster supports single-stream benchmarks only".into());
-    }
-    walk_flags(args, &[], |flag, value| {
-        match flag {
-            "--shards" => out.shards = parsed(flag, value)?,
-            "--slots" => out.slots = parsed(flag, value)?,
-            "--bundles" => out.bundles = parsed(flag, value)?,
-            "--bundle-rows" => out.bundle_rows = parsed(flag, value)?,
-            "--interval" => out.interval = parsed(flag, value)?,
-            "--keys" => out.keys = parsed(flag, value)?,
-            "--rate" => out.rate = parsed(flag, value)?,
-            "--cores" => out.cores = parsed(flag, value)?,
-            "--skew" => out.skew = Some(parsed(flag, value)?),
-            "--rescale-at" => out.rescale_at = Some(parsed(flag, value)?),
-            "--rescale-to" => out.rescale_to = Some(parsed(flag, value)?),
-            "--rebalance" => out.rebalance = Some(parsed(flag, value)?),
-            "--metrics-out" => out.metrics_out = Some(value.to_owned()),
-            "--trace-out" => out.trace_out = Some(value.to_owned()),
-            "--health-out" => out.health_out = Some(value.to_owned()),
-            "--incidents-out" => out.incidents_out = Some(value.to_owned()),
-            "--link" => {
-                out.link = match value {
-                    "rdma" => LinkModel::intra_rack_rdma(),
-                    "eth" => LinkModel::cross_rack_10g(),
-                    "unlimited" => LinkModel::unlimited(),
-                    other => return Err(format!("unknown link '{other}'")),
-                }
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-        Ok(())
-    })?;
-    if out.shards == 0 {
-        return Err("--shards must be positive".into());
-    }
-    if !(1..=64).contains(&out.shards) {
-        return Err("--shards must be in 1..=64".into());
-    }
-    if out.interval == 0 {
-        return Err("--interval must be positive".into());
-    }
-    if out.rescale_to.is_some() && out.rebalance.is_some() {
-        return Err("--rescale-to and --rebalance are mutually exclusive".into());
-    }
-    if out.rescale_at.is_some() && out.rescale_to.is_none() && out.rebalance.is_none() {
-        return Err("--rescale-at needs --rescale-to or --rebalance".into());
-    }
-    if out.rescale_at.is_none() && (out.rescale_to.is_some() || out.rebalance.is_some()) {
-        return Err("--rescale-to/--rebalance need --rescale-at".into());
-    }
-    Ok(out)
-}
-
-fn run_cluster(a: ClusterArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use std::sync::Arc;
-
-    // Health detectors are pure functions of the cluster metrics, so
-    // `--health-out` implies an active registry even without
-    // `--metrics-out`; `--incidents-out` folds the fabric-level health
-    // signals into the incident report, so it implies one too.
+fn run_cluster(a: &Args) -> RunResult {
+    let b = suite_entry(&a.operand)?;
+    // Health detectors are pure functions of the cluster metrics, so a
+    // health report implies an active registry even without a metrics
+    // export; the incident report folds in the fabric-level health
+    // signals, so it implies one too.
     let metrics = if a.metrics_out.is_some() || a.health_out.is_some() || a.incidents_out.is_some()
     {
         MetricsRegistry::active()
     } else {
         MetricsRegistry::noop()
     };
-    // YSB aggregates per campaign, so the cluster must route records (and
-    // shuffle state) by the ad→campaign projection, not the raw ad id.
-    const YSB_CAMPAIGNS: u64 = 1_000;
-    let (key_col, key_map): (usize, Option<streambox_hbm::cluster::KeyMap>) = if a.name == "ysb" {
-        (2, Some(Arc::new(|ad| ad % YSB_CAMPAIGNS)))
-    } else {
-        (0, None)
-    };
     let cfg = ClusterConfig {
         shards: a.shards,
         slots: a.slots,
-        key_col,
-        key_map,
+        key_col: b.key_col,
+        key_map: b
+            .key_map
+            .map(|map| Arc::new(map) as streambox_hbm::cluster::KeyMap),
         engine: RunConfig {
-            machine: MachineConfig::knl(),
-            cores: a.cores,
             // One worker thread per shard engine: exported HBM-placement
             // gauges must not depend on host-contention-sensitive KPA
             // placement interleaving, so same-seed runs export the same
             // bytes (see the fig10 tests for the same pinning).
             threads: 1,
-            sender: SenderConfig {
-                bundle_rows: a.bundle_rows,
-                bundles_per_watermark: 10,
-                nic: NicModel::rdma_40g(),
-            },
-            ..RunConfig::default()
+            ..a.run_config(MachineConfig::knl(), Obs::noop())
         },
         link: a.link,
         metrics: metrics.clone(),
         trace: a.trace_out.is_some(),
     };
-    let plan = a.rescale_at.map(|at_epoch| ElasticPlan {
-        at_epoch,
-        retarget: match (a.rescale_to, a.rebalance) {
-            (Some(n), _) => Retarget::Shards(n),
-            (None, Some(tolerance)) => Retarget::Rebalance { tolerance },
-            (None, None) => unreachable!("validated"),
-        },
-    });
+    let keys = a.keys(b);
     println!(
         "clustering '{}' across {} shards ({} slots, {} keys, link {}{})",
-        a.name,
+        b.name,
         a.shards,
         a.slots,
-        a.keys,
+        keys,
         a.link.nic.name,
         a.skew.map_or(String::new(), |t| format!(", zipf {t}")),
     );
     let cluster = ShardedCluster::new(cfg);
-    let name = a.name.clone();
-    let mk_pipe = move || {
-        if name == "ysb" {
-            benchmarks::ysb(YSB_CAMPAIGNS)
-        } else {
-            pipeline_for(&name)
-        }
+    let mk_src = || (b.source)(1, keys, a.rate, a.skew);
+    let mk_pipe = || (b.pipeline)(GroupingSpec::SortMerge);
+    let retarget = match (a.rescale_to, a.rebalance) {
+        (Some(n), _) => Some(Retarget::Shards(n)),
+        (None, tolerance) => tolerance.map(|tolerance| Retarget::Rebalance { tolerance }),
     };
-    let run = |mk_src: &dyn Fn() -> KvSource| match plan {
-        Some(p) => cluster.run_elastic(mk_src, &mk_pipe, a.bundles, a.interval, p),
-        None => cluster.run(mk_src, &mk_pipe, a.bundles, a.interval),
-    };
-    let report = match a.name.as_str() {
-        "ysb" => {
-            let mk_src = || YsbSource::new(1, a.keys, YSB_CAMPAIGNS, a.rate);
-            match plan {
-                Some(p) => cluster.run_elastic(mk_src, &mk_pipe, a.bundles, a.interval, p)?,
-                None => cluster.run(mk_src, &mk_pipe, a.bundles, a.interval)?,
-            }
+    let report = match (a.rescale_at, retarget) {
+        (Some(at_epoch), Some(retarget)) => {
+            let plan = ElasticPlan { at_epoch, retarget };
+            cluster.run_elastic(mk_src, mk_pipe, a.bundles, a.interval, plan)?
         }
-        "power-grid" => {
-            let mk_src = || PowerGridSource::new(1, a.keys.max(1), 20, a.rate);
-            match plan {
-                Some(p) => cluster.run_elastic(mk_src, &mk_pipe, a.bundles, a.interval, p)?,
-                None => cluster.run(mk_src, &mk_pipe, a.bundles, a.interval)?,
-            }
-        }
-        _ => {
-            let skew = a.skew;
-            let keys = a.keys;
-            let rate = a.rate;
-            let mk_src = move || {
-                let src = KvSource::new(1, keys, rate).with_value_range(1_000_000);
-                match skew {
-                    Some(theta) => src.with_zipf(theta),
-                    None => src,
-                }
-            };
-            run(&mk_src)?
-        }
+        _ => cluster.run(mk_src, mk_pipe, a.bundles, a.interval)?,
     };
     println!(
         "  cluster        : {:>10.2} M records/s ({} records, {} outputs, {:.4} s simulated)",
@@ -729,24 +871,8 @@ fn run_cluster(a: ClusterArgs) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         shard_table("shard table", &report.shards);
     }
-    let hot_slots = {
-        let mut slots: Vec<(usize, u64)> = report
-            .slot_loads
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(_, l)| *l > 0)
-            .collect();
-        slots.sort_by_key(|&(slot, load)| (u64::MAX - load, slot));
-        slots.truncate(5);
-        slots
-    };
-    if !hot_slots.is_empty() {
-        let hottest: Vec<String> = hot_slots
-            .iter()
-            .map(|(slot, load)| format!("{slot}:{load}"))
-            .collect();
-        println!("  hottest slots  : {}", hottest.join(", "));
+    if let Some(hottest) = hottest_slots(report.slot_loads.iter().copied()) {
+        println!("  hottest slots  : {hottest}");
     }
     if let Some(path) = &a.metrics_out {
         std::fs::write(path, metrics.export_jsonl())?;
@@ -790,59 +916,11 @@ fn run_cluster(a: ClusterArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Arguments of `sbx report`.
-#[derive(Debug, Clone, PartialEq)]
-struct ReportArgs {
-    /// Metrics JSONL export to rebuild the report from.
-    path: String,
-    /// Render the per-round memory-tier timeline.
-    timeline: bool,
-    /// Span JSONL export to run critical-path attribution over.
-    critical_path: Option<String>,
-    /// Stitched cluster-trace JSONL to run the distributed critical-path
-    /// analysis over.
-    cluster_critical_path: Option<String>,
-    /// Re-evaluate the shard-health detectors from the metrics export.
-    health: bool,
-    /// Incident JSONL export to render the incident stories from.
-    incidents: Option<String>,
-    /// Top-k rows in the critical-path tables.
-    top: usize,
-}
-
-fn parse_report_args(args: &[String]) -> Result<ReportArgs, String> {
-    let mut out = ReportArgs {
-        path: args
-            .first()
-            .cloned()
-            .ok_or_else(|| "report needs a metrics.jsonl path".to_owned())?,
-        timeline: false,
-        critical_path: None,
-        cluster_critical_path: None,
-        health: false,
-        incidents: None,
-        top: 5,
-    };
-    walk_flags(args, &["--timeline", "--health"], |flag, value| {
-        match flag {
-            "--timeline" => out.timeline = true,
-            "--health" => out.health = true,
-            "--critical-path" => out.critical_path = Some(value.to_owned()),
-            "--cluster-critical-path" => out.cluster_critical_path = Some(value.to_owned()),
-            "--incidents" => out.incidents = Some(value.to_owned()),
-            "--top" => out.top = parsed(flag, value)?,
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-        Ok(())
-    })?;
-    Ok(out)
-}
-
 /// `sbx report`: rebuilds a run summary and the Figure-10 time series
 /// purely from a metrics JSONL export; optionally renders the memory-tier
 /// timeline and span critical-path attribution.
-fn run_report(a: &ReportArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let path = a.path.as_str();
+fn run_report(a: &Args) -> RunResult {
+    let path = a.operand.as_str();
     let text = std::fs::read_to_string(path)?;
     let dump = MetricsDump::parse_jsonl(&text)?;
     println!("report from {path}");
@@ -963,6 +1041,16 @@ fn run_report(a: &ReportArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// The five most loaded slots as `slot:load, ...`, heaviest first (ties by
+/// slot); `None` when no slot saw a record.
+fn hottest_slots(loads: impl Iterator<Item = u64>) -> Option<String> {
+    let mut hot: Vec<(usize, u64)> = loads.enumerate().filter(|(_, l)| *l > 0).collect();
+    hot.sort_by_key(|&(slot, load)| (u64::MAX - load, slot));
+    hot.truncate(5);
+    let rendered: Vec<String> = hot.iter().map(|(s, l)| format!("{s}:{l}")).collect();
+    (!rendered.is_empty()).then(|| rendered.join(", "))
+}
+
 /// Renders the cluster tier's shard occupancy/skew table and per-link
 /// utilization, derived purely from exported `cluster.*` counters (absent
 /// for single-engine runs). Deterministic: same-seed runs export the same
@@ -1047,18 +1135,9 @@ fn cluster_report(dump: &MetricsDump) {
         }
     }
     // Hottest slots, from the per-slot routing counters.
-    let mut hot: Vec<(u32, u64)> = (0..slots)
-        .map(|slot| (slot, c(&format!("cluster.slot{slot}.records"))))
-        .filter(|(_, l)| *l > 0)
-        .collect();
-    hot.sort_by_key(|&(slot, load)| (u64::MAX - load, slot));
-    hot.truncate(5);
-    if !hot.is_empty() {
-        let rendered: Vec<String> = hot
-            .iter()
-            .map(|(slot, load)| format!("{slot}:{load}"))
-            .collect();
-        println!("    hottest slots  : {}", rendered.join(", "));
+    let loads = (0..slots).map(|slot| c(&format!("cluster.slot{slot}.records")));
+    if let Some(hottest) = hottest_slots(loads) {
+        println!("    hottest slots  : {hottest}");
     }
     let wire = c("cluster.shuffle.wire_bytes");
     if c("cluster.rescale.to_shards") > 0 {
@@ -1095,20 +1174,25 @@ fn cluster_report(dump: &MetricsDump) {
     }
 }
 
-/// Crash-injected run followed by recovery and an exactly-once check
-/// against a fault-free oracle over the same deterministic stream.
-fn recover_demo<S: Source>(
-    cfg: &RunConfig,
-    mk_src: impl Fn() -> S,
-    mk_pipe: impl Fn() -> Pipeline,
-    bundles: usize,
-    interval: u64,
-    crash_after: u64,
-) -> Result<(), Box<dyn std::error::Error>> {
+/// `sbx recover`: a crash-injected run followed by recovery, and an
+/// exactly-once check against a fault-free oracle over the same
+/// deterministic stream.
+fn run_recover(a: &Args) -> RunResult {
+    let b = suite_entry(&a.operand)?;
+    let interval = a.checkpoint_interval.unwrap_or(10);
+    let crash_after = a.crash_after.unwrap_or(a.bundles as u64 / 2);
+    let cfg = a.run_config(MachineConfig::knl(), Obs::noop());
+    println!(
+        "recovering '{}': crash after bundle {crash_after}, checkpoint every {interval} bundles",
+        b.name
+    );
+    let keys = a.keys(b);
+    let mk_src = || (b.source)(1, keys, a.rate, None);
+    let mk_pipe = || (b.pipeline)(a.grouping);
     let mut oracle = CheckpointCoordinator::new();
-    let base = run_with_recovery(cfg, &mk_src, &mk_pipe, bundles, interval, &mut oracle)?;
+    let base = run_with_recovery(&cfg, mk_src, mk_pipe, a.bundles, interval, &mut oracle)?;
     let mut coord = CheckpointCoordinator::with_crash(CrashPlan::AfterBundles(crash_after));
-    let out = run_with_recovery(cfg, &mk_src, &mk_pipe, bundles, interval, &mut coord)?;
+    let out = run_with_recovery(&cfg, mk_src, mk_pipe, a.bundles, interval, &mut coord)?;
     println!(
         "  crash+recover  : {} crash(es), resumed from epoch(s) {:?}",
         out.crashes, out.resumed_epochs
@@ -1130,73 +1214,6 @@ fn recover_demo<S: Source>(
         return Err("exactly-once VIOLATED: recovered outputs diverge from fault-free run".into());
     }
     println!("  exactly-once   : VERIFIED (committed outputs byte-identical to fault-free run)");
-    Ok(())
-}
-
-fn run_recover(a: BenchArgs) -> Result<(), Box<dyn std::error::Error>> {
-    if matches!(a.name.as_str(), "join" | "filter") {
-        return Err("recover supports single-stream benchmarks only".into());
-    }
-    let interval = a.checkpoint_interval.unwrap_or(10);
-    let crash_after = a.crash_after.unwrap_or(a.bundles as u64 / 2);
-    let cfg = RunConfig {
-        machine: MachineConfig::knl(),
-        cores: a.cores,
-        mode: a.mode,
-        sender: SenderConfig {
-            bundle_rows: a.bundle_rows,
-            bundles_per_watermark: 10,
-            nic: a.nic,
-        },
-        ..RunConfig::default()
-    };
-    println!(
-        "recovering '{}': crash after bundle {crash_after}, checkpoint every {interval} bundles",
-        a.name
-    );
-    let name = a.name.clone();
-    // Validate the grouping/benchmark combination once, up front.
-    grouped_pipeline_for(&name, a.grouping)?;
-    let mk_pipe = || grouped_pipeline_for(&name, a.grouping).expect("validated above");
-    match a.name.as_str() {
-        "power-grid" => recover_demo(
-            &cfg,
-            || PowerGridSource::new(1, 100, 20, a.rate),
-            mk_pipe,
-            a.bundles,
-            interval,
-            crash_after,
-        ),
-        "ysb" => recover_demo(
-            &cfg,
-            || YsbSource::new(1, 10_000, 1_000, a.rate),
-            mk_pipe,
-            a.bundles,
-            interval,
-            crash_after,
-        ),
-        _ => recover_demo(
-            &cfg,
-            || KvSource::new(1, a.keys, a.rate).with_value_range(1_000_000),
-            mk_pipe,
-            a.bundles,
-            interval,
-            crash_after,
-        ),
-    }
-}
-
-fn run_figure(which: &str) -> Result<(), String> {
-    match which {
-        "2" => sbx_bench::fig2::run(),
-        "7" => sbx_bench::fig7::run(),
-        "8" => sbx_bench::fig8::run(),
-        "9" => sbx_bench::fig9::run(),
-        "10" => sbx_bench::fig10::run(),
-        "11" => sbx_bench::fig11::run(),
-        "ablation" => sbx_bench::ablation::run(),
-        other => return Err(format!("unknown figure '{other}'")),
-    };
     Ok(())
 }
 
@@ -1222,79 +1239,20 @@ fn print_machines() {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("bench") => match parse_bench_args(&args[1..]) {
-            Ok(a) => match run_bench(a) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        Some("recover") => match parse_bench_args(&args[1..]) {
-            Ok(a) => match run_recover(a) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        Some("cluster") => match parse_cluster_args(&args[1..]) {
-            Ok(a) => match run_cluster(a) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        Some("report") => match parse_report_args(&args[1..]) {
-            Ok(a) => match run_report(&a) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        Some("figure") => match args.get(1) {
-            Some(which) => match run_figure(which) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage()
-                }
-            },
-            None => usage(),
-        },
-        Some("machines") => {
-            print_machines();
-            ExitCode::SUCCESS
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (run, args) = match parse(&argv) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\n{}", usage());
+            return ExitCode::from(2);
         }
-        Some("list") => {
-            println!("{}", BENCHMARKS.join("\n"));
-            ExitCode::SUCCESS
+    };
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
-        _ => usage(),
     }
 }
 
@@ -1302,13 +1260,15 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(std::string::ToString::to_string).collect()
+    fn args(v: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = v.iter().map(ToString::to_string).collect();
+        parse(&argv).map(|(_, a)| a)
     }
 
     #[test]
     fn parses_full_flag_set() {
-        let a = parse_bench_args(&s(&[
+        let a = args(&[
+            "bench",
             "topk",
             "--cores",
             "16",
@@ -1324,134 +1284,218 @@ mod tests {
             "42",
             "--rate",
             "1000",
-        ]))
+        ])
         .unwrap();
         assert_eq!(a.cores, 16);
         assert_eq!(a.bundles, 8);
         assert_eq!(a.bundle_rows, 500);
         assert_eq!(a.mode, EngineMode::DramOnly);
-        assert_eq!(a.keys, 42);
+        assert_eq!(a.keys, Some(42));
         assert_eq!(a.rate, 1000);
         assert_eq!(a.nic.name, NicModel::ethernet_10g().name);
     }
 
     #[test]
-    fn parses_samples_csv_flag() {
-        let a = parse_bench_args(&s(&["sum", "--samples-csv", "/tmp/x.csv"])).unwrap();
-        assert_eq!(a.samples_csv.as_deref(), Some("/tmp/x.csv"));
-    }
-
-    #[test]
     fn parses_observability_flags() {
-        let a = parse_bench_args(&s(&[
+        let a = args(&[
+            "bench",
             "sum",
             "--metrics-out",
             "/tmp/m.jsonl",
             "--trace-out",
             "/tmp/t.json",
-        ]))
+        ])
         .unwrap();
         assert_eq!(a.metrics_out.as_deref(), Some("/tmp/m.jsonl"));
         assert_eq!(a.trace_out.as_deref(), Some("/tmp/t.json"));
-        let plain = parse_bench_args(&s(&["sum"])).unwrap();
+        let plain = args(&["bench", "sum"]).unwrap();
         assert!(plain.metrics_out.is_none() && plain.trace_out.is_none());
-        assert!(parse_bench_args(&s(&["sum", "--metrics-out"])).is_err());
+        assert!(args(&["bench", "sum", "--metrics-out"]).is_err());
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse_bench_args(&s(&["nope"])).is_err());
-        assert!(parse_bench_args(&s(&["topk", "--cores"])).is_err());
-        assert!(parse_bench_args(&s(&["topk", "--nic", "carrier-pigeon"])).is_err());
-        assert!(parse_bench_args(&s(&["topk", "--mode", "quantum"])).is_err());
-        assert!(parse_bench_args(&s(&["topk", "--wat", "1"])).is_err());
+        assert!(args(&[]).is_err());
+        assert!(args(&["benchmark"]).is_err());
+        assert!(args(&["bench"]).is_err());
+        assert!(args(&["bench", "nope"]).is_err());
+        assert!(args(&["bench", "topk", "--cores"]).is_err());
+        assert!(args(&["bench", "topk", "--nic", "carrier-pigeon"]).is_err());
+        assert!(args(&["bench", "topk", "--mode", "quantum"]).is_err());
+        assert!(args(&["bench", "topk", "--wat", "1"]).is_err());
+        assert!(args(&["figure", "12"]).is_err());
+        assert!(args(&["figure", "8"]).is_ok());
+        assert!(args(&["list", "--cores", "2"]).is_err());
+    }
+
+    /// A flag is an error, by name, on every subcommand whose row does not
+    /// list it — it used to be parsed and then ignored.
+    #[test]
+    fn rejects_flags_their_subcommand_does_not_take() {
+        let refused = |argv: &[&str], flag: &str| {
+            let e = args(argv).expect_err(flag);
+            assert!(e.contains(flag), "{argv:?}: {e}");
+        };
+        for flag in [
+            "--metrics-out",
+            "--trace-out",
+            "--incidents-out",
+            "--hbm-mib",
+        ] {
+            assert!(args(&["bench", "ysb", flag, "1"]).is_ok());
+            refused(&["recover", "ysb", flag, "1"], flag);
+        }
+        refused(
+            &["bench", "sum", "--crash-after-bundles", "3"],
+            "--crash-after-bundles",
+        );
+        refused(&["bench", "sum", "--skew", "1.0"], "--skew");
+        refused(&["cluster", "sum", "--nic", "eth"], "--nic");
+        refused(&["cluster", "sum", "--grouping", "hash"], "--grouping");
+        refused(&["report", "m.jsonl", "--cores", "2"], "--cores");
+        // A Zipf exponent needs a source with a Zipf key draw.
+        assert!(args(&["cluster", "sum", "--skew", "1.0"]).is_ok());
+        refused(&["cluster", "ysb", "--skew", "1.0"], "--skew");
+        refused(&["cluster", "power-grid", "--skew", "1.0"], "--skew");
+    }
+
+    /// `--keys` reaches every workload; unset, each keeps the cardinality it
+    /// had when the flag was ignored.
+    #[test]
+    fn keys_default_to_the_workloads_own() {
+        let keys = |argv: &[&str]| {
+            let a = args(argv).unwrap();
+            a.keys(suite_entry(&a.operand).unwrap())
+        };
+        assert_eq!(keys(&["bench", "sum"]), 10_000);
+        assert_eq!(keys(&["bench", "ysb"]), 10_000);
+        assert_eq!(keys(&["recover", "power-grid"]), 100);
+        assert_eq!(keys(&["cluster", "power-grid"]), 2_000_000);
+        for cmd in ["bench", "recover", "cluster"] {
+            for name in ["sum", "ysb", "power-grid"] {
+                assert_eq!(keys(&[cmd, name, "--keys", "7"]), 7, "{cmd} {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn usage_is_the_tables() {
+        let text = usage();
+        for f in &FLAGS {
+            assert!(
+                text.contains(&format!("  {} {}", f.name, f.value)),
+                "{}",
+                f.name
+            );
+            assert!(text.contains(f.help), "{}", f.name);
+        }
+        for (_, name, operand, _) in &COMMANDS {
+            assert!(text.contains(format!("  sbx {name} {operand}").trim_end()));
+        }
+        // `recover` shows the flags it takes and not the ones it refuses.
+        let recover = text
+            .split("  sbx ")
+            .find(|s| s.starts_with("recover"))
+            .unwrap();
+        assert!(recover.contains("[--crash-after-bundles N]"));
+        assert!(!recover.contains("--hbm-mib"));
+        assert!(text.contains("power-grid, ysb"));
     }
 
     #[test]
     fn parses_grouping_flag() {
-        let a = parse_bench_args(&s(&["ysb", "--grouping", "adaptive"])).unwrap();
+        let a = args(&["bench", "ysb", "--grouping", "adaptive"]).unwrap();
         assert_eq!(a.grouping, GroupingSpec::Adaptive);
-        let d = parse_bench_args(&s(&["ysb"])).unwrap();
+        let d = args(&["bench", "ysb"]).unwrap();
         assert_eq!(d.grouping, GroupingSpec::SortMerge);
         for g in ["sort", "hash", "row"] {
-            assert!(parse_bench_args(&s(&["sum", "--grouping", g])).is_ok());
+            assert!(args(&["bench", "sum", "--grouping", g]).is_ok());
         }
-        assert!(parse_bench_args(&s(&["sum", "--grouping", "btree"])).is_err());
+        assert!(args(&["bench", "sum", "--grouping", "btree"]).is_err());
     }
 
     #[test]
     fn grouping_is_wired_for_keyed_agg_benchmarks() {
-        for g in [GroupingSpec::Hash, GroupingSpec::Adaptive] {
-            assert!(grouped_pipeline_for("sum", g).is_ok());
-            assert!(grouped_pipeline_for("ysb", g).is_ok());
-            assert!(grouped_pipeline_for("join", g).is_err());
+        for cmd in ["bench", "recover"] {
+            for g in ["hash", "adaptive"] {
+                assert!(args(&[cmd, "sum", "--grouping", g]).is_ok());
+                assert!(args(&[cmd, "ysb", "--grouping", g]).is_ok());
+                assert!(args(&[cmd, "topk", "--grouping", g]).is_err());
+            }
         }
+        assert!(args(&["bench", "join", "--grouping", "hash"]).is_err());
         // The default backend keeps every benchmark available.
-        for name in BENCHMARKS {
-            assert!(grouped_pipeline_for(name, GroupingSpec::SortMerge).is_ok());
+        for b in &SUITE {
+            assert!(args(&["bench", b.name, "--grouping", "sort"]).is_ok());
         }
     }
 
     #[test]
     fn parses_checkpoint_flags() {
-        let a = parse_bench_args(&s(&[
+        let a = args(&[
+            "recover",
             "topk",
             "--checkpoint-interval",
             "7",
             "--crash-after-bundles",
             "12",
-        ]))
+        ])
         .unwrap();
         assert_eq!(a.checkpoint_interval, Some(7));
         assert_eq!(a.crash_after, Some(12));
-        assert!(parse_bench_args(&s(&["topk", "--checkpoint-interval", "0"])).is_err());
-        assert!(parse_bench_args(&s(&["topk", "--checkpoint-interval", "x"])).is_err());
+        let b = args(&["bench", "topk", "--checkpoint-interval", "7"]).unwrap();
+        assert_eq!(b.checkpoint_interval, Some(7));
+        assert!(args(&["bench", "topk", "--checkpoint-interval", "0"]).is_err());
+        assert!(args(&["bench", "topk", "--checkpoint-interval", "x"]).is_err());
     }
 
     #[test]
     fn parses_report_flags() {
-        let a = parse_report_args(&s(&[
+        let a = args(&[
+            "report",
             "m.jsonl",
             "--timeline",
             "--critical-path",
             "t.jsonl",
             "--top",
             "3",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(a.path, "m.jsonl");
+        assert_eq!(a.operand, "m.jsonl");
         assert!(a.timeline);
         assert_eq!(a.critical_path.as_deref(), Some("t.jsonl"));
         assert_eq!(a.top, 3);
-        let plain = parse_report_args(&s(&["m.jsonl"])).unwrap();
+        let plain = args(&["report", "m.jsonl"]).unwrap();
         assert!(!plain.timeline && plain.critical_path.is_none());
         assert_eq!(plain.top, 5);
-        assert!(parse_report_args(&s(&[])).is_err());
-        assert!(parse_report_args(&s(&["m.jsonl", "--critical-path"])).is_err());
-        assert!(parse_report_args(&s(&["m.jsonl", "--top", "x"])).is_err());
-        assert!(parse_report_args(&s(&["m.jsonl", "--wat"])).is_err());
+        assert!(args(&["report"]).is_err());
+        assert!(args(&["report", "m.jsonl", "--critical-path"]).is_err());
+        assert!(args(&["report", "m.jsonl", "--top", "x"]).is_err());
+        assert!(args(&["report", "m.jsonl", "--wat"]).is_err());
     }
 
     #[test]
     fn parses_cluster_report_flags() {
-        let a = parse_report_args(&s(&[
+        let a = args(&[
+            "report",
             "m.jsonl",
             "--cluster-critical-path",
             "stitched.jsonl",
             "--health",
-        ]))
+        ])
         .unwrap();
         assert_eq!(a.cluster_critical_path.as_deref(), Some("stitched.jsonl"));
         assert!(a.health);
-        let plain = parse_report_args(&s(&["m.jsonl"])).unwrap();
+        let plain = args(&["report", "m.jsonl"]).unwrap();
         assert!(plain.cluster_critical_path.is_none() && !plain.health);
-        assert!(parse_report_args(&s(&["m.jsonl", "--cluster-critical-path"])).is_err());
+        assert!(args(&["report", "m.jsonl", "--cluster-critical-path"]).is_err());
     }
 
     #[test]
     fn parses_cluster_flags() {
-        let a = parse_cluster_args(&s(&[
-            "ysb",
+        let a = args(&[
+            "cluster",
+            "sum",
             "--shards",
             "8",
             "--slots",
@@ -1466,44 +1510,47 @@ mod tests {
             "eth",
             "--metrics-out",
             "/tmp/c.jsonl",
-        ]))
+        ])
         .unwrap();
-        assert_eq!(a.name, "ysb");
+        assert_eq!(a.operand, "sum");
         assert_eq!(a.shards, 8);
         assert_eq!(a.slots, 128);
         assert_eq!(a.rescale_at, Some(3));
         assert_eq!(a.rescale_to, Some(16));
         assert_eq!(a.skew, Some(1.2));
         assert_eq!(a.metrics_out.as_deref(), Some("/tmp/c.jsonl"));
-        let plain = parse_cluster_args(&s(&["sum"])).unwrap();
-        assert_eq!(plain.shards, 4);
+        let plain = args(&["cluster", "ysb"]).unwrap();
+        assert_eq!((plain.shards, plain.cores, plain.bundles), (4, 16, 40));
         assert!(plain.rescale_at.is_none() && plain.skew.is_none());
         assert!(plain.trace_out.is_none() && plain.health_out.is_none());
     }
 
     #[test]
     fn parses_cluster_observability_flags() {
-        let a = parse_cluster_args(&s(&[
+        let a = args(&[
+            "cluster",
             "ysb",
             "--trace-out",
             "/tmp/trace.jsonl",
             "--health-out",
             "/tmp/health.jsonl",
-        ]))
+        ])
         .unwrap();
         assert_eq!(a.trace_out.as_deref(), Some("/tmp/trace.jsonl"));
         assert_eq!(a.health_out.as_deref(), Some("/tmp/health.jsonl"));
-        assert!(parse_cluster_args(&s(&["ysb", "--trace-out"])).is_err());
-        assert!(parse_cluster_args(&s(&["ysb", "--health-out"])).is_err());
+        assert!(args(&["cluster", "ysb", "--trace-out"]).is_err());
+        assert!(args(&["cluster", "ysb", "--health-out"]).is_err());
     }
 
     #[test]
     fn rejects_inconsistent_cluster_flags() {
         // A retarget needs a cut epoch, and vice versa.
-        assert!(parse_cluster_args(&s(&["sum", "--rescale-to", "8"])).is_err());
-        assert!(parse_cluster_args(&s(&["sum", "--rescale-at", "2"])).is_err());
+        assert!(args(&["cluster", "sum", "--rescale-to", "8"]).is_err());
+        assert!(args(&["cluster", "sum", "--rebalance", "1.25"]).is_err());
+        assert!(args(&["cluster", "sum", "--rescale-at", "2"]).is_err());
         // Rescale and rebalance are mutually exclusive retargets.
-        assert!(parse_cluster_args(&s(&[
+        assert!(args(&[
+            "cluster",
             "sum",
             "--rescale-at",
             "2",
@@ -1511,19 +1558,79 @@ mod tests {
             "8",
             "--rebalance",
             "1.25",
-        ]))
+        ])
         .is_err());
-        assert!(parse_cluster_args(&s(&["sum", "--shards", "0"])).is_err());
-        assert!(parse_cluster_args(&s(&["join", "--shards", "2"])).is_err());
-        assert!(parse_cluster_args(&s(&["sum", "--link", "pigeon"])).is_err());
-        assert!(parse_cluster_args(&s(&["sum", "--wat"])).is_err());
+        assert!(args(&["cluster", "sum", "--shards", "0"]).is_err());
+        assert!(args(&["cluster", "sum", "--shards", "65"]).is_err());
+        assert!(args(&["cluster", "sum", "--interval", "0"]).is_err());
+        assert!(args(&["cluster", "sum", "--link", "pigeon"]).is_err());
+        assert!(args(&["cluster", "sum", "--wat"]).is_err());
     }
 
+    /// The suite table end to end: every `sbx list` name builds its pipeline
+    /// and its sources and runs; the two-stream names refuse what they
+    /// cannot do; Figure 8 reads its panels and seeds from the same rows.
     #[test]
     fn all_listed_benchmarks_have_pipelines() {
-        for name in BENCHMARKS {
-            let p = pipeline_for(name);
-            assert!(!p.is_empty(), "{name}");
+        for b in &SUITE {
+            let cfg = RunConfig {
+                sender: SenderConfig {
+                    bundle_rows: 500,
+                    bundles_per_watermark: 2,
+                    ..SenderConfig::default()
+                },
+                ..RunConfig::default()
+            };
+            let pipeline = (b.pipeline)(GroupingSpec::SortMerge);
+            assert!(!pipeline.is_empty(), "{}", b.name);
+            let report = b
+                .run(Engine::new(cfg), pipeline, 4, 1, b.keys, 1_000_000)
+                .unwrap();
+            assert_eq!(report.bundles_in, 4, "{}", b.name);
+            assert_eq!(report.records_in, 4 * 500, "{}", b.name);
+
+            let refusal = |argv: &[&str]| args(argv).err().unwrap_or_default();
+            let single = "supports single-stream benchmarks only";
+            let (recover, cluster, checkpointed) = (
+                refusal(&["recover", b.name]),
+                refusal(&["cluster", b.name]),
+                refusal(&["bench", b.name, "--checkpoint-interval", "3"]),
+            );
+            if b.streams == 2 {
+                assert_eq!(recover, format!("recover {single}"));
+                assert_eq!(cluster, format!("cluster {single}"));
+                assert_eq!(
+                    checkpointed,
+                    "--checkpoint-interval is not supported for two-stream benchmarks"
+                );
+            } else {
+                assert_eq!((recover, cluster, checkpointed), Default::default());
+            }
         }
+        assert_eq!(
+            SUITE
+                .iter()
+                .filter(|b| b.streams == 2)
+                .map(|b| b.name)
+                .collect::<Vec<_>>(),
+            ["join", "filter"]
+        );
+
+        let panels: Vec<(&str, u64)> = SUITE.iter().filter_map(|b| b.fig8).collect();
+        assert_eq!(
+            panels,
+            [
+                ("TopK Per Key", 34),
+                ("Windowed Sum Per Key", 34),
+                ("Windowed Med Per Key", 34),
+                ("Windowed Avg Per Key", 34),
+                ("Windowed Average", 34),
+                ("Unique Count Per Key", 34),
+                ("Temporal Join", 31),
+                ("Windowed Filter", 31),
+                ("Power Grid", 33),
+            ]
+        );
+        assert!(sbx_bench::fig8::titles().eq(panels.iter().map(|p| p.0)));
     }
 }

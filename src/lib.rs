@@ -15,7 +15,7 @@
 //! ## Crate map
 //!
 //! * [`simmem`] — simulated hybrid memory: pools, bandwidth monitor, cost
-//!   model, fluid replay simulator.
+//!   model.
 //! * [`records`] — records, row-format DRAM bundles, event time, windows.
 //! * [`kpa`] — Key Pointer Arrays and the Table-2 streaming primitives.
 //! * [`engine`] — the runtime: operators, pipelines, scheduler tags, the
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use sbx_obs::{
         parse_cluster_spans_jsonl, parse_spans_jsonl, ClusterCriticalPath, ClusterSpan,
         ClusterTrace, CriticalPath, DetectorBank, FlightRecorder, HealthReport, Incident,
-        IncidentReport, MetricsDump, MetricsRegistry, Obs, RoundPoint, Signal, SpanRec, SpanStream,
+        IncidentReport, MetricsDump, MetricsRegistry, Obs, RoundPoint, Signal, Span, SpanStream,
         ThresholdRule, Timeline, TraceCollector, FABRIC_SHARD, ROUND_SERIES, ROUND_VIEW,
         TIER_SERIES, TIER_VIEW,
     };

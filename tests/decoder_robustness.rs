@@ -17,7 +17,7 @@ const MUTATIONS: usize = 300;
 /// Parses a text export and writes it back out.
 type Reexport = fn(&str) -> Result<String, String>;
 
-fn spans_jsonl(spans: &[SpanRec]) -> String {
+fn spans_jsonl(spans: &[Span]) -> String {
     let mut out = String::new();
     for s in spans {
         s.write_line(None, &mut out);

@@ -94,8 +94,16 @@ fn spans_parent_along_chain_dependencies() {
     assert!(!spans.is_empty());
 
     for s in &spans {
-        assert!(matches!(s.name, "Window" | "KeyedAggregate"), "{}", s.name);
-        assert!(matches!(s.cat, "task" | "watermark" | "close"), "{}", s.cat);
+        assert!(
+            matches!(&*s.name, "Window" | "KeyedAggregate"),
+            "{}",
+            s.name
+        );
+        assert!(
+            matches!(&*s.cat, "task" | "watermark" | "close"),
+            "{}",
+            s.cat
+        );
         let Some(pid) = s.parent else { continue };
         assert!(pid < s.id, "child {} before parent {pid}", s.id);
         let parent = spans.iter().find(|p| p.id == pid).expect("parent span");

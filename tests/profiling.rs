@@ -6,7 +6,6 @@
 use sbx_bench::trajectory::{
     collect, compare, run as run_trajectory, Trajectory, TrajectoryConfig,
 };
-use streambox_hbm::obs::spans_to_recs;
 use streambox_hbm::prelude::*;
 
 /// 10 ms of event time per window at harness scale.
@@ -38,12 +37,12 @@ fn run_with(obs: Obs) -> RunReport {
         .expect("run")
 }
 
-fn rec(id: u64, parent: Option<u64>, lane: u64, round: u64, start: u64, dur: u64) -> SpanRec {
-    SpanRec {
+fn rec(id: u64, parent: Option<u64>, lane: u64, round: u64, start: u64, dur: u64) -> Span {
+    Span {
         id,
         parent,
-        name: format!("Op{lane}"),
-        cat: "task".to_owned(),
+        name: format!("Op{lane}").into(),
+        cat: "task".into(),
         lane,
         round,
         epoch: 0,
@@ -133,7 +132,7 @@ fn critical_path_and_timeline_are_byte_identical_across_same_seed_runs() {
     assert!(!tl_jsonl_a.is_empty());
 
     // Parsed spans carry the same analysis as the in-memory ones.
-    let from_memory = CriticalPath::compute(&spans_to_recs(&a.trace.spans()));
+    let from_memory = CriticalPath::compute(&a.trace.spans());
     let from_export =
         CriticalPath::compute(&parse_spans_jsonl(&a.trace.export_jsonl()).expect("spans"));
     assert_eq!(from_memory, from_export);

@@ -1,6 +1,6 @@
 //! Randomized property tests for the simulation substrate: the pool
-//! allocator's capacity invariants, the demand balancer's knob, the fluid
-//! simulator's bounds, and the cost model's monotonicity.
+//! allocator's capacity invariants, the demand balancer's knob, and the
+//! cost model's monotonicity.
 //!
 //! Cases are generated from a fixed-seed [`SbxRng`], so every run checks
 //! the exact same inputs (fully deterministic, offline-friendly stand-in
@@ -9,9 +9,7 @@
 use sbx_prng::SbxRng;
 use streambox_hbm::engine::DemandBalancer;
 use streambox_hbm::prelude::*;
-use streambox_hbm::simmem::{
-    AccessProfile, CostModel, FluidSim, MemPool, MemSpec, TaskId, TaskSpec,
-};
+use streambox_hbm::simmem::{AccessProfile, CostModel, MemPool, MemSpec};
 
 const CASES: u64 = 64;
 
@@ -100,58 +98,6 @@ fn placement_fraction_tracks_knob() {
             .count();
         let frac = hbm as f64 / n as f64;
         assert!((frac - k).abs() < 1e-3, "frac {frac} vs knob {k}");
-    }
-}
-
-/// Fluid-simulated makespan is bounded below by the longest task and above
-/// by the serial sum.
-#[test]
-fn fluid_makespan_bounds() {
-    let mut rng = SbxRng::seed_from_u64(0x5b57_0005);
-    for _ in 0..CASES {
-        let model = CostModel::new(MachineConfig::knl());
-        let n = rng.random_range(1..30);
-        let cores = rng.random_range(1..64) as u32;
-        let tasks: Vec<TaskSpec> = (0..n)
-            .map(|i| TaskSpec {
-                id: TaskId(i),
-                profile: AccessProfile::new().cpu(1.0e6 + rng.random_f64() * (1.0e9 - 1.0e6)),
-                deps: vec![],
-            })
-            .collect();
-        let report = FluidSim::new(model.clone(), cores)
-            .run(&tasks)
-            .expect("valid graph");
-        let solo: Vec<f64> = tasks
-            .iter()
-            .map(|t| model.time_secs(&t.profile, 1))
-            .collect();
-        let longest = solo.iter().copied().fold(0.0, f64::max);
-        let serial: f64 = solo.iter().sum();
-        assert!(report.makespan_secs >= longest - 1e-12);
-        assert!(report.makespan_secs <= serial + 1e-9);
-    }
-}
-
-/// A chain of dependent tasks serializes exactly.
-#[test]
-fn fluid_chain_serializes() {
-    let mut rng = SbxRng::seed_from_u64(0x5b57_0006);
-    for _ in 0..CASES {
-        let model = CostModel::new(MachineConfig::knl());
-        let n = rng.random_range(1..20);
-        let tasks: Vec<TaskSpec> = (0..n)
-            .map(|i| TaskSpec {
-                id: TaskId(i),
-                profile: AccessProfile::new().cpu(1.0e6 + rng.random_f64() * (1.0e8 - 1.0e6)),
-                deps: if i == 0 { vec![] } else { vec![TaskId(i - 1)] },
-            })
-            .collect();
-        let report = FluidSim::new(model.clone(), 64)
-            .run(&tasks)
-            .expect("valid graph");
-        let serial: f64 = tasks.iter().map(|t| model.time_secs(&t.profile, 1)).sum();
-        assert!((report.makespan_secs - serial).abs() < 1e-9 * serial.max(1.0));
     }
 }
 
