@@ -165,7 +165,7 @@ impl RowEngine {
 
         while remaining > 0 {
             match sender.next_event()? {
-                IngressEvent::Bundle(b, wire_ns) => {
+                IngressEvent::Bundle(b, wire_ns, _) => {
                     remaining -= 1;
                     records_in += b.rows() as u64;
                     round_ingest_ns += wire_ns;

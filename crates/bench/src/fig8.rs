@@ -41,15 +41,11 @@ pub fn run_benchmark(title: &str, cores: u32) -> RunReport {
         },
         ..RunConfig::default()
     };
-    let pipeline = (bench.pipeline)(GroupingSpec::SortMerge);
-    bench
+    Engine::new(cfg)
         .run(
-            Engine::new(cfg),
-            pipeline,
+            bench.sources(seed, bench.keys, EVENT_RATE, None),
+            (bench.pipeline)(GroupingSpec::SortMerge),
             BUNDLES,
-            seed,
-            bench.keys,
-            EVENT_RATE,
         )
         .expect("run")
 }

@@ -36,7 +36,7 @@ use sbx_engine::{
     CheckpointHooks, CrashPhase, CrashSite, Engine, EngineError, KnobState, OpState, Pipeline,
     PipelineSnapshot, RunConfig, RunReport, StateEntry, StreamData,
 };
-use sbx_ingress::Source;
+use sbx_ingress::Sources;
 use sbx_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use sbx_simmem::{AccessProfile, MemEnv, MemKind, PoolVec, Priority};
 
@@ -651,7 +651,7 @@ pub const MAX_CRASHES: u64 = 64;
 ///
 /// Returns [`EngineError`] for real failures (allocation, configuration),
 /// or the final crash if [`MAX_CRASHES`] is exceeded.
-pub fn run_segment<S: Source>(
+pub fn run_segment<S: Sources>(
     cfg: &RunConfig,
     make_source: impl Fn() -> S,
     make_pipeline: impl Fn() -> Pipeline,
@@ -729,7 +729,7 @@ pub fn run_segment<S: Source>(
 ///
 /// As [`run_segment`]; also [`EngineError::Config`] when `coord` carries a
 /// stop epoch, which ends the run before its report exists.
-pub fn run_with_recovery<S: Source>(
+pub fn run_with_recovery<S: Sources>(
     cfg: &RunConfig,
     make_source: impl Fn() -> S,
     make_pipeline: impl Fn() -> Pipeline,

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use sbx_kpa::Kpa;
-use sbx_records::{Col, RecordBundle, Schema};
+use sbx_records::{Col, RecordBundle, Schema, WindowSpec};
 use sbx_simmem::{AccessProfile, MemEnv};
 
 use crate::{EngineError, KnobState, OpCtx, StreamData};
@@ -268,6 +268,17 @@ pub struct OpState {
 /// Splits a `u128` accumulator into `(hi, lo)` words for [`OpState::scalars`].
 pub fn split_u128(v: u128) -> (u64, u64) {
     ((v >> 64) as u64, v as u64)
+}
+
+/// Refuses a window id read from a snapshot that no run can have saved: the
+/// engine and the window lifecycle compute window bounds from ids unchecked.
+pub(crate) fn check_window_id(spec: &WindowSpec, id: u64) -> Result<(), EngineError> {
+    if id > spec.last_window().0 {
+        return Err(EngineError::Config(format!(
+            "snapshot holds window {id}, past the end of event time"
+        )));
+    }
+    Ok(())
 }
 
 /// Rejoins a `u128` split by [`split_u128`].

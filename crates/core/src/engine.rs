@@ -1,11 +1,12 @@
 // sbx-lint: out-of-scope(raw-alloc, engine control plane; allocations here are per-task and per-window bookkeeping, record data stays in simmem pools)
-use sbx_ingress::{IngestFormat, IngressEvent, Sender, SenderConfig, Source};
+use sbx_ingress::{IngestFormat, IngressEvent, Sender, SenderConfig, Sources};
 use sbx_obs::{Obs, RoundPoint, Span};
 use sbx_records::Watermark;
-use sbx_simmem::{AccessProfile, AllocError, MachineConfig, MemEnv, MemKind};
+use sbx_simmem::{AccessProfile, MachineConfig, MemEnv, MemKind};
 
 use crate::checkpoint::{
-    CheckpointBarrier, CheckpointHooks, CrashPhase, CrashSite, NoopHooks, PipelineSnapshot,
+    check_window_id, CheckpointBarrier, CheckpointHooks, CrashPhase, CrashSite, NoopHooks,
+    PipelineSnapshot,
 };
 use crate::observe::{OpMetrics, RunMetrics};
 use crate::pipeline::OpNode;
@@ -142,7 +143,8 @@ impl Engine {
         &self.cfg
     }
 
-    /// Runs `pipeline` over `bundles` bundles pulled from `source`.
+    /// Runs `pipeline` over `bundles` bundles pulled from `sources`: one
+    /// source, or a `Vec` of one per input port — `bundles` counts all ports.
     ///
     /// A final watermark flush closes all remaining windows so the report
     /// covers every ingested record.
@@ -151,19 +153,18 @@ impl Engine {
     ///
     /// Returns [`EngineError`] if memory is exhausted beyond recovery or
     /// the pipeline is misconfigured.
-    pub fn run<S: Source>(
+    pub fn run<S: Sources>(
         self,
-        source: S,
+        sources: S,
         pipeline: Pipeline,
         bundles: usize,
     ) -> Result<RunReport, EngineError> {
-        let mut hooks = NoopHooks;
-        self.run_with_hooks(source, pipeline, bundles, None, &mut hooks)
+        self.run_with_hooks(sources, pipeline, bundles, None, &mut NoopHooks)
     }
 
     /// Runs like [`Engine::run`], with asynchronous barrier snapshotting:
     /// when `barrier_interval` is `Some(n)`, the sender injects a
-    /// checkpoint barrier every `n` bundles and `hooks.on_checkpoint`
+    /// checkpoint barrier every `n` bundles per port and `hooks.on_checkpoint`
     /// receives the aligned [`PipelineSnapshot`]. `hooks` also observes
     /// every sink output and may inject crashes (fault-injection harness).
     ///
@@ -171,22 +172,23 @@ impl Engine {
     ///
     /// Returns [`EngineError::Crashed`] when `hooks.should_crash` fires,
     /// plus the usual memory/configuration errors.
-    pub fn run_with_hooks<S: Source>(
+    pub fn run_with_hooks<S: Sources>(
         self,
-        source: S,
+        sources: S,
         pipeline: Pipeline,
         bundles: usize,
         barrier_interval: Option<u64>,
         hooks: &mut dyn CheckpointHooks,
     ) -> Result<RunReport, EngineError> {
-        self.run_or_resume(source, pipeline, bundles, barrier_interval, hooks, None)
+        self.run_or_resume(sources, pipeline, bundles, barrier_interval, hooks, None)
     }
 
     /// Resumes a crashed run from `snap`: restores every stateful
     /// operator's window state, the demand-balance knob, the simulated
     /// clock and the engine counters, replays the rate-limited sender to
-    /// the saved bundle offset (the deterministic source regenerates the
-    /// identical stream), then continues pulling until `bundles` total
+    /// the saved bundle offset (the deterministic sources regenerate the
+    /// identical streams, and the one offset positions all of them — see
+    /// [`Sender`]), then continues pulling until `bundles` total
     /// bundles — the same target as the original run — have been ingested.
     ///
     /// # Errors
@@ -194,9 +196,9 @@ impl Engine {
     /// Returns [`EngineError::Config`] if `snap` does not match the
     /// pipeline's stateful operators, and the same errors as
     /// [`Engine::run_with_hooks`] otherwise.
-    pub fn resume_with_hooks<S: Source>(
+    pub fn resume_with_hooks<S: Sources>(
         self,
-        source: S,
+        sources: S,
         pipeline: Pipeline,
         bundles: usize,
         barrier_interval: Option<u64>,
@@ -204,96 +206,13 @@ impl Engine {
         snap: &PipelineSnapshot,
     ) -> Result<RunReport, EngineError> {
         self.run_or_resume(
-            source,
+            sources,
             pipeline,
             bundles,
             barrier_interval,
             hooks,
             Some(snap),
         )
-    }
-
-    fn run_or_resume<S: Source>(
-        self,
-        source: S,
-        pipeline: Pipeline,
-        bundles: usize,
-        barrier_interval: Option<u64>,
-        hooks: &mut dyn CheckpointHooks,
-        resume: Option<&PipelineSnapshot>,
-    ) -> Result<RunReport, EngineError> {
-        let mut sender = Sender::new(&self.env, source, self.cfg.sender);
-        if let Some(interval) = barrier_interval {
-            sender = sender.with_barriers(interval);
-        }
-        // Replay the sender to the snapshot's offset: pull and discard
-        // events so the source's deterministic generator state advances
-        // exactly as it did before the crash.
-        let skip = resume.map_or(0, |s| s.bundles_sent) as usize;
-        while sender.bundles_sent() < skip {
-            sender.next_event()?;
-        }
-        let mut remaining = bundles.saturating_sub(skip);
-        self.run_feed(
-            pipeline,
-            &mut move || {
-                if remaining == 0 {
-                    return Ok(None);
-                }
-                let ev = sender.next_event()?;
-                if matches!(ev, IngressEvent::Bundle(..)) {
-                    remaining -= 1;
-                }
-                Ok(Some((ev, 0)))
-            },
-            hooks,
-            resume,
-        )
-    }
-
-    /// Runs a two-stream `pipeline` (Temporal Join, Windowed Filter) over
-    /// `bundle_pairs` pairs of bundles pulled alternately from the two
-    /// sources. Watermarks are the minimum of the two sources' promises.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] on memory exhaustion or misconfiguration.
-    pub fn run_pair<A: Source, B: Source>(
-        self,
-        left: A,
-        right: B,
-        pipeline: Pipeline,
-        bundle_pairs: usize,
-    ) -> Result<RunReport, EngineError> {
-        let mut cfg_a = self.cfg.sender;
-        cfg_a.bundles_per_watermark = usize::MAX;
-        let wm_every = self.cfg.sender.bundles_per_watermark;
-        let mut sa = Sender::new(&self.env, left, cfg_a);
-        let mut sb = Sender::new(&self.env, right, cfg_a);
-        let mut pairs_left = bundle_pairs;
-        let mut phase = 0u8; // 0 => left, 1 => right
-        let mut pairs_since_wm = 0usize;
-        let mut feed = move || {
-            if pairs_since_wm >= wm_every {
-                pairs_since_wm = 0;
-                let wm = sa.source().low_watermark().min(sb.source().low_watermark());
-                return Ok(Some((IngressEvent::Watermark(Watermark(wm)), 0)));
-            }
-            if pairs_left == 0 {
-                return Ok(None);
-            }
-            let (ev, port) = match phase {
-                0 => (sa.next_event()?, 0u8),
-                _ => (sb.next_event()?, 1u8),
-            };
-            if phase == 1 {
-                pairs_left -= 1;
-                pairs_since_wm += 1;
-            }
-            phase ^= 1;
-            Ok(Some((ev, port)))
-        };
-        self.run_feed(pipeline, &mut feed, &mut NoopHooks, None)
     }
 
     /// Fires a crash-injection probe; `Err(Crashed)` unwinds the run,
@@ -344,13 +263,27 @@ impl Engine {
         records
     }
 
-    fn run_feed(
+    fn run_or_resume<S: Sources>(
         mut self,
+        sources: S,
         mut pipeline: Pipeline,
-        feed: &mut dyn FnMut() -> Result<Option<(IngressEvent, u8)>, AllocError>,
+        bundles: usize,
+        barrier_interval: Option<u64>,
         hooks: &mut dyn CheckpointHooks,
         resume: Option<&PipelineSnapshot>,
     ) -> Result<RunReport, EngineError> {
+        let mut sender = Sender::new(&self.env, sources, self.cfg.sender);
+        if let Some(interval) = barrier_interval {
+            sender = sender.with_barriers(interval);
+        }
+        // Replay the sender to the snapshot's offset: pull and discard
+        // events so the sources' deterministic generator state advances
+        // exactly as it did before the crash.
+        let skip = resume.map_or(0, |s| s.bundles_sent) as usize;
+        while sender.bundles_sent() < skip {
+            sender.next_event()?;
+        }
+
         let spec = pipeline.spec();
         let stride = spec.stride();
         let cores = self.cfg.cores;
@@ -374,6 +307,7 @@ impl Engine {
         self.cur_epoch = 0;
 
         if let Some(snap) = resume {
+            check_window_id(&spec, snap.max_window_seen)?;
             records_in = snap.records_in;
             bundles_in = snap.bundles_in;
             windows_closed = snap.windows_closed;
@@ -430,14 +364,16 @@ impl Engine {
         let mut prev_spills = self.env.spill_count();
 
         loop {
-            let ev = feed()?;
-            let (ev, port, last) = match ev {
-                Some((ev, port)) => (ev, port, false),
-                None => (IngressEvent::Watermark(Watermark::from(u64::MAX)), 0, true),
+            // Once `bundles` are in, the final flush closes what is open.
+            let last = sender.bundles_sent() >= bundles;
+            let ev = if last {
+                IngressEvent::Watermark(Watermark::from(u64::MAX))
+            } else {
+                sender.next_event()?
             };
             let mut sink = Vec::new();
             let is_wm = match ev {
-                IngressEvent::Bundle(b, wire_ns) => {
+                IngressEvent::Bundle(b, wire_ns, port) => {
                     self.crash_check(hooks, CrashPhase::Ingest, self.cur_epoch, bundles_in)?;
                     let fmt = self.cfg.ingest_format;
                     let wire_ns = if fmt == IngestFormat::Raw {
@@ -988,7 +924,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::pipeline::benchmarks;
-    use sbx_ingress::{KvSource, NicModel};
+    use sbx_ingress::{KvSource, NicModel, Source};
     use sbx_records::{Col, WindowSpec};
 
     fn quick_cfg() -> RunConfig {
@@ -1094,7 +1030,7 @@ mod tests {
         let l = KvSource::new(11, 20, 100_000);
         let r = KvSource::new(12, 20, 100_000);
         let report = engine
-            .run_pair(l, r, benchmarks::temporal_join(), 10)
+            .run(vec![l, r], benchmarks::temporal_join(), 20)
             .unwrap();
         assert_eq!(report.bundles_in, 20);
         assert!(report.output_records > 0, "some keys must match");

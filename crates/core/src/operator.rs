@@ -172,6 +172,27 @@ impl<'a> OpCtx<'a> {
         .map_err(EngineError::from)
     }
 
+    /// `Select` over a KPA (a non-producing ParDo, paper §4.2): swaps `col`
+    /// in as the resident key when it is not, then keeps the pairs whose
+    /// key satisfies `pred`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Alloc`] when both tiers are exhausted.
+    pub fn select(
+        &mut self,
+        mut kpa: Kpa,
+        col: Col,
+        pred: impl FnMut(u64) -> bool,
+    ) -> Result<Kpa, EngineError> {
+        if kpa.resident() != col {
+            self.charged(16, |e| kpa.key_swap(e, col));
+        }
+        let (_, prio) = self.place();
+        self.charged(16, |e| kpa.select(e, prio, pred))
+            .map_err(EngineError::from)
+    }
+
     /// Sorts `kpa` with this task's thread budget and mode costs.
     ///
     /// # Errors

@@ -40,22 +40,9 @@ impl StatelessOperator for Filter {
                     StreamData::Bundle(b) => {
                         StreamData::Kpa(ctx.extract_select(&b, self.col, &self.pred)?)
                     }
-                    StreamData::Kpa(mut kpa) => {
-                        if kpa.resident() != self.col {
-                            ctx.charged(16, |e| kpa.key_swap(e, self.col));
-                        }
-                        let (_, prio) = ctx.place();
-                        let selected = ctx.charged(16, |e| kpa.select(e, prio, &self.pred))?;
-                        StreamData::Kpa(selected)
-                    }
+                    StreamData::Kpa(kpa) => StreamData::Kpa(ctx.select(kpa, self.col, &self.pred)?),
                     StreamData::Windowed(w, kpa) => {
-                        let (_, prio) = ctx.place();
-                        let mut kpa = kpa;
-                        if kpa.resident() != self.col {
-                            ctx.charged(16, |e| kpa.key_swap(e, self.col));
-                        }
-                        let selected = ctx.charged(16, |e| kpa.select(e, prio, &self.pred))?;
-                        StreamData::Windowed(w, selected)
+                        StreamData::Windowed(w, ctx.select(kpa, self.col, &self.pred)?)
                     }
                 };
                 Ok(single(Message::Data { port, data: out }))

@@ -56,24 +56,11 @@ impl StatelessOperator for Sample {
                     StreamData::Bundle(b) => {
                         StreamData::Kpa(ctx.extract_select(&b, self.col, |v| self.keeps(v))?)
                     }
-                    StreamData::Kpa(mut kpa) => {
-                        if kpa.resident() != self.col {
-                            ctx.charged(16, |e| kpa.key_swap(e, self.col));
-                        }
-                        let (_, prio) = ctx.place();
-                        StreamData::Kpa(
-                            ctx.charged(16, |e| kpa.select(e, prio, |v| self.keeps(v)))?,
-                        )
+                    StreamData::Kpa(kpa) => {
+                        StreamData::Kpa(ctx.select(kpa, self.col, |v| self.keeps(v))?)
                     }
-                    StreamData::Windowed(w, mut kpa) => {
-                        if kpa.resident() != self.col {
-                            ctx.charged(16, |e| kpa.key_swap(e, self.col));
-                        }
-                        let (_, prio) = ctx.place();
-                        StreamData::Windowed(
-                            w,
-                            ctx.charged(16, |e| kpa.select(e, prio, |v| self.keeps(v)))?,
-                        )
+                    StreamData::Windowed(w, kpa) => {
+                        StreamData::Windowed(w, ctx.select(kpa, self.col, |v| self.keeps(v))?)
                     }
                 };
                 Ok(single(Message::Data { port, data: out }))

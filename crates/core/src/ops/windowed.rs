@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use sbx_kpa::Kpa;
 use sbx_records::{Watermark, WindowId, WindowSpec};
 
-use crate::checkpoint::{join_u128, split_u128, OpState, StateEntry};
+use crate::checkpoint::{check_window_id, join_u128, split_u128, OpState, StateEntry};
 use crate::operator::single;
 use crate::{EngineError, ImpactTag, Message, OpCtx, Operator, StreamData};
 
@@ -345,7 +345,9 @@ impl<L: WindowLogic<State = S>, S: WindowStore<L>> Operator for Windowed<L, S> {
         if let Some(raw) = state.horizon {
             self.late.observe(Watermark::from(raw));
         }
-        S::load_all(&mut self.logic, ctx, state, &mut self.windows)
+        S::load_all(&mut self.logic, ctx, state, &mut self.windows)?;
+        let newest = self.windows.last_key_value().map_or(0, |(w, _)| w.0);
+        check_window_id(&self.spec, newest)
     }
 }
 

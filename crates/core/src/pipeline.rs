@@ -254,7 +254,6 @@ pub mod benchmarks {
     use sbx_ingress::{KvSource, PowerGridSource, Source, YsbSource};
 
     use super::*;
-    use crate::{Engine, EngineError, RunReport};
 
     /// Event-time ticks per second; windows in the paper span one second.
     pub const WINDOW_TICKS: u64 = 1_000_000_000;
@@ -372,28 +371,18 @@ pub mod benchmarks {
     }
 
     impl Benchmark {
-        /// Runs `pipeline` over `bundles` bundles of this benchmark's
-        /// streams — `bundles / 2` pairs of a two-stream one — with stream
-        /// `i` drawing from `seed + i`.
-        ///
-        /// # Errors
-        ///
-        /// As [`Engine::run`].
-        pub fn run(
+        /// This benchmark's input streams, one per port: stream `i` draws
+        /// from `seed + i`. What [`Engine::run`](crate::Engine::run) takes.
+        pub fn sources(
             &self,
-            engine: Engine,
-            pipeline: Pipeline,
-            bundles: usize,
             seed: u64,
             keys: u64,
             rate: u64,
-        ) -> Result<RunReport, EngineError> {
-            let stream = |i| (self.source)(seed + i, keys, rate, None);
-            if self.streams == 2 {
-                engine.run_pair(stream(0), stream(1), pipeline, bundles / 2)
-            } else {
-                engine.run(stream(0), pipeline, bundles)
-            }
+            skew: Option<f64>,
+        ) -> Vec<Box<dyn Source>> {
+            (0..self.streams as u64)
+                .map(|i| (self.source)(seed + i, keys, rate, skew))
+                .collect()
         }
     }
 

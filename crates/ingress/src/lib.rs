@@ -34,4 +34,4 @@ pub use format::{
 };
 pub use gen::{KvSource, Partitioned, PowerGridSource, Source, YsbSource, ZipfKeys};
 pub use nic::{LinkModel, NicModel};
-pub use sender::{IngressEvent, Sender, SenderConfig};
+pub use sender::{IngressEvent, Sender, SenderConfig, Sources};

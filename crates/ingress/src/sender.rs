@@ -10,8 +10,8 @@ use crate::{NicModel, Source};
 pub struct SenderConfig {
     /// Records per bundle.
     pub bundle_rows: usize,
-    /// A watermark is injected after this many bundles (paper Fig. 10b
-    /// varies this to stress HBM capacity).
+    /// A watermark is injected after this many bundles per input port
+    /// (paper Fig. 10b varies this to stress HBM capacity).
     pub bundles_per_watermark: usize,
     /// The modelled ingestion link.
     pub nic: NicModel,
@@ -27,14 +27,40 @@ impl Default for SenderConfig {
     }
 }
 
-/// One ingress arrival: a record bundle (with its simulated wire-transfer
-/// time), a watermark, or a checkpoint barrier.
+/// What a [`Sender`] reads: a lone source, or one source per input port of
+/// a multi-input pipeline (Temporal Join, Windowed Filter).
+pub trait Sources {
+    /// The type of every port's source.
+    type One: Source;
+
+    /// The sources in port order; never empty.
+    fn ports(&mut self) -> &mut [Self::One];
+}
+
+impl<S: Source> Sources for S {
+    type One = S;
+
+    fn ports(&mut self) -> &mut [S] {
+        std::slice::from_mut(self)
+    }
+}
+
+impl<S: Source> Sources for Vec<S> {
+    type One = S;
+
+    fn ports(&mut self) -> &mut [S] {
+        self
+    }
+}
+
+/// One ingress arrival: a record bundle, a watermark, or a checkpoint
+/// barrier.
 #[derive(Debug, Clone)]
 pub enum IngressEvent {
-    /// A bundle of records plus the nanoseconds its transfer occupied the
-    /// NIC.
-    Bundle(Arc<RecordBundle>, u64),
-    /// A watermark promising no earlier timestamps will follow.
+    /// A bundle of records, the nanoseconds its transfer occupied the NIC,
+    /// and the input port (the index of its source) it arrived on.
+    Bundle(Arc<RecordBundle>, u64, u8),
+    /// A watermark promising no earlier timestamps will follow on any port.
     Watermark(Watermark),
     /// A checkpoint barrier carrying its epoch number. Injected at the
     /// sender — the source of truth for replay offsets — so that a
@@ -42,15 +68,22 @@ pub enum IngressEvent {
     Barrier(u64),
 }
 
-/// The modelled Sender machine: pulls records from a [`Source`], batches
-/// them into DRAM bundles at the NIC's payload rate, and injects watermarks.
+/// The modelled Sender machine: pulls records from its [`Sources`]
+/// round-robin — port `i` from the `i`-th source — batches them into DRAM
+/// bundles at the NIC's payload rate, and injects watermarks.
+///
+/// Both cadences (watermarks, barriers) count bundles *per port*, so they
+/// fall between rounds of the round-robin, and the whole event sequence is a
+/// function of the number of bundles sent: pulling a fresh sender over the
+/// same sources until [`Sender::bundles_sent`] reaches a saved count restores
+/// every source's position, the next port and both cadences.
 ///
 /// The engine *pulls* events, which is how StreamBox-HBM applies back
 /// pressure: when both HBM capacity and DRAM bandwidth are exhausted it
 /// simply stops pulling (paper §5).
 #[derive(Debug)]
 pub struct Sender<S> {
-    source: S,
+    sources: S,
     cfg: SenderConfig,
     env: MemEnv,
     bundles_sent: usize,
@@ -62,16 +95,17 @@ pub struct Sender<S> {
     staging: Vec<u64>,
 }
 
-impl<S: Source> Sender<S> {
-    /// A sender feeding `env` from `source`.
-    pub fn new(env: &MemEnv, source: S, cfg: SenderConfig) -> Self {
+impl<S: Sources> Sender<S> {
+    /// A sender feeding `env` from `sources`.
+    pub fn new(env: &MemEnv, mut sources: S, cfg: SenderConfig) -> Self {
         assert!(cfg.bundle_rows > 0, "bundle_rows must be positive");
         assert!(
             cfg.bundles_per_watermark > 0,
             "bundles_per_watermark must be positive"
         );
+        assert!(!sources.ports().is_empty(), "a sender needs a source");
         Sender {
-            source,
+            sources,
             cfg,
             env: env.clone(),
             bundles_sent: 0,
@@ -84,22 +118,17 @@ impl<S: Source> Sender<S> {
     }
 
     /// Enables checkpoint barrier injection: a [`IngressEvent::Barrier`]
-    /// is emitted after every `interval` bundles, with epochs counting up
-    /// from 1. Barriers flow in-band, so the engine snapshots a consistent
-    /// stream prefix; replaying the same source regenerates the identical
-    /// barrier cadence.
+    /// is emitted after every `interval` bundles per port, with epochs
+    /// counting up from 1. Barriers flow in-band, so the engine snapshots a
+    /// consistent stream prefix; replaying the same sources regenerates the
+    /// identical barrier cadence.
     pub fn with_barriers(mut self, interval: u64) -> Self {
         assert!(interval > 0, "barrier interval must be positive");
         self.barrier_interval = Some(interval);
         self
     }
 
-    /// The underlying source.
-    pub fn source(&self) -> &S {
-        &self.source
-    }
-
-    /// Total bundles delivered so far.
+    /// Total bundles delivered so far, over all ports.
     pub fn bundles_sent(&self) -> usize {
         self.bundles_sent
     }
@@ -111,11 +140,13 @@ impl<S: Source> Sender<S> {
     /// Returns [`AllocError`] when DRAM cannot hold a new bundle — the
     /// signal that the engine must drain before pulling again.
     pub fn next_event(&mut self) -> Result<IngressEvent, AllocError> {
+        let ports = self.sources.ports();
         if self.since_watermark >= self.cfg.bundles_per_watermark {
             self.since_watermark = 0;
-            return Ok(IngressEvent::Watermark(Watermark(
-                self.source.low_watermark(),
-            )));
+            // Only what every source promises holds for the merged stream.
+            let promise = ports.iter().map(Source::low_watermark).min();
+            let wm = Watermark(promise.unwrap_or_default());
+            return Ok(IngressEvent::Watermark(wm));
         }
         if let Some(interval) = self.barrier_interval {
             if self.since_barrier >= interval {
@@ -125,22 +156,27 @@ impl<S: Source> Sender<S> {
                 return Ok(IngressEvent::Barrier(epoch));
             }
         }
+        let port = self.bundles_sent % ports.len();
+        let source = &mut ports[port];
         if self.staging.capacity() == 0 {
             // One allocation, as large as the pool buffer the first bundle
             // will trade it for; every later fill lands in a pool buffer.
-            let slots = self.cfg.bundle_rows * self.source.schema().ncols();
+            let slots = self.cfg.bundle_rows * source.schema().ncols();
             self.staging.reserve_exact(MemPool::buffer_slots(slots));
         }
         self.staging.clear();
-        self.source.fill(self.cfg.bundle_rows, &mut self.staging);
+        source.fill(self.cfg.bundle_rows, &mut self.staging);
         // The rows are written once: the bundle takes the staging buffer
         // and leaves an empty pool buffer to receive the next one.
-        let bundle = RecordBundle::adopt_rows(&self.env, self.source.schema(), &mut self.staging)?;
+        let bundle = RecordBundle::adopt_rows(&self.env, source.schema(), &mut self.staging)?;
         let wire_ns = self.cfg.nic.transfer_ns(bundle.bytes() as u64);
         self.bundles_sent += 1;
-        self.since_watermark += 1;
-        self.since_barrier += 1;
-        Ok(IngressEvent::Bundle(bundle, wire_ns))
+        if port + 1 == ports.len() {
+            // Every port has delivered once more.
+            self.since_watermark += 1;
+            self.since_barrier += 1;
+        }
+        Ok(IngressEvent::Bundle(bundle, wire_ns, port as u8))
     }
 }
 
@@ -166,7 +202,7 @@ mod tests {
         let mut kinds = Vec::new();
         for _ in 0..8 {
             match s.next_event().unwrap() {
-                IngressEvent::Bundle(b, _) => {
+                IngressEvent::Bundle(b, ..) => {
                     assert_eq!(b.rows(), 10);
                     kinds.push('B');
                 }
@@ -213,6 +249,60 @@ mod tests {
         assert_eq!(run(3), (kinds, epochs));
     }
 
+    /// Events as the two-source test compares them: a bundle is its port's
+    /// digit and its first timestamp, a watermark `W` and its promise, a
+    /// barrier `C` and its epoch.
+    fn trace(s: &mut Sender<Vec<KvSource>>, events: usize) -> Vec<(char, u64)> {
+        (0..events)
+            .map(|_| match s.next_event().unwrap() {
+                IngressEvent::Bundle(b, _, port) => (char::from(b'0' + port), b.ts(0).raw()),
+                IngressEvent::Watermark(wm) => ('W', wm.time().raw()),
+                IngressEvent::Barrier(epoch) => ('C', epoch),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_sources_alternate_ports_and_count_cadences_per_port() {
+        let env = env();
+        let cfg = SenderConfig {
+            bundle_rows: 10,
+            bundles_per_watermark: 3,
+            nic: NicModel::unlimited(),
+        };
+        // Port 1's denser stream runs behind in event time.
+        let mk = || vec![KvSource::new(1, 100, 1_000), KvSource::new(2, 100, 2_000)];
+        let mut full = Sender::new(&env, mk(), cfg).with_barriers(2);
+        let events = trace(&mut full, 26);
+        let kinds: String = events.iter().map(|e| e.0).collect();
+        // Barrier after 2 bundles per port, watermark after 3; a watermark
+        // due with a barrier goes first, as with one source.
+        assert_eq!(kinds, "0101C01W01C0101WC0101C01W0");
+        // The first watermark: the smaller promise after 3 bundles each.
+        let mut behind = mk();
+        for src in &mut behind {
+            src.fill(30, &mut Vec::new());
+        }
+        assert!(behind[1].low_watermark() < behind[0].low_watermark());
+        assert_eq!(events[7], ('W', behind[1].low_watermark().raw()));
+
+        // Replayed to any count of bundles sent, a fresh sender continues
+        // with the uninterrupted one's events.
+        let mut sent = 0;
+        for (i, e) in events.iter().enumerate() {
+            if !e.0.is_ascii_digit() {
+                continue;
+            }
+            sent += 1;
+            let mut replayed = Sender::new(&env, mk(), cfg).with_barriers(2);
+            while replayed.bundles_sent() < sent {
+                replayed.next_event().unwrap();
+            }
+            let rest = &events[i + 1..];
+            assert_eq!(trace(&mut replayed, rest.len()), rest, "after {sent}");
+        }
+    }
+
     #[test]
     fn watermarks_never_exceed_generated_timestamps() {
         let env = env();
@@ -226,7 +316,7 @@ mod tests {
         for _ in 0..20 {
             match s.next_event().unwrap() {
                 IngressEvent::Watermark(wm) => last_wm = wm.time().raw(),
-                IngressEvent::Bundle(b, _) => {
+                IngressEvent::Bundle(b, ..) => {
                     for r in 0..b.rows() {
                         assert!(
                             b.ts(r).raw() >= last_wm,
@@ -248,7 +338,7 @@ mod tests {
             nic: NicModel::ethernet_10g(),
         };
         let mut s = Sender::new(&env, KvSource::new(1, 100, 1000), cfg);
-        let IngressEvent::Bundle(b, wire) = s.next_event().unwrap() else {
+        let IngressEvent::Bundle(b, wire, 0) = s.next_event().unwrap() else {
             panic!("expected bundle");
         };
         let expect = NicModel::ethernet_10g().transfer_ns(b.bytes() as u64);
@@ -267,7 +357,7 @@ mod tests {
         let mut live = std::collections::VecDeque::new();
         let mut capacities = Vec::new();
         for _ in 0..12 {
-            let IngressEvent::Bundle(b, _) = s.next_event().unwrap() else {
+            let IngressEvent::Bundle(b, ..) = s.next_event().unwrap() else {
                 panic!("expected bundle");
             };
             // Some buffers come fresh from the pool, some from its freelist.

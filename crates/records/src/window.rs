@@ -114,6 +114,12 @@ impl WindowSpec {
     pub fn end(&self, id: WindowId) -> EventTime {
         EventTime(id.0 * self.stride() + self.size())
     }
+
+    /// The last window that ends within event time. An id past it cannot
+    /// be a timestamp's window, and [`Self::end`] of it overflows.
+    pub fn last_window(&self) -> WindowId {
+        WindowId((u64::MAX - self.size()) / self.stride())
+    }
 }
 
 #[cfg(test)]
@@ -129,6 +135,8 @@ mod tests {
         assert_eq!(w.start(WindowId(3)), EventTime(30));
         assert_eq!(w.end(WindowId(3)), EventTime(40));
         assert_eq!(w.windows_of(EventTime(25)), vec![WindowId(2)]);
+        assert_eq!(w.end(w.last_window()), EventTime(u64::MAX - 5));
+        assert_eq!(WindowSpec::fixed(1).last_window(), WindowId(u64::MAX - 1));
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..RunConfig::default()
     };
-    let report = Engine::new(cfg).run_pair(util, reqs, pipeline, 30)?;
+    let report = Engine::new(cfg).run(vec![util, reqs], pipeline, 60)?;
 
     println!(
         "joined {} utilization/request samples into {} correlated pairs \

@@ -602,7 +602,7 @@ fn parse(argv: &[String]) -> Result<(Run, Args), String> {
         (flag.set)(&mut a, arg, value)?;
     }
     match a.cmd {
-        Cmd::Bench | Cmd::Recover | Cmd::Cluster => check_run(&a, name)?,
+        Cmd::Bench | Cmd::Recover | Cmd::Cluster => check_run(&a)?,
         Cmd::Figure => drop(figure(&a.operand)?),
         Cmd::Report | Cmd::Machines | Cmd::List => {}
     }
@@ -610,17 +610,10 @@ fn parse(argv: &[String]) -> Result<(Run, Args), String> {
 }
 
 /// What a run's flags must agree on with its benchmark and with each other.
-fn check_run(a: &Args, subcommand: &str) -> Result<(), String> {
+fn check_run(a: &Args) -> Result<(), String> {
     let b = suite_entry(&a.operand)?;
-    if b.streams == 2 && a.cmd != Cmd::Bench {
-        return Err(format!(
-            "{subcommand} supports single-stream benchmarks only"
-        ));
-    }
-    if b.streams == 2 && a.checkpoint_interval.is_some() {
-        return Err(format!(
-            "{CHECKPOINT_INTERVAL} is not supported for two-stream benchmarks"
-        ));
+    if b.streams > 1 && a.cmd == Cmd::Cluster {
+        return Err("cluster supports single-stream benchmarks only".into());
     }
     if a.grouping != GroupingSpec::SortMerge && !b.grouped {
         return Err(format!(
@@ -677,17 +670,11 @@ fn run_bench(a: &Args) -> RunResult {
     );
     let engine = Engine::new(cfg);
     let pipeline = (b.pipeline)(a.grouping);
-    let keys = a.keys(b);
+    let sources = b.sources(1, a.keys(b), a.rate, None);
     let mut coord = CheckpointCoordinator::new();
     let report = match ck {
-        Some(iv) => engine.run_with_hooks(
-            (b.source)(1, keys, a.rate, None),
-            pipeline,
-            a.bundles,
-            Some(iv),
-            &mut coord,
-        )?,
-        None => b.run(engine, pipeline, a.bundles, 1, keys, a.rate)?,
+        Some(iv) => engine.run_with_hooks(sources, pipeline, a.bundles, Some(iv), &mut coord)?,
+        None => engine.run(sources, pipeline, a.bundles)?,
     };
     println!(
         "  throughput     : {:>10.2} M records/s ({} records in {:.4} s simulated)",
@@ -1186,8 +1173,7 @@ fn run_recover(a: &Args) -> RunResult {
         "recovering '{}': crash after bundle {crash_after}, checkpoint every {interval} bundles",
         b.name
     );
-    let keys = a.keys(b);
-    let mk_src = || (b.source)(1, keys, a.rate, None);
+    let mk_src = || b.sources(1, a.keys(b), a.rate, None);
     let mk_pipe = || (b.pipeline)(a.grouping);
     let mut oracle = CheckpointCoordinator::new();
     let base = run_with_recovery(&cfg, mk_src, mk_pipe, a.bundles, interval, &mut oracle)?;
@@ -1568,8 +1554,8 @@ mod tests {
     }
 
     /// The suite table end to end: every `sbx list` name builds its pipeline
-    /// and its sources and runs; the two-stream names refuse what they
-    /// cannot do; Figure 8 reads its panels and seeds from the same rows.
+    /// and its sources and runs; only `sbx cluster` refuses the two-stream
+    /// names; Figure 8 reads its panels and seeds from the same rows.
     #[test]
     fn all_listed_benchmarks_have_pipelines() {
         for b in &SUITE {
@@ -1583,29 +1569,23 @@ mod tests {
             };
             let pipeline = (b.pipeline)(GroupingSpec::SortMerge);
             assert!(!pipeline.is_empty(), "{}", b.name);
-            let report = b
-                .run(Engine::new(cfg), pipeline, 4, 1, b.keys, 1_000_000)
-                .unwrap();
+            let sources = b.sources(1, b.keys, 1_000_000, None);
+            assert_eq!(sources.len(), b.streams, "{}", b.name);
+            let report = Engine::new(cfg).run(sources, pipeline, 4).unwrap();
             assert_eq!(report.bundles_in, 4, "{}", b.name);
             assert_eq!(report.records_in, 4 * 500, "{}", b.name);
 
             let refusal = |argv: &[&str]| args(argv).err().unwrap_or_default();
-            let single = "supports single-stream benchmarks only";
-            let (recover, cluster, checkpointed) = (
-                refusal(&["recover", b.name]),
-                refusal(&["cluster", b.name]),
+            let cluster = match b.streams {
+                1 => "",
+                _ => "cluster supports single-stream benchmarks only",
+            };
+            assert_eq!(refusal(&["cluster", b.name]), cluster);
+            assert_eq!(refusal(&["recover", b.name]), "");
+            assert_eq!(
                 refusal(&["bench", b.name, "--checkpoint-interval", "3"]),
+                ""
             );
-            if b.streams == 2 {
-                assert_eq!(recover, format!("recover {single}"));
-                assert_eq!(cluster, format!("cluster {single}"));
-                assert_eq!(
-                    checkpointed,
-                    "--checkpoint-interval is not supported for two-stream benchmarks"
-                );
-            } else {
-                assert_eq!((recover, cluster, checkpointed), Default::default());
-            }
         }
         assert_eq!(
             SUITE

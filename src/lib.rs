@@ -72,7 +72,7 @@ pub mod prelude {
     };
     pub use sbx_ingress::{
         IngestFormat, KvSource, LinkModel, NicModel, PowerGridSource, Sender, SenderConfig, Source,
-        YsbSource,
+        Sources, YsbSource,
     };
     pub use sbx_kpa::{ExecCtx, Kpa};
     pub use sbx_obs::{

@@ -73,7 +73,7 @@ fn topk_crash_mid_window_recovers_identically() {
 
 /// One crash-and-recover comparison against the fault-free oracle over the
 /// same stream: committed rows, record counts and snapshot accounting.
-fn crash_and_compare<S: Source>(
+fn crash_and_compare<S: Sources>(
     cfg: &RunConfig,
     mk_src: impl Fn() -> S,
     mk_pipe: impl Fn() -> Pipeline,
@@ -113,12 +113,13 @@ fn crash_and_compare<S: Source>(
     }
 }
 
-/// Property test: whatever the canned single-stream pipeline, whatever the
-/// crash point (bundle offsets, barrier phases) and whatever the checkpoint
-/// cadence, recovery is exactly-once and snapshots never exceed the DRAM
-/// pool's capacity. 18 bundles of 500 records at 3 000 records per
-/// event-second span three windows, so crashes land before, between and
-/// after window closes.
+/// Property test: whatever the benchmark of the suite (all ten rows, the
+/// two-stream ones included), whatever the crash point (bundle offsets,
+/// barrier phases) and whatever the checkpoint cadence, recovery is
+/// exactly-once and snapshots never exceed the DRAM pool's capacity. 18
+/// bundles of 500 records at 3 000 records per event-second span three
+/// windows of a single stream, so crashes land before, between and after
+/// window closes.
 #[test]
 fn random_crash_points_recover_exactly_once() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_ec04);
@@ -138,19 +139,7 @@ fn random_crash_points_recover_exactly_once() {
         },
         ..RunConfig::default()
     };
-    const RATE: u64 = 3_000;
-    type MakePipeline = fn() -> Pipeline;
-    let pipelines: [(&str, MakePipeline); 8] = [
-        ("sum", benchmarks::sum_per_key),
-        ("topk", || benchmarks::topk_per_key(3)),
-        ("median", benchmarks::median_per_key),
-        ("avg", benchmarks::avg_per_key),
-        ("avg-all", benchmarks::avg_all),
-        ("unique", benchmarks::unique_count_per_key),
-        ("power-grid", benchmarks::power_grid),
-        ("ysb", || benchmarks::ysb(20)),
-    ];
-    for (name, mk_pipe) in pipelines {
+    for b in &benchmarks::SUITE {
         for case in 0..12u64 {
             let interval = rng.random_range(1..8);
             let seed = rng.random_range(1..1_000_000);
@@ -162,21 +151,10 @@ fn random_crash_points_recover_exactly_once() {
                     phase: phases[rng.random_range(0..phases.len() as u64) as usize],
                 }
             };
-            let what = format!("{name} case {case}: {plan:?}, interval {interval}");
-            match name {
-                "power-grid" => {
-                    let src = || PowerGridSource::new(seed, 10, 4, RATE);
-                    crash_and_compare(&cfg, src, mk_pipe, interval, plan, &what);
-                }
-                "ysb" => {
-                    let src = || YsbSource::new(seed, 200, 20, RATE);
-                    crash_and_compare(&cfg, src, mk_pipe, interval, plan, &what);
-                }
-                _ => {
-                    let src = || KvSource::new(seed, 40, RATE).with_value_range(1_000);
-                    crash_and_compare(&cfg, src, mk_pipe, interval, plan, &what);
-                }
-            }
+            let what = format!("{} case {case}: {plan:?}, interval {interval}", b.name);
+            let mk_src = || b.sources(seed, 40, 3_000, None);
+            let mk_pipe = || (b.pipeline)(GroupingSpec::SortMerge);
+            crash_and_compare(&cfg, mk_src, mk_pipe, interval, plan, &what);
         }
     }
 }

@@ -10,6 +10,7 @@
 use sbx_bench::trajectory::Trajectory;
 use sbx_prng::SbxRng;
 use streambox_hbm::checkpoint::{decode_snapshot, encode_snapshot};
+use streambox_hbm::engine::{EngineError, PipelineSnapshot};
 use streambox_hbm::prelude::*;
 
 const MUTATIONS: usize = 300;
@@ -142,10 +143,8 @@ fn text_decoders_survive_mutated_exports() {
     }
 }
 
-#[test]
-fn snapshot_decoder_survives_mutated_words() {
-    let mut coord = CheckpointCoordinator::new();
-    let cfg = RunConfig {
+fn snapshot_cfg() -> RunConfig {
+    RunConfig {
         cores: 8,
         sender: SenderConfig {
             bundle_rows: 1_000,
@@ -153,10 +152,52 @@ fn snapshot_decoder_survives_mutated_words() {
             nic: NicModel::rdma_40g(),
         },
         ..RunConfig::default()
-    };
-    let mk_src = || KvSource::new(7, 50, 100_000).with_value_range(1_000);
-    run_with_recovery(&cfg, mk_src, benchmarks::sum_per_key, 20, 3, &mut coord).expect("run");
-    let snap = coord.store().latest().expect("decodes").expect("committed");
+    }
+}
+
+fn snapshot_source() -> KvSource {
+    KvSource::new(7, 50, 100_000).with_value_range(1_000)
+}
+
+/// The latest snapshot of a checkpointed `sum` run.
+fn sum_snapshot() -> PipelineSnapshot {
+    let mut coord = CheckpointCoordinator::new();
+    let (cfg, pipeline) = (snapshot_cfg(), benchmarks::sum_per_key);
+    run_with_recovery(&cfg, snapshot_source, pipeline, 20, 3, &mut coord).expect("run");
+    coord.store().latest().expect("decodes").expect("committed")
+}
+
+/// A snapshot that decodes may still hold window ids no run produces; the
+/// engine computes window bounds from them at the next watermark. Resuming
+/// from one answers `Ok` or `Err`, in a debug build too.
+#[test]
+fn resume_survives_hostile_window_ids() {
+    let snap = sum_snapshot();
+    let mut far_entry = snap.clone();
+    far_entry.ops[0].entries[0].window = u64::MAX / 2;
+    let mut far_seen = snap.clone();
+    far_seen.max_window_seen = u64::MAX;
+    for hostile in [far_entry, far_seen] {
+        let decoded = decode_snapshot(&encode_snapshot(&hostile));
+        assert_eq!(decoded.as_ref(), Ok(&hostile));
+        let resumed = Engine::new(snapshot_cfg()).resume_with_hooks(
+            snapshot_source(),
+            benchmarks::sum_per_key(),
+            20,
+            Some(3),
+            &mut CheckpointCoordinator::new(),
+            &hostile,
+        );
+        assert!(
+            matches!(resumed, Ok(_) | Err(EngineError::Config(_))),
+            "{resumed:?}"
+        );
+    }
+}
+
+#[test]
+fn snapshot_decoder_survives_mutated_words() {
+    let snap = sum_snapshot();
     let words = encode_snapshot(&snap);
     assert!(words.len() > 100, "a snapshot with window state");
     assert_eq!(decode_snapshot(&words).as_ref(), Ok(&snap));

@@ -99,7 +99,9 @@ fn union_merges_two_streams_into_one_aggregation() {
         .build();
     let l = KvSource::new(11, 5, 50_000).with_value_range(10);
     let r = KvSource::new(12, 5, 50_000).with_value_range(10);
-    let report = Engine::new(cfg()).run_pair(l, r, pipeline, 5).expect("run");
+    let report = Engine::new(cfg())
+        .run(vec![l, r], pipeline, 10)
+        .expect("run");
     let total: u64 = report
         .outputs
         .iter()
@@ -119,7 +121,9 @@ fn cogroup_matches_per_side_oracles() {
         .build();
     let l = KvSource::new(21, 20, 50_000).with_value_range(1_000);
     let r = KvSource::new(22, 20, 50_000).with_value_range(1_000);
-    let report = Engine::new(cfg()).run_pair(l, r, pipeline, 5).expect("run");
+    let report = Engine::new(cfg())
+        .run(vec![l, r], pipeline, 10)
+        .expect("run");
 
     let oracle = |seed: u64| {
         let mut s = KvSource::new(seed, 20, 50_000).with_value_range(1_000);

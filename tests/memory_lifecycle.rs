@@ -244,7 +244,7 @@ fn sender_hand_off_accounts_like_a_copy() {
             let want = RecordBundle::from_rows(&copied, oracle.schema(), &scratch).expect("fits");
             let got = loop {
                 match sender.next_event().expect("fits") {
-                    IngressEvent::Bundle(b, _) => break b,
+                    IngressEvent::Bundle(b, ..) => break b,
                     IngressEvent::Watermark(_) | IngressEvent::Barrier(_) => {}
                 }
             };

@@ -173,7 +173,7 @@ fn temporal_join_pairs_matching_machines() {
     let l = KvSource::new(201, 50, 20_000).with_value_range(100);
     let r = KvSource::new(202, 50, 20_000).with_value_range(100);
     let report = Engine::new(cfg)
-        .run_pair(l, r, benchmarks::temporal_join(), 10)
+        .run(vec![l, r], benchmarks::temporal_join(), 20)
         .expect("run");
 
     // Oracle: nested-loop join over the same two generated streams.
@@ -240,7 +240,7 @@ fn windowed_filter_keeps_above_average_records() {
     let data = KvSource::new(401, 100, 40_000).with_value_range(1_000);
     let control = KvSource::new(402, 100, 40_000).with_value_range(1_000);
     let report = Engine::new(cfg)
-        .run_pair(data, control, benchmarks::windowed_filter(), 10)
+        .run(vec![data, control], benchmarks::windowed_filter(), 20)
         .expect("run");
 
     // Oracle: per window, control average; count data records above it.
