@@ -178,13 +178,25 @@ impl Default for TrajectoryConfig {
     }
 }
 
-/// YSB core counts the trajectory sweeps.
-pub const YSB_CORES: [u32; 2] = [8, 32];
+/// The YSB rows of the trajectory: `(scenario, cores, HBM bytes, host
+/// threads)`. The first two are the machine's own HBM and the default thread
+/// count. The 1 MiB row is the one HBM capacity can move, and pins one
+/// thread as `cluster_engine_cfg` does: once capacity binds, which of two
+/// concurrent prefix workers gets the last HBM slot is a race.
+const YSB_ROWS: [(&str, u32, u64, usize); 3] = [
+    ("ysb_c8", 8, 16 << 30, 2),
+    ("ysb_c32", 32, 16 << 30, 2),
+    ("ysb_c32_hbm1m", 32, 1 << 20, 1),
+];
 
 const YSB_BUNDLES: usize = 30;
 
-fn ysb_scenario(cores: u32, cost_scale: f64) -> Result<Vec<Metric>, String> {
+fn ysb_scenario(
+    (scenario, cores, hbm_bytes, threads): (&str, u32, u64, usize),
+    cost_scale: f64,
+) -> Result<Vec<Metric>, String> {
     let mut machine = MachineConfig::knl();
+    machine.hbm.capacity_bytes = hbm_bytes;
     // The handicap makes every modelled CPU cycle `cost_scale`× longer —
     // exactly what an accidentally inflated kernel cost constant would do.
     machine.core_ghz /= cost_scale.max(1e-9);
@@ -192,6 +204,7 @@ fn ysb_scenario(cores: u32, cost_scale: f64) -> Result<Vec<Metric>, String> {
     let cfg = RunConfig {
         machine,
         cores,
+        threads,
         sender: SenderConfig {
             bundle_rows: 20_000,
             bundles_per_watermark: 10,
@@ -206,56 +219,29 @@ fn ysb_scenario(cores: u32, cost_scale: f64) -> Result<Vec<Metric>, String> {
             benchmarks::ysb(1_000),
             YSB_BUNDLES,
         )
-        .map_err(|e| format!("ysb at {cores} cores failed: {e:?}"))?;
+        .map_err(|e| format!("{scenario} failed: {e:?}"))?;
     let dump = obs.metrics.snapshot();
-    let scenario = format!("ysb_c{cores}");
+    use Direction::{Exact, Higher, Lower};
+    let pass_bytes = |tier: &str| dump.counter(&format!("bw.{tier}.total_bytes")).unwrap_or(0);
     let m = |name: &str, value: f64, direction: Direction| Metric {
-        scenario: scenario.clone(),
+        scenario: scenario.to_owned(),
         name: name.to_owned(),
         value,
         direction,
     };
     Ok(vec![
-        m(
-            "throughput_mrps",
-            report.throughput_mrps(),
-            Direction::Higher,
-        ),
-        m("sim_secs", report.sim_secs, Direction::Lower),
-        m(
-            "output_records",
-            report.output_records as f64,
-            Direction::Exact,
-        ),
-        m(
-            "windows_closed",
-            report.windows_closed as f64,
-            Direction::Exact,
-        ),
-        m(
-            "max_output_delay_secs",
-            report.max_output_delay_secs,
-            Direction::Lower,
-        ),
-        m(
-            "p99_output_delay_secs",
-            report.p99_output_delay_secs,
-            Direction::Lower,
-        ),
-        m(
-            "hbm_pass_bytes",
-            dump.counter("bw.hbm.total_bytes").unwrap_or(0) as f64,
-            Direction::Lower,
-        ),
-        m(
-            "dram_pass_bytes",
-            dump.counter("bw.dram.total_bytes").unwrap_or(0) as f64,
-            Direction::Lower,
-        ),
+        m("throughput_mrps", report.throughput_mrps(), Higher),
+        m("sim_secs", report.sim_secs, Lower),
+        m("output_records", report.output_records as f64, Exact),
+        m("windows_closed", report.windows_closed as f64, Exact),
+        m("max_output_delay_secs", report.max_output_delay_secs, Lower),
+        m("p99_output_delay_secs", report.p99_output_delay_secs, Lower),
+        m("hbm_pass_bytes", pass_bytes("hbm") as f64, Lower),
+        m("dram_pass_bytes", pass_bytes("dram") as f64, Lower),
         m(
             "hbm_peak_used_bytes",
             report.hbm_peak_used_bytes as f64,
-            Direction::Lower,
+            Lower,
         ),
     ])
 }
@@ -510,8 +496,8 @@ fn groupby_highcard_scenario() -> Result<Vec<Metric>, String> {
 /// Returns a message if a scenario's engine run fails.
 pub fn collect(cfg: &TrajectoryConfig) -> Result<Trajectory, String> {
     let mut metrics = Vec::new();
-    for cores in YSB_CORES {
-        metrics.extend(ysb_scenario(cores, cfg.cost_scale)?);
+    for row in YSB_ROWS {
+        metrics.extend(ysb_scenario(row, cfg.cost_scale)?);
     }
     for shards in CLUSTER_SHARDS {
         metrics.extend(cluster_scenario(shards, cfg.cost_scale)?);

@@ -281,6 +281,19 @@ pub(crate) fn check_window_id(spec: &WindowSpec, id: u64) -> Result<(), EngineEr
     Ok(())
 }
 
+/// Refuses run counters read from a snapshot that the rest of the run could
+/// overflow; no run counts that far.
+pub(crate) fn check_counters(snap: &PipelineSnapshot) -> Result<(), EngineError> {
+    let (r, b) = (snap.records_in, snap.bundles_in);
+    let (w, o) = (snap.windows_closed, snap.output_records);
+    if r.max(b).max(w).max(o) > u64::MAX / 2 {
+        return Err(EngineError::Config(format!(
+            "snapshot counts more than a run can: {r} records in {b} bundles, {w} windows, {o} outputs"
+        )));
+    }
+    Ok(())
+}
+
 /// Rejoins a `u128` split by [`split_u128`].
 pub fn join_u128(hi: u64, lo: u64) -> u128 {
     ((hi as u128) << 64) | lo as u128

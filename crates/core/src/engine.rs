@@ -2,11 +2,11 @@
 use sbx_ingress::{IngestFormat, IngressEvent, Sender, SenderConfig, Sources};
 use sbx_obs::{Obs, RoundPoint, Span};
 use sbx_records::Watermark;
-use sbx_simmem::{AccessProfile, MachineConfig, MemEnv, MemKind};
+use sbx_simmem::{AccessProfile, MachineConfig, MemEnv, MemKind, MemPool};
 
 use crate::checkpoint::{
-    check_window_id, CheckpointBarrier, CheckpointHooks, CrashPhase, CrashSite, NoopHooks,
-    PipelineSnapshot,
+    check_counters, check_window_id, CheckpointBarrier, CheckpointHooks, CrashPhase, CrashSite,
+    NoopHooks, PipelineSnapshot,
 };
 use crate::observe::{OpMetrics, RunMetrics};
 use crate::pipeline::OpNode;
@@ -77,6 +77,16 @@ struct Round {
     ingest_ns: u64,
     records: u64,
     closed_windows: u64,
+    /// Bytes `[hbm, dram]` held when the round's watermark arrived.
+    held_at_watermark: [u64; 2],
+}
+
+/// What a pool held this round — the larger of the reading at the watermark
+/// and the one at round end — in bytes and as a fraction of capacity.
+fn round_usage(pool: &MemPool, at_watermark: u64) -> (f64, f64) {
+    let used = at_watermark.max(pool.used_bytes()) as f64;
+    let capacity = pool.capacity_bytes() as f64;
+    (used, if capacity > 0.0 { used / capacity } else { 1.0 })
 }
 
 /// The StreamBox-HBM runtime: pulls bundles from a sender, drives them
@@ -308,6 +318,7 @@ impl Engine {
 
         if let Some(snap) = resume {
             check_window_id(&spec, snap.max_window_seen)?;
+            check_counters(snap)?;
             records_in = snap.records_in;
             bundles_in = snap.bundles_in;
             windows_closed = snap.windows_closed;
@@ -422,6 +433,11 @@ impl Engine {
                         &mut round,
                         std::mem::take(&mut batch),
                     )?);
+                    // The crest of the round: the prefix workers are joined,
+                    // every KPA of the round is in window state and nothing
+                    // has closed. The round-end reading alone is the trough.
+                    round.held_at_watermark =
+                        MemKind::ALL.map(|kind| self.env.pool(kind).used_bytes());
                     sink.extend(self.drive(
                         &mut round,
                         pipeline.ops_mut(),
@@ -534,10 +550,21 @@ impl Engine {
                 } else {
                     (0.0, 0.0)
                 };
-                let hpool = self.env.pool(MemKind::Hbm);
-                let dpool = self.env.pool(MemKind::Dram);
-                let hbm_usage = hpool.usage();
-                let hbm_used_bytes = hpool.used_bytes() as f64;
+                // Both readings are taken on this thread with no worker in
+                // flight, so they are a function of (seed, config).
+                let [hbm_held, dram_held] = round.held_at_watermark;
+                let (hbm_used_bytes, hbm_occupancy) =
+                    round_usage(self.env.pool(MemKind::Hbm), hbm_held);
+                let (dram_used_bytes, dram_occupancy) =
+                    round_usage(self.env.pool(MemKind::Dram), dram_held);
+                let spills_now = self.env.spill_count();
+                // A spill is the definition of full (paper §5): the Normal
+                // ceiling turns requests away below 100 % occupancy.
+                let hbm_usage = if spills_now > prev_spills {
+                    1.0
+                } else {
+                    hbm_occupancy
+                };
                 let knob = self.balancer.knob();
                 let headroom = close_secs < 0.9 * TARGET_DELAY_SECS;
                 let moved = self
@@ -551,7 +578,6 @@ impl Engine {
                 // round and tier series, the report's samples, the flight
                 // recorder and incident capture all read it.
                 let knob_next = self.balancer.knob();
-                let spills_now = self.env.spill_count();
                 let [delay_p50, delay_p95, delay_p99] = self.rm.output_delay.percentiles();
                 let point = RoundPoint {
                     round: self.cur_round,
@@ -563,17 +589,15 @@ impl Engine {
                     records: round.records as f64,
                     watermark_secs: last_watermark as f64 / 1e9,
                     open_windows: (max_window_seen + 1).saturating_sub(next_to_close) as f64,
-                    hbm_occupancy: hbm_usage,
-                    dram_occupancy: dpool.usage(),
+                    hbm_occupancy,
+                    dram_occupancy,
                     spills: spills_now.saturating_sub(prev_spills) as f64,
                     knob_moves: if moved.is_some() { 1.0 } else { 0.0 },
                     delay_p50,
                     delay_p95,
                     delay_p99,
-                    hbm_live_bytes: hpool.live_bytes() as f64,
                     hbm_used_bytes,
-                    dram_live_bytes: dpool.live_bytes() as f64,
-                    dram_used_bytes: dpool.used_bytes() as f64,
+                    dram_used_bytes,
                     hbm_bw_gbps: hbm_bw / 1e9,
                     dram_bw_gbps: dram_bw / 1e9,
                     hbm_bw_util: hbm_bw / hbm_bw_limit,
@@ -664,9 +688,8 @@ impl Engine {
         // Final quiescent usage sample: every round boundary already set the
         // gauge, but a run with no completed round would otherwise report
         // zero. Deliberately NOT the allocator's `high_water_bytes`: that
-        // mark is taken mid-flight while kernel workers allocate scratch
-        // concurrently, so it varies with host thread interleaving, whereas
-        // round-boundary `used_bytes` totals are deterministic.
+        // mark is taken mid-flight while kernel workers hold scratch
+        // concurrently, so it varies with host thread interleaving.
         self.rm
             .hbm_used
             .set(self.env.pool(MemKind::Hbm).used_bytes() as f64);

@@ -36,9 +36,9 @@ pub(crate) struct RunMetrics {
     pub hbm_bw: Gauge,
     /// `engine.dram_bw_gbps`.
     pub dram_bw: Gauge,
-    /// `engine.hbm_used_bytes` — sampled at round boundaries (quiescent
-    /// points), plus once before report assembly; its max is the report's
-    /// deterministic peak.
+    /// `engine.hbm_used_bytes` — the round's held bytes (read at quiescent
+    /// points only), plus once before report assembly; its max is the
+    /// report's deterministic peak.
     pub hbm_used: Gauge,
     /// `engine.output_delay_secs` — one weighted entry per closing round.
     pub output_delay: Histogram,

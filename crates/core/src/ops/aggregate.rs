@@ -284,8 +284,16 @@ impl WindowLogic for KeyedAggLogic {
                 early: true,
                 ..self.params()
             };
-            // Windows past the last pane hold no data; skip them.
-            for w in self.pane_next_window..boundary.min(max_pane + 1) {
+            // Windows past the last pane hold no data, nor do those that end
+            // before the next pane begins: step from pane to pane, not
+            // through every id between them.
+            let end = boundary.min(max_pane + 1);
+            let mut w = self.pane_next_window;
+            while let Some((&WindowId(pane), _)) = windows.range(WindowId(w)..).next() {
+                w = w.max(pane.saturating_sub(overlap - 1));
+                if w >= end {
+                    break;
+                }
                 ctx.tag = ImpactTag::Urgent;
                 let mut window = SortMergeBackend::new();
                 for (_, pane) in windows.range(WindowId(w)..WindowId(w + overlap)) {
@@ -298,6 +306,7 @@ impl WindowLogic for KeyedAggLogic {
                     let (bundle, _) = window.close(ctx, &p, start, &self.out_schema)?;
                     out.push(Message::data(StreamData::Bundle(bundle)));
                 }
+                w += 1;
             }
         }
         self.pane_next_window = self.pane_next_window.max(boundary);
@@ -346,6 +355,12 @@ impl WindowStore<KeyedAggLogic> for AggWindow {
             groups_ema: scalar(2),
             windows_seen: scalar(3),
         };
+        if st.entries.iter().any(|e| e.window < logic.pane_next_window) {
+            return Err(EngineError::Config(format!(
+                "snapshot holds a pane below its pane cursor {}",
+                logic.pane_next_window
+            )));
+        }
         for e in &st.entries {
             let state = windows.entry(WindowId(e.window)).or_default();
             if e.port == PORT_PANE_BUNDLE {

@@ -360,7 +360,7 @@ mod tests {
             let IngressEvent::Bundle(b, ..) = s.next_event().unwrap() else {
                 panic!("expected bundle");
             };
-            // Some buffers come fresh from the pool, some from its freelist.
+            // Some buffers come fresh from the allocator, some are reused.
             live.push_back(b);
             if live.len() > 3 {
                 live.pop_front();

@@ -14,11 +14,12 @@
 //! count)` lanes for `Sum`/`Count`, and pool-accounted per-key value
 //! chains ([`HashAgg::Values`]) for order-insensitive aggregates like
 //! median, top-k and unique-count — and it grows by reallocating
-//! pool-accounted buffers, spilling to the sibling tier instead of failing
-//! when its own tier is exhausted.
+//! pool-accounted buffers, spilling the whole table to DRAM instead of
+//! failing when HBM is exhausted.
 
-use sbx_simmem::{AllocError, MemEnv, MemKind, PoolVec, Priority};
+use sbx_simmem::{AllocError, MemEnv, MemKind, MemPool, PoolVec, Priority};
 
+use crate::kpa::alloc_or_spill;
 use crate::{profile, ExecCtx};
 
 const LOAD_FACTOR_NUM: usize = 7; // grow above 7/10 occupancy
@@ -82,32 +83,11 @@ pub struct HashGrouper {
     mode: HashAgg,
 }
 
-/// Allocates `slots` u64s on `kind`, spilling to the sibling tier when
-/// `kind` is exhausted. Returns the buffer and the tier it landed on.
-fn alloc_spill(
-    env: &MemEnv,
-    kind: MemKind,
-    prio: Priority,
-    slots: usize,
-) -> Result<(PoolVec, MemKind), AllocError> {
-    match env.pool(kind).alloc_u64(slots, prio) {
-        Ok(v) => Ok((v, kind)),
-        Err(e) => {
-            let other = match kind {
-                MemKind::Hbm => MemKind::Dram,
-                MemKind::Dram => MemKind::Hbm,
-            };
-            match env.pool(other).alloc_u64(slots, prio) {
-                Ok(v) => Ok((v, other)),
-                Err(_) => Err(e),
-            }
-        }
-    }
-}
-
-fn zeroed(mut v: PoolVec, slots: usize) -> PoolVec {
+/// A zero-filled buffer of `slots` u64s from `pool`.
+fn zeroed(pool: &MemPool, slots: usize, prio: Priority) -> Result<PoolVec, AllocError> {
+    let mut v = pool.alloc_u64(slots, prio)?;
     v.resize(slots, 0);
-    v
+    Ok(v)
 }
 
 impl HashGrouper {
@@ -127,8 +107,8 @@ impl HashGrouper {
     }
 
     /// Creates a table in `mode` sized for at least `expected_keys`
-    /// distinct keys on tier `kind` (spilling to the sibling tier when
-    /// `kind` is exhausted).
+    /// distinct keys on tier `kind` (as a whole on DRAM when that is HBM
+    /// and cannot hold every buffer of the table).
     ///
     /// # Errors
     ///
@@ -143,18 +123,15 @@ impl HashGrouper {
         let slots =
             (expected_keys.max(8) * LOAD_FACTOR_DEN / LOAD_FACTOR_NUM + 1).next_power_of_two();
         let env = ctx.env().clone();
-        let (keys, tier) = alloc_spill(&env, kind, prio, slots)?;
-        let keys = zeroed(keys, slots);
-        let sums = zeroed(env.pool(tier).alloc_u64(slots, prio)?, slots);
-        let counts = zeroed(env.pool(tier).alloc_u64(slots, prio)?, slots);
-        let (heads, arena) = match mode {
-            HashAgg::SumCount => (None, None),
-            HashAgg::Values => {
-                let heads = zeroed(env.pool(tier).alloc_u64(slots, prio)?, slots);
-                let arena = env.pool(tier).alloc_u64(slots * 2, prio)?;
-                (Some(heads), Some(arena))
-            }
-        };
+        let ((keys, sums, counts, heads, arena), tier) = alloc_or_spill(&env, kind, |pool| {
+            let lane = || zeroed(pool, slots, prio);
+            let (keys, sums, counts) = (lane()?, lane()?, lane()?);
+            let (heads, arena) = match mode {
+                HashAgg::SumCount => (None, None),
+                HashAgg::Values => (Some(lane()?), Some(pool.alloc_u64(slots * 2, prio)?)),
+            };
+            Ok((keys, sums, counts, heads, arena))
+        })?;
         Ok(HashGrouper {
             env,
             keys,
@@ -280,7 +257,8 @@ impl HashGrouper {
         };
         if arena.len() + 2 > arena.capacity() {
             let want = (arena.capacity() * 2).max(16);
-            let (mut fresh, _) = alloc_spill(&self.env, self.kind, self.prio, want)?;
+            let (mut fresh, _) =
+                alloc_or_spill(&self.env, self.kind, |pool| pool.alloc_u64(want, self.prio))?;
             fresh.extend_from_slice(arena);
             *arena = fresh;
         }
@@ -368,27 +346,20 @@ impl HashGrouper {
         out
     }
 
-    /// Doubles the table, reallocating pool-accounted buffers and spilling
-    /// to the sibling tier when this one is exhausted.
+    /// Doubles the table, reallocating pool-accounted buffers — all of them
+    /// on DRAM when HBM cannot hold the grown set.
     fn grow(&mut self) -> Result<(), AllocError> {
         let new_slots = self.keys.len() * 2;
-        let (keys, tier) = alloc_spill(&self.env, self.kind, self.prio, new_slots)?;
-        let mut keys = zeroed(keys, new_slots);
-        let mut sums = zeroed(
-            self.env.pool(tier).alloc_u64(new_slots, self.prio)?,
-            new_slots,
-        );
-        let mut counts = zeroed(
-            self.env.pool(tier).alloc_u64(new_slots, self.prio)?,
-            new_slots,
-        );
-        let mut heads = match self.mode {
-            HashAgg::SumCount => None,
-            HashAgg::Values => Some(zeroed(
-                self.env.pool(tier).alloc_u64(new_slots, self.prio)?,
-                new_slots,
-            )),
-        };
+        let ((mut keys, mut sums, mut counts, mut heads), tier) =
+            alloc_or_spill(&self.env, self.kind, |pool| {
+                let lane = || zeroed(pool, new_slots, self.prio);
+                let (keys, sums, counts) = (lane()?, lane()?, lane()?);
+                let heads = match self.mode {
+                    HashAgg::SumCount => None,
+                    HashAgg::Values => Some(lane()?),
+                };
+                Ok((keys, sums, counts, heads))
+            })?;
         let mask = new_slots - 1;
         for old in 0..self.keys.len() {
             if self.counts[old] == 0 {
@@ -606,6 +577,32 @@ mod tests {
         assert_eq!(t.len(), 50_000);
         assert_eq!(t.kind(), MemKind::Dram, "table should have spilled");
         assert_eq!(t.get(49_999), Some((1, 1)));
+    }
+
+    #[test]
+    fn a_grow_that_half_fits_moves_the_whole_table_and_counts_one_spill() {
+        const KIB: u64 = 1024;
+        let mut mc = MachineConfig::knl();
+        mc.hbm.capacity_bytes = 256 * KIB;
+        let env = MemEnv::new(mc);
+        let mut ctx = ExecCtx::new(&env);
+        // 512 slots: three 4 KiB lanes that grow into three 8 KiB lanes.
+        let mut t = HashGrouper::with_slots(&mut ctx, 300, MemKind::Hbm, Priority::Normal).unwrap();
+        assert_eq!((t.slots(), t.kind()), (512, MemKind::Hbm));
+        // Leave HBM room for exactly one of the grown lanes.
+        let hbm = env.pool(MemKind::Hbm);
+        let mut filler = Vec::new();
+        while hbm.available_bytes(Priority::Normal) >= 16 * KIB {
+            filler.push(hbm.alloc_u64(512, Priority::Normal).unwrap());
+        }
+        assert!(hbm.available_bytes(Priority::Normal) >= 8 * KIB);
+        for k in 0..500u64 {
+            t.try_insert(k, 1).unwrap();
+        }
+        assert_eq!((t.slots(), t.kind()), (1024, MemKind::Dram));
+        assert_eq!(env.spill_count(), 1);
+        assert_eq!(hbm.used_bytes(), 4 * KIB * filler.len() as u64);
+        assert_eq!(env.pool(MemKind::Dram).used_bytes(), 3 * 8 * KIB);
     }
 
     #[test]

@@ -3,11 +3,31 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use sbx_simmem::{AllocError, MemEnv, MemKind, PoolVec, Priority};
+use sbx_simmem::{AllocError, MemEnv, MemKind, MemPool, PoolVec, Priority};
 
 use sbx_records::{BundleId, Col, RecordBundle, RecordRef, Schema};
 
 use crate::{mergepath, profile, ExecCtx, PrimGroup};
+
+/// Takes a set of buffers from one tier, all or nothing: `alloc` runs against
+/// the pool of `want`, and when that is HBM and cannot hold everything
+/// `alloc` asks for, what it got is dropped and the whole set comes from
+/// DRAM instead, counted as one spill. Returns the set and the tier it is on.
+pub(crate) fn alloc_or_spill<T>(
+    env: &MemEnv,
+    want: MemKind,
+    alloc: impl Fn(&MemPool) -> Result<T, AllocError>,
+) -> Result<(T, MemKind), AllocError> {
+    match alloc(env.pool(want)) {
+        Ok(set) => Ok((set, want)),
+        Err(_) if want == MemKind::Hbm => {
+            let set = alloc(env.pool(MemKind::Dram))?;
+            env.note_spill();
+            Ok((set, MemKind::Dram))
+        }
+        Err(e) => Err(e),
+    }
+}
 
 /// Allocates a pair of `n`-slot buffers on `want`, spilling to DRAM when the
 /// preferred tier is full. Returns the buffers and the tier actually used.
@@ -17,26 +37,9 @@ pub(crate) fn alloc_pair_bufs(
     want: MemKind,
     prio: Priority,
 ) -> Result<(PoolVec, PoolVec, MemKind), AllocError> {
-    match try_alloc_pair(env, n, want, prio) {
-        Ok((k, p)) => Ok((k, p, want)),
-        Err(_) if want == MemKind::Hbm => {
-            let (k, p) = try_alloc_pair(env, n, MemKind::Dram, prio)?;
-            env.note_spill();
-            Ok((k, p, MemKind::Dram))
-        }
-        Err(e) => Err(e),
-    }
-}
-
-fn try_alloc_pair(
-    env: &MemEnv,
-    n: usize,
-    kind: MemKind,
-    prio: Priority,
-) -> Result<(PoolVec, PoolVec), AllocError> {
-    let keys = env.pool(kind).alloc_u64(n, prio)?;
-    let ptrs = env.pool(kind).alloc_u64(n, prio)?;
-    Ok((keys, ptrs))
+    let pair = |pool: &MemPool| Ok((pool.alloc_u64(n, prio)?, pool.alloc_u64(n, prio)?));
+    let ((keys, ptrs), got) = alloc_or_spill(env, want, pair)?;
+    Ok((keys, ptrs, got))
 }
 
 /// Select's compaction loop, shared by Extract (pairs formed from bundle

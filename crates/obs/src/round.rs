@@ -43,12 +43,10 @@ pub const ROUND_VIEW: View<8> = [
 
 /// The [`TIER_SERIES`] row and `incident.tier` line; the knob is the one the
 /// boundary's balancer update left.
-pub const TIER_VIEW: View<13> = [
+pub const TIER_VIEW: View<11> = [
     ("at_secs", |p| &mut p.at_secs),
-    ("hbm_live_bytes", |p| &mut p.hbm_live_bytes),
     ("hbm_used_bytes", |p| &mut p.hbm_used_bytes),
     ("hbm_occupancy", |p| &mut p.hbm_occupancy),
-    ("dram_live_bytes", |p| &mut p.dram_live_bytes),
     ("dram_used_bytes", |p| &mut p.dram_used_bytes),
     ("dram_occupancy", |p| &mut p.dram_occupancy),
     ("hbm_bw_util", |p| &mut p.hbm_bw_util),
@@ -115,13 +113,10 @@ pub struct RoundPoint {
     pub delay_p95: f64,
     /// Output-delay p99 over the run so far, seconds.
     pub delay_p99: f64,
-    /// HBM bytes in live allocations.
-    pub hbm_live_bytes: f64,
-    /// HBM accounted bytes (live plus freelist-cached).
+    /// HBM bytes held by live buffers: the larger of the readings taken
+    /// when the round's watermark arrived and at the boundary.
     pub hbm_used_bytes: f64,
-    /// DRAM bytes in live allocations.
-    pub dram_live_bytes: f64,
-    /// DRAM accounted bytes (live plus freelist-cached).
+    /// DRAM bytes held by live buffers, read at the same two points.
     pub dram_used_bytes: f64,
     /// HBM bandwidth over the round, GB/s.
     pub hbm_bw_gbps: f64,
@@ -228,9 +223,9 @@ mod tests {
             ..RoundPoint::default()
         };
         assert_eq!(p.row(&ROUND_VIEW)[1], 0.25);
-        assert_eq!(p.row(&TIER_VIEW)[3], 0.25);
+        assert_eq!(p.row(&TIER_VIEW)[2], 0.25);
         assert_eq!(p.row(&ROUND_VIEW)[5..7], [0.5, 1.0]);
-        assert_eq!(p.row(&TIER_VIEW)[11..13], [0.45, 0.95]);
+        assert_eq!(p.row(&TIER_VIEW)[9..11], [0.45, 0.95]);
         assert_eq!(columns(&ROUND_VIEW)[1], "hbm_usage");
     }
 

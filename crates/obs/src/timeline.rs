@@ -1,7 +1,7 @@
 //! Memory-tier timelines reconstructed from the metrics registry.
 //!
 //! The engine records one [`TIER_SERIES`](crate::TIER_SERIES) row per watermark round: HBM and
-//! DRAM occupancy (live versus freelist-cached bytes), bandwidth
+//! DRAM occupancy (bytes held by live buffers), bandwidth
 //! utilisation against the machine spec, and the round's spill and
 //! knob-move activity. This module turns that series (live or re-parsed
 //! from a metrics JSONL export) into an aligned [`Timeline`] with its own
@@ -84,7 +84,7 @@ impl Timeline {
             self.total_knob_moves(),
         ));
         out.push_str(
-            "  round    t(s)  HBM occ [bar]        live MiB  bw%   DRAM occ  bw%   events\n",
+            "  round    t(s)  HBM occ [bar]        used MiB  bw%   DRAM occ  bw%   events\n",
         );
         for (round, p) in self.points.iter().enumerate() {
             let mut events = String::new();
@@ -103,7 +103,7 @@ impl Timeline {
                 p.at_secs,
                 100.0 * p.hbm_occupancy,
                 bar(p.hbm_occupancy, 10),
-                p.hbm_live_bytes / (1024.0 * 1024.0),
+                p.hbm_used_bytes / (1024.0 * 1024.0),
                 100.0 * p.hbm_bw_util,
                 100.0 * p.dram_occupancy,
                 100.0 * p.dram_bw_util,
@@ -133,12 +133,8 @@ mod tests {
     fn sample_registry() -> MetricsRegistry {
         let reg = MetricsRegistry::active();
         let series = reg.series(TIER_SERIES, &columns(&TIER_VIEW));
-        series.push(&[
-            1.0, 1000.0, 2000.0, 0.25, 500.0, 800.0, 0.1, 0.5, 0.2, 0.0, 0.0, 2.0, 6.0,
-        ]);
-        series.push(&[
-            2.0, 3000.0, 4000.0, 0.5, 600.0, 900.0, 0.2, 0.9, 0.4, 3.0, 1.0, 1.0, 6.0,
-        ]);
+        series.push(&[1.0, 2000.0, 0.25, 800.0, 0.1, 0.5, 0.2, 0.0, 0.0, 2.0, 6.0]);
+        series.push(&[2.0, 4000.0, 0.5, 900.0, 0.2, 0.9, 0.4, 3.0, 1.0, 1.0, 6.0]);
         reg
     }
 

@@ -112,8 +112,8 @@ impl RecordBundle {
         rows: &mut Vec<u64>,
     ) -> Result<Arc<Self>, AllocError> {
         Self::from_fill(env, schema, rows.len(), |data| {
-            // A buffer returns to its size class's freelist only with at
-            // least the capacity the pool handed out.
+            // A freed buffer is kept for the next request of its size class
+            // only with at least the capacity the pool handed out.
             rows.reserve_exact(data.capacity().saturating_sub(rows.len()));
             std::mem::swap(data, rows);
         })
@@ -348,9 +348,9 @@ mod tests {
         assert_ne!(rows.as_ptr(), filled);
         let used = env.pool(MemKind::Dram).used_bytes();
         assert_eq!(used, 4096 * 8);
-        // Dropped, the adopted buffer is cached like any pool buffer.
+        // Dropped, the adopted buffer gives its bytes back like any other.
         drop(b);
-        assert_eq!(env.pool(MemKind::Dram).stats().cached_bytes, used);
+        assert_eq!(env.pool(MemKind::Dram).used_bytes(), 0);
     }
 
     #[test]

@@ -47,28 +47,26 @@ fn class_slots(class: usize) -> usize {
 /// handed back beyond it go to the system allocator.
 const RESERVE_MAX_BYTES: u64 = 1 << 30;
 
-/// Host buffers of pools that are gone, by size class, kept for the next
-/// pool this process builds.
+/// Freed host buffers of every pool of this process, by size class: the one
+/// place a buffer waits between a [`PoolVec`] dropping and the next
+/// [`MemPool::alloc_u64`] of its class.
 ///
 /// The paper's runtime reserves its HBM and DRAM arenas once and carves
-/// every KPA and bundle out of them; it never hands memory back to the
-/// operating system between windows. A [`MemPool`] does the same within its
-/// lifetime (the per-class freelists), and this reserve carries it across
-/// pools: when the last handle of a pool goes, or [`MemPool::trim`] empties
-/// its freelists, the cached buffers come here instead of going to the
-/// system allocator, and a pool that needs a fresh buffer takes one of its
-/// class from here first. A process that runs one engine after another
-/// (every repetition of a benchmark, every test of a suite) stops asking the
-/// operating system for memory once the first engine has finished. Without
-/// the reserve each teardown frees nearly the whole heap at once; whether
-/// the allocator then returns it to the system, and the next engine
-/// page-faults tens of megabytes back in, turns on where a few small
-/// long-lived allocations happen to sit, and what a page fault costs is up
-/// to the hypervisor.
+/// every KPA and bundle out of them (the slab allocator of §5.1); it never
+/// hands memory back to the operating system between windows. Here a
+/// dropped [`PoolVec`] parks its buffer in this reserve and an allocation
+/// takes one of its class from here before it asks the system allocator, in
+/// any pool: a process that runs one engine after another (every repetition
+/// of a benchmark, every test of a suite) stops asking the operating system
+/// for memory once the first engine has warmed up. Without that, each
+/// teardown frees nearly the whole heap at once; whether the allocator then
+/// returns it to the system, and the next engine page-faults tens of
+/// megabytes back in, turns on where a few small long-lived allocations
+/// happen to sit, and what a page fault costs is up to the hypervisor.
 ///
-/// Only host memory is shared. Capacity accounting, allocation counters and
-/// the freelists stay per pool, so nothing simulated depends on what the
-/// reserve holds.
+/// Only host memory is shared. Capacity accounting and allocation counters
+/// are per pool and count live buffers alone, so nothing simulated depends
+/// on what the reserve holds.
 #[derive(Debug)]
 struct HostReserve {
     by_class: [Vec<Vec<u64>>; NUM_CLASSES],
@@ -108,27 +106,6 @@ impl HostReserve {
 /// The process-wide reserve (see [`HostReserve`]).
 static HOST_RESERVE: Mutex<HostReserve> = Mutex::new(HostReserve::new(RESERVE_MAX_BYTES));
 
-#[derive(Debug, Default)]
-struct Freelists {
-    by_class: Vec<Vec<Vec<u64>>>,
-    /// Total bytes parked in the freelists (still counted as used).
-    cached_bytes: u64,
-}
-
-impl Freelists {
-    /// Moves every cached buffer to the process-wide [`HostReserve`] and
-    /// returns the accounted bytes they held.
-    fn release(&mut self) -> u64 {
-        let mut reserve = HOST_RESERVE.lock();
-        for (class, bufs) in self.by_class.iter_mut().enumerate() {
-            for buf in bufs.drain(..) {
-                reserve.put(class, buf);
-            }
-        }
-        std::mem::take(&mut self.cached_bytes)
-    }
-}
-
 /// Per-pool observability handles (`pool.<kind>.*`). All handles are inert
 /// no-ops unless the pool was built with [`MemPool::new_observed`] against an
 /// active registry.
@@ -166,15 +143,7 @@ struct PoolInner {
     high_water_bytes: AtomicU64,
     allocs: AtomicU64,
     failed_allocs: AtomicU64,
-    freelists: Mutex<Freelists>,
     metrics: PoolMetrics,
-}
-
-impl Drop for PoolInner {
-    fn drop(&mut self) {
-        // The last handle is gone: the host memory outlives the pool.
-        self.freelists.get_mut().release();
-    }
 }
 
 /// An accounted slab allocator for one memory tier.
@@ -182,12 +151,12 @@ impl Drop for PoolInner {
 /// The pool hands out real heap buffers ([`PoolVec`]) while enforcing the
 /// simulated tier capacity: allocations fail with [`AllocError`] once the
 /// tier is full, exactly the signal StreamBox-HBM's runtime uses to spill
-/// KPAs to DRAM. Freed buffers return to per-size-class freelists and are
-/// reused, mirroring the paper's custom slab allocator "tuned to typical KPA
-/// sizes, full record bundle sizes, and window sizes" (§5.1). When the pool
-/// itself goes, its cached buffers move to a process-wide reserve that the
-/// next pool draws on before it asks the system allocator; accounting is
-/// per pool and does not see the reserve.
+/// KPAs to DRAM. The bytes it accounts are those of the [`PoolVec`]s alive
+/// right now. A freed buffer's host memory waits in a process-wide reserve
+/// by size class and serves the next request of that class, mirroring the
+/// paper's custom slab allocator "tuned to typical KPA sizes, full record
+/// bundle sizes, and window sizes" (§5.1); accounting does not see the
+/// reserve.
 ///
 /// A configurable slice of capacity is *reserved* for
 /// [`Priority::Reserved`] (critical-path) allocations.
@@ -244,11 +213,6 @@ impl MemPool {
                 high_water_bytes: AtomicU64::new(0),
                 allocs: AtomicU64::new(0),
                 failed_allocs: AtomicU64::new(0),
-                freelists: Mutex::new(Freelists {
-                    // sbx-lint: allow(raw-alloc, freelist scaffolding built once per pool)
-                    by_class: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
-                    cached_bytes: 0,
-                }),
                 metrics: PoolMetrics::new(registry, kind),
             }),
         }
@@ -264,17 +228,10 @@ impl MemPool {
         self.inner.capacity_bytes
     }
 
-    /// Bytes currently accounted as used (live buffers plus cached
-    /// freelist buffers).
+    /// Bytes currently in use: the accounted bytes of every [`PoolVec`] of
+    /// this pool that is alive.
     pub fn used_bytes(&self) -> u64 {
         self.inner.used_bytes.load(Ordering::Acquire)
-    }
-
-    /// Bytes in live allocations: [`MemPool::used_bytes`] minus buffers
-    /// parked on the freelists (the tier-timeline's occupancy signal).
-    pub fn live_bytes(&self) -> u64 {
-        let cached = self.inner.freelists.lock().cached_bytes;
-        self.used_bytes().saturating_sub(cached)
     }
 
     /// Fraction of capacity in use, in `[0, 1]`.
@@ -287,11 +244,15 @@ impl MemPool {
 
     /// Bytes available to a request of priority `prio`.
     pub fn available_bytes(&self, prio: Priority) -> u64 {
-        let ceiling = match prio {
+        self.ceiling(prio).saturating_sub(self.used_bytes())
+    }
+
+    /// Most bytes the pool may hold after serving a request of `prio`.
+    fn ceiling(&self, prio: Priority) -> u64 {
+        match prio {
             Priority::Normal => self.inner.capacity_bytes - self.inner.reserved_bytes,
             Priority::Reserved => self.inner.capacity_bytes,
-        };
-        ceiling.saturating_sub(self.used_bytes())
+        }
     }
 
     /// Slots of the buffer [`MemPool::alloc_u64`] hands out for a request of
@@ -305,8 +266,7 @@ impl MemPool {
     /// Allocates a buffer of at least `len` u64 slots.
     ///
     /// The returned [`PoolVec`] has `capacity() >= len` (rounded up to the
-    /// pool's size class) and length 0. Dropping it returns the buffer to the
-    /// pool's freelist.
+    /// pool's size class) and length 0. Dropping it releases its bytes.
     ///
     /// # Errors
     ///
@@ -315,35 +275,13 @@ impl MemPool {
     pub fn alloc_u64(&self, len: usize, prio: Priority) -> Result<PoolVec, AllocError> {
         let (class, slots) = match class_for(len.max(1)) {
             Some(c) => (Some(c), class_slots(c)),
-            // Oversized request: exact-sized, not cached in a class.
+            // Oversized request: exact-sized, never kept in the reserve.
             None => (None, len),
         };
         let bytes = (slots * 8) as u64;
 
-        // Try to reuse a cached buffer of this class first: it is already
-        // accounted, so no capacity check is needed.
-        if let Some(c) = class {
-            let mut fl = self.inner.freelists.lock();
-            if let Some(buf) = fl.by_class[c].pop() {
-                fl.cached_bytes -= bytes;
-                drop(fl);
-                self.inner.allocs.fetch_add(1, Ordering::Relaxed);
-                self.inner.metrics.allocs.incr();
-                self.inner.metrics.alloc_bytes.add(bytes);
-                return Ok(PoolVec {
-                    buf,
-                    pool: self.inner.clone(),
-                    class,
-                    accounted_bytes: bytes,
-                });
-            }
-        }
-
-        // Fresh allocation: enforce the capacity ceiling for this priority.
-        let ceiling = match prio {
-            Priority::Normal => self.inner.capacity_bytes - self.inner.reserved_bytes,
-            Priority::Reserved => self.inner.capacity_bytes,
-        };
+        // Every request passes the capacity ceiling of its priority.
+        let ceiling = self.ceiling(prio);
         let mut used = self.used_bytes();
         loop {
             if used + bytes > ceiling {
@@ -372,7 +310,7 @@ impl MemPool {
         self.inner.metrics.allocs.incr();
         self.inner.metrics.alloc_bytes.add(bytes);
         self.inner.metrics.used.set((used + bytes) as f64);
-        // Host memory of an earlier pool of this process, if any is left.
+        // A freed host buffer of this class, if one waits.
         let reserved = class.and_then(|c| HOST_RESERVE.lock().take(c));
         Ok(PoolVec {
             // sbx-lint: allow(raw-alloc, the pool's own backing store; this is where accounted memory comes from)
@@ -381,15 +319,6 @@ impl MemPool {
             class,
             accounted_bytes: bytes,
         })
-    }
-
-    /// Gives up all cached freelist buffers, releasing their accounted
-    /// bytes. The host memory goes to the process-wide reserve.
-    pub fn trim(&self) {
-        let released = self.inner.freelists.lock().release();
-        let used = self.inner.used_bytes.fetch_sub(released, Ordering::AcqRel) - released;
-        self.inner.metrics.used.set(used as f64);
-        self.inner.metrics.freed_bytes.add(released);
     }
 
     /// Snapshot of allocator statistics.
@@ -401,7 +330,6 @@ impl MemPool {
             high_water_bytes: self.inner.high_water_bytes.load(Ordering::Acquire),
             total_allocs: self.inner.allocs.load(Ordering::Relaxed),
             failed_allocs: self.inner.failed_allocs.load(Ordering::Relaxed),
-            cached_bytes: self.inner.freelists.lock().cached_bytes,
         }
     }
 }
@@ -413,7 +341,7 @@ pub struct PoolStats {
     pub kind: MemKind,
     /// Pool capacity in bytes.
     pub capacity_bytes: u64,
-    /// Bytes currently accounted (live + cached).
+    /// Bytes of live buffers.
     pub used_bytes: u64,
     /// Highest `used_bytes` ever observed.
     pub high_water_bytes: u64,
@@ -421,14 +349,13 @@ pub struct PoolStats {
     pub total_allocs: u64,
     /// Number of allocations rejected for lack of capacity.
     pub failed_allocs: u64,
-    /// Bytes parked in size-class freelists.
-    pub cached_bytes: u64,
 }
 
 /// A real heap buffer whose capacity is accounted against a [`MemPool`].
 ///
-/// Dereferences to `Vec<u64>`; on drop the buffer returns to the pool's
-/// size-class freelist (or releases its accounting if it was oversized).
+/// Dereferences to `Vec<u64>`; on drop it releases its accounted bytes and
+/// the host buffer waits in the process-wide reserve for the next request of
+/// its size class.
 pub struct PoolVec {
     buf: Vec<u64>,
     pool: Arc<PoolInner>,
@@ -474,26 +401,21 @@ impl fmt::Debug for PoolVec {
 
 impl Drop for PoolVec {
     fn drop(&mut self) {
+        let used = self
+            .pool
+            .used_bytes
+            .fetch_sub(self.accounted_bytes, Ordering::AcqRel)
+            - self.accounted_bytes;
         self.pool.metrics.frees.incr();
-        match self.class {
-            Some(c) if self.buf.capacity() >= class_slots(c) => {
-                self.buf.clear();
-                let mut fl = self.pool.freelists.lock();
-                fl.by_class[c].push(std::mem::take(&mut self.buf));
-                fl.cached_bytes += self.accounted_bytes;
-                // Bytes stay accounted while cached.
-            }
-            _ => {
-                // Oversized (or reallocated beyond class) buffers release
-                // their accounting outright.
-                let used = self
-                    .pool
-                    .used_bytes
-                    .fetch_sub(self.accounted_bytes, Ordering::AcqRel)
-                    - self.accounted_bytes;
-                self.pool.metrics.used.set(used as f64);
-                self.pool.metrics.freed_bytes.add(self.accounted_bytes);
-            }
+        self.pool.metrics.freed_bytes.add(self.accounted_bytes);
+        self.pool.metrics.used.set(used as f64);
+        // Oversized buffers, and ones a caller traded for a smaller one, go
+        // back to the system allocator.
+        if let Some(c) = self
+            .class
+            .filter(|&c| self.buf.capacity() >= class_slots(c))
+        {
+            HOST_RESERVE.lock().put(c, std::mem::take(&mut self.buf));
         }
     }
 }
@@ -543,17 +465,21 @@ mod tests {
     }
 
     #[test]
-    fn freed_buffers_are_reused_from_freelist() {
-        let pool = small_pool(1 << 20, 0.0);
-        let v = pool.alloc_u64(100, Priority::Normal).unwrap();
-        let used_before = pool.used_bytes();
+    fn freed_bytes_are_released_and_the_host_buffer_is_reused() {
+        // A class no other test of this crate allocates, so the buffer this
+        // test parks in the process-wide reserve is the one it gets back.
+        let len = class_slots(9);
+        let pool = small_pool(1 << 30, 0.0);
+        let v = pool.alloc_u64(len, Priority::Normal).unwrap();
+        assert_eq!(pool.used_bytes(), v.accounted_bytes());
+        let addr = v.as_ptr();
         drop(v);
-        // Still accounted while cached.
-        assert_eq!(pool.used_bytes(), used_before);
-        assert_eq!(pool.stats().cached_bytes, used_before);
-        let _v2 = pool.alloc_u64(100, Priority::Normal).unwrap();
-        assert_eq!(pool.used_bytes(), used_before);
-        assert_eq!(pool.stats().cached_bytes, 0);
+        assert_eq!(pool.used_bytes(), 0, "nothing stays accounted");
+        let v2 = pool.alloc_u64(len, Priority::Normal).unwrap();
+        assert_eq!(v2.as_ptr(), addr, "same host buffer");
+        assert!(v2.is_empty() && v2.capacity() == len);
+        assert_eq!(pool.used_bytes(), v2.accounted_bytes());
+        assert_eq!(pool.stats().total_allocs, 2);
     }
 
     #[test]
@@ -564,16 +490,6 @@ mod tests {
         assert!(pool.alloc_u64(1, Priority::Normal).is_err());
         let _b = pool.alloc_u64(1, Priority::Reserved).unwrap();
         assert!(pool.alloc_u64(1, Priority::Reserved).is_err());
-    }
-
-    #[test]
-    fn trim_releases_cached_bytes() {
-        let pool = small_pool(1 << 20, 0.0);
-        drop(pool.alloc_u64(100, Priority::Normal).unwrap());
-        assert!(pool.used_bytes() > 0);
-        pool.trim();
-        assert_eq!(pool.used_bytes(), 0);
-        assert_eq!(pool.stats().cached_bytes, 0);
     }
 
     #[test]
@@ -594,7 +510,7 @@ mod tests {
         let peak = pool.used_bytes();
         drop(a);
         drop(b);
-        pool.trim();
+        assert_eq!(pool.used_bytes(), 0);
         assert_eq!(pool.stats().high_water_bytes, peak);
     }
 
@@ -619,7 +535,6 @@ mod tests {
         assert!(pool.alloc_u64(1, Priority::Normal).is_err());
         let peak = pool.used_bytes();
         drop(v);
-        pool.trim();
         let dump = reg.snapshot();
         assert_eq!(dump.counter("pool.hbm.allocs"), Some(1));
         assert_eq!(dump.counter("pool.hbm.failed_allocs"), Some(1));
@@ -669,12 +584,10 @@ mod tests {
         // Accounting is the new pool's own: one fresh allocation.
         assert_eq!(second.used_bytes(), buf.accounted_bytes());
         assert_eq!(second.stats().total_allocs, 1);
-        assert_eq!(second.stats().cached_bytes, 0);
 
-        // `trim` parks the buffer too, and a pool without room for it still
-        // refuses: the reserve is behind the capacity check.
+        // A pool without room for the parked buffer still refuses: the
+        // reserve is behind the capacity check.
         drop(buf);
-        second.trim();
         assert_eq!(second.used_bytes(), 0);
         let tight = small_pool((len * 8) as u64 - 1, 0.0);
         assert!(tight.alloc_u64(len, Priority::Normal).is_err());

@@ -657,10 +657,11 @@ fn run_bench(a: &Args) -> RunResult {
     }
     let mut cfg = a.run_config(machine, obs.clone());
     if a.incidents_out.is_some() {
-        // Incident artifacts promise byte-identical same-seed exports;
-        // pool placement under host-thread interleaving is the one
-        // non-simulated input the recorder can see, so pin the serial
-        // spine (the same pinning the fig10/cluster exports use).
+        // Incident artifacts promise byte-identical same-seed exports.
+        // Under capacity pressure, which of two concurrent prefix workers
+        // gets the last HBM slot is the one non-simulated input the
+        // recorder can see, so pin the serial spine (the same pinning the
+        // fig10/cluster exports use).
         cfg.threads = 1;
     }
     let ck = a.checkpoint_interval;

@@ -159,37 +159,77 @@ fn snapshot_source() -> KvSource {
     KvSource::new(7, 50, 100_000).with_value_range(1_000)
 }
 
-/// The latest snapshot of a checkpointed `sum` run.
-fn sum_snapshot() -> PipelineSnapshot {
+/// The latest snapshot of a checkpointed run of `pipeline`.
+fn snapshot_of(pipeline: fn() -> Pipeline) -> PipelineSnapshot {
     let mut coord = CheckpointCoordinator::new();
-    let (cfg, pipeline) = (snapshot_cfg(), benchmarks::sum_per_key);
-    run_with_recovery(&cfg, snapshot_source, pipeline, 20, 3, &mut coord).expect("run");
+    run_with_recovery(
+        &snapshot_cfg(),
+        snapshot_source,
+        pipeline,
+        20,
+        3,
+        &mut coord,
+    )
+    .expect("run");
     coord.store().latest().expect("decodes").expect("committed")
 }
 
-/// A snapshot that decodes may still hold window ids no run produces; the
-/// engine computes window bounds from them at the next watermark. Resuming
-/// from one answers `Ok` or `Err`, in a debug build too.
+fn sum_snapshot() -> PipelineSnapshot {
+    snapshot_of(benchmarks::sum_per_key)
+}
+
+/// A sliding sum over single-copy panes, four to a window.
+fn pane_sum() -> Pipeline {
+    use streambox_hbm::engine::ops::{AggKind, KeyedAggregate};
+    let spec = WindowSpec::sliding(100_000_000, 25_000_000);
+    let sum = KeyedAggregate::new(spec, Col(0), Col(1), AggKind::Sum).with_pane_combining();
+    PipelineBuilder::new(spec)
+        .windowed_panes()
+        .op(Box::new(sum))
+        .build()
+}
+
+/// A snapshot that decodes may still hold window ids and counters no run
+/// produces; the engine computes window bounds from the ids at the next
+/// watermark, walks from the pane cursor to the newest pane, and adds to
+/// the counters. Resuming from one answers `Ok` or `Err` — `Err` where the
+/// table says so — in a debug build too, and promptly.
 #[test]
 fn resume_survives_hostile_window_ids() {
-    let snap = sum_snapshot();
+    let sum: fn() -> Pipeline = benchmarks::sum_per_key;
+    let (snap, panes) = (sum_snapshot(), snapshot_of(pane_sum));
     let mut far_entry = snap.clone();
     far_entry.ops[0].entries[0].window = u64::MAX / 2;
     let mut far_seen = snap.clone();
     far_seen.max_window_seen = u64::MAX;
-    for hostile in [far_entry, far_seen] {
+    let mut counted_out = snap.clone();
+    counted_out.records_in = u64::MAX - 1;
+    counted_out.windows_closed = u64::MAX;
+    // The last id `check_window_id` lets through: 7e11 windows from the cursor.
+    let mut far_pane = panes.clone();
+    let newest = far_pane.ops[0].entries.last_mut().expect("an open pane");
+    newest.window = pane_sum().spec().last_window().0;
+    let mut cursor_past_panes = panes.clone();
+    cursor_past_panes.ops[0].scalars[0] = u64::MAX;
+    for (hostile, pipeline, refused) in [
+        (far_entry, sum, false),
+        (far_seen, sum, false),
+        (counted_out, sum, true),
+        (far_pane, pane_sum, false),
+        (cursor_past_panes, pane_sum, true),
+    ] {
         let decoded = decode_snapshot(&encode_snapshot(&hostile));
         assert_eq!(decoded.as_ref(), Ok(&hostile));
         let resumed = Engine::new(snapshot_cfg()).resume_with_hooks(
             snapshot_source(),
-            benchmarks::sum_per_key(),
+            pipeline(),
             20,
             Some(3),
             &mut CheckpointCoordinator::new(),
             &hostile,
         );
         assert!(
-            matches!(resumed, Ok(_) | Err(EngineError::Config(_))),
+            matches!(resumed, Err(EngineError::Config(_))) || (!refused && resumed.is_ok()),
             "{resumed:?}"
         );
     }

@@ -63,11 +63,11 @@ fn ysb_metrics_spans_and_report_are_golden() {
          --incidents-out incidents.jsonl",
         "report metrics.jsonl --timeline --critical-path spans.jsonl",
         &[
-            ("run", 0xf5b6_18e4_18fc_76b2),
-            ("metrics.jsonl", 0xdc44_383e_c410_6102),
+            ("run", 0x5e72_6550_93bc_475e),
+            ("metrics.jsonl", 0xb341_a6f7_4385_1f5e),
             ("spans.jsonl", 0xcc95_75fa_5961_0c33),
             ("incidents.jsonl", 0x8674_93db_3136_c045),
-            ("report", 0xdf62_0291_ef4e_0354),
+            ("report", 0x4e97_42eb_1364_3768),
         ],
     );
 }
@@ -82,9 +82,9 @@ fn degraded_ysb_incidents_are_golden() {
          --incidents-out incidents.jsonl",
         "report metrics.jsonl --incidents incidents.jsonl",
         &[
-            ("metrics.jsonl", 0xa712_2544_58d7_975c),
-            ("incidents.jsonl", 0x1346_e2be_9e48_8067),
-            ("report", 0x194a_5902_8062_5dc3),
+            ("metrics.jsonl", 0x7e6d_8e2d_5fca_4201),
+            ("incidents.jsonl", 0xceea_9fcf_e1ea_e67a),
+            ("report", 0x5194_87a7_92e5_6526),
         ],
     );
 }
@@ -98,7 +98,7 @@ fn rescaled_cluster_artifacts_are_golden() {
         "report metrics.jsonl --cluster-critical-path trace.jsonl --health",
         &[
             ("run", 0x3054_a340_42ec_19e4),
-            ("metrics.jsonl", 0x1584_13db_d850_09bd),
+            ("metrics.jsonl", 0x322c_7998_386f_f539),
             ("trace.jsonl", 0x0a4c_5414_cd64_b115),
             ("health.jsonl", 0x45df_0f9e_19dc_21a3),
             ("report", 0x120f_40ad_668c_0121),

@@ -128,6 +128,43 @@ fn parallel_prefix_matches_serial_execution() {
     }
 }
 
+/// Every byte gauge is a function of (seed, config): the trajectory's
+/// `ysb_c32` run reports one HBM peak and one per-round series of held bytes
+/// per tier, whatever the host thread count and however the workers happen
+/// to interleave (60 runs in one process).
+#[test]
+fn byte_gauges_are_identical_across_threads_and_repeats() {
+    let gauges = |threads: usize| {
+        let cfg = RunConfig {
+            cores: 32,
+            threads,
+            sender: SenderConfig {
+                bundle_rows: 20_000,
+                bundles_per_watermark: 10,
+                nic: NicModel::rdma_40g(),
+            },
+            ..RunConfig::default()
+        };
+        let report = Engine::new(cfg)
+            .run(
+                YsbSource::new(7, 10_000, 1_000, 10_000_000),
+                benchmarks::ysb(1_000),
+                30,
+            )
+            .expect("run");
+        let held = |s: &RoundPoint| (s.hbm_used_bytes, s.dram_used_bytes);
+        let series: Vec<_> = report.samples.iter().map(held).collect();
+        (report.hbm_peak_used_bytes, series)
+    };
+    let first = gauges(1);
+    assert!(first.0 > 0 && first.1.len() == 3);
+    for rep in 0..20 {
+        for threads in [1usize, 2, 4] {
+            assert_eq!(gauges(threads), first, "threads={threads} rep={rep}");
+        }
+    }
+}
+
 /// The benchmark pipelines expose the expected parallelizable prefixes.
 #[test]
 fn stateless_prefixes_are_detected() {

@@ -9,7 +9,7 @@
 use sbx_prng::SbxRng;
 use streambox_hbm::engine::DemandBalancer;
 use streambox_hbm::prelude::*;
-use streambox_hbm::simmem::{AccessProfile, CostModel, MemPool, MemSpec};
+use streambox_hbm::simmem::{AccessProfile, CostModel, MemPool, MemSpec, PoolVec};
 
 const CASES: u64 = 64;
 
@@ -21,33 +21,67 @@ fn spec(capacity_bytes: u64) -> MemSpec {
     }
 }
 
-/// The pool never hands out more than its capacity, and freeing everything
-/// (plus trim) returns accounting to zero.
+/// Plays `script` against `pool` — a size allocates (a refusal is skipped),
+/// 0 frees the oldest buffer held — checking after every step that the pool
+/// accounts exactly the buffers `held`, and returns what is left of them.
+fn play(pool: &MemPool, script: &[u64], check: bool) -> Vec<PoolVec> {
+    let mut held: Vec<PoolVec> = Vec::new();
+    for &s in script {
+        if s == 0 {
+            if !held.is_empty() {
+                held.remove(0);
+            }
+        } else if let Ok(buf) = pool.alloc_u64(s as usize, Priority::Normal) {
+            held.push(buf);
+        }
+        if check {
+            let live: u64 = held.iter().map(PoolVec::accounted_bytes).sum();
+            assert_eq!(pool.used_bytes(), live);
+            assert!(live <= pool.capacity_bytes());
+        }
+    }
+    held
+}
+
+/// The pool never hands out more than its capacity, accounts exactly the
+/// buffers alive after any alloc/free sequence (0 once the last one drops)
+/// and ends on the same value when two threads play the sequence's halves.
 #[test]
 fn pool_capacity_is_never_exceeded() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_0001);
     for _ in 0..CASES {
-        let sizes: Vec<u64> = {
-            let n = rng.random_range(1..40) as usize;
-            rng.vec_in(n, 1..20_000)
+        let script: Vec<u64> = {
+            let n = rng.random_range(2..40) as usize;
+            let mut sizes = rng.vec_in(n, 1..20_000);
+            // One step in four frees instead.
+            for s in sizes.iter_mut().filter(|s| **s % 4 == 0) {
+                *s = 0;
+            }
+            sizes
         };
         let capacity_kib = rng.random_range(64..2_048);
         let pool = MemPool::new(MemKind::Hbm, spec(capacity_kib * 1024), 0.0);
-        let mut live = Vec::new();
-        for &s in &sizes {
-            if let Ok(buf) = pool.alloc_u64(s as usize, Priority::Normal) {
-                live.push(buf);
-            }
-            assert!(pool.used_bytes() <= pool.capacity_bytes());
-        }
-        live.clear();
-        pool.trim();
+        drop(play(&pool, &script, true));
         assert_eq!(pool.used_bytes(), 0);
+
+        // Roomy, so no request is refused on either schedule.
+        let (a, b) = script.split_at(script.len() / 2);
+        let serial = MemPool::new(MemKind::Hbm, spec(1 << 30), 0.0);
+        let held = (play(&serial, a, true), play(&serial, b, false));
+        let shared = MemPool::new(MemKind::Hbm, spec(1 << 30), 0.0);
+        let threaded = std::thread::scope(|sc| {
+            let t = sc.spawn(|| play(&shared, a, false));
+            (play(&shared, b, false), t.join().expect("player thread"))
+        });
+        assert_eq!(shared.used_bytes(), serial.used_bytes());
+        drop((held, threaded));
+        assert_eq!((shared.used_bytes(), serial.used_bytes()), (0, 0));
     }
 }
 
 /// Reserved-priority allocations can use strictly more of the pool than
-/// normal ones, but never more than capacity.
+/// normal ones, but never more than capacity — also when a buffer of the
+/// request's class was freed a moment ago.
 #[test]
 fn reserve_ordering_holds() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_0002);
@@ -59,6 +93,16 @@ fn reserve_ordering_holds() {
         assert!(normal <= reserved);
         assert!(reserved <= pool.capacity_bytes());
     }
+
+    const BUF: u64 = 4096; // the smallest size class
+    let pool = MemPool::new(MemKind::Hbm, spec(4 * BUF), 0.5);
+    let alloc = |prio| pool.alloc_u64(1, prio);
+    let _normal = [alloc(Priority::Normal), alloc(Priority::Normal)].map(Result::unwrap);
+    let _urgent = alloc(Priority::Reserved).unwrap();
+    drop(alloc(Priority::Reserved).unwrap());
+    assert_eq!(pool.used_bytes(), 3 * BUF, "above the Normal ceiling");
+    assert!(alloc(Priority::Normal).is_err());
+    assert!(alloc(Priority::Reserved).is_ok());
 }
 
 /// Whatever sequence of monitor samples arrives, the knob stays bounded in
