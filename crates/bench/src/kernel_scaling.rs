@@ -2,9 +2,9 @@
 //! (Sort, Merge, Join) across worker-pool widths, the serial chunk sort and
 //! k-way merge against the kernels they replaced over a grid of key
 //! distributions and run counts, the per-bundle front half (Select/Extract,
-//! Partition, KeySwap) against the loops it replaced, plus the modelled
-//! pass-bytes comparison between the retired multipass structure and the
-//! single-pass merge-path kernels.
+//! Partition, KeySwap) and the window close (keyed reduction, merge count)
+//! against the passes they replaced, plus the modelled pass-bytes comparison
+//! between the retired multipass structure and the single-pass kernels.
 //!
 //! Unlike the figure sweeps, the *time* column here is real host time of
 //! the functional kernels (`std::time::Instant`), not modelled KNL time:
@@ -20,6 +20,7 @@ use std::time::Instant; // sbx-lint: allow(wall-clock, host microbench is the po
 use sbx_ingress::{KvSource, Source, YsbSource, ZipfKeys};
 use sbx_kpa::mergepath::{self, RankBy, Run};
 use sbx_kpa::{join_sorted, profile, sort_pairs, ExecCtx, Kpa, WorkerPool};
+use sbx_kpa::{reduce_keyed, reduce_keyed_scalar};
 use sbx_prng::SbxRng;
 use sbx_records::{Col, RecordBundle, Schema};
 use sbx_simmem::{MachineConfig, MemEnv, MemKind, Priority};
@@ -260,8 +261,8 @@ pub fn run_kernel_grid(reps: usize) -> String {
     t.print()
 }
 
-/// One row of the front-half table: median host nanoseconds per input pair
-/// of the loop a per-bundle primitive ran before ([`reference`]) and of the
+/// One row of the front- and close-half tables: median host nanoseconds per
+/// input pair of the loop a primitive ran before ([`reference`]) and of the
 /// primitive today.
 #[derive(Debug, Clone)]
 pub struct FrontCell {
@@ -273,6 +274,20 @@ pub struct FrontCell {
     pub old: f64,
     /// Current kernel.
     pub new: f64,
+}
+
+impl FrontCell {
+    /// The row of `(old, new)` timings, one pair per repetition.
+    fn median_of(kernel: &'static str, case: String, timings: Vec<(f64, f64)>) -> Self {
+        let (old, new) = timings.into_iter().unzip();
+        let (old, new) = (median(old), median(new));
+        FrontCell {
+            kernel,
+            case,
+            old,
+            new,
+        }
+    }
 }
 
 /// The packed pointers of `kpa`, in pair order.
@@ -304,15 +319,7 @@ pub fn measure_front_half(reps: usize) -> Vec<FrontCell> {
     let mut ctx = ExecCtx::new(&env);
     let per_pair = |secs: f64| secs * 1e9 / n as f64;
     let mut cells = Vec::new();
-    let mut cell = |kernel, case: String, timings: Vec<(f64, f64)>| {
-        let (old, new) = timings.into_iter().unzip();
-        cells.push(FrontCell {
-            kernel,
-            case,
-            old: median(old),
-            new: median(new),
-        });
-    };
+    let mut cell = |kernel, case, timings| cells.push(FrontCell::median_of(kernel, case, timings));
 
     for ncols in [3usize, 7] {
         for (threshold, rate) in [(0u64, "0"), (2, "0.4"), (5, "1")] {
@@ -428,32 +435,103 @@ pub fn measure_front_half(reps: usize) -> Vec<FrontCell> {
     cells
 }
 
-/// Runs the front-half comparison ([`measure_front_half`]) and renders it.
-pub fn run_front_half(reps: usize) -> String {
-    let mut t = Table::new(
-        &format!(
-            "Host kernels, per-bundle front half, {CHUNK_PAIRS}-row bundles \
-             (median ns/input pair): per-element reference loops vs one streaming pass"
-        ),
-        &["kernel", "case", "old", "new", "gain"],
-    );
-    for c in measure_front_half(reps) {
-        t.row(vec![
-            c.kernel.into(),
-            c.case,
-            f1(c.old),
-            f1(c.new),
-            format!("{}x", f1(c.old / c.new)),
-        ]);
+/// Times the window close on `reps` windows as early aggregation leaves
+/// them — 25 KPAs over [`CHUNK_PAIRS`]-record bundles in key order, 4 M
+/// uniform or 1 000 keys: a sum by [`reduce_keyed`] vs the scalar fold, and
+/// the merge plus [`reference::output_rows`] vs the counting merge alone.
+/// Panics if the two sides of a row disagree in any byte.
+pub fn measure_close_half(reps: usize) -> Vec<FrontCell> {
+    let env = env();
+    let mut ctx = ExecCtx::new(&env);
+    let pairs = (RUN_COUNTS[2] * CHUNK_PAIRS) as f64;
+    let per_pair = |(old, new): (f64, f64)| (old * 1e9 / pairs, new * 1e9 / pairs);
+    let mut cells = Vec::new();
+    for dist in [KeyDist::Uniform4M, KeyDist::Keys1000] {
+        let (mut reduce, mut merge) = (Vec::new(), Vec::new());
+        for rep in 0..reps.max(1) as u64 {
+            let mut rng = SbxRng::seed_from_u64(51 + rep);
+            let mut bundles = Vec::new();
+            for _ in 0..RUN_COUNTS[2] {
+                let mut keys = dist.keys(&mut rng, CHUNK_PAIRS);
+                keys.sort_unstable();
+                let rows: Vec<u64> = keys.iter().flat_map(|&k| [k, rng.random(), 0]).collect();
+                bundles.push(RecordBundle::from_rows(&env, Schema::kvt(), &rows).expect("fits"));
+            }
+            let window = |ctx: &mut ExecCtx| -> Vec<Kpa> {
+                let mut kpas: Vec<Kpa> = bundles.iter().map(|b| extracted(ctx, b)).collect();
+                kpas.iter_mut().for_each(Kpa::mark_sorted);
+                kpas
+            };
+            let (kpas, counted) = (window(&mut ctx), window(&mut ctx));
+            let (want, old) = timed(|| {
+                let merged = Kpa::merge_many(&mut ctx, kpas, MemKind::Hbm, Priority::Normal);
+                reference::output_rows(merged.expect("merge fits").keys())
+            });
+            let (merged, new) = timed(|| {
+                Kpa::merge_many_counted(&mut ctx, counted, MemKind::Hbm, Priority::Normal)
+            });
+            let (merged, groups) = merged.expect("merge fits");
+            assert!(groups == Some(want), "{dist:?}: merge count");
+            merge.push(per_pair((old, new)));
+
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            let (_, old) = timed(|| {
+                reduce_keyed(&mut ctx, &merged, Col(1), |g| {
+                    let sum = g.values.iter().fold(0u64, |a, &v| a.wrapping_add(v));
+                    want.push((g.key, sum, g.values.len() as u64));
+                })
+            });
+            let fold = |k, s, c| got.push((k, s, c));
+            let (_, new) = timed(|| reduce_keyed_scalar(&mut ctx, &merged, Some(Col(1)), fold));
+            assert!(got == want, "{dist:?}: scalar fold");
+            reduce.push(per_pair((old, new)));
+        }
+        let rows = [
+            ("Keyed reduce", "KeyGroup vs scalar fold", reduce),
+            ("Merge", "+ output_rows vs counted", merge),
+        ];
+        for (kernel, what, timings) in rows {
+            let case = format!("{}, {what}", dist.label());
+            cells.push(FrontCell::median_of(kernel, case, timings));
+        }
+    }
+    cells
+}
+
+/// Renders rows of old vs new host time under `title`.
+fn cell_table(title: &str, cells: Vec<FrontCell>) -> String {
+    let mut t = Table::new(title, &["kernel", "case", "old", "new", "gain"]);
+    for c in cells {
+        let gain = format!("{}x", f1(c.old / c.new));
+        t.row(vec![c.kernel.into(), c.case, f1(c.old), f1(c.new), gain]);
     }
     t.print()
 }
 
+/// Runs the close-half comparison ([`measure_close_half`]) and renders it.
+pub fn run_close_half(reps: usize) -> String {
+    let title = format!(
+        "Host kernels, window close, {} x {CHUNK_PAIRS}-pair KPAs \
+         (median ns/pair): replaced passes vs one streaming pass",
+        RUN_COUNTS[2]
+    );
+    cell_table(&title, measure_close_half(reps))
+}
+
+/// Runs the front-half comparison ([`measure_front_half`]) and renders it.
+pub fn run_front_half(reps: usize) -> String {
+    let title = format!(
+        "Host kernels, per-bundle front half, {CHUNK_PAIRS}-row bundles \
+         (median ns/input pair): per-element reference loops vs one streaming pass"
+    );
+    cell_table(&title, measure_front_half(reps))
+}
+
 /// The kernels `sbx_kpa::sort_pairs` and `mergepath::merge_span` ran before
-/// the radix kernels, and the per-element loops Select/Extract, Partition
-/// and the pointer resolver ran before their streaming passes, kept as the
-/// reference the tables here (and `tests/prop_primitives.rs`) time and
-/// check the current kernels against.
+/// the radix kernels, the per-element loops Select/Extract, Partition and
+/// the pointer resolver ran before their streaming passes, and the pass that
+/// counted a merged window's keys, kept as the reference the tables here
+/// (and `tests/prop_primitives.rs`) time and check the current kernels against.
 pub mod reference {
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -554,6 +632,11 @@ pub mod reference {
             let at = r.row as usize * ncols;
             *key = rows[at..at + ncols][col.0];
         }
+    }
+
+    /// Distinct keys of the sorted `keys` — a window close's rows but TopK's.
+    pub fn output_rows(keys: &[u64]) -> usize {
+        usize::from(!keys.is_empty()) + keys.windows(2).filter(|w| w[0] != w[1]).count()
     }
 
     /// Chunk sort: one pattern-defeating quicksort over the pairs packed as
@@ -695,6 +778,7 @@ pub fn run() -> String {
 
     out.push_str(&run_kernel_grid(5));
     out.push_str(&run_front_half(25));
+    out.push_str(&run_close_half(9));
 
     let (so, sn, mo, mn) = modelled_pass_bytes();
     let mut m = Table::new(
@@ -763,6 +847,17 @@ mod tests {
     fn front_half_rows_match_the_reference() {
         let cells = measure_front_half(1);
         assert_eq!(cells.len(), 6 + 3 + 2);
+        for c in &cells {
+            assert!(c.old > 0.0 && c.new > 0.0, "{c:?}");
+        }
+    }
+
+    /// Every close-half row runs both sides, byte-identical (asserted
+    /// inside), and reports positive times.
+    #[test]
+    fn close_half_rows_match_the_reference() {
+        let cells = measure_close_half(1);
+        assert_eq!(cells.len(), 2 * 2);
         for c in &cells {
             assert!(c.old > 0.0 && c.new > 0.0, "{c:?}");
         }

@@ -100,13 +100,11 @@ impl StateEntry {
         let bundle = ctx.charged(rb, |e| kpa.materialize(e))?;
         let (resident, sorted) = (kpa.resident().0, kpa.is_sorted());
         let mut ncols = schema.ncols();
-        let mut rows = Vec::with_capacity(bundle.rows() * ncols);
-        let mut carries_keys = false;
-        for (r, &key) in kpa.keys().iter().enumerate() {
-            let row = bundle.row(r);
-            carries_keys |= row[resident] != key;
-            rows.extend_from_slice(row);
-        }
+        let mut rows = bundle.as_rows().to_vec();
+        let carries_keys = rows
+            .chunks_exact(ncols)
+            .zip(kpa.keys())
+            .any(|(row, &key)| row[resident] != key);
         if carries_keys {
             // Computed keys: lay the rows out again, each with its key.
             let mut keyed = Vec::with_capacity(rows.len() + kpa.len());
@@ -133,18 +131,13 @@ impl StateEntry {
 
     /// Snapshots a raw record bundle (pane buffers) as plain rows.
     pub fn from_bundle(window: u64, port: u8, b: &RecordBundle) -> StateEntry {
-        let ncols = b.schema().ncols();
-        let mut rows = Vec::with_capacity(b.rows() * ncols);
-        for r in 0..b.rows() {
-            rows.extend_from_slice(b.row(r));
-        }
         StateEntry {
             window,
             port,
             repr: EntryRepr::Rows,
-            ncols,
+            ncols: b.schema().ncols(),
             ts_col: b.schema().ts_col().0,
-            rows,
+            rows: b.as_rows().to_vec(),
         }
     }
 

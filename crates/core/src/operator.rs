@@ -217,6 +217,18 @@ impl<'a> OpCtx<'a> {
             .map_err(EngineError::from)
     }
 
+    /// [`Self::merge_many`], also returning the merged keys' count when the
+    /// merge kernel took it ([`Kpa::merge_many_counted`]).
+    pub fn merge_many_counted(
+        &mut self,
+        kpas: Vec<Kpa>,
+    ) -> Result<(Kpa, Option<usize>), EngineError> {
+        let (kind, prio) = self.place();
+        let rb = kpas.first().map_or(16, |k| self.record_bytes_of(k));
+        self.charged(rb, |e| Kpa::merge_many_counted(e, kpas, kind, prio))
+            .map_err(EngineError::from)
+    }
+
     fn record_bytes_of(&self, kpa: &Kpa) -> usize {
         if kpa.is_empty() || kpa.source_count() == 0 {
             16

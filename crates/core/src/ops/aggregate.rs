@@ -458,38 +458,48 @@ mod tests {
         assert_eq!(with, without);
     }
 
+    /// Window 1 holds one record, so its KPA is a single pair — which early
+    /// aggregation must still turn into a partial.
     #[test]
     fn count_avg_median_unique_topk() {
-        let rows = [(1, 10, 0), (1, 20, 1), (1, 30, 2), (2, 5, 3), (2, 5, 4)];
+        let rows = [
+            (1, 10, 0),
+            (1, 20, 1),
+            (1, 30, 2),
+            (2, 5, 3),
+            (2, 5, 4),
+            (3, 7, 15),
+        ];
         assert_eq!(
             run_agg(AggKind::Count, &rows, true),
-            vec![(1, 3, 0), (2, 2, 0)]
+            vec![(1, 3, 0), (2, 2, 0), (3, 1, 10)]
         );
         assert_eq!(
             run_agg(AggKind::Avg, &rows, false),
-            vec![(1, 20, 0), (2, 5, 0)]
+            vec![(1, 20, 0), (2, 5, 0), (3, 7, 10)]
         );
         assert_eq!(
             run_agg(AggKind::Median, &rows, false),
-            vec![(1, 20, 0), (2, 5, 0)]
+            vec![(1, 20, 0), (2, 5, 0), (3, 7, 10)]
         );
         assert_eq!(
             run_agg(AggKind::UniqueCount, &rows, false),
-            vec![(1, 3, 0), (2, 1, 0)]
+            vec![(1, 3, 0), (2, 1, 0), (3, 1, 10)]
         );
         assert_eq!(
             run_agg(AggKind::TopK(2), &rows, false),
-            vec![(1, 30, 0), (1, 20, 0), (2, 5, 0), (2, 5, 0)]
+            vec![(1, 30, 0), (1, 20, 0), (2, 5, 0), (2, 5, 0), (3, 7, 10)]
         );
     }
 
     /// Every grouping backend must emit byte-identical window results for
     /// every aggregate kind (the DESIGN.md §14 bit-stability contract, at
-    /// the operator level).
+    /// the operator level), a one-record window included.
     #[test]
     fn grouping_backends_are_output_transparent() {
-        let rows: Vec<(u64, u64, u64)> =
+        let mut rows: Vec<(u64, u64, u64)> =
             (0..300).map(|i| (i % 13, (i * 7) % 101, i % 20)).collect();
+        rows.push((5, 42, 25));
         for kind in [
             AggKind::Sum,
             AggKind::Count,

@@ -32,8 +32,9 @@
 use std::sync::Arc;
 
 use sbx_kpa::hash::{fib_hash, HashAgg, HashGrouper};
+use sbx_kpa::mergepath::count_groups;
 use sbx_kpa::sketch::GroupSketch;
-use sbx_kpa::{agg, profile, reduce_keyed, Kpa};
+use sbx_kpa::{agg, profile, reduce_keyed, reduce_keyed_scalar, ExecCtx, Kpa};
 use sbx_records::{Col, RecordBundle, Schema};
 use sbx_simmem::{AccessProfile, AllocError, MemEnv, MemKind, Priority};
 
@@ -177,35 +178,13 @@ pub(crate) trait GroupingBackend: Send + std::fmt::Debug {
     fn restore_entry(&mut self, ctx: &mut OpCtx<'_>, e: &StateEntry) -> Result<(), EngineError>;
 }
 
-/// Emits one group's output rows exactly as the original `KeyedAggregate`
-/// close path did — shared by the sort backend's reduce closure and the
-/// hash backends' drains, so their bytes cannot diverge.
-pub(crate) fn emit_group(
-    kind: AggKind,
-    early: bool,
-    key: u64,
-    values: &[u64],
-    start: u64,
-    rows: &mut Vec<u64>,
-) {
+/// Emits one group's output rows from all of its values — shared by the
+/// sort backend's close and the hash backends' drains, so their bytes
+/// cannot diverge.
+pub(crate) fn emit_group(kind: AggKind, key: u64, values: &[u64], start: u64, rows: &mut Vec<u64>) {
     match kind {
-        AggKind::Sum => {
-            rows.extend_from_slice(&[
-                key,
-                values.iter().fold(0u64, |a, &v| a.wrapping_add(v)),
-                start,
-            ]);
-        }
-        AggKind::Count => {
-            // With early aggregation the values are partial counts;
-            // otherwise each value is one record.
-            let c = if early {
-                values.iter().fold(0u64, |a, &v| a.wrapping_add(v))
-            } else {
-                values.len() as u64
-            };
-            rows.extend_from_slice(&[key, c, start]);
-        }
+        // sbx-lint: allow(no-panic, both callers route the scalar kinds to their scalar folds)
+        AggKind::Sum | AggKind::Count => unreachable!("scalar kinds fold in scalar_rows"),
         AggKind::Avg => {
             rows.extend_from_slice(&[key, agg::average(values), start]);
         }
@@ -225,18 +204,18 @@ pub(crate) fn emit_group(
     }
 }
 
-/// Rows [`emit_group`] appends for a key-sorted window of `keys`: one per
-/// distinct key, or up to `k` of a key's pairs for `TopK(k)`. Lets a close
-/// path size its output bundle up front and write the rows into it once.
-pub(crate) fn output_rows(kind: AggKind, keys: &[u64]) -> usize {
-    match kind {
-        AggKind::TopK(k) => keys
-            .chunk_by(|a, b| a == b)
-            .map(|group| group.len().min(k))
-            .sum(),
-        // One row per group: a branch-free count of key changes.
-        _ => usize::from(!keys.is_empty()) + keys.windows(2).filter(|w| w[0] != w[1]).count(),
-    }
+/// `Sum` and `Count` by the scalar fold: a `[key, sum of col (no column:
+/// count), start]` row per key of the sorted `kpa`; returns the keys.
+fn scalar_rows(
+    e: &mut ExecCtx,
+    kpa: &Kpa,
+    col: Option<Col>,
+    start: u64,
+    rows: &mut Vec<u64>,
+) -> usize {
+    reduce_keyed_scalar(e, kpa, col, |key, sum, count| {
+        rows.extend_from_slice(&[key, if col.is_some() { sum } else { count }, start]);
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -266,25 +245,15 @@ impl SortMergeBackend {
         kpa: &Kpa,
         p: &AggParams,
     ) -> Result<Arc<RecordBundle>, EngineError> {
-        let value_col = p.value_col;
-        let kind = p.kind;
-        // One partial row per distinct key; counting them up front lets the
-        // reduction write straight into the partial bundle's pool buffer.
-        let slots = 3 * output_rows(AggKind::Sum, kpa.keys());
+        // Early aggregation is only enabled for Sum and Count (see
+        // `KeyedAggregate::new`). One partial row per distinct key;
+        // counting them up front lets the fold write straight into the
+        // partial bundle's pool buffer.
+        let col = (p.kind == AggKind::Sum).then_some(p.value_col);
+        let slots = 3 * count_groups(kpa.keys());
         let env = ctx.env();
         let partials = RecordBundle::from_fill(&env, Schema::kvt(), slots, |rows| {
-            ctx.charged(16, |e| {
-                reduce_keyed(e, kpa, value_col, |g| {
-                    // Early aggregation is only enabled for Sum and Count
-                    // (see `KeyedAggregate::new`); any other kind never
-                    // reaches this closure, and the Sum arm is a safe default.
-                    let partial = match kind {
-                        AggKind::Count => g.values.len() as u64,
-                        _ => g.values.iter().fold(0u64, |a, &v| a.wrapping_add(v)),
-                    };
-                    rows.extend_from_slice(&[g.key, partial, 0]);
-                })
-            });
+            ctx.charged(16, |e| scalar_rows(e, kpa, col, 0, rows));
         })?;
         Ok(partials)
     }
@@ -300,7 +269,7 @@ impl SortMergeBackend {
         // (paper §4.3 optimization 1).
         let (kind, prio) = ctx.place();
         let mut kpa = ctx.charged(24, |e| Kpa::extract_fused(e, partials, Col(0), kind, prio))?;
-        // reduce_keyed emitted the partials in ascending key order.
+        // The scalar fold emitted the partials in ascending key order.
         kpa.mark_sorted();
         self.kpas.push(kpa);
         Ok(())
@@ -325,8 +294,10 @@ impl GroupingBackend for SortMergeBackend {
     ) -> Result<(), EngineError> {
         self.records += kpa.len() as u64;
         ctx.sort(&mut kpa)?;
-        if p.early && kpa.len() > 1 {
-            // The raw KPA stays allocated until its replacement is placed.
+        if p.early {
+            // Every arriving KPA, one pair or many: close reads the window
+            // as partials. The raw KPA stays allocated until its
+            // replacement is placed.
             let partials = Self::partials(ctx, &kpa, p)?;
             self.push_partials(ctx, &partials)
         } else {
@@ -347,25 +318,37 @@ impl GroupingBackend for SortMergeBackend {
         if kpas.is_empty() {
             return Ok((RecordBundle::from_rows(&env, Arc::clone(schema), &[])?, 0));
         }
-        let merged = ctx.merge_many(kpas)?;
-        // When early aggregation ran, the stored "values" are partials
-        // living in column 1 of the partial bundles.
-        let value_col = if p.early { Col(1) } else { p.value_col };
+        // The window's keys — its row count for every kind but TopK, so the
+        // reduction writes straight into the output bundle's pool buffer —
+        // as a k-way merge counts them, or in a pass of their own.
+        let (merged, groups) = ctx.merge_many_counted(kpas)?;
+        let groups = groups.unwrap_or_else(|| count_groups(merged.keys()));
         let kind = p.kind;
-        let early = p.early;
-        let mut groups = 0u64;
-        // The row count is known from the merged keys, so the reduction
-        // writes straight into the output bundle's pool buffer.
-        let slots = schema.ncols() * output_rows(kind, merged.keys());
+        let out_rows = match kind {
+            AggKind::TopK(k) => merged
+                .keys()
+                .chunk_by(|a, b| a == b)
+                .map(|group| group.len().min(k))
+                .sum(),
+            _ => groups,
+        };
+        let slots = schema.ncols() * out_rows;
         let out = RecordBundle::from_fill(&env, Arc::clone(schema), slots, |rows| {
-            ctx.charged(16, |e| {
-                reduce_keyed(e, &merged, value_col, |g| {
-                    groups += 1;
-                    emit_group(kind, early, g.key, g.values, start, rows);
-                })
+            ctx.charged(16, |e| match kind {
+                AggKind::Sum | AggKind::Count => {
+                    // When early aggregation ran, the window holds partials,
+                    // in column 1 of their bundles and summed for either kind.
+                    let raw = (kind == AggKind::Sum).then_some(p.value_col);
+                    let col = if p.early { Some(Col(1)) } else { raw };
+                    scalar_rows(e, &merged, col, start, rows)
+                }
+                // No other kind aggregates early.
+                _ => reduce_keyed(e, &merged, p.value_col, |g| {
+                    emit_group(kind, g.key, g.values, start, rows);
+                }),
             });
         })?;
-        Ok((out, groups))
+        Ok((out, groups as u64))
     }
 
     fn records(&self) -> u64 {
@@ -629,8 +612,7 @@ impl HashBackend {
             HashAgg::Values => {
                 let entries = self.value_entries();
                 for (k, vals) in &entries {
-                    // Hash state is never pre-reduced: early = false.
-                    emit_group(p.kind, false, *k, vals, start, rows);
+                    emit_group(p.kind, *k, vals, start, rows);
                 }
                 entries.len() as u64
             }

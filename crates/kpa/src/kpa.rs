@@ -635,7 +635,7 @@ impl Kpa {
         out_kind: MemKind,
         prio: Priority,
     ) -> Result<Kpa, AllocError> {
-        Self::merge_runs(ctx, &[a, b], out_kind, prio)
+        Ok(Self::merge_runs(ctx, &[a, b], out_kind, prio, false)?.0)
     }
 
     /// Merges any number of sorted KPAs into one in a *single pass* (the
@@ -672,16 +672,34 @@ impl Kpa {
                 return Ok(k);
             }
         }
-        Self::merge_runs(ctx, &kpas, out_kind, prio)
+        Ok(Self::merge_runs(ctx, &kpas, out_kind, prio, false)?.0)
     }
 
-    /// The merge body: two or more owned or borrowed inputs.
+    /// [`Kpa::merge_many`] (same errors and panics) that also returns the
+    /// merged KPA's distinct keys when the k-way kernel counted them, bucket
+    /// by bucket in cache ([`mergepath::merge_runs_pooled`]): `None` for one
+    /// or two inputs, which take no k-way pass.
+    pub fn merge_many_counted(
+        ctx: &mut ExecCtx,
+        kpas: Vec<Kpa>,
+        out_kind: MemKind,
+        prio: Priority,
+    ) -> Result<(Kpa, Option<usize>), AllocError> {
+        if kpas.len() < 3 {
+            return Ok((Self::merge_many(ctx, kpas, out_kind, prio)?, None));
+        }
+        Self::merge_runs(ctx, &kpas, out_kind, prio, true)
+    }
+
+    /// The merge body: two or more owned or borrowed inputs; returns the
+    /// merged KPA and, with `count`, what the kernel counted of its keys.
     fn merge_runs<K: std::borrow::Borrow<Kpa>>(
         ctx: &mut ExecCtx,
         kpas: &[K],
         out_kind: MemKind,
         prio: Priority,
-    ) -> Result<Kpa, AllocError> {
+        count: bool,
+    ) -> Result<(Kpa, Option<usize>), AllocError> {
         let first: &Kpa = kpas[0].borrow();
         for k in kpas.iter().map(K::borrow) {
             assert!(k.sorted, "merge requires sorted inputs");
@@ -701,13 +719,14 @@ impl Kpa {
             // sbx-lint: allow(raw-alloc, k run descriptors; pair data lives in pool buffers)
             .collect();
         let width = ctx.pool().width();
-        mergepath::merge_runs_pooled(
+        let groups = mergepath::merge_runs_pooled(
             ctx.pool(),
             width,
             &runs,
             mergepath::RankBy::Key,
             &mut keys,
             &mut ptrs,
+            count,
         );
         // Charge the scan of the inputs on their (possibly distinct) tiers.
         let in_kind = if kpas.iter().all(|k| k.borrow().kind() == first.kind()) {
@@ -726,7 +745,7 @@ impl Kpa {
                 sources.entry(*id).or_insert_with(|| Arc::clone(b));
             }
         }
-        Ok(Kpa {
+        let kpa = Kpa {
             keys,
             ptrs,
             resident: first.resident,
@@ -738,7 +757,8 @@ impl Kpa {
                 .iter()
                 .skip(1)
                 .fold(first.shadow.clone(), |acc, k| acc.union(&k.borrow().shadow)),
-        })
+        };
+        Ok((kpa, groups))
     }
 
     /// Number of key/pointer pairs.

@@ -170,6 +170,12 @@ pub fn span_rank(total: usize, parts: usize, p: usize) -> usize {
 /// a bucket stay cache-resident while its counting passes run.
 const BUCKET_PAIRS: usize = 4096;
 
+/// Distinct keys of a key-sorted slice, counted branch-free.
+pub fn count_groups(keys: &[u64]) -> usize {
+    let changes: usize = keys.windows(2).map(|w| usize::from(w[0] != w[1])).sum();
+    usize::from(!keys.is_empty()) + changes
+}
+
 /// K-way merges `runs[r][lo[r]..hi[r]]` for all `r` into `out_keys` /
 /// `out_ptrs` in `by` order (run index breaks ties), preserving each run's
 /// internal order. The output slices must have length
@@ -199,11 +205,26 @@ pub fn merge_span(
     out_keys: &mut [u64],
     out_ptrs: &mut [u64],
 ) {
+    merge_span_counting(runs, lo, hi, by, out_keys, out_ptrs, false);
+}
+
+/// [`merge_span`]; with `count`, also the distinct keys it writes, counted
+/// bucket by bucket while each is in cache. `None` without `count`, and
+/// from the two-way loop, which leaves that pass to the caller.
+fn merge_span_counting(
+    runs: &[Run<'_>],
+    lo: &[usize],
+    hi: &[usize],
+    by: RankBy,
+    out_keys: &mut [u64],
+    out_ptrs: &mut [u64],
+    count: bool,
+) -> Option<usize> {
     debug_assert_eq!(runs.len(), lo.len());
     debug_assert_eq!(runs.len(), hi.len());
     if runs.len() <= 2 {
         merge_two(runs, lo, hi, by, out_keys, out_ptrs);
-        return;
+        return None;
     }
     let total = claimed(lo, hi);
     // Room for a bucket of twice the average size; a longer one grows it.
@@ -211,7 +232,16 @@ pub fn merge_span(
     let mut scratch = vec![0u64; 2 * total.min(2 * BUCKET_PAIRS)];
     let mut pos = lo.to_vec();
     let mut cut = lo.to_vec();
-    let mut done = 0usize;
+    let (mut done, mut groups) = (0usize, 0usize);
+    // Buckets hold disjoint key ranges, so their counts add up.
+    let mut bucket = |pos: &[usize], cut: &[usize], done: &mut usize| {
+        let out = (&mut out_keys[*done..], &mut out_ptrs[*done..]);
+        let len = sort_bucket(runs, pos, cut, by, out, &mut scratch);
+        if count {
+            groups += count_groups(&out_keys[*done..*done + len]);
+        }
+        *done += len;
+    };
     for splitter in splitters(runs, lo, hi, total) {
         // Keys below the splitter, then the splitter key by itself.
         for inclusive in [false, true] {
@@ -223,14 +253,13 @@ pub fn merge_span(
                     gallop(rest, |key| key < splitter)
                 };
             }
-            let out = (&mut out_keys[done..], &mut out_ptrs[done..]);
-            done += sort_bucket(runs, &pos, &cut, by, out, &mut scratch);
+            bucket(&pos, &cut, &mut done);
             pos.copy_from_slice(&cut);
         }
     }
-    let out = (&mut out_keys[done..], &mut out_ptrs[done..]);
-    done += sort_bucket(runs, &pos, hi, by, out, &mut scratch);
+    bucket(&pos, hi, &mut done);
     debug_assert_eq!(done, out_keys.len(), "buckets did not fill the output");
+    count.then_some(groups)
 }
 
 /// Pairs in `runs[r][lo[r]..hi[r]]` over all `r`.
@@ -421,8 +450,9 @@ fn merge_two_by<V: Ord>(
 
 /// Whole-input k-way merge on a worker pool: plans `width` equal output
 /// spans and merges them concurrently (every lane cooperates on the one
-/// merge — no serial final round). `width <= 1` falls back to the serial
-/// merge; the result is byte-identical either way.
+/// merge — no serial final round); byte-identical at every `width`. With
+/// `count`, also returns the distinct keys written, counted bucket by bucket
+/// in cache (`None` for at most two runs), exact at every width.
 ///
 /// # Panics
 ///
@@ -434,19 +464,19 @@ pub fn merge_runs_pooled(
     by: RankBy,
     out_keys: &mut [u64],
     out_ptrs: &mut [u64],
-) {
+    count: bool,
+) -> Option<usize> {
     let total = out_keys.len();
     debug_assert_eq!(total, runs.iter().map(Run::len).sum::<usize>());
     let width = width.clamp(1, total.max(1));
-    if width == 1 {
-        merge_runs_serial(runs, by, out_keys, out_ptrs);
-        return;
-    }
     let cuts = plan_spans(runs, by, width);
+    if width == 1 {
+        return merge_span_counting(runs, &cuts[0], &cuts[1], by, out_keys, out_ptrs, count);
+    }
     // sbx-lint: allow(raw-alloc, per-invocation span-job list of borrowed slices)
     let mut jobs: Vec<SpanJob<'_>> = Vec::with_capacity(width);
     {
-        let (mut kr, mut pr) = (out_keys, out_ptrs);
+        let (mut kr, mut pr) = (&mut *out_keys, out_ptrs);
         let mut done = 0usize;
         for p in 0..width {
             let next = span_rank(total, width, p + 1);
@@ -458,13 +488,12 @@ pub fn merge_runs_pooled(
             done = next;
         }
     }
-    pool.run(
-        width,
-        |(lo, hi, ok, op): SpanJob<'_>| {
-            merge_span(runs, &lo, &hi, by, ok, op);
-        },
-        jobs,
-    );
+    let merge =
+        |(lo, hi, ok, op): SpanJob<'_>| merge_span_counting(runs, &lo, &hi, by, ok, op, count);
+    let groups: Option<usize> = pool.run(width, merge, jobs).into_iter().sum();
+    // With `width <= total` no span is empty, so the seams are distinct.
+    let seams = (1..width).map(|p| span_rank(total, width, p));
+    groups.map(|g| g - seams.filter(|&at| out_keys[at - 1] == out_keys[at]).count())
 }
 
 /// One claimed output span: per-run lo/hi cuts plus the output slices the
@@ -472,12 +501,10 @@ pub fn merge_runs_pooled(
 type SpanJob<'a> = (Vec<usize>, Vec<usize>, &'a mut [u64], &'a mut [u64]);
 
 /// Serial whole-input k-way merge (the oracle the parallel spans are
-/// checked against, and the `width == 1` path of the kernels).
+/// checked against).
 pub fn merge_runs_serial(runs: &[Run<'_>], by: RankBy, out_keys: &mut [u64], out_ptrs: &mut [u64]) {
-    // sbx-lint: allow(raw-alloc, k span bounds; pair data stays in the caller's buffers)
-    let lo = vec![0usize; runs.len()];
-    // sbx-lint: allow(raw-alloc, k span bounds; pair data stays in the caller's buffers)
-    let hi: Vec<usize> = runs.iter().map(Run::len).collect();
+    let total = runs.iter().map(Run::len).sum();
+    let (lo, hi) = (rank_split(runs, by, 0), rank_split(runs, by, total));
     merge_span(runs, &lo, &hi, by, out_keys, out_ptrs);
 }
 

@@ -305,3 +305,56 @@ fn sliding_windows_count_each_record_in_every_window() {
         .sum();
     assert_eq!(total, expect, "window multiplicity must match the spec");
 }
+
+/// Metamorphic relation: committed rows do not depend on how a stream is
+/// cut into bundles. Every benchmark of the suite, 28 000 records per
+/// stream cut into bundles of 1, 7, 1 000 and 2 000 records — an even
+/// bundle count each, so two-stream rows put the same records on each
+/// port — commits the same multiset of rows. At 100 records per
+/// event-second over at most 100 keys the run spans 280 windows; small
+/// windows keep the one-record-bundle runs fast, because a window's state
+/// links one bundle per arrival and every arrival at the temporal join
+/// re-merges its side's state. A watermark follows about every 4 000
+/// records.
+#[test]
+fn committed_rows_are_invariant_under_bundle_size() {
+    const RECORDS: usize = 28_000;
+    for b in &benchmarks::SUITE {
+        let rows_at = |bundle_rows: usize| {
+            let cfg = RunConfig {
+                cores: 8,
+                threads: 1,
+                collect_outputs: true,
+                sender: SenderConfig {
+                    bundle_rows,
+                    bundles_per_watermark: (4_000 / bundle_rows).max(1),
+                    nic: NicModel::rdma_40g(),
+                },
+                ..RunConfig::default()
+            };
+            let report = Engine::new(cfg)
+                .run(
+                    b.sources(7, b.keys.min(100), 100, None),
+                    (b.pipeline)(GroupingSpec::SortMerge),
+                    b.streams * RECORDS / bundle_rows,
+                )
+                .expect("engine run");
+            let mut rows: Vec<Vec<u64>> = report
+                .outputs
+                .iter()
+                .flat_map(|o| (0..o.rows()).map(move |r| o.row(r).to_vec()))
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        let want = rows_at(2_000);
+        assert!(!want.is_empty(), "{}", b.name);
+        for bundle_rows in [1, 7, 1_000] {
+            assert!(
+                rows_at(bundle_rows) == want,
+                "{}: rows differ at {bundle_rows}-record bundles",
+                b.name
+            );
+        }
+    }
+}

@@ -10,7 +10,10 @@ use sbx_bench::kernel_scaling::{ptrs_of, reference};
 use sbx_prng::SbxRng;
 use streambox_hbm::ingress::parse::{json, proto, text};
 use streambox_hbm::ingress::Partitioned;
-use streambox_hbm::kpa::{hash, join_sorted, reduce_keyed, sort_pairs, ExecCtx, Kpa};
+use streambox_hbm::kpa::mergepath::RankBy;
+use streambox_hbm::kpa::{
+    hash, join_sorted, reduce_keyed, reduce_keyed_scalar, sort_pairs, ExecCtx, Kpa, WorkerPool,
+};
 use streambox_hbm::prelude::*;
 
 const CASES: u64 = 48;
@@ -427,6 +430,120 @@ fn reduce_keyed_covers_all_pairs() {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(groups, uniq.len());
+    }
+}
+
+/// A window of `sources` sorted KPAs over `keys` (split evenly, values
+/// spread over the whole `u64` range), merged, with the group count the
+/// merge took.
+fn merged_window(
+    env: &MemEnv,
+    ctx: &mut ExecCtx,
+    keys: &[u64],
+    sources: usize,
+) -> (Kpa, Option<usize>) {
+    let mut parts = Vec::new();
+    let chunk = keys.len().div_ceil(sources).max(1);
+    for s in 0..sources {
+        let piece = keys
+            .get(s * chunk..keys.len().min((s + 1) * chunk))
+            .unwrap_or(&[]);
+        let rows: Vec<u64> = piece
+            .iter()
+            .zip(0u64..)
+            .flat_map(|(&k, i)| [k, k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i, 0])
+            .collect();
+        let b = RecordBundle::from_rows(env, Schema::kvt(), &rows).expect("fits");
+        let mut kpa = Kpa::extract(ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).expect("fits");
+        kpa.sort(ctx, 1).expect("sort");
+        parts.push(kpa);
+    }
+    Kpa::merge_many_counted(ctx, parts, MemKind::Hbm, Priority::Normal).expect("merge")
+}
+
+/// The scalar fold hands out exactly what `reduce_keyed`'s per-key value
+/// slices fold to — wrapping sum and count per key, with and without a
+/// value column — over one source, 25 sources, duplicate-heavy and
+/// all-distinct keys, and an empty window.
+#[test]
+fn scalar_fold_equals_the_key_group_fold() {
+    let mut rng = SbxRng::seed_from_u64(0x5b57_1012);
+    for case in 0..CASES {
+        let sources = [1, 25][case as usize % 2];
+        let n = match case % 6 {
+            0 | 1 => 0,
+            _ => rng.random_range(1..2_000) as usize,
+        };
+        let space = [3, 100, u64::MAX][case as usize % 3];
+        let keys = rng.vec_in(n, 0..space);
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let (kpa, _) = merged_window(&env, &mut ctx, &keys, sources);
+        for col in [Some(Col(1)), None] {
+            let mut want = Vec::new();
+            let want_groups = reduce_keyed(&mut ctx, &kpa, Col(1), |g| {
+                let sum = g.values.iter().fold(0u64, |a, &v| a.wrapping_add(v));
+                let sum = if col.is_some() { sum } else { 0 };
+                want.push((g.key, sum, g.values.len() as u64));
+            });
+            let mut got = Vec::new();
+            let groups = reduce_keyed_scalar(&mut ctx, &kpa, col, |k, s, c| got.push((k, s, c)));
+            assert_eq!(got, want, "case {case}, {sources} sources, {col:?}");
+            assert_eq!(groups, want_groups, "case {case}");
+        }
+    }
+}
+
+/// The merge's own group count equals the second pass over the merged keys
+/// it replaced, at every pool width — so the seams between the spans of
+/// different lanes, which split runs of equal keys on duplicate-heavy
+/// input, are fixed up exactly — with empty and single-pair runs among the
+/// inputs; `Kpa::merge_many_counted` passes it on. Two runs or fewer merge
+/// in the two-way loop, which counts nothing, and uncounted merges are
+/// `None`.
+#[test]
+fn counted_merge_equals_output_rows() {
+    use streambox_hbm::kpa::mergepath::{merge_runs_pooled, Run};
+    let mut rng = SbxRng::seed_from_u64(0x5b57_1013);
+    for case in 0..CASES {
+        let space = [1, 2, 7, 1_000, u64::MAX][case as usize % 5];
+        let runs: Vec<(Vec<u64>, Vec<u64>)> = (0..rng.random_range(1..30))
+            .map(|_| {
+                let n = match rng.random_range(0..4) {
+                    0 => 0,
+                    1 => 1,
+                    _ => rng.random_range(0..3_000) as usize,
+                };
+                let mut keys = rng.vec_in(n, 0..space);
+                keys.sort_unstable();
+                let ptrs = (0..n as u64).collect();
+                (keys, ptrs)
+            })
+            .collect();
+        let inputs: Vec<Run<'_>> = runs.iter().map(|(keys, ptrs)| Run { keys, ptrs }).collect();
+        let total: usize = inputs.iter().map(Run::len).sum();
+        for threads in [1usize, 2, 4, 8] {
+            let pool = WorkerPool::new(threads);
+            for count in [true, false] {
+                let (mut keys, mut ptrs) = (vec![0; total], vec![0; total]);
+                let merge = |k: &mut [u64], p: &mut [u64]| {
+                    merge_runs_pooled(&pool, threads, &inputs, RankBy::Key, k, p, count)
+                };
+                let groups = merge(&mut keys, &mut ptrs);
+                assert!(keys.windows(2).all(|w| w[0] <= w[1]), "case {case}");
+                let want = (count && inputs.len() > 2).then(|| reference::output_rows(&keys));
+                assert_eq!(groups, want, "case {case}, {threads} threads");
+            }
+        }
+        // The same through `Kpa::merge_many_counted` on a pool of that width.
+        let flat: Vec<u64> = runs.iter().flat_map(|(keys, _)| keys.clone()).collect();
+        for threads in [1usize, 2, 4, 8] {
+            let env = env();
+            let mut ctx = ExecCtx::with_pool(&env, WorkerPool::new(threads));
+            let (merged, groups) = merged_window(&env, &mut ctx, &flat, runs.len());
+            let want = (runs.len() > 2).then(|| reference::output_rows(merged.keys()));
+            assert_eq!(groups, want, "case {case}");
+        }
     }
 }
 

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use sbx_kpa::{ExecCtx, Kpa};
+use sbx_kpa::{reduce_keyed_scalar, ExecCtx, Kpa};
 use sbx_records::{BundleId, Col, RecordBundle, RecordRef, Schema};
 use sbx_sanitize::{op_scope, BugClass, Sanitizer};
 use sbx_simmem::{MachineConfig, MemEnv, MemKind, Priority};
@@ -214,6 +214,38 @@ fn fixture_wild_pointer() {
         reports[1].alloc_span, 51,
         "row overflow names the real allocation"
     );
+}
+
+/// A count reads no record, yet the sanitizer still sees every pointer it
+/// would have dereferenced: a forged one is a wild-pointer finding, and the
+/// count itself is unaffected.
+#[test]
+fn fixture_wild_pointer_in_a_count() {
+    let env = env();
+    let mut ctx = ExecCtx::new(&env);
+    let b = {
+        let _g = op_scope(53, "ingest");
+        bundle(&env, &[(1, 10, 0), (1, 11, 1), (2, 20, 2)])
+    };
+    let mut kpa = Kpa::extract(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).unwrap();
+    kpa.mark_sorted();
+    kpa.corrupt_ptr(
+        1,
+        RecordRef {
+            bundle: BundleId(u32::MAX - 19),
+            row: 0,
+        }
+        .pack(),
+    );
+
+    let _g = op_scope(54, "count");
+    let mut counts = Vec::new();
+    reduce_keyed_scalar(&mut ctx, &kpa, None, |key, _, count| {
+        counts.push((key, count));
+    });
+    assert_eq!(counts, vec![(1, 2), (2, 1)]);
+    assert_classes(env.sanitizer(), &[BugClass::WildPointer]);
+    assert_eq!(env.sanitizer().reports()[0].fault_span, 54);
 }
 
 #[test]
