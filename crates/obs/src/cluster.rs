@@ -1,5 +1,5 @@
-//! Cluster-wide observability: cross-shard span stitching, the distributed
-//! critical path, and the shard-health monitor (DESIGN.md §13).
+//! Cluster-wide observability: cross-shard span stitching and the
+//! shard-health monitor (DESIGN.md §13).
 //!
 //! Each shard engine records its own span stream on the simulated clock
 //! (DESIGN.md §10); the cluster driver prices fabric work (shuffle links,
@@ -13,11 +13,9 @@
 //! era-1 roots through the inbound shuffle link that produced their state.
 //! Every synthesized edge satisfies `child.start_ns >= parent.end_ns`.
 //!
-//! On the stitched DAG, [`ClusterCriticalPath`] walks the longest chain and
-//! attributes the end-to-end makespan into {operator compute, shuffle
-//! transfer, barrier wait, straggler slack, fabric} with a cursor scan whose
-//! integer contributions sum *exactly* to the makespan (gaps and remainders
-//! land in `fabric`). [`HealthReport`] is a pure function of the cluster
+//! The stitched trace's critical path is the one walker's,
+//! [`CriticalPath::compute`](crate::CriticalPath::compute), over its
+//! [`ClusterSpan`]s. [`HealthReport`] is a pure function of the cluster
 //! metrics dump — no new clocks — so both artifacts are byte-identical
 //! across same-seed runs.
 
@@ -26,7 +24,7 @@ use std::collections::BTreeMap;
 use crate::detect::{sort_signals, Signal, ThresholdRule};
 use crate::json::{self, write_str, ObjWriter};
 use crate::metrics::MetricsDump;
-use crate::profile::{index_by_id, longest_chain, parse_span_lines};
+use crate::profile::{parse_span_lines, Tracked};
 use crate::trace::{chrome_document, Span};
 
 /// Sentinel shard id of the fabric track (shuffle links and barrier
@@ -84,6 +82,12 @@ pub struct ClusterSpan {
 impl AsRef<Span> for ClusterSpan {
     fn as_ref(&self) -> &Span {
         &self.span
+    }
+}
+
+impl Tracked for ClusterSpan {
+    fn track(&self) -> (u32, u32) {
+        (self.shard, self.slot_epoch)
     }
 }
 
@@ -334,301 +338,6 @@ pub fn parse_cluster_spans_jsonl(text: &str) -> Result<Vec<ClusterSpan>, String>
         slot_epoch: line.u32("slot_epoch"),
         span,
     })
-}
-
-/// One step of the distributed critical chain, root first.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DistributedStep {
-    /// Stitched span id.
-    pub id: u64,
-    /// Owning shard ([`FABRIC_SHARD`] for fabric steps).
-    pub shard: u32,
-    /// Route-table era.
-    pub slot_epoch: u32,
-    /// Span name.
-    pub name: String,
-    /// Span category.
-    pub cat: String,
-    /// Simulated start, nanoseconds.
-    pub start_ns: u64,
-    /// Simulated duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// Critical-versus-slack totals for one shard stream (or the fabric row).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardAttribution {
-    /// Shard id, or [`FABRIC_SHARD`] for the fabric row.
-    pub shard: u32,
-    /// Route-table era (0 for the fabric row).
-    pub slot_epoch: u32,
-    /// Total span nanoseconds recorded by this stream.
-    pub total_ns: u64,
-    /// Nanoseconds this stream contributed to the critical chain.
-    pub critical_ns: u64,
-}
-
-impl ShardAttribution {
-    /// Stream time off the critical chain.
-    pub fn slack_ns(&self) -> u64 {
-        self.total_ns.saturating_sub(self.critical_ns)
-    }
-}
-
-/// The longest chain within one checkpoint epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochPath {
-    /// Checkpoint epoch.
-    pub epoch: u64,
-    /// Summed nanoseconds on the epoch's longest chain.
-    pub critical_ns: u64,
-    /// Steps on that chain.
-    pub steps: u64,
-    /// Simulated end of the chain, nanoseconds.
-    pub end_ns: u64,
-}
-
-/// Distributed critical path over a stitched cluster trace.
-///
-/// The five attribution buckets partition the makespan exactly:
-/// `compute_ns + shuffle_ns + barrier_wait_ns + straggler_ns + fabric_ns
-/// == makespan_ns`, with every gap or integer remainder landing in
-/// `fabric_ns`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterCriticalPath {
-    /// End of the last stitched span: the end-to-end simulated makespan.
-    pub makespan_ns: u64,
-    /// Chain time in operator invocations (task/watermark/close spans).
-    pub compute_ns: u64,
-    /// Chain time in fabric shuffle-link transfers.
-    pub shuffle_ns: u64,
-    /// Chain time in engine barrier drives (alignment and commit work).
-    pub barrier_wait_ns: u64,
-    /// Chain time in fabric barrier waits: the gap between a shard's own
-    /// cut and the cluster-wide cut clock (waiting for the slowest shard).
-    pub straggler_ns: u64,
-    /// Makespan not covered by chain spans: scheduling gaps and integer
-    /// remainders.
-    pub fabric_ns: u64,
-    /// The distributed chain, root first.
-    pub steps: Vec<DistributedStep>,
-    /// Per-stream critical-vs-slack rows, `(slot_epoch, shard)` ascending,
-    /// fabric row last.
-    pub per_shard: Vec<ShardAttribution>,
-    /// Longest chain per checkpoint epoch, ascending by epoch.
-    pub per_epoch: Vec<EpochPath>,
-}
-
-impl ClusterCriticalPath {
-    /// Runs the analysis over a stitched trace. Empty input is all-zero.
-    pub fn compute(trace: &ClusterTrace) -> ClusterCriticalPath {
-        let spans = &trace.spans;
-        let chain = longest_chain(&index_by_id(spans.iter()), spans.iter());
-        let makespan_ns = chain.last().map_or(0, |t| t.span.end_ns());
-
-        // Stream totals for the critical-vs-slack table.
-        let mut totals: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        let mut fabric_total = 0u64;
-        for cs in spans {
-            if cs.shard == FABRIC_SHARD {
-                fabric_total += cs.span.dur_ns;
-            } else {
-                *totals.entry((cs.slot_epoch, cs.shard)).or_insert(0) += cs.span.dur_ns;
-            }
-        }
-
-        // Cursor scan over the chain: every nanosecond from 0 to the
-        // makespan is assigned to exactly one bucket, so the five buckets
-        // partition the makespan exactly in integer arithmetic.
-        let mut compute_ns = 0u64;
-        let mut shuffle_ns = 0u64;
-        let mut barrier_wait_ns = 0u64;
-        let mut straggler_ns = 0u64;
-        let mut fabric_ns = 0u64;
-        let mut crit: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        let mut fabric_crit = 0u64;
-        let mut cursor = 0u64;
-        for cs in &chain {
-            let s = &cs.span;
-            if s.start_ns > cursor {
-                fabric_ns += s.start_ns - cursor;
-                cursor = s.start_ns;
-            }
-            let end = s.end_ns();
-            if end > cursor {
-                let contrib = end - cursor;
-                cursor = end;
-                if cs.shard == FABRIC_SHARD {
-                    fabric_crit += contrib;
-                    if s.cat == "barrier" {
-                        straggler_ns += contrib;
-                    } else {
-                        shuffle_ns += contrib;
-                    }
-                } else {
-                    *crit.entry((cs.slot_epoch, cs.shard)).or_insert(0) += contrib;
-                    if s.cat == "barrier" {
-                        barrier_wait_ns += contrib;
-                    } else {
-                        compute_ns += contrib;
-                    }
-                }
-            }
-        }
-
-        let mut per_shard = Vec::new();
-        for (&(era, shard), &total_ns) in &totals {
-            per_shard.push(ShardAttribution {
-                shard,
-                slot_epoch: era,
-                total_ns,
-                critical_ns: crit.get(&(era, shard)).copied().unwrap_or(0),
-            });
-        }
-        if fabric_total > 0 || fabric_crit > 0 {
-            per_shard.push(ShardAttribution {
-                shard: FABRIC_SHARD,
-                slot_epoch: 0,
-                total_ns: fabric_total,
-                critical_ns: fabric_crit,
-            });
-        }
-
-        // Per-epoch longest chains: restrict the same walk to one epoch's
-        // spans (fabric spans carry the cut epoch).
-        let mut epochs: BTreeMap<u64, Vec<&ClusterSpan>> = BTreeMap::new();
-        for cs in spans {
-            epochs.entry(cs.span.epoch).or_default().push(cs);
-        }
-        let mut per_epoch = Vec::new();
-        for (&epoch, members) in &epochs {
-            let member_ids = index_by_id(members.iter().copied());
-            let chain = longest_chain(&member_ids, members.iter().copied());
-            per_epoch.push(EpochPath {
-                epoch,
-                critical_ns: chain.iter().map(|cs| cs.span.dur_ns).sum(),
-                steps: chain.len() as u64,
-                end_ns: chain.last().map_or(0, |t| t.span.end_ns()),
-            });
-        }
-
-        let mut steps = Vec::new();
-        for cs in &chain {
-            steps.push(DistributedStep {
-                id: cs.span.id,
-                shard: cs.shard,
-                slot_epoch: cs.slot_epoch,
-                name: cs.span.name.to_string(),
-                cat: cs.span.cat.to_string(),
-                start_ns: cs.span.start_ns,
-                dur_ns: cs.span.dur_ns,
-            });
-        }
-
-        ClusterCriticalPath {
-            makespan_ns,
-            compute_ns,
-            shuffle_ns,
-            barrier_wait_ns,
-            straggler_ns,
-            fabric_ns,
-            steps,
-            per_shard,
-            per_epoch,
-        }
-    }
-
-    /// Sum of the five attribution buckets; equals `makespan_ns` exactly.
-    pub fn attributed_ns(&self) -> u64 {
-        self.compute_ns
-            + self.shuffle_ns
-            + self.barrier_wait_ns
-            + self.straggler_ns
-            + self.fabric_ns
-    }
-
-    /// Renders a deterministic text report: the attribution split, the
-    /// per-shard critical-vs-slack table, per-epoch chains, and the last
-    /// `k` chain steps.
-    pub fn render(&self, k: usize) -> String {
-        let ms = |ns: u64| ns as f64 / 1e6;
-        let pct = |ns: u64| {
-            if self.makespan_ns == 0 {
-                0.0
-            } else {
-                100.0 * ns as f64 / self.makespan_ns as f64
-            }
-        };
-        let shard_label = |shard: u32, era: u32| {
-            if shard == FABRIC_SHARD {
-                String::from("fabric")
-            } else {
-                format!("shard {shard} era {era}")
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&format!(
-            "cluster critical path: {} steps, {:.3} ms makespan\n",
-            self.steps.len(),
-            ms(self.makespan_ns),
-        ));
-        if self.steps.is_empty() {
-            out.push_str("  (no spans)\n");
-            return out;
-        }
-        out.push_str("  attribution (partitions the makespan exactly):\n");
-        for (label, ns) in [
-            ("compute", self.compute_ns),
-            ("shuffle", self.shuffle_ns),
-            ("barrier-wait", self.barrier_wait_ns),
-            ("straggler-slack", self.straggler_ns),
-            ("fabric", self.fabric_ns),
-        ] {
-            out.push_str(&format!(
-                "    {:<16} {:>10.3} ms ({:>5.1}%)\n",
-                label,
-                ms(ns),
-                pct(ns)
-            ));
-        }
-        out.push_str("  per-shard critical vs slack:\n");
-        for row in &self.per_shard {
-            out.push_str(&format!(
-                "    {:<16} total {:>10.3} ms  crit {:>10.3} ms  slack {:>10.3} ms\n",
-                shard_label(row.shard, row.slot_epoch),
-                ms(row.total_ns),
-                ms(row.critical_ns),
-                ms(row.slack_ns()),
-            ));
-        }
-        out.push_str("  per-epoch longest chains:\n");
-        for e in &self.per_epoch {
-            out.push_str(&format!(
-                "    epoch {:>3}  crit {:>10.3} ms in {:>4} steps, ends at {:.3} ms\n",
-                e.epoch,
-                ms(e.critical_ns),
-                e.steps,
-                ms(e.end_ns),
-            ));
-        }
-        let tail = k.min(self.steps.len());
-        out.push_str(&format!(
-            "  chain tail (last {} of {} steps):\n",
-            tail,
-            self.steps.len()
-        ));
-        for step in &self.steps[self.steps.len() - tail..] {
-            out.push_str(&format!(
-                "    {:<16} {:<18} {:<9} @{:.3} +{:.3} ms\n",
-                shard_label(step.shard, step.slot_epoch),
-                step.name,
-                step.cat,
-                ms(step.start_ns),
-                ms(step.dur_ns),
-            ));
-        }
-        out
-    }
 }
 
 // Thresholds of the shard-health detectors. Every detector is a pure
@@ -969,7 +678,7 @@ impl HealthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsRegistry;
+    use crate::{CriticalPath, MetricsRegistry};
 
     fn rec(id: u64, parent: Option<u64>, start: u64, dur: u64) -> Span {
         Span {
@@ -1073,7 +782,7 @@ mod tests {
     #[test]
     fn critical_path_attribution_partitions_makespan() {
         let trace = two_shard_trace();
-        let cp = ClusterCriticalPath::compute(&trace);
+        let cp = CriticalPath::compute(&trace.spans);
         assert_eq!(cp.makespan_ns, 590);
         assert_eq!(cp.attributed_ns(), cp.makespan_ns);
         assert!(cp.shuffle_ns > 0, "chain crosses the shuffle link");
@@ -1081,15 +790,17 @@ mod tests {
         // The chain ends in era 1 on shard 0.
         let last = cp.steps.last().unwrap();
         assert_eq!((last.shard, last.slot_epoch), (0, 1));
-        // Per-shard rows cover both eras plus the fabric.
-        assert!(cp.per_shard.iter().any(|r| r.shard == FABRIC_SHARD));
-        assert!(cp
-            .per_shard
-            .iter()
-            .all(|r| r.critical_ns <= r.total_ns || r.shard == FABRIC_SHARD));
-        let text = cp.render(5);
+        // Per-track rows cover both eras plus the fabric, which sorts last.
+        assert_eq!(cp.per_track.last().map(|r| r.shard), Some(FABRIC_SHARD));
+        assert!(cp.per_track.iter().all(|r| r.critical_ns <= r.total_ns));
+        // Fabric spans are no operator's work.
+        assert_eq!(cp.per_operator.len(), 1);
+        assert_eq!(cp.per_operator[0].total_ns, 100 + 50 + 300 + 80 + 10);
+        let text = cp.render(5, None);
         assert!(text.contains("straggler-slack"));
-        assert!(text.contains("fabric"));
+        assert!(text.contains("per-track critical vs slack:\n"));
+        assert!(text.contains("    fabric "));
+        assert!(text.contains("per-epoch (top 2 of 2 by critical time)"));
     }
 
     #[test]
@@ -1191,10 +902,10 @@ mod tests {
 
     #[test]
     fn empty_trace_is_all_zero() {
-        let cp = ClusterCriticalPath::compute(&ClusterTrace::default());
+        let cp = CriticalPath::compute(&ClusterTrace::default().spans);
         assert_eq!(cp.makespan_ns, 0);
         assert_eq!(cp.attributed_ns(), 0);
-        assert!(cp.render(3).contains("no spans"));
+        assert!(cp.render(3, None).contains("no spans"));
         assert!(HealthReport::compute(&MetricsDump::default())
             .signals
             .is_empty());

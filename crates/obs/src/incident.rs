@@ -244,6 +244,7 @@ impl IncidentReport {
                     round: line.u64("round"),
                     start_ns: line.u64("start_ns"),
                     dur_ns: line.u64("dur_ns"),
+                    ..PathStep::default()
                 }),
                 "incidents" => {
                     if line.u64("count") != count {

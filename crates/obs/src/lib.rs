@@ -38,8 +38,8 @@ pub mod timeline;
 pub mod trace;
 
 pub use cluster::{
-    parse_cluster_spans_jsonl, ClusterCriticalPath, ClusterSpan, ClusterTrace, DistributedStep,
-    EpochPath, FabricEvent, HealthReport, HealthSignal, ShardAttribution, SpanStream, FABRIC_SHARD,
+    parse_cluster_spans_jsonl, ClusterSpan, ClusterTrace, FabricEvent, HealthReport, HealthSignal,
+    SpanStream, FABRIC_SHARD,
 };
 pub use detect::{sort_signals, Cusum, DetectorBank, Ewma, Signal, ThresholdRule};
 pub use hist::{HistSnapshot, Histogram};
@@ -48,8 +48,8 @@ pub use metrics::{
     Counter, Gauge, GaugeDump, HistogramDump, MetricsDump, MetricsRegistry, Series, SeriesDump,
 };
 pub use profile::{
-    parse_spans_jsonl, CriticalPath, OperatorAttribution, PathStep, PrimitiveAttribution,
-    RoundPath, PRIMITIVE_LABELS,
+    parse_spans_jsonl, CriticalPath, GroupPath, OperatorAttribution, PathStep,
+    PrimitiveAttribution, TrackAttribution, Tracked, PRIMITIVE_LABELS,
 };
 pub use recorder::FlightRecorder;
 pub use round::{RoundPoint, ROUND_SERIES, ROUND_VIEW, TIER_SERIES, TIER_VIEW};

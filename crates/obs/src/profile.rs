@@ -1,21 +1,27 @@
-//! Critical-path analysis over the exported span DAG (DESIGN.md §10).
+//! Critical-path analysis over a span DAG (DESIGN.md §10): one engine's
+//! spans or a stitched cluster trace (DESIGN.md §13), through one walker.
 //!
-//! The engine records one [`Span`](crate::Span) per operator invocation;
-//! availability edges are exact in simulated time (a child's `start_ns` is
-//! its parent's `start_ns + dur_ns`), so the longest chain through the DAG
-//! is the run's simulated critical path. This module finds that chain for
-//! the whole run and per watermark round, and attributes *critical* time
-//! (spent on the chain) versus *slack* (operator work off the chain) per
-//! operator — and, given the run's metrics dump, per KPA primitive
-//! (extract/sort/merge/materialize), by splitting each operator's critical
-//! time proportionally to its `op.NN.Name.*_bytes` counters.
+//! Every span runs on a *track* ([`Tracked`]): a cluster shard's
+//! `(shard, slot_epoch)` stream or the fabric; one engine's run is the
+//! single track `(0, 0)`. Availability edges are exact in simulated time (a
+//! child starts no earlier than its parent ends), so the longest chain
+//! through the DAG is the run's simulated critical path. From that one
+//! chain this module derives a cursor scan that partitions the makespan
+//! exactly into {compute, shuffle, barrier-wait, straggler, fabric};
+//! *critical* time (on the chain) versus *slack* (work off it) per operator
+//! and per track; the longest chain per watermark round and per checkpoint
+//! epoch; and, given the run's metrics dump, a per-KPA-primitive split
+//! (extract/sort/merge/materialize) of each operator's critical time,
+//! proportional to its `op.NN.Name.*_bytes` counters on every shard.
 //!
 //! Everything here is a pure function of the exported artifacts, so the
-//! rendered report is byte-identical across same-seed runs.
+//! rendered report is byte-identical across same-seed runs. Span files are
+//! input, so every sum saturates.
 
 // sbx-lint: out-of-scope(raw-alloc, profile aggregation at export time)
 use std::collections::BTreeMap;
 
+use crate::cluster::FABRIC_SHARD;
 use crate::json::{self, Line};
 use crate::metrics::MetricsDump;
 use crate::trace::Span;
@@ -47,8 +53,22 @@ pub fn parse_spans_jsonl(text: &str) -> Result<Vec<Span>, String> {
     parse_span_lines(text, |_, span| span)
 }
 
+/// A span and the track it ran on.
+pub trait Tracked: AsRef<Span> {
+    /// The span's `(shard, slot_epoch)`; the shard is [`FABRIC_SHARD`] for
+    /// a fabric span.
+    fn track(&self) -> (u32, u32);
+}
+
+/// One engine's spans are the single track `(0, 0)`.
+impl Tracked for Span {
+    fn track(&self) -> (u32, u32) {
+        (0, 0)
+    }
+}
+
 /// One step of the critical chain, root first.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PathStep {
     /// Span id of the invocation.
     pub id: u64,
@@ -58,6 +78,10 @@ pub struct PathStep {
     pub lane: u64,
     /// Watermark round.
     pub round: u64,
+    /// Owning shard ([`FABRIC_SHARD`] for a fabric step).
+    pub shard: u32,
+    /// Route-table era the step ran under.
+    pub slot_epoch: u32,
     /// Simulated start, nanoseconds.
     pub start_ns: u64,
     /// Simulated duration, nanoseconds.
@@ -65,7 +89,7 @@ pub struct PathStep {
 }
 
 /// Critical-versus-slack attribution for one operator (keyed by lane).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OperatorAttribution {
     /// Operator index in the pipeline.
     pub lane: u64,
@@ -88,12 +112,35 @@ impl OperatorAttribution {
     }
 }
 
-/// The longest chain within one watermark round.
+/// Critical-versus-slack totals for one track.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TrackAttribution {
+    /// Shard id, or [`FABRIC_SHARD`] for the fabric row.
+    pub shard: u32,
+    /// Route-table era (0 for the fabric row).
+    pub slot_epoch: u32,
+    /// Total span nanoseconds recorded on the track.
+    pub total_ns: u64,
+    /// Nanoseconds of the makespan scan the track's chain spans cover.
+    pub critical_ns: u64,
+}
+
+impl TrackAttribution {
+    /// Track time off the critical chain.
+    pub fn slack_ns(&self) -> u64 {
+        self.total_ns.saturating_sub(self.critical_ns)
+    }
+}
+
+/// The longest chain within one group of spans: a watermark round, or a
+/// checkpoint epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundPath {
-    /// Round index (0-based).
+pub struct GroupPath {
+    /// Watermark round of the chain's last span.
     pub round: u64,
-    /// Total simulated nanoseconds on the round's longest chain.
+    /// Checkpoint epoch of the chain's last span.
+    pub epoch: u64,
+    /// Total simulated nanoseconds on the group's longest chain.
     pub critical_ns: u64,
     /// Steps on that chain.
     pub steps: u64,
@@ -103,7 +150,7 @@ pub struct RoundPath {
 
 /// Per-primitive split of the critical time (see
 /// [`CriticalPath::attribute_primitives`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrimitiveAttribution {
     /// Primitive label (`extract`, `sort`, `merge`, `materialize`) or
     /// `engine` for time not covered by primitive byte counters.
@@ -119,8 +166,12 @@ pub struct PrimitiveAttribution {
 /// and sorted-merge join both account under `merge`.
 pub const PRIMITIVE_LABELS: [&str; 4] = ["extract", "sort", "merge", "materialize"];
 
-/// Result of a critical-path analysis over one run's span DAG.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of a critical-path analysis over one span DAG.
+///
+/// The five buckets partition the makespan exactly: `compute_ns +
+/// shuffle_ns + barrier_wait_ns + straggler_ns + fabric_ns ==
+/// makespan_ns`, every gap before a chain span landing in `fabric_ns`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     /// Total simulated nanoseconds on the whole-run critical chain.
     pub critical_ns: u64,
@@ -128,19 +179,38 @@ pub struct CriticalPath {
     pub makespan_ns: u64,
     /// Total simulated nanoseconds across all spans (the serial work).
     pub total_work_ns: u64,
+    /// Makespan in operator invocations (task/watermark/close spans).
+    pub compute_ns: u64,
+    /// Makespan in fabric shuffle-link transfers.
+    pub shuffle_ns: u64,
+    /// Makespan in engine barrier drives (alignment and commit work).
+    pub barrier_wait_ns: u64,
+    /// Makespan in fabric barrier waits: a shard's own cut waiting for the
+    /// cluster-wide cut clock (the slowest shard).
+    pub straggler_ns: u64,
+    /// Makespan no chain span covers: scheduling gaps.
+    pub fabric_ns: u64,
     /// The whole-run critical chain, root first.
     pub steps: Vec<PathStep>,
-    /// Per-operator attribution, descending by critical time (ties by
-    /// lane), covering every operator that recorded a span.
+    /// Per-operator attribution over non-fabric spans, descending by
+    /// critical time (ties by lane), covering every operator that recorded
+    /// a span.
     pub per_operator: Vec<OperatorAttribution>,
+    /// Per-track rows, `(slot_epoch, shard)` ascending, the fabric last.
+    pub per_track: Vec<TrackAttribution>,
     /// Longest chain per watermark round, ascending by round.
-    pub per_round: Vec<RoundPath>,
+    pub per_round: Vec<GroupPath>,
+    /// Longest chain per checkpoint epoch, ascending by epoch.
+    pub per_epoch: Vec<GroupPath>,
+}
+
+/// Sums nanoseconds or bytes, saturating.
+fn sum(values: impl Iterator<Item = u64>) -> u64 {
+    values.fold(0, u64::saturating_add)
 }
 
 /// Indexes spans by id; the first span of an id wins.
-pub(crate) fn index_by_id<'a, T: AsRef<Span>>(
-    spans: impl Iterator<Item = &'a T>,
-) -> BTreeMap<u64, &'a T> {
+fn index_by_id<'a, T: AsRef<Span>>(spans: impl Iterator<Item = &'a T>) -> BTreeMap<u64, &'a T> {
     let mut by_id = BTreeMap::new();
     for s in spans {
         by_id.entry(s.as_ref().id).or_insert(s);
@@ -151,7 +221,7 @@ pub(crate) fn index_by_id<'a, T: AsRef<Span>>(
 /// The longest chain ending among `spans`: starts at the span with the
 /// latest end time (ties broken toward the smallest id), follows parent
 /// links through `by_id` to a root, and returns the chain root first.
-pub(crate) fn longest_chain<'a, T: AsRef<Span>>(
+fn longest_chain<'a, T: AsRef<Span>>(
     by_id: &BTreeMap<u64, &'a T>,
     spans: impl Iterator<Item = &'a T>,
 ) -> Vec<&'a T> {
@@ -181,82 +251,128 @@ pub(crate) fn longest_chain<'a, T: AsRef<Span>>(
     chain
 }
 
-impl CriticalPath {
-    /// Runs the analysis over `spans` (any order; typically a parsed span
-    /// JSONL export). Empty input yields an all-zero result.
-    pub fn compute(spans: &[Span]) -> CriticalPath {
-        let by_id = index_by_id(spans.iter());
-        let chain = longest_chain(&by_id, spans.iter());
-        let critical_ns = chain.iter().map(|s| s.dur_ns).sum();
-        let makespan_ns = spans.iter().map(Span::end_ns).max().unwrap_or(0);
-        let total_work_ns = spans.iter().map(|s| s.dur_ns).sum();
+/// The longest chain within each group of spans sharing `key`, ascending
+/// by key. The walk is restricted to the group's spans; one engine's
+/// availability edges never leave a round or an epoch (chains are per
+/// driven message), so there the restriction is exact.
+fn chains_by<T: AsRef<Span>>(spans: &[T], key: fn(&Span) -> u64) -> Vec<GroupPath> {
+    let mut groups: BTreeMap<u64, Vec<&T>> = BTreeMap::new();
+    for s in spans {
+        groups.entry(key(s.as_ref())).or_default().push(s);
+    }
+    let mut out = Vec::new();
+    for members in groups.values() {
+        let members = members.iter().copied();
+        let chain = longest_chain(&index_by_id(members.clone()), members);
+        if let Some(tip) = chain.last().map(AsRef::as_ref) {
+            out.push(GroupPath {
+                round: tip.round,
+                epoch: tip.epoch,
+                critical_ns: sum(chain.iter().map(|s| s.as_ref().dur_ns)),
+                steps: chain.len() as u64,
+                end_ns: tip.end_ns(),
+            });
+        }
+    }
+    out
+}
 
-        // Per-operator totals keyed by lane; the chain marks critical time.
+impl CriticalPath {
+    /// Runs the analysis over `spans` (any order): one engine's spans, or a
+    /// stitched cluster trace's. Empty input yields an all-zero result.
+    pub fn compute<T: Tracked>(spans: &[T]) -> CriticalPath {
+        let chain = longest_chain(&index_by_id(spans.iter()), spans.iter());
+        let mut cp = CriticalPath {
+            critical_ns: sum(chain.iter().map(|s| s.as_ref().dur_ns)),
+            makespan_ns: chain.last().map_or(0, |s| s.as_ref().end_ns()),
+            total_work_ns: sum(spans.iter().map(|s| s.as_ref().dur_ns)),
+            per_round: chains_by(spans, |s| s.round),
+            per_epoch: chains_by(spans, |s| s.epoch),
+            ..CriticalPath::default()
+        };
+
+        // Totals per operator (keyed by lane, fabric excluded) and per
+        // track (keyed so the fabric sorts last).
         let mut ops: BTreeMap<u64, OperatorAttribution> = BTreeMap::new();
-        for s in spans {
-            let e = ops.entry(s.lane).or_insert_with(|| OperatorAttribution {
+        let mut tracks: BTreeMap<(bool, u32, u32), TrackAttribution> = BTreeMap::new();
+        for t in spans {
+            let (s, (shard, slot_epoch)) = (t.as_ref(), t.track());
+            let fabric = shard == FABRIC_SHARD;
+            let row = tracks
+                .entry((fabric, slot_epoch, shard))
+                .or_insert(TrackAttribution {
+                    shard,
+                    slot_epoch,
+                    ..TrackAttribution::default()
+                });
+            row.total_ns = row.total_ns.saturating_add(s.dur_ns);
+            if fabric {
+                continue;
+            }
+            let op = ops.entry(s.lane).or_insert_with(|| OperatorAttribution {
                 lane: s.lane,
                 name: s.name.to_string(),
-                critical_ns: 0,
-                total_ns: 0,
-                critical_invocations: 0,
-                invocations: 0,
+                ..OperatorAttribution::default()
             });
-            e.total_ns += s.dur_ns;
-            e.invocations += 1;
+            op.total_ns = op.total_ns.saturating_add(s.dur_ns);
+            op.invocations += 1;
         }
-        for s in &chain {
-            if let Some(e) = ops.get_mut(&s.lane) {
-                e.critical_ns += s.dur_ns;
-                e.critical_invocations += 1;
+
+        // Cursor scan over the chain: every nanosecond from 0 to the
+        // makespan lands in exactly one bucket, so the five buckets
+        // partition the makespan exactly in integer arithmetic.
+        let mut cursor = 0u64;
+        for t in &chain {
+            let (s, (shard, slot_epoch)) = (t.as_ref(), t.track());
+            let fabric = shard == FABRIC_SHARD;
+            cp.steps.push(PathStep {
+                id: s.id,
+                name: s.name.to_string(),
+                lane: s.lane,
+                round: s.round,
+                shard,
+                slot_epoch,
+                start_ns: s.start_ns,
+                dur_ns: s.dur_ns,
+            });
+            if let Some(op) = ops.get_mut(&s.lane).filter(|_| !fabric) {
+                op.critical_ns = op.critical_ns.saturating_add(s.dur_ns);
+                op.critical_invocations += 1;
             }
+            cp.fabric_ns += s.start_ns.saturating_sub(cursor);
+            cursor = cursor.max(s.start_ns);
+            let contrib = s.end_ns().saturating_sub(cursor);
+            cursor = cursor.max(s.end_ns());
+            if let Some(row) = tracks.get_mut(&(fabric, slot_epoch, shard)) {
+                row.critical_ns = row.critical_ns.saturating_add(contrib);
+            }
+            *match (fabric, s.cat == "barrier") {
+                (false, false) => &mut cp.compute_ns,
+                (false, true) => &mut cp.barrier_wait_ns,
+                (true, false) => &mut cp.shuffle_ns,
+                (true, true) => &mut cp.straggler_ns,
+            } += contrib;
         }
-        let mut per_operator: Vec<OperatorAttribution> = ops.into_values().collect();
-        per_operator.sort_by(|a, b| b.critical_ns.cmp(&a.critical_ns).then(a.lane.cmp(&b.lane)));
+        cp.per_operator = ops.into_values().collect();
+        cp.per_operator
+            .sort_by(|a, b| b.critical_ns.cmp(&a.critical_ns).then(a.lane.cmp(&b.lane)));
+        cp.per_track = tracks.into_values().collect();
+        cp
+    }
 
-        // Longest chain per round: availability edges never cross rounds
-        // (chains are per driven message), so a per-round restriction of
-        // the same walk is exact.
-        let mut rounds: BTreeMap<u64, Vec<&Span>> = BTreeMap::new();
-        for s in spans {
-            rounds.entry(s.round).or_default().push(s);
-        }
-        let per_round = rounds
-            .iter()
-            .map(|(&round, members)| {
-                let chain = longest_chain(&by_id, members.iter().copied());
-                RoundPath {
-                    round,
-                    critical_ns: chain.iter().map(|s| s.dur_ns).sum(),
-                    steps: chain.len() as u64,
-                    end_ns: chain.last().map_or(0, |s| s.end_ns()),
-                }
-            })
-            .collect();
-
-        CriticalPath {
-            critical_ns,
-            makespan_ns,
-            total_work_ns,
-            steps: chain
-                .iter()
-                .map(|s| PathStep {
-                    id: s.id,
-                    name: s.name.to_string(),
-                    lane: s.lane,
-                    round: s.round,
-                    start_ns: s.start_ns,
-                    dur_ns: s.dur_ns,
-                })
-                .collect(),
-            per_operator,
-            per_round,
-        }
+    /// Sum of the five attribution buckets; equals `makespan_ns` exactly.
+    pub fn attributed_ns(&self) -> u64 {
+        self.compute_ns
+            + self.shuffle_ns
+            + self.barrier_wait_ns
+            + self.straggler_ns
+            + self.fabric_ns
     }
 
     /// Splits the critical time of each critical-path operator across KPA
     /// primitives, proportionally to the operator's
-    /// `op.<lane:02>.<name>.<primitive>_bytes` counters in `dump`. Time in
+    /// `op.<lane:02>.<name>.<primitive>_bytes` counters in `dump`, summed
+    /// over every shard prefix (`cluster.shard<i>.engine.op.…`). Time in
     /// operators with no primitive bytes (or the unsplit remainder of a
     /// rounding step) is attributed to `engine`.
     pub fn attribute_primitives(&self, dump: &MetricsDump) -> Vec<PrimitiveAttribution> {
@@ -264,8 +380,7 @@ impl CriticalPath {
             .iter()
             .map(|&label| PrimitiveAttribution {
                 label: label.to_owned(),
-                critical_ns: 0,
-                bytes: 0,
+                ..PrimitiveAttribution::default()
             })
             .collect();
         let mut engine_ns = 0u64;
@@ -273,14 +388,21 @@ impl CriticalPath {
             if op.critical_ns == 0 {
                 continue;
             }
-            let prefix = format!("op.{:02}.{}", op.lane, op.name);
             let bytes: Vec<u64> = PRIMITIVE_LABELS
                 .iter()
-                .map(|l| dump.counter(&format!("{prefix}.{l}_bytes")).unwrap_or(0))
+                .map(|l| {
+                    let name = format!("op.{:02}.{}.{l}_bytes", op.lane, op.name);
+                    let prefixed = format!(".{name}");
+                    sum(dump
+                        .counters
+                        .iter()
+                        .filter(|(n, _)| *n == name || n.ends_with(&prefixed))
+                        .map(|&(_, v)| v))
+                })
                 .collect();
-            let total_bytes: u64 = bytes.iter().sum();
+            let total_bytes = sum(bytes.iter().copied());
             if total_bytes == 0 {
-                engine_ns += op.critical_ns;
+                engine_ns = engine_ns.saturating_add(op.critical_ns);
                 continue;
             }
             let mut assigned = 0u64;
@@ -288,23 +410,25 @@ impl CriticalPath {
                 // Integer proportional split; the truncation remainder is
                 // engine time, keeping the totals exact.
                 let ns = ((op.critical_ns as u128 * b as u128) / total_bytes as u128) as u64;
-                slot.critical_ns += ns;
-                slot.bytes += b;
-                assigned += ns;
+                slot.critical_ns = slot.critical_ns.saturating_add(ns);
+                slot.bytes = slot.bytes.saturating_add(b);
+                assigned = assigned.saturating_add(ns);
             }
-            engine_ns += op.critical_ns.saturating_sub(assigned);
+            engine_ns = engine_ns.saturating_add(op.critical_ns.saturating_sub(assigned));
         }
         split.push(PrimitiveAttribution {
             label: "engine".to_owned(),
             critical_ns: engine_ns,
-            bytes: 0,
+            ..PrimitiveAttribution::default()
         });
         split
     }
 
-    /// Renders a deterministic text report: the chain summary, the top-`k`
-    /// operators by critical time, the top-`k` rounds by critical time, and
-    /// (when `dump` is given) the per-primitive split.
+    /// Renders a deterministic text report: the chain summary; on a trace
+    /// of more than one track, the makespan buckets and the per-track
+    /// table; the top-`k` operators, rounds and (with more than one epoch)
+    /// epochs by critical time; the per-primitive split when `dump` is
+    /// given; and the chain.
     pub fn render(&self, k: usize, dump: Option<&MetricsDump>) -> String {
         let ms = |ns: u64| ns as f64 / 1e6;
         let mut out = String::new();
@@ -318,6 +442,38 @@ impl CriticalPath {
         if self.critical_ns == 0 {
             out.push_str("  (no spans)\n");
             return out;
+        }
+        if self.per_track.len() > 1 {
+            out.push_str("  attribution (partitions the makespan exactly):\n");
+            for (label, ns) in [
+                ("compute", self.compute_ns),
+                ("shuffle", self.shuffle_ns),
+                ("barrier-wait", self.barrier_wait_ns),
+                ("straggler-slack", self.straggler_ns),
+                ("fabric", self.fabric_ns),
+            ] {
+                out.push_str(&format!(
+                    "    {:<16} {:>10.3} ms ({:>5.1}%)\n",
+                    label,
+                    ms(ns),
+                    100.0 * ns as f64 / self.makespan_ns as f64
+                ));
+            }
+            out.push_str("  per-track critical vs slack:\n");
+            for row in &self.per_track {
+                let label = if row.shard == FABRIC_SHARD {
+                    String::from("fabric")
+                } else {
+                    format!("shard {} era {}", row.shard, row.slot_epoch)
+                };
+                out.push_str(&format!(
+                    "    {:<16} total {:>10.3} ms  crit {:>10.3} ms  slack {:>10.3} ms\n",
+                    label,
+                    ms(row.total_ns),
+                    ms(row.critical_ns),
+                    ms(row.slack_ns()),
+                ));
+            }
         }
         out.push_str(&format!(
             "  per-operator (top {} of {} by critical time):\n",
@@ -336,25 +492,9 @@ impl CriticalPath {
                 op.invocations,
             ));
         }
-        let mut rounds: Vec<&RoundPath> = self.per_round.iter().collect();
-        rounds.sort_by(|a, b| {
-            b.critical_ns
-                .cmp(&a.critical_ns)
-                .then(a.round.cmp(&b.round))
-        });
-        out.push_str(&format!(
-            "  per-round (top {} of {} by critical time):\n",
-            k.min(rounds.len()),
-            rounds.len()
-        ));
-        for r in rounds.iter().take(k) {
-            out.push_str(&format!(
-                "    round {:>4}  crit {:>9.3} ms in {:>3} steps, ends at {:.3} ms\n",
-                r.round,
-                ms(r.critical_ns),
-                r.steps,
-                ms(r.end_ns),
-            ));
+        render_groups(&mut out, "round", &self.per_round, |g| g.round, k);
+        if self.per_epoch.len() > 1 {
+            render_groups(&mut out, "epoch", &self.per_epoch, |g| g.epoch, k);
         }
         if let Some(dump) = dump {
             out.push_str("  per-primitive (critical time split by KPA bytes):\n");
@@ -386,6 +526,33 @@ impl CriticalPath {
                 .join(" -> "),
         ));
         out
+    }
+}
+
+/// Appends the top-`k` groups by critical time (ties by `key`), one line
+/// each, under a `per-<label>` heading.
+fn render_groups(
+    out: &mut String,
+    label: &str,
+    groups: &[GroupPath],
+    key: fn(&GroupPath) -> u64,
+    k: usize,
+) {
+    let mut sorted: Vec<&GroupPath> = groups.iter().collect();
+    sorted.sort_by(|a, b| b.critical_ns.cmp(&a.critical_ns).then(key(a).cmp(&key(b))));
+    out.push_str(&format!(
+        "  per-{label} (top {} of {} by critical time):\n",
+        k.min(sorted.len()),
+        sorted.len()
+    ));
+    for g in sorted.iter().take(k) {
+        out.push_str(&format!(
+            "    {label} {:>4}  crit {:>9.3} ms in {:>3} steps, ends at {:.3} ms\n",
+            key(g),
+            g.critical_ns as f64 / 1e6,
+            g.steps,
+            g.end_ns as f64 / 1e6,
+        ));
     }
 }
 
@@ -465,10 +632,31 @@ mod tests {
 
     #[test]
     fn empty_input_is_all_zero() {
-        let cp = CriticalPath::compute(&[]);
+        let cp = CriticalPath::compute::<Span>(&[]);
         assert_eq!(cp.critical_ns, 0);
         assert!(cp.steps.is_empty() && cp.per_round.is_empty());
         assert!(cp.render(5, None).contains("no spans"));
+    }
+
+    /// Span files and metrics dumps are input: a `u64::MAX` duration beside
+    /// a second span, and byte counters that overflow together, saturate
+    /// every sum instead of panicking (debug) or wrapping (release).
+    #[test]
+    fn hostile_sums_saturate() {
+        let text =
+            "{\"type\":\"span\",\"id\":0,\"name\":\"op0\",\"dur_ns\":18446744073709551615}\n\
+                    {\"type\":\"span\",\"id\":1,\"name\":\"op0\",\"dur_ns\":1}\n";
+        let spans = parse_spans_jsonl(text).unwrap();
+        let reg = crate::MetricsRegistry::active();
+        reg.counter("op.00.op0.sort_bytes").add(u64::MAX);
+        reg.counter("op.00.op0.merge_bytes").add(u64::MAX);
+        let cp = CriticalPath::compute(&spans);
+        assert_eq!(cp.total_work_ns, u64::MAX);
+        assert_eq!(cp.critical_ns, u64::MAX);
+        assert_eq!(cp.per_operator[0].total_ns, u64::MAX);
+        assert!(cp
+            .render(5, Some(&reg.snapshot()))
+            .contains("per-primitive"));
     }
 
     #[test]

@@ -140,7 +140,6 @@ struct Args {
     link: LinkModel,
     timeline: bool,
     critical_path: Option<String>,
-    cluster_critical_path: Option<String>,
     health: bool,
     incidents: Option<String>,
     top: usize,
@@ -177,7 +176,6 @@ impl Args {
             link: LinkModel::intra_rack_rdma(),
             timeline: false,
             critical_path: None,
-            cluster_critical_path: None,
             health: false,
             incidents: None,
             top: 5,
@@ -239,7 +237,7 @@ const RESCALE_AT: &str = "--rescale-at";
 const RESCALE_TO: &str = "--rescale-to";
 const REBALANCE: &str = "--rebalance";
 
-const FLAGS: [Flag; 29] = [
+const FLAGS: [Flag; 28] = [
     Flag {
         name: "--cores",
         value: "N",
@@ -459,15 +457,8 @@ const FLAGS: [Flag; 29] = [
         name: "--critical-path",
         value: "SPANS.jsonl",
         cmds: REPORT,
-        help: "critical-path attribution over a span export",
+        help: "critical-path attribution over an engine or cluster span export",
         set: |a, _, v| path(&mut a.critical_path, v),
-    },
-    Flag {
-        name: "--cluster-critical-path",
-        value: "STITCHED.jsonl",
-        cmds: REPORT,
-        help: "distributed critical path over a cluster trace",
-        set: |a, _, v| path(&mut a.cluster_critical_path, v),
     },
     Flag {
         name: "--health",
@@ -996,23 +987,13 @@ fn run_report(a: &Args) -> RunResult {
         print!("{}", Timeline::from_dump(&dump).render());
     }
     if let Some(spans_path) = &a.critical_path {
-        let spans_text = std::fs::read_to_string(spans_path)?;
-        let spans = parse_spans_jsonl(&spans_text)?;
+        // One engine's export reads as the single track (shard 0, era 0).
+        let spans = parse_cluster_spans_jsonl(&std::fs::read_to_string(spans_path)?)?;
         println!("critical path from {spans_path} ({} spans)", spans.len());
         print!(
             "{}",
             CriticalPath::compute(&spans).render(a.top, Some(&dump))
         );
-    }
-    if let Some(spans_path) = &a.cluster_critical_path {
-        let spans_text = std::fs::read_to_string(spans_path)?;
-        let spans = parse_cluster_spans_jsonl(&spans_text)?;
-        let trace = ClusterTrace { spans };
-        println!(
-            "distributed critical path from {spans_path} ({} spans)",
-            trace.spans.len()
-        );
-        print!("{}", ClusterCriticalPath::compute(&trace).render(a.top));
     }
     if a.health {
         print!("{}", HealthReport::compute(&dump).render());
@@ -1461,21 +1442,24 @@ mod tests {
         assert!(args(&["report", "m.jsonl", "--wat"]).is_err());
     }
 
+    /// A stitched cluster trace goes through `--critical-path` like an
+    /// engine's; the old second flag is refused.
     #[test]
     fn parses_cluster_report_flags() {
         let a = args(&[
             "report",
             "m.jsonl",
-            "--cluster-critical-path",
+            "--critical-path",
             "stitched.jsonl",
             "--health",
         ])
         .unwrap();
-        assert_eq!(a.cluster_critical_path.as_deref(), Some("stitched.jsonl"));
+        assert_eq!(a.critical_path.as_deref(), Some("stitched.jsonl"));
         assert!(a.health);
         let plain = args(&["report", "m.jsonl"]).unwrap();
-        assert!(plain.cluster_critical_path.is_none() && !plain.health);
-        assert!(args(&["report", "m.jsonl", "--cluster-critical-path"]).is_err());
+        assert!(plain.critical_path.is_none() && !plain.health);
+        let gone = ["report", "m.jsonl", "--cluster-critical-path", "t.jsonl"];
+        assert!(args(&gone).is_err());
     }
 
     #[test]

@@ -76,11 +76,10 @@ pub mod prelude {
     };
     pub use sbx_kpa::{ExecCtx, Kpa};
     pub use sbx_obs::{
-        parse_cluster_spans_jsonl, parse_spans_jsonl, ClusterCriticalPath, ClusterSpan,
-        ClusterTrace, CriticalPath, DetectorBank, FlightRecorder, HealthReport, Incident,
-        IncidentReport, MetricsDump, MetricsRegistry, Obs, RoundPoint, Signal, Span, SpanStream,
-        ThresholdRule, Timeline, TraceCollector, FABRIC_SHARD, ROUND_SERIES, ROUND_VIEW,
-        TIER_SERIES, TIER_VIEW,
+        parse_cluster_spans_jsonl, parse_spans_jsonl, ClusterSpan, ClusterTrace, CriticalPath,
+        DetectorBank, FlightRecorder, HealthReport, Incident, IncidentReport, MetricsDump,
+        MetricsRegistry, Obs, RoundPoint, Signal, Span, SpanStream, ThresholdRule, Timeline,
+        TraceCollector, FABRIC_SHARD, ROUND_SERIES, ROUND_VIEW, TIER_SERIES, TIER_VIEW,
     };
     pub use sbx_records::{Col, EventTime, RecordBundle, Schema, Watermark, WindowSpec};
     pub use sbx_simmem::{MachineConfig, MemEnv, MemKind, Priority};

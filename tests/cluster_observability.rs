@@ -1,6 +1,6 @@
 //! Cluster-wide observability tests (DESIGN.md §13): cross-shard span
-//! stitching, distributed critical-path attribution that partitions the
-//! simulated makespan exactly, byte-identical same-seed exports, and the
+//! stitching, critical-path attribution of the stitched trace that
+//! partitions the simulated makespan exactly, byte-identical same-seed exports, and the
 //! shard-health monitor naming the hot slot the rebalance actually moved.
 
 use std::sync::Arc;
@@ -57,7 +57,7 @@ fn ysb_rescale_attribution_partitions_the_makespan_exactly() {
     let report = ysb_rescale_run(MetricsRegistry::noop());
     let trace = report.trace.as_ref().expect("trace enabled");
     assert!(!trace.spans.is_empty());
-    let path = ClusterCriticalPath::compute(trace);
+    let path = CriticalPath::compute(&trace.spans);
     assert!(path.makespan_ns > 0);
     assert_eq!(
         path.compute_ns
@@ -79,11 +79,30 @@ fn ysb_rescale_attribution_partitions_the_makespan_exactly() {
         "the critical chain must reach post-rescale work"
     );
     // Per-shard critical + slack must reproduce each stream's total.
-    for row in &path.per_shard {
+    for row in &path.per_track {
         assert_eq!(row.critical_ns + row.slack_ns(), row.total_ns);
     }
     // Per-epoch chains cover the cut epoch.
     assert!(path.per_epoch.iter().any(|e| e.epoch == CUT));
+}
+
+/// The per-primitive split sums each operator's byte counters over every
+/// shard prefix (`cluster.[phase1.]shard<i>.engine.op.…`), so the rescale's
+/// critical time lands on the KPA primitives, not all on `engine`.
+#[test]
+fn ysb_rescale_critical_time_splits_across_primitives() {
+    let reg = MetricsRegistry::active();
+    let report = ysb_rescale_run(reg.clone());
+    let path = CriticalPath::compute(&report.trace.expect("trace enabled").spans);
+    let split = path.attribute_primitives(&reg.snapshot());
+    let critical = |label: &str| {
+        split
+            .iter()
+            .find(|p| p.label == label)
+            .map_or(0, |p| p.critical_ns)
+    };
+    assert!(critical("sort") > 0, "{split:?}");
+    assert!(critical("merge") > 0, "{split:?}");
 }
 
 /// Acceptance: two same-seed runs export byte-identical stitched traces
@@ -260,7 +279,7 @@ fn static_run_stitches_without_fabric_spans() {
     assert!(trace.spans.iter().all(|cs| cs.slot_epoch == 0));
     let shards: std::collections::BTreeSet<u32> = trace.spans.iter().map(|cs| cs.shard).collect();
     assert_eq!(shards.len(), 4, "one stream per shard");
-    let path = ClusterCriticalPath::compute(trace);
+    let path = CriticalPath::compute(&trace.spans);
     assert_eq!(path.attributed_ns(), path.makespan_ns);
     assert_eq!(path.shuffle_ns, 0);
     assert_eq!(path.straggler_ns, 0);

@@ -5,12 +5,13 @@
 //! `Ok` or `Err`, never panic, and never allocate beyond its input (each
 //! builds its result from pieces of the input it was handed, so returning at
 //! all bounds it). The unmutated export must parse and re-export to the same
-//! bytes.
+//! bytes. Span files that parse also go through the critical-path walker.
 
 use sbx_bench::trajectory::Trajectory;
 use sbx_prng::SbxRng;
 use streambox_hbm::checkpoint::{decode_snapshot, encode_snapshot};
 use streambox_hbm::engine::{EngineError, PipelineSnapshot};
+use streambox_hbm::obs::Tracked;
 use streambox_hbm::prelude::*;
 
 const MUTATIONS: usize = 300;
@@ -24,6 +25,14 @@ fn spans_jsonl(spans: &[Span]) -> String {
         s.write_line(None, &mut out);
     }
     out
+}
+
+/// Walks and renders parsed spans; on any input the five buckets partition
+/// the makespan, since the scan's cursor ends at the tip's end.
+fn walk<T: Tracked>(spans: &[T]) {
+    let cp = CriticalPath::compute(spans);
+    assert!(!cp.render(5, None).is_empty());
+    assert_eq!(cp.attributed_ns(), cp.makespan_ns);
 }
 
 /// One valid export per text format, with its parse-and-re-export function.
@@ -92,10 +101,13 @@ fn text_exports() -> Vec<(&'static str, String, Reexport)> {
             Ok(MetricsDump::parse_jsonl(t)?.to_jsonl())
         }),
         ("spans", obs.trace.export_jsonl(), |t| {
-            Ok(spans_jsonl(&parse_spans_jsonl(t)?))
+            let spans = parse_spans_jsonl(t)?;
+            walk(&spans);
+            Ok(spans_jsonl(&spans))
         }),
         ("cluster spans", stitched, |t| {
             let spans = parse_cluster_spans_jsonl(t)?;
+            walk(&spans);
             Ok(ClusterTrace { spans }.export_jsonl())
         }),
         (

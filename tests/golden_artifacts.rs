@@ -95,13 +95,13 @@ fn rescaled_cluster_artifacts_are_golden() {
         "golden_cluster",
         "cluster sum --shards 4 --rescale-at 2 --rescale-to 8 --metrics-out metrics.jsonl \
          --trace-out trace.jsonl --health-out health.jsonl",
-        "report metrics.jsonl --cluster-critical-path trace.jsonl --health",
+        "report metrics.jsonl --critical-path trace.jsonl --health",
         &[
             ("run", 0x3054_a340_42ec_19e4),
             ("metrics.jsonl", 0x322c_7998_386f_f539),
             ("trace.jsonl", 0x0a4c_5414_cd64_b115),
             ("health.jsonl", 0x45df_0f9e_19dc_21a3),
-            ("report", 0x120f_40ad_668c_0121),
+            ("report", 0x35fe_6b4d_6f69_b571),
         ],
     );
 }

@@ -40,7 +40,7 @@ fn run_leaves_no_live_bundles_when_outputs_dropped() {
 }
 
 #[test]
-fn pool_accounting_returns_to_freelists() {
+fn pool_accounting_returns_to_zero() {
     let cfg = RunConfig {
         cores: 16,
         collect_outputs: false,

@@ -138,6 +138,35 @@ fn critical_path_and_timeline_are_byte_identical_across_same_seed_runs() {
     assert_eq!(from_memory, from_export);
 }
 
+/// A single engine is a one-track trace: its spans, in memory or read back
+/// through the cluster parser (an absent `shard` reads as 0), give the same
+/// analysis. On a checkpointed run the five buckets partition the makespan
+/// with a barrier drive on the chain, and the render keeps the one-engine
+/// layout, adding only the per-epoch block.
+#[test]
+fn a_single_engine_is_a_one_track_trace() {
+    let obs = Obs::enabled();
+    let mut coord = CheckpointCoordinator::new();
+    let source = || KvSource::new(7, 10_000, 20_000_000);
+    let mut cfg = cfg_with(obs.clone());
+    (cfg.cores, cfg.sender.bundles_per_watermark) = (64, 10);
+    let sum = benchmarks::sum_per_key;
+    run_with_recovery(&cfg, source, sum, 30, 3, &mut coord).expect("run");
+    let cp = CriticalPath::compute(&obs.trace.spans());
+    let parsed = parse_cluster_spans_jsonl(&obs.trace.export_jsonl()).expect("spans");
+    assert_eq!(cp, CriticalPath::compute(&parsed));
+    assert_eq!(
+        cp.compute_ns + cp.shuffle_ns + cp.barrier_wait_ns + cp.straggler_ns + cp.fabric_ns,
+        cp.makespan_ns
+    );
+    assert!(cp.barrier_wait_ns > 0, "{cp:?}");
+    assert_eq!(cp.shuffle_ns + cp.straggler_ns, 0);
+    assert_eq!(cp.per_track.len(), 1);
+    assert!(cp.per_epoch.len() > 1);
+    let text = cp.render(5, None);
+    assert!(text.contains("per-epoch") && !text.contains("attribution"));
+}
+
 /// The tier timeline reconstructed from the metrics dump aligns with the
 /// run's round samples: one point per watermark round, matching simulated
 /// timestamps and knob positions, and the span DAG's rounds cover the
