@@ -22,6 +22,7 @@
 
 use sbx_engine::ops::{AggKind, KeyedAggregate, WindowInto};
 use sbx_engine::{DemandBalancer, EngineMode, ImpactTag, Message, OpCtx, Operator, StreamData};
+use sbx_ingress::ZipfKeys;
 use sbx_prng::SbxRng;
 use sbx_records::{Col, RecordBundle, Schema, Watermark, WindowSpec};
 use sbx_simmem::{CostModel, MachineConfig, MemEnv};
@@ -103,30 +104,16 @@ pub fn full_cells() -> Vec<Cell> {
 }
 
 /// Deterministic key stream for one cell: `rows * WINDOWS` keys from
-/// `SbxRng(seed)`, uniform or via an inverse-CDF Zipf table.
+/// `SbxRng(seed)`, uniform or drawn by [`ZipfKeys`].
 pub fn gen_keys(cell: &Cell, seed: u64) -> Vec<u64> {
-    let n = cell.rows * WINDOWS;
     let mut rng = SbxRng::seed_from_u64(seed);
-    let mut keys = Vec::with_capacity(n);
-    if cell.theta == 0.0 {
-        for _ in 0..n {
-            keys.push(rng.random_range(0..cell.domain));
-        }
-        return keys;
-    }
-    // Cumulative Zipf weights over the domain; one binary search per draw.
-    let mut cum = Vec::with_capacity(cell.domain as usize);
-    let mut h = 0.0f64;
-    for i in 0..cell.domain {
-        h += 1.0 / ((i + 1) as f64).powf(cell.theta);
-        cum.push(h);
-    }
-    for _ in 0..n {
-        let u = rng.random_f64() * h;
-        let idx = cum.partition_point(|&c| c < u);
-        keys.push(idx.min(cell.domain as usize - 1) as u64);
-    }
-    keys
+    let zipf = (cell.theta > 0.0).then(|| ZipfKeys::new(cell.domain, cell.theta));
+    (0..cell.rows * WINDOWS)
+        .map(|_| match &zipf {
+            Some(z) => z.sample(&mut rng),
+            None => rng.random_range(0..cell.domain),
+        })
+        .collect()
 }
 
 /// Outcome of one backend over one cell.

@@ -3,8 +3,9 @@
 //! k-way merge against the kernels they replaced over a grid of key
 //! distributions and run counts, the per-bundle front half (Select/Extract,
 //! Partition, KeySwap) and the window close (keyed reduction, merge count)
-//! against the passes they replaced, plus the modelled pass-bytes comparison
-//! between the retired multipass structure and the single-pass kernels.
+//! against the passes they replaced, the generators' `fill` and Zipf draw,
+//! plus the modelled pass-bytes comparison between the retired multipass
+//! structure and the single-pass kernels.
 //!
 //! Unlike the figure sweeps, the *time* column here is real host time of
 //! the functional kernels (`std::time::Instant`), not modelled KNL time:
@@ -14,10 +15,11 @@
 
 // sbx-lint: out-of-scope(raw-alloc, bench table; host-side measurement setup)
 // sbx-lint: out-of-scope(no-panic, bench table; a failed run should abort loudly)
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant; // sbx-lint: allow(wall-clock, host microbench is the point of this table)
 
-use sbx_ingress::{KvSource, Source, YsbSource, ZipfKeys};
+use sbx_ingress::{KvSource, PowerGridSource, Source, YsbSource, ZipfKeys};
 use sbx_kpa::mergepath::{self, RankBy, Run};
 use sbx_kpa::{join_sorted, profile, sort_pairs, ExecCtx, Kpa, WorkerPool};
 use sbx_kpa::{reduce_keyed, reduce_keyed_scalar};
@@ -518,6 +520,69 @@ pub fn run_close_half(reps: usize) -> String {
     cell_table(&title, measure_close_half(reps))
 }
 
+/// Times `fill(CHUNK_PAIRS)` of every source shape the benchmarks draw from,
+/// and a Zipf draw by the closed form it replaced ([`reference::gray_zipf`])
+/// and by [`ZipfKeys`], over the 1 000 keys of `sum_lowcard_adaptive` and
+/// the 2 M of `sbx cluster --skew`: `(row, median host ns per record or
+/// draw)` of `reps` runs after a warm-up run.
+pub fn measure_generators(reps: usize) -> Vec<(String, f64)> {
+    let (n, rate) = (CHUNK_PAIRS, 500_000);
+    let time = |f: &mut dyn FnMut()| {
+        f();
+        let ns = (0..reps.max(1)).map(|_| timed(&mut *f).1 * 1e9 / n as f64);
+        median(ns.collect())
+    };
+    // Named after the shapes `crates/ingress/tests/generator_streams.rs` pins.
+    let kv = |keys| KvSource::new(1, keys, rate);
+    let sources: [(&str, Box<dyn Source>); 7] = [
+        ("kv", Box::new(kv(4_000_000))),
+        ("kv_jitter", Box::new(kv(100_000).with_jitter(50_000_000))),
+        ("kv_zipf", Box::new(kv(1_000).with_zipf(0.99))),
+        ("kv_zipf_1_2", Box::new(kv(50_000).with_zipf(1.2))),
+        ("kv_secondary", Box::new(kv(1_000).with_secondary_key(64))),
+        ("ysb", Box::new(YsbSource::new(1, 10_000, 1_000, rate))),
+        (
+            "power_grid",
+            Box::new(PowerGridSource::new(1, 40, 20, rate)),
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (shape, mut src) in sources {
+        let mut out = Vec::new();
+        let ns = time(&mut || {
+            out.clear();
+            src.fill(n, &mut out);
+        });
+        rows.push((format!("fill {shape}"), ns));
+    }
+    for keys in [1_000, 2_000_000] {
+        let table = ZipfKeys::new(keys, 0.99);
+        type Sampler<'a> = &'a dyn Fn(&mut SbxRng) -> u64;
+        let samplers: [(&str, Sampler); 2] = [
+            ("closed form", &reference::gray_zipf(keys, 0.99)),
+            ("table", &|rng| table.sample(rng)),
+        ];
+        for (what, sample) in samplers {
+            let mut rng = SbxRng::seed_from_u64(71);
+            let ns = time(&mut || {
+                black_box((0..n).fold(0, |a, _| a ^ sample(&mut rng)));
+            });
+            rows.push((format!("Zipf 0.99 draw over {keys}, {what}"), ns));
+        }
+    }
+    rows
+}
+
+/// Runs the generator timings ([`measure_generators`]) and renders them.
+pub fn run_generators(reps: usize) -> String {
+    let title = format!("Host generators, {CHUNK_PAIRS} records (median ns/record or draw)");
+    let mut t = Table::new(&title, &["generator", "ns"]);
+    for (row, ns) in measure_generators(reps) {
+        t.row(vec![row, f1(ns)]);
+    }
+    t.print()
+}
+
 /// Runs the front-half comparison ([`measure_front_half`]) and renders it.
 pub fn run_front_half(reps: usize) -> String {
     let title = format!(
@@ -529,16 +594,39 @@ pub fn run_front_half(reps: usize) -> String {
 
 /// The kernels `sbx_kpa::sort_pairs` and `mergepath::merge_span` ran before
 /// the radix kernels, the per-element loops Select/Extract, Partition and
-/// the pointer resolver ran before their streaming passes, and the pass that
-/// counted a merged window's keys, kept as the reference the tables here
-/// (and `tests/prop_primitives.rs`) time and check the current kernels against.
+/// the pointer resolver ran before their streaming passes, the pass that
+/// counted a merged window's keys, and the Zipf sampler `ZipfKeys` replaced,
+/// kept as the reference the tables here (and `tests/prop_primitives.rs`)
+/// time and check the current code against.
 pub mod reference {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use sbx_kpa::mergepath::{RankBy, Run};
+    use sbx_prng::SbxRng;
     use sbx_records::{BundleId, Col, RecordBundle, RecordRef};
     use sbx_simmem::{MemEnv, MemKind, PoolVec, Priority};
+
+    /// `ZipfKeys`' predecessor: the rejection-free inverse-CDF approximation
+    /// of Gray et al. ("Quickly generating billion-record synthetic
+    /// databases"), one `random_f64` and one `powf` per draw, `theta`
+    /// clamped to `[0.01, 0.999]`, where the closed form holds.
+    pub fn gray_zipf(n: u64, theta: f64) -> impl Fn(&mut SbxRng) -> u64 {
+        let (n, theta) = (n.max(1), theta.clamp(0.01, 0.999));
+        let zetan: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
+        let zeta2 = 1.0 + 0.5f64.powf(theta);
+        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
+        move |rng| {
+            let u = rng.random_f64();
+            match u * zetan {
+                uz if uz < 1.0 => 0,
+                uz if uz < zeta2 => 1,
+                _ => {
+                    ((n as f64 * (eta * u - eta + 1.0).powf(1.0 / (1.0 - theta))) as u64).min(n - 1)
+                }
+            }
+        }
+    }
 
     fn pair_bufs(env: &MemEnv, n: usize) -> (PoolVec, PoolVec) {
         let alloc = || {
@@ -779,6 +867,7 @@ pub fn run() -> String {
     out.push_str(&run_kernel_grid(5));
     out.push_str(&run_front_half(25));
     out.push_str(&run_close_half(9));
+    out.push_str(&run_generators(25));
 
     let (so, sn, mo, mn) = modelled_pass_bytes();
     let mut m = Table::new(
@@ -861,6 +950,20 @@ mod tests {
         for c in &cells {
             assert!(c.old > 0.0 && c.new > 0.0, "{c:?}");
         }
+    }
+
+    /// Every generator row runs and reports a positive time, and the closed
+    /// form draws rank 0 about as often as Zipf 0.99 over 1 000 keys should
+    /// (13 %).
+    #[test]
+    fn generator_rows_run() {
+        let rows = measure_generators(1);
+        assert_eq!(rows.len(), 7 + 2 * 2);
+        assert!(rows.iter().all(|(_, ns)| *ns > 0.0), "{rows:?}");
+        let mut rng = SbxRng::seed_from_u64(3);
+        let old = reference::gray_zipf(1_000, 0.99);
+        let hot = (0..10_000).filter(|_| old(&mut rng) == 0).count();
+        assert!((1_000..2_000).contains(&hot), "rank 0 drawn {hot} times");
     }
 
     /// The modelled traffic table must show the single-pass win: sort

@@ -30,6 +30,7 @@ use sbx_obs::Obs;
 use sbx_simmem::MachineConfig;
 
 use crate::kernel_scaling;
+use Direction::{Exact, Higher, Lower};
 
 /// Trajectory file schema version; bumped when scenarios or metric
 /// definitions change incompatibly (older files are then only noted, not
@@ -221,7 +222,6 @@ fn ysb_scenario(
         )
         .map_err(|e| format!("{scenario} failed: {e:?}"))?;
     let dump = obs.metrics.snapshot();
-    use Direction::{Exact, Higher, Lower};
     let pass_bytes = |tier: &str| dump.counter(&format!("bw.{tier}.total_bytes")).unwrap_or(0);
     let m = |name: &str, value: f64, direction: Direction| Metric {
         scenario: scenario.to_owned(),
@@ -290,22 +290,10 @@ fn cluster_scenario(shards: u32, cost_scale: f64) -> Result<Vec<Metric>, String>
         direction,
     };
     Ok(vec![
-        m(
-            "throughput_mrps",
-            report.throughput_rps() / 1e6,
-            Direction::Higher,
-        ),
-        m("sim_secs", report.sim_secs, Direction::Lower),
-        m(
-            "output_records",
-            report.output_records as f64,
-            Direction::Exact,
-        ),
-        m(
-            "committed_rows",
-            report.committed.len() as f64,
-            Direction::Exact,
-        ),
+        m("throughput_mrps", report.throughput_rps() / 1e6, Higher),
+        m("sim_secs", report.sim_secs, Lower),
+        m("output_records", report.output_records as f64, Exact),
+        m("committed_rows", report.committed.len() as f64, Exact),
     ])
 }
 
@@ -339,22 +327,10 @@ fn cluster_rescale_scenario(cost_scale: f64) -> Result<Vec<Metric>, String> {
         direction,
     };
     Ok(vec![
-        m(
-            "shuffle_wire_bytes",
-            rescale.wire_bytes as f64,
-            Direction::Lower,
-        ),
-        m(
-            "shuffle_secs",
-            rescale.shuffle_ns as f64 / 1e9,
-            Direction::Lower,
-        ),
-        m(
-            "moved_slots",
-            rescale.moved_slots.len() as f64,
-            Direction::Exact,
-        ),
-        m("sim_secs", report.sim_secs, Direction::Lower),
+        m("shuffle_wire_bytes", rescale.wire_bytes as f64, Lower),
+        m("shuffle_secs", rescale.shuffle_ns as f64 / 1e9, Lower),
+        m("moved_slots", rescale.moved_slots.len() as f64, Exact),
+        m("sim_secs", report.sim_secs, Lower),
     ])
 }
 
@@ -364,7 +340,7 @@ fn kernel_model_scenario() -> Vec<Metric> {
         scenario: "kernel_model".to_owned(),
         name: name.to_owned(),
         value,
-        direction: Direction::Lower,
+        direction: Lower,
     };
     vec![
         m("sort_multipass_mb", sort_old),
@@ -391,55 +367,48 @@ fn output_checksum(rows: &[u64]) -> f64 {
 }
 
 /// Low-cardinality YSB-like grouping: 50 k-row Count windows over 1 000
-/// campaign keys. Runs all four backends through the grouping-matrix
-/// harness (which enforces byte-identical outputs and the
-/// adaptive-vs-best-static bound) and additionally holds the adaptive
-/// backend to [`GROUPBY_MIN_SPEEDUP`]× over sort-merge.
+/// campaign keys, drawn uniformly and (the `_zipf1_2` rows) Zipf 1.2. Runs
+/// all four backends through the grouping-matrix harness (which enforces
+/// byte-identical outputs and the adaptive-vs-best-static bound) and
+/// additionally holds the adaptive backend to [`GROUPBY_MIN_SPEEDUP`]× over
+/// sort-merge.
 fn groupby_lowcard_scenario() -> Result<Vec<Metric>, String> {
     use crate::grouping_matrix::{run_cell, Cell};
-    let cell = Cell {
-        rows: 50_000,
-        domain: 1_000,
-        theta: 0.0,
-        bundles: 16,
-    };
-    let runs = run_cell(&cell, 7); // [sort, hash, row, adaptive]
-    let sort = runs[0].steady_secs;
-    let adaptive = runs[3].steady_secs;
-    let speedup = sort / adaptive.max(1e-12);
-    if speedup < GROUPBY_MIN_SPEEDUP {
-        return Err(format!(
-            "adaptive GroupBy speedup {speedup:.2}x over sort-merge is below \
-             the {GROUPBY_MIN_SPEEDUP}x bar on the low-cardinality scenario"
-        ));
+    let mut metrics = Vec::new();
+    for (scenario, theta) in [("groupby_lowcard", 0.0), ("groupby_lowcard_zipf1_2", 1.2)] {
+        let cell = Cell {
+            rows: 50_000,
+            domain: 1_000,
+            theta,
+            bundles: 16,
+        };
+        let runs = run_cell(&cell, 7); // [sort, hash, row, adaptive]
+        let sort = runs[0].steady_secs;
+        let adaptive = runs[3].steady_secs;
+        let speedup = sort / adaptive.max(1e-12);
+        if speedup < GROUPBY_MIN_SPEEDUP {
+            return Err(format!(
+                "adaptive GroupBy speedup {speedup:.2}x over sort-merge is below \
+                 the {GROUPBY_MIN_SPEEDUP}x bar on {scenario}"
+            ));
+        }
+        let hash_windows = runs[3].picks.iter().filter(|p| p.as_str() == "H").count();
+        let m = |name: &str, value: f64, direction: Direction| Metric {
+            scenario: scenario.to_owned(),
+            name: name.to_owned(),
+            value,
+            direction,
+        };
+        metrics.extend([
+            m("sort_steady_ms", sort * 1e3, Lower),
+            m("hash_steady_ms", runs[1].steady_secs * 1e3, Lower),
+            m("adaptive_steady_ms", adaptive * 1e3, Lower),
+            m("adaptive_speedup_vs_sort", speedup, Higher),
+            m("adaptive_hash_windows", hash_windows as f64, Exact),
+            m("output_checksum", output_checksum(&runs[3].out), Exact),
+        ]);
     }
-    let hash_windows = runs[3].picks.iter().filter(|p| p.as_str() == "H").count();
-    let m = |name: &str, value: f64, direction: Direction| Metric {
-        scenario: "groupby_lowcard".to_owned(),
-        name: name.to_owned(),
-        value,
-        direction,
-    };
-    Ok(vec![
-        m("sort_steady_ms", sort * 1e3, Direction::Lower),
-        m(
-            "hash_steady_ms",
-            runs[1].steady_secs * 1e3,
-            Direction::Lower,
-        ),
-        m("adaptive_steady_ms", adaptive * 1e3, Direction::Lower),
-        m("adaptive_speedup_vs_sort", speedup, Direction::Higher),
-        m(
-            "adaptive_hash_windows",
-            hash_windows as f64,
-            Direction::Exact,
-        ),
-        m(
-            "output_checksum",
-            output_checksum(&runs[3].out),
-            Direction::Exact,
-        ),
-    ])
+    Ok(metrics)
 }
 
 /// High-cardinality uniform sweep: 2 M-row windows over an 8 M-key
@@ -470,22 +439,10 @@ fn groupby_highcard_scenario() -> Result<Vec<Metric>, String> {
         direction,
     };
     Ok(vec![
-        m("sort_steady_ms", sort.steady_secs * 1e3, Direction::Lower),
-        m(
-            "adaptive_steady_ms",
-            adaptive.steady_secs * 1e3,
-            Direction::Lower,
-        ),
-        m(
-            "adaptive_sort_windows",
-            sort_windows as f64,
-            Direction::Exact,
-        ),
-        m(
-            "output_checksum",
-            output_checksum(&adaptive.out),
-            Direction::Exact,
-        ),
+        m("sort_steady_ms", sort.steady_secs * 1e3, Lower),
+        m("adaptive_steady_ms", adaptive.steady_secs * 1e3, Lower),
+        m("adaptive_sort_windows", sort_windows as f64, Exact),
+        m("output_checksum", output_checksum(&adaptive.out), Exact),
     ])
 }
 

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use sbx_prng::SbxRng;
+use sbx_prng::{math, SbxRng};
 
 use sbx_records::{EventTime, Schema};
 
@@ -91,61 +91,82 @@ impl Front {
     }
 }
 
-/// Deterministic Zipf-distributed rank sampler over `{0, .., n-1}` (rank 0
-/// most popular), using the rejection-free inverse-CDF approximation of
-/// Gray et al. ("Quickly generating billion-record synthetic databases").
+/// Deterministic Zipf-distributed rank sampler over `{0, .., n-1}`: rank
+/// `i` is drawn with probability `∝ (i+1)^-θ`, so rank 0 is the hottest.
+///
+/// The distribution is tabulated once, in O(n), with weights from
+/// [`sbx_prng::math`]: its CDF in 64-bit fixed point and a guide table into
+/// it, at most 16 bytes per rank. A draw is one `next_u64` and integer work
+/// only, so a skewed stream is the same bytes on every platform.
 ///
 /// Drives the skewed cluster workloads: a Zipf key stream concentrates
 /// traffic on the slots owning the low ranks, producing the hot shard the
 /// rebalance trigger must detect and move.
 #[derive(Debug, Clone)]
 pub struct ZipfKeys {
-    n: u64,
-    theta: f64,
-    zetan: f64,
-    eta: f64,
-    threshold2: f64,
+    /// `2^64 ·` the probability of ranks `0..=i`, truncated, for `i < n - 1`,
+    /// then `u64::MAX`: a draw `x` is the rank of the first entry `>= x`.
+    cdf: Vec<u64>,
+    /// Per bucket of draws (`x >> shift`), the rank of its smallest draw.
+    guide: Vec<u32>,
+    shift: u32,
 }
 
 impl ZipfKeys {
-    /// A Zipf sampler over `n` ranks with exponent `theta` in `(0, 1)`;
-    /// `theta` near 1 is heavily skewed (YCSB's default is 0.99).
+    /// A Zipf sampler over `n` ranks with exponent `theta`. The domain is
+    /// `1 <= n <= 2^32` and `theta >= 0` (0 is uniform, `+inf` puts every
+    /// draw on rank 0); `n` is clamped into it and a NaN or negative `theta`
+    /// is taken as 0, so the table always holds a distribution.
     pub fn new(n: u64, theta: f64) -> Self {
-        let n = n.max(1);
-        let theta = theta.clamp(0.01, 0.999);
-        let mut zetan = 0.0;
-        for i in 1..=n {
-            zetan += 1.0 / (i as f64).powf(theta);
+        let n = n.clamp(1, 1 << 32) as usize;
+        let theta = theta.max(0.0);
+        // (i+1)^-θ, with rank 0's 1 exact even at θ = +inf.
+        let weight = |i: usize| match i {
+            0 => 1.0,
+            _ => math::exp(-theta * math::ln((i + 1) as f64)),
+        };
+        // Prefix sums, held as `f64` bits until the total is known, then
+        // scaled to 2^64 in place; the last, total / total, saturates to
+        // `u64::MAX`, the scan's sentinel.
+        let (mut cdf, mut total) = (Vec::new(), 0.0);
+        cdf.extend((0..n).map(|i| {
+            total += weight(i);
+            f64::to_bits(total)
+        }));
+        for c in &mut cdf {
+            *c = (f64::from_bits(*c) / total * (1u128 << 64) as f64) as u64;
         }
-        let zeta2 = 1.0 + 0.5f64.powf(theta);
-        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        ZipfKeys {
-            n,
-            theta,
-            zetan,
-            eta,
-            threshold2: zeta2,
-        }
+        let buckets = n.max(2).next_power_of_two();
+        let shift = u64::BITS - buckets.trailing_zeros();
+        let (mut guide, mut rank) = (Vec::new(), 0);
+        guide.extend((0..buckets as u64).map(|b| {
+            while cdf[rank] < b << shift {
+                rank += 1;
+            }
+            rank as u32
+        }));
+        ZipfKeys { cdf, guide, shift }
     }
 
     /// Number of ranks.
     pub fn n(&self) -> u64 {
-        self.n
+        self.cdf.len() as u64
     }
 
     /// Draws one rank in `[0, n)` from `rng` (rank 0 most popular).
+    #[inline]
     pub fn sample(&self, rng: &mut SbxRng) -> u64 {
-        let u = rng.random_f64();
-        let uz = u * self.zetan;
-        if uz < 1.0 {
-            return 0;
+        self.rank_of(rng.next_u64())
+    }
+
+    /// The rank a draw of `x` maps to: the first CDF entry `>= x`.
+    #[inline]
+    fn rank_of(&self, x: u64) -> u64 {
+        let mut rank = self.guide[(x >> self.shift) as usize] as usize;
+        while self.cdf[rank] < x {
+            rank += 1;
         }
-        if uz < self.threshold2 {
-            return 1;
-        }
-        let rank =
-            (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(1.0 / (1.0 - self.theta))) as u64;
-        rank.min(self.n - 1)
+        rank as u64
     }
 }
 
@@ -208,7 +229,8 @@ impl KvSource {
 
     /// Draws keys from a Zipf distribution with exponent `theta` instead of
     /// uniformly: key 0 is the hottest, so skewed streams concentrate on a
-    /// narrow key range (the cluster tier's hot-shard scenario).
+    /// narrow key range (the cluster tier's hot-shard scenario). `theta`'s
+    /// domain is [`ZipfKeys::new`]'s.
     pub fn with_zipf(mut self, theta: f64) -> Self {
         self.zipf = Some(ZipfKeys::new(self.key_cardinality, theta));
         self
@@ -223,10 +245,8 @@ impl Source for KvSource {
     fn fill(&mut self, rows: usize, out: &mut Vec<u64>) {
         out.reserve(rows * self.schema.ncols());
         let mut front = Front::at(self.count, self.event_rate);
-        // The generator state lives in a local for the loop: the Zipf
-        // sampler calls into libm, and across that call a state reached
-        // through `self` is stored and reloaded on every draw of every key
-        // distribution.
+        // The generator state lives in a local for the loop, so it stays in
+        // registers whatever the key draw compiles to.
         let mut rng = self.rng.clone();
         for _ in 0..rows {
             let jitter = if self.jitter_ticks == 0 {
@@ -616,6 +636,105 @@ mod tests {
         // Skew is strictly ordered: the hot decile outweighs the rest.
         let low = keys.iter().filter(|&&k| k < 100).count();
         assert!(low * 2 > keys.len(), "low ranks got {low}/{}", keys.len());
+    }
+
+    /// The draws fit the exact pmf `∝ (i+1)^-θ` (computed here with the
+    /// host `powf`, independently of the table's `ln` / `exp`): Pearson's
+    /// χ² over bins of at least 20 expected draws stays within five
+    /// standard deviations of its degrees of freedom. θ = 1.0 and 1.2 are
+    /// honoured, not clamped below 1.
+    #[test]
+    fn zipf_draws_fit_the_exact_pmf() {
+        const DRAWS: usize = 200_000;
+        for n in [1u64, 2, 1_000, 50_000] {
+            for theta in [0.5, 0.99, 1.0, 1.2] {
+                let z = ZipfKeys::new(n, theta);
+                assert_eq!(z.n(), n);
+                let mut rng = SbxRng::seed_from_u64(n ^ theta.to_bits());
+                let mut counts = vec![0usize; n as usize];
+                for _ in 0..DRAWS {
+                    counts[z.sample(&mut rng) as usize] += 1;
+                }
+                assert!(counts.iter().all(|&c| c <= counts[0]), "n {n} θ {theta}");
+                let w: Vec<f64> = (1..=n).map(|i| (i as f64).powf(-theta)).collect();
+                let total: f64 = w.iter().sum();
+                let (mut chi2, mut bins) = (0.0, 0usize);
+                let (mut want, mut got) = (0.0, 0usize);
+                for (i, (&wi, &ci)) in w.iter().zip(&counts).enumerate() {
+                    want += wi / total * DRAWS as f64;
+                    got += ci;
+                    if want >= 20.0 || i + 1 == w.len() {
+                        chi2 += (got as f64 - want).powi(2) / want;
+                        bins += 1;
+                        (want, got) = (0.0, 0);
+                    }
+                }
+                let df = (bins - 1) as f64;
+                let bound = df + 5.0 * (2.0 * df).sqrt() + 5.0;
+                assert!(
+                    chi2 <= bound,
+                    "n {n} θ {theta}: χ² {chi2:.1} over {bins} bins"
+                );
+            }
+        }
+    }
+
+    /// The guide table plus forward scan is exactly a binary search for the
+    /// first CDF entry at or above the draw, at both ends of the range and
+    /// on every CDF entry's edges.
+    #[test]
+    fn zipf_rank_is_a_binary_search_over_the_cdf() {
+        for (n, theta) in [(1_000, 0.99), (50_000, 1.2), (3, 0.5), (1, 1.0)] {
+            let z = ZipfKeys::new(n, theta);
+            let search = |x: u64| z.cdf.partition_point(|&c| c < x) as u64;
+            let mut rng = SbxRng::seed_from_u64(n);
+            let edges = z
+                .cdf
+                .iter()
+                .flat_map(|&c| [c.wrapping_sub(1), c, c.wrapping_add(1)]);
+            let draws = (0..1_000_000).map(|_| rng.next_u64());
+            for x in [0, 1, u64::MAX - 1, u64::MAX]
+                .into_iter()
+                .chain(edges)
+                .chain(draws)
+            {
+                assert_eq!(z.rank_of(x), search(x), "n {n} θ {theta} x {x:#x}");
+            }
+        }
+    }
+
+    /// Degenerate parameters still give a distribution: NaN and negative
+    /// exponents are uniform, +inf is a point mass on rank 0, zero ranks is
+    /// one rank.
+    #[test]
+    fn zipf_table_is_never_degenerate() {
+        let uniform = ZipfKeys::new(4, 0.0);
+        for theta in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+            assert_eq!(ZipfKeys::new(4, theta).cdf, uniform.cdf, "{theta}");
+        }
+        assert_eq!(uniform.cdf, [1 << 62, 1 << 63, 3 << 62, u64::MAX]);
+        let point = ZipfKeys::new(1_000, f64::INFINITY);
+        assert!([0, 1 << 63, u64::MAX]
+            .iter()
+            .all(|&x| point.rank_of(x) == 0));
+        assert_eq!(ZipfKeys::new(0, 0.99).n(), 1);
+    }
+
+    /// Pins the (1 000, 0.99) table — the `sum_lowcard_adaptive` keys — so
+    /// a change to the weights or the layout is a deliberate one.
+    #[test]
+    fn zipf_table_checksum_is_pinned() {
+        let z = ZipfKeys::new(1_000, 0.99);
+        let words = z
+            .cdf
+            .iter()
+            .copied()
+            .chain(z.guide.iter().map(|&g| u64::from(g)));
+        let h = words.fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((z.cdf.len(), z.guide.len(), z.shift), (1_000, 1_024, 54));
+        assert_eq!(h, 0x1ed0_7be5_6414_e013, "table changed: {h:#018x}");
     }
 
     #[test]

@@ -27,21 +27,24 @@ type Make = fn(u64, u64) -> Box<dyn Source>;
 
 /// Every generator configuration the repository's workloads use, by
 /// `(seed, event_rate)`.
-const STREAMS: [(&str, Make); 6] = [
+const STREAMS: [(&str, Make); 7] = [
     ("kv", |seed, rate| {
         Box::new(KvSource::new(seed, 4_000_000, rate))
     }),
     ("kv_jitter", |seed, rate| {
         Box::new(KvSource::new(seed, 100_000, rate).with_jitter(50_000_000))
     }),
-    // The Zipf sampler calls `powf`: this line also pins the platform's
-    // `libm` (ROADMAP item 2e replaces it with an integer-only sampler).
+    // The Zipf table's weights come from `sbx_prng::math`, not `libm`, so
+    // these two lines hold on every platform.
     ("kv_zipf", |seed, rate| {
         Box::new(
             KvSource::new(seed, 1_000, rate)
                 .with_value_range(1_000_000)
                 .with_zipf(0.99),
         )
+    }),
+    ("kv_zipf_1_2", |seed, rate| {
+        Box::new(KvSource::new(seed, 50_000, rate).with_zipf(1.2))
     }),
     ("kv_secondary", |seed, rate| {
         Box::new(
@@ -60,10 +63,11 @@ const STREAMS: [(&str, Make); 6] = [
 
 /// Checksums of the first [`VALUES`] values at 500 000 records per
 /// event-second, seeds 7 and 11, in [`STREAMS`] order.
-const CHECKSUMS: [[u64; 2]; 6] = [
+const CHECKSUMS: [[u64; 2]; 7] = [
     [0x270b651ebf4889d5, 0x229d9326b6520210], // kv
     [0x7f4a0df4e2a40c6f, 0xdc2eec65942db8af], // kv_jitter
-    [0xcdfc49f40bbe2357, 0xfc5ae35129dce26d], // kv_zipf
+    [0x36118bf875e84515, 0x367f0d0492186295], // kv_zipf
+    [0xb193a9ace2a8d3da, 0xd75577e32ec4a6e0], // kv_zipf_1_2
     [0x14690c7c8b8bf76c, 0x4bf53729402b7862], // kv_secondary
     [0x2ad41540e8af965d, 0x748fe91ab74ee245], // ysb
     [0x502eca2800fe76ec, 0x351c5229e43ee792], // power_grid

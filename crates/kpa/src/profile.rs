@@ -20,6 +20,9 @@ pub const PAIR_BYTES: f64 = 16.0;
 /// prices the paper's kernel.
 pub const SORT_BLOCK: f64 = 64.0;
 
+/// `log2(SORT_BLOCK)`: the block kernel's in-register levels.
+const SORT_BLOCK_LEVELS: f64 = 6.0;
+
 /// CPU cycles per pair per merge level of the *multipass* structure: each
 /// level is a full streaming round with its own load/compare/store loop
 /// per element. Calibrated against the paper's Figure 2 microbenchmark.
@@ -98,13 +101,18 @@ pub fn materialize(rows: usize, record_bytes: usize, kpa_kind: MemKind) -> Acces
         .cpu(n * EXTRACT_CYCLES)
 }
 
+/// `ceil(log2(n))`, exactly, in integer arithmetic; 0 for `n <= 1`.
+fn ceil_log2(n: usize) -> f64 {
+    f64::from(usize::BITS - n.saturating_sub(1).leading_zeros())
+}
+
 /// Number of merge levels a sort of `n` pairs performs above the in-cache
-/// block kernel.
+/// block kernel: `ceil(log2(n / SORT_BLOCK))`.
 pub fn sort_merge_levels(n: usize) -> f64 {
     if n <= SORT_BLOCK as usize {
         return 0.0;
     }
-    ((n as f64) / SORT_BLOCK).log2().ceil()
+    ceil_log2(n) - SORT_BLOCK_LEVELS
 }
 
 /// Number of full read+write streaming passes `Kpa::sort` performs: one
@@ -125,10 +133,9 @@ pub fn sort(n: usize, kind: MemKind) -> AccessProfile {
     let nf = n as f64;
     // Block kernel: log2(block) in-register levels; merge comparisons
     // still walk the remaining levels even though the data moves once.
-    let block_levels = SORT_BLOCK.log2();
     AccessProfile::new()
         .seq(kind, nf * 2.0 * PAIR_BYTES * SORT_PASSES)
-        .cpu(nf * SORT_KERNEL_CYCLES_PER_LEVEL * (levels + block_levels))
+        .cpu(nf * SORT_KERNEL_CYCLES_PER_LEVEL * (levels + SORT_BLOCK_LEVELS))
 }
 
 /// Profile of the *multipass* merge-sort structure (one full read+write
@@ -143,10 +150,9 @@ pub fn sort_multipass(n: usize, kind: MemKind) -> AccessProfile {
     }
     let levels = sort_merge_levels(n);
     let nf = n as f64;
-    let block_levels = SORT_BLOCK.log2();
     AccessProfile::new()
         .seq(kind, nf * 2.0 * PAIR_BYTES * (levels + 1.0))
-        .cpu(nf * SORT_CYCLES_PER_LEVEL * (levels + block_levels))
+        .cpu(nf * SORT_CYCLES_PER_LEVEL * (levels + SORT_BLOCK_LEVELS))
 }
 
 /// Profile of a two-way `Merge` producing `total` pairs onto `out_kind`
@@ -165,7 +171,7 @@ pub fn merge(total: usize, in_kind: MemKind, out_kind: MemKind) -> AccessProfile
 /// `ceil(log2 k)` comparisons per pair (tournament depth).
 pub fn merge_kway(total: usize, k: usize, in_kind: MemKind, out_kind: MemKind) -> AccessProfile {
     let n = total as f64;
-    let cmp_factor = (k as f64).log2().ceil().max(1.0);
+    let cmp_factor = ceil_log2(k).max(1.0);
     AccessProfile::new()
         .seq(in_kind, n * PAIR_BYTES)
         .seq(out_kind, n * PAIR_BYTES)
@@ -309,7 +315,7 @@ pub fn sort_chunked(n: usize, chunk: usize, kind: MemKind) -> AccessProfile {
     let nf = n as f64;
     AccessProfile::new()
         .seq(kind, nf * 2.0 * PAIR_BYTES * SORT_PASSES)
-        .cpu(nf * SORT_KERNEL_CYCLES_PER_LEVEL * (levels + SORT_BLOCK.log2()))
+        .cpu(nf * SORT_KERNEL_CYCLES_PER_LEVEL * (levels + SORT_BLOCK_LEVELS))
 }
 
 /// Growth-averaged variant of [`hash_group_carded`]: the grouping table
@@ -352,11 +358,7 @@ pub fn sketch(n: usize, kind: MemKind) -> AccessProfile {
 /// table sequentially, sort the live entries, stream them out to DRAM.
 pub fn hash_drain(slots: usize, groups: usize, table_kind: MemKind) -> AccessProfile {
     let m = groups as f64;
-    let sort_cycles = if groups > 1 {
-        m * (m.log2().ceil())
-    } else {
-        0.0
-    };
+    let sort_cycles = m * ceil_log2(groups);
     AccessProfile::new()
         .seq(table_kind, slots as f64 * HASH_SLOT_BYTES)
         .seq(MemKind::Dram, m * HASH_SLOT_BYTES)
@@ -455,6 +457,37 @@ mod tests {
         assert!(grown.cpu_cycles > floor.cpu_cycles);
     }
 
+    /// The integer `ceil(log2)` sites equal the `f64` forms they replaced
+    /// for every `n < 2^40`: all of `0..2^16`, then each power of two, its
+    /// neighbours and a spread of values inside every binade.
+    #[test]
+    fn integer_log2_matches_the_float_form() {
+        let old_levels = |n: usize| {
+            if n <= SORT_BLOCK as usize {
+                0.0
+            } else {
+                ((n as f64) / SORT_BLOCK).log2().ceil()
+            }
+        };
+        let old_ceil = |n: usize| (n as f64).log2().ceil();
+        assert_eq!(SORT_BLOCK_LEVELS, SORT_BLOCK.log2());
+        let small = 0..1usize << 16;
+        let binades = (16..40).flat_map(|k: u32| {
+            let p = 1usize << k;
+            let step = (p / 997).max(1);
+            [p - 1, p, p + 1, 2 * p - 1]
+                .into_iter()
+                .chain((p..2 * p).step_by(step))
+        });
+        for n in small.chain(binades) {
+            assert_eq!(sort_merge_levels(n), old_levels(n), "levels {n}");
+            assert_eq!(ceil_log2(n).max(1.0), old_ceil(n).max(1.0), "kway {n}");
+            if n > 1 {
+                assert_eq!(ceil_log2(n), old_ceil(n), "drain {n}");
+            }
+        }
+    }
+
     #[test]
     fn engine_sort_charges_exactly_two_passes() {
         let n = 1_000_000usize;
@@ -473,7 +506,7 @@ mod tests {
         assert!(p.cpu_cycles < multi.cpu_cycles);
         assert_eq!(
             p.cpu_cycles,
-            n as f64 * SORT_KERNEL_CYCLES_PER_LEVEL * (sort_merge_levels(n) + SORT_BLOCK.log2())
+            n as f64 * SORT_KERNEL_CYCLES_PER_LEVEL * (sort_merge_levels(n) + SORT_BLOCK_LEVELS)
         );
     }
 

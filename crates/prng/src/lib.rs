@@ -8,7 +8,9 @@
 //! enough to own outright.
 //!
 //! The generator is intentionally *not* cryptographic; it exists for
-//! workload synthesis and randomized testing only.
+//! workload synthesis and randomized testing only. [`math`] holds the `ln`
+//! and `exp` that turn its draws into non-uniform distributions with the
+//! same bits on every platform.
 //!
 //! # Example
 //!
@@ -25,6 +27,8 @@
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};
+
+pub mod math;
 
 /// A seeded, deterministic xoshiro256++ generator.
 ///

@@ -405,7 +405,13 @@ const FLAGS: [Flag; 28] = [
         value: "THETA",
         cmds: CLUSTER,
         help: "draw keys from a Zipf distribution",
-        set: |a, f, v| opt(&mut a.skew, f, v),
+        set: |a, f, v| match parsed(f, v)? {
+            theta if theta > 0.0 && f64::is_finite(theta) => {
+                a.skew = Some(theta);
+                Ok(())
+            }
+            _ => Err(format!("{f} must be finite and positive")),
+        },
     },
     Flag {
         name: RESCALE_AT,
@@ -1323,6 +1329,10 @@ mod tests {
         refused(&["report", "m.jsonl", "--cores", "2"], "--cores");
         // A Zipf exponent needs a source with a Zipf key draw.
         assert!(args(&["cluster", "sum", "--skew", "1.0"]).is_ok());
+        // ... finite and positive; NaN used to put every record on key 0.
+        for theta in ["nan", "-1", "0", "inf"] {
+            refused(&["cluster", "sum", "--skew", theta], "--skew");
+        }
         refused(&["cluster", "ysb", "--skew", "1.0"], "--skew");
         refused(&["cluster", "power-grid", "--skew", "1.0"], "--skew");
     }
