@@ -38,8 +38,8 @@ use sbx_checkpoint::{run_segment, CheckpointCoordinator, CrashPlan, RowLog, Segm
 use sbx_engine::{Pipeline, PipelineSnapshot, RunConfig};
 use sbx_ingress::{LinkModel, Source};
 use sbx_obs::{
-    ClusterTrace, FabricEvent, FlightRecorder, Incident, MetricsRegistry, Obs, SpanStream,
-    TraceCollector,
+    fabric_signals, ClusterTrace, FabricEvent, FlightRecorder, Incident, MetricsRegistry, Obs,
+    SpanStream, TraceCollector, FABRIC_SHARD,
 };
 
 use crate::route::{merge_slot_counts, RouteTable, SlotStats, DEFAULT_SLOTS};
@@ -208,6 +208,8 @@ pub struct ClusterRunReport {
     /// Incidents captured by the per-shard flight recorders, tagged with
     /// their shard index, phase-1 shards first, in shard order. Always
     /// collected (the recorders are always on); empty on healthy runs.
+    /// When [`ClusterConfig::metrics`] is active, the fabric detectors'
+    /// verdicts follow as [`FABRIC_SHARD`] incidents.
     pub incidents: Vec<Incident>,
 }
 
@@ -387,11 +389,20 @@ impl ShardedCluster {
             interval: barrier_interval,
             crash,
         };
-        let report = match plan {
+        let mut report = match plan {
             None => self.run_static(&job, &table)?,
             Some(p) => self.run_rescale(&job, &table, p)?,
         };
         self.export_metrics(&report);
+        if self.cfg.metrics.is_enabled() {
+            // The fabric detectors read the cluster export once the whole
+            // run is in it, and file their verdicts after the shards'.
+            for s in fabric_signals(&self.cfg.metrics.snapshot()) {
+                report
+                    .incidents
+                    .push(Incident::from_signal(FABRIC_SHARD, s));
+            }
+        }
         Ok(report)
     }
 
@@ -689,7 +700,7 @@ impl ShardedCluster {
                 .add(r.moved_slots.len() as u64);
             for slot in &r.moved_slots {
                 // Markers name the exact slots the retarget moved, so the
-                // health report can tie its hot-slot verdict to the
+                // slot-skew detector can tie its hot-slot verdict to the
                 // router's actual decision.
                 m.counter(&format!("cluster.rescale.moved.slot{slot}"))
                     .add(1);

@@ -1,5 +1,5 @@
 //! Cluster-wide observability: cross-shard span stitching and the
-//! shard-health monitor (DESIGN.md §13).
+//! fabric detectors (DESIGN.md §13).
 //!
 //! Each shard engine records its own span stream on the simulated clock
 //! (DESIGN.md §10); the cluster driver prices fabric work (shuffle links,
@@ -15,14 +15,15 @@
 //!
 //! The stitched trace's critical path is the one walker's,
 //! [`CriticalPath::compute`](crate::CriticalPath::compute), over its
-//! [`ClusterSpan`]s. [`HealthReport`] is a pure function of the cluster
-//! metrics dump — no new clocks — so both artifacts are byte-identical
-//! across same-seed runs.
+//! [`ClusterSpan`]s. [`fabric_signals`] is a pure function of the cluster
+//! metrics dump — no new clocks — so the trace and the fabric incidents
+//! the driver files from those signals are byte-identical across
+//! same-seed runs.
 
 use std::collections::BTreeMap;
 
 use crate::detect::{sort_signals, Signal, ThresholdRule};
-use crate::json::{self, write_str, ObjWriter};
+use crate::json::write_str;
 use crate::metrics::MetricsDump;
 use crate::profile::{parse_span_lines, Tracked};
 use crate::trace::{chrome_document, Span};
@@ -340,7 +341,7 @@ pub fn parse_cluster_spans_jsonl(text: &str) -> Result<Vec<ClusterSpan>, String>
     })
 }
 
-// Thresholds of the shard-health detectors. Every detector is a pure
+// Thresholds of the fabric detectors. Every detector is a pure
 // function of the cluster metrics dump — no new clocks — and no caller has
 // ever needed another value (DESIGN.md §13).
 
@@ -357,322 +358,179 @@ const SKEW_RATIO: f64 = 2.0;
 /// fraction of the whole shuffle's drain time.
 const SATURATION_RATIO: f64 = 0.5;
 
-/// One tripped health detector: `slot-skew`, `link-saturation`,
-/// `straggler`, or `watermark-lag` on a subject like `slot12`,
-/// `link0->2`, `shard1`, or `round3`.
-///
-/// Since the detectors moved onto the shared rule framework
-/// (DESIGN.md §15) this is the same type as the engine-local detector
-/// verdict, [`crate::Signal`].
-pub type HealthSignal = crate::detect::Signal;
+/// Evaluates the four fabric detectors — `slot-skew`, `link-saturation`,
+/// `straggler` and `watermark-lag`, on subjects like `slot12`, `link0->2`,
+/// `shard1` or `round3` — against a cluster metrics dump. Returns the
+/// tripped signals sorted by (kind, round, subject). The cluster driver
+/// files each one as a [`FABRIC_SHARD`] incident.
+pub fn fabric_signals(dump: &MetricsDump) -> Vec<Signal> {
+    let mut signals = Vec::new();
 
-/// Shard-health report: tripped signals plus the hot-slot/rebalance facts
-/// the Zipf scenario asserts on.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HealthReport {
-    /// Tripped signals, sorted by (kind, round, subject).
-    pub signals: Vec<HealthSignal>,
-    /// The hottest routing slot by record count, when slot counters exist.
-    pub hot_slot: Option<u32>,
-    /// Slots the rebalance retarget actually moved, ascending.
-    pub moved_slots: Vec<u32>,
-}
-
-impl HealthReport {
-    /// Evaluates every detector against a cluster metrics dump.
-    pub fn compute(dump: &MetricsDump) -> HealthReport {
-        let mut signals = Vec::new();
-
-        // Rebalance facts: which slots the retarget moved.
-        let mut moved_slots = Vec::new();
-        for (name, _) in &dump.counters {
-            if let Some(rest) = name.strip_prefix("cluster.rescale.moved.slot") {
-                if let Ok(j) = rest.parse::<u32>() {
-                    moved_slots.push(j);
+    // Slot-occupancy skew from `cluster.slot<j>.records`, tied to the
+    // rebalance through the `cluster.rescale.moved.slot<j>` markers.
+    let mut slots = Vec::new();
+    for (name, value) in &dump.counters {
+        if let Some(rest) = name.strip_prefix("cluster.slot") {
+            if let Some(idx) = rest.strip_suffix(".records") {
+                if let Ok(j) = idx.parse::<u32>() {
+                    slots.push((j, *value));
                 }
             }
-        }
-        moved_slots.sort_unstable();
-
-        // Slot-occupancy skew from `cluster.slot<j>.records`.
-        let mut slots = Vec::new();
-        for (name, value) in &dump.counters {
-            if let Some(rest) = name.strip_prefix("cluster.slot") {
-                if let Some(idx) = rest.strip_suffix(".records") {
-                    if let Ok(j) = idx.parse::<u32>() {
-                        slots.push((j, *value));
-                    }
-                }
-            }
-        }
-        slots.sort_unstable();
-        let mut hot_slot = None;
-        if let Some(&first) = slots.first() {
-            let mut total = 0u64;
-            let mut hot = first;
-            for &(j, v) in &slots {
-                total += v;
-                if v > hot.1 {
-                    hot = (j, v);
-                }
-            }
-            hot_slot = Some(hot.0);
-            let mean = total as f64 / slots.len() as f64;
-            if mean > 0.0 {
-                let ratio = hot.1 as f64 / mean;
-                let moved = if moved_slots.contains(&hot.0) {
-                    "; moved by rebalance"
-                } else {
-                    ""
-                };
-                let rule = ThresholdRule::above("slot-skew", SKEW_RATIO);
-                if let Some(sig) = rule.check(
-                    ratio,
-                    format!("slot{}", hot.0),
-                    0,
-                    format!(
-                        "hot slot {} carries {} records, {ratio:.2}x the mean slot load{moved}",
-                        hot.0, hot.1
-                    ),
-                ) {
-                    signals.push(sig);
-                }
-            }
-        }
-
-        // Link saturation from `cluster.link.<s>.<d>.ns` vs the shuffle's
-        // overall drain time.
-        let total_shuffle_ns = dump.counter("cluster.shuffle.ns").unwrap_or(0);
-        if total_shuffle_ns > 0 {
-            for (name, value) in &dump.counters {
-                let Some(rest) = name.strip_prefix("cluster.link.") else {
-                    continue;
-                };
-                let Some(pair) = rest.strip_suffix(".ns") else {
-                    continue;
-                };
-                let Some((s, d)) = pair.split_once('.') else {
-                    continue;
-                };
-                let (Ok(src), Ok(dst)) = (s.parse::<u32>(), d.parse::<u32>()) else {
-                    continue;
-                };
-                let ratio = *value as f64 / total_shuffle_ns as f64;
-                let rule = ThresholdRule::at_least("link-saturation", SATURATION_RATIO);
-                if let Some(sig) = rule.check(
-                    ratio,
-                    format!("link{src}->{dst}"),
-                    0,
-                    format!(
-                        "link {src}->{dst} holds {} ns of the {} ns shuffle drain",
-                        value, total_shuffle_ns
-                    ),
-                ) {
-                    signals.push(sig);
-                }
-            }
-        }
-
-        // Straggler score and watermark lag from the adopted per-shard
-        // round series (`cluster.shard<i>.engine.engine.round`).
-        let mut shard_rows: Vec<(u32, Vec<f64>)> = Vec::new();
-        for s in &dump.series {
-            let Some(rest) = s.name.strip_prefix("cluster.shard") else {
-                continue;
-            };
-            let Some((idx, tail)) = rest.split_once('.') else {
-                continue;
-            };
-            if tail != "engine.engine.round" {
-                continue;
-            }
-            let Ok(shard) = idx.parse::<u32>() else {
-                continue;
-            };
-            let Some(col) = s.field_index("at_secs") else {
-                continue;
-            };
-            let mut ats = Vec::new();
-            for row in &s.rows {
-                ats.push(row.get(col).copied().unwrap_or(0.0));
-            }
-            shard_rows.push((shard, ats));
-        }
-        shard_rows.sort_by_key(|&(shard, _)| shard);
-        if shard_rows.len() >= 2 {
-            let mut sum = 0.0f64;
-            let mut lasts = Vec::new();
-            for (shard, ats) in &shard_rows {
-                let last = ats.last().copied().unwrap_or(0.0);
-                sum += last;
-                lasts.push((*shard, last, ats.len()));
-            }
-            let mean = sum / lasts.len() as f64;
-            if mean > 0.0 {
-                let rule = ThresholdRule::above("straggler", STRAGGLER_RATIO);
-                for &(shard, last, rounds) in &lasts {
-                    let score = last / mean;
-                    if let Some(sig) = rule.check(
-                        score,
-                        format!("shard{shard}"),
-                        rounds.saturating_sub(1) as u64,
-                        format!(
-                            "shard {shard} finished round {} at {last:.3}s, {score:.2}x the {mean:.3}s mean",
-                            rounds.saturating_sub(1)
-                        ),
-                    ) {
-                        signals.push(sig);
-                    }
-                }
-            }
-            let mut max_rounds = 0usize;
-            for (_, ats) in &shard_rows {
-                max_rounds = max_rounds.max(ats.len());
-            }
-            for r in 0..max_rounds {
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                let mut n = 0u32;
-                for (_, ats) in &shard_rows {
-                    if let Some(&v) = ats.get(r) {
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                        n += 1;
-                    }
-                }
-                if n >= 2 {
-                    let lag = hi - lo;
-                    let rule = ThresholdRule::above("watermark-lag", WATERMARK_LAG_SECS);
-                    if let Some(sig) = rule.check(
-                        lag,
-                        format!("round{r}"),
-                        r as u64,
-                        format!("round {r} watermark spread is {lag:.3}s across {n} shards"),
-                    ) {
-                        signals.push(sig);
-                    }
-                }
-            }
-        }
-
-        sort_signals(&mut signals);
-        HealthReport {
-            signals,
-            hot_slot,
-            moved_slots,
         }
     }
-
-    /// True when the hottest slot is one the rebalance actually moved — the
-    /// fact the Zipf scenario's report must state.
-    pub fn hot_slot_moved(&self) -> bool {
-        match self.hot_slot {
-            Some(j) => self.moved_slots.contains(&j),
-            None => false,
-        }
-    }
-
-    /// Serializes the report as deterministic JSONL: one signal line per
-    /// tripped signal plus a trailing `summary` signal line — `subject` the
-    /// hot slot, `value` the signal count, `detail` the moved slots.
-    pub fn to_jsonl(&self) -> String {
-        let mut moved = String::from("moved slots: [");
-        for (i, m) in self.moved_slots.iter().enumerate() {
-            if i > 0 {
-                moved.push(',');
-            }
-            moved.push_str(&m.to_string());
-        }
-        moved.push(']');
-        let summary = Signal {
-            kind: String::from("summary"),
-            subject: match self.hot_slot {
-                Some(j) => format!("slot{j}"),
-                None => String::from("none"),
-            },
-            round: 0,
-            value: self.signals.len() as f64,
-            threshold: 0.0,
-            detail: moved,
-        };
-        let mut out = String::new();
-        for s in self.signals.iter().chain([&summary]) {
-            s.write_fields(ObjWriter::open(&mut out, "health"), |w| w)
-                .end();
-        }
-        out
-    }
-
-    /// Parses a JSONL export produced by [`HealthReport::to_jsonl`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line.
-    pub fn parse_jsonl(text: &str) -> Result<HealthReport, String> {
-        let mut report = HealthReport::default();
-        for line in json::lines(text) {
-            let line = line?;
-            if line.kind() != "health" {
-                return Err(line.err(format_args!("not a health line ({:?})", line.kind())));
-            }
-            let sig = Signal::from_line(&line);
-            if sig.kind != "summary" {
-                report.signals.push(sig);
-                continue;
-            }
-            report.hot_slot = match sig.subject.strip_prefix("slot") {
-                Some(j) => Some(j.parse().map_err(|_| line.err("bad hot slot"))?),
-                None => None,
-            };
-            let moved = sig
-                .detail
-                .strip_prefix("moved slots: [")
-                .and_then(|d| d.strip_suffix(']'))
-                .ok_or_else(|| line.err("bad moved-slot list"))?;
-            for j in moved.split(',').filter(|j| !j.is_empty()) {
-                let j = j.parse().map_err(|_| line.err("bad moved slot"))?;
-                report.moved_slots.push(j);
+    slots.sort_unstable();
+    if let Some(&first) = slots.first() {
+        let mut total = 0u64;
+        let mut hot = first;
+        for &(j, v) in &slots {
+            total += v;
+            if v > hot.1 {
+                hot = (j, v);
             }
         }
-        Ok(report)
-    }
-
-    /// Renders a deterministic text report for `sbx report --health`.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "cluster health: {} signal(s) tripped\n",
-            self.signals.len()
-        ));
-        if self.signals.is_empty() {
-            out.push_str("  all detectors silent (balanced cluster)\n");
-        }
-        for s in &self.signals {
-            out.push_str(&format!(
-                "  {:<16} {:<12} value {:>9.3} > {:>7.3}  {}\n",
-                s.kind, s.subject, s.value, s.threshold, s.detail
-            ));
-        }
-        if let Some(j) = self.hot_slot {
-            let moved = if self.moved_slots.contains(&j) {
-                "moved by rebalance"
+        let mean = total as f64 / slots.len() as f64;
+        if mean > 0.0 {
+            let ratio = hot.1 as f64 / mean;
+            let moved = if dump
+                .counter(&format!("cluster.rescale.moved.slot{}", hot.0))
+                .is_some()
+            {
+                "; moved by rebalance"
             } else {
-                "not moved by rebalance"
+                ""
             };
-            out.push_str(&format!("  hot slot: {j} ({moved})\n"));
-        }
-        if !self.moved_slots.is_empty() {
-            let mut list = String::new();
-            for (i, m) in self.moved_slots.iter().enumerate() {
-                if i > 0 {
-                    list.push_str(", ");
-                }
-                list.push_str(&m.to_string());
+            let rule = ThresholdRule::above("slot-skew", SKEW_RATIO);
+            if let Some(sig) = rule.check(
+                ratio,
+                format!("slot{}", hot.0),
+                0,
+                format!(
+                    "hot slot {} carries {} records, {ratio:.2}x the mean slot load{moved}",
+                    hot.0, hot.1
+                ),
+            ) {
+                signals.push(sig);
             }
-            out.push_str(&format!("  rebalance moved slots: {list}\n"));
         }
-        out
     }
+
+    // Link saturation from `cluster.link.<s>.<d>.ns` vs the shuffle's
+    // overall drain time.
+    let total_shuffle_ns = dump.counter("cluster.shuffle.ns").unwrap_or(0);
+    if total_shuffle_ns > 0 {
+        for (name, value) in &dump.counters {
+            let Some(rest) = name.strip_prefix("cluster.link.") else {
+                continue;
+            };
+            let Some(pair) = rest.strip_suffix(".ns") else {
+                continue;
+            };
+            let Some((s, d)) = pair.split_once('.') else {
+                continue;
+            };
+            let (Ok(src), Ok(dst)) = (s.parse::<u32>(), d.parse::<u32>()) else {
+                continue;
+            };
+            let ratio = *value as f64 / total_shuffle_ns as f64;
+            let rule = ThresholdRule::at_least("link-saturation", SATURATION_RATIO);
+            if let Some(sig) = rule.check(
+                ratio,
+                format!("link{src}->{dst}"),
+                0,
+                format!(
+                    "link {src}->{dst} holds {} ns of the {} ns shuffle drain",
+                    value, total_shuffle_ns
+                ),
+            ) {
+                signals.push(sig);
+            }
+        }
+    }
+
+    // Straggler score and watermark lag from the adopted per-shard
+    // round series (`cluster.shard<i>.engine.engine.round`).
+    let mut shard_rows: Vec<(u32, Vec<f64>)> = Vec::new();
+    for s in &dump.series {
+        let Some(rest) = s.name.strip_prefix("cluster.shard") else {
+            continue;
+        };
+        let Some((idx, tail)) = rest.split_once('.') else {
+            continue;
+        };
+        if tail != "engine.engine.round" {
+            continue;
+        }
+        let Ok(shard) = idx.parse::<u32>() else {
+            continue;
+        };
+        let Some(col) = s.field_index("at_secs") else {
+            continue;
+        };
+        let mut ats = Vec::new();
+        for row in &s.rows {
+            ats.push(row.get(col).copied().unwrap_or(0.0));
+        }
+        shard_rows.push((shard, ats));
+    }
+    shard_rows.sort_by_key(|&(shard, _)| shard);
+    if shard_rows.len() >= 2 {
+        let mut sum = 0.0f64;
+        let mut lasts = Vec::new();
+        for (shard, ats) in &shard_rows {
+            let last = ats.last().copied().unwrap_or(0.0);
+            sum += last;
+            lasts.push((*shard, last, ats.len()));
+        }
+        let mean = sum / lasts.len() as f64;
+        if mean > 0.0 {
+            let rule = ThresholdRule::above("straggler", STRAGGLER_RATIO);
+            for &(shard, last, rounds) in &lasts {
+                let score = last / mean;
+                if let Some(sig) = rule.check(
+                    score,
+                    format!("shard{shard}"),
+                    rounds.saturating_sub(1) as u64,
+                    format!(
+                        "shard {shard} finished round {} at {last:.3}s, {score:.2}x the {mean:.3}s mean",
+                        rounds.saturating_sub(1)
+                    ),
+                ) {
+                    signals.push(sig);
+                }
+            }
+        }
+        let mut max_rounds = 0usize;
+        for (_, ats) in &shard_rows {
+            max_rounds = max_rounds.max(ats.len());
+        }
+        for r in 0..max_rounds {
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            let mut n = 0u32;
+            for (_, ats) in &shard_rows {
+                if let Some(&v) = ats.get(r) {
+                    lo = lo.min(v);
+                    hi = hi.max(v);
+                    n += 1;
+                }
+            }
+            if n >= 2 {
+                let lag = hi - lo;
+                let rule = ThresholdRule::above("watermark-lag", WATERMARK_LAG_SECS);
+                if let Some(sig) = rule.check(
+                    lag,
+                    format!("round{r}"),
+                    r as u64,
+                    format!("round {r} watermark spread is {lag:.3}s across {n} shards"),
+                ) {
+                    signals.push(sig);
+                }
+            }
+        }
+    }
+
+    sort_signals(&mut signals);
+    signals
 }
 
 #[cfg(test)]
@@ -872,32 +730,22 @@ mod tests {
 
     #[test]
     fn detectors_trip_on_skewed_fixture() {
-        let report = HealthReport::compute(&skewed_dump());
-        let kinds: Vec<&str> = report.signals.iter().map(|s| s.kind.as_str()).collect();
-        assert!(kinds.contains(&"slot-skew"));
-        assert!(kinds.contains(&"link-saturation"));
-        assert!(kinds.contains(&"straggler"));
-        assert!(kinds.contains(&"watermark-lag"));
-        assert_eq!(report.hot_slot, Some(3));
-        assert_eq!(report.moved_slots, vec![3]);
-        assert!(report.hot_slot_moved());
-        let text = report.render();
-        assert!(text.contains("hot slot: 3 (moved by rebalance)"));
-        // Deterministic JSONL: recomputation is byte-identical, and the
-        // export parses back to the report.
-        let again = HealthReport::compute(&skewed_dump());
-        assert_eq!(report.to_jsonl(), again.to_jsonl());
-        assert_eq!(HealthReport::parse_jsonl(&report.to_jsonl()), Ok(report));
+        let signals = fabric_signals(&skewed_dump());
+        let kinds: Vec<&str> = signals.iter().map(|s| s.kind.as_str()).collect();
+        assert_eq!(
+            kinds,
+            ["link-saturation", "slot-skew", "straggler", "watermark-lag"]
+        );
+        assert_eq!(signals[1].subject, "slot3");
+        assert!(signals[1].detail.ends_with("; moved by rebalance"));
+        // Recomputation is identical.
+        assert_eq!(fabric_signals(&skewed_dump()), signals);
     }
 
     #[test]
     fn detectors_stay_silent_on_balanced_fixture() {
-        let report = HealthReport::compute(&balanced_dump());
-        assert!(report.signals.is_empty(), "signals: {:?}", report.signals);
-        assert!(!report.hot_slot_moved());
-        assert!(report.render().contains("all detectors silent"));
-        // The summary line still closes the JSONL.
-        assert!(report.to_jsonl().contains("\"kind\":\"summary\""));
+        let signals = fabric_signals(&balanced_dump());
+        assert!(signals.is_empty(), "signals: {signals:?}");
     }
 
     #[test]
@@ -906,8 +754,6 @@ mod tests {
         assert_eq!(cp.makespan_ns, 0);
         assert_eq!(cp.attributed_ns(), 0);
         assert!(cp.render(3, None).contains("no spans"));
-        assert!(HealthReport::compute(&MetricsDump::default())
-            .signals
-            .is_empty());
+        assert!(fabric_signals(&MetricsDump::default()).is_empty());
     }
 }

@@ -9,9 +9,9 @@
 //! and per-detector hysteresis debounces an ongoing condition into one
 //! signal per quiet window instead of one per round.
 //!
-//! The cluster health detectors (`cluster::HealthReport`) are thin
-//! [`ThresholdRule`] instances on this same framework; [`Signal`] is
-//! re-exported there as `HealthSignal`.
+//! The cluster fabric detectors (`cluster::fabric_signals`) are thin
+//! [`ThresholdRule`] instances on this same framework and return the same
+//! [`Signal`].
 
 use crate::json::{Line, ObjWriter};
 use crate::round::RoundPoint;
@@ -19,7 +19,7 @@ use crate::round::RoundPoint;
 /// A detector verdict: one rule firing on one subject at one round.
 ///
 /// This is the shared signal type for engine-local detectors and the
-/// cluster fabric detectors (aliased as `HealthSignal`).
+/// cluster fabric detectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Signal {
     /// Detector kind, e.g. `spill-storm` or `straggler`.
@@ -70,7 +70,7 @@ impl Signal {
 }
 
 /// Sorts signals into the canonical deterministic order: kind, then round,
-/// then subject. This is the order `HealthReport` and incident exports use.
+/// then subject. This is the order the fabric detectors report in.
 pub fn sort_signals(signals: &mut [Signal]) {
     signals.sort_by(|a, b| {
         a.kind

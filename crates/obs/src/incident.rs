@@ -5,10 +5,11 @@
 //! around the firing round into an [`Incident`]: the verdict [`Signal`],
 //! the frozen round samples, the span window, the tier-timeline slice, and
 //! a critical-path excerpt through those spans. Cluster runs tag each
-//! incident with its shard ([`FABRIC_SHARD`] for fabric-level health
-//! verdicts) and annotate the checkpoint epoch that was committed when the
-//! anomaly hit, so an operator knows exactly which recovery point precedes
-//! the damage.
+//! incident with its shard and annotate the checkpoint epoch that was
+//! committed when the anomaly hit, so an operator knows exactly which
+//! recovery point precedes the damage. The cluster's fabric detectors
+//! ([`crate::fabric_signals`]) file evidence-free [`FABRIC_SHARD`]
+//! incidents that cover the whole run.
 //!
 //! Exports are flat JSONL (`incident`, `incident.round`, `incident.span`,
 //! `incident.tier`, `incident.path` lines grouped by `seq`, plus a
@@ -16,7 +17,7 @@
 //! [`IncidentReport::parse_jsonl`]. Every value is simulated-time derived,
 //! so same-seed artifacts are byte-identical.
 
-use crate::cluster::{HealthReport, FABRIC_SHARD};
+use crate::cluster::FABRIC_SHARD;
 use crate::detect::Signal;
 use crate::json::{self, Line, ObjWriter};
 use crate::profile::{CriticalPath, PathStep};
@@ -132,15 +133,6 @@ impl IncidentReport {
     /// True when no incident was captured.
     pub fn is_empty(&self) -> bool {
         self.incidents.is_empty()
-    }
-
-    /// Appends fabric-level incidents converted from a cluster health
-    /// report (one [`FABRIC_SHARD`]-tagged incident per health signal).
-    pub fn extend_from_health(&mut self, health: &HealthReport) {
-        for sig in &health.signals {
-            self.incidents
-                .push(Incident::from_signal(FABRIC_SHARD, sig.clone()));
-        }
     }
 
     /// Exports the report as flat JSONL. Incidents are numbered by `seq`
@@ -268,18 +260,23 @@ impl IncidentReport {
         out.push_str(&format!("incidents: {} captured\n", self.len()));
         for (seq, inc) in self.incidents.iter().enumerate() {
             let v = &inc.verdict;
-            let shard = if inc.shard == FABRIC_SHARD {
-                "fabric".to_owned()
+            // Fabric verdicts are computed once over the whole run, after
+            // every shard finished: no time, epoch or commit point applies.
+            let when = if inc.shard == FABRIC_SHARD {
+                "fabric, whole run".to_owned()
             } else {
-                format!("shard {}", inc.shard)
-            };
-            let committed = match inc.committed_epoch {
-                Some(e) => format!("epoch {e} committed"),
-                None => "no epoch committed".to_owned(),
+                let committed = match inc.committed_epoch {
+                    Some(e) => format!("epoch {e} committed"),
+                    None => "no epoch committed".to_owned(),
+                };
+                format!(
+                    "shard {}, t={:.3}s, epoch {}, {committed}",
+                    inc.shard, inc.at_secs, inc.epoch
+                )
             };
             out.push_str(&format!(
-                "  incident {seq}: {} on {} ({shard}, t={:.3}s, epoch {}, {committed})\n",
-                v.kind, v.subject, inc.at_secs, inc.epoch
+                "  incident {seq}: {} on {} ({when})\n",
+                v.kind, v.subject
             ));
             out.push_str(&format!(
                 "    verdict : value {:.3} vs threshold {:.3} — {}\n",
@@ -447,24 +444,12 @@ mod tests {
         let text = rep.render();
         assert!(text.contains("2 captured"));
         assert!(text.contains("spill-storm on round7"));
-        assert!(text.contains("epoch 0 committed"));
-        assert!(text.contains("fabric"));
+        assert!(text.contains("(shard 0, t=3.500s, epoch 1, epoch 0 committed)"));
+        // A fabric verdict covers the whole run: no time, epoch or commit.
+        assert!(text.contains("spill-storm on round7 (fabric, whole run)\n"));
+        assert!(!text.contains("no epoch committed"));
         assert!(text.contains("path"));
         let again = rep.render();
         assert_eq!(text, again);
-    }
-
-    #[test]
-    fn extend_from_health_tags_fabric() {
-        let mut rep = IncidentReport::default();
-        let health = HealthReport {
-            signals: vec![verdict()],
-            hot_slot: None,
-            moved_slots: Vec::new(),
-        };
-        rep.extend_from_health(&health);
-        assert_eq!(rep.len(), 1);
-        assert_eq!(rep.incidents[0].shard, FABRIC_SHARD);
-        assert!(rep.incidents[0].rounds.is_empty());
     }
 }

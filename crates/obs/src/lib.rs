@@ -38,8 +38,8 @@ pub mod timeline;
 pub mod trace;
 
 pub use cluster::{
-    parse_cluster_spans_jsonl, ClusterSpan, ClusterTrace, FabricEvent, HealthReport, HealthSignal,
-    SpanStream, FABRIC_SHARD,
+    fabric_signals, parse_cluster_spans_jsonl, ClusterSpan, ClusterTrace, FabricEvent, SpanStream,
+    FABRIC_SHARD,
 };
 pub use detect::{sort_signals, Cusum, DetectorBank, Ewma, Signal, ThresholdRule};
 pub use hist::{HistSnapshot, Histogram};

@@ -4,7 +4,7 @@
 //! sbx bench ysb --cores 32 --metrics-out m.jsonl --trace-out spans.jsonl
 //! sbx report m.jsonl --timeline --critical-path spans.jsonl
 //! sbx recover sum --crash-after-bundles 11 --checkpoint-interval 3
-//! sbx cluster sum --shards 4 --rescale-at 2 --rescale-to 8 --health-out h.jsonl
+//! sbx cluster sum --shards 4 --rescale-at 2 --rescale-to 8 --incidents-out i.jsonl
 //! ```
 //!
 //! The command line is two tables, [`COMMANDS`] and [`FLAGS`]. Parsing, the
@@ -24,13 +24,14 @@
 //!   epoch mid-run to grow, shrink or move hot slots. Its trace stitches
 //!   every shard's span stream with priced fabric spans (barrier-alignment
 //!   waits, shuffle link transfers) into one cluster trace; its incident
-//!   file folds in the fabric-level health signals (DESIGN.md §13).
+//!   file holds the shards' incidents and then the fabric detectors'
+//!   verdicts (DESIGN.md §13).
 //! * `report` renders from exported files alone: the run summary and the
 //!   Figure-10 series, a cluster run's per-shard and per-link tables, the
 //!   memory-tier timeline, the critical path of a span export (for a
 //!   cluster trace split into compute, shuffle, barrier wait, straggler
-//!   slack and fabric, which partition the makespan exactly), the
-//!   re-evaluated health detectors and the incident stories.
+//!   slack and fabric, which partition the makespan exactly) and the
+//!   incident stories.
 
 // sbx-lint: out-of-scope(no-panic, CLI entry point; bad arguments abort with a message)
 // sbx-lint: out-of-scope(raw-alloc, CLI-side reporting and table formatting)
@@ -129,7 +130,6 @@ struct Args {
     metrics_out: Option<String>,
     trace_out: Option<String>,
     incidents_out: Option<String>,
-    health_out: Option<String>,
     shards: u32,
     slots: u32,
     interval: u64,
@@ -140,7 +140,6 @@ struct Args {
     link: LinkModel,
     timeline: bool,
     critical_path: Option<String>,
-    health: bool,
     incidents: Option<String>,
     top: usize,
 }
@@ -165,7 +164,6 @@ impl Args {
             metrics_out: None,
             trace_out: None,
             incidents_out: None,
-            health_out: None,
             shards: 4,
             slots: 64,
             interval: 5,
@@ -176,7 +174,6 @@ impl Args {
             link: LinkModel::intra_rack_rdma(),
             timeline: false,
             critical_path: None,
-            health: false,
             incidents: None,
             top: 5,
         }
@@ -237,7 +234,7 @@ const RESCALE_AT: &str = "--rescale-at";
 const RESCALE_TO: &str = "--rescale-to";
 const REBALANCE: &str = "--rebalance";
 
-const FLAGS: [Flag; 28] = [
+const FLAGS: [Flag; 26] = [
     Flag {
         name: "--cores",
         value: "N",
@@ -359,15 +356,8 @@ const FLAGS: [Flag; 28] = [
         name: "--incidents-out",
         value: "PATH",
         cmds: EXPORTS,
-        help: "write the flight recorder's incidents as JSONL",
+        help: "write the incidents as JSONL (for a cluster, fabric verdicts last)",
         set: |a, _, v| path(&mut a.incidents_out, v),
-    },
-    Flag {
-        name: "--health-out",
-        value: "PATH",
-        cmds: CLUSTER,
-        help: "write the shard-health report as JSONL",
-        set: |a, _, v| path(&mut a.health_out, v),
     },
     Flag {
         name: "--shards",
@@ -465,16 +455,6 @@ const FLAGS: [Flag; 28] = [
         cmds: REPORT,
         help: "critical-path attribution over an engine or cluster span export",
         set: |a, _, v| path(&mut a.critical_path, v),
-    },
-    Flag {
-        name: "--health",
-        value: "",
-        cmds: REPORT,
-        help: "re-evaluate the shard-health detectors",
-        set: |a, _, _| {
-            a.health = true;
-            Ok(())
-        },
     },
     Flag {
         name: "--incidents",
@@ -755,12 +735,9 @@ fn run_bench(a: &Args) -> RunResult {
 
 fn run_cluster(a: &Args) -> RunResult {
     let b = suite_entry(&a.operand)?;
-    // Health detectors are pure functions of the cluster metrics, so a
-    // health report implies an active registry even without a metrics
-    // export; the incident report folds in the fabric-level health
-    // signals, so it implies one too.
-    let metrics = if a.metrics_out.is_some() || a.health_out.is_some() || a.incidents_out.is_some()
-    {
+    // The fabric detectors read the cluster metrics, so an incident export
+    // implies an active registry even without a metrics export.
+    let metrics = if a.metrics_out.is_some() || a.incidents_out.is_some() {
         MetricsRegistry::active()
     } else {
         MetricsRegistry::noop()
@@ -877,21 +854,8 @@ fn run_cluster(a: &Args) -> RunResult {
             trace.spans.len()
         );
     }
-    if let Some(path) = &a.health_out {
-        let health = HealthReport::compute(&metrics.snapshot());
-        std::fs::write(path, health.to_jsonl())?;
-        println!(
-            "  health         : {} signal(s) written to {path}",
-            health.signals.len()
-        );
-        print!("{}", health.render());
-    }
     if let Some(path) = &a.incidents_out {
-        // Per-shard recorder incidents first, then the fabric-level
-        // health signals as evidence-free verdicts.
-        let mut incidents = IncidentReport::new(report.incidents.clone());
-        let health = HealthReport::compute(&metrics.snapshot());
-        incidents.extend_from_health(&health);
+        let incidents = IncidentReport::new(report.incidents.clone());
         std::fs::write(path, incidents.to_jsonl())?;
         println!(
             "  incidents      : {} incident(s) written to {path}",
@@ -1000,9 +964,6 @@ fn run_report(a: &Args) -> RunResult {
             "{}",
             CriticalPath::compute(&spans).render(a.top, Some(&dump))
         );
-    }
-    if a.health {
-        print!("{}", HealthReport::compute(&dump).render());
     }
     if let Some(incidents_path) = &a.incidents {
         let incidents_text = std::fs::read_to_string(incidents_path)?;
@@ -1453,7 +1414,8 @@ mod tests {
     }
 
     /// A stitched cluster trace goes through `--critical-path` like an
-    /// engine's; the old second flag is refused.
+    /// engine's, and fabric verdicts through `--incidents`; the retired
+    /// second critical-path flag and the health flags are refused.
     #[test]
     fn parses_cluster_report_flags() {
         let a = args(&[
@@ -1461,15 +1423,18 @@ mod tests {
             "m.jsonl",
             "--critical-path",
             "stitched.jsonl",
-            "--health",
+            "--incidents",
+            "i.jsonl",
         ])
         .unwrap();
         assert_eq!(a.critical_path.as_deref(), Some("stitched.jsonl"));
-        assert!(a.health);
+        assert_eq!(a.incidents.as_deref(), Some("i.jsonl"));
         let plain = args(&["report", "m.jsonl"]).unwrap();
-        assert!(plain.critical_path.is_none() && !plain.health);
+        assert!(plain.critical_path.is_none() && plain.incidents.is_none());
         let gone = ["report", "m.jsonl", "--cluster-critical-path", "t.jsonl"];
         assert!(args(&gone).is_err());
+        assert!(args(&["report", "m.jsonl", "--health"]).is_err());
+        assert!(args(&["cluster", "sum", "--health-out", "h.jsonl"]).is_err());
     }
 
     #[test]
@@ -1503,7 +1468,7 @@ mod tests {
         let plain = args(&["cluster", "ysb"]).unwrap();
         assert_eq!((plain.shards, plain.cores, plain.bundles), (4, 16, 40));
         assert!(plain.rescale_at.is_none() && plain.skew.is_none());
-        assert!(plain.trace_out.is_none() && plain.health_out.is_none());
+        assert!(plain.trace_out.is_none() && plain.incidents_out.is_none());
     }
 
     #[test]
@@ -1513,14 +1478,14 @@ mod tests {
             "ysb",
             "--trace-out",
             "/tmp/trace.jsonl",
-            "--health-out",
-            "/tmp/health.jsonl",
+            "--incidents-out",
+            "/tmp/incidents.jsonl",
         ])
         .unwrap();
         assert_eq!(a.trace_out.as_deref(), Some("/tmp/trace.jsonl"));
-        assert_eq!(a.health_out.as_deref(), Some("/tmp/health.jsonl"));
+        assert_eq!(a.incidents_out.as_deref(), Some("/tmp/incidents.jsonl"));
         assert!(args(&["cluster", "ysb", "--trace-out"]).is_err());
-        assert!(args(&["cluster", "ysb", "--health-out"]).is_err());
+        assert!(args(&["cluster", "ysb", "--incidents-out"]).is_err());
     }
 
     #[test]

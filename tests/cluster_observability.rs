@@ -1,7 +1,7 @@
 //! Cluster-wide observability tests (DESIGN.md §13): cross-shard span
 //! stitching, critical-path attribution of the stitched trace that
-//! partitions the simulated makespan exactly, byte-identical same-seed exports, and the
-//! shard-health monitor naming the hot slot the rebalance actually moved.
+//! partitions the simulated makespan exactly, byte-identical same-seed exports, and
+//! fabric detectors that stay silent on a balanced cluster.
 
 use std::sync::Arc;
 
@@ -106,27 +106,27 @@ fn ysb_rescale_critical_time_splits_across_primitives() {
 }
 
 /// Acceptance: two same-seed runs export byte-identical stitched traces
-/// (JSONL and Perfetto), metrics, and health reports.
+/// (JSONL and Perfetto), metrics, and incident files.
 #[test]
 fn same_seed_runs_export_byte_identical_cluster_artifacts() {
     let run = || {
         let reg = MetricsRegistry::active();
         let report = ysb_rescale_run(reg.clone());
+        let incidents = IncidentReport::new(report.incidents.clone());
         let trace = report.trace.expect("trace enabled");
-        let health = HealthReport::compute(&reg.snapshot());
         (
             trace.export_jsonl(),
             trace.export_chrome(),
             reg.export_jsonl(),
-            health.to_jsonl(),
+            incidents.to_jsonl(),
         )
     };
-    let (jsonl_a, chrome_a, metrics_a, health_a) = run();
-    let (jsonl_b, chrome_b, metrics_b, health_b) = run();
+    let (jsonl_a, chrome_a, metrics_a, incidents_a) = run();
+    let (jsonl_b, chrome_b, metrics_b, incidents_b) = run();
     assert_eq!(jsonl_a, jsonl_b, "stitched JSONL must be byte-identical");
     assert_eq!(chrome_a, chrome_b, "Perfetto export must be byte-identical");
     assert_eq!(metrics_a, metrics_b, "metrics must be byte-identical");
-    assert_eq!(health_a, health_b, "health must be byte-identical");
+    assert_eq!(incidents_a, incidents_b, "incidents must be byte-identical");
 }
 
 /// Stitcher properties on real harvested streams: ids are unique across
@@ -172,79 +172,18 @@ fn stitched_trace_edges_are_causal_and_ids_unique() {
     assert_eq!(&parsed, &trace.spans);
 }
 
-/// Acceptance (Zipf rebalance scenario): with a Zipf-skewed key draw and a
-/// `Retarget::Rebalance` cut, the health report must name the same hot
-/// slot the router actually moved, and trip the slot-skew detector on it.
+/// A balanced uniform-key cluster files no incidents: no straggler, no
+/// watermark lag, no slot skew, no link saturation, and no shard-engine
+/// verdict either.
 #[test]
-fn zipf_rebalance_health_names_the_moved_hot_slot() {
-    let reg = MetricsRegistry::active();
-    let mut cfg = ClusterConfig {
-        shards: 5,
-        metrics: reg.clone(),
-        ..ClusterConfig::default()
-    };
-    cfg.engine.cores = 16;
-    cfg.engine.threads = 1;
-    cfg.engine.sender = SenderConfig {
-        bundle_rows: 2_000,
-        bundles_per_watermark: 10,
-        nic: NicModel::rdma_40g(),
-    };
-    let report = ShardedCluster::new(cfg)
-        .run_elastic(
-            || KvSource::new(1, 50_000, 20_000_000).with_zipf(1.0),
-            benchmarks::sum_per_key,
-            BUNDLES,
-            INTERVAL,
-            ElasticPlan {
-                at_epoch: CUT,
-                retarget: Retarget::Rebalance { tolerance: 1.05 },
-            },
-        )
-        .expect("zipf rebalance run");
-    let rescale = report.rescale.as_ref().expect("rescale happened");
-    let health = HealthReport::compute(&reg.snapshot());
-    let hot = health.hot_slot.expect("slot counters exported");
-    // The report's hot slot is the run's actual hottest routing slot...
-    let hottest = report
-        .slot_loads
-        .iter()
-        .enumerate()
-        .max_by_key(|&(slot, load)| (load, u64::MAX - slot as u64))
-        .map(|(slot, _)| slot as u32)
-        .expect("slot loads");
-    assert_eq!(hot, hottest);
-    // ...and it is one the Rebalance retarget actually moved.
-    assert!(
-        rescale.moved_slots.contains(&hot),
-        "rebalance must move the hot slot (moved {:?}, hot {hot})",
-        rescale.moved_slots
-    );
-    assert_eq!(health.moved_slots, rescale.moved_slots);
-    assert!(health.hot_slot_moved());
-    // The skew detector tripped on exactly that slot, and its detail names
-    // the rebalance.
-    let skew = health
-        .signals
-        .iter()
-        .find(|s| s.kind == "slot-skew")
-        .expect("slot-skew must trip on a zipf draw");
-    assert_eq!(skew.subject, format!("slot{hot}"));
-    assert!(skew.detail.contains("moved by rebalance"));
-}
-
-/// A balanced uniform-key cluster keeps every detector silent: no
-/// straggler, no watermark lag, no slot skew, no link saturation.
-#[test]
-fn balanced_cluster_health_is_silent() {
-    let reg = MetricsRegistry::active();
+fn balanced_cluster_files_no_incidents() {
     let mut cfg = ClusterConfig {
         shards: 4,
-        metrics: reg.clone(),
+        metrics: MetricsRegistry::active(),
         ..ClusterConfig::default()
     };
     cfg.engine.threads = 1;
-    ShardedCluster::new(cfg)
+    let report = ShardedCluster::new(cfg)
         .run(
             || KvSource::new(1, 50_000, 20_000_000),
             benchmarks::sum_per_key,
@@ -252,13 +191,12 @@ fn balanced_cluster_health_is_silent() {
             INTERVAL,
         )
         .expect("balanced run");
-    let health = HealthReport::compute(&reg.snapshot());
-    assert!(
-        health.signals.is_empty(),
-        "balanced cluster tripped: {:?}",
-        health.signals
-    );
-    assert!(!health.hot_slot_moved());
+    let kinds: Vec<&str> = report
+        .incidents
+        .iter()
+        .map(|i| i.verdict.kind.as_str())
+        .collect();
+    assert!(kinds.is_empty(), "balanced cluster tripped: {kinds:?}");
 }
 
 /// A static (no-rescale) traced run still stitches: one era-0 stream per

@@ -1,6 +1,6 @@
 //! Arbitrary bytes into every decoder (ROADMAP item 4c): one valid export of
-//! each format — metrics, spans, stitched cluster spans, health, incidents,
-//! trajectory — plus one encoded snapshot goes through a fixed-seed schedule
+//! each format — metrics, spans, stitched cluster spans, engine and fabric
+//! incidents, trajectory — plus one encoded snapshot goes through a fixed-seed schedule
 //! of byte flips, insertions and truncations. Every decoder must answer
 //! `Ok` or `Err`, never panic, and never allocate beyond its input (each
 //! builds its result from pieces of the input it was handed, so returning at
@@ -64,8 +64,8 @@ fn text_exports() -> Vec<(&'static str, String, Reexport)> {
     let incidents = IncidentReport::new(obs.recorder.incidents());
     assert!(!incidents.is_empty(), "the spill run files incidents");
 
-    // A traced 2 -> 3 shard rescale: stitched spans and the health report.
-    let metrics = MetricsRegistry::active();
+    // A traced 2 -> 3 shard rescale: stitched spans and the run's own
+    // incident file, whose fabric verdicts are `FABRIC_SHARD` lines.
     let cluster = ShardedCluster::new(ClusterConfig {
         shards: 2,
         engine: RunConfig {
@@ -78,7 +78,7 @@ fn text_exports() -> Vec<(&'static str, String, Reexport)> {
             },
             ..RunConfig::default()
         },
-        metrics: metrics.clone(),
+        metrics: MetricsRegistry::active(),
         trace: true,
         ..ClusterConfig::default()
     });
@@ -94,6 +94,11 @@ fn text_exports() -> Vec<(&'static str, String, Reexport)> {
             },
         )
         .expect("cluster run");
+    let fabric = IncidentReport::new(report.incidents).to_jsonl();
+    assert!(
+        fabric.lines().count() >= 2,
+        "the rescale files fabric incidents"
+    );
     let stitched = report.trace.expect("traced run").export_jsonl();
 
     vec![
@@ -110,11 +115,9 @@ fn text_exports() -> Vec<(&'static str, String, Reexport)> {
             walk(&spans);
             Ok(ClusterTrace { spans }.export_jsonl())
         }),
-        (
-            "health",
-            HealthReport::compute(&metrics.snapshot()).to_jsonl(),
-            |t| Ok(HealthReport::parse_jsonl(t)?.to_jsonl()),
-        ),
+        ("fabric incidents", fabric, |t| {
+            Ok(IncidentReport::parse_jsonl(t)?.to_jsonl())
+        }),
         ("incidents", incidents.to_jsonl(), |t| {
             Ok(IncidentReport::parse_jsonl(t)?.to_jsonl())
         }),

@@ -94,14 +94,14 @@ fn rescaled_cluster_artifacts_are_golden() {
     check(
         "golden_cluster",
         "cluster sum --shards 4 --rescale-at 2 --rescale-to 8 --metrics-out metrics.jsonl \
-         --trace-out trace.jsonl --health-out health.jsonl",
-        "report metrics.jsonl --critical-path trace.jsonl --health",
+         --trace-out trace.jsonl --incidents-out incidents.jsonl",
+        "report metrics.jsonl --critical-path trace.jsonl --incidents incidents.jsonl",
         &[
-            ("run", 0x3054_a340_42ec_19e4),
+            ("run", 0x075e_e7e2_d961_ccbb),
             ("metrics.jsonl", 0x322c_7998_386f_f539),
             ("trace.jsonl", 0x0a4c_5414_cd64_b115),
-            ("health.jsonl", 0x45df_0f9e_19dc_21a3),
-            ("report", 0x35fe_6b4d_6f69_b571),
+            ("incidents.jsonl", 0xfc99_4e85_7a6c_098d),
+            ("report", 0x819d_a4db_d5da_e374),
         ],
     );
 }

@@ -154,13 +154,14 @@ fn frozen_watermark_fires_only_the_stall_detector() {
 
 /// Scenario: straggler shard. A Zipf-skewed key draw with a rebalance
 /// cut trips the fabric-level skew detectors; the per-shard engine
-/// detectors stay silent (the shards themselves are healthy).
+/// detectors stay silent (the shards themselves are healthy). The
+/// slot-skew incident names the run's hottest slot, which is one the
+/// `Retarget::Rebalance` cut actually moved.
 #[test]
 fn zipf_skew_fires_only_the_fabric_skew_detectors() {
-    let reg = MetricsRegistry::active();
     let mut cfg = ClusterConfig {
         shards: 5,
-        metrics: reg.clone(),
+        metrics: MetricsRegistry::active(),
         ..ClusterConfig::default()
     };
     cfg.engine.cores = 16;
@@ -182,35 +183,50 @@ fn zipf_skew_fires_only_the_fabric_skew_detectors() {
             },
         )
         .expect("zipf rebalance run");
-    assert!(
-        report.incidents.is_empty(),
-        "healthy shards must not file engine incidents: {:?}",
-        kinds(&report.incidents)
-    );
-    let mut incidents = IncidentReport::new(report.incidents.clone());
-    let health = HealthReport::compute(&reg.snapshot());
-    incidents.extend_from_health(&health);
-    let fabric_kinds: Vec<&str> = incidents
+    let (fabric, engine): (Vec<Incident>, Vec<Incident>) = report
         .incidents
         .iter()
-        .filter(|i| i.shard == FABRIC_SHARD)
-        .map(|i| i.verdict.kind.as_str())
-        .collect();
+        .cloned()
+        .partition(|i| i.shard == FABRIC_SHARD);
     assert!(
-        fabric_kinds.contains(&"slot-skew"),
-        "zipf skew must trip slot-skew: {fabric_kinds:?}"
+        engine.is_empty(),
+        "healthy shards must not file engine incidents: {:?}",
+        kinds(&engine)
     );
-    for kind in &fabric_kinds {
+    for kind in kinds(&fabric) {
         assert!(
-            matches!(*kind, "slot-skew" | "straggler" | "watermark-lag"),
+            matches!(kind.as_str(), "slot-skew" | "straggler" | "watermark-lag"),
             "unexpected fabric detector: {kind}"
         );
     }
-    // The folded report round-trips byte-for-byte, fabric tag included.
-    let jsonl = incidents.to_jsonl();
+    // The skew detector tripped on the run's actual hottest routing
+    // slot...
+    let skew = fabric
+        .iter()
+        .map(|i| &i.verdict)
+        .find(|v| v.kind == "slot-skew")
+        .expect("zipf skew must trip slot-skew");
+    let hottest = report
+        .slot_loads
+        .iter()
+        .enumerate()
+        .max_by_key(|&(slot, load)| (load, u64::MAX - slot as u64))
+        .map(|(slot, _)| slot as u32)
+        .expect("slot loads");
+    assert_eq!(skew.subject, format!("slot{hottest}"));
+    // ...which the Rebalance retarget actually moved, and its detail says so.
+    let rescale = report.rescale.as_ref().expect("rescale happened");
+    assert!(
+        rescale.moved_slots.contains(&hottest),
+        "rebalance must move the hot slot (moved {:?}, hot {hottest})",
+        rescale.moved_slots
+    );
+    assert!(skew.detail.contains("moved by rebalance"));
+    // The report round-trips byte-for-byte, fabric tag included.
+    let jsonl = IncidentReport::new(report.incidents.clone()).to_jsonl();
     let parsed = IncidentReport::parse_jsonl(&jsonl).expect("parse");
     assert_eq!(parsed.to_jsonl(), jsonl);
-    assert!(parsed.incidents.iter().any(|i| i.shard == FABRIC_SHARD));
+    assert_eq!(parsed.incidents, report.incidents);
 }
 
 /// A clean YSB run files zero incidents, and its artifact is the bare
