@@ -60,10 +60,6 @@ pub fn pressured_run(rate_mrps: f64, bundles_per_watermark: usize) -> RunReport 
     let cfg = RunConfig {
         machine: machine(),
         cores: CORES,
-        // One worker thread: the knob trajectory asserted by the fig10
-        // tests must not depend on host-contention-sensitive interleaving
-        // of KPA placement decisions across pool workers.
-        threads: 1,
         sender: SenderConfig {
             bundle_rows: BUNDLE_ROWS,
             bundles_per_watermark,

@@ -179,21 +179,19 @@ impl Default for TrajectoryConfig {
     }
 }
 
-/// The YSB rows of the trajectory: `(scenario, cores, HBM bytes, host
-/// threads)`. The first two are the machine's own HBM and the default thread
-/// count. The 1 MiB row is the one HBM capacity can move, and pins one
-/// thread as `cluster_engine_cfg` does: once capacity binds, which of two
-/// concurrent prefix workers gets the last HBM slot is a race.
-const YSB_ROWS: [(&str, u32, u64, usize); 3] = [
-    ("ysb_c8", 8, 16 << 30, 2),
-    ("ysb_c32", 32, 16 << 30, 2),
-    ("ysb_c32_hbm1m", 32, 1 << 20, 1),
+/// The YSB rows of the trajectory: `(scenario, cores, HBM bytes)`. The
+/// first two run on the machine's own HBM; the 1 MiB row is the one HBM
+/// capacity can move.
+const YSB_ROWS: [(&str, u32, u64); 3] = [
+    ("ysb_c8", 8, 16 << 30),
+    ("ysb_c32", 32, 16 << 30),
+    ("ysb_c32_hbm1m", 32, 1 << 20),
 ];
 
 const YSB_BUNDLES: usize = 30;
 
 fn ysb_scenario(
-    (scenario, cores, hbm_bytes, threads): (&str, u32, u64, usize),
+    (scenario, cores, hbm_bytes): (&str, u32, u64),
     cost_scale: f64,
 ) -> Result<Vec<Metric>, String> {
     let mut machine = MachineConfig::knl();
@@ -205,7 +203,6 @@ fn ysb_scenario(
     let cfg = RunConfig {
         machine,
         cores,
-        threads,
         sender: SenderConfig {
             bundle_rows: 20_000,
             bundles_per_watermark: 10,
@@ -255,8 +252,6 @@ fn cluster_engine_cfg(cost_scale: f64) -> RunConfig {
     RunConfig {
         machine,
         cores: 8,
-        // Deterministic KPA placement, as in the fig10 scenarios.
-        threads: 1,
         sender: SenderConfig {
             bundle_rows: 20_000,
             bundles_per_watermark: 10,

@@ -67,10 +67,7 @@ pub struct ClusterConfig {
     /// in under `cluster.shard<i>.engine.*`. No-op by default.
     pub metrics: MetricsRegistry,
     /// Record per-shard span streams and stitch them (with priced fabric
-    /// spans) into [`ClusterRunReport::trace`]. Off by default; implies
-    /// the per-shard sequential span-ordering constraint, so cluster runs
-    /// that trace should use `engine.threads = 1` for byte-identical
-    /// exports.
+    /// spans) into [`ClusterRunReport::trace`]. Off by default.
     pub trace: bool,
 }
 

@@ -377,13 +377,10 @@ fn zipf_hot_shard_rebalance_moves_the_hot_key_range() {
 fn deterministic_metrics_across_identical_runs() {
     let export = || {
         let reg = sbx_obs::MetricsRegistry::active();
-        let mut cfg = ClusterConfig {
+        let cfg = ClusterConfig {
             metrics: reg.clone(),
             ..cluster_cfg(4)
         };
-        // One worker thread: adopted HBM-placement gauges must not depend
-        // on host-contention-sensitive KPA placement interleaving.
-        cfg.engine.threads = 1;
         ShardedCluster::new(cfg)
             .run_elastic(
                 kv(5),

@@ -27,8 +27,10 @@ pub struct RunConfig {
     pub mode: EngineMode,
     /// Ingestion configuration (bundle size, watermark cadence, NIC).
     pub sender: SenderConfig,
-    /// Host threads for parallel primitives (functional parallelism only;
-    /// modelled parallelism comes from `cores`).
+    /// Host lanes per parallel primitive (chunk sort, merge-path spans,
+    /// join strips): functional parallelism only, modelled parallelism
+    /// comes from `cores`. Lanes write into buffers their caller
+    /// allocated, so no value of it moves a byte between tiers.
     pub threads: usize,
     /// Whether to keep sink output bundles in the report.
     pub collect_outputs: bool,
@@ -38,9 +40,7 @@ pub struct RunConfig {
     pub ingest_format: IngestFormat,
     /// Observability sinks (DESIGN.md §10). The default no-op handles cost
     /// nothing; [`sbx_obs::Obs::enabled`] collects per-operator/per-pool
-    /// metrics and a span per operator invocation. Tracing forces the
-    /// stateless prefix to run serially so span order is deterministic;
-    /// metrics alone keep data parallelism eligible.
+    /// metrics and a span per operator invocation.
     pub obs: Obs,
 }
 
@@ -103,8 +103,7 @@ pub struct Engine {
     env: MemEnv,
     balancer: DemandBalancer,
     /// Worker pool shared by every task context of the run (clones share
-    /// spawn statistics); sized once from `cfg.threads`. The stateless-prefix
-    /// workers run on it too.
+    /// spawn statistics); sized once from `cfg.threads`.
     pool: sbx_kpa::WorkerPool,
     /// Id of the next operator invocation's trace span.
     next_task: u64,
@@ -362,9 +361,8 @@ impl Engine {
             }
         }
 
-        // Bundles buffer within the watermark round and are flushed as a
-        // batch, letting the stateless pipeline prefix run on parallel
-        // worker threads (the paper's data parallelism across bundles).
+        // Bundles buffer within the watermark round and are flushed, in
+        // arrival order, at its watermark or barrier.
         let mut batch: Vec<(Message, ImpactTag)> = Vec::new();
 
         // Cumulative spill count at the previous round boundary, so the tier
@@ -433,15 +431,14 @@ impl Engine {
                         &mut round,
                         std::mem::take(&mut batch),
                     )?);
-                    // The crest of the round: the prefix workers are joined,
-                    // every KPA of the round is in window state and nothing
-                    // has closed. The round-end reading alone is the trough.
+                    // The crest of the round: every KPA of the round is in
+                    // window state and nothing has closed. The round-end
+                    // reading alone is the trough.
                     round.held_at_watermark =
                         MemKind::ALL.map(|kind| self.env.pool(kind).used_bytes());
                     sink.extend(self.drive(
                         &mut round,
                         pipeline.ops_mut(),
-                        0,
                         vec![Message::Watermark(wm)],
                         ImpactTag::Urgent,
                         true,
@@ -470,7 +467,6 @@ impl Engine {
                     let driven = self.drive(
                         &mut round,
                         pipeline.ops_mut(),
-                        0,
                         vec![Message::Barrier(CheckpointBarrier::new(epoch))],
                         ImpactTag::Urgent,
                         false,
@@ -550,8 +546,8 @@ impl Engine {
                 } else {
                     (0.0, 0.0)
                 };
-                // Both readings are taken on this thread with no worker in
-                // flight, so they are a function of (seed, config).
+                // Both readings are taken between tasks, so they are a
+                // function of (seed, config).
                 let [hbm_held, dram_held] = round.held_at_watermark;
                 let (hbm_used_bytes, hbm_occupancy) =
                     round_usage(self.env.pool(MemKind::Hbm), hbm_held);
@@ -615,8 +611,7 @@ impl Engine {
                 // terminal flush round is excluded — its mass window close
                 // is the stream ending, not an anomaly — and everything
                 // recorded here is simulated-time data at the quiescent
-                // boundary, so the recorder never perturbs the parallel
-                // schedule.
+                // boundary.
                 if !last {
                     let recorder = self.cfg.obs.recorder.clone();
                     recorder.record_span(Span {
@@ -688,8 +683,8 @@ impl Engine {
         // Final quiescent usage sample: every round boundary already set the
         // gauge, but a run with no completed round would otherwise report
         // zero. Deliberately NOT the allocator's `high_water_bytes`: that
-        // mark is taken mid-flight while kernel workers hold scratch
-        // concurrently, so it varies with host thread interleaving.
+        // mark is taken mid-task and counts a multi-lane sort's scratch, so
+        // it varies with `threads`.
         self.rm
             .hbm_used
             .set(self.env.pool(MemKind::Hbm).used_bytes() as f64);
@@ -728,12 +723,11 @@ impl Engine {
         )
     }
 
-    /// Pushes `frontier` through `ops[first..]`: every operator is invoked
-    /// on every message reaching it, tallied, charged to `round`, accounted
-    /// on its instruments and, when the run traces, logged as a span.
-    /// Returns the messages leaving the last operator. The one
-    /// place operators are invoked from — the engine thread calls it on
-    /// itself, each stateless-prefix worker on its [`Engine::fork`].
+    /// Pushes `frontier` through `ops`: every operator is invoked on every
+    /// message reaching it, tallied, charged to `round`, accounted on its
+    /// instruments and, when the run traces, logged as a span. Returns the
+    /// messages leaving the last operator. The one place operators are
+    /// invoked from.
     ///
     /// Each operator invocation over data additionally charges
     /// [`ENGINE_OVERHEAD_CYCLES`] per record: scheduling, work tracking and
@@ -745,7 +739,6 @@ impl Engine {
         &mut self,
         round: &mut Round,
         ops: &mut [OpNode],
-        first: usize,
         frontier: Vec<Message>,
         tag: ImpactTag,
         closing: bool,
@@ -758,7 +751,7 @@ impl Engine {
         // availability time.
         let mut frontier: Vec<(Message, Option<u64>, u64)> =
             frontier.into_iter().map(|m| (m, None, base_ns)).collect();
-        for (op_index, op) in ops.iter_mut().enumerate().skip(first) {
+        for (op_index, op) in ops.iter_mut().enumerate() {
             let mut next = Vec::new();
             for (m, parent, avail_ns) in frontier {
                 let is_data = matches!(&m, Message::Data { .. });
@@ -833,113 +826,23 @@ impl Engine {
         Ok(frontier.into_iter().map(|(m, _, _)| m).collect())
     }
 
-    /// Flushes a round's buffered bundles through the pipeline. When the
-    /// pipeline starts with stateless operators and more than one worker
-    /// thread is configured, the stateless prefix runs concurrently across
-    /// bundles (each worker caching a snapshot of the demand-balance knob,
-    /// as the paper's worker threads do); the stateful suffix then consumes
-    /// the staged results in arrival order, so results are deterministic.
+    /// Flushes a round's buffered bundles through the pipeline, one bundle
+    /// at a time in arrival order, on the engine thread: every pool
+    /// allocation of the round is made here, so which request gets the
+    /// last HBM byte is a function of (seed, config), never of the host
+    /// schedule. Kernel lanes (`threads`) only write into buffers their
+    /// caller allocated.
     fn flush_batch(
         &mut self,
         pipeline: &mut Pipeline,
         round: &mut Round,
         batch: Vec<(Message, ImpactTag)>,
     ) -> Result<Vec<Message>, EngineError> {
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        let prefix_len = pipeline.stateless_prefix_len();
-        // Recording spans forces the serial path: ids and timestamps then
-        // depend only on message order, making same-seed exports
-        // byte-identical.
-        let parallel = self.cfg.threads > 1
-            && prefix_len > 0
-            && batch.len() > 1
-            && !self.cfg.obs.trace.is_enabled();
-        let staged = if parallel {
-            self.run_prefix_parallel(pipeline, round, batch)?
-        } else {
-            batch.into_iter().map(|(m, tag)| (vec![m], tag)).collect()
-        };
-        let first = if parallel { prefix_len } else { 0 };
         let mut sink = Vec::new();
-        for (frontier, tag) in staged {
-            sink.extend(self.drive(round, pipeline.ops_mut(), first, frontier, tag, false)?);
+        for (msg, tag) in batch {
+            sink.extend(self.drive(round, pipeline.ops_mut(), vec![msg], tag, false)?);
         }
         Ok(sink)
-    }
-
-    /// A stateless-prefix worker's engine: the same memory environment,
-    /// thread pool and instruments, its own snapshot of the demand balancer.
-    /// Only taken when the run records nothing, so it logs nothing either.
-    fn fork(&self) -> Engine {
-        Engine {
-            cfg: self.cfg.clone(),
-            env: self.env.clone(),
-            balancer: self.balancer.clone(),
-            pool: self.pool.clone(),
-            next_task: self.next_task,
-            cur_round: self.cur_round,
-            cur_epoch: self.cur_epoch,
-            rm: self.rm.clone(),
-            op_metrics: self.op_metrics.clone(),
-        }
-    }
-
-    /// Runs the stateless pipeline prefix over `batch` on up to
-    /// `cfg.threads` lanes of the run's worker pool, returning each
-    /// bundle's staged frontier in arrival order.
-    fn run_prefix_parallel(
-        &mut self,
-        pipeline: &Pipeline,
-        round: &mut Round,
-        batch: Vec<(Message, ImpactTag)>,
-    ) -> Result<Vec<(Vec<Message>, ImpactTag)>, EngineError> {
-        let nworkers = self.cfg.threads.min(batch.len());
-        // Priority-ordered shared queue: Urgent tasks are claimed first
-        // (paper §5), FIFO within a tag; workers drain it cooperatively.
-        let queue =
-            crate::scheduler::TaskBatch::new(batch.into_iter().map(|(m, t)| ((m, t), t)).collect())
-                .with_claim_counters(self.rm.claims.clone());
-        // One job per worker: a fork of the engine and its own handles on
-        // the prefix operators.
-        let jobs: Vec<(Engine, Vec<OpNode>)> = (0..nworkers)
-            .map(|_| (self.fork(), pipeline.prefix()))
-            .collect();
-
-        type WorkerOut = Result<(Vec<(usize, Vec<Message>, ImpactTag)>, Round), EngineError>;
-        let results: Vec<WorkerOut> = self.pool.run(
-            nworkers,
-            |(mut worker, mut prefix): (Engine, Vec<OpNode>)| -> WorkerOut {
-                // A panicking operator fails the run with an error, on the
-                // caller's lane like on any other, rather than take the
-                // process down from a pool thread.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut staged = Vec::new();
-                    let mut local = Round::default();
-                    while let Some((idx, (msg, tag))) = queue.claim() {
-                        let frontier =
-                            worker.drive(&mut local, &mut prefix, 0, vec![msg], tag, false)?;
-                        staged.push((idx, frontier, tag));
-                    }
-                    Ok((staged, local))
-                }))
-                .unwrap_or(Err(EngineError::Internal("prefix worker panicked")))
-            },
-            jobs,
-        );
-
-        // Reassemble in arrival order so the stateful suffix is
-        // deterministic regardless of thread scheduling.
-        let mut staged = Vec::new();
-        for r in results {
-            let (out, local) = r?;
-            round.profile = round.profile.merge(&local.profile);
-            round.max_task_secs = round.max_task_secs.max(local.max_task_secs);
-            staged.extend(out);
-        }
-        staged.sort_by_key(|&(idx, _, _)| idx);
-        Ok(staged.into_iter().map(|(_, f, tag)| (f, tag)).collect())
     }
 }
 
@@ -948,7 +851,7 @@ mod tests {
     use super::*;
     use crate::pipeline::benchmarks;
     use sbx_ingress::{KvSource, NicModel, Source};
-    use sbx_records::{Col, WindowSpec};
+    use sbx_records::Col;
 
     fn quick_cfg() -> RunConfig {
         RunConfig {
@@ -1057,19 +960,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.bundles_in, 20);
         assert!(report.output_records > 0, "some keys must match");
-    }
-
-    #[test]
-    fn panicking_prefix_operator_fails_the_run() {
-        // Each lane of the parallel prefix — the caller's and the pool
-        // thread's — claims a bundle and panics on its first record.
-        let pipeline = crate::PipelineBuilder::new(WindowSpec::fixed(benchmarks::WINDOW_TICKS))
-            .filter(Col(0), |_| panic!("poisoned operator"))
-            .windowed()
-            .keyed_aggregate(Col(0), Col(1), crate::ops::AggKind::Sum)
-            .build();
-        let run = Engine::new(quick_cfg()).run(KvSource::new(4, 10, 1_000_000), pipeline, 10);
-        assert!(matches!(run, Err(EngineError::Internal(_))), "{run:?}");
     }
 
     #[test]

@@ -10,10 +10,6 @@ pub enum EngineError {
     Alloc(AllocError),
     /// The pipeline or run configuration is invalid.
     Config(String),
-    /// An engine invariant was broken (a bug, not a runtime condition);
-    /// reported instead of panicking so a pipeline failure cannot take the
-    /// process down.
-    Internal(&'static str),
     /// The fault-injection harness tore the worker down mid-run. All
     /// RC-pinned bundles and KPAs are released on unwind; recovery restores
     /// the latest complete snapshot and resumes from its replay offset.
@@ -25,7 +21,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Alloc(e) => write!(f, "allocation failed: {e}"),
             EngineError::Config(msg) => write!(f, "invalid configuration: {msg}"),
-            EngineError::Internal(msg) => write!(f, "engine invariant broken: {msg}"),
             EngineError::Crashed(site) => write!(f, "worker crashed (injected): {site}"),
         }
     }
@@ -35,7 +30,7 @@ impl Error for EngineError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             EngineError::Alloc(e) => Some(e),
-            EngineError::Config(_) | EngineError::Internal(_) | EngineError::Crashed(_) => None,
+            EngineError::Config(_) | EngineError::Crashed(_) => None,
         }
     }
 }
@@ -62,14 +57,6 @@ mod tests {
         assert_eq!(e, EngineError::Alloc(a));
         assert!(e.source().is_some());
         assert!(e.to_string().contains("allocation failed"));
-    }
-
-    #[test]
-    fn internal_error_displays_message() {
-        let e = EngineError::Internal("task missing");
-        assert!(e.to_string().contains("invariant"));
-        assert!(e.to_string().contains("task missing"));
-        assert!(e.source().is_none());
     }
 
     #[test]

@@ -52,7 +52,6 @@ mod observe;
 mod operator;
 pub mod ops;
 mod pipeline;
-mod scheduler;
 
 pub use balancer::{DemandBalancer, KnobMove, KnobState, BALANCER_DELTA};
 pub use checkpoint::{

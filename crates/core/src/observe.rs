@@ -18,10 +18,10 @@ use sbx_obs::{
 };
 
 use crate::balancer::KnobMove;
-use crate::{ImpactTag, Pipeline};
+use crate::Pipeline;
 
 /// Run-level instruments, registered once per engine.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct RunMetrics {
     /// `engine.records_in`.
     pub records_in: Counter,
@@ -49,8 +49,6 @@ pub(crate) struct RunMetrics {
     pub tier: Series,
     /// `balancer.move.*` — knob moves keyed by direction and trigger.
     pub knob_moves: [Counter; 4],
-    /// `scheduler.claimed.{urgent,high,low}`.
-    pub claims: [Counter; 3],
     /// Registry the instruments above live on, kept for dynamically-named
     /// event counters (`engine.<event>`).
     reg: MetricsRegistry,
@@ -79,8 +77,6 @@ impl RunMetrics {
             rounds: reg.series(ROUND_SERIES, &columns(&ROUND_VIEW)),
             tier: reg.series(TIER_SERIES, &columns(&TIER_VIEW)),
             knob_moves: KnobMove::ALL.map(|m| reg.counter(m.metric_name())),
-            claims: [ImpactTag::Urgent, ImpactTag::High, ImpactTag::Low]
-                .map(|t| reg.counter(&format!("scheduler.claimed.{t}"))),
             reg,
             events: std::collections::BTreeMap::new(),
         }
@@ -135,7 +131,7 @@ impl RunMetrics {
 }
 
 /// Per-operator instruments, named `op.<index:02>.<name>.<metric>`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct OpMetrics {
     /// Operator invocations (one per message driven through the operator).
     pub invocations: Counter,

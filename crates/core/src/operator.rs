@@ -302,13 +302,11 @@ pub trait Operator: Send {
 }
 
 /// A stateless stream operator: processes each message independently with
-/// no cross-message state, so the runtime may execute it concurrently on
-/// many bundles (the paper's data parallelism within windows, Fig. 1c).
+/// no cross-message state.
 ///
 /// Every `StatelessOperator` is also an [`Operator`] (the blanket impl
-/// below), so pipelines mix the two freely; the engine runs the longest
-/// stateless *prefix* of a pipeline on parallel worker threads.
-pub trait StatelessOperator: Send + Sync {
+/// below), so pipelines mix the two freely.
+pub trait StatelessOperator: Send {
     /// Operator name for diagnostics.
     fn name(&self) -> &'static str;
 

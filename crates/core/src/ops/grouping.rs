@@ -36,7 +36,7 @@ use sbx_kpa::mergepath::count_groups;
 use sbx_kpa::sketch::GroupSketch;
 use sbx_kpa::{agg, profile, reduce_keyed, reduce_keyed_scalar, ExecCtx, Kpa};
 use sbx_records::{Col, RecordBundle, Schema};
-use sbx_simmem::{AccessProfile, AllocError, MemEnv, MemKind, Priority};
+use sbx_simmem::{AccessProfile, MemEnv, MemKind, Priority};
 
 use crate::checkpoint::StateEntry;
 use crate::ops::AggKind;
@@ -538,33 +538,12 @@ impl HashBackend {
         parts
     }
 
-    /// Inserts pre-gathered pairs, one job per shard over the worker-pool
-    /// wave lanes. Job outputs return in job order, so shard identity —
-    /// and every downstream byte — is independent of lane count.
-    fn insert_parallel(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        parts: Vec<Vec<(u64, u64)>>,
-    ) -> Result<(), EngineError> {
-        let shards = std::mem::take(&mut self.shards);
-        let mut jobs: Vec<(HashGrouper, Vec<(u64, u64)>)> = Vec::new();
-        for (t, part) in shards.into_iter().zip(parts) {
-            jobs.push((t, part));
-        }
-        let pool = ctx.exec().pool();
-        let lanes = pool.width().min(jobs.len()).max(1);
-        let results = pool.run(
-            lanes,
-            |(mut t, pairs): (HashGrouper, Vec<(u64, u64)>)| -> Result<HashGrouper, AllocError> {
-                for (k, v) in pairs {
-                    t.try_insert(k, v)?;
-                }
-                Ok(t)
-            },
-            jobs,
-        );
-        for r in results {
-            self.shards.push(r.map_err(EngineError::from)?);
+    /// Inserts pre-gathered pairs shard by shard, in shard order.
+    fn insert(&mut self, parts: Vec<Vec<(u64, u64)>>) -> Result<(), EngineError> {
+        for (table, pairs) in self.shards.iter_mut().zip(parts) {
+            for (k, v) in pairs {
+                table.try_insert(k, v)?;
+            }
         }
         Ok(())
     }
@@ -632,7 +611,7 @@ impl GroupingBackend for HashBackend {
         }
         self.records += n as u64;
         let parts = self.gather(&kpa, p);
-        self.insert_parallel(ctx, parts)?;
+        self.insert(parts)?;
         let prof = (self.ingest_profile)(n, self.groups(), self.table_kind(), p.count_only());
         ctx.charged(16, |e| e.charge(&prof));
         Ok(())

@@ -1,6 +1,4 @@
 // sbx-lint: out-of-scope(raw-alloc, pipeline construction; boxed operators built once per pipeline)
-use std::sync::Arc;
-
 use sbx_records::{Col, WindowSpec};
 
 use crate::ops::{
@@ -9,11 +7,10 @@ use crate::ops::{
 };
 use crate::{Operator, StatelessOperator};
 
-/// One pipeline stage: stateless stages are shareable across worker
-/// threads, stateful ones are exclusively owned.
+/// One pipeline stage.
 pub(crate) enum OpNode {
-    /// A per-message operator the engine may run concurrently.
-    Stateless(Arc<dyn StatelessOperator>),
+    /// A per-message operator.
+    Stateless(Box<dyn StatelessOperator>),
     /// An operator with cross-message (window) state.
     Stateful(Box<dyn Operator>),
 }
@@ -55,28 +52,8 @@ impl Pipeline {
         self.ops.iter().map(OpNode::name).collect()
     }
 
-    /// Number of leading operators that are stateless (runnable in
-    /// parallel across bundles).
-    pub fn stateless_prefix_len(&self) -> usize {
-        self.ops
-            .iter()
-            .take_while(|o| matches!(o, OpNode::Stateless(_)))
-            .count()
-    }
-
     pub(crate) fn ops_mut(&mut self) -> &mut [OpNode] {
         &mut self.ops
-    }
-
-    /// New handles on the leading stateless operators.
-    pub(crate) fn prefix(&self) -> Vec<OpNode> {
-        self.ops
-            .iter()
-            .map_while(|o| match o {
-                OpNode::Stateless(op) => Some(OpNode::Stateless(Arc::clone(op))),
-                OpNode::Stateful(_) => None,
-            })
-            .collect()
     }
 }
 
@@ -108,21 +85,21 @@ impl PipelineBuilder {
     /// Appends a `Filter` ParDo on `col`.
     pub fn filter(mut self, col: Col, pred: impl Fn(u64) -> bool + Send + Sync + 'static) -> Self {
         self.ops
-            .push(OpNode::Stateless(Arc::new(Filter::new(col, pred))));
+            .push(OpNode::Stateless(Box::new(Filter::new(col, pred))));
         self
     }
 
     /// Appends an external key-value join rewriting resident keys.
     pub fn external_join(mut self, table: impl Fn(u64) -> u64 + Send + Sync + 'static) -> Self {
         self.ops
-            .push(OpNode::Stateless(Arc::new(ExternalJoin::new(table))));
+            .push(OpNode::Stateless(Box::new(ExternalJoin::new(table))));
         self
     }
 
     /// Appends the windowing operator for this pipeline's spec.
     pub fn windowed(mut self) -> Self {
         self.ops
-            .push(OpNode::Stateless(Arc::new(WindowInto::new(self.spec))));
+            .push(OpNode::Stateless(Box::new(WindowInto::new(self.spec))));
         self
     }
 
@@ -130,7 +107,7 @@ impl PipelineBuilder {
     /// emitted once, for downstream pane-combining aggregation.
     pub fn windowed_panes(mut self) -> Self {
         self.ops
-            .push(OpNode::Stateless(Arc::new(WindowInto::panes(self.spec))));
+            .push(OpNode::Stateless(Box::new(WindowInto::panes(self.spec))));
         self
     }
 
@@ -148,7 +125,7 @@ impl PipelineBuilder {
     /// Appends a sampling ParDo keeping roughly `fraction` of records.
     pub fn sample(mut self, col: Col, fraction: f64) -> Self {
         self.ops
-            .push(OpNode::Stateless(Arc::new(Sample::new(col, fraction))));
+            .push(OpNode::Stateless(Box::new(Sample::new(col, fraction))));
         self
     }
 
@@ -156,17 +133,17 @@ impl PipelineBuilder {
     /// `out_schema`.
     pub fn map_records(
         mut self,
-        out_schema: Arc<sbx_records::Schema>,
+        out_schema: std::sync::Arc<sbx_records::Schema>,
         f: impl Fn(&[u64], &mut Vec<u64>) + Send + Sync + 'static,
     ) -> Self {
         self.ops
-            .push(OpNode::Stateless(Arc::new(MapRecords::new(out_schema, f))));
+            .push(OpNode::Stateless(Box::new(MapRecords::new(out_schema, f))));
         self
     }
 
     /// Appends a two-stream union.
     pub fn union(mut self) -> Self {
-        self.ops.push(OpNode::Stateless(Arc::new(Union::new())));
+        self.ops.push(OpNode::Stateless(Box::new(Union::new())));
         self
     }
 
@@ -212,12 +189,6 @@ impl PipelineBuilder {
     /// Appends a custom (stateful) operator.
     pub fn op(mut self, op: Box<dyn Operator>) -> Self {
         self.ops.push(OpNode::Stateful(op));
-        self
-    }
-
-    /// Appends a custom stateless operator (parallelizable per message).
-    pub fn stateless_op(mut self, op: Arc<dyn StatelessOperator>) -> Self {
-        self.ops.push(OpNode::Stateless(op));
         self
     }
 

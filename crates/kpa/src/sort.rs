@@ -1,6 +1,5 @@
-use sbx_simmem::{AllocError, Priority};
+use sbx_simmem::{AllocError, MemPool, PoolVec, Priority};
 
-use crate::kpa::alloc_pair_bufs;
 use crate::mergepath::{self, RankBy, Run};
 use crate::radix::{self, Digits};
 use crate::{profile, ExecCtx, Kpa, PrimGroup};
@@ -95,6 +94,12 @@ fn run_job<'x>(job: Job<'x>) -> Out<'x> {
     }
 }
 
+/// A pair of `n`-slot buffers on `pool`, or `None` where they do not fit.
+fn scratch_pair(pool: &MemPool, n: usize) -> Option<(PoolVec, PoolVec)> {
+    let buf = || pool.alloc_u64(n, Priority::Normal).ok();
+    Some((buf()?, buf()?))
+}
+
 impl Kpa {
     /// **Sort** (Table 2): sorts the KPA by resident key with a
     /// multi-threaded single-pass merge-sort (paper §4.2).
@@ -105,16 +110,19 @@ impl Kpa {
     /// binary-searches the merge path to claim an equal output span, so
     /// every thread cooperates on the single merge and no pairwise
     /// ping-pong rounds (or serial final merge) remain. Scratch is
-    /// allocated on the KPA's tier (spilling to DRAM when full) and the
-    /// sorted scratch is adopted as the KPA's buffers; with `threads == 1`
-    /// the sort runs fully in place and allocates no pool scratch at all.
+    /// allocated on the KPA's tier and the sorted scratch is adopted as the
+    /// KPA's buffers; with `threads == 1` the sort runs fully in place and
+    /// allocates no pool scratch at all. Scratch never spills: where the
+    /// KPA's tier cannot hold it, the sort runs in place on one lane, so
+    /// the lane count never moves a byte between tiers or counts a spill.
     ///
     /// The sort order is the *compound* `(key, ptr)` order, so the result
     /// is byte-identical for every `threads` value.
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError`] if no tier can hold the scratch buffer.
+    /// None: a sort that gets no scratch runs in place. The `Result` stays
+    /// for the callers that propagate it.
     pub fn sort(&mut self, ctx: &mut ExecCtx, threads: usize) -> Result<(), AllocError> {
         let n = self.len();
         if self.is_sorted() || n <= 1 {
@@ -135,7 +143,9 @@ impl Kpa {
 
         // One scratch pair for the single merge pass (no ping-pong),
         // capacity-accounted like the KPA itself.
-        let (mut sk, mut sp, got) = alloc_pair_bufs(ctx.env(), n, kind, Priority::Normal)?;
+        let Some((mut sk, mut sp)) = scratch_pair(ctx.env().pool(kind), n) else {
+            return self.sort(ctx, 1);
+        };
         sk.resize(n, 0);
         sp.resize(n, 0);
 
@@ -195,16 +205,8 @@ impl Kpa {
             });
         }
 
-        if got == kind {
-            // Adopt the merged scratch as the KPA's buffers (zero copy).
-            self.swap_pair_bufs(&mut sk, &mut sp);
-        } else {
-            // Scratch spilled to another tier: copy home so the KPA stays
-            // where it was placed.
-            let (keys, ptrs) = self.keys_mut_parts();
-            keys.copy_from_slice(&sk);
-            ptrs.copy_from_slice(&sp);
-        }
+        // Adopt the merged scratch as the KPA's buffers (zero copy).
+        self.swap_pair_bufs(&mut sk, &mut sp);
 
         ctx.charge_as(PrimGroup::Sort, &profile::sort(n, kind));
         self.set_sorted(true);
@@ -336,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_spills_scratch_but_keeps_kpa_on_its_tier() {
+    fn sort_without_room_for_scratch_sorts_in_place() {
         // HBM just fits the KPA (and not a second scratch pair).
         let mut machine = MachineConfig::knl().scaled(0.01);
         machine.hbm.capacity_bytes = 40 * 1024;
@@ -345,10 +347,16 @@ mod tests {
         let keys: Vec<u64> = (0..2000).rev().collect();
         let mut kpa = kpa_of(&env, &mut ctx, &keys);
         assert_eq!(kpa.kind(), MemKind::Hbm);
+        let dram = env.pool(MemKind::Dram).used_bytes();
         kpa.sort(&mut ctx, 4).unwrap();
         assert_eq!(kpa.kind(), MemKind::Hbm, "KPA stays on its tier");
         let expect: Vec<u64> = (0..2000).collect();
         assert_eq!(kpa.keys(), &expect[..]);
+        // The lanes' scratch is no placement: nothing spilled, and the
+        // DRAM pool never held a byte of it.
+        assert_eq!(env.spill_count(), 0);
+        let stats = env.pool(MemKind::Dram).stats();
+        assert_eq!(stats.high_water_bytes, dram);
     }
 
     #[test]

@@ -403,7 +403,7 @@ mod tests {
     use super::*;
 
     const HOT: &str = "crates/kpa/src/sort.rs";
-    const ENGINE: &str = "crates/core/src/scheduler.rs";
+    const ENGINE: &str = "crates/core/src/engine.rs";
     const NEUTRAL: &str = "crates/bench/src/fig2.rs";
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {

@@ -95,8 +95,7 @@ impl Obs {
         }
     }
 
-    /// Records metrics only (no spans); keeps the parallel stateless prefix
-    /// eligible since span ordering is the only determinism constraint.
+    /// Records metrics only (no spans).
     pub fn metrics_only() -> Self {
         Obs {
             metrics: MetricsRegistry::active(),
@@ -106,7 +105,7 @@ impl Obs {
     }
 
     /// True if either opt-in recorder is active (the always-on flight
-    /// recorder doesn't count: it never forces the serial prefix).
+    /// recorder doesn't count).
     pub fn is_enabled(&self) -> bool {
         self.metrics.is_enabled() || self.trace.is_enabled()
     }

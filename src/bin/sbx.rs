@@ -240,7 +240,7 @@ const FLAGS: [Flag; 26] = [
         value: "N",
         cmds: RUNS,
         help: "modelled cores per engine",
-        set: |a, f, v| num(&mut a.cores, f, v),
+        set: |a, f, v| count(&mut a.cores, f, v),
     },
     Flag {
         name: "--bundles",
@@ -254,7 +254,7 @@ const FLAGS: [Flag; 26] = [
         value: "N",
         cmds: RUNS,
         help: "records per bundle",
-        set: |a, f, v| num(&mut a.bundle_rows, f, v),
+        set: |a, f, v| count(&mut a.bundle_rows, f, v),
     },
     Flag {
         name: "--keys",
@@ -378,17 +378,14 @@ const FLAGS: [Flag; 26] = [
         value: "N",
         cmds: CLUSTER,
         help: "hash slots of the router",
-        set: |a, f, v| num(&mut a.slots, f, v),
+        set: |a, f, v| count(&mut a.slots, f, v),
     },
     Flag {
         name: "--interval",
         value: "N",
         cmds: CLUSTER,
         help: "barrier every N bundles",
-        set: |a, f, v| {
-            a.interval = positive(f, v)?;
-            Ok(())
-        },
+        set: |a, f, v| count(&mut a.interval, f, v),
     },
     Flag {
         name: SKEW,
@@ -478,15 +475,29 @@ fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
 }
 
 /// [`parsed`] for a count that must be at least one.
-fn positive(flag: &str, value: &str) -> Result<u64, String> {
-    match parsed(flag, value)? {
-        0 => Err(format!("{flag} must be positive")),
-        n => Ok(n),
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    let n = parsed(flag, value)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be positive"));
     }
+    Ok(n)
 }
 
 fn num<T: std::str::FromStr>(slot: &mut T, flag: &str, value: &str) -> Result<(), String> {
     *slot = parsed(flag, value)?;
+    Ok(())
+}
+
+/// [`num`] for a count that must be at least one.
+fn count<T: std::str::FromStr + Default + PartialEq>(
+    slot: &mut T,
+    flag: &str,
+    value: &str,
+) -> Result<(), String> {
+    *slot = positive(flag, value)?;
     Ok(())
 }
 
@@ -620,7 +631,7 @@ fn check_run(a: &Args) -> Result<(), String> {
 
 fn run_bench(a: &Args) -> RunResult {
     let b = suite_entry(&a.operand)?;
-    // Tracing implies metrics; metrics alone keep the parallel prefix.
+    // Tracing implies metrics.
     let obs = if a.trace_out.is_some() {
         Obs::enabled()
     } else if a.metrics_out.is_some() {
@@ -632,15 +643,7 @@ fn run_bench(a: &Args) -> RunResult {
     if let Some(mib) = a.hbm_mib {
         machine.hbm.capacity_bytes = mib * 1024 * 1024;
     }
-    let mut cfg = a.run_config(machine, obs.clone());
-    if a.incidents_out.is_some() {
-        // Incident artifacts promise byte-identical same-seed exports.
-        // Under capacity pressure, which of two concurrent prefix workers
-        // gets the last HBM slot is the one non-simulated input the
-        // recorder can see, so pin the serial spine (the same pinning the
-        // fig10/cluster exports use).
-        cfg.threads = 1;
-    }
+    let cfg = a.run_config(machine, obs.clone());
     let ck = a.checkpoint_interval;
     println!(
         "running '{}' on {} ({} cores, {}, {})",
@@ -749,14 +752,7 @@ fn run_cluster(a: &Args) -> RunResult {
         key_map: b
             .key_map
             .map(|map| Arc::new(map) as streambox_hbm::cluster::KeyMap),
-        engine: RunConfig {
-            // One worker thread per shard engine: exported HBM-placement
-            // gauges must not depend on host-contention-sensitive KPA
-            // placement interleaving, so same-seed runs export the same
-            // bytes (see the fig10 tests for the same pinning).
-            threads: 1,
-            ..a.run_config(MachineConfig::knl(), Obs::noop())
-        },
+        engine: a.run_config(MachineConfig::knl(), Obs::noop()),
         link: a.link,
         metrics: metrics.clone(),
         trace: a.trace_out.is_some(),
@@ -1261,6 +1257,22 @@ mod tests {
         assert!(args(&["figure", "12"]).is_err());
         assert!(args(&["figure", "8"]).is_ok());
         assert!(args(&["list", "--cores", "2"]).is_err());
+        // A zero count is refused by name: `--bundle-rows 0` and `--slots 0`
+        // used to panic in the sender / router, `--cores 0` ran a machine
+        // with no cores.
+        for argv in [
+            ["bench", "ysb", "--cores", "0"],
+            ["bench", "sum", "--bundle-rows", "0"],
+            ["recover", "sum", "--bundle-rows", "0"],
+            ["cluster", "sum", "--bundle-rows", "0"],
+            ["cluster", "sum", "--slots", "0"],
+        ] {
+            let e = args(&argv).expect_err(argv[2]);
+            assert!(
+                e.contains(argv[2]) && e.contains("positive"),
+                "{argv:?}: {e}"
+            );
+        }
     }
 
     /// A flag is an error, by name, on every subcommand whose row does not

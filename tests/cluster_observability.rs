@@ -12,8 +12,7 @@ const INTERVAL: u64 = 5;
 const CUT: u64 = 2;
 const YSB_CAMPAIGNS: u64 = 1_000;
 
-/// A traced YSB cluster config: one worker thread per shard engine so the
-/// span order (and hence every export) is deterministic across runs.
+/// A traced YSB cluster config.
 fn ysb_cfg(shards: u32, metrics: MetricsRegistry) -> ClusterConfig {
     let mut cfg = ClusterConfig {
         shards,
@@ -24,7 +23,6 @@ fn ysb_cfg(shards: u32, metrics: MetricsRegistry) -> ClusterConfig {
         ..ClusterConfig::default()
     };
     cfg.engine.cores = 16;
-    cfg.engine.threads = 1;
     cfg.engine.sender = SenderConfig {
         bundle_rows: 2_000,
         bundles_per_watermark: 10,
@@ -177,12 +175,11 @@ fn stitched_trace_edges_are_causal_and_ids_unique() {
 /// verdict either.
 #[test]
 fn balanced_cluster_files_no_incidents() {
-    let mut cfg = ClusterConfig {
+    let cfg = ClusterConfig {
         shards: 4,
         metrics: MetricsRegistry::active(),
         ..ClusterConfig::default()
     };
-    cfg.engine.threads = 1;
     let report = ShardedCluster::new(cfg)
         .run(
             || KvSource::new(1, 50_000, 20_000_000),

@@ -45,7 +45,6 @@ fn text_exports() -> Vec<(&'static str, String, Reexport)> {
     let cfg = RunConfig {
         machine,
         cores: 16,
-        threads: 1,
         sender: SenderConfig {
             bundle_rows: 2_000,
             bundles_per_watermark: 5,
@@ -70,7 +69,6 @@ fn text_exports() -> Vec<(&'static str, String, Reexport)> {
         shards: 2,
         engine: RunConfig {
             cores: 8,
-            threads: 1,
             sender: SenderConfig {
                 bundle_rows: 1_000,
                 bundles_per_watermark: 5,

@@ -1,13 +1,12 @@
 //! Cross-commit artifact identity: every exported artifact of three small
-//! fixed-seed, one-host-thread, uniform-key runs must hash to the value
+//! fixed-seed, uniform-key runs must hash to the value
 //! recorded at the commit *before* the PR-14 consolidation. The other
 //! determinism tests compare two runs of the same build; this one pins the
 //! bytes across builds, so a refactor that moves a metric, a span or a
 //! digit of a report is caught even when it moves it consistently.
 //!
 //! The runs go through the `sbx` binary because the CLI is what writes the
-//! artifacts: `--incidents-out` pins `threads = 1` on `bench`, `cluster`
-//! always runs one thread per shard engine. A constant changes only in a PR
+//! artifacts, at its default two host threads. A constant changes only in a PR
 //! whose issue says the artifact's bytes change; paste the value the failure
 //! message prints.
 
@@ -64,7 +63,7 @@ fn ysb_metrics_spans_and_report_are_golden() {
         "report metrics.jsonl --timeline --critical-path spans.jsonl",
         &[
             ("run", 0x5e72_6550_93bc_475e),
-            ("metrics.jsonl", 0xb341_a6f7_4385_1f5e),
+            ("metrics.jsonl", 0x63aa_be93_a1aa_1379),
             ("spans.jsonl", 0xcc95_75fa_5961_0c33),
             ("incidents.jsonl", 0x8674_93db_3136_c045),
             ("report", 0x4e97_42eb_1364_3768),
@@ -82,7 +81,7 @@ fn degraded_ysb_incidents_are_golden() {
          --incidents-out incidents.jsonl",
         "report metrics.jsonl --incidents incidents.jsonl",
         &[
-            ("metrics.jsonl", 0x7e6d_8e2d_5fca_4201),
+            ("metrics.jsonl", 0x9e69_c3d2_b7ed_c93a),
             ("incidents.jsonl", 0xceea_9fcf_e1ea_e67a),
             ("report", 0x5194_87a7_92e5_6526),
         ],
@@ -98,7 +97,7 @@ fn rescaled_cluster_artifacts_are_golden() {
         "report metrics.jsonl --critical-path trace.jsonl --incidents incidents.jsonl",
         &[
             ("run", 0x075e_e7e2_d961_ccbb),
-            ("metrics.jsonl", 0x322c_7998_386f_f539),
+            ("metrics.jsonl", 0x4706_85ab_c469_323f),
             ("trace.jsonl", 0x0a4c_5414_cd64_b115),
             ("incidents.jsonl", 0xfc99_4e85_7a6c_098d),
             ("report", 0x819d_a4db_d5da_e374),

@@ -205,19 +205,7 @@ fn enabled_instrumentation_stays_within_3_percent_of_noop() {
     let rel = (base.throughput_rps - metered.throughput_rps).abs() / base.throughput_rps;
     assert!(rel < 0.03, "metrics-on deviates {rel}");
 
-    // Full tracing pins the serial path; compare against a serial no-op
-    // run so the schedule under measurement is the same.
-    let serial = |obs: Obs| {
-        let cfg = RunConfig {
-            threads: 1,
-            ..cfg_with(obs)
-        };
-        Engine::new(cfg)
-            .run(KvSource::new(7, 500, 1_000_000), pipeline(), 30)
-            .expect("run")
-    };
-    let base = serial(Obs::noop());
-    let traced = serial(Obs::enabled());
+    let traced = run_with(Obs::enabled());
     let rel = (base.throughput_rps - traced.throughput_rps).abs() / base.throughput_rps;
     assert!(rel < 0.03, "tracing-on deviates {rel}");
 }

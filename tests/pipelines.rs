@@ -323,6 +323,9 @@ fn committed_rows_are_invariant_under_bundle_size() {
         let rows_at = |bundle_rows: usize| {
             let cfg = RunConfig {
                 cores: 8,
+                // One lane, for time only: one-record bundles make tens of
+                // thousands of tiny sorts and merges, and a multi-lane
+                // primitive spawns its lanes on every call (3 x the run).
                 threads: 1,
                 collect_outputs: true,
                 sender: SenderConfig {
