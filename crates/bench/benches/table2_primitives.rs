@@ -49,7 +49,7 @@ fn main() {
         let mut ctx = ExecCtx::new(&env);
         let mut kpa =
             Kpa::extract(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).expect("fits");
-        kpa.sort(&mut ctx, 2).expect("sort");
+        kpa.sort(&mut ctx, 1).expect("sort");
         kpa
     });
 

@@ -90,7 +90,7 @@ pub fn validate_real_execution() {
     // Sort-based grouping.
     let mut kpa =
         Kpa::extract(&mut ctx, &bundle, Col(0), MemKind::Hbm, Priority::Normal).expect("HBM fits");
-    kpa.sort(&mut ctx, 4).expect("sort");
+    kpa.sort(&mut ctx, 1).expect("sort");
     assert!(
         kpa.keys().windows(2).all(|w| w[0] <= w[1]),
         "sort must order keys"

@@ -3,7 +3,7 @@
 //!
 //! Each cell generates a deterministic keyed stream (uniform or Zipf keys
 //! over a bounded domain), runs it through `WindowInto → KeyedAggregate`
-//! once per backend — KPA sort-merge, sharded hash, row-engine baseline,
+//! once per backend — KPA sort-merge, hash, row-engine baseline,
 //! and the adaptive chooser — and accounts the modelled per-window cost of
 //! the aggregation operator. Windows arrive as multiple bundles, as they
 //! do under the engine, so the adaptive sketch only ever sees a window's
@@ -357,7 +357,7 @@ mod tests {
     }
 
     /// A skewed cell keeps the byte-identity invariant (heavy keys stress
-    /// shard balance and Misra-Gries).
+    /// probe chains and Misra-Gries).
     #[test]
     fn skewed_cell_outputs_are_identical() {
         let cell = Cell {

@@ -1,5 +1,5 @@
-//! Kernel scaling: host wall-clock of the merge-path grouping kernels
-//! (Sort, Merge, Join) across worker-pool widths, the serial chunk sort and
+//! Kernel scaling: host wall-clock of the kernels that fan out (Merge,
+//! Join) across worker-pool widths, the serial chunk sort and
 //! k-way merge against the kernels they replaced over a grid of key
 //! distributions and run counts, the per-bundle front half (Select/Extract,
 //! Partition, KeySwap) and the window close (keyed reduction, merge count)
@@ -117,23 +117,18 @@ fn median(mut timings: Vec<f64>) -> f64 {
     timings[timings.len() / 2]
 }
 
-/// Times `sort`, two-way `merge` and `join` at pool width `width` over
-/// [`PAIRS`]-pair inputs; returns host milliseconds per kernel.
-pub fn measure_width(width: usize) -> (f64, f64, f64) {
+/// Times two-way `merge` and `join` at pool width `width` over two
+/// sorted [`PAIRS`]` / 2`-pair inputs; returns host milliseconds per
+/// kernel. (The sort runs on one lane at every width.)
+pub fn measure_width(width: usize) -> (f64, f64) {
     let env = env();
     let mut ctx = ExecCtx::with_pool(&env, WorkerPool::new(width));
-    let b = bundle(&env, PAIRS, 11);
-
-    let mut kpa = extracted(&mut ctx, &b);
-    let ((), sort_s) = timed(|| kpa.sort(&mut ctx, width).expect("sort"));
-
-    // Two sorted halves of the same pair count feed merge and join.
     let bh = bundle(&env, PAIRS / 2, 12);
     let bh2 = bundle(&env, PAIRS / 2, 13);
     let mut left = extracted(&mut ctx, &bh);
     let mut right = extracted(&mut ctx, &bh2);
-    left.sort(&mut ctx, width).expect("sort");
-    right.sort(&mut ctx, width).expect("sort");
+    left.sort(&mut ctx, 1).expect("sort");
+    right.sort(&mut ctx, 1).expect("sort");
 
     let (merged, merge_s) = timed(|| {
         Kpa::merge(&mut ctx, &left, &right, MemKind::Hbm, Priority::Normal).expect("merge fits")
@@ -145,7 +140,7 @@ pub fn measure_width(width: usize) -> (f64, f64, f64) {
         timed(|| join_sorted(&mut ctx, &left, &right, 32, |_, _, _, _| emitted += 1));
     assert_eq!(stats.emitted, emitted, "join stats agree with emissions");
 
-    (sort_s * 1e3, merge_s * 1e3, join_s * 1e3)
+    (merge_s * 1e3, join_s * 1e3)
 }
 
 /// One cell of the host-kernel grid: median host nanoseconds per pair of
@@ -856,11 +851,11 @@ pub fn modelled_pass_bytes() -> (f64, f64, f64, f64) {
 pub fn run() -> String {
     let mut t = Table::new(
         "Kernel scaling: host wall-clock per kernel vs worker-pool width (1 M pairs)",
-        &["threads", "sort ms", "merge ms", "join ms"],
+        &["threads", "merge ms", "join ms"],
     );
     for &w in &WIDTHS {
-        let (sort_ms, merge_ms, join_ms) = measure_width(w);
-        t.row(vec![w.to_string(), f1(sort_ms), f1(merge_ms), f1(join_ms)]);
+        let (merge_ms, join_ms) = measure_width(w);
+        t.row(vec![w.to_string(), f1(merge_ms), f1(join_ms)]);
     }
     let mut out = t.print();
 
@@ -888,21 +883,38 @@ pub fn run() -> String {
     ]);
     out.push_str(&m.print());
 
-    let pool = WorkerPool::new(4);
-    let mut ctx = ExecCtx::with_pool(&env(), pool.clone());
-    let b = bundle(ctx.env(), 100_000, 14);
-    let mut kpa = extracted(&mut ctx, &b);
-    kpa.sort(&mut ctx, 4).expect("sort");
-    let stats = pool.stats();
+    let (sort, merge, jobs) = close_merge_spawns(4, 100_000);
     let line = format!(
-        "pool reuse at width 4: {} scope(s), {} thread spawns, {} waves, {} jobs \
-         (one spawn set serves both sort phases)\n",
-        stats.scopes, stats.threads_spawned, stats.waves, stats.jobs
+        "pool at width 4: a sort spawns {sort} threads, a 4-way close merge \
+         {merge} threads for {jobs} span jobs\n"
     );
     // sbx-lint: allow(no-adhoc-io, bench harness prints its summary line)
     println!("{line}");
     out.push_str(&line);
     out
+}
+
+/// Pool counters at `width` lanes: the threads four [`Kpa::sort`]s of
+/// `pairs`-pair KPAs spawn, then the threads and jobs of the close-time
+/// k-way merge of those four.
+pub fn close_merge_spawns(width: usize, pairs: usize) -> (u64, u64, u64) {
+    let pool = WorkerPool::new(width);
+    let mut ctx = ExecCtx::with_pool(&env(), pool.clone());
+    let mut kpas = Vec::new();
+    for seed in 14..18 {
+        let b = bundle(ctx.env(), pairs, seed);
+        let mut kpa = extracted(&mut ctx, &b);
+        kpa.sort(&mut ctx, width).expect("sort");
+        kpas.push(kpa);
+    }
+    let sorted = pool.stats();
+    Kpa::merge_many(&mut ctx, kpas, MemKind::Hbm, Priority::Normal).expect("merge fits");
+    let merged = pool.stats();
+    (
+        sorted.threads_spawned,
+        merged.threads_spawned - sorted.threads_spawned,
+        merged.jobs - sorted.jobs,
+    )
 }
 
 #[cfg(test)]
@@ -915,8 +927,8 @@ mod tests {
     #[test]
     fn kernels_run_at_every_width() {
         for &w in &[1usize, 4] {
-            let (s, m, j) = measure_width(w);
-            assert!(s > 0.0 && m > 0.0 && j > 0.0, "width {w}: {s} {m} {j}");
+            let (m, j) = measure_width(w);
+            assert!(m > 0.0 && j > 0.0, "width {w}: {m} {j}");
         }
     }
 
@@ -976,19 +988,14 @@ mod tests {
         assert!((mo / mn - 4.0).abs() < 1e-9, "16-way: 4 rounds vs 1 pass");
     }
 
-    /// One pool scope serves both phases of a parallel sort: exactly
-    /// `width - 1` threads are spawned, and both waves run through them.
+    /// Only the close merge fans out: a sort spawns no thread at any
+    /// width, and a four-way merge at width 4 spawns `width - 1` threads
+    /// for one span job per lane.
     #[test]
-    fn sort_reuses_one_spawn_set() {
-        let pool = WorkerPool::new(4);
-        let mut ctx = ExecCtx::with_pool(&env(), pool.clone());
-        let b = bundle(ctx.env(), 10_000, 15);
-        let mut kpa = extracted(&mut ctx, &b);
-        kpa.sort(&mut ctx, 4).expect("sort");
-        let stats = pool.stats();
-        assert_eq!(stats.scopes, 1, "one scope per sort");
-        assert_eq!(stats.threads_spawned, 3, "width - 1 spawns");
-        assert_eq!(stats.waves, 2, "chunk wave + span wave");
-        assert_eq!(stats.jobs, 8, "4 chunk jobs + 4 span jobs");
+    fn close_merge_spawns_lanes_minus_one() {
+        let (sort, merge, jobs) = close_merge_spawns(4, 10_000);
+        assert_eq!(sort, 0, "a sort runs on one lane");
+        assert_eq!(merge, 3, "width - 1 spawns");
+        assert_eq!(jobs, 4, "one span job per lane");
     }
 }

@@ -29,7 +29,10 @@
 //!
 //! Committed outputs are the union of phase-1 and phase-2 committed
 //! logs; as a canonical multiset they are byte-identical to a
-//! fault-free single-topology run of the same stream.
+//! fault-free single-topology run of the same stream. A pipeline with an
+//! operator that aggregates across keys is refused
+//! ([`ShardedCluster::check_pipeline`]): each shard would commit its own
+//! partial.
 
 // sbx-lint: out-of-scope(raw-alloc, cluster driver; per-shard summaries and snapshot lists, not per-record data)
 use std::sync::Arc;
@@ -287,6 +290,21 @@ impl ShardedCluster {
         &self.cfg
     }
 
+    /// Refuses a pipeline a key-sharded run cannot split: one with an
+    /// operator that aggregates across keys ([`sbx_engine::Operator::keyed`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::Topology`] naming the operator.
+    pub fn check_pipeline(pipeline: &Pipeline) -> Result<(), ClusterError> {
+        match pipeline.unkeyed_op() {
+            Some(op) => Err(ClusterError::Topology(format!(
+                "{op} aggregates across keys; each shard would commit its own partial"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Runs `bundles` logical bundles of `make_source`'s stream through
     /// `make_pipeline` on every shard, checkpointing every
     /// `barrier_interval` bundles.
@@ -342,8 +360,9 @@ impl ShardedCluster {
     /// # Errors
     ///
     /// Returns [`ClusterError::Topology`] when the rescale epoch would not
-    /// complete before the stream ends, and [`ClusterError::Engine`] for
-    /// engine failures.
+    /// complete before the stream ends or the pipeline aggregates across
+    /// keys ([`ShardedCluster::check_pipeline`]), and
+    /// [`ClusterError::Engine`] for engine failures.
     pub fn run_faulty<S: Source>(
         &self,
         make_source: impl Fn() -> S,
@@ -358,6 +377,7 @@ impl ShardedCluster {
                 "barrier interval must be positive".into(),
             ));
         }
+        Self::check_pipeline(&make_pipeline())?;
         if let Some(p) = &plan {
             if p.at_epoch == 0 {
                 return Err(ClusterError::Topology("rescale epoch must be >= 1".into()));

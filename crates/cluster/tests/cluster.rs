@@ -15,9 +15,10 @@ use std::sync::Arc;
 
 use sbx_checkpoint::CrashPlan;
 use sbx_cluster::{
-    ClusterConfig, ClusterCrash, ClusterError, ClusterRunReport, ElasticPlan, RescalePhase,
+    ClusterConfig, ClusterCrash, ClusterError, ClusterRunReport, ElasticPlan, KeyMap, RescalePhase,
     Retarget, RouteTable, ShardedCluster,
 };
+use sbx_engine::ops::GroupingSpec;
 use sbx_engine::{benchmarks, CrashPhase, RunConfig};
 use sbx_ingress::{KvSource, NicModel, SenderConfig, YsbSource};
 use sbx_prng::SbxRng;
@@ -449,4 +450,36 @@ fn invalid_plans_are_rejected() {
         ),
         Err(ClusterError::Topology(_))
     ));
+}
+
+/// A cluster gives one engine's answer or refuses the job: the two suite
+/// pipelines that aggregate across keys are refused, naming the operator,
+/// and every other single-stream benchmark runs.
+#[test]
+fn pipelines_that_aggregate_across_keys_are_refused() {
+    for b in benchmarks::SUITE.iter().filter(|b| b.streams == 1) {
+        let cfg = ClusterConfig {
+            key_col: b.key_col,
+            key_map: b.key_map.map(|map| Arc::new(map) as KeyMap),
+            ..cluster_cfg(4)
+        };
+        let run = ShardedCluster::new(cfg).run(
+            || (b.source)(1, b.keys, 100_000, None),
+            || (b.pipeline)(GroupingSpec::SortMerge),
+            6,
+            INTERVAL,
+        );
+        let global = match b.name {
+            "avg-all" => Some("AvgAll"),
+            "power-grid" => Some("PowerGrid"),
+            _ => None,
+        };
+        match (global, run) {
+            (Some(op), Err(ClusterError::Topology(msg))) => {
+                assert!(msg.starts_with(op), "{}: {msg}", b.name);
+            }
+            (None, Ok(report)) => assert!(report.output_records > 0, "{}", b.name),
+            (_, run) => panic!("{}: {:?}", b.name, run.map(|r| r.output_records)),
+        }
+    }
 }

@@ -27,10 +27,12 @@ pub struct RunConfig {
     pub mode: EngineMode,
     /// Ingestion configuration (bundle size, watermark cadence, NIC).
     pub sender: SenderConfig,
-    /// Host lanes per parallel primitive (chunk sort, merge-path spans,
-    /// join strips): functional parallelism only, modelled parallelism
-    /// comes from `cores`. Lanes write into buffers their caller
-    /// allocated, so no value of it moves a byte between tiers.
+    /// Host lanes for the two kernels that fan out, the window-close
+    /// merge (merge-path spans) and the join scan (strips); every other
+    /// primitive, the per-bundle sort included, runs on one lane. This is
+    /// functional parallelism only, modelled parallelism comes from
+    /// `cores`. Lanes write into buffers their caller allocated, so no
+    /// value of it moves a byte between tiers.
     pub threads: usize,
     /// Whether to keep sink output bundles in the report.
     pub collect_outputs: bool,
@@ -683,8 +685,7 @@ impl Engine {
         // Final quiescent usage sample: every round boundary already set the
         // gauge, but a run with no completed round would otherwise report
         // zero. Deliberately NOT the allocator's `high_water_bytes`: that
-        // mark is taken mid-task and counts a multi-lane sort's scratch, so
-        // it varies with `threads`.
+        // mark is taken mid-task.
         self.rm
             .hbm_used
             .set(self.env.pool(MemKind::Hbm).used_bytes() as f64);

@@ -193,15 +193,15 @@ impl<'a> OpCtx<'a> {
             .map_err(EngineError::from)
     }
 
-    /// Sorts `kpa` with this task's thread budget and mode costs.
+    /// Sorts `kpa` in place on one lane, with this task's mode costs.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Alloc`] when scratch cannot be allocated.
+    /// None: [`Kpa::sort`] allocates nothing. The `Result` keeps the
+    /// primitive's signature.
     pub fn sort(&mut self, kpa: &mut Kpa) -> Result<(), EngineError> {
         let rb = self.record_bytes_of(kpa);
-        let threads = self.exec.pool().width();
-        self.charged(rb, |e| kpa.sort(e, threads))
+        self.charged(rb, |e| kpa.sort(e, 1))
             .map_err(EngineError::from)
     }
 
@@ -246,6 +246,13 @@ impl<'a> OpCtx<'a> {
 pub trait Operator: Send {
     /// Operator name for diagnostics.
     fn name(&self) -> &'static str;
+
+    /// Whether every output row depends on one key's records alone, so
+    /// that a cluster routing records by key may run the operator on every
+    /// shard. An aggregate across keys returns `false`.
+    fn keyed(&self) -> bool {
+        true
+    }
 
     /// Processes one message, returning downstream messages in order.
     ///

@@ -43,8 +43,9 @@ pub enum AggKind {
 ///
 /// Since the pluggable-grouping work (DESIGN.md §14) the sort-merge path
 /// above is one of several [`GroupingSpec`] backends: [`with_grouping`]
-/// selects sharded hashing, the row-engine baseline, or the per-window
-/// adaptive sort-vs-hash decision, all emitting byte-identical results.
+/// selects one hash table per window, the row-engine baseline, or the
+/// per-window adaptive sort-vs-hash decision, all emitting byte-identical
+/// results.
 ///
 /// [`with_grouping`]: KeyedAggregate::with_grouping
 pub type KeyedAggregate = Windowed<KeyedAggLogic, AggWindow>;
@@ -120,9 +121,10 @@ impl KeyedAggregate {
     }
 
     /// Selects the grouping backend (DESIGN.md §14): the paper's KPA
-    /// sort-merge path (default), sharded hashing, the row-engine baseline,
-    /// or the per-window adaptive sort-vs-hash decision. All backends emit
-    /// byte-identical window results; only the modelled cost differs.
+    /// sort-merge path (default), one hash table per window, the row-engine
+    /// baseline, or the per-window adaptive sort-vs-hash decision. All
+    /// backends emit byte-identical window results; only the modelled cost
+    /// differs.
     ///
     /// # Panics
     ///

@@ -40,6 +40,11 @@ impl WindowLogic for AvgAllLogic {
         "AvgAll"
     }
 
+    /// One average over every key of the window.
+    fn keyed(&self) -> bool {
+        false
+    }
+
     fn arrive(
         &mut self,
         ctx: &mut OpCtx<'_>,

@@ -12,14 +12,13 @@
 //!
 //! - [`SortMergeBackend`]: the paper's KPA path (sort each arriving KPA,
 //!   merge at close, keyed reduction), verbatim from the original operator.
-//! - [`HashBackend`], *sharded*: open-addressing tables generalized from
-//!   `sbx_kpa::hash`, with a fixed shard count fanned over the worker-pool
-//!   wave lanes. Shard assignment depends only on the key hash and drains
-//!   are globally key-sorted, so outputs are bit-identical across thread
-//!   counts.
-//! - [`HashBackend`], *row baseline*: a single DRAM table charged at the row
-//!   engine's calibrated per-record cost — the Flink-class baseline, kept
-//!   as a measurable floor.
+//! - [`HashBackend`], *hashed*: one open-addressing table per window
+//!   (`sbx_kpa::hash`), filled on the engine thread, placed like any
+//!   other task allocation and charged at the tier it lives on. Drains
+//!   are key-sorted, so outputs are bit-identical across thread counts.
+//! - [`HashBackend`], *row baseline*: the same table on DRAM, charged at
+//!   the row engine's calibrated per-record cost — the Flink-class
+//!   baseline, kept as a measurable floor.
 //!
 //! On top sits the per-window *adaptive* decision ([`decide_backend`]):
 //! a deterministic cardinality/skew sketch of the first KPA plus the
@@ -31,7 +30,7 @@
 
 use std::sync::Arc;
 
-use sbx_kpa::hash::{fib_hash, HashAgg, HashGrouper};
+use sbx_kpa::hash::{HashAgg, HashGrouper};
 use sbx_kpa::mergepath::count_groups;
 use sbx_kpa::sketch::GroupSketch;
 use sbx_kpa::{agg, profile, reduce_keyed, reduce_keyed_scalar, ExecCtx, Kpa};
@@ -49,7 +48,7 @@ pub enum GroupingSpec {
     /// The paper's KPA sort-merge path (default).
     #[default]
     SortMerge,
-    /// Sharded open-addressing hash tables with deterministic drains.
+    /// One open-addressing hash table per window, drained in key order.
     Hash,
     /// Single-table row-engine baseline (measurement floor; never chosen
     /// by the adaptive policy).
@@ -379,21 +378,9 @@ impl GroupingBackend for SortMergeBackend {
 // Hash backends
 // ---------------------------------------------------------------------------
 
-/// Number of hash shards, fixed regardless of thread count so that table
-/// shapes — and therefore every observable byte — are independent of
-/// parallelism. Eight matches the wave-lane width the engine typically
-/// runs grouping at; with fewer threads the pool folds shards onto lanes.
-pub(crate) const SHARD_COUNT: usize = 8;
-
-/// The shard owning `key`: top three bits of the Fibonacci hash (the slot
-/// index within a shard uses the low bits, so the two are independent).
-#[inline]
-fn shard_of(key: u64) -> usize {
-    (fib_hash(key) >> 61) as usize
-}
-
-/// Initial per-shard capacity (slots grow/spill on demand).
-const SHARD_SEED_KEYS: usize = 128;
+/// Initial capacity of a window's table in keys (2 048 slots); the
+/// table grows, and spills as a whole, on demand.
+const SEED_KEYS: usize = 1024;
 
 /// Extra CPU cycles per record the row-engine baseline pays on top of the
 /// hash probe itself (record dispatch, row copies, virtual-call overhead).
@@ -402,12 +389,12 @@ const SHARD_SEED_KEYS: usize = 128;
 /// profile; the two constants are cross-checked by that crate's tests.
 const ROW_ENGINE_EXTRA_CYCLES: f64 = 5_400.0;
 
-/// The sharded charge for `n` pairs: the cardinality-aware probe cost at the
+/// The hashed charge for `n` pairs: the cardinality-aware probe cost at the
 /// *observed* table size (a cache-resident table is cheap, a spilled one
 /// pays the full Figure-2 rate, whatever the adaptive estimate said), plus
 /// one random value dereference per pair (the gather the sort path pays in
 /// its keyed reduction) unless the aggregate only counts.
-fn sharded_ingest_profile(
+fn hashed_ingest_profile(
     n: usize,
     groups: usize,
     tier: MemKind,
@@ -427,14 +414,14 @@ fn row_ingest_profile(n: usize, _groups: usize, tier: MemKind, _count_only: bool
     profile::hash_group(n, tier).cpu(n as f64 * ROW_ENGINE_EXTRA_CYCLES)
 }
 
-/// The hash grouping backend: open-addressing tables (pool-accounted,
-/// growing and tier-spilling on demand) filled over the worker-pool wave
-/// lanes. Its two configurations differ in four values: shard count and
-/// tier (both in `shards`), the charged ingest profile, the snapshot ports.
+/// The hash grouping backend: one open-addressing table (pool-accounted,
+/// growing and tier-spilling on demand). Its two configurations differ in
+/// three values: the table's tier, the charged ingest profile, the
+/// snapshot ports. Every charge reads the tier the table lives on.
 #[derive(Debug)]
 pub(crate) struct HashBackend {
     event: &'static str,
-    shards: Vec<HashGrouper>,
+    table: HashGrouper,
     ingest_profile: fn(usize, usize, MemKind, bool) -> AccessProfile,
     /// Snapshot ports for scalar and value rows.
     ports: (u8, u8),
@@ -442,143 +429,49 @@ pub(crate) struct HashBackend {
 }
 
 impl HashBackend {
-    /// Fresh shard tables at the placement chosen for this task.
-    pub(crate) fn sharded(ctx: &mut OpCtx<'_>, kind: AggKind) -> Result<Self, EngineError> {
+    /// A fresh table at the placement chosen for this task.
+    pub(crate) fn hashed(ctx: &mut OpCtx<'_>, kind: AggKind) -> Result<Self, EngineError> {
         let (tier, prio) = ctx.place();
         Ok(HashBackend {
             event: EV_BACKEND_HASH,
-            shards: Self::tables(ctx, SHARD_COUNT, kind, tier, prio)?,
-            ingest_profile: sharded_ingest_profile,
+            table: HashGrouper::with_mode(ctx.exec(), SEED_KEYS, hash_mode(kind), tier, prio)?,
+            ingest_profile: hashed_ingest_profile,
             ports: (PORT_HASH_SCALAR, PORT_HASH_VALUES),
             records: 0,
         })
     }
 
-    /// The Flink-class row-engine baseline: one DRAM table, serial inserts.
+    /// The Flink-class row-engine baseline: one DRAM table.
     /// Exists to be measured against (the adaptive policy never selects it).
     pub(crate) fn row_baseline(ctx: &mut OpCtx<'_>, kind: AggKind) -> Result<Self, EngineError> {
         Ok(HashBackend {
             event: EV_BACKEND_ROW,
-            shards: Self::tables(ctx, 1, kind, MemKind::Dram, Priority::Normal)?,
+            table: HashGrouper::with_mode(
+                ctx.exec(),
+                SEED_KEYS,
+                hash_mode(kind),
+                MemKind::Dram,
+                Priority::Normal,
+            )?,
             ingest_profile: row_ingest_profile,
             ports: (PORT_ROW_SCALAR, PORT_ROW_VALUES),
             records: 0,
         })
     }
 
-    fn tables(
-        ctx: &mut OpCtx<'_>,
-        n_shards: usize,
-        kind: AggKind,
-        tier: MemKind,
-        prio: Priority,
-    ) -> Result<Vec<HashGrouper>, EngineError> {
-        let mode = hash_mode(kind);
-        let mut shards: Vec<HashGrouper> = Vec::new();
-        for _ in 0..n_shards {
-            shards.push(HashGrouper::with_mode(
-                ctx.exec(),
-                SHARD_SEED_KEYS,
-                mode,
-                tier,
-                prio,
-            )?);
-        }
-        Ok(shards)
-    }
-
-    fn groups(&self) -> usize {
-        self.shards.iter().map(HashGrouper::len).sum()
-    }
-
-    fn table_kind(&self) -> MemKind {
-        self.shards.first().map_or(MemKind::Dram, HashGrouper::kind)
-    }
-
-    fn mode(&self) -> HashAgg {
-        self.shards
-            .first()
-            .map_or(HashAgg::SumCount, HashGrouper::mode)
-    }
-
-    /// The shard owning `key` (always 0 for the single-table baseline).
-    fn shard_index(&self, key: u64) -> usize {
-        if self.shards.len() > 1 {
-            shard_of(key)
-        } else {
-            0
-        }
-    }
-
     /// Charges the walk over every slot that a drain or snapshot makes.
     fn charge_drain(&self, ctx: &mut OpCtx<'_>) {
-        let slots = self.shards.iter().map(HashGrouper::slots).sum();
-        let prof = profile::hash_drain(slots, self.groups(), self.table_kind());
+        let t = &self.table;
+        let prof = profile::hash_drain(t.slots(), t.len(), t.kind());
         ctx.charged(16, |e| e.charge(&prof));
     }
 
-    /// Gathers this KPA's `(key, value)` pairs by shard. `Count` reads no
-    /// values (the hash advantage the adaptive policy exploits).
-    fn gather(&self, kpa: &Kpa, p: &AggParams) -> Vec<Vec<(u64, u64)>> {
-        let mut parts: Vec<Vec<(u64, u64)>> = Vec::new();
-        for _ in 0..self.shards.len() {
-            parts.push(Vec::new());
-        }
-        let keys = kpa.keys();
-        let count_only = p.count_only();
-        let records = kpa.resolver();
-        for (i, &k) in keys.iter().enumerate() {
-            let v = if count_only {
-                0
-            } else {
-                records.value(i, p.value_col)
-            };
-            parts[self.shard_index(k)].push((k, v));
-        }
-        parts
-    }
-
-    /// Inserts pre-gathered pairs shard by shard, in shard order.
-    fn insert(&mut self, parts: Vec<Vec<(u64, u64)>>) -> Result<(), EngineError> {
-        for (table, pairs) in self.shards.iter_mut().zip(parts) {
-            for (k, v) in pairs {
-                table.try_insert(k, v)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Every shard's `(key, sum, count)` entries, globally key-sorted.
-    fn scalar_entries(&self) -> Vec<(u64, u64, u64)> {
-        let mut entries: Vec<(u64, u64, u64)> = Vec::new();
-        for sh in &self.shards {
-            for e in sh.iter() {
-                entries.push(e);
-            }
-        }
-        entries.sort_unstable_by_key(|e| e.0);
-        entries
-    }
-
-    /// Every shard's `(key, values in insertion order)` entries, globally
-    /// key-sorted.
-    fn value_entries(&self) -> Vec<(u64, Vec<u64>)> {
-        let mut entries: Vec<(u64, Vec<u64>)> = Vec::new();
-        for sh in &self.shards {
-            for e in sh.drain_values_sorted() {
-                entries.push(e);
-            }
-        }
-        entries.sort_unstable_by_key(|e| e.0);
-        entries
-    }
-
-    /// Drains every shard into globally key-sorted output rows via
-    /// [`emit_group`], matching the sort path's ascending-key emission.
+    /// Drains the table into key-sorted output rows via [`emit_group`],
+    /// matching the sort path's ascending-key emission.
     fn drain(&self, p: &AggParams, start: u64, rows: &mut Vec<u64>) -> u64 {
-        match self.mode() {
+        match self.table.mode() {
             HashAgg::SumCount => {
-                let entries = self.scalar_entries();
+                let entries = self.table.drain_sorted();
                 for &(k, s, c) in &entries {
                     match p.kind {
                         AggKind::Count => rows.extend_from_slice(&[k, c, start]),
@@ -589,7 +482,7 @@ impl HashBackend {
                 entries.len() as u64
             }
             HashAgg::Values => {
-                let entries = self.value_entries();
+                let entries = self.table.drain_values_sorted();
                 for (k, vals) in &entries {
                     emit_group(p.kind, *k, vals, start, rows);
                 }
@@ -610,9 +503,20 @@ impl GroupingBackend for HashBackend {
             return Ok(());
         }
         self.records += n as u64;
-        let parts = self.gather(&kpa, p);
-        self.insert(parts)?;
-        let prof = (self.ingest_profile)(n, self.groups(), self.table_kind(), p.count_only());
+        // `Count` reads no values (the hash advantage the adaptive policy
+        // exploits).
+        let count_only = p.count_only();
+        let records = kpa.resolver();
+        for (i, &k) in kpa.keys().iter().enumerate() {
+            let v = if count_only {
+                0
+            } else {
+                records.value(i, p.value_col)
+            };
+            self.table.try_insert(k, v)?;
+        }
+        let t = &self.table;
+        let prof = (self.ingest_profile)(n, t.len(), t.kind(), count_only);
         ctx.charged(16, |e| e.charge(&prof));
         Ok(())
     }
@@ -645,15 +549,15 @@ impl GroupingBackend for HashBackend {
     ) -> Result<(), EngineError> {
         self.charge_drain(ctx);
         let mut rows: Vec<u64> = Vec::new();
-        let port = match self.mode() {
+        let port = match self.table.mode() {
             HashAgg::SumCount => {
-                for (k, s, c) in self.scalar_entries() {
+                for (k, s, c) in self.table.drain_sorted() {
                     rows.extend_from_slice(&[k, s, c]);
                 }
                 self.ports.0
             }
             HashAgg::Values => {
-                for (k, vals) in self.value_entries() {
+                for (k, vals) in self.table.drain_values_sorted() {
                     for v in vals {
                         rows.extend_from_slice(&[k, v, 0]);
                     }
@@ -669,15 +573,14 @@ impl GroupingBackend for HashBackend {
     /// the inserts (which rebuilds the scalar lanes too). Restores the
     /// exact record count.
     fn restore_entry(&mut self, _ctx: &mut OpCtx<'_>, e: &StateEntry) -> Result<(), EngineError> {
-        let scalar = self.mode() == HashAgg::SumCount;
+        let scalar = self.table.mode() == HashAgg::SumCount;
         for chunk in e.rows.chunks_exact(3) {
             let (k, a, b) = (chunk[0], chunk[1], chunk[2]);
-            let sh = self.shard_index(k);
             if scalar {
-                self.shards[sh].merge_entry(k, a, b)?;
+                self.table.merge_entry(k, a, b)?;
                 self.records += b;
             } else {
-                self.shards[sh].try_insert(k, a)?;
+                self.table.try_insert(k, a)?;
                 self.records += 1;
             }
         }
@@ -721,7 +624,7 @@ impl AdaptState {
 pub(crate) enum BackendChoice {
     /// KPA sort-merge.
     Sort,
-    /// Sharded hash.
+    /// One hash table.
     Hash,
     /// Single-table row-engine baseline.
     Row,
@@ -738,7 +641,7 @@ impl BackendChoice {
             // sbx-lint: allow(raw-alloc, one boxed backend per window)
             BackendChoice::Sort => Box::new(SortMergeBackend::new()),
             // sbx-lint: allow(raw-alloc, one boxed backend per window)
-            BackendChoice::Hash => Box::new(HashBackend::sharded(ctx, kind)?),
+            BackendChoice::Hash => Box::new(HashBackend::hashed(ctx, kind)?),
             // sbx-lint: allow(raw-alloc, one boxed backend per window)
             BackendChoice::Row => Box::new(HashBackend::row_baseline(ctx, kind)?),
         })
@@ -876,7 +779,7 @@ mod tests {
             };
             let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
             let mut sort_b = SortMergeBackend::new();
-            let mut hash_b = HashBackend::sharded(&mut ctx, kind).unwrap();
+            let mut hash_b = HashBackend::hashed(&mut ctx, kind).unwrap();
             let mut row_b = HashBackend::row_baseline(&mut ctx, kind).unwrap();
             for chunk in pairs.chunks(100) {
                 let kpa = mk_kpa(&env, &mut ctx, chunk);
@@ -905,7 +808,7 @@ mod tests {
                 early: false,
             };
             let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
-            let mut orig = HashBackend::sharded(&mut ctx, kind).unwrap();
+            let mut orig = HashBackend::hashed(&mut ctx, kind).unwrap();
             let pairs: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 23, i)).collect();
             let kpa = mk_kpa(&env, &mut ctx, &pairs);
             orig.ingest(&mut ctx, kpa, &p).unwrap();
@@ -914,7 +817,7 @@ mod tests {
             orig.snapshot(&mut ctx, 0, &mut entries).unwrap();
             assert_eq!(entries.len(), 1);
 
-            let mut restored = HashBackend::sharded(&mut ctx, kind).unwrap();
+            let mut restored = HashBackend::hashed(&mut ctx, kind).unwrap();
             restored.restore_entry(&mut ctx, &entries[0]).unwrap();
             assert_eq!(restored.records(), orig.records());
             assert_eq!(
@@ -923,6 +826,37 @@ mod tests {
                 "restore must reproduce close bytes for {kind:?}"
             );
         }
+    }
+
+    /// A table that outgrows HBM spills as a whole, and the ingest charge
+    /// reads the tier it lives on: the probes that miss cache land on DRAM.
+    #[test]
+    fn hash_table_is_charged_at_the_tier_it_lives_on() {
+        let mut machine = MachineConfig::knl().scaled(0.01);
+        machine.hbm.capacity_bytes = 1 << 20;
+        let env = MemEnv::new(machine);
+        let mut bal = DemandBalancer::new();
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let p = AggParams {
+            kind: AggKind::Count,
+            value_col: Col(1),
+            early: false,
+        };
+        let mut hash_b = HashBackend::hashed(&mut ctx, p.kind).unwrap();
+        assert_eq!(hash_b.table.kind(), MemKind::Hbm, "a fresh table fits HBM");
+        // 600 k groups: a table past both HBM and the cache-resident budget.
+        let pairs: Vec<(u64, u64)> = (0..600_000u64).map(|k| (k, 0)).collect();
+        let kpa = mk_kpa(&env, &mut ctx, &pairs);
+        ctx.take_profile();
+        hash_b.ingest(&mut ctx, kpa, &p).unwrap();
+        assert_eq!(
+            hash_b.table.kind(),
+            MemKind::Dram,
+            "the grown table spilled"
+        );
+        let charged = ctx.take_profile();
+        assert_eq!(charged.rand_accesses[MemKind::Hbm.index()], 0.0);
+        assert!(charged.rand_accesses[MemKind::Dram.index()] > 0.0);
     }
 
     #[test]

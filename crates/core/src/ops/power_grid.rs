@@ -54,6 +54,11 @@ impl WindowLogic for PowerGridLogic {
         "PowerGrid"
     }
 
+    /// The winning houses are picked against a global average load.
+    fn keyed(&self) -> bool {
+        false
+    }
+
     fn arrive(
         &mut self,
         ctx: &mut OpCtx<'_>,

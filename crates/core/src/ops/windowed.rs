@@ -175,6 +175,11 @@ pub(crate) trait WindowLogic: Send + Sized {
     /// Operator name for diagnostics.
     fn name(&self) -> &'static str;
 
+    /// See [`Operator::keyed`].
+    fn keyed(&self) -> bool {
+        true
+    }
+
     /// Runs the arrival primitives on `kpa`, which came in on `port` for
     /// the window starting at `start`, leaving their result in `state`.
     fn arrive(
@@ -281,6 +286,10 @@ impl<L: WindowLogic<State = S>, S> std::fmt::Debug for Windowed<L, S> {
 impl<L: WindowLogic<State = S>, S: WindowStore<L>> Operator for Windowed<L, S> {
     fn name(&self) -> &'static str {
         self.logic.name()
+    }
+
+    fn keyed(&self) -> bool {
+        self.logic.keyed()
     }
 
     fn on_message(

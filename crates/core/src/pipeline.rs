@@ -52,6 +52,15 @@ impl Pipeline {
         self.ops.iter().map(OpNode::name).collect()
     }
 
+    /// The first operator that aggregates across keys
+    /// ([`Operator::keyed`]), which a key-sharded run cannot split.
+    pub fn unkeyed_op(&self) -> Option<&'static str> {
+        self.ops.iter().find_map(|op| match op {
+            OpNode::Stateful(op) if !op.keyed() => Some(op.name()),
+            _ => None,
+        })
+    }
+
     pub(crate) fn ops_mut(&mut self) -> &mut [OpNode] {
         &mut self.ops
     }

@@ -219,7 +219,7 @@ impl HashGrouper {
     }
 
     /// Folds a pre-aggregated `(sum, count)` partial into `key`'s slot —
-    /// the checkpoint-restore and shard-merge path for scalar tables.
+    /// the checkpoint-restore path for scalar tables.
     ///
     /// # Errors
     ///

@@ -295,7 +295,7 @@ impl<'a> Resolver<'a> {
 /// // Two records: (key, value, ts).
 /// let bundle = RecordBundle::from_rows(&env, Schema::kvt(), &[2, 20, 0, 1, 10, 1])?;
 /// let mut kpa = Kpa::extract(&mut ctx, &bundle, Col(0), MemKind::Hbm, Priority::Normal)?;
-/// kpa.sort(&mut ctx, 2)?;
+/// kpa.sort(&mut ctx, 1)?;
 /// assert_eq!(kpa.keys(), &[1, 2]);
 /// let mut sums = Vec::new();
 /// reduce_keyed(&mut ctx, &kpa, Col(1), |g| sums.push((g.key, g.values[0])));
@@ -851,16 +851,6 @@ impl Kpa {
     pub(crate) fn keys_mut_parts(&mut self) -> (&mut Vec<u64>, &mut Vec<u64>) {
         // PoolVec derefs to Vec<u64>; split borrows for the sorter.
         (&mut self.keys, &mut self.ptrs)
-    }
-
-    /// Swaps this KPA's pair buffers with equally-sized scratch buffers on
-    /// the *same tier* (the sorter's zero-copy "adopt the merge output"
-    /// move; the old buffers drop with the scratch handles).
-    pub(crate) fn swap_pair_bufs(&mut self, keys: &mut PoolVec, ptrs: &mut PoolVec) {
-        debug_assert_eq!(self.keys.len(), keys.len());
-        debug_assert_eq!(self.keys.kind(), keys.kind());
-        std::mem::swap(&mut self.keys, keys);
-        std::mem::swap(&mut self.ptrs, ptrs);
     }
 
     pub(crate) fn set_sorted(&mut self, sorted: bool) {

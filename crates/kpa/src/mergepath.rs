@@ -11,10 +11,8 @@
 //! Two rank orders are supported:
 //!
 //! * [`RankBy::Compound`] — the full `(key, ptr)` pair as a 128-bit value.
-//!   `Kpa::sort` canonicalizes on this total order, which makes the sorted
-//!   output *bit-identical for any thread/chunk count*: the output is the
-//!   multiset of pairs in compound order, independent of how the input was
-//!   chunked.
+//!   `Kpa::sort` sorts in this total order, so its output is the multiset
+//!   of pairs in compound order, independent of how the input was chunked.
 //! * [`RankBy::Key`] — the resident key only, ties resolved by run index
 //!   (run 0's equal keys precede run 1's). This reproduces the sequential
 //!   "left input wins ties" merge exactly, so it applies to KPAs that are

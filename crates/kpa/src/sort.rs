@@ -1,6 +1,6 @@
-use sbx_simmem::{AllocError, MemPool, PoolVec, Priority};
+use sbx_simmem::AllocError;
 
-use crate::mergepath::{self, RankBy, Run};
+use crate::mergepath::RankBy;
 use crate::radix::{self, Digits};
 use crate::{profile, ExecCtx, Kpa, PrimGroup};
 
@@ -8,9 +8,7 @@ use crate::{profile, ExecCtx, Kpa, PrimGroup};
 /// *compound* `(key, ptr)` order — the canonical total order [`Kpa::sort`]
 /// sorts in — so chunk sorting commutes with chunking: any partition of
 /// the input into chunks, sorted here and k-way merged in compound order,
-/// yields the same byte-identical array. That property is what makes the
-/// merge-path sort deterministic across thread counts (see
-/// [`crate::mergepath`]).
+/// yields the same byte-identical array.
 ///
 /// The host runs one stable radix sort (`radix.rs`) over the digits on
 /// which the chunk's pairs disagree — three passes for 4 M distinct keys,
@@ -50,164 +48,32 @@ pub fn sort_pairs(keys: &mut [u64], ptrs: &mut [u64]) {
     digits.sort((keys, ptrs), (scratch_keys, scratch_ptrs), RankBy::Compound);
 }
 
-/// A unit of sorter work shipped to the worker pool. One pool scope
-/// services both phases of a sort: chunk jobs sort disjoint slices of the
-/// KPA in place and *return the borrows* so the orchestrating thread can
-/// re-read them as merge inputs; span jobs then k-way merge every chunk
-/// into one claimed slice of the scratch output (merge-path
-/// co-partitioning, see [`crate::mergepath`]).
-enum Job<'x> {
-    Chunk {
-        keys: &'x mut [u64],
-        ptrs: &'x mut [u64],
-    },
-    Span {
-        runs: Vec<Run<'x>>,
-        lo: Vec<usize>,
-        hi: Vec<usize>,
-        out_keys: &'x mut [u64],
-        out_ptrs: &'x mut [u64],
-    },
-}
-
-enum Out<'x> {
-    Chunk(&'x mut [u64], &'x mut [u64]),
-    Done,
-}
-
-fn run_job<'x>(job: Job<'x>) -> Out<'x> {
-    match job {
-        Job::Chunk { keys, ptrs } => {
-            sort_pairs(keys, ptrs);
-            Out::Chunk(keys, ptrs)
-        }
-        Job::Span {
-            runs,
-            lo,
-            hi,
-            out_keys,
-            out_ptrs,
-        } => {
-            mergepath::merge_span(&runs, &lo, &hi, RankBy::Compound, out_keys, out_ptrs);
-            Out::Done
-        }
-    }
-}
-
-/// A pair of `n`-slot buffers on `pool`, or `None` where they do not fit.
-fn scratch_pair(pool: &MemPool, n: usize) -> Option<(PoolVec, PoolVec)> {
-    let buf = || pool.alloc_u64(n, Priority::Normal).ok();
-    Some((buf()?, buf()?))
-}
-
 impl Kpa {
-    /// **Sort** (Table 2): sorts the KPA by resident key with a
-    /// multi-threaded single-pass merge-sort (paper §4.2).
+    /// **Sort** (Table 2): sorts the KPA by resident key, in place, with
+    /// the chunk kernel [`sort_pairs`] (one read+write pass) on one lane.
     ///
-    /// The input is split into `threads` chunks, each sorted in place with
-    /// the chunk kernel [`sort_pairs`] (one read+write pass), then all chunks
-    /// are merged KPA→scratch in *one* k-way pass: each worker
-    /// binary-searches the merge path to claim an equal output span, so
-    /// every thread cooperates on the single merge and no pairwise
-    /// ping-pong rounds (or serial final merge) remain. Scratch is
-    /// allocated on the KPA's tier and the sorted scratch is adopted as the
-    /// KPA's buffers; with `threads == 1` the sort runs fully in place and
-    /// allocates no pool scratch at all. Scratch never spills: where the
-    /// KPA's tier cannot hold it, the sort runs in place on one lane, so
-    /// the lane count never moves a byte between tiers or counts a spill.
+    /// StreamBox parallelises across bundles and windows (paper §3,
+    /// §4.2), not inside one bundle's sort, so the sort allocates no pool
+    /// scratch, never spills, and moves no byte between tiers.
     ///
     /// The sort order is the *compound* `(key, ptr)` order, so the result
-    /// is byte-identical for every `threads` value.
+    /// is byte-identical to any chunked sort merged in that order.
+    ///
+    /// The lane count `_threads` is ignored. It stays so that callers
+    /// written against the multi-lane sort this replaced keep compiling.
     ///
     /// # Errors
     ///
-    /// None: a sort that gets no scratch runs in place. The `Result` stays
-    /// for the callers that propagate it.
-    pub fn sort(&mut self, ctx: &mut ExecCtx, threads: usize) -> Result<(), AllocError> {
+    /// None. The `Result` stays for the callers that propagate it.
+    pub fn sort(&mut self, ctx: &mut ExecCtx, _threads: usize) -> Result<(), AllocError> {
         let n = self.len();
         if self.is_sorted() || n <= 1 {
             self.set_sorted(true);
             return Ok(());
         }
-        let threads = threads.clamp(1, n);
         let kind = self.kind();
-
-        if threads == 1 {
-            // Single run: sort in place, no scratch allocation, no merge.
-            let (keys, ptrs) = self.keys_mut_parts();
-            sort_pairs(keys, ptrs);
-            ctx.charge_as(PrimGroup::Sort, &profile::sort(n, kind));
-            self.set_sorted(true);
-            return Ok(());
-        }
-
-        // One scratch pair for the single merge pass (no ping-pong),
-        // capacity-accounted like the KPA itself.
-        let Some((mut sk, mut sp)) = scratch_pair(ctx.env().pool(kind), n) else {
-            return self.sort(ctx, 1);
-        };
-        sk.resize(n, 0);
-        sp.resize(n, 0);
-
-        {
-            let pool = ctx.pool();
-            let (keys, ptrs) = self.keys_mut_parts();
-            let chunk = n.div_ceil(threads);
-            pool.scope(threads, run_job, |waves| {
-                // Phase 1: sort chunks in parallel, in place.
-                // sbx-lint: allow(raw-alloc, per-invocation job list of borrowed slices)
-                let mut jobs: Vec<Job<'_>> = Vec::with_capacity(threads);
-                {
-                    let (mut kr, mut pr) = (&mut keys[..], &mut ptrs[..]);
-                    while !kr.is_empty() {
-                        let len = chunk.min(kr.len());
-                        let (kh, kt) = kr.split_at_mut(len);
-                        let (ph, pt) = pr.split_at_mut(len);
-                        jobs.push(Job::Chunk { keys: kh, ptrs: ph });
-                        kr = kt;
-                        pr = pt;
-                    }
-                }
-                // sbx-lint: allow(raw-alloc, per-invocation run list; pair data stays in pool buffers)
-                let mut runs: Vec<Run<'_>> = Vec::with_capacity(threads);
-                for out in waves.run(jobs) {
-                    if let Out::Chunk(k, p) = out {
-                        runs.push(Run { keys: k, ptrs: p });
-                    }
-                }
-
-                // Phase 2: one k-way merge pass, co-partitioned so every
-                // worker claims an equal span of the output.
-                let cuts = mergepath::plan_spans(&runs, RankBy::Compound, threads);
-                // sbx-lint: allow(raw-alloc, per-invocation span-job list of borrowed slices)
-                let mut spans: Vec<Job<'_>> = Vec::with_capacity(threads);
-                {
-                    let (mut okr, mut opr) = (&mut sk[..], &mut sp[..]);
-                    let mut done = 0usize;
-                    for p in 0..threads {
-                        let next = mergepath::span_rank(n, threads, p + 1);
-                        let len = next - done;
-                        let (kh, kt) = okr.split_at_mut(len);
-                        let (ph, pt) = opr.split_at_mut(len);
-                        spans.push(Job::Span {
-                            runs: runs.clone(),
-                            lo: cuts[p].clone(),
-                            hi: cuts[p + 1].clone(),
-                            out_keys: kh,
-                            out_ptrs: ph,
-                        });
-                        okr = kt;
-                        opr = pt;
-                        done = next;
-                    }
-                }
-                waves.run(spans);
-            });
-        }
-
-        // Adopt the merged scratch as the KPA's buffers (zero copy).
-        self.swap_pair_bufs(&mut sk, &mut sp);
-
+        let (keys, ptrs) = self.keys_mut_parts();
+        sort_pairs(keys, ptrs);
         ctx.charge_as(PrimGroup::Sort, &profile::sort(n, kind));
         self.set_sorted(true);
         Ok(())
@@ -313,28 +179,33 @@ mod tests {
         let env = env();
         let mut ctx = ExecCtx::new(&env);
         let mut kpa = kpa_of(&env, &mut ctx, &[5, 3, 9, 1, 2, 8, 0, 7]);
-        let before = env.pool(MemKind::Hbm).used_bytes();
+        let hbm = env.pool(MemKind::Hbm);
+        let (before, allocs) = (hbm.used_bytes(), hbm.stats().total_allocs);
         kpa.sort(&mut ctx, 1).unwrap();
         assert_eq!(
-            env.pool(MemKind::Hbm).used_bytes(),
+            hbm.used_bytes(),
             before,
             "threads == 1 sorts in place without scratch buffers"
         );
+        assert_eq!(hbm.stats().total_allocs, allocs);
         assert_eq!(kpa.keys(), &[0, 1, 2, 3, 5, 7, 8, 9]);
     }
 
     #[test]
-    fn parallel_sort_uses_one_scratch_pair() {
+    fn parallel_sort_allocates_no_scratch() {
         let env = env();
         let mut ctx = ExecCtx::new(&env);
         let mut kpa = kpa_of(&env, &mut ctx, &[5, 3, 9, 1, 2, 8, 0, 7]);
-        let before = env.pool(MemKind::Hbm).used_bytes();
-        kpa.sort(&mut ctx, 4).unwrap();
-        // One scratch pair (== the KPA's own footprint) at the peak, and
-        // nothing of it left accounted afterwards.
         let hbm = env.pool(MemKind::Hbm);
+        let (before, allocs) = (hbm.used_bytes(), hbm.stats().total_allocs);
+        let high_water = hbm.stats().high_water_bytes;
+        kpa.sort(&mut ctx, 4).unwrap();
+        // A lane count above one sorts in place too: no scratch pair is
+        // allocated, so the pool's peak does not move.
         assert_eq!(hbm.used_bytes(), before);
-        assert_eq!(hbm.stats().high_water_bytes, before + kpa.footprint_bytes());
+        assert_eq!(hbm.stats().total_allocs, allocs);
+        assert_eq!(hbm.stats().high_water_bytes, high_water);
+        assert_eq!(kpa.keys(), &[0, 1, 2, 3, 5, 7, 8, 9]);
     }
 
     #[test]
@@ -352,8 +223,7 @@ mod tests {
         assert_eq!(kpa.kind(), MemKind::Hbm, "KPA stays on its tier");
         let expect: Vec<u64> = (0..2000).collect();
         assert_eq!(kpa.keys(), &expect[..]);
-        // The lanes' scratch is no placement: nothing spilled, and the
-        // DRAM pool never held a byte of it.
+        // Nothing spilled, and the DRAM pool never held a byte.
         assert_eq!(env.spill_count(), 0);
         let stats = env.pool(MemKind::Dram).stats();
         assert_eq!(stats.high_water_bytes, dram);

@@ -1,26 +1,23 @@
-//! A small reusable *scoped* worker pool for the grouping kernels.
+//! A small *scoped* worker pool for the two kernels that fan out: the
+//! window-close k-way merge (`sbx_kpa::mergepath::merge_runs_pooled`) and
+//! the join scan (`sbx_kpa::join_sorted`).
 //!
-//! The paper's primitives (§4.2) run every phase of a sort/merge/join on
-//! all worker threads. Before this crate, each phase spawned its own
-//! `std::thread::scope` threads — a sort paid one spawn set for the chunk
-//! phase plus one per pairwise merge round. [`WorkerPool::scope`] spawns
-//! the workers **once per primitive invocation** and then feeds them any
-//! number of *waves* of jobs over channels, so a single-pass merge-path
-//! sort costs one spawn set for both of its phases, and `threads == 1`
-//! runs everything inline with zero spawns.
+//! StreamBox parallelises across bundles and windows (paper §3, §4.2);
+//! every per-bundle primitive runs on one lane. What is left to spread is
+//! one batch of independent jobs per kernel call, so [`WorkerPool::run`] is
+//! one `std::thread::scope` call: it deals job `i` to lane `i % lanes`
+//! (lane 0 is the caller), joins every lane, and returns the outputs in
+//! job order. `width == 1` runs everything inline with zero spawns.
 //!
-//! The workspace forbids `unsafe_code`, which rules out the
-//! crossbeam-style lifetime erasure a *persistent* (cross-invocation)
-//! pool needs. Instead, jobs are ordinary typed values: the caller picks
-//! a job type `J` (usually an enum of borrowed slices), the pool moves
-//! jobs to workers and results back over `std::sync::mpsc` channels, and
-//! the borrow checker sees every hand-off. Borrowed buffers therefore
-//! must outlive the [`WorkerPool::scope`] call — exactly the guarantee
-//! `std::thread::scope` already enforces.
+//! The workspace forbids `unsafe_code`, which rules out the lifetime
+//! erasure a *persistent* (cross-invocation) pool over borrowed slices
+//! needs. Jobs are ordinary typed values, usually tuples of borrowed
+//! slices, and the borrow checker sees every hand-off: borrowed buffers
+//! must outlive the [`WorkerPool::run`] call, exactly the guarantee
+//! `std::thread::scope` enforces.
 //!
-//! The pool also centralizes spawn accounting: [`WorkerPool::stats`]
-//! reports how many OS threads, waves, and jobs a run consumed, which the
-//! `kernel_scaling` bench uses to show the amortization.
+//! [`WorkerPool::stats`] reports how many OS threads and jobs the calls
+//! consumed, which the `kernel_scaling` bench prints.
 //!
 //! # Example
 //!
@@ -30,13 +27,13 @@
 //! let pool = WorkerPool::new(4);
 //! let mut data = [3u64, 1, 2, 7, 5, 4];
 //! let halves: Vec<&mut [u64]> = data.chunks_mut(3).collect();
-//! let sorted: Vec<&mut [u64]> = pool.scope(
+//! let sorted = pool.run(
 //!     2,
 //!     |chunk: &mut [u64]| {
 //!         chunk.sort_unstable();
 //!         chunk
 //!     },
-//!     |waves| waves.run(halves),
+//!     halves,
 //! );
 //! assert_eq!(sorted[0], &[1, 2, 3]);
 //! assert_eq!(sorted[1], &[4, 5, 7]);
@@ -46,31 +43,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// sbx-lint: allow-file(atomic-ordering, wave/job diagnostics counters; read at quiescence after the scope joins)
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+// sbx-lint: allow-file(atomic-ordering, diagnostics counters; read at quiescence after a run joins)
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-/// Counters accumulated across every [`WorkerPool::scope`] call sharing
+/// Counters accumulated across every [`WorkerPool::run`] call sharing
 /// the same pool handle (clones share counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
-    /// Scoped invocations (one per primitive call that went parallel).
-    pub scopes: u64,
     /// OS threads spawned in total (the caller lane is never spawned).
     pub threads_spawned: u64,
-    /// Barrier-synchronized job waves executed.
-    pub waves: u64,
     /// Individual jobs executed (on workers or the caller lane).
     pub jobs: u64,
 }
 
 #[derive(Debug, Default)]
 struct StatCells {
-    scopes: AtomicU64,
     threads_spawned: AtomicU64,
-    waves: AtomicU64,
     jobs: AtomicU64,
 }
 
@@ -78,8 +68,8 @@ struct StatCells {
 ///
 /// Cloning is cheap and clones share statistics; the engine creates one
 /// pool per run and threads a clone through every task's `ExecCtx`, so
-/// all primitives draw on the same accounting. The pool spawns no
-/// threads until [`WorkerPool::scope`] is invoked with `width > 1`.
+/// all kernels draw on the same accounting. The pool spawns no threads
+/// until [`WorkerPool::run`] is invoked with `width > 1`.
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     width: usize,
@@ -88,8 +78,7 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// A pool whose *default* parallel width is `width` lanes (clamped to
-    /// at least 1). Primitives without an explicit thread parameter use
-    /// this width.
+    /// at least 1). Kernels without an explicit lane count use this width.
     pub fn new(width: usize) -> Self {
         WorkerPool {
             width: width.max(1),
@@ -110,169 +99,60 @@ impl WorkerPool {
     /// A snapshot of the accumulated counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            scopes: self.stats.scopes.load(Ordering::Relaxed),
             threads_spawned: self.stats.threads_spawned.load(Ordering::Relaxed),
-            waves: self.stats.waves.load(Ordering::Relaxed),
             jobs: self.stats.jobs.load(Ordering::Relaxed),
         }
     }
 
-    /// Spawns `width - 1` worker threads (the caller is the remaining
-    /// lane), runs `f` with a [`Waves`] handle that can execute any
-    /// number of job waves on those same threads, and joins them before
-    /// returning `f`'s result.
+    /// Runs `jobs` on `width` lanes (at most one per job) and returns the
+    /// outputs in job order.
     ///
-    /// `worker` executes one job and returns its output; job outputs are
-    /// handed back to the wave issuer in job order, which is how phases
-    /// return borrowed slices to the orchestrating thread (see the sort
-    /// kernel). With `width <= 1` no threads are spawned and every wave
-    /// runs inline.
-    pub fn scope<J, O, R, W, F>(&self, width: usize, worker: W, f: F) -> R
-    where
-        J: Send,
-        O: Send,
-        W: Fn(J) -> O + Sync,
-        F: FnOnce(&Waves<'_, J, O>) -> R,
-    {
-        let width = width.max(1);
-        self.stats.scopes.fetch_add(1, Ordering::Relaxed);
-        if width == 1 {
-            let waves = Waves {
-                remotes: Vec::new(),
-                collector: None,
-                worker: &worker,
-                stats: &self.stats,
-            };
-            return f(&waves);
-        }
-
-        self.stats
-            .threads_spawned
-            .fetch_add(width as u64 - 1, Ordering::Relaxed);
-        let (back_tx, back_rx) = std::sync::mpsc::channel::<(usize, std::thread::Result<O>)>();
-        // sbx-lint: allow(raw-alloc, width-1 channel handles per scope; job data stays in caller buffers)
-        let mut remotes: Vec<Sender<(usize, J)>> = Vec::with_capacity(width - 1);
-        std::thread::scope(|s| {
-            for _ in 1..width {
-                let (tx, rx) = std::sync::mpsc::channel::<(usize, J)>();
-                remotes.push(tx);
-                let back = back_tx.clone();
-                let worker = &worker;
-                s.spawn(move || {
-                    while let Ok((idx, job)) = rx.recv() {
-                        // A panicking job travels back as its payload: the
-                        // issuer is blocked on this channel and re-raises it.
-                        let out = catch_unwind(AssertUnwindSafe(|| worker(job)));
-                        if back.send((idx, out)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            let waves = Waves {
-                remotes,
-                collector: Some(back_rx),
-                worker: &worker,
-                stats: &self.stats,
-            };
-            f(&waves)
-            // `waves` (and with it every job sender) drops here, so the
-            // workers' `recv` loops end and the scope joins them.
-        })
-    }
-
-    /// Convenience for single-wave primitives: spawn, run one wave of
-    /// `jobs` at `width` lanes, join, and return the outputs in job
-    /// order.
+    /// Job `i` runs on lane `i % lanes`; lane 0 is the calling thread, the
+    /// others are spawned for this call and joined before it returns.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises, on the calling thread, the panic of any job.
     pub fn run<J, O, W>(&self, width: usize, worker: W, jobs: Vec<J>) -> Vec<O>
     where
         J: Send,
         O: Send,
         W: Fn(J) -> O + Sync,
     {
-        self.scope(width.min(jobs.len().max(1)), worker, |waves| {
-            waves.run(jobs)
-        })
-    }
-}
-
-/// Wave issuer handed to the closure of [`WorkerPool::scope`]: each
-/// [`Waves::run`] call scatters jobs across the already-spawned workers
-/// (plus the caller lane), blocks until all of them finish, and returns
-/// their outputs in job order — a barrier between kernel phases that
-/// costs no thread spawns.
-pub struct Waves<'w, J, O> {
-    remotes: Vec<Sender<(usize, J)>>,
-    collector: Option<Receiver<(usize, std::thread::Result<O>)>>,
-    worker: &'w (dyn Fn(J) -> O + Sync),
-    stats: &'w StatCells,
-}
-
-impl<J, O> Waves<'_, J, O> {
-    /// Executes one wave of jobs, returning outputs in job order.
-    ///
-    /// Jobs are dealt round-robin: job `i` runs on lane `i % lanes`,
-    /// lane 0 being the calling thread itself, so a wave of `lanes` jobs
-    /// runs one job per thread.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises, on the calling thread, the panic of any job of the wave.
-    pub fn run(&self, jobs: Vec<J>) -> Vec<O> {
         let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        self.stats.waves.fetch_add(1, Ordering::Relaxed);
+        let lanes = width.clamp(1, n.max(1));
         self.stats.jobs.fetch_add(n as u64, Ordering::Relaxed);
-        let lanes = self.remotes.len() + 1;
-
-        // sbx-lint: allow(raw-alloc, one output slot per job of the wave)
-        let mut out: Vec<Option<O>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        // sbx-lint: allow(raw-alloc, caller-lane job list, at most n/lanes entries)
-        let mut own: Vec<(usize, J)> = Vec::with_capacity(n.div_ceil(lanes));
-        let mut remote_count = 0usize;
+        self.stats
+            .threads_spawned
+            .fetch_add(lanes as u64 - 1, Ordering::Relaxed);
+        let mut dealt: Vec<Vec<J>> = Vec::new();
+        dealt.resize_with(lanes, Vec::new);
         for (i, job) in jobs.into_iter().enumerate() {
-            let lane = i % lanes;
-            if lane == 0 {
-                own.push((i, job));
-            } else if self.remotes[lane - 1].send((i, job)).is_ok() {
-                remote_count += 1;
-            } else {
-                // Worker gone, which a panicking job no longer causes:
-                // stop feeding it.
-                // sbx-lint: allow(no-panic, surfacing a worker-thread panic on the issuing thread)
-                panic!("pool worker terminated before the wave completed");
+            dealt[i % lanes].push(job);
+        }
+        // sbx-lint: allow(raw-alloc, one output list per lane; job data stays in caller buffers)
+        let work = |lane: Vec<J>| -> Vec<O> { lane.into_iter().map(&worker).collect() };
+        let mut dealt = dealt.into_iter();
+        let own = dealt.next().unwrap_or_default();
+        let mut outs = Vec::new();
+        std::thread::scope(|s| {
+            // sbx-lint: allow(raw-alloc, lanes - 1 join handles per run)
+            let handles: Vec<_> = dealt.map(|lane| s.spawn(move || work(lane))).collect();
+            outs.push(work(own).into_iter());
+            for handle in handles {
+                let lane = handle.join().unwrap_or_else(|p| resume_unwind(p));
+                outs.push(lane.into_iter());
             }
-        }
-        for (i, job) in own {
-            out[i] = Some((self.worker)(job));
-        }
-        if let Some(rx) = &self.collector {
-            for _ in 0..remote_count {
-                match rx.recv() {
-                    Ok((i, Ok(o))) => out[i] = Some(o),
-                    Ok((_, Err(payload))) => resume_unwind(payload),
-                    // sbx-lint: allow(no-panic, surfacing a worker-thread panic on the issuing thread)
-                    Err(_) => panic!("pool worker terminated before the wave completed"),
-                }
-            }
-        }
-        // Every slot was filled above: lanes either ran inline or were
-        // collected; a missing slot means a worker died, caught earlier.
-        // sbx-lint: allow(raw-alloc, unwraps the per-wave output slots)
-        out.into_iter().flatten().collect()
-    }
-
-    /// Number of lanes (worker threads + the caller) in this scope.
-    pub fn lanes(&self) -> usize {
-        self.remotes.len() + 1
+        });
+        // sbx-lint: allow(raw-alloc, the run's output list, one slot per job)
+        (0..n).filter_map(|i| outs[i % lanes].next()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     use super::*;
 
     #[test]
@@ -283,7 +163,6 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.threads_spawned, 0);
         assert_eq!(s.jobs, 3);
-        assert_eq!(s.waves, 1);
     }
 
     #[test]
@@ -292,25 +171,7 @@ mod tests {
         let jobs: Vec<u64> = (0..100).collect();
         let outs = pool.run(4, |x| x + 1000, jobs);
         assert_eq!(outs, (1000..1100).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn multiple_waves_reuse_the_same_spawn_set() {
-        let pool = WorkerPool::new(4);
-        let total: u64 = pool.scope(
-            4,
-            |x: u64| x * x,
-            |waves| {
-                let a: u64 = waves.run((0..8).collect()).into_iter().sum();
-                let b: u64 = waves.run((8..16).collect()).into_iter().sum();
-                a + b
-            },
-        );
-        assert_eq!(total, (0..16u64).map(|x| x * x).sum());
-        let s = pool.stats();
-        assert_eq!(s.threads_spawned, 3, "one spawn set for both waves");
-        assert_eq!(s.waves, 2);
-        assert_eq!(s.jobs, 16);
+        assert_eq!(pool.stats().threads_spawned, 3, "width - 1 spawns");
     }
 
     #[test]
@@ -319,13 +180,13 @@ mod tests {
         let mut data = vec![5u64, 4, 3, 2, 1, 0];
         {
             let chunks: Vec<&mut [u64]> = data.chunks_mut(2).collect();
-            let returned: Vec<&mut [u64]> = pool.scope(
+            let returned = pool.run(
                 2,
                 |c: &mut [u64]| {
                     c.sort_unstable();
                     c
                 },
-                |waves| waves.run(chunks),
+                chunks,
             );
             // The issuing thread can read the sorted chunks again.
             assert!(returned.iter().all(|c| c[0] <= c[1]));
@@ -337,16 +198,17 @@ mod tests {
     fn a_panicking_job_panics_the_issuer_on_every_lane() {
         for bad in 0..3u64 {
             let pool = WorkerPool::new(3);
-            let wave = || pool.run(3, |x: u64| assert_ne!(x, bad), vec![0, 1, 2]);
-            assert!(catch_unwind(AssertUnwindSafe(wave)).is_err(), "lane {bad}");
+            let run = || pool.run(3, |x: u64| assert_ne!(x, bad), vec![0, 1, 2]);
+            assert!(catch_unwind(AssertUnwindSafe(run)).is_err(), "lane {bad}");
         }
     }
 
     #[test]
     fn empty_wave_is_a_no_op() {
         let pool = WorkerPool::new(3);
-        let outs: Vec<u64> = pool.scope(3, |x: u64| x, |waves| waves.run(Vec::new()));
+        let outs: Vec<u64> = pool.run(3, |x: u64| x, Vec::new());
         assert!(outs.is_empty());
+        assert_eq!(pool.stats().threads_spawned, 0);
     }
 
     #[test]

@@ -21,10 +21,7 @@
 //! * [`op_scope`] / [`current_scope`] — a thread-local span/owner scope
 //!   the engine sets around every operator invocation, so each finding
 //!   carries the allocating *and* faulting span ids and lands on the
-//!   sbx-obs trace timeline;
-//! * [`explorer`] — a bounded deterministic schedule explorer (loom-lite)
-//!   that enumerates lane interleavings of a cloneable protocol model and
-//!   verifies an invariant on every schedule.
+//!   sbx-obs trace timeline.
 //!
 //! The sanitizer is *fault-free-oracle* style: bug fixtures model the
 //! fault in shadow state (inject a free, bump a generation, forge a
@@ -55,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod explorer;
 mod sanitizer;
 mod table;
 

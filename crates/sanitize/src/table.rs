@@ -2,9 +2,7 @@
 //! checker per bug class, and span-attributed reports.
 //!
 //! [`ShadowTable`] is a plain value — `Clone` forks the whole shadow
-//! state. The process-wide [`crate::Sanitizer`] wraps one in a mutex; the
-//! schedule explorer embeds one *by value* in its protocol model so every
-//! explored interleaving carries its own independent shadow state.
+//! state. The process-wide [`crate::Sanitizer`] wraps one in a mutex.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;

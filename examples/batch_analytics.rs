@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Sort-based GroupBy on HBM (the StreamBox-HBM way) ---
     let mut ctx = ExecCtx::new(&env);
     let mut kpa = Kpa::extract(&mut ctx, &table, Col(0), MemKind::Hbm, Priority::Normal)?;
-    kpa.sort(&mut ctx, 4)?;
+    kpa.sort(&mut ctx, 1)?;
     let mut top_customer = (0u64, 0u64);
     let groups = reduce_keyed(&mut ctx, &kpa, Col(1), |g| {
         let total: u64 = g.values.iter().sum();

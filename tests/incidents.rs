@@ -311,10 +311,9 @@ fn clean_artifacts_are_byte_identical_across_repeats_and_threads() {
 
 /// Degraded-scenario determinism: under capacity pressure, same-seed
 /// spill-storm artifacts are byte-identical across repeats and host thread
-/// counts, and round-trip through parse → export unchanged. The metrics
-/// export is byte-identical at every multi-lane count; against one lane
-/// only the pool's alloc / free counters move (a multi-lane sort asks for
-/// merge scratch, a one-lane sort works in place).
+/// counts, and round-trip through parse → export unchanged. So is the
+/// metrics export: lanes only run inside the close merge and the join
+/// scan, which write into buffers the engine thread allocated.
 #[test]
 fn spill_artifacts_are_byte_identical_across_repeats() {
     let artifact = |threads: usize| {
@@ -322,36 +321,12 @@ fn spill_artifacts_are_byte_identical_across_repeats() {
         let incidents = IncidentReport::new(obs.recorder.incidents()).to_jsonl();
         (incidents, obs.metrics.snapshot().to_jsonl())
     };
-    let without_pool_traffic = |metrics: &str| -> Vec<String> {
-        let traffic = [
-            "allocs",
-            "alloc_bytes",
-            "failed_allocs",
-            "frees",
-            "freed_bytes",
-        ]
-        .map(|t| format!(".{t}\""));
-        metrics
-            .lines()
-            .filter(|l| !(l.contains("\"name\":\"pool.") && traffic.iter().any(|t| l.contains(t))))
-            .map(str::to_owned)
-            .collect()
-    };
-    let (baseline, one_lane) = artifact(1);
+    let one_lane = artifact(1);
+    let baseline = one_lane.0.clone();
     assert!(baseline.contains("\"kind\":\"spill-storm\""));
-    assert_eq!(
-        artifact(1),
-        (baseline.clone(), one_lane.clone()),
-        "same-seed repeat diverged"
-    );
-    let lanes = artifact(2);
-    assert_eq!(lanes.0, baseline, "threads=2");
-    assert_eq!(
-        without_pool_traffic(&lanes.1),
-        without_pool_traffic(&one_lane)
-    );
+    assert_eq!(artifact(1), one_lane, "same-seed repeat diverged");
     for threads in [2usize, 4, 16] {
-        assert_eq!(artifact(threads), lanes, "threads={threads}");
+        assert_eq!(artifact(threads), one_lane, "threads={threads}");
     }
     let parsed = IncidentReport::parse_jsonl(&baseline).expect("parse");
     assert_eq!(parsed.to_jsonl(), baseline);

@@ -137,8 +137,8 @@ fn outputs_are_identical_across_threads() {
 }
 
 /// Every byte gauge is a function of (seed, config): the trajectory's
-/// `ysb_c32` run, and a hash-grouped sum whose 1 M-key tables outgrow a
-/// 4 MiB HBM, each report one HBM peak and one per-round series of held
+/// `ysb_c32` run, and a hash-grouped sum whose 1 M-key table outgrows a
+/// 16 MiB HBM, each report one HBM peak and one per-round series of held
 /// bytes per tier, whatever the host thread count (65 runs in one process).
 #[test]
 fn byte_gauges_are_identical_across_threads_and_repeats() {
@@ -155,7 +155,7 @@ fn byte_gauges_are_identical_across_threads_and_repeats() {
         };
         let run = if hash {
             cfg.machine = MachineConfig::knl();
-            cfg.machine.hbm.capacity_bytes = 4 << 20;
+            cfg.machine.hbm.capacity_bytes = 16 << 20;
             Engine::new(cfg).run(
                 KvSource::new(1, 1_000_000, 20_000_000).with_value_range(1_000_000),
                 benchmarks::sum_per_key_grouped(GroupingSpec::Hash),

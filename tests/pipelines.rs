@@ -324,8 +324,8 @@ fn committed_rows_are_invariant_under_bundle_size() {
             let cfg = RunConfig {
                 cores: 8,
                 // One lane, for time only: one-record bundles make tens of
-                // thousands of tiny sorts and merges, and a multi-lane
-                // primitive spawns its lanes on every call (3 x the run).
+                // thousands of tiny merges, and a multi-lane merge spawns
+                // its lanes on every call.
                 threads: 1,
                 collect_outputs: true,
                 sender: SenderConfig {

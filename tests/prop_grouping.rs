@@ -1,6 +1,6 @@
 //! Property test for the pluggable grouping backends (DESIGN.md §14):
 //! over random seeds, cardinalities, skews and thread counts, every
-//! backend — KPA sort-merge, sharded hash, row-engine baseline, and the
+//! backend — KPA sort-merge, hash, row-engine baseline, and the
 //! adaptive chooser — must emit byte-identical committed window
 //! aggregates, and the adaptive backend's per-window decisions must be a
 //! pure function of the stream (identical across thread counts and across
