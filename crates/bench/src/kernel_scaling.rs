@@ -15,6 +15,7 @@
 
 // sbx-lint: out-of-scope(raw-alloc, bench table; host-side measurement setup)
 // sbx-lint: out-of-scope(no-panic, bench table; a failed run should abort loudly)
+// sbx-lint: out-of-scope(libm, bench table; the reference Zipf sampler and pass counts are host-side)
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant; // sbx-lint: allow(wall-clock, host microbench is the point of this table)

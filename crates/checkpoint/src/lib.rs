@@ -9,8 +9,9 @@
 //! records out), and the engine assembles a [`PipelineSnapshot`]. This
 //! crate supplies everything *around* that mechanism:
 //!
-//! * a u64-word wire format ([`encode_snapshot`] / [`decode_snapshot`]),
-//! * a [`SnapshotStore`] whose buffers come from the accounted DRAM pool,
+//! * a [`SnapshotStore`] whose buffers hold snapshots in `sbx-engine`'s
+//!   wire format (re-exported here: [`encode_snapshot`] /
+//!   [`decode_snapshot`]) and come from the accounted DRAM pool,
 //!   so checkpoint pressure is visible to the bandwidth monitor and the
 //!   demand balancer exactly like any other engine allocation,
 //! * a [`CheckpointCoordinator`] implementing the engine's
@@ -31,206 +32,16 @@ mod rowlog;
 
 pub use rowlog::{RowLog, Rows};
 
-use sbx_engine::checkpoint::EntryRepr;
+pub use sbx_engine::checkpoint::{decode_snapshot, encode_snapshot, SNAPSHOT_MAGIC};
+
+use sbx_engine::checkpoint::{encode_words, encoded_len};
 use sbx_engine::{
-    CheckpointHooks, CrashPhase, CrashSite, Engine, EngineError, KnobState, OpState, Pipeline,
-    PipelineSnapshot, RunConfig, RunReport, StateEntry, StreamData,
+    CheckpointHooks, CrashPhase, CrashSite, Engine, EngineError, Pipeline, PipelineSnapshot,
+    RunConfig, RunReport, StreamData,
 };
 use sbx_ingress::Sources;
 use sbx_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use sbx_simmem::{AccessProfile, MemEnv, MemKind, PoolVec, Priority};
-
-/// First word of every encoded snapshot: `b"SBXCKPT1"` as a big-endian
-/// integer. The trailing digit is the format version.
-pub const SNAPSHOT_MAGIC: u64 = u64::from_be_bytes(*b"SBXCKPT1");
-
-fn corrupt(what: &str) -> EngineError {
-    EngineError::Config(format!("corrupt snapshot: {what}"))
-}
-
-/// The one encoder: hands the snapshot's wire format to `put`, a run of
-/// words at a time.
-///
-/// Layout: a fixed header (magic, engine counters, replay offset,
-/// watermark, clock, `{k_low, k_high}` as IEEE-754 bits), then each
-/// operator state as `[has_horizon, horizon, n_scalars, scalars...,
-/// n_entries, entries...]`, each entry as `[window, port, repr_tag,
-/// resident, sorted, ncols, ts_col, n_row_words, rows...]`.
-fn encode_words(snap: &PipelineSnapshot, mut put: impl FnMut(&[u64])) {
-    put(&[
-        SNAPSHOT_MAGIC,
-        snap.epoch,
-        snap.bundles_sent,
-        snap.records_in,
-        snap.bundles_in,
-        snap.output_records,
-        snap.windows_closed,
-        snap.next_to_close,
-        snap.max_window_seen,
-        snap.watermark,
-        snap.clock_ns,
-        snap.knob.k_low.to_bits(),
-        snap.knob.k_high.to_bits(),
-        snap.ops.len() as u64,
-    ]);
-    for op in &snap.ops {
-        put(&[
-            u64::from(op.horizon.is_some()),
-            op.horizon.unwrap_or(0),
-            op.scalars.len() as u64,
-        ]);
-        put(&op.scalars);
-        put(&[op.entries.len() as u64]);
-        for e in &op.entries {
-            let (tag, resident, sorted) = match e.repr {
-                EntryRepr::Rows => (0u64, 0u64, 0u64),
-                EntryRepr::Kpa { resident, sorted } => (1, resident as u64, u64::from(sorted)),
-                EntryRepr::KeyedKpa { resident, sorted } => (2, resident as u64, u64::from(sorted)),
-            };
-            put(&[
-                e.window,
-                u64::from(e.port),
-                tag,
-                resident,
-                sorted,
-                e.ncols as u64,
-                e.ts_col as u64,
-                e.rows.len() as u64,
-            ]);
-            put(&e.rows);
-        }
-    }
-}
-
-/// Words the encoder produces for `snap`, counted by the encoder itself.
-fn encoded_len(snap: &PipelineSnapshot) -> usize {
-    let mut len = 0;
-    encode_words(snap, |words| len += words.len());
-    len
-}
-
-/// Serializes a [`PipelineSnapshot`] into the u64-word wire format.
-pub fn encode_snapshot(snap: &PipelineSnapshot) -> Vec<u64> {
-    let mut w: Vec<u64> = Vec::new();
-    encode_words(snap, |words| w.extend_from_slice(words));
-    w
-}
-
-struct Cursor<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self) -> Result<u64, EngineError> {
-        let v = self
-            .words
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| corrupt("truncated"))?;
-        self.pos += 1;
-        Ok(v)
-    }
-
-    fn take_usize(&mut self) -> Result<usize, EngineError> {
-        usize::try_from(self.take()?).map_err(|_| corrupt("length overflows usize"))
-    }
-
-    fn take_slice(&mut self, n: usize) -> Result<&'a [u64], EngineError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| corrupt("length overflow"))?;
-        let s = self
-            .words
-            .get(self.pos..end)
-            .ok_or_else(|| corrupt("truncated"))?;
-        self.pos = end;
-        Ok(s)
-    }
-}
-
-/// Deserializes a snapshot encoded by [`encode_snapshot`].
-///
-/// # Errors
-///
-/// Returns [`EngineError::Config`] on a bad magic word, truncation, or any
-/// malformed field — never panics, whatever the input bytes.
-pub fn decode_snapshot(words: &[u64]) -> Result<PipelineSnapshot, EngineError> {
-    let mut c = Cursor { words, pos: 0 };
-    if c.take()? != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let mut snap = PipelineSnapshot {
-        epoch: c.take()?,
-        bundles_sent: c.take()?,
-        records_in: c.take()?,
-        bundles_in: c.take()?,
-        output_records: c.take()?,
-        windows_closed: c.take()?,
-        next_to_close: c.take()?,
-        max_window_seen: c.take()?,
-        watermark: c.take()?,
-        clock_ns: c.take()?,
-        knob: KnobState {
-            k_low: f64::from_bits(c.take()?),
-            k_high: f64::from_bits(c.take()?),
-        },
-        ops: Vec::new(),
-    };
-    let n_ops = c.take_usize()?;
-    for _ in 0..n_ops {
-        let has_horizon = c.take()?;
-        let horizon_raw = c.take()?;
-        let horizon = match has_horizon {
-            0 => None,
-            1 => Some(horizon_raw),
-            _ => return Err(corrupt("bad horizon flag")),
-        };
-        let n_scalars = c.take_usize()?;
-        let scalars = c.take_slice(n_scalars)?.to_vec();
-        let n_entries = c.take_usize()?;
-        let mut entries: Vec<StateEntry> = Vec::new();
-        for _ in 0..n_entries {
-            let window = c.take()?;
-            let port = u8::try_from(c.take()?).map_err(|_| corrupt("bad port"))?;
-            let tag = c.take()?;
-            let resident = c.take_usize()?;
-            let sorted = match c.take()? {
-                0 => false,
-                1 => true,
-                _ => return Err(corrupt("bad sorted flag")),
-            };
-            let repr = match tag {
-                0 => EntryRepr::Rows,
-                1 => EntryRepr::Kpa { resident, sorted },
-                2 => EntryRepr::KeyedKpa { resident, sorted },
-                _ => return Err(corrupt("bad repr tag")),
-            };
-            let ncols = c.take_usize()?;
-            let ts_col = c.take_usize()?;
-            let n_rows = c.take_usize()?;
-            let rows = c.take_slice(n_rows)?.to_vec();
-            entries.push(StateEntry {
-                window,
-                port,
-                repr,
-                ncols,
-                ts_col,
-                rows,
-            });
-        }
-        snap.ops.push(OpState {
-            horizon,
-            scalars,
-            entries,
-        });
-    }
-    if c.pos != words.len() {
-        return Err(corrupt("trailing words"));
-    }
-    Ok(snap)
-}
 
 /// Snapshot storage backed by the accounted DRAM pool.
 ///
@@ -351,9 +162,6 @@ pub enum CrashPlan {
         /// Lifecycle phase to crash at.
         phase: CrashPhase,
     },
-    /// Crash at the first probe at or after the given simulated time
-    /// (seconds).
-    AtSimTime(f64),
 }
 
 impl CrashPlan {
@@ -361,7 +169,6 @@ impl CrashPlan {
         match self {
             CrashPlan::AfterBundles(n) => site.phase == CrashPhase::Ingest && site.bundles_in >= n,
             CrashPlan::AtBarrier { epoch, phase } => site.phase == phase && site.epoch == epoch,
-            CrashPlan::AtSimTime(secs) => site.sim_secs >= secs,
         }
     }
 }
@@ -467,11 +274,6 @@ impl CheckpointCoordinator {
     /// the same probe point.
     pub fn arm(&mut self, plan: CrashPlan) {
         self.plan = Some(plan);
-    }
-
-    /// The currently armed crash plan, if any.
-    pub fn plan(&self) -> Option<CrashPlan> {
-        self.plan
     }
 
     /// Ends the run at a coordinated cut: the engine is torn down right
@@ -772,7 +574,7 @@ pub fn coordinated_epoch(stores: &[&SnapshotStore]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbx_engine::{benchmarks, EngineMode};
+    use sbx_engine::{benchmarks, EngineMode, OpState, StateEntry};
     use sbx_ingress::{KvSource, NicModel, SenderConfig};
     use sbx_simmem::MachineConfig;
 
@@ -780,84 +582,12 @@ mod tests {
         PipelineSnapshot {
             epoch: 3,
             bundles_sent: 17,
-            records_in: 17_000,
-            bundles_in: 17,
-            output_records: 42,
-            windows_closed: 2,
-            next_to_close: 3,
-            max_window_seen: 4,
-            watermark: 3_100_000_000,
-            clock_ns: 123_456_789,
-            knob: KnobState {
-                k_low: 0.25,
-                k_high: 1.0,
-            },
-            ops: vec![
-                OpState {
-                    horizon: Some(3_100_000_000),
-                    scalars: vec![7, 8, 9],
-                    entries: vec![
-                        StateEntry {
-                            window: 3,
-                            port: 0,
-                            repr: EntryRepr::Kpa {
-                                resident: 0,
-                                sorted: true,
-                            },
-                            ncols: 3,
-                            ts_col: 2,
-                            rows: vec![1, 2, 3, 4, 5, 6],
-                        },
-                        StateEntry {
-                            window: 4,
-                            port: 1,
-                            repr: EntryRepr::Rows,
-                            ncols: 2,
-                            ts_col: 1,
-                            rows: vec![10, 11],
-                        },
-                    ],
-                },
-                OpState::default(),
-            ],
-        }
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_wire_format() {
-        let snap = sample_snapshot();
-        let words = encode_snapshot(&snap);
-        assert_eq!(words[0], SNAPSHOT_MAGIC);
-        assert_eq!(decode_snapshot(&words).unwrap(), snap);
-        // The empty snapshot round-trips too.
-        let empty = PipelineSnapshot::default();
-        assert_eq!(decode_snapshot(&encode_snapshot(&empty)).unwrap(), empty);
-    }
-
-    #[test]
-    fn decode_rejects_corruption_without_panicking() {
-        let snap = sample_snapshot();
-        let words = encode_snapshot(&snap);
-        // Bad magic.
-        let mut bad = words.clone();
-        bad[0] ^= 1;
-        assert!(matches!(decode_snapshot(&bad), Err(EngineError::Config(_))));
-        // Every truncation point decodes to an error, never a panic.
-        for cut in 0..words.len() {
-            assert!(
-                decode_snapshot(&words[..cut]).is_err(),
-                "truncation at {cut} must not decode"
-            );
-        }
-        // Trailing garbage is rejected.
-        let mut long = words.clone();
-        long.push(99);
-        assert!(decode_snapshot(&long).is_err());
-        // Arbitrary flips either decode to *something* or error cleanly.
-        for i in 1..words.len() {
-            let mut flipped = words.clone();
-            flipped[i] = flipped[i].wrapping_add(1);
-            let _ = decode_snapshot(&flipped);
+            ops: vec![OpState {
+                horizon: Some(3_100_000_000),
+                cadence: vec![7, 8, 9],
+                entries: vec![StateEntry::from_rows(4, 1, 2, 1, vec![10, 11])],
+            }],
+            ..PipelineSnapshot::default()
         }
     }
 
@@ -889,30 +619,25 @@ mod tests {
 
     #[test]
     fn crash_plans_fire_once() {
-        let site = |phase, epoch, bundles_in, sim_secs| CrashSite {
+        let site = |phase, epoch, bundles_in| CrashSite {
             phase,
             epoch,
             bundles_in,
-            sim_secs,
         };
         let mut c = CheckpointCoordinator::with_crash(CrashPlan::AfterBundles(5));
-        assert!(!c.should_crash(site(CrashPhase::Ingest, 0, 4, 0.0)));
-        assert!(!c.should_crash(site(CrashPhase::RoundEnd, 0, 9, 0.0)));
-        assert!(c.should_crash(site(CrashPhase::Ingest, 0, 5, 0.0)));
+        assert!(!c.should_crash(site(CrashPhase::Ingest, 0, 4)));
+        assert!(!c.should_crash(site(CrashPhase::RoundEnd, 0, 9)));
+        assert!(c.should_crash(site(CrashPhase::Ingest, 0, 5)));
         // One-shot: the same probe no longer fires.
-        assert!(!c.should_crash(site(CrashPhase::Ingest, 0, 6, 0.0)));
+        assert!(!c.should_crash(site(CrashPhase::Ingest, 0, 6)));
 
         let mut c = CheckpointCoordinator::with_crash(CrashPlan::AtBarrier {
             epoch: 2,
             phase: CrashPhase::BarrierAligned,
         });
-        assert!(!c.should_crash(site(CrashPhase::BarrierAligned, 1, 0, 0.0)));
-        assert!(!c.should_crash(site(CrashPhase::BarrierBeforeCommit, 2, 0, 0.0)));
-        assert!(c.should_crash(site(CrashPhase::BarrierAligned, 2, 0, 0.0)));
-
-        let mut c = CheckpointCoordinator::with_crash(CrashPlan::AtSimTime(1.5));
-        assert!(!c.should_crash(site(CrashPhase::Ingest, 0, 0, 1.0)));
-        assert!(c.should_crash(site(CrashPhase::Ingest, 0, 0, 2.0)));
+        assert!(!c.should_crash(site(CrashPhase::BarrierAligned, 1, 0)));
+        assert!(!c.should_crash(site(CrashPhase::BarrierBeforeCommit, 2, 0)));
+        assert!(c.should_crash(site(CrashPhase::BarrierAligned, 2, 0)));
     }
 
     fn quick_cfg() -> RunConfig {

@@ -4,13 +4,11 @@
 //! The input is one [`PipelineSnapshot`] per old shard, all cut at the
 //! *same* epoch (the coordinated cut — exact because routed sources run in
 //! logical-block lockstep, see [`crate::source`]). Every state entry's rows
-//! are split by the new owner of their key: KPA entries key on their
-//! resident column (grouping state, including the mapped keys of
-//! early-aggregation partials), raw-row entries on column 0 (pane
-//! partials). The split rows become entries of the destination shard's
-//! snapshot; entries from different source shards are deliberately *not*
-//! merged — restore paths accept multiple state entries per window, and
-//! keeping them apart makes the byte flow per link exact.
+//! are split by the new owner of their key ([`StateEntry::split`]; the entry
+//! knows its own key column). The split rows become entries of the
+//! destination shard's snapshot; entries from different source shards are
+//! deliberately *not* merged — restore paths accept multiple state entries
+//! per window, and keeping them apart makes the byte flow per link exact.
 //!
 //! Cross-shard movement is priced on a [`TrafficMatrix`]: shard `i` of the
 //! old topology and shard `i` of the new one are the same node, so rows
@@ -19,8 +17,7 @@
 //! configured [`LinkModel`].
 
 // sbx-lint: out-of-scope(raw-alloc, rescale-time state repartitioning; runs once per cut, outside the streaming data path)
-use sbx_engine::checkpoint::EntryRepr;
-use sbx_engine::{OpState, PipelineSnapshot, StateEntry};
+use sbx_engine::{OpState, PipelineSnapshot};
 use sbx_ingress::LinkModel;
 
 use crate::fabric::TrafficMatrix;
@@ -38,14 +35,6 @@ pub struct ShufflePlan {
     pub traffic: TrafficMatrix,
     /// Simulated duration of the shuffle under the link model.
     pub shuffle_ns: u64,
-}
-
-/// The column a state entry is keyed (and therefore routed) on.
-fn key_col(entry: &StateEntry) -> usize {
-    match entry.repr {
-        EntryRepr::Kpa { resident, .. } | EntryRepr::KeyedKpa { resident, .. } => resident,
-        EntryRepr::Rows => 0,
-    }
 }
 
 /// Splits the state of per-shard snapshots `snaps` (all at one coordinated
@@ -68,8 +57,8 @@ fn key_col(entry: &StateEntry) -> usize {
 /// # Errors
 ///
 /// Returns [`ClusterError::Topology`] when `snaps` is empty, the snapshots
-/// disagree on epoch/replay offset/operator count, or an entry's rows are
-/// not a whole number of records.
+/// disagree on epoch/replay offset/operator count, or an entry fails the
+/// snapshot layout check.
 pub fn redistribute(
     snaps: &[PipelineSnapshot],
     new_table: &RouteTable,
@@ -121,28 +110,29 @@ pub fn redistribute(
         .collect();
 
     for op_idx in 0..first.ops.len() {
-        // Frontier scalars (horizons) take the max; opaque scalars come
-        // from shard 0 — under lockstep they are watermark-cadence values
-        // and identical across shards.
+        // Horizons take the max; cadence words come from shard 0 (see
+        // `OpState::cadence`).
         let horizon = snaps.iter().filter_map(|s| s.ops[op_idx].horizon).max();
         for dst in out.iter_mut() {
             dst.ops.push(OpState {
                 horizon,
-                scalars: first.ops[op_idx].scalars.clone(),
+                cadence: first.ops[op_idx].cadence.clone(),
                 entries: Vec::new(),
             });
         }
         for (src_shard, snap) in snaps.iter().enumerate() {
             for entry in &snap.ops[op_idx].entries {
-                split_entry(
-                    entry,
-                    src_shard,
-                    new_table,
-                    key_map,
-                    &mut out,
-                    op_idx,
-                    &mut traffic,
-                )?;
+                let parts = entry
+                    .split(out.len(), |key| {
+                        new_table.owner_of(key_map.map_or(key, |m| m(key))) as usize
+                    })
+                    .map_err(|e| ClusterError::Topology(e.to_string()))?;
+                for (dst_shard, part) in parts.into_iter().enumerate() {
+                    if !part.rows.is_empty() {
+                        traffic.add(src_shard, dst_shard, part.rows.len() as u64 * 8);
+                        out[dst_shard].ops[op_idx].entries.push(part);
+                    }
+                }
             }
         }
     }
@@ -158,62 +148,10 @@ pub fn redistribute(
     })
 }
 
-/// Splits one state entry's rows across the new owners, appending a
-/// per-destination entry (same window/port/repr/layout) and accounting the
-/// moved bytes.
-fn split_entry(
-    entry: &StateEntry,
-    src_shard: usize,
-    new_table: &RouteTable,
-    key_map: Option<&KeyMap>,
-    out: &mut [PipelineSnapshot],
-    op_idx: usize,
-    traffic: &mut TrafficMatrix,
-) -> Result<(), ClusterError> {
-    if entry.ncols == 0 || !entry.rows.len().is_multiple_of(entry.ncols) {
-        return Err(ClusterError::Topology(format!(
-            "state entry for window {} has {} words over {} columns",
-            entry.window,
-            entry.rows.len(),
-            entry.ncols
-        )));
-    }
-    let kc = key_col(entry);
-    if kc >= entry.ncols {
-        return Err(ClusterError::Topology(format!(
-            "state entry key column {kc} out of range for {} columns",
-            entry.ncols
-        )));
-    }
-    let mut split: Vec<Vec<u64>> = vec![Vec::new(); out.len()];
-    for row in entry.rows.chunks(entry.ncols) {
-        let key = key_map.map_or(row[kc], |m| m(row[kc]));
-        let owner = new_table.owner_of(key) as usize;
-        split[owner].extend_from_slice(row);
-    }
-    for (dst_shard, rows) in split.into_iter().enumerate() {
-        if rows.is_empty() {
-            continue;
-        }
-        traffic.add(src_shard, dst_shard, rows.len() as u64 * 8);
-        // A contiguous subsequence of a sorted entry stays sorted, so the
-        // repr (including the Kpa sorted flag) carries over unchanged.
-        out[dst_shard].ops[op_idx].entries.push(StateEntry {
-            window: entry.window,
-            port: entry.port,
-            repr: entry.repr,
-            ncols: entry.ncols,
-            ts_col: entry.ts_col,
-            rows,
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbx_engine::KnobState;
+    use sbx_engine::{EntryRepr, KnobState, StateEntry};
     use sbx_ingress::NicModel;
 
     fn entry(window: u64, resident: usize, rows: Vec<u64>, ncols: usize) -> StateEntry {
@@ -248,7 +186,7 @@ mod tests {
             },
             ops: vec![OpState {
                 horizon: Some(1_000),
-                scalars: vec![3],
+                cadence: vec![3],
                 entries,
             }],
         }

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use sbx_checkpoint::CrashPlan;
+use sbx_checkpoint::{run_with_recovery, CheckpointCoordinator, CrashPlan};
 use sbx_cluster::{
     ClusterConfig, ClusterCrash, ClusterError, ClusterRunReport, ElasticPlan, KeyMap, RescalePhase,
     Retarget, RouteTable, ShardedCluster,
@@ -452,34 +452,105 @@ fn invalid_plans_are_rejected() {
     ));
 }
 
-/// A cluster gives one engine's answer or refuses the job: the two suite
-/// pipelines that aggregate across keys are refused, naming the operator,
-/// and every other single-stream benchmark runs.
+/// A cluster gives one engine's answer or refuses the job. The two suite
+/// pipelines that aggregate across keys are refused, naming the operator.
+/// Every other single-stream benchmark, on every grouping it is wired for,
+/// commits the rows of one unsharded engine — an oracle that shares no
+/// routing code with the cluster — at 1 and 4 shards, and through a 4 → 8
+/// rescale whose cut falls inside an open window, with a crash on shard 1
+/// before the cut and, in a second run, one after it.
 #[test]
 fn pipelines_that_aggregate_across_keys_are_refused() {
+    const RUN: usize = 6;
+    let plan = Some(ElasticPlan {
+        at_epoch: 1,
+        retarget: Retarget::Shards(8),
+    });
+    let crash = |phase, plan| {
+        Some(ClusterCrash {
+            shard: 1,
+            phase,
+            plan,
+        })
+    };
     for b in benchmarks::SUITE.iter().filter(|b| b.streams == 1) {
-        let cfg = ClusterConfig {
-            key_col: b.key_col,
-            key_map: b.key_map.map(|map| Arc::new(map) as KeyMap),
-            ..cluster_cfg(4)
+        let groupings: &[GroupingSpec] = if b.grouped {
+            &[
+                GroupingSpec::SortMerge,
+                GroupingSpec::Hash,
+                GroupingSpec::Adaptive,
+            ]
+        } else {
+            &[GroupingSpec::SortMerge]
         };
-        let run = ShardedCluster::new(cfg).run(
-            || (b.source)(1, b.keys, 100_000, None),
-            || (b.pipeline)(GroupingSpec::SortMerge),
-            6,
-            INTERVAL,
-        );
-        let global = match b.name {
-            "avg-all" => Some("AvgAll"),
-            "power-grid" => Some("PowerGrid"),
-            _ => None,
-        };
-        match (global, run) {
-            (Some(op), Err(ClusterError::Topology(msg))) => {
-                assert!(msg.starts_with(op), "{}: {msg}", b.name);
+        for &grouping in groupings {
+            let case = format!("{} ({})", b.name, grouping.label());
+            let source = || (b.source)(1, b.keys, 100_000, None);
+            let pipeline = || (b.pipeline)(grouping);
+            let run = |shards, plan, crash| {
+                let cfg = ClusterConfig {
+                    key_col: b.key_col,
+                    key_map: b.key_map.map(|map| Arc::new(map) as KeyMap),
+                    ..cluster_cfg(shards)
+                };
+                ShardedCluster::new(cfg).run_faulty(source, pipeline, RUN, INTERVAL, plan, crash)
+            };
+            let global = match b.name {
+                "avg-all" => Some("AvgAll"),
+                "power-grid" => Some("PowerGrid"),
+                _ => None,
+            };
+            if let Some(op) = global {
+                match run(4, None, None) {
+                    Err(ClusterError::Topology(msg)) => {
+                        assert!(msg.starts_with(op), "{case}: {msg}");
+                    }
+                    other => panic!("{case}: {:?}", other.map(|r| r.output_records)),
+                }
+                continue;
             }
-            (None, Ok(report)) => assert!(report.output_records > 0, "{}", b.name),
-            (_, run) => panic!("{}: {:?}", b.name, run.map(|r| r.output_records)),
+            let mut engine = CheckpointCoordinator::new();
+            let cfg = cluster_cfg(1).engine;
+            run_with_recovery(&cfg, source, pipeline, RUN, INTERVAL, &mut engine)
+                .unwrap_or_else(|e| panic!("{case}: one engine: {e}"));
+            let mut oracle: Vec<&[u64]> = engine.committed().iter().collect();
+            oracle.sort_unstable();
+            assert!(!oracle.is_empty(), "{case}: the engine commits rows");
+            for (what, shards, plan, crash) in [
+                ("1 shard", 1, None, None),
+                ("4 shards", 4, None, None),
+                (
+                    "4 -> 8, crash before the cut",
+                    4,
+                    plan,
+                    crash(RescalePhase::BeforeCut, CrashPlan::AfterBundles(2)),
+                ),
+                (
+                    "4 -> 8, crash after the cut",
+                    4,
+                    plan,
+                    crash(
+                        RescalePhase::AfterCut,
+                        CrashPlan::AfterBundles(INTERVAL + 1),
+                    ),
+                ),
+            ] {
+                let report =
+                    run(shards, plan, crash).unwrap_or_else(|e| panic!("{case}, {what}: {e}"));
+                assert_eq!(report.canonical_outputs(), oracle, "{case}, {what}");
+                if let Some(c) = crash {
+                    let crashed = match c.phase {
+                        RescalePhase::BeforeCut => &report.phase1[1],
+                        RescalePhase::AfterCut => &report.shards[1],
+                    };
+                    assert_eq!(crashed.crashes, 1, "{case}, {what}: the crash fired");
+                    let rescale = report.rescale.as_ref().expect("the run rescaled");
+                    assert!(
+                        rescale.wire_bytes > 0,
+                        "{case}: window state moved at the cut"
+                    );
+                }
+            }
         }
     }
 }

@@ -11,6 +11,11 @@
 //! a [`PipelineSnapshot`] and hands it to the run's [`CheckpointHooks`]
 //! (implemented by `sbx-checkpoint`'s snapshot store).
 //!
+//! This module is the only one that knows the snapshot format: the entry
+//! layout and its one check, the column an entry is keyed on, how an entry
+//! splits across new owners, and the u64-word wire codec
+//! ([`encode_snapshot`] / [`decode_snapshot`]).
+//!
 //! KPAs hold *pointers* into RC-pinned bundles, so snapshots cannot store
 //! them directly: each KPA is first run through the Table-2 `Materialize`
 //! primitive (§4.3) to produce self-contained records, which restore
@@ -159,6 +164,46 @@ impl StateEntry {
         }
     }
 
+    /// The column the entry is keyed on, and so routed by when a rescale
+    /// splits it: a KPA's resident column; plain rows key on column 0.
+    pub fn key_col(&self) -> usize {
+        match self.repr {
+            EntryRepr::Kpa { resident, .. } | EntryRepr::KeyedKpa { resident, .. } => resident,
+            EntryRepr::Rows => 0,
+        }
+    }
+
+    /// Splits the rows into `parts` entries of the same window, port and
+    /// layout: each row goes to part `owner(key)` of its key column. A part
+    /// may be empty. Rows keep their order, so a sorted entry's parts are
+    /// sorted too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Config`] on a corrupt layout or an owner of
+    /// `parts` or more.
+    pub fn split(
+        &self,
+        parts: usize,
+        mut owner: impl FnMut(u64) -> usize,
+    ) -> Result<Vec<StateEntry>, EngineError> {
+        self.record_cols()?;
+        let kc = self.key_col();
+        let mut out: Vec<StateEntry> = (0..parts)
+            .map(|_| StateEntry {
+                rows: Vec::new(),
+                ..*self
+            })
+            .collect();
+        for row in self.rows.chunks_exact(self.ncols) {
+            let part = out.get_mut(owner(row[kc])).ok_or_else(|| {
+                EngineError::Config(format!("a snapshot row's owner is past {parts} parts"))
+            })?;
+            part.rows.extend_from_slice(row);
+        }
+        Ok(out)
+    }
+
     /// Rebuilds the entry's records (without the key column a KPA entry may
     /// carry) as a pool-accounted bundle.
     ///
@@ -188,27 +233,17 @@ impl StateEntry {
     /// KPA or claims a sort order its keys do not have, and
     /// [`EngineError::Alloc`] when both tiers are exhausted.
     pub fn to_kpa(&self, ctx: &mut OpCtx<'_>) -> Result<Kpa, EngineError> {
-        let (resident, sorted) = match self.repr {
-            EntryRepr::Kpa { resident, sorted } | EntryRepr::KeyedKpa { resident, sorted } => {
-                (resident, sorted)
-            }
-            EntryRepr::Rows => {
-                return Err(EngineError::Config(
-                    "snapshot entry does not describe a KPA".into(),
-                ));
-            }
+        let (EntryRepr::Kpa { sorted, .. } | EntryRepr::KeyedKpa { sorted, .. }) = self.repr else {
+            return Err(EngineError::Config(
+                "snapshot entry does not describe a KPA".into(),
+            ));
         };
         let bundle = self.to_bundle(ctx)?;
-        if resident >= bundle.schema().ncols() {
-            return Err(EngineError::Config(
-                "snapshot KPA resident column out of range".into(),
-            ));
-        }
         let (kind, prio) = ctx.place();
         let rb = bundle.schema().record_bytes();
         let mut kpa = ctx
             .charged(rb, |e| {
-                Kpa::extract_fused(e, &bundle, Col(resident), kind, prio)
+                Kpa::extract_fused(e, &bundle, Col(self.key_col()), kind, prio)
             })
             .map_err(EngineError::from)?;
         if self.carries_keys() {
@@ -233,16 +268,30 @@ impl StateEntry {
         matches!(self.repr, EntryRepr::KeyedKpa { .. })
     }
 
+    /// The one layout check, shared by every reader of an entry: a whole
+    /// number of rows, and the timestamp and key columns inside the record.
+    /// Returns the record's columns, a carried key column not counted.
+    fn record_cols(&self) -> Result<usize, EngineError> {
+        let ncols = self.ncols.saturating_sub(usize::from(self.carries_keys()));
+        if ncols == 0
+            || self.ts_col >= ncols
+            || self.key_col() >= ncols
+            || !self.rows.len().is_multiple_of(self.ncols)
+        {
+            return Err(EngineError::Config(format!(
+                "corrupt snapshot entry for window {}: {} words over {} columns",
+                self.window,
+                self.rows.len(),
+                self.ncols
+            )));
+        }
+        Ok(ncols)
+    }
+
     /// The schema of the entry's records; a carried key column is no part
     /// of it.
     fn schema(&self) -> Result<Arc<Schema>, EngineError> {
-        let ncols = self.ncols.saturating_sub(usize::from(self.carries_keys()));
-        if ncols == 0 || self.ts_col >= ncols || !self.rows.len().is_multiple_of(self.ncols) {
-            return Err(EngineError::Config(
-                "corrupt snapshot entry: bad column layout".into(),
-            ));
-        }
-        let names: Vec<String> = (0..ncols).map(|i| format!("c{i}")).collect();
+        let names: Vec<String> = (0..self.record_cols()?).map(|i| format!("c{i}")).collect();
         Ok(Schema::new(names, Col(self.ts_col)))
     }
 }
@@ -252,15 +301,13 @@ impl StateEntry {
 pub struct OpState {
     /// Late-data horizon: the highest watermark the operator has observed.
     pub horizon: Option<u64>,
-    /// Operator-specific scalar state (counters, split u128 accumulators).
-    pub scalars: Vec<u64>,
-    /// Window-keyed state entries.
+    /// Words that outlive every window: `KeyedAggregate`'s pane cursor and
+    /// adaptive window history. They advance with the watermark, alike on
+    /// every shard of a lockstep cluster, so a rescale hands every new shard
+    /// shard 0's words.
+    pub cadence: Vec<u64>,
+    /// Window-keyed state entries: everything a window holds.
     pub entries: Vec<StateEntry>,
-}
-
-/// Splits a `u128` accumulator into `(hi, lo)` words for [`OpState::scalars`].
-pub fn split_u128(v: u128) -> (u64, u64) {
-    ((v >> 64) as u64, v as u64)
 }
 
 /// Refuses a window id read from a snapshot that no run can have saved: the
@@ -285,11 +332,6 @@ pub(crate) fn check_counters(snap: &PipelineSnapshot) -> Result<(), EngineError>
         )));
     }
     Ok(())
-}
-
-/// Rejoins a `u128` split by [`split_u128`].
-pub fn join_u128(hi: u64, lo: u64) -> u128 {
-    ((hi as u128) << 64) | lo as u128
 }
 
 /// A checkpoint barrier flowing in-band through the pipeline, accumulating
@@ -344,6 +386,198 @@ pub struct PipelineSnapshot {
     pub ops: Vec<OpState>,
 }
 
+/// First word of every encoded snapshot: `b"SBXCKPT2"` as a big-endian
+/// integer. The trailing digit is the format version.
+pub const SNAPSHOT_MAGIC: u64 = u64::from_be_bytes(*b"SBXCKPT2");
+
+fn corrupt(what: &str) -> EngineError {
+    EngineError::Config(format!("corrupt snapshot: {what}"))
+}
+
+/// The one encoder: hands the snapshot's wire format to `put`, a run of
+/// words at a time.
+///
+/// Layout: a fixed header (magic, engine counters, replay offset,
+/// watermark, clock, `{k_low, k_high}` as IEEE-754 bits), then each
+/// operator state as `[has_horizon, horizon, n_cadence, cadence...,
+/// n_entries, entries...]`, each entry as `[window, port, repr_tag,
+/// resident, sorted, ncols, ts_col, n_row_words, rows...]`.
+pub fn encode_words(snap: &PipelineSnapshot, mut put: impl FnMut(&[u64])) {
+    put(&[
+        SNAPSHOT_MAGIC,
+        snap.epoch,
+        snap.bundles_sent,
+        snap.records_in,
+        snap.bundles_in,
+        snap.output_records,
+        snap.windows_closed,
+        snap.next_to_close,
+        snap.max_window_seen,
+        snap.watermark,
+        snap.clock_ns,
+        snap.knob.k_low.to_bits(),
+        snap.knob.k_high.to_bits(),
+        snap.ops.len() as u64,
+    ]);
+    for op in &snap.ops {
+        put(&[
+            u64::from(op.horizon.is_some()),
+            op.horizon.unwrap_or(0),
+            op.cadence.len() as u64,
+        ]);
+        put(&op.cadence);
+        put(&[op.entries.len() as u64]);
+        for e in &op.entries {
+            let (tag, resident, sorted) = match e.repr {
+                EntryRepr::Rows => (0u64, 0u64, 0u64),
+                EntryRepr::Kpa { resident, sorted } => (1, resident as u64, u64::from(sorted)),
+                EntryRepr::KeyedKpa { resident, sorted } => (2, resident as u64, u64::from(sorted)),
+            };
+            put(&[
+                e.window,
+                u64::from(e.port),
+                tag,
+                resident,
+                sorted,
+                e.ncols as u64,
+                e.ts_col as u64,
+                e.rows.len() as u64,
+            ]);
+            put(&e.rows);
+        }
+    }
+}
+
+/// Words the encoder produces for `snap`, counted by the encoder itself.
+pub fn encoded_len(snap: &PipelineSnapshot) -> usize {
+    let mut len = 0;
+    encode_words(snap, |words| len += words.len());
+    len
+}
+
+/// Serializes a [`PipelineSnapshot`] into the u64-word wire format.
+pub fn encode_snapshot(snap: &PipelineSnapshot) -> Vec<u64> {
+    let mut w: Vec<u64> = Vec::new();
+    encode_words(snap, |words| w.extend_from_slice(words));
+    w
+}
+
+struct Cursor<'a> {
+    words: &'a [u64],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self) -> Result<u64, EngineError> {
+        let v = self
+            .words
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| corrupt("truncated"))?;
+        self.pos += 1;
+        Ok(v)
+    }
+
+    fn take_usize(&mut self) -> Result<usize, EngineError> {
+        usize::try_from(self.take()?).map_err(|_| corrupt("length overflows usize"))
+    }
+
+    fn take_slice(&mut self, n: usize) -> Result<&'a [u64], EngineError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .ok_or_else(|| corrupt("length overflow"))?;
+        let s = self
+            .words
+            .get(self.pos..end)
+            .ok_or_else(|| corrupt("truncated"))?;
+        self.pos = end;
+        Ok(s)
+    }
+}
+
+/// Deserializes a snapshot encoded by [`encode_snapshot`].
+///
+/// # Errors
+///
+/// Returns [`EngineError::Config`] on a bad magic word, truncation, or any
+/// malformed field — never panics, whatever the input bytes.
+pub fn decode_snapshot(words: &[u64]) -> Result<PipelineSnapshot, EngineError> {
+    let mut c = Cursor { words, pos: 0 };
+    if c.take()? != SNAPSHOT_MAGIC {
+        return Err(corrupt("bad magic"));
+    }
+    let mut snap = PipelineSnapshot {
+        epoch: c.take()?,
+        bundles_sent: c.take()?,
+        records_in: c.take()?,
+        bundles_in: c.take()?,
+        output_records: c.take()?,
+        windows_closed: c.take()?,
+        next_to_close: c.take()?,
+        max_window_seen: c.take()?,
+        watermark: c.take()?,
+        clock_ns: c.take()?,
+        knob: KnobState {
+            k_low: f64::from_bits(c.take()?),
+            k_high: f64::from_bits(c.take()?),
+        },
+        ops: Vec::new(),
+    };
+    let n_ops = c.take_usize()?;
+    for _ in 0..n_ops {
+        let has_horizon = c.take()?;
+        let horizon_raw = c.take()?;
+        let horizon = match has_horizon {
+            0 => None,
+            1 => Some(horizon_raw),
+            _ => return Err(corrupt("bad horizon flag")),
+        };
+        let n_cadence = c.take_usize()?;
+        let cadence = c.take_slice(n_cadence)?.to_vec();
+        let n_entries = c.take_usize()?;
+        let mut entries: Vec<StateEntry> = Vec::new();
+        for _ in 0..n_entries {
+            let window = c.take()?;
+            let port = u8::try_from(c.take()?).map_err(|_| corrupt("bad port"))?;
+            let tag = c.take()?;
+            let resident = c.take_usize()?;
+            let sorted = match c.take()? {
+                0 => false,
+                1 => true,
+                _ => return Err(corrupt("bad sorted flag")),
+            };
+            let repr = match tag {
+                0 => EntryRepr::Rows,
+                1 => EntryRepr::Kpa { resident, sorted },
+                2 => EntryRepr::KeyedKpa { resident, sorted },
+                _ => return Err(corrupt("bad repr tag")),
+            };
+            let ncols = c.take_usize()?;
+            let ts_col = c.take_usize()?;
+            let n_rows = c.take_usize()?;
+            let rows = c.take_slice(n_rows)?.to_vec();
+            entries.push(StateEntry {
+                window,
+                port,
+                repr,
+                ncols,
+                ts_col,
+                rows,
+            });
+        }
+        snap.ops.push(OpState {
+            horizon,
+            cadence,
+            entries,
+        });
+    }
+    if c.pos != words.len() {
+        return Err(corrupt("trailing words"));
+    }
+    Ok(snap)
+}
+
 /// Where in the round lifecycle a crash-injection decision is taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPhase {
@@ -370,8 +604,6 @@ pub struct CrashSite {
     pub epoch: u64,
     /// Bundles ingested so far.
     pub bundles_in: u64,
-    /// Simulated time, seconds.
-    pub sim_secs: f64,
 }
 
 /// Engine-side checkpoint callbacks, implemented by `sbx-checkpoint`'s
@@ -519,10 +751,89 @@ mod tests {
         ));
     }
 
+    fn sample_snapshot() -> PipelineSnapshot {
+        PipelineSnapshot {
+            epoch: 3,
+            bundles_sent: 17,
+            records_in: 17_000,
+            bundles_in: 17,
+            output_records: 42,
+            windows_closed: 2,
+            next_to_close: 3,
+            max_window_seen: 4,
+            watermark: 3_100_000_000,
+            clock_ns: 123_456_789,
+            knob: KnobState {
+                k_low: 0.25,
+                k_high: 1.0,
+            },
+            ops: vec![
+                OpState {
+                    horizon: Some(3_100_000_000),
+                    cadence: vec![7, 8, 9],
+                    entries: vec![
+                        StateEntry {
+                            window: 3,
+                            port: 0,
+                            repr: EntryRepr::Kpa {
+                                resident: 0,
+                                sorted: true,
+                            },
+                            ncols: 3,
+                            ts_col: 2,
+                            rows: vec![1, 2, 3, 4, 5, 6],
+                        },
+                        StateEntry {
+                            window: 4,
+                            port: 1,
+                            repr: EntryRepr::Rows,
+                            ncols: 2,
+                            ts_col: 1,
+                            rows: vec![10, 11],
+                        },
+                    ],
+                },
+                OpState::default(),
+            ],
+        }
+    }
+
     #[test]
-    fn u128_split_round_trips() {
-        let v = 0x1234_5678_9abc_def0_1122_3344_5566_7788u128;
-        let (hi, lo) = split_u128(v);
-        assert_eq!(join_u128(hi, lo), v);
+    fn snapshot_round_trips_through_wire_format() {
+        let snap = sample_snapshot();
+        let words = encode_snapshot(&snap);
+        assert_eq!(words[0], SNAPSHOT_MAGIC);
+        assert_eq!(words.len(), encoded_len(&snap));
+        assert_eq!(decode_snapshot(&words).unwrap(), snap);
+        // The empty snapshot round-trips too.
+        let empty = PipelineSnapshot::default();
+        assert_eq!(decode_snapshot(&encode_snapshot(&empty)).unwrap(), empty);
+    }
+
+    #[test]
+    fn decode_rejects_corruption_without_panicking() {
+        let snap = sample_snapshot();
+        let words = encode_snapshot(&snap);
+        // Bad magic.
+        let mut bad = words.clone();
+        bad[0] ^= 1;
+        assert!(matches!(decode_snapshot(&bad), Err(EngineError::Config(_))));
+        // Every truncation point decodes to an error, never a panic.
+        for cut in 0..words.len() {
+            assert!(
+                decode_snapshot(&words[..cut]).is_err(),
+                "truncation at {cut} must not decode"
+            );
+        }
+        // Trailing garbage is rejected.
+        let mut long = words.clone();
+        long.push(99);
+        assert!(decode_snapshot(&long).is_err());
+        // Arbitrary flips either decode to *something* or error cleanly.
+        for i in 1..words.len() {
+            let mut flipped = words.clone();
+            flipped[i] = flipped[i].wrapping_add(1);
+            let _ = decode_snapshot(&flipped);
+        }
     }
 }

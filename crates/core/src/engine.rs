@@ -239,7 +239,6 @@ impl Engine {
             phase,
             epoch,
             bundles_in,
-            sim_secs: self.env.clock().now_secs(),
         };
         if hooks.should_crash(site) {
             return Err(EngineError::Crashed(format!(

@@ -6,7 +6,7 @@ use sbx_records::{Col, RecordBundle, Schema, Watermark, WindowId, WindowSpec};
 
 use super::grouping::{
     decide_backend, AdaptState, AggParams, BackendChoice, GroupingBackend, SortMergeBackend,
-    PORT_HASH_SCALAR, PORT_HASH_VALUES, PORT_PANE_BUNDLE, PORT_ROW_SCALAR, PORT_ROW_VALUES,
+    PORT_HASH_SCALAR, PORT_HASH_VALUES, PORT_PANE_BUNDLE,
 };
 use super::windowed::{WindowLogic, WindowStore, Windowed};
 use crate::checkpoint::{OpState, StateEntry};
@@ -326,7 +326,7 @@ impl WindowStore<KeyedAggLogic> for AggWindow {
     ) -> Result<(), EngineError> {
         // The adaptive window history rides along so recovered runs keep
         // making the same backend decisions.
-        st.scalars.extend_from_slice(&[
+        st.cadence.extend_from_slice(&[
             logic.pane_next_window,
             logic.adapt.records_ema,
             logic.adapt.groups_ema,
@@ -350,7 +350,7 @@ impl WindowStore<KeyedAggLogic> for AggWindow {
         st: &OpState,
         windows: &mut BTreeMap<WindowId, Self>,
     ) -> Result<(), EngineError> {
-        let scalar = |i: usize| st.scalars.get(i).copied().unwrap_or(0);
+        let scalar = |i: usize| st.cadence.get(i).copied().unwrap_or(0);
         logic.pane_next_window = scalar(0);
         logic.adapt = AdaptState {
             records_ema: scalar(1),
@@ -369,15 +369,18 @@ impl WindowStore<KeyedAggLogic> for AggWindow {
                 state.panes.push(e.to_bundle(ctx)?);
                 continue;
             }
-            // The entry's port, not the configured spec, decides which
-            // backend kind to rebuild: under adaptive grouping different
-            // windows may have snapshotted different backends.
+            // The entry's port decides between sorted KPAs and a table:
+            // under adaptive grouping different windows may have
+            // snapshotted different backends. The spec decides which
+            // table: only it ever selects the row baseline.
             let backend = match &mut state.backend {
                 Some(backend) => backend,
                 empty => {
-                    let choice = match e.port {
-                        PORT_HASH_SCALAR | PORT_HASH_VALUES => BackendChoice::Hash,
-                        PORT_ROW_SCALAR | PORT_ROW_VALUES => BackendChoice::Row,
+                    let choice = match (e.port, logic.grouping) {
+                        (PORT_HASH_SCALAR | PORT_HASH_VALUES, GroupingSpec::RowBaseline) => {
+                            BackendChoice::Row
+                        }
+                        (PORT_HASH_SCALAR | PORT_HASH_VALUES, _) => BackendChoice::Hash,
                         _ => BackendChoice::Sort,
                     };
                     empty.insert(choice.open(ctx, logic.kind)?)

@@ -90,19 +90,15 @@ const EV_BACKEND_HASH: &str = "groupby.backend.hash";
 const EV_BACKEND_ROW: &str = "groupby.backend.row";
 
 /// Snapshot-entry ports (see `KeyedAggregate::snapshot`): the port both
-/// routes an entry to the right backend kind on restore and versions the
-/// row layout within.
+/// routes an entry to sorted KPAs or a table on restore (the operator's
+/// [`GroupingSpec`] picks which table) and versions the row layout within.
 pub(crate) const PORT_SORT_KPA: u8 = 0;
 /// Pane-combining partial bundles (not a backend port).
 pub(crate) const PORT_PANE_BUNDLE: u8 = 1;
-/// Hash backend, scalar `(key, sum, count)` rows.
+/// A hash table (either configuration), scalar `(key, sum, count)` rows.
 pub(crate) const PORT_HASH_SCALAR: u8 = 2;
-/// Hash backend, `(key, value, 0)` rows in per-key insertion order.
+/// A hash table, `(key, value, 0)` rows in per-key insertion order.
 pub(crate) const PORT_HASH_VALUES: u8 = 3;
-/// Row baseline, scalar rows.
-pub(crate) const PORT_ROW_SCALAR: u8 = 4;
-/// Row baseline, value rows.
-pub(crate) const PORT_ROW_VALUES: u8 = 5;
 
 /// Per-operator aggregation parameters threaded to the backends.
 #[derive(Debug, Clone, Copy)]
@@ -416,15 +412,14 @@ fn row_ingest_profile(n: usize, _groups: usize, tier: MemKind, _count_only: bool
 
 /// The hash grouping backend: one open-addressing table (pool-accounted,
 /// growing and tier-spilling on demand). Its two configurations differ in
-/// three values: the table's tier, the charged ingest profile, the
-/// snapshot ports. Every charge reads the tier the table lives on.
+/// two values: the table's tier and the charged ingest profile; both
+/// snapshot into the same ports. Every charge reads the tier the table
+/// lives on.
 #[derive(Debug)]
 pub(crate) struct HashBackend {
     event: &'static str,
     table: HashGrouper,
     ingest_profile: fn(usize, usize, MemKind, bool) -> AccessProfile,
-    /// Snapshot ports for scalar and value rows.
-    ports: (u8, u8),
     records: u64,
 }
 
@@ -436,7 +431,6 @@ impl HashBackend {
             event: EV_BACKEND_HASH,
             table: HashGrouper::with_mode(ctx.exec(), SEED_KEYS, hash_mode(kind), tier, prio)?,
             ingest_profile: hashed_ingest_profile,
-            ports: (PORT_HASH_SCALAR, PORT_HASH_VALUES),
             records: 0,
         })
     }
@@ -454,7 +448,6 @@ impl HashBackend {
                 Priority::Normal,
             )?,
             ingest_profile: row_ingest_profile,
-            ports: (PORT_ROW_SCALAR, PORT_ROW_VALUES),
             records: 0,
         })
     }
@@ -554,7 +547,7 @@ impl GroupingBackend for HashBackend {
                 for (k, s, c) in self.table.drain_sorted() {
                     rows.extend_from_slice(&[k, s, c]);
                 }
-                self.ports.0
+                PORT_HASH_SCALAR
             }
             HashAgg::Values => {
                 for (k, vals) in self.table.drain_values_sorted() {
@@ -562,7 +555,7 @@ impl GroupingBackend for HashBackend {
                         rows.extend_from_slice(&[k, v, 0]);
                     }
                 }
-                self.ports.1
+                PORT_HASH_VALUES
             }
         };
         out.push(StateEntry::from_rows(window, port, 3, 2, rows));

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use sbx_kpa::Kpa;
 use sbx_records::{Watermark, WindowId, WindowSpec};
 
-use crate::checkpoint::{check_window_id, join_u128, split_u128, OpState, StateEntry};
+use crate::checkpoint::{check_window_id, OpState, StateEntry};
 use crate::operator::single;
 use crate::{EngineError, ImpactTag, Message, OpCtx, Operator, StreamData};
 
@@ -48,6 +48,16 @@ impl LateGuard {
     }
 }
 
+/// Splits a `u128` accumulator into `(hi, lo)` words for a snapshot row.
+fn split_u128(v: u128) -> (u64, u64) {
+    ((v >> 64) as u64, v as u64)
+}
+
+/// Rejoins a `u128` split by [`split_u128`].
+fn join_u128(hi: u64, lo: u64) -> u128 {
+    ((hi as u128) << 64) | lo as u128
+}
+
 /// A running `(sum, count)` whose mean a window needs at close.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct RunningAvg {
@@ -78,6 +88,9 @@ pub(crate) type PendingRow = [u64; 4];
 
 /// Snapshot port of a window's pending rows (ports 0 and 1 are its sides).
 const PORT_PENDING: u8 = 2;
+/// Snapshot port of a window's running average, one `[sum_hi, sum_lo,
+/// count]` row.
+const PORT_AVG: u8 = 3;
 
 /// One open window's state: what the primitives run on arrival leave
 /// behind for the primitives run at close.
@@ -113,10 +126,9 @@ pub(crate) trait WindowStore<L>: Default + Send {
 }
 
 impl<L> WindowStore<L> for WindowState {
-    /// Per window: `[window, sum_hi, sum_lo, count]` in the scalars (which
-    /// also records that the window is open, whatever else it holds), one
-    /// materialized entry per saved KPA on its side's port, and the pending
-    /// rows.
+    /// Per window: its running average as one entry (which also records
+    /// that the window is open, whatever else it holds), one materialized
+    /// entry per saved KPA on its side's port, and the pending rows.
     fn save_all(
         _logic: &L,
         ctx: &mut OpCtx<'_>,
@@ -125,8 +137,9 @@ impl<L> WindowStore<L> for WindowState {
     ) -> Result<(), EngineError> {
         for (w, state) in windows {
             let (hi, lo) = split_u128(state.avg.sum);
-            st.scalars
-                .extend_from_slice(&[w.0, hi, lo, state.avg.count]);
+            let avg = [hi, lo, state.avg.count].to_vec();
+            st.entries
+                .push(StateEntry::from_rows(w.0, PORT_AVG, 3, 2, avg));
             for (side, kpas) in state.sides.iter().enumerate() {
                 for kpa in kpas {
                     st.entries
@@ -148,17 +161,18 @@ impl<L> WindowStore<L> for WindowState {
         st: &OpState,
         windows: &mut BTreeMap<WindowId, Self>,
     ) -> Result<(), EngineError> {
-        for c in st.scalars.chunks_exact(4) {
-            let avg = &mut windows.entry(WindowId(c[0])).or_default().avg;
-            avg.sum = avg.sum.wrapping_add(join_u128(c[1], c[2]));
-            avg.count = avg.count.wrapping_add(c[3]);
-        }
         for e in &st.entries {
             let state = windows.entry(WindowId(e.window)).or_default();
-            if e.port == PORT_PENDING {
-                state.pending.extend_from_slice(e.rows.as_chunks().0);
-            } else {
-                state.sides[(e.port as usize).min(1)].push(e.to_kpa(ctx)?);
+            match e.port {
+                PORT_AVG => {
+                    for &[hi, lo, count] in e.rows.as_chunks().0 {
+                        let avg = &mut state.avg;
+                        avg.sum = avg.sum.wrapping_add(join_u128(hi, lo));
+                        avg.count = avg.count.wrapping_add(count);
+                    }
+                }
+                PORT_PENDING => state.pending.extend_from_slice(e.rows.as_chunks().0),
+                side => state.sides[(side as usize).min(1)].push(e.to_kpa(ctx)?),
             }
         }
         Ok(())
@@ -378,5 +392,12 @@ mod late_tests {
         // Watermarks never regress.
         g.observe(Watermark::from(5));
         assert!(!g.is_late(&spec, WindowId(2), 1));
+    }
+
+    #[test]
+    fn u128_split_round_trips() {
+        let v = 0x1234_5678_9abc_def0_1122_3344_5566_7788u128;
+        let (hi, lo) = split_u128(v);
+        assert_eq!(join_u128(hi, lo), v);
     }
 }

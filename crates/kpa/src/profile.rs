@@ -333,7 +333,7 @@ pub fn sort_chunked(n: usize, chunk: usize, kind: MemKind) -> AccessProfile {
 /// bundle is charged at the table size it observes.
 pub fn hash_group_grown(n: usize, groups: usize, table_kind: MemKind) -> AccessProfile {
     let f = hash_resident_fraction(groups);
-    let miss = if f < 1.0 { (1.0 - f) + f * f.ln() } else { 0.0 };
+    let miss = (1.0 - f) + f * sbx_prng::math::ln(f);
     let nf = n as f64;
     AccessProfile::new()
         .seq(

@@ -23,8 +23,8 @@
 //!   [`GroupSketch::heavy_permille`] bounds the fraction of the stream
 //!   owned by the single hottest key.
 //!
-//! Integer-only state; the sole floating-point step (`ln`) happens in the
-//! estimator and is pinned by known-answer tests below.
+//! Integer-only state; the sole floating-point step (`sbx_prng::math::ln`)
+//! happens in the estimator and is pinned by known-answer tests below.
 
 use crate::hash::fib_hash;
 
@@ -138,7 +138,7 @@ impl GroupSketch {
         if zeros < 1.0 {
             return self.total;
         }
-        let est = (m * (m / zeros).ln() + 0.5) as u64;
+        let est = (m * sbx_prng::math::ln(m / zeros) + 0.5) as u64;
         est.min(self.total)
     }
 

@@ -19,6 +19,7 @@
 //! | `hash-iter`       | yes      | `HashMap` / `HashSet` (default hasher ⇒ nondeterministic iteration) |
 //! | `no-panic`        | yes      | `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` |
 //! | `atomic-ordering` | yes      | bare `Ordering::Relaxed` (counter modules opt out; anything else must justify the site) |
+//! | `libm`            | yes      | `.ln(`, `.log2(`, `.log10(`, `.exp(`, `.exp2(`, `.powf(` (the platform's `libm`; simulated time uses `sbx_prng::math`) |
 //! | `no-adhoc-io`     | no       | `println!`, `eprintln!`, `print!`, `eprint!`, `dbg!` (report through sbx-obs instead) |
 //! | `unsafe-forbid`   | no       | crate root (`lib.rs` / `main.rs`) missing `#![forbid(unsafe_code)]` |
 //! | `dep-allowlist`   | no       | `Cargo.toml` dependencies outside the approved set |
@@ -72,6 +73,8 @@ pub const ALLOWED_DEPS: &[&str] = &[
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 /// Macros (`name!`) that are `no-panic` violations.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// Float methods (`.name(`) whose last bits depend on the platform's `libm`.
+const LIBM_METHODS: &[&str] = &["ln", "log2", "log10", "exp", "exp2", "powf"];
 /// Macros (`name!`) that are `no-adhoc-io` violations: ad-hoc stdout/stderr
 /// writes bypass the sbx-obs metrics/trace exports and make runs noisy and
 /// nondeterministic to diff.
@@ -81,7 +84,13 @@ const ADHOC_IO_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "db
 /// entirely with an `// sbx-lint: out-of-scope(<rule>, <reason>)`
 /// declaration. An `out-of-scope` marker naming any other rule is itself
 /// an `unused-allow` finding.
-pub const SCOPED_RULES: &[&str] = &["raw-alloc", "hash-iter", "no-panic", "atomic-ordering"];
+pub const SCOPED_RULES: &[&str] = &[
+    "raw-alloc",
+    "hash-iter",
+    "no-panic",
+    "atomic-ordering",
+    "libm",
+];
 
 /// Runs every token-level rule against one source file.
 ///
@@ -100,6 +109,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
     let hash_iter = in_scope("hash-iter");
     let no_panic = in_scope("no-panic");
     let atomic_ordering = in_scope("atomic-ordering");
+    let libm = in_scope("libm");
 
     let finding = |rule: &'static str, line: u32, message: String| Finding {
         rule,
@@ -177,6 +187,12 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
                  ordering"
                     .to_string(),
             ));
+        }
+
+        // libm: workspace-wide, opt out per file (host-side tables).
+        if libm && LIBM_METHODS.contains(&t.text.as_str()) && is_method_call(toks, i) {
+            let msg = format!("`.{}()` differs across libms; use `sbx_prng::math`", t.text);
+            raw.push(finding("libm", t.line, msg));
         }
 
         // no-panic: workspace-wide, opt out per file.
@@ -524,6 +540,21 @@ mod tests {
         let src = "use std::time::Instant; // sbx-lint: allow(wall-clock, host microbench)\n\
                    fn f() {}";
         assert!(lint_source(NEUTRAL, src).is_empty());
+    }
+
+    // --- libm -----------------------------------------------------------
+
+    #[test]
+    fn libm_flags_float_methods_outside_tests_and_scope() {
+        let src = "fn f(x: f64) -> f64 { x.ln() + x.log2() + x.log10() + x.exp() \
+                   + x.exp2() + x.powf(0.5) + ln(x) + x.sqrt() }";
+        let f = lint_source(HOT, src);
+        assert_eq!(rules_of(&f), vec!["libm"; 6]);
+        let tests = "#[cfg(test)]\nmod tests { fn f(x: f64) -> f64 { x.ln() } }";
+        assert!(lint_source(HOT, tests).is_empty());
+        let table = "// sbx-lint: out-of-scope(libm, host-side reference sampler)\n\
+                     fn f(x: f64) -> f64 { x.powf(0.5) }";
+        assert!(lint_source(NEUTRAL, table).is_empty());
     }
 
     // --- hash-iter ------------------------------------------------------

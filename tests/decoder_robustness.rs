@@ -223,7 +223,7 @@ fn resume_survives_hostile_window_ids() {
     let newest = far_pane.ops[0].entries.last_mut().expect("an open pane");
     newest.window = pane_sum().spec().last_window().0;
     let mut cursor_past_panes = panes.clone();
-    cursor_past_panes.ops[0].scalars[0] = u64::MAX;
+    cursor_past_panes.ops[0].cadence[0] = u64::MAX;
     for (hostile, pipeline, refused) in [
         (far_entry, sum, false),
         (far_seen, sum, false),
