@@ -8,11 +8,7 @@ use sbx_kpa::{profile, ExecCtx};
 use sbx_records::{Col, WindowSpec};
 use sbx_simmem::{AccessProfile, AllocError, CostModel, MachineConfig, MemEnv, MemKind, Priority};
 
-/// Per-record engine overhead in KNL cycles: deserialization, per-record
-/// operator dispatch, managed-runtime bookkeeping. Calibrated so that the
-/// row engine's per-core YSB throughput is ~18x below StreamBox-HBM's on
-/// KNL (paper Fig. 7).
-pub const ROW_ENGINE_CYCLES_PER_RECORD_KNL: f64 = 5_900.0;
+pub use sbx_kpa::profile::ROW_ENGINE_CYCLES_PER_RECORD_KNL;
 
 /// The same overhead on the X56 Xeon, whose wide out-of-order cores retire
 /// the row-at-a-time instruction stream roughly twice as fast per cycle as
@@ -155,8 +151,7 @@ impl RowEngine {
             let ingest = *ingest_ns as f64 / 1e9;
             let secs = compute.max(ingest);
             if secs > 0.0 {
-                let start = self.env.clock().now_ns();
-                self.env.charge_traffic(profile, start, (secs * 1e9) as u64);
+                self.env.charge_traffic(profile);
                 self.env.clock().advance((secs * 1e9) as u64);
             }
             *profile = AccessProfile::new();

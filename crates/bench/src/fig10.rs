@@ -53,7 +53,7 @@ pub fn paced_gap(rate_mrps: f64) -> usize {
 }
 
 /// Runs TopK at `rate_mrps` million records per event-second with
-/// `bundles_per_watermark` watermark spacing, for [`ROUNDS`] watermark
+/// `bundles_per_watermark` watermark spacing, for `ROUNDS` watermark
 /// rounds.
 pub fn pressured_run(rate_mrps: f64, bundles_per_watermark: usize) -> RunReport {
     let bundles = bundles_per_watermark * ROUNDS;

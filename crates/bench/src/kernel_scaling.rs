@@ -260,8 +260,8 @@ pub fn run_kernel_grid(reps: usize) -> String {
 }
 
 /// One row of the front- and close-half tables: median host nanoseconds per
-/// input pair of the loop a primitive ran before ([`reference`]) and of the
-/// primitive today.
+/// input pair of the loop a primitive ran before
+/// ([`reference`](mod@reference)) and of the primitive today.
 #[derive(Debug, Clone)]
 pub struct FrontCell {
     /// The primitive.

@@ -15,8 +15,7 @@ use std::sync::Arc;
 /// more slots move finer key ranges but make the table bigger.
 pub const DEFAULT_SLOTS: u32 = 64;
 
-/// The multiplicative key hash shared with
-/// [`sbx_ingress::Partitioned`](sbx_ingress::Partitioned): Fibonacci
+/// The multiplicative key hash that maps a key to its slot: Fibonacci
 /// hashing by the golden-ratio constant.
 const KEY_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 

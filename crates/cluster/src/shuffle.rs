@@ -4,11 +4,12 @@
 //! The input is one [`PipelineSnapshot`] per old shard, all cut at the
 //! *same* epoch (the coordinated cut — exact because routed sources run in
 //! logical-block lockstep, see [`crate::source`]). Every state entry's rows
-//! are split by the new owner of their key ([`StateEntry::split`]; the entry
-//! knows its own key column). The split rows become entries of the
-//! destination shard's snapshot; entries from different source shards are
-//! deliberately *not* merged — restore paths accept multiple state entries
-//! per window, and keeping them apart makes the byte flow per link exact.
+//! are split by the new owner of their key
+//! ([`sbx_engine::StateEntry::split`]; the entry knows its own key column).
+//! The split rows become entries of the destination shard's snapshot;
+//! entries from different source shards are deliberately *not* merged —
+//! restore paths accept multiple state entries per window, and keeping them
+//! apart makes the byte flow per link exact.
 //!
 //! Cross-shard movement is priced on a [`TrafficMatrix`]: shard `i` of the
 //! old topology and shard `i` of the new one are the same node, so rows

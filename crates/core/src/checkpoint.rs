@@ -611,7 +611,7 @@ pub struct CrashSite {
 pub trait CheckpointHooks {
     /// Persists a completed snapshot. The returned [`AccessProfile`] is
     /// merged into the current round so the snapshot's DRAM writes are
-    /// visible to the bandwidth monitor and the balancer.
+    /// counted in the round's traffic and seen by the balancer.
     ///
     /// # Errors
     ///

@@ -521,8 +521,7 @@ impl Engine {
                 let round_secs = compute_secs.max(ingest_secs);
                 let start_ns = self.env.clock().now_ns();
                 if round_secs > 0.0 {
-                    self.env
-                        .charge_traffic(&round.profile, start_ns, (round_secs * 1e9) as u64);
+                    self.env.charge_traffic(&round.profile);
                     self.env.clock().advance((round_secs * 1e9) as u64);
                 }
                 let close_secs = cost.time_secs(&round.close_profile, cores);

@@ -378,13 +378,6 @@ impl GroupingBackend for SortMergeBackend {
 /// table grows, and spills as a whole, on demand.
 const SEED_KEYS: usize = 1024;
 
-/// Extra CPU cycles per record the row-engine baseline pays on top of the
-/// hash probe itself (record dispatch, row copies, virtual-call overhead).
-/// Mirrors `sbx-baselines`' calibrated `ROW_ENGINE_CYCLES_PER_RECORD_KNL`
-/// (5 900) minus the `HASH_CYCLES` (500) already charged by the grouping
-/// profile; the two constants are cross-checked by that crate's tests.
-const ROW_ENGINE_EXTRA_CYCLES: f64 = 5_400.0;
-
 /// The hashed charge for `n` pairs: the cardinality-aware probe cost at the
 /// *observed* table size (a cache-resident table is cheap, a spilled one
 /// pays the full Figure-2 rate, whatever the adaptive estimate said), plus
@@ -405,9 +398,10 @@ fn hashed_ingest_profile(
 }
 
 /// The row-baseline charge: the flat Figure-2 probe plus the row engine's
-/// calibrated per-record overhead.
+/// calibrated per-record overhead beyond the probe's own cycles.
 fn row_ingest_profile(n: usize, _groups: usize, tier: MemKind, _count_only: bool) -> AccessProfile {
-    profile::hash_group(n, tier).cpu(n as f64 * ROW_ENGINE_EXTRA_CYCLES)
+    let extra = profile::ROW_ENGINE_CYCLES_PER_RECORD_KNL - profile::HASH_CYCLES;
+    profile::hash_group(n, tier).cpu(n as f64 * extra)
 }
 
 /// The hash grouping backend: one open-addressing table (pool-accounted,

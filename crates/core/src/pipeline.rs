@@ -215,9 +215,9 @@ impl PipelineBuilder {
     }
 }
 
-/// The paper's ten benchmarks (§6): canned pipelines, and [`SUITE`] — the one
-/// table of what the CLI, the cluster driver and Figure 8 need to know about
-/// each of them.
+/// The paper's ten benchmarks (§6): canned pipelines, and
+/// [`SUITE`](benchmarks::SUITE) — the one table of what the CLI, the cluster
+/// driver and Figure 8 need to know about each of them.
 ///
 /// # Example
 ///

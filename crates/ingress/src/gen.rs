@@ -422,118 +422,9 @@ impl Source for PowerGridSource {
     }
 }
 
-/// Partitions an inner source by key hash across `instances` engine
-/// instances: instance `id` sees exactly the records whose key column
-/// hashes to it (how a distributed StreamBox-HBM deployment shards one
-/// logical stream, paper §3).
-///
-/// All instances constructed from identically seeded inner sources observe
-/// disjoint, jointly exhaustive record sets.
-#[derive(Debug)]
-pub struct Partitioned<S> {
-    inner: S,
-    key_col: usize,
-    instances: u64,
-    id: u64,
-    /// Owned rows fetched from the inner source but not yet emitted.
-    spare: Vec<u64>,
-    spare_pos: usize,
-    /// Staging for the inner source's rows between refills.
-    raw: Vec<u64>,
-    schema: Arc<Schema>,
-}
-
-impl<S: Source> Partitioned<S> {
-    /// Shard `inner` on column `key_col` into `instances` parts; this
-    /// source yields part `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id >= instances` or `instances == 0`.
-    pub fn new(inner: S, key_col: usize, instances: u64, id: u64) -> Self {
-        assert!(instances > 0, "need at least one instance");
-        assert!(id < instances, "instance id {id} out of range");
-        Partitioned {
-            schema: inner.schema(),
-            inner,
-            key_col,
-            instances,
-            id,
-            spare: Vec::new(),
-            spare_pos: 0,
-            raw: Vec::new(),
-        }
-    }
-
-    fn owns(&self, key: u64) -> bool {
-        key.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.instances == self.id
-    }
-}
-
-impl<S: Source> Source for Partitioned<S> {
-    fn schema(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
-    fn fill(&mut self, rows: usize, out: &mut Vec<u64>) {
-        let ncols = self.schema.ncols();
-        let mut produced = 0usize;
-        while produced < rows {
-            if self.spare_pos >= self.spare.len() {
-                // Refill: fetch from the inner stream and keep only owned
-                // rows; no record is ever dropped from a shard.
-                self.spare.clear();
-                self.spare_pos = 0;
-                self.raw.clear();
-                self.inner.fill((rows - produced).max(64), &mut self.raw);
-                for row in self.raw.chunks(ncols) {
-                    if self.owns(row[self.key_col]) {
-                        self.spare.extend_from_slice(row);
-                    }
-                }
-                continue;
-            }
-            out.extend_from_slice(&self.spare[self.spare_pos..self.spare_pos + ncols]);
-            self.spare_pos += ncols;
-            produced += 1;
-        }
-    }
-
-    fn low_watermark(&self) -> EventTime {
-        self.inner.low_watermark()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partitioned_sources_are_disjoint_and_exhaustive() {
-        let mk = |id| Partitioned::new(KvSource::new(42, 1_000, 1_000), 0, 3, id);
-        let mut all_keys = std::collections::HashSet::new();
-        let mut total = 0usize;
-        for id in 0..3 {
-            let mut s = mk(id);
-            let mut v = Vec::new();
-            s.fill(500, &mut v);
-            assert_eq!(v.len() % 3, 0);
-            total += v.len() / 3;
-            for row in v.chunks(3) {
-                // Every key this instance sees hashes to it...
-                assert!(s.owns(row[0]));
-                all_keys.insert(row[0]);
-            }
-        }
-        assert_eq!(total, 1_500);
-        assert!(all_keys.len() > 100, "shards cover many keys");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn partitioned_rejects_bad_instance_id() {
-        let _ = Partitioned::new(KvSource::new(1, 10, 10), 0, 2, 2);
-    }
 
     #[test]
     fn kv_source_is_deterministic_per_seed() {

@@ -32,6 +32,6 @@ mod sender;
 pub use format::{
     IngestFormat, JSON_CYCLES_PER_RECORD, PROTO_CYCLES_PER_RECORD, TEXT_CYCLES_PER_RECORD,
 };
-pub use gen::{KvSource, Partitioned, PowerGridSource, Source, YsbSource, ZipfKeys};
+pub use gen::{KvSource, PowerGridSource, Source, YsbSource, ZipfKeys};
 pub use nic::{LinkModel, NicModel};
 pub use sender::{IngressEvent, Sender, SenderConfig, Sources};

@@ -10,7 +10,7 @@
 //!
 //! Beyond the paper's measurement, the table now also serves as the *hash
 //! grouping backend* of the engine's pluggable GroupBy (DESIGN.md §14):
-//! it supports every reduce kind of [`crate::reduce`] — scalar `(sum,
+//! it supports every reduce kind of [`crate::agg`] — scalar `(sum,
 //! count)` lanes for `Sum`/`Count`, and pool-accounted per-key value
 //! chains ([`HashAgg::Values`]) for order-insensitive aggregates like
 //! median, top-k and unique-count — and it grows by reallocating

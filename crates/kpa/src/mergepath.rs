@@ -149,7 +149,7 @@ pub fn rank_split(runs: &[Run<'_>], by: RankBy, d: usize) -> Vec<usize> {
 /// Split boundaries for `parts` equal output spans over `runs`: `parts + 1`
 /// rows of per-run positions, row `p` at global rank `p * total / parts`.
 /// Span `p` merges `runs[r][cuts[p][r]..cuts[p + 1][r]]` for every `r` and
-/// writes output `[rank(p)..rank(p + 1))`; see [`span_ranks`].
+/// writes output `[rank(p)..rank(p + 1))`; see [`span_rank`].
 pub fn plan_spans(runs: &[Run<'_>], by: RankBy, parts: usize) -> Vec<Vec<usize>> {
     let parts = parts.max(1);
     let total: usize = runs.iter().map(Run::len).sum();

@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn wall_clock_passes_simulated_clock_code() {
-        let src = "fn f(env: &MemEnv) { let now = env.monitor().now_ns(); }";
+        let src = "fn f(env: &MemEnv) { let now = env.clock().now_ns(); }";
         assert!(lint_source(ENGINE, src).is_empty());
         // A field or variable named `sleep` is not a call through a path.
         assert!(lint_source(ENGINE, "fn f() { let sleep = 3; }").is_empty());

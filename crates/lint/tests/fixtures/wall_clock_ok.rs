@@ -4,7 +4,7 @@
 use std::time::Instant; // sbx-lint: allow(wall-clock, host microbenchmark harness)
 
 pub fn step(env: &MemEnv) -> u64 {
-    env.monitor().now_ns()
+    env.clock().now_ns()
 }
 
 pub fn host_time(f: impl FnOnce()) -> f64 {

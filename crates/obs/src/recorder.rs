@@ -14,7 +14,7 @@
 //!
 //! When a detector fires, [`FlightRecorder::freeze`] hands back the ring
 //! contents around the firing round so the engine can assemble an
-//! [`Incident`](crate::Incident) capture window.
+//! [`Incident`] capture window.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;

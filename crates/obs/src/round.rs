@@ -76,9 +76,10 @@ pub const INCIDENT_ROUND_VIEW: View<14> = [
     ("delay_p99", |p| &mut p.delay_p99),
 ];
 
-/// One quiescent round boundary, as sampled by the engine (the runtime's
-/// 10 ms PCM sampling aggregated to round granularity). Counts are `f64`
-/// (exact below 2^53) so a record maps onto series rows without conversion.
+/// One quiescent round boundary, as sampled by the engine (where the paper
+/// reads PCM counters every 10 ms, the engine samples once per round).
+/// Counts are `f64` (exact below 2^53) so a record maps onto series rows
+/// without conversion.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoundPoint {
     /// Watermark round index (0-based).

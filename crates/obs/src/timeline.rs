@@ -1,22 +1,20 @@
 //! Memory-tier timelines reconstructed from the metrics registry.
 //!
-//! The engine records one [`TIER_SERIES`](crate::TIER_SERIES) row per watermark round: HBM and
+//! The engine records one [`TIER_SERIES`] row per watermark round: HBM and
 //! DRAM occupancy (bytes held by live buffers), bandwidth
 //! utilisation against the machine spec, and the round's spill and
 //! knob-move activity. This module turns that series (live or re-parsed
-//! from a metrics JSONL export) into an aligned [`Timeline`] with its own
-//! JSONL export and a deterministic text rendering — the `sbx report
-//! --timeline` view.
+//! from a metrics JSONL export) into an aligned [`Timeline`] with a
+//! deterministic text rendering — the `sbx report --timeline` view.
 //!
 //! Every value originates from simulated time or accounted byte counters,
 //! so a timeline is byte-identical across same-seed runs.
 
 // sbx-lint: out-of-scope(raw-alloc, timeline rendering at export time)
-use crate::json::ObjWriter;
 use crate::metrics::MetricsDump;
 use crate::round::{RoundPoint, TIER_SERIES, TIER_VIEW};
 
-/// A per-round memory-tier timeline (see [`TIER_SERIES`](crate::TIER_SERIES)).
+/// A per-round memory-tier timeline (see [`TIER_SERIES`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
     /// One point per watermark round, in round order; only the fields of
@@ -55,17 +53,6 @@ impl Timeline {
             .iter()
             .map(|p| p.hbm_occupancy)
             .fold(0.0, f64::max)
-    }
-
-    /// Exports the timeline as JSONL, one flat `{"type":"tier",...}` object
-    /// per round, the [`TIER_VIEW`] columns.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for p in &self.points {
-            p.write_view(&TIER_VIEW, ObjWriter::open(&mut out, "tier"))
-                .end();
-        }
-        out
     }
 
     /// Renders a deterministic text view: one line per round with ASCII
@@ -157,19 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_are_flat_tier_objects() {
-        let tl = Timeline::from_dump(&sample_registry().snapshot());
-        let text = tl.to_jsonl();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let line = crate::json::lines(lines[1]).next().unwrap().unwrap();
-        assert_eq!(line.kind(), "tier");
-        assert_eq!(line.opt_f64("at_secs"), Some(2.0));
-        assert_eq!(line.opt_f64("spills"), Some(3.0));
-        assert_eq!(line.opt_f64("k_high"), Some(6.0));
-    }
-
-    #[test]
     fn render_is_deterministic_and_annotated() {
         let tl = Timeline::from_dump(&sample_registry().snapshot());
         let a = tl.render();
@@ -186,7 +160,6 @@ mod tests {
         let tl = Timeline::from_dump(&MetricsDump::default());
         assert!(tl.is_empty());
         assert!(tl.render().contains("no rounds"));
-        assert!(tl.to_jsonl().is_empty());
     }
 
     #[test]

@@ -231,7 +231,7 @@ impl TraceCollector {
     }
 
     /// Exports spans in Chrome trace format (Perfetto / `chrome://tracing`):
-    /// one [`Span::write_chrome_event`] per span, all in process 1.
+    /// one complete (`"ph":"X"`) event per span, all in process 1.
     pub fn export_chrome(&self) -> String {
         chrome_document(self.spans().iter().map(|s| {
             let mut ev = String::new();

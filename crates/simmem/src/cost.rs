@@ -59,7 +59,8 @@ impl AccessProfile {
     }
 
     /// Total bytes this profile moves on `kind` (sequential plus one line
-    /// per random access) — what the [`crate::BandwidthMonitor`] is charged.
+    /// per random access) — what [`crate::MemEnv::charge_traffic`] adds to
+    /// the tier's `bw.<kind>.total_bytes` counter.
     pub fn bytes_on(&self, kind: MemKind) -> f64 {
         self.seq_bytes[kind.index()] + self.rand_accesses[kind.index()] * LINE_BYTES
     }

@@ -3,9 +3,7 @@ use std::sync::Arc;
 
 use sbx_obs::{Counter, MetricsRegistry};
 
-use crate::{
-    AccessProfile, BandwidthMonitor, CostModel, MachineConfig, MemKind, MemPool, SimClock,
-};
+use crate::{AccessProfile, CostModel, MachineConfig, MemKind, MemPool, SimClock};
 
 /// Fraction of HBM held back for critical-path (`Urgent`) allocations.
 const HBM_RESERVE_FRACTION: f64 = 0.05;
@@ -14,7 +12,6 @@ const HBM_RESERVE_FRACTION: f64 = 0.05;
 struct EnvInner {
     machine: MachineConfig,
     pools: [MemPool; 2],
-    monitor: BandwidthMonitor,
     clock: SimClock,
     cost: CostModel,
     /// Cumulative modelled traffic per tier (`bw.<kind>.total_bytes`).
@@ -33,8 +30,8 @@ struct EnvInner {
     sanitizer: sbx_sanitize::Sanitizer,
 }
 
-/// The shared hybrid-memory environment: one pool per tier, a bandwidth
-/// monitor, a simulated clock and the machine cost model.
+/// The shared hybrid-memory environment: one pool per tier, per-tier traffic
+/// counters, a simulated clock and the machine cost model.
 ///
 /// `MemEnv` is cheaply cloneable (internally `Arc`) and is threaded through
 /// every primitive and runtime component; it is the single place where the
@@ -43,13 +40,15 @@ struct EnvInner {
 /// # Example
 ///
 /// ```
+/// use sbx_obs::MetricsRegistry;
 /// use sbx_simmem::{AccessProfile, MachineConfig, MemEnv, MemKind};
 ///
-/// let env = MemEnv::new(MachineConfig::knl().scaled(0.001));
+/// let reg = MetricsRegistry::active();
+/// let env = MemEnv::new_observed(MachineConfig::knl().scaled(0.001), &reg);
 /// let profile = AccessProfile::new().seq(MemKind::Hbm, 1e6).cpu(1e5);
-/// let secs = env.charge(&profile, 16);
-/// assert!(secs > 0.0);
-/// assert!(env.monitor().total_bytes(MemKind::Hbm) >= 1_000_000);
+/// assert!(env.cost().time_secs(&profile, 16) > 0.0);
+/// env.charge_traffic(&profile);
+/// assert_eq!(reg.snapshot().counter("bw.hbm.total_bytes"), Some(1_000_000));
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemEnv {
@@ -70,7 +69,7 @@ impl Drop for BundleToken {
 }
 
 impl MemEnv {
-    /// Builds pools, monitor and cost model for `machine`.
+    /// Builds pools, clock and cost model for `machine`.
     pub fn new(machine: MachineConfig) -> Self {
         MemEnv::new_observed(machine, &MetricsRegistry::noop())
     }
@@ -97,7 +96,6 @@ impl MemEnv {
             inner: Arc::new(EnvInner {
                 cost: CostModel::new(machine.clone()),
                 pools,
-                monitor: BandwidthMonitor::new(),
                 clock: SimClock::new(),
                 machine,
                 traffic,
@@ -162,11 +160,6 @@ impl MemEnv {
         &self.inner.pools[kind.index()]
     }
 
-    /// The memory-traffic monitor.
-    pub fn monitor(&self) -> &BandwidthMonitor {
-        &self.inner.monitor
-    }
-
     /// The simulated clock.
     pub fn clock(&self) -> &SimClock {
         &self.inner.clock
@@ -177,34 +170,11 @@ impl MemEnv {
         &self.inner.cost
     }
 
-    /// Accounts one primitive execution: records its traffic in the
-    /// bandwidth monitor (spread over the execution interval) and advances
-    /// the simulated clock by its modelled duration at `cores` cores.
-    ///
-    /// Returns the simulated duration in seconds.
-    pub fn charge(&self, profile: &AccessProfile, cores: u32) -> f64 {
-        let secs = self.inner.cost.time_secs(profile, cores);
-        let dur_ns = (secs * 1e9) as u64;
-        let start = self.inner.clock.now_ns();
+    /// Adds the bytes `profile` moves on each tier to its
+    /// `bw.<kind>.total_bytes` counter (the engine: once per round).
+    pub fn charge_traffic(&self, profile: &AccessProfile) {
         for kind in MemKind::ALL {
-            let bytes = profile.bytes_on(kind) as u64;
-            self.inner.monitor.record_spread(kind, bytes, start, dur_ns);
-            self.inner.traffic[kind.index()].add(bytes);
-        }
-        self.inner.clock.advance(dur_ns);
-        secs
-    }
-
-    /// Like [`MemEnv::charge`] but only records traffic without advancing
-    /// the clock — used when several tasks execute concurrently and the
-    /// caller advances the clock once for the whole batch.
-    pub fn charge_traffic(&self, profile: &AccessProfile, start_ns: u64, dur_ns: u64) {
-        for kind in MemKind::ALL {
-            let bytes = profile.bytes_on(kind) as u64;
-            self.inner
-                .monitor
-                .record_spread(kind, bytes, start_ns, dur_ns);
-            self.inner.traffic[kind.index()].add(bytes);
+            self.inner.traffic[kind.index()].add(profile.bytes_on(kind) as u64);
         }
     }
 }
@@ -228,24 +198,14 @@ mod tests {
     }
 
     #[test]
-    fn charge_advances_clock_and_records_traffic() {
-        let env = MemEnv::new(MachineConfig::knl());
-        let p = AccessProfile::new().seq(MemKind::Dram, 80e9); // 1 s at saturation
-        let secs = env.charge(&p, 64);
-        assert!((secs - 1.0).abs() < 1e-9);
-        assert_eq!(env.clock().now_ns(), 1_000_000_000);
-        assert_eq!(env.monitor().total_bytes(MemKind::Dram), 80_000_000_000);
-    }
-
-    #[test]
     fn observed_env_counts_traffic_and_spills() {
         let reg = MetricsRegistry::active();
         let env = MemEnv::new_observed(MachineConfig::knl(), &reg);
         let p = AccessProfile::new()
             .seq(MemKind::Hbm, 1000.0)
             .seq(MemKind::Dram, 500.0);
-        env.charge(&p, 64);
-        env.charge_traffic(&p, 0, 1_000);
+        env.charge_traffic(&p);
+        env.charge_traffic(&p);
         env.note_spill();
         let dump = reg.snapshot();
         assert_eq!(dump.counter("bw.hbm.total_bytes"), Some(2000));

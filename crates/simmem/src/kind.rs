@@ -27,15 +27,6 @@ impl MemKind {
         }
     }
 
-    /// The other tier.
-    #[inline]
-    pub fn other(self) -> MemKind {
-        match self {
-            MemKind::Hbm => MemKind::Dram,
-            MemKind::Dram => MemKind::Hbm,
-        }
-    }
-
     /// Lowercase label used in metric names (`pool.hbm.allocs`, ...).
     #[inline]
     pub fn label(self) -> &'static str {
@@ -65,14 +56,6 @@ mod tests {
         assert_eq!(MemKind::Dram.index(), 1);
         assert_eq!(MemKind::ALL[MemKind::Hbm.index()], MemKind::Hbm);
         assert_eq!(MemKind::ALL[MemKind::Dram.index()], MemKind::Dram);
-    }
-
-    #[test]
-    fn other_is_involution() {
-        for k in MemKind::ALL {
-            assert_eq!(k.other().other(), k);
-            assert_ne!(k.other(), k);
-        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! 2. **Bandwidth and latency** — HBM has ~5x the sequential bandwidth of
 //!    DRAM but ~20% *higher* latency. The [`CostModel`] turns instrumented
 //!    access profiles (sequential bytes, random accesses, compute) into
-//!    simulated time using the paper's Table 3 constants, and the
-//!    [`BandwidthMonitor`] gives the runtime the same 10 ms bandwidth samples
-//!    it would get from Intel PCM counters.
+//!    simulated time using the paper's Table 3 constants. Where the paper
+//!    samples Intel PCM counters every 10 ms, the engine's balancer reads
+//!    each watermark round's profile over its compute time.
 //!
 //! Buffers handed out by [`MemPool`] are real heap memory (so the engine and
 //! all algorithms execute for real); only *capacity accounting* and *timing*
@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bandwidth;
 mod clock;
 mod config;
 mod cost;
@@ -46,7 +45,6 @@ mod kind;
 mod pool;
 pub mod sync;
 
-pub use bandwidth::{BandwidthMonitor, BandwidthSample, SAMPLE_INTERVAL_NS};
 pub use clock::SimClock;
 pub use config::{MachineConfig, MemSpec};
 pub use cost::{AccessProfile, CostModel};

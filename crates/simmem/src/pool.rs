@@ -234,14 +234,6 @@ impl MemPool {
         self.inner.used_bytes.load(Ordering::Acquire)
     }
 
-    /// Fraction of capacity in use, in `[0, 1]`.
-    pub fn usage(&self) -> f64 {
-        if self.inner.capacity_bytes == 0 {
-            return 1.0;
-        }
-        self.used_bytes() as f64 / self.inner.capacity_bytes as f64
-    }
-
     /// Bytes available to a request of priority `prio`.
     pub fn available_bytes(&self, prio: Priority) -> u64 {
         self.ceiling(prio).saturating_sub(self.used_bytes())
@@ -512,14 +504,6 @@ mod tests {
         drop(b);
         assert_eq!(pool.used_bytes(), 0);
         assert_eq!(pool.stats().high_water_bytes, peak);
-    }
-
-    #[test]
-    fn usage_is_fraction_of_capacity() {
-        let pool = small_pool(16 * 8 * MIN_CLASS_SLOTS as u64, 0.0);
-        assert_eq!(pool.usage(), 0.0);
-        let _v = pool.alloc_u64(MIN_CLASS_SLOTS, Priority::Normal).unwrap();
-        assert!((pool.usage() - 1.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! stream — no loss, no duplication, same order.
 
 use sbx_prng::SbxRng;
+use streambox_hbm::cluster::{RoutedSource, DEFAULT_SLOTS};
 use streambox_hbm::engine::CrashPhase;
-use streambox_hbm::ingress::Partitioned;
 use streambox_hbm::prelude::*;
 
 fn base_cfg() -> RunConfig {
@@ -192,7 +192,7 @@ fn cluster_checkpoints_coordinate_across_shards() {
             let mut coord = CheckpointCoordinator::new();
             Engine::new(base_cfg())
                 .run_with_hooks(
-                    Partitioned::new(mk_src(), 0, 2, shard),
+                    RoutedSource::new(mk_src(), 0, RouteTable::uniform(2, DEFAULT_SLOTS), shard),
                     benchmarks::sum_per_key(),
                     16,
                     Some(4),

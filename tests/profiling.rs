@@ -108,7 +108,7 @@ fn critical_path_is_exact_on_a_hand_built_dag() {
 
 /// Acceptance: the critical-path and timeline reports are pure functions
 /// of the exported artifacts, so two same-seed runs render byte-identical
-/// text and JSONL.
+/// text and equal timeline points.
 #[test]
 fn critical_path_and_timeline_are_byte_identical_across_same_seed_runs() {
     let (a, b) = (Obs::enabled(), Obs::enabled());
@@ -121,15 +121,16 @@ fn critical_path_and_timeline_are_byte_identical_across_same_seed_runs() {
         let dump = MetricsDump::parse_jsonl(&obs.metrics.export_jsonl()).expect("dump");
         let cp = CriticalPath::compute(&spans).render(5, Some(&dump));
         let tl = Timeline::from_dump(&dump);
-        (cp, tl.to_jsonl(), tl.render())
+        let text = tl.render();
+        (cp, tl.points, text)
     };
-    let (cp_a, tl_jsonl_a, tl_text_a) = render(&a);
-    let (cp_b, tl_jsonl_b, tl_text_b) = render(&b);
+    let (cp_a, tl_points_a, tl_text_a) = render(&a);
+    let (cp_b, tl_points_b, tl_text_b) = render(&b);
     assert_eq!(cp_a, cp_b);
-    assert_eq!(tl_jsonl_a, tl_jsonl_b);
+    assert_eq!(tl_points_a, tl_points_b);
     assert_eq!(tl_text_a, tl_text_b);
     assert!(cp_a.contains("per-primitive"));
-    assert!(!tl_jsonl_a.is_empty());
+    assert!(!tl_points_a.is_empty());
 
     // Parsed spans carry the same analysis as the in-memory ones.
     let from_memory = CriticalPath::compute(&a.trace.spans());

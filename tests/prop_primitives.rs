@@ -8,8 +8,8 @@
 
 use sbx_bench::kernel_scaling::{ptrs_of, reference};
 use sbx_prng::SbxRng;
+use streambox_hbm::cluster::RoutedSource;
 use streambox_hbm::ingress::parse::{json, proto, text};
-use streambox_hbm::ingress::Partitioned;
 use streambox_hbm::kpa::mergepath::RankBy;
 use streambox_hbm::kpa::{
     hash, join_sorted, reduce_keyed, reduce_keyed_scalar, sort_pairs, ExecCtx, Kpa, WorkerPool,
@@ -716,31 +716,39 @@ fn hash_grouper_matches_btreemap() {
     }
 }
 
-/// Key-partitioned shards are disjoint and jointly exhaustive over any
-/// prefix of the logical stream.
+/// Routed shards are disjoint and jointly exhaustive: over random shard
+/// and slot counts, every key lives on one shard, and the shards' rows of
+/// one logical block are exactly that block's records.
 #[test]
-fn partitioned_shards_cover_the_stream() {
+fn routed_shards_cover_the_stream() {
     use std::collections::HashMap;
     let mut rng = SbxRng::seed_from_u64(0x5b57_100b);
     for _ in 0..CASES {
-        let instances = rng.random_range(1..6);
-        let per_shard = rng.random_range(1..200) as usize;
+        let shards = rng.random_range(1..6) as u32;
+        let slots = rng.random_range(u64::from(shards)..200) as u32;
+        let rows = rng.random_range(1..200) as usize;
         let seed = rng.random();
-        let mut owned_total = 0usize;
-        let mut owner_of: HashMap<u64, u64> = HashMap::new();
-        for id in 0..instances {
-            let mut s = Partitioned::new(KvSource::new(seed, 50, 1_000), 0, instances, id);
+        let table = RouteTable::uniform(shards, slots);
+        let mut owner_of: HashMap<u64, u32> = HashMap::new();
+        let mut got: Vec<[u64; 3]> = Vec::new();
+        for shard in 0..shards {
+            let mut s = RoutedSource::new(KvSource::new(seed, 50, 1_000), 0, table.clone(), shard);
             let mut v = Vec::new();
-            s.fill(per_shard, &mut v);
-            assert_eq!(v.len(), per_shard * 3);
-            owned_total += per_shard;
+            s.fill(rows, &mut v);
+            assert_eq!(v.len() % 3, 0);
             for row in v.chunks(3) {
-                if let Some(prev) = owner_of.insert(row[0], id) {
-                    assert_eq!(prev, id, "key {} seen on two shards", row[0]);
+                if let Some(prev) = owner_of.insert(row[0], shard) {
+                    assert_eq!(prev, shard, "key {} seen on two shards", row[0]);
                 }
+                got.push([row[0], row[1], row[2]]);
             }
         }
-        assert!(owned_total > 0);
+        let mut block = Vec::new();
+        KvSource::new(seed, 50, 1_000).fill(rows, &mut block);
+        let mut block: Vec<[u64; 3]> = block.chunks(3).map(|r| [r[0], r[1], r[2]]).collect();
+        got.sort_unstable();
+        block.sort_unstable();
+        assert_eq!(got, block, "the shards split the block exactly");
     }
 }
 

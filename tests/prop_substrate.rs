@@ -165,23 +165,3 @@ fn cost_model_is_monotone() {
         assert!(m.time_secs(&p, cores + 1) <= m.time_secs(&p, cores) + 1e-15);
     }
 }
-
-/// Bandwidth-monitor totals equal the sum of recorded traffic however it
-/// is spread over time.
-#[test]
-fn bandwidth_monitor_conserves_bytes() {
-    let mut rng = SbxRng::seed_from_u64(0x5b57_0008);
-    for _ in 0..CASES {
-        let env = MemEnv::new(MachineConfig::knl());
-        let chunks = rng.random_range(0..50);
-        let mut total = 0u64;
-        for _ in 0..chunks {
-            let bytes = rng.random_range(1..1_000_000);
-            let tens_ms = rng.random_range(0..10);
-            env.monitor()
-                .record_spread(MemKind::Dram, bytes, tens_ms * 10_000_000, 7_777_777);
-            total += bytes;
-        }
-        assert_eq!(env.monitor().total_bytes(MemKind::Dram), total);
-    }
-}

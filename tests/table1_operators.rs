@@ -5,7 +5,11 @@
 
 use streambox_hbm::prelude::*;
 
-fn run_profiled(pipeline: Pipeline, seed: u64) -> (RunReport, MemEnv) {
+/// Runs `pipeline` with metrics on; returns the report, the environment and
+/// the `bw.<tier>.total_bytes` traffic counters, indexed by
+/// [`MemKind::index`].
+fn run_profiled(pipeline: Pipeline, seed: u64) -> (RunReport, MemEnv, [u64; 2]) {
+    let obs = Obs::metrics_only();
     let cfg = RunConfig {
         cores: 16,
         sender: SenderConfig {
@@ -13,6 +17,7 @@ fn run_profiled(pipeline: Pipeline, seed: u64) -> (RunReport, MemEnv) {
             bundles_per_watermark: 5,
             nic: NicModel::rdma_40g(),
         },
+        obs: obs.clone(),
         ..RunConfig::default()
     };
     let engine = Engine::new(cfg);
@@ -24,7 +29,12 @@ fn run_profiled(pipeline: Pipeline, seed: u64) -> (RunReport, MemEnv) {
             10,
         )
         .expect("run");
-    (report, env)
+    let dump = obs.metrics.snapshot();
+    let bytes = MemKind::ALL.map(|k| {
+        dump.counter(&format!("bw.{}.total_bytes", k.label()))
+            .expect("traffic counter")
+    });
+    (report, env, bytes)
 }
 
 #[test]
@@ -56,8 +66,7 @@ fn benchmark_pipelines_compose_per_table1() {
 fn grouping_charges_sequential_kpa_traffic() {
     // A keyed aggregation is dominated by sequential traffic on the KPA
     // tier (HBM): Extract + Partition + Sort + Merge are all sequential.
-    let (_, env) = run_profiled(benchmarks::sum_per_key(), 11);
-    let hbm = env.monitor().total_bytes(MemKind::Hbm);
+    let (_, _, [hbm, _]) = run_profiled(benchmarks::sum_per_key(), 11);
     assert!(hbm > 0, "grouping must touch HBM");
 }
 
@@ -65,10 +74,8 @@ fn grouping_charges_sequential_kpa_traffic() {
 fn unkeyed_reduction_stays_in_dram() {
     // AvgAll only extracts/partitions in HBM and reduces by dereferencing
     // into DRAM — its HBM traffic is far lower than a sort-based pipeline's.
-    let (_, env_sort) = run_profiled(benchmarks::median_per_key(), 12);
-    let (_, env_avg) = run_profiled(benchmarks::avg_all(), 12);
-    let sort_hbm = env_sort.monitor().total_bytes(MemKind::Hbm);
-    let avg_hbm = env_avg.monitor().total_bytes(MemKind::Hbm);
+    let (_, _, [sort_hbm, _]) = run_profiled(benchmarks::median_per_key(), 12);
+    let (_, _, [avg_hbm, _]) = run_profiled(benchmarks::avg_all(), 12);
     assert!(
         sort_hbm > 2 * avg_hbm,
         "sort-based grouping ({sort_hbm}) must move far more HBM bytes than \
@@ -81,9 +88,8 @@ fn full_records_never_live_in_hbm() {
     // Bundles (ingested and materialized) are DRAM-only; HBM holds only
     // KPA-sized data. With 2k-row bundles of 24 B records, DRAM traffic
     // must dominate byte-for-byte at ingestion.
-    let (report, env) = run_profiled(benchmarks::avg_all(), 13);
+    let (report, env, [_, dram]) = run_profiled(benchmarks::avg_all(), 13);
     assert!(report.records_in > 0);
-    let dram = env.monitor().total_bytes(MemKind::Dram);
     assert!(
         dram >= report.records_in * 24,
         "every record is written to DRAM at ingestion"
