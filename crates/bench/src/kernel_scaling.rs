@@ -2,10 +2,10 @@
 //! Join) across worker-pool widths, the serial chunk sort and
 //! k-way merge against the kernels they replaced over a grid of key
 //! distributions and run counts, the per-bundle front half (Select/Extract,
-//! Partition, KeySwap) and the window close (keyed reduction, merge count)
-//! against the passes they replaced, the generators' `fill` and Zipf draw,
-//! plus the modelled pass-bytes comparison between the retired multipass
-//! structure and the single-pass kernels.
+//! Partition, KeySwap) and the window close (keyed reduction, merge count,
+//! fused merge-fold) against the passes they replaced, the generators'
+//! `fill` and Zipf draw, plus the modelled pass-bytes comparison between the
+//! retired multipass structure and the single-pass kernels.
 //!
 //! Unlike the figure sweeps, the *time* column here is real host time of
 //! the functional kernels (`std::time::Instant`), not modelled KNL time:
@@ -435,9 +435,11 @@ pub fn measure_front_half(reps: usize) -> Vec<FrontCell> {
 
 /// Times the window close on `reps` windows as early aggregation leaves
 /// them — 25 KPAs over [`CHUNK_PAIRS`]-record bundles in key order, 4 M
-/// uniform or 1 000 keys: a sum by [`reduce_keyed`] vs the scalar fold, and
-/// the merge plus [`reference::output_rows`] vs the counting merge alone.
-/// Panics if the two sides of a row disagree in any byte.
+/// uniform or 1 000 keys: a sum by [`reduce_keyed`] vs the scalar fold, the
+/// merge plus [`reference::output_rows`] vs the counting merge alone, and
+/// the merge plus the scalar fold ([`reference::merge_fold`]) vs the fused
+/// [`Kpa::merge_fold`]. Panics if the two sides of a row disagree in any
+/// byte.
 pub fn measure_close_half(reps: usize) -> Vec<FrontCell> {
     let env = env();
     let mut ctx = ExecCtx::new(&env);
@@ -445,7 +447,7 @@ pub fn measure_close_half(reps: usize) -> Vec<FrontCell> {
     let per_pair = |(old, new): (f64, f64)| (old * 1e9 / pairs, new * 1e9 / pairs);
     let mut cells = Vec::new();
     for dist in [KeyDist::Uniform4M, KeyDist::Keys1000] {
-        let (mut reduce, mut merge) = (Vec::new(), Vec::new());
+        let (mut reduce, mut merge, mut fused) = (Vec::new(), Vec::new(), Vec::new());
         for rep in 0..reps.max(1) as u64 {
             let mut rng = SbxRng::seed_from_u64(51 + rep);
             let mut bundles = Vec::new();
@@ -460,7 +462,16 @@ pub fn measure_close_half(reps: usize) -> Vec<FrontCell> {
                 kpas.iter_mut().for_each(Kpa::mark_sorted);
                 kpas
             };
-            let (kpas, counted) = (window(&mut ctx), window(&mut ctx));
+            let (kpas, two_pass) = (window(&mut ctx), window(&mut ctx));
+            let (want, old) = timed(|| reference::merge_fold(&mut ctx, two_pass, Some(Col(1)), 7));
+            let one_pass = window(&mut ctx);
+            let hbm = (MemKind::Hbm, Priority::Normal);
+            let (got, new) =
+                timed(|| Kpa::merge_fold(&mut ctx, one_pass, Some(Col(1)), 7, hbm.0, hbm.1));
+            assert!(got.expect("merge fits").0 == want, "{dist:?}: fused close");
+            fused.push(per_pair((old, new)));
+
+            let counted = window(&mut ctx);
             let (want, old) = timed(|| {
                 let merged = Kpa::merge_many(&mut ctx, kpas, MemKind::Hbm, Priority::Normal);
                 reference::output_rows(merged.expect("merge fits").keys())
@@ -487,6 +498,7 @@ pub fn measure_close_half(reps: usize) -> Vec<FrontCell> {
         let rows = [
             ("Keyed reduce", "KeyGroup vs scalar fold", reduce),
             ("Merge", "+ output_rows vs counted", merge),
+            ("Merge-fold", "merge + scalar fold vs fused", fused),
         ];
         for (kernel, what, timings) in rows {
             let case = format!("{}, {what}", dist.label());
@@ -591,14 +603,16 @@ pub fn run_front_half(reps: usize) -> String {
 /// The kernels `sbx_kpa::sort_pairs` and `mergepath::merge_span` ran before
 /// the radix kernels, the per-element loops Select/Extract, Partition and
 /// the pointer resolver ran before their streaming passes, the pass that
-/// counted a merged window's keys, and the Zipf sampler `ZipfKeys` replaced,
-/// kept as the reference the tables here (and `tests/prop_primitives.rs`)
-/// time and check the current code against.
+/// counted a merged window's keys, the two-pass close `Kpa::merge_fold`
+/// fuses, and the Zipf sampler `ZipfKeys` replaced, kept as the reference
+/// the tables here (and `tests/prop_primitives.rs`) time and check the
+/// current code against.
 pub mod reference {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use sbx_kpa::mergepath::{RankBy, Run};
+    use sbx_kpa::{reduce_keyed_scalar, ExecCtx, Kpa};
     use sbx_prng::SbxRng;
     use sbx_records::{BundleId, Col, RecordBundle, RecordRef};
     use sbx_simmem::{MemEnv, MemKind, PoolVec, Priority};
@@ -716,6 +730,18 @@ pub mod reference {
             let at = r.row as usize * ncols;
             *key = rows[at..at + ncols][col.0];
         }
+    }
+
+    /// The window close `Kpa::merge_fold` replaced: the merged KPA written
+    /// by `Kpa::merge_many`, then read back by the scalar fold — its
+    /// `[key, sum of col (no column: count), start]` rows.
+    pub fn merge_fold(ctx: &mut ExecCtx, kpas: Vec<Kpa>, col: Option<Col>, start: u64) -> Vec<u64> {
+        let merged = Kpa::merge_many(ctx, kpas, MemKind::Hbm, Priority::Normal).expect("fits");
+        let mut rows = Vec::new();
+        reduce_keyed_scalar(ctx, &merged, col, |key, sum, count| {
+            rows.extend_from_slice(&[key, if col.is_some() { sum } else { count }, start]);
+        });
+        rows
     }
 
     /// Distinct keys of the sorted `keys` — a window close's rows but TopK's.
@@ -959,7 +985,7 @@ mod tests {
     #[test]
     fn close_half_rows_match_the_reference() {
         let cells = measure_close_half(1);
-        assert_eq!(cells.len(), 2 * 2);
+        assert_eq!(cells.len(), 2 * 3);
         for c in &cells {
             assert!(c.old > 0.0 && c.new > 0.0, "{c:?}");
         }

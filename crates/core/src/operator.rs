@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use sbx_kpa::{profile, ExecCtx, Kpa, WorkerPool};
 use sbx_records::{Col, RecordBundle};
-use sbx_simmem::{AccessProfile, MemEnv, MemKind, Priority};
+use sbx_simmem::{AccessProfile, AllocError, MemEnv, MemKind, Priority};
 
 use crate::{DemandBalancer, EngineError, EngineMode, ImpactTag, Message};
 
@@ -205,27 +205,21 @@ impl<'a> OpCtx<'a> {
             .map_err(EngineError::from)
     }
 
-    /// Merges sorted KPAs pairwise into one, placed per this task.
+    /// A merge of the sorted `kpas` — [`Kpa::merge_many`],
+    /// [`Kpa::merge_many_counted`] or [`Kpa::merge_fold`] — its output
+    /// placed per this task and charged at the inputs' record width.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Alloc`] when both tiers are exhausted.
-    pub fn merge_many(&mut self, kpas: Vec<Kpa>) -> Result<Kpa, EngineError> {
-        let (kind, prio) = self.place();
-        let rb = kpas.first().map_or(16, |k| self.record_bytes_of(k));
-        self.charged(rb, |e| Kpa::merge_many(e, kpas, kind, prio))
-            .map_err(EngineError::from)
-    }
-
-    /// [`Self::merge_many`], also returning the merged keys' count when the
-    /// merge kernel took it ([`Kpa::merge_many_counted`]).
-    pub fn merge_many_counted(
+    pub fn merge<R>(
         &mut self,
         kpas: Vec<Kpa>,
-    ) -> Result<(Kpa, Option<usize>), EngineError> {
+        merge: impl FnOnce(&mut ExecCtx, Vec<Kpa>, MemKind, Priority) -> Result<R, AllocError>,
+    ) -> Result<R, EngineError> {
         let (kind, prio) = self.place();
         let rb = kpas.first().map_or(16, |k| self.record_bytes_of(k));
-        self.charged(rb, |e| Kpa::merge_many_counted(e, kpas, kind, prio))
+        self.charged(rb, |e| merge(e, kpas, kind, prio))
             .map_err(EngineError::from)
     }
 

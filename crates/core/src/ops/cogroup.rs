@@ -97,7 +97,7 @@ impl WindowLogic for CogroupLogic {
             if kpas.is_empty() {
                 continue;
             }
-            let merged = ctx.merge_many(kpas)?;
+            let merged = ctx.merge(kpas, Kpa::merge_many)?;
             let agg = self.agg[side];
             let acc = &mut sides[side];
             ctx.charged(16, |e| {

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use sbx_kpa::hash::{HashAgg, HashGrouper};
 use sbx_kpa::mergepath::count_groups;
 use sbx_kpa::sketch::GroupSketch;
-use sbx_kpa::{agg, profile, reduce_keyed, reduce_keyed_scalar, ExecCtx, Kpa};
+use sbx_kpa::{agg, profile, reduce_keyed, reduce_keyed_scalar, Kpa};
 use sbx_records::{Col, RecordBundle, Schema};
 use sbx_simmem::{AccessProfile, MemEnv, MemKind, Priority};
 
@@ -179,7 +179,7 @@ pub(crate) trait GroupingBackend: Send + std::fmt::Debug {
 pub(crate) fn emit_group(kind: AggKind, key: u64, values: &[u64], start: u64, rows: &mut Vec<u64>) {
     match kind {
         // sbx-lint: allow(no-panic, both callers route the scalar kinds to their scalar folds)
-        AggKind::Sum | AggKind::Count => unreachable!("scalar kinds fold in scalar_rows"),
+        AggKind::Sum | AggKind::Count => unreachable!("scalar kinds fold without gathering"),
         AggKind::Avg => {
             rows.extend_from_slice(&[key, agg::average(values), start]);
         }
@@ -197,20 +197,6 @@ pub(crate) fn emit_group(kind: AggKind, key: u64, values: &[u64], start: u64, ro
             rows.extend_from_slice(&[key, agg::unique_count(&mut v), start]);
         }
     }
-}
-
-/// `Sum` and `Count` by the scalar fold: a `[key, sum of col (no column:
-/// count), start]` row per key of the sorted `kpa`; returns the keys.
-fn scalar_rows(
-    e: &mut ExecCtx,
-    kpa: &Kpa,
-    col: Option<Col>,
-    start: u64,
-    rows: &mut Vec<u64>,
-) -> usize {
-    reduce_keyed_scalar(e, kpa, col, |key, sum, count| {
-        rows.extend_from_slice(&[key, if col.is_some() { sum } else { count }, start]);
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -248,7 +234,11 @@ impl SortMergeBackend {
         let slots = 3 * count_groups(kpa.keys());
         let env = ctx.env();
         let partials = RecordBundle::from_fill(&env, Schema::kvt(), slots, |rows| {
-            ctx.charged(16, |e| scalar_rows(e, kpa, col, 0, rows));
+            ctx.charged(16, |e| {
+                reduce_keyed_scalar(e, kpa, col, |key, sum, count| {
+                    rows.extend_from_slice(&[key, if col.is_some() { sum } else { count }, 0]);
+                })
+            });
         })?;
         Ok(partials)
     }
@@ -313,12 +303,27 @@ impl GroupingBackend for SortMergeBackend {
         if kpas.is_empty() {
             return Ok((RecordBundle::from_rows(&env, Arc::clone(schema), &[])?, 0));
         }
+        let kind = p.kind;
+        if let AggKind::Sum | AggKind::Count = kind {
+            // When early aggregation ran, the window holds partials, in
+            // column 1 of their bundles and summed for either kind.
+            let raw = (kind == AggKind::Sum).then_some(p.value_col);
+            let col = if p.early { Some(Col(1)) } else { raw };
+            // One pass: merge and fold, the rows written once and adopted
+            // by the output bundle.
+            let fold =
+                |e: &mut _, kpas, kind, prio| Kpa::merge_fold(e, kpas, col, start, kind, prio);
+            let (rows, merged) = ctx.merge(kpas, fold)?;
+            let groups = rows.len() / schema.ncols();
+            let out = RecordBundle::from_host_rows(&env, Arc::clone(schema), rows)?;
+            ctx.charged(16, |e| merged.charge_reduce(e));
+            return Ok((out, groups as u64));
+        }
         // The window's keys — its row count for every kind but TopK, so the
         // reduction writes straight into the output bundle's pool buffer —
         // as a k-way merge counts them, or in a pass of their own.
-        let (merged, groups) = ctx.merge_many_counted(kpas)?;
+        let (merged, groups) = ctx.merge(kpas, Kpa::merge_many_counted)?;
         let groups = groups.unwrap_or_else(|| count_groups(merged.keys()));
-        let kind = p.kind;
         let out_rows = match kind {
             AggKind::TopK(k) => merged
                 .keys()
@@ -329,18 +334,10 @@ impl GroupingBackend for SortMergeBackend {
         };
         let slots = schema.ncols() * out_rows;
         let out = RecordBundle::from_fill(&env, Arc::clone(schema), slots, |rows| {
-            ctx.charged(16, |e| match kind {
-                AggKind::Sum | AggKind::Count => {
-                    // When early aggregation ran, the window holds partials,
-                    // in column 1 of their bundles and summed for either kind.
-                    let raw = (kind == AggKind::Sum).then_some(p.value_col);
-                    let col = if p.early { Some(Col(1)) } else { raw };
-                    scalar_rows(e, &merged, col, start, rows)
-                }
-                // No other kind aggregates early.
-                _ => reduce_keyed(e, &merged, p.value_col, |g| {
+            ctx.charged(16, |e| {
+                reduce_keyed(e, &merged, p.value_col, |g| {
                     emit_group(kind, g.key, g.values, start, rows);
-                }),
+                })
             });
         })?;
         Ok((out, groups as u64))

@@ -95,7 +95,7 @@ impl WindowLogic for PowerGridLogic {
         // average.
         let mut high_per_house: BTreeMap<u64, u64> = BTreeMap::new();
         if !kpas.is_empty() {
-            let merged = ctx.merge_many(kpas)?;
+            let merged = ctx.merge(kpas, Kpa::merge_many)?;
             ctx.charged(16, |e| {
                 reduce_keyed(e, &merged, self.load_col, |g| {
                     if sbx_kpa::agg::average(g.values) > global_avg {

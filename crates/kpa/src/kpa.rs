@@ -641,10 +641,11 @@ impl Kpa {
     /// Merges any number of sorted KPAs into one in a *single pass* (the
     /// window-closure step of Keyed Aggregation, paper Fig. 4a): all runs
     /// are merge-path co-partitioned across the context's worker pool (see
-    /// [`crate::mergepath`]) — every lane claims an equal output span, so
-    /// the merge scales with threads, each pair moves exactly once
-    /// regardless of how many KPAs close the window, and the result stays
-    /// byte-identical to the sequential merge. Charges one read + one write
+    /// [`crate::mergepath`]) — every lane claims an equal output span (on a
+    /// two-vCPU host two lanes measured level with one: median 1.02 over
+    /// ten traced pairs), each pair moves exactly once regardless of how
+    /// many KPAs close the window, and the result stays byte-identical to
+    /// the sequential merge. Charges one read + one write
     /// pass with `log2(k)` comparisons per pair (see
     /// [`profile::merge_kway`]).
     ///
@@ -700,34 +701,98 @@ impl Kpa {
         prio: Priority,
         count: bool,
     ) -> Result<(Kpa, Option<usize>), AllocError> {
+        let (mut merged, runs) = Self::merge_request(ctx, kpas, out_kind, prio)?;
+        let total = runs.iter().map(mergepath::Run::len).sum();
+        merged.keys.resize(total, 0);
+        merged.ptrs.resize(total, 0);
+        let (pool, by) = (ctx.pool(), mergepath::RankBy::Key);
+        let (keys, ptrs) = (&mut merged.keys, &mut merged.ptrs);
+        let groups = mergepath::merge_runs_pooled(pool, pool.width(), &runs, by, keys, ptrs, count);
+        Ok((merged, groups))
+    }
+
+    /// A `Sum` of column `col` (no `col`: a `Count`) closing a window of
+    /// sorted KPAs in one pass ([`mergepath::fold_runs`]): the `[key,
+    /// aggregate, start]` rows that [`Kpa::merge_many`] and then
+    /// [`crate::reduce_keyed_scalar`] would give, in a
+    /// [`MemPool::host_buffer`] for [`RecordBundle::from_host_rows`], and the
+    /// [`FoldedWindow`] standing in for the merged KPA — requested and its
+    /// merge charged as by `merge_many`, never written.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] when the merged KPA's request fails.
+    ///
+    /// # Panics
+    ///
+    /// As [`Kpa::merge_many`].
+    pub fn merge_fold(
+        ctx: &mut ExecCtx,
+        mut kpas: Vec<Kpa>,
+        col: Option<Col>,
+        start: u64,
+        out_kind: MemKind,
+        prio: Priority,
+    ) -> Result<(Vec<u64>, FoldedWindow), AllocError> {
+        assert!(!kpas.is_empty(), "merge_fold needs at least one input");
+        let (merged, runs) = match kpas.len() {
+            1 => (None, Self::runs_of(&kpas)),
+            _ => {
+                let (merged, runs) = Self::merge_request(ctx, &kpas, out_kind, prio)?;
+                (Some(merged), runs)
+            }
+        };
+        let pairs = runs.iter().map(mergepath::Run::len).sum();
+        // One resolver per run: a partial bundle's takes no hashed probe.
+        // sbx-lint: allow(raw-alloc, one resolver per input KPA; rows go to the output bundle)
+        let records: Vec<Resolver<'_>> = kpas.iter().map(Kpa::resolver).collect();
+        // A count reads no record, yet shows the sanitizer every pointer.
+        let value = |r: usize, i: usize| match col {
+            Some(col) => records[r].value(i, col),
+            None => {
+                if cfg!(feature = "sanitize") {
+                    _ = records[r].row(i);
+                }
+                1
+            }
+        };
+        let mut rows = MemPool::host_buffer(3 * pairs);
+        mergepath::fold_runs(&runs, value, start, &mut rows);
+        // A lone input stands for itself, as `merge_many` returns it.
+        let merged = merged.unwrap_or_else(|| kpas.swap_remove(0));
+        Ok((rows, FoldedWindow { merged, pairs }))
+    }
+
+    /// The runs of the sorted `kpas`, checked to be mergeable.
+    fn runs_of<K: std::borrow::Borrow<Kpa>>(kpas: &[K]) -> Vec<mergepath::Run<'_>> {
         let first: &Kpa = kpas[0].borrow();
-        for k in kpas.iter().map(K::borrow) {
-            assert!(k.sorted, "merge requires sorted inputs");
-            assert_eq!(k.resident, first.resident, "resident columns must match");
-        }
-        let total: usize = kpas.iter().map(|k| k.borrow().len()).sum();
-        let (mut keys, mut ptrs, got) = alloc_pair_bufs(ctx.env(), total, out_kind, prio)?;
-        keys.resize(total, 0);
-        ptrs.resize(total, 0);
-        let runs: Vec<mergepath::Run<'_>> = kpas
-            .iter()
+        kpas.iter()
             .map(K::borrow)
-            .map(|k| mergepath::Run {
-                keys: &k.keys,
-                ptrs: &k.ptrs,
+            .map(|k| {
+                assert!(k.sorted, "merge requires sorted inputs");
+                assert_eq!(k.resident, first.resident, "resident columns must match");
+                mergepath::Run {
+                    keys: &k.keys,
+                    ptrs: &k.ptrs,
+                }
             })
             // sbx-lint: allow(raw-alloc, k run descriptors; pair data lives in pool buffers)
-            .collect();
-        let width = ctx.pool().width();
-        let groups = mergepath::merge_runs_pooled(
-            ctx.pool(),
-            width,
-            &runs,
-            mergepath::RankBy::Key,
-            &mut keys,
-            &mut ptrs,
-            count,
-        );
+            .collect()
+    }
+
+    /// The merged KPA of `kpas`, its pairs not yet written — its pool
+    /// request on `out_kind` (DRAM when that is full), linked to every
+    /// input's sources, the merge charged — and the runs to merge into it.
+    fn merge_request<'a, K: std::borrow::Borrow<Kpa>>(
+        ctx: &mut ExecCtx,
+        kpas: &'a [K],
+        out_kind: MemKind,
+        prio: Priority,
+    ) -> Result<(Kpa, Vec<mergepath::Run<'a>>), AllocError> {
+        let runs = Self::runs_of(kpas);
+        let total = runs.iter().map(mergepath::Run::len).sum();
+        let (keys, ptrs, got) = alloc_pair_bufs(ctx.env(), total, out_kind, prio)?;
+        let first: &Kpa = kpas[0].borrow();
         // Charge the scan of the inputs on their (possibly distinct) tiers.
         let in_kind = if kpas.iter().all(|k| k.borrow().kind() == first.kind()) {
             first.kind()
@@ -745,7 +810,7 @@ impl Kpa {
                 sources.entry(*id).or_insert_with(|| Arc::clone(b));
             }
         }
-        let kpa = Kpa {
+        let merged = Kpa {
             keys,
             ptrs,
             resident: first.resident,
@@ -758,7 +823,7 @@ impl Kpa {
                 .skip(1)
                 .fold(first.shadow.clone(), |acc, k| acc.union(&k.borrow().shadow)),
         };
-        Ok((kpa, groups))
+        Ok((merged, runs))
     }
 
     /// Number of key/pointer pairs.
@@ -895,6 +960,22 @@ impl Kpa {
     /// `bundle`, if it is one of the KPA's sources.
     pub fn expected_generation(&self, bundle: BundleId) -> Option<u32> {
         self.shadow.expected.get(&bundle.0).copied()
+    }
+}
+
+/// The merged KPA a [`Kpa::merge_fold`] did not write: its pool request and
+/// source links (a one-KPA window's KPA itself), held until dropped.
+#[derive(Debug)]
+pub struct FoldedWindow {
+    merged: Kpa,
+    pairs: usize,
+}
+
+impl FoldedWindow {
+    /// Charges the keyed reduction over the merged KPA, as
+    /// [`crate::reduce_keyed_scalar`] charges it.
+    pub fn charge_reduce(&self, ctx: &mut ExecCtx) {
+        ctx.charge(&profile::reduce_keyed(self.pairs, self.merged.kind()));
     }
 }
 

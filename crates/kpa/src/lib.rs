@@ -20,7 +20,7 @@
 //! | Join | Sequential | [`join_sorted`] |
 //! | Select | Sequential | [`Kpa::select`] / [`Kpa::extract_select`] |
 //! | Partition | Sequential | [`Kpa::partition_by`] |
-//! | Keyed reduce | Random | [`reduce_keyed`] / [`reduce_keyed_scalar`] |
+//! | Keyed reduce | Random | [`reduce_keyed`] / [`reduce_keyed_scalar`]; fused into the merge, [`Kpa::merge_fold`] |
 //! | Unkeyed reduce | Random | [`reduce_unkeyed_bundle`] / [`reduce_unkeyed_kpa`] |
 //!
 //! Every primitive executes for real against pool-accounted buffers *and*
@@ -50,7 +50,7 @@ mod sort;
 
 pub use ctx::{ExecCtx, PrimGroup};
 pub use join::{join_sorted, JoinStats};
-pub use kpa::{Kpa, Resolver};
+pub use kpa::{FoldedWindow, Kpa, Resolver};
 pub use reduce::{
     agg, reduce_keyed, reduce_keyed_scalar, reduce_unkeyed_bundle, reduce_unkeyed_kpa, KeyGroup,
 };

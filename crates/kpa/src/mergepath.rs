@@ -25,6 +25,8 @@
 //! arbitrarily duplicate-heavy inputs: the spans always tile the output
 //! exactly (see `tests/prop_mergepath.rs`).
 
+use std::ops::Range;
+
 use crate::radix::{self, Digits, Pairs};
 
 /// Which order merges and rank splits operate in.
@@ -180,17 +182,14 @@ pub fn count_groups(keys: &[u64]) -> usize {
 /// `sum(hi[r] - lo[r])`.
 ///
 /// Up to two runs merge with the plain two-way loop. More are cut at common
-/// key *splitters* into buckets of a few thousand pairs, and each bucket is
-/// sorted on its own: its sub-runs are concatenated in run order and a
-/// stable radix sort (`radix.rs`) over the bits in which the bucket's keys
-/// can still differ puts them in order, the last pass scattering straight
-/// into the output. Stable over run-order concatenation is exactly
-/// [`RankBy::Key`]'s tie rule; [`RankBy::Compound`] adds the pointer digits
-/// unless the sub-runs' pointer ranges already ascend from run to run (the
-/// chunks of one freshly extracted KPA). The splitters are evenly spaced
-/// keys of the runs themselves, so a far outlier or a Zipf head cannot
-/// collapse the partition, and every splitter key gets a bucket to itself,
-/// which under [`RankBy::Key`] is a plain copy.
+/// key *splitters* into buckets of a few thousand pairs (`walk_buckets`),
+/// and each bucket is sorted on its own: its sub-runs are concatenated in
+/// run order and a stable radix sort (`radix.rs`) over the bits in which the
+/// bucket's keys can still differ puts them in order, the last pass
+/// scattering straight into the output. Stable over run-order concatenation
+/// is exactly [`RankBy::Key`]'s tie rule; [`RankBy::Compound`] adds the
+/// pointer digits unless the sub-runs' pointer ranges already ascend from
+/// run to run (the chunks of one freshly extracted KPA).
 ///
 /// # Panics
 ///
@@ -203,45 +202,54 @@ pub fn merge_span(
     out_keys: &mut [u64],
     out_ptrs: &mut [u64],
 ) {
-    merge_span_counting(runs, lo, hi, by, out_keys, out_ptrs, false);
+    merge_span_with(runs, lo, hi, by, (out_keys, out_ptrs), |_| {});
 }
 
-/// [`merge_span`]; with `count`, also the distinct keys it writes, counted
-/// bucket by bucket while each is in cache. `None` without `count`, and
-/// from the two-way loop, which leaves that pass to the caller.
-fn merge_span_counting(
+/// [`merge_span`], handing each bucket's merged keys to `sink` while in
+/// cache; returns whether it cut buckets (the two-way loop does not).
+fn merge_span_with(
     runs: &[Run<'_>],
     lo: &[usize],
     hi: &[usize],
     by: RankBy,
-    out_keys: &mut [u64],
-    out_ptrs: &mut [u64],
-    count: bool,
-) -> Option<usize> {
+    out: Pairs<'_>,
+    mut sink: impl FnMut(&[u64]),
+) -> bool {
     debug_assert_eq!(runs.len(), lo.len());
     debug_assert_eq!(runs.len(), hi.len());
+    let (out_keys, out_ptrs) = out;
     if runs.len() <= 2 {
         merge_two(runs, lo, hi, by, out_keys, out_ptrs);
-        return None;
+        return false;
     }
-    let total = claimed(lo, hi);
-    // Room for a bucket of twice the average size; a longer one grows it.
-    // sbx-lint: allow(raw-alloc, one bucket of host scratch; pair data stays in the caller's buffers)
-    let mut scratch = vec![0u64; 2 * total.min(2 * BUCKET_PAIRS)];
+    let mut scratch = Vec::new();
+    let mut done = 0;
+    let copy_ptrs = |r: usize, at: Range<usize>, dst: &mut [u64]| {
+        dst.copy_from_slice(&runs[r].ptrs[at]);
+    };
+    walk_buckets(runs, lo, hi, |pos, cut| {
+        let out = (&mut out_keys[done..], &mut out_ptrs[done..]);
+        let len = sort_bucket(runs, pos, cut, by, copy_ptrs, out, &mut scratch);
+        sink(&out_keys[done..done + len]);
+        done += len;
+    });
+    debug_assert_eq!(done, out_keys.len(), "buckets did not fill the output");
+    true
+}
+
+/// Calls `visit(pos, cut)` for each bucket `runs[r][pos[r]..cut[r]]` of
+/// `runs[r][lo[r]..hi[r]]`, in ascending key order: the keys below a
+/// [`splitters`] key, then that key by itself, so every key lies in one
+/// bucket and a far outlier or a Zipf head cannot collapse the partition.
+fn walk_buckets(
+    runs: &[Run<'_>],
+    lo: &[usize],
+    hi: &[usize],
+    mut visit: impl FnMut(&[usize], &[usize]),
+) {
     let mut pos = lo.to_vec();
     let mut cut = lo.to_vec();
-    let (mut done, mut groups) = (0usize, 0usize);
-    // Buckets hold disjoint key ranges, so their counts add up.
-    let mut bucket = |pos: &[usize], cut: &[usize], done: &mut usize| {
-        let out = (&mut out_keys[*done..], &mut out_ptrs[*done..]);
-        let len = sort_bucket(runs, pos, cut, by, out, &mut scratch);
-        if count {
-            groups += count_groups(&out_keys[*done..*done + len]);
-        }
-        *done += len;
-    };
-    for splitter in splitters(runs, lo, hi, total) {
-        // Keys below the splitter, then the splitter key by itself.
+    for splitter in splitters(runs, lo, hi, claimed(lo, hi)) {
         for inclusive in [false, true] {
             for ((c, &p), (run, &h)) in cut.iter_mut().zip(&pos).zip(runs.iter().zip(hi)) {
                 let rest = &run.keys[p..h];
@@ -251,13 +259,11 @@ fn merge_span_counting(
                     gallop(rest, |key| key < splitter)
                 };
             }
-            bucket(&pos, &cut, &mut done);
+            visit(&pos, &cut);
             pos.copy_from_slice(&cut);
         }
     }
-    bucket(&pos, hi, &mut done);
-    debug_assert_eq!(done, out_keys.len(), "buckets did not fill the output");
-    count.then_some(groups)
+    visit(&pos, hi);
 }
 
 /// Pairs in `runs[r][lo[r]..hi[r]]` over all `r`.
@@ -306,31 +312,33 @@ fn splitters(runs: &[Run<'_>], lo: &[usize], hi: &[usize], total: usize) -> Vec<
     sample
 }
 
-/// Sorts one bucket of [`merge_span`] — `runs[r][lo[r]..hi[r]]` for all `r`,
-/// holding every pair of the keys it covers — into the front of `out` and
-/// returns its length. `scratch` is grown to the largest bucket seen.
+/// Sorts one bucket of [`walk_buckets`] into the front of `out` and returns
+/// its length: the keys, each beside the payload `fill(r, range, dst)`
+/// writes for run `r`'s sub-run `range` (in a merge, its pointers).
+/// `scratch` is grown to the largest bucket seen.
 fn sort_bucket(
     runs: &[Run<'_>],
     lo: &[usize],
     hi: &[usize],
     by: RankBy,
+    fill: impl Fn(usize, Range<usize>, &mut [u64]),
     out: Pairs<'_>,
     scratch: &mut Vec<u64>,
 ) -> usize {
     let len = claimed(lo, hi);
     let mut out: Pairs<'_> = (&mut out.0[..len], &mut out.1[..len]);
     let parts = || {
-        runs.iter()
-            .zip(lo.iter().zip(hi))
-            .filter(|(_, (lo, hi))| lo < hi)
-            .map(|(run, (&lo, &hi))| (&run.keys[lo..hi], &run.ptrs[lo..hi]))
+        (0..runs.len())
+            .filter(|&r| lo[r] < hi[r])
+            .map(|r| (r, lo[r]..hi[r]))
     };
     let concat_into = |dst: &mut Pairs<'_>| {
         let mut at = 0;
-        for (keys, ptrs) in parts() {
-            dst.0[at..at + keys.len()].copy_from_slice(keys);
-            dst.1[at..at + keys.len()].copy_from_slice(ptrs);
-            at += keys.len();
+        for (r, part) in parts() {
+            let end = at + part.len();
+            dst.0[at..end].copy_from_slice(&runs[r].keys[part.clone()]);
+            fill(r, part, &mut dst.1[at..end]);
+            at = end;
         }
     };
     if len <= radix::SMALL {
@@ -339,24 +347,21 @@ fn sort_bucket(
         return len;
     }
 
-    // The parts are sorted, so their ends bound the bucket's keys; above
-    // the lowest key, only the bits of that range can differ.
-    let (mut min, mut max) = (u64::MAX, 0u64);
-    for (keys, _) in parts() {
-        min = min.min(keys[0]);
-        max = max.max(keys[keys.len() - 1]);
-    }
+    // Above the lowest key, only the bits of the bucket's range can differ.
+    let (min, max) = key_bounds(runs, lo, hi);
     let key_mask = (max - min)
         .checked_ilog2()
         .map_or(0, |top| u64::MAX >> (63 - top));
     let ptr_mask = match by {
         RankBy::Key => 0,
         RankBy::Compound => {
-            let first = parts().next().map_or(0, |(_, ptrs)| ptrs[0]);
+            let first = parts()
+                .next()
+                .map_or(0, |(r, part)| runs[r].ptrs[part.start]);
             let (mut differing, mut ascending, mut below) = (0, true, 0);
-            for (_, ptrs) in parts() {
+            for (r, part) in parts() {
                 let (mut low, mut high) = (u64::MAX, 0);
-                for &ptr in ptrs {
+                for &ptr in &runs[r].ptrs[part] {
                     low = low.min(ptr);
                     high = high.max(ptr);
                     differing |= ptr ^ first;
@@ -391,6 +396,98 @@ fn sort_bucket(
     }
     digits.sort(out, scratch, by);
     len
+}
+
+/// The lowest and highest key of `runs[r][lo[r]..hi[r]]` over all `r`:
+/// the runs are sorted, so their ends bound the bucket.
+fn key_bounds(runs: &[Run<'_>], lo: &[usize], hi: &[usize]) -> (u64, u64) {
+    let (mut min, mut max) = (u64::MAX, 0);
+    for (run, (&lo, &hi)) in runs.iter().zip(lo.iter().zip(hi)) {
+        if lo < hi {
+            min = min.min(run.keys[lo]);
+            max = max.max(run.keys[hi - 1]);
+        }
+    }
+    (min, max)
+}
+
+/// Key values per pair up to which a bucket is folded in an array.
+const DENSE_SPAN: u64 = 16;
+
+/// The keyed reduction to sums, fused into the k-way merge: appends to
+/// `rows` one `[key, sum, start]` row per distinct key of the key-sorted
+/// `runs`, ascending: `sum` wraps over `value(r, i)` for the key's pairs
+/// `runs[r][i]`. The buckets are
+/// [`merge_span`]'s, each run's values read in run order. A dense bucket
+/// (`DENSE_SPAN`) is summed into an array indexed by key, its keys emitted
+/// in order from a bitmap; a sparser one is sorted on its keys alone and
+/// folded in place.
+/// No key straddles two buckets, and no merged pair is written.
+pub fn fold_runs(
+    runs: &[Run<'_>],
+    value: impl Fn(usize, usize) -> u64,
+    start: u64,
+    rows: &mut Vec<u64>,
+) {
+    let total = runs.iter().map(Run::len).sum();
+    let (lo, hi) = (
+        rank_split(runs, RankBy::Key, 0),
+        rank_split(runs, RankBy::Key, total),
+    );
+    let (mut sums, mut seen) = (Vec::new(), Vec::new());
+    let (mut bucket, mut scratch) = (Vec::new(), Vec::new());
+    let values = |r: usize, at: Range<usize>, dst: &mut [u64]| {
+        for (v, i) in dst.iter_mut().zip(at) {
+            *v = value(r, i);
+        }
+    };
+    walk_buckets(runs, &lo, &hi, |pos, cut| {
+        let len = claimed(pos, cut);
+        let (min, max) = key_bounds(runs, pos, cut);
+        if len == 0 {
+            return;
+        }
+        if max - min < DENSE_SPAN * len as u64 {
+            let span = (max - min) as usize + 1;
+            if sums.len() < span {
+                sums.resize(span, 0u64);
+                seen.resize(span.div_ceil(64), 0u64);
+            }
+            for (r, run) in runs.iter().enumerate() {
+                for (&key, i) in run.keys[pos[r]..cut[r]].iter().zip(pos[r]..) {
+                    let at = (key - min) as usize;
+                    sums[at] = sums[at].wrapping_add(value(r, i));
+                    seen[at / 64] |= 1 << (at % 64);
+                }
+            }
+            // Emitting a key zeroes its slot for the next bucket.
+            for (word, bits) in seen[..span.div_ceil(64)].iter_mut().enumerate() {
+                let mut bits = std::mem::take(bits);
+                while bits != 0 {
+                    let at = 64 * word + bits.trailing_zeros() as usize;
+                    let sum = std::mem::take(&mut sums[at]);
+                    rows.extend_from_slice(&[min + at as u64, sum, start]);
+                    bits &= bits - 1;
+                }
+            }
+            return;
+        }
+        if bucket.len() < 2 * len {
+            bucket.resize(2 * len, 0);
+        }
+        let (keys, vals) = bucket.split_at_mut(len);
+        let out = (&mut *keys, &mut vals[..len]);
+        sort_bucket(runs, pos, cut, RankBy::Key, values, out, &mut scratch);
+        let mut i = 0;
+        while let Some(&key) = keys.get(i) {
+            let mut sum = 0u64;
+            while keys.get(i) == Some(&key) {
+                sum = sum.wrapping_add(vals[i]);
+                i += 1;
+            }
+            rows.extend_from_slice(&[key, sum, start]);
+        }
+    });
 }
 
 /// [`merge_span`] for at most two runs: the two-way loop, then a bulk copy
@@ -468,8 +565,15 @@ pub fn merge_runs_pooled(
     debug_assert_eq!(total, runs.iter().map(Run::len).sum::<usize>());
     let width = width.clamp(1, total.max(1));
     let cuts = plan_spans(runs, by, width);
+    // Each lane counts its buckets' keys, if asked to, as they are merged.
+    let merge = |(lo, hi, ok, op): SpanJob<'_>| {
+        let mut groups = 0;
+        let sink = |keys: &[u64]| groups += if count { count_groups(keys) } else { 0 };
+        let walked = merge_span_with(runs, &lo, &hi, by, (ok, op), sink);
+        (walked && count).then_some(groups)
+    };
     if width == 1 {
-        return merge_span_counting(runs, &cuts[0], &cuts[1], by, out_keys, out_ptrs, count);
+        return merge((cuts[0].clone(), cuts[1].clone(), out_keys, out_ptrs));
     }
     // sbx-lint: allow(raw-alloc, per-invocation span-job list of borrowed slices)
     let mut jobs: Vec<SpanJob<'_>> = Vec::with_capacity(width);
@@ -486,8 +590,6 @@ pub fn merge_runs_pooled(
             done = next;
         }
     }
-    let merge =
-        |(lo, hi, ok, op): SpanJob<'_>| merge_span_counting(runs, &lo, &hi, by, ok, op, count);
     let groups: Option<usize> = pool.run(width, merge, jobs).into_iter().sum();
     // With `width <= total` no span is empty, so the seams are distinct.
     let seams = (1..width).map(|p| span_rank(total, width, p));

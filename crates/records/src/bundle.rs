@@ -2,7 +2,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use sbx_simmem::{AllocError, BundleToken, MemEnv, MemKind, PoolVec, Priority};
+use sbx_simmem::{AllocError, BundleToken, MemEnv, MemKind, MemPool, PoolVec, Priority};
 
 use crate::{Col, EventTime, Schema};
 
@@ -117,6 +117,27 @@ impl RecordBundle {
             rows.reserve_exact(data.capacity().saturating_sub(rows.len()));
             std::mem::swap(data, rows);
         })
+    }
+
+    /// [`Self::adopt_rows`] for `rows` filled in a [`MemPool::host_buffer`]
+    /// of their size class or a larger one (a producer that learns its row
+    /// count as it writes, like a fused window close): moved down to their
+    /// own class first if need be, and every buffer given up goes back to
+    /// the host reserve, so none outlives the call. Errors and panics as
+    /// `adopt_rows`.
+    pub fn from_host_rows(
+        env: &MemEnv,
+        schema: Arc<Schema>,
+        mut rows: Vec<u64>,
+    ) -> Result<Arc<Self>, AllocError> {
+        if MemPool::buffer_slots(rows.len()) < rows.capacity() {
+            let mut fit = MemPool::host_buffer(rows.len());
+            fit.extend_from_slice(&rows);
+            MemPool::return_host_buffer(std::mem::replace(&mut rows, fit));
+        }
+        let bundle = Self::adopt_rows(env, schema, &mut rows);
+        MemPool::return_host_buffer(rows);
+        bundle
     }
 
     /// Builds a bundle of exactly `slots` values by letting `fill` append
@@ -351,6 +372,21 @@ mod tests {
         // Dropped, the adopted buffer gives its bytes back like any other.
         drop(b);
         assert_eq!(env.pool(MemKind::Dram).used_bytes(), 0);
+    }
+
+    #[test]
+    fn from_host_rows_keeps_a_fitting_buffer_and_moves_rows_out_of_a_larger_one() {
+        let env = env();
+        for (class_of, moved) in [(3000, false), (30_000, true)] {
+            let mut rows = MemPool::host_buffer(class_of);
+            rows.extend(0..3000);
+            let at = rows.as_ptr();
+            let b = RecordBundle::from_host_rows(&env, Schema::kvt(), rows).unwrap();
+            assert_eq!(b.row(999), &[2997, 2998, 2999]);
+            assert_eq!(b.as_rows().as_ptr() != at, moved, "a buffer for {class_of}");
+            // Accounted at the rows' own size class, as `from_rows` would be.
+            assert_eq!(env.pool(MemKind::Dram).used_bytes(), 4096 * 8);
+        }
     }
 
     #[test]

@@ -255,6 +255,24 @@ impl MemPool {
         class_for(len.max(1)).map_or(len, class_slots)
     }
 
+    /// An empty, unaccounted host buffer of [`MemPool::buffer_slots`]`(len)`
+    /// slots, from the process-wide reserve if one waits there: for
+    /// [`MemPool::alloc_u64`], or to fill for `RecordBundle::from_host_rows`.
+    pub fn host_buffer(len: usize) -> Vec<u64> {
+        let reserved = class_for(len.max(1)).and_then(|c| HOST_RESERVE.lock().take(c));
+        // sbx-lint: allow(raw-alloc, the pools' own backing store; this is where accounted memory comes from)
+        reserved.unwrap_or_else(|| Vec::with_capacity(Self::buffer_slots(len)))
+    }
+
+    /// Parks an empty buffer of exactly one size class's capacity in the
+    /// process-wide reserve; any other goes to the system allocator.
+    pub fn return_host_buffer(buf: Vec<u64>) {
+        let cap = buf.capacity();
+        if let Some(c) = class_for(cap).filter(|&c| class_slots(c) == cap) {
+            HOST_RESERVE.lock().put(c, buf);
+        }
+    }
+
     /// Allocates a buffer of at least `len` u64 slots.
     ///
     /// The returned [`PoolVec`] has `capacity() >= len` (rounded up to the
@@ -302,11 +320,8 @@ impl MemPool {
         self.inner.metrics.allocs.incr();
         self.inner.metrics.alloc_bytes.add(bytes);
         self.inner.metrics.used.set((used + bytes) as f64);
-        // A freed host buffer of this class, if one waits.
-        let reserved = class.and_then(|c| HOST_RESERVE.lock().take(c));
         Ok(PoolVec {
-            // sbx-lint: allow(raw-alloc, the pool's own backing store; this is where accounted memory comes from)
-            buf: reserved.unwrap_or_else(|| Vec::with_capacity(slots)),
+            buf: MemPool::host_buffer(len),
             pool: self.inner.clone(),
             class,
             accounted_bytes: bytes,

@@ -361,3 +361,49 @@ fn committed_rows_are_invariant_under_bundle_size() {
         }
     }
 }
+
+/// Committed rows do not depend on HBM size: every suite row commits the
+/// same rows with 16 GiB of HBM as with 1 MiB, where KPAs — the merged KPA
+/// a window close requests among them — spill to DRAM.
+#[test]
+fn committed_rows_are_invariant_under_hbm_size() {
+    const RECORDS: usize = 200_000;
+    let mut spills = 0;
+    for b in &benchmarks::SUITE {
+        let rows_at = |hbm_bytes: u64| {
+            let mut cfg = RunConfig {
+                cores: 8,
+                collect_outputs: true,
+                sender: SenderConfig {
+                    bundle_rows: 2_000,
+                    bundles_per_watermark: 2,
+                    nic: NicModel::rdma_40g(),
+                },
+                ..RunConfig::default()
+            };
+            cfg.machine.hbm.capacity_bytes = hbm_bytes;
+            let engine = Engine::new(cfg);
+            let env = engine.env().clone();
+            let report = engine
+                .run(
+                    b.sources(7, b.keys.min(20_000), 100_000, None),
+                    (b.pipeline)(GroupingSpec::SortMerge),
+                    b.streams * RECORDS / 2_000,
+                )
+                .expect("engine run");
+            let mut rows: Vec<Vec<u64>> = report
+                .outputs
+                .iter()
+                .flat_map(|o| (0..o.rows()).map(move |r| o.row(r).to_vec()))
+                .collect();
+            rows.sort_unstable();
+            (rows, env.spill_count())
+        };
+        let (want, _) = rows_at(16 << 30);
+        assert!(!want.is_empty(), "{}", b.name);
+        let (got, spilled) = rows_at(1 << 20);
+        assert!(got == want, "{}: rows differ at 1 MiB of HBM", b.name);
+        spills += spilled;
+    }
+    assert!(spills > 0, "1 MiB of HBM must spill");
+}

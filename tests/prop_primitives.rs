@@ -547,6 +547,103 @@ fn counted_merge_equals_output_rows() {
     }
 }
 
+/// One run of a window a fused close folds: `keys` (sorted here) with
+/// `values`, either a partial bundle early aggregation leaves — one source,
+/// rows in key order — or, raw, the rows spread over `sources` bundles in
+/// arrival order, sorted and merged into one KPA over all of them.
+fn fold_run(env: &MemEnv, ctx: &mut ExecCtx, keys: &[u64], values: &[u64], sources: usize) -> Kpa {
+    let rows: Vec<u64> = keys
+        .iter()
+        .zip(values)
+        .flat_map(|(&k, &v)| [k, v, 0])
+        .collect();
+    if sources == 1 {
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let rows: Vec<u64> = order
+            .iter()
+            .flat_map(|&i| rows[3 * i..3 * i + 3].to_vec())
+            .collect();
+        let b = RecordBundle::from_rows(env, Schema::kvt(), &rows).expect("fits");
+        let mut kpa =
+            Kpa::extract_fused(ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).expect("fits");
+        kpa.mark_sorted();
+        return kpa;
+    }
+    let chunk = (rows.len() / 3).div_ceil(sources).max(1) * 3;
+    let parts: Vec<Kpa> = (0..sources)
+        .map(|s| {
+            let piece = rows
+                .get(s * chunk..rows.len().min((s + 1) * chunk))
+                .unwrap_or(&[]);
+            let b = RecordBundle::from_rows(env, Schema::kvt(), piece).expect("fits");
+            let mut kpa =
+                Kpa::extract(ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).expect("fits");
+            kpa.sort(ctx, 1).expect("sort");
+            kpa
+        })
+        .collect();
+    Kpa::merge_many(ctx, parts, MemKind::Hbm, Priority::Normal).expect("merge")
+}
+
+/// The fused close equals the two-pass one it replaced — the merged KPA
+/// written, then read back by the scalar fold — row for row, for a `Sum`
+/// that wraps near `u64::MAX` and a `Count`, over 1, 2, 3, 25 and 64 runs
+/// (empty ones among them) of partial bundles or multi-source raw KPAs,
+/// duplicate-heavy, all-equal, dense, at `u64::MAX` and full-range keys (so
+/// both the array and the sorted fold run), at pool widths 1, 2, 4 and 16.
+#[test]
+fn fused_close_equals_merge_then_scalar_fold() {
+    let mut rng = SbxRng::seed_from_u64(0x5b57_1014);
+    for case in 0..40u64 {
+        let k = [1, 2, 3, 25, 64][case as usize % 5];
+        let threads = [1, 2, 4, 16][case as usize % 4];
+        let sources = [1, 1, 3][case as usize % 3];
+        let max_len = 24_000 / k as u64;
+        let shape = case / 5 % 6;
+        let runs: Vec<(Vec<u64>, Vec<u64>)> = (0..k)
+            .map(|_| {
+                let n = match rng.random_range(0..5) {
+                    0 => 0,
+                    1 => 1,
+                    _ => rng.random_range(0..max_len) as usize,
+                };
+                let keys = match shape {
+                    0 => rng.vec_in(n, 0..7),
+                    1 => vec![u64::MAX; n],
+                    2 => rng
+                        .vec_in(n, u64::MAX - 40..u64::MAX)
+                        .iter()
+                        .map(|k| k + 1)
+                        .collect(),
+                    3 => rng.vec_in(n, 1_000..3_000),
+                    4 => (0..n).map(|_| rng.random()).collect(),
+                    _ => rng.vec_in(n, 0..400_000),
+                };
+                // Near the top, so that a sum of a few wraps.
+                let values = rng.vec_in(n, u64::MAX - 1_000..u64::MAX);
+                (keys, values)
+            })
+            .collect();
+        let env = env();
+        let mut ctx = ExecCtx::with_pool(&env, WorkerPool::new(threads));
+        let window = |ctx: &mut ExecCtx| -> Vec<Kpa> {
+            runs.iter()
+                .map(|(keys, values)| fold_run(&env, ctx, keys, values, sources))
+                .collect()
+        };
+        for col in [Some(Col(1)), None] {
+            let two_pass = window(&mut ctx);
+            let want = reference::merge_fold(&mut ctx, two_pass, col, 9);
+            let fused = window(&mut ctx);
+            let hbm = (MemKind::Hbm, Priority::Normal);
+            let (got, held) = Kpa::merge_fold(&mut ctx, fused, col, 9, hbm.0, hbm.1).expect("fits");
+            assert_eq!(got, want, "case {case}: {k} runs, shape {shape}, {col:?}");
+            drop(held);
+        }
+    }
+}
+
 /// All three parser codecs are inverses of their encoders.
 #[test]
 fn codecs_round_trip() {

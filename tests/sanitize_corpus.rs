@@ -248,6 +248,57 @@ fn fixture_wild_pointer_in_a_count() {
     assert_eq!(env.sanitizer().reports()[0].fault_span, 54);
 }
 
+/// A fused window close reads every run through its own resolver: a forged
+/// pointer in one run of three is a wild-pointer finding in the close's
+/// span and sums as 0, as `Resolver::value` reads it, while the rest fold
+/// as usual; a `Count`, which reads no record, still validates it.
+#[test]
+fn fixture_wild_pointer_in_a_fused_close() {
+    let env = env();
+    let mut ctx = ExecCtx::new(&env);
+    let bundles = {
+        let _g = op_scope(71, "ingest");
+        [
+            bundle(&env, &[(1, 10, 0), (2, 20, 1)]),
+            bundle(&env, &[(1, 100, 2), (3, 30, 3)]),
+            bundle(&env, &[(2, 5, 4)]),
+        ]
+    };
+    let window = |ctx: &mut ExecCtx| -> Vec<Kpa> {
+        let mut kpas: Vec<Kpa> = bundles
+            .iter()
+            .map(|b| Kpa::extract(ctx, b, Col(0), MemKind::Hbm, Priority::Normal).unwrap())
+            .collect();
+        kpas.iter_mut().for_each(Kpa::mark_sorted);
+        let wild = RecordRef {
+            bundle: BundleId(u32::MAX - 23),
+            row: 0,
+        };
+        kpas[1].corrupt_ptr(1, wild.pack());
+        kpas
+    };
+    let hbm = (MemKind::Hbm, Priority::Normal);
+
+    let kpas = window(&mut ctx);
+    let (sums, _) = {
+        let _g = op_scope(72, "close");
+        Kpa::merge_fold(&mut ctx, kpas, Some(Col(1)), 0, hbm.0, hbm.1).unwrap()
+    };
+    assert_eq!(sums, vec![1, 110, 0, 2, 25, 0, 3, 0, 0]);
+    assert_classes(env.sanitizer(), &[BugClass::WildPointer]);
+    assert_eq!(env.sanitizer().reports()[0].fault_span, 72);
+
+    env.sanitizer().clear_reports();
+    let kpas = window(&mut ctx);
+    let (counts, _) = {
+        let _g = op_scope(73, "count");
+        Kpa::merge_fold(&mut ctx, kpas, None, 0, hbm.0, hbm.1).unwrap()
+    };
+    assert_eq!(counts, vec![1, 2, 0, 2, 2, 0, 3, 1, 0]);
+    assert_classes(env.sanitizer(), &[BugClass::WildPointer]);
+    assert_eq!(env.sanitizer().reports()[0].fault_span, 73);
+}
+
 #[test]
 fn fixture_leak_at_engine_drop() {
     let env = env();
