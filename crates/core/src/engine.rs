@@ -27,12 +27,9 @@ pub struct RunConfig {
     pub mode: EngineMode,
     /// Ingestion configuration (bundle size, watermark cadence, NIC).
     pub sender: SenderConfig,
-    /// Host lanes for the two kernels that fan out, the window-close
-    /// merge (merge-path spans) and the join scan (strips); every other
-    /// primitive, the per-bundle sort included, runs on one lane. This is
-    /// functional parallelism only, modelled parallelism comes from
-    /// `cores`. Lanes write into buffers their caller allocated, so no
-    /// value of it moves a byte between tiers.
+    /// Host lanes: ignored, as every primitive runs on the engine thread
+    /// (modelled parallelism comes from `cores`). It stays for the
+    /// harnesses that set it.
     pub threads: usize,
     /// Whether to keep sink output bundles in the report.
     pub collect_outputs: bool,
@@ -104,9 +101,6 @@ pub struct Engine {
     cfg: RunConfig,
     env: MemEnv,
     balancer: DemandBalancer,
-    /// Worker pool shared by every task context of the run (clones share
-    /// spawn statistics); sized once from `cfg.threads`.
-    pool: sbx_kpa::WorkerPool,
     /// Id of the next operator invocation's trace span.
     next_task: u64,
     /// Watermark round currently being accumulated (0-based); stamped onto
@@ -130,12 +124,10 @@ impl Engine {
         let env = MemEnv::new_observed(machine, &cfg.obs.metrics);
         let balancer = DemandBalancer::new().with_metrics(&cfg.obs.metrics);
         let rm = RunMetrics::for_run(&cfg.obs.metrics);
-        let pool = sbx_kpa::WorkerPool::new(cfg.threads);
         Engine {
             cfg,
             env,
             balancer,
-            pool,
             next_task: 0,
             cur_round: 0,
             cur_epoch: 0,
@@ -713,13 +705,8 @@ impl Engine {
 
     /// A task context placing through the engine's balancer.
     fn ctx(&mut self, tag: ImpactTag) -> crate::OpCtx<'_> {
-        crate::OpCtx::with_pool(
-            &self.env,
-            self.pool.clone(),
-            &mut self.balancer,
-            self.cfg.mode,
-            tag,
-        )
+        let cfg = &self.cfg;
+        crate::OpCtx::new(&self.env, &mut self.balancer, cfg.mode, cfg.threads, tag)
     }
 
     /// Pushes `frontier` through `ops`: every operator is invoked on every
@@ -829,8 +816,7 @@ impl Engine {
     /// at a time in arrival order, on the engine thread: every pool
     /// allocation of the round is made here, so which request gets the
     /// last HBM byte is a function of (seed, config), never of the host
-    /// schedule. Kernel lanes (`threads`) only write into buffers their
-    /// caller allocated.
+    /// schedule.
     fn flush_batch(
         &mut self,
         pipeline: &mut Pipeline,

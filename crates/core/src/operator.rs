@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use sbx_kpa::{profile, ExecCtx, Kpa, WorkerPool};
+use sbx_kpa::{profile, ExecCtx, FoldedWindow, Kpa};
 use sbx_records::{Col, RecordBundle};
 use sbx_simmem::{AccessProfile, AllocError, MemEnv, MemKind, Priority};
 
@@ -22,8 +22,7 @@ const NOKPA_THRASH: f64 = 2.5;
 ///
 /// Wraps the primitive-level [`ExecCtx`] with the engine-level concerns:
 /// the demand-balance placement decision for new KPAs, the task's
-/// [`ImpactTag`], the worker pool whose width is the thread budget for
-/// parallel primitives, and the [`EngineMode`] cost adjustments for the
+/// [`ImpactTag`], and the [`EngineMode`] cost adjustments for the
 /// Figure-9 ablation configurations.
 pub struct OpCtx<'a> {
     exec: ExecCtx,
@@ -38,33 +37,18 @@ pub struct OpCtx<'a> {
 }
 
 impl<'a> OpCtx<'a> {
-    /// A context for one task with a private worker pool of `threads`
-    /// lanes. Engine-driven tasks share one pool via
-    /// [`OpCtx::with_pool`]; this constructor suits tests and one-shot
-    /// harnesses.
+    /// A context for one task. `_threads` is ignored, as every primitive
+    /// runs on the calling thread; it stays for the tests and harnesses
+    /// written against the worker pool it once sized.
     pub fn new(
         env: &MemEnv,
         balancer: &'a mut DemandBalancer,
         mode: EngineMode,
-        threads: usize,
-        tag: ImpactTag,
-    ) -> Self {
-        Self::with_pool(env, WorkerPool::new(threads), balancer, mode, tag)
-    }
-
-    /// A context for one task backed by a shared [`WorkerPool`] (clones
-    /// share spawn statistics), so every task of a run draws on the same
-    /// pool instead of configuring parallelism per invocation. The pool's
-    /// width is the thread budget of the task's parallel primitives.
-    pub fn with_pool(
-        env: &MemEnv,
-        pool: WorkerPool,
-        balancer: &'a mut DemandBalancer,
-        mode: EngineMode,
+        _threads: usize,
         tag: ImpactTag,
     ) -> Self {
         OpCtx {
-            exec: ExecCtx::with_pool(env, pool),
+            exec: ExecCtx::new(env),
             balancer,
             mode,
             tag,
@@ -205,9 +189,9 @@ impl<'a> OpCtx<'a> {
             .map_err(EngineError::from)
     }
 
-    /// A merge of the sorted `kpas` — [`Kpa::merge_many`],
-    /// [`Kpa::merge_many_counted`] or [`Kpa::merge_fold`] — its output
-    /// placed per this task and charged at the inputs' record width.
+    /// A merge of the sorted `kpas` — [`Kpa::merge_fold`] or
+    /// [`Kpa::merge_gather`] — its output placed per this task and charged
+    /// at the inputs' record width.
     ///
     /// # Errors
     ///
@@ -221,6 +205,27 @@ impl<'a> OpCtx<'a> {
         let rb = kpas.first().map_or(16, |k| self.record_bytes_of(k));
         self.charged(rb, |e| merge(e, kpas, kind, prio))
             .map_err(EngineError::from)
+    }
+
+    /// A window of sorted `kpas` closed by [`Kpa::merge_gather`] of their
+    /// records' column `col` into `sink`, merged as by [`OpCtx::merge`] and
+    /// the keyed reduction charged after it, at 16 bytes a record; returns
+    /// the merged KPA's stand-in, to hold until the output is placed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Alloc`] when both tiers are exhausted.
+    pub fn gather(
+        &mut self,
+        kpas: Vec<Kpa>,
+        col: Col,
+        sink: impl FnMut(u64, &mut [u64]),
+    ) -> Result<FoldedWindow, EngineError> {
+        let gather =
+            |e: &mut _, kpas, kind, prio| Kpa::merge_gather(e, kpas, col, kind, prio, sink);
+        let merged = self.merge(kpas, gather)?;
+        self.charged(16, |e| merged.charge_reduce(e));
+        Ok(merged)
     }
 
     fn record_bytes_of(&self, kpa: &Kpa) -> usize {

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use sbx_kpa::{reduce_keyed, Kpa};
+use sbx_kpa::Kpa;
 use sbx_records::{Col, RecordBundle, Schema, WindowSpec};
 
 use super::windowed::{WindowLogic, WindowState, Windowed};
@@ -97,14 +97,10 @@ impl WindowLogic for CogroupLogic {
             if kpas.is_empty() {
                 continue;
             }
-            let merged = ctx.merge(kpas, Kpa::merge_many)?;
-            let agg = self.agg[side];
-            let acc = &mut sides[side];
-            ctx.charged(16, |e| {
-                reduce_keyed(e, &merged, self.value_col, |g| {
-                    acc.push((g.key, agg.apply(g.values)));
-                })
-            });
+            let (agg, acc) = (self.agg[side], &mut sides[side]);
+            ctx.gather(kpas, self.value_col, |key, values| {
+                acc.push((key, agg.apply(values)));
+            })?;
         }
         // Co-scan the two sorted per-key aggregate lists.
         let (mut ls, mut rs) = (sides[0].iter().peekable(), sides[1].iter().peekable());

@@ -33,9 +33,9 @@ use std::sync::Arc;
 use sbx_kpa::hash::{HashAgg, HashGrouper};
 use sbx_kpa::mergepath::count_groups;
 use sbx_kpa::sketch::GroupSketch;
-use sbx_kpa::{agg, profile, reduce_keyed, reduce_keyed_scalar, Kpa};
+use sbx_kpa::{agg, profile, reduce_keyed_scalar, Kpa};
 use sbx_records::{Col, RecordBundle, Schema};
-use sbx_simmem::{AccessProfile, MemEnv, MemKind, Priority};
+use sbx_simmem::{AccessProfile, MemEnv, MemKind, MemPool, Priority};
 
 use crate::checkpoint::StateEntry;
 use crate::ops::AggKind;
@@ -173,10 +173,15 @@ pub(crate) trait GroupingBackend: Send + std::fmt::Debug {
     fn restore_entry(&mut self, ctx: &mut OpCtx<'_>, e: &StateEntry) -> Result<(), EngineError>;
 }
 
-/// Emits one group's output rows from all of its values — shared by the
-/// sort backend's close and the hash backends' drains, so their bytes
-/// cannot diverge.
-pub(crate) fn emit_group(kind: AggKind, key: u64, values: &[u64], start: u64, rows: &mut Vec<u64>) {
+/// Appends one group's `[key, aggregate, start]` output rows, computed from
+/// all of its values, which Median, TopK and UniqueCount reorder in place
+/// instead of copying — shared by the sort backend's close and the hash
+/// backends' drains, so their bytes cannot diverge.
+///
+/// # Panics
+///
+/// Panics on `Sum` and `Count`, which both callers fold without gathering.
+pub fn emit_group(kind: AggKind, key: u64, values: &mut [u64], start: u64, rows: &mut Vec<u64>) {
     match kind {
         // sbx-lint: allow(no-panic, both callers route the scalar kinds to their scalar folds)
         AggKind::Sum | AggKind::Count => unreachable!("scalar kinds fold without gathering"),
@@ -184,17 +189,15 @@ pub(crate) fn emit_group(kind: AggKind, key: u64, values: &[u64], start: u64, ro
             rows.extend_from_slice(&[key, agg::average(values), start]);
         }
         AggKind::Median => {
-            let mut v = values.to_vec();
-            rows.extend_from_slice(&[key, agg::median(&mut v), start]);
+            rows.extend_from_slice(&[key, agg::median(values), start]);
         }
         AggKind::TopK(k) => {
-            for v in agg::top_k(values, k) {
+            for &v in agg::top_k(values, k) {
                 rows.extend_from_slice(&[key, v, start]);
             }
         }
         AggKind::UniqueCount => {
-            let mut v = values.to_vec();
-            rows.extend_from_slice(&[key, agg::unique_count(&mut v), start]);
+            rows.extend_from_slice(&[key, agg::unique_count(values), start]);
         }
     }
 }
@@ -303,43 +306,31 @@ impl GroupingBackend for SortMergeBackend {
         if kpas.is_empty() {
             return Ok((RecordBundle::from_rows(&env, Arc::clone(schema), &[])?, 0));
         }
-        let kind = p.kind;
-        if let AggKind::Sum | AggKind::Count = kind {
+        // One pass: the window's KPAs merged and reduced bucket by bucket,
+        // the rows written once and adopted by the output bundle; the merged
+        // KPA's stand-in is held until that bundle is placed.
+        let (rows, _merged, groups) = if let AggKind::Sum | AggKind::Count = p.kind {
             // When early aggregation ran, the window holds partials, in
             // column 1 of their bundles and summed for either kind.
-            let raw = (kind == AggKind::Sum).then_some(p.value_col);
+            let raw = (p.kind == AggKind::Sum).then_some(p.value_col);
             let col = if p.early { Some(Col(1)) } else { raw };
-            // One pass: merge and fold, the rows written once and adopted
-            // by the output bundle.
             let fold =
                 |e: &mut _, kpas, kind, prio| Kpa::merge_fold(e, kpas, col, start, kind, prio);
             let (rows, merged) = ctx.merge(kpas, fold)?;
-            let groups = rows.len() / schema.ncols();
-            let out = RecordBundle::from_host_rows(&env, Arc::clone(schema), rows)?;
             ctx.charged(16, |e| merged.charge_reduce(e));
-            return Ok((out, groups as u64));
-        }
-        // The window's keys — its row count for every kind but TopK, so the
-        // reduction writes straight into the output bundle's pool buffer —
-        // as a k-way merge counts them, or in a pass of their own.
-        let (merged, groups) = ctx.merge(kpas, Kpa::merge_many_counted)?;
-        let groups = groups.unwrap_or_else(|| count_groups(merged.keys()));
-        let out_rows = match kind {
-            AggKind::TopK(k) => merged
-                .keys()
-                .chunk_by(|a, b| a == b)
-                .map(|group| group.len().min(k))
-                .sum(),
-            _ => groups,
+            let groups = rows.len() / schema.ncols();
+            (rows, merged, groups)
+        } else {
+            // No group emits more rows than it has pairs.
+            let pairs: usize = kpas.iter().map(Kpa::len).sum();
+            let (mut rows, mut groups) = (MemPool::host_buffer(schema.ncols() * pairs), 0);
+            let merged = ctx.gather(kpas, p.value_col, |key, values| {
+                groups += 1;
+                emit_group(p.kind, key, values, start, &mut rows);
+            })?;
+            (rows, merged, groups)
         };
-        let slots = schema.ncols() * out_rows;
-        let out = RecordBundle::from_fill(&env, Arc::clone(schema), slots, |rows| {
-            ctx.charged(16, |e| {
-                reduce_keyed(e, &merged, p.value_col, |g| {
-                    emit_group(kind, g.key, g.values, start, rows);
-                })
-            });
-        })?;
+        let out = RecordBundle::from_host_rows(&env, Arc::clone(schema), rows)?;
         Ok((out, groups as u64))
     }
 
@@ -466,8 +457,8 @@ impl HashBackend {
                 entries.len() as u64
             }
             HashAgg::Values => {
-                let entries = self.table.drain_values_sorted();
-                for (k, vals) in &entries {
+                let mut entries = self.table.drain_values_sorted();
+                for (k, vals) in &mut entries {
                     emit_group(p.kind, *k, vals, start, rows);
                 }
                 entries.len() as u64

@@ -41,7 +41,7 @@ pub use avg_all::AvgAll;
 pub use cogroup::{Cogroup, SideAgg};
 pub use external_join::ExternalJoin;
 pub use filter::Filter;
-pub use grouping::GroupingSpec;
+pub use grouping::{emit_group, GroupingSpec};
 pub use pardo::{MapRecords, Sample};
 pub use power_grid::PowerGrid;
 pub use temporal_join::TemporalJoin;

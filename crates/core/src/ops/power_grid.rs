@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sbx_kpa::{reduce_keyed, Kpa};
+use sbx_kpa::Kpa;
 use sbx_records::{Col, RecordBundle, Schema, WindowSpec};
 
 use super::windowed::{WindowLogic, WindowState, Windowed};
@@ -95,14 +95,11 @@ impl WindowLogic for PowerGridLogic {
         // average.
         let mut high_per_house: BTreeMap<u64, u64> = BTreeMap::new();
         if !kpas.is_empty() {
-            let merged = ctx.merge(kpas, Kpa::merge_many)?;
-            ctx.charged(16, |e| {
-                reduce_keyed(e, &merged, self.load_col, |g| {
-                    if sbx_kpa::agg::average(g.values) > global_avg {
-                        *high_per_house.entry(g.key / HOUSE_FACTOR).or_insert(0) += 1;
-                    }
-                })
-            });
+            ctx.gather(kpas, self.load_col, |plug, loads| {
+                if sbx_kpa::agg::average(loads) > global_avg {
+                    *high_per_house.entry(plug / HOUSE_FACTOR).or_insert(0) += 1;
+                }
+            })?;
         }
         let best = high_per_house.values().copied().max().unwrap_or(0);
         let mut rows = Vec::new();

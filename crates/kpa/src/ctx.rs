@@ -1,4 +1,3 @@
-use sbx_pool::WorkerPool;
 use sbx_simmem::{AccessProfile, MemEnv, MemKind};
 
 /// Primitive groups the observability layer breaks KPA byte traffic down by
@@ -41,14 +40,28 @@ impl PrimGroup {
     }
 }
 
+/// The worker pool the close merge and the join scan once fanned out on,
+/// now a unit: StreamBox parallelises across bundles and windows (paper
+/// §3, §4.2), not inside one primitive, so every primitive runs on the
+/// calling thread. It stays, with [`ExecCtx::with_pool`], for callers
+/// written against it.
+#[derive(Debug, Clone, Default)]
+pub struct WorkerPool;
+
+impl WorkerPool {
+    /// The pool; the lane count `_width` is ignored.
+    pub fn new(_width: usize) -> Self {
+        WorkerPool
+    }
+}
+
 /// Execution context threaded through every primitive: access to the
 /// hybrid-memory environment plus an accumulator for the task's
 /// [`AccessProfile`].
 ///
 /// The engine creates one `ExecCtx` per scheduled task, runs the task's
 /// primitives, then takes the accumulated profile to charge the round's
-/// cost model and the bandwidth monitor over the task's simulated
-/// execution interval.
+/// cost model over the task's simulated execution interval.
 ///
 /// # Example
 ///
@@ -71,37 +84,28 @@ pub struct ExecCtx {
     /// counters after each invocation. Fixed-size: no allocation on the hot
     /// path.
     tally: [f64; PrimGroup::COUNT],
-    /// Worker pool the grouping kernels fan out on; serial by default.
-    pool: WorkerPool,
 }
 
 impl ExecCtx {
-    /// A fresh context over `env` with an empty profile and a serial
-    /// worker pool (primitives without an explicit thread count run on
-    /// the calling thread).
+    /// A fresh context over `env` with an empty profile.
     pub fn new(env: &MemEnv) -> Self {
-        Self::with_pool(env, WorkerPool::serial())
-    }
-
-    /// A fresh context over `env` drawing kernel parallelism from `pool`
-    /// (the engine shares one pool across every task's context).
-    pub fn with_pool(env: &MemEnv, pool: WorkerPool) -> Self {
         ExecCtx {
             env: env.clone(),
             profile: AccessProfile::new(),
             tally: [0.0; PrimGroup::COUNT],
-            pool,
         }
+    }
+
+    /// [`ExecCtx::new`]; `_pool` is ignored, as every primitive runs on the
+    /// calling thread. It stays for callers written against the worker
+    /// pool the close merge and the join scan once fanned out on.
+    pub fn with_pool(env: &MemEnv, _pool: WorkerPool) -> Self {
+        Self::new(env)
     }
 
     /// The hybrid-memory environment.
     pub fn env(&self) -> &MemEnv {
         &self.env
-    }
-
-    /// The worker pool grouping kernels (sort/merge/join) fan out on.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
     }
 
     /// Accumulates `p` into the task profile.

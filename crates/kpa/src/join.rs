@@ -1,6 +1,3 @@
-use std::ops::Range;
-
-use crate::mergepath::{self, RankBy, Run};
 use crate::{profile, ExecCtx, Kpa};
 
 /// Statistics returned by [`join_sorted`].
@@ -12,96 +9,9 @@ pub struct JoinStats {
     pub matched_keys: usize,
 }
 
-/// One run of equal keys present on both sides: `left[l.clone()]` x
-/// `right[r.clone()]` is the cartesian product to emit.
-type MatchRun = (Range<usize>, Range<usize>);
-
-/// Co-scans `left_keys[l]` against `right_keys[r]`, collecting the
-/// equal-key match runs (the sequential-bandwidth part of the join).
-fn scan_matches(
-    left_keys: &[u64],
-    right_keys: &[u64],
-    l: Range<usize>,
-    r: Range<usize>,
-) -> Vec<MatchRun> {
-    let mut runs: Vec<MatchRun> = Vec::new();
-    let (mut i, mut j) = (l.start, r.start);
-    while i < l.end && j < r.end {
-        let a = left_keys[i];
-        let b = right_keys[j];
-        if a < b {
-            i += 1;
-        } else if a > b {
-            j += 1;
-        } else {
-            let i_end = left_keys[i..l.end].iter().take_while(|&&k| k == a).count() + i;
-            let j_end = right_keys[j..r.end].iter().take_while(|&&k| k == a).count() + j;
-            runs.push((i..i_end, j..j_end));
-            i = i_end;
-            j = j_end;
-        }
-    }
-    runs
-}
-
-/// Index of the first entry of sorted `keys` that is `>= k`.
-fn lower_bound(keys: &[u64], k: u64) -> usize {
-    keys.partition_point(|&x| x < k)
-}
-
-/// Key-aligned strip boundaries for `parts` co-scan strips: `parts + 1`
-/// `(left, right)` index pairs, nondecreasing, with every equal-key run
-/// fully inside one strip. Boundary `p` targets combined rank
-/// `p * total / parts`, then snaps down to the nearest key change so a
-/// cartesian product never straddles two workers.
-fn strip_bounds(left_keys: &[u64], right_keys: &[u64], parts: usize) -> Vec<(usize, usize)> {
-    let runs = [
-        // RankBy::Key never reads the ptrs, so the key slices stand in.
-        Run {
-            keys: left_keys,
-            ptrs: left_keys,
-        },
-        Run {
-            keys: right_keys,
-            ptrs: right_keys,
-        },
-    ];
-    let total = left_keys.len() + right_keys.len();
-    (0..=parts)
-        .map(|p| {
-            let split = mergepath::rank_split(&runs, RankBy::Key, total * p / parts);
-            let (li, ri) = (split[0], split[1]);
-            if li == left_keys.len() && ri == right_keys.len() {
-                return (li, ri);
-            }
-            // The key right after the cut; snap both sides back to its
-            // first occurrence so equal-key runs never straddle a cut.
-            let next = match (left_keys.get(li), right_keys.get(ri)) {
-                (Some(&a), Some(&b)) => a.min(b),
-                (Some(&a), None) => a,
-                (None, Some(&b)) => b,
-                (None, None) => return (li, ri),
-            };
-            (
-                lower_bound(&left_keys[..li], next),
-                lower_bound(&right_keys[..ri], next),
-            )
-        })
-        // sbx-lint: allow(raw-alloc, parts+1 strip boundaries; KPA data stays in pool buffers)
-        .collect()
-}
-
 /// **Join** (Table 2): joins two KPAs sorted on the same resident column,
 /// scanning both in one pass and invoking `emit(left, li, right, ri)` for
 /// every pair of records sharing a key (paper §4.2).
-///
-/// The co-scan is partitioned across the context's worker pool at
-/// key-change boundaries (the merge-path rank split of
-/// [`crate::mergepath`], snapped so an equal-key run never spans two
-/// workers): each lane scans its strip and collects the match runs, then
-/// the calling thread emits them serially in key order — so the
-/// bandwidth-bound scan scales with threads while `emit` keeps the exact
-/// sequential callback order.
 ///
 /// Within a run of equal keys the cartesian product is emitted, as in the
 /// Temporal Join operator (Fig. 4b). `out_record_bytes` is the size of the
@@ -129,29 +39,26 @@ pub fn join_sorted(
     );
 
     let (lk, rk) = (left.keys(), right.keys());
-    let width = ctx.pool().width().clamp(1, (lk.len() + rk.len()).max(1));
-    let strip_runs: Vec<Vec<MatchRun>> = if width == 1 {
-        // sbx-lint: allow(raw-alloc, single-strip match-run list; KPA data stays in pool buffers)
-        vec![scan_matches(lk, rk, 0..lk.len(), 0..rk.len())]
-    } else {
-        let bounds = strip_bounds(lk, rk, width);
-        let strips: Vec<(Range<usize>, Range<usize>)> = (0..width)
-            .map(|p| (bounds[p].0..bounds[p + 1].0, bounds[p].1..bounds[p + 1].1))
-            // sbx-lint: allow(raw-alloc, width strip descriptors; KPA data stays in pool buffers)
-            .collect();
-        ctx.pool()
-            .run(width, |(l, r)| scan_matches(lk, rk, l, r), strips)
-    };
-
     let mut stats = JoinStats::default();
-    for (li_run, ri_run) in strip_runs.into_iter().flatten() {
-        for li in li_run.clone() {
-            for ri in ri_run.clone() {
-                emit(left, li, right, ri);
-                stats.emitted += 1;
+    let (mut i, mut j) = (0, 0);
+    while i < lk.len() && j < rk.len() {
+        let (a, b) = (lk[i], rk[j]);
+        if a < b {
+            i += 1;
+        } else if a > b {
+            j += 1;
+        } else {
+            let i_end = i + lk[i..].iter().take_while(|&&k| k == a).count();
+            let j_end = j + rk[j..].iter().take_while(|&&k| k == a).count();
+            for li in i..i_end {
+                for ri in j..j_end {
+                    emit(left, li, right, ri);
+                }
             }
+            stats.emitted += (i_end - i) * (j_end - j);
+            stats.matched_keys += 1;
+            (i, j) = (i_end, j_end);
         }
-        stats.matched_keys += 1;
     }
 
     let kind = if left.kind() == right.kind() {
@@ -232,30 +139,5 @@ mod tests {
         let l = Kpa::extract(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).unwrap();
         let r = sorted_kpa(&env, &mut ctx, &[1]);
         join_sorted(&mut ctx, &l, &r, 32, |_, _, _, _| {});
-    }
-
-    #[test]
-    fn parallel_join_matches_serial_emission_order() {
-        use crate::WorkerPool;
-        let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
-        let mut serial_ctx = ExecCtx::new(&env);
-        // Duplicate-heavy sides exercise the key-aligned strip snapping.
-        let lkeys: Vec<u64> = (0..300).map(|i| i % 17).collect();
-        let rkeys: Vec<u64> = (0..200).map(|i| i % 11).collect();
-        let l = sorted_kpa(&env, &mut serial_ctx, &lkeys);
-        let r = sorted_kpa(&env, &mut serial_ctx, &rkeys);
-        let mut want = Vec::new();
-        let want_stats = join_sorted(&mut serial_ctx, &l, &r, 32, |_, li, _, ri| {
-            want.push((li, ri));
-        });
-        for width in [2usize, 4, 8] {
-            let mut ctx = ExecCtx::with_pool(&env, WorkerPool::new(width));
-            let mut got = Vec::new();
-            let stats = join_sorted(&mut ctx, &l, &r, 32, |_, li, _, ri| {
-                got.push((li, ri));
-            });
-            assert_eq!(stats, want_stats, "width={width}");
-            assert_eq!(got, want, "width={width}");
-        }
     }
 }

@@ -635,19 +635,18 @@ impl Kpa {
         out_kind: MemKind,
         prio: Priority,
     ) -> Result<Kpa, AllocError> {
-        Ok(Self::merge_runs(ctx, &[a, b], out_kind, prio, false)?.0)
+        Self::merge_runs(ctx, &[a, b], out_kind, prio)
     }
 
     /// Merges any number of sorted KPAs into one in a *single pass* (the
-    /// window-closure step of Keyed Aggregation, paper Fig. 4a): all runs
-    /// are merge-path co-partitioned across the context's worker pool (see
-    /// [`crate::mergepath`]) — every lane claims an equal output span (on a
-    /// two-vCPU host two lanes measured level with one: median 1.02 over
-    /// ten traced pairs), each pair moves exactly once regardless of how
-    /// many KPAs close the window, and the result stays byte-identical to
-    /// the sequential merge. Charges one read + one write
-    /// pass with `log2(k)` comparisons per pair (see
-    /// [`profile::merge_kway`]).
+    /// window-closure step of Keyed Aggregation, paper Fig. 4a): one walk
+    /// over the runs' buckets on the calling thread (see
+    /// [`crate::mergepath`]), each pair moving exactly once however many
+    /// KPAs close the window. Charges one read + one write pass with
+    /// `log2(k)` comparisons per pair (see [`profile::merge_kway`]). No
+    /// window close writes a merged KPA ([`Kpa::merge_fold`],
+    /// [`Kpa::merge_gather`]); this stays for the benchmark's staged
+    /// replay, the merge-strategy ablation and the closes' oracles.
     ///
     /// Equal keys come out in input-list order (left wins ties). The output
     /// inherits the links to all source bundles of every input (paper
@@ -673,42 +672,23 @@ impl Kpa {
                 return Ok(k);
             }
         }
-        Ok(Self::merge_runs(ctx, &kpas, out_kind, prio, false)?.0)
+        Self::merge_runs(ctx, &kpas, out_kind, prio)
     }
 
-    /// [`Kpa::merge_many`] (same errors and panics) that also returns the
-    /// merged KPA's distinct keys when the k-way kernel counted them, bucket
-    /// by bucket in cache ([`mergepath::merge_runs_pooled`]): `None` for one
-    /// or two inputs, which take no k-way pass.
-    pub fn merge_many_counted(
-        ctx: &mut ExecCtx,
-        kpas: Vec<Kpa>,
-        out_kind: MemKind,
-        prio: Priority,
-    ) -> Result<(Kpa, Option<usize>), AllocError> {
-        if kpas.len() < 3 {
-            return Ok((Self::merge_many(ctx, kpas, out_kind, prio)?, None));
-        }
-        Self::merge_runs(ctx, &kpas, out_kind, prio, true)
-    }
-
-    /// The merge body: two or more owned or borrowed inputs; returns the
-    /// merged KPA and, with `count`, what the kernel counted of its keys.
+    /// The merge body: two or more owned or borrowed inputs.
     fn merge_runs<K: std::borrow::Borrow<Kpa>>(
         ctx: &mut ExecCtx,
         kpas: &[K],
         out_kind: MemKind,
         prio: Priority,
-        count: bool,
-    ) -> Result<(Kpa, Option<usize>), AllocError> {
+    ) -> Result<Kpa, AllocError> {
         let (mut merged, runs) = Self::merge_request(ctx, kpas, out_kind, prio)?;
         let total = runs.iter().map(mergepath::Run::len).sum();
         merged.keys.resize(total, 0);
         merged.ptrs.resize(total, 0);
-        let (pool, by) = (ctx.pool(), mergepath::RankBy::Key);
         let (keys, ptrs) = (&mut merged.keys, &mut merged.ptrs);
-        let groups = mergepath::merge_runs_pooled(pool, pool.width(), &runs, by, keys, ptrs, count);
-        Ok((merged, groups))
+        mergepath::merge_runs(&runs, mergepath::RankBy::Key, keys, ptrs);
+        Ok(merged)
     }
 
     /// A `Sum` of column `col` (no `col`: a `Count`) closing a window of
@@ -728,13 +708,72 @@ impl Kpa {
     /// As [`Kpa::merge_many`].
     pub fn merge_fold(
         ctx: &mut ExecCtx,
-        mut kpas: Vec<Kpa>,
+        kpas: Vec<Kpa>,
         col: Option<Col>,
         start: u64,
         out_kind: MemKind,
         prio: Priority,
     ) -> Result<(Vec<u64>, FoldedWindow), AllocError> {
-        assert!(!kpas.is_empty(), "merge_fold needs at least one input");
+        Self::merge_walk(ctx, kpas, out_kind, prio, |runs, records| {
+            // A count reads no record, yet shows the sanitizer every pointer.
+            let value = |r: usize, i: usize| match col {
+                Some(col) => records[r].value(i, col),
+                None => {
+                    if cfg!(feature = "sanitize") {
+                        _ = records[r].row(i);
+                    }
+                    1
+                }
+            };
+            let pairs = runs.iter().map(mergepath::Run::len).sum::<usize>();
+            let mut rows = MemPool::host_buffer(3 * pairs);
+            mergepath::fold_runs(runs, value, start, &mut rows);
+            rows
+        })
+    }
+
+    /// A window of sorted KPAs closed by a keyed reduction that needs each
+    /// key's values ([`mergepath::gather_runs`]): `sink(key, values)` once
+    /// per key, ascending, `values` its records' column `col` in the order
+    /// [`Kpa::merge_many`] and then [`crate::reduce_keyed`] would hand them
+    /// out (and free to reorder). Returns the [`FoldedWindow`] standing in
+    /// for the merged KPA, requested and charged as by
+    /// [`Kpa::merge_fold`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] when the merged KPA's request fails.
+    ///
+    /// # Panics
+    ///
+    /// As [`Kpa::merge_many`].
+    pub fn merge_gather(
+        ctx: &mut ExecCtx,
+        kpas: Vec<Kpa>,
+        col: Col,
+        out_kind: MemKind,
+        prio: Priority,
+        sink: impl FnMut(u64, &mut [u64]),
+    ) -> Result<FoldedWindow, AllocError> {
+        let gathered = Self::merge_walk(ctx, kpas, out_kind, prio, |runs, records| {
+            mergepath::gather_runs(runs, |r, i| records[r].value(i, col), sink);
+        });
+        Ok(gathered?.1)
+    }
+
+    /// The close shared by [`Kpa::merge_fold`] and [`Kpa::merge_gather`]:
+    /// the merged KPA's pool request and merge charge (none for a lone
+    /// input, which stands for itself as `merge_many` returns it), then
+    /// `walk` over the runs with one resolver per run, so a partial
+    /// bundle's takes no hashed probe.
+    fn merge_walk<R>(
+        ctx: &mut ExecCtx,
+        mut kpas: Vec<Kpa>,
+        out_kind: MemKind,
+        prio: Priority,
+        walk: impl FnOnce(&[mergepath::Run<'_>], &[Resolver<'_>]) -> R,
+    ) -> Result<(R, FoldedWindow), AllocError> {
+        assert!(!kpas.is_empty(), "a window close needs at least one input");
         let (merged, runs) = match kpas.len() {
             1 => (None, Self::runs_of(&kpas)),
             _ => {
@@ -743,24 +782,11 @@ impl Kpa {
             }
         };
         let pairs = runs.iter().map(mergepath::Run::len).sum();
-        // One resolver per run: a partial bundle's takes no hashed probe.
         // sbx-lint: allow(raw-alloc, one resolver per input KPA; rows go to the output bundle)
         let records: Vec<Resolver<'_>> = kpas.iter().map(Kpa::resolver).collect();
-        // A count reads no record, yet shows the sanitizer every pointer.
-        let value = |r: usize, i: usize| match col {
-            Some(col) => records[r].value(i, col),
-            None => {
-                if cfg!(feature = "sanitize") {
-                    _ = records[r].row(i);
-                }
-                1
-            }
-        };
-        let mut rows = MemPool::host_buffer(3 * pairs);
-        mergepath::fold_runs(&runs, value, start, &mut rows);
-        // A lone input stands for itself, as `merge_many` returns it.
+        let out = walk(&runs, &records);
         let merged = merged.unwrap_or_else(|| kpas.swap_remove(0));
-        Ok((rows, FoldedWindow { merged, pairs }))
+        Ok((out, FoldedWindow { merged, pairs }))
     }
 
     /// The runs of the sorted `kpas`, checked to be mergeable.
@@ -963,8 +989,9 @@ impl Kpa {
     }
 }
 
-/// The merged KPA a [`Kpa::merge_fold`] did not write: its pool request and
-/// source links (a one-KPA window's KPA itself), held until dropped.
+/// The merged KPA a [`Kpa::merge_fold`] or [`Kpa::merge_gather`] did not
+/// write: its pool request and source links (a one-KPA window's KPA
+/// itself), held until dropped.
 #[derive(Debug)]
 pub struct FoldedWindow {
     merged: Kpa,
@@ -973,7 +1000,7 @@ pub struct FoldedWindow {
 
 impl FoldedWindow {
     /// Charges the keyed reduction over the merged KPA, as
-    /// [`crate::reduce_keyed_scalar`] charges it.
+    /// [`crate::reduce_keyed`] and [`crate::reduce_keyed_scalar`] charge it.
     pub fn charge_reduce(&self, ctx: &mut ExecCtx) {
         ctx.charge(&profile::reduce_keyed(self.pairs, self.merged.kind()));
     }

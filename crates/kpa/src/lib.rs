@@ -5,8 +5,11 @@
 //! *resident* column of the full records, and the pointer refers back to the
 //! complete record in a DRAM bundle (paper §4.1). Grouping computations —
 //! the dominant cost of stream analytics — run on KPAs with
-//! sequential-access parallel sort/merge/join algorithms that exploit HBM's
-//! bandwidth, while reductions dereference pointers back into DRAM.
+//! sequential-access sort/merge/join algorithms that exploit HBM's
+//! bandwidth, while reductions dereference pointers back into DRAM. Every
+//! primitive runs on the calling thread: StreamBox parallelises across
+//! bundles and windows (paper §3), so [`WorkerPool`] and
+//! [`ExecCtx::with_pool`] stay only for callers written against them.
 //!
 //! The primitives implemented here are exactly the paper's Table 2:
 //!
@@ -20,7 +23,7 @@
 //! | Join | Sequential | [`join_sorted`] |
 //! | Select | Sequential | [`Kpa::select`] / [`Kpa::extract_select`] |
 //! | Partition | Sequential | [`Kpa::partition_by`] |
-//! | Keyed reduce | Random | [`reduce_keyed`] / [`reduce_keyed_scalar`]; fused into the merge, [`Kpa::merge_fold`] |
+//! | Keyed reduce | Random | [`reduce_keyed`] / [`reduce_keyed_scalar`]; fused into the merge, [`Kpa::merge_fold`] / [`Kpa::merge_gather`] |
 //! | Unkeyed reduce | Random | [`reduce_unkeyed_bundle`] / [`reduce_unkeyed_kpa`] |
 //!
 //! Every primitive executes for real against pool-accounted buffers *and*
@@ -48,11 +51,10 @@ mod reduce;
 pub mod sketch;
 mod sort;
 
-pub use ctx::{ExecCtx, PrimGroup};
+pub use ctx::{ExecCtx, PrimGroup, WorkerPool};
 pub use join::{join_sorted, JoinStats};
 pub use kpa::{FoldedWindow, Kpa, Resolver};
 pub use reduce::{
     agg, reduce_keyed, reduce_keyed_scalar, reduce_unkeyed_bundle, reduce_unkeyed_kpa, KeyGroup,
 };
-pub use sbx_pool::WorkerPool;
 pub use sort::sort_pairs;

@@ -1,12 +1,18 @@
-//! Merge-path (diagonal) co-partitioning for single-pass parallel merges.
+//! The k-way merge of sorted runs, and the keyed reduction fused into it.
 //!
-//! The classic GPU/SIMD merge decomposition: given `k` sorted runs and `p`
-//! workers, cut the *output* into `p` equal spans and binary-search, for
-//! each span boundary, the unique per-run split positions whose prefix
-//! counts sum to the boundary's global rank. Every worker then performs an
-//! independent k-way merge of its claimed input slices into its claimed
-//! output slice — all threads cooperate on one merge, data moves exactly
-//! once, and there is no serial final-merge round.
+//! A window close (paper §4.2, Fig. 4a) merges every KPA the window holds,
+//! then reduces each key's records. Here one bucket walker,
+//! `walk_buckets`, cuts the runs at common key *splitters* into buckets of
+//! a few thousand pairs that cover disjoint key ranges, and hands each
+//! bucket to one of three sinks:
+//!
+//! * [`merge_runs`] sorts the bucket into the merged KPA's next slice;
+//! * [`fold_runs`] sums each key's values, writing no merged pair;
+//! * [`gather_runs`] hands each key's values, in merged order, to the
+//!   caller's reduction, writing no merged pair either.
+//!
+//! Everything runs on the calling thread: StreamBox parallelises across
+//! bundles and windows (§3), not inside one merge.
 //!
 //! Two rank orders are supported:
 //!
@@ -17,13 +23,6 @@
 //!   (run 0's equal keys precede run 1's). This reproduces the sequential
 //!   "left input wins ties" merge exactly, so it applies to KPAs that are
 //!   key-sorted but not compound-sorted (e.g. marked via `mark_sorted`).
-//!
-//! Rank-splitting searches the *value space* between the runs' lowest head
-//! and highest tail for the smallest cutoff whose global `count_le` reaches
-//! the target rank, then distributes
-//! entries equal to the cutoff across runs in run order. This handles
-//! arbitrarily duplicate-heavy inputs: the spans always tile the output
-//! exactly (see `tests/prop_mergepath.rs`).
 
 use std::ops::Range;
 
@@ -58,112 +57,6 @@ impl Run<'_> {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
-
-    fn value(&self, i: usize, by: RankBy) -> u128 {
-        match by {
-            RankBy::Compound => (u128::from(self.keys[i]) << 64) | u128::from(self.ptrs[i]),
-            RankBy::Key => u128::from(self.keys[i]),
-        }
-    }
-
-    /// Number of entries with value `<= c` (runs are sorted, so this is a
-    /// binary search).
-    fn count_le(&self, by: RankBy, c: u128) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.value(mid, by) <= c {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Number of entries with value `< c`.
-    fn count_lt(&self, by: RankBy, c: u128) -> usize {
-        if c == 0 {
-            return 0;
-        }
-        self.count_le(by, c - 1)
-    }
-}
-
-/// Per-run split positions for global output rank `d`: the returned
-/// `splits[r]` prefix lengths sum to exactly `d`, and every entry in a
-/// prefix is `<=` (in `by` order, ties in run order) every entry outside
-/// one — the merge-path diagonal intersection.
-///
-/// # Panics
-///
-/// Panics (debug) if `d` exceeds the total input length.
-pub fn rank_split(runs: &[Run<'_>], by: RankBy, d: usize) -> Vec<usize> {
-    let total: usize = runs.iter().map(Run::len).sum();
-    debug_assert!(d <= total, "rank beyond input length");
-    if d == 0 {
-        // sbx-lint: allow(raw-alloc, k split positions; pair data stays in the caller's buffers)
-        return vec![0; runs.len()];
-    }
-    if d >= total {
-        // sbx-lint: allow(raw-alloc, k split positions; pair data stays in the caller's buffers)
-        return runs.iter().map(Run::len).collect();
-    }
-
-    // Smallest cutoff value whose global <=-count reaches d: it lies between
-    // the lowest head and the highest tail, so the bisection takes one round
-    // of k binary searches per bit in which the runs' values actually differ.
-    let (mut lo, mut hi) = (u128::MAX, 0u128);
-    for r in runs.iter().filter(|r| !r.is_empty()) {
-        lo = lo.min(r.value(0, by));
-        hi = hi.max(r.value(r.len() - 1, by));
-    }
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let le: usize = runs.iter().map(|r| r.count_le(by, mid)).sum();
-        if le >= d {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let cutoff = lo;
-
-    // Everything strictly below the cutoff is inside the prefix; entries
-    // equal to the cutoff fill the remainder in run order (matching the
-    // merge comparator's run-index tie-break).
-    // sbx-lint: allow(raw-alloc, k split positions; pair data stays in the caller's buffers)
-    let mut splits: Vec<usize> = runs.iter().map(|r| r.count_lt(by, cutoff)).collect();
-    let mut extra = d - splits.iter().sum::<usize>();
-    for (s, r) in splits.iter_mut().zip(runs) {
-        if extra == 0 {
-            break;
-        }
-        let ties = r.count_le(by, cutoff) - *s;
-        let take = ties.min(extra);
-        *s += take;
-        extra -= take;
-    }
-    debug_assert_eq!(extra, 0, "cutoff had fewer ties than required");
-    splits
-}
-
-/// Split boundaries for `parts` equal output spans over `runs`: `parts + 1`
-/// rows of per-run positions, row `p` at global rank `p * total / parts`.
-/// Span `p` merges `runs[r][cuts[p][r]..cuts[p + 1][r]]` for every `r` and
-/// writes output `[rank(p)..rank(p + 1))`; see [`span_rank`].
-pub fn plan_spans(runs: &[Run<'_>], by: RankBy, parts: usize) -> Vec<Vec<usize>> {
-    let parts = parts.max(1);
-    let total: usize = runs.iter().map(Run::len).sum();
-    (0..=parts)
-        .map(|p| rank_split(runs, by, span_rank(total, parts, p)))
-        // sbx-lint: allow(raw-alloc, parts+1 boundary rows; pair data stays in the caller's buffers)
-        .collect()
-}
-
-/// Global output rank of span boundary `p` of `parts` over `total` pairs.
-pub fn span_rank(total: usize, parts: usize, p: usize) -> usize {
-    total * p / parts.max(1)
 }
 
 /// Pairs per bucket the k-way merge sorts at a time: source and scratch of
@@ -176,10 +69,9 @@ pub fn count_groups(keys: &[u64]) -> usize {
     usize::from(!keys.is_empty()) + changes
 }
 
-/// K-way merges `runs[r][lo[r]..hi[r]]` for all `r` into `out_keys` /
-/// `out_ptrs` in `by` order (run index breaks ties), preserving each run's
-/// internal order. The output slices must have length
-/// `sum(hi[r] - lo[r])`.
+/// K-way merges the `runs` into `out_keys` / `out_ptrs` in `by` order (run
+/// index breaks ties), preserving each run's internal order. The output
+/// slices must hold exactly the runs' pairs.
 ///
 /// Up to two runs merge with the plain two-way loop. More are cut at common
 /// key *splitters* into buckets of a few thousand pairs (`walk_buckets`),
@@ -193,66 +85,37 @@ pub fn count_groups(keys: &[u64]) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if the output slices are shorter than the claimed input span.
-pub fn merge_span(
-    runs: &[Run<'_>],
-    lo: &[usize],
-    hi: &[usize],
-    by: RankBy,
-    out_keys: &mut [u64],
-    out_ptrs: &mut [u64],
-) {
-    merge_span_with(runs, lo, hi, by, (out_keys, out_ptrs), |_| {});
-}
-
-/// [`merge_span`], handing each bucket's merged keys to `sink` while in
-/// cache; returns whether it cut buckets (the two-way loop does not).
-fn merge_span_with(
-    runs: &[Run<'_>],
-    lo: &[usize],
-    hi: &[usize],
-    by: RankBy,
-    out: Pairs<'_>,
-    mut sink: impl FnMut(&[u64]),
-) -> bool {
-    debug_assert_eq!(runs.len(), lo.len());
-    debug_assert_eq!(runs.len(), hi.len());
-    let (out_keys, out_ptrs) = out;
+/// Panics if the output slices are shorter than the runs.
+pub fn merge_runs(runs: &[Run<'_>], by: RankBy, out_keys: &mut [u64], out_ptrs: &mut [u64]) {
     if runs.len() <= 2 {
-        merge_two(runs, lo, hi, by, out_keys, out_ptrs);
-        return false;
+        merge_two(runs, by, out_keys, out_ptrs);
+        return;
     }
     let mut scratch = Vec::new();
     let mut done = 0;
     let copy_ptrs = |r: usize, at: Range<usize>, dst: &mut [u64]| {
         dst.copy_from_slice(&runs[r].ptrs[at]);
     };
-    walk_buckets(runs, lo, hi, |pos, cut| {
+    walk_buckets(runs, |pos, cut| {
         let out = (&mut out_keys[done..], &mut out_ptrs[done..]);
-        let len = sort_bucket(runs, pos, cut, by, copy_ptrs, out, &mut scratch);
-        sink(&out_keys[done..done + len]);
-        done += len;
+        done += sort_bucket(runs, pos, cut, by, copy_ptrs, out, &mut scratch);
     });
     debug_assert_eq!(done, out_keys.len(), "buckets did not fill the output");
-    true
 }
 
-/// Calls `visit(pos, cut)` for each bucket `runs[r][pos[r]..cut[r]]` of
-/// `runs[r][lo[r]..hi[r]]`, in ascending key order: the keys below a
-/// [`splitters`] key, then that key by itself, so every key lies in one
-/// bucket and a far outlier or a Zipf head cannot collapse the partition.
-fn walk_buckets(
-    runs: &[Run<'_>],
-    lo: &[usize],
-    hi: &[usize],
-    mut visit: impl FnMut(&[usize], &[usize]),
-) {
-    let mut pos = lo.to_vec();
-    let mut cut = lo.to_vec();
-    for splitter in splitters(runs, lo, hi, claimed(lo, hi)) {
+/// Calls `visit(pos, cut)` for each bucket `runs[r][pos[r]..cut[r]]` of the
+/// runs, in ascending key order: the keys below a [`splitters`] key, then
+/// that key by itself, so every key lies in one bucket and a far outlier or
+/// a Zipf head cannot collapse the partition. The one walker behind
+/// [`merge_runs`], [`fold_runs`] and [`gather_runs`].
+fn walk_buckets(runs: &[Run<'_>], mut visit: impl FnMut(&[usize], &[usize])) {
+    let (mut pos, mut cut) = (Vec::new(), Vec::new());
+    pos.resize(runs.len(), 0);
+    cut.resize(runs.len(), 0);
+    for splitter in splitters(runs) {
         for inclusive in [false, true] {
-            for ((c, &p), (run, &h)) in cut.iter_mut().zip(&pos).zip(runs.iter().zip(hi)) {
-                let rest = &run.keys[p..h];
+            for ((c, &p), run) in cut.iter_mut().zip(&pos).zip(runs) {
+                let rest = &run.keys[p..];
                 *c = p + if inclusive {
                     gallop(rest, |key| key <= splitter)
                 } else {
@@ -263,7 +126,10 @@ fn walk_buckets(
             pos.copy_from_slice(&cut);
         }
     }
-    visit(&pos, hi);
+    for (c, run) in cut.iter_mut().zip(runs) {
+        *c = run.len();
+    }
+    visit(&pos, &cut);
 }
 
 /// Pairs in `runs[r][lo[r]..hi[r]]` over all `r`.
@@ -283,22 +149,23 @@ fn gallop(keys: &[u64], below: impl Fn(u64) -> bool) -> usize {
     lo + keys[lo..hi].partition_point(|&key| below(key))
 }
 
-/// Ascending, distinct keys at which [`merge_span`] cuts the `total` pairs
-/// of `runs[r][lo[r]..hi[r]]`. Every run contributes each `stride`-th of its
-/// keys and every `per`-th of the sorted sample becomes a splitter, so the
-/// pairs strictly between two splitters number `BUCKET_PAIRS` on average and
-/// at most `(per + k) * stride`, about twice that, however the keys are
+/// Ascending, distinct keys at which `walk_buckets` cuts the runs. Every
+/// run contributes each `stride`-th of its keys and every `per`-th of the
+/// sorted sample becomes a splitter, so the pairs strictly between two
+/// splitters number `BUCKET_PAIRS` on average and at most
+/// `(per + k) * stride`, about twice that, however the keys are
 /// distributed.
-fn splitters(runs: &[Run<'_>], lo: &[usize], hi: &[usize], total: usize) -> Vec<u64> {
+fn splitters(runs: &[Run<'_>]) -> Vec<u64> {
     let mut sample: Vec<u64> = Vec::new();
+    let total: usize = runs.iter().map(Run::len).sum();
     if total <= BUCKET_PAIRS {
         return sample;
     }
     let per = runs.len().max(16);
     let stride = (BUCKET_PAIRS / per).max(1);
     sample.reserve_exact(total / stride);
-    for (run, (&lo, &hi)) in runs.iter().zip(lo.iter().zip(hi)) {
-        sample.extend(run.keys[lo..hi].iter().skip(stride - 1).step_by(stride));
+    for run in runs {
+        sample.extend(run.keys.iter().skip(stride - 1).step_by(stride));
     }
     sample.sort_unstable();
     let mut kept = 0;
@@ -418,7 +285,7 @@ const DENSE_SPAN: u64 = 16;
 /// `rows` one `[key, sum, start]` row per distinct key of the key-sorted
 /// `runs`, ascending: `sum` wraps over `value(r, i)` for the key's pairs
 /// `runs[r][i]`. The buckets are
-/// [`merge_span`]'s, each run's values read in run order. A dense bucket
+/// [`merge_runs`]', each run's values read in run order. A dense bucket
 /// (`DENSE_SPAN`) is summed into an array indexed by key, its keys emitted
 /// in order from a bitmap; a sparser one is sorted on its keys alone and
 /// folded in place.
@@ -429,11 +296,6 @@ pub fn fold_runs(
     start: u64,
     rows: &mut Vec<u64>,
 ) {
-    let total = runs.iter().map(Run::len).sum();
-    let (lo, hi) = (
-        rank_split(runs, RankBy::Key, 0),
-        rank_split(runs, RankBy::Key, total),
-    );
     let (mut sums, mut seen) = (Vec::new(), Vec::new());
     let (mut bucket, mut scratch) = (Vec::new(), Vec::new());
     let values = |r: usize, at: Range<usize>, dst: &mut [u64]| {
@@ -441,7 +303,7 @@ pub fn fold_runs(
             *v = value(r, i);
         }
     };
-    walk_buckets(runs, &lo, &hi, |pos, cut| {
+    walk_buckets(runs, |pos, cut| {
         let len = claimed(pos, cut);
         let (min, max) = key_bounds(runs, pos, cut);
         if len == 0 {
@@ -490,25 +352,99 @@ pub fn fold_runs(
     });
 }
 
-/// [`merge_span`] for at most two runs: the two-way loop, then a bulk copy
-/// of whichever run still holds pairs.
-fn merge_two(
+/// Key values per pair up to which a gather bucket is counting-sorted.
+const GATHER_SPAN: u64 = 2;
+
+/// The keyed reduction's gather, fused into the k-way merge: calls
+/// `sink(key, values)` once per distinct key of the key-sorted `runs`, in
+/// ascending key order, `values` holding `value(r, i)` for the key's pairs
+/// `runs[r][i]` in merged order (run by run, each in its own order) — what
+/// `reduce_keyed` hands out over the [`merge_runs`] output, which is never
+/// written. The buckets are [`fold_runs`]'. A dense bucket (`GATHER_SPAN`)
+/// is counting-sorted by key; a sparser one is sorted on its keys alone and
+/// cut where the key changes.
+pub fn gather_runs(
     runs: &[Run<'_>],
-    lo: &[usize],
-    hi: &[usize],
-    by: RankBy,
-    out_keys: &mut [u64],
-    out_ptrs: &mut [u64],
+    value: impl Fn(usize, usize) -> u64,
+    mut sink: impl FnMut(u64, &mut [u64]),
 ) {
+    let (mut ends, mut bucket, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+    let values = |r: usize, at: Range<usize>, dst: &mut [u64]| {
+        for (v, i) in dst.iter_mut().zip(at) {
+            *v = value(r, i);
+        }
+    };
+    walk_buckets(runs, |pos, cut| {
+        let len = claimed(pos, cut);
+        if len == 0 {
+            return;
+        }
+        if bucket.len() < 2 * len {
+            bucket.resize(2 * len, 0);
+        }
+        let (keys, vals) = bucket.split_at_mut(len);
+        let vals = &mut vals[..len];
+        let (min, max) = key_bounds(runs, pos, cut);
+        if max - min < GATHER_SPAN * len as u64 {
+            // `ends[at]` counts key `min + at - 1`'s pairs, then holds where
+            // key `min + at`'s values start, then where they end.
+            let span = (max - min) as usize + 1;
+            ends.clear();
+            ends.resize(span + 1, 0usize);
+            for (run, (&lo, &hi)) in runs.iter().zip(pos.iter().zip(cut)) {
+                for &key in &run.keys[lo..hi] {
+                    ends[(key - min) as usize + 1] += 1;
+                }
+            }
+            for at in 1..span {
+                ends[at] += ends[at - 1];
+            }
+            for (r, run) in runs.iter().enumerate() {
+                for (&key, i) in run.keys[pos[r]..cut[r]].iter().zip(pos[r]..) {
+                    let end = &mut ends[(key - min) as usize];
+                    vals[*end] = value(r, i);
+                    *end += 1;
+                }
+            }
+            let mut start = 0;
+            for (at, &end) in ends[..span].iter().enumerate() {
+                if start < end {
+                    sink(min + at as u64, &mut vals[start..end]);
+                }
+                start = end;
+            }
+            return;
+        }
+        sort_bucket(
+            runs,
+            pos,
+            cut,
+            RankBy::Key,
+            values,
+            (keys, vals),
+            &mut scratch,
+        );
+        let mut i = 0;
+        while let Some(&key) = keys.get(i) {
+            let end = i + keys[i..].iter().take_while(|&&k| k == key).count();
+            sink(key, &mut vals[i..end]);
+            i = end;
+        }
+    });
+}
+
+/// [`merge_runs`] for at most two runs: the two-way loop, then a bulk copy
+/// of whichever run still holds pairs.
+fn merge_two(runs: &[Run<'_>], by: RankBy, out_keys: &mut [u64], out_ptrs: &mut [u64]) {
     // Monomorphized on the rank value, so the Key order compares one word.
     match by {
         RankBy::Compound => {
             let head = |r: usize, i: usize| (runs[r].keys[i], runs[r].ptrs[i]);
-            merge_two_by(runs, lo, hi, head, out_keys, out_ptrs);
+            merge_two_by(runs, head, out_keys, out_ptrs);
         }
         RankBy::Key => {
             let head = |r: usize, i: usize| runs[r].keys[i];
-            merge_two_by(runs, lo, hi, head, out_keys, out_ptrs);
+            merge_two_by(runs, head, out_keys, out_ptrs);
         }
     }
 }
@@ -516,18 +452,15 @@ fn merge_two(
 /// [`merge_two`] over the rank value `head(run, index)`.
 fn merge_two_by<V: Ord>(
     runs: &[Run<'_>],
-    lo: &[usize],
-    hi: &[usize],
     head: impl Fn(usize, usize) -> V,
     out_keys: &mut [u64],
     out_ptrs: &mut [u64],
 ) {
-    let mut pos: Vec<usize> = lo.to_vec();
+    let mut pos = [0usize; 2];
     let mut o = 0usize;
-    if runs.len() == 2 {
-        // `<` keeps run 0 on ties, matching rank_split's run-order tie
-        // distribution.
-        while pos[0] < hi[0] && pos[1] < hi[1] {
+    if let [a, b] = runs {
+        // `<` keeps run 0 on ties: left wins.
+        while pos[0] < a.len() && pos[1] < b.len() {
             let r = usize::from(head(1, pos[1]) < head(0, pos[0]));
             out_keys[o] = runs[r].keys[pos[r]];
             out_ptrs[o] = runs[r].ptrs[pos[r]];
@@ -535,77 +468,13 @@ fn merge_two_by<V: Ord>(
             o += 1;
         }
     }
-    for (run, (&pos, &hi)) in runs.iter().zip(pos.iter().zip(hi)) {
-        out_keys[o..o + hi - pos].copy_from_slice(&run.keys[pos..hi]);
-        out_ptrs[o..o + hi - pos].copy_from_slice(&run.ptrs[pos..hi]);
-        o += hi - pos;
+    for (run, &pos) in runs.iter().zip(&pos) {
+        let end = o + run.len() - pos;
+        out_keys[o..end].copy_from_slice(&run.keys[pos..]);
+        out_ptrs[o..end].copy_from_slice(&run.ptrs[pos..]);
+        o = end;
     }
-    debug_assert_eq!(o, out_keys.len(), "span did not fill its output");
-}
-
-/// Whole-input k-way merge on a worker pool: plans `width` equal output
-/// spans and merges them concurrently (every lane cooperates on the one
-/// merge — no serial final round); byte-identical at every `width`. With
-/// `count`, also returns the distinct keys written, counted bucket by bucket
-/// in cache (`None` for at most two runs), exact at every width.
-///
-/// # Panics
-///
-/// Panics if the output slices do not hold exactly the total run length.
-pub fn merge_runs_pooled(
-    pool: &sbx_pool::WorkerPool,
-    width: usize,
-    runs: &[Run<'_>],
-    by: RankBy,
-    out_keys: &mut [u64],
-    out_ptrs: &mut [u64],
-    count: bool,
-) -> Option<usize> {
-    let total = out_keys.len();
-    debug_assert_eq!(total, runs.iter().map(Run::len).sum::<usize>());
-    let width = width.clamp(1, total.max(1));
-    let cuts = plan_spans(runs, by, width);
-    // Each lane counts its buckets' keys, if asked to, as they are merged.
-    let merge = |(lo, hi, ok, op): SpanJob<'_>| {
-        let mut groups = 0;
-        let sink = |keys: &[u64]| groups += if count { count_groups(keys) } else { 0 };
-        let walked = merge_span_with(runs, &lo, &hi, by, (ok, op), sink);
-        (walked && count).then_some(groups)
-    };
-    if width == 1 {
-        return merge((cuts[0].clone(), cuts[1].clone(), out_keys, out_ptrs));
-    }
-    // sbx-lint: allow(raw-alloc, per-invocation span-job list of borrowed slices)
-    let mut jobs: Vec<SpanJob<'_>> = Vec::with_capacity(width);
-    {
-        let (mut kr, mut pr) = (&mut *out_keys, out_ptrs);
-        let mut done = 0usize;
-        for p in 0..width {
-            let next = span_rank(total, width, p + 1);
-            let (kh, kt) = kr.split_at_mut(next - done);
-            let (ph, pt) = pr.split_at_mut(next - done);
-            jobs.push((cuts[p].clone(), cuts[p + 1].clone(), kh, ph));
-            kr = kt;
-            pr = pt;
-            done = next;
-        }
-    }
-    let groups: Option<usize> = pool.run(width, merge, jobs).into_iter().sum();
-    // With `width <= total` no span is empty, so the seams are distinct.
-    let seams = (1..width).map(|p| span_rank(total, width, p));
-    groups.map(|g| g - seams.filter(|&at| out_keys[at - 1] == out_keys[at]).count())
-}
-
-/// One claimed output span: per-run lo/hi cuts plus the output slices the
-/// worker fills.
-type SpanJob<'a> = (Vec<usize>, Vec<usize>, &'a mut [u64], &'a mut [u64]);
-
-/// Serial whole-input k-way merge (the oracle the parallel spans are
-/// checked against).
-pub fn merge_runs_serial(runs: &[Run<'_>], by: RankBy, out_keys: &mut [u64], out_ptrs: &mut [u64]) {
-    let total = runs.iter().map(Run::len).sum();
-    let (lo, hi) = (rank_split(runs, by, 0), rank_split(runs, by, total));
-    merge_span(runs, &lo, &hi, by, out_keys, out_ptrs);
+    debug_assert_eq!(o, out_keys.len(), "runs did not fill the output");
 }
 
 #[cfg(test)]
@@ -616,22 +485,11 @@ mod tests {
         Run { keys, ptrs }
     }
 
-    #[test]
-    fn rank_split_tiles_exactly_on_duplicates() {
-        let ka = [1u64, 5, 5, 5, 9];
-        let pa = [0u64, 1, 2, 3, 4];
-        let kb = [5u64, 5, 7];
-        let pb = [10u64, 11, 12];
-        let runs = [run(&ka, &pa), run(&kb, &pb)];
-        for d in 0..=8 {
-            let s = rank_split(&runs, RankBy::Key, d);
-            assert_eq!(s.iter().sum::<usize>(), d, "rank {d}");
-            assert!(s[0] <= ka.len() && s[1] <= kb.len());
-        }
-        // Key ties at 5: run 0's three fives fill ranks 1..4 before run
-        // 1's two fives at ranks 4..6.
-        assert_eq!(rank_split(&runs, RankBy::Key, 4), vec![4, 0]);
-        assert_eq!(rank_split(&runs, RankBy::Key, 5), vec![4, 1]);
+    fn merged(runs: &[Run<'_>], by: RankBy) -> (Vec<u64>, Vec<u64>) {
+        let total = runs.iter().map(Run::len).sum();
+        let (mut keys, mut ptrs) = (vec![0u64; total], vec![0u64; total]);
+        merge_runs(runs, by, &mut keys, &mut ptrs);
+        (keys, ptrs)
     }
 
     #[test]
@@ -643,33 +501,14 @@ mod tests {
         let kc = [3u64];
         let pc = [8u64];
         let runs = [run(&ka, &pa), run(&kb, &pb), run(&kc, &pc)];
-        let total = 8;
-        let mut want_k = vec![0u64; total];
-        let mut want_p = vec![0u64; total];
-        merge_runs_serial(&runs, RankBy::Key, &mut want_k, &mut want_p);
+        let (keys, ptrs) = merged(&runs, RankBy::Key);
         // Stable left-wins ties: run a's 3s, then b's 3, then c's 3.
-        assert_eq!(want_k, vec![1, 2, 3, 3, 3, 3, 8, 9]);
-        assert_eq!(want_p, vec![1, 5, 2, 3, 6, 8, 4, 7]);
-
-        for parts in 1..=6 {
-            let cuts = plan_spans(&runs, RankBy::Key, parts);
-            let mut got_k = vec![0u64; total];
-            let mut got_p = vec![0u64; total];
-            for p in 0..parts {
-                let a = span_rank(total, parts, p);
-                let b = span_rank(total, parts, p + 1);
-                merge_span(
-                    &runs,
-                    &cuts[p],
-                    &cuts[p + 1],
-                    RankBy::Key,
-                    &mut got_k[a..b],
-                    &mut got_p[a..b],
-                );
-            }
-            assert_eq!(got_k, want_k, "parts={parts}");
-            assert_eq!(got_p, want_p, "parts={parts}");
-        }
+        assert_eq!(keys, vec![1, 2, 3, 3, 3, 3, 8, 9]);
+        assert_eq!(ptrs, vec![1, 5, 2, 3, 6, 8, 4, 7]);
+        // Two runs take the two-way loop, with the same tie rule.
+        let (keys, ptrs) = merged(&runs[..2], RankBy::Key);
+        assert_eq!(keys, vec![1, 2, 3, 3, 3, 8, 9]);
+        assert_eq!(ptrs, vec![1, 5, 2, 3, 6, 4, 7]);
     }
 
     #[test]
@@ -679,12 +518,7 @@ mod tests {
         let kb = [4u64, 4];
         let pb = [8u64, 10];
         let runs = [run(&ka, &pa), run(&kb, &pb)];
-        let mut out_k = vec![0u64; 4];
-        let mut out_p = vec![0u64; 4];
-        merge_runs_serial(&runs, RankBy::Compound, &mut out_k, &mut out_p);
-        assert_eq!(out_p, vec![8, 9, 10, 11]);
-        // And the rank split agrees with that order.
-        assert_eq!(rank_split(&runs, RankBy::Compound, 2), vec![1, 1]);
+        assert_eq!(merged(&runs, RankBy::Compound).1, vec![8, 9, 10, 11]);
     }
 
     #[test]
@@ -693,24 +527,39 @@ mod tests {
         let ka = [2u64];
         let pa = [0u64];
         let runs = [run(&empty, &empty), run(&ka, &pa)];
-        assert_eq!(rank_split(&runs, RankBy::Key, 0), vec![0, 0]);
-        assert_eq!(rank_split(&runs, RankBy::Key, 1), vec![0, 1]);
-        let mut k = vec![0u64; 1];
-        let mut p = vec![0u64; 1];
-        merge_runs_serial(&runs, RankBy::Key, &mut k, &mut p);
-        assert_eq!(k, vec![2]);
+        assert_eq!(merged(&runs, RankBy::Key).0, vec![2]);
+        assert_eq!(merged(&runs[..1], RankBy::Key).0, Vec::<u64>::new());
+        assert_eq!(merged(&[], RankBy::Key).0, Vec::<u64>::new());
     }
 
     #[test]
-    fn extreme_values_survive_the_value_space_search() {
-        let ka = [0u64, u64::MAX];
-        let pa = [u64::MAX, u64::MAX];
-        let kb = [u64::MAX];
-        let pb = [0u64];
-        let runs = [run(&ka, &pa), run(&kb, &pb)];
-        let s = rank_split(&runs, RankBy::Compound, 2);
-        assert_eq!(s.iter().sum::<usize>(), 2);
-        // (MAX, 0) in run b sorts before (MAX, MAX) in run a.
-        assert_eq!(s, vec![1, 1]);
+    fn gather_hands_each_key_its_values_in_run_order() {
+        // Dense keys in one bucket, then one run of keys far apart.
+        let ka = [1u64, 2, 2, 7];
+        let kb = [2u64, 7, 7];
+        let kc = [0u64, 1 << 40, 1 << 41];
+        let none = [0u64; 4];
+        for runs in [
+            vec![run(&ka, &none[..4]), run(&kb, &none[..3])],
+            vec![run(&kc, &none[..3]), run(&ka, &none[..4])],
+        ] {
+            let value = |r: usize, i: usize| 10 * r as u64 + i as u64;
+            let mut got = Vec::new();
+            gather_runs(&runs, value, |key, vals| got.push((key, vals.to_vec())));
+            let (keys, _) = merged(&runs, RankBy::Key);
+            let mut want: Vec<(u64, Vec<u64>)> = Vec::new();
+            let mut at = vec![0usize; runs.len()];
+            for key in keys {
+                let r = (0..runs.len())
+                    .find(|&r| runs[r].keys.get(at[r]) == Some(&key))
+                    .unwrap();
+                match want.last_mut() {
+                    Some((k, vals)) if *k == key => vals.push(value(r, at[r])),
+                    _ => want.push((key, vec![value(r, at[r])])),
+                }
+                at[r] += 1;
+            }
+            assert_eq!(got, want);
+        }
     }
 }

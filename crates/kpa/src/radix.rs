@@ -1,6 +1,6 @@
 //! The stable digit-skipping radix sort both sequential-access host kernels
 //! are built on: the chunk sort ([`crate::sort_pairs`]) runs it over a whole
-//! chunk, the k-way merge ([`crate::mergepath::merge_span`]) over each
+//! chunk, the k-way merge ([`crate::mergepath::merge_runs`]) over each
 //! cache-resident bucket it cuts the runs into.
 //!
 //! A *digit* is a field of up to [`DIGIT_BITS`] bits of the key (taken

@@ -44,6 +44,11 @@ fn fold_groups<A: Default>(
 /// (random DRAM access) and calls `f` once per key (paper §4.2). For a
 /// wrapping sum or a count, [`reduce_keyed_scalar`] gathers nothing.
 ///
+/// No window close calls it: [`Kpa::merge_gather`] gathers each key's
+/// values inside the merge instead, handing them out in the same order. It
+/// stays as that gather's oracle and for callers that reduce a KPA they
+/// merged themselves.
+///
 /// Returns the number of distinct keys.
 ///
 /// # Panics
@@ -150,12 +155,10 @@ pub mod agg {
         *m
     }
 
-    /// The `k` largest values, descending.
-    pub fn top_k(values: &[u64], k: usize) -> Vec<u64> {
-        let mut v = values.to_vec();
-        v.sort_unstable_by(|a, b| b.cmp(a));
-        v.truncate(k);
-        v
+    /// The `k` largest values, descending (sorts its scratch input).
+    pub fn top_k(values: &mut [u64], k: usize) -> &[u64] {
+        values.sort_unstable_by(|a, b| b.cmp(a));
+        &values[..k.min(values.len())]
     }
 
     /// Number of distinct values (sorts its scratch input).
@@ -187,9 +190,9 @@ pub mod agg {
 
         #[test]
         fn top_k_descending_and_truncated() {
-            assert_eq!(top_k(&[5, 1, 9, 3], 2), vec![9, 5]);
-            assert_eq!(top_k(&[1], 5), vec![1]);
-            assert!(top_k(&[], 3).is_empty());
+            assert_eq!(top_k(&mut [5, 1, 9, 3], 2), [9, 5]);
+            assert_eq!(top_k(&mut [1], 5), [1]);
+            assert!(top_k(&mut [], 3).is_empty());
         }
 
         #[test]

@@ -99,33 +99,36 @@ fn run(
 
 /// The core property: byte-identical outputs across every backend and
 /// thread count, for uniform and skewed streams at three cardinalities,
-/// for both a scalar kind (Sum) and a full-values kind (Median).
+/// for every aggregate kind: the scalar ones (Sum, Count) and those whose
+/// hash drain gathers each key's values (Avg, Median, TopK, UniqueCount).
 #[test]
 fn backends_and_thread_counts_are_output_transparent() {
     for seed in [3u64, 17] {
         for domain in [8u64, 500, 20_000] {
             for skewed in [false, true] {
                 let keys = gen_keys(seed, domain, skewed);
-                let kind = if skewed {
-                    AggKind::Median
+                let kinds = if skewed {
+                    [AggKind::Median, AggKind::TopK(3), AggKind::UniqueCount]
                 } else {
-                    AggKind::Sum
+                    [AggKind::Sum, AggKind::Count, AggKind::Avg]
                 };
-                let (reference, _) = run(&keys, kind, GroupingSpec::SortMerge, 2);
-                assert!(!reference.is_empty(), "windows must close");
-                for grouping in [
-                    GroupingSpec::SortMerge,
-                    GroupingSpec::Hash,
-                    GroupingSpec::RowBaseline,
-                    GroupingSpec::Adaptive,
-                ] {
-                    for threads in THREADS {
-                        let (out, _) = run(&keys, kind, grouping, threads);
-                        assert_eq!(
-                            out, reference,
-                            "{grouping:?} at {threads} threads diverges \
-                             (seed {seed}, domain {domain}, skewed {skewed})"
-                        );
+                for kind in kinds {
+                    let (reference, _) = run(&keys, kind, GroupingSpec::SortMerge, 2);
+                    assert!(!reference.is_empty(), "windows must close");
+                    for grouping in [
+                        GroupingSpec::SortMerge,
+                        GroupingSpec::Hash,
+                        GroupingSpec::RowBaseline,
+                        GroupingSpec::Adaptive,
+                    ] {
+                        for threads in THREADS {
+                            let (out, _) = run(&keys, kind, grouping, threads);
+                            assert_eq!(
+                                out, reference,
+                                "{kind:?} on {grouping:?} at {threads} threads diverges \
+                                 (seed {seed}, domain {domain}, skewed {skewed})"
+                            );
+                        }
                     }
                 }
             }

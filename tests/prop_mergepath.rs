@@ -1,108 +1,23 @@
-//! Randomized property tests for the merge-path co-partitioning machinery
-//! and the thread-count determinism of the kernels built on it.
+//! Randomized property tests for the k-way merge and the thread-count
+//! determinism of the sort and the join.
 //!
 //! Cases come from a fixed-seed [`SbxRng`], so every run checks the same
 //! inputs (deterministic, offline-friendly).
 
 use sbx_prng::SbxRng;
-use streambox_hbm::kpa::mergepath::{
-    merge_runs_pooled, merge_runs_serial, merge_span, plan_spans, span_rank, RankBy, Run,
-};
+use streambox_hbm::kpa::mergepath::{merge_runs, RankBy, Run};
 use streambox_hbm::kpa::{join_sorted, ExecCtx, Kpa, WorkerPool};
 use streambox_hbm::prelude::*;
 
-const CASES: u64 = 32;
-
 fn env() -> MemEnv {
     MemEnv::new(MachineConfig::knl().scaled(0.05))
-}
-
-/// Random sorted runs with duplicate-heavy keys. `by` controls whether
-/// runs are ordered by the compound `(key, ptr)` value or by key alone.
-fn random_runs(rng: &mut SbxRng, by: RankBy) -> Vec<(Vec<u64>, Vec<u64>)> {
-    let run_count = rng.random_range(1..7) as usize;
-    let key_space = 1 + rng.random_range(0..40);
-    (0..run_count)
-        .map(|_| {
-            let n = rng.random_range(0..500) as usize;
-            let mut pairs: Vec<(u64, u64)> = (0..n)
-                .map(|_| (rng.random_range(0..key_space), rng.random()))
-                .collect();
-            match by {
-                RankBy::Compound => pairs.sort_unstable(),
-                RankBy::Key => pairs.sort_unstable_by_key(|&(k, _)| k),
-            }
-            (
-                pairs.iter().map(|&(k, _)| k).collect(),
-                pairs.iter().map(|&(_, p)| p).collect(),
-            )
-        })
-        .collect()
 }
 
 fn as_runs(data: &[(Vec<u64>, Vec<u64>)]) -> Vec<Run<'_>> {
     data.iter().map(|(k, p)| Run { keys: k, ptrs: p }).collect()
 }
 
-/// The span plan tiles the output exactly: cuts start at zero, end at the
-/// run lengths, never decrease, and every boundary's cut widths sum to its
-/// target output rank.
-#[test]
-fn spans_tile_the_output_exactly() {
-    let mut rng = SbxRng::seed_from_u64(0x6d70_0001);
-    for case in 0..CASES {
-        for by in [RankBy::Compound, RankBy::Key] {
-            let data = random_runs(&mut rng, by);
-            let runs = as_runs(&data);
-            let total: usize = runs.iter().map(Run::len).sum();
-            let parts = 1 + (rng.random_range(0..8) as usize);
-            let cuts = plan_spans(&runs, by, parts);
-            assert_eq!(cuts.len(), parts + 1, "case {case}");
-            assert!(cuts[0].iter().all(|&c| c == 0), "case {case}");
-            for (r, run) in runs.iter().enumerate() {
-                assert_eq!(cuts[parts][r], run.len(), "case {case} run {r}");
-            }
-            for p in 0..=parts {
-                let sum: usize = cuts[p].iter().sum();
-                assert_eq!(sum, span_rank(total, parts, p), "case {case} row {p}");
-                if p > 0 {
-                    for (r, &c) in cuts[p].iter().enumerate() {
-                        assert!(c >= cuts[p - 1][r], "case {case} row {p} run {r}");
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The pooled partitioned merge produces byte-identical output to the
-/// serial k-way merge oracle at every width, in both rank orders.
-#[test]
-fn pooled_merge_matches_serial_oracle() {
-    let mut rng = SbxRng::seed_from_u64(0x6d70_0002);
-    let pool = WorkerPool::new(8);
-    for case in 0..CASES {
-        for by in [RankBy::Compound, RankBy::Key] {
-            let data = random_runs(&mut rng, by);
-            let runs = as_runs(&data);
-            let total: usize = runs.iter().map(Run::len).sum();
-            let mut want_k = vec![0u64; total];
-            let mut want_p = vec![0u64; total];
-            merge_runs_serial(&runs, by, &mut want_k, &mut want_p);
-            for width in [1usize, 2, 3, 5, 8] {
-                let mut got_k = vec![0u64; total];
-                let mut got_p = vec![0u64; total];
-                // Counting the keys or not, the bytes are the same.
-                let count = by == RankBy::Key;
-                merge_runs_pooled(&pool, width, &runs, by, &mut got_k, &mut got_p, count);
-                assert_eq!(got_k, want_k, "case {case} width {width} keys");
-                assert_eq!(got_p, want_p, "case {case} width {width} ptrs");
-            }
-        }
-    }
-}
-
-/// The oracle `merge_span` is checked against, whatever kernel it runs:
+/// The oracle `merge_runs` is checked against, whatever kernel it runs:
 /// per output pair, a linear scan of all run heads for the minimum rank
 /// value, the lowest run index winning ties.
 fn linear_scan_merge(runs: &[Run<'_>], by: RankBy) -> (Vec<u64>, Vec<u64>) {
@@ -210,12 +125,10 @@ fn shaped_runs(
         .collect()
 }
 
-/// `merge_span` is byte-identical to the linear-scan oracle at narrow and
+/// `merge_runs` is byte-identical to the linear-scan oracle at narrow and
 /// wide fan-ins, over every key shape, with empty and single-pair runs, in
-/// both rank orders — whole-input and tiled into `plan_spans` spans (so the
-/// kernel's tie-break agrees with `rank_split`'s run-order distribution).
-/// Runs are long enough at the wider fan-ins for a kernel that partitions
-/// its input to do so.
+/// both rank orders. Runs are long enough at the wider fan-ins for the
+/// kernel to cut its input into several buckets.
 #[test]
 fn merge_span_matches_linear_scan_oracle() {
     let mut rng = SbxRng::seed_from_u64(0x6d70_0005);
@@ -240,27 +153,9 @@ fn merge_span_matches_linear_scan_oracle() {
 
                 let mut got_k = vec![0u64; total];
                 let mut got_p = vec![0u64; total];
-                merge_runs_serial(&runs, by, &mut got_k, &mut got_p);
+                merge_runs(&runs, by, &mut got_k, &mut got_p);
                 assert_eq!(got_k, want_k, "k {k} {shape:?} {by:?} keys");
                 assert_eq!(got_p, want_p, "k {k} {shape:?} {by:?} ptrs");
-
-                let parts = 1 + rng.random_range(0..9) as usize;
-                let cuts = plan_spans(&runs, by, parts);
-                let mut got_k = vec![0u64; total];
-                let mut got_p = vec![0u64; total];
-                for p in 0..parts {
-                    let span = span_rank(total, parts, p)..span_rank(total, parts, p + 1);
-                    merge_span(
-                        &runs,
-                        &cuts[p],
-                        &cuts[p + 1],
-                        by,
-                        &mut got_k[span.clone()],
-                        &mut got_p[span],
-                    );
-                }
-                assert_eq!(got_k, want_k, "k {k} {shape:?} {by:?} {parts} spans keys");
-                assert_eq!(got_p, want_p, "k {k} {shape:?} {by:?} {parts} spans ptrs");
             }
         }
     }
@@ -276,7 +171,8 @@ fn kpa_from_keys(env: &MemEnv, ctx: &mut ExecCtx, keys: &[u64]) -> Kpa {
     Kpa::extract(ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).expect("fits")
 }
 
-/// `Kpa::sort` is bit-identical across thread counts: identical keys and
+/// `Kpa::sort` is bit-identical across the thread counts its ignored
+/// argument and the `WorkerPool` shim still take: identical keys and
 /// identical referenced rows at every position, for duplicate-heavy and
 /// uniform key distributions alike.
 #[test]
@@ -307,8 +203,8 @@ fn sort_is_deterministic_across_thread_counts() {
     }
 }
 
-/// The partitioned join emits exactly the serial emission sequence at
-/// every pool width.
+/// The join emits the same sequence through a context built with the
+/// `WorkerPool` shim at every width it once fanned out to.
 #[test]
 fn partitioned_join_preserves_emission_order() {
     let mut rng = SbxRng::seed_from_u64(0x6d70_0004);

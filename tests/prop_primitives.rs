@@ -9,10 +9,10 @@
 use sbx_bench::kernel_scaling::{ptrs_of, reference};
 use sbx_prng::SbxRng;
 use streambox_hbm::cluster::RoutedSource;
+use streambox_hbm::engine::ops::emit_group;
 use streambox_hbm::ingress::parse::{json, proto, text};
-use streambox_hbm::kpa::mergepath::RankBy;
 use streambox_hbm::kpa::{
-    hash, join_sorted, reduce_keyed, reduce_keyed_scalar, sort_pairs, ExecCtx, Kpa, WorkerPool,
+    hash, join_sorted, reduce_keyed, reduce_keyed_scalar, sort_pairs, ExecCtx, Kpa,
 };
 use streambox_hbm::prelude::*;
 
@@ -376,7 +376,8 @@ fn single_source_resolver_reports_corrupted_pointers() {
     assert_eq!(found, vec![sbx_sanitize::BugClass::WildPointer; 2]);
 }
 
-/// Sorted join emits exactly the nested-loop pairs.
+/// Sorted join emits exactly the nested-loop pairs over the sorted sides,
+/// in the nested loop's `(li, ri)` order, and counts the keys that matched.
 #[test]
 fn join_matches_nested_loop() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_1006);
@@ -391,17 +392,22 @@ fn join_matches_nested_loop() {
         let mut rk = kpa_from_keys(&env, &mut ctx, &r);
         lk.sort(&mut ctx, 2).expect("sort");
         rk.sort(&mut ctx, 2).expect("sort");
-        let mut emitted = 0u64;
-        join_sorted(&mut ctx, &lk, &rk, 32, |_, _, _, _| emitted += 1);
-        let mut expect = 0u64;
-        for &a in &l {
-            for &b in &r {
+        let mut got = Vec::new();
+        let stats = join_sorted(&mut ctx, &lk, &rk, 32, |_, li, _, ri| got.push((li, ri)));
+        let (lkeys, rkeys) = (lk.keys(), rk.keys());
+        let mut want = Vec::new();
+        for (li, a) in lkeys.iter().enumerate() {
+            for (ri, b) in rkeys.iter().enumerate() {
                 if a == b {
-                    expect += 1;
+                    want.push((li, ri));
                 }
             }
         }
-        assert_eq!(emitted, expect);
+        assert_eq!(got, want);
+        assert_eq!(stats.emitted, want.len());
+        let mut matched: Vec<u64> = want.iter().map(|&(li, _)| lkeys[li]).collect();
+        matched.dedup();
+        assert_eq!(stats.matched_keys, matched.len());
     }
 }
 
@@ -436,12 +442,7 @@ fn reduce_keyed_covers_all_pairs() {
 /// A window of `sources` sorted KPAs over `keys` (split evenly, values
 /// spread over the whole `u64` range), merged, with the group count the
 /// merge took.
-fn merged_window(
-    env: &MemEnv,
-    ctx: &mut ExecCtx,
-    keys: &[u64],
-    sources: usize,
-) -> (Kpa, Option<usize>) {
+fn merged_window(env: &MemEnv, ctx: &mut ExecCtx, keys: &[u64], sources: usize) -> Kpa {
     let mut parts = Vec::new();
     let chunk = keys.len().div_ceil(sources).max(1);
     for s in 0..sources {
@@ -458,7 +459,7 @@ fn merged_window(
         kpa.sort(ctx, 1).expect("sort");
         parts.push(kpa);
     }
-    Kpa::merge_many_counted(ctx, parts, MemKind::Hbm, Priority::Normal).expect("merge")
+    Kpa::merge_many(ctx, parts, MemKind::Hbm, Priority::Normal).expect("merge")
 }
 
 /// The scalar fold hands out exactly what `reduce_keyed`'s per-key value
@@ -478,7 +479,7 @@ fn scalar_fold_equals_the_key_group_fold() {
         let keys = rng.vec_in(n, 0..space);
         let env = env();
         let mut ctx = ExecCtx::new(&env);
-        let (kpa, _) = merged_window(&env, &mut ctx, &keys, sources);
+        let kpa = merged_window(&env, &mut ctx, &keys, sources);
         for col in [Some(Col(1)), None] {
             let mut want = Vec::new();
             let want_groups = reduce_keyed(&mut ctx, &kpa, Col(1), |g| {
@@ -490,59 +491,6 @@ fn scalar_fold_equals_the_key_group_fold() {
             let groups = reduce_keyed_scalar(&mut ctx, &kpa, col, |k, s, c| got.push((k, s, c)));
             assert_eq!(got, want, "case {case}, {sources} sources, {col:?}");
             assert_eq!(groups, want_groups, "case {case}");
-        }
-    }
-}
-
-/// The merge's own group count equals the second pass over the merged keys
-/// it replaced, at every pool width — so the seams between the spans of
-/// different lanes, which split runs of equal keys on duplicate-heavy
-/// input, are fixed up exactly — with empty and single-pair runs among the
-/// inputs; `Kpa::merge_many_counted` passes it on. Two runs or fewer merge
-/// in the two-way loop, which counts nothing, and uncounted merges are
-/// `None`.
-#[test]
-fn counted_merge_equals_output_rows() {
-    use streambox_hbm::kpa::mergepath::{merge_runs_pooled, Run};
-    let mut rng = SbxRng::seed_from_u64(0x5b57_1013);
-    for case in 0..CASES {
-        let space = [1, 2, 7, 1_000, u64::MAX][case as usize % 5];
-        let runs: Vec<(Vec<u64>, Vec<u64>)> = (0..rng.random_range(1..30))
-            .map(|_| {
-                let n = match rng.random_range(0..4) {
-                    0 => 0,
-                    1 => 1,
-                    _ => rng.random_range(0..3_000) as usize,
-                };
-                let mut keys = rng.vec_in(n, 0..space);
-                keys.sort_unstable();
-                let ptrs = (0..n as u64).collect();
-                (keys, ptrs)
-            })
-            .collect();
-        let inputs: Vec<Run<'_>> = runs.iter().map(|(keys, ptrs)| Run { keys, ptrs }).collect();
-        let total: usize = inputs.iter().map(Run::len).sum();
-        for threads in [1usize, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            for count in [true, false] {
-                let (mut keys, mut ptrs) = (vec![0; total], vec![0; total]);
-                let merge = |k: &mut [u64], p: &mut [u64]| {
-                    merge_runs_pooled(&pool, threads, &inputs, RankBy::Key, k, p, count)
-                };
-                let groups = merge(&mut keys, &mut ptrs);
-                assert!(keys.windows(2).all(|w| w[0] <= w[1]), "case {case}");
-                let want = (count && inputs.len() > 2).then(|| reference::output_rows(&keys));
-                assert_eq!(groups, want, "case {case}, {threads} threads");
-            }
-        }
-        // The same through `Kpa::merge_many_counted` on a pool of that width.
-        let flat: Vec<u64> = runs.iter().flat_map(|(keys, _)| keys.clone()).collect();
-        for threads in [1usize, 2, 4, 8] {
-            let env = env();
-            let mut ctx = ExecCtx::with_pool(&env, WorkerPool::new(threads));
-            let (merged, groups) = merged_window(&env, &mut ctx, &flat, runs.len());
-            let want = (runs.len() > 2).then(|| reference::output_rows(merged.keys()));
-            assert_eq!(groups, want, "case {case}");
         }
     }
 }
@@ -586,18 +534,20 @@ fn fold_run(env: &MemEnv, ctx: &mut ExecCtx, keys: &[u64], values: &[u64], sourc
     Kpa::merge_many(ctx, parts, MemKind::Hbm, Priority::Normal).expect("merge")
 }
 
-/// The fused close equals the two-pass one it replaced — the merged KPA
-/// written, then read back by the scalar fold — row for row, for a `Sum`
-/// that wraps near `u64::MAX` and a `Count`, over 1, 2, 3, 25 and 64 runs
-/// (empty ones among them) of partial bundles or multi-source raw KPAs,
-/// duplicate-heavy, all-equal, dense, at `u64::MAX` and full-range keys (so
-/// both the array and the sorted fold run), at pool widths 1, 2, 4 and 16.
+/// The fused closes equal the two-pass ones they replaced — the merged KPA
+/// written, then read back by the scalar fold or `reduce_keyed` — over 1,
+/// 2, 3, 25 and 64 runs (empty ones among them) of partial bundles or
+/// multi-source raw KPAs, duplicate-heavy, all-equal, dense, at `u64::MAX`
+/// and full-range keys (so both the array and the sorted fold, and both the
+/// counting-sort and the sorted gather, run): row for row for a `Sum` that
+/// wraps near `u64::MAX` and a `Count`; key by key, values in order, for
+/// the gather; and row for row through `emit_group` for TopK, Median, Avg
+/// and UniqueCount.
 #[test]
 fn fused_close_equals_merge_then_scalar_fold() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_1014);
     for case in 0..40u64 {
         let k = [1, 2, 3, 25, 64][case as usize % 5];
-        let threads = [1, 2, 4, 16][case as usize % 4];
         let sources = [1, 1, 3][case as usize % 3];
         let max_len = 24_000 / k as u64;
         let shape = case / 5 % 6;
@@ -626,7 +576,8 @@ fn fused_close_equals_merge_then_scalar_fold() {
             })
             .collect();
         let env = env();
-        let mut ctx = ExecCtx::with_pool(&env, WorkerPool::new(threads));
+        let mut ctx = ExecCtx::new(&env);
+        let hbm = (MemKind::Hbm, Priority::Normal);
         let window = |ctx: &mut ExecCtx| -> Vec<Kpa> {
             runs.iter()
                 .map(|(keys, values)| fold_run(&env, ctx, keys, values, sources))
@@ -636,10 +587,39 @@ fn fused_close_equals_merge_then_scalar_fold() {
             let two_pass = window(&mut ctx);
             let want = reference::merge_fold(&mut ctx, two_pass, col, 9);
             let fused = window(&mut ctx);
-            let hbm = (MemKind::Hbm, Priority::Normal);
             let (got, held) = Kpa::merge_fold(&mut ctx, fused, col, 9, hbm.0, hbm.1).expect("fits");
             assert_eq!(got, want, "case {case}: {k} runs, shape {shape}, {col:?}");
             drop(held);
+        }
+
+        let kpas = window(&mut ctx);
+        let merged = Kpa::merge_many(&mut ctx, kpas, hbm.0, hbm.1).expect("fits");
+        let mut want = Vec::new();
+        reduce_keyed(&mut ctx, &merged, Col(1), |g| {
+            want.push((g.key, g.values.to_vec()));
+        });
+        drop(merged);
+        let mut got = Vec::new();
+        let sink = |key, values: &mut [u64]| got.push((key, values.to_vec()));
+        let kpas = window(&mut ctx);
+        let held = Kpa::merge_gather(&mut ctx, kpas, Col(1), hbm.0, hbm.1, sink);
+        drop(held.expect("fits"));
+        assert!(got == want, "case {case}: {k} runs, shape {shape}, gather");
+
+        let top = 1 + case as usize % 5;
+        for kind in [
+            AggKind::TopK(top),
+            AggKind::Median,
+            AggKind::Avg,
+            AggKind::UniqueCount,
+        ] {
+            let two_pass = window(&mut ctx);
+            let want = reference::merge_gather(&mut ctx, two_pass, Col(1), kind, 9);
+            let (fused, mut got) = (window(&mut ctx), Vec::new());
+            let emit = |key, values: &mut [u64]| emit_group(kind, key, values, 9, &mut got);
+            let held = Kpa::merge_gather(&mut ctx, fused, Col(1), hbm.0, hbm.1, emit);
+            drop(held.expect("fits"));
+            assert_eq!(got, want, "case {case}: {k} runs, shape {shape}, {kind:?}");
         }
     }
 }

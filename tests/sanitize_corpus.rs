@@ -20,6 +20,7 @@ use sbx_kpa::{reduce_keyed_scalar, ExecCtx, Kpa};
 use sbx_records::{BundleId, Col, RecordBundle, RecordRef, Schema};
 use sbx_sanitize::{op_scope, BugClass, Sanitizer};
 use sbx_simmem::{MachineConfig, MemEnv, MemKind, Priority};
+use streambox_hbm::engine::ops::emit_group;
 use streambox_hbm::prelude::*;
 
 fn env() -> MemEnv {
@@ -251,7 +252,8 @@ fn fixture_wild_pointer_in_a_count() {
 /// A fused window close reads every run through its own resolver: a forged
 /// pointer in one run of three is a wild-pointer finding in the close's
 /// span and sums as 0, as `Resolver::value` reads it, while the rest fold
-/// as usual; a `Count`, which reads no record, still validates it.
+/// as usual; a `Count`, which reads no record, still validates it, and a
+/// Median's gather reads it as 0 too.
 #[test]
 fn fixture_wild_pointer_in_a_fused_close() {
     let env = env();
@@ -297,6 +299,21 @@ fn fixture_wild_pointer_in_a_fused_close() {
     assert_eq!(counts, vec![1, 2, 0, 2, 2, 0, 3, 1, 0]);
     assert_classes(env.sanitizer(), &[BugClass::WildPointer]);
     assert_eq!(env.sanitizer().reports()[0].fault_span, 73);
+
+    env.sanitizer().clear_reports();
+    let kpas = window(&mut ctx);
+    let mut medians = Vec::new();
+    {
+        let _g = op_scope(74, "median");
+        let median = |key, values: &mut [u64]| {
+            emit_group(AggKind::Median, key, values, 0, &mut medians);
+        };
+        Kpa::merge_gather(&mut ctx, kpas, Col(1), hbm.0, hbm.1, median).unwrap();
+    }
+    // Key 3 gathers the forged value alone, read as 0.
+    assert_eq!(medians, vec![1, 10, 0, 2, 5, 0, 3, 0, 0]);
+    assert_classes(env.sanitizer(), &[BugClass::WildPointer]);
+    assert_eq!(env.sanitizer().reports()[0].fault_span, 74);
 }
 
 #[test]
