@@ -1,11 +1,10 @@
 //! Figure 7: YSB throughput (a) and peak HBM bandwidth (b) vs cores, for
 //! StreamBox-HBM with RDMA and 10 GbE ingestion on KNL, and the Flink-class
-//! row engine on KNL and X56 over 10 GbE.
+//! row engine (`EngineMode::Row`) on KNL and X56 over 10 GbE.
 
 // sbx-lint: out-of-scope(raw-alloc, bench table; host-side measurement setup)
 // sbx-lint: out-of-scope(no-panic, bench table; a failed run should abort loudly)
-use sbx_baselines::{RowEngine, RowEngineConfig, RowPipeline};
-use sbx_engine::{benchmarks, Engine, RunConfig};
+use sbx_engine::{benchmarks, Engine, EngineMode, RunConfig, RunReport};
 use sbx_ingress::{NicModel, SenderConfig, YsbSource};
 use sbx_simmem::MachineConfig;
 
@@ -27,42 +26,43 @@ fn sender(nic: NicModel) -> SenderConfig {
     }
 }
 
-/// One StreamBox-HBM YSB run; returns (throughput Mrec/s, peak HBM GB/s).
-pub fn streambox_point(cores: u32, nic: NicModel) -> (f64, f64) {
+/// One YSB run of `mode` on `machine`.
+fn ysb_point(machine: MachineConfig, cores: u32, mode: EngineMode, nic: NicModel) -> RunReport {
     let cfg = RunConfig {
-        machine: MachineConfig::knl(),
+        machine,
         cores,
+        mode,
         sender: sender(nic),
         ..RunConfig::default()
     };
-    let report = Engine::new(cfg)
+    Engine::new(cfg)
         .run(
             YsbSource::new(7, NUM_ADS, NUM_CAMPAIGNS, EVENT_RATE),
             benchmarks::ysb(NUM_CAMPAIGNS),
             BUNDLES,
         )
-        .expect("run succeeds");
+        .expect("run succeeds")
+}
+
+/// One StreamBox-HBM YSB run; returns (throughput Mrec/s, peak HBM GB/s).
+pub fn streambox_point(cores: u32, nic: NicModel) -> (f64, f64) {
+    let report = ysb_point(MachineConfig::knl(), cores, EngineMode::Hybrid, nic);
     (report.throughput_mrps(), report.peak_hbm_bw_gbps)
 }
 
-/// One Flink-class YSB run; returns throughput in Mrec/s.
+/// One Flink-class YSB run over 10 GbE, on the X56 (at most its 56 cores)
+/// or on KNL; returns throughput in Mrec/s.
 pub fn flink_point(cores: u32, x56: bool) -> f64 {
-    let cfg = if x56 {
-        RowEngineConfig::flink_x56(cores.min(56), sender(NicModel::ethernet_10g_x56()))
-    } else {
-        RowEngineConfig::flink_knl(cores, sender(NicModel::ethernet_10g()))
-    };
-    RowEngine::new(cfg)
-        .run(
-            YsbSource::new(7, NUM_ADS, NUM_CAMPAIGNS, EVENT_RATE),
-            RowPipeline::YsbCount {
-                campaigns: NUM_CAMPAIGNS,
-            },
-            1_000_000_000,
-            BUNDLES,
+    let (machine, cores, nic) = if x56 {
+        (
+            MachineConfig::x56(),
+            cores.min(56),
+            NicModel::ethernet_10g_x56(),
         )
-        .expect("run succeeds")
-        .throughput_mrps()
+    } else {
+        (MachineConfig::knl(), cores, NicModel::ethernet_10g())
+    };
+    ysb_point(machine, cores, EngineMode::Row, nic).throughput_mrps()
 }
 
 /// Regenerates both panels of Figure 7.
@@ -137,6 +137,38 @@ mod tests {
         assert!(
             gap > 10.0 && gap < 30.0,
             "per-core gap {gap} should be ~18x"
+        );
+    }
+
+    /// Compute-bound at 2 cores, the row engine runs ~1.3e9 / 5 900 ≈ 0.22
+    /// M rec/s per KNL core, an order of magnitude below StreamBox-HBM's.
+    #[test]
+    fn per_core_gap_to_streambox_is_an_order_of_magnitude() {
+        let flink = flink_point(2, false) / 2.0;
+        assert!(flink > 0.15 && flink < 0.3, "{flink} Mrec/s/core");
+        let (sbx, _) = streambox_point(2, NicModel::ethernet_10g());
+        assert!(
+            sbx / 2.0 > 10.0 * flink,
+            "sbx {sbx} vs flink {flink} per core"
+        );
+    }
+
+    #[test]
+    fn more_cores_increase_throughput_until_nic_limit() {
+        let t2 = flink_point(2, false);
+        let t16 = flink_point(16, false);
+        let t64 = flink_point(64, false);
+        assert!(t16 > 3.0 * t2, "t2={t2} t16={t16}");
+        assert!(t64 >= t16 * 0.95);
+        // Even 64 KNL cores stay below the 10 GbE record-rate limit, while
+        // 32 of the X56's 56 cores saturate it (paper §7.1).
+        let limit = NicModel::ethernet_10g().record_rate_limit(56) / 1e6;
+        assert!(t64 < limit, "t64={t64} limit={limit}");
+        let x56 = flink_point(32, true);
+        let x56_limit = NicModel::ethernet_10g_x56().record_rate_limit(56) / 1e6;
+        assert!(
+            x56 > 0.95 * x56_limit,
+            "x56 at 32 cores: {x56} of {x56_limit}"
         );
     }
 

@@ -3,7 +3,8 @@
 //!
 //! Each cell generates a deterministic keyed stream (uniform or Zipf keys
 //! over a bounded domain), runs it through `WindowInto → KeyedAggregate`
-//! once per backend — KPA sort-merge, hash, row-engine baseline,
+//! once per backend — KPA sort-merge, hash, the Flink-class row engine's
+//! table (`EngineMode::Row`, which also pays its per-record ingest charge)
 //! and the adaptive chooser — and accounts the modelled per-window cost of
 //! the aggregation operator. Windows arrive as multiple bundles, as they
 //! do under the engine, so the adaptive sketch only ever sees a window's
@@ -116,11 +117,20 @@ pub fn gen_keys(cell: &Cell, seed: u64) -> Vec<u64> {
         .collect()
 }
 
+/// The matrix's four columns in order: sort, hash, row, adaptive. The row
+/// engine's table is selected by its engine mode, whatever the spec says.
+const BACKENDS: [(GroupingSpec, EngineMode); 4] = [
+    (GroupingSpec::SortMerge, EngineMode::Hybrid),
+    (GroupingSpec::Hash, EngineMode::Hybrid),
+    (GroupingSpec::Hash, EngineMode::Row),
+    (GroupingSpec::Adaptive, EngineMode::Hybrid),
+];
+
 /// Outcome of one backend over one cell.
 #[derive(Debug, Clone)]
 pub struct BackendRun {
-    /// Which backend ran.
-    pub grouping: GroupingSpec,
+    /// Which backend ran: a grouping spec under an engine mode.
+    pub backend: (GroupingSpec, EngineMode),
     /// Modelled aggregation seconds per window.
     pub window_secs: Vec<f64>,
     /// Steady-state seconds: windows `1..` (past the adaptive cold start).
@@ -132,11 +142,13 @@ pub struct BackendRun {
 }
 
 /// Runs one backend over one cell's key stream and accounts the modelled
-/// cost of every task the aggregation operator executes.
-pub fn run_backend(cell: &Cell, grouping: GroupingSpec, keys: &[u64]) -> BackendRun {
+/// cost of every task the aggregation operator executes, plus what the
+/// engine mode charges per ingested bundle.
+pub fn run_backend(cell: &Cell, backend: (GroupingSpec, EngineMode), keys: &[u64]) -> BackendRun {
+    let (grouping, mode) = backend;
     let machine = MachineConfig::knl();
     let env = MemEnv::new(machine.clone());
-    let cost = CostModel::new(machine);
+    let cost = CostModel::new(machine.clone());
     let mut bal = DemandBalancer::new();
     let spec = WindowSpec::fixed(WINDOW_TICKS);
     let mut window_op = WindowInto::new(spec);
@@ -145,7 +157,7 @@ pub fn run_backend(cell: &Cell, grouping: GroupingSpec, keys: &[u64]) -> Backend
     let mut agg = KeyedAggregate::new(spec, Col(0), Col(1), AggKind::Count)
         .with_grouping(grouping)
         .without_early_aggregation();
-    let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 4, ImpactTag::High);
+    let mut ctx = OpCtx::new(&env, &mut bal, mode, 4, ImpactTag::High);
 
     let mut window_secs = Vec::new();
     let mut out = Vec::new();
@@ -168,9 +180,11 @@ pub fn run_backend(cell: &Cell, grouping: GroupingSpec, keys: &[u64]) -> Backend
             // Windowing/extraction cost is identical across backends;
             // exclude it so the cell isolates the grouping work.
             let _ = ctx.take_profile();
+            let mut ingest = mode.ingest_profile(chunk.len(), &machine);
             for m in msgs {
                 let outs = agg.on_message(&mut ctx, m).unwrap();
-                secs += cost.time_secs(&ctx.take_profile(), CORES);
+                let prof = ctx.take_profile().merge(&std::mem::take(&mut ingest));
+                secs += cost.time_secs(&prof, CORES);
                 events.extend(ctx.take_events());
                 assert!(outs.is_empty(), "no output before watermark");
             }
@@ -215,7 +229,7 @@ pub fn run_backend(cell: &Cell, grouping: GroupingSpec, keys: &[u64]) -> Backend
     }
     let steady_secs = window_secs.iter().skip(1).sum();
     BackendRun {
-        grouping,
+        backend,
         window_secs,
         steady_secs,
         out,
@@ -227,21 +241,16 @@ pub fn run_backend(cell: &Cell, grouping: GroupingSpec, keys: &[u64]) -> Backend
 /// adaptive-vs-best-static invariants checked.
 pub fn run_cell(cell: &Cell, seed: u64) -> Vec<BackendRun> {
     let keys = gen_keys(cell, seed);
-    let runs: Vec<BackendRun> = [
-        GroupingSpec::SortMerge,
-        GroupingSpec::Hash,
-        GroupingSpec::RowBaseline,
-        GroupingSpec::Adaptive,
-    ]
-    .iter()
-    .map(|&g| run_backend(cell, g, &keys))
-    .collect();
+    let runs: Vec<BackendRun> = BACKENDS
+        .iter()
+        .map(|&b| run_backend(cell, b, &keys))
+        .collect();
     for r in &runs[1..] {
         assert_eq!(
             r.out,
             runs[0].out,
             "{:?} output diverges from sort-merge on cell [{}]",
-            r.grouping,
+            r.backend,
             cell.label()
         );
     }

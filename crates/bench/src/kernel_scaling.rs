@@ -21,7 +21,7 @@ use std::time::Instant; // sbx-lint: allow(wall-clock, host microbench is the po
 
 use sbx_engine::ops::{emit_group, AggKind};
 use sbx_ingress::{KvSource, PowerGridSource, Source, YsbSource, ZipfKeys};
-use sbx_kpa::mergepath::{self, RankBy, Run};
+use sbx_kpa::mergepath::{self, Run};
 use sbx_kpa::{profile, reduce_keyed, reduce_keyed_scalar, sort_pairs, ExecCtx, Kpa};
 use sbx_prng::SbxRng;
 use sbx_records::{Col, RecordBundle, Schema};
@@ -163,11 +163,11 @@ pub fn measure_kernel_cell(dist: KeyDist, runs: usize, reps: usize) -> KernelCel
         let (mut want_k, mut want_p) = (vec![1u64; total], vec![1u64; total]);
         let (mut got_k, mut got_p) = (vec![1u64; total], vec![1u64; total]);
         let ((), secs) = timed(|| {
-            reference::merge_runs(&inputs, RankBy::Key, &mut want_k, &mut want_p);
+            reference::merge_runs(&inputs, &mut want_k, &mut want_p);
         });
         merge_old.push(per_pair(secs, total));
         let ((), secs) = timed(|| {
-            mergepath::merge_runs(&inputs, RankBy::Key, &mut got_k, &mut got_p);
+            mergepath::merge_runs(&inputs, &mut got_k, &mut got_p);
         });
         merge_new.push(per_pair(secs, total));
         assert!(
@@ -605,7 +605,7 @@ pub mod reference {
     use std::sync::Arc;
 
     use sbx_engine::ops::{emit_group, AggKind};
-    use sbx_kpa::mergepath::{RankBy, Run};
+    use sbx_kpa::mergepath::Run;
     use sbx_kpa::{reduce_keyed, reduce_keyed_scalar, ExecCtx, Kpa};
     use sbx_prng::SbxRng;
     use sbx_records::{BundleId, Col, RecordBundle, RecordRef};
@@ -774,27 +774,10 @@ pub mod reference {
         }
     }
 
-    /// K-way merge of the `runs` in `by` order, run index breaking ties:
+    /// K-way merge of the `runs` in key order, run index breaking ties:
     /// two-way loop up to two runs, loser tree above.
-    pub fn merge_runs(runs: &[Run<'_>], by: RankBy, out_keys: &mut [u64], out_ptrs: &mut [u64]) {
-        match by {
-            RankBy::Compound => {
-                let head = |r: usize, i: usize| (runs[r].keys[i], runs[r].ptrs[i]);
-                merge_runs_by(runs, head, out_keys, out_ptrs);
-            }
-            RankBy::Key => {
-                let head = |r: usize, i: usize| runs[r].keys[i];
-                merge_runs_by(runs, head, out_keys, out_ptrs);
-            }
-        }
-    }
-
-    fn merge_runs_by<V: Ord + Copy + Default>(
-        runs: &[Run<'_>],
-        head: impl Fn(usize, usize) -> V,
-        out_keys: &mut [u64],
-        out_ptrs: &mut [u64],
-    ) {
+    pub fn merge_runs(runs: &[Run<'_>], out_keys: &mut [u64], out_ptrs: &mut [u64]) {
+        let head = |r: usize, i: usize| runs[r].keys[i];
         let k = runs.len();
         let mut pos = vec![0usize; k];
         let mut o = 0usize;
@@ -820,10 +803,10 @@ pub mod reference {
                 if pos[r] < runs[r].len() {
                     (false, head(r, pos[r]), r)
                 } else {
-                    (true, V::default(), r)
+                    (true, 0, r)
                 }
             };
-            let mut up = vec![(true, V::default(), 0); k];
+            let mut up = vec![(true, 0, 0); k];
             up.extend((0..k).map(|r| entry(r, &pos)));
             let mut live = up.iter().filter(|e| !e.0).count();
             let mut tree = up[..k].to_vec();

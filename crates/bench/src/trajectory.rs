@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sbx_cluster::{ClusterConfig, ElasticPlan, Retarget, ShardedCluster};
-use sbx_engine::{benchmarks, Engine, RunConfig};
+use sbx_engine::{benchmarks, Engine, EngineMode, RunConfig};
 use sbx_ingress::{NicModel, SenderConfig, YsbSource};
 use sbx_obs::json::{array_lines, fmt_f64, ObjWriter};
 use sbx_obs::Obs;
@@ -419,8 +419,8 @@ fn groupby_highcard_scenario() -> Result<Vec<Metric>, String> {
         bundles: 4,
     };
     let keys = gen_keys(&cell, 7);
-    let sort = run_backend(&cell, GroupingSpec::SortMerge, &keys);
-    let adaptive = run_backend(&cell, GroupingSpec::Adaptive, &keys);
+    let sort = run_backend(&cell, (GroupingSpec::SortMerge, EngineMode::Hybrid), &keys);
+    let adaptive = run_backend(&cell, (GroupingSpec::Adaptive, EngineMode::Hybrid), &keys);
     if adaptive.out != sort.out {
         return Err(
             "adaptive output diverges from sort-merge on the high-cardinality sweep".to_owned(),

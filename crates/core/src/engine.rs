@@ -23,7 +23,8 @@ pub struct RunConfig {
     pub machine: MachineConfig,
     /// Modelled cores the engine may use (the x-axis of most figures).
     pub cores: u32,
-    /// Memory-management mode (the Figure 9 ablation axis).
+    /// Memory-management mode (the Figure 9 ablation axis, or Figure 7's
+    /// Flink-class row engine).
     pub mode: EngineMode,
     /// Ingestion configuration (bundle size, watermark cadence, NIC).
     pub sender: SenderConfig,
@@ -395,6 +396,8 @@ impl Engine {
                             .nic
                             .transfer_ns((b.rows() * fmt.wire_bytes_per_record(schema)) as u64)
                     };
+                    let charge = self.cfg.mode.ingest_profile(b.rows(), self.env.machine());
+                    round.profile = round.profile.merge(&charge);
                     round.ingest_ns += wire_ns;
                     round.records += b.rows() as u64;
                     records_in += b.rows() as u64;

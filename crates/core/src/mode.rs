@@ -1,7 +1,11 @@
 use std::fmt;
 
-/// Which memory-management configuration the engine runs under — the four
-/// axes of the paper's Figure 9 ablation.
+use sbx_kpa::profile;
+use sbx_simmem::{AccessProfile, MachineConfig};
+
+/// Which memory-management configuration the engine runs under: the four
+/// axes of the paper's Figure 9 ablation, and the Flink-class engine of its
+/// Figure 7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
     /// Full StreamBox-HBM: KPAs explicitly placed by the demand-balance
@@ -20,16 +24,29 @@ pub enum EngineMode {
     /// records* under a hardware-managed cache; this is StreamBox with
     /// sequential algorithms on cache-mode memory (paper: up to 7x slower).
     CachingNoKpa,
+    /// The Flink-class comparison engine of the paper's §7.1: row at a
+    /// time, hash grouping, no placement. Every allocation goes to DRAM, as
+    /// in [`EngineMode::DramOnly`]; every ingested record pays
+    /// [`EngineMode::ingest_profile`]; and every keyed aggregate groups in
+    /// one DRAM hash table whatever its
+    /// [`GroupingSpec`](crate::ops::GroupingSpec) says (a pane-combining
+    /// aggregate keeps its sorted partials). Random-access hash work gains
+    /// little from HBM, so one DRAM-placed mode models the whole class.
+    Row,
 }
 
 impl EngineMode {
-    /// All modes, in Figure 9's legend order.
-    pub const ALL: [EngineMode; 4] = [
-        EngineMode::Hybrid,
-        EngineMode::CachingKpa,
-        EngineMode::DramOnly,
-        EngineMode::CachingNoKpa,
-    ];
+    /// What this mode charges per ingested bundle of `rows` records on
+    /// `machine`: under [`EngineMode::Row`], the row engine's per-record
+    /// overhead beyond the hash probe its grouping charges itself; nothing
+    /// otherwise.
+    pub fn ingest_profile(self, rows: usize, machine: &MachineConfig) -> AccessProfile {
+        match self {
+            EngineMode::Row => AccessProfile::new()
+                .cpu(rows as f64 * (machine.row_cycles_per_record - profile::HASH_CYCLES)),
+            _ => AccessProfile::new(),
+        }
+    }
 }
 
 impl fmt::Display for EngineMode {
@@ -39,6 +56,7 @@ impl fmt::Display for EngineMode {
             EngineMode::CachingKpa => "StreamBox-HBM Caching",
             EngineMode::DramOnly => "StreamBox-HBM DRAM",
             EngineMode::CachingNoKpa => "StreamBox-HBM Caching NoKPA",
+            EngineMode::Row => "Flink-class row engine",
         };
         f.write_str(s)
     }
@@ -106,6 +124,23 @@ mod tests {
             EngineMode::CachingNoKpa.to_string(),
             "StreamBox-HBM Caching NoKPA"
         );
-        assert_eq!(EngineMode::ALL.len(), 4);
+        assert_eq!(EngineMode::Row.to_string(), "Flink-class row engine");
+    }
+
+    #[test]
+    fn only_the_row_mode_charges_at_ingest() {
+        for machine in [MachineConfig::knl(), MachineConfig::x56()] {
+            let row = EngineMode::Row.ingest_profile(1_000, &machine);
+            let beyond_probe = machine.row_cycles_per_record - profile::HASH_CYCLES;
+            assert_eq!(row, AccessProfile::new().cpu(1_000.0 * beyond_probe));
+            for mode in [
+                EngineMode::Hybrid,
+                EngineMode::CachingKpa,
+                EngineMode::DramOnly,
+                EngineMode::CachingNoKpa,
+            ] {
+                assert_eq!(mode.ingest_profile(1_000, &machine), AccessProfile::new());
+            }
+        }
     }
 }

@@ -77,6 +77,11 @@ impl<'a> OpCtx<'a> {
         &mut self.exec
     }
 
+    /// The memory-management mode this task runs under.
+    pub fn mode(&self) -> EngineMode {
+        self.mode
+    }
+
     /// Takes the profile accumulated by this task.
     pub fn take_profile(&mut self) -> AccessProfile {
         self.exec.take_profile()
@@ -85,7 +90,7 @@ impl<'a> OpCtx<'a> {
     /// Decides where a new KPA for this task should live.
     pub fn place(&mut self) -> (MemKind, Priority) {
         match self.mode {
-            EngineMode::DramOnly => (MemKind::Dram, Priority::Normal),
+            EngineMode::DramOnly | EngineMode::Row => (MemKind::Dram, Priority::Normal),
             // Caching modes let the "hardware" fill HBM greedily.
             EngineMode::CachingKpa | EngineMode::CachingNoKpa => (MemKind::Hbm, Priority::Normal),
             EngineMode::Hybrid => self.balancer.place(self.tag),
@@ -105,7 +110,7 @@ impl<'a> OpCtx<'a> {
 
     fn adjust(&self, mut p: AccessProfile, record_bytes: usize) -> AccessProfile {
         match self.mode {
-            EngineMode::Hybrid | EngineMode::DramOnly => p,
+            EngineMode::Hybrid | EngineMode::DramOnly | EngineMode::Row => p,
             EngineMode::CachingKpa => {
                 // Hardware caching: every HBM byte was first written to and
                 // read from DRAM by the migration machinery.

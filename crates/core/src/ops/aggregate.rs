@@ -11,7 +11,7 @@ use super::grouping::{
 use super::windowed::{WindowLogic, WindowStore, Windowed};
 use crate::checkpoint::{OpState, StateEntry};
 use crate::ops::GroupingSpec;
-use crate::{EngineError, ImpactTag, Message, OpCtx, StreamData};
+use crate::{EngineError, EngineMode, ImpactTag, Message, OpCtx, StreamData};
 
 /// Which per-key aggregate a [`KeyedAggregate`] computes — the benchmark
 /// suite's statefull operator family (paper §6, benchmarks 1–6).
@@ -43,9 +43,10 @@ pub enum AggKind {
 ///
 /// Since the pluggable-grouping work (DESIGN.md §14) the sort-merge path
 /// above is one of several [`GroupingSpec`] backends: [`with_grouping`]
-/// selects one hash table per window, the row-engine baseline, or the
-/// per-window adaptive sort-vs-hash decision, all emitting byte-identical
-/// results.
+/// selects one hash table per window or the per-window adaptive
+/// sort-vs-hash decision, all emitting byte-identical results. Under
+/// [`EngineMode::Row`] every window groups in the row engine's DRAM table
+/// instead.
 ///
 /// [`with_grouping`]: KeyedAggregate::with_grouping
 pub type KeyedAggregate = Windowed<KeyedAggLogic, AggWindow>;
@@ -121,10 +122,10 @@ impl KeyedAggregate {
     }
 
     /// Selects the grouping backend (DESIGN.md §14): the paper's KPA
-    /// sort-merge path (default), one hash table per window, the row-engine
-    /// baseline, or the per-window adaptive sort-vs-hash decision. All
-    /// backends emit byte-identical window results; only the modelled cost
-    /// differs.
+    /// sort-merge path (default), one hash table per window, or the
+    /// per-window adaptive sort-vs-hash decision. All backends emit
+    /// byte-identical window results; only the modelled cost differs.
+    /// [`EngineMode::Row`] overrides the choice with its own table.
     ///
     /// # Panics
     ///
@@ -166,16 +167,16 @@ impl KeyedAggLogic {
 
     /// Creates the grouping backend for a new window, running the adaptive
     /// decision when configured. `kpa` is the window's first arriving KPA
-    /// (already key-swapped and key-mapped).
+    /// (already key-swapped and key-mapped). The row mode fixes the table.
     fn new_backend(
         &self,
         ctx: &mut OpCtx<'_>,
         kpa: &Kpa,
     ) -> Result<Box<dyn GroupingBackend>, EngineError> {
         let choice = match self.grouping {
+            _ if ctx.mode() == EngineMode::Row => BackendChoice::Row,
             GroupingSpec::SortMerge => BackendChoice::Sort,
             GroupingSpec::Hash => BackendChoice::Hash,
-            GroupingSpec::RowBaseline => BackendChoice::Row,
             GroupingSpec::Adaptive => {
                 if self.adapt.windows_seen > 0 {
                     // Window 0 skips the sketch: the decision is
@@ -202,7 +203,6 @@ impl WindowLogic for KeyedAggLogic {
         match self.grouping {
             GroupingSpec::SortMerge => "KeyedAggregate",
             GroupingSpec::Hash => "KeyedAggregate(hash)",
-            GroupingSpec::RowBaseline => "KeyedAggregate(row)",
             GroupingSpec::Adaptive => "KeyedAggregate(adaptive)",
         }
     }
@@ -371,16 +371,16 @@ impl WindowStore<KeyedAggLogic> for AggWindow {
             }
             // The entry's port decides between sorted KPAs and a table:
             // under adaptive grouping different windows may have
-            // snapshotted different backends. The spec decides which
-            // table: only it ever selects the row baseline.
+            // snapshotted different backends. The mode decides which
+            // table: only the row mode ever selects the row engine's.
             let backend = match &mut state.backend {
                 Some(backend) => backend,
                 empty => {
-                    let choice = match (e.port, logic.grouping) {
-                        (PORT_HASH_SCALAR | PORT_HASH_VALUES, GroupingSpec::RowBaseline) => {
+                    let choice = match e.port {
+                        PORT_HASH_SCALAR | PORT_HASH_VALUES if ctx.mode() == EngineMode::Row => {
                             BackendChoice::Row
                         }
-                        (PORT_HASH_SCALAR | PORT_HASH_VALUES, _) => BackendChoice::Hash,
+                        PORT_HASH_SCALAR | PORT_HASH_VALUES => BackendChoice::Hash,
                         _ => BackendChoice::Sort,
                     };
                     empty.insert(choice.open(ctx, logic.kind)?)
@@ -396,19 +396,24 @@ impl WindowStore<KeyedAggLogic> for AggWindow {
 mod tests {
     use super::*;
     use crate::ops::WindowInto;
-    use crate::{DemandBalancer, EngineMode, Operator};
+    use crate::{DemandBalancer, Operator};
     use sbx_records::Watermark;
     use sbx_simmem::{MachineConfig, MemEnv};
 
     fn run_agg(kind: AggKind, rows: &[(u64, u64, u64)], early: bool) -> Vec<(u64, u64, u64)> {
-        run_agg_with(kind, rows, early, GroupingSpec::SortMerge)
+        run_agg_with(
+            kind,
+            rows,
+            early,
+            (GroupingSpec::SortMerge, EngineMode::Hybrid),
+        )
     }
 
     fn run_agg_with(
         kind: AggKind,
         rows: &[(u64, u64, u64)],
         early: bool,
-        grouping: GroupingSpec,
+        (grouping, mode): (GroupingSpec, EngineMode),
     ) -> Vec<(u64, u64, u64)> {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
@@ -421,7 +426,7 @@ mod tests {
         let flat: Vec<u64> = rows.iter().flat_map(|&(k, v, t)| [k, v, t]).collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap();
 
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, mode, 2, ImpactTag::High);
         let windowed = window
             .on_message(&mut ctx, Message::data(StreamData::Bundle(b)))
             .unwrap();
@@ -499,7 +504,8 @@ mod tests {
 
     /// Every grouping backend must emit byte-identical window results for
     /// every aggregate kind (the DESIGN.md §14 bit-stability contract, at
-    /// the operator level), a one-record window included.
+    /// the operator level), a one-record window included. The row mode's
+    /// table stands in for the sort-merge spec it overrides.
     #[test]
     fn grouping_backends_are_output_transparent() {
         let mut rows: Vec<(u64, u64, u64)> =
@@ -514,15 +520,46 @@ mod tests {
             AggKind::UniqueCount,
         ] {
             let early = matches!(kind, AggKind::Sum | AggKind::Count);
-            let reference = run_agg_with(kind, &rows, early, GroupingSpec::SortMerge);
-            for grouping in [
-                GroupingSpec::Hash,
-                GroupingSpec::RowBaseline,
-                GroupingSpec::Adaptive,
+            let reference = run_agg(kind, &rows, early);
+            for backend in [
+                (GroupingSpec::Hash, EngineMode::Hybrid),
+                (GroupingSpec::SortMerge, EngineMode::Row),
+                (GroupingSpec::Adaptive, EngineMode::Hybrid),
             ] {
-                let got = run_agg_with(kind, &rows, early, grouping);
-                assert_eq!(got, reference, "{grouping:?} diverged for {kind:?}");
+                let got = run_agg_with(kind, &rows, early, backend);
+                assert_eq!(got, reference, "{backend:?} diverged for {kind:?}");
             }
+        }
+    }
+
+    /// A snapshot's table entry restores into the row engine's table under
+    /// `EngineMode::Row`, whatever the spec says, and into the hash
+    /// backend's otherwise.
+    #[test]
+    fn restored_tables_follow_the_engine_mode() {
+        let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
+        let st = OpState {
+            entries: vec![StateEntry::from_rows(
+                0,
+                PORT_HASH_SCALAR,
+                3,
+                2,
+                vec![7, 70, 1],
+            )],
+            ..OpState::default()
+        };
+        for (mode, event) in [
+            (EngineMode::Row, "groupby.backend.row"),
+            (EngineMode::Hybrid, "groupby.backend.hash"),
+        ] {
+            let mut bal = DemandBalancer::new();
+            let mut ctx = OpCtx::new(&env, &mut bal, mode, 2, ImpactTag::High);
+            let spec = WindowSpec::fixed(10);
+            let mut logic = KeyedAggregate::new(spec, Col(0), Col(1), AggKind::Sum).logic;
+            let mut windows = BTreeMap::new();
+            AggWindow::load_all(&mut logic, &mut ctx, &st, &mut windows).unwrap();
+            let backend = windows[&WindowId(0)].backend.as_ref().unwrap();
+            assert_eq!(backend.event(), event, "{mode}");
         }
     }
 
@@ -532,7 +569,6 @@ mod tests {
         let mk = |g| KeyedAggregate::new(spec, Col(0), Col(1), AggKind::Sum).with_grouping(g);
         assert_eq!(mk(GroupingSpec::SortMerge).name(), "KeyedAggregate");
         assert_eq!(mk(GroupingSpec::Hash).name(), "KeyedAggregate(hash)");
-        assert_eq!(mk(GroupingSpec::RowBaseline).name(), "KeyedAggregate(row)");
         assert_eq!(
             mk(GroupingSpec::Adaptive).name(),
             "KeyedAggregate(adaptive)"

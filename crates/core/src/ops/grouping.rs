@@ -42,7 +42,9 @@ use crate::ops::AggKind;
 use crate::{EngineError, OpCtx};
 
 /// Which grouping backend a [`KeyedAggregate`](crate::ops::KeyedAggregate)
-/// uses (CLI: `--grouping {sort,hash,row,adaptive}`).
+/// uses (CLI: `--grouping {sort,hash,adaptive}`). Under
+/// [`EngineMode::Row`](crate::EngineMode::Row) every keyed aggregate groups
+/// in the row engine's DRAM table instead, whatever its spec says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GroupingSpec {
     /// The paper's KPA sort-merge path (default).
@@ -50,21 +52,17 @@ pub enum GroupingSpec {
     SortMerge,
     /// One open-addressing hash table per window, drained in key order.
     Hash,
-    /// Single-table row-engine baseline (measurement floor; never chosen
-    /// by the adaptive policy).
-    RowBaseline,
     /// Per-window sort-vs-hash decision from the cardinality sketch, the
     /// window history, and the recalibrated cost model.
     Adaptive,
 }
 
 impl GroupingSpec {
-    /// Parses a CLI spelling (`sort`, `hash`, `row`, `adaptive`).
+    /// Parses a CLI spelling (`sort`, `hash`, `adaptive`).
     pub fn parse(s: &str) -> Option<GroupingSpec> {
         match s {
             "sort" => Some(GroupingSpec::SortMerge),
             "hash" => Some(GroupingSpec::Hash),
-            "row" => Some(GroupingSpec::RowBaseline),
             "adaptive" => Some(GroupingSpec::Adaptive),
             _ => None,
         }
@@ -75,7 +73,6 @@ impl GroupingSpec {
         match self {
             GroupingSpec::SortMerge => "sort",
             GroupingSpec::Hash => "hash",
-            GroupingSpec::RowBaseline => "row",
             GroupingSpec::Adaptive => "adaptive",
         }
     }
@@ -385,11 +382,11 @@ fn hashed_ingest_profile(
     }
 }
 
-/// The row-baseline charge: the flat Figure-2 probe plus the row engine's
-/// calibrated per-record overhead beyond the probe's own cycles.
+/// The row engine's charge: the flat Figure-2 probe. The rest of its
+/// per-record overhead is charged at ingest
+/// ([`EngineMode::ingest_profile`](crate::EngineMode::ingest_profile)).
 fn row_ingest_profile(n: usize, _groups: usize, tier: MemKind, _count_only: bool) -> AccessProfile {
-    let extra = profile::ROW_ENGINE_CYCLES_PER_RECORD_KNL - profile::HASH_CYCLES;
-    profile::hash_group(n, tier).cpu(n as f64 * extra)
+    profile::hash_group(n, tier)
 }
 
 /// The hash grouping backend: one open-addressing table (pool-accounted,
@@ -417,8 +414,9 @@ impl HashBackend {
         })
     }
 
-    /// The Flink-class row-engine baseline: one DRAM table.
-    /// Exists to be measured against (the adaptive policy never selects it).
+    /// The Flink-class row engine's table: one DRAM table, what every
+    /// keyed aggregate groups in under `EngineMode::Row` (the adaptive
+    /// policy never selects it).
     pub(crate) fn row_baseline(ctx: &mut OpCtx<'_>, kind: AggKind) -> Result<Self, EngineError> {
         Ok(HashBackend {
             event: EV_BACKEND_ROW,
@@ -594,14 +592,14 @@ impl AdaptState {
 }
 
 /// The backend of one window: what [`decide_backend`] picks between
-/// (`Sort`, `Hash`) plus the baseline only a [`GroupingSpec`] selects.
+/// (`Sort`, `Hash`) plus the table only `EngineMode::Row` selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BackendChoice {
     /// KPA sort-merge.
     Sort,
     /// One hash table.
     Hash,
-    /// Single-table row-engine baseline.
+    /// The row engine's DRAM table.
     Row,
 }
 
@@ -882,7 +880,7 @@ mod tests {
     fn grouping_spec_parses_cli_spellings() {
         assert_eq!(GroupingSpec::parse("sort"), Some(GroupingSpec::SortMerge));
         assert_eq!(GroupingSpec::parse("hash"), Some(GroupingSpec::Hash));
-        assert_eq!(GroupingSpec::parse("row"), Some(GroupingSpec::RowBaseline));
+        assert_eq!(GroupingSpec::parse("row"), None, "row is an engine mode");
         assert_eq!(
             GroupingSpec::parse("adaptive"),
             Some(GroupingSpec::Adaptive)

@@ -687,7 +687,7 @@ impl Kpa {
         merged.keys.resize(total, 0);
         merged.ptrs.resize(total, 0);
         let (keys, ptrs) = (&mut merged.keys, &mut merged.ptrs);
-        mergepath::merge_runs(&runs, mergepath::RankBy::Key, keys, ptrs);
+        mergepath::merge_runs(&runs, keys, ptrs);
         Ok(merged)
     }
 

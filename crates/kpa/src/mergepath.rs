@@ -14,34 +14,20 @@
 //! Everything runs on the calling thread: StreamBox parallelises across
 //! bundles and windows (§3), not inside one merge.
 //!
-//! Two rank orders are supported:
-//!
-//! * [`RankBy::Compound`] — the full `(key, ptr)` pair as a 128-bit value.
-//!   `Kpa::sort` sorts in this total order, so its output is the multiset
-//!   of pairs in compound order, independent of how the input was chunked.
-//! * [`RankBy::Key`] — the resident key only, ties resolved by run index
-//!   (run 0's equal keys precede run 1's). This reproduces the sequential
-//!   "left input wins ties" merge exactly, so it applies to KPAs that are
-//!   key-sorted but not compound-sorted (e.g. marked via `mark_sorted`).
+//! The merge ranks by the resident key alone, ties resolved by run index
+//! (run 0's equal keys precede run 1's), each run keeping its own order.
+//! This reproduces the sequential "left input wins ties" merge exactly, so
+//! it applies to KPAs that are key-sorted but not compound-sorted (e.g.
+//! marked via `mark_sorted`).
 
 use std::ops::Range;
 
-use crate::radix::{self, Digits, Pairs};
-
-/// Which order merges and rank splits operate in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankBy {
-    /// Total order on `(key, ptr)` as one 128-bit compound value.
-    Compound,
-    /// Order on the key only; equal keys ordered by run index, preserving
-    /// each run's internal order (stable, left-run-wins ties).
-    Key,
-}
+use crate::radix::{self, Digits, Pairs, RankBy};
 
 /// One sorted input run: parallel key/pointer slices of equal length.
 #[derive(Debug, Clone, Copy)]
 pub struct Run<'a> {
-    /// Resident keys, nondecreasing in the [`RankBy`] order used.
+    /// Resident keys, nondecreasing.
     pub keys: &'a [u64],
     /// Packed record pointers parallel to `keys`.
     pub ptrs: &'a [u64],
@@ -69,7 +55,7 @@ pub fn count_groups(keys: &[u64]) -> usize {
     usize::from(!keys.is_empty()) + changes
 }
 
-/// K-way merges the `runs` into `out_keys` / `out_ptrs` in `by` order (run
+/// K-way merges the `runs` into `out_keys` / `out_ptrs` in key order (run
 /// index breaks ties), preserving each run's internal order. The output
 /// slices must hold exactly the runs' pairs.
 ///
@@ -79,16 +65,14 @@ pub fn count_groups(keys: &[u64]) -> usize {
 /// run order and a stable radix sort (`radix.rs`) over the bits in which the
 /// bucket's keys can still differ puts them in order, the last pass
 /// scattering straight into the output. Stable over run-order concatenation
-/// is exactly [`RankBy::Key`]'s tie rule; [`RankBy::Compound`] adds the
-/// pointer digits unless the sub-runs' pointer ranges already ascend from
-/// run to run (the chunks of one freshly extracted KPA).
+/// is exactly the merge's tie rule.
 ///
 /// # Panics
 ///
 /// Panics if the output slices are shorter than the runs.
-pub fn merge_runs(runs: &[Run<'_>], by: RankBy, out_keys: &mut [u64], out_ptrs: &mut [u64]) {
+pub fn merge_runs(runs: &[Run<'_>], out_keys: &mut [u64], out_ptrs: &mut [u64]) {
     if runs.len() <= 2 {
-        merge_two(runs, by, out_keys, out_ptrs);
+        merge_two(runs, out_keys, out_ptrs);
         return;
     }
     let mut scratch = Vec::new();
@@ -98,7 +82,7 @@ pub fn merge_runs(runs: &[Run<'_>], by: RankBy, out_keys: &mut [u64], out_ptrs: 
     };
     walk_buckets(runs, |pos, cut| {
         let out = (&mut out_keys[done..], &mut out_ptrs[done..]);
-        done += sort_bucket(runs, pos, cut, by, copy_ptrs, out, &mut scratch);
+        done += sort_bucket(runs, pos, cut, copy_ptrs, out, &mut scratch);
     });
     debug_assert_eq!(done, out_keys.len(), "buckets did not fill the output");
 }
@@ -179,15 +163,15 @@ fn splitters(runs: &[Run<'_>]) -> Vec<u64> {
     sample
 }
 
-/// Sorts one bucket of [`walk_buckets`] into the front of `out` and returns
-/// its length: the keys, each beside the payload `fill(r, range, dst)`
-/// writes for run `r`'s sub-run `range` (in a merge, its pointers).
-/// `scratch` is grown to the largest bucket seen.
+/// Sorts one bucket of [`walk_buckets`] into the front of `out` by key,
+/// stably over the sub-runs in run order, and returns its length: the
+/// keys, each beside the payload `fill(r, range, dst)` writes for run `r`'s
+/// sub-run `range` (in a merge, its pointers). `scratch` is grown to the
+/// largest bucket seen.
 fn sort_bucket(
     runs: &[Run<'_>],
     lo: &[usize],
     hi: &[usize],
-    by: RankBy,
     fill: impl Fn(usize, Range<usize>, &mut [u64]),
     out: Pairs<'_>,
     scratch: &mut Vec<u64>,
@@ -210,7 +194,7 @@ fn sort_bucket(
     };
     if len <= radix::SMALL {
         concat_into(&mut out);
-        radix::insertion_sort(out.0, out.1, by);
+        radix::insertion_sort(out.0, out.1, RankBy::Key);
         return len;
     }
 
@@ -219,34 +203,7 @@ fn sort_bucket(
     let key_mask = (max - min)
         .checked_ilog2()
         .map_or(0, |top| u64::MAX >> (63 - top));
-    let ptr_mask = match by {
-        RankBy::Key => 0,
-        RankBy::Compound => {
-            let first = parts()
-                .next()
-                .map_or(0, |(r, part)| runs[r].ptrs[part.start]);
-            let (mut differing, mut ascending, mut below) = (0, true, 0);
-            for (r, part) in parts() {
-                let (mut low, mut high) = (u64::MAX, 0);
-                for &ptr in &runs[r].ptrs[part] {
-                    low = low.min(ptr);
-                    high = high.max(ptr);
-                    differing |= ptr ^ first;
-                }
-                ascending &= below <= low;
-                below = high;
-            }
-            // Part after part of ascending pointers: run order is pointer
-            // order wherever keys tie.
-            if ascending {
-                0
-            } else {
-                differing
-            }
-        }
-    };
-
-    let digits = Digits::covering(min, key_mask, ptr_mask);
+    let digits = Digits::covering(min, key_mask, 0);
     if digits.is_empty() {
         concat_into(&mut out);
         return len;
@@ -261,7 +218,7 @@ fn sort_bucket(
     } else {
         concat_into(&mut out);
     }
-    digits.sort(out, scratch, by);
+    digits.sort(out, scratch, RankBy::Key);
     len
 }
 
@@ -339,7 +296,7 @@ pub fn fold_runs(
         }
         let (keys, vals) = bucket.split_at_mut(len);
         let out = (&mut *keys, &mut vals[..len]);
-        sort_bucket(runs, pos, cut, RankBy::Key, values, out, &mut scratch);
+        sort_bucket(runs, pos, cut, values, out, &mut scratch);
         let mut i = 0;
         while let Some(&key) = keys.get(i) {
             let mut sum = 0u64;
@@ -415,15 +372,7 @@ pub fn gather_runs(
             }
             return;
         }
-        sort_bucket(
-            runs,
-            pos,
-            cut,
-            RankBy::Key,
-            values,
-            (keys, vals),
-            &mut scratch,
-        );
+        sort_bucket(runs, pos, cut, values, (keys, vals), &mut scratch);
         let mut i = 0;
         while let Some(&key) = keys.get(i) {
             let end = i + keys[i..].iter().take_while(|&&k| k == key).count();
@@ -435,33 +384,13 @@ pub fn gather_runs(
 
 /// [`merge_runs`] for at most two runs: the two-way loop, then a bulk copy
 /// of whichever run still holds pairs.
-fn merge_two(runs: &[Run<'_>], by: RankBy, out_keys: &mut [u64], out_ptrs: &mut [u64]) {
-    // Monomorphized on the rank value, so the Key order compares one word.
-    match by {
-        RankBy::Compound => {
-            let head = |r: usize, i: usize| (runs[r].keys[i], runs[r].ptrs[i]);
-            merge_two_by(runs, head, out_keys, out_ptrs);
-        }
-        RankBy::Key => {
-            let head = |r: usize, i: usize| runs[r].keys[i];
-            merge_two_by(runs, head, out_keys, out_ptrs);
-        }
-    }
-}
-
-/// [`merge_two`] over the rank value `head(run, index)`.
-fn merge_two_by<V: Ord>(
-    runs: &[Run<'_>],
-    head: impl Fn(usize, usize) -> V,
-    out_keys: &mut [u64],
-    out_ptrs: &mut [u64],
-) {
+fn merge_two(runs: &[Run<'_>], out_keys: &mut [u64], out_ptrs: &mut [u64]) {
     let mut pos = [0usize; 2];
     let mut o = 0usize;
     if let [a, b] = runs {
         // `<` keeps run 0 on ties: left wins.
         while pos[0] < a.len() && pos[1] < b.len() {
-            let r = usize::from(head(1, pos[1]) < head(0, pos[0]));
+            let r = usize::from(b.keys[pos[1]] < a.keys[pos[0]]);
             out_keys[o] = runs[r].keys[pos[r]];
             out_ptrs[o] = runs[r].ptrs[pos[r]];
             pos[r] += 1;
@@ -485,10 +414,10 @@ mod tests {
         Run { keys, ptrs }
     }
 
-    fn merged(runs: &[Run<'_>], by: RankBy) -> (Vec<u64>, Vec<u64>) {
+    fn merged(runs: &[Run<'_>]) -> (Vec<u64>, Vec<u64>) {
         let total = runs.iter().map(Run::len).sum();
         let (mut keys, mut ptrs) = (vec![0u64; total], vec![0u64; total]);
-        merge_runs(runs, by, &mut keys, &mut ptrs);
+        merge_runs(runs, &mut keys, &mut ptrs);
         (keys, ptrs)
     }
 
@@ -501,24 +430,14 @@ mod tests {
         let kc = [3u64];
         let pc = [8u64];
         let runs = [run(&ka, &pa), run(&kb, &pb), run(&kc, &pc)];
-        let (keys, ptrs) = merged(&runs, RankBy::Key);
+        let (keys, ptrs) = merged(&runs);
         // Stable left-wins ties: run a's 3s, then b's 3, then c's 3.
         assert_eq!(keys, vec![1, 2, 3, 3, 3, 3, 8, 9]);
         assert_eq!(ptrs, vec![1, 5, 2, 3, 6, 8, 4, 7]);
         // Two runs take the two-way loop, with the same tie rule.
-        let (keys, ptrs) = merged(&runs[..2], RankBy::Key);
+        let (keys, ptrs) = merged(&runs[..2]);
         assert_eq!(keys, vec![1, 2, 3, 3, 3, 8, 9]);
         assert_eq!(ptrs, vec![1, 5, 2, 3, 6, 4, 7]);
-    }
-
-    #[test]
-    fn compound_order_ranks_by_pointer_within_equal_keys() {
-        let ka = [4u64, 4];
-        let pa = [9u64, 11];
-        let kb = [4u64, 4];
-        let pb = [8u64, 10];
-        let runs = [run(&ka, &pa), run(&kb, &pb)];
-        assert_eq!(merged(&runs, RankBy::Compound).1, vec![8, 9, 10, 11]);
     }
 
     #[test]
@@ -527,9 +446,9 @@ mod tests {
         let ka = [2u64];
         let pa = [0u64];
         let runs = [run(&empty, &empty), run(&ka, &pa)];
-        assert_eq!(merged(&runs, RankBy::Key).0, vec![2]);
-        assert_eq!(merged(&runs[..1], RankBy::Key).0, Vec::<u64>::new());
-        assert_eq!(merged(&[], RankBy::Key).0, Vec::<u64>::new());
+        assert_eq!(merged(&runs).0, vec![2]);
+        assert_eq!(merged(&runs[..1]).0, Vec::<u64>::new());
+        assert_eq!(merged(&[]).0, Vec::<u64>::new());
     }
 
     #[test]
@@ -546,7 +465,7 @@ mod tests {
             let value = |r: usize, i: usize| 10 * r as u64 + i as u64;
             let mut got = Vec::new();
             gather_runs(&runs, value, |key, vals| got.push((key, vals.to_vec())));
-            let (keys, _) = merged(&runs, RankBy::Key);
+            let (keys, _) = merged(&runs);
             let mut want: Vec<(u64, Vec<u64>)> = Vec::new();
             let mut at = vec![0usize; runs.len()];
             for key in keys {

@@ -60,14 +60,6 @@ pub const REDUCE_CYCLES: f64 = 8.0;
 /// KNL, which is why it barely benefits from HBM (paper §2.2).
 pub const HASH_CYCLES: f64 = 500.0;
 
-/// Per-record engine overhead in KNL cycles of the Flink-class row engine
-/// (`sbx-baselines`): deserialization, per-record operator dispatch,
-/// managed-runtime bookkeeping. Calibrated so that the row engine's
-/// per-core YSB throughput is ~18x below StreamBox-HBM's on KNL (paper
-/// Fig. 7). The engine's `--grouping row` backend charges it on top of
-/// [`hash_group`], less the [`HASH_CYCLES`] that profile already holds.
-pub const ROW_ENGINE_CYCLES_PER_RECORD_KNL: f64 = 5_900.0;
-
 /// Amortized random table probes per inserted pair (collisions included).
 pub const HASH_PROBES_PER_PAIR: f64 = 1.5;
 

@@ -18,8 +18,6 @@
 //! recursively on the remaining digits — a group of up to [`SMALL`] pairs by
 //! insertion — so no pair is moved more often than plain LSD would move it.
 
-use crate::mergepath::RankBy;
-
 /// Widest digit, in bits: 1024 counters stay in L1 next to the data being
 /// scattered, and 10, 20 or 30 varying key bits take one, two or three
 /// passes.
@@ -31,6 +29,16 @@ pub(crate) const SMALL: usize = 32;
 
 /// Parallel key/pointer slices of equal length.
 pub(crate) type Pairs<'a> = (&'a mut [u64], &'a mut [u64]);
+
+/// The order a sort finishes its small groups in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RankBy {
+    /// Total order on `(key, ptr)`: the chunk sort's.
+    Compound,
+    /// Order on the key only, equal keys kept in input order: the k-way
+    /// merge's buckets, concatenated in run order.
+    Key,
+}
 
 /// One field of the sort order.
 #[derive(Debug, Clone, Copy, Default)]

@@ -1,14 +1,12 @@
 use sbx_simmem::AllocError;
 
-use crate::mergepath::RankBy;
-use crate::radix::{self, Digits};
+use crate::radix::{self, Digits, RankBy};
 use crate::{profile, ExecCtx, Kpa, PrimGroup};
 
 /// The chunk sort kernel: sorts parallel key/pointer slices in place in the
 /// *compound* `(key, ptr)` order — the canonical total order [`Kpa::sort`]
-/// sorts in — so chunk sorting commutes with chunking: any partition of
-/// the input into chunks, sorted here and k-way merged in compound order,
-/// yields the same byte-identical array.
+/// sorts in — so the result is a function of the multiset of pairs, not of
+/// the order they arrived in.
 ///
 /// The host runs one stable radix sort (`radix.rs`) over the digits on
 /// which the chunk's pairs disagree — three passes for 4 M distinct keys,
@@ -57,7 +55,7 @@ impl Kpa {
     /// scratch, never spills, and moves no byte between tiers.
     ///
     /// The sort order is the *compound* `(key, ptr)` order, so the result
-    /// is byte-identical to any chunked sort merged in that order.
+    /// depends only on the multiset of pairs.
     ///
     /// The lane count `_threads` is ignored. It stays so that callers
     /// written against the multi-lane sort this replaced keep compiling.

@@ -50,6 +50,13 @@ pub struct MachineConfig {
     pub dram: MemSpec,
     /// Whether the machine really has a distinct HBM tier.
     pub has_hbm: bool,
+    /// Per-record overhead, in this machine's cycles, of a Flink-class
+    /// row-at-a-time engine (deserialization, per-record operator
+    /// dispatch, managed-runtime bookkeeping), hash probe included; what
+    /// the engine's row mode charges per ingested record. Calibrated to
+    /// the paper's §7.1: an ~18x per-core YSB gap to StreamBox-HBM on KNL,
+    /// and 10 GbE saturated with 32 of 56 X56 cores.
+    pub row_cycles_per_record: f64,
 }
 
 impl MachineConfig {
@@ -65,6 +72,7 @@ impl MachineConfig {
             hbm: MemSpec::new(16.0, 375.0, 172.0),
             dram: MemSpec::new(96.0, 80.0, 143.0),
             has_hbm: true,
+            row_cycles_per_record: 5_900.0,
         }
     }
 
@@ -81,6 +89,9 @@ impl MachineConfig {
             hbm: dram,
             dram,
             has_hbm: false,
+            // Wide out-of-order cores retire the row-at-a-time instruction
+            // stream about twice as fast per cycle as KNL's simple cores.
+            row_cycles_per_record: 3_000.0,
         }
     }
 
@@ -140,6 +151,14 @@ mod tests {
         let x = MachineConfig::x56();
         assert!(!x.has_hbm);
         assert_eq!(x.spec(MemKind::Hbm), x.spec(MemKind::Dram));
+    }
+
+    #[test]
+    fn x56_cores_are_faster_per_record() {
+        let (knl, x56) = (MachineConfig::knl(), MachineConfig::x56());
+        assert!(x56.row_cycles_per_record < knl.row_cycles_per_record);
+        let per_core = |m: &MachineConfig| m.core_ghz / m.row_cycles_per_record;
+        assert!(per_core(&x56) > per_core(&knl));
     }
 
     #[test]

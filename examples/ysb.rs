@@ -48,15 +48,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Flink-class row engine with all 64 cores (it still cannot
     // --- saturate the link) ---
-    let row = RowEngine::new(RowEngineConfig::flink_knl(64, sender));
-    let row_report = row.run(
-        YsbSource::new(7, NUM_ADS, NUM_CAMPAIGNS, EVENT_RATE),
-        RowPipeline::YsbCount {
-            campaigns: NUM_CAMPAIGNS,
-        },
-        1_000_000_000,
-        100,
-    )?;
+    let cfg = RunConfig {
+        cores: 64,
+        mode: EngineMode::Row,
+        sender,
+        ..RunConfig::default()
+    };
+    let source = YsbSource::new(7, NUM_ADS, NUM_CAMPAIGNS, EVENT_RATE);
+    let row_report = Engine::new(cfg).run(source, benchmarks::ysb(NUM_CAMPAIGNS), 100)?;
     println!("== Flink-class row engine (64 cores, 10 GbE) ==");
     println!(
         "  {:.2} M records/s, {} windows, {} per-campaign counts",

@@ -287,15 +287,16 @@ const FLAGS: [Flag; 26] = [
     },
     Flag {
         name: "--mode",
-        value: "hybrid|caching|dram|nokpa",
+        value: "hybrid|caching|dram|nokpa|row",
         cmds: ENGINE,
-        help: "memory-management mode",
+        help: "memory-management mode (row fixes the grouping)",
         set: |a, f, v| {
             a.mode = match v {
                 "hybrid" => EngineMode::Hybrid,
                 "caching" => EngineMode::CachingKpa,
                 "dram" => EngineMode::DramOnly,
                 "nokpa" => EngineMode::CachingNoKpa,
+                "row" => EngineMode::Row,
                 _ => return Err(unknown(f, v)),
             };
             Ok(())
@@ -303,7 +304,7 @@ const FLAGS: [Flag; 26] = [
     },
     Flag {
         name: GROUPING,
-        value: "sort|hash|row|adaptive",
+        value: "sort|hash|adaptive",
         cmds: ENGINE,
         help: "grouping backend",
         set: |a, f, v| {
@@ -1366,10 +1367,14 @@ mod tests {
         assert_eq!(a.grouping, GroupingSpec::Adaptive);
         let d = args(&["bench", "ysb"]).unwrap();
         assert_eq!(d.grouping, GroupingSpec::SortMerge);
-        for g in ["sort", "hash", "row"] {
+        for g in ["sort", "hash", "adaptive"] {
             assert!(args(&["bench", "sum", "--grouping", g]).is_ok());
         }
         assert!(args(&["bench", "sum", "--grouping", "btree"]).is_err());
+        // The row engine is a mode, and it fixes the grouping.
+        assert!(args(&["bench", "sum", "--grouping", "row"]).is_err());
+        let r = args(&["bench", "sum", "--mode", "row"]).unwrap();
+        assert_eq!(r.mode, EngineMode::Row);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! ## Crate map
 //!
-//! * [`simmem`] — simulated hybrid memory: pools, bandwidth monitor, cost
+//! * [`simmem`] — simulated hybrid memory: pools, traffic accounting, cost
 //!   model.
 //! * [`records`] — records, row-format DRAM bundles, event time, windows.
 //! * [`kpa`] — Key Pointer Arrays and the Table-2 streaming primitives.
@@ -28,7 +28,6 @@
 //!   rescaling.
 //! * [`obs`] — simulated-time observability: metrics registry, span
 //!   tracing, JSONL and Chrome-trace export.
-//! * [`baselines`] — the Flink-class row engine used for comparisons.
 //!
 //! ## Example
 //!
@@ -46,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use sbx_baselines as baselines;
 pub use sbx_checkpoint as checkpoint;
 pub use sbx_cluster as cluster;
 pub use sbx_engine as engine;
@@ -58,7 +56,6 @@ pub use sbx_simmem as simmem;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
-    pub use sbx_baselines::{RowEngine, RowEngineConfig, RowPipeline};
     pub use sbx_checkpoint::{
         coordinated_epoch, run_with_recovery, CheckpointCoordinator, CrashPlan, RecoveryOutcome,
         SnapshotStore,

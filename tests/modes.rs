@@ -1,7 +1,7 @@
-//! Engine-mode invariants: the Figure-9 ablation modes change *where data
-//! lives and what it costs*, never *what is computed*. Every mode must
-//! produce bit-identical results; only the simulated timing and memory
-//! placement may differ.
+//! Engine-mode invariants: the Figure-9 ablation modes and the Figure-7 row
+//! engine change *where data lives and what it costs*, never *what is
+//! computed*. Every mode must produce bit-identical results; only the
+//! simulated timing and memory placement may differ.
 
 use std::collections::BTreeMap;
 
@@ -44,34 +44,107 @@ fn all_modes_compute_identical_results() {
         EngineMode::CachingKpa,
         EngineMode::DramOnly,
         EngineMode::CachingNoKpa,
+        EngineMode::Row,
     ] {
         let (digest, _) = run_mode(mode);
         assert_eq!(digest, hybrid, "{mode} diverged from Hybrid");
     }
 }
 
-#[test]
-fn dram_only_mode_touches_no_hbm_capacity() {
+/// Runs `pipeline` over `bundles` 2 000-row bundles under `mode`, with
+/// metrics on; returns the output rows in emission order, the report, and
+/// how many windows grouped in the row engine's table and in sorted KPAs.
+fn run_rows<S: Source>(
+    mode: EngineMode,
+    source: S,
+    pipeline: Pipeline,
+    bundles: usize,
+) -> (Vec<u64>, RunReport, [u64; 2]) {
+    let obs = Obs::metrics_only();
     let cfg = RunConfig {
-        cores: 32,
-        mode: EngineMode::DramOnly,
+        cores: 16,
+        mode,
+        collect_outputs: true,
         sender: SenderConfig {
             bundle_rows: 2_000,
             bundles_per_watermark: 5,
-            nic: NicModel::rdma_40g(),
+            nic: NicModel::ethernet_10g(),
         },
+        obs: obs.clone(),
         ..RunConfig::default()
     };
-    let engine = Engine::new(cfg);
-    let env = engine.env().clone();
-    engine
-        .run(
-            KvSource::new(1, 100, 200_000).with_value_range(100),
-            benchmarks::sum_per_key(),
-            10,
-        )
+    let report = Engine::new(cfg)
+        .run(source, pipeline, bundles)
         .expect("run");
-    assert_eq!(env.pool(MemKind::Hbm).stats().high_water_bytes, 0);
+    let rows = report.outputs.iter().flat_map(|b| b.as_rows().to_vec());
+    let windows = ["row", "sort"].map(|b| {
+        let name = format!("engine.groupby.backend.{b}");
+        obs.metrics.counter(&name).get()
+    });
+    (rows.collect(), report, windows)
+}
+
+/// The row engine counts YSB's views per campaign as StreamBox-HBM does,
+/// every window in its own table, and pays for it in simulated time.
+#[test]
+fn row_mode_counts_ysb_views_per_campaign() {
+    let run = |mode| {
+        let source = YsbSource::new(3, 1_000, 100, 10_000_000);
+        run_rows(mode, source, benchmarks::ysb(100), 20)
+    };
+    let (rows, report, [row, sort]) = run(EngineMode::Row);
+    assert_eq!(report.records_in, 40_000);
+    assert!(report.windows_closed >= 1);
+    // With 100 campaigns and 40 k records, every campaign sees events.
+    assert!(report.output_records >= 100);
+    assert!(row >= 1 && sort == 0, "row {row}, sort {sort} windows");
+    let (hybrid_rows, hybrid, _) = run(EngineMode::Hybrid);
+    assert_eq!(rows, hybrid_rows);
+    assert!(report.sim_secs > hybrid.sim_secs);
+}
+
+/// The row engine's table sums per key as the hash backend does, whatever
+/// grouping the aggregate asks for.
+#[test]
+fn row_mode_sums_per_key_like_hash() {
+    let run = |mode, grouping| {
+        let source = KvSource::new(5, 10, 1_000_000).with_value_range(100);
+        run_rows(mode, source, benchmarks::sum_per_key_grouped(grouping), 10)
+    };
+    let (rows, report, [row, sort]) = run(EngineMode::Row, GroupingSpec::SortMerge);
+    assert_eq!(report.records_in, 20_000);
+    // 10 distinct keys, 1 window.
+    assert_eq!(report.output_records, 10);
+    assert!(row >= 1 && sort == 0, "row {row}, sort {sort} windows");
+    let (hash_rows, ..) = run(EngineMode::Hybrid, GroupingSpec::Hash);
+    assert_eq!(rows, hash_rows);
+}
+
+/// Neither DRAM-only mode places anything in HBM.
+#[test]
+fn dram_only_mode_touches_no_hbm_capacity() {
+    for mode in [EngineMode::DramOnly, EngineMode::Row] {
+        let cfg = RunConfig {
+            cores: 32,
+            mode,
+            sender: SenderConfig {
+                bundle_rows: 2_000,
+                bundles_per_watermark: 5,
+                nic: NicModel::rdma_40g(),
+            },
+            ..RunConfig::default()
+        };
+        let engine = Engine::new(cfg);
+        let env = engine.env().clone();
+        engine
+            .run(
+                KvSource::new(1, 100, 200_000).with_value_range(100),
+                benchmarks::sum_per_key(),
+                10,
+            )
+            .expect("run");
+        assert_eq!(env.pool(MemKind::Hbm).stats().high_water_bytes, 0, "{mode}");
+    }
 }
 
 #[test]

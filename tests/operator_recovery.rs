@@ -48,6 +48,8 @@ const STREAM: &[Step] = &[
 
 struct Case {
     name: String,
+    /// The engine mode the operator runs and restores under.
+    mode: EngineMode,
     /// Columns of the input schema: 3 is `(key, value, ts)`; 4 splits the
     /// key into `(house, plug)` for Power Grid.
     ncols: usize,
@@ -68,12 +70,14 @@ fn cases() -> Vec<Case> {
     let mut cases = vec![
         Case {
             name: "AvgAll".into(),
+            mode: EngineMode::Hybrid,
             ncols: 3,
             window: fixed,
             make: Box::new(|| Box::new(AvgAll::new(spec(), Col(1)))),
         },
         Case {
             name: "Cogroup".into(),
+            mode: EngineMode::Hybrid,
             ncols: 3,
             window: fixed,
             make: Box::new(|| {
@@ -87,18 +91,21 @@ fn cases() -> Vec<Case> {
         },
         Case {
             name: "TemporalJoin".into(),
+            mode: EngineMode::Hybrid,
             ncols: 3,
             window: fixed,
             make: Box::new(|| Box::new(TemporalJoin::new(spec(), Col(0), Col(1)))),
         },
         Case {
             name: "WindowedFilter".into(),
+            mode: EngineMode::Hybrid,
             ncols: 3,
             window: fixed,
             make: Box::new(|| Box::new(WindowedFilter::new(spec(), Col(1)))),
         },
         Case {
             name: "PowerGrid".into(),
+            mode: EngineMode::Hybrid,
             ncols: 4,
             window: fixed,
             make: Box::new(|| Box::new(PowerGrid::new(spec(), Col(0), Col(1), Col(2)))),
@@ -112,15 +119,17 @@ fn cases() -> Vec<Case> {
         AggKind::TopK(2),
         AggKind::UniqueCount,
     ];
+    // The row mode groups in its own table whatever the spec says, on new
+    // windows and on restore alike.
     let groupings = [
-        GroupingSpec::SortMerge,
-        GroupingSpec::Hash,
-        GroupingSpec::RowBaseline,
-        GroupingSpec::Adaptive,
+        (GroupingSpec::SortMerge, EngineMode::Hybrid),
+        (GroupingSpec::Hash, EngineMode::Hybrid),
+        (GroupingSpec::SortMerge, EngineMode::Row),
+        (GroupingSpec::Adaptive, EngineMode::Hybrid),
     ];
     for kind in kinds {
         let combinable = matches!(kind, AggKind::Sum | AggKind::Count);
-        for grouping in groupings {
+        for (grouping, mode) in groupings {
             for mapped in [false, true] {
                 for early in [true, false] {
                     if early && !combinable {
@@ -128,9 +137,10 @@ fn cases() -> Vec<Case> {
                     }
                     cases.push(Case {
                         name: format!(
-                            "KeyedAggregate {kind:?} {} mapped={mapped} early={early}",
+                            "KeyedAggregate {kind:?} {} {mode:?} mapped={mapped} early={early}",
                             grouping.label()
                         ),
+                        mode,
                         ncols: 3,
                         window: fixed,
                         make: Box::new(move || {
@@ -152,6 +162,7 @@ fn cases() -> Vec<Case> {
     for mapped in [false, true] {
         cases.push(Case {
             name: format!("KeyedAggregate Sum panes mapped={mapped}"),
+            mode: EngineMode::Hybrid,
             ncols: 3,
             window: || WindowInto::panes(sliding()),
             make: Box::new(move || {
@@ -236,7 +247,7 @@ fn through_codec(state: OpState) -> OpState {
 fn run(case: &Case, cut: Option<usize>) -> (usize, Vec<Vec<u64>>) {
     let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
     let mut bal = DemandBalancer::new();
-    let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+    let mut ctx = OpCtx::new(&env, &mut bal, case.mode, 2, ImpactTag::High);
     let mut msgs = messages(case, &env, &mut ctx);
     let fed = msgs.len();
     let mut rows = Vec::new();
@@ -311,7 +322,7 @@ fn hostile_entries_are_config_errors_not_panics() {
     for case in cases() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, case.mode, 2, ImpactTag::High);
         let mut msgs = messages(&case, &env, &mut ctx);
         msgs.truncate(5); // mid-window: every operator holds state
         let mut op = (case.make)();

@@ -1,7 +1,8 @@
 //! Property test for the pluggable grouping backends (DESIGN.md §14):
 //! over random seeds, cardinalities, skews and thread counts, every
-//! backend — KPA sort-merge, hash, row-engine baseline, and the
-//! adaptive chooser — must emit byte-identical committed window
+//! backend — KPA sort-merge, hash, the row engine's table (selected by
+//! `EngineMode::Row`), and the adaptive chooser — must emit byte-identical
+//! committed window
 //! aggregates, and the adaptive backend's per-window decisions must be a
 //! pure function of the stream (identical across thread counts and across
 //! repeated same-seed runs).
@@ -18,6 +19,8 @@ const WINDOWS: usize = 3;
 const BUNDLES_PER_WINDOW: usize = 8;
 const WINDOW_TICKS: u64 = 10;
 const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
+const SORT: (GroupingSpec, EngineMode) = (GroupingSpec::SortMerge, EngineMode::Hybrid);
+const ADAPTIVE: (GroupingSpec, EngineMode) = (GroupingSpec::Adaptive, EngineMode::Hybrid);
 
 /// Deterministic key stream: uniform draws over `domain`, or cubed-unit
 /// draws (mass piled onto low keys) when `skewed`.
@@ -36,12 +39,12 @@ fn gen_keys(seed: u64, domain: u64, skewed: bool) -> Vec<u64> {
 }
 
 /// Feeds the stream through `WindowInto -> KeyedAggregate` with the given
-/// backend and thread count; returns the flattened committed output rows
-/// and the per-window backend decisions.
+/// grouping under `mode` and thread count; returns the flattened committed
+/// output rows and the per-window backend decisions.
 fn run(
     keys: &[u64],
     kind: AggKind,
-    grouping: GroupingSpec,
+    (grouping, mode): (GroupingSpec, EngineMode),
     threads: usize,
 ) -> (Vec<u64>, Vec<&'static str>) {
     let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
@@ -49,7 +52,7 @@ fn run(
     let spec = WindowSpec::fixed(WINDOW_TICKS);
     let mut window_op = WindowInto::new(spec);
     let mut agg = KeyedAggregate::new(spec, Col(0), Col(1), kind).with_grouping(grouping);
-    let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, threads, ImpactTag::High);
+    let mut ctx = OpCtx::new(&env, &mut bal, mode, threads, ImpactTag::High);
 
     let mut out = Vec::new();
     let mut picks = Vec::new();
@@ -113,21 +116,24 @@ fn backends_and_thread_counts_are_output_transparent() {
                     [AggKind::Sum, AggKind::Count, AggKind::Avg]
                 };
                 for kind in kinds {
-                    let (reference, _) = run(&keys, kind, GroupingSpec::SortMerge, 2);
+                    let (reference, _) = run(&keys, kind, SORT, 2);
                     assert!(!reference.is_empty(), "windows must close");
-                    for grouping in [
-                        GroupingSpec::SortMerge,
-                        GroupingSpec::Hash,
-                        GroupingSpec::RowBaseline,
-                        GroupingSpec::Adaptive,
+                    for backend in [
+                        SORT,
+                        (GroupingSpec::Hash, EngineMode::Hybrid),
+                        (GroupingSpec::Hash, EngineMode::Row),
+                        (GroupingSpec::Adaptive, EngineMode::Hybrid),
                     ] {
                         for threads in THREADS {
-                            let (out, _) = run(&keys, kind, grouping, threads);
+                            let (out, picks) = run(&keys, kind, backend, threads);
                             assert_eq!(
                                 out, reference,
-                                "{kind:?} on {grouping:?} at {threads} threads diverges \
+                                "{kind:?} on {backend:?} at {threads} threads diverges \
                                  (seed {seed}, domain {domain}, skewed {skewed})"
                             );
+                            if backend.1 == EngineMode::Row {
+                                assert!(picks.iter().all(|&p| p == "groupby.backend.row"));
+                            }
                         }
                     }
                 }
@@ -143,12 +149,12 @@ fn adaptive_decisions_are_deterministic() {
     for seed in [3u64, 17] {
         for domain in [8u64, 20_000] {
             let keys = gen_keys(seed, domain, false);
-            let (_, reference) = run(&keys, AggKind::Sum, GroupingSpec::Adaptive, 1);
+            let (_, reference) = run(&keys, AggKind::Sum, ADAPTIVE, 1);
             assert_eq!(reference.len(), WINDOWS, "one decision per window");
             assert_eq!(reference[0], "groupby.backend.sort", "cold start sorts");
             for threads in THREADS {
                 for _repeat in 0..2 {
-                    let (_, picks) = run(&keys, AggKind::Sum, GroupingSpec::Adaptive, threads);
+                    let (_, picks) = run(&keys, AggKind::Sum, ADAPTIVE, threads);
                     assert_eq!(
                         picks, reference,
                         "decisions drifted (seed {seed}, domain {domain}, {threads} threads)"

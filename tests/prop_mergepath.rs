@@ -5,7 +5,7 @@
 //! inputs (deterministic, offline-friendly).
 
 use sbx_prng::SbxRng;
-use streambox_hbm::kpa::mergepath::{merge_runs, RankBy, Run};
+use streambox_hbm::kpa::mergepath::{merge_runs, Run};
 use streambox_hbm::kpa::{join_sorted, ExecCtx, Kpa, WorkerPool};
 use streambox_hbm::prelude::*;
 
@@ -18,20 +18,16 @@ fn as_runs(data: &[(Vec<u64>, Vec<u64>)]) -> Vec<Run<'_>> {
 }
 
 /// The oracle `merge_runs` is checked against, whatever kernel it runs:
-/// per output pair, a linear scan of all run heads for the minimum rank
-/// value, the lowest run index winning ties.
-fn linear_scan_merge(runs: &[Run<'_>], by: RankBy) -> (Vec<u64>, Vec<u64>) {
-    let value = |r: usize, i: usize| match by {
-        RankBy::Compound => (u128::from(runs[r].keys[i]) << 64) | u128::from(runs[r].ptrs[i]),
-        RankBy::Key => u128::from(runs[r].keys[i]),
-    };
+/// per output pair, a linear scan of all run heads for the minimum key,
+/// the lowest run index winning ties.
+fn linear_scan_merge(runs: &[Run<'_>]) -> (Vec<u64>, Vec<u64>) {
     let mut pos = vec![0usize; runs.len()];
     let (mut keys, mut ptrs) = (Vec::new(), Vec::new());
     loop {
-        let mut best: Option<(u128, usize)> = None;
+        let mut best: Option<(u64, usize)> = None;
         for r in 0..runs.len() {
             if pos[r] < runs[r].len() {
-                let v = value(r, pos[r]);
+                let v = runs[r].keys[pos[r]];
                 if best.is_none_or(|(b, _)| v < b) {
                     best = Some((v, r));
                 }
@@ -68,16 +64,16 @@ const KEY_SHAPES: [KeyShape; 5] = [
     KeyShape::FullWidth,
 ];
 
-/// `k` runs sorted in `by` order, keys drawn from `shape`: every third run
-/// or so is empty, every fourth holds a single pair, the rest up to
-/// `max_len` pairs. Pointers are drawn from a handful of values and from
-/// the whole range alike, so ties reach the pointer and its high bits.
+/// `k` runs sorted by key, keys drawn from `shape`: every third run or so
+/// is empty, every fourth holds a single pair, the rest up to `max_len`
+/// pairs. Pointers are drawn from a handful of values and from the whole
+/// range alike, out of order within equal keys, so a merge that broke ties
+/// by pointer instead of by run would show.
 fn shaped_runs(
     rng: &mut SbxRng,
     k: usize,
     max_len: u64,
     shape: KeyShape,
-    by: RankBy,
 ) -> Vec<(Vec<u64>, Vec<u64>)> {
     let key_space = 1 + rng.random_range(0..6) * rng.random_range(0..6);
     let hot = rng.random();
@@ -116,19 +112,16 @@ fn shaped_runs(
             if matches!(shape, KeyShape::FarOutlier) && r == outlier_run {
                 pairs.push((u64::MAX, rng.random()));
             }
-            match by {
-                RankBy::Compound => pairs.sort_unstable(),
-                RankBy::Key => pairs.sort_by_key(|&(key, _)| key),
-            }
+            pairs.sort_by_key(|&(key, _)| key);
             pairs.into_iter().unzip()
         })
         .collect()
 }
 
 /// `merge_runs` is byte-identical to the linear-scan oracle at narrow and
-/// wide fan-ins, over every key shape, with empty and single-pair runs, in
-/// both rank orders. Runs are long enough at the wider fan-ins for the
-/// kernel to cut its input into several buckets.
+/// wide fan-ins, over every key shape, with empty and single-pair runs.
+/// Runs are long enough at the wider fan-ins for the kernel to cut its
+/// input into several buckets.
 #[test]
 fn merge_span_matches_linear_scan_oracle() {
     let mut rng = SbxRng::seed_from_u64(0x6d70_0005);
@@ -140,22 +133,19 @@ fn merge_span_matches_linear_scan_oracle() {
         (64, 600),
         (200, 200),
     ] {
-        for (shape, by) in KEY_SHAPES
-            .into_iter()
-            .flat_map(|shape| [(shape, RankBy::Compound), (shape, RankBy::Key)])
-        {
+        for shape in KEY_SHAPES {
             for _case in 0..4 {
-                let data = shaped_runs(&mut rng, k, max_len, shape, by);
+                let data = shaped_runs(&mut rng, k, max_len, shape);
                 let runs = as_runs(&data);
                 let total: usize = runs.iter().map(Run::len).sum();
-                let (want_k, want_p) = linear_scan_merge(&runs, by);
+                let (want_k, want_p) = linear_scan_merge(&runs);
                 assert_eq!(want_k.len(), total);
 
                 let mut got_k = vec![0u64; total];
                 let mut got_p = vec![0u64; total];
-                merge_runs(&runs, by, &mut got_k, &mut got_p);
-                assert_eq!(got_k, want_k, "k {k} {shape:?} {by:?} keys");
-                assert_eq!(got_p, want_p, "k {k} {shape:?} {by:?} ptrs");
+                merge_runs(&runs, &mut got_k, &mut got_p);
+                assert_eq!(got_k, want_k, "k {k} {shape:?} keys");
+                assert_eq!(got_p, want_p, "k {k} {shape:?} ptrs");
             }
         }
     }
