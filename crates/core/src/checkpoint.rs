@@ -581,13 +581,14 @@ pub fn decode_snapshot(words: &[u64]) -> Result<PipelineSnapshot, EngineError> {
 /// Where in the round lifecycle a crash-injection decision is taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPhase {
-    /// A bundle was ingested (batched, not yet flushed).
+    /// A bundle arrived and is about to be driven.
     Ingest,
     /// A watermark round completed.
     RoundEnd,
-    /// A barrier arrived; pre-barrier bundles are not yet flushed.
+    /// A barrier arrived. Every bundle ahead of it was driven on arrival,
+    /// so this cuts the same state as [`CrashPhase::BarrierAligned`].
     BarrierBeforeAlignment,
-    /// Pre-barrier bundles flushed; operators are about to snapshot.
+    /// Pre-barrier bundles driven; operators are about to snapshot.
     BarrierAligned,
     /// Operator states collected but the snapshot is not yet persisted.
     BarrierBeforeCommit,

@@ -295,7 +295,8 @@ impl Engine {
         let dram_bw_limit = machine.spec(MemKind::Dram).bandwidth_bytes_per_sec;
         let hbm_bw_limit = machine.spec(MemKind::Hbm).bandwidth_bytes_per_sec;
 
-        self.op_metrics = OpMetrics::for_pipeline(&self.cfg.obs.metrics, &pipeline);
+        self.op_metrics =
+            OpMetrics::for_ops(&self.cfg.obs.metrics, pipeline.op_names_in(self.cfg.mode));
 
         let mut round = Round::default();
         let mut samples: Vec<RoundPoint> = Vec::new();
@@ -355,10 +356,6 @@ impl Engine {
             }
         }
 
-        // Bundles buffer within the watermark round and are flushed, in
-        // arrival order, at its watermark or barrier.
-        let mut batch: Vec<(Message, ImpactTag)> = Vec::new();
-
         // Cumulative spill count at the previous round boundary, so the tier
         // timeline carries per-round deltas. Sourced from always-on state
         // (the env's atomic counter) rather than a registry counter, so the
@@ -411,22 +408,15 @@ impl Engine {
                     };
                     max_window_seen = max_window_seen.max(wid);
                     let tag = ImpactTag::from_window_distance(wid.saturating_sub(next_to_close));
-                    batch.push((
-                        Message::Data {
-                            port,
-                            data: StreamData::Bundle(b),
-                        },
-                        tag,
-                    ));
+                    // Driven on arrival, while the bundle is still in cache:
+                    // a watermark only closes windows (paper §3).
+                    let data = StreamData::Bundle(b);
+                    let msg = vec![Message::Data { port, data }];
+                    sink.extend(self.drive(&mut round, pipeline.ops_mut(), msg, tag, false)?);
                     false
                 }
                 IngressEvent::Watermark(wm) => {
                     last_watermark = last_watermark.max(wm.time().raw());
-                    sink.extend(self.flush_batch(
-                        &mut pipeline,
-                        &mut round,
-                        std::mem::take(&mut batch),
-                    )?);
                     // The crest of the round: every KPA of the round is in
                     // window state and nothing has closed. The round-end
                     // reading alone is the trough.
@@ -448,15 +438,10 @@ impl Engine {
                 }
                 IngressEvent::Barrier(epoch) => {
                     self.cur_epoch = epoch;
+                    // Alignment is immediate: every bundle ahead of the
+                    // barrier was driven on arrival, so the two probes cut
+                    // the same state.
                     self.crash_check(hooks, CrashPhase::BarrierBeforeAlignment, epoch, bundles_in)?;
-                    // Barrier alignment: drain every bundle buffered ahead
-                    // of the barrier so the snapshot covers a consistent
-                    // prefix of the stream.
-                    sink.extend(self.flush_batch(
-                        &mut pipeline,
-                        &mut round,
-                        std::mem::take(&mut batch),
-                    )?);
                     self.crash_check(hooks, CrashPhase::BarrierAligned, epoch, bundles_in)?;
                     // Drive the barrier through the chain; each stateful
                     // operator materializes its window state onto it.
@@ -474,10 +459,10 @@ impl Engine {
                             other => sink.push(other),
                         }
                     }
-                    // Outputs produced by the alignment flush precede the
-                    // snapshot point: count and externalize them *before*
-                    // the checkpoint commits, so a resume from this
-                    // snapshot neither re-emits nor loses them.
+                    // Outputs produced by the barrier precede the snapshot
+                    // point: count and externalize them *before* the
+                    // checkpoint commits, so a resume from this snapshot
+                    // neither re-emits nor loses them.
                     output_records += self.emit(sink.drain(..), hooks, &mut outputs);
                     let snap = PipelineSnapshot {
                         epoch,
@@ -758,7 +743,7 @@ impl Engine {
                 // invocation to its prospective span id (`next_task` is the
                 // id the invocation's span gets below when tracing).
                 #[cfg(feature = "sanitize")]
-                let _scope = sbx_sanitize::op_scope(self.next_task, op.name());
+                let _scope = sbx_sanitize::op_scope(self.next_task, op.name(self.cfg.mode));
                 let mut ctx = self.ctx(tag);
                 let outs = match op {
                     OpNode::Stateless(op) => op.apply(&mut ctx, m)?,
@@ -796,7 +781,7 @@ impl Engine {
                     self.cfg.obs.trace.record(Span {
                         id,
                         parent,
-                        name: op.name().into(),
+                        name: op.name(self.cfg.mode).into(),
                         cat: cat.into(),
                         lane: op_index as u64,
                         round: self.cur_round,
@@ -813,24 +798,6 @@ impl Engine {
             frontier = next;
         }
         Ok(frontier.into_iter().map(|(m, _, _)| m).collect())
-    }
-
-    /// Flushes a round's buffered bundles through the pipeline, one bundle
-    /// at a time in arrival order, on the engine thread: every pool
-    /// allocation of the round is made here, so which request gets the
-    /// last HBM byte is a function of (seed, config), never of the host
-    /// schedule.
-    fn flush_batch(
-        &mut self,
-        pipeline: &mut Pipeline,
-        round: &mut Round,
-        batch: Vec<(Message, ImpactTag)>,
-    ) -> Result<Vec<Message>, EngineError> {
-        let mut sink = Vec::new();
-        for (msg, tag) in batch {
-            sink.extend(self.drive(round, pipeline.ops_mut(), vec![msg], tag, false)?);
-        }
-        Ok(sink)
     }
 }
 
@@ -948,6 +915,124 @@ mod tests {
             .unwrap();
         assert_eq!(report.bundles_in, 20);
         assert!(report.output_records > 0, "some keys must match");
+    }
+
+    /// A source that counts the bundles it has been asked to fill.
+    struct CountingSource {
+        inner: KvSource,
+        fills: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Source for CountingSource {
+        fn schema(&self) -> std::sync::Arc<sbx_records::Schema> {
+            self.inner.schema()
+        }
+
+        fn fill(&mut self, rows: usize, out: &mut Vec<u64>) {
+            self.fills
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.fill(rows, out);
+        }
+
+        fn low_watermark(&self) -> sbx_records::EventTime {
+            self.inner.low_watermark()
+        }
+    }
+
+    /// A pass-through operator that logs, per data message, how many
+    /// bundles the source had filled by then.
+    struct FillProbe {
+        fills: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        seen: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
+    }
+
+    impl crate::StatelessOperator for FillProbe {
+        fn name(&self) -> &'static str {
+            "FillProbe"
+        }
+
+        fn apply(
+            &self,
+            _ctx: &mut crate::OpCtx<'_>,
+            msg: Message,
+        ) -> Result<Vec<Message>, EngineError> {
+            if matches!(msg, Message::Data { .. }) {
+                let filled = self.fills.load(std::sync::atomic::Ordering::Relaxed);
+                self.seen.lock().expect("probe log").push(filled);
+            }
+            Ok(vec![msg])
+        }
+    }
+
+    /// A bundle is driven where it arrives: the pipeline sees bundle `k`
+    /// before the source fills bundle `k + 1`, though five bundles make a
+    /// watermark round.
+    #[test]
+    fn every_bundle_is_driven_before_the_next_is_filled() {
+        let fills = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let source = CountingSource {
+            inner: KvSource::new(4, 50, 100_000),
+            fills: fills.clone(),
+        };
+        let probe = FillProbe {
+            fills: fills.clone(),
+            seen: seen.clone(),
+        };
+        let pipeline =
+            crate::PipelineBuilder::new(sbx_records::WindowSpec::fixed(benchmarks::WINDOW_TICKS))
+                .op(Box::new(probe))
+                .windowed()
+                .keyed_aggregate(Col(0), Col(1), crate::ops::AggKind::Sum)
+                .build();
+        let cfg = quick_cfg();
+        assert_eq!(cfg.sender.bundles_per_watermark, 5);
+        let report = Engine::new(cfg).run(source, pipeline, 20).unwrap();
+        assert_eq!(report.bundles_in, 20);
+        let seen = seen.lock().expect("probe log").clone();
+        assert_eq!(seen, (1..=20).collect::<Vec<_>>());
+    }
+
+    /// A data span carries the epoch in force when its bundle arrived:
+    /// every one between barriers `e` and `e + 1` carries `e`.
+    #[test]
+    fn data_spans_carry_the_epoch_their_bundle_arrived_in() {
+        let obs = Obs::enabled();
+        let cfg = RunConfig {
+            obs: obs.clone(),
+            ..quick_cfg()
+        };
+        let source = KvSource::new(8, 50, 100_000);
+        Engine::new(cfg)
+            .run_with_hooks(
+                source,
+                benchmarks::sum_per_key(),
+                20,
+                Some(3),
+                &mut NoopHooks,
+            )
+            .unwrap();
+        let mut spans = obs.trace.spans();
+        spans.sort_by_key(|s| s.id);
+        let (mut epoch, mut data, mut barriers) = (0, 0, 0);
+        for s in &spans {
+            match &*s.cat {
+                "barrier" if s.epoch != epoch => {
+                    assert_eq!(s.epoch, epoch + 1, "barrier span {}", s.id);
+                    epoch = s.epoch;
+                    barriers += 1;
+                }
+                "task" => {
+                    assert_eq!(s.epoch, epoch, "data span {} of {}", s.id, s.name);
+                    data += 1;
+                }
+                _ => {}
+            }
+        }
+        // 20 bundles at a barrier every 3: six barriers, and each bundle
+        // is one span per operator.
+        assert_eq!(barriers, 6);
+        assert_eq!(data, 20 * 2);
     }
 
     #[test]

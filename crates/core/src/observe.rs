@@ -18,7 +18,6 @@ use sbx_obs::{
 };
 
 use crate::balancer::KnobMove;
-use crate::Pipeline;
 
 /// Run-level instruments, registered once per engine.
 #[derive(Debug)]
@@ -150,11 +149,10 @@ pub(crate) struct OpMetrics {
 }
 
 impl OpMetrics {
-    /// One [`OpMetrics`] per operator of `pipeline`, in chain order. With a
-    /// no-op registry every handle is inert.
-    pub fn for_pipeline(registry: &MetricsRegistry, pipeline: &Pipeline) -> Vec<OpMetrics> {
-        pipeline
-            .op_names()
+    /// One [`OpMetrics`] per operator name, in chain order. With a no-op
+    /// registry every handle is inert.
+    pub fn for_ops(registry: &MetricsRegistry, names: Vec<&str>) -> Vec<OpMetrics> {
+        names
             .into_iter()
             .enumerate()
             .map(|(i, name)| OpMetrics::new(registry, i, name))

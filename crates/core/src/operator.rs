@@ -251,6 +251,13 @@ pub trait Operator: Send {
     /// Operator name for diagnostics.
     fn name(&self) -> &'static str;
 
+    /// The name metrics and spans carry under `mode`: [`Operator::name`]
+    /// unless the mode changes how the operator groups.
+    fn name_in(&self, mode: EngineMode) -> &'static str {
+        let _ = mode;
+        self.name()
+    }
+
     /// Whether every output row depends on one key's records alone, so
     /// that a cluster routing records by key may run the operator on every
     /// shard. An aggregate across keys returns `false`.

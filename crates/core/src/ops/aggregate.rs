@@ -207,6 +207,16 @@ impl WindowLogic for KeyedAggLogic {
         }
     }
 
+    /// The row mode groups every window in its own table, whatever the
+    /// spec says.
+    fn name_in(&self, mode: EngineMode) -> &'static str {
+        if mode == EngineMode::Row {
+            "KeyedAggregate(row)"
+        } else {
+            self.name()
+        }
+    }
+
     /// Swaps the KPA to the (mapped) grouping key and hands it to the
     /// window's backend — or, in pane mode, pre-reduces it to the pane's
     /// per-key partials and keeps the partial *bundle* (shareable across
@@ -573,6 +583,10 @@ mod tests {
             mk(GroupingSpec::Adaptive).name(),
             "KeyedAggregate(adaptive)"
         );
+        for g in [GroupingSpec::SortMerge, GroupingSpec::Hash] {
+            assert_eq!(mk(g).name_in(EngineMode::Row), "KeyedAggregate(row)");
+            assert_eq!(mk(g).name_in(EngineMode::Hybrid), mk(g).name());
+        }
     }
 
     #[test]

@@ -5,30 +5,27 @@ use crate::{EngineError, Message, OpCtx, StatelessOperator, StreamData};
 
 /// A stateless `ParDo` that keeps records whose `col` value satisfies a
 /// predicate (paper §4.2: non-producing ParDos execute as `Select` over
-/// KPAs; on raw bundles the Select is fused with `Extract`).
-pub struct Filter {
+/// KPAs; on raw bundles the Select is fused with `Extract`). Generic over
+/// the predicate, so the per-row test inlines into the kernel.
+pub struct Filter<P> {
     col: Col,
-    pred: Box<dyn Fn(u64) -> bool + Send + Sync>,
+    pred: P,
 }
 
-impl Filter {
+impl<P: Fn(u64) -> bool + Send + Sync> Filter<P> {
     /// Keeps records where `pred(record[col])` holds.
-    pub fn new(col: Col, pred: impl Fn(u64) -> bool + Send + Sync + 'static) -> Self {
-        Filter {
-            col,
-            // sbx-lint: allow(raw-alloc, one-time operator construction, not per-bundle work)
-            pred: Box::new(pred),
-        }
+    pub fn new(col: Col, pred: P) -> Self {
+        Filter { col, pred }
     }
 }
 
-impl std::fmt::Debug for Filter {
+impl<P> std::fmt::Debug for Filter<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Filter").field("col", &self.col).finish()
     }
 }
 
-impl StatelessOperator for Filter {
+impl<P: Fn(u64) -> bool + Send + Sync> StatelessOperator for Filter<P> {
     fn name(&self) -> &'static str {
         "Filter"
     }

@@ -17,7 +17,7 @@ use sbx_records::{Watermark, WindowId, WindowSpec};
 
 use crate::checkpoint::{check_window_id, OpState, StateEntry};
 use crate::operator::single;
-use crate::{EngineError, ImpactTag, Message, OpCtx, Operator, StreamData};
+use crate::{EngineError, EngineMode, ImpactTag, Message, OpCtx, Operator, StreamData};
 
 /// Late-data guard: once a watermark has closed a window, records for it
 /// are *late* (the source broke its watermark promise, or an upstream
@@ -189,6 +189,12 @@ pub(crate) trait WindowLogic: Send + Sized {
     /// Operator name for diagnostics.
     fn name(&self) -> &'static str;
 
+    /// See [`Operator::name_in`].
+    fn name_in(&self, mode: EngineMode) -> &'static str {
+        let _ = mode;
+        self.name()
+    }
+
     /// See [`Operator::keyed`].
     fn keyed(&self) -> bool {
         true
@@ -300,6 +306,10 @@ impl<L: WindowLogic<State = S>, S> std::fmt::Debug for Windowed<L, S> {
 impl<L: WindowLogic<State = S>, S: WindowStore<L>> Operator for Windowed<L, S> {
     fn name(&self) -> &'static str {
         self.logic.name()
+    }
+
+    fn name_in(&self, mode: EngineMode) -> &'static str {
+        self.logic.name_in(mode)
     }
 
     fn keyed(&self) -> bool {

@@ -5,7 +5,7 @@ use crate::ops::{
     AggKind, AvgAll, Cogroup, ExternalJoin, Filter, GroupingSpec, KeyedAggregate, MapRecords,
     PowerGrid, Sample, SideAgg, TemporalJoin, Union, WindowInto, WindowedFilter,
 };
-use crate::{Operator, StatelessOperator};
+use crate::{EngineMode, Operator, StatelessOperator};
 
 /// One pipeline stage.
 pub(crate) enum OpNode {
@@ -16,10 +16,11 @@ pub(crate) enum OpNode {
 }
 
 impl OpNode {
-    pub(crate) fn name(&self) -> &'static str {
+    /// The operator's name under `mode` (see [`Operator::name_in`]).
+    pub(crate) fn name(&self, mode: EngineMode) -> &'static str {
         match self {
             OpNode::Stateless(op) => op.name(),
-            OpNode::Stateful(op) => op.name(),
+            OpNode::Stateful(op) => op.name_in(mode),
         }
     }
 }
@@ -47,9 +48,14 @@ impl Pipeline {
         self.ops.is_empty()
     }
 
-    /// Operator names, source to sink.
+    /// Operator names, source to sink, under the default mode.
     pub fn op_names(&self) -> Vec<&'static str> {
-        self.ops.iter().map(OpNode::name).collect()
+        self.op_names_in(EngineMode::default())
+    }
+
+    /// Operator names as metrics and spans carry them under `mode`.
+    pub(crate) fn op_names_in(&self, mode: EngineMode) -> Vec<&'static str> {
+        self.ops.iter().map(|op| op.name(mode)).collect()
     }
 
     /// The first operator that aggregates across keys

@@ -63,7 +63,7 @@ fn ysb_metrics_spans_and_report_are_golden() {
         "report metrics.jsonl --timeline --critical-path spans.jsonl",
         &[
             ("run", 0x5e72_6550_93bc_475e),
-            ("metrics.jsonl", 0xdc1e_2b65_89ab_5ff5),
+            ("metrics.jsonl", 0xb392_fa72_e24e_493a),
             ("spans.jsonl", 0xcc95_75fa_5961_0c33),
             ("incidents.jsonl", 0x8674_93db_3136_c045),
             ("report", 0x4e97_42eb_1364_3768),
@@ -81,7 +81,7 @@ fn degraded_ysb_incidents_are_golden() {
          --incidents-out incidents.jsonl",
         "report metrics.jsonl --incidents incidents.jsonl",
         &[
-            ("metrics.jsonl", 0x3443_1174_591d_8e02),
+            ("metrics.jsonl", 0x7f31_f566_022b_38c3),
             ("incidents.jsonl", 0xceea_9fcf_e1ea_e67a),
             ("report", 0x5194_87a7_92e5_6526),
         ],
@@ -98,9 +98,9 @@ fn rescaled_cluster_artifacts_are_golden() {
         &[
             ("run", 0x075e_e7e2_d961_ccbb),
             ("metrics.jsonl", 0xbda2_b0f8_a238_54bf),
-            ("trace.jsonl", 0x0a4c_5414_cd64_b115),
+            ("trace.jsonl", 0x281e_1e60_986e_5501),
             ("incidents.jsonl", 0xfc99_4e85_7a6c_098d),
-            ("report", 0x819d_a4db_d5da_e374),
+            ("report", 0x8073_bf8d_2fa3_0bf3),
         ],
     );
 }

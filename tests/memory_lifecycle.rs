@@ -118,8 +118,8 @@ fn urgent_reserve_keeps_window_closes_working() {
     assert!(report.output_records > 0);
 }
 
-/// Crash injection tears a run down mid-flight with bundles still staged
-/// in the watermark batch, the sink, and operator state; recovery then
+/// Crash injection tears a run down mid-flight with bundles still held
+/// in the sink and in operator state; recovery then
 /// replays them. Every bundle pinned across that whole crash + recover
 /// cycle must still be reclaimed — the snapshot store holds materialized
 /// row copies, never bundle references.
@@ -134,8 +134,9 @@ fn crash_and_recovery_leave_no_live_bundles() {
     let mk_src = || KvSource::new(6, 100, 100_000).with_value_range(100);
     let plans = [
         CrashPlan::AfterBundles(13),
-        // Mid-barrier: the alignment flush has drained the batch into the
-        // sink when the crash lands — the subtlest RC path.
+        // Mid-barrier: every bundle ahead of the barrier has been driven
+        // into the sink or window state when the crash lands — the
+        // subtlest RC path.
         CrashPlan::AtBarrier {
             epoch: 3,
             phase: CrashPhase::BarrierAligned,

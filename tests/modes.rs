@@ -120,6 +120,43 @@ fn row_mode_sums_per_key_like_hash() {
     assert_eq!(rows, hash_rows);
 }
 
+/// Under the row mode the keyed aggregate groups in the row engine's
+/// table, and its metrics and spans say so: `KeyedAggregate(row)`, never
+/// the sort-merge name.
+#[test]
+fn row_mode_names_the_keyed_aggregate_row() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("row_mode_name");
+    std::fs::create_dir_all(&dir).expect("create artifact dir");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sbx"))
+        .args(["bench", "ysb", "--mode", "row"])
+        .args([
+            "--metrics-out",
+            "metrics.jsonl",
+            "--trace-out",
+            "spans.jsonl",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn sbx");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let metrics = std::fs::read_to_string(dir.join("metrics.jsonl")).expect("metrics");
+    assert!(metrics.contains("\"op.02.KeyedAggregate(row).invocations\""));
+    assert!(
+        !metrics.contains("op.02.KeyedAggregate."),
+        "sort-merge name in metrics"
+    );
+    let spans = std::fs::read_to_string(dir.join("spans.jsonl")).expect("spans");
+    assert!(spans.contains("\"name\":\"KeyedAggregate(row)\""));
+    assert!(
+        !spans.contains("\"name\":\"KeyedAggregate\""),
+        "sort-merge name in spans"
+    );
+}
+
 /// Neither DRAM-only mode places anything in HBM.
 #[test]
 fn dram_only_mode_touches_no_hbm_capacity() {
