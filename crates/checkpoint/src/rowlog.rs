@@ -2,6 +2,14 @@
 
 use sbx_engine::StreamData;
 
+/// Words a log reserves at its first row: 32 MiB of address space, the
+/// ceiling of glibc's sliding mmap threshold, so the buffer is mapped on its
+/// own and only the pages written count as resident. Grown by doubling from
+/// the heap instead, the committed log of a checkpointed run was placed
+/// wherever the heap had a hole, and peak RSS moved by 8 MiB from one run
+/// to the next (EXPERIMENTS.md, PR 39).
+const FIRST_RESERVE_WORDS: usize = 4 << 20;
+
 /// Output rows in emission order, stored as one flat word vector.
 ///
 /// A checkpointed run externalizes hundreds of thousands of rows between
@@ -35,6 +43,9 @@ impl RowLog {
         assert_eq!(words.len(), width * rows, "row block has a ragged tail");
         if rows == 0 {
             return;
+        }
+        if self.words.capacity() == 0 {
+            self.words.reserve(FIRST_RESERVE_WORDS);
         }
         self.words.extend_from_slice(words);
         self.rows += rows;

@@ -165,7 +165,7 @@ mod tests {
             },
             ncols,
             ts_col: ncols - 1,
-            rows,
+            rows: rows.into(),
         }
     }
 

@@ -23,8 +23,13 @@
 //! [`StateEntry::to_kpa`] are the only place that happens; keys an operator
 //! *computed* (a key map, a composite key) are no column of those records,
 //! so they are saved as one more column of the rows and put back from it.
+//! A KPA whose pairs are its one bundle's rows in order (an early-aggregated
+//! partial) needs no gather: its entry shares that immutable bundle, and the
+//! encoder writes the rows straight into the store.
 
 // sbx-lint: out-of-scope(raw-alloc, snapshot assembly at epoch barriers; bounded by operator-state size)
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use sbx_kpa::Kpa;
@@ -74,12 +79,73 @@ pub struct StateEntry {
     /// Timestamp column index.
     pub ts_col: usize,
     /// Row-major record data.
-    pub rows: Vec<u64>,
+    pub rows: EntryRows,
+}
+
+/// A [`StateEntry`]'s row-major words: its own (decoded, split or computed
+/// rows), or shared with the immutable bundle a KPA's pairs are the rows of,
+/// in order ([`Kpa::rows_in_order`]). Reads as the words either way.
+#[derive(Clone)]
+pub enum EntryRows {
+    /// Words the entry owns.
+    Owned(Vec<u64>),
+    /// Every row of a record bundle, in order.
+    Shared(Arc<RecordBundle>),
+}
+
+impl EntryRows {
+    /// Appends one word, taking a copy of shared rows first.
+    pub fn push(&mut self, word: u64) {
+        if let EntryRows::Shared(b) = self {
+            *self = EntryRows::Owned(b.as_rows().to_vec());
+        }
+        if let EntryRows::Owned(words) = self {
+            words.push(word);
+        }
+    }
+}
+
+impl Deref for EntryRows {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            EntryRows::Owned(words) => words,
+            EntryRows::Shared(b) => b.as_rows(),
+        }
+    }
+}
+
+impl From<Vec<u64>> for EntryRows {
+    fn from(words: Vec<u64>) -> Self {
+        EntryRows::Owned(words)
+    }
+}
+
+impl FromIterator<u64> for EntryRows {
+    fn from_iter<I: IntoIterator<Item = u64>>(words: I) -> Self {
+        EntryRows::Owned(words.into_iter().collect())
+    }
+}
+
+impl PartialEq for EntryRows {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for EntryRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 impl StateEntry {
     /// Snapshots a KPA by materializing it (Table-2 `Materialize`, §4.3)
     /// and copying the self-contained rows out of the transient bundle.
+    /// A KPA whose pairs are its bundle's rows in order shares that bundle
+    /// instead; Materialize is charged and its DRAM request made all the
+    /// same, so the simulated run cannot tell the two apart.
     ///
     /// When the keys are not a copy of the resident column (`update_keys`,
     /// `key_compose`), each row carries its key as one more column, so the
@@ -102,24 +168,34 @@ impl StateEntry {
         } else {
             schema.record_bytes()
         };
-        let bundle = ctx.charged(rb, |e| kpa.materialize(e))?;
         let (resident, sorted) = (kpa.resident().0, kpa.is_sorted());
         let mut ncols = schema.ncols();
-        let mut rows = bundle.as_rows().to_vec();
-        let carries_keys = rows
-            .chunks_exact(ncols)
-            .zip(kpa.keys())
-            .any(|(row, &key)| row[resident] != key);
-        if carries_keys {
-            // Computed keys: lay the rows out again, each with its key.
-            let mut keyed = Vec::with_capacity(rows.len() + kpa.len());
-            for (row, &key) in rows.chunks_exact(ncols).zip(kpa.keys()) {
-                keyed.extend_from_slice(row);
-                keyed.push(key);
-            }
-            rows = keyed;
-            ncols += 1;
-        }
+        // Either way the Materialize output's DRAM request is held until
+        // the rows are in the entry.
+        let (rows, carries_keys) = if let Some(b) = kpa.rows_in_order() {
+            let _request = ctx.charged(rb, |e| kpa.materialize_request(e))?;
+            (EntryRows::Shared(Arc::clone(b)), false)
+        } else {
+            let bundle = ctx.charged(rb, |e| kpa.materialize(e))?;
+            let rows = bundle.as_rows();
+            let carries_keys = rows
+                .chunks_exact(ncols)
+                .zip(kpa.keys())
+                .any(|(row, &key)| row[resident] != key);
+            let rows = if carries_keys {
+                // Computed keys: lay the rows out again, each with its key.
+                let mut keyed = Vec::with_capacity(rows.len() + kpa.len());
+                for (row, &key) in rows.chunks_exact(ncols).zip(kpa.keys()) {
+                    keyed.extend_from_slice(row);
+                    keyed.push(key);
+                }
+                ncols += 1;
+                keyed
+            } else {
+                rows.to_vec()
+            };
+            (EntryRows::Owned(rows), carries_keys)
+        };
         Ok(StateEntry {
             window,
             port,
@@ -134,15 +210,16 @@ impl StateEntry {
         })
     }
 
-    /// Snapshots a raw record bundle (pane buffers) as plain rows.
-    pub fn from_bundle(window: u64, port: u8, b: &RecordBundle) -> StateEntry {
+    /// Snapshots a raw record bundle (pane buffers) as plain rows, shared
+    /// with the bundle.
+    pub fn from_bundle(window: u64, port: u8, b: &Arc<RecordBundle>) -> StateEntry {
         StateEntry {
             window,
             port,
             repr: EntryRepr::Rows,
             ncols: b.schema().ncols(),
             ts_col: b.schema().ts_col().0,
-            rows: b.as_rows().to_vec(),
+            rows: EntryRows::Shared(Arc::clone(b)),
         }
     }
 
@@ -160,7 +237,7 @@ impl StateEntry {
             repr: EntryRepr::Rows,
             ncols,
             ts_col,
-            rows,
+            rows: rows.into(),
         }
     }
 
@@ -189,19 +266,18 @@ impl StateEntry {
     ) -> Result<Vec<StateEntry>, EngineError> {
         self.record_cols()?;
         let kc = self.key_col();
-        let mut out: Vec<StateEntry> = (0..parts)
-            .map(|_| StateEntry {
-                rows: Vec::new(),
-                ..*self
-            })
-            .collect();
+        let mut out: Vec<Vec<u64>> = vec![Vec::new(); parts];
         for row in self.rows.chunks_exact(self.ncols) {
             let part = out.get_mut(owner(row[kc])).ok_or_else(|| {
                 EngineError::Config(format!("a snapshot row's owner is past {parts} parts"))
             })?;
-            part.rows.extend_from_slice(row);
+            part.extend_from_slice(row);
         }
-        Ok(out)
+        let part = |rows: Vec<u64>| StateEntry {
+            rows: rows.into(),
+            ..*self
+        };
+        Ok(out.into_iter().map(part).collect())
     }
 
     /// Rebuilds the entry's records (without the key column a KPA entry may
@@ -556,7 +632,7 @@ pub fn decode_snapshot(words: &[u64]) -> Result<PipelineSnapshot, EngineError> {
             let ncols = c.take_usize()?;
             let ts_col = c.take_usize()?;
             let n_rows = c.take_usize()?;
-            let rows = c.take_slice(n_rows)?.to_vec();
+            let rows = c.take_slice(n_rows)?.to_vec().into();
             entries.push(StateEntry {
                 window,
                 port,
@@ -704,6 +780,52 @@ mod tests {
         );
     }
 
+    /// An early-aggregation partial's entry shares its bundle; one whose
+    /// keys went through an identity `update_keys` is gathered. Both must
+    /// be the same entry, encode to the same words, and leave the same DRAM
+    /// pool and charge behind.
+    #[test]
+    fn partial_by_reference_matches_the_gathered_entry() {
+        let snapshot_of = |gathered: bool| {
+            let (env, mut bal) = ctx_env();
+            let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::Urgent);
+            // Partials as the scalar fold writes them: ascending keys.
+            let rows: Vec<u64> = (0..400u64).flat_map(|k| [3 * k, k * k, 0]).collect();
+            let partials = RecordBundle::from_rows(&env, Schema::kvt(), &rows).unwrap();
+            let (kind, prio) = ctx.place();
+            let mut kpa = ctx
+                .charged(24, |e| Kpa::extract_fused(e, &partials, Col(0), kind, prio))
+                .unwrap();
+            kpa.mark_sorted();
+            if gathered {
+                ctx.charged(16, |e| kpa.update_keys(e, |k| k));
+                kpa.mark_sorted();
+            }
+            assert_eq!(kpa.rows_in_order().is_some(), !gathered);
+            ctx.take_profile();
+            let entry = StateEntry::from_kpa(&mut ctx, 5, 0, &kpa).unwrap();
+            assert_eq!(matches!(entry.rows, EntryRows::Shared(_)), !gathered);
+            let snap = PipelineSnapshot {
+                ops: vec![OpState {
+                    entries: vec![entry.clone()],
+                    ..OpState::default()
+                }],
+                ..PipelineSnapshot::default()
+            };
+            let dram = env.pool(sbx_simmem::MemKind::Dram).stats();
+            (entry, encode_snapshot(&snap), dram, ctx.take_profile())
+        };
+        let (shared, gathered) = (snapshot_of(false), snapshot_of(true));
+        assert_eq!(shared.0, gathered.0);
+        assert_eq!(shared.1, gathered.1);
+        assert_eq!(shared.2, gathered.2);
+        assert!(
+            shared.2.high_water_bytes > shared.2.used_bytes,
+            "the stand-in request was made"
+        );
+        assert_eq!(shared.3, gathered.3);
+    }
+
     #[test]
     fn rows_entry_round_trips_as_bundle() {
         let (env, mut bal) = ctx_env();
@@ -782,7 +904,7 @@ mod tests {
                             },
                             ncols: 3,
                             ts_col: 2,
-                            rows: vec![1, 2, 3, 4, 5, 6],
+                            rows: vec![1, 2, 3, 4, 5, 6].into(),
                         },
                         StateEntry {
                             window: 4,
@@ -790,7 +912,7 @@ mod tests {
                             repr: EntryRepr::Rows,
                             ncols: 2,
                             ts_col: 1,
-                            rows: vec![10, 11],
+                            rows: vec![10, 11].into(),
                         },
                     ],
                 },

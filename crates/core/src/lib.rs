@@ -55,8 +55,8 @@ mod pipeline;
 
 pub use balancer::{DemandBalancer, KnobMove, KnobState, BALANCER_DELTA};
 pub use checkpoint::{
-    CheckpointBarrier, CheckpointHooks, CrashPhase, CrashSite, EntryRepr, NoopHooks, OpState,
-    PipelineSnapshot, StateEntry,
+    CheckpointBarrier, CheckpointHooks, CrashPhase, CrashSite, EntryRepr, EntryRows, NoopHooks,
+    OpState, PipelineSnapshot, StateEntry,
 };
 pub use data::{Message, StreamData};
 pub use engine::{Engine, RunConfig, ENGINE_OVERHEAD_CYCLES, TARGET_DELAY_SECS};

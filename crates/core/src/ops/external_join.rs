@@ -10,28 +10,26 @@ use crate::{EngineError, Message, OpCtx, StatelessOperator, StreamData};
 /// Unlike [`TemporalJoin`](crate::ops::TemporalJoin), this joins against
 /// *static* state, so it needs no windowing; each lookup is one random
 /// access into the HBM-resident table, and dirty keys are written back to
-/// the source records per the paper's §4.3 optimization (2).
-pub struct ExternalJoin {
-    table: Box<dyn Fn(u64) -> u64 + Send + Sync>,
+/// the source records per the paper's §4.3 optimization (2). Generic over
+/// the lookup, so the per-key call inlines into the key update.
+pub struct ExternalJoin<T> {
+    table: T,
 }
 
-impl ExternalJoin {
+impl<T: Fn(u64) -> u64 + Send + Sync> ExternalJoin<T> {
     /// An external join with lookup function `table`.
-    pub fn new(table: impl Fn(u64) -> u64 + Send + Sync + 'static) -> Self {
-        ExternalJoin {
-            // sbx-lint: allow(raw-alloc, one-time operator construction, not per-bundle work)
-            table: Box::new(table),
-        }
+    pub fn new(table: T) -> Self {
+        ExternalJoin { table }
     }
 }
 
-impl std::fmt::Debug for ExternalJoin {
+impl<T> std::fmt::Debug for ExternalJoin<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExternalJoin").finish()
     }
 }
 
-impl StatelessOperator for ExternalJoin {
+impl<T: Fn(u64) -> u64 + Send + Sync> StatelessOperator for ExternalJoin<T> {
     fn name(&self) -> &'static str {
         "ExternalJoin"
     }

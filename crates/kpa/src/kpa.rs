@@ -311,6 +311,10 @@ pub struct Kpa {
     // unions) is deterministic.
     sources: BTreeMap<BundleId, Arc<RecordBundle>>,
     sorted: bool,
+    /// Pair `i` is row `i` of the one source, every row has its pair, and
+    /// every key is the resident column: set by an Extract that kept every
+    /// row, cleared by whatever moves, drops or recomputes a pair or key.
+    in_order: bool,
     #[cfg(feature = "sanitize")]
     shadow: ShadowLink,
 }
@@ -326,6 +330,7 @@ impl Kpa {
             schema: Arc::clone(&self.schema),
             sources: self.sources.clone(),
             sorted,
+            in_order: false,
             #[cfg(feature = "sanitize")]
             shadow: self.shadow.clone(),
         }
@@ -357,6 +362,7 @@ impl Kpa {
         compact_pairs(&mut keys, &mut ptrs, n, pairs, keep);
         Ok(Kpa {
             sorted: keys.len() <= 1,
+            in_order: keys.len() == n,
             keys,
             ptrs,
             resident: col,
@@ -466,7 +472,8 @@ impl Kpa {
     /// **KeySwap** (Table 2): replaces the resident keys with nonresident
     /// column `col`, dereferencing each pointer (random DRAM access).
     ///
-    /// Clears the sorted flag unless the KPA is trivially sorted.
+    /// Clears the sorted flag unless the KPA is trivially sorted. The pairs
+    /// stay where they were, so [`Kpa::rows_in_order`] still holds.
     pub fn key_swap(&mut self, ctx: &mut ExecCtx, col: Col) {
         if col == self.resident {
             return;
@@ -496,6 +503,7 @@ impl Kpa {
         }
         ctx.charge(&profile::key_swap(self.len(), self.kind(), true));
         self.sorted = self.len() <= 1;
+        self.in_order = false;
     }
 
     /// Replaces the resident keys with a key *computed* from several
@@ -527,6 +535,7 @@ impl Kpa {
         }
         ctx.charge(&profile::key_swap(self.len(), self.kind(), false));
         self.sorted = self.len() <= 1;
+        self.in_order = false;
     }
 
     /// **Materialize** (Table 2): emits a bundle of full records in DRAM,
@@ -546,10 +555,7 @@ impl Kpa {
             self.sources.values().all(|b| b.schema().ncols() == ncols),
             "source schemas disagree"
         );
-        ctx.charge_as(
-            PrimGroup::Materialize,
-            &profile::materialize(self.len(), schema.record_bytes(), self.kind()),
-        );
+        self.charge_materialize(ctx);
         let records = self.resolver();
         // Rows go straight into the output bundle's DRAM pool buffer.
         RecordBundle::from_fill(ctx.env(), schema, self.len() * ncols, |out| {
@@ -563,6 +569,39 @@ impl Kpa {
                 }
             }
         })
+    }
+
+    /// The source bundle when pair `i` is its row `i`, for every row, and
+    /// every key is its resident column: [`Kpa::materialize`] would copy
+    /// out exactly that bundle's rows. Holds after an Extract that kept
+    /// every row (and a [`Kpa::key_swap`] of one); anything that sorts,
+    /// merges, subsets or recomputes keys clears it.
+    pub fn rows_in_order(&self) -> Option<&Arc<RecordBundle>> {
+        self.sources.values().next().filter(|_| self.in_order)
+    }
+
+    /// [`Kpa::materialize`]'s charge and DRAM request with no row written:
+    /// the stand-in for the output bundle of a KPA whose records are
+    /// already their source's rows in order ([`Kpa::rows_in_order`]),
+    /// held until dropped, so every pool gauge reads as if it were made.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] if DRAM cannot hold the output bundle.
+    pub fn materialize_request(&self, ctx: &mut ExecCtx) -> Result<PoolVec, AllocError> {
+        self.charge_materialize(ctx);
+        let slots = self.len() * self.schema.ncols();
+        ctx.env()
+            .pool(MemKind::Dram)
+            .alloc_u64(slots.max(1), Priority::Normal)
+    }
+
+    fn charge_materialize(&self, ctx: &mut ExecCtx) {
+        let record_bytes = self.schema.record_bytes();
+        ctx.charge_as(
+            PrimGroup::Materialize,
+            &profile::materialize(self.len(), record_bytes, self.kind()),
+        );
     }
 
     /// **Partition** (Table 2): scatters pairs into groups by key range —
@@ -843,6 +882,7 @@ impl Kpa {
             schema: Arc::clone(&first.schema),
             sources,
             sorted: true,
+            in_order: false,
             #[cfg(feature = "sanitize")]
             shadow: kpas
                 .iter()
@@ -941,6 +981,7 @@ impl Kpa {
 
     pub(crate) fn keys_mut_parts(&mut self) -> (&mut Vec<u64>, &mut Vec<u64>) {
         // PoolVec derefs to Vec<u64>; split borrows for the sorter.
+        self.in_order = false;
         (&mut self.keys, &mut self.ptrs)
     }
 
@@ -974,6 +1015,7 @@ impl Kpa {
     /// stale-pointer fixtures).
     pub fn corrupt_ptr(&mut self, i: usize, raw: u64) {
         self.ptrs[i] = raw;
+        self.in_order = false;
     }
 
     /// Rebinds shadow validation to another environment's sanitizer,

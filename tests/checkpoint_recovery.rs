@@ -374,3 +374,76 @@ fn row_log_holds_the_same_rows_however_they_arrive() {
     assert_eq!(coord.committed(), &by_row);
     assert!(RowLog::default().is_empty() && !coord.committed().is_empty());
 }
+
+/// The coordinator behind a hasher: every snapshot's encoded words are
+/// hashed on their way to be committed.
+struct HashingHooks {
+    coord: CheckpointCoordinator,
+    hash: u64,
+    snapshots: usize,
+}
+
+impl streambox_hbm::engine::CheckpointHooks for HashingHooks {
+    fn on_checkpoint(
+        &mut self,
+        env: &MemEnv,
+        snap: streambox_hbm::engine::PipelineSnapshot,
+    ) -> Result<streambox_hbm::simmem::AccessProfile, streambox_hbm::engine::EngineError> {
+        // FNV-1a over the words' little-endian bytes, one stream for all.
+        for w in streambox_hbm::checkpoint::encode_snapshot(&snap) {
+            for byte in w.to_le_bytes() {
+                self.hash = (self.hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        self.snapshots += 1;
+        self.coord.on_checkpoint(env, snap)
+    }
+
+    fn on_output(&mut self, data: &streambox_hbm::engine::StreamData) {
+        self.coord.on_output(data);
+    }
+}
+
+/// The encoded bytes of every snapshot a checkpointed run commits, pinned:
+/// `sum` (early-aggregated partials on the sort-merge path), `topk` (raw
+/// sorted KPAs) and `ysb` (partials on mapped keys), 40 bundles of 2 000
+/// rows, a barrier every 3. A mismatch prints the computed table.
+#[test]
+fn snapshot_bytes_are_golden() {
+    const GOLDEN: [(&str, usize, u64); 3] = [
+        ("sum", 13, 0x532f_dbae_438d_d728),
+        ("topk", 13, 0xf2a1_1f99_64a0_bbd4),
+        ("ysb", 13, 0xdb83_3dc2_a944_f5bc),
+    ];
+    let cfg = RunConfig {
+        sender: SenderConfig {
+            bundle_rows: 2_000,
+            bundles_per_watermark: 10,
+            nic: NicModel::rdma_40g(),
+        },
+        ..RunConfig::default()
+    };
+    let got: Vec<(&str, usize, u64)> = GOLDEN
+        .iter()
+        .map(|&(name, _, _)| {
+            let b = benchmarks::find(name).expect("suite row");
+            let mut hooks = HashingHooks {
+                coord: CheckpointCoordinator::new(),
+                hash: 0xcbf2_9ce4_8422_2325,
+                snapshots: 0,
+            };
+            let sources = b.sources(1, b.keys, 20_000_000, None);
+            Engine::new(cfg.clone())
+                .run_with_hooks(
+                    sources,
+                    (b.pipeline)(GroupingSpec::SortMerge),
+                    40,
+                    Some(3),
+                    &mut hooks,
+                )
+                .expect("checkpointed run");
+            (name, hooks.snapshots, hooks.hash)
+        })
+        .collect();
+    assert_eq!(got, GOLDEN, "computed snapshot digests: {got:#x?}");
+}

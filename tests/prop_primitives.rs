@@ -105,6 +105,98 @@ fn extract_materialize_round_trips() {
     }
 }
 
+/// [`Kpa::rows_in_order`] promises that Materialize would copy out its
+/// source's rows unchanged and that every key is the resident column. Random
+/// chains of the primitives that keep, move, drop or recompute pairs and
+/// keys must never leave the promise standing when it no longer holds.
+#[test]
+fn rows_in_order_holds_whenever_it_is_claimed() {
+    let mut rng = SbxRng::seed_from_u64(0x5b57_100f);
+    let (mut claimed, mut steps) = (0, 0);
+    for _ in 0..CASES {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        // Few distinct keys, so sorts and merges reorder; distinct values,
+        // so a reordered row shows.
+        let bundle = |rng: &mut SbxRng| {
+            let n = rng.random_range(0..300);
+            let rows: Vec<u64> = (0..n)
+                .flat_map(|i| [rng.random_range(0..40), i, rng.random_range(0..1_000)])
+                .collect();
+            RecordBundle::from_rows(&env, Schema::kvt(), &rows).expect("fits")
+        };
+        let (kind, prio) = (MemKind::Hbm, Priority::Normal);
+        let col = |rng: &mut SbxRng| Col(rng.random_range(0..3) as usize);
+        let b = bundle(&mut rng);
+        let mut kpa = Kpa::extract(&mut ctx, &b, col(&mut rng), kind, prio).expect("fits");
+        for _ in 0..8 {
+            match rng.random_range(0..9) {
+                0 => {
+                    let b = bundle(&mut rng);
+                    kpa = Kpa::extract(&mut ctx, &b, col(&mut rng), kind, prio).expect("fits");
+                }
+                1 => {
+                    let (b, cut) = (bundle(&mut rng), rng.random_range(0..50));
+                    let c = col(&mut rng);
+                    kpa = Kpa::extract_select(&mut ctx, &b, c, kind, prio, |k| k >= cut)
+                        .expect("fits");
+                }
+                2 => kpa.sort(&mut ctx, 1).expect("sort"),
+                3 => kpa.key_swap(&mut ctx, col(&mut rng)),
+                4 => {
+                    let flip = rng.random_range(0..2);
+                    kpa.update_keys(&mut ctx, |k| k ^ flip);
+                }
+                5 => kpa.key_compose(&mut ctx, &[Col(0), Col(2)], |v| v[0] + v[1]),
+                6 => {
+                    let b = bundle(&mut rng);
+                    let mut other =
+                        Kpa::extract(&mut ctx, &b, kpa.resident(), kind, prio).expect("fits");
+                    other.sort(&mut ctx, 1).expect("sort");
+                    kpa.sort(&mut ctx, 1).expect("sort");
+                    kpa = Kpa::merge(&mut ctx, &kpa, &other, kind, prio).expect("merge");
+                }
+                7 => {
+                    let width = rng.random_range(1..600);
+                    let mut parts = kpa.partition_by(&mut ctx, prio, width).expect("fits");
+                    if !parts.is_empty() {
+                        let at = rng.random_range(0..parts.len() as u64) as usize;
+                        kpa = parts.swap_remove(at).1;
+                    }
+                }
+                _ => {
+                    // A pointer moved to another row of the same bundle.
+                    #[cfg(feature = "sanitize")]
+                    if kpa.len() > 1 {
+                        let last = kpa.record_ref(kpa.len() - 1).pack();
+                        kpa.corrupt_ptr(0, last);
+                    }
+                }
+            }
+            steps += 1;
+            let Some(src) = kpa.rows_in_order() else {
+                continue;
+            };
+            claimed += 1;
+            let ncols = src.schema().ncols();
+            let out = kpa.materialize(&mut ctx).expect("fits");
+            assert_eq!(out.as_rows(), src.as_rows(), "rows moved under the claim");
+            let column = src
+                .as_rows()
+                .chunks_exact(ncols)
+                .map(|r| r[kpa.resident().0]);
+            assert!(
+                kpa.keys().iter().copied().eq(column),
+                "keys left the resident column"
+            );
+        }
+    }
+    assert!(
+        10 * claimed > steps,
+        "the claim is exercised: {claimed} of {steps}"
+    );
+}
+
 /// Partition is a lossless, order-preserving split.
 #[test]
 fn partition_is_complete_and_ordered() {
