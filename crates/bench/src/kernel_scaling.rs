@@ -1,11 +1,11 @@
 //! Kernel scaling: host wall-clock of the chunk sort and k-way merge
 //! against the kernels they replaced over a grid of key distributions and
 //! run counts, the per-bundle front half (Select/Extract, Partition,
-//! KeySwap) and the window close (keyed reduction, fused merge-fold, fused
-//! merge-gather per aggregate kind) against the passes they replaced, the
-//! generators' `fill` and Zipf draw, plus the modelled pass-bytes
-//! comparison between the retired multipass structure and the single-pass
-//! kernels.
+//! KeySwap, hash ingest) and the window close (keyed reduction, fused
+//! merge-fold, fused merge-gather per aggregate kind) against the passes
+//! they replaced, the generators' `fill` and Zipf draw, plus the modelled
+//! pass-bytes comparison between the retired multipass structure and the
+//! single-pass kernels.
 //!
 //! Unlike the figure sweeps, the *time* column here is real host time of
 //! the functional kernels (`std::time::Instant`), not modelled KNL time.
@@ -21,6 +21,7 @@ use std::time::Instant; // sbx-lint: allow(wall-clock, host microbench is the po
 
 use sbx_engine::ops::{emit_group, AggKind};
 use sbx_ingress::{KvSource, PowerGridSource, Source, YsbSource, ZipfKeys};
+use sbx_kpa::hash::HashGrouper;
 use sbx_kpa::mergepath::{self, Run};
 use sbx_kpa::{profile, reduce_keyed, reduce_keyed_scalar, sort_pairs, ExecCtx, Kpa};
 use sbx_prng::SbxRng;
@@ -259,12 +260,15 @@ pub fn ptrs_of(kpa: &Kpa) -> Vec<u64> {
 /// fresh inputs per row of the table, median over all timings:
 /// Select/Extract at keep rates 0 / 0.4 / 1 on 3- and 7-column bundles
 /// (the filtered column is uniform over five values, as YSB's `ad_type`),
-/// Partition of timestamps forming one run, two runs (a window boundary
-/// inside the bundle) and many (the same boundary under 50 ms of jitter),
-/// and KeySwap through a resolver over 1 and 25 source bundles. Both sides
-/// allocate from the same accounted pool. A resolver over several bundles
-/// probes the same table on both sides, so that row reads 1.0 x within
-/// noise.
+/// Partition of timestamps forming one run (one pane: `into_partitions`
+/// hands the input's buffers over), two runs (a window boundary inside the
+/// bundle) and many (the same boundary under 50 ms of jitter), KeySwap
+/// through a resolver over 1 and 25 source bundles, and hash ingest of
+/// Zipf 0.99 and 4 M uniform keys into a table seeded as the hash backend
+/// seeds it, one `try_insert` per pair ([`reference::hash_ingest`]) vs
+/// `try_insert_all`. Both sides allocate from the same accounted pool. A
+/// resolver over several bundles probes the same table on both sides, so
+/// that row reads 1.0 x within noise.
 ///
 /// # Panics
 ///
@@ -337,14 +341,15 @@ pub fn measure_front_half(reps: usize) -> Vec<FrontCell> {
             let b = RecordBundle::from_rows(&env, Schema::kvt(), &rows).expect("bundle fits");
             let kpa = Kpa::extract(&mut ctx, &b, Col(2), MemKind::Hbm, Priority::Normal)
                 .expect("KPA fits in HBM");
-            let ptrs = ptrs_of(&kpa);
-            drop(reference::partition_by(&env, kpa.keys(), &ptrs, |ts| {
+            let (keys, ptrs) = (kpa.keys().to_vec(), ptrs_of(&kpa));
+            let input = kpa.keys().as_ptr();
+            drop(reference::partition_by(&env, &keys, &ptrs, |ts| {
                 ts / WINDOW
             }));
             let (want, old) =
-                timed(|| reference::partition_by(&env, kpa.keys(), &ptrs, |ts| ts / WINDOW));
+                timed(|| reference::partition_by(&env, &keys, &ptrs, |ts| ts / WINDOW));
             let (got, new) = timed(|| {
-                kpa.partition_by(&mut ctx, Priority::Normal, WINDOW)
+                kpa.into_partitions(&mut ctx, Priority::Normal, WINDOW)
                     .expect("partitions fit in HBM")
             });
             assert!(
@@ -353,6 +358,12 @@ pub fn measure_front_half(reps: usize) -> Vec<FrontCell> {
                         g == wg && part.keys() == &keys[..] && ptrs_of(part) == ptrs[..]
                     }),
                 "Partition differs from the reference: {runs}"
+            );
+            // One run is one pane: its output holds the input's buffers.
+            assert_eq!(
+                got[0].1.keys().as_ptr() == input,
+                got.len() == 1,
+                "Partition hand-over: {runs}"
             );
             timings.push((per_pair(old), per_pair(new)));
         }
@@ -391,6 +402,35 @@ pub fn measure_front_half(reps: usize) -> Vec<FrontCell> {
             timings.push((per_pair(old), per_pair(new)));
         }
         cell("KeySwap", format!("{sources} source(s)"), timings);
+    }
+
+    for dist in [KeyDist::Zipf099, KeyDist::Uniform4M] {
+        let mut timings = Vec::new();
+        for rep in 0..reps as u64 {
+            let mut rng = SbxRng::seed_from_u64(51 + rep);
+            let keys = dist.keys(&mut rng, n);
+            let rows: Vec<u64> = keys.iter().flat_map(|&k| [k, k ^ rep, 0]).collect();
+            let b = RecordBundle::from_rows(&env, Schema::kvt(), &rows).expect("bundle fits");
+            let kpa = extracted(&mut ctx, &b);
+            let records = kpa.resolver();
+            let value = |i| records.value(i, Col(1));
+            // Seeded as the hash backend seeds a window's table.
+            let mut table = || {
+                HashGrouper::with_slots(&mut ctx, 1_024, MemKind::Hbm, Priority::Normal)
+                    .expect("table fits in HBM")
+            };
+            let (mut want, mut got) = (table(), table());
+            let ((), old) =
+                timed(|| reference::hash_ingest(&mut want, kpa.keys(), value).expect("fits"));
+            let ((), new) = timed(|| got.try_insert_all(kpa.keys(), value).expect("fits"));
+            assert!(
+                got.drain_sorted() == want.drain_sorted() && got.slots() == want.slots(),
+                "hash ingest differs from the per-pair loop: {}",
+                dist.label()
+            );
+            timings.push((per_pair(old), per_pair(new)));
+        }
+        cell("hash ingest", dist.label().to_string(), timings);
     }
     cells
 }
@@ -595,21 +635,22 @@ pub fn run_front_half(reps: usize) -> String {
 
 /// The kernels `sbx_kpa::sort_pairs` and `mergepath::merge_runs` ran before
 /// the radix kernels, the per-element loops Select/Extract, Partition and
-/// the pointer resolver ran before their streaming passes, the two-pass
-/// closes `Kpa::merge_fold` and `Kpa::merge_gather` fuse, and the Zipf
-/// sampler `ZipfKeys` replaced, kept as the reference
-/// the tables here (and `tests/prop_primitives.rs`) time and check the
-/// current code against.
+/// the pointer resolver ran before their streaming passes, the per-pair
+/// hash ingest, the two-pass closes `Kpa::merge_fold` and
+/// `Kpa::merge_gather` fuse, and the Zipf sampler `ZipfKeys` replaced, kept
+/// as the reference the tables here (and `tests/prop_primitives.rs`) time
+/// and check the current code against.
 pub mod reference {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use sbx_engine::ops::{emit_group, AggKind};
+    use sbx_kpa::hash::HashGrouper;
     use sbx_kpa::mergepath::Run;
     use sbx_kpa::{reduce_keyed, reduce_keyed_scalar, ExecCtx, Kpa};
     use sbx_prng::SbxRng;
     use sbx_records::{BundleId, Col, RecordBundle, RecordRef};
-    use sbx_simmem::{MemEnv, MemKind, PoolVec, Priority};
+    use sbx_simmem::{AllocError, MemEnv, MemKind, PoolVec, Priority};
 
     /// `ZipfKeys`' predecessor: the rejection-free inverse-CDF approximation
     /// of Gray et al. ("Quickly generating billion-record synthetic
@@ -687,6 +728,21 @@ pub mod reference {
             }
         }
         outs.into_iter().map(|(g, (k, p))| (g, k, p)).collect()
+    }
+
+    /// Hash ingest one [`HashGrouper::try_insert`] per pair, as the hash
+    /// backend ran it before [`HashGrouper::try_insert_all`].
+    ///
+    /// # Errors
+    ///
+    /// As `try_insert`, at the first pair that fails.
+    pub fn hash_ingest(
+        table: &mut HashGrouper,
+        keys: &[u64],
+        value: impl Fn(usize) -> u64,
+    ) -> Result<(), AllocError> {
+        let mut pairs = keys.iter().enumerate();
+        pairs.try_for_each(|(i, &key)| table.try_insert(key, value(i)))
     }
 
     /// KeySwap through the hash-probed resolver: `keys[i]` becomes column
@@ -905,7 +961,7 @@ mod tests {
     #[test]
     fn front_half_rows_match_the_reference() {
         let cells = measure_front_half(1);
-        assert_eq!(cells.len(), 6 + 3 + 2);
+        assert_eq!(cells.len(), 6 + 3 + 2 + 2);
         for c in &cells {
             assert!(c.old > 0.0 && c.new > 0.0, "{c:?}");
         }

@@ -51,13 +51,17 @@ pub enum AggKind {
 /// [`with_grouping`]: KeyedAggregate::with_grouping
 pub type KeyedAggregate = Windowed<KeyedAggLogic, AggWindow>;
 
+/// A [`KeyedAggregate`]'s key map, applied to a KPA's whole key column in
+/// one call.
+type KeyMap = Box<dyn Fn(&mut [u64]) + Send>;
+
 /// [`KeyedAggregate`]'s primitives and the state that outlives a window:
 /// the backend choice, its adaptive history, the pane cursor.
 pub struct KeyedAggLogic {
     key_col: Col,
     value_col: Col,
     kind: AggKind,
-    key_map: Option<Box<dyn Fn(u64) -> u64 + Send>>,
+    key_map: Option<KeyMap>,
     early_aggregation: bool,
     grouping: GroupingSpec,
     adapt: AdaptState,
@@ -141,10 +145,14 @@ impl KeyedAggregate {
     }
 
     /// Applies `map` to every grouping key before aggregation (YSB's
-    /// ad→campaign mapping applied at the aggregation key swap).
+    /// ad→campaign mapping applied at the aggregation key swap). The
+    /// per-key loop is compiled here, around `map`, so a KPA costs one
+    /// boxed call.
     pub fn with_key_map(mut self, map: impl Fn(u64) -> u64 + Send + 'static) -> Self {
         // sbx-lint: allow(raw-alloc, one-time operator construction, not per-bundle work)
-        self.logic.key_map = Some(Box::new(map));
+        self.logic.key_map = Some(Box::new(move |keys: &mut [u64]| {
+            keys.iter_mut().for_each(|k| *k = map(*k));
+        }));
         self
     }
 
@@ -233,7 +241,7 @@ impl WindowLogic for KeyedAggLogic {
             ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
         }
         if let Some(map) = &self.key_map {
-            ctx.charged(16, |e| kpa.update_keys(e, map));
+            ctx.charged(16, |e| kpa.update_keys_with(e, map));
         }
         if self.pane_combining {
             ctx.sort(&mut kpa)?;

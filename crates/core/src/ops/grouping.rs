@@ -479,14 +479,13 @@ impl GroupingBackend for HashBackend {
         // `Count` reads no values (the hash advantage the adaptive policy
         // exploits).
         let count_only = p.count_only();
-        let records = kpa.resolver();
-        for (i, &k) in kpa.keys().iter().enumerate() {
-            let v = if count_only {
-                0
-            } else {
-                records.value(i, p.value_col)
-            };
-            self.table.try_insert(k, v)?;
+        if count_only {
+            self.table.try_insert_all(kpa.keys(), |_| 0)?;
+        } else {
+            let records = kpa.resolver();
+            let col = p.value_col;
+            self.table
+                .try_insert_all(kpa.keys(), |i| records.value(i, col))?;
         }
         let t = &self.table;
         let prof = (self.ingest_profile)(n, t.len(), t.kind(), count_only);

@@ -51,11 +51,17 @@ impl StatelessOperator for WindowInto {
                 }
                 let stride = self.spec.stride();
                 let (_, prio) = ctx.place();
-                let panes = ctx.charged(16, |e| kpa.partition_by(e, prio, stride))?;
                 let overlap = if self.panes {
                     1
                 } else {
                     self.spec.size() / stride
+                };
+                // A sliding window copies its panes below while the input
+                // is held; a pane that is its window takes the input over.
+                let panes = if overlap == 1 {
+                    ctx.charged(16, |e| kpa.into_partitions(e, prio, stride))?
+                } else {
+                    ctx.charged(16, |e| kpa.partition_by(e, prio, stride))?
                 };
                 let mut out = Vec::new();
                 for (pane, pkpa) in panes {

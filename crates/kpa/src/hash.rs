@@ -61,8 +61,8 @@ pub enum HashAgg {
 /// let env = MemEnv::new(MachineConfig::knl().scaled(0.001));
 /// let mut ctx = ExecCtx::new(&env);
 /// let mut t = HashGrouper::with_slots(&mut ctx, 16, MemKind::Dram, Priority::Normal)?;
-/// t.insert(7, 10);
-/// t.insert(7, 20);
+/// t.try_insert(7, 10)?;
+/// t.try_insert(7, 20)?;
 /// assert_eq!(t.get(7), Some((30, 2)));
 /// # Ok::<(), sbx_simmem::AllocError>(())
 /// ```
@@ -173,140 +173,157 @@ impl HashGrouper {
         self.keys.len()
     }
 
-    /// Adds `value` to `key`'s running sum and increments its count.
-    ///
-    /// # Panics
-    ///
-    /// Panics only when the table needs to grow and *both* tiers are
-    /// exhausted; grow failures in the baseline engines are treated as
-    /// fatal configuration errors, matching engines that pre-allocate
-    /// their hash tables. Use [`HashGrouper::try_insert`] to handle the
-    /// exhaustion case gracefully.
-    pub fn insert(&mut self, key: u64, value: u64) {
-        if let Err(e) = self.try_insert(key, value) {
-            // sbx-lint: allow(no-panic, both tiers exhausted is a fatal configuration error for the pre-sized baseline engines)
-            panic!("hash table grow failed on both tiers: {e}");
-        }
-    }
-
     /// Adds `value` to `key`'s running sum and increments its count,
-    /// growing (and spilling across tiers) as needed.
+    /// growing (and spilling across tiers) as needed: a one-pair
+    /// [`HashGrouper::try_insert_all`].
     ///
     /// # Errors
     ///
     /// Returns [`AllocError`] when the table must grow and both tiers are
     /// exhausted.
     pub fn try_insert(&mut self, key: u64, value: u64) -> Result<(), AllocError> {
-        if (self.len + 1) * LOAD_FACTOR_DEN > self.keys.len() * LOAD_FACTOR_NUM {
-            self.grow()?;
-        }
-        let mut i = (fib_hash(key) as usize) & self.mask;
-        loop {
-            if self.counts[i] == 0 {
-                self.keys[i] = key;
-                self.sums[i] = value;
-                self.counts[i] = 1;
-                self.len += 1;
-                return self.push_value(i, value);
-            }
-            if self.keys[i] == key {
-                self.sums[i] = self.sums[i].wrapping_add(value);
-                self.counts[i] += 1;
-                return self.push_value(i, value);
-            }
-            i = (i + 1) & self.mask;
-        }
+        self.insert_lanes(&[key], |_| (value, 1))
+    }
+
+    /// Inserts key `keys[i]` with value `value(i)` for every `i`, in order,
+    /// as that many [`HashGrouper::try_insert`] calls would: the table grows
+    /// (and spills) before the same pairs, and in [`HashAgg::Values`] mode
+    /// every value joins its key's chain.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] at the first pair whose grow (or chain
+    /// growth) finds both tiers exhausted; the pairs before it are in.
+    pub fn try_insert_all(
+        &mut self,
+        keys: &[u64],
+        value: impl Fn(usize) -> u64,
+    ) -> Result<(), AllocError> {
+        self.insert_lanes(keys, |i| (value(i), 1))
     }
 
     /// Folds a pre-aggregated `(sum, count)` partial into `key`'s slot —
-    /// the checkpoint-restore path for scalar tables.
+    /// the checkpoint-restore path for scalar tables (a `Values` table
+    /// would chain `sum` as one value).
     ///
     /// # Errors
     ///
     /// Returns [`AllocError`] when the table must grow and both tiers are
     /// exhausted.
     pub fn merge_entry(&mut self, key: u64, sum: u64, count: u64) -> Result<(), AllocError> {
-        if (self.len + 1) * LOAD_FACTOR_DEN > self.keys.len() * LOAD_FACTOR_NUM {
-            self.grow()?;
-        }
-        let mut i = (fib_hash(key) as usize) & self.mask;
-        loop {
-            if self.counts[i] == 0 {
-                self.keys[i] = key;
-                self.sums[i] = sum;
-                self.counts[i] = count;
-                self.len += 1;
-                return Ok(());
+        self.insert_lanes(&[key], |_| (sum, count))
+    }
+
+    /// The one insertion loop: adds `lanes(i)`, a `(sum, count)`, to the
+    /// slot of `keys[i]`, growing first wherever the next pair would pass
+    /// the load factor. A pair adds at most one key, so the check holds for
+    /// the next `full - len` pairs once it holds for the first.
+    fn insert_lanes(
+        &mut self,
+        keys: &[u64],
+        lanes: impl Fn(usize) -> (u64, u64),
+    ) -> Result<(), AllocError> {
+        let mut at = 0;
+        while at < keys.len() {
+            let full = self.keys.len() * LOAD_FACTOR_NUM / LOAD_FACTOR_DEN;
+            if self.len >= full {
+                self.grow()?;
+                continue;
             }
+            let end = keys.len().min(at + (full - self.len));
+            match self.mode {
+                HashAgg::SumCount => self.insert_run::<false>(&keys[..end], at, &lanes)?,
+                HashAgg::Values => self.insert_run::<true>(&keys[..end], at, &lanes)?,
+            }
+            at = end;
+        }
+        Ok(())
+    }
+
+    /// Inserts `keys[from..]`, all of which fit under the load factor (with
+    /// `CHAINS`, chaining each value). The lanes are slices bounded by
+    /// `mask`, so the probe carries no bounds check.
+    fn insert_run<const CHAINS: bool>(
+        &mut self,
+        keys: &[u64],
+        from: usize,
+        lanes: &impl Fn(usize) -> (u64, u64),
+    ) -> Result<(), AllocError> {
+        let mask = self.mask;
+        let slots = &mut self.keys[..=mask];
+        let (sums, counts) = (&mut self.sums[..=mask], &mut self.counts[..=mask]);
+        for (at, &key) in keys.iter().enumerate().skip(from) {
+            let (sum, count) = lanes(at);
+            let mut i = (fib_hash(key) as usize) & mask;
+            loop {
+                if counts[i] == 0 {
+                    slots[i] = key;
+                    sums[i] = sum;
+                    counts[i] = count;
+                    self.len += 1;
+                    break;
+                }
+                if slots[i] == key {
+                    sums[i] = sums[i].wrapping_add(sum);
+                    counts[i] += count;
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+            if let (true, Some(heads), Some(arena)) = (CHAINS, &mut self.heads, &mut self.arena) {
+                if arena.len() + 2 > arena.capacity() {
+                    let want = (arena.capacity() * 2).max(16);
+                    let (mut fresh, _) = alloc_or_spill(&self.env, self.kind, |pool| {
+                        pool.alloc_u64(want, self.prio)
+                    })?;
+                    fresh.extend_from_slice(arena);
+                    *arena = fresh;
+                }
+                arena.push(sum);
+                arena.push(heads[i]);
+                heads[i] = (arena.len() / 2) as u64;
+            }
+        }
+        Ok(())
+    }
+
+    /// The slot holding `key`, if present.
+    fn slot_of(&self, key: u64) -> Option<usize> {
+        let mut i = (fib_hash(key) as usize) & self.mask;
+        while self.counts[i] != 0 {
             if self.keys[i] == key {
-                self.sums[i] = self.sums[i].wrapping_add(sum);
-                self.counts[i] += count;
-                return Ok(());
+                return Some(i);
             }
             i = (i + 1) & self.mask;
         }
-    }
-
-    /// Appends `value` to slot `i`'s chain (Values mode only).
-    fn push_value(&mut self, slot: usize, value: u64) -> Result<(), AllocError> {
-        if self.mode != HashAgg::Values {
-            return Ok(());
-        }
-        let (Some(heads), Some(arena)) = (self.heads.as_mut(), self.arena.as_mut()) else {
-            return Ok(());
-        };
-        if arena.len() + 2 > arena.capacity() {
-            let want = (arena.capacity() * 2).max(16);
-            let (mut fresh, _) =
-                alloc_or_spill(&self.env, self.kind, |pool| pool.alloc_u64(want, self.prio))?;
-            fresh.extend_from_slice(arena);
-            *arena = fresh;
-        }
-        let prev = heads[slot];
-        arena.push(value);
-        arena.push(prev);
-        heads[slot] = (arena.len() / 2) as u64;
-        Ok(())
+        None
     }
 
     /// The `(sum, count)` aggregate for `key`, if present.
     pub fn get(&self, key: u64) -> Option<(u64, u64)> {
-        let mut i = (fib_hash(key) as usize) & self.mask;
-        loop {
-            if self.counts[i] == 0 {
-                return None;
-            }
-            if self.keys[i] == key {
-                return Some((self.sums[i], self.counts[i]));
-            }
-            i = (i + 1) & self.mask;
-        }
+        self.slot_of(key).map(|i| (self.sums[i], self.counts[i]))
     }
 
     /// The values inserted for `key` in insertion order (Values mode;
     /// `None` for scalar tables or absent keys).
     pub fn values_of(&self, key: u64) -> Option<Vec<u64>> {
-        let heads = self.heads.as_ref()?;
-        let arena = self.arena.as_ref()?;
-        let mut i = (fib_hash(key) as usize) & self.mask;
-        loop {
-            if self.counts[i] == 0 {
-                return None;
-            }
-            if self.keys[i] == key {
-                // sbx-lint: allow(raw-alloc, per-key gather bounded by the key's multiplicity; drain/lookup path)
-                let mut vals = Vec::with_capacity(self.counts[i] as usize);
-                let mut node = heads[i];
-                while node != 0 {
-                    let base = (node as usize - 1) * 2;
-                    vals.push(arena[base]);
-                    node = arena[base + 1];
-                }
-                vals.reverse();
-                return Some(vals);
-            }
-            i = (i + 1) & self.mask;
+        self.chain(self.slot_of(key)?)
+    }
+
+    /// The values of slot `i`'s key in insertion order (`None` for scalar
+    /// tables).
+    fn chain(&self, i: usize) -> Option<Vec<u64>> {
+        let (heads, arena) = (self.heads.as_ref()?, self.arena.as_ref()?);
+        // sbx-lint: allow(raw-alloc, per-key gather bounded by the key's multiplicity; drain/lookup path)
+        let mut vals = Vec::with_capacity(self.counts[i] as usize);
+        let mut node = heads[i];
+        while node != 0 {
+            let base = (node as usize - 1) * 2;
+            vals.push(arena[base]);
+            node = arena[base + 1];
         }
+        vals.reverse();
+        Some(vals)
     }
 
     /// Iterates over `(key, sum, count)` for every stored key, in table
@@ -332,14 +349,9 @@ impl HashGrouper {
     /// insertion order (Values mode; empty for scalar tables).
     pub fn drain_values_sorted(&self) -> Vec<(u64, Vec<u64>)> {
         let mut out: Vec<(u64, Vec<u64>)> = Vec::new();
-        if self.mode != HashAgg::Values {
-            return out;
-        }
-        for i in 0..self.keys.len() {
-            if self.counts[i] != 0 {
-                if let Some(vals) = self.values_of(self.keys[i]) {
-                    out.push((self.keys[i], vals));
-                }
+        for i in (0..self.keys.len()).filter(|&i| self.counts[i] != 0) {
+            if let Some(vals) = self.chain(i) {
+                out.push((self.keys[i], vals));
             }
         }
         out.sort_unstable_by_key(|e| e.0);
@@ -412,9 +424,7 @@ pub fn group_pairs(
     // Size for the common benchmark shape (~100 values per key), then let
     // the table grow as needed.
     let mut table = HashGrouper::with_slots(ctx, (keys.len() / 64).max(8), kind, prio)?;
-    for (&k, &v) in keys.iter().zip(values) {
-        table.try_insert(k, v)?;
-    }
+    table.try_insert_all(keys, |i| values[i])?;
     ctx.charge(&profile::hash_group(keys.len(), kind));
     Ok(table)
 }
@@ -435,9 +445,9 @@ mod tests {
     fn insert_aggregates_sum_and_count() {
         let (_env, mut ctx) = ctx();
         let mut t = HashGrouper::with_slots(&mut ctx, 4, MemKind::Dram, Priority::Normal).unwrap();
-        t.insert(1, 10);
-        t.insert(1, 5);
-        t.insert(2, 7);
+        t.try_insert(1, 10).unwrap();
+        t.try_insert(1, 5).unwrap();
+        t.try_insert(2, 7).unwrap();
         assert_eq!(t.get(1), Some((15, 2)));
         assert_eq!(t.get(2), Some((7, 1)));
         assert_eq!(t.get(3), None);
@@ -449,7 +459,7 @@ mod tests {
         let (_env, mut ctx) = ctx();
         let mut t = HashGrouper::with_slots(&mut ctx, 4, MemKind::Dram, Priority::Normal).unwrap();
         for k in 0..10_000u64 {
-            t.insert(k, k);
+            t.try_insert(k, k).unwrap();
         }
         assert_eq!(t.len(), 10_000);
         for k in (0..10_000u64).step_by(997) {
@@ -469,8 +479,8 @@ mod tests {
         let other = (2..10_000u64)
             .find(|&k| (fib_hash(k) as usize) & mask == slot)
             .expect("collision exists");
-        t.insert(base, 1);
-        t.insert(other, 2);
+        t.try_insert(base, 1).unwrap();
+        t.try_insert(other, 2).unwrap();
         assert_eq!(t.get(base), Some((1, 1)));
         assert_eq!(t.get(other), Some((2, 1)));
     }
@@ -500,7 +510,7 @@ mod tests {
     fn zero_key_is_a_valid_key() {
         let (_env, mut ctx) = ctx();
         let mut t = HashGrouper::with_slots(&mut ctx, 4, MemKind::Dram, Priority::Normal).unwrap();
-        t.insert(0, 42);
+        t.try_insert(0, 42).unwrap();
         assert_eq!(t.get(0), Some((42, 1)));
     }
 
@@ -515,10 +525,10 @@ mod tests {
             Priority::Normal,
         )
         .unwrap();
-        t.insert(7, 30);
-        t.insert(9, 1);
-        t.insert(7, 10);
-        t.insert(7, 20);
+        t.try_insert(7, 30).unwrap();
+        t.try_insert(9, 1).unwrap();
+        t.try_insert(7, 10).unwrap();
+        t.try_insert(7, 20).unwrap();
         assert_eq!(t.values_of(7), Some(vec![30, 10, 20]));
         assert_eq!(t.values_of(9), Some(vec![1]));
         assert_eq!(t.values_of(8), None);
@@ -538,7 +548,7 @@ mod tests {
         )
         .unwrap();
         for k in 0..2_000u64 {
-            t.insert(k % 97, k);
+            t.try_insert(k % 97, k).unwrap();
         }
         let vals = t.values_of(13).unwrap();
         let expect: Vec<u64> = (0..2_000u64).filter(|k| k % 97 == 13).collect();
@@ -553,8 +563,8 @@ mod tests {
         let mut large =
             HashGrouper::with_slots(&mut ctx, 4096, MemKind::Dram, Priority::Normal).unwrap();
         for k in [9u64, 3, 0, 77, 3, 12, 9] {
-            small.insert(k, k + 1);
-            large.insert(k, k + 1);
+            small.try_insert(k, k + 1).unwrap();
+            large.try_insert(k, k + 1).unwrap();
         }
         let a = small.drain_sorted();
         assert_eq!(a, large.drain_sorted());

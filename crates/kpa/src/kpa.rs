@@ -498,9 +498,13 @@ impl Kpa {
     /// The cost of writing dirty keys back to the nonresident column is
     /// charged per the paper's optimization (2) in §4.3.
     pub fn update_keys(&mut self, ctx: &mut ExecCtx, mut f: impl FnMut(u64) -> u64) {
-        for i in 0..self.keys.len() {
-            self.keys[i] = f(self.keys[i]);
-        }
+        self.update_keys_with(ctx, |keys| keys.iter_mut().for_each(|k| *k = f(*k)));
+    }
+
+    /// [`Kpa::update_keys`] with `map` applied to the whole key column in
+    /// one call (a boxed map: one dynamic call per KPA, not per key).
+    pub fn update_keys_with(&mut self, ctx: &mut ExecCtx, map: impl FnOnce(&mut [u64])) {
+        map(&mut self.keys);
         ctx.charge(&profile::key_swap(self.len(), self.kind(), true));
         self.sorted = self.len() <= 1;
         self.in_order = false;
@@ -625,35 +629,84 @@ impl Kpa {
         prio: Priority,
         width: u64,
     ) -> Result<Vec<(u64, Kpa)>, AllocError> {
-        // Pass 1: count per group (ordered map: groups come out ascending).
-        // A stream mostly in timestamp order is a few long runs, so the map
-        // is touched once per run, not once per pair.
+        let mut outs = self.partition_requests(ctx, prio, width)?;
+        self.copy_runs(width, &mut outs);
+        Ok(self.partitions(outs))
+    }
+
+    /// [`Kpa::partition_by`] of a KPA the caller gives up: when every pair
+    /// falls in one group, the output's request takes this KPA's host
+    /// buffers where the size classes match ([`PoolVec::trade_host_buffer`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] on output allocation failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero.
+    pub fn into_partitions(
+        mut self,
+        ctx: &mut ExecCtx,
+        prio: Priority,
+        width: u64,
+    ) -> Result<Vec<(u64, Kpa)>, AllocError> {
+        let mut outs = self.partition_requests(ctx, prio, width)?;
+        if outs.len() == 1 {
+            if let Some((keys, ptrs)) = outs.values_mut().next() {
+                for (out, input) in [(keys, &mut self.keys), (ptrs, &mut self.ptrs)] {
+                    if !out.trade_host_buffer(input) {
+                        out.extend_from_slice(input);
+                    }
+                }
+            }
+        } else {
+            self.copy_runs(width, &mut outs);
+        }
+        Ok(self.partitions(outs))
+    }
+
+    /// Partition's charge and its exactly-sized buffer pair per group, in
+    /// ascending group order. A stream mostly in timestamp order is a few
+    /// long runs, so the count map is touched once per run, not per pair.
+    fn partition_requests(
+        &self,
+        ctx: &mut ExecCtx,
+        prio: Priority,
+        width: u64,
+    ) -> Result<BTreeMap<u64, (PoolVec, PoolVec)>, AllocError> {
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         for (g, run) in key_range_runs(&self.keys, width) {
             *counts.entry(g).or_insert(0) += run.len();
         }
-
-        // Pass 2: copy each run into exactly-sized pool buffers.
-        let mut outs: BTreeMap<u64, (PoolVec, PoolVec)> = BTreeMap::new();
+        let mut outs = BTreeMap::new();
         for (&g, &c) in &counts {
             let (k, p, _) = alloc_pair_bufs(ctx.env(), c, self.kind(), prio)?;
             outs.insert(g, (k, p));
         }
+        ctx.charge(&profile::partition(self.len(), self.kind(), self.kind()));
+        Ok(outs)
+    }
+
+    /// Copies each key-range run of pairs into its group's buffers.
+    fn copy_runs(&self, width: u64, outs: &mut BTreeMap<u64, (PoolVec, PoolVec)>) {
         for (g, run) in key_range_runs(&self.keys, width) {
             if let Some((k, p)) = outs.get_mut(&g) {
                 k.extend_from_slice(&self.keys[run.clone()]);
                 p.extend_from_slice(&self.ptrs[run]);
             }
         }
-        ctx.charge(&profile::partition(self.len(), self.kind(), self.kind()));
+    }
 
-        // sbx-lint: allow(raw-alloc, group handle list; pair data lives in pool buffers above)
-        let mut result = Vec::with_capacity(outs.len());
-        for (g, (keys, ptrs)) in outs {
-            let sorted = self.sorted || keys.len() <= 1;
-            result.push((g, self.like(keys, ptrs, sorted)));
-        }
-        Ok(result)
+    /// The filled group buffers as partitions of this KPA's records.
+    fn partitions(&self, outs: BTreeMap<u64, (PoolVec, PoolVec)>) -> Vec<(u64, Kpa)> {
+        outs.into_iter()
+            .map(|(g, (keys, ptrs))| {
+                let sorted = self.sorted || keys.len() <= 1;
+                (g, self.like(keys, ptrs, sorted))
+            })
+            // sbx-lint: allow(raw-alloc, group handle list; pair data lives in pool buffers)
+            .collect()
     }
 
     /// **Merge** (Table 2): merges two KPAs sorted on the same resident
@@ -1202,6 +1255,79 @@ mod tests {
         assert_eq!(parts[0].1.keys(), &[5, 7]); // order preserved
         assert_eq!(parts[1].1.keys(), &[15]);
         assert_eq!(parts[2].1.keys(), &[25]);
+    }
+
+    /// A partition's group, keys, rows and tier.
+    type Partition = (u64, Vec<u64>, Vec<u32>, MemKind);
+
+    /// Partitions, by `width`, a KPA over the timestamps `ts` that `keep`
+    /// accepts, on an HBM of `hbm_kib`: consumed (`into_partitions`) or
+    /// borrowed (`partition_by`, the input dropped after). Returns the
+    /// partitions, both pools' statistics and whether a partition holds the
+    /// input's key buffer.
+    fn partitioned(
+        hbm_kib: u64,
+        ts: &[u64],
+        keep: fn(u64) -> bool,
+        width: u64,
+        consume: bool,
+    ) -> (Vec<Partition>, [sbx_simmem::PoolStats; 2], bool) {
+        let mut machine = MachineConfig::knl();
+        machine.hbm.capacity_bytes = hbm_kib * 1024;
+        let env = MemEnv::new(machine);
+        let mut ctx = ExecCtx::new(&env);
+        let rows: Vec<(u64, u64, u64)> = ts.iter().map(|&t| (t, 0, t)).collect();
+        let b = kv_bundle(&env, &rows);
+        let kpa = Kpa::extract_select(&mut ctx, &b, Col(2), MemKind::Hbm, Priority::Normal, keep)
+            .unwrap();
+        assert_eq!(kpa.kind(), MemKind::Hbm);
+        let input = kpa.keys().as_ptr();
+        let parts = if consume {
+            kpa.into_partitions(&mut ctx, Priority::Normal, width)
+        } else {
+            let parts = kpa.partition_by(&mut ctx, Priority::Normal, width);
+            drop(kpa);
+            parts
+        }
+        .unwrap();
+        let pairs = parts
+            .iter()
+            .map(|(g, p)| {
+                let rows = (0..p.len()).map(|i| p.record_ref(i).row).collect();
+                (*g, p.keys().to_vec(), rows, p.kind())
+            })
+            .collect();
+        let handed_over = parts.iter().any(|(_, p)| p.keys().as_ptr() == input);
+        let pools = [MemKind::Hbm, MemKind::Dram].map(|k| env.pool(k).stats());
+        (pairs, pools, handed_over)
+    }
+
+    #[test]
+    fn a_one_pane_partition_hands_its_buffers_over_and_accounts_as_a_copy() {
+        let ts: Vec<u64> = (0..2000).collect();
+        let all: fn(u64) -> bool = |_| true;
+        // 48 KiB of HBM holds the 32 KiB input but not its output as well;
+        // keeping 2 of 5 rows leaves 800 pairs in a 2 000-pair request.
+        for (case, hbm_kib, keep, width, hands_over, out_tier) in [
+            ("one pane", 1024, all, 10_000, true, MemKind::Hbm),
+            ("two panes", 1024, all, 1_000, false, MemKind::Hbm),
+            ("output spilled", 48, all, 10_000, true, MemKind::Dram),
+            (
+                "smaller class",
+                1024,
+                |t| t % 5 < 2,
+                10_000,
+                false,
+                MemKind::Hbm,
+            ),
+        ] {
+            let copied = partitioned(hbm_kib, &ts, keep, width, false);
+            let consumed = partitioned(hbm_kib, &ts, keep, width, true);
+            assert_eq!(consumed.0, copied.0, "{case}: partitions");
+            assert_eq!(consumed.1, copied.1, "{case}: pool statistics");
+            assert_eq!((consumed.2, copied.2), (hands_over, false), "{case}");
+            assert!(consumed.0.iter().all(|p| p.3 == out_tier), "{case}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use sbx_simmem::AllocError;
+use sbx_simmem::{AllocError, MemPool};
 
 use crate::radix::{self, Digits, RankBy};
 use crate::{profile, ExecCtx, Kpa, PrimGroup};
@@ -15,7 +15,9 @@ use crate::{profile, ExecCtx, Kpa, PrimGroup};
 /// partitioned or key-swapped KPA: a stable sort by key then *is* the
 /// compound order. The cost model keeps pricing the paper's AVX-512 bitonic
 /// block kernel ([`profile::sort`]). The scratch copy is host scratch, like
-/// any sorter's, and stays outside the accounted pools.
+/// any sorter's, and stays outside the accounted pools: a
+/// [`MemPool::host_buffer`] from the process-wide reserve, handed back
+/// when the sort is done.
 ///
 /// # Panics
 ///
@@ -38,12 +40,12 @@ pub fn sort_pairs(keys: &mut [u64], ptrs: &mut [u64]) {
         return;
     }
     // The sort starts in whichever copy makes its last pass land in place.
-    let mut scratch: Vec<u64> = Vec::new();
-    scratch.reserve_exact(2 * n);
+    let mut scratch = MemPool::host_buffer(2 * n);
     scratch.extend_from_slice(keys);
     scratch.extend_from_slice(ptrs);
     let (scratch_keys, scratch_ptrs) = scratch.split_at_mut(n);
     digits.sort((keys, ptrs), (scratch_keys, scratch_ptrs), RankBy::Compound);
+    MemPool::return_host_buffer(scratch);
 }
 
 impl Kpa {

@@ -380,6 +380,17 @@ impl PoolVec {
     pub fn accounted_bytes(&self) -> u64 {
         self.accounted_bytes
     }
+
+    /// Trades host buffers with `other` if both are of one size class, each
+    /// keeping its own accounting, and says whether it did: a consumer hands
+    /// its filled buffer to its output's request instead of copying it.
+    pub fn trade_host_buffer(&mut self, other: &mut PoolVec) -> bool {
+        let traded = self.class.is_some() && self.class == other.class;
+        if traded {
+            std::mem::swap(&mut self.buf, &mut other.buf);
+        }
+        traded
+    }
 }
 
 impl Deref for PoolVec {

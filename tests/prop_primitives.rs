@@ -871,7 +871,7 @@ fn hash_grouper_matches_btreemap() {
                 .expect("fits");
         let mut oracle: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
         for &(k, v) in &pairs {
-            table.insert(k, v);
+            table.try_insert(k, v).expect("fits");
             let e = oracle.entry(k).or_insert((0, 0));
             e.0 = e.0.wrapping_add(v);
             e.1 += 1;
@@ -883,6 +883,85 @@ fn hash_grouper_matches_btreemap() {
             oracle.into_iter().map(|(k, (s, c))| (k, s, c)).collect();
         assert_eq!(got, expect);
     }
+}
+
+/// The hash grouper's batch loop is the per-pair loop. Over both modes,
+/// dense, sparse and Zipf keys, batch splits from one or two pairs up to the
+/// whole input, and HBMs small enough that a grow spills the table, pairs
+/// fed in batches through `try_insert_all` leave the table of one
+/// `try_insert` per pair ([`reference::hash_ingest`]) after every batch —
+/// slots, tier, length, spills and both pools' statistics, high water
+/// included — and drain the same rows. The smallest splits come first: a
+/// loop that checks the load factor only once per batch is caught there,
+/// before a whole-input batch could overfill its table.
+#[test]
+fn hash_batch_insert_equals_the_per_pair_loop() {
+    use streambox_hbm::ingress::ZipfKeys;
+    use streambox_hbm::kpa::hash::{HashAgg, HashGrouper};
+    let zipf = ZipfKeys::new(1_000, 0.99);
+    let mut rng = SbxRng::seed_from_u64(0x5b57_1010);
+    let mut spilled = [0; 2];
+    for case in 0..CASES as usize {
+        let n = rng.random_range(0..3_000) as usize;
+        let keys: Vec<u64> = (0..n)
+            .map(|_| match case % 3 {
+                0 => rng.random_range(0..200),
+                1 => rng.random(),
+                _ => zipf.sample(&mut rng),
+            })
+            .collect();
+        let values: Vec<u64> = (0..n).map(|_| rng.random()).collect();
+        let most = [2, 5, 100, n.max(1)][(case / 3) % 4];
+        let mode = [HashAgg::SumCount, HashAgg::Values][(case / 12) % 2];
+        let hbm_kib = [48, 160, 1 << 16][rng.random_range(0..3) as usize];
+        let expected = rng.random_range(1..64) as usize;
+        let side = || {
+            let mut machine = MachineConfig::knl();
+            machine.hbm.capacity_bytes = hbm_kib * 1024;
+            let env = MemEnv::new(machine);
+            let mut ctx = ExecCtx::new(&env);
+            let table =
+                HashGrouper::with_mode(&mut ctx, expected, mode, MemKind::Hbm, Priority::Normal)
+                    .expect("the seed table fits");
+            (env, table)
+        };
+        let state = |env: &MemEnv, t: &HashGrouper| {
+            let pools = (
+                env.pool(MemKind::Hbm).stats(),
+                env.pool(MemKind::Dram).stats(),
+            );
+            (t.slots(), t.kind(), t.len(), env.spill_count(), pools)
+        };
+        let ((pair_env, mut per_pair), (batch_env, mut batched)) = (side(), side());
+        let mut at = 0;
+        while at < n {
+            let end = n.min(at + rng.random_range(1..=most as u64) as usize);
+            let value = |i: usize| values[at + i];
+            reference::hash_ingest(&mut per_pair, &keys[at..end], value).expect("fits");
+            batched.try_insert_all(&keys[at..end], value).expect("fits");
+            assert_eq!(
+                state(&batch_env, &batched),
+                state(&pair_env, &per_pair),
+                "case {case}: after pairs {at}..{end}"
+            );
+            at = end;
+        }
+        assert_eq!(
+            batched.drain_sorted(),
+            per_pair.drain_sorted(),
+            "case {case}"
+        );
+        assert_eq!(
+            batched.drain_values_sorted(),
+            per_pair.drain_values_sorted(),
+            "case {case}"
+        );
+        spilled[(case / 12) % 2] += usize::from(batched.kind() == MemKind::Dram);
+    }
+    assert!(
+        spilled.iter().all(|&s| s > 0),
+        "a grow spills in both modes: {spilled:?}"
+    );
 }
 
 /// Routed shards are disjoint and jointly exhaustive: over random shard
