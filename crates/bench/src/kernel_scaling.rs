@@ -155,16 +155,14 @@ pub fn measure_kernel_cell(dist: KeyDist, runs: usize, reps: usize) -> KernelCel
             );
             chunks.push((got_k, got_p));
         }
-        let inputs: Vec<Run<'_>> = chunks
-            .iter()
-            .map(|(keys, ptrs)| Run { keys, ptrs })
-            .collect();
+        let slices: Vec<(&[u64], &[u64])> = chunks.iter().map(|(k, p)| (&k[..], &p[..])).collect();
+        let inputs: Vec<Run<'_>> = slices.iter().map(|&(k, p)| Run::pairs(k, p)).collect();
         let total = runs * CHUNK_PAIRS;
         // Non-zero fill: the pages are touched before the timing starts.
         let (mut want_k, mut want_p) = (vec![1u64; total], vec![1u64; total]);
         let (mut got_k, mut got_p) = (vec![1u64; total], vec![1u64; total]);
         let ((), secs) = timed(|| {
-            reference::merge_runs(&inputs, &mut want_k, &mut want_p);
+            reference::merge_runs(&slices, &mut want_k, &mut want_p);
         });
         merge_old.push(per_pair(secs, total));
         let ((), secs) = timed(|| {
@@ -450,8 +448,11 @@ pub const GATHERED: [AggKind; 4] = [
 /// merge plus the scalar fold ([`reference::merge_fold`]) vs the fused
 /// [`Kpa::merge_fold`], and for each of the [`GATHERED`] kinds the merge
 /// plus [`reduce_keyed`] and [`emit_group`] ([`reference::merge_gather`])
-/// vs [`Kpa::merge_gather`] into `emit_group`. Panics if the two sides of a
-/// row disagree in any byte.
+/// vs [`Kpa::merge_gather`] into `emit_group`; then 25 partial bundles
+/// over 4 M and 10^8 keys (the dense and the sorted fold) merged and folded
+/// by [`reference::merge_fold`] vs folded in place ([`Kpa::extract_in_place`],
+/// [`Kpa::merge_fold`]). Panics if the two sides of a row disagree in any
+/// byte.
 pub fn measure_close_half(reps: usize) -> Vec<FrontCell> {
     let env = env();
     let mut ctx = ExecCtx::new(&env);
@@ -537,6 +538,47 @@ pub fn measure_close_half(reps: usize) -> Vec<FrontCell> {
             let case = format!("{}, {what}", dist.label());
             cells.push(FrontCell::median_of(kernel, case, timings));
         }
+    }
+    for (label, space) in [("4 M uniform", 4_000_000), ("1e8 uniform", 100_000_000)] {
+        let mut timings = Vec::new();
+        for rep in 0..reps.max(1) as u64 {
+            // Partial bundles as early aggregation leaves them: each key
+            // once, in key order.
+            let mut rng = SbxRng::seed_from_u64(61 + rep);
+            let mut partials = || {
+                let mut keys: Vec<u64> = (0..CHUNK_PAIRS)
+                    .map(|_| rng.random_range(0..space))
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                let rows: Vec<u64> = keys.iter().flat_map(|&k| [k, rng.random(), 0]).collect();
+                RecordBundle::from_rows(&env, Schema::kvt(), &rows).expect("fits")
+            };
+            let bundles: Vec<Arc<RecordBundle>> = (0..RUN_COUNTS[2]).map(|_| partials()).collect();
+            let pairs = bundles.iter().map(|b| b.rows()).sum::<usize>() as f64;
+            let window = |ctx: &mut ExecCtx, in_place: bool| -> Vec<Kpa> {
+                let extract = if in_place {
+                    Kpa::extract_in_place
+                } else {
+                    Kpa::extract_fused
+                };
+                let kpas = bundles
+                    .iter()
+                    .map(|b| extract(ctx, b, Col(0), hbm.0, hbm.1));
+                let mut kpas: Vec<Kpa> = kpas.map(|k| k.expect("fits")).collect();
+                kpas.iter_mut().for_each(Kpa::mark_sorted);
+                kpas
+            };
+            let two_pass = window(&mut ctx, false);
+            let (want, old) = timed(|| reference::merge_fold(&mut ctx, two_pass, Some(Col(1)), 7));
+            let in_place = window(&mut ctx, true);
+            let (got, new) =
+                timed(|| Kpa::merge_fold(&mut ctx, in_place, Some(Col(1)), 7, hbm.0, hbm.1));
+            assert!(got.expect("merge fits").0 == want, "{label}: in-place fold");
+            timings.push((old * 1e9 / pairs, new * 1e9 / pairs));
+        }
+        let case = format!("{label}, partials: merge + scalar fold vs in place");
+        cells.push(FrontCell::median_of("Merge-fold", case, timings));
     }
     cells
 }
@@ -646,7 +688,6 @@ pub mod reference {
 
     use sbx_engine::ops::{emit_group, AggKind};
     use sbx_kpa::hash::HashGrouper;
-    use sbx_kpa::mergepath::Run;
     use sbx_kpa::{reduce_keyed, reduce_keyed_scalar, ExecCtx, Kpa};
     use sbx_prng::SbxRng;
     use sbx_records::{BundleId, Col, RecordBundle, RecordRef};
@@ -830,33 +871,34 @@ pub mod reference {
         }
     }
 
-    /// K-way merge of the `runs` in key order, run index breaking ties:
-    /// two-way loop up to two runs, loser tree above.
-    pub fn merge_runs(runs: &[Run<'_>], out_keys: &mut [u64], out_ptrs: &mut [u64]) {
-        let head = |r: usize, i: usize| runs[r].keys[i];
+    /// K-way merge of the `runs`' parallel key and pointer slices in key
+    /// order, run index breaking ties: two-way loop up to two runs, loser
+    /// tree above.
+    pub fn merge_runs(runs: &[(&[u64], &[u64])], out_keys: &mut [u64], out_ptrs: &mut [u64]) {
+        let head = |r: usize, i: usize| runs[r].0[i];
         let k = runs.len();
         let mut pos = vec![0usize; k];
         let mut o = 0usize;
         let mut take = |r: usize, pos: &mut [usize]| {
-            out_keys[o] = runs[r].keys[pos[r]];
-            out_ptrs[o] = runs[r].ptrs[pos[r]];
+            out_keys[o] = runs[r].0[pos[r]];
+            out_ptrs[o] = runs[r].1[pos[r]];
             pos[r] += 1;
             o += 1;
         };
         let survivor = if k <= 2 {
             if k == 2 {
-                while pos[0] < runs[0].len() && pos[1] < runs[1].len() {
+                while pos[0] < runs[0].0.len() && pos[1] < runs[1].0.len() {
                     let r = usize::from(head(1, pos[1]) < head(0, pos[0]));
                     take(r, &mut pos);
                 }
             }
-            (0..k).find(|&r| pos[r] < runs[r].len())
+            (0..k).find(|&r| pos[r] < runs[r].0.len())
         } else {
             // Loser tree over `(drained, head value, run)` entries: leaf `r`
             // hangs below node `(k + r) / 2`, node `n` keeps the loser of
             // its match and `tree[0]` the overall winner.
             let entry = |r: usize, pos: &[usize]| {
-                if pos[r] < runs[r].len() {
+                if pos[r] < runs[r].0.len() {
                     (false, head(r, pos[r]), r)
                 } else {
                     (true, 0, r)
@@ -888,10 +930,10 @@ pub mod reference {
             (live == 1).then(|| tree[0].2)
         };
         if let Some(r) = survivor {
-            let span = pos[r]..runs[r].len();
+            let span = pos[r]..runs[r].0.len();
             let len = span.len();
-            out_keys[o..o + len].copy_from_slice(&runs[r].keys[span.clone()]);
-            out_ptrs[o..o + len].copy_from_slice(&runs[r].ptrs[span]);
+            out_keys[o..o + len].copy_from_slice(&runs[r].0[span.clone()]);
+            out_ptrs[o..o + len].copy_from_slice(&runs[r].1[span]);
         }
     }
 }
@@ -972,7 +1014,7 @@ mod tests {
     #[test]
     fn close_half_rows_match_the_reference() {
         let cells = measure_close_half(1);
-        assert_eq!(cells.len(), 2 * (2 + GATHERED.len()));
+        assert_eq!(cells.len(), 2 * (2 + GATHERED.len()) + 2);
         for c in &cells {
             assert!(c.old > 0.0 && c.new > 0.0, "{c:?}");
         }

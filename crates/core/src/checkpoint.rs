@@ -301,26 +301,32 @@ impl StateEntry {
 
     /// Rebuilds a KPA: restores the records as a bundle, re-extracts on the
     /// saved resident column at the placement chosen by the current knob,
-    /// puts back the keys the entry carries, and re-marks sortedness.
+    /// puts back the keys the entry carries, and re-marks sortedness. With
+    /// `in_place` the pairs are left in the restored rows
+    /// ([`Kpa::extract_in_place`]; written only to put keys back), for a
+    /// window close to read.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Config`] when the entry does not describe a
     /// KPA or claims a sort order its keys do not have, and
     /// [`EngineError::Alloc`] when both tiers are exhausted.
-    pub fn to_kpa(&self, ctx: &mut OpCtx<'_>) -> Result<Kpa, EngineError> {
+    pub fn to_kpa(&self, ctx: &mut OpCtx<'_>, in_place: bool) -> Result<Kpa, EngineError> {
         let (EntryRepr::Kpa { sorted, .. } | EntryRepr::KeyedKpa { sorted, .. }) = self.repr else {
             return Err(EngineError::Config(
                 "snapshot entry does not describe a KPA".into(),
             ));
         };
         let bundle = self.to_bundle(ctx)?;
+        let extract = if in_place {
+            Kpa::extract_in_place
+        } else {
+            Kpa::extract_fused
+        };
         let (kind, prio) = ctx.place();
         let rb = bundle.schema().record_bytes();
         let mut kpa = ctx
-            .charged(rb, |e| {
-                Kpa::extract_fused(e, &bundle, Col(self.key_col()), kind, prio)
-            })
+            .charged(rb, |e| extract(e, &bundle, Col(self.key_col()), kind, prio))
             .map_err(EngineError::from)?;
         if self.carries_keys() {
             let mut keys = self
@@ -330,7 +336,18 @@ impl StateEntry {
             ctx.charged(rb, |e| kpa.update_keys(e, |k| keys.next().unwrap_or(k)));
         }
         if sorted {
-            if !kpa.keys().is_sorted() {
+            // The keys, read from the entry: a KPA in place has no key column.
+            let key_at = if self.carries_keys() {
+                self.ncols - 1
+            } else {
+                self.key_col()
+            };
+            if !self
+                .rows
+                .chunks_exact(self.ncols)
+                .map(|row| row[key_at])
+                .is_sorted()
+            {
                 return Err(EngineError::Config(
                     "corrupt snapshot entry: keys marked sorted are not".into(),
                 ));
@@ -753,7 +770,7 @@ mod tests {
         assert_eq!(entry.window, 7);
         assert_eq!(entry.rows.len(), 50 * 3);
 
-        let restored = entry.to_kpa(&mut ctx).unwrap();
+        let restored = entry.to_kpa(&mut ctx, false).unwrap();
         assert_eq!(restored.len(), kpa.len());
         assert!(restored.is_sorted());
         assert_eq!(restored.keys(), kpa.keys());
@@ -768,7 +785,7 @@ mod tests {
         ctx.sort(&mut kpa).unwrap();
         let entry = StateEntry::from_kpa(&mut ctx, 7, 0, &kpa).unwrap();
         assert_eq!((entry.ncols, entry.rows.len()), (4, 50 * 4));
-        let restored = entry.to_kpa(&mut ctx).unwrap();
+        let restored = entry.to_kpa(&mut ctx, false).unwrap();
         assert!(restored.is_sorted());
         assert_eq!(restored.keys(), kpa.keys());
         for i in 0..kpa.len() {
@@ -853,7 +870,7 @@ mod tests {
             ..StateEntry::from_rows(0, 0, 3, 2, vec![1, 2, 3])
         };
         assert!(matches!(
-            bad_res.to_kpa(&mut ctx),
+            bad_res.to_kpa(&mut ctx, false),
             Err(EngineError::Config(_))
         ));
         let lying = StateEntry {
@@ -864,12 +881,12 @@ mod tests {
             ..StateEntry::from_rows(0, 0, 3, 2, vec![9, 0, 0, 1, 0, 0])
         };
         assert!(matches!(
-            lying.to_kpa(&mut ctx),
+            lying.to_kpa(&mut ctx, false),
             Err(EngineError::Config(_))
         ));
         let not_kpa = StateEntry::from_rows(0, 0, 3, 2, vec![1, 2, 3]);
         assert!(matches!(
-            not_kpa.to_kpa(&mut ctx),
+            not_kpa.to_kpa(&mut ctx, false),
             Err(EngineError::Config(_))
         ));
     }

@@ -3,6 +3,7 @@ use std::sync::Arc;
 
 use sbx_kpa::{profile, Kpa};
 use sbx_records::{Col, RecordBundle, Schema, Watermark, WindowId, WindowSpec};
+use sbx_simmem::MemPool;
 
 use super::grouping::{
     decide_backend, AdaptState, AggParams, BackendChoice, GroupingBackend, SortMergeBackend,
@@ -237,15 +238,27 @@ impl WindowLogic for KeyedAggLogic {
         _start: u64,
         mut kpa: Kpa,
     ) -> Result<(), EngineError> {
+        let p = self.params();
+        // A backend that reads every record's value has the swap read it
+        // too: one pass over the records, not two.
+        let mut values = None;
         if kpa.resident() != self.key_col {
-            ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
+            if state.backend.as_ref().is_some_and(|b| b.reads_values(&p)) {
+                let mut read = MemPool::host_buffer(kpa.len());
+                ctx.charged(16, |e| {
+                    kpa.key_swap_reading(e, self.key_col, p.value_col, &mut read);
+                });
+                values = Some(read);
+            } else {
+                ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
+            }
         }
         if let Some(map) = &self.key_map {
             ctx.charged(16, |e| kpa.update_keys_with(e, map));
         }
         if self.pane_combining {
             ctx.sort(&mut kpa)?;
-            let partials = SortMergeBackend::partials(ctx, &kpa, &self.params())?;
+            let partials = SortMergeBackend::partials(ctx, &kpa, &p)?;
             state.panes.push(partials);
             return Ok(());
         }
@@ -253,7 +266,11 @@ impl WindowLogic for KeyedAggLogic {
             Some(backend) => backend,
             empty => empty.insert(self.new_backend(ctx, &kpa)?),
         };
-        backend.ingest(ctx, kpa, &self.params())
+        let ingested = backend.ingest(ctx, kpa, &p, values.as_deref());
+        if let Some(read) = values {
+            MemPool::return_host_buffer(read);
+        }
+        ingested
     }
 
     fn close(

@@ -140,8 +140,21 @@ pub(crate) trait GroupingBackend: Send + std::fmt::Debug {
     /// The `groupby.backend.*` event that counts this backend's windows.
     fn event(&self) -> &'static str;
 
-    /// Absorbs one windowed KPA (already key-swapped and key-mapped).
-    fn ingest(&mut self, ctx: &mut OpCtx<'_>, kpa: Kpa, p: &AggParams) -> Result<(), EngineError>;
+    /// Absorbs one windowed KPA (already key-swapped and key-mapped), with
+    /// its records' `p.value_col` when the key swap read them.
+    fn ingest(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        kpa: Kpa,
+        p: &AggParams,
+        values: Option<&[u64]>,
+    ) -> Result<(), EngineError>;
+
+    /// Whether [`GroupingBackend::ingest`] reads each record's value, so
+    /// the key swap should read it too.
+    fn reads_values(&self, _p: &AggParams) -> bool {
+        false
+    }
 
     /// Drains the window into one output bundle of `schema` (`[key, agg,
     /// start]` rows, ascending keys) and returns it with the number of
@@ -244,7 +257,7 @@ impl SortMergeBackend {
     }
 
     /// Early aggregation, second half: adds a bundle of [`Self::partials`]
-    /// to the window as a sorted KPA over it.
+    /// to the window as a sorted KPA over it, its pairs left in its rows.
     pub(crate) fn push_partials(
         &mut self,
         ctx: &mut OpCtx<'_>,
@@ -253,7 +266,9 @@ impl SortMergeBackend {
         // The partial bundle was just written: fuse its extraction
         // (paper §4.3 optimization 1).
         let (kind, prio) = ctx.place();
-        let mut kpa = ctx.charged(24, |e| Kpa::extract_fused(e, partials, Col(0), kind, prio))?;
+        let mut kpa = ctx.charged(24, |e| {
+            Kpa::extract_in_place(e, partials, Col(0), kind, prio)
+        })?;
         // The scalar fold emitted the partials in ascending key order.
         kpa.mark_sorted();
         self.kpas.push(kpa);
@@ -276,6 +291,7 @@ impl GroupingBackend for SortMergeBackend {
         ctx: &mut OpCtx<'_>,
         mut kpa: Kpa,
         p: &AggParams,
+        _values: Option<&[u64]>,
     ) -> Result<(), EngineError> {
         self.records += kpa.len() as u64;
         ctx.sort(&mut kpa)?;
@@ -348,7 +364,7 @@ impl GroupingBackend for SortMergeBackend {
     }
 
     fn restore_entry(&mut self, ctx: &mut OpCtx<'_>, e: &StateEntry) -> Result<(), EngineError> {
-        let kpa = e.to_kpa(ctx)?;
+        let kpa = e.to_kpa(ctx, true)?;
         self.records += kpa.len() as u64;
         self.kpas.push(kpa);
         Ok(())
@@ -470,7 +486,13 @@ impl GroupingBackend for HashBackend {
         self.event
     }
 
-    fn ingest(&mut self, ctx: &mut OpCtx<'_>, kpa: Kpa, p: &AggParams) -> Result<(), EngineError> {
+    fn ingest(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        kpa: Kpa,
+        p: &AggParams,
+        values: Option<&[u64]>,
+    ) -> Result<(), EngineError> {
         let n = kpa.len();
         if n == 0 {
             return Ok(());
@@ -481,6 +503,8 @@ impl GroupingBackend for HashBackend {
         let count_only = p.count_only();
         if count_only {
             self.table.try_insert_all(kpa.keys(), |_| 0)?;
+        } else if let Some(values) = values {
+            self.table.try_insert_all(kpa.keys(), |i| values[i])?;
         } else {
             let records = kpa.resolver();
             let col = p.value_col;
@@ -491,6 +515,10 @@ impl GroupingBackend for HashBackend {
         let prof = (self.ingest_profile)(n, t.len(), t.kind(), count_only);
         ctx.charged(16, |e| e.charge(&prof));
         Ok(())
+    }
+
+    fn reads_values(&self, p: &AggParams) -> bool {
+        !p.count_only()
     }
 
     fn close(
@@ -755,11 +783,11 @@ mod tests {
             let mut row_b = HashBackend::row_baseline(&mut ctx, kind).unwrap();
             for chunk in pairs.chunks(100) {
                 let kpa = mk_kpa(&env, &mut ctx, chunk);
-                sort_b.ingest(&mut ctx, kpa, &p).unwrap();
+                sort_b.ingest(&mut ctx, kpa, &p, None).unwrap();
                 let kpa = mk_kpa(&env, &mut ctx, chunk);
-                hash_b.ingest(&mut ctx, kpa, &p).unwrap();
+                hash_b.ingest(&mut ctx, kpa, &p, None).unwrap();
                 let kpa = mk_kpa(&env, &mut ctx, chunk);
-                row_b.ingest(&mut ctx, kpa, &p).unwrap();
+                row_b.ingest(&mut ctx, kpa, &p, None).unwrap();
             }
             let a = close_with(&mut sort_b, &mut ctx, &p);
             let b = close_with(&mut hash_b, &mut ctx, &p);
@@ -783,7 +811,7 @@ mod tests {
             let mut orig = HashBackend::hashed(&mut ctx, kind).unwrap();
             let pairs: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 23, i)).collect();
             let kpa = mk_kpa(&env, &mut ctx, &pairs);
-            orig.ingest(&mut ctx, kpa, &p).unwrap();
+            orig.ingest(&mut ctx, kpa, &p, None).unwrap();
 
             let mut entries = Vec::new();
             orig.snapshot(&mut ctx, 0, &mut entries).unwrap();
@@ -820,7 +848,7 @@ mod tests {
         let pairs: Vec<(u64, u64)> = (0..600_000u64).map(|k| (k, 0)).collect();
         let kpa = mk_kpa(&env, &mut ctx, &pairs);
         ctx.take_profile();
-        hash_b.ingest(&mut ctx, kpa, &p).unwrap();
+        hash_b.ingest(&mut ctx, kpa, &p, None).unwrap();
         assert_eq!(
             hash_b.table.kind(),
             MemKind::Dram,

@@ -70,6 +70,15 @@ fn compact_pairs(
     ptrs.truncate(kept);
 }
 
+/// The packed pointer to row 0 of `bundle`; row `r`'s is it plus `r`.
+fn first_ptr(bundle: &RecordBundle) -> u64 {
+    RecordRef {
+        bundle: bundle.id(),
+        row: 0,
+    }
+    .pack()
+}
+
 /// Maximal runs of consecutive `keys` inside one `width`-wide key range:
 /// `(key / width, index range)` per run, in order.
 ///
@@ -145,9 +154,11 @@ impl ShadowLink {
 /// (keyed/unkeyed reduction, Materialize, KeySwap, …); see
 /// [`Kpa::resolver`].
 ///
-/// Built once per pass from the KPA's source links. A KPA that links one
-/// bundle — every KPA between Extract and its first merge — resolves by
-/// direct index into that bundle's rows. Otherwise the per-pair work is one
+/// Built once per pass from the KPA's source links. A KPA in place
+/// ([`Kpa::extract_in_place`]: no pointer, one source) reads pair `i` as
+/// row `i`. One that links one bundle — every KPA between Extract and its
+/// first merge — resolves by direct index into that bundle's rows.
+/// Otherwise the per-pair work is one
 /// probe of a small open-addressed `bundle id → row data` table and one
 /// slice of the bundle's rows — instead of an ordered-map walk and an `Arc`
 /// hop per pair. Bundle ids are process-global, so the sources of one KPA
@@ -246,9 +257,12 @@ impl<'a> Resolver<'a> {
     ///
     /// Panics if `i` is out of range, or the pointer leads outside the
     /// KPA's source bundles.
-    #[inline]
+    // Always inlined: a call per pair costs a key swap about half its time.
+    #[inline(always)]
     pub fn row(&self, i: usize) -> Option<&'a [u64]> {
-        let raw = self.ptrs[i];
+        let Some(&raw) = self.ptrs.get(i) else {
+            return self.row_in_place(i);
+        };
         #[cfg(feature = "sanitize")]
         if !self.shadow.check(raw) {
             return None;
@@ -257,6 +271,15 @@ impl<'a> Resolver<'a> {
         let src = self.source(r.bundle);
         let at = r.row as usize * src.ncols;
         Some(&src.rows[at..at + src.ncols])
+    }
+
+    /// Row `i` of the one source of a KPA in place, which has no pointers.
+    #[cold]
+    #[inline(never)]
+    fn row_in_place(&self, i: usize) -> Option<&'a [u64]> {
+        let src = self.only.as_ref().filter(|_| self.ptrs.is_empty());
+        assert!(src.is_some(), "pair {i} out of range");
+        src.map(|src| &src.rows[i * src.ncols..(i + 1) * src.ncols])
     }
 
     /// Column `col` of the record pair `i` points to; `0` for a pointer the
@@ -315,6 +338,9 @@ pub struct Kpa {
     /// every key is the resident column: set by an Extract that kept every
     /// row, cleared by whatever moves, drops or recomputes a pair or key.
     in_order: bool,
+    /// The pairs are their rows ([`Kpa::extract_in_place`]); `keys` and
+    /// `ptrs` are only their request until `write_pairs`.
+    in_place: bool,
     #[cfg(feature = "sanitize")]
     shadow: ShadowLink,
 }
@@ -331,6 +357,7 @@ impl Kpa {
             sources: self.sources.clone(),
             sorted,
             in_order: false,
+            in_place: false,
             #[cfg(feature = "sanitize")]
             shadow: self.shadow.clone(),
         }
@@ -348,29 +375,56 @@ impl Kpa {
         prio: Priority,
         keep: impl FnMut(u64) -> bool,
     ) -> Result<Kpa, AllocError> {
-        let ncols = bundle.schema().ncols();
-        assert!(col.0 < ncols, "{col} out of range");
-        let n = bundle.rows();
-        let (mut keys, mut ptrs, _) = alloc_pair_bufs(ctx.env(), n, kind, prio)?;
-        // Row `r`'s pointer is the bundle's row-0 pointer plus `r`.
-        let first = RecordRef {
-            bundle: bundle.id(),
-            row: 0,
-        };
-        let rows = bundle.as_rows().chunks_exact(ncols);
-        let pairs = rows.zip(first.pack()..).map(|(row, ptr)| (row[col.0], ptr));
-        compact_pairs(&mut keys, &mut ptrs, n, pairs, keep);
+        let mut kpa = Self::rows_request(ctx, bundle, col, kind, prio)?;
+        kpa.write_pairs_where(keep);
+        Ok(kpa)
+    }
+
+    /// Extract's pool request for every row of `bundle`, no pair written.
+    fn rows_request(
+        ctx: &ExecCtx,
+        bundle: &Arc<RecordBundle>,
+        col: Col,
+        kind: MemKind,
+        prio: Priority,
+    ) -> Result<Kpa, AllocError> {
+        assert!(col.0 < bundle.schema().ncols(), "{col} out of range");
+        let (keys, ptrs, _) = alloc_pair_bufs(ctx.env(), bundle.rows(), kind, prio)?;
         Ok(Kpa {
-            sorted: keys.len() <= 1,
-            in_order: keys.len() == n,
             keys,
             ptrs,
             resident: col,
             schema: Arc::clone(bundle.schema()),
             sources: BTreeMap::from([(bundle.id(), Arc::clone(bundle))]),
+            sorted: bundle.rows() <= 1,
+            in_order: true,
+            in_place: true,
             #[cfg(feature = "sanitize")]
             shadow: ShadowLink::capture(ctx.env(), bundle),
         })
+    }
+
+    /// Writes the pairs of a KPA in place into its request, as Extract.
+    fn write_pairs(&mut self) {
+        self.write_pairs_where(|_| true);
+    }
+
+    /// `write_pairs` of the rows whose key `keep` accepts.
+    fn write_pairs_where(&mut self, keep: impl FnMut(u64) -> bool) {
+        let bundle = match self.sources.values().next() {
+            Some(bundle) if self.in_place => bundle,
+            _ => return,
+        };
+        let (n, ncols) = (bundle.rows(), bundle.schema().ncols());
+        // Row `r`'s pointer is the bundle's row-0 pointer plus `r`.
+        let first = first_ptr(bundle);
+        let rows = bundle.as_rows().chunks_exact(ncols);
+        let col = self.resident.0;
+        let pairs = rows.zip(first..).map(|(row, ptr)| (row[col], ptr));
+        compact_pairs(&mut self.keys, &mut self.ptrs, n, pairs, keep);
+        self.in_place = false;
+        self.in_order = self.keys.len() == n;
+        self.sorted |= self.keys.len() <= 1;
     }
 
     /// **Extract** (Table 2): creates a KPA from a record bundle, copying
@@ -413,7 +467,26 @@ impl Kpa {
         kind: MemKind,
         prio: Priority,
     ) -> Result<Kpa, AllocError> {
-        let kpa = Self::extract_where(ctx, bundle, col, kind, prio, |_| true)?;
+        let mut kpa = Self::extract_in_place(ctx, bundle, col, kind, prio)?;
+        kpa.write_pairs();
+        Ok(kpa)
+    }
+
+    /// [`Kpa::extract_fused`] with no pair written: pair `i` is row `i`
+    /// ([`Kpa::rows_in_order`]), which a window close reads in place, and
+    /// a primitive that moves or recomputes a pair writes the pairs first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] if neither tier can hold the KPA.
+    pub fn extract_in_place(
+        ctx: &mut ExecCtx,
+        bundle: &Arc<RecordBundle>,
+        col: Col,
+        kind: MemKind,
+        prio: Priority,
+    ) -> Result<Kpa, AllocError> {
+        let kpa = Self::rows_request(ctx, bundle, col, kind, prio)?;
         let n = bundle.rows() as f64;
         ctx.charge_as(
             PrimGroup::Extract,
@@ -463,7 +536,7 @@ impl Kpa {
     ) -> Result<Kpa, AllocError> {
         let n = self.len();
         let (mut keys, mut ptrs, got) = alloc_pair_bufs(ctx.env(), n, self.kind(), prio)?;
-        let pairs = self.keys.iter().copied().zip(self.ptrs.iter().copied());
+        let pairs = self.keys().iter().copied().zip(self.ptrs.iter().copied());
         compact_pairs(&mut keys, &mut ptrs, n, pairs, pred);
         ctx.charge(&profile::select(n, keys.len(), self.kind(), got));
         Ok(self.like(keys, ptrs, self.sorted))
@@ -478,6 +551,7 @@ impl Kpa {
         if col == self.resident {
             return;
         }
+        self.write_pairs();
         let records = Resolver::new(
             &self.ptrs,
             &self.sources,
@@ -487,6 +561,40 @@ impl Kpa {
         for (i, key) in self.keys.iter_mut().enumerate() {
             *key = records.value(i, col);
         }
+        self.swapped_to(ctx, col);
+    }
+
+    /// [`Kpa::key_swap`] to a column other than the resident one that also
+    /// reads each record's column `also` into `values` (cleared first) in
+    /// the same pass, for an aggregation over the swapped keys: one
+    /// dereference per pair instead of two.
+    pub fn key_swap_reading(
+        &mut self,
+        ctx: &mut ExecCtx,
+        col: Col,
+        also: Col,
+        values: &mut Vec<u64>,
+    ) {
+        debug_assert_ne!(col, self.resident, "a swap to the resident column");
+        self.write_pairs();
+        let records = Resolver::new(
+            &self.ptrs,
+            &self.sources,
+            #[cfg(feature = "sanitize")]
+            &self.shadow,
+        );
+        values.clear();
+        for (i, key) in self.keys.iter_mut().enumerate() {
+            // A pointer the sanitizer rejected reads 0, as `Resolver::value`.
+            let row = records.row(i);
+            *key = row.map_or(0, |r| r[col.0]);
+            values.push(row.map_or(0, |r| r[also.0]));
+        }
+        self.swapped_to(ctx, col);
+    }
+
+    /// A key swap's charge and flags.
+    fn swapped_to(&mut self, ctx: &mut ExecCtx, col: Col) {
         ctx.charge(&profile::key_swap(self.len(), self.kind(), false));
         self.resident = col;
         self.sorted = self.len() <= 1;
@@ -504,6 +612,7 @@ impl Kpa {
     /// [`Kpa::update_keys`] with `map` applied to the whole key column in
     /// one call (a boxed map: one dynamic call per KPA, not per key).
     pub fn update_keys_with(&mut self, ctx: &mut ExecCtx, map: impl FnOnce(&mut [u64])) {
+        self.write_pairs();
         map(&mut self.keys);
         ctx.charge(&profile::key_swap(self.len(), self.kind(), true));
         self.sorted = self.len() <= 1;
@@ -522,6 +631,7 @@ impl Kpa {
     ) {
         // sbx-lint: allow(raw-alloc, per-call scratch bounded by column count)
         let mut vals = vec![0u64; cols.len()];
+        self.write_pairs();
         let records = Resolver::new(
             &self.ptrs,
             &self.sources,
@@ -676,7 +786,7 @@ impl Kpa {
         width: u64,
     ) -> Result<BTreeMap<u64, (PoolVec, PoolVec)>, AllocError> {
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for (g, run) in key_range_runs(&self.keys, width) {
+        for (g, run) in key_range_runs(self.keys(), width) {
             *counts.entry(g).or_insert(0) += run.len();
         }
         let mut outs = BTreeMap::new();
@@ -690,7 +800,7 @@ impl Kpa {
 
     /// Copies each key-range run of pairs into its group's buffers.
     fn copy_runs(&self, width: u64, outs: &mut BTreeMap<u64, (PoolVec, PoolVec)>) {
-        for (g, run) in key_range_runs(&self.keys, width) {
+        for (g, run) in key_range_runs(self.keys(), width) {
             if let Some((k, p)) = outs.get_mut(&g) {
                 k.extend_from_slice(&self.keys[run.clone()]);
                 p.extend_from_slice(&self.ptrs[run]);
@@ -819,7 +929,7 @@ impl Kpa {
             };
             let pairs = runs.iter().map(mergepath::Run::len).sum::<usize>();
             let mut rows = MemPool::host_buffer(3 * pairs);
-            mergepath::fold_runs(runs, value, start, &mut rows);
+            mergepath::fold_runs(runs, col.map(|c| c.0), value, start, &mut rows);
             rows
         })
     }
@@ -857,7 +967,7 @@ impl Kpa {
     /// the merged KPA's pool request and merge charge (none for a lone
     /// input, which stands for itself as `merge_many` returns it), then
     /// `walk` over the runs with one resolver per run, so a partial
-    /// bundle's takes no hashed probe.
+    /// bundle's takes no hashed probe, and one in place no pointer.
     fn merge_walk<R>(
         ctx: &mut ExecCtx,
         mut kpas: Vec<Kpa>,
@@ -889,10 +999,7 @@ impl Kpa {
             .map(|k| {
                 assert!(k.sorted, "merge requires sorted inputs");
                 assert_eq!(k.resident, first.resident, "resident columns must match");
-                mergepath::Run {
-                    keys: &k.keys,
-                    ptrs: &k.ptrs,
-                }
+                k.run()
             })
             // sbx-lint: allow(raw-alloc, k run descriptors; pair data lives in pool buffers)
             .collect()
@@ -936,6 +1043,7 @@ impl Kpa {
             sources,
             sorted: true,
             in_order: false,
+            in_place: false,
             #[cfg(feature = "sanitize")]
             shadow: kpas
                 .iter()
@@ -947,12 +1055,15 @@ impl Kpa {
 
     /// Number of key/pointer pairs.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        match self.in_place {
+            true => self.sources.values().next().map_or(0, |b| b.rows()),
+            false => self.keys.len(),
+        }
     }
 
     /// Whether the KPA holds no pairs.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
     }
 
     /// The tier holding the key/pointer arrays.
@@ -971,8 +1082,24 @@ impl Kpa {
     }
 
     /// The resident keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a KPA in place ([`Kpa::extract_in_place`]).
     pub fn keys(&self) -> &[u64] {
+        assert!(!self.in_place, "the keys of a KPA in place are its rows'");
         &self.keys
+    }
+
+    /// The KPA as a merge run: a KPA in place is its rows.
+    fn run(&self) -> mergepath::Run<'_> {
+        match self.sources.values().next() {
+            Some(b) if self.in_place => {
+                let (ncols, base) = (b.schema().ncols(), first_ptr(b));
+                mergepath::Run::rows(b.as_rows(), ncols, self.resident.0, base)
+            }
+            _ => mergepath::Run::pairs(&self.keys, &self.ptrs),
+        }
     }
 
     /// The pointer at index `i`.
@@ -1034,6 +1161,7 @@ impl Kpa {
 
     pub(crate) fn keys_mut_parts(&mut self) -> (&mut Vec<u64>, &mut Vec<u64>) {
         // PoolVec derefs to Vec<u64>; split borrows for the sorter.
+        self.write_pairs();
         self.in_order = false;
         (&mut self.keys, &mut self.ptrs)
     }
@@ -1051,7 +1179,7 @@ impl Kpa {
     /// Panics (debug builds) if the keys are not actually nondecreasing.
     pub fn mark_sorted(&mut self) {
         debug_assert!(
-            self.keys.windows(2).all(|w| w[0] <= w[1]),
+            self.run().keys(0..self.len()).is_sorted(),
             "mark_sorted on unsorted keys"
         );
         self.sorted = true;
@@ -1067,6 +1195,7 @@ impl Kpa {
     /// Overwrites pointer `i` with a forged packed [`RecordRef`] (wild- and
     /// stale-pointer fixtures).
     pub fn corrupt_ptr(&mut self, i: usize, raw: u64) {
+        self.write_pairs();
         self.ptrs[i] = raw;
         self.in_order = false;
     }

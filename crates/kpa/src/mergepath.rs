@@ -14,6 +14,9 @@
 //! Everything runs on the calling thread: StreamBox parallelises across
 //! bundles and windows (§3), not inside one merge.
 //!
+//! A [`Run`] is a KPA's key and pointer columns, or the rows of a KPA in
+//! place, read one record width apart: a close reads key and value together.
+//!
 //! The merge ranks by the resident key alone, ties resolved by run index
 //! (run 0's equal keys precede run 1's), each run keeping its own order.
 //! This reproduces the sequential "left input wins ties" merge exactly, so
@@ -24,24 +27,112 @@ use std::ops::Range;
 
 use crate::radix::{self, Digits, Pairs, RankBy};
 
-/// One sorted input run: parallel key/pointer slices of equal length.
+/// One sorted input run: `len` records of `width` words with the key,
+/// nondecreasing, at word `key` — a KPA's key column (one-word records) or a
+/// bundle's rows read in place — and their packed pointers: `ptrs`, or
+/// `base + i` for rows in place.
 #[derive(Debug, Clone, Copy)]
 pub struct Run<'a> {
-    /// Resident keys, nondecreasing.
-    pub keys: &'a [u64],
-    /// Packed record pointers parallel to `keys`.
-    pub ptrs: &'a [u64],
+    words: &'a [u64],
+    width: usize,
+    key: usize,
+    len: usize,
+    ptrs: &'a [u64],
+    base: Option<u64>,
 }
 
-impl Run<'_> {
+impl<'a> Run<'a> {
+    /// A KPA's parallel key and pointer columns.
+    pub fn pairs(keys: &'a [u64], ptrs: &'a [u64]) -> Self {
+        Run::of(keys, 1, 0, ptrs, None)
+    }
+
+    /// The rows of a bundle (`rows`, `ncols` words each) in place: key `i`
+    /// is row `i`'s column `col`, its pointer packed `base + i`.
+    pub fn rows(rows: &'a [u64], ncols: usize, col: usize, base: u64) -> Self {
+        Run::of(rows, ncols, col, &[], Some(base))
+    }
+
+    fn of(words: &'a [u64], width: usize, key: usize, ptrs: &'a [u64], base: Option<u64>) -> Self {
+        let len = words.len() / width;
+        Run {
+            words,
+            width,
+            key,
+            len,
+            ptrs,
+            base,
+        }
+    }
+
     /// Number of pairs in the run.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     /// Whether the run is empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
+    }
+
+    /// Key `i`.
+    #[inline]
+    pub fn key(&self, i: usize) -> u64 {
+        self.words[i * self.width + self.key]
+    }
+
+    /// Pointer `i`.
+    #[inline]
+    pub fn ptr(&self, i: usize) -> u64 {
+        self.base
+            .map_or_else(|| self.ptrs[i], |base| base + i as u64)
+    }
+
+    /// The records of pairs `at`.
+    #[inline]
+    fn records(&self, at: Range<usize>) -> std::slice::ChunksExact<'a, u64> {
+        self.words[at.start * self.width..at.end * self.width].chunks_exact(self.width)
+    }
+
+    /// The keys of pairs `at`, in order.
+    #[inline]
+    pub fn keys(&self, at: Range<usize>) -> impl Iterator<Item = u64> + 'a {
+        let key = self.key;
+        self.records(at).map(move |record| record[key])
+    }
+
+    /// Key and word `col` of the records of pairs `at`, one stream, for
+    /// rows in place.
+    #[inline]
+    fn keyed_column(
+        &self,
+        at: Range<usize>,
+        col: Option<usize>,
+    ) -> Option<impl Iterator<Item = (u64, u64)> + 'a> {
+        let (key, col) = (self.key, col.filter(|_| self.base.is_some())?);
+        Some(
+            self.records(at)
+                .map(move |record| (record[key], record[col])),
+        )
+    }
+
+    /// Copies the keys of pairs `at` into `dst`.
+    fn copy_keys(&self, at: Range<usize>, dst: &mut [u64]) {
+        match self.width {
+            1 => dst.copy_from_slice(&self.words[at]),
+            _ => dst.iter_mut().zip(self.keys(at)).for_each(|(d, k)| *d = k),
+        }
+    }
+
+    /// Copies the pointers of pairs `at` into `dst`.
+    fn copy_ptrs(&self, at: Range<usize>, dst: &mut [u64]) {
+        match self.base {
+            None => dst.copy_from_slice(&self.ptrs[at]),
+            Some(base) => dst
+                .iter_mut()
+                .zip(at)
+                .for_each(|(d, i)| *d = base + i as u64),
+        }
     }
 }
 
@@ -77,9 +168,7 @@ pub fn merge_runs(runs: &[Run<'_>], out_keys: &mut [u64], out_ptrs: &mut [u64]) 
     }
     let mut scratch = Vec::new();
     let mut done = 0;
-    let copy_ptrs = |r: usize, at: Range<usize>, dst: &mut [u64]| {
-        dst.copy_from_slice(&runs[r].ptrs[at]);
-    };
+    let copy_ptrs = |r: usize, at: Range<usize>, dst: &mut [u64]| runs[r].copy_ptrs(at, dst);
     walk_buckets(runs, |pos, cut| {
         let out = (&mut out_keys[done..], &mut out_ptrs[done..]);
         done += sort_bucket(runs, pos, cut, copy_ptrs, out, &mut scratch);
@@ -99,12 +188,8 @@ fn walk_buckets(runs: &[Run<'_>], mut visit: impl FnMut(&[usize], &[usize])) {
     for splitter in splitters(runs) {
         for inclusive in [false, true] {
             for ((c, &p), run) in cut.iter_mut().zip(&pos).zip(runs) {
-                let rest = &run.keys[p..];
-                *c = p + if inclusive {
-                    gallop(rest, |key| key <= splitter)
-                } else {
-                    gallop(rest, |key| key < splitter)
-                };
+                let below = |key: &u64| *key < splitter || inclusive && *key == splitter;
+                *c = p + run.keys(p..run.len()).take_while(below).count();
             }
             visit(&pos, &cut);
             pos.copy_from_slice(&cut);
@@ -119,18 +204,6 @@ fn walk_buckets(runs: &[Run<'_>], mut visit: impl FnMut(&[usize], &[usize])) {
 /// Pairs in `runs[r][lo[r]..hi[r]]` over all `r`.
 fn claimed(lo: &[usize], hi: &[usize]) -> usize {
     lo.iter().zip(hi).map(|(lo, hi)| hi - lo).sum()
-}
-
-/// `keys.partition_point(below)` for a point expected near the front: a
-/// bucket takes a small share of each run, so doubling steps find the
-/// point's neighbourhood in fewer probes than bisecting the whole remainder.
-fn gallop(keys: &[u64], below: impl Fn(u64) -> bool) -> usize {
-    let (mut lo, mut hi) = (0, keys.len().min(32));
-    while hi < keys.len() && below(keys[hi - 1]) {
-        lo = hi;
-        hi = (2 * hi).min(keys.len());
-    }
-    lo + keys[lo..hi].partition_point(|&key| below(key))
 }
 
 /// Ascending, distinct keys at which `walk_buckets` cuts the runs. Every
@@ -149,7 +222,7 @@ fn splitters(runs: &[Run<'_>]) -> Vec<u64> {
     let stride = (BUCKET_PAIRS / per).max(1);
     sample.reserve_exact(total / stride);
     for run in runs {
-        sample.extend(run.keys.iter().skip(stride - 1).step_by(stride));
+        sample.extend((stride - 1..run.len()).step_by(stride).map(|i| run.key(i)));
     }
     sample.sort_unstable();
     let mut kept = 0;
@@ -187,7 +260,7 @@ fn sort_bucket(
         let mut at = 0;
         for (r, part) in parts() {
             let end = at + part.len();
-            dst.0[at..end].copy_from_slice(&runs[r].keys[part.clone()]);
+            runs[r].copy_keys(part.clone(), &mut dst.0[at..end]);
             fill(r, part, &mut dst.1[at..end]);
             at = end;
         }
@@ -228,8 +301,8 @@ fn key_bounds(runs: &[Run<'_>], lo: &[usize], hi: &[usize]) -> (u64, u64) {
     let (mut min, mut max) = (u64::MAX, 0);
     for (run, (&lo, &hi)) in runs.iter().zip(lo.iter().zip(hi)) {
         if lo < hi {
-            min = min.min(run.keys[lo]);
-            max = max.max(run.keys[hi - 1]);
+            min = min.min(run.key(lo));
+            max = max.max(run.key(hi - 1));
         }
     }
     (min, max)
@@ -240,8 +313,9 @@ const DENSE_SPAN: u64 = 16;
 
 /// The keyed reduction to sums, fused into the k-way merge: appends to
 /// `rows` one `[key, sum, start]` row per distinct key of the key-sorted
-/// `runs`, ascending: `sum` wraps over `value(r, i)` for the key's pairs
-/// `runs[r][i]`. The buckets are
+/// `runs`, ascending: `sum` wraps over the values of the key's pairs
+/// `runs[r][i]` — word `col` of the record, for a run of rows read in
+/// place, and `value(r, i)` otherwise. The buckets are
 /// [`merge_runs`]', each run's values read in run order. A dense bucket
 /// (`DENSE_SPAN`) is summed into an array indexed by key, its keys emitted
 /// in order from a bitmap; a sparser one is sorted on its keys alone and
@@ -249,17 +323,18 @@ const DENSE_SPAN: u64 = 16;
 /// No key straddles two buckets, and no merged pair is written.
 pub fn fold_runs(
     runs: &[Run<'_>],
+    col: Option<usize>,
     value: impl Fn(usize, usize) -> u64,
     start: u64,
     rows: &mut Vec<u64>,
 ) {
     let (mut sums, mut seen) = (Vec::new(), Vec::new());
     let (mut bucket, mut scratch) = (Vec::new(), Vec::new());
-    let values = |r: usize, at: Range<usize>, dst: &mut [u64]| {
-        for (v, i) in dst.iter_mut().zip(at) {
-            *v = value(r, i);
-        }
-    };
+    let values =
+        |r: usize, at: Range<usize>, dst: &mut [u64]| match runs[r].keyed_column(at.clone(), col) {
+            Some(pairs) => dst.iter_mut().zip(pairs).for_each(|(v, (_, c))| *v = c),
+            None => dst.iter_mut().zip(at).for_each(|(v, i)| *v = value(r, i)),
+        };
     walk_buckets(runs, |pos, cut| {
         let len = claimed(pos, cut);
         let (min, max) = key_bounds(runs, pos, cut);
@@ -272,11 +347,19 @@ pub fn fold_runs(
                 sums.resize(span, 0u64);
                 seen.resize(span.div_ceil(64), 0u64);
             }
+            let mut add = |key: u64, value: u64| {
+                let at = (key - min) as usize;
+                sums[at] = sums[at].wrapping_add(value);
+                seen[at / 64] |= 1 << (at % 64);
+            };
             for (r, run) in runs.iter().enumerate() {
-                for (&key, i) in run.keys[pos[r]..cut[r]].iter().zip(pos[r]..) {
-                    let at = (key - min) as usize;
-                    sums[at] = sums[at].wrapping_add(value(r, i));
-                    seen[at / 64] |= 1 << (at % 64);
+                let at = pos[r]..cut[r];
+                match run.keyed_column(at.clone(), col) {
+                    Some(pairs) => pairs.for_each(|(key, v)| add(key, v)),
+                    None => run
+                        .keys(at.clone())
+                        .zip(at)
+                        .for_each(|(key, i)| add(key, value(r, i))),
                 }
             }
             // Emitting a key zeroes its slot for the next bucket.
@@ -349,7 +432,7 @@ pub fn gather_runs(
             ends.clear();
             ends.resize(span + 1, 0usize);
             for (run, (&lo, &hi)) in runs.iter().zip(pos.iter().zip(cut)) {
-                for &key in &run.keys[lo..hi] {
+                for key in run.keys(lo..hi) {
                     ends[(key - min) as usize + 1] += 1;
                 }
             }
@@ -357,7 +440,7 @@ pub fn gather_runs(
                 ends[at] += ends[at - 1];
             }
             for (r, run) in runs.iter().enumerate() {
-                for (&key, i) in run.keys[pos[r]..cut[r]].iter().zip(pos[r]..) {
+                for (key, i) in run.keys(pos[r]..cut[r]).zip(pos[r]..) {
                     let end = &mut ends[(key - min) as usize];
                     vals[*end] = value(r, i);
                     *end += 1;
@@ -390,17 +473,17 @@ fn merge_two(runs: &[Run<'_>], out_keys: &mut [u64], out_ptrs: &mut [u64]) {
     if let [a, b] = runs {
         // `<` keeps run 0 on ties: left wins.
         while pos[0] < a.len() && pos[1] < b.len() {
-            let r = usize::from(b.keys[pos[1]] < a.keys[pos[0]]);
-            out_keys[o] = runs[r].keys[pos[r]];
-            out_ptrs[o] = runs[r].ptrs[pos[r]];
+            let r = usize::from(b.key(pos[1]) < a.key(pos[0]));
+            out_keys[o] = runs[r].key(pos[r]);
+            out_ptrs[o] = runs[r].ptr(pos[r]);
             pos[r] += 1;
             o += 1;
         }
     }
     for (run, &pos) in runs.iter().zip(&pos) {
         let end = o + run.len() - pos;
-        out_keys[o..end].copy_from_slice(&run.keys[pos..]);
-        out_ptrs[o..end].copy_from_slice(&run.ptrs[pos..]);
+        run.copy_keys(pos..run.len(), &mut out_keys[o..end]);
+        run.copy_ptrs(pos..run.len(), &mut out_ptrs[o..end]);
         o = end;
     }
     debug_assert_eq!(o, out_keys.len(), "runs did not fill the output");
@@ -411,7 +494,7 @@ mod tests {
     use super::*;
 
     fn run<'a>(keys: &'a [u64], ptrs: &'a [u64]) -> Run<'a> {
-        Run { keys, ptrs }
+        Run::pairs(keys, ptrs)
     }
 
     fn merged(runs: &[Run<'_>]) -> (Vec<u64>, Vec<u64>) {
@@ -470,7 +553,7 @@ mod tests {
             let mut at = vec![0usize; runs.len()];
             for key in keys {
                 let r = (0..runs.len())
-                    .find(|&r| runs[r].keys.get(at[r]) == Some(&key))
+                    .find(|&r| at[r] < runs[r].len() && runs[r].key(at[r]) == key)
                     .unwrap();
                 match want.last_mut() {
                     Some((k, vals)) if *k == key => vals.push(value(r, at[r])),

@@ -14,7 +14,7 @@ fn env() -> MemEnv {
 }
 
 fn as_runs(data: &[(Vec<u64>, Vec<u64>)]) -> Vec<Run<'_>> {
-    data.iter().map(|(k, p)| Run { keys: k, ptrs: p }).collect()
+    data.iter().map(|(k, p)| Run::pairs(k, p)).collect()
 }
 
 /// The oracle `merge_runs` is checked against, whatever kernel it runs:
@@ -27,15 +27,15 @@ fn linear_scan_merge(runs: &[Run<'_>]) -> (Vec<u64>, Vec<u64>) {
         let mut best: Option<(u64, usize)> = None;
         for r in 0..runs.len() {
             if pos[r] < runs[r].len() {
-                let v = runs[r].keys[pos[r]];
+                let v = runs[r].key(pos[r]);
                 if best.is_none_or(|(b, _)| v < b) {
                     best = Some((v, r));
                 }
             }
         }
         let Some((_, r)) = best else { break };
-        keys.push(runs[r].keys[pos[r]]);
-        ptrs.push(runs[r].ptrs[pos[r]]);
+        keys.push(runs[r].key(pos[r]));
+        ptrs.push(runs[r].ptr(pos[r]));
         pos[r] += 1;
     }
     (keys, ptrs)

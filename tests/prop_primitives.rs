@@ -6,6 +6,8 @@
 //! the exact same inputs (fully deterministic, offline-friendly stand-in
 //! for the earlier proptest suite).
 
+use std::sync::Arc;
+
 use sbx_bench::kernel_scaling::{ptrs_of, reference};
 use sbx_prng::SbxRng;
 use streambox_hbm::cluster::RoutedSource;
@@ -716,6 +718,173 @@ fn fused_close_equals_merge_then_scalar_fold() {
     }
 }
 
+/// A window of early-aggregated partial bundles (each key once, in key
+/// order) folded with its pairs in place ([`Kpa::extract_in_place`]) equals
+/// the same window with its pairs written, which the close reads through
+/// their pointers: the same rows, both pools' `PoolStats` (high water
+/// included) and the same charged profile — and the rows of the merge plus
+/// scalar fold (`reference::merge_fold`). `Sum` and `Count`; 4 M keys (the
+/// dense fold) and 10^8 (the sorted one); runs in HBM and runs spilled to
+/// DRAM; a window as it arrives, restored from its snapshot, and two
+/// overlapping windows sharing their middle bundles as pane combining shares
+/// a pane. Under the sanitizer, a run with a corrupted pointer takes the
+/// pointer path and reports it.
+#[test]
+fn in_place_close_equals_the_pointer_path_and_the_merge() {
+    use streambox_hbm::engine::{DemandBalancer, EngineMode, ImpactTag, OpCtx, StateEntry};
+    let mut rng = SbxRng::seed_from_u64(0x5b57_1016);
+    let mut spilled = 0;
+    for case in 0..24usize {
+        let space = [4_000_000, 100_000_000][case % 2];
+        let hbm_kib = [1 << 16, 160][case / 2 % 2];
+        let shape = case / 4 % 3;
+        let bundles: Vec<Vec<u64>> = (0..rng.random_range(1..10))
+            .map(|_| {
+                let n = rng.random_range(0..3_000) as usize;
+                let mut keys = rng.vec_in(n, 0..space);
+                keys.sort_unstable();
+                keys.dedup();
+                keys.iter().flat_map(|&k| [k, rng.random(), 0]).collect()
+            })
+            .collect();
+        for col in [Some(Col(1)), None] {
+            let close = |in_place: bool| {
+                let mut machine = MachineConfig::knl();
+                machine.hbm.capacity_bytes = hbm_kib * 1024;
+                let env = MemEnv::new(machine);
+                let mut bal = DemandBalancer::new();
+                let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+                let bundles: Vec<Arc<RecordBundle>> = bundles
+                    .iter()
+                    .map(|rows| RecordBundle::from_rows(&env, Schema::kvt(), rows).expect("fits"))
+                    .collect();
+                let extract = if in_place {
+                    Kpa::extract_in_place
+                } else {
+                    Kpa::extract_fused
+                };
+                let hbm = (MemKind::Hbm, Priority::Normal);
+                let window = |ctx: &mut OpCtx<'_>, bundles: &[Arc<RecordBundle>]| {
+                    let kpas = bundles.iter().map(|b| {
+                        let mut kpa = ctx.charged(24, |e| extract(e, b, Col(0), hbm.0, hbm.1));
+                        kpa.as_mut().map(Kpa::mark_sorted).expect("fits");
+                        kpa.expect("fits")
+                    });
+                    kpas.collect::<Vec<Kpa>>()
+                };
+                let mut windows = match shape {
+                    0 => vec![window(&mut ctx, &bundles)],
+                    1 => {
+                        let entries: Vec<StateEntry> = window(&mut ctx, &bundles)
+                            .iter()
+                            .map(|k| StateEntry::from_kpa(&mut ctx, 0, 0, k).expect("fits"))
+                            .collect();
+                        let restore = |e: &StateEntry| e.to_kpa(&mut ctx, in_place);
+                        vec![entries
+                            .iter()
+                            .map(restore)
+                            .map(|k| k.expect("fits"))
+                            .collect()]
+                    }
+                    _ => {
+                        let half = bundles.len() / 2;
+                        let early = window(&mut ctx, &bundles[..=half]);
+                        vec![early, window(&mut ctx, &bundles[half..])]
+                    }
+                };
+                let mut rows = Vec::new();
+                for kpas in windows.drain(..) {
+                    let fold = |e: &mut ExecCtx| Kpa::merge_fold(e, kpas, col, 9, hbm.0, hbm.1);
+                    let (got, held) = ctx.charged(16, fold).expect("fits");
+                    rows.push(got);
+                    drop(held);
+                }
+                let pools = [MemKind::Hbm, MemKind::Dram].map(|k| env.pool(k).stats());
+                let spills = env.spill_count();
+                (rows, pools, spills, ctx.take_profile())
+            };
+            let (in_place, pointers) = (close(true), close(false));
+            assert_eq!(in_place.0, pointers.0, "case {case}, {col:?}: rows");
+            assert_eq!(in_place.1, pointers.1, "case {case}, {col:?}: pools");
+            assert_eq!(in_place.2, pointers.2, "case {case}, {col:?}: spills");
+            assert!(
+                in_place.3 == pointers.3,
+                "case {case}, {col:?}: charged profile"
+            );
+            spilled += usize::from(in_place.2 > 0);
+
+            let env = env();
+            let mut ctx = ExecCtx::new(&env);
+            let half = bundles.len() / 2;
+            let parts: Vec<&[Vec<u64>]> = match shape {
+                2 => vec![&bundles[..=half], &bundles[half..]],
+                _ => vec![&bundles[..]],
+            };
+            for (rows, part) in in_place.0.iter().zip(parts) {
+                let kpas = part
+                    .iter()
+                    .map(|rows| {
+                        let b = RecordBundle::from_rows(&env, Schema::kvt(), rows).expect("fits");
+                        let mut kpa =
+                            Kpa::extract(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal)
+                                .expect("fits");
+                        kpa.mark_sorted();
+                        kpa
+                    })
+                    .collect();
+                let want = reference::merge_fold(&mut ctx, kpas, col, 9);
+                assert_eq!(*rows, want, "case {case}, {col:?}: the merge");
+            }
+        }
+    }
+    assert!(spilled > 0, "some windows spill");
+
+    #[cfg(feature = "sanitize")]
+    {
+        use streambox_hbm::records::{BundleId, RecordRef};
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let bundles = [[1, 10, 0, 2, 20, 0], [1, 100, 0, 3, 30, 0]];
+        for col in [Some(Col(1)), None] {
+            let mut kpas: Vec<Kpa> = bundles
+                .iter()
+                .map(|rows| {
+                    let b = RecordBundle::from_rows(&env, Schema::kvt(), rows).expect("fits");
+                    let kpa =
+                        Kpa::extract_in_place(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal);
+                    let mut kpa = kpa.expect("fits");
+                    kpa.mark_sorted();
+                    kpa
+                })
+                .collect();
+            let wild = RecordRef {
+                bundle: BundleId(u32::MAX - 29),
+                row: 0,
+            };
+            kpas[1].corrupt_ptr(1, wild.pack());
+            assert!(
+                kpas[1].rows_in_order().is_none(),
+                "a corrupted KPA is not in order"
+            );
+            env.sanitizer().clear_reports();
+            let (rows, held) =
+                Kpa::merge_fold(&mut ctx, kpas, col, 0, MemKind::Hbm, Priority::Normal)
+                    .expect("fits");
+            drop(held);
+            let want = match col {
+                Some(_) => vec![1, 110, 0, 2, 20, 0, 3, 0, 0],
+                None => vec![1, 2, 0, 2, 1, 0, 3, 1, 0],
+            };
+            assert_eq!(rows, want, "{col:?}");
+            assert_eq!(
+                env.sanitizer().reports().len(),
+                1,
+                "{col:?}: the one wild pointer"
+            );
+        }
+    }
+}
+
 /// All three parser codecs are inverses of their encoders.
 #[test]
 fn codecs_round_trip() {
@@ -962,6 +1131,71 @@ fn hash_batch_insert_equals_the_per_pair_loop() {
         spilled.iter().all(|&s| s > 0),
         "a grow spills in both modes: {spilled:?}"
     );
+}
+
+/// The hash path's one-pass key swap (`Kpa::key_swap_reading`, each
+/// record's key and value read together) fills the table exactly as the
+/// two-pass path — `key_swap`, then a resolver pass for the values inside
+/// the insert loop — with and without a key map: the same drained rows,
+/// slots, tier, spill count, both pools' `PoolStats` and charged profile.
+#[test]
+fn hash_swap_reading_equals_the_two_pass_ingest() {
+    use streambox_hbm::kpa::hash::{HashAgg, HashGrouper};
+    let mut rng = SbxRng::seed_from_u64(0x5b57_1017);
+    let mut spilled = 0;
+    for case in 0..CASES as usize {
+        let batches: Vec<Vec<u64>> = (0..rng.random_range(1..6))
+            .map(|_| {
+                let n = rng.random_range(0..3_000);
+                let space = [200, 50_000, u64::MAX][case % 3];
+                (0..n)
+                    .flat_map(|t| [rng.random_range(0..space), rng.random(), t])
+                    .collect()
+            })
+            .collect();
+        let mapped = case % 2 == 1;
+        let hbm_kib = [48, 1 << 16][case / 2 % 2];
+        let side = |one_pass: bool| {
+            let mut machine = MachineConfig::knl();
+            machine.hbm.capacity_bytes = hbm_kib * 1024;
+            let env = MemEnv::new(machine);
+            let mut ctx = ExecCtx::new(&env);
+            let (hbm, mode) = ((MemKind::Hbm, Priority::Normal), HashAgg::SumCount);
+            let mut table =
+                HashGrouper::with_mode(&mut ctx, 1024, mode, hbm.0, hbm.1).expect("fits");
+            let mut values = Vec::new();
+            for rows in &batches {
+                let b = RecordBundle::from_rows(&env, Schema::kvt(), rows).expect("fits");
+                let mut kpa = Kpa::extract(&mut ctx, &b, Col(2), hbm.0, hbm.1).expect("fits");
+                if one_pass {
+                    kpa.key_swap_reading(&mut ctx, Col(0), Col(1), &mut values);
+                } else {
+                    kpa.key_swap(&mut ctx, Col(0));
+                }
+                if mapped {
+                    kpa.update_keys(&mut ctx, |k| k % 977);
+                }
+                if one_pass {
+                    table
+                        .try_insert_all(kpa.keys(), |i| values[i])
+                        .expect("fits");
+                } else {
+                    let records = kpa.resolver();
+                    let value = |i| records.value(i, Col(1));
+                    table.try_insert_all(kpa.keys(), value).expect("fits");
+                }
+            }
+            let pools = [MemKind::Hbm, MemKind::Dram].map(|k| env.pool(k).stats());
+            let state = (table.slots(), table.kind(), env.spill_count(), pools);
+            (table.drain_sorted(), state, ctx.take_profile())
+        };
+        let (one, two) = (side(true), side(false));
+        assert_eq!(one.0, two.0, "case {case}: rows");
+        assert_eq!(one.1, two.1, "case {case}: table and pools");
+        assert!(one.2 == two.2, "case {case}: charged profile");
+        spilled += usize::from(one.1 .1 == MemKind::Dram);
+    }
+    assert!(spilled > 0, "a table spills");
 }
 
 /// Routed shards are disjoint and jointly exhaustive: over random shard
