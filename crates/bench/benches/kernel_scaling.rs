@@ -1,8 +1,8 @@
 //! `cargo bench --bench kernel_scaling` — host time of the chunk sort,
-//! k-way merge, per-bundle front half (Select/Extract, Partition, KeySwap)
-//! and window close (keyed reduction, fused merge-fold, fused merge-gather
-//! per aggregate kind) against the kernels they replaced, and of the
-//! generators' `fill` and Zipf draw.
+//! k-way merge, per-bundle front half (Select/Extract, Partition, KeySwap,
+//! hash ingest, early aggregation's partial) and window close (fused
+//! merge-fold, fused merge-gather per aggregate kind) against the kernels
+//! they replaced, and of the generators' `fill` and Zipf draw.
 //!
 //! Pass `--quick` (after `--`) to run only the host-kernel grid, the
 //! front-half, close-half and generator tables, one repetition per cell

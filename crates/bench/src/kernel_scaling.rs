@@ -1,8 +1,8 @@
 //! Kernel scaling: host wall-clock of the chunk sort and k-way merge
 //! against the kernels they replaced over a grid of key distributions and
 //! run counts, the per-bundle front half (Select/Extract, Partition,
-//! KeySwap, hash ingest) and the window close (keyed reduction, fused
-//! merge-fold, fused merge-gather per aggregate kind) against the passes
+//! KeySwap, hash ingest, early aggregation's partial) and the window close
+//! (fused merge-fold, fused merge-gather per aggregate kind) against the passes
 //! they replaced, the generators' `fill` and Zipf draw, plus the modelled
 //! pass-bytes comparison between the retired multipass structure and the
 //! single-pass kernels.
@@ -22,8 +22,8 @@ use std::time::Instant; // sbx-lint: allow(wall-clock, host microbench is the po
 use sbx_engine::ops::{emit_group, AggKind};
 use sbx_ingress::{KvSource, PowerGridSource, Source, YsbSource, ZipfKeys};
 use sbx_kpa::hash::HashGrouper;
-use sbx_kpa::mergepath::{self, Run};
-use sbx_kpa::{profile, reduce_keyed, reduce_keyed_scalar, sort_pairs, ExecCtx, Kpa};
+use sbx_kpa::mergepath::{self, KeyFold, Run};
+use sbx_kpa::{profile, sort_pairs, ExecCtx, Kpa};
 use sbx_prng::SbxRng;
 use sbx_records::{Col, RecordBundle, Schema};
 use sbx_simmem::{MachineConfig, MemEnv, MemKind, Priority};
@@ -264,9 +264,13 @@ pub fn ptrs_of(kpa: &Kpa) -> Vec<u64> {
 /// through a resolver over 1 and 25 source bundles, and hash ingest of
 /// Zipf 0.99 and 4 M uniform keys into a table seeded as the hash backend
 /// seeds it, one `try_insert` per pair ([`reference::hash_ingest`]) vs
-/// `try_insert_all`. Both sides allocate from the same accounted pool. A
-/// resolver over several bundles probes the same table on both sides, so
-/// that row reads 1.0 x within noise.
+/// `try_insert_all`, and early aggregation's per-bundle partial over 1 000,
+/// 100 k and 4 M uniform keys, sorting the pointer KPA and reading each
+/// value back through its pointer ([`reference::partials`]) vs folding the
+/// `(key, value)` pairs the key swap read ([`Kpa::sort_fold`]). Both sides
+/// allocate from the same accounted pool. A resolver over several bundles
+/// probes the same table on both sides, so that row reads 1.0 x within
+/// noise.
 ///
 /// # Panics
 ///
@@ -430,6 +434,47 @@ pub fn measure_front_half(reps: usize) -> Vec<FrontCell> {
         }
         cell("hash ingest", dist.label().to_string(), timings);
     }
+
+    let mut fold = KeyFold::default();
+    for (label, space) in [("1 000", 1_000), ("100 k", 100_000), ("4 M", 4_000_000)] {
+        let mut timings = Vec::new();
+        for rep in 0..reps as u64 {
+            let mut rng = SbxRng::seed_from_u64(81 + rep);
+            let rows: Vec<u64> = (0..n as u64)
+                .flat_map(|t| [rng.random_range(0..space), rng.random(), t])
+                .collect();
+            let b = RecordBundle::from_rows(&env, Schema::kvt(), &rows).expect("bundle fits");
+            // As a window's KPA arrives: extracted on its timestamps and
+            // swapped to its keys, the fold's side reading the values too.
+            let swapped = |ctx: &mut ExecCtx, values: Option<&mut Vec<u64>>| {
+                let mut kpa = Kpa::extract(ctx, &b, Col(2), MemKind::Hbm, Priority::Normal)
+                    .expect("KPA fits in HBM");
+                match values {
+                    Some(values) => kpa.key_swap_reading(ctx, Col(0), Col(1), values),
+                    None => kpa.key_swap(ctx, Col(0)),
+                }
+                kpa
+            };
+            let mut values = Vec::new();
+            let mut sorted = swapped(&mut ctx, None);
+            let folded = swapped(&mut ctx, Some(&mut values));
+            let (want, old) = timed(|| reference::partials(&mut ctx, &mut sorted, Some(Col(1))));
+            let (got, new) = timed(|| {
+                let slots = 3 * folded.sort_fold(&mut ctx, Some(Col(1)), Some(&values), &mut fold);
+                RecordBundle::from_fill(&env, Schema::kvt(), slots, |rows| {
+                    let emit = |key, sum| rows.extend_from_slice(&[key, sum, 0]);
+                    folded.reduce_fold(&mut ctx, &mut fold, emit);
+                })
+            });
+            assert!(
+                got.expect("fits").as_rows() == want.expect("fits").as_rows(),
+                "per-bundle partial differs from sort + pointer gather: {label} keys"
+            );
+            timings.push((per_pair(old), per_pair(new)));
+        }
+        let case = format!("{label} keys, sort + pointer gather vs (key, value) fold");
+        cell("per-bundle partial", case, timings);
+    }
     cells
 }
 
@@ -444,10 +489,10 @@ pub const GATHERED: [AggKind; 4] = [
 
 /// Times the window close on `reps` windows as early aggregation leaves
 /// them — 25 KPAs over [`CHUNK_PAIRS`]-record bundles in key order, 4 M
-/// uniform or 1 000 keys: a sum by [`reduce_keyed`] vs the scalar fold, the
-/// merge plus the scalar fold ([`reference::merge_fold`]) vs the fused
-/// [`Kpa::merge_fold`], and for each of the [`GATHERED`] kinds the merge
-/// plus [`reduce_keyed`] and [`emit_group`] ([`reference::merge_gather`])
+/// uniform or 1 000 keys: the merge plus the scalar fold
+/// ([`reference::merge_fold`]) vs the fused [`Kpa::merge_fold`], and for
+/// each of the [`GATHERED`] kinds the merge plus `reduce_keyed` and
+/// [`emit_group`] ([`reference::merge_gather`])
 /// vs [`Kpa::merge_gather`] into `emit_group`; then 25 partial bundles
 /// over 4 M and 10^8 keys (the dense and the sorted fold) merged and folded
 /// by [`reference::merge_fold`] vs folded in place ([`Kpa::extract_in_place`],
@@ -461,7 +506,7 @@ pub fn measure_close_half(reps: usize) -> Vec<FrontCell> {
     let per_pair = |(old, new): (f64, f64)| (old * 1e9 / pairs, new * 1e9 / pairs);
     let mut cells = Vec::new();
     for dist in [KeyDist::Uniform4M, KeyDist::Keys1000] {
-        let (mut reduce, mut fused) = (Vec::new(), Vec::new());
+        let mut fused = Vec::new();
         let mut gathered = GATHERED.map(|_| Vec::new());
         for rep in 0..reps.max(1) as u64 {
             let mut rng = SbxRng::seed_from_u64(51 + rep);
@@ -511,25 +556,8 @@ pub fn measure_close_half(reps: usize) -> Vec<FrontCell> {
                 assert!(got == want, "{dist:?}: {kind:?} gather");
                 timings.push(per_pair((old, new)));
             }
-
-            let kpas = window(&mut ctx);
-            let merged = Kpa::merge_many(&mut ctx, kpas, hbm.0, hbm.1).expect("merge fits");
-            let (mut want, mut got) = (Vec::new(), Vec::new());
-            let (_, old) = timed(|| {
-                reduce_keyed(&mut ctx, &merged, Col(1), |g| {
-                    let sum = g.values.iter().fold(0u64, |a, &v| a.wrapping_add(v));
-                    want.push((g.key, sum, g.values.len() as u64));
-                })
-            });
-            let fold = |k, s, c| got.push((k, s, c));
-            let (_, new) = timed(|| reduce_keyed_scalar(&mut ctx, &merged, Some(Col(1)), fold));
-            assert!(got == want, "{dist:?}: scalar fold");
-            reduce.push(per_pair((old, new)));
         }
-        let mut rows = vec![
-            ("Keyed reduce", "KeyGroup vs scalar fold".into(), reduce),
-            ("Merge-fold", "merge + scalar fold vs fused".into(), fused),
-        ];
+        let mut rows = vec![("Merge-fold", "merge + scalar fold vs fused".into(), fused)];
         for (kind, timings) in GATHERED.iter().zip(gathered) {
             let what = format!("{kind:?}, merge + KeyGroup vs gather");
             rows.push(("Merge-gather", what, timings));
@@ -679,7 +707,9 @@ pub fn run_front_half(reps: usize) -> String {
 /// the radix kernels, the per-element loops Select/Extract, Partition and
 /// the pointer resolver ran before their streaming passes, the per-pair
 /// hash ingest, the two-pass closes `Kpa::merge_fold` and
-/// `Kpa::merge_gather` fuse, and the Zipf sampler `ZipfKeys` replaced, kept
+/// `Kpa::merge_gather` fuse, early aggregation's sort and scalar fold
+/// (`reduce_keyed_scalar`) that `Kpa::sort_fold` replaced, and the Zipf
+/// sampler `ZipfKeys` replaced, kept
 /// as the reference the tables here (and `tests/prop_primitives.rs`) time
 /// and check the current code against.
 pub mod reference {
@@ -688,9 +718,10 @@ pub mod reference {
 
     use sbx_engine::ops::{emit_group, AggKind};
     use sbx_kpa::hash::HashGrouper;
-    use sbx_kpa::{reduce_keyed, reduce_keyed_scalar, ExecCtx, Kpa};
+    use sbx_kpa::mergepath::count_groups;
+    use sbx_kpa::{profile, reduce_keyed, ExecCtx, Kpa};
     use sbx_prng::SbxRng;
-    use sbx_records::{BundleId, Col, RecordBundle, RecordRef};
+    use sbx_records::{BundleId, Col, RecordBundle, RecordRef, Schema};
     use sbx_simmem::{AllocError, MemEnv, MemKind, PoolVec, Priority};
 
     /// `ZipfKeys`' predecessor: the rejection-free inverse-CDF approximation
@@ -823,6 +854,36 @@ pub mod reference {
         }
     }
 
+    /// The keyed reduction to scalars the `Sum` / `Count` paths ran before
+    /// the fused close and early aggregation's fold: `f(key, sum, count)`
+    /// per key of a sorted KPA, each record's column `col` read through its
+    /// pointer (no column: only resolved, for the sanitizer), charged as
+    /// `reduce_keyed`. Returns the distinct keys.
+    pub fn reduce_keyed_scalar(
+        ctx: &mut ExecCtx,
+        kpa: &Kpa,
+        col: Option<Col>,
+        mut f: impl FnMut(u64, u64, u64),
+    ) -> usize {
+        assert!(kpa.is_sorted(), "keyed reduction requires a sorted KPA");
+        let (keys, records) = (kpa.keys(), kpa.resolver());
+        let (mut groups, mut i) = (0, 0);
+        while let Some(&key) = keys.get(i) {
+            let (start, mut sum) = (i, 0u64);
+            while keys.get(i) == Some(&key) {
+                match col {
+                    Some(col) => sum = sum.wrapping_add(records.value(i, col)),
+                    None => _ = records.row(i),
+                }
+                i += 1;
+            }
+            f(key, sum, (i - start) as u64);
+            groups += 1;
+        }
+        ctx.charge(&profile::reduce_keyed(keys.len(), kpa.kind()));
+        groups
+    }
+
     /// The window close `Kpa::merge_fold` replaced: the merged KPA written
     /// by `Kpa::merge_many`, then read back by the scalar fold — its
     /// `[key, sum of col (no column: count), start]` rows.
@@ -833,6 +894,26 @@ pub mod reference {
             rows.extend_from_slice(&[key, if col.is_some() { sum } else { count }, start]);
         });
         rows
+    }
+
+    /// Early aggregation's per-bundle partial that `Kpa::sort_fold` and
+    /// `Kpa::reduce_fold` replaced: the KPA sorted, then [`reduce_keyed_scalar`] reading each
+    /// value through its pointer in key order — its `[key, sum of col (no
+    /// column: count), 0]` rows, in a bundle whose size the distinct keys
+    /// of the sorted KPA gave.
+    pub fn partials(
+        ctx: &mut ExecCtx,
+        kpa: &mut Kpa,
+        col: Option<Col>,
+    ) -> Result<Arc<RecordBundle>, AllocError> {
+        kpa.sort(ctx, 1)?;
+        let env = ctx.env().clone();
+        let slots = 3 * count_groups(kpa.keys());
+        RecordBundle::from_fill(&env, Schema::kvt(), slots, |rows| {
+            reduce_keyed_scalar(ctx, kpa, col, |key, sum, count| {
+                rows.extend_from_slice(&[key, if col.is_some() { sum } else { count }, 0]);
+            });
+        })
     }
 
     /// The window close `Kpa::merge_gather` replaced for the kinds that
@@ -1003,7 +1084,7 @@ mod tests {
     #[test]
     fn front_half_rows_match_the_reference() {
         let cells = measure_front_half(1);
-        assert_eq!(cells.len(), 6 + 3 + 2 + 2);
+        assert_eq!(cells.len(), 6 + 3 + 2 + 2 + 3);
         for c in &cells {
             assert!(c.old > 0.0 && c.new > 0.0, "{c:?}");
         }
@@ -1014,7 +1095,7 @@ mod tests {
     #[test]
     fn close_half_rows_match_the_reference() {
         let cells = measure_close_half(1);
-        assert_eq!(cells.len(), 2 * (2 + GATHERED.len()) + 2);
+        assert_eq!(cells.len(), 2 * (1 + GATHERED.len()) + 2);
         for c in &cells {
             assert!(c.old > 0.0 && c.new > 0.0, "{c:?}");
         }

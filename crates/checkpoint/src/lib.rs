@@ -345,13 +345,13 @@ impl CheckpointCoordinator {
         self.pending.clear();
     }
 
-    /// Promotes pending outputs to committed: at every checkpoint commit
+    /// Promotes pending outputs to committed, their blocks handed over
+    /// rather than copied: at every checkpoint commit
     /// (everything emitted before the barrier is now covered by a durable
     /// snapshot, and a resume replays only post-barrier input) and at the
     /// end of a successful run.
     pub fn commit_pending(&mut self) {
-        self.committed.extend(&self.pending);
-        self.pending.clear();
+        self.committed.append(&mut self.pending);
     }
 }
 

@@ -514,7 +514,7 @@ impl ShardedCluster {
                 .into_iter()
                 .map(|i| i.with_shard(shard)),
         );
-        harvest.committed.extend(coord.committed());
+        harvest.committed.append(&mut coord.committed().clone());
         harvest.stats.push(st);
 
         let (records_in, output_records, sim_secs) = match &seg.end {

@@ -233,7 +233,7 @@ impl<'a> OpCtx<'a> {
         Ok(merged)
     }
 
-    fn record_bytes_of(&self, kpa: &Kpa) -> usize {
+    pub(crate) fn record_bytes_of(&self, kpa: &Kpa) -> usize {
         if kpa.is_empty() || kpa.source_count() == 0 {
             16
         } else {

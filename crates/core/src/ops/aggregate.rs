@@ -1,9 +1,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use sbx_kpa::mergepath::KeyFold;
 use sbx_kpa::{profile, Kpa};
 use sbx_records::{Col, RecordBundle, Schema, Watermark, WindowId, WindowSpec};
-use sbx_simmem::MemPool;
 
 use super::grouping::{
     decide_backend, AdaptState, AggParams, BackendChoice, GroupingBackend, SortMergeBackend,
@@ -70,6 +70,10 @@ pub struct KeyedAggLogic {
     /// Next window to externalize in pane mode.
     pane_next_window: u64,
     out_schema: Arc<Schema>,
+    /// Early aggregation's scratch and the key swap's values, kept from
+    /// bundle to bundle.
+    fold: KeyFold,
+    values: Vec<u64>,
 }
 
 /// One map entry of a [`KeyedAggregate`]: a window's grouping backend or,
@@ -97,6 +101,8 @@ impl KeyedAggregate {
                 pane_combining: false,
                 pane_next_window: 0,
                 out_schema: Schema::kvt(),
+                fold: KeyFold::default(),
+                values: Vec::new(),
             },
         )
     }
@@ -241,14 +247,13 @@ impl WindowLogic for KeyedAggLogic {
         let p = self.params();
         // A backend that reads every record's value has the swap read it
         // too: one pass over the records, not two.
-        let mut values = None;
+        let mut read = false;
         if kpa.resident() != self.key_col {
             if state.backend.as_ref().is_some_and(|b| b.reads_values(&p)) {
-                let mut read = MemPool::host_buffer(kpa.len());
                 ctx.charged(16, |e| {
-                    kpa.key_swap_reading(e, self.key_col, p.value_col, &mut read);
+                    kpa.key_swap_reading(e, self.key_col, p.value_col, &mut self.values);
                 });
-                values = Some(read);
+                read = true;
             } else {
                 ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
             }
@@ -257,8 +262,7 @@ impl WindowLogic for KeyedAggLogic {
             ctx.charged(16, |e| kpa.update_keys_with(e, map));
         }
         if self.pane_combining {
-            ctx.sort(&mut kpa)?;
-            let partials = SortMergeBackend::partials(ctx, &kpa, &p)?;
+            let partials = SortMergeBackend::partials(ctx, &kpa, &p, None, &mut self.fold)?;
             state.panes.push(partials);
             return Ok(());
         }
@@ -266,11 +270,8 @@ impl WindowLogic for KeyedAggLogic {
             Some(backend) => backend,
             empty => empty.insert(self.new_backend(ctx, &kpa)?),
         };
-        let ingested = backend.ingest(ctx, kpa, &p, values.as_deref());
-        if let Some(read) = values {
-            MemPool::return_host_buffer(read);
-        }
-        ingested
+        let values = read.then_some(&self.values[..]);
+        backend.ingest(ctx, kpa, &p, values, &mut self.fold)
     }
 
     fn close(

@@ -31,9 +31,9 @@
 use std::sync::Arc;
 
 use sbx_kpa::hash::{HashAgg, HashGrouper};
-use sbx_kpa::mergepath::count_groups;
+use sbx_kpa::mergepath::KeyFold;
 use sbx_kpa::sketch::GroupSketch;
-use sbx_kpa::{agg, profile, reduce_keyed_scalar, Kpa};
+use sbx_kpa::{agg, profile, Kpa};
 use sbx_records::{Col, RecordBundle, Schema};
 use sbx_simmem::{AccessProfile, MemEnv, MemKind, MemPool, Priority};
 
@@ -141,13 +141,15 @@ pub(crate) trait GroupingBackend: Send + std::fmt::Debug {
     fn event(&self) -> &'static str;
 
     /// Absorbs one windowed KPA (already key-swapped and key-mapped), with
-    /// its records' `p.value_col` when the key swap read them.
+    /// its records' `p.value_col` when the key swap read them; `fold` is
+    /// the operator's scratch for early aggregation.
     fn ingest(
         &mut self,
         ctx: &mut OpCtx<'_>,
         kpa: Kpa,
         p: &AggParams,
         values: Option<&[u64]>,
+        fold: &mut KeyFold,
     ) -> Result<(), EngineError>;
 
     /// Whether [`GroupingBackend::ingest`] reads each record's value, so
@@ -231,26 +233,30 @@ impl SortMergeBackend {
         SortMergeBackend::default()
     }
 
-    /// Early aggregation, first half: reduces one sorted KPA to a (small)
-    /// bundle of per-key `(key, partial, 0)` rows. Pane combining keeps
-    /// these bundles, one per pane, to share them across windows.
+    /// Early aggregation, first half: reduces one KPA to a (small) bundle
+    /// of per-key `(key, partial, 0)` rows, ascending, its values
+    /// (`values`, when the key swap read them) summed by key in `fold`: the
+    /// Sort is charged, but no pair is sorted (DESIGN.md §14). Pane
+    /// combining keeps these bundles, one per pane, to share them across
+    /// windows.
     pub(crate) fn partials(
         ctx: &mut OpCtx<'_>,
         kpa: &Kpa,
         p: &AggParams,
+        values: Option<&[u64]>,
+        fold: &mut KeyFold,
     ) -> Result<Arc<RecordBundle>, EngineError> {
         // Early aggregation is only enabled for Sum and Count (see
         // `KeyedAggregate::new`). One partial row per distinct key;
         // counting them up front lets the fold write straight into the
         // partial bundle's pool buffer.
         let col = (p.kind == AggKind::Sum).then_some(p.value_col);
-        let slots = 3 * count_groups(kpa.keys());
+        let rb = ctx.record_bytes_of(kpa);
+        let slots = 3 * ctx.charged(rb, |e| kpa.sort_fold(e, col, values, fold));
         let env = ctx.env();
         let partials = RecordBundle::from_fill(&env, Schema::kvt(), slots, |rows| {
             ctx.charged(16, |e| {
-                reduce_keyed_scalar(e, kpa, col, |key, sum, count| {
-                    rows.extend_from_slice(&[key, if col.is_some() { sum } else { count }, 0]);
-                })
+                kpa.reduce_fold(e, fold, |key, sum| rows.extend_from_slice(&[key, sum, 0]));
             });
         })?;
         Ok(partials)
@@ -291,20 +297,25 @@ impl GroupingBackend for SortMergeBackend {
         ctx: &mut OpCtx<'_>,
         mut kpa: Kpa,
         p: &AggParams,
-        _values: Option<&[u64]>,
+        values: Option<&[u64]>,
+        fold: &mut KeyFold,
     ) -> Result<(), EngineError> {
         self.records += kpa.len() as u64;
-        ctx.sort(&mut kpa)?;
         if p.early {
             // Every arriving KPA, one pair or many: close reads the window
             // as partials. The raw KPA stays allocated until its
             // replacement is placed.
-            let partials = Self::partials(ctx, &kpa, p)?;
+            let partials = Self::partials(ctx, &kpa, p, values, fold)?;
             self.push_partials(ctx, &partials)
         } else {
+            ctx.sort(&mut kpa)?;
             self.kpas.push(kpa);
             Ok(())
         }
+    }
+
+    fn reads_values(&self, p: &AggParams) -> bool {
+        p.early && p.kind == AggKind::Sum
     }
 
     fn close(
@@ -492,6 +503,7 @@ impl GroupingBackend for HashBackend {
         kpa: Kpa,
         p: &AggParams,
         values: Option<&[u64]>,
+        _fold: &mut KeyFold,
     ) -> Result<(), EngineError> {
         let n = kpa.len();
         if n == 0 {
@@ -778,16 +790,17 @@ mod tests {
                 early: matches!(kind, AggKind::Sum | AggKind::Count),
             };
             let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+            let mut fold = KeyFold::default();
             let mut sort_b = SortMergeBackend::new();
             let mut hash_b = HashBackend::hashed(&mut ctx, kind).unwrap();
             let mut row_b = HashBackend::row_baseline(&mut ctx, kind).unwrap();
             for chunk in pairs.chunks(100) {
                 let kpa = mk_kpa(&env, &mut ctx, chunk);
-                sort_b.ingest(&mut ctx, kpa, &p, None).unwrap();
+                sort_b.ingest(&mut ctx, kpa, &p, None, &mut fold).unwrap();
                 let kpa = mk_kpa(&env, &mut ctx, chunk);
-                hash_b.ingest(&mut ctx, kpa, &p, None).unwrap();
+                hash_b.ingest(&mut ctx, kpa, &p, None, &mut fold).unwrap();
                 let kpa = mk_kpa(&env, &mut ctx, chunk);
-                row_b.ingest(&mut ctx, kpa, &p, None).unwrap();
+                row_b.ingest(&mut ctx, kpa, &p, None, &mut fold).unwrap();
             }
             let a = close_with(&mut sort_b, &mut ctx, &p);
             let b = close_with(&mut hash_b, &mut ctx, &p);
@@ -808,10 +821,11 @@ mod tests {
                 early: false,
             };
             let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+            let mut fold = KeyFold::default();
             let mut orig = HashBackend::hashed(&mut ctx, kind).unwrap();
             let pairs: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 23, i)).collect();
             let kpa = mk_kpa(&env, &mut ctx, &pairs);
-            orig.ingest(&mut ctx, kpa, &p, None).unwrap();
+            orig.ingest(&mut ctx, kpa, &p, None, &mut fold).unwrap();
 
             let mut entries = Vec::new();
             orig.snapshot(&mut ctx, 0, &mut entries).unwrap();
@@ -842,13 +856,14 @@ mod tests {
             value_col: Col(1),
             early: false,
         };
+        let mut fold = KeyFold::default();
         let mut hash_b = HashBackend::hashed(&mut ctx, p.kind).unwrap();
         assert_eq!(hash_b.table.kind(), MemKind::Hbm, "a fresh table fits HBM");
         // 600 k groups: a table past both HBM and the cache-resident budget.
         let pairs: Vec<(u64, u64)> = (0..600_000u64).map(|k| (k, 0)).collect();
         let kpa = mk_kpa(&env, &mut ctx, &pairs);
         ctx.take_profile();
-        hash_b.ingest(&mut ctx, kpa, &p, None).unwrap();
+        hash_b.ingest(&mut ctx, kpa, &p, None, &mut fold).unwrap();
         assert_eq!(
             hash_b.table.kind(),
             MemKind::Dram,

@@ -895,8 +895,8 @@ impl Kpa {
 
     /// A `Sum` of column `col` (no `col`: a `Count`) closing a window of
     /// sorted KPAs in one pass ([`mergepath::fold_runs`]): the `[key,
-    /// aggregate, start]` rows that [`Kpa::merge_many`] and then
-    /// [`crate::reduce_keyed_scalar`] would give, in a
+    /// aggregate, start]` rows that [`Kpa::merge_many`] and then a scalar
+    /// fold of each key's records would give, in a
     /// [`MemPool::host_buffer`] for [`RecordBundle::from_host_rows`], and the
     /// [`FoldedWindow`] standing in for the merged KPA — requested and its
     /// merge charged as by `merge_many`, never written.
@@ -1224,7 +1224,7 @@ pub struct FoldedWindow {
 
 impl FoldedWindow {
     /// Charges the keyed reduction over the merged KPA, as
-    /// [`crate::reduce_keyed`] and [`crate::reduce_keyed_scalar`] charge it.
+    /// [`crate::reduce_keyed`] charges it.
     pub fn charge_reduce(&self, ctx: &mut ExecCtx) {
         ctx.charge(&profile::reduce_keyed(self.pairs, self.merged.kind()));
     }

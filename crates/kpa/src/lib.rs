@@ -23,7 +23,7 @@
 //! | Join | Sequential | [`join_sorted`] |
 //! | Select | Sequential | [`Kpa::select`] / [`Kpa::extract_select`] |
 //! | Partition | Sequential | [`Kpa::partition_by`] |
-//! | Keyed reduce | Random | [`reduce_keyed`] / [`reduce_keyed_scalar`]; fused into the merge, [`Kpa::merge_fold`] / [`Kpa::merge_gather`] |
+//! | Keyed reduce | Random | [`reduce_keyed`]; fused into the merge, [`Kpa::merge_fold`] / [`Kpa::merge_gather`]; early aggregation's, [`Kpa::sort_fold`] / [`Kpa::reduce_fold`] |
 //! | Unkeyed reduce | Random | [`reduce_unkeyed_bundle`] / [`reduce_unkeyed_kpa`] |
 //!
 //! Every primitive executes for real against pool-accounted buffers *and*
@@ -54,7 +54,5 @@ mod sort;
 pub use ctx::{ExecCtx, PrimGroup, WorkerPool};
 pub use join::{join_sorted, JoinStats};
 pub use kpa::{FoldedWindow, Kpa, Resolver};
-pub use reduce::{
-    agg, reduce_keyed, reduce_keyed_scalar, reduce_unkeyed_bundle, reduce_unkeyed_kpa, KeyGroup,
-};
+pub use reduce::{agg, reduce_keyed, reduce_unkeyed_bundle, reduce_unkeyed_kpa, KeyGroup};
 pub use sort::sort_pairs;

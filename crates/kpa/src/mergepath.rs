@@ -25,6 +25,8 @@
 
 use std::ops::Range;
 
+use sbx_simmem::MemPool;
+
 use crate::radix::{self, Digits, Pairs, RankBy};
 
 /// One sorted input run: `len` records of `width` words with the key,
@@ -166,13 +168,19 @@ pub fn merge_runs(runs: &[Run<'_>], out_keys: &mut [u64], out_ptrs: &mut [u64]) 
         merge_two(runs, out_keys, out_ptrs);
         return;
     }
-    let mut scratch = Vec::new();
-    let mut done = 0;
-    let copy_ptrs = |r: usize, at: Range<usize>, dst: &mut [u64]| runs[r].copy_ptrs(at, dst);
+    let (mut scratch, mut done) = (Vec::new(), 0);
+    let ptr = |r: usize, i: usize| runs[r].ptr(i);
     walk_buckets(runs, |pos, cut| {
-        let out = (&mut out_keys[done..], &mut out_ptrs[done..]);
-        done += sort_bucket(runs, pos, cut, copy_ptrs, out, &mut scratch);
+        let len = claimed(pos, cut);
+        let out = (
+            &mut out_keys[done..done + len],
+            &mut out_ptrs[done..done + len],
+        );
+        let bucket = Bucket(runs, pos, cut, None, &ptr);
+        sort_bucket(len, key_bounds(runs, pos, cut), bucket, out, &mut scratch);
+        done += len;
     });
+    MemPool::return_host_buffer(scratch);
     debug_assert_eq!(done, out_keys.len(), "buckets did not fill the output");
 }
 
@@ -236,63 +244,37 @@ fn splitters(runs: &[Run<'_>]) -> Vec<u64> {
     sample
 }
 
-/// Sorts one bucket of [`walk_buckets`] into the front of `out` by key,
-/// stably over the sub-runs in run order, and returns its length: the
-/// keys, each beside the payload `fill(r, range, dst)` writes for run `r`'s
-/// sub-run `range` (in a merge, its pointers). `scratch` is grown to the
-/// largest bucket seen.
+/// Sorts the `len` pairs `pairs` yields, keys in `min..=max`, into `out`
+/// by key, stably in the order they come: a radix sort over the bits in
+/// which the keys can still differ (`radix.rs`), its last pass scattering
+/// into `out`. `scratch` is grown to the largest sort seen.
 fn sort_bucket(
-    runs: &[Run<'_>],
-    lo: &[usize],
-    hi: &[usize],
-    fill: impl Fn(usize, Range<usize>, &mut [u64]),
+    len: usize,
+    (min, max): (u64, u64),
+    pairs: impl FoldPairs,
     out: Pairs<'_>,
     scratch: &mut Vec<u64>,
-) -> usize {
-    let len = claimed(lo, hi);
-    let mut out: Pairs<'_> = (&mut out.0[..len], &mut out.1[..len]);
-    let parts = || {
-        (0..runs.len())
-            .filter(|&r| lo[r] < hi[r])
-            .map(|r| (r, lo[r]..hi[r]))
-    };
-    let concat_into = |dst: &mut Pairs<'_>| {
-        let mut at = 0;
-        for (r, part) in parts() {
-            let end = at + part.len();
-            runs[r].copy_keys(part.clone(), &mut dst.0[at..end]);
-            fill(r, part, &mut dst.1[at..end]);
-            at = end;
-        }
-    };
-    if len <= radix::SMALL {
-        concat_into(&mut out);
-        radix::insertion_sort(out.0, out.1, RankBy::Key);
-        return len;
-    }
-
-    // Above the lowest key, only the bits of the bucket's range can differ.
-    let (min, max) = key_bounds(runs, lo, hi);
-    let key_mask = (max - min)
+) {
+    // Above the lowest key, only the bits of the range can differ.
+    let key_mask = max
+        .saturating_sub(min)
         .checked_ilog2()
         .map_or(0, |top| u64::MAX >> (63 - top));
     let digits = Digits::covering(min, key_mask, 0);
-    if digits.is_empty() {
-        concat_into(&mut out);
-        return len;
+    let sorted = len > radix::SMALL && !digits.is_empty();
+    if sorted {
+        grow(scratch, 2 * len);
     }
-    if scratch.len() < 2 * len {
-        scratch.resize(2 * len, 0);
+    let scratch = halves(scratch, if sorted { len } else { 0 });
+    match sorted && digits.starts_in_scratch() {
+        true => pairs.fill(scratch.0, scratch.1),
+        false => pairs.fill(out.0, out.1),
     }
-    let (scratch_keys, scratch_ptrs) = scratch.split_at_mut(len);
-    let mut scratch: Pairs<'_> = (scratch_keys, &mut scratch_ptrs[..len]);
-    if digits.starts_in_scratch() {
-        concat_into(&mut scratch);
-    } else {
-        concat_into(&mut out);
+    if sorted {
+        digits.sort(out, scratch, RankBy::Key);
+    } else if len > 1 {
+        radix::insertion_sort(out.0, out.1, RankBy::Key);
     }
-    digits.sort(out, scratch, RankBy::Key);
-    len
 }
 
 /// The lowest and highest key of `runs[r][lo[r]..hi[r]]` over all `r`:
@@ -308,18 +290,194 @@ fn key_bounds(runs: &[Run<'_>], lo: &[usize], hi: &[usize]) -> (u64, u64) {
     (min, max)
 }
 
-/// Key values per pair up to which a bucket is folded in an array.
-const DENSE_SPAN: u64 = 16;
+/// Key values per pair up to which a [`KeyFold`] sums in an array.
+pub const DENSE_SPAN: u64 = 16;
+
+/// The keyed fold behind [`fold_runs`] and early aggregation's partials
+/// ([`crate::Kpa::sort_fold`]): sums the values of each distinct key of a
+/// set of pairs, then hands out `(key, sum)` in ascending key order. Pairs
+/// whose keys span fewer than [`DENSE_SPAN`] values per pair are summed into
+/// an array indexed by key, their keys found again from a seen-bitmap; a
+/// sparser set is radix-sorted on its keys alone, values alongside, and
+/// folded in one sequential pass.
+///
+/// The buffers outlive a fold: emitting a key zeroes the slot it read, so
+/// once grown a fold allocates nothing and clears no whole array. They come
+/// from the host reserve and go back to it on drop, like every host
+/// scratch of a kernel, outside glibc's heap-placement lottery.
+#[derive(Debug, Default)]
+pub struct KeyFold {
+    sums: Vec<u64>,
+    seen: Vec<u64>,
+    /// A sparse fold's keys, then its values.
+    pairs: Vec<u64>,
+    scratch: Vec<u64>,
+    loaded: Loaded,
+}
+
+/// What a [`KeyFold`] holds until [`KeyFold::emit`].
+#[derive(Debug, Default, Clone, Copy)]
+enum Loaded {
+    #[default]
+    Nothing,
+    /// Sums at `key - min`, seen-bits in the first `words` words.
+    Dense { min: u64, words: usize },
+    /// `len` key-sorted pairs.
+    Sparse { len: usize },
+}
+
+impl KeyFold {
+    /// Sums the `len` pairs `pairs` yields, whose keys lie in `min..=max`,
+    /// by key, and returns the number of distinct keys. A fold loaded
+    /// before and never emitted is dropped first.
+    pub fn load(&mut self, len: usize, (min, max): (u64, u64), pairs: impl FoldPairs) -> usize {
+        self.emit(|_, _| {});
+        if len == 0 {
+            return 0;
+        }
+        if max - min < DENSE_SPAN * len as u64 {
+            let span = (max - min) as usize + 1;
+            let words = span.div_ceil(64);
+            grow(&mut self.sums, span);
+            grow(&mut self.seen, words);
+            let (sums, seen) = (&mut self.sums, &mut self.seen);
+            pairs.each(|key, value| {
+                let at = (key - min) as usize;
+                sums[at] = sums[at].wrapping_add(value);
+                seen[at / 64] |= 1 << (at % 64);
+            });
+            self.loaded = Loaded::Dense { min, words };
+            return seen[..words].iter().map(|w| w.count_ones() as usize).sum();
+        }
+        grow(&mut self.pairs, 2 * len);
+        let out = halves(&mut self.pairs, len);
+        sort_bucket(len, (min, max), pairs, out, &mut self.scratch);
+        self.loaded = Loaded::Sparse { len };
+        count_groups(&self.pairs[..len])
+    }
+
+    /// Calls `f(key, sum)` for every key of the loaded fold, ascending, and
+    /// empties the fold.
+    pub fn emit(&mut self, mut f: impl FnMut(u64, u64)) {
+        match std::mem::take(&mut self.loaded) {
+            Loaded::Nothing => {}
+            Loaded::Dense { min, words } => {
+                for (word, bits) in self.seen[..words].iter_mut().enumerate() {
+                    let mut bits = std::mem::take(bits);
+                    while bits != 0 {
+                        let at = 64 * word + bits.trailing_zeros() as usize;
+                        f(min + at as u64, std::mem::take(&mut self.sums[at]));
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            Loaded::Sparse { len } => {
+                let (keys, vals) = self.pairs.split_at(len);
+                let mut i = 0;
+                while let Some(&key) = keys.get(i) {
+                    let mut sum = 0u64;
+                    while keys.get(i) == Some(&key) {
+                        sum = sum.wrapping_add(vals[i]);
+                        i += 1;
+                    }
+                    f(key, sum);
+                }
+            }
+        }
+    }
+}
+
+impl Drop for KeyFold {
+    fn drop(&mut self) {
+        let KeyFold {
+            sums,
+            seen,
+            pairs,
+            scratch,
+            ..
+        } = self;
+        for buf in [sums, seen, pairs, scratch] {
+            MemPool::return_host_buffer(std::mem::take(buf));
+        }
+    }
+}
+
+/// Grows `buf` to at least `len` words, all zero, in a buffer of the host
+/// reserve ([`MemPool::host_buffer`]) once its capacity is outgrown, the old
+/// one handed back. A fold's arrays are zero between folds, so the grown
+/// one holds what the old one held.
+fn grow(buf: &mut Vec<u64>, len: usize) {
+    if buf.capacity() < len {
+        MemPool::return_host_buffer(std::mem::replace(buf, MemPool::host_buffer(len)));
+    }
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+}
+
+/// The first `len` words of `buf` and the `len` after them.
+fn halves(buf: &mut [u64], len: usize) -> Pairs<'_> {
+    let (keys, vals) = buf.split_at_mut(len);
+    (keys, &mut vals[..len])
+}
+
+/// The pairs a [`KeyFold`] loads: `each(f)` calls `f(key, value)` once
+/// per pair. Any iterator of pairs is one.
+pub trait FoldPairs: Sized {
+    /// Calls `f` on every pair.
+    fn each(self, f: impl FnMut(u64, u64));
+
+    /// Writes the pairs into `keys` and `values`, as many as they hold.
+    fn fill(self, keys: &mut [u64], values: &mut [u64]) {
+        let mut dst = keys.iter_mut().zip(values);
+        self.each(|key, value| {
+            if let Some((k, v)) = dst.next() {
+                (*k, *v) = (key, value);
+            }
+        });
+    }
+}
+
+impl<I: Iterator<Item = (u64, u64)>> FoldPairs for I {
+    fn each(self, mut f: impl FnMut(u64, u64)) {
+        self.for_each(|(key, value)| f(key, value));
+    }
+}
+
+/// One bucket of [`walk_buckets`], `(runs, pos, cut, col, value)`: sub-run
+/// `pos[r]..cut[r]` of each run `r`, fed run by run, each in one stream,
+/// with word `col` of a run of rows in place as its values, else
+/// `value(r, i)`.
+struct Bucket<'s, 'a, V>(
+    &'s [Run<'a>],
+    &'s [usize],
+    &'s [usize],
+    Option<usize>,
+    &'s V,
+);
+
+impl<V: Fn(usize, usize) -> u64> FoldPairs for Bucket<'_, '_, V> {
+    fn each(self, mut f: impl FnMut(u64, u64)) {
+        let Bucket(runs, pos, cut, col, value) = self;
+        for (r, run) in runs.iter().enumerate() {
+            let at = pos[r]..cut[r];
+            match run.keyed_column(at.clone(), col) {
+                Some(pairs) => pairs.for_each(|(key, v)| f(key, v)),
+                None => run
+                    .keys(at.clone())
+                    .zip(at)
+                    .for_each(|(key, i)| f(key, value(r, i))),
+            }
+        }
+    }
+}
 
 /// The keyed reduction to sums, fused into the k-way merge: appends to
 /// `rows` one `[key, sum, start]` row per distinct key of the key-sorted
 /// `runs`, ascending: `sum` wraps over the values of the key's pairs
 /// `runs[r][i]` — word `col` of the record, for a run of rows read in
-/// place, and `value(r, i)` otherwise. The buckets are
-/// [`merge_runs`]', each run's values read in run order. A dense bucket
-/// (`DENSE_SPAN`) is summed into an array indexed by key, its keys emitted
-/// in order from a bitmap; a sparser one is sorted on its keys alone and
-/// folded in place.
+/// place, and `value(r, i)` otherwise. Each of [`merge_runs`]' buckets is
+/// one [`KeyFold`], each run's values read in run order.
 /// No key straddles two buckets, and no merged pair is written.
 pub fn fold_runs(
     runs: &[Run<'_>],
@@ -328,67 +486,11 @@ pub fn fold_runs(
     start: u64,
     rows: &mut Vec<u64>,
 ) {
-    let (mut sums, mut seen) = (Vec::new(), Vec::new());
-    let (mut bucket, mut scratch) = (Vec::new(), Vec::new());
-    let values =
-        |r: usize, at: Range<usize>, dst: &mut [u64]| match runs[r].keyed_column(at.clone(), col) {
-            Some(pairs) => dst.iter_mut().zip(pairs).for_each(|(v, (_, c))| *v = c),
-            None => dst.iter_mut().zip(at).for_each(|(v, i)| *v = value(r, i)),
-        };
+    let mut fold = KeyFold::default();
     walk_buckets(runs, |pos, cut| {
-        let len = claimed(pos, cut);
-        let (min, max) = key_bounds(runs, pos, cut);
-        if len == 0 {
-            return;
-        }
-        if max - min < DENSE_SPAN * len as u64 {
-            let span = (max - min) as usize + 1;
-            if sums.len() < span {
-                sums.resize(span, 0u64);
-                seen.resize(span.div_ceil(64), 0u64);
-            }
-            let mut add = |key: u64, value: u64| {
-                let at = (key - min) as usize;
-                sums[at] = sums[at].wrapping_add(value);
-                seen[at / 64] |= 1 << (at % 64);
-            };
-            for (r, run) in runs.iter().enumerate() {
-                let at = pos[r]..cut[r];
-                match run.keyed_column(at.clone(), col) {
-                    Some(pairs) => pairs.for_each(|(key, v)| add(key, v)),
-                    None => run
-                        .keys(at.clone())
-                        .zip(at)
-                        .for_each(|(key, i)| add(key, value(r, i))),
-                }
-            }
-            // Emitting a key zeroes its slot for the next bucket.
-            for (word, bits) in seen[..span.div_ceil(64)].iter_mut().enumerate() {
-                let mut bits = std::mem::take(bits);
-                while bits != 0 {
-                    let at = 64 * word + bits.trailing_zeros() as usize;
-                    let sum = std::mem::take(&mut sums[at]);
-                    rows.extend_from_slice(&[min + at as u64, sum, start]);
-                    bits &= bits - 1;
-                }
-            }
-            return;
-        }
-        if bucket.len() < 2 * len {
-            bucket.resize(2 * len, 0);
-        }
-        let (keys, vals) = bucket.split_at_mut(len);
-        let out = (&mut *keys, &mut vals[..len]);
-        sort_bucket(runs, pos, cut, values, out, &mut scratch);
-        let mut i = 0;
-        while let Some(&key) = keys.get(i) {
-            let mut sum = 0u64;
-            while keys.get(i) == Some(&key) {
-                sum = sum.wrapping_add(vals[i]);
-                i += 1;
-            }
-            rows.extend_from_slice(&[key, sum, start]);
-        }
+        let bucket = Bucket(runs, pos, cut, col, &value);
+        fold.load(claimed(pos, cut), key_bounds(runs, pos, cut), bucket);
+        fold.emit(|key, sum| rows.extend_from_slice(&[key, sum, start]));
     });
 }
 
@@ -409,11 +511,6 @@ pub fn gather_runs(
     mut sink: impl FnMut(u64, &mut [u64]),
 ) {
     let (mut ends, mut bucket, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
-    let values = |r: usize, at: Range<usize>, dst: &mut [u64]| {
-        for (v, i) in dst.iter_mut().zip(at) {
-            *v = value(r, i);
-        }
-    };
     walk_buckets(runs, |pos, cut| {
         let len = claimed(pos, cut);
         if len == 0 {
@@ -455,7 +552,8 @@ pub fn gather_runs(
             }
             return;
         }
-        sort_bucket(runs, pos, cut, values, (keys, vals), &mut scratch);
+        let pairs = Bucket(runs, pos, cut, None, &value);
+        sort_bucket(len, (min, max), pairs, (keys, vals), &mut scratch);
         let mut i = 0;
         while let Some(&key) = keys.get(i) {
             let end = i + keys[i..].iter().take_while(|&&k| k == key).count();
@@ -463,6 +561,7 @@ pub fn gather_runs(
             i = end;
         }
     });
+    MemPool::return_host_buffer(scratch);
 }
 
 /// [`merge_runs`] for at most two runs: the two-way loop, then a bulk copy

@@ -14,39 +14,14 @@ pub struct KeyGroup<'a> {
     pub values: &'a [u64],
 }
 
-/// The keyed-reduction loop behind [`reduce_keyed`] and
-/// [`reduce_keyed_scalar`]: over a sorted KPA, `add(acc, i)` for each pair
-/// and, after each run of equal keys, `emit(key, acc)`, which also resets
-/// `acc`; one charge; returns the number of runs.
-fn fold_groups<A: Default>(
-    ctx: &mut ExecCtx,
-    kpa: &Kpa,
-    mut add: impl FnMut(&mut A, usize),
-    mut emit: impl FnMut(u64, &mut A),
-) -> usize {
-    assert!(kpa.is_sorted(), "keyed reduction requires a sorted KPA");
-    let keys = kpa.keys();
-    let (mut acc, mut groups, mut i) = (A::default(), 0usize, 0usize);
-    while let Some(&key) = keys.get(i) {
-        while i < keys.len() && keys[i] == key {
-            add(&mut acc, i);
-            i += 1;
-        }
-        emit(key, &mut acc);
-        groups += 1;
-    }
-    ctx.charge(&profile::reduce_keyed(keys.len(), kpa.kind()));
-    groups
-}
-
 /// **Keyed reduction** (Table 2): scans a *sorted* KPA, tracks contiguous
 /// key ranges, gathers the nonresident column `value_col` of each record
-/// (random DRAM access) and calls `f` once per key (paper §4.2). For a
-/// wrapping sum or a count, [`reduce_keyed_scalar`] gathers nothing.
+/// (random DRAM access) and calls `f` once per key (paper §4.2).
 ///
 /// No window close calls it: [`Kpa::merge_gather`] gathers each key's
-/// values inside the merge instead, handing them out in the same order. It
-/// stays as that gather's oracle and for callers that reduce a KPA they
+/// values inside the merge instead, handing them out in the same order, and
+/// early aggregation folds each bundle's values by key ([`Kpa::sort_fold`]).
+/// It stays as the gather's oracle and for callers that reduce a KPA they
 /// merged themselves.
 ///
 /// Returns the number of distinct keys.
@@ -60,39 +35,23 @@ pub fn reduce_keyed(
     value_col: Col,
     mut f: impl FnMut(KeyGroup<'_>),
 ) -> usize {
-    let records = kpa.resolver();
-    let gather = |values: &mut Vec<u64>, i| values.push(records.value(i, value_col));
-    fold_groups(ctx, kpa, gather, |key, values| {
-        f(KeyGroup { key, values });
-        values.clear();
-    })
-}
-
-/// **Keyed reduction** to scalars: `f(key, sum, count)` per key of a
-/// *sorted* KPA, the wrapping sum of `value_col` over its records resolved
-/// once each, nothing gathered; with no `value_col`, no record is read but
-/// `--features sanitize` still validates every pointer. Charges, returns and
-/// panics (on an unsorted KPA) as [`reduce_keyed`] does.
-pub fn reduce_keyed_scalar(
-    ctx: &mut ExecCtx,
-    kpa: &Kpa,
-    value_col: Option<Col>,
-    mut f: impl FnMut(u64, u64, u64),
-) -> usize {
-    let records = kpa.resolver();
-    let add = |(sum, count): &mut (u64, u64), i| {
-        match value_col {
-            Some(col) => *sum = sum.wrapping_add(records.value(i, col)),
-            // Reading no record, a count still shows the sanitizer each pointer.
-            None if cfg!(feature = "sanitize") => _ = records.row(i),
-            None => {}
+    assert!(kpa.is_sorted(), "keyed reduction requires a sorted KPA");
+    let (keys, records) = (kpa.keys(), kpa.resolver());
+    let (mut values, mut groups, mut i) = (Vec::new(), 0usize, 0usize);
+    while let Some(&key) = keys.get(i) {
+        while keys.get(i) == Some(&key) {
+            values.push(records.value(i, value_col));
+            i += 1;
         }
-        *count += 1;
-    };
-    fold_groups(ctx, kpa, add, |key, acc: &mut (u64, u64)| {
-        f(key, acc.0, acc.1);
-        *acc = (0, 0);
-    })
+        f(KeyGroup {
+            key,
+            values: &values,
+        });
+        values.clear();
+        groups += 1;
+    }
+    ctx.charge(&profile::reduce_keyed(keys.len(), kpa.kind()));
+    groups
 }
 
 /// **Unkeyed reduction** over a full record bundle: streams column `col`
@@ -242,6 +201,7 @@ mod tests {
 
     #[test]
     fn scalar_reduction_sums_and_counts_each_key() {
+        use crate::mergepath::KeyFold;
         let env = env();
         let mut ctx = ExecCtx::new(&env);
         let kpa = kpa_kv(
@@ -249,20 +209,21 @@ mod tests {
             &mut ctx,
             &[(2, 20), (1, 10), (2, u64::MAX), (1, 11), (3, 30)],
         );
-        let mut got = Vec::new();
+        // Early aggregation's fold: no sort (the KPA already is), the
+        // keyed reduction's charge.
         let mut scalar = ExecCtx::new(&env);
-        let groups = reduce_keyed_scalar(&mut scalar, &kpa, Some(Col(1)), |k, s, c| {
-            got.push((k, s, c));
-        });
-        assert_eq!(groups, 3);
-        assert_eq!(got, vec![(1, 21, 2), (2, 19, 2), (3, 30, 1)]);
+        let (mut fold, mut got) = (KeyFold::default(), Vec::new());
+        assert_eq!(kpa.sort_fold(&mut scalar, Some(Col(1)), None, &mut fold), 3);
+        kpa.reduce_fold(&mut scalar, &mut fold, |k, s| got.push((k, s)));
+        assert_eq!(got, vec![(1, 21), (2, 19), (3, 30)]);
         let mut gathered = ExecCtx::new(&env);
         reduce_keyed(&mut gathered, &kpa, Col(1), |_| {});
         assert_eq!(scalar.profile(), gathered.profile(), "same charge");
 
         got.clear();
-        reduce_keyed_scalar(&mut ctx, &kpa, None, |k, s, c| got.push((k, s, c)));
-        assert_eq!(got, vec![(1, 0, 2), (2, 0, 2), (3, 0, 1)]);
+        kpa.sort_fold(&mut ctx, None, None, &mut fold);
+        kpa.reduce_fold(&mut ctx, &mut fold, |k, s| got.push((k, s)));
+        assert_eq!(got, vec![(1, 2), (2, 2), (3, 1)]);
     }
 
     #[test]

@@ -1,5 +1,7 @@
+use sbx_records::Col;
 use sbx_simmem::{AllocError, MemPool};
 
+use crate::mergepath::KeyFold;
 use crate::radix::{self, Digits, RankBy};
 use crate::{profile, ExecCtx, Kpa, PrimGroup};
 
@@ -77,6 +79,49 @@ impl Kpa {
         ctx.charge_as(PrimGroup::Sort, &profile::sort(n, kind));
         self.set_sorted(true);
         Ok(())
+    }
+
+    /// Early aggregation's Sort (paper §4.2), charged as [`Kpa::sort`]
+    /// charges it, but no pair moves: `fold` sums the pairs' values by key
+    /// — `values[i]` for pair `i` when the key swap read them, else record
+    /// column `col` in pair order, else 1 (a count, which still shows
+    /// `--features sanitize` every pointer). Returns the distinct keys.
+    pub fn sort_fold(
+        &self,
+        ctx: &mut ExecCtx,
+        col: Option<Col>,
+        values: Option<&[u64]>,
+        fold: &mut KeyFold,
+    ) -> usize {
+        let (n, keys) = (self.len(), self.keys());
+        if !self.is_sorted() && n > 1 {
+            ctx.charge_as(PrimGroup::Sort, &profile::sort(n, self.kind()));
+        }
+        let bounds = keys
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let keys = keys.iter().copied();
+        if let (Some(_), Some(values)) = (col, values) {
+            return fold.load(n, bounds, keys.zip(values.iter().copied()));
+        }
+        let records = self.resolver();
+        let value = |i| match col {
+            Some(col) => records.value(i, col),
+            None => {
+                if cfg!(feature = "sanitize") {
+                    _ = records.row(i);
+                }
+                1
+            }
+        };
+        fold.load(n, bounds, keys.zip(0..).map(|(key, i)| (key, value(i))))
+    }
+
+    /// The keyed reduction of a [`Kpa::sort_fold`]: `f(key, sum)` per key,
+    /// ascending, charged as [`crate::reduce_keyed`] over this KPA.
+    pub fn reduce_fold(&self, ctx: &mut ExecCtx, fold: &mut KeyFold, f: impl FnMut(u64, u64)) {
+        fold.emit(f);
+        ctx.charge(&profile::reduce_keyed(self.len(), self.kind()));
     }
 }
 

@@ -355,10 +355,19 @@ fn row_log_holds_the_same_rows_however_they_arrive() {
         assert_eq!(log, by_row);
         assert!((&log).into_iter().eq(words.chunks(3)));
     }
+    // Blocks handed over whole (a commit) hold the same rows however cut.
+    let mut blocks = RowLog::default();
+    for chunk in words.chunks(9) {
+        let mut part = RowLog::default();
+        chunk.chunks(3).for_each(|row| part.push_row(row));
+        blocks.append(&mut part);
+        assert!(part.is_empty());
+    }
+    assert_eq!(blocks, by_row);
     // A row of another width is still one row, after the others.
     let mut mixed = by_row.clone();
     mixed.push_row(&[7]);
-    mixed.extend(&by_row);
+    mixed.append(&mut by_row.clone());
     assert_eq!(mixed.len(), 21);
     assert_eq!(mixed.iter().nth(10), Some(&[7u64][..]));
     assert_eq!(mixed.iter().nth(11), Some(&words[..3]));

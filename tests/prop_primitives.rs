@@ -13,9 +13,7 @@ use sbx_prng::SbxRng;
 use streambox_hbm::cluster::RoutedSource;
 use streambox_hbm::engine::ops::emit_group;
 use streambox_hbm::ingress::parse::{json, proto, text};
-use streambox_hbm::kpa::{
-    hash, join_sorted, reduce_keyed, reduce_keyed_scalar, sort_pairs, ExecCtx, Kpa,
-};
+use streambox_hbm::kpa::{hash, join_sorted, reduce_keyed, sort_pairs, ExecCtx, Kpa};
 use streambox_hbm::prelude::*;
 
 const CASES: u64 = 48;
@@ -582,7 +580,8 @@ fn scalar_fold_equals_the_key_group_fold() {
                 want.push((g.key, sum, g.values.len() as u64));
             });
             let mut got = Vec::new();
-            let groups = reduce_keyed_scalar(&mut ctx, &kpa, col, |k, s, c| got.push((k, s, c)));
+            let groups =
+                reference::reduce_keyed_scalar(&mut ctx, &kpa, col, |k, s, c| got.push((k, s, c)));
             assert_eq!(got, want, "case {case}, {sources} sources, {col:?}");
             assert_eq!(groups, want_groups, "case {case}");
         }
@@ -1196,6 +1195,103 @@ fn hash_swap_reading_equals_the_two_pass_ingest() {
         spilled += usize::from(one.1 .1 == MemKind::Dram);
     }
     assert!(spilled > 0, "a table spills");
+}
+
+/// Early aggregation's per-bundle partial folds each pair's value by key
+/// (`Kpa::sort_fold`, then `Kpa::reduce_fold` into the partial bundle)
+/// where it once sorted the pointer KPA and read each value back through
+/// its pointer (`reference::partials`): the same rows, both pools'
+/// `PoolStats`, spill count and charged profile, for a Sum and a Count,
+/// over dense, sparse and exactly-at-threshold key spans, all-equal and
+/// `u64::MAX` keys, n in {0, 1, 32, 33, 20 000}, with and without a key map
+/// and values read by the key swap, each partial placed as a window's run
+/// at 64 MiB and at 160 KiB of HBM.
+#[test]
+fn early_partials_equal_sort_then_scalar_fold() {
+    use streambox_hbm::kpa::mergepath::{KeyFold, DENSE_SPAN};
+    let mut rng = SbxRng::seed_from_u64(0x5b57_1018);
+    let (mut case, mut spilled) = (0usize, 0);
+    for n in [0usize, 1, 32, 33, 20_000] {
+        // Key spans: dense, sparse, just below and exactly at the
+        // threshold, all equal, and next to `u64::MAX`.
+        for shape in 0..6 {
+            let span = DENSE_SPAN * n as u64;
+            let base = rng.random_range(0..1 << 40);
+            let mut keys: Vec<u64> = (0..n)
+                .map(|_| match shape {
+                    0 => rng.random_range(0..n.max(1) as u64),
+                    1 => rng.random(),
+                    2 => base + rng.random_range(0..span.max(1)),
+                    3 => base + rng.random_range(0..=span),
+                    4 => base,
+                    _ => u64::MAX - rng.random_range(0..3),
+                })
+                .collect();
+            // Pin the span's ends where the shape needs them.
+            if let (2 | 3, [first, second, ..]) = (shape, &mut keys[..]) {
+                (*first, *second) = (base, base + span - u64::from(shape == 2));
+            }
+            for kind in [Some(Col(1)), None] {
+                case += 1;
+                let (swapped, mapped) = (case % 2 == 0, case % 3 == 0);
+                let hbm_kib = [1 << 16, 160][case / 4 % 2];
+                let bundles: Vec<Vec<u64>> = (0..3)
+                    .map(|t| keys.iter().flat_map(|&k| [k, rng.random(), t]).collect())
+                    .collect();
+                let side = |mut fold: Option<&mut KeyFold>| {
+                    let mut machine = MachineConfig::knl();
+                    machine.hbm.capacity_bytes = hbm_kib * 1024;
+                    let env = MemEnv::new(machine);
+                    let mut ctx = ExecCtx::new(&env);
+                    let hbm = (MemKind::Hbm, Priority::Normal);
+                    let (mut window, mut rows, mut values) = (Vec::new(), Vec::new(), Vec::new());
+                    for flat in &bundles {
+                        let b = RecordBundle::from_rows(&env, Schema::kvt(), flat).expect("fits");
+                        let resident = if swapped { Col(2) } else { Col(0) };
+                        let mut kpa =
+                            Kpa::extract(&mut ctx, &b, resident, hbm.0, hbm.1).expect("fits");
+                        let read = swapped && kind.is_some() && fold.is_some();
+                        if read {
+                            kpa.key_swap_reading(&mut ctx, Col(0), Col(1), &mut values);
+                        } else if swapped {
+                            kpa.key_swap(&mut ctx, Col(0));
+                        }
+                        if mapped {
+                            kpa.update_keys(&mut ctx, |k| k % 977);
+                        }
+                        let partials = match fold.as_deref_mut() {
+                            Some(fold) => {
+                                let values = read.then_some(&values[..]);
+                                let slots = 3 * kpa.sort_fold(&mut ctx, kind, values, fold);
+                                RecordBundle::from_fill(&env, Schema::kvt(), slots, |rows| {
+                                    let emit = |k, s| rows.extend_from_slice(&[k, s, 0]);
+                                    kpa.reduce_fold(&mut ctx, fold, emit);
+                                })
+                            }
+                            None => reference::partials(&mut ctx, &mut kpa, kind),
+                        }
+                        .expect("fits");
+                        let mut run =
+                            Kpa::extract_in_place(&mut ctx, &partials, Col(0), hbm.0, hbm.1)
+                                .expect("fits");
+                        run.mark_sorted();
+                        rows.push(partials.as_rows().to_vec());
+                        window.push(run);
+                    }
+                    let pools = [MemKind::Hbm, MemKind::Dram].map(|k| env.pool(k).stats());
+                    (rows, pools, env.spill_count(), ctx.take_profile())
+                };
+                let (want, got) = (side(None), side(Some(&mut KeyFold::default())));
+                let what = format!("case {case}: n {n}, shape {shape}, {kind:?}");
+                assert_eq!(got.0, want.0, "{what}: rows");
+                assert_eq!(got.1, want.1, "{what}: pools");
+                assert_eq!(got.2, want.2, "{what}: spills");
+                assert!(got.3 == want.3, "{what}: charged profile");
+                spilled += usize::from(hbm_kib == 160 && got.2 > 0);
+            }
+        }
+    }
+    assert!(spilled > 0, "a partial spills at 160 KiB of HBM");
 }
 
 /// Routed shards are disjoint and jointly exhaustive: over random shard

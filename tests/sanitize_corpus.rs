@@ -16,7 +16,9 @@
 
 use std::sync::Arc;
 
-use sbx_kpa::{reduce_keyed_scalar, ExecCtx, Kpa};
+use sbx_bench::kernel_scaling::reference::reduce_keyed_scalar;
+use sbx_kpa::mergepath::KeyFold;
+use sbx_kpa::{ExecCtx, Kpa};
 use sbx_records::{BundleId, Col, RecordBundle, RecordRef, Schema};
 use sbx_sanitize::{op_scope, BugClass, Sanitizer};
 use sbx_simmem::{MachineConfig, MemEnv, MemKind, Priority};
@@ -247,6 +249,45 @@ fn fixture_wild_pointer_in_a_count() {
     assert_eq!(counts, vec![(1, 2), (2, 1)]);
     assert_classes(env.sanitizer(), &[BugClass::WildPointer]);
     assert_eq!(env.sanitizer().reports()[0].fault_span, 54);
+}
+
+/// Early aggregation folds a KPA's values by key without sorting it
+/// (`Kpa::sort_fold`): a forged pointer among the pairs of a KPA entering
+/// it is still exactly one wild-pointer finding in the fold's span, read as
+/// 0 by a sum, while a count, which reads no record, validates it too and
+/// counts its pair.
+#[test]
+fn fixture_wild_pointer_in_early_aggregation() {
+    let env = env();
+    let mut ctx = ExecCtx::new(&env);
+    let b = {
+        let _g = op_scope(55, "ingest");
+        bundle(&env, &[(2, 20, 0), (1, 10, 1), (1, 11, 2)])
+    };
+    let mut kpa = Kpa::extract(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).unwrap();
+    let wild = RecordRef {
+        bundle: BundleId(u32::MAX - 29),
+        row: 0,
+    };
+    kpa.corrupt_ptr(2, wild.pack());
+    for (span, col, want) in [
+        (56, Some(Col(1)), [1, 10, 0, 2, 20, 0]),
+        (57, None, [1, 2, 0, 2, 1, 0]),
+    ] {
+        env.sanitizer().clear_reports();
+        let mut fold = KeyFold::default();
+        let mut rows = Vec::new();
+        {
+            let _g = op_scope(span, "early-aggregation");
+            assert_eq!(kpa.sort_fold(&mut ctx, col, None, &mut fold), 2);
+            kpa.reduce_fold(&mut ctx, &mut fold, |key, sum| {
+                rows.extend_from_slice(&[key, sum, 0])
+            });
+        }
+        assert_eq!(rows, want, "{col:?}");
+        assert_classes(env.sanitizer(), &[BugClass::WildPointer]);
+        assert_eq!(env.sanitizer().reports()[0].fault_span, span);
+    }
 }
 
 /// A fused window close reads every run through its own resolver: a forged
