@@ -157,7 +157,7 @@ pub fn run_backend(cell: &Cell, backend: (GroupingSpec, EngineMode), keys: &[u64
     let mut agg = KeyedAggregate::new(spec, Col(0), Col(1), AggKind::Count)
         .with_grouping(grouping)
         .without_early_aggregation();
-    let mut ctx = OpCtx::new(&env, &mut bal, mode, 4, ImpactTag::High);
+    let mut ctx = OpCtx::new(&env, &mut bal, mode, ImpactTag::High);
 
     let mut window_secs = Vec::new();
     let mut out = Vec::new();

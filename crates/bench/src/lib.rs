@@ -1,10 +1,13 @@
-//! Experiment harness for StreamBox-HBM: one module per table/figure of the
+//! Experiment harness for StreamBox-HBM: one module per figure of the
 //! paper's evaluation (§7), each regenerating the corresponding series.
 //!
-//! Every module exposes a `run()` that executes the experiment and returns
-//! the formatted rows it printed; the `benches/` targets are thin mains
-//! around these so that `cargo bench` regenerates the whole evaluation.
-//! `EXPERIMENTS.md` records paper-vs-measured numbers per figure.
+//! Every experiment module exposes a `run()` that executes the experiment
+//! and returns the formatted rows it printed; the `benches/` targets are
+//! thin mains around these so that `cargo bench` regenerates the whole
+//! evaluation. `EXPERIMENTS.md` records paper-vs-measured numbers per
+//! figure. [`kernel_scaling`] times nothing: it keeps the reference loops
+//! the property tests check the KPA kernels against and the modelled
+//! pass-bytes comparison the trajectory records.
 //!
 //! The core-count sweeps evaluate the calibrated cost model over *real*
 //! executions (the algorithms run, instrumented; the model turns their
@@ -24,7 +27,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod grouping_matrix;
-pub mod harness;
 pub mod kernel_scaling;
 pub mod table;
 pub mod trajectory;

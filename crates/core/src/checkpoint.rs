@@ -760,7 +760,7 @@ mod tests {
     #[test]
     fn kpa_round_trips_through_materialized_entry() {
         let (env, mut bal) = ctx_env();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::Urgent);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::Urgent);
         let rows: Vec<u64> = (0..50u64).flat_map(|i| [i % 5, i, i * 3]).collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &rows).unwrap();
         let mut kpa = ctx.extract(&b, Col(0)).unwrap();
@@ -805,7 +805,7 @@ mod tests {
     fn partial_by_reference_matches_the_gathered_entry() {
         let snapshot_of = |gathered: bool| {
             let (env, mut bal) = ctx_env();
-            let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::Urgent);
+            let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::Urgent);
             // Partials as the scalar fold writes them: ascending keys.
             let rows: Vec<u64> = (0..400u64).flat_map(|k| [3 * k, k * k, 0]).collect();
             let partials = RecordBundle::from_rows(&env, Schema::kvt(), &rows).unwrap();
@@ -846,7 +846,7 @@ mod tests {
     #[test]
     fn rows_entry_round_trips_as_bundle() {
         let (env, mut bal) = ctx_env();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::Urgent);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::Urgent);
         let entry = StateEntry::from_rows(3, 1, 3, 2, vec![1, 2, 3, 4, 5, 6]);
         let b = entry.to_bundle(&mut ctx).unwrap();
         assert_eq!(b.rows(), 2);
@@ -856,7 +856,7 @@ mod tests {
     #[test]
     fn corrupt_entries_are_config_errors_not_panics() {
         let (env, mut bal) = ctx_env();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::Urgent);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::Urgent);
         let ragged = StateEntry::from_rows(0, 0, 3, 2, vec![1, 2]);
         assert!(matches!(
             ragged.to_bundle(&mut ctx),

@@ -694,7 +694,7 @@ impl Engine {
     /// A task context placing through the engine's balancer.
     fn ctx(&mut self, tag: ImpactTag) -> crate::OpCtx<'_> {
         let cfg = &self.cfg;
-        crate::OpCtx::new(&self.env, &mut self.balancer, cfg.mode, cfg.threads, tag)
+        crate::OpCtx::new(&self.env, &mut self.balancer, cfg.mode, tag)
     }
 
     /// Pushes `frontier` through `ops`: every operator is invoked on every

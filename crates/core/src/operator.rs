@@ -37,14 +37,11 @@ pub struct OpCtx<'a> {
 }
 
 impl<'a> OpCtx<'a> {
-    /// A context for one task. `_threads` is ignored, as every primitive
-    /// runs on the calling thread; it stays for the tests and harnesses
-    /// written against the worker pool it once sized.
+    /// A context for one task; every primitive runs on the calling thread.
     pub fn new(
         env: &MemEnv,
         balancer: &'a mut DemandBalancer,
         mode: EngineMode,
-        _threads: usize,
         tag: ImpactTag,
     ) -> Self {
         OpCtx {
@@ -377,7 +374,7 @@ mod tests {
     fn dram_only_mode_never_places_on_hbm() {
         let env = env();
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::DramOnly, 2, ImpactTag::Urgent);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::DramOnly, ImpactTag::Urgent);
         assert_eq!(ctx.place(), (MemKind::Dram, Priority::Normal));
         let b = bundle(&env, 100);
         let kpa = ctx.extract(&b, Col(0)).unwrap();
@@ -391,12 +388,12 @@ mod tests {
         let mut bal = DemandBalancer::new();
         let b = bundle(&env, 1000);
 
-        let mut hybrid = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut hybrid = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let _ = hybrid.extract(&b, Col(0)).unwrap();
         let p_hybrid = hybrid.take_profile();
 
         let mut bal2 = DemandBalancer::new();
-        let mut caching = OpCtx::new(&env, &mut bal2, EngineMode::CachingKpa, 2, ImpactTag::High);
+        let mut caching = OpCtx::new(&env, &mut bal2, EngineMode::CachingKpa, ImpactTag::High);
         let _ = caching.extract(&b, Col(0)).unwrap();
         let p_caching = caching.take_profile();
 
@@ -414,14 +411,14 @@ mod tests {
         let env = env();
         let mut bal = DemandBalancer::new();
         let b = bundle(&env, 1000);
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::CachingNoKpa, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::CachingNoKpa, ImpactTag::High);
         let mut kpa = ctx.extract(&b, Col(0)).unwrap();
         ctx.take_profile();
         ctx.sort(&mut kpa).unwrap();
         let p = ctx.take_profile();
 
         let mut bal2 = DemandBalancer::new();
-        let mut ctx2 = OpCtx::new(&env, &mut bal2, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx2 = OpCtx::new(&env, &mut bal2, EngineMode::Hybrid, ImpactTag::High);
         let mut kpa2 = ctx2.extract(&b, Col(0)).unwrap();
         ctx2.take_profile();
         ctx2.sort(&mut kpa2).unwrap();
@@ -440,7 +437,7 @@ mod tests {
         for _ in 0..25 {
             let _ = bal.update(1.0, 0.0, true);
         }
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::Low);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::Low);
         assert_eq!(ctx.place().0, MemKind::Dram);
         ctx.tag = ImpactTag::Urgent;
         assert_eq!(ctx.place(), (MemKind::Hbm, Priority::Reserved));

@@ -462,7 +462,7 @@ mod tests {
         let flat: Vec<u64> = rows.iter().flat_map(|&(k, v, t)| [k, v, t]).collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap();
 
-        let mut ctx = OpCtx::new(&env, &mut bal, mode, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, mode, ImpactTag::High);
         let windowed = window
             .on_message(&mut ctx, Message::data(StreamData::Bundle(b)))
             .unwrap();
@@ -589,7 +589,7 @@ mod tests {
             (EngineMode::Hybrid, "groupby.backend.hash"),
         ] {
             let mut bal = DemandBalancer::new();
-            let mut ctx = OpCtx::new(&env, &mut bal, mode, 2, ImpactTag::High);
+            let mut ctx = OpCtx::new(&env, &mut bal, mode, ImpactTag::High);
             let spec = WindowSpec::fixed(10);
             let mut logic = KeyedAggregate::new(spec, Col(0), Col(1), AggKind::Sum).logic;
             let mut windows = BTreeMap::new();
@@ -637,7 +637,7 @@ mod tests {
             .flat_map(|&(k, t)| [k, 0, t])
             .collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let mut outs = Vec::new();
         for m in window
             .on_message(&mut ctx, Message::data(StreamData::Bundle(b)))
@@ -672,7 +672,7 @@ mod tests {
             .flat_map(|&(k, t)| [k, 1, t])
             .collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         for m in window
             .on_message(&mut ctx, Message::data(StreamData::Bundle(b)))
             .unwrap()

@@ -126,7 +126,7 @@ mod tests {
     fn averages_each_window_via_windowed_kpas() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let spec = WindowSpec::fixed(10);
         let mut window = WindowInto::new(spec);
         let mut op = AvgAll::new(spec, Col(1));
@@ -148,7 +148,7 @@ mod tests {
     fn accepts_raw_bundles_without_windowing_op() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let spec = WindowSpec::fixed(10);
         let mut op = AvgAll::new(spec, Col(1));
         let flat: Vec<u64> = [(6u64, 1u64), (8, 2)]
@@ -165,7 +165,7 @@ mod tests {
     fn empty_window_is_not_emitted() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let mut op = AvgAll::new(WindowSpec::fixed(10), Col(1));
         let out = op
             .on_message(&mut ctx, Message::Watermark(Watermark::from(100)))

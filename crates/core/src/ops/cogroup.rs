@@ -169,7 +169,7 @@ mod tests {
         let spec = WindowSpec::fixed(100);
         let mut window = WindowInto::new(spec);
         let mut op = Cogroup::new(spec, Col(0), Col(1), [SideAgg::Sum, SideAgg::Count]);
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
 
         feed(
             &mut op,
@@ -213,7 +213,7 @@ mod tests {
         let spec = WindowSpec::fixed(100);
         let mut window = WindowInto::new(spec);
         let mut op = Cogroup::new(spec, Col(0), Col(1), [SideAgg::Count, SideAgg::Count]);
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         feed(&mut op, &mut window, &mut ctx, &env, 0, &[(9, 1), (9, 2)]);
         let out = op
             .on_message(&mut ctx, Message::Watermark(Watermark::from(1000)))

@@ -76,7 +76,7 @@ mod tests {
     fn external_join_rewrites_keys_in_place() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let flat: Vec<u64> = [10u64, 21, 32].iter().flat_map(|&k| [k, 0, 0]).collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap();
         let kpa = ctx.extract(&b, Col(0)).unwrap();
@@ -102,7 +102,7 @@ mod tests {
     fn bundles_are_rejected() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &[1, 2, 3]).unwrap();
         let mut op = ExternalJoin::new(|k| k);
         let err = op

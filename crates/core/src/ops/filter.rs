@@ -66,7 +66,7 @@ mod tests {
     #[test]
     fn filter_on_bundle_extracts_survivors() {
         let (env, mut bal) = setup();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let flat: Vec<u64> = (0..10u64).flat_map(|i| [i, i, 0]).collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap();
         let mut op = Filter::new(Col(0), |k| k < 3);
@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn filter_on_kpa_swaps_to_filter_column() {
         let (env, mut bal) = setup();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let flat: Vec<u64> = (0..6u64).flat_map(|i| [i, 100 + i, 0]).collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap();
         let kpa = ctx.extract(&b, Col(0)).unwrap();
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn watermarks_pass_through() {
         let (env, mut bal) = setup();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::Urgent);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::Urgent);
         let mut op = Filter::new(Col(0), |_| true);
         let out = op
             .on_message(&mut ctx, Message::Watermark(Watermark::from(7)))
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn port_is_preserved() {
         let (env, mut bal) = setup();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &[1, 2, 3]).unwrap();
         let mut op = Filter::new(Col(0), |_| true);
         let out = op

@@ -789,7 +789,7 @@ mod tests {
                 value_col: Col(1),
                 early: matches!(kind, AggKind::Sum | AggKind::Count),
             };
-            let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+            let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
             let mut fold = KeyFold::default();
             let mut sort_b = SortMergeBackend::new();
             let mut hash_b = HashBackend::hashed(&mut ctx, kind).unwrap();
@@ -820,7 +820,7 @@ mod tests {
                 value_col: Col(1),
                 early: false,
             };
-            let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+            let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
             let mut fold = KeyFold::default();
             let mut orig = HashBackend::hashed(&mut ctx, kind).unwrap();
             let pairs: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 23, i)).collect();
@@ -850,7 +850,7 @@ mod tests {
         machine.hbm.capacity_bytes = 1 << 20;
         let env = MemEnv::new(machine);
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let p = AggParams {
             kind: AggKind::Count,
             value_col: Col(1),
@@ -877,7 +877,7 @@ mod tests {
     #[test]
     fn adaptive_cold_start_is_sort_then_history_drives_hash() {
         let (env, mut bal) = harness();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let p = AggParams {
             kind: AggKind::Count,
             value_col: Col(1),

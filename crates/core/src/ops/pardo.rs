@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn sample_keeps_a_stable_fraction() {
         let (env, mut bal) = ctx_env();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let rows: Vec<u64> = (0..10_000u64).flat_map(|i| [i, 0, 0]).collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &rows).unwrap();
         let mut op = Sample::new(Col(0), 0.25);
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn sample_extremes() {
         let (env, mut bal) = ctx_env();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let rows: Vec<u64> = (0..100u64).flat_map(|i| [i, 0, 0]).collect();
         for (frac, expect) in [(0.0, 0usize), (1.0, 100)] {
             let b = RecordBundle::from_rows(&env, Schema::kvt(), &rows).unwrap();
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn map_records_emits_transformed_rows() {
         let (env, mut bal) = ctx_env();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &[1, 10, 5, 2, 20, 6]).unwrap();
         // FlatMap: emit one row per input, doubling the value; drop key 2.
         let mut op = MapRecords::new(Schema::kvt(), |row, out| {
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn map_records_can_fan_out() {
         let (env, mut bal) = ctx_env();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &[7, 1, 0]).unwrap();
         let mut op = MapRecords::new(Schema::kvt(), |row, out| {
             for i in 0..3 {

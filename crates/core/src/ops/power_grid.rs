@@ -130,7 +130,7 @@ mod tests {
         let schema = Schema::new(vec!["house", "plug", "load", "ts"], Col(3));
         let mut window = WindowInto::new(spec);
         let mut op = PowerGrid::new(spec, Col(0), Col(1), Col(2));
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
 
         // Global average will be ~55. House 1 has two hot plugs, house 2 one.
         let rows: Vec<u64> = [
@@ -174,7 +174,7 @@ mod tests {
         let schema = Schema::new(vec!["house", "plug", "load", "ts"], Col(3));
         let mut window = WindowInto::new(spec);
         let mut op = PowerGrid::new(spec, Col(0), Col(1), Col(2));
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let rows: Vec<u64> = [(1u64, 0u64, 100u64), (2, 0, 100), (3, 0, 0), (3, 1, 0)]
             .iter()
             .flat_map(|&(h, p, l)| [h, p, l, 0])

@@ -129,7 +129,7 @@ mod tests {
         let spec = WindowSpec::fixed(10);
         let mut window = WindowInto::new(spec);
         let mut join = TemporalJoin::new(spec, Col(0), Col(1));
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
 
         for (port, batches) in [(0u8, &left), (1u8, &right)] {
             for batch in batches {

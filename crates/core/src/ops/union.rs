@@ -38,7 +38,7 @@ mod tests {
     fn union_retargets_both_ports_to_zero() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let mut op = Union::new();
         for port in [0u8, 1] {
             let b = RecordBundle::from_rows(&env, Schema::kvt(), &[1, 2, 3]).unwrap();

@@ -115,7 +115,7 @@ mod tests {
     fn fixed_windows_partition_by_timestamp() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let flat: Vec<u64> = [5u64, 15, 7, 25].iter().flat_map(|&t| [1, 2, t]).collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap();
         let mut op = WindowInto::new(WindowSpec::fixed(10));
@@ -132,7 +132,7 @@ mod tests {
     fn sliding_windows_duplicate_panes() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let flat: Vec<u64> = [12u64].iter().flat_map(|&t| [1, 2, t]).collect();
         let b = RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap();
         let mut op = WindowInto::new(WindowSpec::sliding(10, 5));
@@ -147,7 +147,7 @@ mod tests {
     fn kpa_input_swaps_to_timestamp_column() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let flat: Vec<u64> = [(1u64, 3u64), (2, 13)]
             .iter()
             .flat_map(|&(k, t)| [k, 0, t])

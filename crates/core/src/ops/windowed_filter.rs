@@ -92,7 +92,7 @@ mod tests {
         let spec = WindowSpec::fixed(100);
         let mut window = WindowInto::new(spec);
         let mut op = WindowedFilter::new(spec, Col(1));
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
 
         // Control stream (port 1): values 10 and 30 => average 20.
         let control: Vec<u64> = [(0u64, 10u64), (0, 30)]
@@ -154,7 +154,7 @@ mod tests {
         let spec = WindowSpec::fixed(100);
         let mut window = WindowInto::new(spec);
         let mut op = WindowedFilter::new(spec, Col(1));
-        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
         let data: Vec<u64> = [(1u64, 0u64), (2, 5)]
             .iter()
             .flat_map(|&(k, v)| [k, v, 0])

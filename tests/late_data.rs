@@ -91,7 +91,7 @@ fn honest_sources_drop_nothing() {
     let spec = WindowSpec::fixed(10);
     let mut window = WindowInto::new(spec);
     let mut agg = KeyedAggregate::new(spec, Col(0), Col(1), AggKind::Sum);
-    let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+    let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
 
     let b = RecordBundle::from_rows(&env, Schema::kvt(), &[1, 5, 0, 1, 6, 12]).unwrap();
     for m in window
@@ -118,7 +118,7 @@ fn late_windowed_data_is_counted_and_ignored() {
     let spec = WindowSpec::fixed(10);
     let mut window = WindowInto::new(spec);
     let mut agg = KeyedAggregate::new(spec, Col(0), Col(1), AggKind::Sum);
-    let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+    let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
 
     // Close window 0.
     let out = agg

@@ -247,7 +247,7 @@ fn through_codec(state: OpState) -> OpState {
 fn run(case: &Case, cut: Option<usize>) -> (usize, Vec<Vec<u64>>) {
     let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
     let mut bal = DemandBalancer::new();
-    let mut ctx = OpCtx::new(&env, &mut bal, case.mode, 2, ImpactTag::High);
+    let mut ctx = OpCtx::new(&env, &mut bal, case.mode, ImpactTag::High);
     let mut msgs = messages(case, &env, &mut ctx);
     let fed = msgs.len();
     let mut rows = Vec::new();
@@ -322,7 +322,7 @@ fn hostile_entries_are_config_errors_not_panics() {
     for case in cases() {
         let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
         let mut bal = DemandBalancer::new();
-        let mut ctx = OpCtx::new(&env, &mut bal, case.mode, 2, ImpactTag::High);
+        let mut ctx = OpCtx::new(&env, &mut bal, case.mode, ImpactTag::High);
         let mut msgs = messages(&case, &env, &mut ctx);
         msgs.truncate(5); // mid-window: every operator holds state
         let mut op = (case.make)();

@@ -1,11 +1,10 @@
 //! Property test for the pluggable grouping backends (DESIGN.md §14):
-//! over random seeds, cardinalities, skews and thread counts, every
+//! over random seeds, cardinalities, skews and repeated runs, every
 //! backend — KPA sort-merge, hash, the row engine's table (selected by
 //! `EngineMode::Row`), and the adaptive chooser — must emit byte-identical
 //! committed window
 //! aggregates, and the adaptive backend's per-window decisions must be a
-//! pure function of the stream (identical across thread counts and across
-//! repeated same-seed runs).
+//! pure function of the stream (identical across repeated same-seed runs).
 
 use sbx_prng::SbxRng;
 use streambox_hbm::engine::ops::{AggKind, KeyedAggregate, WindowInto};
@@ -18,7 +17,7 @@ const ROWS_PER_WINDOW: usize = 2_000;
 const WINDOWS: usize = 3;
 const BUNDLES_PER_WINDOW: usize = 8;
 const WINDOW_TICKS: u64 = 10;
-const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
+const REPEATS: usize = 5;
 const SORT: (GroupingSpec, EngineMode) = (GroupingSpec::SortMerge, EngineMode::Hybrid);
 const ADAPTIVE: (GroupingSpec, EngineMode) = (GroupingSpec::Adaptive, EngineMode::Hybrid);
 
@@ -39,20 +38,19 @@ fn gen_keys(seed: u64, domain: u64, skewed: bool) -> Vec<u64> {
 }
 
 /// Feeds the stream through `WindowInto -> KeyedAggregate` with the given
-/// grouping under `mode` and thread count; returns the flattened committed
-/// output rows and the per-window backend decisions.
+/// grouping under `mode`; returns the flattened committed output rows and
+/// the per-window backend decisions.
 fn run(
     keys: &[u64],
     kind: AggKind,
     (grouping, mode): (GroupingSpec, EngineMode),
-    threads: usize,
 ) -> (Vec<u64>, Vec<&'static str>) {
     let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
     let mut bal = DemandBalancer::new();
     let spec = WindowSpec::fixed(WINDOW_TICKS);
     let mut window_op = WindowInto::new(spec);
     let mut agg = KeyedAggregate::new(spec, Col(0), Col(1), kind).with_grouping(grouping);
-    let mut ctx = OpCtx::new(&env, &mut bal, mode, threads, ImpactTag::High);
+    let mut ctx = OpCtx::new(&env, &mut bal, mode, ImpactTag::High);
 
     let mut out = Vec::new();
     let mut picks = Vec::new();
@@ -101,7 +99,7 @@ fn run(
 }
 
 /// The core property: byte-identical outputs across every backend and
-/// thread count, for uniform and skewed streams at three cardinalities,
+/// repeated run, for uniform and skewed streams at three cardinalities,
 /// for every aggregate kind: the scalar ones (Sum, Count) and those whose
 /// hash drain gathers each key's values (Avg, Median, TopK, UniqueCount).
 #[test]
@@ -116,7 +114,7 @@ fn backends_and_thread_counts_are_output_transparent() {
                     [AggKind::Sum, AggKind::Count, AggKind::Avg]
                 };
                 for kind in kinds {
-                    let (reference, _) = run(&keys, kind, SORT, 2);
+                    let (reference, _) = run(&keys, kind, SORT);
                     assert!(!reference.is_empty(), "windows must close");
                     for backend in [
                         SORT,
@@ -124,11 +122,11 @@ fn backends_and_thread_counts_are_output_transparent() {
                         (GroupingSpec::Hash, EngineMode::Row),
                         (GroupingSpec::Adaptive, EngineMode::Hybrid),
                     ] {
-                        for threads in THREADS {
-                            let (out, picks) = run(&keys, kind, backend, threads);
+                        for repeat in 0..REPEATS {
+                            let (out, picks) = run(&keys, kind, backend);
                             assert_eq!(
                                 out, reference,
-                                "{kind:?} on {backend:?} at {threads} threads diverges \
+                                "{kind:?} on {backend:?} diverges at repeat {repeat} \
                                  (seed {seed}, domain {domain}, skewed {skewed})"
                             );
                             if backend.1 == EngineMode::Row {
@@ -143,23 +141,21 @@ fn backends_and_thread_counts_are_output_transparent() {
 }
 
 /// Adaptive decisions are a pure function of the stream: identical across
-/// thread counts and across repeated runs of the same seed.
+/// repeated runs of the same seed.
 #[test]
 fn adaptive_decisions_are_deterministic() {
     for seed in [3u64, 17] {
         for domain in [8u64, 20_000] {
             let keys = gen_keys(seed, domain, false);
-            let (_, reference) = run(&keys, AggKind::Sum, ADAPTIVE, 1);
+            let (_, reference) = run(&keys, AggKind::Sum, ADAPTIVE);
             assert_eq!(reference.len(), WINDOWS, "one decision per window");
             assert_eq!(reference[0], "groupby.backend.sort", "cold start sorts");
-            for threads in THREADS {
-                for _repeat in 0..2 {
-                    let (_, picks) = run(&keys, AggKind::Sum, ADAPTIVE, threads);
-                    assert_eq!(
-                        picks, reference,
-                        "decisions drifted (seed {seed}, domain {domain}, {threads} threads)"
-                    );
-                }
+            for repeat in 0..2 * REPEATS {
+                let (_, picks) = run(&keys, AggKind::Sum, ADAPTIVE);
+                assert_eq!(
+                    picks, reference,
+                    "decisions drifted (seed {seed}, domain {domain}, repeat {repeat})"
+                );
             }
         }
     }

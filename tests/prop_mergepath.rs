@@ -5,6 +5,7 @@
 //! inputs (deterministic, offline-friendly).
 
 use sbx_prng::SbxRng;
+use streambox_hbm::ingress::ZipfKeys;
 use streambox_hbm::kpa::mergepath::{merge_runs, Run};
 use streambox_hbm::kpa::{join_sorted, ExecCtx, Kpa, WorkerPool};
 use streambox_hbm::prelude::*;
@@ -54,14 +55,24 @@ enum KeyShape {
     FarOutlier,
     /// The full `u64` range, `0` and `u64::MAX` included.
     FullWidth,
+    /// 4 M uniform keys, as `sum_highcard_sort`: nearly every key distinct.
+    Uniform4M,
+    /// 1 000 uniform keys: a few pairs per key and run.
+    Keys1000,
+    /// 1 000 keys, Zipf 0.99, as `sum_lowcard_adaptive`: a few hot keys own
+    /// most pairs.
+    Zipf099,
 }
 
-const KEY_SHAPES: [KeyShape; 5] = [
+const KEY_SHAPES: [KeyShape; 8] = [
     KeyShape::Duplicates,
     KeyShape::AllEqual,
     KeyShape::OneHot,
     KeyShape::FarOutlier,
     KeyShape::FullWidth,
+    KeyShape::Uniform4M,
+    KeyShape::Keys1000,
+    KeyShape::Zipf099,
 ];
 
 /// `k` runs sorted by key, keys drawn from `shape`: every third run or so
@@ -78,6 +89,7 @@ fn shaped_runs(
     let key_space = 1 + rng.random_range(0..6) * rng.random_range(0..6);
     let hot = rng.random();
     let outlier_run = rng.random_range(0..k as u64) as usize;
+    let zipf = ZipfKeys::new(1_000, 0.99);
     (0..k)
         .map(|r| {
             let n = match rng.random_range(0..12) {
@@ -101,6 +113,9 @@ fn shaped_runs(
                             1 => u64::MAX,
                             _ => rng.random(),
                         },
+                        KeyShape::Uniform4M => rng.random_range(0..4_000_000),
+                        KeyShape::Keys1000 => rng.random_range(0..1_000),
+                        KeyShape::Zipf099 => zipf.sample(rng),
                     };
                     let ptr = match rng.random_range(0..2) {
                         0 => rng.random_range(0..4),

@@ -259,18 +259,22 @@ fn hbm_requests<T>(env: &MemEnv, f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Select/Extract's branch-free compaction equals the per-row loop it
 /// replaced — keys, pointers and pool requests — on every column of a
-/// 7-column schema, for empty, tiny and multi-class bundles, keeping no
-/// row, every row and a data-dependent subset; so do the unfiltered Extract
-/// and a Select over the extracted KPA.
+/// 7-column and a 3-column schema, for empty, tiny and multi-class
+/// bundles, keeping no row, every row and a data-dependent subset; so do
+/// the unfiltered Extract and a Select over the extracted KPA.
 #[test]
 fn select_extract_compaction_matches_the_per_row_loop() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_100f);
-    for rows in [0usize, 1, 2, 511, 513, 1_500] {
+    let sizes = [0usize, 1, 2, 511, 513, 1_500];
+    let ysb = sizes.map(|rows| (Schema::ysb(), rows));
+    let kvt = sizes.map(|rows| (Schema::kvt(), rows));
+    for (schema, rows) in ysb.into_iter().chain(kvt) {
         let env = env();
         let mut ctx = ExecCtx::new(&env);
-        let data: Vec<u64> = (0..rows * 7).map(|_| rng.random_range(0..50)).collect();
-        let b = RecordBundle::from_rows(&env, Schema::ysb(), &data).expect("fits");
-        for col in (0..7).map(Col) {
+        let ncols = schema.ncols();
+        let data: Vec<u64> = (0..rows * ncols).map(|_| rng.random_range(0..50)).collect();
+        let b = RecordBundle::from_rows(&env, schema, &data).expect("fits");
+        for col in (0..ncols).map(Col) {
             let modulus = rng.random_range(2..9);
             let kept_below = rng.random_range(1..modulus);
             type Pred = Box<dyn Fn(u64) -> bool>;
@@ -286,7 +290,7 @@ fn select_extract_compaction_matches_the_per_row_loop() {
                     Kpa::extract_select(&mut ctx, &b, col, MemKind::Hbm, Priority::Normal, pred)
                         .expect("fits")
                 });
-                let case = format!("{rows} rows, {col}, keep {name}");
+                let case = format!("{rows} rows of {ncols}, {col}, keep {name}");
                 assert_eq!(got.keys(), &want.0[..], "{case}");
                 assert_eq!(ptrs_of(&got), want.1[..], "{case}");
                 assert_eq!(
@@ -322,7 +326,8 @@ fn select_extract_compaction_matches_the_per_row_loop() {
 /// loop it replaced — groups ascending, order within a group preserved,
 /// the same pool requests — whatever the run structure: one run,
 /// alternating runs, keys in no order at all, keys at `u64::MAX`, width 1,
-/// a width above every key, an empty KPA.
+/// a width above every key, an empty KPA, and timestamps crossing a window
+/// boundary mid-input, in order or lagging the front by up to 50 ticks.
 #[test]
 fn partition_by_width_matches_the_per_pair_loop() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_1010);
@@ -359,6 +364,18 @@ fn partition_by_width_matches_the_per_pair_loop() {
         ("width above every key", rng.vec_in(n, 0..1 << 40), top),
         ("width 1", rng.vec_in(n, 0..40), 1),
         ("width 1 at the top", vec![top, top - 1, top, 0, top - 1], 1),
+        (
+            "a boundary mid-input",
+            (0..n as u64).map(|i| 10_000 - n as u64 + 2 * i).collect(),
+            10_000,
+        ),
+        (
+            "jittered across a boundary",
+            (0..n as u64)
+                .map(|i| 10_000 - n as u64 + 2 * i - rng.random_range(0..=50))
+                .collect(),
+            10_000,
+        ),
     ];
     for (shape, keys, width) in shapes {
         let env = env();
@@ -630,8 +647,9 @@ fn fold_run(env: &MemEnv, ctx: &mut ExecCtx, keys: &[u64], values: &[u64], sourc
 /// The fused closes equal the two-pass ones they replaced — the merged KPA
 /// written, then read back by the scalar fold or `reduce_keyed` — over 1,
 /// 2, 3, 25 and 64 runs (empty ones among them) of partial bundles or
-/// multi-source raw KPAs, duplicate-heavy, all-equal, dense, at `u64::MAX`
-/// and full-range keys (so both the array and the sorted fold, and both the
+/// multi-source raw KPAs, duplicate-heavy, all-equal, dense, at `u64::MAX`,
+/// full-range keys and about eight key values per pair, as 4 M keys over a
+/// window of 25 × 20 000 pairs (so both the array and the sorted fold, and both the
 /// counting-sort and the sorted gather, run): row for row for a `Sum` that
 /// wraps near `u64::MAX` and a `Count`; key by key, values in order, for
 /// the gather; and row for row through `emit_group` for TopK, Median, Avg
@@ -639,11 +657,11 @@ fn fold_run(env: &MemEnv, ctx: &mut ExecCtx, keys: &[u64], values: &[u64], sourc
 #[test]
 fn fused_close_equals_merge_then_scalar_fold() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_1014);
-    for case in 0..40u64 {
+    for case in 0..45u64 {
         let k = [1, 2, 3, 25, 64][case as usize % 5];
         let sources = [1, 1, 3][case as usize % 3];
         let max_len = 24_000 / k as u64;
-        let shape = case / 5 % 6;
+        let shape = case / 5 % 7;
         let runs: Vec<(Vec<u64>, Vec<u64>)> = (0..k)
             .map(|_| {
                 let n = match rng.random_range(0..5) {
@@ -661,7 +679,9 @@ fn fused_close_equals_merge_then_scalar_fold() {
                         .collect(),
                     3 => rng.vec_in(n, 1_000..3_000),
                     4 => (0..n).map(|_| rng.random()).collect(),
-                    _ => rng.vec_in(n, 0..400_000),
+                    5 => rng.vec_in(n, 0..400_000),
+                    // A dense bucket, its array mostly empty.
+                    _ => rng.vec_in(n, 0..60_000),
                 };
                 // Near the top, so that a sum of a few wraps.
                 let values = rng.vec_in(n, u64::MAX - 1_000..u64::MAX);
@@ -722,8 +742,9 @@ fn fused_close_equals_merge_then_scalar_fold() {
 /// the same window with its pairs written, which the close reads through
 /// their pointers: the same rows, both pools' `PoolStats` (high water
 /// included) and the same charged profile — and the rows of the merge plus
-/// scalar fold (`reference::merge_fold`). `Sum` and `Count`; 4 M keys (the
-/// dense fold) and 10^8 (the sorted one); runs in HBM and runs spilled to
+/// scalar fold (`reference::merge_fold`). `Sum` and `Count`; 4 M and 10^8
+/// keys (at these window sizes mostly the sorted fold) and 60 000 (mostly
+/// the dense one, its array mostly empty); runs in HBM and runs spilled to
 /// DRAM; a window as it arrives, restored from its snapshot, and two
 /// overlapping windows sharing their middle bundles as pane combining shares
 /// a pane. Under the sanitizer, a run with a corrupted pointer takes the
@@ -733,10 +754,10 @@ fn in_place_close_equals_the_pointer_path_and_the_merge() {
     use streambox_hbm::engine::{DemandBalancer, EngineMode, ImpactTag, OpCtx, StateEntry};
     let mut rng = SbxRng::seed_from_u64(0x5b57_1016);
     let mut spilled = 0;
-    for case in 0..24usize {
-        let space = [4_000_000, 100_000_000][case % 2];
-        let hbm_kib = [1 << 16, 160][case / 2 % 2];
-        let shape = case / 4 % 3;
+    for case in 0..36usize {
+        let space = [4_000_000, 100_000_000, 60_000][case % 3];
+        let hbm_kib = [1 << 16, 160][case / 3 % 2];
+        let shape = case / 6 % 3;
         let bundles: Vec<Vec<u64>> = (0..rng.random_range(1..10))
             .map(|_| {
                 let n = rng.random_range(0..3_000) as usize;
@@ -752,7 +773,7 @@ fn in_place_close_equals_the_pointer_path_and_the_merge() {
                 machine.hbm.capacity_bytes = hbm_kib * 1024;
                 let env = MemEnv::new(machine);
                 let mut bal = DemandBalancer::new();
-                let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, 2, ImpactTag::High);
+                let mut ctx = OpCtx::new(&env, &mut bal, EngineMode::Hybrid, ImpactTag::High);
                 let bundles: Vec<Arc<RecordBundle>> = bundles
                     .iter()
                     .map(|rows| RecordBundle::from_rows(&env, Schema::kvt(), rows).expect("fits"))
@@ -912,12 +933,15 @@ fn codecs_round_trip() {
 /// the exact compound order, not just sorted keys — whatever kernel runs
 /// underneath, for every length class, key shape (random, all-equal,
 /// presorted, reversed, `0` and `u64::MAX` sprinkled in, the full `u64`
-/// range, one key owning 90 % of the chunk) and pointer shape (ascending as
+/// range, one key owning 90 % of the chunk, 4 M and 1 000 uniform keys,
+/// Zipf 0.99 over 1 000) and pointer shape (ascending as
 /// freshly extracted, unique but alternating between both ends of the
 /// range, a handful of values repeated out of order, rows of several
 /// bundles interleaved).
 #[test]
 fn chunk_sort_matches_reference() {
+    use streambox_hbm::ingress::ZipfKeys;
+    let zipf = ZipfKeys::new(1_000, 0.99);
     let mut rng = SbxRng::seed_from_u64(0x5b57_1009);
     let lens = (0..=130usize).chain([1_499, 20_000]);
     for (case, n) in lens.enumerate() {
@@ -945,15 +969,6 @@ fn chunk_sort_matches_reference() {
                 _ => hot,
             })
             .collect();
-        let key_shapes = [
-            random,
-            vec![42; n],
-            presorted,
-            reversed,
-            extremes,
-            full_range,
-            one_hot,
-        ];
         let ptr_shapes: [Vec<u64>; 4] = [
             (0..n as u64).map(|row| 7 << 32 | row).collect(),
             (0..n as u64)
@@ -963,6 +978,21 @@ fn chunk_sort_matches_reference() {
             (0..n)
                 .map(|_| rng.random_range(0..5) << 32 | rng.random_range(0..1 + n as u64))
                 .collect(),
+        ];
+        let uniform_4m = rng.vec_in(n, 0..4_000_000);
+        let keys_1000 = rng.vec_in(n, 0..1_000);
+        let zipf_099: Vec<u64> = (0..n).map(|_| zipf.sample(&mut rng)).collect();
+        let key_shapes = [
+            random,
+            vec![42; n],
+            presorted,
+            reversed,
+            extremes,
+            full_range,
+            one_hot,
+            uniform_4m,
+            keys_1000,
+            zipf_099,
         ];
         for (ks, keys) in key_shapes.iter().enumerate() {
             for (ps, ptrs) in ptr_shapes.iter().enumerate() {
@@ -981,7 +1011,8 @@ fn chunk_sort_matches_reference() {
 /// A `Resolver` pass agrees with the one-off `Kpa::value_at` / `Kpa::deref`
 /// lookups on a merged KPA whose source bundle ids are sparse: bundles
 /// created on another environment in between leave gaps in the
-/// process-global id sequence.
+/// process-global id sequence. KeySwap over the 1 to 40 sources agrees
+/// with the hash-probed reference.
 #[test]
 fn resolver_matches_value_at_on_sparse_bundle_ids() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_100e);
@@ -1003,7 +1034,7 @@ fn resolver_matches_value_at_on_sparse_bundle_ids() {
             kpa.sort(&mut ctx, 1).expect("sort");
             parts.push(kpa);
         }
-        let merged =
+        let mut merged =
             Kpa::merge_many(&mut ctx, parts, MemKind::Hbm, Priority::Normal).expect("merge");
         let records = merged.resolver();
         for i in 0..merged.len() {
@@ -1017,6 +1048,15 @@ fn resolver_matches_value_at_on_sparse_bundle_ids() {
                 assert_eq!(records.value(i, col), merged.value_at(i, col));
             }
         }
+        let mut sources: Vec<Arc<RecordBundle>> = (0..merged.len())
+            .map(|i| Arc::clone(merged.deref(i).0))
+            .collect();
+        sources.sort_by_key(|b| b.id());
+        sources.dedup_by_key(|b| b.id());
+        let mut want = vec![0; merged.len()];
+        reference::key_swap(&mut want, &ptrs_of(&merged), &sources, Col(1));
+        merged.key_swap(&mut ctx, Col(1));
+        assert_eq!(merged.keys(), &want[..], "case {case}: key swap");
     }
 }
 
@@ -1054,8 +1094,9 @@ fn hash_grouper_matches_btreemap() {
 }
 
 /// The hash grouper's batch loop is the per-pair loop. Over both modes,
-/// dense, sparse and Zipf keys, batch splits from one or two pairs up to the
-/// whole input, and HBMs small enough that a grow spills the table, pairs
+/// dense, sparse, Zipf and 4 M uniform keys, batch splits from one or two
+/// pairs up to the whole input (every key shape with every split and mode),
+/// and HBMs small enough that a grow spills the table, pairs
 /// fed in batches through `try_insert_all` leave the table of one
 /// `try_insert` per pair ([`reference::hash_ingest`]) after every batch —
 /// slots, tier, length, spills and both pools' statistics, high water
@@ -1072,15 +1113,16 @@ fn hash_batch_insert_equals_the_per_pair_loop() {
     for case in 0..CASES as usize {
         let n = rng.random_range(0..3_000) as usize;
         let keys: Vec<u64> = (0..n)
-            .map(|_| match case % 3 {
+            .map(|_| match case % 4 {
                 0 => rng.random_range(0..200),
                 1 => rng.random(),
-                _ => zipf.sample(&mut rng),
+                2 => zipf.sample(&mut rng),
+                _ => rng.random_range(0..4_000_000),
             })
             .collect();
         let values: Vec<u64> = (0..n).map(|_| rng.random()).collect();
-        let most = [2, 5, 100, n.max(1)][(case / 3) % 4];
-        let mode = [HashAgg::SumCount, HashAgg::Values][(case / 12) % 2];
+        let most = [2, 5, 100, n.max(1)][(case / 4) % 4];
+        let mode = [HashAgg::SumCount, HashAgg::Values][(case / 16) % 2];
         let hbm_kib = [48, 160, 1 << 16][rng.random_range(0..3) as usize];
         let expected = rng.random_range(1..64) as usize;
         let side = || {
@@ -1124,7 +1166,7 @@ fn hash_batch_insert_equals_the_per_pair_loop() {
             per_pair.drain_values_sorted(),
             "case {case}"
         );
-        spilled[(case / 12) % 2] += usize::from(batched.kind() == MemKind::Dram);
+        spilled[(case / 16) % 2] += usize::from(batched.kind() == MemKind::Dram);
     }
     assert!(
         spilled.iter().all(|&s| s > 0),
@@ -1203,7 +1245,7 @@ fn hash_swap_reading_equals_the_two_pass_ingest() {
 /// its pointer (`reference::partials`): the same rows, both pools'
 /// `PoolStats`, spill count and charged profile, for a Sum and a Count,
 /// over dense, sparse and exactly-at-threshold key spans, all-equal and
-/// `u64::MAX` keys, n in {0, 1, 32, 33, 20 000}, with and without a key map
+/// `u64::MAX` keys, 1 000 and 4 M uniform keys, n in {0, 1, 32, 33, 20 000}, with and without a key map
 /// and values read by the key swap, each partial placed as a window's run
 /// at 64 MiB and at 160 KiB of HBM.
 #[test]
@@ -1213,8 +1255,9 @@ fn early_partials_equal_sort_then_scalar_fold() {
     let (mut case, mut spilled) = (0usize, 0);
     for n in [0usize, 1, 32, 33, 20_000] {
         // Key spans: dense, sparse, just below and exactly at the
-        // threshold, all equal, and next to `u64::MAX`.
-        for shape in 0..6 {
+        // threshold, all equal, next to `u64::MAX`, and the 1 000 and 4 M
+        // keys of `ysb`'s campaigns and `sum_highcard_sort`.
+        for shape in 0..8 {
             let span = DENSE_SPAN * n as u64;
             let base = rng.random_range(0..1 << 40);
             let mut keys: Vec<u64> = (0..n)
@@ -1224,7 +1267,9 @@ fn early_partials_equal_sort_then_scalar_fold() {
                     2 => base + rng.random_range(0..span.max(1)),
                     3 => base + rng.random_range(0..=span),
                     4 => base,
-                    _ => u64::MAX - rng.random_range(0..3),
+                    5 => u64::MAX - rng.random_range(0..3),
+                    6 => rng.random_range(0..1_000),
+                    _ => rng.random_range(0..4_000_000),
                 })
                 .collect();
             // Pin the span's ends where the shape needs them.
