@@ -80,18 +80,6 @@ impl RouteTable {
         RouteTable::uniform(new_shards, self.nslots())
     }
 
-    /// A copy with `slot` reassigned to `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` or `shard` is out of range.
-    pub fn with_assignment(&self, slot: u32, shard: u32) -> Self {
-        assert!(shard < self.shards, "shard {shard} out of range");
-        let mut t = self.clone();
-        t.owners[slot as usize] = shard;
-        t
-    }
-
     /// Greedy hot-shard rebalance: given observed per-slot record loads,
     /// repeatedly moves the hottest slot of the most loaded shard to the
     /// least loaded shard, while the hottest shard carries more than

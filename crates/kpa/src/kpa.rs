@@ -293,6 +293,22 @@ impl<'a> Resolver<'a> {
     pub fn value(&self, i: usize, col: Col) -> u64 {
         self.row(i).map_or(0, |r| r[col.0])
     }
+
+    /// What pair `i` adds to a keyed sum: [`Resolver::value`] of `col`, or
+    /// 1 without one (a count), which reads no record yet shows
+    /// `--features sanitize` every pointer.
+    #[inline]
+    pub(crate) fn summand(&self, i: usize, col: Option<Col>) -> u64 {
+        match col {
+            Some(col) => self.value(i, col),
+            None => {
+                if cfg!(feature = "sanitize") {
+                    _ = self.row(i);
+                }
+                1
+            }
+        }
+    }
 }
 
 /// A Key Pointer Array: the only data structure StreamBox-HBM places in HBM.
@@ -821,7 +837,8 @@ impl Kpa {
 
     /// **Merge** (Table 2): merges two KPAs sorted on the same resident
     /// column into one sorted KPA on `out_kind` (falling back to DRAM) —
-    /// [`Kpa::merge_many`] of two borrowed inputs.
+    /// [`Kpa::merge_many`] of two borrowed inputs, the same bucket walk as
+    /// any other number of runs.
     ///
     /// # Errors
     ///
@@ -917,16 +934,7 @@ impl Kpa {
         prio: Priority,
     ) -> Result<(Vec<u64>, FoldedWindow), AllocError> {
         Self::merge_walk(ctx, kpas, out_kind, prio, |runs, records| {
-            // A count reads no record, yet shows the sanitizer every pointer.
-            let value = |r: usize, i: usize| match col {
-                Some(col) => records[r].value(i, col),
-                None => {
-                    if cfg!(feature = "sanitize") {
-                        _ = records[r].row(i);
-                    }
-                    1
-                }
-            };
+            let value = |r: usize, i: usize| records[r].summand(i, col);
             let pairs = runs.iter().map(mergepath::Run::len).sum::<usize>();
             let mut rows = MemPool::host_buffer(3 * pairs);
             mergepath::fold_runs(runs, col.map(|c| c.0), value, start, &mut rows);

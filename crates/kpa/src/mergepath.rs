@@ -2,14 +2,19 @@
 //!
 //! A window close (paper §4.2, Fig. 4a) merges every KPA the window holds,
 //! then reduces each key's records. Here one bucket walker,
-//! `walk_buckets`, cuts the runs at common key *splitters* into buckets of
-//! a few thousand pairs that cover disjoint key ranges, and hands each
-//! bucket to one of three sinks:
+//! `walk_buckets`, cuts the runs, however many, at common key *splitters*
+//! into buckets of a few thousand pairs that cover disjoint key ranges, and
+//! hands each bucket to one of three sinks:
 //!
 //! * [`merge_runs`] sorts the bucket into the merged KPA's next slice;
 //! * [`fold_runs`] sums each key's values, writing no merged pair;
-//! * [`gather_runs`] hands each key's values, in merged order, to the
-//!   caller's reduction, writing no merged pair either.
+//! * [`gather_runs`] sorts the bucket on its keys alone and hands each
+//!   key's values, in merged order, to the caller's reduction, writing no
+//!   merged pair either.
+//!
+//! Every bucket sort is one kernel, `sort_bucket` (`radix.rs`), whatever
+//! the run count or key span; only the fold sums a dense bucket in an
+//! array instead ([`KeyFold`]).
 //!
 //! Everything runs on the calling thread: StreamBox parallelises across
 //! bundles and windows (§3), not inside one merge.
@@ -117,25 +122,6 @@ impl<'a> Run<'a> {
                 .map(move |record| (record[key], record[col])),
         )
     }
-
-    /// Copies the keys of pairs `at` into `dst`.
-    fn copy_keys(&self, at: Range<usize>, dst: &mut [u64]) {
-        match self.width {
-            1 => dst.copy_from_slice(&self.words[at]),
-            _ => dst.iter_mut().zip(self.keys(at)).for_each(|(d, k)| *d = k),
-        }
-    }
-
-    /// Copies the pointers of pairs `at` into `dst`.
-    fn copy_ptrs(&self, at: Range<usize>, dst: &mut [u64]) {
-        match self.base {
-            None => dst.copy_from_slice(&self.ptrs[at]),
-            Some(base) => dst
-                .iter_mut()
-                .zip(at)
-                .for_each(|(d, i)| *d = base + i as u64),
-        }
-    }
 }
 
 /// Pairs per bucket the k-way merge sorts at a time: source and scratch of
@@ -152,22 +138,18 @@ pub fn count_groups(keys: &[u64]) -> usize {
 /// index breaks ties), preserving each run's internal order. The output
 /// slices must hold exactly the runs' pairs.
 ///
-/// Up to two runs merge with the plain two-way loop. More are cut at common
-/// key *splitters* into buckets of a few thousand pairs (`walk_buckets`),
-/// and each bucket is sorted on its own: its sub-runs are concatenated in
-/// run order and a stable radix sort (`radix.rs`) over the bits in which the
-/// bucket's keys can still differ puts them in order, the last pass
-/// scattering straight into the output. Stable over run-order concatenation
-/// is exactly the merge's tie rule.
+/// The runs, however many, are cut at common key *splitters* into buckets
+/// of a few thousand pairs (`walk_buckets`), and each bucket is sorted on
+/// its own: its sub-runs are concatenated in run order and a stable radix
+/// sort (`radix.rs`) over the bits in which the bucket's keys can still
+/// differ puts them in order, the last pass scattering straight into the
+/// output. Stable over run-order concatenation is exactly the merge's tie
+/// rule.
 ///
 /// # Panics
 ///
 /// Panics if the output slices are shorter than the runs.
 pub fn merge_runs(runs: &[Run<'_>], out_keys: &mut [u64], out_ptrs: &mut [u64]) {
-    if runs.len() <= 2 {
-        merge_two(runs, out_keys, out_ptrs);
-        return;
-    }
     let (mut scratch, mut done) = (Vec::new(), 0);
     let ptr = |r: usize, i: usize| runs[r].ptr(i);
     walk_buckets(runs, |pos, cut| {
@@ -349,11 +331,18 @@ impl KeyFold {
             self.loaded = Loaded::Dense { min, words };
             return seen[..words].iter().map(|w| w.count_ones() as usize).sum();
         }
+        let groups = count_groups(self.sort(len, (min, max), pairs).0);
+        self.loaded = Loaded::Sparse { len };
+        groups
+    }
+
+    /// Sorts the `len` pairs `pairs` yields, keys in `bounds`, by key
+    /// alone, stably, and returns them: the keys, then their values.
+    fn sort(&mut self, len: usize, bounds: (u64, u64), pairs: impl FoldPairs) -> Pairs<'_> {
         grow(&mut self.pairs, 2 * len);
         let out = halves(&mut self.pairs, len);
-        sort_bucket(len, (min, max), pairs, out, &mut self.scratch);
-        self.loaded = Loaded::Sparse { len };
-        count_groups(&self.pairs[..len])
+        sort_bucket(len, bounds, pairs, out, &mut self.scratch);
+        halves(&mut self.pairs, len)
     }
 
     /// Calls `f(key, sum)` for every key of the loaded fold, ascending, and
@@ -494,66 +483,22 @@ pub fn fold_runs(
     });
 }
 
-/// Key values per pair up to which a gather bucket is counting-sorted.
-const GATHER_SPAN: u64 = 2;
-
 /// The keyed reduction's gather, fused into the k-way merge: calls
 /// `sink(key, values)` once per distinct key of the key-sorted `runs`, in
 /// ascending key order, `values` holding `value(r, i)` for the key's pairs
 /// `runs[r][i]` in merged order (run by run, each in its own order) — what
 /// `reduce_keyed` hands out over the [`merge_runs`] output, which is never
-/// written. The buckets are [`fold_runs`]'. A dense bucket (`GATHER_SPAN`)
-/// is counting-sorted by key; a sparser one is sorted on its keys alone and
-/// cut where the key changes.
+/// written. The buckets are [`fold_runs`]', each sorted on its keys alone
+/// as a sparse [`KeyFold`] is, and cut where the key changes.
 pub fn gather_runs(
     runs: &[Run<'_>],
     value: impl Fn(usize, usize) -> u64,
     mut sink: impl FnMut(u64, &mut [u64]),
 ) {
-    let (mut ends, mut bucket, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+    let mut fold = KeyFold::default();
     walk_buckets(runs, |pos, cut| {
-        let len = claimed(pos, cut);
-        if len == 0 {
-            return;
-        }
-        if bucket.len() < 2 * len {
-            bucket.resize(2 * len, 0);
-        }
-        let (keys, vals) = bucket.split_at_mut(len);
-        let vals = &mut vals[..len];
-        let (min, max) = key_bounds(runs, pos, cut);
-        if max - min < GATHER_SPAN * len as u64 {
-            // `ends[at]` counts key `min + at - 1`'s pairs, then holds where
-            // key `min + at`'s values start, then where they end.
-            let span = (max - min) as usize + 1;
-            ends.clear();
-            ends.resize(span + 1, 0usize);
-            for (run, (&lo, &hi)) in runs.iter().zip(pos.iter().zip(cut)) {
-                for key in run.keys(lo..hi) {
-                    ends[(key - min) as usize + 1] += 1;
-                }
-            }
-            for at in 1..span {
-                ends[at] += ends[at - 1];
-            }
-            for (r, run) in runs.iter().enumerate() {
-                for (key, i) in run.keys(pos[r]..cut[r]).zip(pos[r]..) {
-                    let end = &mut ends[(key - min) as usize];
-                    vals[*end] = value(r, i);
-                    *end += 1;
-                }
-            }
-            let mut start = 0;
-            for (at, &end) in ends[..span].iter().enumerate() {
-                if start < end {
-                    sink(min + at as u64, &mut vals[start..end]);
-                }
-                start = end;
-            }
-            return;
-        }
-        let pairs = Bucket(runs, pos, cut, None, &value);
-        sort_bucket(len, (min, max), pairs, (keys, vals), &mut scratch);
+        let bucket = Bucket(runs, pos, cut, None, &value);
+        let (keys, vals) = fold.sort(claimed(pos, cut), key_bounds(runs, pos, cut), bucket);
         let mut i = 0;
         while let Some(&key) = keys.get(i) {
             let end = i + keys[i..].iter().take_while(|&&k| k == key).count();
@@ -561,31 +506,6 @@ pub fn gather_runs(
             i = end;
         }
     });
-    MemPool::return_host_buffer(scratch);
-}
-
-/// [`merge_runs`] for at most two runs: the two-way loop, then a bulk copy
-/// of whichever run still holds pairs.
-fn merge_two(runs: &[Run<'_>], out_keys: &mut [u64], out_ptrs: &mut [u64]) {
-    let mut pos = [0usize; 2];
-    let mut o = 0usize;
-    if let [a, b] = runs {
-        // `<` keeps run 0 on ties: left wins.
-        while pos[0] < a.len() && pos[1] < b.len() {
-            let r = usize::from(b.key(pos[1]) < a.key(pos[0]));
-            out_keys[o] = runs[r].key(pos[r]);
-            out_ptrs[o] = runs[r].ptr(pos[r]);
-            pos[r] += 1;
-            o += 1;
-        }
-    }
-    for (run, &pos) in runs.iter().zip(&pos) {
-        let end = o + run.len() - pos;
-        run.copy_keys(pos..run.len(), &mut out_keys[o..end]);
-        run.copy_ptrs(pos..run.len(), &mut out_ptrs[o..end]);
-        o = end;
-    }
-    debug_assert_eq!(o, out_keys.len(), "runs did not fill the output");
 }
 
 #[cfg(test)]
@@ -616,7 +536,7 @@ mod tests {
         // Stable left-wins ties: run a's 3s, then b's 3, then c's 3.
         assert_eq!(keys, vec![1, 2, 3, 3, 3, 3, 8, 9]);
         assert_eq!(ptrs, vec![1, 5, 2, 3, 6, 8, 4, 7]);
-        // Two runs take the two-way loop, with the same tie rule.
+        // Two runs walk the same buckets, with the same tie rule.
         let (keys, ptrs) = merged(&runs[..2]);
         assert_eq!(keys, vec![1, 2, 3, 3, 3, 8, 9]);
         assert_eq!(ptrs, vec![1, 5, 2, 3, 6, 4, 7]);
@@ -635,16 +555,31 @@ mod tests {
 
     #[test]
     fn gather_hands_each_key_its_values_in_run_order() {
-        // Dense keys in one bucket, then one run of keys far apart.
+        // Dense keys in one bucket, then one run of keys far apart, then
+        // three runs of many buckets, over 1 000 keys and over all of `u64`.
         let ka = [1u64, 2, 2, 7];
         let kb = [2u64, 7, 7];
         let kc = [0u64, 1 << 40, 1 << 41];
-        let none = [0u64; 4];
+        let none = vec![0u64; 6_100];
+        let mut rng = sbx_prng::SbxRng::seed_from_u64(0x6761_7468);
+        let mut long = |len: usize, keys: u64| {
+            let mut run: Vec<u64> = (0..len).map(|_| rng.random_range(0..keys)).collect();
+            run.sort_unstable();
+            run
+        };
+        let dense = [long(6_000, 1_000), long(5_900, 1_000), long(6_100, 1_000)];
+        let sparse = [
+            long(6_000, u64::MAX),
+            long(6_100, u64::MAX),
+            long(5_900, u64::MAX),
+        ];
         for runs in [
             vec![run(&ka, &none[..4]), run(&kb, &none[..3])],
             vec![run(&kc, &none[..3]), run(&ka, &none[..4])],
+            dense.iter().map(|k| run(k, &none[..k.len()])).collect(),
+            sparse.iter().map(|k| run(k, &none[..k.len()])).collect(),
         ] {
-            let value = |r: usize, i: usize| 10 * r as u64 + i as u64;
+            let value = |r: usize, i: usize| (r as u64) << 32 | i as u64;
             let mut got = Vec::new();
             gather_runs(&runs, value, |key, vals| got.push((key, vals.to_vec())));
             let (keys, _) = merged(&runs);

@@ -1,7 +1,9 @@
 //! The stable digit-skipping radix sort both sequential-access host kernels
 //! are built on: the chunk sort ([`crate::sort_pairs`]) runs it over a whole
 //! chunk, the k-way merge ([`crate::mergepath::merge_runs`]) over each
-//! cache-resident bucket it cuts the runs into.
+//! cache-resident bucket it cuts the runs into, for two runs as for many,
+//! and the close's gather and sparse fold over the same buckets, on keys
+//! alone.
 //!
 //! A *digit* is a field of up to [`DIGIT_BITS`] bits of the key (taken
 //! relative to a base, so a bucket of keys close together has few of them) or

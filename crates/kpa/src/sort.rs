@@ -105,16 +105,11 @@ impl Kpa {
             return fold.load(n, bounds, keys.zip(values.iter().copied()));
         }
         let records = self.resolver();
-        let value = |i| match col {
-            Some(col) => records.value(i, col),
-            None => {
-                if cfg!(feature = "sanitize") {
-                    _ = records.row(i);
-                }
-                1
-            }
-        };
-        fold.load(n, bounds, keys.zip(0..).map(|(key, i)| (key, value(i))))
+        fold.load(
+            n,
+            bounds,
+            keys.zip(0..).map(|(key, i)| (key, records.summand(i, col))),
+        )
     }
 
     /// The keyed reduction of a [`Kpa::sort_fold`]: `f(key, sum)` per key,

@@ -135,8 +135,9 @@ fn shaped_runs(
 
 /// `merge_runs` is byte-identical to the linear-scan oracle at narrow and
 /// wide fan-ins, over every key shape, with empty and single-pair runs.
-/// Runs are long enough at the wider fan-ins for the kernel to cut its
-/// input into several buckets.
+/// Runs are long enough at the wider fan-ins, and at two runs of up to
+/// 12 000 pairs (the join's merges), for the kernel to cut its input into
+/// several buckets.
 #[test]
 fn merge_span_matches_linear_scan_oracle() {
     let mut rng = SbxRng::seed_from_u64(0x6d70_0005);
@@ -147,6 +148,7 @@ fn merge_span_matches_linear_scan_oracle() {
         (25, 1_500),
         (64, 600),
         (200, 200),
+        (2, 12_000),
     ] {
         for shape in KEY_SHAPES {
             for _case in 0..4 {

@@ -649,11 +649,11 @@ fn fold_run(env: &MemEnv, ctx: &mut ExecCtx, keys: &[u64], values: &[u64], sourc
 /// 2, 3, 25 and 64 runs (empty ones among them) of partial bundles or
 /// multi-source raw KPAs, duplicate-heavy, all-equal, dense, at `u64::MAX`,
 /// full-range keys and about eight key values per pair, as 4 M keys over a
-/// window of 25 × 20 000 pairs (so both the array and the sorted fold, and both the
-/// counting-sort and the sorted gather, run): row for row for a `Sum` that
-/// wraps near `u64::MAX` and a `Count`; key by key, values in order, for
-/// the gather; and row for row through `emit_group` for TopK, Median, Avg
-/// and UniqueCount.
+/// window of 25 × 20 000 pairs (so both the array and the sorted fold
+/// run, and the gather sorts dense buckets and sparse ones): row for row
+/// for a `Sum` that wraps near `u64::MAX` and a `Count`; key by key,
+/// values in order, for the gather; and row for row through `emit_group`
+/// for TopK, Median, Avg and UniqueCount.
 #[test]
 fn fused_close_equals_merge_then_scalar_fold() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_1014);
