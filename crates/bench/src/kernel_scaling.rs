@@ -27,17 +27,19 @@ pub fn ptrs_of(kpa: &Kpa) -> Vec<u64> {
 /// ran before their streaming passes, the per-pair hash ingest, the
 /// two-pass closes `Kpa::merge_fold` and `Kpa::merge_gather` fuse, and
 /// early aggregation's sort and scalar fold (`reduce_keyed_scalar`) that
-/// `Kpa::sort_fold` replaced, kept as the reference `tests/prop_primitives.rs`
-/// checks the current code against.
+/// `Kpa::sort_fold` replaced, and the written windowing `WindowInto` ran
+/// before it took a bundle in place, kept as the reference
+/// `tests/prop_primitives.rs` checks the current code against.
 pub mod reference {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use sbx_engine::ops::{emit_group, AggKind};
+    use sbx_engine::{Message, OpCtx, StreamData};
     use sbx_kpa::hash::HashGrouper;
     use sbx_kpa::mergepath::count_groups;
     use sbx_kpa::{profile, reduce_keyed, ExecCtx, Kpa};
-    use sbx_records::{BundleId, Col, RecordBundle, RecordRef, Schema};
+    use sbx_records::{BundleId, Col, RecordBundle, RecordRef, Schema, WindowId};
     use sbx_simmem::{AllocError, MemEnv, MemKind, PoolVec, Priority};
 
     fn pair_bufs(env: &MemEnv, n: usize) -> (PoolVec, PoolVec) {
@@ -95,6 +97,23 @@ pub mod reference {
             }
         }
         outs.into_iter().map(|(g, (k, p))| (g, k, p)).collect()
+    }
+
+    /// `WindowInto` of a bundle (given up, as in a message) into fixed
+    /// windows `width` long as it ran before it took the bundle in place:
+    /// Extract writes every `(timestamp, pointer)` pair, then Partition
+    /// hands them over or copies them — its windowed KPAs, in pane order.
+    pub fn window_written(
+        ctx: &mut OpCtx<'_>,
+        bundle: Arc<RecordBundle>,
+        width: u64,
+    ) -> Vec<Message> {
+        let kpa = ctx.extract(&bundle, bundle.schema().ts_col());
+        drop(bundle);
+        let (_, prio) = ctx.place();
+        let panes = ctx.charged(16, |e| kpa.expect("fits").into_partitions(e, prio, width));
+        let windowed = |(w, kpa)| Message::data(StreamData::Windowed(WindowId(w), kpa));
+        panes.expect("fits").into_iter().map(windowed).collect()
     }
 
     /// Hash ingest one [`HashGrouper::try_insert`] per pair, as the hash

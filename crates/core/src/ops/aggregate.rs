@@ -182,17 +182,19 @@ impl KeyedAggLogic {
 
     /// Creates the grouping backend for a new window, running the adaptive
     /// decision when configured. `kpa` is the window's first arriving KPA
-    /// (already key-swapped and key-mapped). The row mode fixes the table.
+    /// (already key-swapped and key-mapped), its pairs written when the
+    /// sketch reads its keys. The row mode fixes the table.
     fn new_backend(
         &self,
         ctx: &mut OpCtx<'_>,
-        kpa: &Kpa,
+        kpa: &mut Kpa,
     ) -> Result<Box<dyn GroupingBackend>, EngineError> {
         let choice = match self.grouping {
             _ if ctx.mode() == EngineMode::Row => BackendChoice::Row,
             GroupingSpec::SortMerge => BackendChoice::Sort,
             GroupingSpec::Hash => BackendChoice::Hash,
             GroupingSpec::Adaptive => {
+                kpa.write_pairs();
                 if self.adapt.windows_seen > 0 {
                     // Window 0 skips the sketch: the decision is
                     // the sort default regardless (`decide_backend`).
@@ -235,7 +237,8 @@ impl WindowLogic for KeyedAggLogic {
     /// Swaps the KPA to the (mapped) grouping key and hands it to the
     /// window's backend — or, in pane mode, pre-reduces it to the pane's
     /// per-key partials and keeps the partial *bundle* (shareable across
-    /// windows).
+    /// windows). A KPA in place stays in place unless a key map rewrites
+    /// its keys: the backend reads key and value from its rows.
     fn arrive(
         &mut self,
         ctx: &mut OpCtx<'_>,
@@ -250,10 +253,9 @@ impl WindowLogic for KeyedAggLogic {
         let mut read = false;
         if kpa.resident() != self.key_col {
             if state.backend.as_ref().is_some_and(|b| b.reads_values(&p)) {
-                ctx.charged(16, |e| {
-                    kpa.key_swap_reading(e, self.key_col, p.value_col, &mut self.values);
+                read = ctx.charged(16, |e| {
+                    kpa.key_swap_reading(e, self.key_col, p.value_col, &mut self.values)
                 });
-                read = true;
             } else {
                 ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
             }
@@ -268,7 +270,7 @@ impl WindowLogic for KeyedAggLogic {
         }
         let backend = match &mut state.backend {
             Some(backend) => backend,
-            empty => empty.insert(self.new_backend(ctx, &kpa)?),
+            empty => empty.insert(self.new_backend(ctx, &mut kpa)?),
         };
         let values = read.then_some(&self.values[..]);
         backend.ingest(ctx, kpa, &p, values, &mut self.fold)

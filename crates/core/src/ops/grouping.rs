@@ -511,17 +511,27 @@ impl GroupingBackend for HashBackend {
         }
         self.records += n as u64;
         // `Count` reads no values (the hash advantage the adaptive policy
-        // exploits).
-        let count_only = p.count_only();
-        if count_only {
-            self.table.try_insert_all(kpa.keys(), |_| 0)?;
-        } else if let Some(values) = values {
-            self.table.try_insert_all(kpa.keys(), |i| values[i])?;
+        // exploits). A KPA in place is read from its rows, key and value.
+        let (count_only, table) = (p.count_only(), &mut self.table);
+        if let Some(b) = kpa.rows_in_place() {
+            let (rows, ncols) = (b.as_rows(), b.schema().ncols());
+            let (key, col) = (kpa.resident().0, p.value_col.0);
+            let key = |i: usize| rows[i * ncols + key];
+            match count_only {
+                true => table.try_insert_all(n, key, |_| 0)?,
+                false => table.try_insert_all(n, key, |i| rows[i * ncols + col])?,
+            }
         } else {
-            let records = kpa.resolver();
-            let col = p.value_col;
-            self.table
-                .try_insert_all(kpa.keys(), |i| records.value(i, col))?;
+            let keys = kpa.keys();
+            let key = |i: usize| keys[i];
+            if count_only {
+                table.try_insert_all(n, key, |_| 0)?;
+            } else if let Some(values) = values {
+                table.try_insert_all(n, key, |i| values[i])?;
+            } else {
+                let records = kpa.resolver();
+                table.try_insert_all(n, key, |i| records.value(i, p.value_col))?;
+            }
         }
         let t = &self.table;
         let prof = (self.ingest_profile)(n, t.len(), t.kind(), count_only);

@@ -137,12 +137,9 @@ impl StatelessOperator for MapRecords {
                         } else {
                             kpa.schema().record_bytes()
                         };
-                        let records = kpa.resolver();
-                        for i in 0..kpa.len() {
-                            // A pointer the sanitizer rejected maps nothing.
-                            if let Some(row) = records.row(i) {
-                                (self.f)(row, &mut rows);
-                            }
+                        // A pointer the sanitizer rejected maps nothing.
+                        for row in kpa.records().flatten() {
+                            (self.f)(row, &mut rows);
                         }
                     }
                 }

@@ -60,6 +60,8 @@ impl WindowLogic for TemporalJoinLogic {
         if kpa.resident() != self.key_col {
             ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
         }
+        // The join reads the newcomer's keys and pointers.
+        kpa.write_pairs();
         ctx.sort(&mut kpa)?;
 
         // (1) Join the newcomer against the opposite side's state.

@@ -1,3 +1,4 @@
+use sbx_kpa::Kpa;
 use sbx_records::{WindowId, WindowSpec};
 
 use crate::operator::single;
@@ -38,9 +39,12 @@ impl StatelessOperator for WindowInto {
         match msg {
             Message::Data { port, data } => {
                 let mut kpa = match data {
+                    // Taken in place: a bundle in one pane reaches the next
+                    // operator as its rows, no pair written.
                     StreamData::Bundle(b) => {
-                        let ts_col = b.schema().ts_col();
-                        ctx.extract(&b, ts_col)?
+                        let (ts_col, rb) = (b.schema().ts_col(), b.schema().record_bytes());
+                        let (kind, prio) = ctx.place();
+                        ctx.charged(rb, |e| Kpa::extract_deferred(e, &b, ts_col, kind, prio))?
                     }
                     StreamData::Kpa(kpa) => kpa,
                     StreamData::Windowed(_, kpa) => kpa, // re-window

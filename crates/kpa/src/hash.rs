@@ -17,6 +17,8 @@
 //! pool-accounted buffers, spilling the whole table to DRAM instead of
 //! failing when HBM is exhausted.
 
+use std::ops::Range;
+
 use sbx_simmem::{AllocError, MemEnv, MemKind, MemPool, PoolVec, Priority};
 
 use crate::kpa::alloc_or_spill;
@@ -182,13 +184,14 @@ impl HashGrouper {
     /// Returns [`AllocError`] when the table must grow and both tiers are
     /// exhausted.
     pub fn try_insert(&mut self, key: u64, value: u64) -> Result<(), AllocError> {
-        self.insert_lanes(&[key], |_| (value, 1))
+        self.insert_lanes(1, |_| key, |_| (value, 1))
     }
 
-    /// Inserts key `keys[i]` with value `value(i)` for every `i`, in order,
-    /// as that many [`HashGrouper::try_insert`] calls would: the table grows
-    /// (and spills) before the same pairs, and in [`HashAgg::Values`] mode
-    /// every value joins its key's chain.
+    /// Inserts key `key(i)` with value `value(i)` for every `i < len`, in
+    /// order, as that many [`HashGrouper::try_insert`] calls would: the
+    /// table grows (and spills) before the same pairs, and in
+    /// [`HashAgg::Values`] mode every value joins its key's chain. The
+    /// accessors read a key slice or a bundle's rows alike.
     ///
     /// # Errors
     ///
@@ -196,10 +199,11 @@ impl HashGrouper {
     /// growth) finds both tiers exhausted; the pairs before it are in.
     pub fn try_insert_all(
         &mut self,
-        keys: &[u64],
+        len: usize,
+        key: impl Fn(usize) -> u64,
         value: impl Fn(usize) -> u64,
     ) -> Result<(), AllocError> {
-        self.insert_lanes(keys, |i| (value(i), 1))
+        self.insert_lanes(len, key, |i| (value(i), 1))
     }
 
     /// Folds a pre-aggregated `(sum, count)` partial into `key`'s slot —
@@ -211,49 +215,51 @@ impl HashGrouper {
     /// Returns [`AllocError`] when the table must grow and both tiers are
     /// exhausted.
     pub fn merge_entry(&mut self, key: u64, sum: u64, count: u64) -> Result<(), AllocError> {
-        self.insert_lanes(&[key], |_| (sum, count))
+        self.insert_lanes(1, |_| key, |_| (sum, count))
     }
 
     /// The one insertion loop: adds `lanes(i)`, a `(sum, count)`, to the
-    /// slot of `keys[i]`, growing first wherever the next pair would pass
-    /// the load factor. A pair adds at most one key, so the check holds for
-    /// the next `full - len` pairs once it holds for the first.
+    /// slot of `key(i)` for every `i < len`, growing first wherever the
+    /// next pair would pass the load factor. A pair adds at most one key,
+    /// so the check holds for the next `full - len` pairs once it holds for
+    /// the first.
     fn insert_lanes(
         &mut self,
-        keys: &[u64],
+        len: usize,
+        key: impl Fn(usize) -> u64,
         lanes: impl Fn(usize) -> (u64, u64),
     ) -> Result<(), AllocError> {
         let mut at = 0;
-        while at < keys.len() {
+        while at < len {
             let full = self.keys.len() * LOAD_FACTOR_NUM / LOAD_FACTOR_DEN;
             if self.len >= full {
                 self.grow()?;
                 continue;
             }
-            let end = keys.len().min(at + (full - self.len));
+            let end = len.min(at + (full - self.len));
             match self.mode {
-                HashAgg::SumCount => self.insert_run::<false>(&keys[..end], at, &lanes)?,
-                HashAgg::Values => self.insert_run::<true>(&keys[..end], at, &lanes)?,
+                HashAgg::SumCount => self.insert_run::<false>(at..end, &key, &lanes)?,
+                HashAgg::Values => self.insert_run::<true>(at..end, &key, &lanes)?,
             }
             at = end;
         }
         Ok(())
     }
 
-    /// Inserts `keys[from..]`, all of which fit under the load factor (with
+    /// Inserts pairs `run`, all of which fit under the load factor (with
     /// `CHAINS`, chaining each value). The lanes are slices bounded by
     /// `mask`, so the probe carries no bounds check.
     fn insert_run<const CHAINS: bool>(
         &mut self,
-        keys: &[u64],
-        from: usize,
+        run: Range<usize>,
+        key: &impl Fn(usize) -> u64,
         lanes: &impl Fn(usize) -> (u64, u64),
     ) -> Result<(), AllocError> {
         let mask = self.mask;
         let slots = &mut self.keys[..=mask];
         let (sums, counts) = (&mut self.sums[..=mask], &mut self.counts[..=mask]);
-        for (at, &key) in keys.iter().enumerate().skip(from) {
-            let (sum, count) = lanes(at);
+        for at in run {
+            let (key, (sum, count)) = (key(at), lanes(at));
             let mut i = (fib_hash(key) as usize) & mask;
             loop {
                 if counts[i] == 0 {
@@ -424,7 +430,7 @@ pub fn group_pairs(
     // Size for the common benchmark shape (~100 values per key), then let
     // the table grow as needed.
     let mut table = HashGrouper::with_slots(ctx, (keys.len() / 64).max(8), kind, prio)?;
-    table.try_insert_all(keys, |i| values[i])?;
+    table.try_insert_all(keys.len(), |i| keys[i], |i| values[i])?;
     ctx.charge(&profile::hash_group(keys.len(), kind));
     Ok(table)
 }

@@ -79,25 +79,37 @@ fn first_ptr(bundle: &RecordBundle) -> u64 {
     .pack()
 }
 
-/// Maximal runs of consecutive `keys` inside one `width`-wide key range:
-/// `(key / width, index range)` per run, in order.
+/// The pairs `bundle`'s rows make with column `col` as the key, in row
+/// order: what an Extract writes and a KPA in place reads.
+fn row_pairs(bundle: &RecordBundle, col: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let rows = bundle.as_rows().chunks_exact(bundle.schema().ncols());
+    rows.zip(first_ptr(bundle)..)
+        .map(move |(row, ptr)| (row[col], ptr))
+}
+
+/// Maximal runs of consecutive keys inside one `width`-wide key range:
+/// `(key / width, index range)` per run, in order, of the `n` keys
+/// `keys(range)` yields.
 ///
 /// Membership is a subtract-and-compare against the current range
 /// `[lo, lo + span]` (`span` shrinks where the range would pass
 /// `u64::MAX`, so a key below `lo` wraps to more than any `span`); the
 /// division happens once per run.
-fn key_range_runs(keys: &[u64], width: u64) -> impl Iterator<Item = (u64, Range<usize>)> + '_ {
+fn key_range_runs<I: Iterator<Item = u64>>(
+    n: usize,
+    keys: impl Fn(Range<usize>) -> I,
+    width: u64,
+) -> impl Iterator<Item = (u64, Range<usize>)> {
     assert!(width > 0, "partition width must be positive");
     let mut start = 0;
     std::iter::from_fn(move || {
-        let rest = &keys[start..];
-        let group = rest.first()? / width;
+        let mut rest = keys(start..n);
+        let group = rest.next()? / width;
         let lo = group * width;
         let span = (width - 1).min(u64::MAX - lo);
         let len = rest
-            .iter()
             .position(|k| k.wrapping_sub(lo) > span)
-            .unwrap_or(rest.len());
+            .map_or(n - start, |at| at + 1);
         let run = start..start + len;
         start = run.end;
         Some((group, run))
@@ -379,23 +391,6 @@ impl Kpa {
         }
     }
 
-    /// The Extract loop behind [`Kpa::extract`], [`Kpa::extract_fused`] and
-    /// [`Kpa::extract_select`], which differ only in what they charge:
-    /// copies column `col` of every record `keep` accepts and forms a
-    /// pointer to it, in one pass over the bundle's rows.
-    fn extract_where(
-        ctx: &ExecCtx,
-        bundle: &Arc<RecordBundle>,
-        col: Col,
-        kind: MemKind,
-        prio: Priority,
-        keep: impl FnMut(u64) -> bool,
-    ) -> Result<Kpa, AllocError> {
-        let mut kpa = Self::rows_request(ctx, bundle, col, kind, prio)?;
-        kpa.write_pairs_where(keep);
-        Ok(kpa)
-    }
-
     /// Extract's pool request for every row of `bundle`, no pair written.
     fn rows_request(
         ctx: &ExecCtx,
@@ -420,8 +415,10 @@ impl Kpa {
         })
     }
 
-    /// Writes the pairs of a KPA in place into its request, as Extract.
-    fn write_pairs(&mut self) {
+    /// Writes the pairs of a KPA in place into its request, as Extract
+    /// would have, charging nothing (its Extract charged the write); a KPA
+    /// whose pairs are written is left alone.
+    pub fn write_pairs(&mut self) {
         self.write_pairs_where(|_| true);
     }
 
@@ -431,12 +428,8 @@ impl Kpa {
             Some(bundle) if self.in_place => bundle,
             _ => return,
         };
-        let (n, ncols) = (bundle.rows(), bundle.schema().ncols());
-        // Row `r`'s pointer is the bundle's row-0 pointer plus `r`.
-        let first = first_ptr(bundle);
-        let rows = bundle.as_rows().chunks_exact(ncols);
-        let col = self.resident.0;
-        let pairs = rows.zip(first..).map(|(row, ptr)| (row[col], ptr));
+        let n = bundle.rows();
+        let pairs = row_pairs(bundle, self.resident.0);
         compact_pairs(&mut self.keys, &mut self.ptrs, n, pairs, keep);
         self.in_place = false;
         self.in_order = self.keys.len() == n;
@@ -449,6 +442,10 @@ impl Kpa {
     /// Allocation prefers `kind` (the placement decided by the runtime's
     /// demand-balance knob) and spills to DRAM when HBM is exhausted.
     ///
+    /// Eager: its callers (the benchmark's traced layers among them) read
+    /// [`Kpa::keys`] right after it. [`Kpa::extract_deferred`] is the same
+    /// Extract with the pairs left in the rows.
+    ///
     /// # Errors
     ///
     /// Returns [`AllocError`] if neither tier can hold the KPA.
@@ -459,7 +456,31 @@ impl Kpa {
         kind: MemKind,
         prio: Priority,
     ) -> Result<Kpa, AllocError> {
-        let kpa = Self::extract_where(ctx, bundle, col, kind, prio, |_| true)?;
+        let mut kpa = Self::rows_request(ctx, bundle, col, kind, prio)?;
+        kpa.write_pairs();
+        ctx.charge_as(
+            PrimGroup::Extract,
+            &profile::extract(bundle.rows(), bundle.schema().record_bytes(), kpa.kind()),
+        );
+        Ok(kpa)
+    }
+
+    /// [`Kpa::extract`]'s pool request and charge with no pair written: a
+    /// KPA in place ([`Kpa::rows_in_place`]), as a window's arriving
+    /// bundle is taken. A primitive that moves or recomputes a pair
+    /// writes the pairs first; one that only reads them reads the rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] if neither tier can hold the KPA.
+    pub fn extract_deferred(
+        ctx: &mut ExecCtx,
+        bundle: &Arc<RecordBundle>,
+        col: Col,
+        kind: MemKind,
+        prio: Priority,
+    ) -> Result<Kpa, AllocError> {
+        let kpa = Self::rows_request(ctx, bundle, col, kind, prio)?;
         ctx.charge_as(
             PrimGroup::Extract,
             &profile::extract(bundle.rows(), bundle.schema().record_bytes(), kpa.kind()),
@@ -528,7 +549,8 @@ impl Kpa {
         prio: Priority,
         pred: impl FnMut(u64) -> bool,
     ) -> Result<Kpa, AllocError> {
-        let kpa = Self::extract_where(ctx, bundle, col, kind, prio, pred)?;
+        let mut kpa = Self::rows_request(ctx, bundle, col, kind, prio)?;
+        kpa.write_pairs_where(pred);
         let n = bundle.rows();
         ctx.charge_as(
             PrimGroup::Extract,
@@ -552,8 +574,13 @@ impl Kpa {
     ) -> Result<Kpa, AllocError> {
         let n = self.len();
         let (mut keys, mut ptrs, got) = alloc_pair_bufs(ctx.env(), n, self.kind(), prio)?;
-        let pairs = self.keys().iter().copied().zip(self.ptrs.iter().copied());
-        compact_pairs(&mut keys, &mut ptrs, n, pairs, pred);
+        match self.rows_in_place() {
+            Some(b) => compact_pairs(&mut keys, &mut ptrs, n, row_pairs(b, self.resident.0), pred),
+            None => {
+                let pairs = self.keys.iter().copied().zip(self.ptrs.iter().copied());
+                compact_pairs(&mut keys, &mut ptrs, n, pairs, pred);
+            }
+        }
         ctx.charge(&profile::select(n, keys.len(), self.kind(), got));
         Ok(self.like(keys, ptrs, self.sorted))
     }
@@ -562,20 +589,23 @@ impl Kpa {
     /// column `col`, dereferencing each pointer (random DRAM access).
     ///
     /// Clears the sorted flag unless the KPA is trivially sorted. The pairs
-    /// stay where they were, so [`Kpa::rows_in_order`] still holds.
+    /// stay where they were, so [`Kpa::rows_in_order`] still holds. A KPA
+    /// in place ([`Kpa::rows_in_place`]) has only its resident column
+    /// moved: its keys are read from the rows, so nothing is written.
     pub fn key_swap(&mut self, ctx: &mut ExecCtx, col: Col) {
         if col == self.resident {
             return;
         }
-        self.write_pairs();
-        let records = Resolver::new(
-            &self.ptrs,
-            &self.sources,
-            #[cfg(feature = "sanitize")]
-            &self.shadow,
-        );
-        for (i, key) in self.keys.iter_mut().enumerate() {
-            *key = records.value(i, col);
+        if !self.in_place {
+            let records = Resolver::new(
+                &self.ptrs,
+                &self.sources,
+                #[cfg(feature = "sanitize")]
+                &self.shadow,
+            );
+            for (i, key) in self.keys.iter_mut().enumerate() {
+                *key = records.value(i, col);
+            }
         }
         self.swapped_to(ctx, col);
     }
@@ -583,23 +613,28 @@ impl Kpa {
     /// [`Kpa::key_swap`] to a column other than the resident one that also
     /// reads each record's column `also` into `values` (cleared first) in
     /// the same pass, for an aggregation over the swapped keys: one
-    /// dereference per pair instead of two.
+    /// dereference per pair instead of two. Says whether it read them: a
+    /// KPA in place is swapped as by `key_swap`, its values left in its
+    /// rows for the aggregation to read there.
     pub fn key_swap_reading(
         &mut self,
         ctx: &mut ExecCtx,
         col: Col,
         also: Col,
         values: &mut Vec<u64>,
-    ) {
+    ) -> bool {
         debug_assert_ne!(col, self.resident, "a swap to the resident column");
-        self.write_pairs();
+        values.clear();
+        if self.in_place {
+            self.swapped_to(ctx, col);
+            return false;
+        }
         let records = Resolver::new(
             &self.ptrs,
             &self.sources,
             #[cfg(feature = "sanitize")]
             &self.shadow,
         );
-        values.clear();
         for (i, key) in self.keys.iter_mut().enumerate() {
             // A pointer the sanitizer rejected reads 0, as `Resolver::value`.
             let row = records.row(i);
@@ -607,6 +642,7 @@ impl Kpa {
             values.push(row.map_or(0, |r| r[also.0]));
         }
         self.swapped_to(ctx, col);
+        true
     }
 
     /// A key swap's charge and flags.
@@ -686,11 +722,10 @@ impl Kpa {
             "source schemas disagree"
         );
         self.charge_materialize(ctx);
-        let records = self.resolver();
         // Rows go straight into the output bundle's DRAM pool buffer.
         RecordBundle::from_fill(ctx.env(), schema, self.len() * ncols, |out| {
-            for i in 0..self.len() {
-                match records.row(i) {
+            for record in self.records() {
+                match record {
                     Some(row) => out.extend_from_slice(row),
                     // Copy-out of an invalid pointer: the finding is
                     // recorded; emit a zero row so the fault-free oracle
@@ -699,6 +734,27 @@ impl Kpa {
                 }
             }
         })
+    }
+
+    /// The record of each pair, in pair order, for one pass over all of
+    /// them: a KPA in place reads its rows, any other resolves its
+    /// pointers ([`Kpa::resolver`]; `None` where the sanitizer rejects
+    /// one).
+    pub fn records(&self) -> impl Iterator<Item = Option<&[u64]>> + '_ {
+        let rows = self
+            .rows_in_place()
+            .map(|b| b.as_rows().chunks_exact(b.schema().ncols()));
+        let written = if rows.is_some() { 0 } else { self.len() };
+        let records = self.resolver();
+        let rows = rows.into_iter().flatten().map(Some);
+        rows.chain((0..written).map(move |i| records.row(i)))
+    }
+
+    /// The source bundle of a KPA in place — pair `i` is its row `i`, the
+    /// key its resident column, and no pair is written — or `None` once
+    /// the pairs are written ([`Kpa::write_pairs`]).
+    pub fn rows_in_place(&self) -> Option<&Arc<RecordBundle>> {
+        self.sources.values().next().filter(|_| self.in_place)
     }
 
     /// The source bundle when pair `i` is its row `i`, for every row, and
@@ -778,18 +834,25 @@ impl Kpa {
         width: u64,
     ) -> Result<Vec<(u64, Kpa)>, AllocError> {
         let mut outs = self.partition_requests(ctx, prio, width)?;
-        if outs.len() == 1 {
-            if let Some((keys, ptrs)) = outs.values_mut().next() {
-                for (out, input) in [(keys, &mut self.keys), (ptrs, &mut self.ptrs)] {
-                    if !out.trade_host_buffer(input) {
-                        out.extend_from_slice(input);
-                    }
+        if outs.len() != 1 {
+            self.copy_runs(width, &mut outs);
+            return Ok(self.partitions(outs));
+        }
+        if let Some((keys, ptrs)) = outs.values_mut().next() {
+            for (out, input) in [(keys, &mut self.keys), (ptrs, &mut self.ptrs)] {
+                if !out.trade_host_buffer(input) {
+                    out.extend_from_slice(input);
                 }
             }
-        } else {
-            self.copy_runs(width, &mut outs);
         }
-        Ok(self.partitions(outs))
+        let mut parts = self.partitions(outs);
+        if self.in_place {
+            // A bundle in one group stays in place: the group is its rows.
+            for (_, part) in &mut parts {
+                (part.in_place, part.in_order, part.sorted) = (true, true, self.sorted);
+            }
+        }
+        Ok(parts)
     }
 
     /// Partition's charge and its exactly-sized buffer pair per group, in
@@ -802,9 +865,11 @@ impl Kpa {
         width: u64,
     ) -> Result<BTreeMap<u64, (PoolVec, PoolVec)>, AllocError> {
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for (g, run) in key_range_runs(self.keys(), width) {
-            *counts.entry(g).or_insert(0) += run.len();
-        }
+        self.key_ranges(width, |ranges| {
+            for (g, run) in ranges {
+                *counts.entry(g).or_insert(0) += run.len();
+            }
+        });
         let mut outs = BTreeMap::new();
         for (&g, &c) in &counts {
             let (k, p, _) = alloc_pair_bufs(ctx.env(), c, self.kind(), prio)?;
@@ -814,14 +879,38 @@ impl Kpa {
         Ok(outs)
     }
 
+    /// The runs of [`key_range_runs`] over this KPA's keys, read from its
+    /// rows when it is in place, handed to `f`.
+    fn key_ranges<R>(
+        &self,
+        width: u64,
+        f: impl FnOnce(&mut dyn Iterator<Item = (u64, Range<usize>)>) -> R,
+    ) -> R {
+        if self.in_place {
+            let run = self.run();
+            return f(&mut key_range_runs(run.len(), |at| run.keys(at), width));
+        }
+        let keys = |at: Range<usize>| self.keys[at].iter().copied();
+        f(&mut key_range_runs(self.keys.len(), keys, width))
+    }
+
     /// Copies each key-range run of pairs into its group's buffers.
     fn copy_runs(&self, width: u64, outs: &mut BTreeMap<u64, (PoolVec, PoolVec)>) {
-        for (g, run) in key_range_runs(self.keys(), width) {
-            if let Some((k, p)) = outs.get_mut(&g) {
-                k.extend_from_slice(&self.keys[run.clone()]);
-                p.extend_from_slice(&self.ptrs[run]);
+        let run = self.run();
+        self.key_ranges(width, |ranges| {
+            for (g, at) in ranges {
+                let Some((k, p)) = outs.get_mut(&g) else {
+                    continue;
+                };
+                if self.in_place {
+                    k.extend(run.keys(at.clone()));
+                    p.extend(at.map(|i| run.ptr(i)));
+                } else {
+                    k.extend_from_slice(&self.keys[at.clone()]);
+                    p.extend_from_slice(&self.ptrs[at]);
+                }
             }
-        }
+        });
     }
 
     /// The filled group buffers as partitions of this KPA's records.
@@ -936,7 +1025,13 @@ impl Kpa {
         Self::merge_walk(ctx, kpas, out_kind, prio, |runs, records| {
             let value = |r: usize, i: usize| records[r].summand(i, col);
             let pairs = runs.iter().map(mergepath::Run::len).sum::<usize>();
-            let mut rows = MemPool::host_buffer(3 * pairs);
+            // Distinct keys are at most the pairs and the sorted runs' key
+            // span, so the rows' buffer is the output's size class.
+            let ends = runs.iter().filter(|r| !r.is_empty());
+            let ends = ends.map(|r| (r.key(0), r.key(r.len() - 1)));
+            let (lo, hi) = ends.fold((u64::MAX, 0), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
+            let span = usize::try_from(hi.saturating_sub(lo)).unwrap_or(usize::MAX);
+            let mut rows = MemPool::host_buffer(3 * pairs.min(span.saturating_add(1)));
             mergepath::fold_runs(runs, col.map(|c| c.0), value, start, &mut rows);
             rows
         })
@@ -1112,7 +1207,8 @@ impl Kpa {
 
     /// The pointer at index `i`.
     pub fn record_ref(&self, i: usize) -> RecordRef {
-        RecordRef::unpack(self.ptrs[i])
+        assert!(i < self.len(), "pair {i} out of range");
+        RecordRef::unpack(self.run().ptr(i))
     }
 
     /// A pointer resolver for one pass over this KPA's records — what every
@@ -1133,7 +1229,7 @@ impl Kpa {
     ///
     /// Panics if `i` is out of range.
     pub fn deref(&self, i: usize) -> (&Arc<RecordBundle>, usize) {
-        let r = RecordRef::unpack(self.ptrs[i]);
+        let r = self.record_ref(i);
         (&self.sources[&r.bundle], r.row as usize)
     }
 
@@ -1143,7 +1239,7 @@ impl Kpa {
     /// invalid pointer records a finding and yields `0`.
     pub fn value_at(&self, i: usize, col: Col) -> u64 {
         #[cfg(feature = "sanitize")]
-        if !self.shadow.check(self.ptrs[i]) {
+        if !self.shadow.check(self.record_ref(i).pack()) {
             return 0;
         }
         let (b, row) = self.deref(i);
@@ -1253,7 +1349,7 @@ impl fmt::Debug for Kpa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbx_simmem::MachineConfig;
+    use sbx_simmem::{AccessProfile, MachineConfig};
 
     fn env() -> MemEnv {
         MemEnv::new(MachineConfig::knl().scaled(0.01))
@@ -1328,6 +1424,103 @@ mod tests {
         let before = *ctx.profile();
         kpa.key_swap(&mut ctx, Col(2));
         assert_eq!(*ctx.profile(), before);
+    }
+
+    /// The same bundle as a KPA in place and with its pairs written.
+    fn in_place_and_written(env: &MemEnv, ctx: &mut ExecCtx, col: Col) -> (Kpa, Kpa) {
+        let rows = [(4, 40, 15), (2, 20, 5), (9, 90, 25), (2, 21, 7), (7, 70, 5)];
+        let b = kv_bundle(env, &rows);
+        let hbm = (MemKind::Hbm, Priority::Normal);
+        let in_place = Kpa::extract_deferred(ctx, &b, col, hbm.0, hbm.1).unwrap();
+        let written = Kpa::extract(ctx, &b, col, hbm.0, hbm.1).unwrap();
+        assert!(in_place.rows_in_place().is_some() && written.rows_in_place().is_none());
+        (in_place, written)
+    }
+
+    /// A KPA's pairs, pointers and flags, and what reading it charged.
+    fn seen(ctx: &mut ExecCtx, kpa: &Kpa) -> (Vec<u64>, Vec<u64>, Col, bool, AccessProfile) {
+        let run = kpa.run();
+        let ptrs = (0..kpa.len()).map(|i| run.ptr(i)).collect();
+        let keys = run.keys(0..kpa.len()).collect();
+        (
+            keys,
+            ptrs,
+            kpa.resident(),
+            kpa.is_sorted(),
+            ctx.take_profile(),
+        )
+    }
+
+    #[test]
+    fn every_reader_of_a_kpa_in_place_equals_it_written() {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let (mut in_place, written) = in_place_and_written(&env, &mut ctx, Col(2));
+        ctx.take_profile();
+        assert_eq!(seen(&mut ctx, &in_place), seen(&mut ctx, &written), "run");
+        let read = |ctx: &mut ExecCtx, kpa: &Kpa| {
+            let kept = kpa.select(ctx, Priority::Normal, |t| t % 10 == 5).unwrap();
+            let mut out = vec![seen(ctx, &kept)];
+            for width in [10, 100] {
+                for (_, part) in kpa.partition_by(ctx, Priority::Normal, width).unwrap() {
+                    out.push(seen(ctx, &part));
+                }
+            }
+            let records = kpa.resolver();
+            let resolved: Vec<_> = (0..kpa.len()).map(|i| records.row(i)).collect();
+            let listed: Vec<_> = kpa.records().collect();
+            assert_eq!(resolved, listed);
+            let bundle = kpa.materialize(ctx).unwrap();
+            let refs: Vec<_> = (0..kpa.len()).map(|i| kpa.record_ref(i)).collect();
+            (out, bundle.as_rows().to_vec(), refs, ctx.take_profile())
+        };
+        let want = read(&mut ctx, &written);
+        assert_eq!(read(&mut ctx, &in_place), want, "the readers");
+        // A swap to the resident column moves nothing: still in place.
+        in_place.key_swap(&mut ctx, Col(2));
+        assert!(in_place.rows_in_place().is_some());
+        let swapped = read(&mut ctx, &in_place);
+        assert_eq!(swapped, want, "after a swap to the resident column");
+    }
+
+    #[test]
+    fn a_swap_in_place_charges_as_written_and_writes_nothing() {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        for reading in [false, true] {
+            let (mut in_place, mut written) = in_place_and_written(&env, &mut ctx, Col(2));
+            let mut values = vec![1];
+            ctx.take_profile();
+            let swap = |kpa: &mut Kpa, ctx: &mut ExecCtx, values: &mut Vec<u64>| match reading {
+                true => kpa.key_swap_reading(ctx, Col(0), Col(1), values),
+                false => {
+                    kpa.key_swap(ctx, Col(0));
+                    false
+                }
+            };
+            assert!(!swap(&mut in_place, &mut ctx, &mut values));
+            assert!(in_place.rows_in_place().is_some(), "nothing written");
+            assert_eq!(
+                values.is_empty(),
+                reading,
+                "only a reading swap clears them"
+            );
+            let in_place_seen = seen(&mut ctx, &in_place);
+            assert_eq!(swap(&mut written, &mut ctx, &mut values), reading);
+            assert_eq!(in_place_seen, seen(&mut ctx, &written));
+            in_place.write_pairs();
+            assert_eq!(in_place.keys(), written.keys());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "in place")]
+    fn the_keys_of_a_kpa_in_place_are_not_readable() {
+        let env = env();
+        let mut ctx = ExecCtx::new(&env);
+        let (mut in_place, _) = in_place_and_written(&env, &mut ctx, Col(2));
+        in_place.key_swap(&mut ctx, Col(2));
+        let _ = in_place.keys();
     }
 
     #[test]

@@ -83,11 +83,11 @@ pub fn reduce_unkeyed_kpa<A>(
     init: A,
     mut f: impl FnMut(A, u64) -> A,
 ) -> A {
-    let records = kpa.resolver();
-    let mut acc = init;
-    for i in 0..kpa.len() {
-        acc = f(acc, records.value(i, col));
-    }
+    // A pointer the sanitizer rejected reads 0, as `Resolver::value`.
+    let value = |record: Option<&[u64]>| record.map_or(0, |r| r[col.0]);
+    let acc = kpa
+        .records()
+        .fold(init, |acc, record| f(acc, value(record)));
     ctx.charge(&profile::reduce_keyed(kpa.len(), kpa.kind()));
     acc
 }

@@ -50,6 +50,11 @@ pub fn sort_pairs(keys: &mut [u64], ptrs: &mut [u64]) {
     MemPool::return_host_buffer(scratch);
 }
 
+/// The least and greatest of `keys`: `(u64::MAX, 0)` for none.
+fn key_bounds(keys: impl Iterator<Item = u64>) -> (u64, u64) {
+    keys.fold((u64::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k)))
+}
+
 impl Kpa {
     /// **Sort** (Table 2): sorts the KPA by resident key, in place, with
     /// the chunk kernel [`sort_pairs`] (one read+write pass) on one lane.
@@ -85,7 +90,8 @@ impl Kpa {
     /// charges it, but no pair moves: `fold` sums the pairs' values by key
     /// — `values[i]` for pair `i` when the key swap read them, else record
     /// column `col` in pair order, else 1 (a count, which still shows
-    /// `--features sanitize` every pointer). Returns the distinct keys.
+    /// `--features sanitize` every pointer). A KPA in place feeds key and
+    /// value from its rows in one stream. Returns the distinct keys.
     pub fn sort_fold(
         &self,
         ctx: &mut ExecCtx,
@@ -93,13 +99,21 @@ impl Kpa {
         values: Option<&[u64]>,
         fold: &mut KeyFold,
     ) -> usize {
-        let (n, keys) = (self.len(), self.keys());
+        let n = self.len();
         if !self.is_sorted() && n > 1 {
             ctx.charge_as(PrimGroup::Sort, &profile::sort(n, self.kind()));
         }
-        let bounds = keys
-            .iter()
-            .fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        if let Some(b) = self.rows_in_place() {
+            let key = self.resident().0;
+            let rows = b.as_rows().chunks_exact(b.schema().ncols());
+            let bounds = key_bounds(rows.clone().map(|row| row[key]));
+            return match col {
+                Some(Col(col)) => fold.load(n, bounds, rows.map(|row| (row[key], row[col]))),
+                None => fold.load(n, bounds, rows.map(|row| (row[key], 1))),
+            };
+        }
+        let keys = self.keys();
+        let bounds = key_bounds(keys.iter().copied());
         let keys = keys.iter().copied();
         if let (Some(_), Some(values)) = (col, values) {
             return fold.load(n, bounds, keys.zip(values.iter().copied()));

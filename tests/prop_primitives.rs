@@ -1148,7 +1148,11 @@ fn hash_batch_insert_equals_the_per_pair_loop() {
             let end = n.min(at + rng.random_range(1..=most as u64) as usize);
             let value = |i: usize| values[at + i];
             reference::hash_ingest(&mut per_pair, &keys[at..end], value).expect("fits");
-            batched.try_insert_all(&keys[at..end], value).expect("fits");
+            let batch = &keys[at..end];
+            let key = |i: usize| batch[i];
+            batched
+                .try_insert_all(batch.len(), key, value)
+                .expect("fits");
             assert_eq!(
                 state(&batch_env, &batched),
                 state(&pair_env, &per_pair),
@@ -1216,14 +1220,14 @@ fn hash_swap_reading_equals_the_two_pass_ingest() {
                 if mapped {
                     kpa.update_keys(&mut ctx, |k| k % 977);
                 }
+                let (n, keys) = (kpa.len(), kpa.keys());
+                let key = |i: usize| keys[i];
                 if one_pass {
-                    table
-                        .try_insert_all(kpa.keys(), |i| values[i])
-                        .expect("fits");
+                    table.try_insert_all(n, key, |i| values[i]).expect("fits");
                 } else {
                     let records = kpa.resolver();
                     let value = |i| records.value(i, Col(1));
-                    table.try_insert_all(kpa.keys(), value).expect("fits");
+                    table.try_insert_all(n, key, value).expect("fits");
                 }
             }
             let pools = [MemKind::Hbm, MemKind::Dram].map(|k| env.pool(k).stats());
@@ -1337,6 +1341,124 @@ fn early_partials_equal_sort_then_scalar_fold() {
         }
     }
     assert!(spilled > 0, "a partial spills at 160 KiB of HBM");
+}
+
+/// A window's bundle taken in place — `WindowInto` makes Extract's request
+/// and charge but writes no pair, a bundle in one pane reaches the key swap
+/// as its rows, and the sort fold and the hash insert read key and value
+/// from them — closes as the written path does
+/// (`reference::window_written`: Extract, Partition, then the key swap
+/// reading each value through its pointer): the same rows, both pools'
+/// `PoolStats`, spill count and charged profile. `Sum` and `Count` on the
+/// sort, hash, adaptive and row backends; bundles in one pane, straddling
+/// two, and out of order; 1 000 and 4 M keys; 64 MiB and 160 KiB of HBM.
+#[test]
+fn in_place_windows_equal_extract_partition_and_the_key_swap() {
+    use streambox_hbm::engine::ops::{KeyedAggregate, WindowInto};
+    use streambox_hbm::engine::{
+        DemandBalancer, EngineMode, ImpactTag, Message, OpCtx, Operator, StreamData,
+    };
+    const WIDTH: u64 = 1_000;
+    let mut rng = SbxRng::seed_from_u64(0x5b57_1019);
+    let (mut spilled, mut hashed) = (0, 0);
+    for case in 0..12usize {
+        let (shape, hbm_kib) = (case % 3, [1 << 16, 160][case / 3 % 2]);
+        let space = [1_000, 4_000_000][case / 6];
+        // Three bundles to a pane, each a third of it; straddling bundles
+        // start 400 ticks apart and span 500; out-of-order ones add up to
+        // 400 ticks of jitter to one-pane bundles.
+        let starts: Vec<u64> = (0..12u64)
+            .map(|j| match shape {
+                1 => 400 * j,
+                _ => j / 3 * WIDTH + j % 3 * WIDTH / 3,
+            })
+            .collect();
+        let bundles: Vec<Vec<u64>> = starts
+            .iter()
+            .map(|&t0| {
+                let n = rng.random_range(0..1_500);
+                let span = if shape == 1 { 500 } else { WIDTH / 3 };
+                (0..n)
+                    .flat_map(|i| {
+                        let jitter = if shape == 2 {
+                            rng.random_range(0..400)
+                        } else {
+                            0
+                        };
+                        let t = t0 + i * span / n + jitter;
+                        [rng.random_range(0..space), rng.random_range(0..1 << 20), t]
+                    })
+                    .collect()
+            })
+            .collect();
+        for kind in [AggKind::Sum, AggKind::Count] {
+            for backend in [
+                (GroupingSpec::SortMerge, EngineMode::Hybrid),
+                (GroupingSpec::Hash, EngineMode::Hybrid),
+                (GroupingSpec::Adaptive, EngineMode::Hybrid),
+                (GroupingSpec::SortMerge, EngineMode::Row),
+            ] {
+                let side = |in_place: bool| {
+                    let mut machine = MachineConfig::knl();
+                    machine.hbm.capacity_bytes = hbm_kib * 1024;
+                    let env = MemEnv::new(machine);
+                    let mut bal = DemandBalancer::new();
+                    let mut ctx = OpCtx::new(&env, &mut bal, backend.1, ImpactTag::High);
+                    let spec = WindowSpec::fixed(WIDTH);
+                    let mut window = WindowInto::new(spec);
+                    let mut agg =
+                        KeyedAggregate::new(spec, Col(0), Col(1), kind).with_grouping(backend.0);
+                    let mut rows = Vec::new();
+                    let mut feed = |ctx: &mut OpCtx<'_>, msgs: Vec<Message>| {
+                        for out in msgs
+                            .into_iter()
+                            .flat_map(|m| agg.on_message(ctx, m).unwrap())
+                        {
+                            if let Message::Data {
+                                data: StreamData::Bundle(b),
+                                ..
+                            } = out
+                            {
+                                rows.extend_from_slice(b.as_rows());
+                            }
+                        }
+                    };
+                    for (flat, &t0) in bundles.iter().zip(&starts) {
+                        let b = RecordBundle::from_rows(&env, Schema::kvt(), flat).expect("fits");
+                        let windowed = match in_place {
+                            true => window
+                                .on_message(&mut ctx, Message::data(StreamData::Bundle(b)))
+                                .expect("fits"),
+                            false => reference::window_written(&mut ctx, b, WIDTH),
+                        };
+                        feed(&mut ctx, windowed);
+                        let wm = Watermark::from(t0.saturating_sub(WIDTH / 2));
+                        feed(&mut ctx, vec![Message::Watermark(wm)]);
+                    }
+                    feed(
+                        &mut ctx,
+                        vec![Message::Watermark(Watermark::from(u64::MAX))],
+                    );
+                    let events = ctx.take_events();
+                    let pools = [MemKind::Hbm, MemKind::Dram].map(|k| env.pool(k).stats());
+                    (rows, pools, env.spill_count(), ctx.take_profile(), events)
+                };
+                let (got, want) = (side(true), side(false));
+                let what = format!("case {case}: shape {shape}, {kind:?}, {backend:?}");
+                assert_eq!(got.0, want.0, "{what}: rows");
+                assert_eq!(got.1, want.1, "{what}: pools");
+                assert_eq!(got.2, want.2, "{what}: spills");
+                assert!(got.3 == want.3, "{what}: charged profile");
+                assert_eq!(got.4, want.4, "{what}: backend events");
+                spilled += usize::from(got.2 > 0);
+                if backend.0 == GroupingSpec::Adaptive {
+                    hashed += got.4.iter().filter(|e| e.ends_with("hash")).count();
+                }
+            }
+        }
+    }
+    assert!(spilled > 0, "a window spills at 160 KiB of HBM");
+    assert!(hashed > 0, "the adaptive choice picks a hash table");
 }
 
 /// Routed shards are disjoint and jointly exhaustive: over random shard
