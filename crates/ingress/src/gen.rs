@@ -611,6 +611,24 @@ mod tests {
         assert_eq!(ZipfKeys::new(0, 0.99).n(), 1);
     }
 
+    /// Pins the CDF alone, so the distribution (and with it every draw) is
+    /// pinned whatever guide the table is searched through.
+    #[test]
+    fn zipf_cdf_checksum_is_pinned() {
+        for (n, theta, want) in [
+            (1_000, 0.99, 0xedf9_047a_afc1_f708u64),
+            (50_000, 1.2, 0x3d7e_aeca_0d6a_a2e8),
+        ] {
+            let h = ZipfKeys::new(n, theta)
+                .cdf
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+                    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            assert_eq!(h, want, "n {n} θ {theta}: cdf changed: {h:#018x}");
+        }
+    }
+
     /// Pins the (1 000, 0.99) table — the `sum_lowcard_adaptive` keys — so
     /// a change to the weights or the layout is a deliberate one.
     #[test]
