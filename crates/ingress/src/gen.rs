@@ -95,9 +95,15 @@ impl Front {
 /// `i` is drawn with probability `∝ (i+1)^-θ`, so rank 0 is the hottest.
 ///
 /// The distribution is tabulated once, in O(n), with weights from
-/// [`sbx_prng::math`]: its CDF in 64-bit fixed point and a guide table into
-/// it, at most 16 bytes per rank. A draw is one `next_u64` and integer work
-/// only, so a skewed stream is the same bytes on every platform.
+/// [`sbx_prng::math`]: its CDF in 64-bit fixed point (8 bytes per rank) and
+/// a guide table into it. The guide takes the fewest power-of-two buckets,
+/// never fewer than one per rank, for which no bucket is wider than the
+/// smallest CDF step: a draw is then a lookup and one compare. It stops at
+/// 2^16 buckets (256 KiB) unless one per rank is more, so it holds at most
+/// `4 · max(2^16, n.next_power_of_two())` bytes; a table whose guide stopped
+/// short (θ steep, or 2^16 ranks and up) scans forward after the compare. A
+/// draw is one `next_u64` and integer work only, so a skewed stream is the
+/// same bytes on every platform.
 ///
 /// Drives the skewed cluster workloads: a Zipf key stream concentrates
 /// traffic on the slots owning the low ranks, producing the hot shard the
@@ -111,6 +117,10 @@ pub struct ZipfKeys {
     guide: Vec<u32>,
     shift: u32,
 }
+
+/// The most guide buckets a [`ZipfKeys`] table takes to make every bucket
+/// narrower than its smallest CDF step (4 bytes each).
+const GUIDE_CAP: usize = 1 << 16;
 
 impl ZipfKeys {
     /// A Zipf sampler over `n` ranks with exponent `theta`. The domain is
@@ -136,7 +146,20 @@ impl ZipfKeys {
         for c in &mut cdf {
             *c = (f64::from_bits(*c) / total * (1u128 << 64) as f64) as u64;
         }
-        let buckets = n.max(2).next_power_of_two();
+        // No bucket wider than the smallest CDF step, up to the cap; never
+        // fewer buckets than ranks.
+        let min_step = cdf
+            .iter()
+            .scan(0, |prev, &c| Some(c - std::mem::replace(prev, c)))
+            .min()
+            .unwrap_or(0);
+        let fine = match min_step {
+            0 => GUIDE_CAP,
+            step => (1u128 << 64)
+                .div_ceil(u128::from(step))
+                .min(GUIDE_CAP as u128) as usize,
+        };
+        let buckets = n.max(2).next_power_of_two().max(fine.next_power_of_two());
         let shift = u64::BITS - buckets.trailing_zeros();
         let (mut guide, mut rank) = (Vec::new(), 0);
         guide.extend((0..buckets as u64).map(|b| {
@@ -163,6 +186,10 @@ impl ZipfKeys {
     #[inline]
     fn rank_of(&self, x: u64) -> u64 {
         let mut rank = self.guide[(x >> self.shift) as usize] as usize;
+        // A bucket holds at most one CDF step unless the guide stopped at
+        // its cap: this branch-free compare resolves it, and the scan exits
+        // at once.
+        rank += usize::from(self.cdf[rank] < x);
         while self.cdf[rank] < x {
             rank += 1;
         }
@@ -594,6 +621,38 @@ mod tests {
         }
     }
 
+    /// The guide is fine enough that no bucket holds two CDF steps, so the
+    /// compare after the lookup resolves every draw: a bucket's smallest
+    /// draw and the next bucket's are at most one rank apart, and the last
+    /// bucket's at most one below the last rank. θ = +inf's zero steps take
+    /// the capped guide; the cluster default (2 M ranks, θ 1.0) and
+    /// (50 000, 1.2) keep one bucket per rank, rounded to a power of two.
+    #[test]
+    fn zipf_guide_buckets_hold_at_most_one_step() {
+        for (n, theta) in [
+            (1_000, 0.99),
+            (1_000, 1.2),
+            (1_000, 0.5),
+            (3, 0.5),
+            (1, 1.0),
+        ] {
+            let z = ZipfKeys::new(n, theta);
+            let last = [z.cdf.len() as u32 - 1];
+            let ends = z.guide.iter().chain(&last).collect::<Vec<_>>();
+            assert!(
+                ends.windows(2).all(|w| w[1] - w[0] <= 1),
+                "n {n} θ {theta}: {} buckets",
+                z.guide.len()
+            );
+            assert_eq!(z.guide.len(), 1 << (64 - z.shift));
+        }
+        assert_eq!(ZipfKeys::new(1_000, f64::INFINITY).guide.len(), GUIDE_CAP);
+        for (n, theta) in [(2_000_000, 1.0), (50_000, 1.2)] {
+            let z = ZipfKeys::new(n, theta);
+            assert_eq!(z.guide.len(), (n as usize).next_power_of_two());
+        }
+    }
+
     /// Degenerate parameters still give a distribution: NaN and negative
     /// exponents are uniform, +inf is a point mass on rank 0, zero ranks is
     /// one rank.
@@ -642,8 +701,8 @@ mod tests {
         let h = words.fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
             (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!((z.cdf.len(), z.guide.len(), z.shift), (1_000, 1_024, 54));
-        assert_eq!(h, 0x1ed0_7be5_6414_e013, "table changed: {h:#018x}");
+        assert_eq!((z.cdf.len(), z.guide.len(), z.shift), (1_000, 8_192, 51));
+        assert_eq!(h, 0xe148_4243_52e9_c6b1, "table changed: {h:#018x}");
     }
 
     #[test]
