@@ -182,19 +182,18 @@ impl KeyedAggLogic {
 
     /// Creates the grouping backend for a new window, running the adaptive
     /// decision when configured. `kpa` is the window's first arriving KPA
-    /// (already key-swapped and key-mapped), its pairs written when the
-    /// sketch reads its keys. The row mode fixes the table.
+    /// (already key-swapped and key-mapped); the sketch reads its keys in
+    /// place. The row mode fixes the table.
     fn new_backend(
         &self,
         ctx: &mut OpCtx<'_>,
-        kpa: &mut Kpa,
+        kpa: &Kpa,
     ) -> Result<Box<dyn GroupingBackend>, EngineError> {
         let choice = match self.grouping {
             _ if ctx.mode() == EngineMode::Row => BackendChoice::Row,
             GroupingSpec::SortMerge => BackendChoice::Sort,
             GroupingSpec::Hash => BackendChoice::Hash,
             GroupingSpec::Adaptive => {
-                kpa.write_pairs();
                 if self.adapt.windows_seen > 0 {
                     // Window 0 skips the sketch: the decision is
                     // the sort default regardless (`decide_backend`).
@@ -270,7 +269,7 @@ impl WindowLogic for KeyedAggLogic {
         }
         let backend = match &mut state.backend {
             Some(backend) => backend,
-            empty => empty.insert(self.new_backend(ctx, &mut kpa)?),
+            empty => empty.insert(self.new_backend(ctx, &kpa)?),
         };
         let values = read.then_some(&self.values[..]);
         backend.ingest(ctx, kpa, &p, values, &mut self.fold)

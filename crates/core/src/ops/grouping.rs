@@ -702,7 +702,7 @@ pub(crate) fn decide_backend(
         return BackendChoice::Sort;
     }
     let mut sk = GroupSketch::new();
-    sk.observe_all(kpa.keys());
+    sk.observe_all(kpa.key_iter());
     let est_records = adapt.records_ema.max(kpa.len() as u64).max(1);
     let est_groups = adapt
         .groups_ema

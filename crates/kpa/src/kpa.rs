@@ -1194,6 +1194,13 @@ impl Kpa {
         &self.keys
     }
 
+    /// The resident keys in pair order, for one pass: a KPA in place reads
+    /// them from its rows, where [`Kpa::keys`] would panic.
+    pub fn key_iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let run = self.run();
+        run.keys(0..run.len())
+    }
+
     /// The KPA as a merge run: a KPA in place is its rows.
     fn run(&self) -> mergepath::Run<'_> {
         match self.sources.values().next() {

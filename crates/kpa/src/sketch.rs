@@ -26,6 +26,8 @@
 //! Integer-only state; the sole floating-point step (`sbx_prng::math::ln`)
 //! happens in the estimator and is pinned by known-answer tests below.
 
+use std::borrow::Borrow;
+
 use crate::hash::fib_hash;
 
 const BITMAP_BITS: usize = 1 << 16;
@@ -112,10 +114,11 @@ impl GroupSketch {
         }
     }
 
-    /// Records every key in `keys`.
-    pub fn observe_all(&mut self, keys: &[u64]) {
-        for &k in keys {
-            self.observe(k);
+    /// Records every key `keys` yields: a slice's, or a KPA's read from
+    /// its rows ([`crate::Kpa::key_iter`]).
+    pub fn observe_all<K: Borrow<u64>>(&mut self, keys: impl IntoIterator<Item = K>) {
+        for k in keys {
+            self.observe(*k.borrow());
         }
     }
 
