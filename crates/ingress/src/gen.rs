@@ -153,12 +153,10 @@ impl ZipfKeys {
             .scan(0, |prev, &c| Some(c - std::mem::replace(prev, c)))
             .min()
             .unwrap_or(0);
-        let fine = match min_step {
-            0 => GUIDE_CAP,
-            step => (1u128 << 64)
-                .div_ceil(u128::from(step))
-                .min(GUIDE_CAP as u128) as usize,
-        };
+        // A zero step (θ = +inf) takes the cap, as a step of 1 would.
+        let fine = (1u128 << 64)
+            .div_ceil(u128::from(min_step.max(1)))
+            .min(GUIDE_CAP as u128) as usize;
         let buckets = n.max(2).next_power_of_two().max(fine.next_power_of_two());
         let shift = u64::BITS - buckets.trailing_zeros();
         let (mut guide, mut rank) = (Vec::new(), 0);
