@@ -8,7 +8,7 @@
 use sbx_engine::ops::{AggKind, KeyedAggregate};
 use sbx_engine::{benchmarks, Engine, PipelineBuilder, RunConfig};
 use sbx_ingress::{KvSource, NicModel, SenderConfig};
-use sbx_kpa::{ExecCtx, Kpa};
+use sbx_kpa::{ExecCtx, ExtractCharge, Kpa};
 use sbx_records::{Col, RecordBundle, Schema, WindowSpec};
 use sbx_simmem::{MachineConfig, MemEnv, MemKind, Priority};
 
@@ -161,7 +161,9 @@ pub fn fused_extract_ablation(n: usize) -> (f64, f64) {
     let mut ctx = ExecCtx::new(&env);
     let _ = Kpa::extract(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).unwrap();
     let plain = model.time_secs(&ctx.take_profile(), CORES) * 1e6;
-    let _ = Kpa::extract_fused(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).unwrap();
+    let fused = ExtractCharge::Fused;
+    let _ =
+        Kpa::extract_in_place(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal, fused).unwrap();
     let fused = model.time_secs(&ctx.take_profile(), CORES) * 1e6;
     (plain, fused)
 }

@@ -32,7 +32,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use sbx_kpa::Kpa;
+use sbx_kpa::{ExtractCharge, Kpa};
 use sbx_records::{Col, RecordBundle, Schema, WindowSpec};
 use sbx_simmem::{AccessProfile, MemEnv};
 
@@ -84,7 +84,7 @@ pub struct StateEntry {
 
 /// A [`StateEntry`]'s row-major words: its own (decoded, split or computed
 /// rows), or shared with the immutable bundle a KPA's pairs are the rows of,
-/// in order ([`Kpa::rows_in_order`]). Reads as the words either way.
+/// in order ([`Kpa::rows_in_place`]). Reads as the words either way.
 #[derive(Clone)]
 pub enum EntryRows {
     /// Words the entry owns.
@@ -172,7 +172,7 @@ impl StateEntry {
         let mut ncols = schema.ncols();
         // Either way the Materialize output's DRAM request is held until
         // the rows are in the entry.
-        let (rows, carries_keys) = if let Some(b) = kpa.rows_in_order() {
+        let (rows, carries_keys) = if let Some(b) = kpa.rows_in_place() {
             let _request = ctx.charged(rb, |e| kpa.materialize_request(e))?;
             (EntryRows::Shared(Arc::clone(b)), false)
         } else {
@@ -301,32 +301,28 @@ impl StateEntry {
 
     /// Rebuilds a KPA: restores the records as a bundle, re-extracts on the
     /// saved resident column at the placement chosen by the current knob,
-    /// puts back the keys the entry carries, and re-marks sortedness. With
-    /// `in_place` the pairs are left in the restored rows
-    /// ([`Kpa::extract_in_place`]; written only to put keys back), for a
-    /// window close to read.
+    /// puts back the keys the entry carries, and re-marks sortedness. The
+    /// pairs are left in the restored rows ([`Kpa::extract_in_place`],
+    /// charged as fused with the restore), written only to put keys back.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Config`] when the entry does not describe a
     /// KPA or claims a sort order its keys do not have, and
     /// [`EngineError::Alloc`] when both tiers are exhausted.
-    pub fn to_kpa(&self, ctx: &mut OpCtx<'_>, in_place: bool) -> Result<Kpa, EngineError> {
+    pub fn to_kpa(&self, ctx: &mut OpCtx<'_>) -> Result<Kpa, EngineError> {
         let (EntryRepr::Kpa { sorted, .. } | EntryRepr::KeyedKpa { sorted, .. }) = self.repr else {
             return Err(EngineError::Config(
                 "snapshot entry does not describe a KPA".into(),
             ));
         };
         let bundle = self.to_bundle(ctx)?;
-        let extract = if in_place {
-            Kpa::extract_in_place
-        } else {
-            Kpa::extract_fused
-        };
-        let (kind, prio) = ctx.place();
+        let ((kind, prio), col) = (ctx.place(), Col(self.key_col()));
         let rb = bundle.schema().record_bytes();
         let mut kpa = ctx
-            .charged(rb, |e| extract(e, &bundle, Col(self.key_col()), kind, prio))
+            .charged(rb, |e| {
+                Kpa::extract_in_place(e, &bundle, col, kind, prio, ExtractCharge::Fused)
+            })
             .map_err(EngineError::from)?;
         if self.carries_keys() {
             let mut keys = self
@@ -770,10 +766,10 @@ mod tests {
         assert_eq!(entry.window, 7);
         assert_eq!(entry.rows.len(), 50 * 3);
 
-        let restored = entry.to_kpa(&mut ctx, false).unwrap();
+        let restored = entry.to_kpa(&mut ctx).unwrap();
         assert_eq!(restored.len(), kpa.len());
         assert!(restored.is_sorted());
-        assert_eq!(restored.keys(), kpa.keys());
+        assert!(restored.key_iter().eq(kpa.key_iter()));
         // Values dereference identically through the restored bundle.
         for i in 0..kpa.len() {
             assert_eq!(restored.value_at(i, Col(1)), kpa.value_at(i, Col(1)));
@@ -785,7 +781,7 @@ mod tests {
         ctx.sort(&mut kpa).unwrap();
         let entry = StateEntry::from_kpa(&mut ctx, 7, 0, &kpa).unwrap();
         assert_eq!((entry.ncols, entry.rows.len()), (4, 50 * 4));
-        let restored = entry.to_kpa(&mut ctx, false).unwrap();
+        let restored = entry.to_kpa(&mut ctx).unwrap();
         assert!(restored.is_sorted());
         assert_eq!(restored.keys(), kpa.keys());
         for i in 0..kpa.len() {
@@ -811,14 +807,16 @@ mod tests {
             let partials = RecordBundle::from_rows(&env, Schema::kvt(), &rows).unwrap();
             let (kind, prio) = ctx.place();
             let mut kpa = ctx
-                .charged(24, |e| Kpa::extract_fused(e, &partials, Col(0), kind, prio))
+                .charged(24, |e| {
+                    Kpa::extract_in_place(e, &partials, Col(0), kind, prio, ExtractCharge::Fused)
+                })
                 .unwrap();
             kpa.mark_sorted();
             if gathered {
                 ctx.charged(16, |e| kpa.update_keys(e, |k| k));
                 kpa.mark_sorted();
             }
-            assert_eq!(kpa.rows_in_order().is_some(), !gathered);
+            assert_eq!(kpa.rows_in_place().is_some(), !gathered);
             ctx.take_profile();
             let entry = StateEntry::from_kpa(&mut ctx, 5, 0, &kpa).unwrap();
             assert_eq!(matches!(entry.rows, EntryRows::Shared(_)), !gathered);
@@ -870,7 +868,7 @@ mod tests {
             ..StateEntry::from_rows(0, 0, 3, 2, vec![1, 2, 3])
         };
         assert!(matches!(
-            bad_res.to_kpa(&mut ctx, false),
+            bad_res.to_kpa(&mut ctx),
             Err(EngineError::Config(_))
         ));
         let lying = StateEntry {
@@ -881,12 +879,12 @@ mod tests {
             ..StateEntry::from_rows(0, 0, 3, 2, vec![9, 0, 0, 1, 0, 0])
         };
         assert!(matches!(
-            lying.to_kpa(&mut ctx, false),
+            lying.to_kpa(&mut ctx),
             Err(EngineError::Config(_))
         ));
         let not_kpa = StateEntry::from_rows(0, 0, 3, 2, vec![1, 2, 3]);
         assert!(matches!(
-            not_kpa.to_kpa(&mut ctx, false),
+            not_kpa.to_kpa(&mut ctx),
             Err(EngineError::Config(_))
         ));
     }

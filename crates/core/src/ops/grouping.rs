@@ -33,7 +33,7 @@ use std::sync::Arc;
 use sbx_kpa::hash::{HashAgg, HashGrouper};
 use sbx_kpa::mergepath::KeyFold;
 use sbx_kpa::sketch::GroupSketch;
-use sbx_kpa::{agg, profile, Kpa};
+use sbx_kpa::{agg, profile, ExtractCharge, Kpa};
 use sbx_records::{Col, RecordBundle, Schema};
 use sbx_simmem::{AccessProfile, MemEnv, MemKind, MemPool, Priority};
 
@@ -273,7 +273,7 @@ impl SortMergeBackend {
         // (paper §4.3 optimization 1).
         let (kind, prio) = ctx.place();
         let mut kpa = ctx.charged(24, |e| {
-            Kpa::extract_in_place(e, partials, Col(0), kind, prio)
+            Kpa::extract_in_place(e, partials, Col(0), kind, prio, ExtractCharge::Fused)
         })?;
         // The scalar fold emitted the partials in ascending key order.
         kpa.mark_sorted();
@@ -375,7 +375,7 @@ impl GroupingBackend for SortMergeBackend {
     }
 
     fn restore_entry(&mut self, ctx: &mut OpCtx<'_>, e: &StateEntry) -> Result<(), EngineError> {
-        let kpa = e.to_kpa(ctx, true)?;
+        let kpa = e.to_kpa(ctx)?;
         self.records += kpa.len() as u64;
         self.kpas.push(kpa);
         Ok(())

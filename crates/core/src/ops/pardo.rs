@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use sbx_kpa::Kpa;
+use sbx_kpa::{ExtractCharge, Kpa};
 use sbx_records::{Col, RecordBundle, Schema};
 use sbx_simmem::AccessProfile;
 
@@ -163,7 +163,7 @@ impl StatelessOperator for MapRecords {
                 let (kind, prio) = ctx.place();
                 let ts_col = self.out_schema.ts_col();
                 let kpa = ctx.charged(self.out_schema.record_bytes(), |e| {
-                    Kpa::extract_fused(e, &bundle, ts_col, kind, prio)
+                    Kpa::extract_in_place(e, &bundle, ts_col, kind, prio, ExtractCharge::Fused)
                 })?;
                 Ok(single(Message::Data {
                     port,

@@ -60,8 +60,6 @@ impl WindowLogic for TemporalJoinLogic {
         if kpa.resident() != self.key_col {
             ctx.charged(16, |e| kpa.key_swap(e, self.key_col));
         }
-        // The join reads the newcomer's keys and pointers.
-        kpa.write_pairs();
         ctx.sort(&mut kpa)?;
 
         // (1) Join the newcomer against the opposite side's state.
@@ -70,7 +68,7 @@ impl WindowLogic for TemporalJoinLogic {
         if let Some(other) = sides[1 - side].first() {
             ctx.charged(16, |e| {
                 join_sorted(e, &kpa, other, 32, |newcomer, ni, opposite, oi| {
-                    let key = newcomer.keys()[ni];
+                    let key = newcomer.key(ni);
                     let new_v = newcomer.value_at(ni, value_col);
                     let opp_v = opposite.value_at(oi, value_col);
                     // Keep (left, right) orientation stable regardless of

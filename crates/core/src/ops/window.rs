@@ -1,4 +1,4 @@
-use sbx_kpa::Kpa;
+use sbx_kpa::{ExtractCharge, Kpa};
 use sbx_records::{WindowId, WindowSpec};
 
 use crate::operator::single;
@@ -44,7 +44,10 @@ impl StatelessOperator for WindowInto {
                     StreamData::Bundle(b) => {
                         let (ts_col, rb) = (b.schema().ts_col(), b.schema().record_bytes());
                         let (kind, prio) = ctx.place();
-                        ctx.charged(rb, |e| Kpa::extract_deferred(e, &b, ts_col, kind, prio))?
+                        let read = ExtractCharge::Read;
+                        ctx.charged(rb, |e| {
+                            Kpa::extract_in_place(e, &b, ts_col, kind, prio, read)
+                        })?
                     }
                     StreamData::Kpa(kpa) => kpa,
                     StreamData::Windowed(_, kpa) => kpa, // re-window

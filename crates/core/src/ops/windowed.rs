@@ -172,7 +172,7 @@ impl<L> WindowStore<L> for WindowState {
                     }
                 }
                 PORT_PENDING => state.pending.extend_from_slice(e.rows.as_chunks().0),
-                side => state.sides[(side as usize).min(1)].push(e.to_kpa(ctx, false)?),
+                side => state.sides[(side as usize).min(1)].push(e.to_kpa(ctx)?),
             }
         }
         Ok(())

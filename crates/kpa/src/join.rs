@@ -38,18 +38,18 @@ pub fn join_sorted(
         "resident columns must match"
     );
 
-    let (lk, rk) = (left.keys(), right.keys());
+    let (lk, rk) = (left.run(), right.run());
     let mut stats = JoinStats::default();
     let (mut i, mut j) = (0, 0);
     while i < lk.len() && j < rk.len() {
-        let (a, b) = (lk[i], rk[j]);
+        let (a, b) = (lk.key(i), rk.key(j));
         if a < b {
             i += 1;
         } else if a > b {
             j += 1;
         } else {
-            let i_end = i + lk[i..].iter().take_while(|&&k| k == a).count();
-            let j_end = j + rk[j..].iter().take_while(|&&k| k == a).count();
+            let i_end = i + lk.keys(i..lk.len()).take_while(|&k| k == a).count();
+            let j_end = j + rk.keys(j..rk.len()).take_while(|&k| k == a).count();
             for li in i..i_end {
                 for ri in j..j_end {
                     emit(left, li, right, ri);
@@ -106,6 +106,40 @@ mod tests {
         assert_eq!(seen, vec![(3, 3), (7, 7)]);
         assert_eq!(stats.emitted, 2);
         assert_eq!(stats.matched_keys, 2);
+    }
+
+    #[test]
+    fn join_reads_kpas_in_place_as_written() {
+        let env = MemEnv::new(MachineConfig::knl().scaled(0.01));
+        let bundle = |keys: &[u64]| {
+            let flat: Vec<u64> = keys.iter().flat_map(|&k| [k, k * 2, 0]).collect();
+            RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap()
+        };
+        let (lb, rb) = (bundle(&[1, 2, 2, 5, 7]), bundle(&[2, 2, 3, 7, 7, 9]));
+        let join = |written: bool| {
+            let mut ctx = ExecCtx::new(&env);
+            let [l, r] = [&lb, &rb].map(|b| {
+                let (hbm, read) = (MemKind::Hbm, crate::ExtractCharge::Read);
+                let mut kpa =
+                    Kpa::extract_in_place(&mut ctx, b, Col(0), hbm, Priority::Normal, read)
+                        .unwrap();
+                if written {
+                    kpa.write_pairs();
+                }
+                assert_eq!(kpa.rows_in_place().is_none(), written);
+                kpa.mark_sorted();
+                kpa
+            });
+            ctx.take_profile();
+            let mut seen = Vec::new();
+            let stats = join_sorted(&mut ctx, &l, &r, 32, |lk, li, rk, ri| {
+                seen.push((lk.key(li), li, rk.key(ri), ri));
+            });
+            (seen, stats, ctx.take_profile())
+        };
+        let (seen, stats, charged) = join(false);
+        assert_eq!((seen.len(), stats.matched_keys), (6, 2));
+        assert_eq!((seen, stats, charged), join(true));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! | Primitive | Access | Here |
 //! |---|---|---|
-//! | Extract | Sequential | [`Kpa::extract`] |
+//! | Extract | Sequential | [`Kpa::extract_in_place`] (pairs left in the rows); [`Kpa::extract`], its eager shim |
 //! | Materialize | Random | [`Kpa::materialize`] |
 //! | KeySwap | Random | [`Kpa::key_swap`] |
 //! | Sort | Sequential | [`Kpa::sort`] |
@@ -53,6 +53,6 @@ mod sort;
 
 pub use ctx::{ExecCtx, PrimGroup, WorkerPool};
 pub use join::{join_sorted, JoinStats};
-pub use kpa::{FoldedWindow, Kpa, Resolver};
+pub use kpa::{ExtractCharge, FoldedWindow, Kpa, Resolver};
 pub use reduce::{agg, reduce_keyed, reduce_unkeyed_bundle, reduce_unkeyed_kpa, KeyGroup};
 pub use sort::sort_pairs;

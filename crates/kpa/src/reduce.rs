@@ -36,10 +36,11 @@ pub fn reduce_keyed(
     mut f: impl FnMut(KeyGroup<'_>),
 ) -> usize {
     assert!(kpa.is_sorted(), "keyed reduction requires a sorted KPA");
-    let (keys, records) = (kpa.keys(), kpa.resolver());
+    let (keys, records) = (kpa.run(), kpa.resolver());
     let (mut values, mut groups, mut i) = (Vec::new(), 0usize, 0usize);
-    while let Some(&key) = keys.get(i) {
-        while keys.get(i) == Some(&key) {
+    while i < keys.len() {
+        let key = keys.key(i);
+        while i < keys.len() && keys.key(i) == key {
             values.push(records.value(i, value_col));
             i += 1;
         }
@@ -197,6 +198,34 @@ mod tests {
         });
         assert_eq!(groups, 3);
         assert_eq!(sums, vec![(1, 21), (2, 41), (3, 30)]);
+    }
+
+    #[test]
+    fn keyed_reduction_reads_a_kpa_in_place_as_written() {
+        let env = env();
+        let rows = [(1, 10), (1, 11), (2, 20), (3, 30), (3, 31)];
+        let flat: Vec<u64> = rows.iter().flat_map(|&(k, v)| [k, v, 0]).collect();
+        let b = RecordBundle::from_rows(&env, Schema::kvt(), &flat).unwrap();
+        let reduce = |written: bool| {
+            let mut ctx = ExecCtx::new(&env);
+            let (hbm, read) = (MemKind::Hbm, crate::ExtractCharge::Read);
+            let mut kpa =
+                Kpa::extract_in_place(&mut ctx, &b, Col(0), hbm, Priority::Normal, read).unwrap();
+            if written {
+                kpa.write_pairs();
+            }
+            assert_eq!(kpa.rows_in_place().is_none(), written);
+            kpa.mark_sorted();
+            ctx.take_profile();
+            let mut groups = Vec::new();
+            reduce_keyed(&mut ctx, &kpa, Col(1), |g| {
+                groups.push((g.key, g.values.to_vec()));
+            });
+            (groups, ctx.take_profile())
+        };
+        let (groups, charged) = reduce(false);
+        assert_eq!(groups.len(), 3);
+        assert_eq!((groups, charged), reduce(true));
     }
 
     #[test]

@@ -13,7 +13,9 @@ use sbx_prng::SbxRng;
 use streambox_hbm::cluster::RoutedSource;
 use streambox_hbm::engine::ops::emit_group;
 use streambox_hbm::ingress::parse::{json, proto, text};
-use streambox_hbm::kpa::{hash, join_sorted, reduce_keyed, sort_pairs, ExecCtx, Kpa};
+use streambox_hbm::kpa::{
+    hash, join_sorted, reduce_keyed, sort_pairs, ExecCtx, ExtractCharge, Kpa,
+};
 use streambox_hbm::prelude::*;
 
 const CASES: u64 = 48;
@@ -105,10 +107,11 @@ fn extract_materialize_round_trips() {
     }
 }
 
-/// [`Kpa::rows_in_order`] promises that Materialize would copy out its
-/// source's rows unchanged and that every key is the resident column. Random
-/// chains of the primitives that keep, move, drop or recompute pairs and
-/// keys must never leave the promise standing when it no longer holds.
+/// A KPA in place ([`Kpa::rows_in_place`]) promises that Materialize would
+/// copy out its source's rows unchanged and that every key is the resident
+/// column. Random chains of the primitives that keep, move, drop or
+/// recompute pairs and keys must never leave the promise standing when it
+/// no longer holds.
 #[test]
 fn rows_in_order_holds_whenever_it_is_claimed() {
     let mut rng = SbxRng::seed_from_u64(0x5b57_100f);
@@ -125,15 +128,17 @@ fn rows_in_order_holds_whenever_it_is_claimed() {
                 .collect();
             RecordBundle::from_rows(&env, Schema::kvt(), &rows).expect("fits")
         };
-        let (kind, prio) = (MemKind::Hbm, Priority::Normal);
+        let (kind, prio, read) = (MemKind::Hbm, Priority::Normal, ExtractCharge::Read);
         let col = |rng: &mut SbxRng| Col(rng.random_range(0..3) as usize);
         let b = bundle(&mut rng);
-        let mut kpa = Kpa::extract(&mut ctx, &b, col(&mut rng), kind, prio).expect("fits");
+        let mut kpa =
+            Kpa::extract_in_place(&mut ctx, &b, col(&mut rng), kind, prio, read).expect("fits");
         for _ in 0..8 {
             match rng.random_range(0..9) {
                 0 => {
                     let b = bundle(&mut rng);
-                    kpa = Kpa::extract(&mut ctx, &b, col(&mut rng), kind, prio).expect("fits");
+                    kpa = Kpa::extract_in_place(&mut ctx, &b, col(&mut rng), kind, prio, read)
+                        .expect("fits");
                 }
                 1 => {
                     let (b, cut) = (bundle(&mut rng), rng.random_range(0..50));
@@ -158,7 +163,17 @@ fn rows_in_order_holds_whenever_it_is_claimed() {
                 }
                 7 => {
                     let width = rng.random_range(1..600);
-                    let mut parts = kpa.partition_by(&mut ctx, prio, width).expect("fits");
+                    let mut parts = if rng.random_range(0..2) == 0 {
+                        kpa.partition_by(&mut ctx, prio, width)
+                    } else {
+                        let whole = std::mem::replace(
+                            &mut kpa,
+                            Kpa::extract_in_place(&mut ctx, &b, Col(0), kind, prio, read)
+                                .expect("fits"),
+                        );
+                        whole.into_partitions(&mut ctx, prio, width)
+                    }
+                    .expect("fits");
                     if !parts.is_empty() {
                         let at = rng.random_range(0..parts.len() as u64) as usize;
                         kpa = parts.swap_remove(at).1;
@@ -174,7 +189,7 @@ fn rows_in_order_holds_whenever_it_is_claimed() {
                 }
             }
             steps += 1;
-            let Some(src) = kpa.rows_in_order() else {
+            let Some(src) = kpa.rows_in_place() else {
                 continue;
             };
             claimed += 1;
@@ -185,10 +200,7 @@ fn rows_in_order_holds_whenever_it_is_claimed() {
                 .as_rows()
                 .chunks_exact(ncols)
                 .map(|r| r[kpa.resident().0]);
-            assert!(
-                kpa.keys().iter().copied().eq(column),
-                "keys left the resident column"
-            );
+            assert!(kpa.key_iter().eq(column), "keys left the resident column");
         }
     }
     assert!(
@@ -291,8 +303,10 @@ fn select_extract_compaction_matches_the_per_row_loop() {
                         .expect("fits")
                 });
                 let case = format!("{rows} rows of {ncols}, {col}, keep {name}");
-                assert_eq!(got.keys(), &want.0[..], "{case}");
+                assert_eq!(got.key_iter().collect::<Vec<_>>(), want.0[..], "{case}");
                 assert_eq!(ptrs_of(&got), want.1[..], "{case}");
+                let kept_all = got.len() == rows;
+                assert_eq!(got.rows_in_place().is_some(), kept_all, "{case}: in place");
                 assert_eq!(
                     (asked_new, got.footprint_bytes()),
                     (
@@ -623,8 +637,10 @@ fn fold_run(env: &MemEnv, ctx: &mut ExecCtx, keys: &[u64], values: &[u64], sourc
             .flat_map(|&i| rows[3 * i..3 * i + 3].to_vec())
             .collect();
         let b = RecordBundle::from_rows(env, Schema::kvt(), &rows).expect("fits");
+        let (hbm, fused) = (MemKind::Hbm, ExtractCharge::Fused);
         let mut kpa =
-            Kpa::extract_fused(ctx, &b, Col(0), MemKind::Hbm, Priority::Normal).expect("fits");
+            Kpa::extract_in_place(ctx, &b, Col(0), hbm, Priority::Normal, fused).expect("fits");
+        kpa.write_pairs();
         kpa.mark_sorted();
         return kpa;
     }
@@ -778,10 +794,14 @@ fn in_place_close_equals_the_pointer_path_and_the_merge() {
                     .iter()
                     .map(|rows| RecordBundle::from_rows(&env, Schema::kvt(), rows).expect("fits"))
                     .collect();
-                let extract = if in_place {
-                    Kpa::extract_in_place
-                } else {
-                    Kpa::extract_fused
+                let write = |mut kpa: Kpa| {
+                    if !in_place {
+                        kpa.write_pairs();
+                    }
+                    kpa
+                };
+                let extract = |e: &mut ExecCtx, b: &Arc<RecordBundle>, col, kind, prio| {
+                    Kpa::extract_in_place(e, b, col, kind, prio, ExtractCharge::Fused).map(write)
                 };
                 let hbm = (MemKind::Hbm, Priority::Normal);
                 let window = |ctx: &mut OpCtx<'_>, bundles: &[Arc<RecordBundle>]| {
@@ -799,7 +819,7 @@ fn in_place_close_equals_the_pointer_path_and_the_merge() {
                             .iter()
                             .map(|k| StateEntry::from_kpa(&mut ctx, 0, 0, k).expect("fits"))
                             .collect();
-                        let restore = |e: &StateEntry| e.to_kpa(&mut ctx, in_place);
+                        let restore = |e: &StateEntry| e.to_kpa(&mut ctx).map(write);
                         vec![entries
                             .iter()
                             .map(restore)
@@ -870,8 +890,9 @@ fn in_place_close_equals_the_pointer_path_and_the_merge() {
                 .iter()
                 .map(|rows| {
                     let b = RecordBundle::from_rows(&env, Schema::kvt(), rows).expect("fits");
+                    let (hbm, fused) = (MemKind::Hbm, ExtractCharge::Fused);
                     let kpa =
-                        Kpa::extract_in_place(&mut ctx, &b, Col(0), MemKind::Hbm, Priority::Normal);
+                        Kpa::extract_in_place(&mut ctx, &b, Col(0), hbm, Priority::Normal, fused);
                     let mut kpa = kpa.expect("fits");
                     kpa.mark_sorted();
                     kpa
@@ -883,7 +904,7 @@ fn in_place_close_equals_the_pointer_path_and_the_merge() {
             };
             kpas[1].corrupt_ptr(1, wild.pack());
             assert!(
-                kpas[1].rows_in_order().is_none(),
+                kpas[1].rows_in_place().is_none(),
                 "a corrupted KPA is not in order"
             );
             env.sanitizer().clear_reports();
@@ -1320,8 +1341,9 @@ fn early_partials_equal_sort_then_scalar_fold() {
                             None => reference::partials(&mut ctx, &mut kpa, kind),
                         }
                         .expect("fits");
+                        let fused = ExtractCharge::Fused;
                         let mut run =
-                            Kpa::extract_in_place(&mut ctx, &partials, Col(0), hbm.0, hbm.1)
+                            Kpa::extract_in_place(&mut ctx, &partials, Col(0), hbm.0, hbm.1, fused)
                                 .expect("fits");
                         run.mark_sorted();
                         rows.push(partials.as_rows().to_vec());
