@@ -840,14 +840,18 @@ impl Kpa {
         f: impl FnOnce(&mut dyn Iterator<Item = (u64, Range<usize>)>) -> R,
     ) -> R {
         // Written keys are scanned as a slice: through a one-word `Run`
-        // the scan costs ~0.2 ns more per pair, and `ysb`, whose filtered
-        // KPAs are written, ran ~1 % slower end to end.
+        // the scan cost ~0.2 ns more per pair on a 2-vCPU host, and `ysb`,
+        // whose filtered KPAs are written, ran ~1 % slower end to end.
         if self.layout == Layout::Written {
             let keys = |at: Range<usize>| self.keys[at].iter().copied();
             return f(&mut key_range_runs(self.keys.len(), keys, width));
         }
         let run = self.run();
-        f(&mut key_range_runs(run.len(), move |at| run.keys(at), width))
+        f(&mut key_range_runs(
+            run.len(),
+            move |at| run.keys(at),
+            width,
+        ))
     }
 
     /// Copies each key-range run of pairs into its group's buffers.
