@@ -286,8 +286,7 @@ impl<'a> Resolver<'a> {
     }
 
     /// Row `i` of the one source of a KPA in place, which has no pointers.
-    #[cold]
-    #[inline(never)]
+    #[inline]
     fn row_in_place(&self, i: usize) -> Option<&'a [u64]> {
         let src = self.only.as_ref().filter(|_| self.ptrs.is_empty());
         assert!(src.is_some(), "pair {i} out of range");
@@ -839,13 +838,6 @@ impl Kpa {
         width: u64,
         f: impl FnOnce(&mut dyn Iterator<Item = (u64, Range<usize>)>) -> R,
     ) -> R {
-        // Written keys are scanned as a slice: through a one-word `Run`
-        // the scan cost ~0.2 ns more per pair on a 2-vCPU host, and `ysb`,
-        // whose filtered KPAs are written, ran ~1 % slower end to end.
-        if self.layout == Layout::Written {
-            let keys = |at: Range<usize>| self.keys[at].iter().copied();
-            return f(&mut key_range_runs(self.keys.len(), keys, width));
-        }
         let run = self.run();
         f(&mut key_range_runs(
             run.len(),
@@ -862,15 +854,8 @@ impl Kpa {
                 let Some((k, p)) = outs.get_mut(&g) else {
                     continue;
                 };
-                // Written pairs are copied as slices, for the reason
-                // `key_ranges` gives.
-                if self.layout == Layout::Written {
-                    k.extend_from_slice(&self.keys[at.clone()]);
-                    p.extend_from_slice(&self.ptrs[at]);
-                } else {
-                    k.extend(run.keys(at.clone()));
-                    p.extend(at.map(|i| run.ptr(i)));
-                }
+                k.extend(run.keys(at.clone()));
+                p.extend(at.map(|i| run.ptr(i)));
             }
         });
     }

@@ -36,14 +36,14 @@ pub fn reduce_keyed(
     mut f: impl FnMut(KeyGroup<'_>),
 ) -> usize {
     assert!(kpa.is_sorted(), "keyed reduction requires a sorted KPA");
-    let (keys, records) = (kpa.run(), kpa.resolver());
-    let (mut values, mut groups, mut i) = (Vec::new(), 0usize, 0usize);
-    while i < keys.len() {
-        let key = keys.key(i);
-        while i < keys.len() && keys.key(i) == key {
-            values.push(records.value(i, value_col));
-            i += 1;
-        }
+    let (run, records) = (kpa.run(), kpa.resolver());
+    let (mut values, mut groups, mut start) = (Vec::new(), 0usize, 0usize);
+    while start < run.len() {
+        let key = run.key(start);
+        let len = run.keys(start..run.len()).position(|k| k != key);
+        let end = len.map_or(run.len(), |len| start + len);
+        values.extend((start..end).map(|i| records.value(i, value_col)));
+        start = end;
         f(KeyGroup {
             key,
             values: &values,
@@ -51,7 +51,7 @@ pub fn reduce_keyed(
         values.clear();
         groups += 1;
     }
-    ctx.charge(&profile::reduce_keyed(keys.len(), kpa.kind()));
+    ctx.charge(&profile::reduce_keyed(run.len(), kpa.kind()));
     groups
 }
 
