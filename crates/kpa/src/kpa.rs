@@ -285,8 +285,11 @@ impl<'a> Resolver<'a> {
         Some(&src.rows[at..at + src.ncols])
     }
 
-    /// Row `i` of the one source of a KPA in place, which has no pointers.
-    #[inline]
+    /// Row `i` of the one source of a KPA in place, which has no pointers:
+    /// a one-off lookup, since a pass over a KPA in place reads its rows
+    /// ([`Kpa::records`]). Out of line, so the pointer path stays small.
+    #[cold]
+    #[inline(never)]
     fn row_in_place(&self, i: usize) -> Option<&'a [u64]> {
         let src = self.only.as_ref().filter(|_| self.ptrs.is_empty());
         assert!(src.is_some(), "pair {i} out of range");
@@ -704,8 +707,16 @@ impl Kpa {
     /// them ([`Kpa::resolver`]; `None` where the sanitizer rejects a
     /// pointer).
     pub fn records(&self) -> impl Iterator<Item = Option<&[u64]>> + '_ {
+        // Rows in place are read as chunks: per pair through
+        // `Resolver::row`, an unkeyed fold over them (`AvgAll`) ran 3-7x
+        // slower in a micro-benchmark (EXPERIMENTS.md).
+        let rows = self
+            .rows_in_place()
+            .map(|b| b.as_rows().chunks_exact(b.schema().ncols()));
+        let written = if rows.is_some() { 0 } else { self.len() };
         let records = self.resolver();
-        (0..self.len()).map(move |i| records.row(i))
+        let rows = rows.into_iter().flatten().map(Some);
+        rows.chain((0..written).map(move |i| records.row(i)))
     }
 
     /// The source bundle of a KPA in place — pair `i` is its row `i`, for

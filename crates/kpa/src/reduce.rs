@@ -36,14 +36,14 @@ pub fn reduce_keyed(
     mut f: impl FnMut(KeyGroup<'_>),
 ) -> usize {
     assert!(kpa.is_sorted(), "keyed reduction requires a sorted KPA");
-    let (run, records) = (kpa.run(), kpa.resolver());
-    let (mut values, mut groups, mut start) = (Vec::new(), 0usize, 0usize);
-    while start < run.len() {
-        let key = run.key(start);
-        let len = run.keys(start..run.len()).position(|k| k != key);
-        let end = len.map_or(run.len(), |len| start + len);
-        values.extend((start..end).map(|i| records.value(i, value_col)));
-        start = end;
+    let records = kpa.resolver();
+    let mut keys = kpa.key_iter().enumerate().peekable();
+    let (mut values, mut groups) = (Vec::new(), 0usize);
+    while let Some((i, key)) = keys.next() {
+        values.push(records.value(i, value_col));
+        while let Some((i, _)) = keys.next_if(|&(_, k)| k == key) {
+            values.push(records.value(i, value_col));
+        }
         f(KeyGroup {
             key,
             values: &values,
@@ -51,7 +51,7 @@ pub fn reduce_keyed(
         values.clear();
         groups += 1;
     }
-    ctx.charge(&profile::reduce_keyed(run.len(), kpa.kind()));
+    ctx.charge(&profile::reduce_keyed(kpa.len(), kpa.kind()));
     groups
 }
 
